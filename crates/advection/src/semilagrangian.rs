@@ -180,6 +180,14 @@ impl StepTimings {
     }
 }
 
+/// One scan of the characteristic feet: the first non-finite foot in
+/// lane-major order, or the largest `|x_i − foot|`.
+#[derive(Debug, Clone, Copy)]
+enum FeetSummary {
+    Finite { max_disp: f64 },
+    NonFinite { lane: usize, index: usize },
+}
+
 /// Batched 1D constant-coefficient advection
 /// `∂f/∂t + v ∂f/∂x = 0` on a periodic `x` domain: each velocity-grid
 /// lane `v_j` advects independently, which is exactly the paper's
@@ -214,6 +222,9 @@ pub struct Advection1D {
     eta_r: Option<ResidentBatch>,
     /// Scratch: characteristic feet `(Nx, Nv)`, fixed for fixed `Δt`.
     feet: Matrix,
+    /// What the verified step needs to know about `feet`, scanned at most
+    /// once per rewrite: `None` after every write ([`Self::write_feet`]).
+    feet_summary: Option<FeetSummary>,
     /// Scratch: interpolated result `(Nx, Nv)`.
     interp: Matrix,
     dt: f64,
@@ -257,6 +268,7 @@ impl Advection1D {
             eta_prev: None,
             eta_r: None,
             feet: Matrix::zeros(nx, nv, Layout::Left),
+            feet_summary: None,
             interp: Matrix::zeros(nx, nv, Layout::Left),
             dt,
             last_diagnostics: None,
@@ -315,13 +327,61 @@ impl Advection1D {
     fn compute_feet(&mut self) {
         // Foot of the characteristic ending at (x_i, v_j): x_i − v_j·Δt
         // (first-order backward integration, exact for constant advection).
-        let dt = self.dt;
-        for j in 0..self.nv() {
-            let v = self.velocities[j];
-            for i in 0..self.nx() {
-                self.feet.set(i, j, self.x_points[i] - v * dt);
+        let displacements: Vec<f64> = self.velocities.iter().map(|v| v * self.dt).collect();
+        self.write_feet(&displacements);
+    }
+
+    /// `feet(i, j) = x_i − displacements[j]`; the only writer of `feet`.
+    fn write_feet(&mut self, displacements: &[f64]) {
+        self.feet_summary = None;
+        for (j, d) in displacements.iter().enumerate() {
+            for (i, x) in self.x_points.iter().enumerate() {
+                self.feet.set(i, j, x - d);
             }
         }
+    }
+
+    /// Input sanitization for the verified path: the builder quarantines
+    /// poisoned distribution lanes itself, but non-finite characteristic
+    /// feet would poison the interpolation stage behind the verifier's
+    /// back — reject them before any work runs. Returns the largest foot
+    /// displacement for the step's diagnostics. The scan runs once per
+    /// rewrite of the feet, not once per step.
+    fn checked_max_foot_displacement(&mut self) -> Result<f64> {
+        let summary = *self.feet_summary.get_or_insert_with(|| {
+            let mut max_disp = 0.0_f64;
+            for j in 0..self.feet.ncols() {
+                for (i, (x, foot)) in self
+                    .x_points
+                    .iter()
+                    .zip(self.feet.col(j).iter())
+                    .enumerate()
+                {
+                    if !foot.is_finite() {
+                        return FeetSummary::NonFinite { lane: j, index: i };
+                    }
+                    max_disp = max_disp.max((x - foot).abs());
+                }
+            }
+            FeetSummary::Finite { max_disp }
+        });
+        match summary {
+            FeetSummary::Finite { max_disp } => Ok(max_disp),
+            FeetSummary::NonFinite { lane, index } => {
+                instrument::trace_instant_lane(
+                    instrument::InstantKind::NonFiniteInput,
+                    lane as u32,
+                );
+                Err(Error::NonFiniteInput { lane, index })
+            }
+        }
+    }
+
+    /// Record the verified solve's report as this step's diagnostics.
+    fn record_diagnostics(&mut self, report: &LaneReport, max_disp: f64) {
+        let diagnostics = AdvectionDiagnostics::from_report(report, max_disp);
+        diagnostics.publish_metrics();
+        self.last_diagnostics = Some(diagnostics);
     }
 
     /// Initialise a distribution `f(x_i, v_j)` as a `(Nv, Nx)` row-major
@@ -346,23 +406,10 @@ impl Advection1D {
         let _step_span = Span::enter(PhaseId::AdvectionStep);
         let mut t = StepTimings::default();
 
-        // Input sanitization for the verified path: the builder quarantines
-        // poisoned distribution lanes itself, but non-finite characteristic
-        // feet would poison the interpolation stage instead — reject them
-        // before any work runs.
-        if matches!(self.backend, SplineBackend::DirectVerified(_)) {
-            for j in 0..nv {
-                for i in 0..nx {
-                    if !self.feet.get(i, j).is_finite() {
-                        instrument::trace_instant_lane(
-                            instrument::InstantKind::NonFiniteInput,
-                            j as u32,
-                        );
-                        return Err(Error::NonFiniteInput { lane: j, index: i });
-                    }
-                }
-            }
-        }
+        let max_disp = match self.backend {
+            SplineBackend::DirectVerified(_) => self.checked_max_foot_displacement()?,
+            _ => 0.0,
+        };
 
         // Line 3: transpose to lane-contiguous (Nx, Nv).
         let t0 = Instant::now();
@@ -390,15 +437,7 @@ impl Advection1D {
         t.splines_solve = t0.elapsed();
 
         if let Some(report) = report {
-            let mut max_disp = 0.0_f64;
-            for j in 0..nv {
-                for i in 0..nx {
-                    max_disp = max_disp.max((self.x_points[i] - self.feet.get(i, j)).abs());
-                }
-            }
-            let diagnostics = AdvectionDiagnostics::from_report(&report, max_disp);
-            diagnostics.publish_metrics();
-            self.last_diagnostics = Some(diagnostics);
+            self.record_diagnostics(&report, max_disp);
         }
 
         // Lines 6-10: follow characteristics and interpolate.
@@ -467,21 +506,10 @@ impl Advection1D {
         let _step_span = Span::enter(PhaseId::AdvectionStep);
         let mut t = StepTimings::default();
 
-        // Same input sanitization as the host step: non-finite feet would
-        // poison the interpolation stage behind the verifier's back.
-        if matches!(self.backend, SplineBackend::DirectVerified(_)) {
-            for j in 0..nv {
-                for i in 0..nx {
-                    if !self.feet.get(i, j).is_finite() {
-                        instrument::trace_instant_lane(
-                            instrument::InstantKind::NonFiniteInput,
-                            j as u32,
-                        );
-                        return Err(Error::NonFiniteInput { lane: j, index: i });
-                    }
-                }
-            }
-        }
+        let max_disp = match self.backend {
+            SplineBackend::DirectVerified(_) => self.checked_max_foot_displacement()?,
+            _ => 0.0,
+        };
 
         let mut eta = self
             .eta_r
@@ -514,15 +542,7 @@ impl Advection1D {
         t.splines_solve = t0.elapsed();
 
         if let Some(report) = report {
-            let mut max_disp = 0.0_f64;
-            for j in 0..nv {
-                for i in 0..nx {
-                    max_disp = max_disp.max((self.x_points[i] - self.feet.get(i, j)).abs());
-                }
-            }
-            let diagnostics = AdvectionDiagnostics::from_report(&report, max_disp);
-            diagnostics.publish_metrics();
-            self.last_diagnostics = Some(diagnostics);
+            self.record_diagnostics(&report, max_disp);
         }
 
         let t0 = Instant::now();
@@ -560,12 +580,7 @@ impl Advection1D {
             instrument::trace_instant_lane(instrument::InstantKind::NonFiniteInput, j as u32);
             return Err(Error::NonFiniteInput { lane: j, index: 0 });
         }
-        for j in 0..self.nv() {
-            let d = displacements[j];
-            for i in 0..self.nx() {
-                self.feet.set(i, j, self.x_points[i] - d);
-            }
-        }
+        self.write_feet(displacements);
         let timings = self.step_resident(exec, f);
         // Restore the standing feet for subsequent plain steps.
         self.compute_feet();
@@ -597,12 +612,7 @@ impl Advection1D {
             instrument::trace_instant_lane(instrument::InstantKind::NonFiniteInput, j as u32);
             return Err(Error::NonFiniteInput { lane: j, index: 0 });
         }
-        for j in 0..self.nv() {
-            let d = displacements[j];
-            for i in 0..self.nx() {
-                self.feet.set(i, j, self.x_points[i] - d);
-            }
-        }
+        self.write_feet(displacements);
         let timings = self.step(exec, f);
         // Restore the standing feet for subsequent plain `step` calls.
         self.compute_feet();
@@ -993,6 +1003,70 @@ mod tests {
         let diag = adv.last_diagnostics().unwrap();
         assert!(diag.all_clean(), "{diag}");
         assert!((diag.max_foot_displacement - 0.014).abs() < 1e-12);
+    }
+
+    /// The feet are scanned once per rewrite, not once per step: the
+    /// rejection and the reported displacement must be those of a fresh
+    /// scan on every step, on both entry points, across every writer.
+    #[test]
+    fn verified_feet_summary_follows_every_rewrite() {
+        let verified = |velocities: Vec<f64>, dt: f64| {
+            let space =
+                PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
+            let backend = SplineBackend::direct_verified(
+                space,
+                BuilderVersion::Interleaved,
+                pp_splinesolver::VerifyConfig::default(),
+            )
+            .unwrap();
+            Advection1D::new(backend, velocities, dt).unwrap()
+        };
+        // What the per-step scan used to compute, from the public grid.
+        let fresh_max = |adv: &Advection1D, disp: &[f64]| {
+            let mut m = 0.0_f64;
+            for d in disp {
+                for x in adv.x_points() {
+                    m = m.max((x - (x - d)).abs());
+                }
+            }
+            m
+        };
+        let max_of = |adv: &Advection1D| adv.last_diagnostics().unwrap().max_foot_displacement;
+
+        let mut adv = verified(vec![0.3, -0.2, 0.7], 0.02);
+        let standing: Vec<f64> = [0.3, -0.2, 0.7].iter().map(|v| v * 0.02).collect();
+        let mut f = adv.init_distribution(gaussian);
+        let mut slab = ResidentBatch::pack_transposed(&f);
+        for _ in 0..2 {
+            adv.step(&Serial, &mut f).unwrap();
+            assert_eq!(max_of(&adv).to_bits(), fresh_max(&adv, &standing).to_bits());
+            adv.step_resident(&Serial, &mut slab).unwrap();
+            assert_eq!(max_of(&adv).to_bits(), fresh_max(&adv, &standing).to_bits());
+        }
+        // Displaced steps see their own feet, and the standing ones return.
+        let shifted = [0.05, -0.11, 0.002];
+        adv.step_with_displacements(&Serial, &mut f, &shifted)
+            .unwrap();
+        assert_eq!(max_of(&adv).to_bits(), fresh_max(&adv, &shifted).to_bits());
+        adv.step_resident_with_displacements(&Serial, &mut slab, &shifted)
+            .unwrap();
+        assert_eq!(max_of(&adv).to_bits(), fresh_max(&adv, &shifted).to_bits());
+        adv.step(&Serial, &mut f).unwrap();
+        assert_eq!(max_of(&adv).to_bits(), fresh_max(&adv, &standing).to_bits());
+
+        // v·dt overflows in lane 1 although v and dt are finite: every step
+        // is rejected the same way until set_dt rewrites the feet.
+        let mut adv = verified(vec![0.5, 1e200], 1e200);
+        let mut f = Matrix::zeros(2, 32, Layout::Right);
+        let mut slab = ResidentBatch::zeros(32, 2);
+        let bad = Error::NonFiniteInput { lane: 1, index: 0 };
+        for _ in 0..2 {
+            assert_eq!(adv.step(&Serial, &mut f).unwrap_err(), bad);
+            assert_eq!(adv.step_resident(&Serial, &mut slab).unwrap_err(), bad);
+        }
+        adv.set_dt(1e-200).unwrap();
+        adv.step(&Serial, &mut f).unwrap();
+        adv.step_resident(&Serial, &mut slab).unwrap();
     }
 
     #[test]

@@ -46,6 +46,7 @@
 pub mod basis;
 pub mod clamped;
 pub mod error;
+mod kernel;
 pub mod knots;
 pub mod matrix;
 pub mod space;

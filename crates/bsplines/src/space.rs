@@ -1,9 +1,11 @@
 //! Periodic B-spline spaces: basis evaluation, Greville points, spline
 //! evaluation.
 
-use crate::basis::{eval_nonzero_basis, eval_nonzero_basis_deriv};
 use crate::error::{Error, Result};
+use crate::kernel::{self, Cardinal, Tabulated};
 use crate::knots::Breaks;
+use pp_portable::{Strided, StridedMut};
+use std::sync::Arc;
 
 /// Largest supported spline degree (the paper uses 3, 4 and 5).
 pub const MAX_DEGREE: usize = 5;
@@ -25,6 +27,27 @@ pub enum PointPlacement {
     KnotLike,
 }
 
+/// Call the instance of a kernel method for the space's degree and mesh
+/// kind (`const D`, `const UNIFORM`, then any `[extra]` const arguments):
+/// one dispatch per call, none per point.
+macro_rules! monomorphised {
+    ($space:expr, $method:ident $([$($extra:tt)*])? ($($arg:expr),*)) => {
+        match ($space.degree, $space.breaks.is_uniform()) {
+            (1, true) => $space.$method::<1, true $(, $($extra)*)?>($($arg),*),
+            (2, true) => $space.$method::<2, true $(, $($extra)*)?>($($arg),*),
+            (3, true) => $space.$method::<3, true $(, $($extra)*)?>($($arg),*),
+            (4, true) => $space.$method::<4, true $(, $($extra)*)?>($($arg),*),
+            (5, true) => $space.$method::<5, true $(, $($extra)*)?>($($arg),*),
+            (1, false) => $space.$method::<1, false $(, $($extra)*)?>($($arg),*),
+            (2, false) => $space.$method::<2, false $(, $($extra)*)?>($($arg),*),
+            (3, false) => $space.$method::<3, false $(, $($extra)*)?>($($arg),*),
+            (4, false) => $space.$method::<4, false $(, $($extra)*)?>($($arg),*),
+            (5, false) => $space.$method::<5, false $(, $($extra)*)?>($($arg),*),
+            _ => unreachable!("degree validated at construction"),
+        }
+    };
+}
+
 /// A periodic spline space of a given degree over a set of break points.
 ///
 /// The space has exactly `n = breaks.num_cells()` degrees of freedom;
@@ -39,6 +62,12 @@ pub struct PeriodicSplineSpace {
     ext_knots: Vec<f64>,
     n: usize,
     placement: PointPlacement,
+    /// Cells per unit length, `n / L`.
+    inv_h: f64,
+    /// Per-cell reciprocal rows of the Cox–de Boor triangle
+    /// ([`kernel::recip_table`]); empty on uniform meshes, which use the
+    /// constant cardinal row. Shared, so clones of the space stay cheap.
+    recip: Arc<[f64]>,
 }
 
 impl PeriodicSplineSpace {
@@ -77,8 +106,15 @@ impl PeriodicSplineSpace {
             };
             ext_knots.push(tau);
         }
+        let recip = if breaks.is_uniform() {
+            Vec::new()
+        } else {
+            kernel::recip_table(&ext_knots, degree, n)
+        };
         Ok(Self {
             degree,
+            inv_h: n as f64 / l,
+            recip: recip.into(),
             breaks,
             ext_knots,
             n,
@@ -111,44 +147,141 @@ impl PeriodicSplineSpace {
         &self.ext_knots
     }
 
-    /// Map `x` into the fundamental period `[x_min, x_max)`.
+    /// Map `x` into the fundamental period `[x_min, x_max)`. A point
+    /// already inside is returned unchanged; NaN and ±∞ map to NaN.
     #[inline]
     pub fn wrap(&self, x: f64) -> f64 {
-        let x0 = self.breaks.x_min();
-        let l = self.breaks.period();
-        let mut w = x - l * ((x - x0) / l).floor();
-        // Guard against floating-point landing exactly on the right edge.
-        if w >= x0 + l {
-            w = x0;
+        if x >= self.breaks.x_min() && x < self.breaks.x_max() {
+            x
+        } else {
+            self.wrap_outside(x)
         }
-        w
     }
 
-    /// Index of the cell containing `wrap(x)`.
+    /// [`Self::wrap`] for a point outside the period (or not a number):
+    /// the one division and `floor` left in evaluation, kept out of line.
+    #[cold]
+    #[inline(never)]
+    fn wrap_outside(&self, x: f64) -> f64 {
+        let x0 = self.breaks.x_min();
+        let x1 = self.breaks.x_max();
+        let l = x1 - x0;
+        let w = x - l * ((x - x0) / l).floor();
+        // The quotient's rounding can leave `w` a few ulps outside either
+        // edge; both are the same periodic point as `x_min`.
+        if w >= x1 || w < x0 {
+            x0
+        } else {
+            w
+        }
+    }
+
+    /// Index of the cell containing `wrap(x)`: the `c` with
+    /// `t_c <= wrap(x) < t_{c+1}` (cell 0 for a non-finite `x`).
     #[inline]
     pub fn cell_of(&self, x: f64) -> usize {
         let w = self.wrap(x);
-        let t = self.breaks.points();
         if self.breaks.is_uniform() {
-            let h = self.breaks.period() / self.n as f64;
-            let c = ((w - self.breaks.x_min()) / h) as usize;
-            c.min(self.n - 1)
+            self.cell_search::<true>(w)
         } else {
-            let c = t.partition_point(|&tk| tk <= w);
-            c.saturating_sub(1).min(self.n - 1)
+            self.cell_search::<false>(w)
         }
+    }
+
+    /// Cell of `w` in `[x_min, x_max)`: multiply and correct on a uniform
+    /// mesh (the product's rounding and the mesh's 1e-12 slack are worth a
+    /// cell at most), binary search otherwise — `partition_point`'s answer
+    /// either way, and cell 0 for a NaN, which fails every comparison.
+    #[inline]
+    fn cell_search<const UNIFORM: bool>(&self, w: f64) -> usize {
+        let t = self.breaks.points();
+        let last = self.n - 1;
+        if UNIFORM {
+            let mut c = (((w - t[0]) * self.inv_h) as usize).min(last);
+            while c > 0 && w < t[c] {
+                c -= 1;
+            }
+            while c < last && w >= t[c + 1] {
+                c += 1;
+            }
+            c
+        } else {
+            t.partition_point(|&tk| tk <= w).saturating_sub(1).min(last)
+        }
+    }
+
+    /// [`Self::cell_search`] out of line, for the walk's rare way out.
+    #[cold]
+    #[inline(never)]
+    fn cell_search_far<const UNIFORM: bool>(&self, w: f64) -> usize {
+        self.cell_search::<UNIFORM>(w)
+    }
+
+    /// Cell of an already wrapped `w`. Walking a lane, `hint` is the
+    /// previous point's cell (any value `< n`): the next foot is in the
+    /// same or the next cell, so the hint and its two neighbours are tested
+    /// against the break points before anything is searched. The answer is
+    /// [`Self::cell_search`]'s whatever the hint.
+    #[inline(always)]
+    fn cell_of_wrapped<const UNIFORM: bool>(&self, w: f64, hint: Option<usize>) -> usize {
+        let Some(c) = hint else {
+            return self.cell_search::<UNIFORM>(w);
+        };
+        let t = self.breaks.points();
+        if t[c] <= w && w < t[c + 1] {
+            c
+        } else if c + 1 < self.n && t[c + 1] <= w && w < t[c + 2] {
+            c + 1
+        } else if c > 0 && t[c - 1] <= w && w < t[c] {
+            c - 1
+        } else {
+            self.cell_search_far::<UNIFORM>(w)
+        }
+    }
+
+    /// Wrap `x` (once), find its cell, and run the triangle there: the
+    /// cell and the `D + 1` non-vanishing basis values at `x`, or their
+    /// derivatives. `hint` as in [`Self::cell_of_wrapped`].
+    ///
+    /// A uniform mesh gets the cardinal form, which sees the local
+    /// coordinate only. Cells of an `is_uniform()` mesh are equal to 1e-12
+    /// relative, so that is the form's accuracy there.
+    #[inline(always)]
+    fn basis_at<const D: usize, const UNIFORM: bool, const DERIV: bool>(
+        &self,
+        x: f64,
+        hint: Option<usize>,
+    ) -> (usize, [f64; MAX_DEGREE + 1]) {
+        let w = self.wrap(x);
+        let cell = self.cell_of_wrapped::<UNIFORM>(w, hint);
+        let vals = if UNIFORM {
+            let at = Cardinal {
+                t: (w - self.breaks.points()[cell]) * self.inv_h,
+                inv_h: self.inv_h,
+            };
+            kernel::basis::<DERIV>(D, &at)
+        } else {
+            let span = cell + D;
+            let row = kernel::row_len(D);
+            let at = Tabulated {
+                x: w,
+                knots: &self.ext_knots[span + 1 - D..=span + D],
+                recip: &self.recip[cell * row..][..row],
+            };
+            kernel::basis::<DERIV>(D, &at)
+        };
+        (cell, vals)
     }
 
     /// Evaluate the `degree + 1` non-vanishing basis functions at `x`.
     ///
     /// Returns the containing cell `c`; `out[m]` holds the value of the
     /// periodic basis function with index [`Self::coef_index`]`(c, m)`.
+    /// A non-finite `x` gives NaN values in cell 0.
     #[inline]
     pub fn eval_basis(&self, x: f64, out: &mut [f64; MAX_DEGREE + 1]) -> usize {
-        let w = self.wrap(x);
-        let cell = self.cell_of(w);
-        let span = cell + self.degree;
-        eval_nonzero_basis(&self.ext_knots, self.degree, span, w, out.as_mut_slice());
+        let (cell, vals) = monomorphised!(self, basis_at[false](x, None));
+        *out = vals;
         cell
     }
 
@@ -156,10 +289,8 @@ impl PeriodicSplineSpace {
     /// `x`; indexing as in [`Self::eval_basis`].
     #[inline]
     pub fn eval_basis_deriv(&self, x: f64, out: &mut [f64; MAX_DEGREE + 1]) -> usize {
-        let w = self.wrap(x);
-        let cell = self.cell_of(w);
-        let span = cell + self.degree;
-        eval_nonzero_basis_deriv(&self.ext_knots, self.degree, span, w, out.as_mut_slice());
+        let (cell, vals) = monomorphised!(self, basis_at[true](x, None));
+        *out = vals;
         cell
     }
 
@@ -216,14 +347,54 @@ impl PeriodicSplineSpace {
     /// Panics if `coefs.len() != num_basis()`.
     #[inline]
     pub fn eval(&self, coefs: &[f64], x: f64) -> f64 {
+        let mut y = 0.0;
+        self.eval_lane(
+            Strided::from_slice(coefs),
+            Strided::from_slice(&[x]),
+            StridedMut::from_slice(std::slice::from_mut(&mut y)),
+        );
+        y
+    }
+
+    /// Evaluate the periodic spline with coefficients `coefs` at every
+    /// position, `out[i] = s(positions[i])`: one lane of a batched
+    /// evaluation, through whatever strides the three views carry.
+    /// Positions may lie anywhere and in any order; each result depends on
+    /// `(self, coefs, positions[i])` only. A non-finite position gives NaN.
+    ///
+    /// # Panics
+    /// Panics if `coefs.len() != num_basis()` or
+    /// `positions.len() != out.len()`.
+    pub fn eval_lane(&self, coefs: Strided<'_>, positions: Strided<'_>, out: StridedMut<'_>) {
         assert_eq!(coefs.len(), self.n, "eval: coefficient count");
-        let mut vals = [0.0; MAX_DEGREE + 1];
-        let cell = self.eval_basis(x, &mut vals);
-        let mut s = 0.0;
-        for m in 0..=self.degree {
-            s += vals[m] * coefs[self.coef_index(cell, m)];
+        assert_eq!(positions.len(), out.len(), "eval: position count");
+        monomorphised!(self, eval_lane_at(coefs, positions, out))
+    }
+
+    fn eval_lane_at<const D: usize, const UNIFORM: bool>(
+        &self,
+        coefs: Strided<'_>,
+        positions: Strided<'_>,
+        mut out: StridedMut<'_>,
+    ) {
+        let n = self.n;
+        let mut cell = 0;
+        for i in 0..positions.len() {
+            let vals;
+            (cell, vals) = self.basis_at::<D, UNIFORM, false>(positions[i], Some(cell));
+            let mut s = 0.0;
+            if cell + D < n {
+                for m in 0..=D {
+                    s += vals[m] * coefs[cell + m];
+                }
+            } else {
+                for m in 0..=D {
+                    let k = cell + m;
+                    s += vals[m] * coefs[if k < n { k } else { k - n }];
+                }
+            }
+            out[i] = s;
         }
-        s
     }
 
     /// Evaluate the spline derivative at `x`.

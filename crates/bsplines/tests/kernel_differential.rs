@@ -1,0 +1,342 @@
+//! Differential net for the division-free basis kernel (DESIGN.md §16):
+//! every periodic evaluation path against the textbook Cox–de Boor oracle
+//! [`eval_nonzero_basis`] on the space's own extended knots, and the cell
+//! search against `partition_point`.
+
+use pp_bsplines::basis::{eval_nonzero_basis, eval_nonzero_basis_deriv};
+use pp_bsplines::{Breaks, PeriodicSplineSpace, MAX_DEGREE};
+use pp_portable::{Strided, StridedMut, TestRng};
+
+const EPS: f64 = f64::EPSILON;
+
+/// `n` unit-interval cells with three of them squeezed to `gap`.
+fn near_duplicate(n: usize, gap: f64) -> Breaks {
+    let mut pts: Vec<f64> = (0..=n - 2).map(|i| i as f64 / (n - 2) as f64).collect();
+    pts.push(pts[3] + gap);
+    pts.push(pts[3] + 2.0 * gap);
+    pts.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    Breaks::from_points(pts).expect("strictly increasing")
+}
+
+/// Equal cells up to a relative jitter of 4e-13: `from_points` still flags
+/// the mesh uniform (its contract is 1e-12), so the cardinal form runs.
+fn jittered_uniform(n: usize, rng: &mut TestRng) -> Breaks {
+    let h = 2.0 / n as f64;
+    let pts: Vec<f64> = (0..=n)
+        .map(|i| {
+            let jitter = if i == 0 || i == n {
+                0.0
+            } else {
+                rng.gen_range(-2e-13..2e-13)
+            };
+            -1.0 + h * (i as f64 + jitter)
+        })
+        .collect();
+    let breaks = Breaks::from_points(pts).expect("strictly increasing");
+    assert!(breaks.is_uniform());
+    breaks
+}
+
+struct Mesh {
+    name: &'static str,
+    breaks: Breaks,
+}
+
+fn meshes(rng: &mut TestRng) -> Vec<Mesh> {
+    vec![
+        Mesh {
+            name: "uniform dyadic",
+            breaks: Breaks::uniform(16, 0.0, 1.0).expect("valid"),
+        },
+        Mesh {
+            name: "uniform",
+            breaks: Breaks::uniform(23, -0.7, 2.4).expect("valid"),
+        },
+        Mesh {
+            name: "graded 0.6",
+            breaks: Breaks::graded(24, 0.0, 1.0, 0.6).expect("valid"),
+        },
+        Mesh {
+            name: "graded 0.95",
+            breaks: Breaks::graded(31, -2.0, 1.0, 0.95).expect("valid"),
+        },
+        Mesh {
+            name: "near-duplicate knots",
+            breaks: near_duplicate(20, 1e-9),
+        },
+        Mesh {
+            name: "from_points uniform to 1e-12",
+            breaks: jittered_uniform(19, rng),
+        },
+    ]
+}
+
+/// Interior points, every knot, both domain edges and their neighbours,
+/// the same three periods out on either side, all in shuffled order.
+fn positions(breaks: &Breaks, rng: &mut TestRng) -> Vec<f64> {
+    let (x0, x1) = (breaks.x_min(), breaks.x_max());
+    let l = breaks.period();
+    let mut xs: Vec<f64> = breaks.points().to_vec();
+    for w in breaks.points().windows(2) {
+        xs.push(0.5 * (w[0] + w[1]));
+        xs.push(w[0] + (w[1] - w[0]) * rng.gen_range(0.0..1.0));
+        xs.push(w[1] - (w[1] - w[0]) * 1e-9);
+    }
+    xs.push(x1 - l * EPS);
+    xs.push(x0 - l * EPS);
+    xs.push(x0 + l * EPS);
+    let base = xs.clone();
+    for k in [-3.0, 3.0] {
+        xs.extend(base.iter().map(|x| x + k * l));
+    }
+    // Fisher–Yates: the hint from the previous point must not matter.
+    for i in (1..xs.len()).rev() {
+        xs.swap(i, rng.gen_range(0usize..=i));
+    }
+    xs
+}
+
+/// Largest relative deviation of a cell width from `L/n`; what the
+/// cardinal form cannot see. Zero on dyadic uniform meshes, a few ulps of
+/// the coordinates over `h` on `Breaks::uniform`, up to 1e-12 on
+/// `from_points`, irrelevant (0) on non-uniform meshes.
+fn uniformity_defect(breaks: &Breaks) -> f64 {
+    if !breaks.is_uniform() {
+        return 0.0;
+    }
+    let h = breaks.period() / breaks.num_cells() as f64;
+    (0..breaks.num_cells())
+        .map(|i| ((breaks.cell_width(i) - h) / h).abs())
+        .fold(0.0, f64::max)
+}
+
+fn reference_cell(space: &PeriodicSplineSpace, w: f64) -> usize {
+    space
+        .breaks()
+        .points()
+        .partition_point(|&t| t <= w)
+        .saturating_sub(1)
+        .min(space.num_basis() - 1)
+}
+
+#[test]
+fn kernel_matches_cox_de_boor_oracle() {
+    let mut rng = TestRng::seed_from_u64(0xB5_0016);
+    for mesh in meshes(&mut rng) {
+        let defect = uniformity_defect(&mesh.breaks);
+        for degree in 1..=MAX_DEGREE {
+            let space = PeriodicSplineSpace::new(mesh.breaks.clone(), degree).expect("valid");
+            let what = format!("{} degree {degree}", mesh.name);
+            let xs = positions(&mesh.breaks, &mut rng);
+            for &x in &xs {
+                let w = space.wrap(x);
+                assert!(
+                    w >= mesh.breaks.x_min() && w < mesh.breaks.x_max(),
+                    "{what}: wrap({x:e}) = {w:e}"
+                );
+                let mut vals = [0.0; MAX_DEGREE + 1];
+                let cell = space.eval_basis(x, &mut vals);
+                assert_eq!(cell, reference_cell(&space, w), "{what}: cell of {x:e}");
+                assert_eq!(cell, space.cell_of(x), "{what}: cell_of({x:e})");
+
+                let mut oracle = [0.0; MAX_DEGREE + 1];
+                eval_nonzero_basis(space.ext_knots(), degree, cell + degree, w, &mut oracle);
+                // Weights lie in [0, 1] and sum to one: errors are counted
+                // in ulps of 1.
+                let slack = 8.0 * EPS + 2.0 * defect;
+                for m in 0..=degree {
+                    let err = (vals[m] - oracle[m]).abs();
+                    assert!(
+                        err <= slack,
+                        "{what}: weight {m} at {x:e}: {} vs {} ({:.1} ulp)",
+                        vals[m],
+                        oracle[m],
+                        err / EPS
+                    );
+                    assert!(vals[m] >= -slack, "{what}: negative weight at {x:e}");
+                }
+                let sum: f64 = vals[..=degree].iter().sum();
+                assert!(
+                    (sum - 1.0).abs() <= 4.0 * EPS,
+                    "{what}: partition of unity at {x:e}: {sum:e}"
+                );
+            }
+        }
+    }
+}
+
+/// Derivatives go through the same triangle one level short; they scale
+/// with `degree / h`, so errors are counted against that.
+#[test]
+fn kernel_derivatives_match_oracle() {
+    let mut rng = TestRng::seed_from_u64(0xB5_0017);
+    for mesh in meshes(&mut rng) {
+        let defect = uniformity_defect(&mesh.breaks);
+        let narrowest = (0..mesh.breaks.num_cells())
+            .map(|i| mesh.breaks.cell_width(i))
+            .fold(f64::INFINITY, f64::min);
+        for degree in 1..=MAX_DEGREE {
+            let space = PeriodicSplineSpace::new(mesh.breaks.clone(), degree).expect("valid");
+            let slack = (8.0 * EPS + 2.0 * defect) * degree as f64 / narrowest;
+            for &x in &positions(&mesh.breaks, &mut rng) {
+                let mut vals = [0.0; MAX_DEGREE + 1];
+                let cell = space.eval_basis_deriv(x, &mut vals);
+                let w = space.wrap(x);
+                assert_eq!(cell, reference_cell(&space, w));
+                let mut oracle = [0.0; MAX_DEGREE + 1];
+                eval_nonzero_basis_deriv(space.ext_knots(), degree, cell + degree, w, &mut oracle);
+                for m in 0..=degree {
+                    assert!(
+                        (vals[m] - oracle[m]).abs() <= slack,
+                        "{} degree {degree}: derivative {m} at {x:e}: {} vs {}",
+                        mesh.name,
+                        vals[m],
+                        oracle[m]
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `eval_lane` is the weights of `eval_basis` dotted with the wrapped
+/// coefficients, bit for bit, whatever the order of the positions (the
+/// cell hint carried from point to point never changes a result) and
+/// whatever strides the three views carry; `eval` is its one-point case.
+#[test]
+fn eval_lane_is_the_basis_dot_product_bitwise() {
+    let mut rng = TestRng::seed_from_u64(0xB5_0018);
+    for mesh in meshes(&mut rng) {
+        for degree in 1..=MAX_DEGREE {
+            let space = PeriodicSplineSpace::new(mesh.breaks.clone(), degree).expect("valid");
+            let n = space.num_basis();
+            let xs = positions(&mesh.breaks, &mut rng);
+            let coefs: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+
+            let expected: Vec<f64> = xs
+                .iter()
+                .map(|&x| {
+                    let mut vals = [0.0; MAX_DEGREE + 1];
+                    let cell = space.eval_basis(x, &mut vals);
+                    let mut s = 0.0;
+                    for m in 0..=degree {
+                        s += vals[m] * coefs[space.coef_index(cell, m)];
+                    }
+                    s
+                })
+                .collect();
+
+            // Contiguous views.
+            let mut out = vec![0.0; xs.len()];
+            space.eval_lane(
+                Strided::from_slice(&coefs),
+                Strided::from_slice(&xs),
+                StridedMut::from_slice(&mut out),
+            );
+            // Strided views: coefficients every 3rd, positions every 2nd,
+            // results every 5th slot.
+            let mut wide_coefs = vec![f64::NAN; 3 * n];
+            for (k, c) in coefs.iter().enumerate() {
+                wide_coefs[3 * k] = *c;
+            }
+            let mut wide_xs = vec![f64::NAN; 2 * xs.len()];
+            for (i, x) in xs.iter().enumerate() {
+                wide_xs[2 * i] = *x;
+            }
+            let mut wide_out = vec![-7.0; 5 * xs.len()];
+            space.eval_lane(
+                Strided::new(&wide_coefs, n, 3),
+                Strided::new(&wide_xs, xs.len(), 2),
+                StridedMut::new(&mut wide_out, xs.len(), 5),
+            );
+            for (i, &x) in xs.iter().enumerate() {
+                let what = format!("{} degree {degree} at {x:e}", mesh.name);
+                assert_eq!(out[i].to_bits(), expected[i].to_bits(), "{what}");
+                assert_eq!(wide_out[5 * i].to_bits(), expected[i].to_bits(), "{what}");
+                assert_eq!(
+                    space.eval(&coefs, x).to_bits(),
+                    expected[i].to_bits(),
+                    "{what}"
+                );
+            }
+            // Nothing between the strided results was touched.
+            assert!(wide_out.iter().skip(1).step_by(5).all(|&v| v == -7.0));
+        }
+    }
+}
+
+/// Every public path wraps exactly once, and the edges of the period are
+/// pinned: `x_max` is `x_min`, one ulp below `x_min` is the top of the last
+/// cell (or `x_min` itself where the sum rounds there), far-away points
+/// land where their in-period image does, and NaN/±∞ give NaN — never a
+/// panic or an out-of-range cell — also in the middle of a lane, where the
+/// cell hint is stale for the points after them.
+#[test]
+fn wrap_edges_and_non_finite_positions() {
+    for breaks in [
+        Breaks::uniform(12, -0.5, 1.0).expect("valid"),
+        Breaks::graded(14, -0.5, 1.0, 0.6).expect("valid"),
+    ] {
+        for degree in [1, 3, 5] {
+            let space = PeriodicSplineSpace::new(breaks.clone(), degree).expect("valid");
+            let n = space.num_basis();
+            let (x0, x1, l) = (breaks.x_min(), breaks.x_max(), breaks.period());
+            let coefs: Vec<f64> = (0..n).map(|k| ((k * 5) % 7) as f64 - 2.5).collect();
+            let at = |x: f64| space.eval(&coefs, x);
+
+            // Inside the period nothing moves.
+            for x in [x0, 0.25, f64::from_bits(x1.to_bits() - 1)] {
+                assert_eq!(space.wrap(x).to_bits(), x.to_bits());
+            }
+            // The right edge is the left edge.
+            assert_eq!(space.wrap(x1), x0);
+            assert_eq!(space.cell_of(x1), 0);
+            assert_eq!(at(x1).to_bits(), at(x0).to_bits());
+            // One ulp below x_min: the last cell's top, or x_min.
+            let below = -f64::from_bits((-x0).to_bits() + 1);
+            assert!(below < x0);
+            let w = space.wrap(below);
+            assert!(w >= x0 && w < x1, "wrap({below:e}) = {w:e}");
+            assert!(space.cell_of(below) == n - 1 || space.cell_of(below) == 0);
+            assert!((at(below) - at(x0)).abs() < 1e-12);
+            // Many periods away: same point up to the rounding of x itself.
+            for k in [-1e6, 1e6, 12345.0] {
+                let far = 0.3 + k * l;
+                let w = space.wrap(far);
+                assert!(w >= x0 && w < x1);
+                assert!((at(far) - at(0.3)).abs() < 1e-7, "k = {k}");
+            }
+            assert_eq!(
+                at(0.3 + 2.0 * l).to_bits(),
+                at(space.wrap(0.3 + 2.0 * l)).to_bits()
+            );
+
+            // Not a number: NaN out, cell in range, neighbours unharmed.
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                assert!(space.wrap(bad).is_nan());
+                assert!(space.cell_of(bad) < n);
+                let mut vals = [0.0; MAX_DEGREE + 1];
+                assert!(space.eval_basis(bad, &mut vals) < n);
+                assert!(vals[..=degree].iter().all(|v| v.is_nan()));
+                assert!(space.eval_basis_deriv(bad, &mut vals) < n);
+                assert!(at(bad).is_nan());
+
+                // Last cell, then the bad point, then the first cell.
+                let xs = [x1 - 1e-3 * l, bad, x0 + 1e-3 * l, bad, 0.4, x1 + 0.1 * l];
+                let mut out = [0.0; 6];
+                space.eval_lane(
+                    Strided::from_slice(&coefs),
+                    Strided::from_slice(&xs),
+                    StridedMut::from_slice(&mut out),
+                );
+                for (x, y) in xs.iter().zip(out) {
+                    if x.is_finite() {
+                        assert_eq!(y.to_bits(), at(*x).to_bits());
+                    } else {
+                        assert!(y.is_nan());
+                    }
+                }
+            }
+        }
+    }
+}

@@ -6,8 +6,8 @@
 //! embarrassingly parallel over lanes, like the build.
 
 use crate::error::{Error, Result};
-use pp_bsplines::{PeriodicSplineSpace, MAX_DEGREE};
-use pp_portable::{ExecSpace, Matrix, ResidentBatch, LANE_WIDTH};
+use pp_bsplines::PeriodicSplineSpace;
+use pp_portable::{ExecSpace, Matrix, ResidentBatch, Strided, StridedMut, LANE_WIDTH};
 
 /// Evaluates batched splines over a shared [`PeriodicSplineSpace`].
 #[derive(Debug, Clone)]
@@ -26,6 +26,29 @@ impl SplineEvaluator {
         &self.space
     }
 
+    /// `coefs (n, batch)`, `positions (m, batch)`, `out (m, batch)`.
+    fn check_shapes(
+        &self,
+        coefs: (usize, usize),
+        positions: (usize, usize),
+        out: (usize, usize),
+    ) -> Result<()> {
+        let n = self.space.num_basis();
+        if coefs.0 != n {
+            return Err(Error::ShapeMismatch {
+                expected_rows: n,
+                actual_rows: coefs.0,
+            });
+        }
+        if positions != out || positions.1 != coefs.1 {
+            return Err(Error::ShapeMismatch {
+                expected_rows: positions.0,
+                actual_rows: out.0,
+            });
+        }
+        Ok(())
+    }
+
     /// Evaluate lane `j`'s spline (column `j` of `coefs`) at each position
     /// in column `j` of `positions`, writing into column `j` of `out`.
     ///
@@ -38,33 +61,13 @@ impl SplineEvaluator {
         positions: &Matrix,
         out: &mut Matrix,
     ) -> Result<()> {
-        let n = self.space.num_basis();
-        if coefs.nrows() != n {
-            return Err(Error::ShapeMismatch {
-                expected_rows: n,
-                actual_rows: coefs.nrows(),
-            });
-        }
-        if positions.shape() != out.shape() || positions.ncols() != coefs.ncols() {
-            return Err(Error::ShapeMismatch {
-                expected_rows: positions.nrows(),
-                actual_rows: out.nrows(),
-            });
+        self.check_shapes(coefs.shape(), positions.shape(), out.shape())?;
+        if positions.nrows() == 0 {
+            return Ok(());
         }
         let space = &self.space;
-        let degree = space.degree();
-        let m = positions.nrows();
-        exec.for_each_lane_mut(out, |j, mut out_lane| {
-            let mut vals = [0.0; MAX_DEGREE + 1];
-            for i in 0..m {
-                let x = positions.get(i, j);
-                let cell = space.eval_basis(x, &mut vals);
-                let mut s = 0.0;
-                for (mm, &v) in vals.iter().enumerate().take(degree + 1) {
-                    s += v * coefs.get(space.coef_index(cell, mm), j);
-                }
-                out_lane[i] = s;
-            }
+        exec.for_each_lane_mut(out, |j, out_lane| {
+            space.eval_lane(coefs.col(j), positions.col(j), out_lane);
         });
         Ok(())
     }
@@ -72,11 +75,11 @@ impl SplineEvaluator {
     /// Resident variant of [`SplineEvaluator::eval_batched`]: coefficients
     /// are read straight out of the packed panels and results are written
     /// straight into the output batch's panels — no pack/unpack transpose
-    /// on either side. Per-lane arithmetic is identical to the host path,
-    /// so results are bit-identical lane for lane.
+    /// on either side. Both feed [`PeriodicSplineSpace::eval_lane`] one
+    /// lane at a time, so results are bit-identical lane for lane.
     ///
     /// Shapes: `coefs (n, batch)`, `positions (m, batch)`,
-    /// `out (m, batch)`. Bumps `out`'s generation.
+    /// `out (m, batch)`. Bumps `out`'s generation when `m > 0`.
     pub fn eval_resident<E: ExecSpace>(
         &self,
         exec: &E,
@@ -84,40 +87,26 @@ impl SplineEvaluator {
         positions: &Matrix,
         out: &mut ResidentBatch,
     ) -> Result<()> {
-        let n = self.space.num_basis();
-        if coefs.nrows() != n {
-            return Err(Error::ShapeMismatch {
-                expected_rows: n,
-                actual_rows: coefs.nrows(),
-            });
-        }
-        if positions.nrows() != out.nrows()
-            || positions.ncols() != out.ncols()
-            || positions.ncols() != coefs.ncols()
-        {
-            return Err(Error::ShapeMismatch {
-                expected_rows: positions.nrows(),
-                actual_rows: out.nrows(),
-            });
+        self.check_shapes(
+            (coefs.nrows(), coefs.ncols()),
+            positions.shape(),
+            (out.nrows(), out.ncols()),
+        )?;
+        let m = positions.nrows();
+        if m == 0 {
+            return Ok(());
         }
         let space = &self.space;
-        let degree = space.degree();
-        let m = positions.nrows();
+        let n = space.num_basis();
         let cpanels = coefs.panels();
         out.for_each_chunk_mut(exec, |c, lanes, chunk| {
             let cc = cpanels.chunk(c);
-            let mut vals = [0.0; MAX_DEGREE + 1];
             for l in 0..lanes {
-                let j = c * LANE_WIDTH + l;
-                for i in 0..m {
-                    let x = positions.get(i, j);
-                    let cell = space.eval_basis(x, &mut vals);
-                    let mut s = 0.0;
-                    for (mm, &v) in vals.iter().enumerate().take(degree + 1) {
-                        s += v * cc[space.coef_index(cell, mm) * LANE_WIDTH + l];
-                    }
-                    chunk[i * LANE_WIDTH + l] = s;
-                }
+                space.eval_lane(
+                    Strided::new(&cc[l..], n, LANE_WIDTH),
+                    positions.col(c * LANE_WIDTH + l),
+                    StridedMut::new(&mut chunk[l..], m, LANE_WIDTH),
+                );
             }
         });
         Ok(())
@@ -125,8 +114,13 @@ impl SplineEvaluator {
 
     /// Evaluate one lane at arbitrary points (convenience for examples).
     pub fn eval_lane(&self, coefs: &Matrix, lane: usize, xs: &[f64]) -> Vec<f64> {
-        let c = coefs.col(lane).to_vec();
-        xs.iter().map(|&x| self.space.eval(&c, x)).collect()
+        let mut out = vec![0.0; xs.len()];
+        self.space.eval_lane(
+            coefs.col(lane),
+            Strided::from_slice(xs),
+            StridedMut::from_slice(&mut out),
+        );
+        out
     }
 }
 
@@ -170,57 +164,96 @@ mod tests {
         }
     }
 
-    #[test]
-    fn serial_parallel_agree() {
-        let (sp, _) = setup(24, 5);
-        let coefs = Matrix::from_fn(24, 8, Layout::Left, |i, j| ((i * 3 + j) % 7) as f64);
-        let positions = Matrix::from_fn(30, 8, Layout::Left, |i, j| {
-            (i as f64 * 0.7 + j as f64 * 1.3) % 1.0
-        });
-        let ev = SplineEvaluator::new(sp);
-        let mut o1 = Matrix::zeros(30, 8, Layout::Left);
-        let mut o2 = Matrix::zeros(30, 8, Layout::Left);
-        ev.eval_batched(&Serial, &coefs, &positions, &mut o1)
-            .unwrap();
-        ev.eval_batched(&Parallel, &coefs, &positions, &mut o2)
-            .unwrap();
-        assert_eq!(o1.max_abs_diff(&o2), 0.0);
-    }
-
+    /// Both feeders hand the same lane views to the one kernel body, so
+    /// host and resident results agree bit for bit — for every batch size
+    /// around the panel width, either layout of coefficients and
+    /// positions, out-of-period positions, and either execution space.
     #[test]
     fn resident_eval_bit_identical_to_batched() {
-        let (sp, builder) = setup(32, 3);
-        let pts = sp.interpolation_points();
-        for batch in [3usize, 8, 11, 16] {
-            let mut coefs = Matrix::from_fn(32, batch, Layout::Left, |i, j| {
-                ((j + 1) as f64 * std::f64::consts::TAU * pts[i]).cos()
-            });
-            builder.solve_in_place(&Parallel, &mut coefs).unwrap();
-            let positions = Matrix::from_fn(40, batch, Layout::Left, |i, j| {
-                (i as f64 + 0.3 * j as f64) / 40.0
-            });
-            let ev = SplineEvaluator::new(sp.clone());
+        let spaces = [
+            PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap(),
+            PeriodicSplineSpace::new(Breaks::graded(32, 0.0, 1.0, 0.6).unwrap(), 5).unwrap(),
+        ];
+        for sp in spaces {
+            let ev = SplineEvaluator::new(sp);
+            for batch in [1usize, 7, 8, 9, 17] {
+                let coefs = Matrix::from_fn(32, batch, Layout::Left, |i, j| {
+                    ((j + 1) as f64 * 0.37 * i as f64).cos()
+                });
+                let positions = Matrix::from_fn(40, batch, Layout::Left, |i, j| {
+                    ((i * 17) % 40) as f64 / 40.0 + 0.3 * j as f64 - 1.2
+                });
+                let mut reference = Matrix::zeros(40, batch, Layout::Left);
+                ev.eval_batched(&Serial, &coefs, &positions, &mut reference)
+                    .unwrap();
 
-            let mut host = Matrix::zeros(40, batch, Layout::Left);
-            ev.eval_batched(&Parallel, &coefs, &positions, &mut host)
-                .unwrap();
-
-            let rcoefs = ResidentBatch::pack(&coefs);
-            let mut rout = ResidentBatch::zeros(40, batch);
-            let g0 = rout.generation();
-            ev.eval_resident(&Parallel, &rcoefs, &positions, &mut rout)
-                .unwrap();
-            assert!(rout.generation() > g0);
-            for i in 0..40 {
-                for j in 0..batch {
-                    assert_eq!(
-                        host.get(i, j).to_bits(),
-                        rout.get(i, j).to_bits(),
-                        "batch {batch} ({i},{j})"
-                    );
+                let rcoefs = ResidentBatch::pack(&coefs);
+                for layout in [Layout::Left, Layout::Right] {
+                    let (c, p) = (coefs.to_layout(layout), positions.to_layout(layout));
+                    let mut host = Matrix::zeros(40, batch, layout);
+                    ev.eval_batched(&Parallel, &c, &p, &mut host).unwrap();
+                    let mut rout = ResidentBatch::zeros(40, batch);
+                    let g0 = rout.generation();
+                    ev.eval_resident(&Parallel, &rcoefs, &p, &mut rout).unwrap();
+                    assert!(rout.generation() > g0);
+                    let mut rserial = ResidentBatch::zeros(40, batch);
+                    ev.eval_resident(&Serial, &rcoefs, &p, &mut rserial)
+                        .unwrap();
+                    for i in 0..40 {
+                        for j in 0..batch {
+                            let want = reference.get(i, j).to_bits();
+                            let what = format!("batch {batch} {layout:?} ({i},{j})");
+                            assert_eq!(host.get(i, j).to_bits(), want, "{what}");
+                            assert_eq!(rout.get(i, j).to_bits(), want, "{what}");
+                            assert_eq!(rserial.get(i, j).to_bits(), want, "{what}");
+                        }
+                    }
                 }
             }
         }
+    }
+
+    /// Assembly and evaluation share the basis body, so solving for the
+    /// coefficients and evaluating at the interpolation points returns the
+    /// data: through the production builder on uniform degree 3, and
+    /// through the dense reference solve on graded degree 5 (there the
+    /// banded solve carries a ~1e-11 backward error of its own, with the
+    /// old basis as with the new, which would hide the basis).
+    #[test]
+    fn solve_then_evaluate_returns_the_data() {
+        let n = 64;
+        let data_at = |x: f64, j: usize| ((j + 1) as f64 * std::f64::consts::TAU * x).sin() + 0.1;
+        let check = |sp: &PeriodicSplineSpace, coefs: &Matrix, what: &str| {
+            let pts = sp.interpolation_points();
+            let positions = Matrix::from_fn(n, coefs.ncols(), Layout::Left, |i, _| pts[i]);
+            let mut back = Matrix::zeros(n, coefs.ncols(), Layout::Left);
+            SplineEvaluator::new(sp.clone())
+                .eval_batched(&Serial, coefs, &positions, &mut back)
+                .unwrap();
+            for j in 0..coefs.ncols() {
+                for i in 0..n {
+                    let err = (back.get(i, j) - data_at(pts[i], j)).abs();
+                    assert!(err <= 1e-13, "{what} ({i},{j}): {err:e}");
+                }
+            }
+        };
+
+        let (sp, builder) = setup(n, 3);
+        let pts = sp.interpolation_points();
+        let mut coefs = Matrix::from_fn(n, 5, Layout::Left, |i, j| data_at(pts[i], j));
+        builder.solve_in_place(&Serial, &mut coefs).unwrap();
+        check(&sp, &coefs, "uniform degree 3");
+
+        let sp = PeriodicSplineSpace::new(Breaks::graded(n, 0.0, 1.0, 0.6).unwrap(), 5).unwrap();
+        let pts = sp.interpolation_points();
+        let lanes: Vec<Vec<f64>> = (0..5)
+            .map(|j| {
+                let data: Vec<f64> = pts.iter().map(|&x| data_at(x, j)).collect();
+                sp.interpolate_naive(&data).unwrap()
+            })
+            .collect();
+        let coefs = Matrix::from_fn(n, 5, Layout::Left, |i, j| lanes[j][i]);
+        check(&sp, &coefs, "graded degree 5");
     }
 
     #[test]
