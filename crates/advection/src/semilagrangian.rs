@@ -18,9 +18,6 @@ use std::time::{Duration, Instant};
 pub enum SplineBackend {
     /// Schur-complement direct builder (`pp-splinesolver::SplineBuilder`).
     Direct(SplineBuilder),
-    /// Direct builder running the lane-tiled kernel (the §V-A future-work
-    /// optimisation) with the given tile width.
-    DirectTiled(SplineBuilder, usize),
     /// Krylov iterative solver (`pp-splinesolver::IterativeSplineSolver`).
     Iterative(Box<IterativeSplineSolver>),
     /// Direct builder with per-lane verification, quarantine and the
@@ -34,14 +31,6 @@ impl SplineBackend {
     /// Direct backend with a given kernel version.
     pub fn direct(space: PeriodicSplineSpace, version: BuilderVersion) -> Result<Self> {
         Ok(SplineBackend::Direct(SplineBuilder::new(space, version)?))
-    }
-
-    /// Direct backend using the lane-tiled solve path.
-    pub fn direct_tiled(space: PeriodicSplineSpace, tile: usize) -> Result<Self> {
-        Ok(SplineBackend::DirectTiled(
-            SplineBuilder::new(space, pp_splinesolver::BuilderVersion::FusedSpmv)?,
-            tile,
-        ))
     }
 
     /// Iterative backend with a given configuration.
@@ -66,7 +55,6 @@ impl SplineBackend {
     fn space(&self) -> &PeriodicSplineSpace {
         match self {
             SplineBackend::Direct(b) => b.space(),
-            SplineBackend::DirectTiled(b, _) => b.space(),
             SplineBackend::Iterative(s) => s.space(),
             SplineBackend::DirectVerified(b) => b.builder().space(),
         }
@@ -76,7 +64,6 @@ impl SplineBackend {
     pub fn label(&self) -> &'static str {
         match self {
             SplineBackend::Direct(_) => "kokkos-kernels",
-            SplineBackend::DirectTiled(..) => "kokkos-kernels-tiled",
             SplineBackend::Iterative(_) => "ginkgo",
             SplineBackend::DirectVerified(_) => "kokkos-kernels-verified",
         }
@@ -424,9 +411,6 @@ impl Advection1D {
         let mut report = None;
         match &self.backend {
             SplineBackend::Direct(builder) => builder.solve_in_place(exec, &mut self.eta)?,
-            SplineBackend::DirectTiled(builder, tile) => {
-                builder.solve_in_place_tiled(exec, &mut self.eta, *tile)?
-            }
             SplineBackend::Iterative(solver) => {
                 solver.solve_in_place(&mut self.eta, self.eta_prev.as_ref())?;
             }
@@ -480,8 +464,7 @@ impl Advection1D {
     /// [`BuilderVersion::Interleaved`], the slab
     /// after this call is bit-identical to the `(Nv, Nx)` host matrix
     /// after [`Advection1D::step`] (residency *is* the interleaved
-    /// kernel, so the `Direct`/`DirectTiled` version tag is ignored
-    /// here). The `Iterative` backend has no panel-native solver and is
+    /// kernel, so the `Direct` backend's version tag is ignored here). The `Iterative` backend has no panel-native solver and is
     /// rejected with [`Error::ShapeMismatch`].
     pub fn step_resident<E: ExecSpace>(
         &mut self,
@@ -526,7 +509,7 @@ impl Advection1D {
         let t0 = Instant::now();
         let mut report = None;
         let solved = match &self.backend {
-            SplineBackend::Direct(builder) | SplineBackend::DirectTiled(builder, _) => {
+            SplineBackend::Direct(builder) => {
                 builder.solve_resident(exec, &mut eta).map_err(Error::from)
             }
             SplineBackend::DirectVerified(builder) => builder
@@ -739,32 +722,6 @@ mod tests {
             adv_i.step(&Parallel, &mut fi).unwrap();
         }
         assert!(fd.max_abs_diff(&fi) < 1e-9, "{}", fd.max_abs_diff(&fi));
-    }
-
-    #[test]
-    fn tiled_backend_matches_direct() {
-        let space = PeriodicSplineSpace::new(Breaks::uniform(64, 0.0, 1.0).unwrap(), 3).unwrap();
-        let velocities = vec![0.3, -0.1];
-        let mut adv_d = Advection1D::new(
-            SplineBackend::direct(space.clone(), BuilderVersion::FusedSpmv).unwrap(),
-            velocities.clone(),
-            0.01,
-        )
-        .unwrap();
-        let mut adv_t = Advection1D::new(
-            SplineBackend::direct_tiled(space, 16).unwrap(),
-            velocities,
-            0.01,
-        )
-        .unwrap();
-        assert_eq!(adv_t.backend_label(), "kokkos-kernels-tiled");
-        let mut fd = adv_d.init_distribution(gaussian);
-        let mut ft = fd.clone();
-        for _ in 0..5 {
-            adv_d.step(&Parallel, &mut fd).unwrap();
-            adv_t.step(&Parallel, &mut ft).unwrap();
-        }
-        assert!(fd.max_abs_diff(&ft) < 1e-12, "{}", fd.max_abs_diff(&ft));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! isolated from the spline builder.
 
 use pp_bench::{fmt_ms, time_mean};
-use pp_linalg::{batched, gbtrf, getrf, pbtrf, pttrf, tiled, BandedMatrix, SymBandedMatrix};
+use pp_linalg::{batched, gbtrf, getrf, pbtrf, pttrf, BandedMatrix, SymBandedMatrix};
 use pp_portable::{Layout, Matrix, Parallel};
 
 fn main() {
@@ -50,12 +50,6 @@ fn main() {
     run("pttrs", &mut |w| batched::pttrs(&Parallel, &pt, w));
     run("pbtrs", &mut |w| batched::pbtrs(&Parallel, &pb, w));
     run("gbtrs", &mut |w| batched::gbtrs(&Parallel, &gb, w));
-    run("pttrs_tiled64", &mut |w| {
-        tiled::pttrs_tiled(&Parallel, &pt, w, 64)
-    });
-    run("gbtrs_tiled64", &mut |w| {
-        tiled::gbtrs_tiled(&Parallel, &gb, w, 64)
-    });
     let mut w = small_rhs.clone();
     let d = time_mean(5, || {
         w.deep_copy_from(&small_rhs).expect("shape");

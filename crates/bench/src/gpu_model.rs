@@ -26,13 +26,11 @@ pub fn sim_version(v: BuilderVersion) -> KernelVersion {
     match v {
         BuilderVersion::Baseline => KernelVersion::Baseline,
         BuilderVersion::Fused => KernelVersion::Fused,
-        // The lane-tiled and lane-interleaved variants move the same
-        // bytes as fused+spmv (the arithmetic per lane is identical);
-        // only the loop order / storage interleaving differs, which the
-        // per-phase traffic model does not distinguish.
-        BuilderVersion::FusedSpmv | BuilderVersion::Tiled | BuilderVersion::Interleaved => {
-            KernelVersion::FusedSpmv
-        }
+        // The lane-interleaved variant moves the same bytes as
+        // fused+spmv (the arithmetic per lane is identical); only the
+        // storage interleaving differs, which the per-phase traffic
+        // model does not distinguish.
+        BuilderVersion::FusedSpmv | BuilderVersion::Interleaved => KernelVersion::FusedSpmv,
     }
 }
 

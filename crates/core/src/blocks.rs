@@ -23,8 +23,8 @@
 use crate::error::{Error, Result};
 use pp_bsplines::{assemble_interpolation_matrix, PeriodicSplineSpace, SplineMatrixStructure};
 use pp_linalg::{
-    gbtrf, getrf, pbtrf, pttrf, BandedLu, BandedMatrix, CholeskyBanded, LaneSolver, LuFactors,
-    PtFactors, SymBandedMatrix,
+    gbtrf, getrf, pbtrf, pttrf, BandedLu, BandedMatrix, CholeskyBanded, LaneRows, LaneSolver,
+    LuFactors, PtFactors, SymBandedMatrix,
 };
 use pp_portable::{Layout, Matrix};
 use pp_sparse::Coo;
@@ -68,7 +68,7 @@ impl QClass {
 }
 
 /// The concrete factorisation of the interior block `Q`, one variant per
-/// Table I class. Exposed so tiled kernels can dispatch statically.
+/// Table I class. Exposed so kernels can dispatch statically.
 pub enum QFactors {
     /// `pttrf` factors (uniform degree 3).
     PdsTridiagonal(PtFactors),
@@ -85,6 +85,17 @@ impl QFactors {
             QFactors::PdsTridiagonal(f) => f,
             QFactors::PdsBanded(f) => f,
             QFactors::GeneralBanded(f) => f,
+        }
+    }
+
+    /// Solve `Q x = b` in place on rows `row0..row0 + q` of `rows` with
+    /// the class's routine, for every lane the accessor carries.
+    #[inline]
+    pub fn solve_rows<R: LaneRows>(&self, rows: &mut R, row0: usize) {
+        match self {
+            QFactors::PdsTridiagonal(f) => f.solve_rows(rows, row0),
+            QFactors::PdsBanded(f) => f.solve_rows(rows, row0),
+            QFactors::GeneralBanded(f) => f.solve_rows(rows, row0),
         }
     }
 
@@ -328,7 +339,7 @@ impl SchurBlocks {
         self.q_factors.as_lane_solver()
     }
 
-    /// The concrete interior factors (for statically dispatched tiled
+    /// The concrete interior factors (for statically dispatched
     /// kernels).
     pub fn q_factors(&self) -> &QFactors {
         &self.q_factors

@@ -1,17 +1,12 @@
 //! The batched spline builder: Algorithm 1 in three optimisation stages.
 
-use crate::blocks::{QFactors, SchurBlocks};
+use crate::blocks::SchurBlocks;
 use crate::error::{Error, Result};
 use pp_bsplines::PeriodicSplineSpace;
-use pp_linalg::interleaved::{gbtrs_chunk, getrs_chunk, pbtrs_chunk, pttrs_chunk, row_axpy_chunk};
-use pp_linalg::kernels::gemv_lane;
-use pp_linalg::tiled::{gbtrs_block, getrs_block, pbtrs_block, pttrs_block, DEFAULT_TILE};
-use pp_portable::block::for_each_lane_block_mut;
+use pp_linalg::{LaneRows, Panel};
 use pp_portable::instrument::{PhaseId, Span};
-use pp_portable::{
-    adaptive_enabled, ExecSpace, InterleavedMatrix, Matrix, ResidentBatch, StridedMut, TileTuner,
-    LANE_WIDTH,
-};
+use pp_portable::{ExecSpace, InterleavedMatrix, Matrix, ResidentBatch};
+use pp_sparse::Coo;
 
 /// Which implementation of the build kernel to run — the paper's
 /// `DDC_SPLINES_VERSION` 0 / 1 / 2.
@@ -25,36 +20,30 @@ pub enum BuilderVersion {
     /// Fused kernel with sparse COO corners (Listing 6) — the fastest
     /// version in the paper's Table III.
     FusedSpmv,
-    /// **Beyond-paper**: fused+spmv with lane tiling, row-outer /
-    /// lane-inner over [`pp_linalg::tiled::DEFAULT_TILE`]-lane panels
-    /// (see [`SplineBuilder::solve_in_place_tiled`]).
-    Tiled,
     /// **Beyond-paper**: fused+spmv on an interleaved-SoA batch layout —
-    /// lanes packed in chunks of [`LANE_WIDTH`] so every recurrence step
-    /// is one contiguous `[f64; 8]` vector operation (see
+    /// lanes packed in chunks of [`pp_portable::LANE_WIDTH`] so every
+    /// recurrence step is one contiguous `[f64; 8]` vector operation (see
     /// [`SplineBuilder::solve_in_place_interleaved`]).
     Interleaved,
 }
 
 impl BuilderVersion {
     /// All versions: the paper's three in Table III order, then the
-    /// beyond-paper lane-tiled and lane-interleaved variants.
-    pub const ALL: [BuilderVersion; 5] = [
+    /// beyond-paper lane-interleaved variant.
+    pub const ALL: [BuilderVersion; 4] = [
         BuilderVersion::Baseline,
         BuilderVersion::Fused,
         BuilderVersion::FusedSpmv,
-        BuilderVersion::Tiled,
         BuilderVersion::Interleaved,
     ];
 
-    /// Label as the paper's Table III names it (the lane-tiled and
-    /// lane-interleaved variants are ours, so they get their own names).
+    /// Label as the paper's Table III names it (the lane-interleaved
+    /// variant is ours, so it gets its own name).
     pub fn label(self) -> &'static str {
         match self {
             BuilderVersion::Baseline => "Original",
             BuilderVersion::Fused => "Kernel fusion",
             BuilderVersion::FusedSpmv => "gemv->spmv",
-            BuilderVersion::Tiled => "Lane tiling",
             BuilderVersion::Interleaved => "Lane interleave",
         }
     }
@@ -95,10 +84,21 @@ impl SplineBuilder {
     }
 
     /// Switch kernel version without refactoring (the factorisation is
-    /// shared by all three).
+    /// shared by every version).
     pub fn with_version(mut self, version: BuilderVersion) -> Self {
         self.version = version;
         self
+    }
+
+    fn check_rows(&self, actual_rows: usize) -> Result<()> {
+        let expected_rows = self.space.num_basis();
+        if actual_rows != expected_rows {
+            return Err(Error::ShapeMismatch {
+                expected_rows,
+                actual_rows,
+            });
+        }
+        Ok(())
     }
 
     /// Solve `A X = B` in place: on entry each column of `b` holds values
@@ -106,172 +106,43 @@ impl SplineBuilder {
     ///
     /// Parallelises over the batch (column) dimension through `exec`.
     pub fn solve_in_place<E: ExecSpace>(&self, exec: &E, b: &mut Matrix) -> Result<()> {
-        let n = self.space.num_basis();
-        if b.nrows() != n {
-            return Err(Error::ShapeMismatch {
-                expected_rows: n,
-                actual_rows: b.nrows(),
-            });
-        }
+        self.check_rows(b.nrows())?;
+        let blocks = &self.blocks;
         match self.version {
-            BuilderVersion::Baseline => self.solve_baseline(exec, b),
-            BuilderVersion::Fused => self.solve_fused(exec, b, false),
-            BuilderVersion::FusedSpmv => self.solve_fused(exec, b, true),
-            BuilderVersion::Tiled => return self.solve_in_place_tiled_tuned(exec, b),
+            // Four separate parallel regions, four passes over `b` — the
+            // temporal-locality problem §IV-B profiles.
+            BuilderVersion::Baseline => {
+                for step in ALGORITHM_1 {
+                    exec.for_each_lane_mut(b, |_, mut lane| step.apply(blocks, false, &mut lane));
+                }
+            }
+            // One parallel region doing the whole of Algorithm 1 per lane
+            // (Listing 4), with dense or sparse (Listing 6) corners.
+            BuilderVersion::Fused | BuilderVersion::FusedSpmv => {
+                let sparse = self.version == BuilderVersion::FusedSpmv;
+                exec.for_each_lane_mut(b, |_, mut lane| schur_solve(blocks, sparse, &mut lane));
+            }
             BuilderVersion::Interleaved => return self.solve_in_place_interleaved(exec, b),
         }
         Ok(())
     }
 
-    /// Baseline: four separate parallel regions, four passes over `b` —
-    /// the temporal-locality problem §IV-B profiles.
-    fn solve_baseline<E: ExecSpace>(&self, exec: &E, b: &mut Matrix) {
-        let q = self.blocks.q_size();
-        let blocks = &self.blocks;
-        // Kernel 1: batched Q-solve on the top part (pttrs/pbtrs/gbtrs).
-        exec.for_each_lane_mut(b, |_, lane| {
-            let (mut b0, _) = lane.split_at(q);
-            blocks.q_solver().solve_lane(&mut b0);
-        });
-        // Kernel 2: b1 ← b1 − λ b0 (the paper's first gemm).
-        exec.for_each_lane_mut(b, |_, lane| {
-            let (b0, mut b1) = lane.split_at(q);
-            gemv_lane(-1.0, blocks.lambda_dense(), &b0.as_ref(), 1.0, &mut b1);
-        });
-        // Kernel 3: batched getrs on the border part.
-        exec.for_each_lane_mut(b, |_, lane| {
-            let (_, mut b1) = lane.split_at(q);
-            blocks.delta_factors().solve_lane(&mut b1);
-        });
-        // Kernel 4: b0 ← b0 − β b1 (the paper's second gemm).
-        exec.for_each_lane_mut(b, |_, lane| {
-            let (mut b0, b1) = lane.split_at(q);
-            gemv_lane(-1.0, blocks.beta_dense(), &b1.as_ref(), 1.0, &mut b0);
-        });
-    }
-
-    /// Fused: one parallel region doing the whole of Algorithm 1 per lane
-    /// (Listing 4), optionally with sparse corners (Listing 6).
-    fn solve_fused<E: ExecSpace>(&self, exec: &E, b: &mut Matrix, sparse: bool) {
-        let q = self.blocks.q_size();
-        let blocks = &self.blocks;
-        exec.for_each_lane_mut(b, |_, lane| {
-            let (mut b0, mut b1) = lane.split_at(q);
-            solve_one_lane(blocks, sparse, &mut b0, &mut b1);
-        });
-    }
-}
-
-impl SplineBuilder {
-    /// **Beyond-paper CPU optimisation**: the fused+spmv algorithm with
-    /// *lane tiling* — Algorithm 1 runs row-outer / lane-inner over tiles
-    /// of `tile` lanes, so every inner loop is a contiguous (or at least
-    /// short-strided) row panel instead of a long per-lane sweep. This is
-    /// the concrete form of the layout/cache fix the paper's §V-A leaves
-    /// as future work. Results are identical to
-    /// [`SplineBuilder::solve_in_place`] with
-    /// [`BuilderVersion::FusedSpmv`] up to rounding-free reassociation
-    /// (the arithmetic per lane is the same).
-    ///
-    /// `tile == 0` is clamped to "no tiling" (the whole batch as one
-    /// block); remainder lanes of a non-dividing tile are solved exactly
-    /// once.
-    pub fn solve_in_place_tiled<E: ExecSpace>(
-        &self,
-        exec: &E,
-        b: &mut Matrix,
-        tile: usize,
-    ) -> Result<()> {
-        let n = self.space.num_basis();
-        if b.nrows() != n {
-            return Err(Error::ShapeMismatch {
-                expected_rows: n,
-                actual_rows: b.nrows(),
-            });
-        }
-        let blocks = &self.blocks;
-        let q = blocks.q_size();
-        for_each_lane_block_mut(exec, b, tile, |_, mut blk| {
-            // Step 1: Q x0' = b0 on rows 0..q.
-            match blocks.q_factors() {
-                QFactors::PdsTridiagonal(f) => pttrs_block(f, &mut blk, 0),
-                QFactors::PdsBanded(f) => pbtrs_block(f, &mut blk, 0),
-                QFactors::GeneralBanded(f) => gbtrs_block(f, &mut blk, 0),
-            }
-            // Step 2a: b1 ← b1 − λ x0' (sparse, row panels).
-            {
-                let _span = Span::enter(PhaseId::CornerSpmv);
-                for (r, c, v) in blocks.lambda_coo().iter() {
-                    blk.row_axpy(q + r, c, -v);
-                }
-            }
-            // Step 2b: δ′ x1 = b1 on the border rows.
-            getrs_block(blocks.delta_factors(), &mut blk, q);
-            // Step 3: x0 ← x0' − β x1 (sparse, row panels).
-            {
-                let _span = Span::enter(PhaseId::CornerSpmv);
-                for (r, c, v) in blocks.beta_coo().iter() {
-                    blk.row_axpy(r, q + c, -v);
-                }
-            }
-        });
-        Ok(())
-    }
-
-    /// The [`BuilderVersion::Tiled`] entry point: tile width chosen by
-    /// the process-global [`TileTuner`] — a live explore/exploit loop
-    /// over candidate widths, measured per solve — instead of the
-    /// compile-time [`DEFAULT_TILE`] guess. Any width yields
-    /// bitwise-identical results (tiling reorders lane visits, each
-    /// lane's arithmetic is unchanged), so tuning is purely a throughput
-    /// decision. `PP_ADAPTIVE=0` pins [`DEFAULT_TILE`] with no
-    /// measurement overhead.
-    fn solve_in_place_tiled_tuned<E: ExecSpace>(&self, exec: &E, b: &mut Matrix) -> Result<()> {
-        if !adaptive_enabled() {
-            return self.solve_in_place_tiled(exec, b, DEFAULT_TILE);
-        }
-        let tuner = tile_tuner();
-        let tile = tuner.pick();
-        let t0 = std::time::Instant::now();
-        let out = self.solve_in_place_tiled(exec, b, tile);
-        tuner.report(tile, t0.elapsed().as_nanos() as u64, b.ncols());
-        out
-    }
-}
-
-/// Process-global tuner for the tiled solver's tile width. One tuner
-/// per process (not per builder): the best width is a property of the
-/// host's cache hierarchy, which every builder instance shares.
-fn tile_tuner() -> &'static TileTuner {
-    static TUNER: TileTuner = TileTuner::new(DEFAULT_TILE);
-    &TUNER
-}
-
-impl SplineBuilder {
     /// **Beyond-paper SIMD optimisation**: the fused+spmv algorithm on an
     /// interleaved-SoA batch layout. The right-hand side is packed into
-    /// chunks of [`LANE_WIDTH`] lanes (an explicit transpose recorded
-    /// under the `transpose` phase), Algorithm 1 then runs once per chunk
-    /// with every recurrence step operating on one contiguous `[f64; 8]`
-    /// row of lanes — the cross-lane vectorisation the paper's
+    /// chunks of [`pp_portable::LANE_WIDTH`] lanes (an explicit transpose
+    /// recorded under the `transpose` phase), Algorithm 1 then runs once
+    /// per chunk with every recurrence step operating on one contiguous
+    /// `[f64; 8]` row of lanes — the cross-lane vectorisation the paper's
     /// sequential-per-lane programming model makes legal by construction
     /// — and the result is unpacked back into `b`'s own layout.
     ///
-    /// Full chunks are bit-identical to the scalar fused+spmv path (the
-    /// per-lane arithmetic is the same expressions in the same order);
-    /// the remainder chunk of a batch not divisible by [`LANE_WIDTH`]
-    /// falls back to the scalar lane kernel, so every lane is solved
-    /// exactly once either way.
+    /// Every lane is bit-identical to the scalar fused+spmv path: both
+    /// are instantiations of the same sequence over the same sweeps (the
+    /// partial final chunk included).
     pub fn solve_in_place_interleaved<E: ExecSpace>(&self, exec: &E, b: &mut Matrix) -> Result<()> {
-        let n = self.space.num_basis();
-        if b.nrows() != n {
-            return Err(Error::ShapeMismatch {
-                expected_rows: n,
-                actual_rows: b.nrows(),
-            });
-        }
+        self.check_rows(b.nrows())?;
         let mut ib = InterleavedMatrix::pack(b);
-        self.solve_interleaved_panels(exec, &mut ib);
+        self.solve_panels(exec, &mut ib);
         ib.unpack_into(b).map_err(Error::from)
     }
 
@@ -288,86 +159,94 @@ impl SplineBuilder {
     /// The configured [`BuilderVersion`] is ignored: residency *is* the
     /// interleaved kernel.
     pub fn solve_resident<E: ExecSpace>(&self, exec: &E, b: &mut ResidentBatch) -> Result<()> {
-        let n = self.space.num_basis();
-        if b.nrows() != n {
-            return Err(Error::ShapeMismatch {
-                expected_rows: n,
-                actual_rows: b.nrows(),
-            });
-        }
-        self.solve_interleaved_panels(exec, b.panels_mut());
+        self.check_rows(b.nrows())?;
+        self.solve_panels(exec, b.panels_mut());
         Ok(())
     }
 
-    /// The shared per-panel Schur pipeline of the interleaved and
-    /// resident paths: full chunks take the wide bit-identical kernels,
-    /// the remainder chunk falls back to the scalar lane kernel.
-    fn solve_interleaved_panels<E: ExecSpace>(&self, exec: &E, ib: &mut InterleavedMatrix) {
+    /// Fused+spmv Algorithm 1 on every chunk of a packed batch.
+    fn solve_panels<E: ExecSpace>(&self, exec: &E, ib: &mut InterleavedMatrix) {
         let n = self.space.num_basis();
         let blocks = &self.blocks;
-        let q = blocks.q_size();
-        ib.for_each_chunk_mut(exec, |_, lanes, panel| {
-            if lanes == LANE_WIDTH {
-                // Step 1: Q x0' = b0 on rows 0..q, eight lanes wide.
-                match blocks.q_factors() {
-                    QFactors::PdsTridiagonal(f) => pttrs_chunk(f, panel, n, 0, lanes),
-                    QFactors::PdsBanded(f) => pbtrs_chunk(f, panel, n, 0, lanes),
-                    QFactors::GeneralBanded(f) => gbtrs_chunk(f, panel, n, 0, lanes),
-                }
-                // Step 2a: b1 ← b1 − λ x0' (sparse, wide rows).
-                {
-                    let _span = Span::enter(PhaseId::CornerSpmv);
-                    for (r, c, v) in blocks.lambda_coo().iter() {
-                        row_axpy_chunk(panel, n, q + r, c, -v);
-                    }
-                }
-                // Step 2b: δ′ x1 = b1 on the border rows.
-                getrs_chunk(blocks.delta_factors(), panel, n, q, lanes);
-                // Step 3: x0 ← x0' − β x1 (sparse, wide rows).
-                let _span = Span::enter(PhaseId::CornerSpmv);
-                for (r, c, v) in blocks.beta_coo().iter() {
-                    row_axpy_chunk(panel, n, r, q + c, -v);
-                }
-            } else {
-                // Remainder chunk: scalar fused kernel per live lane.
-                for l in 0..lanes {
-                    let (head, tail) = panel.split_at_mut(q * LANE_WIDTH);
-                    let h0 = l.min(head.len());
-                    let t0 = l.min(tail.len());
-                    let mut b0 = StridedMut::new(&mut head[h0..], q, LANE_WIDTH);
-                    let mut b1 = StridedMut::new(&mut tail[t0..], n - q, LANE_WIDTH);
-                    solve_one_lane(blocks, true, &mut b0, &mut b1);
-                }
-            }
+        ib.for_each_chunk_mut(exec, |_, _, chunk| {
+            schur_solve(blocks, true, &mut Panel::new(chunk, n));
         });
     }
 }
 
-/// The per-lane body of the fused kernel: Algorithm 1 on one right-hand
-/// side. Exposed for the memory-trace instrumentation in `pp-perfmodel`
-/// benches.
-#[inline]
-pub fn solve_one_lane(
-    blocks: &SchurBlocks,
-    sparse: bool,
-    b0: &mut StridedMut<'_>,
-    b1: &mut StridedMut<'_>,
-) {
-    // Step 1: Q x0' = b0.
-    blocks.q_solver().solve_lane(b0);
-    // Step 2a: b1 ← b1 − λ x0'.
-    if sparse {
-        blocks.lambda_coo().spmv_lane(-1.0, &b0.as_ref(), b1);
-    } else {
-        gemv_lane(-1.0, blocks.lambda_dense(), &b0.as_ref(), 1.0, b1);
+/// One step of the paper's Algorithm 1 on the stacked right-hand side
+/// `(b0, b1)`: rows `0..q` and `q..n` of a lane (or of a panel of lanes).
+#[derive(Clone, Copy)]
+enum Step {
+    /// `Q x0′ = b0` (`pttrs` / `pbtrs` / `gbtrs`, Table I).
+    QSolve,
+    /// `b1 ← b1 − λ x0′`.
+    LambdaCorner,
+    /// `δ′ x1 = b1` (dense `getrs` on the border rows).
+    BorderSolve,
+    /// `x0 = x0′ − β x1`.
+    BetaCorner,
+}
+
+/// Algorithm 1, in order. The fused versions run it inside one parallel
+/// region; the baseline runs one region per step.
+const ALGORITHM_1: [Step; 4] = [
+    Step::QSolve,
+    Step::LambdaCorner,
+    Step::BorderSolve,
+    Step::BetaCorner,
+];
+
+impl Step {
+    #[inline]
+    fn apply<R: LaneRows>(self, blocks: &SchurBlocks, sparse: bool, rows: &mut R) {
+        let q = blocks.q_size();
+        match self {
+            Step::QSolve => blocks.q_factors().solve_rows(rows, 0),
+            Step::LambdaCorner => corner(
+                rows,
+                sparse,
+                blocks.lambda_coo(),
+                blocks.lambda_dense(),
+                q,
+                0,
+            ),
+            Step::BorderSolve => blocks.delta_factors().solve_rows(rows, q),
+            Step::BetaCorner => corner(rows, sparse, blocks.beta_coo(), blocks.beta_dense(), 0, q),
+        }
     }
-    // Step 2b: δ′ x1 = (b1 − λ x0').
-    blocks.delta_factors().solve_lane(b1);
-    // Step 3: x0 = x0' − β x1.
+}
+
+/// Corner correction `rows[y0..] −= C · rows[x0..]`, with `C` applied
+/// through its COO entries (`sparse`, Listing 6) or as the dense block
+/// (`gemv`, Listing 4).
+#[inline]
+fn corner<R: LaneRows>(
+    rows: &mut R,
+    sparse: bool,
+    coo: &Coo,
+    dense: &Matrix,
+    y0: usize,
+    x0: usize,
+) {
     if sparse {
-        blocks.beta_coo().spmv_lane(-1.0, &b1.as_ref(), b0);
+        let _span = Span::enter(PhaseId::CornerSpmv);
+        for (r, c, v) in coo.iter() {
+            rows.row_axpy(y0 + r, x0 + c, -v);
+        }
     } else {
-        gemv_lane(-1.0, blocks.beta_dense(), &b1.as_ref(), 1.0, b0);
+        let _span = Span::enter(PhaseId::CornerGemv);
+        rows.gemv_sub(y0, dense, x0);
+    }
+}
+
+/// The fused kernel: all of Algorithm 1 on one right-hand side — a
+/// strided lane of `n` rows, or a panel of [`pp_portable::LANE_WIDTH`]
+/// of them — with sparse (`spmv`) or dense (`gemv`) corners.
+#[inline]
+pub(crate) fn schur_solve<R: LaneRows>(blocks: &SchurBlocks, sparse: bool, rows: &mut R) {
+    for step in ALGORITHM_1 {
+        step.apply(blocks, sparse, rows);
     }
 }
 
@@ -434,12 +313,9 @@ mod tests {
         }
         assert!(results[0].max_abs_diff(&results[1]) < 1e-13);
         assert!(results[1].max_abs_diff(&results[2]) < 1e-12);
-        // The tiled variant reorders loops but not arithmetic: it must
-        // agree with fused+spmv to rounding.
-        assert!(results[2].max_abs_diff(&results[3]) < 1e-13);
-        // The interleaved variant runs the same per-lane recurrences over
-        // packed lane vectors; it too must agree to rounding.
-        assert!(results[2].max_abs_diff(&results[4]) < 1e-13);
+        // The interleaved variant is the fused+spmv sequence instantiated
+        // for panels: same operations per lane, same bits.
+        assert_eq!(results[2].max_abs_diff(&results[3]), 0.0);
     }
 
     #[test]
@@ -487,40 +363,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn tiled_solve_matches_fused_spmv_all_configs() {
-        for degree in [3, 4, 5] {
-            for uniform in [true, false] {
-                let sp = space(28, degree, uniform);
-                let builder = SplineBuilder::new(sp, BuilderVersion::FusedSpmv).unwrap();
-                for layout in [Layout::Left, Layout::Right] {
-                    let rhs = random_rhs(28, 19, layout, 11);
-                    let mut reference = rhs.clone();
-                    builder.solve_in_place(&Parallel, &mut reference).unwrap();
-                    for tile in [1usize, 4, 19, 64] {
-                        let mut tiled = rhs.clone();
-                        builder
-                            .solve_in_place_tiled(&Parallel, &mut tiled, tile)
-                            .unwrap();
-                        assert!(
-                            tiled.max_abs_diff(&reference) < 1e-12,
-                            "deg {degree} uniform {uniform} {layout:?} tile {tile}: {}",
-                            tiled.max_abs_diff(&reference)
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tiled_solve_shape_checked() {
-        let sp = space(16, 3, true);
-        let builder = SplineBuilder::new(sp, BuilderVersion::FusedSpmv).unwrap();
-        let mut bad = Matrix::zeros(15, 4, Layout::Left);
-        assert!(builder.solve_in_place_tiled(&Serial, &mut bad, 8).is_err());
     }
 
     #[test]

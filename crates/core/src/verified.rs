@@ -28,7 +28,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::blocks::{QClass, SchurBlocks};
-use crate::builder::{solve_one_lane, BuilderVersion, SplineBuilder};
+use crate::builder::{schur_solve, BuilderVersion, SplineBuilder};
 use crate::error::{Error, Result};
 use crate::iterative_backend::{IterativeConfig, IterativeSplineSolver};
 use pp_bsplines::assemble_interpolation_matrix;
@@ -1178,15 +1178,15 @@ impl VerifiedBuilder {
     }
 
     /// Solve one contiguous lane with the primary Schur factors (the same
-    /// arithmetic as the fused kernel). The tiled and interleaved
-    /// versions both run the sparse-corner (spmv) arithmetic per lane, so
-    /// their re-solves use the sparse path too.
+    /// arithmetic as the fused kernel). The interleaved version runs the
+    /// sparse-corner (spmv) arithmetic per lane, so its re-solves use the
+    /// sparse path too.
     fn primary_solve(&self, lane: &mut [f64]) {
         schur_solve_slice(
             self.builder.blocks(),
             matches!(
                 self.builder.version(),
-                BuilderVersion::FusedSpmv | BuilderVersion::Tiled | BuilderVersion::Interleaved
+                BuilderVersion::FusedSpmv | BuilderVersion::Interleaved
             ),
             lane,
         );
@@ -1281,11 +1281,7 @@ impl VerifiedBuilder {
 
 /// Run the fused per-lane Schur solve on one contiguous slice.
 fn schur_solve_slice(blocks: &SchurBlocks, sparse: bool, lane: &mut [f64]) {
-    let q = blocks.q_size();
-    let (s0, s1) = lane.split_at_mut(q);
-    let mut b0 = StridedMut::from_slice(s0);
-    let mut b1 = StridedMut::from_slice(s1);
-    solve_one_lane(blocks, sparse, &mut b0, &mut b1);
+    schur_solve(blocks, sparse, &mut StridedMut::from_slice(lane));
 }
 
 fn zero_lane(b: &mut Matrix, lane: usize) {

@@ -58,28 +58,3 @@ fn builder_inverts_interpolation() {
         }
     }
 }
-
-/// The tiled path agrees with the per-lane path bit-for-bit-ish on
-/// random problems.
-#[test]
-fn tiled_path_matches() {
-    let mut g = TestRng::seed_from_u64(0x51);
-    for _ in 0..40 {
-        let degree = g.gen_range(3usize..=5);
-        let n = g.gen_range(14usize..36);
-        let batch = g.gen_range(1usize..32);
-        let tile = g.gen_range(1usize..40);
-        let seed = g.gen_range(0u64..500);
-        let space =
-            PeriodicSplineSpace::new(Breaks::uniform(n, 0.0, 1.0).unwrap(), degree).unwrap();
-        let builder = SplineBuilder::new(space, BuilderVersion::FusedSpmv).unwrap();
-        let values = Matrix::from_fn(n, batch, Layout::Left, |i, j| hash01(i, j, seed));
-        let mut a = values.clone();
-        let mut b = values;
-        builder.solve_in_place(&Parallel, &mut a).unwrap();
-        builder
-            .solve_in_place_tiled(&Parallel, &mut b, tile)
-            .unwrap();
-        assert!(a.max_abs_diff(&b) < 1e-11);
-    }
-}

@@ -11,6 +11,7 @@
 
 use crate::error::{Error, Result};
 use crate::health::{check_finite_input, check_solve_slice, rcond_estimate, FactorHealth};
+use crate::lane::{self, LaneRows};
 use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::StridedMut;
 
@@ -198,40 +199,22 @@ impl BandedLu {
     /// Debug builds assert `b.len() == self.n()`; release builds make the
     /// caller responsible. Use [`BandedLu::try_solve_slice`] for a checked
     /// variant.
+    #[inline]
     pub fn solve_lane(&self, b: &mut StridedMut<'_>) {
+        debug_assert_eq!(
+            b.len(),
+            self.n,
+            "gbtrs: lane length must equal matrix order"
+        );
+        self.solve_rows(b, 0);
+    }
+
+    /// Solve in place on rows `row0..row0 + n` of `rows` (`gbtrs`, no
+    /// transpose), for every lane the accessor carries.
+    #[inline]
+    pub fn solve_rows<R: LaneRows>(&self, rows: &mut R, row0: usize) {
         let _span = Span::enter(PhaseId::SolveGbtrs);
-        let n = self.n;
-        debug_assert_eq!(b.len(), n, "gbtrs: lane length must equal matrix order");
-        let kl = self.kl;
-        let kv = self.kl + self.ku;
-        // Forward: apply P and L (unit lower, bandwidth kl).
-        for j in 0..n.saturating_sub(1) {
-            let p = self.ipiv[j];
-            if p != j {
-                let t = b[j];
-                let u = b[p];
-                b[j] = u;
-                b[p] = t;
-            }
-            let km = kl.min(n - 1 - j);
-            let bj = b[j];
-            if bj != 0.0 {
-                for i in 1..=km {
-                    b[j + i] -= self.factor(j + i, j) * bj;
-                }
-            }
-        }
-        // Backward: solve U x = b (bandwidth kv).
-        for j in (0..n).rev() {
-            let xj = b[j] / self.factor(j, j);
-            b[j] = xj;
-            if xj != 0.0 {
-                let lm = kv.min(j);
-                for i in 1..=lm {
-                    b[j - i] -= self.factor(j - i, j) * xj;
-                }
-            }
-        }
+        lane::gbtrs(self, rows, row0);
     }
 
     /// Solve into a plain slice (setup-time convenience).

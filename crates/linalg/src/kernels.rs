@@ -7,73 +7,30 @@
 //! builder can call several of them back to back on the same lane while it
 //! is hot in cache.
 
+use crate::lane;
 use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::{Matrix, Strided, StridedMut};
 
 /// In-place solve of `L·D·Lᵀ x = b` for one lane, given the `pttrf`
-/// factorisation `(d, e)` of an SPD tridiagonal matrix.
-///
-/// This is line-for-line the algorithm of the paper's Listing 1
-/// (`SerialPttrsInternal::invoke`): a forward sweep applying `L⁻¹`, then a
-/// combined `D⁻¹`/`L⁻ᵀ` backward sweep.
+/// factorisation `(d, e)` of an SPD tridiagonal matrix: the paper's
+/// Listing 1 (`SerialPttrsInternal::invoke`), instantiated from the
+/// crate's one `pttrs` sweep for a strided lane.
 ///
 /// `d` has length `n`, `e` length `n-1`, and `b` length `n`.
 #[inline]
 pub fn pttrs_lane(d: &[f64], e: &[f64], b: &mut StridedMut<'_>) {
-    let n = d.len();
-    debug_assert_eq!(b.len(), n);
-    debug_assert_eq!(e.len(), n.saturating_sub(1));
-    if n == 0 {
-        return;
-    }
-    // Solve L * x = b  (unit lower bidiagonal with multipliers e).
-    for i in 1..n {
-        let prev = b[i - 1];
-        b[i] -= e[i - 1] * prev;
-    }
-    // Solve D * L**T * x = b.
-    b[n - 1] /= d[n - 1];
-    for i in (0..n - 1).rev() {
-        let next = b[i + 1];
-        b[i] = b[i] / d[i] - next * e[i];
-    }
+    debug_assert_eq!(b.len(), d.len());
+    lane::pttrs(d, e, b, 0);
 }
 
 /// In-place solve of `P·L·U x = b` for one lane, given a dense LU
-/// factorisation (`getrf` output: packed LU in `lu`, pivot rows in `ipiv`).
-///
-/// Mirrors `KokkosBatched::SerialGetrs` with `Trans::NoTranspose`.
+/// factorisation (`getrf` output: packed LU in `lu`, pivot rows in `ipiv`):
+/// `KokkosBatched::SerialGetrs` with `Trans::NoTranspose`, instantiated
+/// from the crate's one `getrs` sweep for a strided lane.
 #[inline]
 pub fn getrs_lane(lu: &Matrix, ipiv: &[usize], b: &mut StridedMut<'_>) {
-    let n = lu.nrows();
-    debug_assert_eq!(b.len(), n);
-    debug_assert_eq!(ipiv.len(), n);
-    // Apply row interchanges: b ← P b.
-    for i in 0..n {
-        let p = ipiv[i];
-        if p != i {
-            let tmp = b[i];
-            let other = b[p];
-            b[i] = other;
-            b[p] = tmp;
-        }
-    }
-    // Forward solve with unit lower triangle.
-    for i in 1..n {
-        let mut s = b[i];
-        for k in 0..i {
-            s -= lu.get(i, k) * b[k];
-        }
-        b[i] = s;
-    }
-    // Backward solve with upper triangle.
-    for i in (0..n).rev() {
-        let mut s = b[i];
-        for k in i + 1..n {
-            s -= lu.get(i, k) * b[k];
-        }
-        b[i] = s / lu.get(i, i);
-    }
+    debug_assert_eq!(b.len(), lu.nrows());
+    lane::getrs(lu, ipiv, b, 0);
 }
 
 /// Per-lane dense `y ← α A x + β y`.

@@ -1,0 +1,347 @@
+//! The lane-vector abstraction: one sweep body per routine.
+//!
+//! The solves of this crate are strictly sequential *along the matrix
+//! dimension* and embarrassingly parallel *across lanes* (the paper's
+//! Listing 1), so a forward/backward sweep is the same sequence of row
+//! operations whether a "row" is one `f64` of one strided lane or the
+//! `[f64; LANE_WIDTH]` of eight interleaved lanes (Gloster et al.,
+//! PAPERS.md). This module says that once:
+//!
+//! * [`LaneVec`] is the row value — `f64` or `[f64; LANE_WIDTH]` — with
+//!   the three operations a sweep needs, each applied to every lane
+//!   independently, divisions kept as divisions and nothing
+//!   reassociated;
+//! * [`LaneRows`] is the row accessor, implemented for [`StridedMut`]
+//!   (one lane of a [`pp_portable::Matrix`]) and for [`Panel`] (one
+//!   chunk of a [`pp_portable::InterleavedMatrix`]);
+//! * [`pttrs`], [`pbtrs`], [`gbtrs`] and [`getrs`] are the **only**
+//!   forward/backward sweeps of those routines in the crate (outside the
+//!   `naive` reference and the transposed solves of the condition
+//!   estimator). `solve_lane`, `kernels::*_lane` and the
+//!   `*_interleaved` / `*_resident` drivers are instantiations.
+//!
+//! Every lane therefore performs the same operations in the same order
+//! in every instantiation, for every input and every batch width: the
+//! bit-identity of DESIGN.md §13.2 holds by construction, padding lanes
+//! of a partial final panel included (they run the same body on zeros
+//! and are never read back).
+//!
+//! [`LaneVec`] stays private to the crate; [`LaneRows`] and [`Panel`]
+//! are exported so `pp-splinesolver` can write the fused Schur sequence
+//! once over the same accessor.
+
+use crate::banded::BandedLu;
+use crate::pb::CholeskyBanded;
+use pp_portable::{Matrix, StridedMut, LANE_WIDTH};
+
+/// One matrix row across the lanes a sweep advances together.
+pub trait LaneVec: Copy {
+    /// The all-zero row.
+    const ZERO: Self;
+    /// `self + a·x`, per lane.
+    fn add_mul(self, a: f64, x: Self) -> Self;
+    /// `self − a·x`, per lane.
+    fn sub_mul(self, a: f64, x: Self) -> Self;
+    /// `self / a`, per lane.
+    fn div(self, a: f64) -> Self;
+}
+
+impl LaneVec for f64 {
+    const ZERO: Self = 0.0;
+    #[inline(always)]
+    fn add_mul(self, a: f64, x: Self) -> Self {
+        self + a * x
+    }
+    #[inline(always)]
+    fn sub_mul(self, a: f64, x: Self) -> Self {
+        self - a * x
+    }
+    #[inline(always)]
+    fn div(self, a: f64) -> Self {
+        self / a
+    }
+}
+
+impl LaneVec for [f64; LANE_WIDTH] {
+    const ZERO: Self = [0.0; LANE_WIDTH];
+    #[inline(always)]
+    fn add_mul(mut self, a: f64, x: Self) -> Self {
+        for l in 0..LANE_WIDTH {
+            self[l] += a * x[l];
+        }
+        self
+    }
+    #[inline(always)]
+    fn sub_mul(mut self, a: f64, x: Self) -> Self {
+        for l in 0..LANE_WIDTH {
+            self[l] -= a * x[l];
+        }
+        self
+    }
+    #[inline(always)]
+    fn div(mut self, a: f64) -> Self {
+        for l in 0..LANE_WIDTH {
+            self[l] /= a;
+        }
+        self
+    }
+}
+
+/// Row access to the right-hand side a sweep updates in place.
+pub trait LaneRows {
+    /// The row value: one lane or [`LANE_WIDTH`] of them.
+    type V: LaneVec;
+    /// Read row `i`.
+    fn get(&self, i: usize) -> Self::V;
+    /// Write row `i`.
+    fn set(&mut self, i: usize, v: Self::V);
+    /// Exchange rows `i` and `j` (the pivot sequence is a property of the
+    /// factors, so interchanges apply to every lane alike).
+    fn swap(&mut self, i: usize, j: usize);
+
+    /// `row[i] += a · row[k]` — the sparse COO corner correction of the
+    /// fused Algorithm 1.
+    #[inline]
+    fn row_axpy(&mut self, i: usize, k: usize, a: f64) {
+        let v = self.get(i).add_mul(a, self.get(k));
+        self.set(i, v);
+    }
+
+    /// `row[y0 + i] −= Σⱼ a(i, j) · row[x0 + j]` — the dense `gemv`
+    /// corner correction (`α = −1`, `β = 1`), accumulated before it is
+    /// subtracted as the BLAS kernel does.
+    #[inline]
+    fn gemv_sub(&mut self, y0: usize, a: &Matrix, x0: usize) {
+        let (m, n) = a.shape();
+        for i in 0..m {
+            let mut s = Self::V::ZERO;
+            for j in 0..n {
+                s = s.add_mul(a.get(i, j), self.get(x0 + j));
+            }
+            let y = self.get(y0 + i).sub_mul(1.0, s);
+            self.set(y0 + i, y);
+        }
+    }
+}
+
+impl LaneRows for StridedMut<'_> {
+    type V = f64;
+    #[inline(always)]
+    fn get(&self, i: usize) -> f64 {
+        self[i]
+    }
+    #[inline(always)]
+    fn set(&mut self, i: usize, v: f64) {
+        self[i] = v;
+    }
+    #[inline(always)]
+    fn swap(&mut self, i: usize, j: usize) {
+        let t = self[i];
+        self[i] = self[j];
+        self[j] = t;
+    }
+}
+
+/// One `[nrows][LANE_WIDTH]` chunk of an interleaved batch, viewed as
+/// rows of [`LANE_WIDTH`] lanes.
+pub struct Panel<'a>(&'a mut [[f64; LANE_WIDTH]]);
+
+impl<'a> Panel<'a> {
+    /// View a raw chunk (as handed out by
+    /// [`pp_portable::InterleavedMatrix::for_each_chunk_mut`]) as `nrows`
+    /// rows of lanes.
+    ///
+    /// # Panics
+    /// Panics if the chunk length is not `nrows * LANE_WIDTH`.
+    #[inline]
+    pub fn new(chunk: &'a mut [f64], nrows: usize) -> Self {
+        assert_eq!(
+            chunk.len(),
+            nrows * LANE_WIDTH,
+            "interleaved: panel length must be nrows * LANE_WIDTH"
+        );
+        // SAFETY: `[f64; LANE_WIDTH]` has the same layout as LANE_WIDTH
+        // consecutive f64 (no padding), and the length was checked above, so
+        // the cast reinterprets exactly the same memory with the same
+        // mutable provenance.
+        Panel(unsafe { std::slice::from_raw_parts_mut(chunk.as_mut_ptr().cast(), nrows) })
+    }
+}
+
+impl LaneRows for Panel<'_> {
+    type V = [f64; LANE_WIDTH];
+    #[inline(always)]
+    fn get(&self, i: usize) -> Self::V {
+        self.0[i]
+    }
+    #[inline(always)]
+    fn set(&mut self, i: usize, v: Self::V) {
+        self.0[i] = v;
+    }
+    #[inline(always)]
+    fn swap(&mut self, i: usize, j: usize) {
+        self.0.swap(i, j);
+    }
+}
+
+/// `pttrs`: solve `L·D·Lᵀ x = b` on rows `row0..row0 + d.len()`, given
+/// the `pttrf` factors `(d, e)` — line for line the paper's Listing 1
+/// (`SerialPttrsInternal::invoke`).
+#[inline]
+pub(crate) fn pttrs<R: LaneRows>(d: &[f64], e: &[f64], rows: &mut R, row0: usize) {
+    let n = d.len();
+    debug_assert_eq!(e.len(), n.saturating_sub(1));
+    if n == 0 {
+        return;
+    }
+    // Solve L * x = b (unit lower bidiagonal with multipliers e).
+    for i in 1..n {
+        let prev = rows.get(row0 + i - 1);
+        let cur = rows.get(row0 + i).sub_mul(e[i - 1], prev);
+        rows.set(row0 + i, cur);
+    }
+    // Solve D * L**T * x = b.
+    let last = rows.get(row0 + n - 1).div(d[n - 1]);
+    rows.set(row0 + n - 1, last);
+    for i in (0..n - 1).rev() {
+        let next = rows.get(row0 + i + 1);
+        let cur = rows.get(row0 + i).div(d[i]).sub_mul(e[i], next);
+        rows.set(row0 + i, cur);
+    }
+}
+
+/// `pbtrs`: solve `L·Lᵀ x = b` on rows `row0..row0 + f.n()`.
+#[inline]
+pub(crate) fn pbtrs<R: LaneRows>(f: &CholeskyBanded, rows: &mut R, row0: usize) {
+    let n = f.n();
+    let kd = f.kd();
+    // Forward: L y = b.
+    for j in 0..n {
+        let yj = rows.get(row0 + j).div(f.l(j, j));
+        rows.set(row0 + j, yj);
+        for i in j + 1..=(j + kd).min(n - 1) {
+            let v = rows.get(row0 + i).sub_mul(f.l(i, j), yj);
+            rows.set(row0 + i, v);
+        }
+    }
+    // Backward: Lᵀ x = y.
+    for j in (0..n).rev() {
+        let mut s = rows.get(row0 + j);
+        for i in j + 1..=(j + kd).min(n - 1) {
+            s = s.sub_mul(f.l(i, j), rows.get(row0 + i));
+        }
+        rows.set(row0 + j, s.div(f.l(j, j)));
+    }
+}
+
+/// `gbtrs` (no transpose): solve `P·L·U x = b` on rows
+/// `row0..row0 + f.n()`.
+#[inline]
+pub(crate) fn gbtrs<R: LaneRows>(f: &BandedLu, rows: &mut R, row0: usize) {
+    let n = f.n();
+    let kl = f.kl_internal();
+    let kv = f.upper_bandwidth();
+    let ipiv = f.pivots();
+    // Forward: apply P and L (unit lower, bandwidth kl).
+    for j in 0..n.saturating_sub(1) {
+        let p = ipiv[j];
+        if p != j {
+            rows.swap(row0 + j, row0 + p);
+        }
+        let bj = rows.get(row0 + j);
+        for i in 1..=kl.min(n - 1 - j) {
+            let v = rows.get(row0 + j + i).sub_mul(f.factor(j + i, j), bj);
+            rows.set(row0 + j + i, v);
+        }
+    }
+    // Backward: solve U x = b (bandwidth kv = kl + ku after fill-in).
+    for j in (0..n).rev() {
+        let xj = rows.get(row0 + j).div(f.factor(j, j));
+        rows.set(row0 + j, xj);
+        for i in 1..=kv.min(j) {
+            let v = rows.get(row0 + j - i).sub_mul(f.factor(j - i, j), xj);
+            rows.set(row0 + j - i, v);
+        }
+    }
+}
+
+/// `getrs` (no transpose): solve `P·L·U x = b` on rows
+/// `row0..row0 + lu.nrows()`, given the packed `getrf` output — mirrors
+/// `KokkosBatched::SerialGetrs`.
+#[inline]
+pub(crate) fn getrs<R: LaneRows>(lu: &Matrix, ipiv: &[usize], rows: &mut R, row0: usize) {
+    let n = lu.nrows();
+    debug_assert_eq!(ipiv.len(), n);
+    // Apply row interchanges: b ← P b.
+    for i in 0..n {
+        let p = ipiv[i];
+        if p != i {
+            rows.swap(row0 + i, row0 + p);
+        }
+    }
+    // Forward solve with unit lower triangle.
+    for i in 1..n {
+        let mut s = rows.get(row0 + i);
+        for k in 0..i {
+            s = s.sub_mul(lu.get(i, k), rows.get(row0 + k));
+        }
+        rows.set(row0 + i, s);
+    }
+    // Backward solve with upper triangle.
+    for i in (0..n).rev() {
+        let mut s = rows.get(row0 + i);
+        for k in i + 1..n {
+            s = s.sub_mul(lu.get(i, k), rows.get(row0 + k));
+        }
+        rows.set(row0 + i, s.div(lu.get(i, i)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn panel_rows_are_the_chunk_rows() {
+        let mut chunk: Vec<f64> = (0..3 * LANE_WIDTH).map(|v| v as f64).collect();
+        let mut p = Panel::new(&mut chunk, 3);
+        assert_eq!(p.get(1)[0], LANE_WIDTH as f64);
+        p.swap(0, 2);
+        p.row_axpy(1, 0, -2.0);
+        for l in 0..LANE_WIDTH {
+            let (r0, r1, r2) = (
+                l as f64,
+                (LANE_WIDTH + l) as f64,
+                (2 * LANE_WIDTH + l) as f64,
+            );
+            assert_eq!(chunk[l], r2);
+            assert_eq!(chunk[LANE_WIDTH + l], r1 - 2.0 * r2);
+            assert_eq!(chunk[2 * LANE_WIDTH + l], r0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "panel length must be nrows * LANE_WIDTH")]
+    fn panel_rejects_a_ragged_chunk() {
+        let mut chunk = vec![0.0; 2 * LANE_WIDTH + 1];
+        let _ = Panel::new(&mut chunk, 2);
+    }
+
+    #[test]
+    fn gemv_sub_is_y_minus_a_x_on_both_accessors() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        // Rows 0..2 hold x = [1, 1], rows 2..4 hold y = [10, 20].
+        let mut lane = vec![1.0, 1.0, 10.0, 20.0];
+        StridedMut::from_slice(&mut lane).gemv_sub(2, &a, 0);
+        assert_eq!(lane, [1.0, 1.0, 7.0, 13.0]);
+        let mut chunk: Vec<f64> = [1.0, 1.0, 10.0, 20.0]
+            .iter()
+            .flat_map(|&v| [v; LANE_WIDTH])
+            .collect();
+        Panel::new(&mut chunk, 4).gemv_sub(2, &a, 0);
+        for l in 0..LANE_WIDTH {
+            assert_eq!(chunk[2 * LANE_WIDTH + l], 7.0);
+            assert_eq!(chunk[3 * LANE_WIDTH + l], 13.0);
+        }
+    }
+}

@@ -16,14 +16,23 @@
 //! ## The batched-serial execution model
 //!
 //! Every solver here is **strictly sequential along the matrix dimension**
-//! and is therefore exposed in two forms, mirroring the paper's
-//! `KokkosBatched::Serial*` design:
+//! and parallel across batch lanes, mirroring the paper's
+//! `KokkosBatched::Serial*` design. Each routine's forward/backward sweep
+//! is written once, over a row accessor ([`LaneRows`]), and instantiated
 //!
-//! * a *per-lane* form (`solve_lane`) that solves one right-hand side given
-//!   as a strided view — this is what gets called inside a parallel region;
-//! * a *batched* form ([`batched`]) that maps the per-lane form over every
-//!   column of a right-hand-side block through an
-//!   [`ExecSpace`](pp_portable::ExecSpace).
+//! * *per lane* (`solve_lane`): one right-hand side given as a strided
+//!   view — this is what gets called inside a parallel region, and what
+//!   the [`batched`] drivers map over every column of a
+//!   [`Matrix`](pp_portable::Matrix) through an
+//!   [`ExecSpace`](pp_portable::ExecSpace);
+//! * *per panel* ([`Panel`]): [`LANE_WIDTH`](pp_portable::LANE_WIDTH)
+//!   interleaved lanes advanced together, mapped over the chunks of an
+//!   [`InterleavedMatrix`](pp_portable::InterleavedMatrix) by the
+//!   `*_interleaved` drivers and of a
+//!   [`ResidentBatch`](pp_portable::ResidentBatch) by the `*_resident`
+//!   ones.
+//!
+//! A lane's result is bit-identical in every instantiation.
 //!
 //! Factorisation happens **once** (the spline matrix is fixed in time); only
 //! the solves run every time step, exactly as in the paper's Algorithm 1.
@@ -66,6 +75,7 @@ pub mod error;
 pub mod health;
 pub mod interleaved;
 pub mod kernels;
+mod lane;
 pub mod lu;
 pub mod naive;
 pub mod pb;
@@ -73,7 +83,6 @@ pub mod pt;
 pub mod refine;
 pub mod resident;
 pub mod solver;
-pub mod tiled;
 
 pub use abft::{
     flip_bit, solve_all_checked, AbftReport, Checksummed, LaneCheck, LaneChecksum, Sabotage,
@@ -84,10 +93,10 @@ pub use dense::{gemm, gemv};
 pub use error::{Error, Result};
 pub use health::{estimate_inverse_onenorm, rcond_estimate, FactorHealth};
 pub use interleaved::{gbtrs_interleaved, getrs_interleaved, pbtrs_interleaved, pttrs_interleaved};
+pub use lane::{LaneRows, Panel};
 pub use lu::{getrf, LuFactors};
 pub use pb::{pbtrf, CholeskyBanded, SymBandedMatrix};
 pub use pt::{pttrf, PtFactors};
 pub use refine::{refine_lane, RefineConfig, RefineOutcome};
 pub use resident::{gbtrs_resident, getrs_resident, pbtrs_resident, pttrs_resident};
 pub use solver::LaneSolver;
-pub use tiled::{gbtrs_tiled, pbtrs_tiled, pttrs_tiled};

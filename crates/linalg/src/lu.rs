@@ -2,12 +2,12 @@
 //!
 //! In the spline builder this factors the small Schur complement `δ′`
 //! (typically only a handful of rows), once, at initialisation — the paper
-//! does this on the host and copies the factors to the device. The per-lane
-//! solve is [`kernels::getrs_lane`](crate::kernels::getrs_lane).
+//! does this on the host and copies the factors to the device. The solve is
+//! [`LuFactors::solve_rows`].
 
 use crate::error::{Error, Result};
 use crate::health::{check_finite_input, check_solve_slice, rcond_estimate, FactorHealth};
-use crate::kernels::getrs_lane;
+use crate::lane::{self, LaneRows};
 use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::{Layout, Matrix, StridedMut};
 
@@ -59,14 +59,22 @@ impl LuFactors {
     /// Debug builds assert `b.len() == self.n()`; release builds make the
     /// caller responsible. Use [`LuFactors::try_solve_slice`] for a checked
     /// variant.
+    #[inline]
     pub fn solve_lane(&self, b: &mut StridedMut<'_>) {
-        let _span = Span::enter(PhaseId::SchurGetrs);
         debug_assert_eq!(
             b.len(),
             self.n(),
             "getrs: lane length must equal matrix order"
         );
-        getrs_lane(&self.lu, &self.ipiv, b);
+        self.solve_rows(b, 0);
+    }
+
+    /// Solve in place on rows `row0..row0 + n` of `rows` (`getrs`, no
+    /// transpose), for every lane the accessor carries.
+    #[inline]
+    pub fn solve_rows<R: LaneRows>(&self, rows: &mut R, row0: usize) {
+        let _span = Span::enter(PhaseId::SchurGetrs);
+        lane::getrs(&self.lu, &self.ipiv, rows, row0);
     }
 
     /// Solve into a plain slice (convenience for setup-time work).

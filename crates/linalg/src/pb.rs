@@ -7,6 +7,7 @@
 
 use crate::error::{Error, Result};
 use crate::health::{check_finite_input, check_solve_slice, rcond_estimate, FactorHealth};
+use crate::lane::{self, LaneRows};
 use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::StridedMut;
 
@@ -166,31 +167,22 @@ impl CholeskyBanded {
     /// Debug builds assert `b.len() == self.n()`; release builds make the
     /// caller responsible. Use [`CholeskyBanded::try_solve_slice`] for a
     /// checked variant.
+    #[inline]
     pub fn solve_lane(&self, b: &mut StridedMut<'_>) {
+        debug_assert_eq!(
+            b.len(),
+            self.n,
+            "pbtrs: lane length must equal matrix order"
+        );
+        self.solve_rows(b, 0);
+    }
+
+    /// Solve in place on rows `row0..row0 + n` of `rows` (`pbtrs`), for
+    /// every lane the accessor carries.
+    #[inline]
+    pub fn solve_rows<R: LaneRows>(&self, rows: &mut R, row0: usize) {
         let _span = Span::enter(PhaseId::SolvePbtrs);
-        let n = self.n;
-        debug_assert_eq!(b.len(), n, "pbtrs: lane length must equal matrix order");
-        let kd = self.kd;
-        // Forward: L y = b.
-        for j in 0..n {
-            let yj = b[j] / self.l(j, j);
-            b[j] = yj;
-            if yj != 0.0 {
-                let hi = (j + kd).min(n - 1);
-                for i in j + 1..=hi {
-                    b[i] -= self.l(i, j) * yj;
-                }
-            }
-        }
-        // Backward: Lᵀ x = y.
-        for j in (0..n).rev() {
-            let mut s = b[j];
-            let hi = (j + kd).min(n - 1);
-            for i in j + 1..=hi {
-                s -= self.l(i, j) * b[i];
-            }
-            b[j] = s / self.l(j, j);
-        }
+        lane::pbtrs(self, rows, row0);
     }
 
     /// Solve into a plain slice (setup-time convenience).

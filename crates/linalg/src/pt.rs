@@ -3,12 +3,12 @@
 //!
 //! This is the `Q` solver for **uniform degree-3 splines** (Table I of the
 //! paper) — the fastest row of every benchmark. The factorisation runs once
-//! at setup; the per-lane solve ([`kernels::pttrs_lane`](crate::kernels::pttrs_lane))
-//! is the paper's Listing 1.
+//! at setup; the solve ([`PtFactors::solve_rows`]) is the paper's
+//! Listing 1.
 
 use crate::error::{Error, Result};
 use crate::health::{check_finite_input, check_solve_slice, rcond_estimate, FactorHealth};
-use crate::kernels::pttrs_lane;
+use crate::lane::{self, LaneRows};
 use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::StridedMut;
 
@@ -64,13 +64,21 @@ impl PtFactors {
     /// variant.
     #[inline]
     pub fn solve_lane(&self, b: &mut StridedMut<'_>) {
-        let _span = Span::enter(PhaseId::SolvePttrs);
         debug_assert_eq!(
             b.len(),
             self.n(),
             "pttrs: lane length must equal matrix order"
         );
-        pttrs_lane(&self.d, &self.e, b);
+        self.solve_rows(b, 0);
+    }
+
+    /// Solve in place on rows `row0..row0 + n` of `rows` (`pttrs`), for
+    /// every lane the accessor carries: one strided lane or one
+    /// interleaved panel, same sweep.
+    #[inline]
+    pub fn solve_rows<R: LaneRows>(&self, rows: &mut R, row0: usize) {
+        let _span = Span::enter(PhaseId::SolvePttrs);
+        lane::pttrs(&self.d, &self.e, rows, row0);
     }
 
     /// Solve into a plain slice (setup-time convenience).

@@ -8,9 +8,8 @@
 //! pack) and bumps the batch's generation tag, keeping any cached host
 //! mirror honest.
 //!
-//! Numerics are inherited unchanged from the chunk kernels: full chunks
-//! run the wide bit-identical sweeps, remainder chunks fall back to the
-//! scalar lane kernels.
+//! Numerics are those of the interleaved drivers: every chunk, the
+//! partial final one included, runs the crate's one sweep per routine.
 
 use crate::banded::BandedLu;
 use crate::lu::LuFactors;

@@ -1,18 +1,12 @@
 //! Degenerate-size regression tests: `n == 1` and `n == 0` systems must
 //! factor and solve without panicking (and without touching the
-//! nonexistent off-diagonal `e[0]`) in every routine class and batched
-//! driver — scalar, tiled, and interleaved.
+//! nonexistent off-diagonal `e[0]`) in every routine class. The batched
+//! drivers over both layouts and the panel instantiations are rows
+//! `n ∈ {0, 1}` of the differential table in the workspace's
+//! `tests/interleaved.rs`.
 
-use pp_linalg::{
-    batched, gbtrf, gbtrs_interleaved, gbtrs_tiled, getrf, getrs_interleaved, pbtrf,
-    pbtrs_interleaved, pbtrs_tiled, pttrf, pttrs_interleaved, pttrs_tiled, BandedMatrix,
-    SymBandedMatrix,
-};
-use pp_portable::{InterleavedMatrix, Layout, Matrix, Serial};
-
-fn rhs(n: usize, batch: usize) -> Matrix {
-    Matrix::from_fn(n, batch, Layout::Left, |i, j| (i + 2 * j + 1) as f64)
-}
+use pp_linalg::{batched, gbtrf, getrf, pbtrf, pttrf, BandedMatrix, SymBandedMatrix};
+use pp_portable::{Layout, Matrix, Serial};
 
 #[test]
 fn pttr_n1_and_n0() {
@@ -23,16 +17,6 @@ fn pttr_n1_and_n0() {
     let mut b = vec![6.0];
     f.solve_slice(&mut b);
     assert_eq!(b, vec![1.5]);
-    let mut m = rhs(1, 9);
-    batched::pttrs(&Serial, &f, &mut m);
-    let mut t = rhs(1, 9);
-    pttrs_tiled(&Serial, &f, &mut t, 4);
-    assert_eq!(m.max_abs_diff(&t), 0.0);
-    let mut iv = InterleavedMatrix::pack(&rhs(1, 9));
-    pttrs_interleaved(&Serial, &f, &mut iv);
-    for j in 0..9 {
-        assert_eq!(iv.get(0, j), m.get(0, j));
-    }
     // n == 0: constructible and a no-op.
     let f0 = pttrf(&[], &[]).unwrap();
     assert_eq!(f0.n(), 0);
@@ -40,7 +24,6 @@ fn pttr_n1_and_n0() {
     f0.solve_slice(&mut empty);
     let mut m0 = Matrix::zeros(0, 4, Layout::Left);
     batched::pttrs(&Serial, &f0, &mut m0);
-    pttrs_tiled(&Serial, &f0, &mut m0, 2);
 }
 
 #[test]
@@ -50,21 +33,10 @@ fn pbtr_n1_and_n0() {
     let mut b = vec![9.0];
     f.solve_slice(&mut b);
     assert!((b[0] - 1.0).abs() < 1e-15);
-    let mut m = rhs(1, 5);
-    batched::pbtrs(&Serial, &f, &mut m);
-    let mut t = rhs(1, 5);
-    pbtrs_tiled(&Serial, &f, &mut t, 0);
-    assert!(m.max_abs_diff(&t) < 1e-15);
-    let mut iv = InterleavedMatrix::pack(&rhs(1, 5));
-    pbtrs_interleaved(&Serial, &f, &mut iv);
-    for j in 0..5 {
-        assert!((iv.get(0, j) - m.get(0, j)).abs() < 1e-15);
-    }
     let f0 = pbtrf(&SymBandedMatrix::new(0, 0).unwrap()).unwrap();
     assert_eq!(f0.n(), 0);
     let mut m0 = Matrix::zeros(0, 3, Layout::Right);
     batched::pbtrs(&Serial, &f0, &mut m0);
-    pbtrs_tiled(&Serial, &f0, &mut m0, 1);
 }
 
 #[test]
@@ -74,21 +46,10 @@ fn gbtr_n1_and_n0() {
     let mut b = vec![5.0];
     f.solve_slice(&mut b);
     assert_eq!(b, vec![2.5]);
-    let mut m = rhs(1, 7);
-    batched::gbtrs(&Serial, &f, &mut m);
-    let mut t = rhs(1, 7);
-    gbtrs_tiled(&Serial, &f, &mut t, 7 + 1);
-    assert_eq!(m.max_abs_diff(&t), 0.0);
-    let mut iv = InterleavedMatrix::pack(&rhs(1, 7));
-    gbtrs_interleaved(&Serial, &f, &mut iv);
-    for j in 0..7 {
-        assert_eq!(iv.get(0, j), m.get(0, j));
-    }
     let f0 = gbtrf(&BandedMatrix::new(0, 0, 0).unwrap()).unwrap();
     assert_eq!(f0.n(), 0);
     let mut m0 = Matrix::zeros(0, 2, Layout::Left);
     batched::gbtrs(&Serial, &f0, &mut m0);
-    gbtrs_tiled(&Serial, &f0, &mut m0, 2);
 }
 
 #[test]
@@ -98,13 +59,6 @@ fn getr_n1_and_n0() {
     let mut b = vec![4.0];
     f.solve_slice(&mut b);
     assert_eq!(b, vec![0.5]);
-    let mut m = rhs(1, 6);
-    batched::getrs(&Serial, &f, &mut m);
-    let mut iv = InterleavedMatrix::pack(&rhs(1, 6));
-    getrs_interleaved(&Serial, &f, &mut iv);
-    for j in 0..6 {
-        assert_eq!(iv.get(0, j), m.get(0, j));
-    }
     let f0 = getrf(&Matrix::zeros(0, 0, Layout::Right)).unwrap();
     assert_eq!(f0.n(), 0);
     let mut m0 = Matrix::zeros(0, 3, Layout::Left);

@@ -1,7 +1,7 @@
 //! Trace-driven adaptive dispatch: live telemetry feeding scheduling.
 //!
 //! PR 4's instrumentation made dispatch latency *observable*; this module
-//! closes the loop and makes it *actionable*. Three knobs adapt from the
+//! closes the loop and makes it *actionable*. Two knobs adapt from the
 //! same measurements the telemetry stream exports:
 //!
 //! * **Spin-before-park** — the pool's waiters ([`crate::pool`]) size
@@ -16,15 +16,11 @@
 //!   balance). The adaptive chunk is always clamped inside the static
 //!   policy's range, so it can sharpen the schedule but never degrade
 //!   its balancing guarantees.
-//! * **Tile selection** — [`TileTuner`] runs a tiny explore/exploit loop
-//!   over candidate tile widths for the tiled batched solver, replacing
-//!   the compile-time `DEFAULT_TILE` guess with the width this host
-//!   actually runs fastest.
 //!
 //! ## Determinism contract
 //!
 //! Adaptation changes *when and where* lanes run — spin counts, chunk
-//! boundaries, tile widths — never *what they compute*. Every adapted
+//! boundaries — never *what they compute*. Every adapted
 //! code path performs identical per-lane arithmetic, so results are
 //! bitwise-identical whether adaptation is on, off, or mid-learning.
 //! The one primitive whose output depends on chunk bracketing,
@@ -238,108 +234,6 @@ fn each_chunk_from(lane_ns: u64, ceiling: usize) -> usize {
     ((TARGET_CHUNK_NS / lane_ns).max(1) as usize).clamp(1, ceiling.max(1))
 }
 
-/// Number of tile widths a [`TileTuner`] tracks.
-const TILE_CANDIDATES: usize = 5;
-
-/// Re-explore cadence: after every candidate has a cost estimate, one
-/// pick in this many revisits a round-robin candidate so the tuner
-/// tracks drift (cache pressure from a co-resident phase, frequency
-/// scaling) instead of locking in its first ranking forever.
-const EXPLORE_EVERY: u64 = 16;
-
-/// Explore/exploit selector for the tiled batched solver's tile width.
-///
-/// The static policy (`DEFAULT_TILE = 64`) is a reasonable guess for
-/// "a few lanes' working set fits in L1/L2", but the right width is a
-/// property of the host. The tuner measures each candidate's per-lane
-/// cost through the same EWMA filter the chunk heuristics use and
-/// serves the cheapest, re-exploring periodically.
-///
-/// Any tile width yields bitwise-identical results — tiling only
-/// changes the order lanes are visited in, each lane's arithmetic is
-/// untouched — so exploration is free of correctness risk. With
-/// adaptation off, [`pick`](TileTuner::pick) always returns the
-/// default.
-#[derive(Debug)]
-pub struct TileTuner {
-    candidates: [usize; TILE_CANDIDATES],
-    default_tile: usize,
-    /// Per-candidate EWMA of ns per 1024 lanes (0 = never measured).
-    cost: [AtomicU64; TILE_CANDIDATES],
-    picks: AtomicU64,
-}
-
-impl TileTuner {
-    /// A tuner over the standard candidate ladder, serving
-    /// `default_tile` until adaptation is on and measurements exist.
-    pub const fn new(default_tile: usize) -> TileTuner {
-        TileTuner {
-            candidates: [16, 32, 64, 128, 256],
-            default_tile,
-            cost: [const { AtomicU64::new(0) }; TILE_CANDIDATES],
-            picks: AtomicU64::new(0),
-        }
-    }
-
-    /// The tile width to use for the next solve.
-    pub fn pick(&self) -> usize {
-        if !adaptive_enabled() {
-            return self.default_tile;
-        }
-        let pick = self.picks.fetch_add(1, Ordering::Relaxed);
-        // Explore: first serve every candidate once.
-        for (i, cost) in self.cost.iter().enumerate() {
-            if cost.load(Ordering::Relaxed) == 0 {
-                return self.candidates[i];
-            }
-        }
-        // Periodic re-explore, round-robin over the ladder.
-        if pick % EXPLORE_EVERY == 0 {
-            return self.candidates[((pick / EXPLORE_EVERY) % TILE_CANDIDATES as u64) as usize];
-        }
-        // Exploit: cheapest measured candidate.
-        let mut best = 0;
-        let mut best_cost = u64::MAX;
-        for (i, cost) in self.cost.iter().enumerate() {
-            let c = cost.load(Ordering::Relaxed);
-            if c < best_cost {
-                best = i;
-                best_cost = c;
-            }
-        }
-        self.candidates[best]
-    }
-
-    /// Report a measured solve: `tile` processed `lanes` lanes in
-    /// `elapsed_ns`. Unknown tiles (a caller clamped or overrode the
-    /// width) and empty batches are ignored.
-    pub fn report(&self, tile: usize, elapsed_ns: u64, lanes: usize) {
-        if lanes == 0 || !adaptive_enabled() {
-            return;
-        }
-        if let Some(i) = self.candidates.iter().position(|&c| c == tile) {
-            // ns per 1024 lanes keeps integer resolution for sub-ns
-            // per-lane costs without floating point.
-            let cost = elapsed_ns
-                .saturating_mul(1024)
-                .checked_div(lanes as u64)
-                .unwrap_or(u64::MAX)
-                .max(1);
-            ewma_update(&self.cost[i], cost);
-        }
-    }
-
-    /// The cost table as `(tile, ewma_ns_per_1024_lanes)` pairs
-    /// (cost 0 = unmeasured), for telemetry and tests.
-    pub fn costs(&self) -> Vec<(usize, u64)> {
-        self.candidates
-            .iter()
-            .zip(&self.cost)
-            .map(|(&t, c)| (t, c.load(Ordering::Relaxed)))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,48 +324,6 @@ mod tests {
         assert_eq!(each_chunk_from(1_000_000, 8), 1);
         with_policy(Some(false), || {
             assert_eq!(adaptive_each_chunk(8), 1, "off = static chunk 1");
-        });
-    }
-
-    #[test]
-    fn tuner_serves_default_when_off_and_explores_when_on() {
-        let tuner = TileTuner::new(64);
-        with_policy(Some(false), || {
-            for _ in 0..8 {
-                assert_eq!(tuner.pick(), 64);
-            }
-        });
-        with_policy(Some(true), || {
-            // Exploration serves each unmeasured candidate in ladder
-            // order as reports arrive.
-            for expected in [16usize, 32, 64, 128, 256] {
-                let t = tuner.pick();
-                assert_eq!(t, expected);
-                tuner.report(t, 1_000 * expected as u64, 1024);
-            }
-            // All measured: exploitation converges on the cheapest
-            // (candidate 16 got the lowest per-lane cost above), with
-            // the periodic round-robin re-explore allowed through.
-            let mut picks = std::collections::BTreeMap::new();
-            for _ in 0..64 {
-                let t = tuner.pick();
-                *picks.entry(t).or_insert(0u32) += 1;
-                tuner.report(t, 1_000 * t as u64, 1024);
-            }
-            assert!(
-                picks.get(&16).copied().unwrap_or(0) >= 56,
-                "cheapest tile dominates: {picks:?}"
-            );
-        });
-    }
-
-    #[test]
-    fn tuner_ignores_unknown_tiles_and_empty_batches() {
-        let tuner = TileTuner::new(64);
-        with_policy(Some(true), || {
-            tuner.report(48, 1_000, 1024); // not on the ladder
-            tuner.report(64, 1_000, 0); // empty batch
-            assert!(tuner.costs().iter().all(|&(_, c)| c == 0));
         });
     }
 }

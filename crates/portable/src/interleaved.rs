@@ -1,13 +1,11 @@
 //! Interleaved-SoA batch storage: lanes in chunks of [`LANE_WIDTH`].
 //!
-//! The tiled path (PR on `pp-linalg::tiled`) fixed the *loop order* of the
-//! batched sweeps but left the *storage* alone: on the paper's
-//! lane-contiguous `LayoutLeft` right-hand side, a row panel of `tile`
-//! lanes still gathers elements `n` doubles apart. The interleaved layout
-//! of Gloster et al. (*Efficient Interleaved Batch Matrix Solvers*,
-//! PAPERS.md) removes that last stride: lanes are grouped into chunks of
-//! `W = LANE_WIDTH` and stored row-major *within* the chunk, so element
-//! `(i, lane)` of chunk `c` lives at
+//! On the paper's lane-contiguous `LayoutLeft` right-hand side, a row of
+//! several lanes gathers elements `n` doubles apart whatever the loop
+//! order. The interleaved layout of Gloster et al. (*Efficient
+//! Interleaved Batch Matrix Solvers*, PAPERS.md) removes that stride:
+//! lanes are grouped into chunks of `W = LANE_WIDTH` and stored row-major
+//! *within* the chunk, so element `(i, lane)` of chunk `c` lives at
 //!
 //! ```text
 //! offset(i, lane) = c·(nrows·W) + i·W + (lane mod W)
@@ -20,9 +18,9 @@
 //! [`PhaseId::Transpose`] so the phase profile attributes their cost.
 //!
 //! The final chunk of a batch whose width is not a multiple of `W` is
-//! allocated at full width (the padding lanes are zero and never read
-//! back); solvers are told the *live* lane count and fall back to scalar
-//! per-lane sweeps for such remainder chunks.
+//! allocated at full width (the padding lanes start at zero and are never
+//! read back); visitors are told the *live* lane count, and the solvers
+//! sweep such a chunk at full width like any other.
 
 use crate::error::{Error, Result};
 use crate::exec::ExecSpace;
@@ -276,10 +274,8 @@ impl InterleavedMatrix {
     }
 
     /// Visit every chunk with `f(chunk_index, live_lanes, panel)`, possibly
-    /// concurrently — the interleaved analogue of
-    /// [`crate::block::for_each_lane_block_mut`]: chunks are disjoint
-    /// contiguous panels, so they dispatch straight onto the worker pool's
-    /// chunked `for_each`.
+    /// concurrently: chunks are disjoint contiguous panels, so they
+    /// dispatch straight onto the worker pool's chunked `for_each`.
     pub fn for_each_chunk_mut<E, F>(&mut self, exec: &E, f: F)
     where
         E: ExecSpace,

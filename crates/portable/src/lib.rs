@@ -58,7 +58,6 @@
 #![allow(clippy::int_plus_one)]
 
 pub mod adaptive;
-pub mod block;
 pub mod budget;
 pub mod error;
 pub mod exec;
@@ -73,10 +72,7 @@ pub mod strided;
 pub mod testrng;
 pub mod transpose;
 
-pub use adaptive::{
-    adaptive_enabled, dispatch_ewma_ns, lane_cost_ewma_ns, set_adaptive_override, TileTuner,
-};
-pub use block::{for_each_lane_block_mut, BlockMut};
+pub use adaptive::{adaptive_enabled, dispatch_ewma_ns, lane_cost_ewma_ns, set_adaptive_override};
 pub use budget::{Budget, CancelToken, DispatchOutcome};
 pub use error::{Error, Result};
 pub use exec::{ExecSpace, Parallel, ScopedParallel, Serial};

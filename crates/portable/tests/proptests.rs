@@ -1,10 +1,9 @@
 //! Randomised property tests for the view substrate: layout round trips,
-//! transpose involution, lane/block dispatch equivalence. Driven by the
+//! transpose involution, lane dispatch equivalence. Driven by the
 //! deterministic [`TestRng`] so runs are reproducible and hermetic.
 
 use pp_portable::{
-    block::for_each_lane_block_mut, transpose, transpose_into, transpose_into_with, Layout, Matrix,
-    Parallel, Serial, TestRng,
+    transpose, transpose_into, transpose_into_with, Layout, Matrix, Parallel, TestRng,
 };
 
 fn arb_layout(g: &mut TestRng) -> Layout {
@@ -66,39 +65,6 @@ fn parallel_transpose_matches_definition() {
         for i in 0..m {
             for j in 0..n {
                 assert_eq!(t1.get(j, i), a.get(i, j));
-            }
-        }
-    }
-}
-
-/// Lane-block dispatch writes every element exactly once regardless of
-/// tile width, layout, or execution space.
-#[test]
-fn block_dispatch_covers_matrix() {
-    let mut g = TestRng::seed_from_u64(0x13);
-    for _ in 0..64 {
-        let m = g.gen_range(1usize..12);
-        let n = g.gen_range(1usize..40);
-        let tile = g.gen_range(1usize..50);
-        let layout = arb_layout(&mut g);
-        let parallel = g.gen_bool(0.5);
-        let mut a = Matrix::zeros(m, n, layout);
-        let write = |col0: usize, mut blk: pp_portable::BlockMut<'_>| {
-            for i in 0..blk.nrows() {
-                for j in 0..blk.ncols() {
-                    let v = blk.get(i, j) + (i * 1000 + col0 + j) as f64 + 1.0;
-                    blk.set(i, j, v);
-                }
-            }
-        };
-        if parallel {
-            for_each_lane_block_mut(&Parallel, &mut a, tile, write);
-        } else {
-            for_each_lane_block_mut(&Serial, &mut a, tile, write);
-        }
-        for i in 0..m {
-            for j in 0..n {
-                assert_eq!(a.get(i, j), (i * 1000 + j) as f64 + 1.0);
             }
         }
     }

@@ -23,7 +23,6 @@ run fig2_glups 1024 100000 2
 run ablation_chunks 1000 2048
 run ablation_warmstart 500 32 8
 run ablation_layout 1000 20000 3
-run ablation_tiling 1000 20000 3
 run reproduce_all
 
 echo "all results captured under results/"

@@ -1,8 +1,8 @@
 //! Reproducibility regression for trace-driven adaptive dispatch.
 //!
 //! The adaptation contract (`pp_portable::adaptive`) is that live
-//! telemetry may change *scheduling* — spin budgets, chunk boundaries,
-//! tile widths — but never *results*:
+//! telemetry may change *scheduling* — spin budgets, chunk boundaries —
+//! but never *results*:
 //!
 //! * with `PP_ADAPTIVE` off, behavior is exactly the pre-adaptive static
 //!   policy, and
@@ -54,9 +54,8 @@ fn adaptive_solves_are_bitwise_identical_to_static() {
         // Static = the pre-adaptive behavior (PP_ADAPTIVE=0).
         let baseline = with_policy(false, || solve_once(&builder, &rhs));
         // Adaptive, repeatedly: the first calls run with unseeded
-        // estimators, later ones with learned spin/chunk/tile choices
-        // (the tile tuner is still exploring its ladder here) — every
-        // point of the learning curve must match the static bits.
+        // estimators, later ones with learned spin/chunk choices —
+        // every point of the learning curve must match the static bits.
         with_policy(true, || {
             for round in 0..8 {
                 assert_eq!(

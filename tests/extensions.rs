@@ -1,6 +1,6 @@
 //! Integration tests for the beyond-paper extensions: tensor-product 2-D
-//! splines, clamped (non-periodic) spaces, lane-tiled kernels, and spline
-//! quadrature — exercised together through the public facade.
+//! splines, clamped (non-periodic) spaces, and spline quadrature —
+//! exercised together through the public facade.
 
 use batched_splines::prelude::*;
 use pp_bsplines::ClampedSplineSpace;
@@ -85,35 +85,6 @@ fn advection_conserves_spline_integral() {
         ((mass1 - mass0) / mass0).abs() < 1e-6,
         "integral drifted: {mass0} -> {mass1}"
     );
-}
-
-/// The tiled end-to-end advection backend reproduces the per-lane one
-/// while being the faster CPU path.
-#[test]
-fn tiled_advection_backend_agrees() {
-    let space = PeriodicSplineSpace::new(Breaks::graded(48, 0.0, 1.0, 0.4).unwrap(), 5).unwrap();
-    let velocities = vec![0.4, -0.2, 0.8, 0.05];
-    let f0 = |x: f64, _: f64| (TAU * x).cos() + 2.0;
-
-    let mut a = Advection1D::new(
-        SplineBackend::direct(space.clone(), BuilderVersion::FusedSpmv).unwrap(),
-        velocities.clone(),
-        0.005,
-    )
-    .unwrap();
-    let mut b = Advection1D::new(
-        SplineBackend::direct_tiled(space, 32).unwrap(),
-        velocities,
-        0.005,
-    )
-    .unwrap();
-    let mut fa = a.init_distribution(f0);
-    let mut fb = fa.clone();
-    for _ in 0..10 {
-        a.step(&Parallel, &mut fa).unwrap();
-        b.step(&Parallel, &mut fb).unwrap();
-    }
-    assert!(fa.max_abs_diff(&fb) < 1e-11);
 }
 
 /// Periodic and clamped spaces agree in the interior on a function with
