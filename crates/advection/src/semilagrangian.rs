@@ -3,7 +3,7 @@
 use crate::error::{Error, Result};
 use pp_bsplines::PeriodicSplineSpace;
 use pp_portable::instrument::{self, PhaseId, Span};
-use pp_portable::{transpose_into_with, ExecSpace, Layout, Matrix, ResidentBatch};
+use pp_portable::{ExecSpace, Layout, Matrix, ResidentBatch};
 use pp_splinesolver::{
     BuilderVersion, IterativeConfig, IterativeSplineSolver, LaneReport, SplineBuilder,
     SplineEvaluator, VerifiedBuilder, VerifyConfig,
@@ -142,11 +142,14 @@ impl fmt::Display for AdvectionDiagnostics {
 /// Wall-clock breakdown of one advection step.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepTimings {
-    /// Transpose into lane-contiguous layout (Algorithm 2, line 3).
+    /// Transpose into lane-contiguous layout (Algorithm 2, line 3): the
+    /// pack of a [`Matrix`] argument into panels. Zero for a step on a
+    /// resident slab.
     pub transpose_in: Duration,
     /// Spline build — the paper's `ddc_splines_solve` region.
     pub splines_solve: Duration,
-    /// Transpose back (line 5).
+    /// Transpose back (line 5): the unpack into the [`Matrix`] argument.
+    /// Zero for a step on a resident slab.
     pub transpose_out: Duration,
     /// Characteristic feet + interpolation (lines 6–10).
     pub interpolate: Duration,
@@ -200,20 +203,21 @@ pub struct Advection1D {
     velocities: Vec<f64>,
     /// Interpolation grid along x (the spline interpolation points).
     x_points: Vec<f64>,
-    /// Scratch: lane-contiguous spline RHS/coefficients `(Nx, Nv)`.
-    eta: Matrix,
-    /// Scratch: previous coefficients (iterative warm start).
+    /// Scratch: the `(Nx, Nv)` slab a [`Matrix`] argument is packed into
+    /// (allocated on the first [`Advection1D::step`] call).
+    slab: Option<ResidentBatch>,
+    /// Scratch: spline RHS/coefficient panels `(Nx, Nv)`.
+    eta: ResidentBatch,
+    /// Scratch of the iterative backend, which has no panel-native
+    /// solver: the coefficients on the host, and the previous step's
+    /// (the warm start).
+    eta_host: Option<Matrix>,
     eta_prev: Option<Matrix>,
-    /// Scratch: resident coefficient panels (resident stepping only;
-    /// allocated on the first [`Advection1D::step_resident`] call).
-    eta_r: Option<ResidentBatch>,
     /// Scratch: characteristic feet `(Nx, Nv)`, fixed for fixed `Δt`.
     feet: Matrix,
     /// What the verified step needs to know about `feet`, scanned at most
     /// once per rewrite: `None` after every write ([`Self::write_feet`]).
     feet_summary: Option<FeetSummary>,
-    /// Scratch: interpolated result `(Nx, Nv)`.
-    interp: Matrix,
     dt: f64,
     /// Verification report of the most recent step (verified backend only).
     last_diagnostics: Option<AdvectionDiagnostics>,
@@ -251,12 +255,12 @@ impl Advection1D {
             backend,
             velocities,
             x_points,
-            eta: Matrix::zeros(nx, nv, Layout::Left),
+            slab: None,
+            eta: ResidentBatch::zeros(nx, nv),
+            eta_host: None,
             eta_prev: None,
-            eta_r: None,
             feet: Matrix::zeros(nx, nv, Layout::Left),
             feet_summary: None,
-            interp: Matrix::zeros(nx, nv, Layout::Left),
             dt,
             last_diagnostics: None,
         };
@@ -364,13 +368,6 @@ impl Advection1D {
         }
     }
 
-    /// Record the verified solve's report as this step's diagnostics.
-    fn record_diagnostics(&mut self, report: &LaneReport, max_disp: f64) {
-        let diagnostics = AdvectionDiagnostics::from_report(report, max_disp);
-        diagnostics.publish_metrics();
-        self.last_diagnostics = Some(diagnostics);
-    }
-
     /// Initialise a distribution `f(x_i, v_j)` as a `(Nv, Nx)` row-major
     /// field (the paper keeps data row-major contiguous; lanes are rows).
     pub fn init_distribution(&self, f: impl Fn(f64, f64) -> f64) -> Matrix {
@@ -381,91 +378,61 @@ impl Advection1D {
         })
     }
 
-    /// Advance `f` (shape `(Nv, Nx)`, any layout) by one time step.
-    /// Returns the per-phase timings.
+    /// Advance `f` (shape `(Nv, Nx)`, any layout) by one time step:
+    /// pack it into an `(Nx, Nv)` slab, run
+    /// [`Advection1D::step_resident`], unpack. Returns the per-phase
+    /// timings, the pack and unpack as
+    /// [`StepTimings::transpose_in`]/[`StepTimings::transpose_out`].
     pub fn step<E: ExecSpace>(&mut self, exec: &E, f: &mut Matrix) -> Result<StepTimings> {
+        self.through_slab(f, |me, slab| me.step_resident(exec, slab))
+    }
+
+    /// Run `step` on `f` (shape `(Nv, Nx)`) packed into the private slab,
+    /// and unpack the result into `f` when it succeeds (a failed step
+    /// leaves `f` as it was).
+    fn through_slab(
+        &mut self,
+        f: &mut Matrix,
+        step: impl FnOnce(&mut Self, &mut ResidentBatch) -> Result<StepTimings>,
+    ) -> Result<StepTimings> {
         let (nv, nx) = (self.nv(), self.nx());
         if f.shape() != (nv, nx) {
             return Err(Error::ShapeMismatch {
                 detail: format!("f is {:?}, expected ({nv}, {nx})", f.shape()),
             });
         }
-        let _step_span = Span::enter(PhaseId::AdvectionStep);
-        let mut t = StepTimings::default();
-
-        let max_disp = match self.backend {
-            SplineBackend::DirectVerified(_) => self.checked_max_foot_displacement()?,
-            _ => 0.0,
-        };
-
-        // Line 3: transpose to lane-contiguous (Nx, Nv).
+        let mut slab = self
+            .slab
+            .take()
+            .unwrap_or_else(|| ResidentBatch::zeros(nx, nv));
         let t0 = Instant::now();
-        {
-            let _span = Span::enter(PhaseId::Transpose);
-            transpose_into_with(exec, f, &mut self.eta).expect("shape fixed at construction");
-        }
-        t.transpose_in = t0.elapsed();
-
-        // Line 4: build splines, batched over v (the measured region).
-        let t0 = Instant::now();
-        let mut report = None;
-        match &self.backend {
-            SplineBackend::Direct(builder) => builder.solve_in_place(exec, &mut self.eta)?,
-            SplineBackend::Iterative(solver) => {
-                solver.solve_in_place(&mut self.eta, self.eta_prev.as_ref())?;
-            }
-            SplineBackend::DirectVerified(builder) => {
-                report = Some(builder.solve_in_place(exec, &mut self.eta)?);
-            }
-        }
-        t.splines_solve = t0.elapsed();
-
-        if let Some(report) = report {
-            self.record_diagnostics(&report, max_disp);
-        }
-
-        // Lines 6-10: follow characteristics and interpolate.
-        let t0 = Instant::now();
-        {
-            let _span = Span::enter(PhaseId::Interpolate);
-            self.evaluator
-                .eval_batched(exec, &self.eta, &self.feet, &mut self.interp)?;
-        }
-        t.interpolate = t0.elapsed();
-
-        // Line 5 (moved after evaluation since we evaluate from the
-        // lane-contiguous coefficients directly): transpose result back.
-        let t0 = Instant::now();
-        {
-            let _span = Span::enter(PhaseId::Transpose);
-            transpose_into_with(exec, &self.interp, f).expect("shape fixed at construction");
-        }
-        t.transpose_out = t0.elapsed();
-
-        // Keep coefficients for the iterative backend's warm start.
-        if matches!(self.backend, SplineBackend::Iterative(_)) {
-            match &mut self.eta_prev {
-                Some(p) => p.deep_copy_from(&self.eta).expect("same shape"),
-                None => self.eta_prev = Some(self.eta.clone()),
-            }
-        }
-        Ok(t)
+        slab.pack_transposed_from(f).expect("shape checked above");
+        let transpose_in = t0.elapsed();
+        let stepped = step(self, &mut slab).map(|mut t| {
+            let t0 = Instant::now();
+            slab.unpack_transposed_into(f).expect("shape checked above");
+            t.transpose_in = transpose_in;
+            t.transpose_out = t0.elapsed();
+            t
+        });
+        self.slab = Some(slab);
+        stepped
     }
 
     /// Advance a lane-contiguous resident slab `f` (shape `(Nx, Nv)`:
-    /// rows = x, lanes = v) by one time step with **zero pack/unpack
-    /// transposes**: the coefficient scratch is a straight panel copy of
-    /// the slab, the spline solve runs panel-native, and the interpolated
-    /// result is written straight back into the slab's panels.
-    /// `StepTimings::transpose_in`/`transpose_out` are therefore zero by
-    /// construction — Algorithm 2's lines 3 and 5 disappear.
+    /// rows = x, lanes = v) by one time step — **the** step; every other
+    /// entry point is a shell over it. No pack/unpack transposes: the
+    /// coefficient scratch is a straight panel copy of the slab, the
+    /// spline solve runs panel-native, and the interpolated result is
+    /// written straight back into the slab's panels, so
+    /// `StepTimings::transpose_in`/`transpose_out` are zero — Algorithm
+    /// 2's lines 3 and 5 disappear.
     ///
-    /// With the direct backend on
-    /// [`BuilderVersion::Interleaved`], the slab
-    /// after this call is bit-identical to the `(Nv, Nx)` host matrix
-    /// after [`Advection1D::step`] (residency *is* the interleaved
-    /// kernel, so the `Direct` backend's version tag is ignored here). The `Iterative` backend has no panel-native solver and is
-    /// rejected with [`Error::ShapeMismatch`].
+    /// The slab after this call is bit-identical to the `(Nv, Nx)` host
+    /// matrix after [`Advection1D::step`], for every backend and every
+    /// [`BuilderVersion`]. The `Iterative` backend has no panel-native
+    /// solver: its coefficients visit a host scratch for the solve (with
+    /// the previous step's as the warm start) and are packed back.
     pub fn step_resident<E: ExecSpace>(
         &mut self,
         exec: &E,
@@ -481,11 +448,6 @@ impl Advection1D {
                 ),
             });
         }
-        if matches!(self.backend, SplineBackend::Iterative(_)) {
-            return Err(Error::ShapeMismatch {
-                detail: "iterative backend has no resident (panel-native) solve path".into(),
-            });
-        }
         let _step_span = Span::enter(PhaseId::AdvectionStep);
         let mut t = StepTimings::default();
 
@@ -494,90 +456,55 @@ impl Advection1D {
             _ => 0.0,
         };
 
-        let mut eta = self
-            .eta_r
-            .take()
-            .unwrap_or_else(|| ResidentBatch::zeros(nx, nv));
-        let refill = eta.copy_from(f).map_err(|e| Error::ShapeMismatch {
-            detail: e.to_string(),
-        });
-        if let Err(e) = refill {
-            self.eta_r = Some(eta);
-            return Err(e);
-        }
+        self.eta.copy_from(f).expect("shapes checked above");
 
+        // Line 4: build splines, batched over v (the measured region).
         let t0 = Instant::now();
-        let mut report = None;
-        let solved = match &self.backend {
-            SplineBackend::Direct(builder) => {
-                builder.solve_resident(exec, &mut eta).map_err(Error::from)
+        match &self.backend {
+            SplineBackend::Direct(builder) => builder.solve_resident(exec, &mut self.eta)?,
+            SplineBackend::DirectVerified(builder) => {
+                let report = builder.solve_resident(exec, &mut self.eta)?;
+                let diagnostics = AdvectionDiagnostics::from_report(&report, max_disp);
+                diagnostics.publish_metrics();
+                self.last_diagnostics = Some(diagnostics);
             }
-            SplineBackend::DirectVerified(builder) => builder
-                .solve_resident(exec, &mut eta)
-                .map(|r| report = Some(r))
-                .map_err(Error::from),
-            SplineBackend::Iterative(_) => unreachable!("rejected above"),
-        };
-        if let Err(e) = solved {
-            self.eta_r = Some(eta);
-            return Err(e);
+            SplineBackend::Iterative(solver) => {
+                let mut host = self
+                    .eta_host
+                    .take()
+                    .unwrap_or_else(|| Matrix::zeros(nx, nv, Layout::Left));
+                self.eta.unpack_into(&mut host).expect("scratch shape");
+                if let Err(e) = solver.solve_in_place(&mut host, self.eta_prev.as_ref()) {
+                    self.eta_host = Some(host);
+                    return Err(e.into());
+                }
+                self.eta.pack_from(&host).expect("scratch shape");
+                // These coefficients warm-start the next step; the ones
+                // they replace become its scratch.
+                self.eta_host = self.eta_prev.replace(host);
+            }
         }
         t.splines_solve = t0.elapsed();
 
-        if let Some(report) = report {
-            self.record_diagnostics(&report, max_disp);
-        }
-
+        // Lines 6-10: follow characteristics and interpolate.
         let t0 = Instant::now();
-        let evaled = {
+        {
             let _span = Span::enter(PhaseId::Interpolate);
             self.evaluator
-                .eval_resident(exec, &eta, &self.feet, f)
-                .map_err(Error::from)
-        };
+                .eval_resident(exec, &self.eta, &self.feet, f)?;
+        }
         t.interpolate = t0.elapsed();
-        self.eta_r = Some(eta);
-        evaled?;
         Ok(t)
     }
 
-    /// Resident counterpart of
-    /// [`Advection1D::step_with_displacements`]: per-lane feet, resident
-    /// slab, zero transposes.
+    /// Advance a resident slab by one step with *per-lane displacements*
+    /// instead of the precomputed `v·Δt` feet: lane `j`'s foot is
+    /// `x_i − displacements[j]`. Used by the Vlasov driver, where the
+    /// v-direction shift `E(x)·Δt` changes every step.
     pub fn step_resident_with_displacements<E: ExecSpace>(
         &mut self,
         exec: &E,
         f: &mut ResidentBatch,
-        displacements: &[f64],
-    ) -> Result<StepTimings> {
-        if displacements.len() != self.nv() {
-            return Err(Error::ShapeMismatch {
-                detail: format!(
-                    "{} displacements for {} lanes",
-                    displacements.len(),
-                    self.nv()
-                ),
-            });
-        }
-        if let Some(j) = displacements.iter().position(|d| !d.is_finite()) {
-            instrument::trace_instant_lane(instrument::InstantKind::NonFiniteInput, j as u32);
-            return Err(Error::NonFiniteInput { lane: j, index: 0 });
-        }
-        self.write_feet(displacements);
-        let timings = self.step_resident(exec, f);
-        // Restore the standing feet for subsequent plain steps.
-        self.compute_feet();
-        timings
-    }
-
-    /// Advance `f` by one step with *per-lane displacements* instead of
-    /// the precomputed `v·Δt` feet: lane `j`'s foot is
-    /// `x_i − displacements[j]`. Used by the Vlasov driver, where the
-    /// v-direction shift `E(x)·Δt` changes every step.
-    pub fn step_with_displacements<E: ExecSpace>(
-        &mut self,
-        exec: &E,
-        f: &mut Matrix,
         displacements: &[f64],
     ) -> Result<StepTimings> {
         if displacements.len() != self.nv() {
@@ -596,10 +523,24 @@ impl Advection1D {
             return Err(Error::NonFiniteInput { lane: j, index: 0 });
         }
         self.write_feet(displacements);
-        let timings = self.step(exec, f);
-        // Restore the standing feet for subsequent plain `step` calls.
+        let timings = self.step_resident(exec, f);
+        // Restore the standing feet for subsequent plain steps.
         self.compute_feet();
         timings
+    }
+
+    /// [`Advection1D::step_resident_with_displacements`] on a host
+    /// matrix `f` (shape `(Nv, Nx)`), packed and unpacked like
+    /// [`Advection1D::step`].
+    pub fn step_with_displacements<E: ExecSpace>(
+        &mut self,
+        exec: &E,
+        f: &mut Matrix,
+        displacements: &[f64],
+    ) -> Result<StepTimings> {
+        self.through_slab(f, |me, slab| {
+            me.step_resident_with_displacements(exec, slab, displacements)
+        })
     }
 
     /// Total mass `Σ f` (a conserved quantity of periodic advection up to
@@ -912,9 +853,8 @@ mod tests {
 
     #[test]
     fn resident_step_bit_identical_to_interleaved_host_step() {
-        // Residency *is* the interleaved kernel, so the reference host
-        // driver must run `BuilderVersion::Interleaved` for a bitwise
-        // comparison. 13 lanes exercises a remainder chunk.
+        // `step` is pack → `step_resident` → unpack: this checks that
+        // wiring. 13 lanes exercises a remainder chunk.
         let mut adv_h = make(64, 13, 3, BuilderVersion::Interleaved);
         let mut adv_r = make(64, 13, 3, BuilderVersion::Interleaved);
         let mut f = adv_h.init_distribution(gaussian);
@@ -1027,22 +967,124 @@ mod tests {
     }
 
     #[test]
-    fn resident_step_rejects_iterative_backend_and_bad_shapes() {
-        let space = PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
-        let mut adv_i = Advection1D::new(
-            SplineBackend::iterative(space, IterativeConfig::gpu()).unwrap(),
-            vec![0.3, -0.2],
-            0.02,
-        )
-        .unwrap();
-        let mut slab = ResidentBatch::zeros(32, 2);
-        assert!(adv_i.step_resident(&Parallel, &mut slab).is_err());
-
+    fn resident_step_rejects_bad_shapes() {
         let mut adv = make(32, 2, 3, BuilderVersion::Interleaved);
         let mut bad = ResidentBatch::zeros(2, 32); // transposed by mistake
         assert!(adv.step_resident(&Serial, &mut bad).is_err());
         // The driver stays usable after a rejected slab.
         let mut ok = ResidentBatch::zeros(32, 2);
         adv.step_resident(&Serial, &mut ok).unwrap();
+    }
+
+    fn assert_bits(want: &Matrix, got: &Matrix, what: &str) {
+        assert_eq!(want.shape(), got.shape(), "{what}");
+        for j in 0..want.nrows() {
+            for i in 0..want.ncols() {
+                assert_eq!(
+                    want.get(j, i).to_bits(),
+                    got.get(j, i).to_bits(),
+                    "{what}: lane {j}, x {i}"
+                );
+            }
+        }
+    }
+
+    /// The independent oracle: Algorithm 2 composed from public layer
+    /// calls on host matrices — transpose, scalar strided-lane solve,
+    /// `eval_batched`, transpose — none of which the step goes through.
+    /// `step` and `step_resident` must reproduce it bit for bit.
+    #[test]
+    fn step_matches_algorithm_2_composed_from_layer_calls() {
+        use pp_portable::transpose_into_with;
+        fn run<E: ExecSpace>(exec: &E, exec_name: &str) {
+            for (breaks, degree) in [
+                (Breaks::uniform(32, 0.0, 1.0).unwrap(), 3),
+                (Breaks::graded(32, 0.0, 1.0, 0.6).unwrap(), 5),
+            ] {
+                let space = PeriodicSplineSpace::new(breaks, degree).unwrap();
+                for nv in [1usize, 7, 8, 9, 17] {
+                    let what = format!("{exec_name} degree {degree} nv {nv}");
+                    let (nx, dt) = (space.num_basis(), 1e-2);
+                    let velocities: Vec<f64> = (0..nv).map(|j| 0.2 - 0.05 * j as f64).collect();
+                    let direct =
+                        || SplineBackend::direct(space.clone(), BuilderVersion::FusedSpmv).unwrap();
+                    let mut adv = Advection1D::new(direct(), velocities.clone(), dt).unwrap();
+                    let mut adv_r = Advection1D::new(direct(), velocities.clone(), dt).unwrap();
+                    let mut adv_v = Advection1D::new(
+                        SplineBackend::direct_verified(
+                            space.clone(),
+                            BuilderVersion::FusedSpmv,
+                            VerifyConfig::default(),
+                        )
+                        .unwrap(),
+                        velocities.clone(),
+                        dt,
+                    )
+                    .unwrap();
+                    let iterative =
+                        || SplineBackend::iterative(space.clone(), IterativeConfig::gpu()).unwrap();
+                    let mut adv_i = Advection1D::new(iterative(), velocities.clone(), dt).unwrap();
+                    let mut adv_ir = Advection1D::new(iterative(), velocities.clone(), dt).unwrap();
+
+                    // The oracle's own layers and scratch.
+                    let builder =
+                        SplineBuilder::new(space.clone(), BuilderVersion::FusedSpmv).unwrap();
+                    let krylov =
+                        IterativeSplineSolver::new(space.clone(), IterativeConfig::gpu()).unwrap();
+                    let evaluator = SplineEvaluator::new(space.clone());
+                    let feet = Matrix::from_fn(nx, nv, Layout::Left, |i, j| {
+                        adv.x_points()[i] - velocities[j] * dt
+                    });
+                    let mut eta = Matrix::zeros(nx, nv, Layout::Left);
+                    let mut interp = Matrix::zeros(nx, nv, Layout::Left);
+                    let mut prev: Option<Matrix> = None;
+
+                    let mut want = adv.init_distribution(gaussian);
+                    let mut want_i = want.clone();
+                    let (mut f, mut f_v, mut f_i) = (want.clone(), want.clone(), want.clone());
+                    let mut slab = ResidentBatch::pack_transposed(&want);
+                    let mut slab_i = slab.clone();
+                    for _ in 0..3 {
+                        transpose_into_with(exec, &want, &mut eta).unwrap();
+                        builder.solve_in_place(exec, &mut eta).unwrap();
+                        evaluator
+                            .eval_batched(exec, &eta, &feet, &mut interp)
+                            .unwrap();
+                        transpose_into_with(exec, &interp, &mut want).unwrap();
+
+                        // The iterative step as the host pipeline ran it:
+                        // same calls, Krylov solve warm-started from the
+                        // previous step's coefficients.
+                        transpose_into_with(exec, &want_i, &mut eta).unwrap();
+                        krylov.solve_in_place(&mut eta, prev.as_ref()).unwrap();
+                        evaluator
+                            .eval_batched(exec, &eta, &feet, &mut interp)
+                            .unwrap();
+                        transpose_into_with(exec, &interp, &mut want_i).unwrap();
+                        prev = Some(eta.clone());
+
+                        adv.step(exec, &mut f).unwrap();
+                        adv_r.step_resident(exec, &mut slab).unwrap();
+                        adv_v.step(exec, &mut f_v).unwrap();
+                        adv_i.step(exec, &mut f_i).unwrap();
+                        adv_ir.step_resident(exec, &mut slab_i).unwrap();
+                    }
+                    assert_bits(&want, &f, &format!("{what} step"));
+                    assert_bits(&want, slab.host_transposed(), &format!("{what} resident"));
+                    assert_bits(&want, &f_v, &format!("{what} verified"));
+                    assert!(adv_v.last_diagnostics().unwrap().all_clean(), "{what}");
+                    assert_bits(&want_i, &f_i, &format!("{what} iterative"));
+                    assert_bits(
+                        &want_i,
+                        slab_i.host_transposed(),
+                        &format!("{what} iterative resident"),
+                    );
+                    let diff = want.max_abs_diff(&want_i);
+                    assert!(diff < 1e-9, "{what}: direct vs iterative {diff}");
+                }
+            }
+        }
+        run(&Serial, "Serial");
+        run(&Parallel, "Parallel");
     }
 }

@@ -18,28 +18,30 @@ use std::path::PathBuf;
 use crate::error::{Error, Result};
 use crate::semilagrangian::{Advection1D, AdvectionDiagnostics, SplineBackend};
 use pp_bsplines::{Breaks, PeriodicSplineSpace};
-use pp_portable::{transpose_into_with, ExecSpace, Layout, Matrix, ResidentBatch};
+use pp_portable::{ExecSpace, Layout, Matrix, ResidentBatch};
 use pp_splinesolver::{BuilderVersion, CheckpointStore, Snapshot, VerifyConfig};
-
-/// The distribution function held resident in interleaved panels, in
-/// both batch orientations the Strang step needs. The slabs stay packed
-/// across steps; only checkpoint/diagnostic boundaries unpack.
-struct ResidentSlabs {
-    /// `(Nx, Nv)` — rows x, lanes v: the x-advection orientation.
-    f_xv: ResidentBatch,
-    /// `(Nv, Nx)` — rows v, lanes x: the v-advection orientation.
-    f_vx: ResidentBatch,
-}
 
 /// Self-consistent 1D1V Vlasov–Poisson solver on a doubly periodic
 /// `(x, v)` grid.
+///
+/// The distribution lives in interleaved panels, in both batch
+/// orientations the Strang step needs, and stays packed across steps.
+/// The host matrix behind [`VlasovPoisson1D1V::distribution`] is a mirror
+/// of it, refreshed by [`VlasovPoisson1D1V::step`] and
+/// [`VlasovPoisson1D1V::sync_host`].
 pub struct VlasovPoisson1D1V {
     adv_x: Advection1D,
     adv_v: Advection1D,
-    /// Distribution `f(v_j, x_i)`, shape `(Nv, Nx)`, row-major.
+    /// The distribution, `(Nx, Nv)` — rows x, lanes v: the x-advection
+    /// orientation. Authoritative.
+    f_xv: ResidentBatch,
+    /// Scratch `(Nv, Nx)` — rows v, lanes x: the v-advection orientation.
+    f_vx: ResidentBatch,
+    /// Host mirror `f(v_j, x_i)`, shape `(Nv, Nx)`, row-major.
     f: Matrix,
-    /// Transposed scratch `(Nx, Nv)`.
-    f_t: Matrix,
+    /// Generation of `f_xv` that `f` mirrors; `f` is stale when the slab
+    /// has moved on.
+    f_generation: u64,
     x_grid: Vec<f64>,
     v_grid: Vec<f64>,
     dx: f64,
@@ -54,9 +56,6 @@ pub struct VlasovPoisson1D1V {
     seed: u64,
     /// Periodic checkpointing: `(store, every-n-steps)`.
     checkpoint: Option<(CheckpointStore, u64)>,
-    /// Interleaved-resident distribution slabs; allocated on the first
-    /// [`VlasovPoisson1D1V::step_resident`] call and dropped on restore.
-    resident: Option<ResidentSlabs>,
 }
 
 impl VlasovPoisson1D1V {
@@ -85,9 +84,7 @@ impl VlasovPoisson1D1V {
     }
 
     /// Like [`VlasovPoisson1D1V::new`], but selecting the direct
-    /// builder's kernel version (e.g. [`BuilderVersion::Interleaved`] for
-    /// the lane-interleaved kernel, which the resident stepping path is
-    /// bit-identical to).
+    /// builder's kernel version (the paper's Table III ablation).
     #[allow(clippy::too_many_arguments)]
     pub fn new_with_version(
         nx: usize,
@@ -173,10 +170,13 @@ impl VlasovPoisson1D1V {
         )?;
 
         let f = Matrix::from_fn(nv, nx, Layout::Right, |j, i| f0(x_grid[i], v_grid[j]));
+        let f_xv = ResidentBatch::pack_transposed(&f);
         Ok(Self {
-            f_t: Matrix::zeros(nx, nv, Layout::Right),
             adv_x,
             adv_v,
+            f_generation: f_xv.generation(),
+            f_xv,
+            f_vx: ResidentBatch::zeros(nv, nx),
             f,
             dx: lx / nx as f64,
             dv: 2.0 * v_max / nv as f64,
@@ -187,11 +187,14 @@ impl VlasovPoisson1D1V {
             step_index: 0,
             seed: 0,
             checkpoint: None,
-            resident: None,
         })
     }
 
-    /// Current distribution `f(v_j, x_i)`.
+    /// The distribution `f(v_j, x_i)` as a host matrix. Current after
+    /// construction, [`VlasovPoisson1D1V::restore`],
+    /// [`VlasovPoisson1D1V::step`] and [`VlasovPoisson1D1V::sync_host`];
+    /// after [`VlasovPoisson1D1V::step_resident`] it still shows the state
+    /// of the last of those until `sync_host` runs.
     pub fn distribution(&self) -> &Matrix {
         &self.f
     }
@@ -220,22 +223,12 @@ impl VlasovPoisson1D1V {
         (self.adv_x.last_diagnostics(), self.adv_v.last_diagnostics())
     }
 
-    /// Charge density `ρ(x_i) = ∫ f dv` (uniform quadrature).
+    /// Charge density `ρ(x_i) = ∫ f dv` (uniform quadrature, lanes summed
+    /// in ascending order), read off the resident slab: always current.
     pub fn density(&self) -> Vec<f64> {
-        let (nv, nx) = self.f.shape();
+        let (nx, nv) = (self.f_xv.nrows(), self.f_xv.ncols());
         (0..nx)
-            .map(|i| (0..nv).map(|j| self.f.get(j, i)).sum::<f64>() * self.dv)
-            .collect()
-    }
-
-    /// [`VlasovPoisson1D1V::density`] read panel-natively off the
-    /// resident `(Nx, Nv)` slab. Per-`x` summation runs over lanes in
-    /// ascending order — the same order as the host accumulation, so the
-    /// densities (and hence the field) are bit-identical.
-    fn density_resident(&self, slab: &ResidentBatch) -> Vec<f64> {
-        let (nx, nv) = (slab.nrows(), slab.ncols());
-        (0..nx)
-            .map(|i| (0..nv).map(|j| slab.get(i, j)).sum::<f64>() * self.dv)
+            .map(|i| (0..nv).map(|j| self.f_xv.get(i, j)).sum::<f64>() * self.dv)
             .collect()
     }
 
@@ -244,11 +237,6 @@ impl VlasovPoisson1D1V {
     /// zero-mean electric field, by cumulative integration.
     pub fn solve_poisson(&mut self) {
         let rho = self.density();
-        self.poisson_from_density(&rho);
-    }
-
-    /// The field integration shared by the host and resident paths.
-    fn poisson_from_density(&mut self, rho: &[f64]) {
         let nx = rho.len();
         let mean: f64 = rho.iter().sum::<f64>() / nx as f64;
         // Cumulative trapezoid of (⟨ρ⟩ − ρ).
@@ -269,7 +257,8 @@ impl VlasovPoisson1D1V {
         0.5 * self.e_field.iter().map(|e| e * e).sum::<f64>() * self.dx
     }
 
-    /// Total mass `∫∫ f dx dv`.
+    /// Total mass `∫∫ f dx dv` of the host mirror: current exactly when
+    /// [`VlasovPoisson1D1V::distribution`] is.
     pub fn mass(&self) -> f64 {
         self.f.as_slice().iter().sum::<f64>() * self.dx * self.dv
     }
@@ -300,10 +289,20 @@ impl VlasovPoisson1D1V {
     }
 
     /// Serialise the full simulation state (distribution, field, step
-    /// index, time step, run seed) into a [`Snapshot`].
+    /// index, time step, run seed) into a [`Snapshot`]. The distribution
+    /// is the current one: read off the slab when the host mirror is
+    /// stale.
     pub fn snapshot(&self) -> Snapshot {
         let mut s = Snapshot::new();
-        s.push_matrix("f", &self.f);
+        if self.f_generation == self.f_xv.generation() {
+            s.push_matrix("f", &self.f);
+        } else {
+            let mut f = Matrix::zeros(self.v_grid.len(), self.x_grid.len(), Layout::Right);
+            self.f_xv
+                .unpack_transposed_into(&mut f)
+                .expect("grid fixed at build");
+            s.push_matrix("f", &f);
+        }
         s.push_f64s("e_field", &self.e_field);
         s.push_u64("step", self.step_index);
         s.push_f64("dt", self.dt);
@@ -343,11 +342,12 @@ impl VlasovPoisson1D1V {
         }
         self.step_index = snapshot.get_u64("step").map_err(Error::from)?;
         self.seed = snapshot.get_u64("seed").map_err(Error::from)?;
+        self.f_xv
+            .pack_transposed_from(&f)
+            .expect("shape checked above");
+        self.f_generation = self.f_xv.generation();
         self.f = f;
         self.e_field = e_field;
-        // The host matrix is authoritative again; stale resident slabs
-        // must not survive a restore.
-        self.resident = None;
         Ok(())
     }
 
@@ -366,111 +366,64 @@ impl VlasovPoisson1D1V {
         }
     }
 
-    /// One Strang-split time step.
+    /// One Strang-split time step, leaving
+    /// [`VlasovPoisson1D1V::distribution`] current:
+    /// [`VlasovPoisson1D1V::step_resident`], then
+    /// [`VlasovPoisson1D1V::sync_host`].
     pub fn step<E: ExecSpace>(&mut self, exec: &E) -> Result<()> {
-        // Half x-advection.
-        self.adv_x.step(exec, &mut self.f)?;
-        // Field solve from the updated density.
-        self.solve_poisson();
-        // Full v-advection: per-x-lane displacement a·Δt = −E(x)·Δt.
-        let disp: Vec<f64> = self.e_field.iter().map(|&e| -e * self.dt).collect();
-        transpose_into_with(exec, &self.f, &mut self.f_t).map_err(|e| Error::ShapeMismatch {
-            detail: e.to_string(),
-        })?;
-        self.adv_v
-            .step_with_displacements(exec, &mut self.f_t, &disp)?;
-        let mut back = std::mem::replace(
-            &mut self.f,
-            Matrix::zeros(self.v_grid.len(), self.x_grid.len(), Layout::Right),
-        );
-        transpose_into_with(exec, &self.f_t, &mut back).map_err(|e| Error::ShapeMismatch {
-            detail: e.to_string(),
-        })?;
-        self.f = back;
-        // Half x-advection.
-        self.adv_x.step(exec, &mut self.f)?;
-        self.step_index += 1;
-        if let Some((store, every)) = &self.checkpoint {
-            if self.step_index % *every == 0 {
-                store.write(self.step_index, &self.snapshot())?;
-            }
-        }
+        self.step_resident(exec)?;
+        self.sync_host();
         Ok(())
     }
 
-    /// One Strang-split time step with the distribution **resident in
-    /// interleaved panels**: both advections solve and interpolate
-    /// panel-native, the density reads the slab directly, and the only
-    /// layout motion per step is the pair of panel-to-panel orientation
-    /// flips between the `x` and `v` advections (which the host path pays
-    /// as full transposes too). The slab is unpacked to the host matrix
-    /// only at checkpoint boundaries and on
-    /// [`VlasovPoisson1D1V::sync_host`].
-    ///
-    /// Bit-identical to [`VlasovPoisson1D1V::step`] when the backends run
-    /// the interleaved kernel. After resident steps,
+    /// One Strang-split time step on the resident distribution: both
+    /// advections solve and interpolate panel-native, the density reads
+    /// the slab directly, and the only layout motion is the pair of
+    /// panel-to-panel orientation flips between the `x` and `v`
+    /// advections. Nothing is unpacked: afterwards
     /// [`VlasovPoisson1D1V::distribution`] / [`VlasovPoisson1D1V::mass`]
-    /// read a stale host matrix until [`VlasovPoisson1D1V::sync_host`]
-    /// runs; field quantities (`e_field`, `field_energy`) are always
-    /// current.
+    /// lag until [`VlasovPoisson1D1V::sync_host`] runs, while
+    /// `density`, `e_field`, `field_energy` and `snapshot` (hence
+    /// checkpoints) are always current.
     pub fn step_resident<E: ExecSpace>(&mut self, exec: &E) -> Result<()> {
-        if self.resident.is_none() {
-            self.resident = Some(ResidentSlabs {
-                // f is (Nv, Nx); the x-advection slab is its transpose.
-                f_xv: ResidentBatch::pack_transposed(&self.f),
-                f_vx: ResidentBatch::zeros(self.v_grid.len(), self.x_grid.len()),
-            });
-        }
-        let mut rs = self.resident.take().expect("just ensured");
-        let stepped = self.step_resident_inner(exec, &mut rs);
-        self.resident = Some(rs);
-        stepped?;
+        // Half x-advection.
+        self.adv_x.step_resident(exec, &mut self.f_xv)?;
+        // Field solve from the updated density.
+        self.solve_poisson();
+        // Full v-advection, in the flipped orientation: per-x-lane
+        // displacement a·Δt = −E(x)·Δt.
+        let disp: Vec<f64> = self.e_field.iter().map(|&e| -e * self.dt).collect();
+        self.f_xv.transpose_into(&mut self.f_vx).map_err(flip_err)?;
+        self.adv_v
+            .step_resident_with_displacements(exec, &mut self.f_vx, &disp)?;
+        self.f_vx.transpose_into(&mut self.f_xv).map_err(flip_err)?;
+        // Half x-advection.
+        self.adv_x.step_resident(exec, &mut self.f_xv)?;
         self.step_index += 1;
         let due = self
             .checkpoint
             .as_ref()
             .is_some_and(|(_, every)| self.step_index % *every == 0);
         if due {
-            // Checkpoint boundary: the one place the slab leaves panel
-            // form, so snapshots stay byte-compatible with host-path runs.
+            // Checkpoint boundary: unpack once, for the snapshot and for
+            // any `sync_host` that follows.
             self.sync_host();
-            let snapshot = self.snapshot();
             if let Some((store, _)) = &self.checkpoint {
-                store.write(self.step_index, &snapshot)?;
+                store.write(self.step_index, &self.snapshot())?;
             }
         }
         Ok(())
     }
 
-    fn step_resident_inner<E: ExecSpace>(
-        &mut self,
-        exec: &E,
-        rs: &mut ResidentSlabs,
-    ) -> Result<()> {
-        // Half x-advection, panel-native.
-        self.adv_x.step_resident(exec, &mut rs.f_xv)?;
-        // Field solve straight off the slab.
-        let rho = self.density_resident(&rs.f_xv);
-        self.poisson_from_density(&rho);
-        // Full v-advection in the flipped orientation.
-        let disp: Vec<f64> = self.e_field.iter().map(|&e| -e * self.dt).collect();
-        rs.f_xv.transpose_into(&mut rs.f_vx).map_err(flip_err)?;
-        self.adv_v
-            .step_resident_with_displacements(exec, &mut rs.f_vx, &disp)?;
-        rs.f_vx.transpose_into(&mut rs.f_xv).map_err(flip_err)?;
-        // Half x-advection.
-        self.adv_x.step_resident(exec, &mut rs.f_xv)?;
-        Ok(())
-    }
-
-    /// Unpack the resident slab back into the host distribution matrix
-    /// (generation-keyed: free when the slab has not moved since the last
-    /// sync). No-op when no resident step has run.
+    /// Unpack the resident slab into the host mirror behind
+    /// [`VlasovPoisson1D1V::distribution`]. Free when the slab has not
+    /// moved since the mirror was last current.
     pub fn sync_host(&mut self) {
-        if let Some(rs) = &mut self.resident {
-            // The (Nv, Nx) row-major mirror matches `f`'s shape exactly.
-            let mirror = rs.f_xv.host_transposed();
-            self.f.deep_copy_from(mirror).expect("grid fixed at build");
+        if self.f_generation != self.f_xv.generation() {
+            self.f_xv
+                .unpack_transposed_into(&mut self.f)
+                .expect("grid fixed at build");
+            self.f_generation = self.f_xv.generation();
         }
     }
 }
@@ -611,60 +564,60 @@ mod tests {
 
     #[test]
     fn resident_steps_match_interleaved_host_steps_bitwise() {
-        // Resident stepping runs the interleaved kernel, so the host
-        // reference must too for a bitwise comparison.
+        // `step` is `step_resident` + `sync_host`: this checks that
+        // wiring, for the default version and the interleaved one.
         let init = two_stream(1.4, 0.01, 0.5);
         let lx = 2.0 * std::f64::consts::PI / 0.5;
-        let mut host = VlasovPoisson1D1V::new_with_version(
-            32,
-            24,
-            lx,
-            5.0,
-            3,
-            0.05,
-            BuilderVersion::Interleaved,
-            &init,
-        )
-        .unwrap();
-        let mut res = VlasovPoisson1D1V::new_with_version(
-            32,
-            24,
-            lx,
-            5.0,
-            3,
-            0.05,
-            BuilderVersion::Interleaved,
-            &init,
-        )
-        .unwrap();
-        for _ in 0..4 {
-            host.step(&Parallel).unwrap();
-            res.step_resident(&Parallel).unwrap();
+        for version in [BuilderVersion::FusedSpmv, BuilderVersion::Interleaved] {
+            let make = || {
+                VlasovPoisson1D1V::new_with_version(32, 24, lx, 5.0, 3, 0.05, version, &init)
+                    .unwrap()
+            };
+            let (mut host, mut res) = (make(), make());
+            for _ in 0..4 {
+                host.step(&Parallel).unwrap();
+                res.step_resident(&Parallel).unwrap();
+            }
+            // Field quantities are always current on the resident path.
+            for (a, b) in host.e_field().iter().zip(res.e_field()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+            res.sync_host();
+            assert_eq!(host.distribution().max_abs_diff(res.distribution()), 0.0);
+            assert_eq!(host.step_index(), res.step_index());
         }
-        // Field quantities are always current on the resident path.
-        for (a, b) in host.e_field().iter().zip(res.e_field()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        res.sync_host();
-        assert_eq!(host.distribution().max_abs_diff(res.distribution()), 0.0);
-        assert_eq!(host.step_index(), res.step_index());
     }
 
+    /// A snapshot taken after resident steps must carry the current
+    /// distribution, not the stale host mirror: restoring it and stepping
+    /// on reproduces the uninterrupted run bit for bit.
     #[test]
-    fn resident_steps_track_default_backend_host_steps() {
-        // The default host backend is FusedSpmv, which agrees with the
-        // interleaved resident kernel to ~2 ulp per solve; over a few
-        // Strang steps the paths stay far inside 1e-11.
-        let init = two_stream(1.4, 0.01, 0.5);
-        let mut host = VlasovPoisson1D1V::new(32, 32, 4.0, 5.0, 3, 0.05, &init).unwrap();
-        let mut res = VlasovPoisson1D1V::new(32, 32, 4.0, 5.0, 3, 0.05, &init).unwrap();
+    fn snapshot_after_resident_steps_carries_current_distribution() {
+        let mut s = small_solver();
+        s.step_resident(&Parallel).unwrap();
+        s.step_resident(&Parallel).unwrap();
+        let snap = s.snapshot();
+
+        let mut resumed = small_solver();
+        resumed.restore(&snap).unwrap();
+        assert_eq!(resumed.step_index(), 2);
+        resumed.step(&Parallel).unwrap();
+
+        let mut straight = small_solver();
         for _ in 0..3 {
-            host.step(&Parallel).unwrap();
-            res.step_resident(&Parallel).unwrap();
+            straight.step(&Parallel).unwrap();
         }
-        res.sync_host();
-        let diff = host.distribution().max_abs_diff(res.distribution());
-        assert!(diff < 1e-11, "{diff}");
+        for (a, b) in straight
+            .distribution()
+            .as_slice()
+            .iter()
+            .zip(resumed.distribution().as_slice())
+        {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        for (a, b) in straight.e_field().iter().zip(resumed.e_field()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]
@@ -678,9 +631,9 @@ mod tests {
         assert!(before.max_abs_diff(s.distribution()) > 0.0);
         let snap = s.snapshot();
 
-        // A restore makes the host matrix authoritative again: resident
-        // stepping afterwards must start from the restored state, not
-        // from a stale slab left behind by earlier resident steps.
+        // A restore re-packs the slab: resident stepping afterwards must
+        // start from the restored state, not from what earlier resident
+        // steps left in the panels.
         let mut t = small_solver();
         t.step_resident(&Parallel).unwrap();
         t.step_resident(&Parallel).unwrap();

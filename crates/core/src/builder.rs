@@ -9,21 +9,29 @@ use pp_portable::{ExecSpace, InterleavedMatrix, Matrix, ResidentBatch};
 use pp_sparse::Coo;
 
 /// Which implementation of the build kernel to run — the paper's
-/// `DDC_SPLINES_VERSION` 0 / 1 / 2.
+/// `DDC_SPLINES_VERSION` 0 / 1 / 2, as two axes over one pipeline:
+/// Algorithm 1 **split** into one parallel region per step or **fused**
+/// into one, and the corner corrections as **dense** `gemv` blocks or
+/// **COO** `spmv` entries. The axes hold on every layout: on the strided
+/// lanes of a [`Matrix`] ([`SplineBuilder::solve_in_place`]) and on the
+/// panels of a [`ResidentBatch`] ([`SplineBuilder::solve_resident`]) a
+/// lane's result is bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuilderVersion {
-    /// Four separate batched kernels (paper Listing 2): `Q`-solve batch,
-    /// dense corner correction, `getrs` batch, dense corner correction.
+    /// Split, dense corners (paper Listing 2): `Q`-solve batch, corner
+    /// correction, `getrs` batch, corner correction — four regions.
     Baseline,
-    /// One fused per-lane kernel with dense `gemv` corners (Listing 4).
+    /// Fused, dense `gemv` corners (Listing 4).
     Fused,
-    /// Fused kernel with sparse COO corners (Listing 6) — the fastest
-    /// version in the paper's Table III.
+    /// Fused, sparse COO corners (Listing 6) — the fastest version in the
+    /// paper's Table III.
     FusedSpmv,
-    /// **Beyond-paper**: fused+spmv on an interleaved-SoA batch layout —
-    /// lanes packed in chunks of [`pp_portable::LANE_WIDTH`] so every
-    /// recurrence step is one contiguous `[f64; 8]` vector operation (see
-    /// [`SplineBuilder::solve_in_place_interleaved`]).
+    /// **Beyond-paper**: [`BuilderVersion::FusedSpmv`] on an
+    /// interleaved-SoA batch layout — lanes packed in chunks of
+    /// [`pp_portable::LANE_WIDTH`] so every recurrence step is one
+    /// contiguous `[f64; 8]` vector operation. It differs from
+    /// `FusedSpmv` only in what [`SplineBuilder::solve_in_place`] does
+    /// with a [`Matrix`] argument: pack it, sweep the panels, unpack it.
     Interleaved,
 }
 
@@ -46,6 +54,15 @@ impl BuilderVersion {
             BuilderVersion::FusedSpmv => "gemv->spmv",
             BuilderVersion::Interleaved => "Lane interleave",
         }
+    }
+
+    /// The corner axis: COO `spmv` entries (`true`) or dense `gemv`
+    /// blocks.
+    pub(crate) fn sparse_corners(self) -> bool {
+        matches!(
+            self,
+            BuilderVersion::FusedSpmv | BuilderVersion::Interleaved
+        )
     }
 }
 
@@ -104,73 +121,75 @@ impl SplineBuilder {
     /// Solve `A X = B` in place: on entry each column of `b` holds values
     /// at the interpolation points; on exit, spline coefficients.
     ///
-    /// Parallelises over the batch (column) dimension through `exec`.
+    /// Parallelises over the batch (column) dimension through `exec`. The
+    /// paper's three versions sweep `b`'s strided lanes where they lie —
+    /// the Table III ablation, and the reference every panel result is
+    /// compared against. [`BuilderVersion::Interleaved`] packs `b` into
+    /// panels (an explicit transpose recorded under the `transpose`
+    /// phase), runs [`SplineBuilder::solve_resident`]'s sweep, and
+    /// unpacks into `b`'s own layout.
     pub fn solve_in_place<E: ExecSpace>(&self, exec: &E, b: &mut Matrix) -> Result<()> {
         self.check_rows(b.nrows())?;
         let blocks = &self.blocks;
+        let sparse = self.version.sparse_corners();
         match self.version {
             // Four separate parallel regions, four passes over `b` — the
             // temporal-locality problem §IV-B profiles.
             BuilderVersion::Baseline => {
                 for step in ALGORITHM_1 {
-                    exec.for_each_lane_mut(b, |_, mut lane| step.apply(blocks, false, &mut lane));
+                    exec.for_each_lane_mut(b, |_, mut lane| step.apply(blocks, sparse, &mut lane));
                 }
             }
             // One parallel region doing the whole of Algorithm 1 per lane
             // (Listing 4), with dense or sparse (Listing 6) corners.
             BuilderVersion::Fused | BuilderVersion::FusedSpmv => {
-                let sparse = self.version == BuilderVersion::FusedSpmv;
                 exec.for_each_lane_mut(b, |_, mut lane| schur_solve(blocks, sparse, &mut lane));
             }
-            BuilderVersion::Interleaved => return self.solve_in_place_interleaved(exec, b),
+            BuilderVersion::Interleaved => {
+                let mut ib = InterleavedMatrix::pack(b);
+                self.solve_panels(exec, &mut ib);
+                ib.unpack_into(b)?;
+            }
         }
         Ok(())
     }
 
-    /// **Beyond-paper SIMD optimisation**: the fused+spmv algorithm on an
-    /// interleaved-SoA batch layout. The right-hand side is packed into
-    /// chunks of [`pp_portable::LANE_WIDTH`] lanes (an explicit transpose
-    /// recorded under the `transpose` phase), Algorithm 1 then runs once
-    /// per chunk with every recurrence step operating on one contiguous
-    /// `[f64; 8]` row of lanes — the cross-lane vectorisation the paper's
-    /// sequential-per-lane programming model makes legal by construction
-    /// — and the result is unpacked back into `b`'s own layout.
+    /// **Resident entry point**: solve a batch that is already packed,
+    /// reading and writing the panels natively — zero pack/unpack
+    /// transposes per call. A pipeline packs once at ingress
+    /// ([`ResidentBatch::pack`]), calls this any number of times, and
+    /// unpacks once at egress; each call bumps the batch's generation
+    /// tag.
     ///
-    /// Every lane is bit-identical to the scalar fused+spmv path: both
-    /// are instantiations of the same sequence over the same sweeps (the
-    /// partial final chunk included).
-    pub fn solve_in_place_interleaved<E: ExecSpace>(&self, exec: &E, b: &mut Matrix) -> Result<()> {
-        self.check_rows(b.nrows())?;
-        let mut ib = InterleavedMatrix::pack(b);
-        self.solve_panels(exec, &mut ib);
-        ib.unpack_into(b).map_err(Error::from)
-    }
-
-    /// **Resident entry point**: run the interleaved Schur pipeline on a
-    /// batch that is already packed, reading and writing the panels
-    /// natively — zero pack/unpack transposes per call. A pipeline packs
-    /// once at ingress ([`ResidentBatch::pack`]), calls this any number
-    /// of times, and unpacks once at egress; each call bumps the batch's
-    /// generation tag. Results are bit-identical to
-    /// [`SplineBuilder::solve_in_place_interleaved`] on the equivalent
-    /// host matrix (pack/unpack are pure copies and the per-panel
-    /// arithmetic is shared).
-    ///
-    /// The configured [`BuilderVersion`] is ignored: residency *is* the
-    /// interleaved kernel.
+    /// Every lane is bit-identical to [`SplineBuilder::solve_in_place`]
+    /// on the equivalent host matrix, for every [`BuilderVersion`]: the
+    /// version's two axes (split or fused, dense or COO corners) select
+    /// the same sequence over the same sweeps, instantiated for panels
+    /// (the partial final chunk included), and pack/unpack are pure
+    /// copies.
     pub fn solve_resident<E: ExecSpace>(&self, exec: &E, b: &mut ResidentBatch) -> Result<()> {
         self.check_rows(b.nrows())?;
         self.solve_panels(exec, b.panels_mut());
         Ok(())
     }
 
-    /// Fused+spmv Algorithm 1 on every chunk of a packed batch.
+    /// Algorithm 1 on every chunk of a packed batch: one chunk-parallel
+    /// region per step for the split version, one fused region otherwise.
     fn solve_panels<E: ExecSpace>(&self, exec: &E, ib: &mut InterleavedMatrix) {
         let n = self.space.num_basis();
         let blocks = &self.blocks;
-        ib.for_each_chunk_mut(exec, |_, _, chunk| {
-            schur_solve(blocks, true, &mut Panel::new(chunk, n));
-        });
+        let sparse = self.version.sparse_corners();
+        if self.version == BuilderVersion::Baseline {
+            for step in ALGORITHM_1 {
+                ib.for_each_chunk_mut(exec, |_, _, chunk| {
+                    step.apply(blocks, sparse, &mut Panel::new(chunk, n));
+                });
+            }
+        } else {
+            ib.for_each_chunk_mut(exec, |_, _, chunk| {
+                schur_solve(blocks, sparse, &mut Panel::new(chunk, n));
+            });
+        }
     }
 }
 

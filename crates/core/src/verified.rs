@@ -5,7 +5,7 @@
 //! an exa-scale run feeds it meshes and right-hand sides it cannot veto:
 //! near-duplicate knots degrade the interior conditioning, and upstream
 //! physics can inject NaN/Inf into a handful of batch lanes. A
-//! [`VerifiedBuilder`] wraps [`SplineBuilder::solve_in_place`] so that one
+//! [`VerifiedBuilder`] wraps [`SplineBuilder::solve_resident`] so that one
 //! poisoned lane never poisons the batch:
 //!
 //! 1. **Sample** — after the ordinary batched solve, the relative residual
@@ -28,8 +28,8 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::blocks::{QClass, SchurBlocks};
-use crate::builder::{schur_solve, BuilderVersion, SplineBuilder};
-use crate::error::{Error, Result};
+use crate::builder::{schur_solve, SplineBuilder};
+use crate::error::Result;
 use crate::iterative_backend::{IterativeConfig, IterativeSplineSolver};
 use pp_bsplines::assemble_interpolation_matrix;
 use pp_iterative::solver::{norm2, residual_into};
@@ -38,7 +38,7 @@ use pp_portable::instrument::{
     counter, fault_dump, trace_instant, trace_instant_lane, Counter, InstantKind, PhaseId, Span,
 };
 use pp_portable::{
-    Budget, ExecSpace, InterleavedMatrix, Layout, Matrix, ResidentBatch, StridedMut, LANE_WIDTH,
+    Budget, ExecSpace, InterleavedMatrix, Matrix, ResidentBatch, StridedMut, LANE_WIDTH,
 };
 use pp_sparse::Csr;
 
@@ -612,9 +612,11 @@ impl VerifiedBuilder {
     /// Quarantined lanes are **zeroed** so NaN/Inf cannot propagate into
     /// downstream stages; consult the returned [`LaneReport`] to find and
     /// re-source them.
+    ///
+    /// This is [`VerifiedBuilder::solve_resident`] with a pack in front
+    /// and an unpack behind: same verdicts, same bits.
     pub fn solve_in_place<E: ExecSpace>(&self, exec: &E, b: &mut Matrix) -> Result<LaneReport> {
-        let (report, _) = self.solve_impl(exec, b, None)?;
-        Ok(report)
+        Ok(self.solve_packed(exec, b, None)?.0)
     }
 
     /// Budgeted variant of [`VerifiedBuilder::solve_in_place`]: same
@@ -625,8 +627,8 @@ impl VerifiedBuilder {
     ///   lanes that fail the residual check;
     /// * the fallback ladder stops escalating (rungs not yet attempted are
     ///   abandoned);
-    /// * residual verification of the remaining lanes is dropped — they
-    ///   keep their primary (unverified) solutions and are reported
+    /// * residual verification of the remaining panels is dropped — their
+    ///   lanes keep their primary (unverified) solutions and are reported
     ///   [`LaneVerdict::Unsampled`]. The non-finite *input* scan always
     ///   runs, so poisoned lanes are quarantined regardless of budget.
     ///
@@ -641,31 +643,70 @@ impl VerifiedBuilder {
         b: &mut Matrix,
         budget: &Budget,
     ) -> Result<DegradedReport> {
-        let (lanes, degradations) = self.solve_impl(exec, b, Some(budget))?;
+        let (lanes, degradations) = self.solve_packed(exec, b, Some(budget))?;
         Ok(DegradedReport {
             lanes,
             degradations,
         })
     }
 
-    fn solve_impl<E: ExecSpace>(
+    /// The `Matrix` entry points: pack, run the one verify body, unpack.
+    fn solve_packed<E: ExecSpace>(
         &self,
         exec: &E,
         b: &mut Matrix,
         budget: Option<&Budget>,
     ) -> Result<(LaneReport, Vec<Degradation>)> {
-        let n = self.builder.space().num_basis();
-        if b.nrows() != n {
-            return Err(Error::ShapeMismatch {
-                expected_rows: n,
-                actual_rows: b.nrows(),
-            });
-        }
-        let rhs = b.clone();
-        // The ordinary batched solve first: lanes that verify keep these
-        // bits. Poisoned lanes produce garbage here and are repaired or
-        // quarantined below.
-        self.builder.solve_in_place(exec, b)?;
+        let mut packed = ResidentBatch::pack(b);
+        let out = self.verify_panels(exec, &mut packed, budget)?;
+        packed.unpack_into(b)?;
+        Ok(out)
+    }
+
+    /// Solve and verify a batch that stays packed in its interleaved
+    /// panels across the solve, the ABFT screen, and residual sampling —
+    /// all three read the panels natively, with scalar lane extraction
+    /// only for lanes that need repair (probed, tripped, or above
+    /// tolerance) and for quarantine zeroing. Zero pack/unpack transposes
+    /// on the healthy path.
+    ///
+    /// Every mutation (primary solve, ABFT retry write-back, refinement,
+    /// quarantine zeroing) bumps the batch's generation tag, so a cached
+    /// host mirror taken before the solve can never resurrect stale data.
+    ///
+    /// Results — healthy lanes *and* verdict residuals — are those of
+    /// [`VerifiedBuilder::solve_in_place`] on the equivalent host matrix,
+    /// bit for bit, for every [`crate::BuilderVersion`] of the wrapped
+    /// builder.
+    pub fn solve_resident<E: ExecSpace>(
+        &self,
+        exec: &E,
+        b: &mut ResidentBatch,
+    ) -> Result<LaneReport> {
+        Ok(self.verify_panels(exec, b, None)?.0)
+    }
+
+    /// The one verify body: batched solve, ABFT screen, then per panel a
+    /// residual pass and the lane-by-lane verdicts.
+    ///
+    /// `budget` is polled before each panel's residual pass — an
+    /// exhausted budget never pays for residuals it would discard — and,
+    /// inside a lane's repair, before refinement and before each ladder
+    /// rung.
+    fn verify_panels<E: ExecSpace>(
+        &self,
+        exec: &E,
+        b: &mut ResidentBatch,
+        budget: Option<&Budget>,
+    ) -> Result<(LaneReport, Vec<Degradation>)> {
+        // Pristine right-hand sides, kept in panel form: a straight copy
+        // of the packed storage, not a transpose.
+        let rhs = b.panels().clone();
+        // The ordinary batched solve first (it also checks the shape):
+        // lanes that verify keep these bits. Poisoned lanes produce
+        // garbage here and are repaired or quarantined below.
+        self.builder.solve_resident(exec, b)?;
+        let n = rhs.nrows();
 
         let stride = self.config.sample_stride.max(1);
         let mut verdicts = Vec::with_capacity(b.ncols());
@@ -679,86 +720,69 @@ impl VerifiedBuilder {
         } else {
             Vec::new()
         };
-        for lane in 0..b.ncols() {
-            let sdc_state = sdc.get(lane).copied().unwrap_or(SdcState::Clean);
-            let probed = self.config.probe_lanes.contains(&lane);
-            // A lane the checksum flagged is always fully verified.
-            let selected = probed || lane % stride == 0 || !matches!(sdc_state, SdcState::Clean);
-            let out_of_time = budget.is_some_and(|bud| bud.exhausted());
-            if selected && out_of_time && degrade.sampling_cut.is_none() {
-                degrade.sampling_cut = Some((lane, 0));
-            }
-            if !selected || out_of_time {
-                if selected {
-                    if let Some((_, skipped)) = degrade.sampling_cut.as_mut() {
-                        *skipped += 1;
-                    }
-                    // The input scan is O(n) and guards the no-NaN
-                    // promise; it runs even when verification cannot.
-                    let b_lane = rhs.col(lane).to_vec();
-                    if let Some(index) = b_lane.iter().position(|v| !v.is_finite()) {
-                        zero_lane(b, lane);
-                        trace_instant_lane(InstantKind::NonFiniteInput, lane as u32);
-                        trace_instant_lane(InstantKind::LaneQuarantined, lane as u32);
-                        verdicts.push(LaneVerdict::Quarantined {
-                            reason: QuarantineReason::NonFiniteInput { index },
-                        });
-                        continue;
-                    }
-                    match sdc_state {
-                        SdcState::Tripped { discrepancy } => {
-                            // Budget exhaustion must not let a lane with a
-                            // tripped checksum through unverified.
-                            zero_lane(b, lane);
-                            sdc_metrics().uncorrected.inc();
-                            trace_instant_lane(InstantKind::LaneQuarantined, lane as u32);
-                            verdicts.push(LaneVerdict::Quarantined {
-                                reason: QuarantineReason::SdcDetected { discrepancy },
-                            });
-                            continue;
-                        }
-                        SdcState::Corrected { discrepancy } => {
-                            // The retry already happened in the screen; one
-                            // residual evaluation seals the verdict.
-                            sdc_metrics().corrected.inc();
-                            let residual = self.relative_residual(&b.col(lane).to_vec(), &b_lane);
-                            verdicts.push(LaneVerdict::SdcCorrected {
-                                discrepancy,
-                                residual,
-                            });
-                            continue;
-                        }
-                        SdcState::Clean => {}
-                    }
+        for chunk in 0..rhs.num_chunks() {
+            // One pass evaluates every live lane's relative residual
+            // (after the screen, so corrected lanes are measured on their
+            // healed values). `None`: the budget ran out first and this
+            // panel's lanes go unverified.
+            let residuals = if budget.is_some_and(|bud| bud.exhausted()) {
+                None
+            } else {
+                Some(self.panel_residuals(b.panels(), &rhs, chunk))
+            };
+            for l in 0..rhs.chunk_lanes(chunk) {
+                let lane = chunk * LANE_WIDTH + l;
+                let sdc_state = sdc.get(lane).copied().unwrap_or(SdcState::Clean);
+                let probed = self.config.probe_lanes.contains(&lane);
+                // A lane the checksum flagged is always fully verified.
+                let selected =
+                    probed || lane % stride == 0 || !matches!(sdc_state, SdcState::Clean);
+                if !selected {
+                    verdicts.push(LaneVerdict::Unsampled);
+                    continue;
                 }
-                verdicts.push(LaneVerdict::Unsampled);
-                continue;
-            }
-            let b_lane = rhs.col(lane).to_vec();
-            if let Some(index) = b_lane.iter().position(|v| !v.is_finite()) {
-                zero_lane(b, lane);
-                trace_instant_lane(InstantKind::NonFiniteInput, lane as u32);
-                trace_instant_lane(InstantKind::LaneQuarantined, lane as u32);
-                verdicts.push(LaneVerdict::Quarantined {
-                    reason: QuarantineReason::NonFiniteInput { index },
-                });
-                continue;
-            }
-            let verdict = self.verify_lane(b, lane, &b_lane, probed, budget, &mut degrade);
-            let verdict = fold_sdc_verdict(sdc_state, verdict);
-            match &verdict {
-                LaneVerdict::Refined { .. } => {
-                    trace_instant_lane(InstantKind::LaneRefined, lane as u32);
+                if residuals.is_none() {
+                    degrade.sampling_cut.get_or_insert((lane, 0)).1 += 1;
                 }
-                LaneVerdict::Recovered { .. } | LaneVerdict::SdcCorrected { .. } => {
-                    trace_instant_lane(InstantKind::LaneRecovered, lane as u32);
-                }
-                LaneVerdict::Quarantined { .. } => {
+                // The input scan is O(n) and guards the no-NaN promise; it
+                // runs even when verification cannot.
+                if let Some(index) = (0..n).position(|i| !rhs.get(i, lane).is_finite()) {
+                    b.zero_lane(lane);
+                    trace_instant_lane(InstantKind::NonFiniteInput, lane as u32);
                     trace_instant_lane(InstantKind::LaneQuarantined, lane as u32);
+                    verdicts.push(LaneVerdict::Quarantined {
+                        reason: QuarantineReason::NonFiniteInput { index },
+                    });
+                    continue;
                 }
-                LaneVerdict::Verified { .. } | LaneVerdict::Unsampled => {}
+                let Some(residuals) = residuals else {
+                    verdicts.push(self.unverified_verdict(b, &rhs, lane, sdc_state));
+                    continue;
+                };
+                let rr = residuals[l];
+                let verdict = if !probed && rr.is_finite() && rr <= self.config.residual_tol {
+                    // Healthy fast path: the wide residual seals the verdict
+                    // without extracting the lane — its bits stay untouched.
+                    LaneVerdict::Verified { residual: rr }
+                } else {
+                    let b_lane = lane_from_panels(&rhs, lane);
+                    self.repair_lane(b, lane, &b_lane, rr, probed, budget, &mut degrade)
+                };
+                let verdict = fold_sdc_verdict(sdc_state, verdict);
+                match &verdict {
+                    LaneVerdict::Refined { .. } => {
+                        trace_instant_lane(InstantKind::LaneRefined, lane as u32);
+                    }
+                    LaneVerdict::Recovered { .. } | LaneVerdict::SdcCorrected { .. } => {
+                        trace_instant_lane(InstantKind::LaneRecovered, lane as u32);
+                    }
+                    LaneVerdict::Quarantined { .. } => {
+                        trace_instant_lane(InstantKind::LaneQuarantined, lane as u32);
+                    }
+                    LaneVerdict::Verified { .. } | LaneVerdict::Unsampled => {}
+                }
+                verdicts.push(verdict);
             }
-            verdicts.push(verdict);
         }
         drop(verify_span);
         let report = LaneReport { verdicts };
@@ -780,164 +804,93 @@ impl VerifiedBuilder {
         Ok((report, degradations))
     }
 
-    /// Resident variant of [`VerifiedBuilder::solve_in_place`]: the batch
-    /// stays packed in its interleaved panels across the solve, the ABFT
-    /// screen, and residual sampling — all three read the panels natively,
-    /// with scalar lane extraction only for lanes that need repair
-    /// (probed, tripped, or above tolerance) and for quarantine zeroing.
-    /// Zero pack/unpack transposes on the healthy path.
-    ///
-    /// Every mutation (primary solve, ABFT retry write-back, refinement,
-    /// quarantine zeroing) bumps the batch's generation tag, so a cached
-    /// host mirror taken before the solve can never resurrect stale data.
-    ///
-    /// With the wrapped builder on [`BuilderVersion::Interleaved`],
-    /// results — healthy lanes *and* verdict residuals — are
-    /// bit-identical to [`VerifiedBuilder::solve_in_place`] on the
-    /// equivalent host matrix: the per-lane arithmetic of the wide
-    /// residual and checksum accumulators is the same expressions in the
-    /// same order as the scalar ones.
-    pub fn solve_resident<E: ExecSpace>(
+    /// Verdict of a selected, finite-input lane whose panel the exhausted
+    /// budget left without a residual pass: what the ABFT screen already
+    /// knows decides.
+    fn unverified_verdict(
         &self,
-        exec: &E,
         b: &mut ResidentBatch,
-    ) -> Result<LaneReport> {
-        let n = self.builder.space().num_basis();
-        if b.nrows() != n {
-            return Err(Error::ShapeMismatch {
-                expected_rows: n,
-                actual_rows: b.nrows(),
-            });
-        }
-        // Pristine right-hand sides, kept in panel form: a straight copy
-        // of the packed storage, not a transpose.
-        let rhs = b.panels().clone();
-        self.builder.solve_resident(exec, b)?;
-
-        let stride = self.config.sample_stride.max(1);
-        let mut verdicts = Vec::with_capacity(b.ncols());
-        let mut degrade = DegradeLog::default();
-        let verify_span = Span::enter(PhaseId::Verify);
-        let sdc = if self.config.abft {
-            self.abft_screen_resident(b, &rhs)
-        } else {
-            Vec::new()
-        };
-        // Residual sampling, panel-native: one pass per chunk evaluates
-        // every live lane's relative residual (after the screen, so
-        // corrected lanes are measured on their healed values).
-        let residuals = self.panel_residuals(b.panels(), &rhs);
-        for lane in 0..b.ncols() {
-            let sdc_state = sdc.get(lane).copied().unwrap_or(SdcState::Clean);
-            let probed = self.config.probe_lanes.contains(&lane);
-            let selected = probed || lane % stride == 0 || !matches!(sdc_state, SdcState::Clean);
-            if !selected {
-                verdicts.push(LaneVerdict::Unsampled);
-                continue;
-            }
-            if let Some(index) = (0..n).position(|i| !rhs.get(i, lane).is_finite()) {
+        rhs: &InterleavedMatrix,
+        lane: usize,
+        sdc_state: SdcState,
+    ) -> LaneVerdict {
+        match sdc_state {
+            SdcState::Clean => LaneVerdict::Unsampled,
+            SdcState::Tripped { discrepancy } => {
+                // Budget exhaustion must not let a lane with a tripped
+                // checksum through unverified.
                 b.zero_lane(lane);
-                trace_instant_lane(InstantKind::NonFiniteInput, lane as u32);
+                sdc_metrics().uncorrected.inc();
                 trace_instant_lane(InstantKind::LaneQuarantined, lane as u32);
-                verdicts.push(LaneVerdict::Quarantined {
-                    reason: QuarantineReason::NonFiniteInput { index },
-                });
-                continue;
+                LaneVerdict::Quarantined {
+                    reason: QuarantineReason::SdcDetected { discrepancy },
+                }
             }
-            let rr = residuals[lane];
-            let verdict = if !probed && rr.is_finite() && rr <= self.config.residual_tol {
-                // Healthy fast path: the wide residual seals the verdict
-                // without extracting the lane — its bits stay untouched.
-                LaneVerdict::Verified { residual: rr }
-            } else {
-                // Repair path: scalar lane extraction, then the shared
-                // refine/ladder/quarantine machinery on a one-lane view.
-                let b_lane = lane_from_panels(&rhs, lane);
-                let mut tmp = Matrix::from_vec(n, 1, Layout::Left, b.lane_to_vec(lane))
-                    .expect("lane view shape");
-                let verdict = self.verify_lane(&mut tmp, 0, &b_lane, probed, None, &mut degrade);
-                if !matches!(
-                    verdict,
-                    LaneVerdict::Verified { .. } | LaneVerdict::Unsampled
-                ) {
-                    // The lane view was rewritten (refined, recovered, or
-                    // zeroed): scatter it back, bumping the generation.
-                    b.write_lane(lane, tmp.as_slice());
+            SdcState::Corrected { discrepancy } => {
+                // The retry already happened in the screen; one residual
+                // evaluation seals the verdict.
+                sdc_metrics().corrected.inc();
+                let residual =
+                    self.relative_residual(&b.lane_to_vec(lane), &lane_from_panels(rhs, lane));
+                LaneVerdict::SdcCorrected {
+                    discrepancy,
+                    residual,
                 }
-                verdict
-            };
-            let verdict = fold_sdc_verdict(sdc_state, verdict);
-            match &verdict {
-                LaneVerdict::Refined { .. } => {
-                    trace_instant_lane(InstantKind::LaneRefined, lane as u32);
-                }
-                LaneVerdict::Recovered { .. } | LaneVerdict::SdcCorrected { .. } => {
-                    trace_instant_lane(InstantKind::LaneRecovered, lane as u32);
-                }
-                LaneVerdict::Quarantined { .. } => {
-                    trace_instant_lane(InstantKind::LaneQuarantined, lane as u32);
-                }
-                LaneVerdict::Verified { .. } | LaneVerdict::Unsampled => {}
             }
-            verdicts.push(verdict);
         }
-        drop(verify_span);
-        let report = LaneReport { verdicts };
-        publish_verify_metrics(&report);
-        emit_batch_faults(&sdc, &report);
-        Ok(report)
     }
 
-    /// Per-lane relative residuals `‖b − Ax‖₂/‖b‖₂` of the whole batch,
-    /// read panel-natively: for each chunk, one pass over the CSR matrix
-    /// accumulates all live lanes at once. Each lane's accumulation is
-    /// the same expressions in the same order as
-    /// [`VerifiedBuilder::relative_residual`], so the values are
-    /// bit-identical to the scalar path.
-    fn panel_residuals(&self, x: &InterleavedMatrix, rhs: &InterleavedMatrix) -> Vec<f64> {
-        let n = x.nrows();
-        let mut out = vec![0.0; x.ncols()];
-        for c in 0..x.num_chunks() {
-            let lanes = x.chunk_lanes(c);
-            let xc = x.chunk(c);
-            let bc = rhs.chunk(c);
-            let mut acc_r = [0.0f64; LANE_WIDTH];
-            let mut acc_b = [0.0f64; LANE_WIDTH];
-            for i in 0..n {
-                let mut s = [0.0f64; LANE_WIDTH];
-                for (col, v) in self.matrix.row(i) {
-                    let xr = &xc[col * LANE_WIDTH..col * LANE_WIDTH + LANE_WIDTH];
-                    for l in 0..LANE_WIDTH {
-                        s[l] += v * xr[l];
-                    }
-                }
-                let br = &bc[i * LANE_WIDTH..i * LANE_WIDTH + LANE_WIDTH];
+    /// Relative residuals `‖b − Ax‖₂/‖b‖₂` of the lanes of one chunk,
+    /// read panel-natively: one pass over the CSR matrix accumulates all
+    /// lanes at once. Each lane's accumulation is the same expressions in
+    /// the same order as [`VerifiedBuilder::relative_residual`], so the
+    /// values are bit-identical to the scalar ones.
+    fn panel_residuals(
+        &self,
+        x: &InterleavedMatrix,
+        rhs: &InterleavedMatrix,
+        chunk: usize,
+    ) -> [f64; LANE_WIDTH] {
+        note_residual_pass();
+        let xc = x.chunk(chunk);
+        let bc = rhs.chunk(chunk);
+        let mut acc_r = [0.0f64; LANE_WIDTH];
+        let mut acc_b = [0.0f64; LANE_WIDTH];
+        for i in 0..x.nrows() {
+            let mut s = [0.0f64; LANE_WIDTH];
+            for (col, v) in self.matrix.row(i) {
+                let xr = &xc[col * LANE_WIDTH..col * LANE_WIDTH + LANE_WIDTH];
                 for l in 0..LANE_WIDTH {
-                    let r = br[l] - s[l];
-                    acc_r[l] += r * r;
-                    acc_b[l] += br[l] * br[l];
+                    s[l] += v * xr[l];
                 }
             }
-            for l in 0..lanes {
-                let nr = acc_r[l].sqrt();
-                let nb = acc_b[l].sqrt();
-                out[c * LANE_WIDTH + l] = if nb > 0.0 { nr / nb } else { nr };
+            let br = &bc[i * LANE_WIDTH..i * LANE_WIDTH + LANE_WIDTH];
+            for l in 0..LANE_WIDTH {
+                let r = br[l] - s[l];
+                acc_r[l] += r * r;
+                acc_b[l] += br[l] * br[l];
             }
+        }
+        let mut out = [0.0f64; LANE_WIDTH];
+        for l in 0..LANE_WIDTH {
+            let nr = acc_r[l].sqrt();
+            let nb = acc_b[l].sqrt();
+            out[l] = if nb > 0.0 { nr / nb } else { nr };
         }
         out
     }
 
-    /// Panel-native ABFT screen: evaluates the checksum identity for all
-    /// live lanes of each chunk in one pass (per-lane arithmetic
-    /// identical to [`VerifiedBuilder::abft_check`]), then handles probe
-    /// strikes and tripped-lane retries through scalar lane extraction.
-    fn abft_screen_resident(
-        &self,
-        b: &mut ResidentBatch,
-        rhs: &InterleavedMatrix,
-    ) -> Vec<SdcState> {
+    /// The ABFT screen: evaluates the checksum identity `colsum·x = Σb`
+    /// for all live lanes of each chunk in one pass (per-lane arithmetic
+    /// identical to [`VerifiedBuilder::abft_check`]). A tripped lane is
+    /// re-solved once from its pristine right-hand side: a transient
+    /// upset does not recur, so a clean retry replaces the lane
+    /// ([`SdcState::Corrected`]); a retry that trips again is persistent
+    /// corruption ([`SdcState::Tripped`]) and is left for the verifier to
+    /// heal or quarantine.
+    fn abft_screen(&self, b: &mut ResidentBatch, rhs: &InterleavedMatrix) -> Vec<SdcState> {
         let n = b.nrows();
-        // Deterministic fault injection first, as the host screen does.
+        // Deterministic fault injection first.
         for &lane in &self.config.sdc_probe_lanes {
             if lane < b.ncols() {
                 let mut x = b.lane_to_vec(lane);
@@ -969,7 +922,8 @@ impl VerifiedBuilder {
             }
             for l in 0..lanes {
                 if !finite[l] {
-                    // Poisoned input belongs to the quarantine scan.
+                    // Poisoned input belongs to the quarantine scan, not
+                    // to a checksum trip.
                     continue;
                 }
                 let disc = (vx[l] - sum_b[l]).abs();
@@ -1014,93 +968,47 @@ impl VerifiedBuilder {
         (!rel.is_finite() || rel > DEFAULT_ABFT_TOL, rel)
     }
 
-    /// Screen every lane of the just-solved batch against the build-time
-    /// checksum vector. A tripped lane is re-solved once from its pristine
-    /// right-hand side: a transient upset does not recur, so a clean retry
-    /// replaces the lane ([`SdcState::Corrected`]); a retry that trips
-    /// again is persistent corruption ([`SdcState::Tripped`]) and is left
-    /// for the verifier to heal or quarantine.
-    fn abft_screen(&self, b: &mut Matrix, rhs: &Matrix) -> Vec<SdcState> {
-        (0..b.ncols())
-            .map(|lane| {
-                let mut x = b.col(lane).to_vec();
-                if self.config.sdc_probe_lanes.contains(&lane) {
-                    strike(&mut x);
-                    b.col_mut(lane).copy_from_slice(&x);
-                }
-                let b_lane = rhs.col(lane).to_vec();
-                if b_lane.iter().any(|v| !v.is_finite()) {
-                    // Poisoned input is the quarantine scan's concern,
-                    // not a checksum trip.
-                    return SdcState::Clean;
-                }
-                let (tripped, disc) = self.abft_check(&x, &b_lane);
-                if !tripped {
-                    return SdcState::Clean;
-                }
-                sdc_metrics().detected.inc();
-                trace_instant_lane(InstantKind::SdcDetected, lane as u32);
-                let mut y = b_lane.clone();
-                self.primary_solve(&mut y);
-                if self.config.sdc_probe_persistent && self.config.sdc_probe_lanes.contains(&lane) {
-                    strike(&mut y);
-                }
-                let (retripped, retry_disc) = self.abft_check(&y, &b_lane);
-                if retripped {
-                    SdcState::Tripped {
-                        discrepancy: retry_disc,
-                    }
-                } else {
-                    b.col_mut(lane).copy_from_slice(&y);
-                    SdcState::Corrected { discrepancy: disc }
-                }
-            })
-            .collect()
-    }
-
-    /// Verify one lane whose input is already known finite.
-    fn verify_lane(
+    /// Repair one lane of finite input whose primary solution measured
+    /// relative residual `rr` above tolerance (or that is probed): refine,
+    /// climb the ladder, or quarantine. A rewritten lane is scattered back
+    /// into the panels (bumping the generation).
+    #[allow(clippy::too_many_arguments)]
+    fn repair_lane(
         &self,
-        b: &mut Matrix,
+        b: &mut ResidentBatch,
         lane: usize,
         b_lane: &[f64],
+        rr: f64,
         probed: bool,
         budget: Option<&Budget>,
         degrade: &mut DegradeLog,
     ) -> LaneVerdict {
-        let mut x = b.col(lane).to_vec();
-        let rr = self.relative_residual(&x, b_lane);
-        if !probed && rr.is_finite() && rr <= self.config.residual_tol {
-            return LaneVerdict::Verified { residual: rr };
-        }
-
         let out_of_time = || budget.is_some_and(|bud| bud.exhausted());
 
         // Stage 2: iterative refinement with the primary factors. Under
         // an exhausted budget the stage is skipped (and recorded): the
         // lane goes straight to the ladder / quarantine decision.
-        let refine_allowed = if !probed && out_of_time() {
-            degrade.refine_skipped.push(lane);
-            false
-        } else {
-            true
-        };
-        if !probed && refine_allowed {
-            let outcome = refine_lane(
-                |x, y| self.matrix.spmv_into(x, y),
-                |r| self.primary_solve(r),
-                self.anorm_inf,
-                b_lane,
-                &mut x,
-                &self.config.refine,
-            );
-            let rr = self.relative_residual(&x, b_lane);
-            if rr.is_finite() && rr <= self.config.residual_tol {
-                b.col_mut(lane).copy_from_slice(&x);
-                return LaneVerdict::Refined {
-                    steps: outcome.steps,
-                    residual: rr,
-                };
+        if !probed {
+            if out_of_time() {
+                degrade.refine_skipped.push(lane);
+            } else {
+                let mut x = b.lane_to_vec(lane);
+                let outcome = refine_lane(
+                    |x, y| self.matrix.spmv_into(x, y),
+                    |r| self.primary_solve(r),
+                    self.anorm_inf,
+                    b_lane,
+                    &mut x,
+                    &self.config.refine,
+                );
+                let rr = self.relative_residual(&x, b_lane);
+                if rr.is_finite() && rr <= self.config.residual_tol {
+                    b.write_lane(lane, &x);
+                    return LaneVerdict::Refined {
+                        steps: outcome.steps,
+                        residual: rr,
+                    };
+                }
             }
         }
 
@@ -1115,49 +1023,43 @@ impl VerifiedBuilder {
                 // once the budget is gone, stop escalating and record
                 // the cap instead of overrunning the deadline.
                 if out_of_time() {
-                    if degrade.ladder_capped.last() != Some(&lane) {
-                        degrade.ladder_capped.push(lane);
-                    }
+                    degrade.ladder_capped.push(lane);
                     break;
                 }
-                match self.solve_on_rung(rung, b_lane) {
-                    Some(mut y) => {
-                        let rr = self.relative_residual(&y, b_lane);
-                        if !rr.is_finite() {
-                            continue;
-                        }
-                        saw_finite = true;
-                        if rr <= self.config.residual_tol {
-                            b.col_mut(lane).copy_from_slice(&y);
-                            return LaneVerdict::Recovered { rung, residual: rr };
-                        }
-                        // Above tolerance: refine on this rung's factors
-                        // before giving up on it.
-                        refine_lane(
-                            |x, z| self.matrix.spmv_into(x, z),
-                            |r| {
-                                self.rung_solve(rung, r);
-                            },
-                            self.anorm_inf,
-                            b_lane,
-                            &mut y,
-                            &self.config.refine,
-                        );
-                        let rr = self.relative_residual(&y, b_lane);
-                        if rr.is_finite() && rr <= self.config.residual_tol {
-                            b.col_mut(lane).copy_from_slice(&y);
-                            return LaneVerdict::Recovered { rung, residual: rr };
-                        }
-                        if rr.is_finite() {
-                            best = best.min(rr);
-                        }
-                    }
-                    None => continue,
+                let Some(mut y) = self.solve_on_rung(rung, b_lane) else {
+                    continue;
+                };
+                let rr = self.relative_residual(&y, b_lane);
+                if !rr.is_finite() {
+                    continue;
+                }
+                saw_finite = true;
+                if rr <= self.config.residual_tol {
+                    b.write_lane(lane, &y);
+                    return LaneVerdict::Recovered { rung, residual: rr };
+                }
+                // Above tolerance: refine on this rung's factors before
+                // giving up on it.
+                refine_lane(
+                    |x, z| self.matrix.spmv_into(x, z),
+                    |r| self.rung_solve(rung, r),
+                    self.anorm_inf,
+                    b_lane,
+                    &mut y,
+                    &self.config.refine,
+                );
+                let rr = self.relative_residual(&y, b_lane);
+                if rr.is_finite() && rr <= self.config.residual_tol {
+                    b.write_lane(lane, &y);
+                    return LaneVerdict::Recovered { rung, residual: rr };
+                }
+                if rr.is_finite() {
+                    best = best.min(rr);
                 }
             }
         }
 
-        zero_lane(b, lane);
+        b.zero_lane(lane);
         let reason = if saw_finite {
             QuarantineReason::ResidualAboveTol { residual: best }
         } else {
@@ -1177,17 +1079,13 @@ impl VerifiedBuilder {
         }
     }
 
-    /// Solve one contiguous lane with the primary Schur factors (the same
-    /// arithmetic as the fused kernel). The interleaved version runs the
-    /// sparse-corner (spmv) arithmetic per lane, so its re-solves use the
-    /// sparse path too.
+    /// Solve one contiguous lane with the primary Schur factors: the
+    /// arithmetic of the batched kernel (the version's corner axis
+    /// included), so a re-solved lane carries the bits its neighbours do.
     fn primary_solve(&self, lane: &mut [f64]) {
         schur_solve_slice(
             self.builder.blocks(),
-            matches!(
-                self.builder.version(),
-                BuilderVersion::FusedSpmv | BuilderVersion::Interleaved
-            ),
+            self.builder.version().sparse_corners(),
             lane,
         );
     }
@@ -1284,11 +1182,6 @@ fn schur_solve_slice(blocks: &SchurBlocks, sparse: bool, lane: &mut [f64]) {
     schur_solve(blocks, sparse, &mut StridedMut::from_slice(lane));
 }
 
-fn zero_lane(b: &mut Matrix, lane: usize) {
-    let n = b.nrows();
-    b.col_mut(lane).copy_from_slice(&vec![0.0; n]);
-}
-
 /// Extract one lane of a packed panel set into a contiguous vector.
 fn lane_from_panels(panels: &InterleavedMatrix, lane: usize) -> Vec<f64> {
     (0..panels.nrows()).map(|i| panels.get(i, lane)).collect()
@@ -1325,7 +1218,7 @@ fn fold_sdc_verdict(sdc_state: SdcState, verdict: LaneVerdict) -> LaneVerdict {
 }
 
 /// Emit the flight-recorder fault dumps for one batch's screen states and
-/// lane report (shared by the host and resident solve paths).
+/// lane report.
 fn emit_batch_faults(sdc: &[SdcState], report: &LaneReport) {
     if sdc.iter().any(|s| !matches!(s, SdcState::Clean)) {
         fault_dump("sdc_detected", || {
@@ -1379,11 +1272,27 @@ fn strike(x: &mut [f64]) {
     }
 }
 
+/// Tally one panel residual pass where the unit tests can see it; nothing
+/// outside them.
+#[inline]
+fn note_residual_pass() {
+    #[cfg(test)]
+    tests::RESIDUAL_PASSES.with(|c| c.set(c.get() + 1));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::BuilderVersion;
     use pp_bsplines::{Breaks, PeriodicSplineSpace};
     use pp_portable::{Layout, Parallel, TestRng};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Panel residual passes run on this thread (the verify loop is
+        /// serial on its caller).
+        pub(super) static RESIDUAL_PASSES: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn space(n: usize, degree: usize, uniform: bool) -> PeriodicSplineSpace {
         let breaks = if uniform {
@@ -1648,31 +1557,49 @@ mod tests {
         let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
             .unwrap()
             .verified(VerifyConfig::default());
-        let mut rhs = random_rhs(24, 5, 17);
-        rhs.set(3, 2, f64::NAN);
+        // The poisoned lane sits mid-panel, then in the tail panel of one,
+        // two and three panels.
+        for (batch, poisoned) in [(5usize, 2usize), (7, 6), (9, 8), (17, 16)] {
+            let mut rhs = random_rhs(24, batch, 17);
+            rhs.set(3, poisoned, f64::NAN);
 
-        let budget = Budget::unlimited();
-        budget.cancel();
-        let report = verified
-            .solve_in_place_budgeted(&Parallel, &mut rhs, &budget)
-            .unwrap();
+            // An unbudgeted solve pays one residual pass per panel...
+            let passes = RESIDUAL_PASSES.get();
+            verified
+                .solve_in_place(&Parallel, &mut rhs.clone())
+                .unwrap();
+            assert_eq!(
+                RESIDUAL_PASSES.get() - passes,
+                batch.div_ceil(LANE_WIDTH),
+                "batch {batch}"
+            );
 
-        assert!(report.is_degraded());
-        // Verification was dropped entirely...
-        assert!(report.degradations.iter().any(|d| matches!(
-            d,
-            Degradation::SamplingReduced {
-                from_lane: 0,
-                lanes_skipped: 5
+            // ...and an already-exhausted budget pays none.
+            let budget = Budget::unlimited();
+            budget.cancel();
+            let passes = RESIDUAL_PASSES.get();
+            let report = verified
+                .solve_in_place_budgeted(&Parallel, &mut rhs, &budget)
+                .unwrap();
+            assert_eq!(RESIDUAL_PASSES.get(), passes, "batch {batch}");
+
+            assert!(report.is_degraded());
+            // Verification was dropped entirely...
+            assert_eq!(
+                report.degradations,
+                vec![Degradation::SamplingReduced {
+                    from_lane: 0,
+                    lanes_skipped: batch
+                }]
+            );
+            // ...but the poisoned lane is still quarantined, not propagated.
+            assert_eq!(report.lanes.quarantined_lanes(), vec![poisoned]);
+            for i in 0..24 {
+                assert_eq!(rhs.get(i, poisoned), 0.0);
             }
-        )));
-        // ...but the poisoned lane is still quarantined, not propagated.
-        assert_eq!(report.lanes.quarantined_lanes(), vec![2]);
-        for i in 0..24 {
-            assert_eq!(rhs.get(i, 2), 0.0);
-        }
-        for lane in [0usize, 1, 3, 4] {
-            assert_eq!(*report.lanes.verdict(lane), LaneVerdict::Unsampled);
+            for lane in (0..batch).filter(|&l| l != poisoned) {
+                assert_eq!(*report.lanes.verdict(lane), LaneVerdict::Unsampled);
+            }
         }
     }
 
@@ -1875,8 +1802,9 @@ mod tests {
     #[test]
     fn resident_verified_matches_host_path_bitwise() {
         // Chained resident solves (pack once, N solves, unpack once) must
-        // reproduce the host path (solve per call) bit-for-bit: verdicts,
-        // residuals, quarantine zeroing, and ABFT probe healing included.
+        // reproduce the `Matrix` entry point (pack and unpack per call)
+        // bit-for-bit: verdicts, residuals, quarantine zeroing, and ABFT
+        // probe healing included.
         let config = || VerifyConfig {
             abft: true,
             sdc_probe_lanes: vec![2],
@@ -1950,29 +1878,36 @@ mod tests {
     #[test]
     fn abft_tripped_lane_under_exhausted_budget_is_quarantined() {
         let sp = space(24, 3, true);
-        let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
-            .unwrap()
-            .verified(VerifyConfig {
-                abft: true,
-                sdc_probe_lanes: vec![1],
-                sdc_probe_persistent: true,
-                ..VerifyConfig::default()
-            });
-        let mut x = random_rhs(24, 4, 53);
-        let budget = Budget::unlimited();
-        budget.cancel();
-        let report = verified
-            .solve_in_place_budgeted(&Parallel, &mut x, &budget)
-            .unwrap();
-        // No time to verify, but a tripped checksum still must not pass.
-        assert!(matches!(
-            report.lanes.verdict(1),
-            LaneVerdict::Quarantined {
-                reason: QuarantineReason::SdcDetected { .. }
+        // The tripped lane sits mid-panel, then in the tail panel.
+        for (batch, tripped) in [(4usize, 1usize), (7, 6), (9, 8), (17, 16)] {
+            let verified = SplineBuilder::new(sp.clone(), BuilderVersion::FusedSpmv)
+                .unwrap()
+                .verified(VerifyConfig {
+                    abft: true,
+                    sdc_probe_lanes: vec![tripped],
+                    sdc_probe_persistent: true,
+                    ..VerifyConfig::default()
+                });
+            let mut x = random_rhs(24, batch, 53);
+            let budget = Budget::unlimited();
+            budget.cancel();
+            let report = verified
+                .solve_in_place_budgeted(&Parallel, &mut x, &budget)
+                .unwrap();
+            // No time to verify, but a tripped checksum still must not pass.
+            assert!(
+                matches!(
+                    report.lanes.verdict(tripped),
+                    LaneVerdict::Quarantined {
+                        reason: QuarantineReason::SdcDetected { .. }
+                    }
+                ),
+                "batch {batch}: {}",
+                report.lanes.verdict(tripped)
+            );
+            for i in 0..24 {
+                assert_eq!(x.get(i, tripped), 0.0);
             }
-        ));
-        for i in 0..24 {
-            assert_eq!(x.get(i, 1), 0.0);
         }
     }
 }

@@ -17,8 +17,8 @@
 //! * [`pttrs`], [`pbtrs`], [`gbtrs`] and [`getrs`] are the **only**
 //!   forward/backward sweeps of those routines in the crate (outside the
 //!   `naive` reference and the transposed solves of the condition
-//!   estimator). `solve_lane`, `kernels::*_lane` and the
-//!   `*_interleaved` / `*_resident` drivers are instantiations.
+//!   estimator). `solve_lane`, `kernels::*_lane` and the `*_resident`
+//!   drivers are instantiations.
 //!
 //! Every lane therefore performs the same operations in the same order
 //! in every instantiation, for every input and every batch width: the
@@ -148,7 +148,7 @@ pub struct Panel<'a>(&'a mut [[f64; LANE_WIDTH]]);
 
 impl<'a> Panel<'a> {
     /// View a raw chunk (as handed out by
-    /// [`pp_portable::InterleavedMatrix::for_each_chunk_mut`]) as `nrows`
+    /// [`pp_portable::ResidentBatch::for_each_chunk_mut`]) as `nrows`
     /// rows of lanes.
     ///
     /// # Panics

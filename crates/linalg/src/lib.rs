@@ -26,11 +26,9 @@
 //!   [`Matrix`](pp_portable::Matrix) through an
 //!   [`ExecSpace`](pp_portable::ExecSpace);
 //! * *per panel* ([`Panel`]): [`LANE_WIDTH`](pp_portable::LANE_WIDTH)
-//!   interleaved lanes advanced together, mapped over the chunks of an
-//!   [`InterleavedMatrix`](pp_portable::InterleavedMatrix) by the
-//!   `*_interleaved` drivers and of a
+//!   interleaved lanes advanced together, mapped over the chunks of a
 //!   [`ResidentBatch`](pp_portable::ResidentBatch) by the `*_resident`
-//!   ones.
+//!   drivers ([`resident`]).
 //!
 //! A lane's result is bit-identical in every instantiation.
 //!
@@ -73,7 +71,6 @@ pub mod batched;
 pub mod dense;
 pub mod error;
 pub mod health;
-pub mod interleaved;
 pub mod kernels;
 mod lane;
 pub mod lu;
@@ -92,7 +89,6 @@ pub use banded::{gbtrf, BandedLu, BandedMatrix};
 pub use dense::{gemm, gemv};
 pub use error::{Error, Result};
 pub use health::{estimate_inverse_onenorm, rcond_estimate, FactorHealth};
-pub use interleaved::{gbtrs_interleaved, getrs_interleaved, pbtrs_interleaved, pttrs_interleaved};
 pub use lane::{LaneRows, Panel};
 pub use lu::{getrf, LuFactors};
 pub use pb::{pbtrf, CholeskyBanded, SymBandedMatrix};

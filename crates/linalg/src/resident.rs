@@ -1,28 +1,47 @@
-//! Batched solve drivers over [`ResidentBatch`] panels.
+//! Batched solve drivers over lane-interleaved panels.
 //!
-//! The interleaved drivers ([`crate::interleaved`]) take an
-//! [`pp_portable::InterleavedMatrix`] the caller packed for this one
-//! call; these variants take a [`ResidentBatch`] that stays packed
-//! across a whole pipeline, so repeated solves pay zero pack/unpack
-//! transposes. Each driver reads the panels directly (no intermediate
-//! pack) and bumps the batch's generation tag, keeping any cached host
-//! mirror honest.
+//! On a [`ResidentBatch`] each row of a chunk is one contiguous 64-byte
+//! `[f64; LANE_WIDTH]`, so instantiating the crate's sweeps (see the
+//! `lane` module) for a [`Panel`] makes every recurrence step one
+//! fixed-width loop — the shape LLVM turns into a single AVX-512 (or two
+//! AVX2) vector operations, checked in the phase profile rather than
+//! assumed. Each lane performs the operations of the strided-lane
+//! instantiation, in the same order, so results are bit-identical per
+//! lane; the partial final chunk of a batch runs the same wide body (its
+//! padding lanes are never read back).
 //!
-//! Numerics are those of the interleaved drivers: every chunk, the
-//! partial final one included, runs the crate's one sweep per routine.
+//! The batch stays packed across a whole pipeline, so repeated solves
+//! pay zero pack/unpack transposes: a caller with a host
+//! [`pp_portable::Matrix`] packs once ([`ResidentBatch::pack`]), solves
+//! any number of times, and unpacks once. Each driver bumps the batch's
+//! generation tag, keeping any cached host mirror honest.
 
 use crate::banded::BandedLu;
+use crate::lane::Panel;
 use crate::lu::LuFactors;
 use crate::pb::CholeskyBanded;
 use crate::pt::PtFactors;
 use pp_portable::{ExecSpace, ResidentBatch};
 
-/// Batched `pttrs` on resident panels, chunk-parallel through `exec`.
+/// Run `solve` on every chunk of `b`, chunk-parallel through `exec`.
+fn for_each_panel<E: ExecSpace>(
+    exec: &E,
+    routine: &str,
+    n: usize,
+    b: &mut ResidentBatch,
+    solve: impl Fn(&mut Panel<'_>) + Sync + Send,
+) {
+    assert_eq!(b.nrows(), n, "{routine}_resident: rhs rows != order");
+    b.for_each_chunk_mut(exec, |_, _, chunk| solve(&mut Panel::new(chunk, n)));
+}
+
+/// Batched `pttrs` on resident panels: solve every lane of `b` in place,
+/// chunk-parallel through `exec`.
 ///
 /// # Panics
 /// Panics if `b.nrows() != factors.n()`.
 pub fn pttrs_resident<E: ExecSpace>(exec: &E, factors: &PtFactors, b: &mut ResidentBatch) {
-    crate::interleaved::pttrs_interleaved(exec, factors, b.panels_mut());
+    for_each_panel(exec, "pttrs", factors.n(), b, |p| factors.solve_rows(p, 0));
 }
 
 /// Batched `pbtrs` on resident panels, chunk-parallel through `exec`.
@@ -30,7 +49,7 @@ pub fn pttrs_resident<E: ExecSpace>(exec: &E, factors: &PtFactors, b: &mut Resid
 /// # Panics
 /// Panics if `b.nrows() != factors.n()`.
 pub fn pbtrs_resident<E: ExecSpace>(exec: &E, factors: &CholeskyBanded, b: &mut ResidentBatch) {
-    crate::interleaved::pbtrs_interleaved(exec, factors, b.panels_mut());
+    for_each_panel(exec, "pbtrs", factors.n(), b, |p| factors.solve_rows(p, 0));
 }
 
 /// Batched `gbtrs` on resident panels, chunk-parallel through `exec`.
@@ -38,7 +57,7 @@ pub fn pbtrs_resident<E: ExecSpace>(exec: &E, factors: &CholeskyBanded, b: &mut 
 /// # Panics
 /// Panics if `b.nrows() != factors.n()`.
 pub fn gbtrs_resident<E: ExecSpace>(exec: &E, factors: &BandedLu, b: &mut ResidentBatch) {
-    crate::interleaved::gbtrs_interleaved(exec, factors, b.panels_mut());
+    for_each_panel(exec, "gbtrs", factors.n(), b, |p| factors.solve_rows(p, 0));
 }
 
 /// Batched dense `getrs` on resident panels, chunk-parallel through
@@ -47,7 +66,7 @@ pub fn gbtrs_resident<E: ExecSpace>(exec: &E, factors: &BandedLu, b: &mut Reside
 /// # Panics
 /// Panics if `b.nrows() != factors.n()`.
 pub fn getrs_resident<E: ExecSpace>(exec: &E, factors: &LuFactors, b: &mut ResidentBatch) {
-    crate::interleaved::getrs_interleaved(exec, factors, b.panels_mut());
+    for_each_panel(exec, "getrs", factors.n(), b, |p| factors.solve_rows(p, 0));
 }
 
 #[cfg(test)]
@@ -134,5 +153,13 @@ mod tests {
                 assert_bits(&reference, r.host());
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "rhs rows != order")]
+    fn shape_mismatch_rejected() {
+        let f = pttrf(&[4.0, 4.0], &[1.0]).unwrap();
+        let mut b = ResidentBatch::zeros(3, 4);
+        pttrs_resident(&Serial, &f, &mut b);
     }
 }

@@ -8,7 +8,7 @@
 
 use pp_bsplines::{Breaks, PeriodicSplineSpace};
 use pp_iterative::{ChaosBudgetKind, FaultInjector};
-use pp_portable::{parallel_for, Budget, ExecSpace, Layout, Matrix, Parallel, TestRng};
+use pp_portable::{parallel_for, Budget, ExecSpace, Layout, Matrix, Parallel, TestRng, LANE_WIDTH};
 use pp_splinesolver::{
     BuilderVersion, Degradation, LaneVerdict, QuarantineReason, SplineBuilder, VerifyConfig,
 };
@@ -128,7 +128,9 @@ fn worker_panic_and_quarantine_in_same_batch_coexist() {
     let verified = SplineBuilder::new(space(24), BuilderVersion::FusedSpmv)
         .expect("builder")
         .verified(VerifyConfig::default());
-    let mut b = rhs(24, 8, 77);
+    // Eight panels of lanes: the verified solve dispatches panels, and the
+    // injected panic needs its index 6 among them.
+    let mut b = rhs(24, 8 * LANE_WIDTH, 77);
     b.set(5, 3, f64::NAN); // quarantine candidate
     let rhs_copy = b.clone();
 

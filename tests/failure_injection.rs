@@ -95,7 +95,8 @@ fn shape_mismatches_rejected() {
     let mut wrong = Matrix::zeros(17, 2, Layout::Left);
     assert!(builder.solve_in_place(&Serial, &mut wrong).is_err());
     assert!(builder
-        .solve_in_place_interleaved(&Serial, &mut wrong)
+        .with_version(BuilderVersion::Interleaved)
+        .solve_in_place(&Serial, &mut wrong)
         .is_err());
 
     let ev = SplineEvaluator::new(space.clone());

@@ -2,7 +2,7 @@
 //!
 //! Each of `pttrs`, `pbtrs`, `gbtrs`, `getrs` has a single sweep in
 //! `pp-linalg`, instantiated for strided lanes (`batched::*`) and for
-//! interleaved panels (`*_interleaved`, `*_resident`). The table below
+//! interleaved panels (`*_resident`). The table below
 //! (routine × n ∈ {0, 1, 2, 17} × batch ∈ {1, 7, 8, 9, 16} × layout)
 //! holds every instantiation to two contracts:
 //!
@@ -10,7 +10,7 @@
 //!   error is at most [`REFERENCE_ULPS`] units in the last place of the
 //!   lane's largest component;
 //! * **across instantiations, bitwise**: a lane's `to_bits` are the same
-//!   from `batched::*`, `*_interleaved` and `*_resident`, and do not
+//!   from `batched::*` and `*_resident`, and do not
 //!   depend on the batch width, the layout, or whether the lane sits in
 //!   a full or a partial final panel. Right-hand sides include `+0.0` /
 //!   `-0.0` entries and an all-zero lane, which is where skip-branches
@@ -22,11 +22,10 @@
 
 use batched_splines::prelude::*;
 use pp_linalg::{
-    batched, gbtrf, gbtrs_interleaved, gbtrs_resident, getrf, getrs_interleaved, getrs_resident,
-    naive, pbtrf, pbtrs_interleaved, pbtrs_resident, pttrf, pttrs_interleaved, pttrs_resident,
-    BandedLu, BandedMatrix, CholeskyBanded, LuFactors, PtFactors, SymBandedMatrix,
+    batched, gbtrf, gbtrs_resident, getrf, getrs_resident, naive, pbtrf, pbtrs_resident, pttrf,
+    pttrs_resident, BandedLu, BandedMatrix, CholeskyBanded, LuFactors, PtFactors, SymBandedMatrix,
 };
-use pp_portable::{InterleavedMatrix, TestRng, LANE_WIDTH};
+use pp_portable::{TestRng, LANE_WIDTH};
 
 /// Stated bound against the dense reference, in ulps of the lane's
 /// largest solution component (both sides are backward-stable solves of
@@ -42,7 +41,7 @@ const BATCHES: [usize; 5] = [
     2 * LANE_WIDTH,
 ];
 
-/// The factors of one routine, with its three batched drivers.
+/// The factors of one routine, with its two batched drivers.
 enum Factors {
     Pt(PtFactors),
     Pb(CholeskyBanded),
@@ -60,21 +59,12 @@ impl Factors {
         }
     }
 
-    fn packed(&self, b: &mut InterleavedMatrix) {
-        match self {
-            Factors::Pt(f) => pttrs_interleaved(&Parallel, f, b),
-            Factors::Pb(f) => pbtrs_interleaved(&Parallel, f, b),
-            Factors::Gb(f) => gbtrs_interleaved(&Parallel, f, b),
-            Factors::Ge(f) => getrs_interleaved(&Parallel, f, b),
-        }
-    }
-
     fn resident(&self, b: &mut ResidentBatch) {
         match self {
-            Factors::Pt(f) => pttrs_resident(&Serial, f, b),
-            Factors::Pb(f) => pbtrs_resident(&Serial, f, b),
-            Factors::Gb(f) => gbtrs_resident(&Serial, f, b),
-            Factors::Ge(f) => getrs_resident(&Serial, f, b),
+            Factors::Pt(f) => pttrs_resident(&Parallel, f, b),
+            Factors::Pb(f) => pbtrs_resident(&Parallel, f, b),
+            Factors::Gb(f) => gbtrs_resident(&Parallel, f, b),
+            Factors::Ge(f) => getrs_resident(&Parallel, f, b),
         }
     }
 }
@@ -210,18 +200,11 @@ fn differential(routine: Routine) {
                 let rhs = batch_rhs(n, batch, layout);
                 let mut host = rhs.clone();
                 factors.host(&mut host);
-                let mut packed = InterleavedMatrix::pack(&rhs);
-                factors.packed(&mut packed);
                 let mut resident = ResidentBatch::pack(&rhs);
                 factors.resident(&mut resident);
                 let resident = resident.host();
                 for (j, want) in canonical.iter().enumerate().take(batch) {
                     assert_eq!(&lane_bits(&host, j), want, "{what} batched lane {j}");
-                    assert_eq!(
-                        &bits((0..n).map(|i| packed.get(i, j))),
-                        want,
-                        "{what} interleaved lane {j}"
-                    );
                     assert_eq!(&lane_bits(resident, j), want, "{what} resident lane {j}");
                 }
             }

@@ -183,38 +183,56 @@ fn getrs_resident_chain_matches_pack_per_solve() {
     }
 }
 
-/// Full builder pipeline: `solve_resident` chained N times must be
-/// bit-identical to the pack-per-solve interleaved builder
-/// (`BuilderVersion::Interleaved` + `solve_in_place`) run N times.
+/// The spline configurations of the all-version rows, one per interior
+/// class: `pttrs` (narrowest border), `pbtrs`, and `gbtrs` (widest).
+fn configurations() -> [PeriodicSplineSpace; 3] {
+    [
+        PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap(),
+        PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 5).unwrap(),
+        PeriodicSplineSpace::new(Breaks::graded(32, 0.0, 1.0, 0.6).unwrap(), 5).unwrap(),
+    ]
+}
+
+/// Batch widths of the all-version rows: a lone lane, and lanes on either
+/// side of one and two panel boundaries.
+const VERSION_ROW_BATCHES: [usize; 5] = [1, 7, 8, 9, 17];
+
+/// Full builder pipeline, every version: `solve_resident` must carry the
+/// bits of `solve_in_place` on the equivalent host matrix — the scalar
+/// strided-lane sweep for the paper's three versions — and chained N
+/// times it must match `solve_in_place` run N times.
 #[test]
 fn builder_resident_chain_matches_interleaved_pack_per_solve() {
     let mut rng = TestRng::seed_from_u64(0xe5);
-    for degree in [3usize, 5] {
-        let space =
-            PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), degree).unwrap();
-        let builder = SplineBuilder::new(space, BuilderVersion::Interleaved).unwrap();
-        for batch in batch_widths(&mut rng) {
-            let rhs = random_rhs(32, batch, Layout::Left, &mut rng);
-            let mut reference = rhs.clone();
-            for _ in 0..3 {
-                builder.solve_in_place(&Parallel, &mut reference).unwrap();
+    for space in configurations() {
+        for version in BuilderVersion::ALL {
+            let builder = SplineBuilder::new(space.clone(), version).unwrap();
+            let mut batches = batch_widths(&mut rng);
+            batches.extend(VERSION_ROW_BATCHES);
+            for batch in batches {
+                let rhs = random_rhs(32, batch, Layout::Left, &mut rng);
+                let mut reference = rhs.clone();
+                for _ in 0..3 {
+                    builder.solve_in_place(&Parallel, &mut reference).unwrap();
+                }
+                let mut r = ResidentBatch::pack(&rhs);
+                for _ in 0..3 {
+                    builder.solve_resident(&Parallel, &mut r).unwrap();
+                }
+                assert_bits(
+                    &reference,
+                    r.host(),
+                    &format!("builder {version:?} deg={} batch={batch}", space.degree()),
+                );
             }
-            let mut r = ResidentBatch::pack(&rhs);
-            for _ in 0..3 {
-                builder.solve_resident(&Parallel, &mut r).unwrap();
-            }
-            assert_bits(
-                &reference,
-                r.host(),
-                &format!("builder deg={degree} batch={batch}"),
-            );
         }
     }
 }
 
 /// Verified pipeline: the resident entry point must produce the same
-/// verdicts and the same bits as the host verified path running the
-/// interleaved kernel, including with a quarantined lane in the batch.
+/// verdicts and the same bits as the host entry point, including with a
+/// quarantined lane in the batch — and, for every version, an ABFT retry
+/// must hand back the bits the batched kernel gives that lane.
 #[test]
 fn verified_resident_chain_matches_host_verified_path() {
     let mut rng = TestRng::seed_from_u64(0xe6);
@@ -236,6 +254,36 @@ fn verified_resident_chain_matches_host_verified_path() {
             }
         }
         assert_bits(&host, resident.host(), &format!("verified batch={batch}"));
+    }
+
+    for space in configurations() {
+        for version in BuilderVersion::ALL {
+            for batch in VERSION_ROW_BATCHES {
+                let what = format!("sdc retry {version:?} deg={} batch={batch}", space.degree());
+                let struck = batch - 1; // the last lane: in the tail panel
+                let verified = |sdc_probe_lanes| {
+                    SplineBuilder::new(space.clone(), version)
+                        .unwrap()
+                        .verified(VerifyConfig {
+                            abft: true,
+                            sdc_probe_lanes,
+                            ..VerifyConfig::default()
+                        })
+                };
+                let rhs = random_rhs(32, batch, Layout::Left, &mut rng);
+                let mut unprobed = ResidentBatch::pack(&rhs);
+                let clean = verified(vec![])
+                    .solve_resident(&Parallel, &mut unprobed)
+                    .unwrap();
+                assert!(clean.all_verified(), "{what}: {clean}");
+                let mut probed = ResidentBatch::pack(&rhs);
+                let report = verified(vec![struck])
+                    .solve_resident(&Parallel, &mut probed)
+                    .unwrap();
+                assert_eq!(report.sdc_corrected_lanes(), vec![struck], "{what}");
+                assert_bits(unprobed.host(), probed.host(), &what);
+            }
+        }
     }
 }
 
