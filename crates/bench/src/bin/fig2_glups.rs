@@ -5,15 +5,17 @@
 //! Host measurements reproduce panels (a)/(d) (the CPU column); the GPU
 //! panels' *shape* is discussed in EXPERIMENTS.md via the traffic model.
 //! CSV series are printed for external plotting, followed by an ASCII
-//! log-log plot per backend.
+//! log-log plot per backend. Two more rows time the resident step
+//! (`step_resident` on a slab packed once), plain and verified, and print
+//! their same-run step-time ratio — what `scripts/check_bench.sh` gates.
 
 use pp_advection::{Advection1D, SplineBackend};
 use pp_bench::gpu_model::predict;
 use pp_bench::{parse_args, AsciiPlot, SplineConfig};
 use pp_perfmodel::{glups, Device};
-use pp_portable::Parallel;
-use pp_splinesolver::{BuilderVersion, IterativeConfig, SchurBlocks};
-use std::time::Instant;
+use pp_portable::{Parallel, ResidentBatch};
+use pp_splinesolver::{BuilderVersion, IterativeConfig, SchurBlocks, VerifyConfig};
+use std::time::{Duration, Instant};
 
 fn measure(backend: SplineBackend, nx: usize, nv: usize, iters: usize) -> f64 {
     let velocities: Vec<f64> = (0..nv).map(|j| 0.1 + 0.8 * j as f64 / nv as f64).collect();
@@ -26,6 +28,37 @@ fn measure(backend: SplineBackend, nx: usize, nv: usize, iters: usize) -> f64 {
         adv.step(&Parallel, &mut f).expect("step");
     }
     glups(nx, nv, start.elapsed() / iters as u32)
+}
+
+/// Median times of one resident step per backend: each slab is packed
+/// once, then after a warm-up round `steps` rounds time one
+/// `step_resident` of every backend in turn, so host drift lands on all
+/// of them alike.
+fn measure_resident<const N: usize>(
+    backends: [SplineBackend; N],
+    nv: usize,
+    steps: usize,
+) -> [Duration; N] {
+    let velocities: Vec<f64> = (0..nv).map(|j| 0.1 + 0.8 * j as f64 / nv as f64).collect();
+    let mut drivers = backends.map(|backend| {
+        let adv = Advection1D::new(backend, velocities.clone(), 1e-3).expect("setup");
+        let f = adv.init_distribution(|x, _| (std::f64::consts::TAU * x).sin() + 1.5);
+        let slab = ResidentBatch::pack_transposed(&f);
+        (adv, slab, Vec::with_capacity(steps))
+    });
+    for round in 0..=steps {
+        for (adv, slab, times) in &mut drivers {
+            let start = Instant::now();
+            adv.step_resident(&Parallel, slab).expect("step");
+            if round > 0 {
+                times.push(start.elapsed());
+            }
+        }
+    }
+    drivers.map(|(_, _, mut times)| {
+        times.sort();
+        times[steps / 2]
+    })
 }
 
 fn main() {
@@ -78,6 +111,38 @@ fn main() {
         direct_plot.add_series(&cfg.label(), markers[ci], &direct_points);
         ginkgo_plot.add_series(&cfg.label(), markers[ci], &ginkgo_points);
     }
+
+    // The resident step, plain and behind verification (residuals on
+    // every lane + the ABFT screen), on the uniform cubic space. Both
+    // rows come from this run on this host, so their ratio is what the
+    // verification layer costs the step, whatever the host.
+    let cubic = SplineConfig::ALL[0];
+    let (nv, steps) = (args.nv.min(1024), args.iters.max(30));
+    let verify = VerifyConfig {
+        abft: true,
+        ..VerifyConfig::default()
+    };
+    let space = || cubic.space(args.nx);
+    let [plain, verified] = measure_resident(
+        [
+            SplineBackend::direct(space(), BuilderVersion::Interleaved).expect("setup"),
+            SplineBackend::direct_verified(space(), BuilderVersion::Interleaved, verify)
+                .expect("setup"),
+        ],
+        nv,
+        steps,
+    );
+    for (label, step) in [
+        ("kokkos-kernels-resident", plain),
+        ("kokkos-kernels-verified-resident", verified),
+    ] {
+        let g = glups(args.nx, nv, step);
+        println!("{label},{},{nv},{g:.5}", cubic.label());
+    }
+    println!(
+        "verified/plain resident step ratio: {:.3}",
+        verified.as_secs_f64() / plain.as_secs_f64()
+    );
 
     println!("\n{}", direct_plot.render());
     println!("{}", ginkgo_plot.render());

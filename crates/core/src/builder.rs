@@ -107,7 +107,7 @@ impl SplineBuilder {
         self
     }
 
-    fn check_rows(&self, actual_rows: usize) -> Result<()> {
+    pub(crate) fn check_rows(&self, actual_rows: usize) -> Result<()> {
         let expected_rows = self.space.num_basis();
         if actual_rows != expected_rows {
             return Err(Error::ShapeMismatch {

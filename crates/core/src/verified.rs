@@ -5,8 +5,8 @@
 //! an exa-scale run feeds it meshes and right-hand sides it cannot veto:
 //! near-duplicate knots degrade the interior conditioning, and upstream
 //! physics can inject NaN/Inf into a handful of batch lanes. A
-//! [`VerifiedBuilder`] wraps [`SplineBuilder::solve_resident`] so that one
-//! poisoned lane never poisons the batch:
+//! [`VerifiedBuilder`] wraps [`SplineBuilder`]'s fused panel kernel so that
+//! one poisoned lane never poisons the batch:
 //!
 //! 1. **Sample** — after the ordinary batched solve, the relative residual
 //!    `‖b − Ax‖₂ / ‖b‖₂` of each (sampled) lane is measured against the
@@ -24,6 +24,7 @@
 //! Healthy lanes are **bit-identical** to the unverified path: the batched
 //! kernel runs first and verification never rewrites a lane that passes.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -33,13 +34,11 @@ use crate::error::Result;
 use crate::iterative_backend::{IterativeConfig, IterativeSplineSolver};
 use pp_bsplines::assemble_interpolation_matrix;
 use pp_iterative::solver::{norm2, residual_into};
-use pp_linalg::{flip_bit, getrf, refine_lane, LuFactors, RefineConfig, DEFAULT_ABFT_TOL};
+use pp_linalg::{flip_bit, getrf, refine_lane, LuFactors, Panel, RefineConfig, DEFAULT_ABFT_TOL};
 use pp_portable::instrument::{
     counter, fault_dump, trace_instant, trace_instant_lane, Counter, InstantKind, PhaseId, Span,
 };
-use pp_portable::{
-    Budget, ExecSpace, InterleavedMatrix, Matrix, ResidentBatch, StridedMut, LANE_WIDTH,
-};
+use pp_portable::{Budget, ExecSpace, Matrix, ResidentBatch, StridedMut, LANE_WIDTH};
 use pp_sparse::Csr;
 
 /// Tuning knobs for [`VerifiedBuilder`].
@@ -664,11 +663,14 @@ impl VerifiedBuilder {
     }
 
     /// Solve and verify a batch that stays packed in its interleaved
-    /// panels across the solve, the ABFT screen, and residual sampling —
-    /// all three read the panels natively, with scalar lane extraction
-    /// only for lanes that need repair (probed, tripped, or above
-    /// tolerance) and for quarantine zeroing. Zero pack/unpack transposes
-    /// on the healthy path.
+    /// panels: one chunk-parallel region solves each panel and, while it
+    /// is in cache, runs the ABFT screen, the residual pass and the input
+    /// scan on it, with scalar lane extraction only for lanes that need
+    /// repair (probed, tripped, or above tolerance) and for quarantine
+    /// zeroing. Zero pack/unpack transposes on the healthy path. The
+    /// region always runs the fused Algorithm 1, because the snapshot must
+    /// precede its first step; with the wrapped version's corner axis a
+    /// lane's bits are that version's, `Baseline`'s four regions included.
     ///
     /// Every mutation (primary solve, ABFT retry write-back, refinement,
     /// quarantine zeroing) bumps the batch's generation tag, so a cached
@@ -686,10 +688,13 @@ impl VerifiedBuilder {
         Ok(self.verify_panels(exec, b, None)?.0)
     }
 
-    /// The one verify body: batched solve, ABFT screen, then per panel a
-    /// residual pass and the lane-by-lane verdicts.
+    /// The one verify body: a single chunk-parallel region solves and
+    /// screens each panel ([`VerifiedBuilder::solve_and_screen`]); the
+    /// caller then turns the screens into verdicts serially, in lane
+    /// order. Repairs, trace instants, counters and fault dumps all happen
+    /// here, so they are the same under every execution space.
     ///
-    /// `budget` is polled before each panel's residual pass — an
+    /// `budget` is polled by each panel before its residual pass — an
     /// exhausted budget never pays for residuals it would discard — and,
     /// inside a lane's repair, before refinement and before each ladder
     /// rung.
@@ -699,87 +704,65 @@ impl VerifiedBuilder {
         b: &mut ResidentBatch,
         budget: Option<&Budget>,
     ) -> Result<(LaneReport, Vec<Degradation>)> {
-        // Pristine right-hand sides, kept in panel form: a straight copy
-        // of the packed storage, not a transpose.
-        let rhs = b.panels().clone();
-        // The ordinary batched solve first (it also checks the shape):
-        // lanes that verify keep these bits. Poisoned lanes produce
-        // garbage here and are repaired or quarantined below.
-        self.builder.solve_resident(exec, b)?;
-        let n = rhs.nrows();
+        self.builder.check_rows(b.nrows())?;
+        let chunks = b.panels().num_chunks();
+        let screens: Vec<OnceLock<PanelScreen>> = (0..chunks).map(|_| OnceLock::new()).collect();
+        b.for_each_chunk_mut(exec, |chunk, lanes, panel| {
+            let screen = self.solve_and_screen(chunk, lanes, panel, budget);
+            assert!(screens[chunk].set(screen).is_ok(), "panel visited twice");
+        });
 
-        let stride = self.config.sample_stride.max(1);
         let mut verdicts = Vec::with_capacity(b.ncols());
+        let mut sdc = Vec::with_capacity(b.ncols());
         let mut degrade = DegradeLog::default();
         let verify_span = Span::enter(PhaseId::Verify);
-        // ABFT screen before per-lane verification: O(n) per lane over the
-        // whole batch, so corruption is caught even in lanes the sampling
-        // stride would skip.
-        let sdc = if self.config.abft {
-            self.abft_screen(b, &rhs)
-        } else {
-            Vec::new()
-        };
-        for chunk in 0..rhs.num_chunks() {
-            // One pass evaluates every live lane's relative residual
-            // (after the screen, so corrected lanes are measured on their
-            // healed values). `None`: the budget ran out first and this
-            // panel's lanes go unverified.
-            let residuals = if budget.is_some_and(|bud| bud.exhausted()) {
-                None
-            } else {
-                Some(self.panel_residuals(b.panels(), &rhs, chunk))
-            };
-            for l in 0..rhs.chunk_lanes(chunk) {
+        for (chunk, screen) in screens.into_iter().enumerate() {
+            let screen = screen.into_inner().expect("every panel is screened");
+            note_residual_passes(usize::from(!screen.cut));
+            let live = b.panels().chunk_lanes(chunk);
+            let lanes = screen.lanes.into_iter().zip(screen.sdc).take(live);
+            for (l, (screened, sdc_state)) in lanes.enumerate() {
                 let lane = chunk * LANE_WIDTH + l;
-                let sdc_state = sdc.get(lane).copied().unwrap_or(SdcState::Clean);
-                let probed = self.config.probe_lanes.contains(&lane);
-                // A lane the checksum flagged is always fully verified.
-                let selected =
-                    probed || lane % stride == 0 || !matches!(sdc_state, SdcState::Clean);
-                if !selected {
-                    verdicts.push(LaneVerdict::Unsampled);
-                    continue;
+                sdc.push(sdc_state);
+                if !matches!(sdc_state, SdcState::Clean) {
+                    sdc_metrics().detected.inc();
+                    trace_instant_lane(InstantKind::SdcDetected, lane as u32);
                 }
-                if residuals.is_none() {
+                if screen.cut && !matches!(screened, Screened::Unsampled) {
                     degrade.sampling_cut.get_or_insert((lane, 0)).1 += 1;
                 }
-                // The input scan is O(n) and guards the no-NaN promise; it
-                // runs even when verification cannot.
-                if let Some(index) = (0..n).position(|i| !rhs.get(i, lane).is_finite()) {
-                    b.zero_lane(lane);
-                    trace_instant_lane(InstantKind::NonFiniteInput, lane as u32);
-                    trace_instant_lane(InstantKind::LaneQuarantined, lane as u32);
-                    verdicts.push(LaneVerdict::Quarantined {
-                        reason: QuarantineReason::NonFiniteInput { index },
-                    });
-                    continue;
-                }
-                let Some(residuals) = residuals else {
-                    verdicts.push(self.unverified_verdict(b, &rhs, lane, sdc_state));
-                    continue;
-                };
-                let rr = residuals[l];
-                let verdict = if !probed && rr.is_finite() && rr <= self.config.residual_tol {
-                    // Healthy fast path: the wide residual seals the verdict
-                    // without extracting the lane — its bits stay untouched.
-                    LaneVerdict::Verified { residual: rr }
-                } else {
-                    let b_lane = lane_from_panels(&rhs, lane);
-                    self.repair_lane(b, lane, &b_lane, rr, probed, budget, &mut degrade)
+                let verdict = match (screened, sdc_state) {
+                    (Screened::NonFinite(index), _) => {
+                        b.zero_lane(lane);
+                        trace_instant_lane(InstantKind::NonFiniteInput, lane as u32);
+                        let reason = QuarantineReason::NonFiniteInput { index };
+                        LaneVerdict::Quarantined { reason }
+                    }
+                    // Budget exhaustion must not let a lane with a tripped
+                    // checksum through unverified.
+                    (Screened::Cut, SdcState::Tripped { discrepancy }) => {
+                        b.zero_lane(lane);
+                        let reason = QuarantineReason::SdcDetected { discrepancy };
+                        LaneVerdict::Quarantined { reason }
+                    }
+                    (Screened::Unsampled | Screened::Cut, _) => LaneVerdict::Unsampled,
+                    // Healthy fast path: the lane's bits stay untouched.
+                    (Screened::Sealed(residual), _) => LaneVerdict::Verified { residual },
+                    (Screened::Flagged { rr, probed, b_lane }, _) => {
+                        self.repair_lane(b, lane, &b_lane, rr, probed, budget, &mut degrade)
+                    }
                 };
                 let verdict = fold_sdc_verdict(sdc_state, verdict);
-                match &verdict {
-                    LaneVerdict::Refined { .. } => {
-                        trace_instant_lane(InstantKind::LaneRefined, lane as u32);
-                    }
+                let instant = match &verdict {
+                    LaneVerdict::Refined { .. } => Some(InstantKind::LaneRefined),
+                    LaneVerdict::Quarantined { .. } => Some(InstantKind::LaneQuarantined),
                     LaneVerdict::Recovered { .. } | LaneVerdict::SdcCorrected { .. } => {
-                        trace_instant_lane(InstantKind::LaneRecovered, lane as u32);
+                        Some(InstantKind::LaneRecovered)
                     }
-                    LaneVerdict::Quarantined { .. } => {
-                        trace_instant_lane(InstantKind::LaneQuarantined, lane as u32);
-                    }
-                    LaneVerdict::Verified { .. } | LaneVerdict::Unsampled => {}
+                    LaneVerdict::Verified { .. } | LaneVerdict::Unsampled => None,
+                };
+                if let Some(kind) = instant {
+                    trace_instant_lane(kind, lane as u32);
                 }
                 verdicts.push(verdict);
             }
@@ -804,156 +787,138 @@ impl VerifiedBuilder {
         Ok((report, degradations))
     }
 
-    /// Verdict of a selected, finite-input lane whose panel the exhausted
-    /// budget left without a residual pass: what the ABFT screen already
-    /// knows decides.
-    fn unverified_verdict(
+    /// One worker's share of the verified solve: snapshot the panel's
+    /// pristine right-hand side into this thread's [`SNAPSHOT`], run the
+    /// fused Algorithm 1 on the panel and, while both are in cache, screen
+    /// its lanes. One pass accumulates per lane the ABFT sums, the
+    /// residual norms and input finiteness — the expressions of
+    /// [`VerifiedBuilder::abft_check`] and
+    /// [`VerifiedBuilder::relative_residual`] in their order, so the
+    /// values are bit-identical to the scalar ones. A lane whose checksum
+    /// trips is re-solved once from the snapshot: a transient upset does
+    /// not recur, so a clean retry replaces the lane; a retry that trips
+    /// again is persistent corruption, left for the caller to heal or
+    /// quarantine. The snapshot does not outlive the call, so the pristine
+    /// lane is copied out for the lanes the caller will repair. Nothing is
+    /// published from here.
+    fn solve_and_screen(
         &self,
-        b: &mut ResidentBatch,
-        rhs: &InterleavedMatrix,
-        lane: usize,
-        sdc_state: SdcState,
-    ) -> LaneVerdict {
-        match sdc_state {
-            SdcState::Clean => LaneVerdict::Unsampled,
-            SdcState::Tripped { discrepancy } => {
-                // Budget exhaustion must not let a lane with a tripped
-                // checksum through unverified.
-                b.zero_lane(lane);
-                sdc_metrics().uncorrected.inc();
-                trace_instant_lane(InstantKind::LaneQuarantined, lane as u32);
-                LaneVerdict::Quarantined {
-                    reason: QuarantineReason::SdcDetected { discrepancy },
-                }
-            }
-            SdcState::Corrected { discrepancy } => {
-                // The retry already happened in the screen; one residual
-                // evaluation seals the verdict.
-                sdc_metrics().corrected.inc();
-                let residual =
-                    self.relative_residual(&b.lane_to_vec(lane), &lane_from_panels(rhs, lane));
-                LaneVerdict::SdcCorrected {
-                    discrepancy,
-                    residual,
-                }
-            }
-        }
-    }
-
-    /// Relative residuals `‖b − Ax‖₂/‖b‖₂` of the lanes of one chunk,
-    /// read panel-natively: one pass over the CSR matrix accumulates all
-    /// lanes at once. Each lane's accumulation is the same expressions in
-    /// the same order as [`VerifiedBuilder::relative_residual`], so the
-    /// values are bit-identical to the scalar ones.
-    fn panel_residuals(
-        &self,
-        x: &InterleavedMatrix,
-        rhs: &InterleavedMatrix,
         chunk: usize,
-    ) -> [f64; LANE_WIDTH] {
-        note_residual_pass();
-        let xc = x.chunk(chunk);
-        let bc = rhs.chunk(chunk);
-        let mut acc_r = [0.0f64; LANE_WIDTH];
-        let mut acc_b = [0.0f64; LANE_WIDTH];
-        for i in 0..x.nrows() {
-            let mut s = [0.0f64; LANE_WIDTH];
-            for (col, v) in self.matrix.row(i) {
-                let xr = &xc[col * LANE_WIDTH..col * LANE_WIDTH + LANE_WIDTH];
-                for l in 0..LANE_WIDTH {
-                    s[l] += v * xr[l];
+        lanes: usize,
+        x: &mut [f64],
+        budget: Option<&Budget>,
+    ) -> PanelScreen {
+        const W: usize = LANE_WIDTH;
+        let (n, cfg, a) = (self.colsum.len(), &self.config, &self.matrix);
+        let (row_ptr, cols, vals) = (a.row_ptr(), a.col_idx(), a.values());
+        SNAPSHOT.with_borrow_mut(|rhs| {
+            rhs.clear();
+            rhs.extend_from_slice(x);
+            let rhs = &rhs[..];
+            let sparse = self.builder.version().sparse_corners();
+            schur_solve(self.builder.blocks(), sparse, &mut Panel::new(x, n));
+            let _span = Span::enter(PhaseId::Verify);
+            let cut = budget.is_some_and(|bud| bud.exhausted());
+            // (ABFT discrepancy, relative residual, input finite) per lane.
+            let measure = |x: &[f64], residual: bool| {
+                let (mut vx, mut sum_b, mut nx2) = ([0.0; W], [0.0; W], [0.0; W]);
+                let (mut acc_r, mut acc_b) = ([0.0; W], [0.0; W]);
+                let mut finite = [true; W];
+                for i in 0..n {
+                    let (xr, br) = (&x[i * W..i * W + W], &rhs[i * W..i * W + W]);
+                    for l in 0..W {
+                        vx[l] += self.colsum[i] * xr[l];
+                        sum_b[l] += br[l];
+                        nx2[l] += xr[l] * xr[l];
+                        finite[l] &= br[l].is_finite();
+                    }
+                    if residual {
+                        let mut s = [0.0; W];
+                        for k in row_ptr[i]..row_ptr[i + 1] {
+                            let xc = &x[cols[k] * W..cols[k] * W + W];
+                            for l in 0..W {
+                                s[l] += vals[k] * xc[l];
+                            }
+                        }
+                        for l in 0..W {
+                            let r = br[l] - s[l];
+                            acc_r[l] += r * r;
+                            acc_b[l] += br[l] * br[l];
+                        }
+                    }
                 }
-            }
-            let br = &bc[i * LANE_WIDTH..i * LANE_WIDTH + LANE_WIDTH];
-            for l in 0..LANE_WIDTH {
-                let r = br[l] - s[l];
-                acc_r[l] += r * r;
-                acc_b[l] += br[l] * br[l];
-            }
-        }
-        let mut out = [0.0f64; LANE_WIDTH];
-        for l in 0..LANE_WIDTH {
-            let nr = acc_r[l].sqrt();
-            let nb = acc_b[l].sqrt();
-            out[l] = if nb > 0.0 { nr / nb } else { nr };
-        }
-        out
-    }
-
-    /// The ABFT screen: evaluates the checksum identity `colsum·x = Σb`
-    /// for all live lanes of each chunk in one pass (per-lane arithmetic
-    /// identical to [`VerifiedBuilder::abft_check`]). A tripped lane is
-    /// re-solved once from its pristine right-hand side: a transient
-    /// upset does not recur, so a clean retry replaces the lane
-    /// ([`SdcState::Corrected`]); a retry that trips again is persistent
-    /// corruption ([`SdcState::Tripped`]) and is left for the verifier to
-    /// heal or quarantine.
-    fn abft_screen(&self, b: &mut ResidentBatch, rhs: &InterleavedMatrix) -> Vec<SdcState> {
-        let n = b.nrows();
-        // Deterministic fault injection first.
-        for &lane in &self.config.sdc_probe_lanes {
-            if lane < b.ncols() {
-                let mut x = b.lane_to_vec(lane);
-                strike(&mut x);
-                b.write_lane(lane, &x);
-            }
-        }
-        let panels = b.panels();
-        let mut states = vec![SdcState::Clean; b.ncols()];
-        let mut trips: Vec<(usize, f64)> = Vec::new();
-        for c in 0..panels.num_chunks() {
-            let lanes = panels.chunk_lanes(c);
-            let xc = panels.chunk(c);
-            let bc = rhs.chunk(c);
-            let mut vx = [0.0f64; LANE_WIDTH];
-            let mut sum_b = [0.0f64; LANE_WIDTH];
-            let mut nx2 = [0.0f64; LANE_WIDTH];
-            let mut finite = [true; LANE_WIDTH];
-            for i in 0..n {
-                let ci = self.colsum[i];
-                let xr = &xc[i * LANE_WIDTH..i * LANE_WIDTH + LANE_WIDTH];
-                let br = &bc[i * LANE_WIDTH..i * LANE_WIDTH + LANE_WIDTH];
-                for l in 0..LANE_WIDTH {
-                    vx[l] += ci * xr[l];
-                    sum_b[l] += br[l];
-                    nx2[l] += xr[l] * xr[l];
-                    finite[l] &= br[l].is_finite();
+                let (mut disc, mut rr) = ([0.0; W], [0.0; W]);
+                for l in 0..W {
+                    let d = (vx[l] - sum_b[l]).abs();
+                    let scale = self.colsum_norm * nx2[l].sqrt() + sum_b[l].abs();
+                    disc[l] = if scale > 0.0 { d / scale } else { d };
+                    let (nr, nb) = (acc_r[l].sqrt(), acc_b[l].sqrt());
+                    rr[l] = if nb > 0.0 { nr / nb } else { nr };
                 }
+                (disc, rr, finite)
+            };
+            // Deterministic fault injection first.
+            let struck = |l: usize| cfg.abft && cfg.sdc_probe_lanes.contains(&(chunk * W + l));
+            for l in (0..lanes).filter(|&l| struck(l)) {
+                strike(x.iter_mut().skip(l).step_by(W));
             }
+            let (disc, mut rr, finite) = measure(x, !cut);
+            let mut sdc = [SdcState::Clean; W];
             for l in 0..lanes {
-                if !finite[l] {
-                    // Poisoned input belongs to the quarantine scan, not
-                    // to a checksum trip.
+                // Poisoned input belongs to the quarantine scan, not to a
+                // checksum trip.
+                let tripped = !disc[l].is_finite() || disc[l] > DEFAULT_ABFT_TOL;
+                if !(cfg.abft && finite[l] && tripped) {
                     continue;
                 }
-                let disc = (vx[l] - sum_b[l]).abs();
-                let scale = self.colsum_norm * nx2[l].sqrt() + sum_b[l].abs();
-                let rel = if scale > 0.0 { disc / scale } else { disc };
-                if !rel.is_finite() || rel > DEFAULT_ABFT_TOL {
-                    trips.push((c * LANE_WIDTH + l, rel));
+                let b_lane = lane_of(rhs, l);
+                let mut y = b_lane.clone();
+                self.primary_solve(&mut y);
+                if cfg.sdc_probe_persistent && struck(l) {
+                    strike(y.iter_mut());
                 }
+                let (retripped, discrepancy) = self.abft_check(&y, &b_lane);
+                sdc[l] = if retripped {
+                    SdcState::Tripped { discrepancy }
+                } else {
+                    for (x, y) in x.iter_mut().skip(l).step_by(W).zip(&y) {
+                        *x = *y;
+                    }
+                    let discrepancy = disc[l];
+                    SdcState::Corrected { discrepancy }
+                };
             }
-        }
-        for (lane, disc) in trips {
-            sdc_metrics().detected.inc();
-            trace_instant_lane(InstantKind::SdcDetected, lane as u32);
-            let b_lane = lane_from_panels(rhs, lane);
-            let mut y = b_lane.clone();
-            self.primary_solve(&mut y);
-            if self.config.sdc_probe_persistent && self.config.sdc_probe_lanes.contains(&lane) {
-                strike(&mut y);
+            if !cut && sdc.iter().any(|s| matches!(s, SdcState::Corrected { .. })) {
+                // Corrected lanes are measured on their healed values.
+                rr = measure(x, true).1;
             }
-            let (retripped, retry_disc) = self.abft_check(&y, &b_lane);
-            states[lane] = if retripped {
-                SdcState::Tripped {
-                    discrepancy: retry_disc,
+            let stride = cfg.sample_stride.max(1);
+            let screened = |l: usize| {
+                let lane = chunk * W + l;
+                let probed = cfg.probe_lanes.contains(&lane);
+                // A lane the checksum flagged is always fully verified.
+                let selected = probed || lane % stride == 0 || !matches!(sdc[l], SdcState::Clean);
+                if l >= lanes || !selected {
+                    Screened::Unsampled
+                } else if !finite[l] {
+                    let first = (0..n).position(|i| !rhs[i * W + l].is_finite());
+                    Screened::NonFinite(first.expect("the pass saw a non-finite value"))
+                } else if !cut && !probed && rr[l].is_finite() && rr[l] <= cfg.residual_tol {
+                    Screened::Sealed(rr[l])
+                } else if !cut {
+                    let (rr, b_lane) = (rr[l], lane_of(rhs, l));
+                    Screened::Flagged { rr, probed, b_lane }
+                } else if matches!(sdc[l], SdcState::Corrected { .. }) {
+                    // The retry already happened; one residual evaluation
+                    // seals the verdict.
+                    Screened::Sealed(self.relative_residual(&lane_of(x, l), &lane_of(rhs, l)))
+                } else {
+                    Screened::Cut
                 }
-            } else {
-                b.write_lane(lane, &y);
-                SdcState::Corrected { discrepancy: disc }
             };
-        }
-        states
+            let lanes = std::array::from_fn(screened);
+            PanelScreen { cut, sdc, lanes }
+        })
     }
 
     /// Evaluate the ABFT identity `colsum·x = Σb` for one lane. Returns
@@ -1182,9 +1147,44 @@ fn schur_solve_slice(blocks: &SchurBlocks, sparse: bool, lane: &mut [f64]) {
     schur_solve(blocks, sparse, &mut StridedMut::from_slice(lane));
 }
 
-/// Extract one lane of a packed panel set into a contiguous vector.
-fn lane_from_panels(panels: &InterleavedMatrix, lane: usize) -> Vec<f64> {
-    (0..panels.nrows()).map(|i| panels.get(i, lane)).collect()
+/// Lane `l` of one `[nrows][LANE_WIDTH]` panel as a contiguous vector.
+fn lane_of(panel: &[f64], l: usize) -> Vec<f64> {
+    panel.iter().skip(l).step_by(LANE_WIDTH).copied().collect()
+}
+
+thread_local! {
+    /// This worker's copy of the pristine right-hand side of the panel it
+    /// is solving: one panel, reused for every panel and every solve.
+    static SNAPSHOT: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// What the panel screen concluded about one lane; the caller turns it
+/// into a [`LaneVerdict`].
+enum Screened {
+    /// The sampling stride skipped the lane.
+    Unsampled,
+    /// Non-finite input, first at this row.
+    NonFinite(usize),
+    /// The budget ran out before the panel's residual pass.
+    Cut,
+    /// This relative residual seals the verdict: at or below tolerance,
+    /// or that of a corrected retry the budget left no time to judge.
+    Sealed(f64),
+    /// Probed, or residual `rr` over tolerance or non-finite: repair the
+    /// lane from its pristine right-hand side `b_lane`.
+    Flagged {
+        rr: f64,
+        probed: bool,
+        b_lane: Vec<f64>,
+    },
+}
+
+/// One panel's record from [`VerifiedBuilder::solve_and_screen`].
+struct PanelScreen {
+    /// The budget was exhausted: no residual pass ran.
+    cut: bool,
+    sdc: [SdcState; LANE_WIDTH],
+    lanes: [Screened; LANE_WIDTH],
 }
 
 /// Fold the ABFT screen outcome into a lane's verification verdict: a
@@ -1266,18 +1266,18 @@ enum SdcState {
 /// Deterministic SDC probe: flip the top mantissa bit of the lane's
 /// largest-magnitude coefficient — a 25–50% relative perturbation, so the
 /// injected corruption is always numerically live.
-fn strike(x: &mut [f64]) {
-    if let Some(i) = (0..x.len()).max_by(|&a, &b| x[a].abs().total_cmp(&x[b].abs())) {
-        x[i] = flip_bit(x[i], 51);
+fn strike<'a>(x: impl Iterator<Item = &'a mut f64>) {
+    if let Some(v) = x.max_by(|a, b| a.abs().total_cmp(&b.abs())) {
+        *v = flip_bit(*v, 51);
     }
 }
 
-/// Tally one panel residual pass where the unit tests can see it; nothing
-/// outside them.
+/// Tally panels that ran a residual pass where the unit tests can see it;
+/// nothing outside them.
 #[inline]
-fn note_residual_pass() {
+fn note_residual_passes(_panels: usize) {
     #[cfg(test)]
-    tests::RESIDUAL_PASSES.with(|c| c.set(c.get() + 1));
+    tests::RESIDUAL_PASSES.with(|c| c.set(c.get() + _panels));
 }
 
 #[cfg(test)]
@@ -1285,12 +1285,12 @@ mod tests {
     use super::*;
     use crate::builder::BuilderVersion;
     use pp_bsplines::{Breaks, PeriodicSplineSpace};
-    use pp_portable::{Layout, Parallel, TestRng};
+    use pp_portable::{Layout, Parallel, Serial, TestRng};
     use std::cell::Cell;
 
     thread_local! {
-        /// Panel residual passes run on this thread (the verify loop is
-        /// serial on its caller).
+        /// Panels that ran a residual pass, tallied by the caller of each
+        /// verified solve from the records its workers returned.
         pub(super) static RESIDUAL_PASSES: Cell<usize> = const { Cell::new(0) };
     }
 
@@ -1873,6 +1873,180 @@ mod tests {
             .verified(VerifyConfig::default());
         let mut bad = ResidentBatch::zeros(17, 2);
         assert!(verified.solve_resident(&Parallel, &mut bad).is_err());
+    }
+
+    /// The `f64` payload of a verdict, as bits.
+    fn verdict_bits(v: &LaneVerdict) -> Vec<u64> {
+        let floats = match *v {
+            LaneVerdict::Verified { residual }
+            | LaneVerdict::Refined { residual, .. }
+            | LaneVerdict::Recovered { residual, .. } => vec![residual],
+            LaneVerdict::SdcCorrected {
+                discrepancy,
+                residual,
+            } => vec![discrepancy, residual],
+            LaneVerdict::Quarantined { reason } => match reason {
+                QuarantineReason::ResidualAboveTol { residual } => vec![residual],
+                QuarantineReason::SdcDetected { discrepancy } => vec![discrepancy],
+                _ => vec![],
+            },
+            LaneVerdict::Unsampled => vec![],
+        };
+        floats.into_iter().map(f64::to_bits).collect()
+    }
+
+    #[test]
+    fn verified_report_is_identical_serial_and_parallel() {
+        // Workers return data and the caller alone turns it into verdicts,
+        // so the execution space must not show anywhere: not in a verdict,
+        // a residual or discrepancy bit, a degradation, or the batch.
+        let n = 16;
+        let solve = |verified: &VerifiedBuilder, rhs: &Matrix, parallel: bool, cut: bool| {
+            let mut x = rhs.clone();
+            let budget = Budget::unlimited();
+            if cut {
+                budget.cancel();
+            }
+            let report = if parallel {
+                verified.solve_in_place_budgeted(&Parallel, &mut x, &budget)
+            } else {
+                verified.solve_in_place_budgeted(&Serial, &mut x, &budget)
+            };
+            (report.unwrap(), x)
+        };
+        // Miri is here for the concurrent records, not the case list.
+        let (versions, batches): (&[_], &[usize]) = if cfg!(miri) {
+            (&[BuilderVersion::Baseline], &[0, 9])
+        } else {
+            (&BuilderVersion::ALL, &[0, 1, 7, 8, 9, 17])
+        };
+        for &version in versions {
+            for (degree, uniform) in [(3, true), (5, false)] {
+                for &batch in batches {
+                    // A NaN lane, a probed lane and an SDC-struck lane take
+                    // turns on the last lane of the tail panel.
+                    for turn in 0..3 {
+                        let at = |k: usize| batch.checked_sub(1 + (k + turn) % 3);
+                        for (abft, persistent, cut) in [
+                            (false, false, false),
+                            (true, false, false),
+                            (true, true, false),
+                            (true, false, true),
+                            (true, true, true),
+                        ] {
+                            let verified = SplineBuilder::new(space(n, degree, uniform), version)
+                                .unwrap()
+                                .verified(VerifyConfig {
+                                    abft,
+                                    probe_lanes: at(1).into_iter().collect(),
+                                    sdc_probe_lanes: at(2).into_iter().collect(),
+                                    sdc_probe_persistent: persistent,
+                                    ..VerifyConfig::default()
+                                });
+                            let mut rhs = random_rhs(n, batch, 71 + batch as u64);
+                            if let Some(lane) = at(0) {
+                                rhs.set(3, lane, f64::NAN);
+                            }
+                            let (serial, xs) = solve(&verified, &rhs, false, cut);
+                            let (parallel, xp) = solve(&verified, &rhs, true, cut);
+                            let case = format!(
+                                "{version:?} d{degree} batch {batch} turn {turn} \
+                                 abft {abft} persistent {persistent} cut {cut}"
+                            );
+                            assert_eq!(serial, parallel, "{case}");
+                            assert_eq!(serial.lanes.len(), batch, "{case}");
+                            assert_eq!(serial.is_degraded(), cut && batch > 0, "{case}");
+                            for lane in 0..batch {
+                                assert_eq!(
+                                    verdict_bits(serial.lanes.verdict(lane)),
+                                    verdict_bits(parallel.lanes.verdict(lane)),
+                                    "{case} lane {lane}"
+                                );
+                                for i in 0..n {
+                                    assert_eq!(
+                                        xs.get(i, lane).to_bits(),
+                                        xp.get(i, lane).to_bits(),
+                                        "{case} ({i},{lane})"
+                                    );
+                                }
+                            }
+                            // The injected faults were seen, not stepped over.
+                            if let Some(lane) = at(0) {
+                                let reason = QuarantineReason::NonFiniteInput { index: 3 };
+                                let expected = LaneVerdict::Quarantined { reason };
+                                assert_eq!(*serial.lanes.verdict(lane), expected, "{case}");
+                            }
+                            if let (Some(lane), true) = (at(2), abft) {
+                                let seen = match serial.lanes.verdict(lane) {
+                                    LaneVerdict::SdcCorrected { .. } => !persistent,
+                                    LaneVerdict::Quarantined { .. } => persistent && cut,
+                                    _ => persistent && !cut,
+                                };
+                                assert!(seen, "{case}: {}", serial.lanes.verdict(lane));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Counts the parallel regions dispatched through it.
+    struct CountingExec(std::sync::atomic::AtomicUsize);
+
+    impl ExecSpace for CountingExec {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn for_each<F: Fn(usize) + Sync + Send>(&self, n: usize, f: F) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Parallel.for_each(n, f);
+        }
+    }
+
+    #[test]
+    fn verified_solve_is_one_pool_dispatch() {
+        // Guards the shape of the verified solve: the whole screen rides
+        // the solve's one region (no extra region, nothing serial that
+        // would need the batch copied), on a scratch of one panel. Regions
+        // are counted on the execution space — `pool_stats()` is
+        // process-wide and the other unit tests dispatch concurrently.
+        let (n, batch) = (32, 5 * LANE_WIDTH + 3);
+        let regions = |solve: &dyn Fn(&CountingExec, &mut ResidentBatch)| {
+            let exec = CountingExec(std::sync::atomic::AtomicUsize::new(0));
+            let mut b = ResidentBatch::pack(&random_rhs(n, batch, 83));
+            solve(&exec, &mut b);
+            exec.0.into_inner()
+        };
+        let plain = SplineBuilder::new(space(n, 3, true), BuilderVersion::FusedSpmv).unwrap();
+        let fused = regions(&|exec, b| plain.solve_resident(exec, b).unwrap());
+        for version in BuilderVersion::ALL {
+            let verified = SplineBuilder::new(space(n, 3, true), version)
+                .unwrap()
+                .verified(VerifyConfig {
+                    abft: true,
+                    ..VerifyConfig::default()
+                });
+            let screened = regions(&|exec, b| {
+                assert!(verified.solve_resident(exec, b).unwrap().all_verified());
+            });
+            assert_eq!((fused, screened), (1, 1), "{version:?}");
+        }
+        // A fresh thread has a fresh scratch: after six panels it holds
+        // exactly one.
+        let capacity = std::thread::scope(|s| {
+            let worker = s.spawn(|| {
+                let verified = SplineBuilder::new(space(n, 3, true), BuilderVersion::Interleaved)
+                    .unwrap()
+                    .verified(VerifyConfig::default());
+                let mut b = ResidentBatch::pack(&random_rhs(n, batch, 89));
+                verified.solve_resident(&Serial, &mut b).unwrap();
+                SNAPSHOT.with_borrow(Vec::capacity)
+            });
+            worker.join().unwrap()
+        });
+        assert_eq!(capacity, n * LANE_WIDTH);
     }
 
     #[test]

@@ -59,6 +59,19 @@ cargo run --release -q -p pp-bench --bin bench_gate -- \
     --baseline BENCH_phases.json \
     --candidate target/BENCH_phases_smoke.json
 
+# Verification rides the solve's panel (DESIGN.md §7.1): with residuals
+# on every lane and the ABFT screen on, the resident advection step may
+# cost at most 1.5x the plain one at nx = nv = 1024. Both rows come from
+# the same run, so the ratio needs no baseline (it read 1.65 when the
+# screens were serial sweeps over the batch, ~1.2 since).
+VERIFIED_STEP_CEILING=1.5
+echo "==> fig2_glups 1024 1024: verified / plain resident step"
+ratio=$(cargo run --release -q -p pp-bench --bin fig2_glups -- 1024 1024 |
+    awk '/^verified\/plain resident step ratio:/ { print $NF }')
+test -n "$ratio"
+echo "==> verified / plain resident step: $ratio (ceiling $VERIFIED_STEP_CEILING)"
+awk -v r="$ratio" -v c="$VERIFIED_STEP_CEILING" 'BEGIN { exit !(r <= c) }'
+
 # The chaos soak is deterministic (seeded), so unlike the timing gates
 # above this one is exact: any invariant violation or silent-wrong SDC
 # round fails the script outright.
