@@ -3,12 +3,14 @@
 use crate::error::{Error, Result};
 use pp_bsplines::PeriodicSplineSpace;
 use pp_portable::instrument::{self, PhaseId, Span};
-use pp_portable::{ExecSpace, Layout, Matrix, ResidentBatch};
+use pp_portable::{ExecSpace, Layout, Matrix, ResidentBatch, Strided, LANE_WIDTH};
 use pp_splinesolver::{
     BuilderVersion, IterativeConfig, IterativeSplineSolver, LaneReport, SplineBuilder,
-    SplineEvaluator, VerifiedBuilder, VerifyConfig,
+    VerifiedBuilder, VerifyConfig,
 };
+use std::array;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Which spline construction backend drives the advection — the paper's
@@ -146,12 +148,18 @@ pub struct StepTimings {
     /// pack of a [`Matrix`] argument into panels. Zero for a step on a
     /// resident slab.
     pub transpose_in: Duration,
-    /// Spline build — the paper's `ddc_splines_solve` region.
+    /// The step's one parallel region: per panel the spline build (the
+    /// paper's `ddc_splines_solve`, line 4) and, fused with it while the
+    /// coefficients are in cache, the interpolation at the characteristic
+    /// feet (lines 6–10). For the `Iterative` backend it includes the host
+    /// Krylov solve in front of the region.
     pub splines_solve: Duration,
     /// Transpose back (line 5): the unpack into the [`Matrix`] argument.
     /// Zero for a step on a resident slab.
     pub transpose_out: Duration,
-    /// Characteristic feet + interpolation (lines 6–10).
+    /// Interpolation outside that region: the verified backend
+    /// re-evaluating the lanes its serial tail repaired or quarantined.
+    /// Zero on a clean step.
     pub interpolate: Duration,
 }
 
@@ -168,14 +176,6 @@ impl StepTimings {
         self.transpose_out += other.transpose_out;
         self.interpolate += other.interpolate;
     }
-}
-
-/// One scan of the characteristic feet: the first non-finite foot in
-/// lane-major order, or the largest `|x_i − foot|`.
-#[derive(Debug, Clone, Copy)]
-enum FeetSummary {
-    Finite { max_disp: f64 },
-    NonFinite { lane: usize, index: usize },
 }
 
 /// Batched 1D constant-coefficient advection
@@ -198,26 +198,23 @@ enum FeetSummary {
 /// ```
 pub struct Advection1D {
     backend: SplineBackend,
-    evaluator: SplineEvaluator,
     /// Velocity of each batch lane.
     velocities: Vec<f64>,
     /// Interpolation grid along x (the spline interpolation points).
     x_points: Vec<f64>,
+    /// The standing displacement `v_j·Δt` of each lane: the foot of the
+    /// characteristic ending at `(x_i, v_j)` is `x_i − displacements[j]`
+    /// (first-order backward integration, exact for constant advection),
+    /// computed where it is used.
+    displacements: Vec<f64>,
     /// Scratch: the `(Nx, Nv)` slab a [`Matrix`] argument is packed into
     /// (allocated on the first [`Advection1D::step`] call).
     slab: Option<ResidentBatch>,
-    /// Scratch: spline RHS/coefficient panels `(Nx, Nv)`.
-    eta: ResidentBatch,
     /// Scratch of the iterative backend, which has no panel-native
     /// solver: the coefficients on the host, and the previous step's
     /// (the warm start).
     eta_host: Option<Matrix>,
     eta_prev: Option<Matrix>,
-    /// Scratch: characteristic feet `(Nx, Nv)`, fixed for fixed `Δt`.
-    feet: Matrix,
-    /// What the verified step needs to know about `feet`, scanned at most
-    /// once per rewrite: `None` after every write ([`Self::write_feet`]).
-    feet_summary: Option<FeetSummary>,
     dt: f64,
     /// Verification report of the most recent step (verified backend only).
     last_diagnostics: Option<AdvectionDiagnostics>,
@@ -225,20 +222,18 @@ pub struct Advection1D {
 
 impl Advection1D {
     /// Set up the solver for `Nv = velocities.len()` lanes and a fixed
-    /// time step `dt` (feet are precomputed; use
-    /// [`Advection1D::set_dt`] to change it).
+    /// time step `dt` (use [`Advection1D::set_dt`] to change it).
     ///
     /// # Errors
     /// Rejects a non-finite `dt` or velocity with
-    /// [`Error::NonFiniteInput`]: either would silently fill the
-    /// precomputed characteristic feet with NaN and every backend would
-    /// then interpolate garbage. A bad `dt` poisons all lanes, so it is
-    /// reported as lane 0, index 0; a bad velocity names its lane.
+    /// [`Error::NonFiniteInput`]: either would put every characteristic
+    /// foot of a lane at NaN and every backend would then interpolate
+    /// garbage. A bad `dt` poisons all lanes, so it is reported as lane 0,
+    /// index 0; a bad velocity names its lane. A finite velocity and a
+    /// finite `dt` whose product overflows are caught by every step
+    /// instead (see [`Advection1D::step_resident`]).
     pub fn new(backend: SplineBackend, velocities: Vec<f64>, dt: f64) -> Result<Self> {
-        let space = backend.space().clone();
-        let nx = space.num_basis();
-        let nv = velocities.len();
-        if nv == 0 {
+        if velocities.is_empty() {
             return Err(Error::ShapeMismatch {
                 detail: "need at least one velocity lane".into(),
             });
@@ -249,23 +244,17 @@ impl Advection1D {
         if let Some(j) = velocities.iter().position(|v| !v.is_finite()) {
             return Err(Error::NonFiniteInput { lane: j, index: 0 });
         }
-        let x_points = space.interpolation_points();
-        let mut me = Self {
-            evaluator: SplineEvaluator::new(space),
+        Ok(Self {
+            x_points: backend.space().interpolation_points(),
             backend,
+            displacements: velocities.iter().map(|v| v * dt).collect(),
             velocities,
-            x_points,
             slab: None,
-            eta: ResidentBatch::zeros(nx, nv),
             eta_host: None,
             eta_prev: None,
-            feet: Matrix::zeros(nx, nv, Layout::Left),
-            feet_summary: None,
             dt,
             last_diagnostics: None,
-        };
-        me.compute_feet();
-        Ok(me)
+        })
     }
 
     /// Number of x points.
@@ -299,73 +288,20 @@ impl Advection1D {
         self.last_diagnostics.as_ref()
     }
 
-    /// Change the time step (recomputes the characteristic feet).
+    /// Change the time step (recomputes the standing displacements).
     ///
     /// # Errors
     /// Rejects a non-finite `dt` with [`Error::NonFiniteInput`] (reported
     /// as lane 0, index 0 — a bad `dt` poisons every lane) and leaves the
-    /// standing feet untouched, so the driver stays usable.
+    /// standing displacements untouched, so the driver stays usable.
     pub fn set_dt(&mut self, dt: f64) -> Result<()> {
         if !dt.is_finite() {
             instrument::trace_instant(instrument::InstantKind::NonFiniteInput);
             return Err(Error::NonFiniteInput { lane: 0, index: 0 });
         }
         self.dt = dt;
-        self.compute_feet();
+        self.displacements = self.velocities.iter().map(|v| v * dt).collect();
         Ok(())
-    }
-
-    fn compute_feet(&mut self) {
-        // Foot of the characteristic ending at (x_i, v_j): x_i − v_j·Δt
-        // (first-order backward integration, exact for constant advection).
-        let displacements: Vec<f64> = self.velocities.iter().map(|v| v * self.dt).collect();
-        self.write_feet(&displacements);
-    }
-
-    /// `feet(i, j) = x_i − displacements[j]`; the only writer of `feet`.
-    fn write_feet(&mut self, displacements: &[f64]) {
-        self.feet_summary = None;
-        for (j, d) in displacements.iter().enumerate() {
-            for (i, x) in self.x_points.iter().enumerate() {
-                self.feet.set(i, j, x - d);
-            }
-        }
-    }
-
-    /// Input sanitization for the verified path: the builder quarantines
-    /// poisoned distribution lanes itself, but non-finite characteristic
-    /// feet would poison the interpolation stage behind the verifier's
-    /// back — reject them before any work runs. Returns the largest foot
-    /// displacement for the step's diagnostics. The scan runs once per
-    /// rewrite of the feet, not once per step.
-    fn checked_max_foot_displacement(&mut self) -> Result<f64> {
-        let summary = *self.feet_summary.get_or_insert_with(|| {
-            let mut max_disp = 0.0_f64;
-            for j in 0..self.feet.ncols() {
-                for (i, (x, foot)) in self
-                    .x_points
-                    .iter()
-                    .zip(self.feet.col(j).iter())
-                    .enumerate()
-                {
-                    if !foot.is_finite() {
-                        return FeetSummary::NonFinite { lane: j, index: i };
-                    }
-                    max_disp = max_disp.max((x - foot).abs());
-                }
-            }
-            FeetSummary::Finite { max_disp }
-        });
-        match summary {
-            FeetSummary::Finite { max_disp } => Ok(max_disp),
-            FeetSummary::NonFinite { lane, index } => {
-                instrument::trace_instant_lane(
-                    instrument::InstantKind::NonFiniteInput,
-                    lane as u32,
-                );
-                Err(Error::NonFiniteInput { lane, index })
-            }
-        }
     }
 
     /// Initialise a distribution `f(x_i, v_j)` as a `(Nv, Nx)` row-major
@@ -420,23 +356,58 @@ impl Advection1D {
     }
 
     /// Advance a lane-contiguous resident slab `f` (shape `(Nx, Nv)`:
-    /// rows = x, lanes = v) by one time step — **the** step; every other
-    /// entry point is a shell over it. No pack/unpack transposes: the
-    /// coefficient scratch is a straight panel copy of the slab, the
-    /// spline solve runs panel-native, and the interpolated result is
-    /// written straight back into the slab's panels, so
+    /// rows = x, lanes = v) by one time step with the standing
+    /// displacements `v_j·Δt`:
+    /// [`Advection1D::step_resident_with_displacements`] with those. No
+    /// pack/unpack transposes, so
     /// `StepTimings::transpose_in`/`transpose_out` are zero — Algorithm
     /// 2's lines 3 and 5 disappear.
     ///
     /// The slab after this call is bit-identical to the `(Nv, Nx)` host
     /// matrix after [`Advection1D::step`], for every backend and every
-    /// [`BuilderVersion`]. The `Iterative` backend has no panel-native
-    /// solver: its coefficients visit a host scratch for the solve (with
-    /// the previous step's as the warm start) and are packed back.
+    /// [`BuilderVersion`].
+    ///
+    /// # Errors
+    /// As [`Advection1D::step_resident_with_displacements`]; in
+    /// particular a `v_j·Δt` that overflowed is rejected here, step after
+    /// step, until [`Advection1D::set_dt`] replaces it.
     pub fn step_resident<E: ExecSpace>(
         &mut self,
         exec: &E,
         f: &mut ResidentBatch,
+    ) -> Result<StepTimings> {
+        let standing = std::mem::take(&mut self.displacements);
+        let stepped = self.step_resident_with_displacements(exec, f, &standing);
+        self.displacements = standing;
+        stepped
+    }
+
+    /// Advance a resident slab by one step with *per-lane displacements*:
+    /// lane `j`'s feet are `x_i − displacements[j]`. **The** step — every
+    /// other entry point is a shell over it; the Vlasov driver calls it
+    /// directly, with the v-direction shift `E(x)·Δt` that changes every
+    /// step.
+    ///
+    /// The step is one parallel region over the slab's panels
+    /// (DESIGN.md §14.3): a worker copies the panel into its scratch,
+    /// solves it there (and, for the verified backend, screens it against
+    /// the still-pristine panel), and evaluates the coefficients at the
+    /// feet straight back into the panel while both are in cache. Neither
+    /// the coefficients nor the feet ever exist as a slab. The `Iterative`
+    /// backend has no panel-native solver: its coefficients visit a host
+    /// scratch for the solve (with the previous step's as the warm start)
+    /// and the region packs each panel's share into the worker's scratch.
+    ///
+    /// # Errors
+    /// [`Error::ShapeMismatch`] for a slab or displacement vector of the
+    /// wrong size; [`Error::NonFiniteInput`] (naming the lane, index 0)
+    /// for a non-finite displacement, which would put every foot of the
+    /// lane at NaN or ±∞ — on every backend, before any work runs.
+    pub fn step_resident_with_displacements<E: ExecSpace>(
+        &mut self,
+        exec: &E,
+        f: &mut ResidentBatch,
+        displacements: &[f64],
     ) -> Result<StepTimings> {
         let (nv, nx) = (self.nv(), self.nx());
         if f.nrows() != nx || f.ncols() != nv {
@@ -448,22 +419,71 @@ impl Advection1D {
                 ),
             });
         }
+        if displacements.len() != nv {
+            return Err(Error::ShapeMismatch {
+                detail: format!("{} displacements for {nv} lanes", displacements.len()),
+            });
+        }
+        if let Some(j) = displacements.iter().position(|d| !d.is_finite()) {
+            instrument::trace_instant_lane(instrument::InstantKind::NonFiniteInput, j as u32);
+            return Err(Error::NonFiniteInput { lane: j, index: 0 });
+        }
         let _step_span = Span::enter(PhaseId::AdvectionStep);
         let mut t = StepTimings::default();
 
-        let max_disp = match self.backend {
-            SplineBackend::DirectVerified(_) => self.checked_max_foot_displacement()?,
-            _ => 0.0,
+        let space = self.backend.space();
+        let points = &self.x_points[..];
+        // Bits of the largest `|x_i − foot|` (non-negative, so ordered as
+        // the floats are); the verified backend's diagnostics want it.
+        let max_disp = AtomicU64::new(0);
+        let track_disp = matches!(self.backend, SplineBackend::DirectVerified(_));
+        // Lines 6-10 on one panel: follow the characteristics back and
+        // interpolate, eight lanes to a row.
+        let interpolate = |chunk: usize, lanes: usize, coefs: &[f64], panel: &mut [f64]| {
+            let _span = Span::enter(PhaseId::Interpolate);
+            let first = chunk * LANE_WIDTH;
+            // Padding lanes stay put; they are never written.
+            let by: [f64; LANE_WIDTH] = array::from_fn(|l| {
+                if l < lanes {
+                    displacements[first + l]
+                } else {
+                    0.0
+                }
+            });
+            let feet = |i: usize| {
+                let x = points[i];
+                array::from_fn(|l| x - by[l])
+            };
+            space.eval_panel(coefs, lanes, feet, panel);
+            if track_disp {
+                // One running maximum per lane, so the rows vectorise.
+                let mut widest = [0.0_f64; LANE_WIDTH];
+                for x in points {
+                    for l in 0..LANE_WIDTH {
+                        widest[l] = widest[l].max((x - (x - by[l])).abs());
+                    }
+                }
+                let widest = widest.into_iter().fold(0.0, f64::max);
+                max_disp.fetch_max(widest.to_bits(), Ordering::Relaxed);
+            }
         };
 
-        self.eta.copy_from(f).expect("shapes checked above");
-
-        // Line 4: build splines, batched over v (the measured region).
+        // Line 4 and lines 6-10, panel by panel (the measured region).
         let t0 = Instant::now();
         match &self.backend {
-            SplineBackend::Direct(builder) => builder.solve_resident(exec, &mut self.eta)?,
+            SplineBackend::Direct(builder) => builder.solve_then(exec, f, interpolate)?,
             SplineBackend::DirectVerified(builder) => {
-                let report = builder.solve_resident(exec, &mut self.eta)?;
+                let mut tail = Duration::ZERO;
+                let report = builder.solve_then(exec, f, interpolate, |lane, coefs, out| {
+                    let t0 = Instant::now();
+                    let d = displacements[lane];
+                    let feet: Vec<f64> = points.iter().map(|x| x - d).collect();
+                    let (coefs, feet) = (Strided::from_slice(coefs), Strided::from_slice(&feet));
+                    space.eval_lane(coefs, feet, out);
+                    tail += t0.elapsed();
+                })?;
+                t.interpolate = tail;
+                let max_disp = f64::from_bits(max_disp.into_inner());
                 let diagnostics = AdvectionDiagnostics::from_report(&report, max_disp);
                 diagnostics.publish_metrics();
                 self.last_diagnostics = Some(diagnostics);
@@ -473,60 +493,18 @@ impl Advection1D {
                     .eta_host
                     .take()
                     .unwrap_or_else(|| Matrix::zeros(nx, nv, Layout::Left));
-                self.eta.unpack_into(&mut host).expect("scratch shape");
-                if let Err(e) = solver.solve_in_place(&mut host, self.eta_prev.as_ref()) {
+                let prev = self.eta_prev.as_ref();
+                if let Err(e) = solver.solve_then(exec, f, &mut host, prev, interpolate) {
                     self.eta_host = Some(host);
                     return Err(e.into());
                 }
-                self.eta.pack_from(&host).expect("scratch shape");
                 // These coefficients warm-start the next step; the ones
                 // they replace become its scratch.
                 self.eta_host = self.eta_prev.replace(host);
             }
         }
-        t.splines_solve = t0.elapsed();
-
-        // Lines 6-10: follow characteristics and interpolate.
-        let t0 = Instant::now();
-        {
-            let _span = Span::enter(PhaseId::Interpolate);
-            self.evaluator
-                .eval_resident(exec, &self.eta, &self.feet, f)?;
-        }
-        t.interpolate = t0.elapsed();
+        t.splines_solve = t0.elapsed() - t.interpolate;
         Ok(t)
-    }
-
-    /// Advance a resident slab by one step with *per-lane displacements*
-    /// instead of the precomputed `v·Δt` feet: lane `j`'s foot is
-    /// `x_i − displacements[j]`. Used by the Vlasov driver, where the
-    /// v-direction shift `E(x)·Δt` changes every step.
-    pub fn step_resident_with_displacements<E: ExecSpace>(
-        &mut self,
-        exec: &E,
-        f: &mut ResidentBatch,
-        displacements: &[f64],
-    ) -> Result<StepTimings> {
-        if displacements.len() != self.nv() {
-            return Err(Error::ShapeMismatch {
-                detail: format!(
-                    "{} displacements for {} lanes",
-                    displacements.len(),
-                    self.nv()
-                ),
-            });
-        }
-        // A non-finite displacement would silently poison a whole lane's
-        // feet; reject it at the boundary for every backend.
-        if let Some(j) = displacements.iter().position(|d| !d.is_finite()) {
-            instrument::trace_instant_lane(instrument::InstantKind::NonFiniteInput, j as u32);
-            return Err(Error::NonFiniteInput { lane: j, index: 0 });
-        }
-        self.write_feet(displacements);
-        let timings = self.step_resident(exec, f);
-        // Restore the standing feet for subsequent plain steps.
-        self.compute_feet();
-        timings
     }
 
     /// [`Advection1D::step_resident_with_displacements`] on a host
@@ -561,7 +539,8 @@ impl Advection1D {
 mod tests {
     use super::*;
     use pp_bsplines::Breaks;
-    use pp_portable::{Parallel, Serial};
+    use pp_portable::{CountingExec, Parallel, Serial};
+    use pp_splinesolver::SplineEvaluator;
 
     fn gaussian(x: f64, _v: f64) -> f64 {
         let d = x - 0.5;
@@ -902,23 +881,20 @@ mod tests {
         assert!((diag.max_foot_displacement - 0.014).abs() < 1e-12);
     }
 
-    /// The feet are scanned once per rewrite, not once per step: the
-    /// rejection and the reported displacement must be those of a fresh
-    /// scan on every step, on both entry points, across every writer.
+    /// The feet are computed where they are used, so there is nothing to go
+    /// stale: the reported displacement must be that of a fresh scan of
+    /// this step's feet, on both entry points, whoever supplied them.
     #[test]
-    fn verified_feet_summary_follows_every_rewrite() {
-        let verified = |velocities: Vec<f64>, dt: f64| {
-            let space =
-                PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
-            let backend = SplineBackend::direct_verified(
-                space,
-                BuilderVersion::Interleaved,
-                pp_splinesolver::VerifyConfig::default(),
-            )
-            .unwrap();
-            Advection1D::new(backend, velocities, dt).unwrap()
-        };
-        // What the per-step scan used to compute, from the public grid.
+    fn foot_displacement_follows_every_step() {
+        let space = PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
+        let backend = SplineBackend::direct_verified(
+            space,
+            BuilderVersion::Interleaved,
+            pp_splinesolver::VerifyConfig::default(),
+        )
+        .unwrap();
+        let mut adv = Advection1D::new(backend, vec![0.3, -0.2, 0.7], 0.02).unwrap();
+        // What a scan of the feet computes, from the public grid.
         let fresh_max = |adv: &Advection1D, disp: &[f64]| {
             let mut m = 0.0_f64;
             for d in disp {
@@ -930,14 +906,13 @@ mod tests {
         };
         let max_of = |adv: &Advection1D| adv.last_diagnostics().unwrap().max_foot_displacement;
 
-        let mut adv = verified(vec![0.3, -0.2, 0.7], 0.02);
         let standing: Vec<f64> = [0.3, -0.2, 0.7].iter().map(|v| v * 0.02).collect();
         let mut f = adv.init_distribution(gaussian);
         let mut slab = ResidentBatch::pack_transposed(&f);
         for _ in 0..2 {
             adv.step(&Serial, &mut f).unwrap();
             assert_eq!(max_of(&adv).to_bits(), fresh_max(&adv, &standing).to_bits());
-            adv.step_resident(&Serial, &mut slab).unwrap();
+            adv.step_resident(&Parallel, &mut slab).unwrap();
             assert_eq!(max_of(&adv).to_bits(), fresh_max(&adv, &standing).to_bits());
         }
         // Displaced steps see their own feet, and the standing ones return.
@@ -945,25 +920,77 @@ mod tests {
         adv.step_with_displacements(&Serial, &mut f, &shifted)
             .unwrap();
         assert_eq!(max_of(&adv).to_bits(), fresh_max(&adv, &shifted).to_bits());
-        adv.step_resident_with_displacements(&Serial, &mut slab, &shifted)
+        adv.step_resident_with_displacements(&Parallel, &mut slab, &shifted)
             .unwrap();
         assert_eq!(max_of(&adv).to_bits(), fresh_max(&adv, &shifted).to_bits());
         adv.step(&Serial, &mut f).unwrap();
         assert_eq!(max_of(&adv).to_bits(), fresh_max(&adv, &standing).to_bits());
+    }
 
-        // v·dt overflows in lane 1 although v and dt are finite: every step
-        // is rejected the same way until set_dt rewrites the feet.
-        let mut adv = verified(vec![0.5, 1e200], 1e200);
-        let mut f = Matrix::zeros(2, 32, Layout::Right);
-        let mut slab = ResidentBatch::zeros(32, 2);
-        let bad = Error::NonFiniteInput { lane: 1, index: 0 };
-        for _ in 0..2 {
-            assert_eq!(adv.step(&Serial, &mut f).unwrap_err(), bad);
-            assert_eq!(adv.step_resident(&Serial, &mut slab).unwrap_err(), bad);
+    /// `v·Δt` overflows in lane 1 although `v` and `Δt` are finite: on
+    /// every backend every step is rejected the same way, before it touches
+    /// the distribution, until `set_dt` rewrites the displacements.
+    #[test]
+    fn overflowing_displacement_rejected_on_every_backend() {
+        let space = PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
+        let backends = [
+            SplineBackend::direct(space.clone(), BuilderVersion::FusedSpmv).unwrap(),
+            SplineBackend::direct_verified(
+                space.clone(),
+                BuilderVersion::FusedSpmv,
+                VerifyConfig::default(),
+            )
+            .unwrap(),
+            SplineBackend::iterative(space, IterativeConfig::gpu()).unwrap(),
+        ];
+        for backend in backends {
+            let what = backend.label();
+            let mut adv = Advection1D::new(backend, vec![0.5, 1e200], 1e200).unwrap();
+            let mut f = adv.init_distribution(gaussian);
+            let mut slab = ResidentBatch::pack_transposed(&f);
+            let untouched = f.clone();
+            let bad = Error::NonFiniteInput { lane: 1, index: 0 };
+            for _ in 0..2 {
+                assert_eq!(adv.step(&Serial, &mut f).unwrap_err(), bad, "{what}");
+                let rejected = adv.step_resident(&Parallel, &mut slab).unwrap_err();
+                assert_eq!(rejected, bad, "{what}");
+            }
+            assert_bits(&untouched, &f, what);
+            assert_bits(&untouched, slab.host_transposed(), what);
+            adv.set_dt(1e-200).unwrap();
+            adv.step(&Serial, &mut f).unwrap();
+            adv.step_resident(&Parallel, &mut slab).unwrap();
+            assert!(f.as_slice().iter().all(|v| v.is_finite()), "{what}");
+            assert_bits(&f, slab.host_transposed(), what);
         }
-        adv.set_dt(1e-200).unwrap();
-        adv.step(&Serial, &mut f).unwrap();
-        adv.step_resident(&Serial, &mut slab).unwrap();
+    }
+
+    /// The step's shape: one parallel region, whatever the builder version
+    /// (`Baseline`'s four regions are an ablation of the solve alone) and
+    /// with or without verification — solve, screen and interpolation ride
+    /// the same panel.
+    #[test]
+    fn resident_step_is_one_region() {
+        let space = PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
+        let velocities: Vec<f64> = (0..5 * LANE_WIDTH + 3).map(|j| 0.01 * j as f64).collect();
+        let verify = VerifyConfig {
+            abft: true,
+            ..VerifyConfig::default()
+        };
+        for version in BuilderVersion::ALL {
+            let verified = SplineBackend::direct_verified(space.clone(), version, verify.clone());
+            for backend in [SplineBackend::direct(space.clone(), version), verified] {
+                let backend = backend.unwrap();
+                let what = format!("{} {version:?}", backend.label());
+                let mut adv = Advection1D::new(backend, velocities.clone(), 1e-2).unwrap();
+                let mut slab = ResidentBatch::pack_transposed(&adv.init_distribution(gaussian));
+                for _ in 0..2 {
+                    let exec = CountingExec::default();
+                    adv.step_resident(&exec, &mut slab).unwrap();
+                    assert_eq!(exec.regions(), 1, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

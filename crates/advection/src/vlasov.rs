@@ -588,6 +588,22 @@ mod tests {
         }
     }
 
+    /// A Strang step is its three advections and nothing else on the pool:
+    /// one region each, plain or verified.
+    #[test]
+    fn resident_strang_step_is_three_regions() {
+        let init = two_stream(1.4, 0.01, 0.5);
+        let plain = VlasovPoisson1D1V::new(32, 24, 4.0, 5.0, 3, 0.05, &init);
+        let verify = VerifyConfig::default();
+        let verified = VlasovPoisson1D1V::new_verified(32, 24, 4.0, 5.0, 3, 0.05, verify, &init);
+        for solver in [plain, verified] {
+            let mut solver = solver.unwrap();
+            let exec = pp_portable::CountingExec::default();
+            solver.step_resident(&exec).unwrap();
+            assert_eq!(exec.regions(), 3);
+        }
+    }
+
     /// A snapshot taken after resident steps must carry the current
     /// distribution, not the stale host mirror: restoring it and stepping
     /// on reproduces the uninterrupted run bit for bit.

@@ -7,13 +7,16 @@
 //! CSV series are printed for external plotting, followed by an ASCII
 //! log-log plot per backend. Two more rows time the resident step
 //! (`step_resident` on a slab packed once), plain and verified, and print
-//! their same-run step-time ratio — what `scripts/check_bench.sh` gates.
+//! the evaluator's instruction set, the plain step's ns/point and pool
+//! dispatches per step, and the same-run step-time ratio of the two — the
+//! last two are what `scripts/check_bench.sh` gates.
 
 use pp_advection::{Advection1D, SplineBackend};
 use pp_bench::gpu_model::predict;
 use pp_bench::{parse_args, AsciiPlot, SplineConfig};
+use pp_bsplines::PanelIsa;
 use pp_perfmodel::{glups, Device};
-use pp_portable::{Parallel, ResidentBatch};
+use pp_portable::{CountingExec, Parallel, ResidentBatch};
 use pp_splinesolver::{BuilderVersion, IterativeConfig, SchurBlocks, VerifyConfig};
 use std::time::{Duration, Instant};
 
@@ -30,34 +33,39 @@ fn measure(backend: SplineBackend, nx: usize, nv: usize, iters: usize) -> f64 {
     glups(nx, nv, start.elapsed() / iters as u32)
 }
 
-/// Median times of one resident step per backend: each slab is packed
-/// once, then after a warm-up round `steps` rounds time one
-/// `step_resident` of every backend in turn, so host drift lands on all
-/// of them alike.
+/// Median time and pool dispatches of one resident step per backend:
+/// each slab is packed once, then after a warm-up round `steps` rounds
+/// time one `step_resident` of every backend in turn, so host drift lands
+/// on all of them alike.
 fn measure_resident<const N: usize>(
     backends: [SplineBackend; N],
     nv: usize,
     steps: usize,
-) -> [Duration; N] {
+) -> [(Duration, usize); N] {
     let velocities: Vec<f64> = (0..nv).map(|j| 0.1 + 0.8 * j as f64 / nv as f64).collect();
     let mut drivers = backends.map(|backend| {
         let adv = Advection1D::new(backend, velocities.clone(), 1e-3).expect("setup");
         let f = adv.init_distribution(|x, _| (std::f64::consts::TAU * x).sin() + 1.5);
         let slab = ResidentBatch::pack_transposed(&f);
-        (adv, slab, Vec::with_capacity(steps))
+        (
+            adv,
+            slab,
+            Vec::with_capacity(steps),
+            CountingExec::default(),
+        )
     });
     for round in 0..=steps {
-        for (adv, slab, times) in &mut drivers {
+        for (adv, slab, times, exec) in &mut drivers {
             let start = Instant::now();
-            adv.step_resident(&Parallel, slab).expect("step");
+            adv.step_resident(&*exec, slab).expect("step");
             if round > 0 {
                 times.push(start.elapsed());
             }
         }
     }
-    drivers.map(|(_, _, mut times)| {
+    drivers.map(|(_, _, mut times, exec)| {
         times.sort();
-        times[steps / 2]
+        (times[steps / 2], exec.regions() / (steps + 1))
     })
 }
 
@@ -123,7 +131,7 @@ fn main() {
         ..VerifyConfig::default()
     };
     let space = || cubic.space(args.nx);
-    let [plain, verified] = measure_resident(
+    let [(plain, dispatches), (verified, _)] = measure_resident(
         [
             SplineBackend::direct(space(), BuilderVersion::Interleaved).expect("setup"),
             SplineBackend::direct_verified(space(), BuilderVersion::Interleaved, verify)
@@ -139,6 +147,11 @@ fn main() {
         let g = glups(args.nx, nv, step);
         println!("{label},{},{nv},{g:.5}", cubic.label());
     }
+    println!(
+        "resident step: evaluator ISA {}, {:.2} ns/point, {dispatches} dispatch per step",
+        PanelIsa::detected().name(),
+        plain.as_secs_f64() * 1e9 / (args.nx * nv) as f64
+    );
     println!(
         "verified/plain resident step ratio: {:.3}",
         verified.as_secs_f64() / plain.as_secs_f64()

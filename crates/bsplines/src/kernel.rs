@@ -8,8 +8,130 @@
 //! `r·h` at level `r`; in the cell-local coordinate (unit `h`) the
 //! reciprocals are the constants `1/r` and nothing is loaded at all
 //! ([`Cardinal`]).
+//!
+//! The triangle is written once over [`Lanes`]: `f64` is one point, and
+//! `[f64; LANE_WIDTH]` is a row of an interleaved panel — eight points, one
+//! per lane, advanced together (DESIGN.md §16.8).
 
 use crate::space::MAX_DEGREE;
+use pp_portable::LANE_WIDTH;
+use std::sync::OnceLock;
+
+/// The instruction sets the panel evaluator
+/// ([`crate::PeriodicSplineSpace::eval_panel`]) is compiled for. One
+/// source, one instance each; rustc never contracts `a·b + c` into a fused
+/// multiply-add, so every instance returns the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PanelIsa {
+    /// The target's baseline (SSE2 on x86-64): always available.
+    Baseline,
+    /// x86-64 AVX2: four doubles per operation.
+    Avx2,
+    /// x86-64 AVX-512F + DQ: a whole panel row per operation.
+    Avx512,
+}
+
+impl PanelIsa {
+    /// Every instance, narrowest first.
+    pub const ALL: [PanelIsa; 3] = [PanelIsa::Baseline, PanelIsa::Avx2, PanelIsa::Avx512];
+
+    /// Short name for reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            PanelIsa::Baseline => "baseline",
+            PanelIsa::Avx2 => "avx2",
+            PanelIsa::Avx512 => "avx512",
+        }
+    }
+
+    /// Whether this host can run the instance. Under Miri only the
+    /// baseline is.
+    pub fn is_available(self) -> bool {
+        match self {
+            PanelIsa::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            PanelIsa::Avx2 => !cfg!(miri) && is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            PanelIsa::Avx512 => {
+                !cfg!(miri)
+                    && is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512dq")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The widest available instance: detected once, then cached.
+    pub fn detected() -> Self {
+        static DETECTED: OnceLock<PanelIsa> = OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            let widest = Self::ALL.into_iter().rev().find(|isa| isa.is_available());
+            widest.unwrap_or(PanelIsa::Baseline)
+        })
+    }
+}
+
+/// The value the triangle runs on. Every operation applies to each lane
+/// independently and nothing is fused or reassociated, so a lane of the
+/// wide instance carries the bits of the scalar instance.
+pub(crate) trait Lanes: Copy {
+    /// `v` in every lane.
+    fn splat(v: f64) -> Self;
+    /// `self + o`, per lane.
+    fn add(self, o: Self) -> Self;
+    /// `self − o`, per lane.
+    fn sub(self, o: Self) -> Self;
+    /// `self · o`, per lane.
+    fn mul(self, o: Self) -> Self;
+}
+
+impl Lanes for f64 {
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        v
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        self + o
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        self - o
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        self * o
+    }
+}
+
+impl Lanes for [f64; LANE_WIDTH] {
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        [v; LANE_WIDTH]
+    }
+    #[inline(always)]
+    fn add(mut self, o: Self) -> Self {
+        for l in 0..LANE_WIDTH {
+            self[l] += o[l];
+        }
+        self
+    }
+    #[inline(always)]
+    fn sub(mut self, o: Self) -> Self {
+        for l in 0..LANE_WIDTH {
+            self[l] -= o[l];
+        }
+        self
+    }
+    #[inline(always)]
+    fn mul(mut self, o: Self) -> Self {
+        for l in 0..LANE_WIDTH {
+            self[l] *= o[l];
+        }
+        self
+    }
+}
 
 /// Reciprocals per cell for `degree`: one per step of the triangle.
 pub(crate) const fn row_len(degree: usize) -> usize {
@@ -36,13 +158,15 @@ pub(crate) fn recip_table(knots: &[f64], degree: usize, cells: usize) -> Vec<f64
 /// What the triangle needs to know about the cell holding a point, with
 /// `s = cell + degree` the point's knot span.
 pub(crate) trait Cell {
+    /// One point or a panel row of them.
+    type V: Lanes;
     /// `x − τ_{s+1−r}` for `r` in `1..=degree`.
-    fn left(&self, r: usize) -> f64;
+    fn left(&self, r: usize) -> Self::V;
     /// `τ_{s+r} − x` for `r` in `1..=degree`.
-    fn right(&self, r: usize) -> f64;
+    fn right(&self, r: usize) -> Self::V;
     /// `1 / (τ_{s+k+1} − τ_{s+k+1−r})`, the reciprocal of the divisor of
     /// step `k` in `0..r` of level `r`.
-    fn recip(&self, r: usize, k: usize) -> f64;
+    fn recip(&self, r: usize, k: usize) -> Self::V;
     /// Length unit of `left`/`right` and `recip⁻¹`, as a factor on
     /// derivatives.
     fn deriv_scale(&self) -> f64;
@@ -50,25 +174,27 @@ pub(crate) trait Cell {
 
 /// A cell of a uniform mesh in units of its width `h`: the cardinal form.
 /// Only the local coordinate `t = (x − t_cell)/h` is needed; `1 − t` on the
-/// right makes the weights sum to one to round-off.
-pub(crate) struct Cardinal {
-    pub t: f64,
+/// right makes the weights sum to one to round-off. The mesh is the same
+/// for every lane, so a panel row is one `Cardinal` with a `t` per lane.
+pub(crate) struct Cardinal<V> {
+    pub t: V,
     pub inv_h: f64,
 }
 
-impl Cell for Cardinal {
+impl<V: Lanes> Cell for Cardinal<V> {
+    type V = V;
     #[inline(always)]
-    fn left(&self, r: usize) -> f64 {
-        self.t + (r - 1) as f64
+    fn left(&self, r: usize) -> V {
+        self.t.add(V::splat((r - 1) as f64))
     }
     #[inline(always)]
-    fn right(&self, r: usize) -> f64 {
-        (1.0 - self.t) + (r - 1) as f64
+    fn right(&self, r: usize) -> V {
+        V::splat(1.0).sub(self.t).add(V::splat((r - 1) as f64))
     }
     #[inline(always)]
-    fn recip(&self, r: usize, _k: usize) -> f64 {
+    fn recip(&self, r: usize, _k: usize) -> V {
         // A constant once `r` is: every caller's `r` is a `const` generic.
-        1.0 / r as f64
+        V::splat(1.0 / r as f64)
     }
     #[inline(always)]
     fn deriv_scale(&self) -> f64 {
@@ -85,6 +211,7 @@ pub(crate) struct Tabulated<'a> {
 }
 
 impl Cell for Tabulated<'_> {
+    type V = f64;
     #[inline(always)]
     fn left(&self, r: usize) -> f64 {
         self.x - self.knots[self.knots.len() / 2 - r]
@@ -116,14 +243,14 @@ impl Cell for Tabulated<'_> {
 /// constant so that every index is provably in range and the loop unrolls
 /// into straight-line multiplies and adds.
 #[inline(always)]
-fn level<const R: usize>(out: &mut [f64; MAX_DEGREE + 1], at: &impl Cell) {
-    let mut saved = 0.0;
+fn level<const R: usize, C: Cell>(out: &mut [C::V; MAX_DEGREE + 1], at: &C) {
+    let mut saved = C::V::splat(0.0);
     for k in 0..R {
-        let to_right = at.right(k + 1) * at.recip(R, k);
-        let to_left = at.left(R - k) * at.recip(R, k);
+        let to_right = at.right(k + 1).mul(at.recip(R, k));
+        let to_left = at.left(R - k).mul(at.recip(R, k));
         let below = out[k];
-        out[k] = saved + below * to_right;
-        saved = below * to_left;
+        out[k] = saved.add(below.mul(to_right));
+        saved = below.mul(to_left);
     }
     out[R] = saved;
 }
@@ -131,30 +258,30 @@ fn level<const R: usize>(out: &mut [f64; MAX_DEGREE + 1], at: &impl Cell) {
 /// The `levels + 1` non-vanishing basis values of degree `levels`, in
 /// `out[0..=levels]`. Callers pass a compile-time `levels`.
 #[inline(always)]
-fn triangle(levels: usize, at: &impl Cell) -> [f64; MAX_DEGREE + 1] {
-    let mut out = [0.0; MAX_DEGREE + 1];
-    out[0] = 1.0;
+fn triangle<C: Cell>(levels: usize, at: &C) -> [C::V; MAX_DEGREE + 1] {
+    let mut out = [C::V::splat(0.0); MAX_DEGREE + 1];
+    out[0] = C::V::splat(1.0);
     if levels >= 1 {
-        level::<1>(&mut out, at);
+        level::<1, C>(&mut out, at);
     }
     if levels >= 2 {
-        level::<2>(&mut out, at);
+        level::<2, C>(&mut out, at);
     }
     if levels >= 3 {
-        level::<3>(&mut out, at);
+        level::<3, C>(&mut out, at);
     }
     if levels >= 4 {
-        level::<4>(&mut out, at);
+        level::<4, C>(&mut out, at);
     }
     if levels >= 5 {
-        level::<5>(&mut out, at);
+        level::<5, C>(&mut out, at);
     }
     out
 }
 
 /// The basis values of `degree` in the cell, or their first derivatives.
 #[inline(always)]
-pub(crate) fn basis<const DERIV: bool>(degree: usize, at: &impl Cell) -> [f64; MAX_DEGREE + 1] {
+pub(crate) fn basis<const DERIV: bool, C: Cell>(degree: usize, at: &C) -> [C::V; MAX_DEGREE + 1] {
     if DERIV {
         triangle_deriv(degree, at)
     } else {
@@ -167,22 +294,23 @@ pub(crate) fn basis<const DERIV: bool>(degree: usize, at: &impl Cell) -> [f64; M
 /// B_{i+1,d−1}/(τ_{i+d+1}−τ_{i+1}))`: the two divisors are entries `m − 1`
 /// and `m` of the triangle's last level.
 #[inline(always)]
-fn triangle_deriv(degree: usize, at: &impl Cell) -> [f64; MAX_DEGREE + 1] {
+fn triangle_deriv<C: Cell>(degree: usize, at: &C) -> [C::V; MAX_DEGREE + 1] {
     let lower = triangle(degree - 1, at);
-    let scale = degree as f64 * at.deriv_scale();
-    let mut out = [0.0; MAX_DEGREE + 1];
+    let scale = C::V::splat(degree as f64 * at.deriv_scale());
+    let zero = C::V::splat(0.0);
+    let mut out = [zero; MAX_DEGREE + 1];
     for m in 0..=degree {
         let a = if m > 0 {
-            lower[m - 1] * at.recip(degree, m - 1)
+            lower[m - 1].mul(at.recip(degree, m - 1))
         } else {
-            0.0
+            zero
         };
         let b = if m < degree {
-            lower[m] * at.recip(degree, m)
+            lower[m].mul(at.recip(degree, m))
         } else {
-            0.0
+            zero
         };
-        out[m] = scale * (a - b);
+        out[m] = scale.mul(a.sub(b));
     }
     out
 }

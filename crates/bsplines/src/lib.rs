@@ -53,6 +53,7 @@ pub mod space;
 
 pub use clamped::ClampedSplineSpace;
 pub use error::{Error, Result};
+pub use kernel::PanelIsa;
 pub use knots::Breaks;
 pub use matrix::{assemble_interpolation_matrix, SplineMatrixStructure};
 pub use space::{PeriodicSplineSpace, PointPlacement, MAX_DEGREE};

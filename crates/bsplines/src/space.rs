@@ -2,10 +2,14 @@
 //! evaluation.
 
 use crate::error::{Error, Result};
-use crate::kernel::{self, Cardinal, Tabulated};
+use crate::kernel::{self, Cardinal, PanelIsa, Tabulated};
 use crate::knots::Breaks;
-use pp_portable::{Strided, StridedMut};
+use pp_portable::{Strided, StridedMut, LANE_WIDTH};
 use std::sync::Arc;
+
+/// Rows of feet a general-mesh panel turns into per-lane columns at a time
+/// ([`PeriodicSplineSpace::eval_panel`]): 4 KiB of stack.
+const WALK_ROWS: usize = 64;
 
 /// Largest supported spline degree (the paper uses 3, 4 and 5).
 pub const MAX_DEGREE: usize = 5;
@@ -259,7 +263,7 @@ impl PeriodicSplineSpace {
                 t: (w - self.breaks.points()[cell]) * self.inv_h,
                 inv_h: self.inv_h,
             };
-            kernel::basis::<DERIV>(D, &at)
+            kernel::basis::<DERIV, _>(D, &at)
         } else {
             let span = cell + D;
             let row = kernel::row_len(D);
@@ -268,7 +272,7 @@ impl PeriodicSplineSpace {
                 knots: &self.ext_knots[span + 1 - D..=span + D],
                 recip: &self.recip[cell * row..][..row],
             };
-            kernel::basis::<DERIV>(D, &at)
+            kernel::basis::<DERIV, _>(D, &at)
         };
         (cell, vals)
     }
@@ -377,23 +381,295 @@ impl PeriodicSplineSpace {
         positions: Strided<'_>,
         mut out: StridedMut<'_>,
     ) {
-        let n = self.n;
         let mut cell = 0;
         for i in 0..positions.len() {
-            let vals;
-            (cell, vals) = self.basis_at::<D, UNIFORM, false>(positions[i], Some(cell));
-            let mut s = 0.0;
-            if cell + D < n {
+            (cell, out[i]) = self.eval_point::<D, UNIFORM>(coefs, positions[i], cell);
+        }
+    }
+
+    /// One point of one lane: the spline with coefficients `coefs` at `x`,
+    /// and the cell `x` wraps into. `hint` as in [`Self::cell_of_wrapped`].
+    #[inline(always)]
+    fn eval_point<const D: usize, const UNIFORM: bool>(
+        &self,
+        coefs: Strided<'_>,
+        x: f64,
+        hint: usize,
+    ) -> (usize, f64) {
+        let n = self.n;
+        let (cell, vals) = self.basis_at::<D, UNIFORM, false>(x, Some(hint));
+        let mut s = 0.0;
+        if cell + D < n {
+            for m in 0..=D {
+                s += vals[m] * coefs[cell + m];
+            }
+        } else {
+            for m in 0..=D {
+                let k = cell + m;
+                s += vals[m] * coefs[if k < n { k } else { k - n }];
+            }
+        }
+        (cell, s)
+    }
+
+    /// Evaluate one interleaved panel of splines, a row of
+    /// [`LANE_WIDTH`] points at a time: `coefs` is the `[n][LANE_WIDTH]`
+    /// chunk of eight lanes' coefficients, `feet(i)` the eight positions of
+    /// row `i` (one per lane), and `out[i·LANE_WIDTH + l] = s_l(feet(i)[l])`
+    /// for the first `lanes` lanes — the padding lanes of a partial panel
+    /// are never written, whatever `feet` returns for them.
+    ///
+    /// Lane for lane the result is [`Self::eval_lane`]'s, bit for bit: the
+    /// same wrap, the same cell, the same triangle operations in the same
+    /// order, the same dot product. Only the loop order differs — rows
+    /// outside, lanes inside — and with it what the hardware can do: the
+    /// body is compiled once per [`PanelIsa`] and the widest instance the
+    /// host supports runs. (A general mesh has nothing eight-wide: there
+    /// the lanes take the scalar walk in turn, a block of rows at a time.)
+    ///
+    /// # Panics
+    /// Panics if `coefs.len() != num_basis() · LANE_WIDTH`, if `out` is not
+    /// whole rows, or if `lanes > LANE_WIDTH`.
+    pub fn eval_panel<F>(&self, coefs: &[f64], lanes: usize, feet: F, out: &mut [f64])
+    where
+        F: Fn(usize) -> [f64; LANE_WIDTH],
+    {
+        self.eval_panel_on(PanelIsa::detected(), coefs, lanes, feet, out);
+    }
+
+    /// [`Self::eval_panel`] through a named instance, for the differential
+    /// tests and the per-ISA bench rows.
+    ///
+    /// # Panics
+    /// As [`Self::eval_panel`], and if the host lacks `isa`.
+    #[doc(hidden)]
+    pub fn eval_panel_on<F>(
+        &self,
+        isa: PanelIsa,
+        coefs: &[f64],
+        lanes: usize,
+        feet: F,
+        out: &mut [f64],
+    ) where
+        F: Fn(usize) -> [f64; LANE_WIDTH],
+    {
+        assert_eq!(coefs.len(), self.n * LANE_WIDTH, "eval_panel: coefficients");
+        assert_eq!(out.len() % LANE_WIDTH, 0, "eval_panel: whole rows");
+        assert!(lanes <= LANE_WIDTH, "eval_panel: {lanes} lanes in a panel");
+        assert!(isa.is_available(), "eval_panel: host lacks {}", isa.name());
+        match isa {
+            PanelIsa::Baseline => monomorphised!(self, eval_panel_at(coefs, lanes, &feet, out)),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `isa.is_available()` (asserted above) is
+            // `is_x86_feature_detected!("avx2")` for this variant.
+            PanelIsa::Avx2 => unsafe {
+                monomorphised!(self, eval_panel_avx2(coefs, lanes, &feet, out))
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `isa.is_available()` (asserted above) is
+            // `is_x86_feature_detected!` of both "avx512f" and "avx512dq"
+            // for this variant.
+            PanelIsa::Avx512 => unsafe {
+                monomorphised!(self, eval_panel_avx512(coefs, lanes, &feet, out))
+            },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("only the baseline instance is available"),
+        }
+    }
+
+    /// [`Self::eval_panel_at`] compiled for AVX2.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn eval_panel_avx2<const D: usize, const UNIFORM: bool>(
+        &self,
+        coefs: &[f64],
+        lanes: usize,
+        feet: &impl Fn(usize) -> [f64; LANE_WIDTH],
+        out: &mut [f64],
+    ) {
+        self.eval_panel_at::<D, UNIFORM>(coefs, lanes, feet, out);
+    }
+
+    /// [`Self::eval_panel_at`] compiled for AVX-512 (F for the eight-wide
+    /// arithmetic, DQ for the eight-wide cell guess).
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F and AVX-512DQ.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn eval_panel_avx512<const D: usize, const UNIFORM: bool>(
+        &self,
+        coefs: &[f64],
+        lanes: usize,
+        feet: &impl Fn(usize) -> [f64; LANE_WIDTH],
+        out: &mut [f64],
+    ) {
+        self.eval_panel_at::<D, UNIFORM>(coefs, lanes, feet, out);
+    }
+
+    /// [`Self::wrap`] for a panel row with a lane outside the period: the
+    /// body's rare way out, kept out of its instruction stream.
+    #[cold]
+    #[inline(never)]
+    fn wrap_row(&self, x: [f64; LANE_WIDTH]) -> [f64; LANE_WIDTH] {
+        x.map(|x| self.wrap(x))
+    }
+
+    /// [`Self::cell_search`] for a panel row of a uniform mesh whose guessed
+    /// cells the break points did not confirm.
+    #[cold]
+    #[inline(never)]
+    fn search_row(&self, w: [f64; LANE_WIDTH]) -> [usize; LANE_WIDTH] {
+        w.map(|w| self.cell_search::<true>(w))
+    }
+
+    /// The panel body on a general mesh, where every lane sits in a cell
+    /// with its own knots and reciprocals and nothing is eight-wide: each
+    /// live lane runs the scalar instance ([`Self::eval_point`]), its hint
+    /// carried from row to row. The scalar body issues close to what a core
+    /// retires, so the walk is kept as tight as [`Self::eval_lane`]'s:
+    /// [`WALK_ROWS`] rows of feet at a time are turned into one contiguous
+    /// column per lane first. Compiled once, out of line, whatever
+    /// instruction set the caller was compiled for.
+    #[inline(never)]
+    fn eval_panel_general<const D: usize>(
+        &self,
+        coefs: &[f64],
+        lanes: usize,
+        feet: &impl Fn(usize) -> [f64; LANE_WIDTH],
+        out: &mut [f64],
+    ) {
+        const W: usize = LANE_WIDTH;
+        let mut cells = [0usize; W];
+        let mut columns = [[0.0; WALK_ROWS]; W];
+        for (b, block) in out.chunks_mut(WALK_ROWS * W).enumerate() {
+            let rows = block.len() / W;
+            for i in 0..rows {
+                let x = feet(b * WALK_ROWS + i);
+                for l in 0..W {
+                    columns[l][i] = x[l];
+                }
+            }
+            for l in 0..lanes {
+                let lane = Strided::new(&coefs[l..], self.n, W);
+                let mut cell = cells[l];
+                for i in 0..rows {
+                    (cell, block[i * W + l]) =
+                        self.eval_point::<D, false>(lane, columns[l][i], cell);
+                }
+                cells[l] = cell;
+            }
+        }
+    }
+
+    /// The panel body (DESIGN.md §16.8), inlined into one function per
+    /// instruction set. A general mesh goes to
+    /// [`Self::eval_panel_general`]. On a uniform one, per row: wrap (one
+    /// all-lanes test, else per lane), locate (a guessed cell verified for
+    /// all lanes at once, else per lane — [`Self::cell_search`]'s answer
+    /// either way), the eight-wide cardinal triangle, and the dot product
+    /// with the coefficients gathered as `coefs[(cell_l + m)·W + l]`.
+    #[inline(always)]
+    fn eval_panel_at<const D: usize, const UNIFORM: bool>(
+        &self,
+        coefs: &[f64],
+        lanes: usize,
+        feet: &impl Fn(usize) -> [f64; LANE_WIDTH],
+        out: &mut [f64],
+    ) {
+        const W: usize = LANE_WIDTH;
+        if !UNIFORM {
+            return self.eval_panel_general::<D>(coefs, lanes, feet, out);
+        }
+        let n = self.n;
+        // Sliced to lengths the optimiser can see, so that an index bounded
+        // by `n` needs no check of its own.
+        let t = &self.breaks.points()[..n + 1];
+        let coefs = &coefs[..n * W];
+        let (x0, x1) = (self.breaks.x_min(), self.breaks.x_max());
+        for (i, out_row) in out.chunks_exact_mut(W).enumerate() {
+            let x = feet(i);
+            let mut inside = true;
+            for l in 0..W {
+                inside &= (x[l] >= x0) & (x[l] < x1);
+            }
+            let w = if inside { x } else { self.wrap_row(x) };
+
+            // `cell_search`'s first guess, `floor((w − t_0)·inv_h)`, for all
+            // lanes at once and without a float-to-integer cast (which
+            // saturates, and so does not vectorise): adding 2^52 rounds to
+            // an integer that sits in the low mantissa bits, and one compare
+            // turns nearest into floor. Any guess would do — it is kept only
+            // when the break points confirm it.
+            const ROUND: f64 = 4_503_599_627_370_496.0;
+            let mut cells = [0usize; W];
+            for l in 0..W {
+                let g = (w[l] - t[0]) * self.inv_h;
+                let nearest = (g + ROUND) - ROUND;
+                let floor = if nearest > g { nearest - 1.0 } else { nearest };
+                let c = ((floor + ROUND).to_bits() & 0xffff_ffff) as usize;
+                cells[l] = c.min(n - 1);
+            }
+            let (mut lo, mut hi) = ([0.0; W], [0.0; W]);
+            for l in 0..W {
+                (lo[l], hi[l]) = (t[cells[l]], t[cells[l] + 1]);
+            }
+            let mut found = true;
+            for l in 0..W {
+                found &= (lo[l] <= w[l]) & (w[l] < hi[l]);
+            }
+            if !found {
+                cells = self.search_row(w);
+                for l in 0..W {
+                    lo[l] = t[cells[l]];
+                }
+            }
+            let mut local = [0.0; W];
+            for l in 0..W {
+                local[l] = (w[l] - lo[l]) * self.inv_h;
+            }
+            let at = Cardinal {
+                t: local,
+                inv_h: self.inv_h,
+            };
+            let vals = kernel::basis::<false, _>(D, &at);
+
+            let mut s = [0.0; W];
+            let mut wraps = false;
+            for l in 0..W {
+                wraps |= cells[l] + D >= n;
+            }
+            if !wraps {
+                // Lane `l`'s D + 1 coefficients, W apart from `cell_l`'s.
+                let mut picked = [[0.0; W]; MAX_DEGREE + 1];
+                for l in 0..W {
+                    let stencil = &coefs[cells[l] * W + l..][..D * W + 1];
+                    for m in 0..=D {
+                        picked[m][l] = stencil[m * W];
+                    }
+                }
                 for m in 0..=D {
-                    s += vals[m] * coefs[cell + m];
+                    for l in 0..W {
+                        s[l] += vals[m][l] * picked[m][l];
+                    }
                 }
             } else {
                 for m in 0..=D {
-                    let k = cell + m;
-                    s += vals[m] * coefs[if k < n { k } else { k - n }];
+                    for l in 0..W {
+                        let k = cells[l] + m;
+                        s[l] += vals[m][l] * coefs[if k < n { k } else { k - n } * W + l];
+                    }
                 }
             }
-            out[i] = s;
+            // A whole row is one store; only a partial one pays a `memcpy`.
+            if lanes == W {
+                out_row.copy_from_slice(&s);
+            } else {
+                out_row[..lanes].copy_from_slice(&s[..lanes]);
+            }
         }
     }
 

@@ -4,8 +4,8 @@
 //! search against `partition_point`.
 
 use pp_bsplines::basis::{eval_nonzero_basis, eval_nonzero_basis_deriv};
-use pp_bsplines::{Breaks, PeriodicSplineSpace, MAX_DEGREE};
-use pp_portable::{Strided, StridedMut, TestRng};
+use pp_bsplines::{Breaks, PanelIsa, PeriodicSplineSpace, MAX_DEGREE};
+use pp_portable::{Strided, StridedMut, TestRng, LANE_WIDTH};
 
 const EPS: f64 = f64::EPSILON;
 
@@ -339,4 +339,157 @@ fn wrap_edges_and_non_finite_positions() {
             }
         }
     }
+}
+
+/// One panel problem: `rows` feet per lane, and what [`eval_lane`] makes
+/// of each live lane.
+///
+/// [`eval_lane`]: PeriodicSplineSpace::eval_lane
+struct PanelCase {
+    what: String,
+    lanes: usize,
+    /// `[n][LANE_WIDTH]`; the padding lanes hold NaN.
+    coefs: Vec<f64>,
+    /// `[rows][LANE_WIDTH]`; the padding lanes hold NaN.
+    feet: Vec<[f64; LANE_WIDTH]>,
+    /// `[rows][LANE_WIDTH]`, live lanes only.
+    expected: Vec<[f64; LANE_WIDTH]>,
+}
+
+/// The feet layouts of the panel rows. `Shuffled` gives every lane its own
+/// order of [`positions`], so a row mixes cells, edges and far periods
+/// (the per-lane wrap and search fallbacks); `Swept` is the advection
+/// step's shape, one ascending sweep displaced per lane, so most rows are
+/// inside the period with every guessed cell confirmed; `Poisoned(bad)`
+/// is `Swept` with `bad` in every third row of one lane.
+#[derive(Clone, Copy)]
+enum Feet {
+    Shuffled,
+    Swept,
+    Poisoned(f64),
+}
+
+fn panel_case(
+    space: &PeriodicSplineSpace,
+    what: String,
+    lanes: usize,
+    layout: Feet,
+    rng: &mut TestRng,
+) -> PanelCase {
+    let n = space.num_basis();
+    let breaks = space.breaks();
+    let mut coefs = vec![f64::NAN; n * LANE_WIDTH];
+    for row in coefs.chunks_exact_mut(LANE_WIDTH) {
+        for c in &mut row[..lanes] {
+            *c = rng.gen_range(-1.0..1.0);
+        }
+    }
+    let mut sweep = positions(breaks, rng);
+    sweep.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let rows = sweep.len();
+    let poisoned = rng.gen_range(0usize..lanes);
+    let columns: Vec<Vec<f64>> = (0..lanes)
+        .map(|l| {
+            let mut lane: Vec<f64> = match layout {
+                Feet::Shuffled => positions(breaks, rng),
+                Feet::Swept | Feet::Poisoned(_) => {
+                    let by = breaks.period() * rng.gen_range(-0.05..0.05);
+                    sweep.iter().map(|x| x - by).collect()
+                }
+            };
+            if let (Feet::Poisoned(bad), true) = (layout, l == poisoned) {
+                lane.iter_mut().skip(1).step_by(3).for_each(|x| *x = bad);
+            }
+            lane
+        })
+        .collect();
+    let feet = (0..rows)
+        .map(|i| std::array::from_fn(|l| columns.get(l).map_or(f64::NAN, |lane| lane[i])))
+        .collect();
+    let mut expected = vec![[0.0; LANE_WIDTH]; rows];
+    for (l, xs) in columns.iter().enumerate() {
+        let mut out = vec![0.0; rows];
+        space.eval_lane(
+            Strided::new(&coefs[l..], n, LANE_WIDTH),
+            Strided::from_slice(xs),
+            StridedMut::from_slice(&mut out),
+        );
+        for (row, y) in expected.iter_mut().zip(out) {
+            row[l] = y;
+        }
+    }
+    PanelCase {
+        what,
+        lanes,
+        coefs,
+        feet,
+        expected,
+    }
+}
+
+/// The panel instance is [`PeriodicSplineSpace::eval_lane`] lane for lane,
+/// bit for bit — through every instruction-set instance the host can run
+/// (hence every instance equals the baseline one), on every mesh kind, for
+/// full and partial panels, with the padding lanes never written and a
+/// non-finite foot harming nothing but its own point.
+#[test]
+fn eval_panel_is_eval_lane_bitwise_on_every_isa() {
+    let mut rng = TestRng::seed_from_u64(0xB5_0019);
+    // Miri is here for the `unsafe` calls into the instances (of which it
+    // runs the baseline one only), not for the case list.
+    let (degrees, keep): (&[usize], &[&str]) = if cfg!(miri) {
+        (&[3], &["uniform dyadic", "graded 0.6"])
+    } else {
+        (&[1, 2, 3, 4, 5], &[])
+    };
+    let mut cases = Vec::new();
+    for mesh in meshes(&mut rng) {
+        if !keep.is_empty() && !keep.contains(&mesh.name) {
+            continue;
+        }
+        for &degree in degrees {
+            let space = PeriodicSplineSpace::new(mesh.breaks.clone(), degree).expect("valid");
+            for lanes in [1, 7, LANE_WIDTH] {
+                for (layout, name) in [
+                    (Feet::Shuffled, "shuffled"),
+                    (Feet::Swept, "swept"),
+                    (Feet::Poisoned(f64::NAN), "NaN lane"),
+                    (Feet::Poisoned(f64::INFINITY), "+inf lane"),
+                    (Feet::Poisoned(f64::NEG_INFINITY), "-inf lane"),
+                ] {
+                    let what = format!("{} degree {degree} lanes {lanes} {name}", mesh.name);
+                    let case = panel_case(&space, what, lanes, layout, &mut rng);
+                    cases.push((space.clone(), case));
+                }
+            }
+        }
+    }
+    for isa in PanelIsa::ALL {
+        if !isa.is_available() {
+            eprintln!("panel instance {}: skipped, the host lacks it", isa.name());
+            continue;
+        }
+        for (space, case) in &cases {
+            let what = format!("{} on {}", case.what, isa.name());
+            let mut out = vec![-7.0; case.feet.len() * LANE_WIDTH];
+            space.eval_panel_on(isa, &case.coefs, case.lanes, |i| case.feet[i], &mut out);
+            for (i, (got, want)) in out.chunks_exact(LANE_WIDTH).zip(&case.expected).enumerate() {
+                for l in 0..case.lanes {
+                    if case.feet[i][l].is_finite() {
+                        assert_eq!(got[l].to_bits(), want[l].to_bits(), "{what}: ({i}, {l})");
+                    } else {
+                        assert!(got[l].is_nan() && want[l].is_nan(), "{what}: ({i}, {l})");
+                    }
+                }
+                assert!(
+                    got[case.lanes..].iter().all(|&v| v == -7.0),
+                    "{what}: row {i}"
+                );
+            }
+        }
+        eprintln!("panel instance {}: {} cases", isa.name(), cases.len());
+    }
+    // The switch picks the widest of them.
+    let widest = PanelIsa::ALL.into_iter().rfind(|isa| isa.is_available());
+    assert_eq!(Some(PanelIsa::detected()), widest);
 }

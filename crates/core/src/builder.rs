@@ -7,6 +7,7 @@ use pp_linalg::{LaneRows, Panel};
 use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::{ExecSpace, InterleavedMatrix, Matrix, ResidentBatch};
 use pp_sparse::Coo;
+use std::cell::RefCell;
 
 /// Which implementation of the build kernel to run — the paper's
 /// `DDC_SPLINES_VERSION` 0 / 1 / 2, as two axes over one pipeline:
@@ -173,6 +174,39 @@ impl SplineBuilder {
         Ok(())
     }
 
+    /// **Fused entry point**: solve every panel of `b` and hand its
+    /// coefficients, still in cache, to `then(chunk, lanes, coefs, panel)`,
+    /// which overwrites `panel` — the `[nrows][LANE_WIDTH]` chunk of `b`
+    /// the right-hand sides came from, `lanes` of its lanes live — with
+    /// whatever it makes of them (the advection step evaluates them at the
+    /// characteristic feet). One parallel region; the coefficients live
+    /// only in a per-worker scratch of one panel, never in a second batch.
+    ///
+    /// The region runs the fused Algorithm 1 with this version's corner
+    /// axis, so `coefs` holds the bits [`SplineBuilder::solve_resident`]
+    /// would leave in `b` — for [`BuilderVersion::Baseline`] too, whose
+    /// four regions are an ablation of the solve alone. `then` must not
+    /// call back into a fused entry point on the same thread (the scratch
+    /// is lent to it).
+    pub fn solve_then<E, F>(&self, exec: &E, b: &mut ResidentBatch, then: F) -> Result<()>
+    where
+        E: ExecSpace,
+        F: Fn(usize, usize, &[f64], &mut [f64]) + Sync + Send,
+    {
+        self.check_rows(b.nrows())?;
+        let n = self.space.num_basis();
+        let blocks = &self.blocks;
+        let sparse = self.version.sparse_corners();
+        b.for_each_chunk_mut(exec, |chunk, lanes, panel| {
+            with_panel_scratch(|coefs| {
+                coefs.extend_from_slice(panel);
+                schur_solve(blocks, sparse, &mut Panel::new(coefs, n));
+                then(chunk, lanes, coefs, panel);
+            });
+        });
+        Ok(())
+    }
+
     /// Algorithm 1 on every chunk of a packed batch: one chunk-parallel
     /// region per step for the split version, one fused region otherwise.
     fn solve_panels<E: ExecSpace>(&self, exec: &E, ib: &mut InterleavedMatrix) {
@@ -267,6 +301,29 @@ pub(crate) fn schur_solve<R: LaneRows>(blocks: &SchurBlocks, sparse: bool, rows:
     for step in ALGORITHM_1 {
         step.apply(blocks, sparse, rows);
     }
+}
+
+thread_local! {
+    /// This worker's scratch for the fused entry points: one panel, reused
+    /// for every panel of every step. It holds the panel being solved —
+    /// its coefficients, or (verified in-place solve) its pristine
+    /// right-hand sides — from the copy at the top of a panel's turn until
+    /// the turn ends.
+    static PANEL_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Lend this worker's (emptied) panel scratch to `body`.
+pub(crate) fn with_panel_scratch<R>(body: impl FnOnce(&mut Vec<f64>) -> R) -> R {
+    PANEL_SCRATCH.with_borrow_mut(|scratch| {
+        scratch.clear();
+        body(scratch)
+    })
+}
+
+/// Capacity of this thread's panel scratch, for the structure tests.
+#[cfg(test)]
+pub(crate) fn panel_scratch_capacity() -> usize {
+    PANEL_SCRATCH.with_borrow(Vec::capacity)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! along the batch direction, with block-Jacobi preconditioning and
 //! optional warm starts from the previous time step.
 
-use crate::builder::{BuilderVersion, SplineBuilder};
+use crate::builder::{with_panel_scratch, BuilderVersion, SplineBuilder};
 use crate::error::{Error, Result};
 use pp_bsplines::{assemble_interpolation_matrix, PeriodicSplineSpace};
 use pp_iterative::{
@@ -16,7 +16,7 @@ use pp_iterative::{
     GPU_COLS_PER_CHUNK,
 };
 use pp_portable::instrument::{counter, fault_dump, trace_instant, Counter, InstantKind};
-use pp_portable::{Layout, Matrix, Parallel};
+use pp_portable::{ExecSpace, Layout, Matrix, Parallel, ResidentBatch, LANE_WIDTH};
 use pp_sparse::Csr;
 use std::sync::OnceLock;
 
@@ -239,6 +239,43 @@ impl IterativeSplineSolver {
                 worst_residual: logger.worst_residual(),
             });
         }
+        Ok(logger)
+    }
+
+    /// **Fused entry point**, the counterpart of
+    /// [`SplineBuilder::solve_then`] for a backend with no panel-native
+    /// solver: unpack the resident batch `b` into `host` (an `(n, batch)`
+    /// scratch the caller keeps), solve it there with
+    /// [`IterativeSplineSolver::solve_in_place`], then, in one parallel
+    /// region, pack each panel's coefficients into the per-worker scratch
+    /// and hand them to `then(chunk, lanes, coefs, panel)`, which
+    /// overwrites `panel`, the chunk of `b`. `host` keeps the coefficients
+    /// (the next step's warm start); a failed solve leaves `b` untouched.
+    pub fn solve_then<E, F>(
+        &self,
+        exec: &E,
+        b: &mut ResidentBatch,
+        host: &mut Matrix,
+        previous: Option<&Matrix>,
+        then: F,
+    ) -> Result<ConvergenceLogger>
+    where
+        E: ExecSpace,
+        F: Fn(usize, usize, &[f64], &mut [f64]) + Sync + Send,
+    {
+        b.unpack_into(host)?;
+        let logger = self.solve_in_place(host, previous)?;
+        let host = &*host;
+        b.for_each_chunk_mut(exec, |chunk, lanes, panel| {
+            with_panel_scratch(|coefs| {
+                // Padding lanes repeat the last live one.
+                let lane = |l: usize| chunk * LANE_WIDTH + l.min(lanes - 1);
+                for i in 0..host.nrows() {
+                    coefs.extend((0..LANE_WIDTH).map(|l| host.get(i, lane(l))));
+                }
+                then(chunk, lanes, coefs, panel);
+            });
+        });
         Ok(logger)
     }
 

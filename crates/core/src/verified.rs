@@ -24,12 +24,11 @@
 //! Healthy lanes are **bit-identical** to the unverified path: the batched
 //! kernel runs first and verification never rewrites a lane that passes.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::sync::OnceLock;
 
 use crate::blocks::{QClass, SchurBlocks};
-use crate::builder::{schur_solve, SplineBuilder};
+use crate::builder::{schur_solve, with_panel_scratch, SplineBuilder};
 use crate::error::Result;
 use crate::iterative_backend::{IterativeConfig, IterativeSplineSolver};
 use pp_bsplines::assemble_interpolation_matrix;
@@ -657,7 +656,13 @@ impl VerifiedBuilder {
         budget: Option<&Budget>,
     ) -> Result<(LaneReport, Vec<Degradation>)> {
         let mut packed = ResidentBatch::pack(b);
-        let out = self.verify_panels(exec, &mut packed, budget)?;
+        let out = self.verify_panels(
+            exec,
+            &mut packed,
+            budget,
+            None,
+            &mut ResidentBatch::write_lane,
+        )?;
         packed.unpack_into(b)?;
         Ok(out)
     }
@@ -685,7 +690,47 @@ impl VerifiedBuilder {
         exec: &E,
         b: &mut ResidentBatch,
     ) -> Result<LaneReport> {
-        Ok(self.verify_panels(exec, b, None)?.0)
+        Ok(self
+            .verify_panels(exec, b, None, None, &mut ResidentBatch::write_lane)?
+            .0)
+    }
+
+    /// **Fused entry point**: [`VerifiedBuilder::solve_resident`] with the
+    /// coefficients of every panel handed, still in cache, to
+    /// `then(chunk, lanes, coefs, panel)`, which overwrites `panel` — the
+    /// chunk of `b` the right-hand sides came from — with whatever it makes
+    /// of them, exactly as [`SplineBuilder::solve_then`]. The panel of `b`
+    /// itself is the pristine snapshot the screen compares against, so the
+    /// coefficients are solved in the per-worker scratch and `b` never
+    /// holds them.
+    ///
+    /// A lane the serial tail repairs or quarantines has new coefficients
+    /// after `then` has consumed the old ones: for each such lane the tail
+    /// calls `then_lane(lane, coefs, out)` with the replacement (all zeros
+    /// for a quarantined lane) and the lane of `b` to overwrite, so that
+    /// `b` ends as if `then` had seen the final coefficients.
+    ///
+    /// Verdicts, residuals and coefficients are those of
+    /// [`VerifiedBuilder::solve_resident`], bit for bit.
+    pub fn solve_then<E, P, L>(
+        &self,
+        exec: &E,
+        b: &mut ResidentBatch,
+        then: P,
+        mut then_lane: L,
+    ) -> Result<LaneReport>
+    where
+        E: ExecSpace,
+        P: Fn(usize, usize, &[f64], &mut [f64]) + Sync + Send,
+        L: FnMut(usize, &[f64], StridedMut<'_>),
+    {
+        let mut land = |b: &mut ResidentBatch, lane: usize, coefs: &[f64]| {
+            let nrows = b.nrows();
+            let panel = b.panels_mut().chunk_mut(lane / LANE_WIDTH);
+            let out = StridedMut::new(&mut panel[lane % LANE_WIDTH..], nrows, LANE_WIDTH);
+            then_lane(lane, coefs, out);
+        };
+        Ok(self.verify_panels(exec, b, None, Some(&then), &mut land)?.0)
     }
 
     /// The one verify body: a single chunk-parallel region solves and
@@ -698,19 +743,30 @@ impl VerifiedBuilder {
     /// exhausted budget never pays for residuals it would discard — and,
     /// inside a lane's repair, before refinement and before each ladder
     /// rung.
+    ///
+    /// Without `then` the coefficients stay in `b`. With it, each panel's
+    /// coefficients go to `then` inside the region (see
+    /// [`VerifiedBuilder::solve_then`]) and `b` holds what `then` wrote.
+    /// Either way a lane whose coefficients the tail replaces is handed to
+    /// `land(b, lane, coefs)`.
     fn verify_panels<E: ExecSpace>(
         &self,
         exec: &E,
         b: &mut ResidentBatch,
         budget: Option<&Budget>,
+        then: Option<&PanelThen<'_>>,
+        land: &mut dyn FnMut(&mut ResidentBatch, usize, &[f64]),
     ) -> Result<(LaneReport, Vec<Degradation>)> {
         self.builder.check_rows(b.nrows())?;
         let chunks = b.panels().num_chunks();
         let screens: Vec<OnceLock<PanelScreen>> = (0..chunks).map(|_| OnceLock::new()).collect();
         b.for_each_chunk_mut(exec, |chunk, lanes, panel| {
-            let screen = self.solve_and_screen(chunk, lanes, panel, budget);
+            let screen = self.solve_and_screen(chunk, lanes, panel, budget, then);
             assert!(screens[chunk].set(screen).is_ok(), "panel visited twice");
         });
+        // A quarantined lane's coefficients; built only when one turns up.
+        let nrows = b.nrows();
+        let zeros = || vec![0.0; nrows];
 
         let mut verdicts = Vec::with_capacity(b.ncols());
         let mut sdc = Vec::with_capacity(b.ncols());
@@ -733,7 +789,7 @@ impl VerifiedBuilder {
                 }
                 let verdict = match (screened, sdc_state) {
                     (Screened::NonFinite(index), _) => {
-                        b.zero_lane(lane);
+                        land(b, lane, &zeros());
                         trace_instant_lane(InstantKind::NonFiniteInput, lane as u32);
                         let reason = QuarantineReason::NonFiniteInput { index };
                         LaneVerdict::Quarantined { reason }
@@ -741,15 +797,18 @@ impl VerifiedBuilder {
                     // Budget exhaustion must not let a lane with a tripped
                     // checksum through unverified.
                     (Screened::Cut, SdcState::Tripped { discrepancy }) => {
-                        b.zero_lane(lane);
+                        land(b, lane, &zeros());
                         let reason = QuarantineReason::SdcDetected { discrepancy };
                         LaneVerdict::Quarantined { reason }
                     }
                     (Screened::Unsampled | Screened::Cut, _) => LaneVerdict::Unsampled,
                     // Healthy fast path: the lane's bits stay untouched.
                     (Screened::Sealed(residual), _) => LaneVerdict::Verified { residual },
-                    (Screened::Flagged { rr, probed, b_lane }, _) => {
-                        self.repair_lane(b, lane, &b_lane, rr, probed, budget, &mut degrade)
+                    (Screened::Flagged(flagged), _) => {
+                        let (verdict, coefs) =
+                            self.repair_lane(lane, flagged, budget, &mut degrade);
+                        land(b, lane, &coefs.unwrap_or_else(zeros));
+                        verdict
                     }
                 };
                 let verdict = fold_sdc_verdict(sdc_state, verdict);
@@ -787,138 +846,163 @@ impl VerifiedBuilder {
         Ok((report, degradations))
     }
 
-    /// One worker's share of the verified solve: snapshot the panel's
-    /// pristine right-hand side into this thread's [`SNAPSHOT`], run the
-    /// fused Algorithm 1 on the panel and, while both are in cache, screen
-    /// its lanes. One pass accumulates per lane the ABFT sums, the
-    /// residual norms and input finiteness — the expressions of
-    /// [`VerifiedBuilder::abft_check`] and
-    /// [`VerifiedBuilder::relative_residual`] in their order, so the
-    /// values are bit-identical to the scalar ones. A lane whose checksum
-    /// trips is re-solved once from the snapshot: a transient upset does
-    /// not recur, so a clean retry replaces the lane; a retry that trips
-    /// again is persistent corruption, left for the caller to heal or
-    /// quarantine. The snapshot does not outlive the call, so the pristine
-    /// lane is copied out for the lanes the caller will repair. Nothing is
-    /// published from here.
+    /// One worker's share of the verified solve: copy the panel's pristine
+    /// right-hand side into this thread's scratch, run the fused Algorithm
+    /// 1 and [`VerifiedBuilder::screen`] the result while both are in
+    /// cache. The solve runs where its result is wanted: in place, with the
+    /// scratch as the snapshot — or, when `then` is about to overwrite the
+    /// panel, on the scratch, with the panel itself as the snapshot.
     fn solve_and_screen(
         &self,
         chunk: usize,
         lanes: usize,
+        panel: &mut [f64],
+        budget: Option<&Budget>,
+        then: Option<&PanelThen<'_>>,
+    ) -> PanelScreen {
+        with_panel_scratch(|scratch| {
+            scratch.extend_from_slice(panel);
+            match then {
+                None => self.screen(chunk, lanes, panel, scratch, budget),
+                Some(then) => {
+                    let screen = self.screen(chunk, lanes, scratch, panel, budget);
+                    then(chunk, lanes, scratch, panel);
+                    screen
+                }
+            }
+        })
+    }
+
+    /// Solve the panel `x` (on entry a copy of the pristine right-hand
+    /// side `rhs`) and screen its lanes. One pass accumulates per lane the
+    /// ABFT sums, the residual norms and input finiteness — the expressions
+    /// of [`VerifiedBuilder::abft_check`] and
+    /// [`VerifiedBuilder::relative_residual`] in their order, so the
+    /// values are bit-identical to the scalar ones. A lane whose checksum
+    /// trips is re-solved once from `rhs`: a transient upset does not
+    /// recur, so a clean retry replaces the lane; a retry that trips again
+    /// is persistent corruption, left for the caller to heal or
+    /// quarantine. Neither panel outlives the worker's turn, so the lanes
+    /// the caller will repair are copied out. Nothing is published from
+    /// here.
+    fn screen(
+        &self,
+        chunk: usize,
+        lanes: usize,
         x: &mut [f64],
+        rhs: &[f64],
         budget: Option<&Budget>,
     ) -> PanelScreen {
         const W: usize = LANE_WIDTH;
         let (n, cfg, a) = (self.colsum.len(), &self.config, &self.matrix);
         let (row_ptr, cols, vals) = (a.row_ptr(), a.col_idx(), a.values());
-        SNAPSHOT.with_borrow_mut(|rhs| {
-            rhs.clear();
-            rhs.extend_from_slice(x);
-            let rhs = &rhs[..];
-            let sparse = self.builder.version().sparse_corners();
-            schur_solve(self.builder.blocks(), sparse, &mut Panel::new(x, n));
-            let _span = Span::enter(PhaseId::Verify);
-            let cut = budget.is_some_and(|bud| bud.exhausted());
-            // (ABFT discrepancy, relative residual, input finite) per lane.
-            let measure = |x: &[f64], residual: bool| {
-                let (mut vx, mut sum_b, mut nx2) = ([0.0; W], [0.0; W], [0.0; W]);
-                let (mut acc_r, mut acc_b) = ([0.0; W], [0.0; W]);
-                let mut finite = [true; W];
-                for i in 0..n {
-                    let (xr, br) = (&x[i * W..i * W + W], &rhs[i * W..i * W + W]);
-                    for l in 0..W {
-                        vx[l] += self.colsum[i] * xr[l];
-                        sum_b[l] += br[l];
-                        nx2[l] += xr[l] * xr[l];
-                        finite[l] &= br[l].is_finite();
-                    }
-                    if residual {
-                        let mut s = [0.0; W];
-                        for k in row_ptr[i]..row_ptr[i + 1] {
-                            let xc = &x[cols[k] * W..cols[k] * W + W];
-                            for l in 0..W {
-                                s[l] += vals[k] * xc[l];
-                            }
-                        }
-                        for l in 0..W {
-                            let r = br[l] - s[l];
-                            acc_r[l] += r * r;
-                            acc_b[l] += br[l] * br[l];
-                        }
-                    }
-                }
-                let (mut disc, mut rr) = ([0.0; W], [0.0; W]);
+        let sparse = self.builder.version().sparse_corners();
+        schur_solve(self.builder.blocks(), sparse, &mut Panel::new(x, n));
+        let _span = Span::enter(PhaseId::Verify);
+        let cut = budget.is_some_and(|bud| bud.exhausted());
+        // (ABFT discrepancy, relative residual, input finite) per lane.
+        let measure = |x: &[f64], residual: bool| {
+            let (mut vx, mut sum_b, mut nx2) = ([0.0; W], [0.0; W], [0.0; W]);
+            let (mut acc_r, mut acc_b) = ([0.0; W], [0.0; W]);
+            let mut finite = [true; W];
+            for i in 0..n {
+                let (xr, br) = (&x[i * W..i * W + W], &rhs[i * W..i * W + W]);
                 for l in 0..W {
-                    let d = (vx[l] - sum_b[l]).abs();
-                    let scale = self.colsum_norm * nx2[l].sqrt() + sum_b[l].abs();
-                    disc[l] = if scale > 0.0 { d / scale } else { d };
-                    let (nr, nb) = (acc_r[l].sqrt(), acc_b[l].sqrt());
-                    rr[l] = if nb > 0.0 { nr / nb } else { nr };
+                    vx[l] += self.colsum[i] * xr[l];
+                    sum_b[l] += br[l];
+                    nx2[l] += xr[l] * xr[l];
+                    finite[l] &= br[l].is_finite();
                 }
-                (disc, rr, finite)
-            };
-            // Deterministic fault injection first.
-            let struck = |l: usize| cfg.abft && cfg.sdc_probe_lanes.contains(&(chunk * W + l));
-            for l in (0..lanes).filter(|&l| struck(l)) {
-                strike(x.iter_mut().skip(l).step_by(W));
-            }
-            let (disc, mut rr, finite) = measure(x, !cut);
-            let mut sdc = [SdcState::Clean; W];
-            for l in 0..lanes {
-                // Poisoned input belongs to the quarantine scan, not to a
-                // checksum trip.
-                let tripped = !disc[l].is_finite() || disc[l] > DEFAULT_ABFT_TOL;
-                if !(cfg.abft && finite[l] && tripped) {
-                    continue;
-                }
-                let b_lane = lane_of(rhs, l);
-                let mut y = b_lane.clone();
-                self.primary_solve(&mut y);
-                if cfg.sdc_probe_persistent && struck(l) {
-                    strike(y.iter_mut());
-                }
-                let (retripped, discrepancy) = self.abft_check(&y, &b_lane);
-                sdc[l] = if retripped {
-                    SdcState::Tripped { discrepancy }
-                } else {
-                    for (x, y) in x.iter_mut().skip(l).step_by(W).zip(&y) {
-                        *x = *y;
+                if residual {
+                    let mut s = [0.0; W];
+                    for k in row_ptr[i]..row_ptr[i + 1] {
+                        let xc = &x[cols[k] * W..cols[k] * W + W];
+                        for l in 0..W {
+                            s[l] += vals[k] * xc[l];
+                        }
                     }
-                    let discrepancy = disc[l];
-                    SdcState::Corrected { discrepancy }
-                };
-            }
-            if !cut && sdc.iter().any(|s| matches!(s, SdcState::Corrected { .. })) {
-                // Corrected lanes are measured on their healed values.
-                rr = measure(x, true).1;
-            }
-            let stride = cfg.sample_stride.max(1);
-            let screened = |l: usize| {
-                let lane = chunk * W + l;
-                let probed = cfg.probe_lanes.contains(&lane);
-                // A lane the checksum flagged is always fully verified.
-                let selected = probed || lane % stride == 0 || !matches!(sdc[l], SdcState::Clean);
-                if l >= lanes || !selected {
-                    Screened::Unsampled
-                } else if !finite[l] {
-                    let first = (0..n).position(|i| !rhs[i * W + l].is_finite());
-                    Screened::NonFinite(first.expect("the pass saw a non-finite value"))
-                } else if !cut && !probed && rr[l].is_finite() && rr[l] <= cfg.residual_tol {
-                    Screened::Sealed(rr[l])
-                } else if !cut {
-                    let (rr, b_lane) = (rr[l], lane_of(rhs, l));
-                    Screened::Flagged { rr, probed, b_lane }
-                } else if matches!(sdc[l], SdcState::Corrected { .. }) {
-                    // The retry already happened; one residual evaluation
-                    // seals the verdict.
-                    Screened::Sealed(self.relative_residual(&lane_of(x, l), &lane_of(rhs, l)))
-                } else {
-                    Screened::Cut
+                    for l in 0..W {
+                        let r = br[l] - s[l];
+                        acc_r[l] += r * r;
+                        acc_b[l] += br[l] * br[l];
+                    }
                 }
+            }
+            let (mut disc, mut rr) = ([0.0; W], [0.0; W]);
+            for l in 0..W {
+                let d = (vx[l] - sum_b[l]).abs();
+                let scale = self.colsum_norm * nx2[l].sqrt() + sum_b[l].abs();
+                disc[l] = if scale > 0.0 { d / scale } else { d };
+                let (nr, nb) = (acc_r[l].sqrt(), acc_b[l].sqrt());
+                rr[l] = if nb > 0.0 { nr / nb } else { nr };
+            }
+            (disc, rr, finite)
+        };
+        // Deterministic fault injection first.
+        let struck = |l: usize| cfg.abft && cfg.sdc_probe_lanes.contains(&(chunk * W + l));
+        for l in (0..lanes).filter(|&l| struck(l)) {
+            strike(x.iter_mut().skip(l).step_by(W));
+        }
+        let (disc, mut rr, finite) = measure(x, !cut);
+        let mut sdc = [SdcState::Clean; W];
+        for l in 0..lanes {
+            // Poisoned input belongs to the quarantine scan, not to a
+            // checksum trip.
+            let tripped = !disc[l].is_finite() || disc[l] > DEFAULT_ABFT_TOL;
+            if !(cfg.abft && finite[l] && tripped) {
+                continue;
+            }
+            let b_lane = lane_of(rhs, l);
+            let mut y = b_lane.clone();
+            self.primary_solve(&mut y);
+            if cfg.sdc_probe_persistent && struck(l) {
+                strike(y.iter_mut());
+            }
+            let (retripped, discrepancy) = self.abft_check(&y, &b_lane);
+            sdc[l] = if retripped {
+                SdcState::Tripped { discrepancy }
+            } else {
+                for (x, y) in x.iter_mut().skip(l).step_by(W).zip(&y) {
+                    *x = *y;
+                }
+                let discrepancy = disc[l];
+                SdcState::Corrected { discrepancy }
             };
-            let lanes = std::array::from_fn(screened);
-            PanelScreen { cut, sdc, lanes }
-        })
+        }
+        if !cut && sdc.iter().any(|s| matches!(s, SdcState::Corrected { .. })) {
+            // Corrected lanes are measured on their healed values.
+            rr = measure(x, true).1;
+        }
+        let stride = cfg.sample_stride.max(1);
+        let screened = |l: usize| {
+            let lane = chunk * W + l;
+            let probed = cfg.probe_lanes.contains(&lane);
+            // A lane the checksum flagged is always fully verified.
+            let selected = probed || lane % stride == 0 || !matches!(sdc[l], SdcState::Clean);
+            if l >= lanes || !selected {
+                Screened::Unsampled
+            } else if !finite[l] {
+                let first = (0..n).position(|i| !rhs[i * W + l].is_finite());
+                Screened::NonFinite(first.expect("the pass saw a non-finite value"))
+            } else if !cut && !probed && rr[l].is_finite() && rr[l] <= cfg.residual_tol {
+                Screened::Sealed(rr[l])
+            } else if !cut {
+                Screened::Flagged(Flagged {
+                    rr: rr[l],
+                    probed,
+                    b_lane: lane_of(rhs, l),
+                    x_lane: lane_of(x, l),
+                })
+            } else if matches!(sdc[l], SdcState::Corrected { .. }) {
+                // The retry already happened; one residual evaluation
+                // seals the verdict.
+                Screened::Sealed(self.relative_residual(&lane_of(x, l), &lane_of(rhs, l)))
+            } else {
+                Screened::Cut
+            }
+        };
+        let lanes = std::array::from_fn(screened);
+        PanelScreen { cut, sdc, lanes }
     }
 
     /// Evaluate the ABFT identity `colsum·x = Σb` for one lane. Returns
@@ -933,21 +1017,25 @@ impl VerifiedBuilder {
         (!rel.is_finite() || rel > DEFAULT_ABFT_TOL, rel)
     }
 
-    /// Repair one lane of finite input whose primary solution measured
-    /// relative residual `rr` above tolerance (or that is probed): refine,
-    /// climb the ladder, or quarantine. A rewritten lane is scattered back
-    /// into the panels (bumping the generation).
-    #[allow(clippy::too_many_arguments)]
+    /// Repair one lane of finite input whose primary solution
+    /// `flagged.x_lane` measured relative residual `flagged.rr` above
+    /// tolerance (or that is probed): refine, climb the ladder, or
+    /// quarantine. Returns the verdict and the lane's new coefficients —
+    /// `None` for a quarantined lane, which is zeroed.
     fn repair_lane(
         &self,
-        b: &mut ResidentBatch,
         lane: usize,
-        b_lane: &[f64],
-        rr: f64,
-        probed: bool,
+        flagged: Flagged,
         budget: Option<&Budget>,
         degrade: &mut DegradeLog,
-    ) -> LaneVerdict {
+    ) -> (LaneVerdict, Option<Vec<f64>>) {
+        let Flagged {
+            rr,
+            probed,
+            b_lane,
+            x_lane: mut x,
+        } = flagged;
+        let b_lane = &b_lane[..];
         let out_of_time = || budget.is_some_and(|bud| bud.exhausted());
 
         // Stage 2: iterative refinement with the primary factors. Under
@@ -957,7 +1045,6 @@ impl VerifiedBuilder {
             if out_of_time() {
                 degrade.refine_skipped.push(lane);
             } else {
-                let mut x = b.lane_to_vec(lane);
                 let outcome = refine_lane(
                     |x, y| self.matrix.spmv_into(x, y),
                     |r| self.primary_solve(r),
@@ -968,11 +1055,11 @@ impl VerifiedBuilder {
                 );
                 let rr = self.relative_residual(&x, b_lane);
                 if rr.is_finite() && rr <= self.config.residual_tol {
-                    b.write_lane(lane, &x);
-                    return LaneVerdict::Refined {
+                    let verdict = LaneVerdict::Refined {
                         steps: outcome.steps,
                         residual: rr,
                     };
+                    return (verdict, Some(x));
                 }
             }
         }
@@ -1000,8 +1087,7 @@ impl VerifiedBuilder {
                 }
                 saw_finite = true;
                 if rr <= self.config.residual_tol {
-                    b.write_lane(lane, &y);
-                    return LaneVerdict::Recovered { rung, residual: rr };
+                    return (LaneVerdict::Recovered { rung, residual: rr }, Some(y));
                 }
                 // Above tolerance: refine on this rung's factors before
                 // giving up on it.
@@ -1015,8 +1101,7 @@ impl VerifiedBuilder {
                 );
                 let rr = self.relative_residual(&y, b_lane);
                 if rr.is_finite() && rr <= self.config.residual_tol {
-                    b.write_lane(lane, &y);
-                    return LaneVerdict::Recovered { rung, residual: rr };
+                    return (LaneVerdict::Recovered { rung, residual: rr }, Some(y));
                 }
                 if rr.is_finite() {
                     best = best.min(rr);
@@ -1024,13 +1109,12 @@ impl VerifiedBuilder {
             }
         }
 
-        b.zero_lane(lane);
         let reason = if saw_finite {
             QuarantineReason::ResidualAboveTol { residual: best }
         } else {
             QuarantineReason::NonFiniteSolution
         };
-        LaneVerdict::Quarantined { reason }
+        (LaneVerdict::Quarantined { reason }, None)
     }
 
     fn relative_residual(&self, x: &[f64], b: &[f64]) -> f64 {
@@ -1152,11 +1236,9 @@ fn lane_of(panel: &[f64], l: usize) -> Vec<f64> {
     panel.iter().skip(l).step_by(LANE_WIDTH).copied().collect()
 }
 
-thread_local! {
-    /// This worker's copy of the pristine right-hand side of the panel it
-    /// is solving: one panel, reused for every panel and every solve.
-    static SNAPSHOT: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-}
+/// What a fused solve does with a panel's coefficients:
+/// `then(chunk, lanes, coefs, panel)`.
+type PanelThen<'a> = dyn Fn(usize, usize, &[f64], &mut [f64]) + Sync + 'a;
 
 /// What the panel screen concluded about one lane; the caller turns it
 /// into a [`LaneVerdict`].
@@ -1170,13 +1252,20 @@ enum Screened {
     /// This relative residual seals the verdict: at or below tolerance,
     /// or that of a corrected retry the budget left no time to judge.
     Sealed(f64),
-    /// Probed, or residual `rr` over tolerance or non-finite: repair the
-    /// lane from its pristine right-hand side `b_lane`.
-    Flagged {
-        rr: f64,
-        probed: bool,
-        b_lane: Vec<f64>,
-    },
+    /// Probed, or residual over tolerance or non-finite: repair the lane.
+    Flagged(Flagged),
+}
+
+/// A lane the screen hands to [`VerifiedBuilder::repair_lane`], with the
+/// copies of it that outlive the worker's turn.
+struct Flagged {
+    /// Relative residual of the primary solution.
+    rr: f64,
+    probed: bool,
+    /// The pristine right-hand side.
+    b_lane: Vec<f64>,
+    /// The primary solution (after any ABFT correction).
+    x_lane: Vec<f64>,
 }
 
 /// One panel's record from [`VerifiedBuilder::solve_and_screen`].
@@ -1285,7 +1374,7 @@ mod tests {
     use super::*;
     use crate::builder::BuilderVersion;
     use pp_bsplines::{Breaks, PeriodicSplineSpace};
-    use pp_portable::{Layout, Parallel, Serial, TestRng};
+    use pp_portable::{CountingExec, Layout, Parallel, Serial, Strided, TestRng};
     use std::cell::Cell;
 
     thread_local! {
@@ -1914,6 +2003,48 @@ mod tests {
             };
             (report.unwrap(), x)
         };
+        // The fused step: the same solve with every panel's coefficients
+        // evaluated at shifted points straight back into the batch, and the
+        // tail re-evaluating the lanes it repaired or quarantined.
+        let shift = |lane: usize| 0.013 * (lane as f64 - 2.5);
+        let fused = |verified: &VerifiedBuilder, rhs: &Matrix, parallel: bool| {
+            let sp = verified.builder().space();
+            let pts = sp.interpolation_points();
+            let then = |chunk: usize, lanes: usize, coefs: &[f64], panel: &mut [f64]| {
+                let by: [f64; LANE_WIDTH] = std::array::from_fn(|l| shift(chunk * LANE_WIDTH + l));
+                sp.eval_panel(
+                    coefs,
+                    lanes,
+                    |i| std::array::from_fn(|l| pts[i] - by[l]),
+                    panel,
+                );
+            };
+            let then_lane = |lane: usize, coefs: &[f64], out: StridedMut<'_>| {
+                let feet: Vec<f64> = pts.iter().map(|x| x - shift(lane)).collect();
+                sp.eval_lane(Strided::from_slice(coefs), Strided::from_slice(&feet), out);
+            };
+            let mut b = ResidentBatch::pack(rhs);
+            let report = if parallel {
+                verified.solve_then(&Parallel, &mut b, then, then_lane)
+            } else {
+                verified.solve_then(&Serial, &mut b, then, then_lane)
+            };
+            (report.unwrap(), b.host().clone())
+        };
+        // What it must equal: the layered sequence — solve and repair in
+        // place, then evaluate the final coefficients.
+        let layered = |verified: &VerifiedBuilder, rhs: &Matrix| {
+            let sp = verified.builder().space();
+            let pts = sp.interpolation_points();
+            let mut coefs = ResidentBatch::pack(rhs);
+            let report = verified.solve_resident(&Serial, &mut coefs).unwrap();
+            let feet = Matrix::from_fn(n, rhs.ncols(), Layout::Left, |i, j| pts[i] - shift(j));
+            let mut out = ResidentBatch::zeros(n, rhs.ncols());
+            crate::SplineEvaluator::new(sp.clone())
+                .eval_resident(&Serial, &coefs, &feet, &mut out)
+                .unwrap();
+            (report, out.host().clone())
+        };
         // Miri is here for the concurrent records, not the case list.
         let (versions, batches): (&[_], &[usize]) = if cfg!(miri) {
             (&[BuilderVersion::Baseline], &[0, 9])
@@ -1984,6 +2115,29 @@ mod tests {
                                 };
                                 assert!(seen, "{case}: {}", serial.lanes.verdict(lane));
                             }
+                            if cut {
+                                continue; // the fused step takes no budget
+                            }
+                            let (want, want_out) = layered(&verified, &rhs);
+                            assert_eq!(want, serial.lanes, "{case}");
+                            for parallel in [false, true] {
+                                let (report, out) = fused(&verified, &rhs, parallel);
+                                assert_eq!(report, want, "{case} fused");
+                                for lane in 0..batch {
+                                    assert_eq!(
+                                        verdict_bits(report.verdict(lane)),
+                                        verdict_bits(want.verdict(lane)),
+                                        "{case} fused lane {lane}"
+                                    );
+                                    for i in 0..n {
+                                        assert_eq!(
+                                            out.get(i, lane).to_bits(),
+                                            want_out.get(i, lane).to_bits(),
+                                            "{case} fused ({i},{lane}) parallel {parallel}"
+                                        );
+                                    }
+                                }
+                            }
                         }
                     }
                 }
@@ -1991,58 +2145,56 @@ mod tests {
         }
     }
 
-    /// Counts the parallel regions dispatched through it.
-    struct CountingExec(std::sync::atomic::AtomicUsize);
-
-    impl ExecSpace for CountingExec {
-        fn name(&self) -> &'static str {
-            "counting"
-        }
-
-        fn for_each<F: Fn(usize) + Sync + Send>(&self, n: usize, f: F) {
-            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Parallel.for_each(n, f);
-        }
-    }
-
     #[test]
     fn verified_solve_is_one_pool_dispatch() {
         // Guards the shape of the verified solve: the whole screen rides
         // the solve's one region (no extra region, nothing serial that
-        // would need the batch copied), on a scratch of one panel. Regions
+        // would need the batch copied), on a scratch of one panel — and so
+        // does whatever a fused step does with the coefficients. Regions
         // are counted on the execution space — `pool_stats()` is
         // process-wide and the other unit tests dispatch concurrently.
         let (n, batch) = (32, 5 * LANE_WIDTH + 3);
         let regions = |solve: &dyn Fn(&CountingExec, &mut ResidentBatch)| {
-            let exec = CountingExec(std::sync::atomic::AtomicUsize::new(0));
+            let exec = CountingExec::default();
             let mut b = ResidentBatch::pack(&random_rhs(n, batch, 83));
             solve(&exec, &mut b);
-            exec.0.into_inner()
+            exec.regions()
         };
-        let plain = SplineBuilder::new(space(n, 3, true), BuilderVersion::FusedSpmv).unwrap();
-        let fused = regions(&|exec, b| plain.solve_resident(exec, b).unwrap());
+        let keep = |_: usize, _: usize, coefs: &[f64], panel: &mut [f64]| {
+            panel.copy_from_slice(coefs);
+        };
         for version in BuilderVersion::ALL {
-            let verified = SplineBuilder::new(space(n, 3, true), version)
-                .unwrap()
-                .verified(VerifyConfig {
-                    abft: true,
-                    ..VerifyConfig::default()
-                });
+            let plain = SplineBuilder::new(space(n, 3, true), version).unwrap();
+            let fused = regions(&|exec, b| plain.solve_then(exec, b, keep).unwrap());
+            let verified = plain.verified(VerifyConfig {
+                abft: true,
+                ..VerifyConfig::default()
+            });
             let screened = regions(&|exec, b| {
                 assert!(verified.solve_resident(exec, b).unwrap().all_verified());
             });
-            assert_eq!((fused, screened), (1, 1), "{version:?}");
+            let fused_screened = regions(&|exec, b| {
+                let report = verified.solve_then(exec, b, keep, |_, _, _| unreachable!());
+                assert!(report.unwrap().all_verified());
+            });
+            assert_eq!((fused, screened, fused_screened), (1, 1, 1), "{version:?}");
         }
-        // A fresh thread has a fresh scratch: after six panels it holds
-        // exactly one.
+        // A fresh thread has a fresh scratch: after six panels through each
+        // entry point it holds exactly one.
         let capacity = std::thread::scope(|s| {
             let worker = s.spawn(|| {
-                let verified = SplineBuilder::new(space(n, 3, true), BuilderVersion::Interleaved)
-                    .unwrap()
-                    .verified(VerifyConfig::default());
+                let plain = SplineBuilder::new(space(n, 3, true), BuilderVersion::Interleaved);
+                let verified = plain.unwrap().verified(VerifyConfig::default());
                 let mut b = ResidentBatch::pack(&random_rhs(n, batch, 89));
                 verified.solve_resident(&Serial, &mut b).unwrap();
-                SNAPSHOT.with_borrow(Vec::capacity)
+                verified
+                    .solve_then(&Serial, &mut b, keep, |_, _, _| unreachable!())
+                    .unwrap();
+                verified
+                    .builder()
+                    .solve_then(&Serial, &mut b, keep)
+                    .unwrap();
+                crate::builder::panel_scratch_capacity()
             });
             worker.join().unwrap()
         });

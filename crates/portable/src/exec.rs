@@ -13,6 +13,7 @@ use crate::matrix::Matrix;
 use crate::par;
 use crate::ptr::SharedMutPtr;
 use crate::strided::StridedMut;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A place batched work can execute.
 ///
@@ -151,11 +152,38 @@ impl ExecSpace for ScopedParallel {
     }
 }
 
+/// [`Parallel`] that counts the parallel regions dispatched through it.
+///
+/// A test instrument, like [`crate::TestRng`]: structure tests assert
+/// that an entry point is exactly `n` regions on this space rather than
+/// on [`crate::pool_stats`], which is process-wide and moves with every
+/// test running concurrently.
+#[derive(Debug, Default)]
+pub struct CountingExec(AtomicUsize);
+
+impl CountingExec {
+    /// Regions dispatched so far.
+    pub fn regions(&self) -> usize {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+impl ExecSpace for CountingExec {
+    fn name(&self) -> &'static str {
+        "Counting"
+    }
+
+    fn for_each<F: Fn(usize) + Sync + Send>(&self, n: usize, f: F) {
+        // Relaxed: a statistic, read after the dispatches it counts.
+        self.0.fetch_add(1, Ordering::Relaxed);
+        Parallel.for_each(n, f);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layout::Layout;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[allow(clippy::type_complexity)]
     fn exec_spaces() -> Vec<Box<dyn Fn(&mut Matrix)>> {

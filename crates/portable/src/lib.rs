@@ -75,7 +75,7 @@ pub mod transpose;
 pub use adaptive::{adaptive_enabled, dispatch_ewma_ns, lane_cost_ewma_ns, set_adaptive_override};
 pub use budget::{Budget, CancelToken, DispatchOutcome};
 pub use error::{Error, Result};
-pub use exec::{ExecSpace, Parallel, ScopedParallel, Serial};
+pub use exec::{CountingExec, ExecSpace, Parallel, ScopedParallel, Serial};
 pub use interleaved::{InterleavedMatrix, LANE_WIDTH};
 pub use layout::Layout;
 pub use matrix::Matrix;

@@ -64,7 +64,7 @@ fn main() {
 
         println!("\n--- {label} ---");
         println!(
-            "  transpose-in {:>8.2} ms | splines {:>8.2} ms | interpolate {:>8.2} ms | transpose-out {:>8.2} ms",
+            "  transpose-in {:>8.2} ms | splines + interpolate (one region) {:>8.2} ms | repaired lanes {:>8.2} ms | transpose-out {:>8.2} ms",
             totals.transpose_in.as_secs_f64() * 1e3,
             totals.splines_solve.as_secs_f64() * 1e3,
             totals.interpolate.as_secs_f64() * 1e3,

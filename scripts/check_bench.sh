@@ -59,15 +59,19 @@ cargo run --release -q -p pp-bench --bin bench_gate -- \
     --baseline BENCH_phases.json \
     --candidate target/BENCH_phases_smoke.json
 
-# Verification rides the solve's panel (DESIGN.md §7.1): with residuals
-# on every lane and the ABFT screen on, the resident advection step may
-# cost at most 1.5x the plain one at nx = nv = 1024. Both rows come from
-# the same run, so the ratio needs no baseline (it read 1.65 when the
-# screens were serial sweeps over the batch, ~1.2 since).
+# The resident advection step is one pool region (DESIGN.md §14.3) and
+# verification rides it (§7.1): with residuals on every lane and the
+# ABFT screen on, the step may cost at most 1.5x the plain one at
+# nx = nv = 1024. Both rows come from the same run, so the ratio needs no
+# baseline (it read 1.65 when the screens were serial sweeps over the
+# batch, ~1.2 since); the dispatch count is exact.
 VERIFIED_STEP_CEILING=1.5
-echo "==> fig2_glups 1024 1024: verified / plain resident step"
-ratio=$(cargo run --release -q -p pp-bench --bin fig2_glups -- 1024 1024 |
-    awk '/^verified\/plain resident step ratio:/ { print $NF }')
+echo "==> fig2_glups 1024 1024: the resident step, plain and verified"
+resident=$(cargo run --release -q -p pp-bench --bin fig2_glups -- 1024 1024 |
+    grep -E '^(resident step:|verified/plain resident step ratio:)')
+echo "$resident"
+echo "$resident" | grep -q '^resident step: .* 1 dispatch per step$'
+ratio=$(echo "$resident" | awk '/^verified\/plain resident step ratio:/ { print $NF }')
 test -n "$ratio"
 echo "==> verified / plain resident step: $ratio (ceiling $VERIFIED_STEP_CEILING)"
 awk -v r="$ratio" -v c="$VERIFIED_STEP_CEILING" 'BEGIN { exit !(r <= c) }'
@@ -107,6 +111,11 @@ for f in BENCH_dispatch.json BENCH_phases.json BENCH_chaos.json BENCH_telemetry.
         exit 1
     fi
 done
+
+# The committed summary points at the sentinel demo by path: it must be
+# the file the smoke run above just wrote, not one that no longer exists.
+grep -q '"sentinel_demo": "target/sentinel_demo.json"' BENCH_telemetry.json
+test -s target/sentinel_demo.json
 
 # Telemetry's acceptance criterion: the streaming exporter must cost
 # under 1% of resident-solve throughput at full size. The live smoke
