@@ -15,24 +15,17 @@
 //!   --out    output JSON path (default BENCH_dispatch.json)
 
 use pp_advection::{Advection1D, SplineBackend};
-use pp_bench::fmt_ms;
+use pp_bench::{fmt_ms, ScopedParallel};
 use pp_perfmodel::glups;
-use pp_portable::{
-    num_threads, pool_stats, set_adaptive_override, ExecSpace, Layout, Matrix, Parallel,
-    ScopedParallel, Serial,
-};
+use pp_portable::{num_threads, pool_stats, ExecSpace, Layout, Matrix, Parallel, Serial};
 use pp_splinesolver::BuilderVersion;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 /// One latency row: mean ns per dispatch for each executor at one batch.
-/// `pool_ns` is the adaptive (default) policy, `pool_static_ns` the same
-/// pool with `PP_ADAPTIVE` pinned off — the A/B that gates trace-driven
-/// adaptation.
 struct LatencyRow {
     batch: usize,
     pool_ns: f64,
-    pool_static_ns: f64,
     scoped_ns: f64,
     serial_ns: f64,
 }
@@ -113,36 +106,27 @@ fn main() {
     };
 
     println!("=== dispatch_overhead: pooled Parallel vs per-call scoped threads vs Serial ===");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "worker budget: {} thread(s) (PP_NUM_THREADS overrides){}",
+        "worker budget: {} thread(s) on {cores} core(s) (PP_NUM_THREADS overrides){}",
         num_threads(),
         if smoke { " [smoke]" } else { "" }
     );
-    println!("\nbatch,pool_ns,pool_static_ns,scoped_ns,serial_ns,pool_speedup_vs_scoped");
+    println!("\nbatch,pool_ns,scoped_ns,serial_ns,pool_speedup_vs_scoped");
 
     let mut latency = Vec::new();
     for &batch in batches {
         let mut m = Matrix::zeros(lane_rows, batch, Layout::Left);
-        // A/B the pool's scheduling policy within one process: static
-        // first (the pre-adaptive baseline), then adaptive, whose
-        // estimators re-seed from this workload during its own warm-up
-        // and reps. The override is cleared afterwards so the rest of
-        // the bench runs the default (adaptive) policy.
-        set_adaptive_override(Some(false));
-        let pool_static_ns = time_dispatch(&Parallel, &mut m, reps);
-        set_adaptive_override(Some(true));
         let pool_ns = time_dispatch(&Parallel, &mut m, reps);
-        set_adaptive_override(None);
         let scoped_ns = time_dispatch(&ScopedParallel, &mut m, reps);
         let serial_ns = time_dispatch(&Serial, &mut m, reps);
         println!(
-            "{batch},{pool_ns:.0},{pool_static_ns:.0},{scoped_ns:.0},{serial_ns:.0},{:.1}",
+            "{batch},{pool_ns:.0},{scoped_ns:.0},{serial_ns:.0},{:.1}",
             scoped_ns / pool_ns
         );
         latency.push(LatencyRow {
             batch,
             pool_ns,
-            pool_static_ns,
             scoped_ns,
             serial_ns,
         });
@@ -192,16 +176,16 @@ fn main() {
     );
     let _ = writeln!(j, "  \"smoke\": {smoke},");
     let _ = writeln!(j, "  \"num_threads\": {},", num_threads());
+    let _ = writeln!(j, "  \"cores\": {cores},");
     let _ = writeln!(j, "  \"reps_per_point\": {reps},");
     j.push_str("  \"per_dispatch_latency_ns\": [\n");
     for (k, r) in latency.iter().enumerate() {
         let _ = write!(
             j,
-            "    {{\"batch\": {}, \"pool\": {}, \"pool_static\": {}, \"scoped\": {}, \
+            "    {{\"batch\": {}, \"pool\": {}, \"scoped\": {}, \
              \"serial\": {}, \"pool_speedup_vs_scoped\": {}}}",
             r.batch,
             json_f64(r.pool_ns),
-            json_f64(r.pool_static_ns),
             json_f64(r.scoped_ns),
             json_f64(r.serial_ns),
             json_f64(r.scoped_ns / r.pool_ns)

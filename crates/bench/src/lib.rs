@@ -24,9 +24,11 @@ pub mod ascii_plot;
 pub mod configs;
 pub mod gpu_model;
 pub mod json;
+mod scoped;
 
 pub use ascii_plot::AsciiPlot;
 pub use configs::{parse_args, BenchArgs, SplineConfig};
+pub use scoped::ScopedParallel;
 
 use std::time::{Duration, Instant};
 

@@ -266,14 +266,10 @@ pub fn trace_reset() {
 // Dump-on-fault
 // ---------------------------------------------------------------------
 
-/// In-memory dumps kept for test/driver inspection (oldest evicted),
-/// from `PP_FAULT_DUMP_CAP` (read once), default 8, clamped to
-/// `[1, 1024]`. Evictions are counted on the `fault_dumps.dropped`
-/// counter so silent loss is observable.
-fn fault_dumps_keep() -> usize {
-    static KEEP: OnceLock<usize> = OnceLock::new();
-    *KEEP.get_or_init(|| crate::env::env_usize_clamped("PP_FAULT_DUMP_CAP", 1, 1024).unwrap_or(8))
-}
+/// In-memory dumps kept for test/driver inspection (oldest evicted).
+/// Evictions are counted on the `fault_dumps.dropped` counter so silent
+/// loss is observable.
+const FAULT_DUMPS_KEEP: usize = 8;
 
 static FAULT_DUMPS: Mutex<VecDeque<FaultDump>> = Mutex::new(VecDeque::new());
 static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -319,7 +315,7 @@ pub fn fault_dump(reason: &'static str, detail: impl FnOnce() -> String) {
         let _ = dump.write_to(dir, seq);
     }
     let mut q = FAULT_DUMPS.lock().unwrap();
-    while q.len() >= fault_dumps_keep() {
+    while q.len() >= FAULT_DUMPS_KEEP {
         q.pop_front();
         counter("fault_dumps.dropped").inc();
     }
@@ -585,10 +581,6 @@ pub fn reset() {
             h.reset();
         }
     }
-    drop(guard);
-    // Windowed views diff cumulative captures; stale pre-reset epochs
-    // would otherwise make the next window saturate to zero.
-    crate::window::window_reset();
 }
 
 #[cfg(test)]

@@ -11,8 +11,7 @@
 //!
 //! This module is compiled in both instrumentation modes (the warnings
 //! are about configuration correctness, not tracing), so `pp-portable`
-//! can use it for `PP_NUM_THREADS` / `PP_WATCHDOG_SLACK_MS` without any
-//! feature plumbing.
+//! can use it for `PP_NUM_THREADS` without any feature plumbing.
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -30,19 +29,24 @@ pub fn warn_once(key: &'static str, msg: &str) -> bool {
     first
 }
 
-/// Parse an environment value as a `u64` clamped to `[lo, hi]`.
+/// Parse an environment value as a `usize` clamped to `[lo, hi]`.
 ///
 /// * `None` / unset → `None` (caller applies its default), no warning.
 /// * Malformed (non-numeric, negative, empty) → `None`, warns once that
 ///   the default is being used.
 /// * Out of `[lo, hi]` → clamped, warns once with the documented bounds.
 ///
-/// Split from the `std::env` read ([`env_u64_clamped`]) for unit
+/// Split from the `std::env` read ([`env_usize_clamped`]) for unit
 /// testing.
-pub fn parse_u64_clamped(var: &'static str, raw: Option<&str>, lo: u64, hi: u64) -> Option<u64> {
+pub fn parse_usize_clamped(
+    var: &'static str,
+    raw: Option<&str>,
+    lo: usize,
+    hi: usize,
+) -> Option<usize> {
     debug_assert!(lo <= hi);
     let raw = raw?.trim();
-    match raw.parse::<u64>() {
+    match raw.parse::<usize>() {
         Ok(v) if v < lo => {
             warn_once(
                 var,
@@ -66,22 +70,6 @@ pub fn parse_u64_clamped(var: &'static str, raw: Option<&str>, lo: u64, hi: u64)
             None
         }
     }
-}
-
-/// Read `var` from the process environment and parse it with
-/// [`parse_u64_clamped`].
-pub fn env_u64_clamped(var: &'static str, lo: u64, hi: u64) -> Option<u64> {
-    parse_u64_clamped(var, std::env::var(var).ok().as_deref(), lo, hi)
-}
-
-/// [`parse_u64_clamped`] with a `usize` result (all our knobs fit).
-pub fn parse_usize_clamped(
-    var: &'static str,
-    raw: Option<&str>,
-    lo: usize,
-    hi: usize,
-) -> Option<usize> {
-    parse_u64_clamped(var, raw, lo as u64, hi as u64).map(|v| v as usize)
 }
 
 /// Read `var` from the process environment and parse it with
@@ -137,17 +125,17 @@ mod tests {
 
     #[test]
     fn unset_is_silent_none() {
-        assert_eq!(parse_u64_clamped("PP_TEST_UNSET", None, 1, 100), None);
+        assert_eq!(parse_usize_clamped("PP_TEST_UNSET", None, 1, 100), None);
     }
 
     #[test]
     fn valid_values_pass_through() {
         assert_eq!(
-            parse_u64_clamped("PP_TEST_OK", Some("42"), 1, 100),
+            parse_usize_clamped("PP_TEST_OK", Some("42"), 1, 100),
             Some(42)
         );
         assert_eq!(
-            parse_u64_clamped("PP_TEST_OK", Some(" 7 "), 1, 100),
+            parse_usize_clamped("PP_TEST_OK", Some(" 7 "), 1, 100),
             Some(7),
             "whitespace is trimmed"
         );
@@ -155,18 +143,24 @@ mod tests {
 
     #[test]
     fn out_of_range_clamps() {
-        assert_eq!(parse_u64_clamped("PP_TEST_LO", Some("0"), 1, 100), Some(1));
         assert_eq!(
-            parse_u64_clamped("PP_TEST_HI", Some("1000"), 1, 100),
+            parse_usize_clamped("PP_TEST_LO", Some("0"), 1, 100),
+            Some(1)
+        );
+        assert_eq!(
+            parse_usize_clamped("PP_TEST_HI", Some("1000"), 1, 100),
             Some(100)
         );
     }
 
     #[test]
     fn malformed_warns_and_falls_back() {
-        assert_eq!(parse_u64_clamped("PP_TEST_BAD", Some("lots"), 1, 100), None);
-        assert_eq!(parse_u64_clamped("PP_TEST_BAD", Some(""), 1, 100), None);
-        assert_eq!(parse_u64_clamped("PP_TEST_BAD", Some("-3"), 1, 100), None);
+        assert_eq!(
+            parse_usize_clamped("PP_TEST_BAD", Some("lots"), 1, 100),
+            None
+        );
+        assert_eq!(parse_usize_clamped("PP_TEST_BAD", Some(""), 1, 100), None);
+        assert_eq!(parse_usize_clamped("PP_TEST_BAD", Some("-3"), 1, 100), None);
     }
 
     #[test]
@@ -187,13 +181,5 @@ mod tests {
         assert_eq!(parse_bool("PP_TEST_BOOL_UNSET", None), None);
         assert_eq!(parse_bool("PP_TEST_BOOL_BAD", Some("maybe")), None);
         assert_eq!(parse_bool("PP_TEST_BOOL_BAD", Some("")), None);
-    }
-
-    #[test]
-    fn usize_wrapper_matches() {
-        assert_eq!(
-            parse_usize_clamped("PP_TEST_USIZE", Some("12"), 1, 100),
-            Some(12)
-        );
     }
 }

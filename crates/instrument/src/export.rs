@@ -127,7 +127,7 @@ pub fn chrome_trace_events(trace: &Trace) -> String {
 pub fn chrome_trace_json(trace: &Trace) -> String {
     let mut j = format!(
         "{{\n  \"schema_version\": {},\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": ",
-        crate::window::SCHEMA_VERSION
+        crate::SCHEMA_VERSION
     );
     j.push_str(&chrome_trace_events(trace));
     j.push_str("\n}\n");

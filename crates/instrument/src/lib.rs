@@ -48,21 +48,13 @@
 pub mod env;
 mod export;
 mod phase;
-mod sentinel;
 mod snapshot;
-mod stream;
 mod trace;
-mod window;
 
 pub use export::{chrome_trace_events, chrome_trace_json, folded_stacks};
 pub use phase::PhaseId;
-pub use sentinel::{check_slos, SentinelState, SloBreach, SloSpec};
-pub use snapshot::{HistogramStat, PhaseStat, RooflineAnnotation, Snapshot};
-pub use stream::{prometheus_text, RooflineSpec, StreamConfig, StreamSummary, TelemetryStream};
+pub use snapshot::{HistogramStat, PhaseStat, RooflineAnnotation, Snapshot, SCHEMA_VERSION};
 pub use trace::{FaultDump, InstantKind, ThreadTrace, Trace, TraceEvent, TraceEventKind};
-pub use window::{
-    window_now_ns, window_reset, window_snapshot, window_tick, WindowStats, SCHEMA_VERSION,
-};
 
 #[cfg(feature = "instrument")]
 mod active;

@@ -9,6 +9,12 @@ use pp_perfmodel::roofline::memory_bound_time_s;
 use std::fmt::Write as _;
 use std::time::Duration;
 
+/// Schema version stamped into every JSON document this workspace emits
+/// (snapshots, traces, fault dumps, bench baselines). Bump on any
+/// breaking field change; `bench_gate` fails by name on mismatch instead
+/// of silently parsing.
+pub const SCHEMA_VERSION: u32 = 1;
+
 /// Aggregated totals of one phase across every recording thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseStat {
@@ -256,11 +262,7 @@ impl Snapshot {
     /// the `BENCH_dispatch.json` house style.
     pub fn to_json(&self) -> String {
         let mut j = String::from("{\n");
-        let _ = writeln!(
-            j,
-            "  \"schema_version\": {},",
-            crate::window::SCHEMA_VERSION
-        );
+        let _ = writeln!(j, "  \"schema_version\": {SCHEMA_VERSION},");
         j.push_str("  \"phases\": [\n");
         for (k, s) in self.phases.iter().enumerate() {
             let mean_ns = s.total_ns as f64 / s.calls as f64;

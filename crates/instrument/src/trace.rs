@@ -66,13 +66,11 @@ pub enum InstantKind {
     CheckpointWritten,
     /// Simulation state was restored from a checkpoint generation.
     CheckpointRestored,
-    /// The latency sentinel saw a windowed p99 breach its SLO.
-    SloBreach,
 }
 
 impl InstantKind {
     /// Number of instant kinds (length of [`InstantKind::ALL`]).
-    pub const COUNT: usize = 23;
+    pub const COUNT: usize = 22;
 
     /// Every kind, in declaration order (= index order).
     pub const ALL: [InstantKind; Self::COUNT] = [
@@ -98,7 +96,6 @@ impl InstantKind {
         InstantKind::SdcDetected,
         InstantKind::CheckpointWritten,
         InstantKind::CheckpointRestored,
-        InstantKind::SloBreach,
     ];
 
     /// Dense index of this kind (its discriminant).
@@ -132,7 +129,6 @@ impl InstantKind {
             InstantKind::SdcDetected => "sdc_detected",
             InstantKind::CheckpointWritten => "checkpoint_written",
             InstantKind::CheckpointRestored => "checkpoint_restored",
-            InstantKind::SloBreach => "slo_breach",
         }
     }
 }
@@ -248,7 +244,7 @@ impl FaultDump {
         let mut j = String::from("{\n");
         j.push_str(&format!(
             "  \"schema_version\": {},\n",
-            crate::window::SCHEMA_VERSION
+            crate::SCHEMA_VERSION
         ));
         j.push_str(&format!(
             "  \"reason\": \"{}\",\n",

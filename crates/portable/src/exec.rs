@@ -5,9 +5,7 @@
 //! [`ExecSpace`] captures that: [`Serial`] runs lanes in a plain loop (the
 //! reference / debugging space), [`Parallel`] distributes lanes over the
 //! persistent worker pool (the host-CPU OpenMP analogue — see
-//! [`crate::par`] and [`crate::pool`]). [`ScopedParallel`] is the retired
-//! spawn-per-dispatch implementation, kept only as the baseline the
-//! `dispatch_overhead` bench measures the pool against.
+//! [`crate::par`] and [`crate::pool`]).
 
 use crate::matrix::Matrix;
 use crate::par;
@@ -125,30 +123,6 @@ impl ExecSpace for Parallel {
 
     fn reduce_sum<F: Fn(usize) -> f64 + Sync + Send>(&self, n: usize, f: F) -> f64 {
         par::parallel_sum(n, f)
-    }
-}
-
-/// Distribute lanes over **freshly spawned** scoped threads, paying
-/// thread creation + join on every dispatch.
-///
-/// This is the pre-pool `Parallel` implementation, kept as a measurement
-/// baseline (the `dispatch_overhead` bench compares it against the
-/// pooled space). Do not use it in production paths.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScopedParallel;
-
-impl ExecSpace for ScopedParallel {
-    fn name(&self) -> &'static str {
-        "ScopedParallel"
-    }
-
-    #[inline]
-    fn for_each<F: Fn(usize) + Sync + Send>(&self, n: usize, f: F) {
-        par::scoped_parallel_for(n, f);
-    }
-
-    fn reduce_sum<F: Fn(usize) -> f64 + Sync + Send>(&self, n: usize, f: F) -> f64 {
-        par::scoped_parallel_sum(n, f)
     }
 }
 
@@ -277,20 +251,5 @@ mod tests {
     fn names() {
         assert_eq!(Serial.name(), "Serial");
         assert_eq!(Parallel.name(), "Parallel");
-        assert_eq!(ScopedParallel.name(), "ScopedParallel");
-    }
-
-    #[test]
-    fn scoped_baseline_matches_serial() {
-        let mut a = Matrix::zeros(4, 21, Layout::Left);
-        let mut b = Matrix::zeros(4, 21, Layout::Left);
-        let fill = |j: usize, mut lane: crate::StridedMut<'_>| {
-            for i in 0..lane.len() {
-                lane[i] = (i * 31 + j) as f64;
-            }
-        };
-        Serial.for_each_lane_mut(&mut a, fill);
-        ScopedParallel.for_each_lane_mut(&mut b, fill);
-        assert_eq!(a.max_abs_diff(&b), 0.0);
     }
 }

@@ -57,7 +57,6 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 #![allow(clippy::int_plus_one)]
 
-pub mod adaptive;
 pub mod budget;
 pub mod error;
 pub mod exec;
@@ -72,16 +71,15 @@ pub mod strided;
 pub mod testrng;
 pub mod transpose;
 
-pub use adaptive::{adaptive_enabled, dispatch_ewma_ns, lane_cost_ewma_ns, set_adaptive_override};
 pub use budget::{Budget, CancelToken, DispatchOutcome};
 pub use error::{Error, Result};
-pub use exec::{CountingExec, ExecSpace, Parallel, ScopedParallel, Serial};
+pub use exec::{CountingExec, ExecSpace, Parallel, Serial};
 pub use interleaved::{InterleavedMatrix, LANE_WIDTH};
 pub use layout::Layout;
 pub use matrix::Matrix;
 pub use par::{
     num_threads, parallel_for, parallel_for_budgeted, parallel_for_each_mut,
-    parallel_for_each_mut_budgeted, parallel_sum, scoped_parallel_for, scoped_parallel_sum,
+    parallel_for_each_mut_budgeted, parallel_sum,
 };
 pub use pool::{
     inject_worker_death, pool_stats, publish_pool_metrics, watchdog_slack, PoolStats, WorkerTimes,

@@ -12,9 +12,8 @@
 //! Kokkos dispatch onto an existing OpenMP team, launching a batch wakes
 //! parked threads instead of spawning new ones, so per-dispatch latency
 //! is microseconds rather than the hundreds of microseconds
-//! `std::thread::scope` costs. The original scoped dispatchers are kept
-//! as [`scoped_parallel_for`] / [`scoped_parallel_sum`] — they are the
-//! baseline the `dispatch_overhead` bench bin measures the pool against.
+//! `std::thread::scope` costs (the `dispatch_overhead` bench bin keeps a
+//! spawn-per-call dispatcher to measure exactly that).
 //!
 //! The worker budget comes from [`num_threads`]: the `PP_NUM_THREADS`
 //! environment variable when set (clamped to `[1, 4096]`, warn-once on
@@ -30,12 +29,29 @@ use crate::budget::{Budget, DispatchOutcome};
 use crate::pool;
 use crate::ptr::SharedMutPtr;
 use pp_instrument as instrument;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Chunk-claim granularity: ~8 chunks per worker keeps claim overhead
-/// negligible while still load-balancing ragged lane costs.
-const CHUNKS_PER_WORKER: usize = 8;
+/// Claims per worker an index-range dispatch is cut into: every region
+/// of at most `64 · threads` indices (the 128-panel advection step on two
+/// threads) is claimed one index at a time, so the end of a region never
+/// waits on a participant holding several unstarted items. The price is
+/// one relaxed `fetch_add` per claim — ≈ 0.15 µs when two cores contend,
+/// ≤ 20 µs a region — which only a lane of a few ns of work can feel
+/// (DESIGN.md §8 has the measurements on both sides).
+const CLAIMS_PER_WORKER: usize = 64;
+
+/// Partial sums per worker in [`parallel_sum`]: not scheduling but the
+/// floating-point bracketing of every reduction — changing it changes
+/// result bits.
+const SUM_CHUNKS_PER_WORKER: usize = 8;
+
+/// The chunk policy: how many consecutive indices one claim of
+/// [`parallel_for`] / [`parallel_for_budgeted`] takes, a pure function of
+/// the range length and the worker budget. Chunk boundaries change
+/// scheduling only; lane outputs do not depend on them.
+fn for_chunk(n: usize, threads: usize) -> usize {
+    n.div_ceil(threads.max(1) * CLAIMS_PER_WORKER).max(1)
+}
 
 /// Upper clamp for `PP_NUM_THREADS`: far above any real host, low
 /// enough that a typo (`PP_NUM_THREADS=40000`) cannot ask the OS for
@@ -93,13 +109,7 @@ pub fn parallel_for<F: Fn(usize) + Sync>(n: usize, f: F) {
         }
         return;
     }
-    // The static chunk is the load-balance bound; adaptation may shrink
-    // it for expensive lanes (live per-lane cost estimate), never grow
-    // it. Chunk boundaries change scheduling only — lane outputs are
-    // identical either way.
-    let static_chunk = n.div_ceil(threads * CHUNKS_PER_WORKER).max(1);
-    let chunk = crate::adaptive::adaptive_for_chunk(static_chunk);
-    pool::global().dispatch(n, chunk, &f);
+    pool::global().dispatch(n, for_chunk(n, threads), &f);
 }
 
 /// Call `f(i, &mut items[i])` for every element, distributing elements
@@ -134,12 +144,9 @@ where
         // SAFETY: `i < n` and each `i` is produced exactly once.
         f(i, unsafe { &mut *slots.0.add(i) });
     };
-    // Static policy is the finest granularity (chunk 1); when the live
-    // per-lane estimate says lanes are cheap, claims are batched up —
-    // but never past the `parallel_for`-style balance ceiling, so
-    // ragged lanes still cannot serialise the batch.
-    let ceiling = n.div_ceil(threads * CHUNKS_PER_WORKER).max(1);
-    pool::global().dispatch(n, crate::adaptive::adaptive_each_chunk(ceiling), &run);
+    // Chunk 1: the items are per-lane work slots whose costs are ragged
+    // by design (breakdown retries, iteration budgets).
+    pool::global().dispatch(n, 1, &run);
 }
 
 /// [`parallel_for`] under a [`Budget`]: stops claiming new chunks once
@@ -155,11 +162,7 @@ pub fn parallel_for_budgeted<F: Fn(usize) + Sync>(
     f: F,
 ) -> DispatchOutcome {
     let threads = num_threads().min(n);
-    // Deadline overshoot is bounded by one chunk of lane work, so the
-    // adaptive chunk (always ≤ the static one) can only tighten the
-    // deadline contract, never loosen it.
-    let static_chunk = n.div_ceil(threads.max(1) * CHUNKS_PER_WORKER).max(1);
-    let chunk = crate::adaptive::adaptive_for_chunk(static_chunk);
+    let chunk = for_chunk(n, threads);
     if threads <= 1 || pool::in_dispatch() {
         pool::note_inline_dispatch();
         return serial_for_budgeted(n, chunk, budget, &f);
@@ -186,18 +189,13 @@ where
     let threads = num_threads().min(n);
     if threads <= 1 || pool::in_dispatch() {
         pool::note_inline_dispatch();
-        let chunk = n.div_ceil(CHUNKS_PER_WORKER).max(1);
-        let mut iter = items.iter_mut().enumerate();
-        let mut visited = 0usize;
-        while visited < n {
+        // One poll per item, the pooled path's chunk of 1.
+        for (i, item) in items.iter_mut().enumerate() {
             if budget.exhausted() {
                 pool::note_timed_out(budget);
                 return DispatchOutcome::TimedOut;
             }
-            for (i, item) in iter.by_ref().take(chunk) {
-                f(i, item);
-                visited += 1;
-            }
+            f(i, item);
         }
         return DispatchOutcome::Completed;
     }
@@ -211,8 +209,8 @@ where
         // SAFETY: `i < n` and each `i` is produced exactly once.
         f(i, unsafe { &mut *slots.0.add(i) });
     };
-    // Chunk 1 stays static here: the chunk is the cancellation
-    // granularity, and budgeted callers opted into the tightest one.
+    // Chunk 1: the chunk is the cancellation granularity, and budgeted
+    // callers opted into the tightest one.
     pool::global().dispatch_budgeted(n, 1, Some(budget), &run)
 }
 
@@ -254,11 +252,9 @@ pub fn parallel_sum<F: Fn(usize) -> f64 + Sync>(n: usize, f: F) -> f64 {
         pool::note_inline_dispatch();
         return (0..n).map(f).sum();
     }
-    // Deliberately NOT adaptive: the chunk size *is* the partial-sum
-    // bracketing, so a live-telemetry-driven chunk would make the
-    // floating-point result depend on recent scheduling history. The
-    // bracketing must stay a function of `n` and the worker budget only.
-    let chunk = n.div_ceil(threads * CHUNKS_PER_WORKER).max(1);
+    // Not `for_chunk`: the chunk size *is* the partial-sum bracketing,
+    // which must stay this function of `n` and the worker budget.
+    let chunk = n.div_ceil(threads * SUM_CHUNKS_PER_WORKER).max(1);
     let nchunks = n.div_ceil(chunk);
     let mut partials = vec![0.0f64; nchunks];
     let ptr = SharedMutPtr(partials.as_mut_ptr());
@@ -276,87 +272,38 @@ pub fn parallel_sum<F: Fn(usize) -> f64 + Sync>(n: usize, f: F) -> f64 {
     partials.iter().sum()
 }
 
-/// Reference dispatcher: `f(i)` for `i in 0..n` over **freshly spawned**
-/// scoped threads, re-creating and joining OS threads on every call.
-///
-/// This was the original `Parallel` implementation; it is kept as the
-/// per-call baseline that the `dispatch_overhead` bench measures the
-/// persistent pool against. Prefer [`parallel_for`] everywhere else.
-pub fn scoped_parallel_for<F: Fn(usize) + Sync>(n: usize, f: F) {
-    let threads = num_threads().min(n);
-    if threads <= 1 {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    let chunk = n.div_ceil(threads * CHUNKS_PER_WORKER).max(1);
-    let next = AtomicUsize::new(0);
-    let f = &f;
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                for i in start..(start + chunk).min(n) {
-                    f(i);
-                }
-            });
-        }
-    });
-}
-
-/// Reference reduction over freshly spawned scoped threads (per-worker
-/// partials, combined in join order). Kept only as the bench baseline for
-/// [`parallel_sum`]; its combine order is schedule-dependent, which is
-/// exactly the nondeterminism the pooled reduction fixes.
-pub fn scoped_parallel_sum<F: Fn(usize) -> f64 + Sync>(n: usize, f: F) -> f64 {
-    let threads = num_threads().min(n);
-    if threads <= 1 {
-        return (0..n).map(f).sum();
-    }
-    let chunk = n.div_ceil(threads * CHUNKS_PER_WORKER).max(1);
-    let next = AtomicUsize::new(0);
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut acc = 0.0;
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        for i in start..(start + chunk).min(n) {
-                            acc += f(i);
-                        }
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel_sum worker panicked"))
-            .sum()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
+    fn chunk_policy_is_one_claim_per_index_up_to_64_per_worker() {
+        // The two shapes the step benchmark dispatches on two threads.
+        assert_eq!(for_chunk(128, 2), 1);
+        assert_eq!(for_chunk(1024, 2), 8);
+        for threads in [0, 1, 2, 3, 16, 4096] {
+            let mut last = 1;
+            for n in [0, 1, 7, 128, 129, 4093, 1 << 20] {
+                let chunk = for_chunk(n, threads);
+                assert!((1..=n.max(1)).contains(&chunk), "({n}, {threads})");
+                assert!(chunk >= last, "monotone in n at ({n}, {threads})");
+                last = chunk;
+            }
+        }
+    }
+
+    #[test]
     fn visits_every_index_exactly_once() {
-        let hits: Vec<AtomicUsize> = (0..1237).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(1237, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        // 4093 is prime: no chunk size divides it, so the last claim of
+        // the region is always a ragged one.
+        for n in [1237, 4093] {
+            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            parallel_for(n, |i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        }
     }
 
     #[test]
@@ -409,12 +356,14 @@ mod tests {
 
     #[test]
     fn for_each_mut_touches_every_slot_once() {
-        let mut items: Vec<u64> = vec![0; 997];
-        parallel_for_each_mut(&mut items, |i, slot| {
-            *slot += i as u64 + 1;
-        });
-        for (i, v) in items.iter().enumerate() {
-            assert_eq!(*v, i as u64 + 1);
+        for n in [997, 4093] {
+            let mut items: Vec<u64> = vec![0; n];
+            parallel_for_each_mut(&mut items, |i, slot| {
+                *slot += i as u64 + 1;
+            });
+            for (i, v) in items.iter().enumerate() {
+                assert_eq!(*v, i as u64 + 1);
+            }
         }
         let mut empty: Vec<u64> = Vec::new();
         parallel_for_each_mut(&mut empty, |_, _| panic!("must not run"));
@@ -477,16 +426,5 @@ mod tests {
             let o = parallel_for_budgeted(100, &budget, |_| panic!("must not run"));
             assert_eq!(o, DispatchOutcome::TimedOut);
         });
-    }
-
-    #[test]
-    fn scoped_baseline_still_correct() {
-        let hits: Vec<AtomicUsize> = (0..700).map(|_| AtomicUsize::new(0)).collect();
-        scoped_parallel_for(700, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        let expected = (0..3000).map(|i| i as f64).sum::<f64>();
-        assert_eq!(scoped_parallel_sum(3000, |i| i as f64), expected);
     }
 }

@@ -101,18 +101,13 @@ use std::time::{Duration, Instant};
 const SPIN: usize = 1 << 12;
 
 /// Extra wall-clock grace past a budgeted dispatch's deadline before the
-/// in-dispatcher watchdog declares the dispatch late: `PP_WATCHDOG_SLACK_MS`
-/// (read once, warn-once on malformed values), default 100 ms, clamped to
-/// `[1, 60000]`. Cooperative checkpoints sit at chunk boundaries, so a
-/// healthy dispatch overshoots its deadline by at most one chunk of lane
-/// work; anything past the slack means a non-cooperative (hung or very
-/// long) lane and trips the watchdog.
+/// in-dispatcher watchdog declares the dispatch late: 100 ms. Cooperative
+/// checkpoints sit at chunk boundaries, so a healthy dispatch overshoots
+/// its deadline by at most one chunk of lane work; anything past the
+/// slack means a non-cooperative (hung or very long) lane and trips the
+/// watchdog.
 pub fn watchdog_slack() -> Duration {
-    static SLACK: OnceLock<Duration> = OnceLock::new();
-    *SLACK.get_or_init(|| {
-        let ms = instrument::env::env_u64_clamped("PP_WATCHDOG_SLACK_MS", 1, 60_000).unwrap_or(100);
-        Duration::from_millis(ms)
-    })
+    Duration::from_millis(100)
 }
 
 /// Spin budget for this host: [`SPIN`] when truly parallel hardware is
@@ -434,12 +429,10 @@ fn worker_loop(shared: &'static Shared, id: usize) {
     let mut seen = 0u64;
     loop {
         // Wait for the next generation: spin briefly on the fast-path
-        // counter, then park on the condvar. The spin budget adapts to
-        // the live dispatch-latency EWMA (static `SPIN` until seeded or
-        // when `PP_ADAPTIVE=0`).
+        // counter, then park on the condvar.
         let idle_from = Instant::now();
         let mut spins = 0usize;
-        let budget = crate::adaptive::adaptive_spin(spin_budget());
+        let budget = spin_budget();
         while shared.generation.load(Ordering::Acquire) == seen && spins < budget {
             std::hint::spin_loop();
             spins += 1;
@@ -545,11 +538,6 @@ impl Pool {
         }
 
         let timer = instrument::Timer::start();
-        // Adaptation feed: timed with a real clock in both feature modes
-        // (the inert Timer reports zero), so the feature-off build — the
-        // one `dispatch_overhead` gates — adapts too. Skipped entirely
-        // when `PP_ADAPTIVE=0`, keeping the static policy's cost profile.
-        let adaptive_t0 = crate::adaptive::adaptive_enabled().then(Instant::now);
         let span = instrument::Span::enter(instrument::PhaseId::Dispatch);
         let serialised = lock_pool(&self.dispatch_lock);
         let next = AtomicUsize::new(0);
@@ -600,7 +588,7 @@ impl Pool {
         // trip cancels the budget (so cooperative checkpoints drain) and
         // is recorded before the wait — soundly — resumes.
         let mut spins = 0usize;
-        let spin_limit = crate::adaptive::adaptive_spin(spin_budget());
+        let spin_limit = spin_budget();
         while done.load(Ordering::Acquire) < joined_count && spins < spin_limit {
             std::hint::spin_loop();
             spins += 1;
@@ -655,11 +643,6 @@ impl Pool {
         // Begin/End pair; the timer feeds the latency histogram.
         drop(span);
         dispatch_latency_histogram().record(timer.elapsed_ns());
-        if let Some(t0) = adaptive_t0 {
-            // `joined_count + 1`: committed workers plus the dispatching
-            // caller all ran lane work.
-            crate::adaptive::note_dispatch(t0.elapsed().as_nanos() as u64, n, joined_count + 1);
-        }
         if let Some(payload) = caller_panic.or(worker_panic) {
             resume_unwind(payload);
         }

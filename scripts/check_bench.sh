@@ -10,14 +10,19 @@ cd "$(dirname "$0")/.."
 
 mkdir -p target
 
-# PP_NUM_THREADS forces a real worker pool even on single-core runners;
-# without it every dispatch is inline and there is no latency to gate.
+# A real worker pool even on single-core runners (>= 2: without one
+# every dispatch is inline and there is no latency to gate), never more
+# threads than a small runner has cores (<= 4): an oversubscribed pool
+# measures the scheduler, not the dispatch.
+cores=$(nproc)
+POOL_THREADS=$((cores < 2 ? 2 : cores > 4 ? 4 : cores))
+
 echo "==> dispatch_overhead --smoke (feature-off build: the hot path must not carry the layer)"
-PP_NUM_THREADS=4 cargo run --release -q -p pp-bench --bin dispatch_overhead -- \
+PP_NUM_THREADS=$POOL_THREADS cargo run --release -q -p pp-bench --bin dispatch_overhead -- \
     --smoke --out target/BENCH_dispatch_smoke.json
 
 echo "==> phase_profile --smoke --resident (--features instrument)"
-PP_NUM_THREADS=4 cargo run --release -q -p pp-bench --features instrument --bin phase_profile -- \
+PP_NUM_THREADS=$POOL_THREADS cargo run --release -q -p pp-bench --features instrument --bin phase_profile -- \
     --smoke --resident --out target/BENCH_phases_smoke.json
 
 echo "==> bench_gate: dispatch latency vs committed BENCH_dispatch.json"
@@ -89,46 +94,19 @@ cargo run --release -q -p pp-bench --bin bench_gate -- \
     --baseline BENCH_chaos.json \
     --candidate target/BENCH_chaos_smoke.json
 
-# Fresh telemetry smoke run: resident soak with streaming exporters and
-# the injected-slow-lane sentinel demo. The binary self-checks its
-# contracts and exits non-zero on any failure.
-echo "==> telemetry_soak --smoke (--features instrument)"
-PP_NUM_THREADS=4 cargo run --release -q -p pp-bench --features instrument \
-    --bin telemetry_soak -- --smoke --out target/BENCH_telemetry_smoke.json
-
 # Every emitted document — committed baseline and fresh smoke run — must
-# carry the current telemetry schema_version stamp. bench_gate already
-# fails by name on skew for the documents it compares; this loop extends
-# the same rule to the telemetry summary, which has no gate kind of its
-# own, and fails loudly with the file name on any unstamped document.
+# carry the current schema_version stamp. bench_gate already fails by
+# name on skew for the documents it compares; this loop says the same
+# with the file name, before anyone reads a number out of one.
 SCHEMA_VERSION=1
 echo "==> schema_version stamp check (expected $SCHEMA_VERSION)"
-for f in BENCH_dispatch.json BENCH_phases.json BENCH_chaos.json BENCH_telemetry.json \
+for f in BENCH_dispatch.json BENCH_phases.json BENCH_chaos.json \
          target/BENCH_dispatch_smoke.json target/BENCH_phases_smoke.json \
-         target/BENCH_chaos_smoke.json target/BENCH_telemetry_smoke.json; do
+         target/BENCH_chaos_smoke.json; do
     if ! grep -q "\"schema_version\": $SCHEMA_VERSION" "$f"; then
         echo "FAIL: $f is missing \"schema_version\": $SCHEMA_VERSION" >&2
         exit 1
     fi
 done
-
-# The committed summary points at the sentinel demo by path: it must be
-# the file the smoke run above just wrote, not one that no longer exists.
-grep -q '"sentinel_demo": "target/sentinel_demo.json"' BENCH_telemetry.json
-test -s target/sentinel_demo.json
-
-# Telemetry's acceptance criterion: the streaming exporter must cost
-# under 1% of resident-solve throughput at full size. The live smoke
-# measurement is too small to be meaningful (fixed per-tick costs loom
-# over a sub-millisecond solve), so gate the committed full-size figure
-# — regenerating BENCH_telemetry.json with a slow exporter fails here.
-OVERHEAD_CEILING_PCT=1.0
-overhead=$(awk '/"exporter_overhead_pct":/ {
-    s = $0; sub(/.*"exporter_overhead_pct": /, "", s); sub(/,.*/, "", s)
-    print s; exit
-}' BENCH_telemetry.json)
-test -n "$overhead"
-echo "==> committed exporter overhead: ${overhead}% (ceiling ${OVERHEAD_CEILING_PCT}%)"
-awk -v o="$overhead" -v c="$OVERHEAD_CEILING_PCT" 'BEGIN { exit !(o < c) }'
 
 echo "check_bench: all gates passed"

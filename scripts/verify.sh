@@ -24,12 +24,24 @@ cargo test -q -p pp-instrument --features instrument
 cargo test -q -p pp-bench --features instrument
 cargo test -q -p batched-splines --features instrument
 
+# Every PP_* variable the stack reads is in README's knob table, and the
+# table lists nothing the stack does not read.
+echo "==> PP_* knob census (string literals under crates/*/src == README knob table)"
+diff <(grep -rhoE '"PP_[A-Z_]+"' crates/*/src | tr -d '"' | grep -v '^PP_TEST_' | sort -u) \
+    <(grep -oE '^\| `PP_[A-Z_]+`' README.md | grep -oE 'PP_[A-Z_]+' | sort -u)
+
+# Worker budget of the smoke runs below: a real pool even on single-core
+# CI (>= 2), never more threads than a small runner has cores (<= 4) —
+# an oversubscribed pool measures the scheduler, not the dispatch.
+cores=$(nproc)
+POOL_THREADS=$((cores < 2 ? 2 : cores > 4 ? 4 : cores))
+
 # Smoke-run the dispatch-overhead bench: exercises the persistent
 # worker-pool dispatch path and the JSON emitter end to end (tiny sizes,
-# seconds). PP_NUM_THREADS forces a real pool even on single-core CI.
-echo "==> dispatch_overhead bench smoke (pool dispatch + JSON emitter)"
+# seconds).
+echo "==> dispatch_overhead bench smoke (pool dispatch + JSON emitter, $POOL_THREADS threads)"
 mkdir -p target
-PP_NUM_THREADS=4 cargo run --release -q -p pp-bench --bin dispatch_overhead -- \
+PP_NUM_THREADS=$POOL_THREADS cargo run --release -q -p pp-bench --bin dispatch_overhead -- \
     --smoke --out target/BENCH_dispatch_smoke.json
 test -s target/BENCH_dispatch_smoke.json
 
@@ -37,10 +49,10 @@ test -s target/BENCH_dispatch_smoke.json
 # (Perfetto export) and the traced-advection example with one injected
 # fault (dump-on-fault, written under target/ for CI artifact upload).
 echo "==> trace smoke (flight recorder export + dump-on-fault example)"
-PP_NUM_THREADS=4 cargo run --release -q -p pp-bench --features instrument \
+PP_NUM_THREADS=$POOL_THREADS cargo run --release -q -p pp-bench --features instrument \
     --bin trace_profile -- --smoke --out target/trace_example_smoke.json
 test -s target/trace_example_smoke.json
-PP_NUM_THREADS=4 cargo run --release -q --features instrument \
+PP_NUM_THREADS=$POOL_THREADS cargo run --release -q --features instrument \
     --example trace_advection > /dev/null
 test -s target/trace_advection.json
 ls target/trace_advection_dumps/fault_dump_*.json > /dev/null
@@ -52,27 +64,11 @@ ls target/trace_advection_dumps/fault_dump_*.json > /dev/null
 # document so either silently dropping out fails tier-1, not just the
 # bench gate.
 echo "==> phase_profile bench smoke (per-phase attribution incl. Interleaved + resident)"
-PP_NUM_THREADS=4 cargo run --release -q -p pp-bench --features instrument \
+PP_NUM_THREADS=$POOL_THREADS cargo run --release -q -p pp-bench --features instrument \
     --bin phase_profile -- --smoke --resident --out target/BENCH_phases_smoke.json
 test -s target/BENCH_phases_smoke.json
 grep -q '"version": "Lane interleave"' target/BENCH_phases_smoke.json
 grep -q '"version": "Lane interleave resident"' target/BENCH_phases_smoke.json
-
-# Smoke-run the telemetry runtime end to end: a resident solve loop
-# with the background sampler streaming JSONL + Prometheus snapshots,
-# an injected-slow-lane SLO breach captured as a sentinel fault dump,
-# and an exporter-overhead measurement. The binary exits non-zero if
-# any of its contracts (ticks, breach, dump reason, stream contents)
-# fail. The grep pins the resident-solve gauge into the streamed JSONL
-# so the exporter silently dropping gauges fails tier-1.
-echo "==> telemetry_soak smoke (streaming exporters + SLO sentinel demo)"
-PP_NUM_THREADS=4 cargo run --release -q -p pp-bench --features instrument \
-    --bin telemetry_soak -- --smoke --out target/BENCH_telemetry_smoke.json
-test -s target/BENCH_telemetry_smoke.json
-test -s target/telemetry_stream.jsonl
-test -s target/telemetry.prom
-test -s target/sentinel_demo.json
-grep -q 'soak.resident_solves' target/telemetry_stream.jsonl
 
 # Smoke-run the chaos-soak campaign: seeded fault scenarios (NaN lanes,
 # near-singular systems, slow lanes) under wall-clock budgets. The binary
@@ -80,7 +76,7 @@ grep -q 'soak.resident_solves' target/telemetry_stream.jsonl
 # determinism, healthy pool) is violated. The full >= 32-seed soak runs
 # in the nightly CI job.
 echo "==> chaos_soak smoke (budgets, cancellation, watchdog invariants)"
-PP_NUM_THREADS=4 cargo run --release -q -p pp-bench --bin chaos_soak -- \
+PP_NUM_THREADS=$POOL_THREADS cargo run --release -q -p pp-bench --bin chaos_soak -- \
     --smoke --out target/BENCH_chaos_smoke.json
 test -s target/BENCH_chaos_smoke.json
 
