@@ -145,8 +145,8 @@ impl fmt::Display for AdvectionDiagnostics {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepTimings {
     /// Transpose into lane-contiguous layout (Algorithm 2, line 3): the
-    /// pack of a [`Matrix`] argument into panels. Zero for a step on a
-    /// resident slab.
+    /// pack of a [`Matrix`] argument into panels, a region of its own on
+    /// the step's execution space. Zero for a step on a resident slab.
     pub transpose_in: Duration,
     /// The step's one parallel region: per panel the spline build (the
     /// paper's `ddc_splines_solve`, line 4) and, fused with it while the
@@ -154,8 +154,8 @@ pub struct StepTimings {
     /// feet (lines 6–10). For the `Iterative` backend it includes the host
     /// Krylov solve in front of the region.
     pub splines_solve: Duration,
-    /// Transpose back (line 5): the unpack into the [`Matrix`] argument.
-    /// Zero for a step on a resident slab.
+    /// Transpose back (line 5): the unpack into the [`Matrix`] argument,
+    /// likewise a region of its own. Zero for a step on a resident slab.
     pub transpose_out: Duration,
     /// Interpolation outside that region: the verified backend
     /// re-evaluating the lanes its serial tail repaired or quarantined.
@@ -316,18 +316,21 @@ impl Advection1D {
 
     /// Advance `f` (shape `(Nv, Nx)`, any layout) by one time step:
     /// pack it into an `(Nx, Nv)` slab, run
-    /// [`Advection1D::step_resident`], unpack. Returns the per-phase
-    /// timings, the pack and unpack as
+    /// [`Advection1D::step_resident`], unpack — three regions on `exec`,
+    /// the pack and the unpack being one each like the step between them
+    /// (Algorithm 2's lines 3 and 5 are `parallel_for` kernels too).
+    /// Returns the per-phase timings, the pack and unpack as
     /// [`StepTimings::transpose_in`]/[`StepTimings::transpose_out`].
     pub fn step<E: ExecSpace>(&mut self, exec: &E, f: &mut Matrix) -> Result<StepTimings> {
-        self.through_slab(f, |me, slab| me.step_resident(exec, slab))
+        self.through_slab(exec, f, |me, slab| me.step_resident(exec, slab))
     }
 
     /// Run `step` on `f` (shape `(Nv, Nx)`) packed into the private slab,
     /// and unpack the result into `f` when it succeeds (a failed step
     /// leaves `f` as it was).
-    fn through_slab(
+    fn through_slab<E: ExecSpace>(
         &mut self,
+        exec: &E,
         f: &mut Matrix,
         step: impl FnOnce(&mut Self, &mut ResidentBatch) -> Result<StepTimings>,
     ) -> Result<StepTimings> {
@@ -342,11 +345,13 @@ impl Advection1D {
             .take()
             .unwrap_or_else(|| ResidentBatch::zeros(nx, nv));
         let t0 = Instant::now();
-        slab.pack_transposed_from(f).expect("shape checked above");
+        slab.pack_transposed_from_with(exec, f)
+            .expect("shape checked above");
         let transpose_in = t0.elapsed();
         let stepped = step(self, &mut slab).map(|mut t| {
             let t0 = Instant::now();
-            slab.unpack_transposed_into(f).expect("shape checked above");
+            slab.unpack_transposed_into_with(exec, f)
+                .expect("shape checked above");
             t.transpose_in = transpose_in;
             t.transpose_out = t0.elapsed();
             t
@@ -516,7 +521,7 @@ impl Advection1D {
         f: &mut Matrix,
         displacements: &[f64],
     ) -> Result<StepTimings> {
-        self.through_slab(f, |me, slab| {
+        self.through_slab(exec, f, |me, slab| {
             me.step_resident_with_displacements(exec, slab, displacements)
         })
     }
@@ -989,6 +994,32 @@ mod tests {
                     adv.step_resident(&exec, &mut slab).unwrap();
                     assert_eq!(exec.regions(), 1, "{what}");
                 }
+            }
+        }
+    }
+
+    /// The host step is that region between two of layout motion: the
+    /// pack and the unpack run on the execution space too, one region
+    /// each (DESIGN.md §14.5), plain or verified.
+    #[test]
+    fn host_step_is_three_regions() {
+        let space = PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
+        let velocities: Vec<f64> = (0..5 * LANE_WIDTH + 3).map(|j| 0.01 * j as f64).collect();
+        let version = BuilderVersion::FusedSpmv;
+        let verified =
+            SplineBackend::direct_verified(space.clone(), version, VerifyConfig::default());
+        for backend in [SplineBackend::direct(space.clone(), version), verified] {
+            let mut adv = Advection1D::new(backend.unwrap(), velocities.clone(), 1e-2).unwrap();
+            let what = adv.backend_label();
+            let mut f = adv.init_distribution(gaussian);
+            let mut slab = ResidentBatch::pack_transposed(&f);
+            for _ in 0..2 {
+                let exec = CountingExec::default();
+                adv.step(&exec, &mut f).unwrap();
+                assert_eq!(exec.regions(), 3, "{what}");
+                let exec = CountingExec::default();
+                adv.step_resident(&exec, &mut slab).unwrap();
+                assert_eq!(exec.regions(), 1, "{what}");
             }
         }
     }

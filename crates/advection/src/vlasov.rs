@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use crate::error::{Error, Result};
 use crate::semilagrangian::{Advection1D, AdvectionDiagnostics, SplineBackend};
 use pp_bsplines::{Breaks, PeriodicSplineSpace};
-use pp_portable::{ExecSpace, Layout, Matrix, ResidentBatch};
+use pp_portable::{ExecSpace, Layout, Matrix, ResidentBatch, Serial, LANE_WIDTH};
 use pp_splinesolver::{BuilderVersion, CheckpointStore, Snapshot, VerifyConfig};
 
 /// Self-consistent 1D1V Vlasov–Poisson solver on a doubly periodic
@@ -49,6 +49,11 @@ pub struct VlasovPoisson1D1V {
     dt: f64,
     /// Latest electric field `E(x_i)`.
     e_field: Vec<f64>,
+    /// Scratch of the field solve: the charge density, as
+    /// [`density_into`] lays it out.
+    rho: Matrix,
+    /// Scratch: the v-advection's per-lane displacement `−E(x_i)·Δt`.
+    disp: Vec<f64>,
     /// Completed Strang steps since construction or restore.
     step_index: u64,
     /// Run seed recorded in checkpoints (RNG / chaos-harness seed), so a
@@ -184,6 +189,8 @@ impl VlasovPoisson1D1V {
             v_grid,
             dt,
             e_field: vec![0.0; nx],
+            rho: rho_scratch(nx),
+            disp: vec![0.0; nx],
             step_index: 0,
             seed: 0,
             checkpoint: None,
@@ -226,30 +233,37 @@ impl VlasovPoisson1D1V {
     /// Charge density `ρ(x_i) = ∫ f dv` (uniform quadrature, lanes summed
     /// in ascending order), read off the resident slab: always current.
     pub fn density(&self) -> Vec<f64> {
-        let (nx, nv) = (self.f_xv.nrows(), self.f_xv.ncols());
-        (0..nx)
-            .map(|i| (0..nv).map(|j| self.f_xv.get(i, j)).sum::<f64>() * self.dv)
-            .collect()
+        let nx = self.f_xv.nrows();
+        let mut rho = rho_scratch(nx);
+        density_into(&Serial, &self.f_xv, self.dv, &mut rho);
+        rho.as_slice()[..nx].to_vec()
     }
 
     /// Solve the 1D periodic Poisson problem `∂E/∂x = ⟨ρ⟩ − ρ` (electron
     /// density `ρ` against a neutralising ion background) for the
     /// zero-mean electric field, by cumulative integration.
     pub fn solve_poisson(&mut self) {
-        let rho = self.density();
-        let nx = rho.len();
+        self.solve_poisson_with(&Serial);
+    }
+
+    /// [`VlasovPoisson1D1V::solve_poisson`] with the density as one
+    /// region on `exec`.
+    fn solve_poisson_with<E: ExecSpace>(&mut self, exec: &E) {
+        density_into(exec, &self.f_xv, self.dv, &mut self.rho);
+        let e = &mut self.e_field[..];
+        let nx = e.len();
+        let rho = &self.rho.as_slice()[..nx];
         let mean: f64 = rho.iter().sum::<f64>() / nx as f64;
         // Cumulative trapezoid of (⟨ρ⟩ − ρ).
-        let mut e = vec![0.0; nx];
+        e[0] = 0.0;
         for i in 1..nx {
             e[i] = e[i - 1] + 0.5 * ((mean - rho[i - 1]) + (mean - rho[i])) * self.dx;
         }
         // Fix the gauge: zero-mean field.
         let e_mean: f64 = e.iter().sum::<f64>() / nx as f64;
-        for v in &mut e {
+        for v in e {
             *v -= e_mean;
         }
-        self.e_field = e;
     }
 
     /// Electric-field energy `½ ∫ E² dx`.
@@ -372,15 +386,16 @@ impl VlasovPoisson1D1V {
     /// [`VlasovPoisson1D1V::sync_host`].
     pub fn step<E: ExecSpace>(&mut self, exec: &E) -> Result<()> {
         self.step_resident(exec)?;
-        self.sync_host();
+        self.sync_host_with(exec);
         Ok(())
     }
 
     /// One Strang-split time step on the resident distribution: both
-    /// advections solve and interpolate panel-native, the density reads
-    /// the slab directly, and the only layout motion is the pair of
+    /// advections solve and interpolate panel-native, the density streams
+    /// the slab where it lies, and the only layout motion is the pair of
     /// panel-to-panel orientation flips between the `x` and `v`
-    /// advections. Nothing is unpacked: afterwards
+    /// advections. Six regions on `exec` — three advections, two flips,
+    /// the density — and no allocation. Nothing is unpacked: afterwards
     /// [`VlasovPoisson1D1V::distribution`] / [`VlasovPoisson1D1V::mass`]
     /// lag until [`VlasovPoisson1D1V::sync_host`] runs, while
     /// `density`, `e_field`, `field_energy` and `snapshot` (hence
@@ -389,14 +404,20 @@ impl VlasovPoisson1D1V {
         // Half x-advection.
         self.adv_x.step_resident(exec, &mut self.f_xv)?;
         // Field solve from the updated density.
-        self.solve_poisson();
+        self.solve_poisson_with(exec);
         // Full v-advection, in the flipped orientation: per-x-lane
         // displacement a·Δt = −E(x)·Δt.
-        let disp: Vec<f64> = self.e_field.iter().map(|&e| -e * self.dt).collect();
-        self.f_xv.transpose_into(&mut self.f_vx).map_err(flip_err)?;
+        for (d, &e) in self.disp.iter_mut().zip(&self.e_field) {
+            *d = -e * self.dt;
+        }
+        self.f_xv
+            .transpose_into_with(exec, &mut self.f_vx)
+            .expect("grid fixed at build");
         self.adv_v
-            .step_resident_with_displacements(exec, &mut self.f_vx, &disp)?;
-        self.f_vx.transpose_into(&mut self.f_xv).map_err(flip_err)?;
+            .step_resident_with_displacements(exec, &mut self.f_vx, &self.disp)?;
+        self.f_vx
+            .transpose_into_with(exec, &mut self.f_xv)
+            .expect("grid fixed at build");
         // Half x-advection.
         self.adv_x.step_resident(exec, &mut self.f_xv)?;
         self.step_index += 1;
@@ -407,7 +428,7 @@ impl VlasovPoisson1D1V {
         if due {
             // Checkpoint boundary: unpack once, for the snapshot and for
             // any `sync_host` that follows.
-            self.sync_host();
+            self.sync_host_with(exec);
             if let Some((store, _)) = &self.checkpoint {
                 store.write(self.step_index, &self.snapshot())?;
             }
@@ -419,19 +440,60 @@ impl VlasovPoisson1D1V {
     /// [`VlasovPoisson1D1V::distribution`]. Free when the slab has not
     /// moved since the mirror was last current.
     pub fn sync_host(&mut self) {
+        self.sync_host_with(&Serial);
+    }
+
+    /// [`VlasovPoisson1D1V::sync_host`] with the unpack as one region on
+    /// `exec`.
+    fn sync_host_with<E: ExecSpace>(&mut self, exec: &E) {
         if self.f_generation != self.f_xv.generation() {
             self.f_xv
-                .unpack_transposed_into(&mut self.f)
+                .unpack_transposed_into_with(exec, &mut self.f)
                 .expect("grid fixed at build");
             self.f_generation = self.f_xv.generation();
         }
     }
 }
 
-fn flip_err(e: pp_portable::Error) -> Error {
-    Error::ShapeMismatch {
-        detail: e.to_string(),
-    }
+/// Rows of the slab one item of the density region sums.
+const DENSITY_ROWS: usize = 64;
+
+/// Density scratch for `nx` rows: lane `b` of the lane-contiguous matrix
+/// is the block of [`DENSITY_ROWS`] rows that item `b` of the density
+/// region owns, so the first `nx` elements of its storage are `ρ` in row
+/// order.
+fn rho_scratch(nx: usize) -> Matrix {
+    Matrix::zeros(DENSITY_ROWS, nx.div_ceil(DENSITY_ROWS), Layout::Left)
+}
+
+/// `ρ_i = (Σ_j f(i, j))·dv` into a [`rho_scratch`], one region of `exec`
+/// over blocks of rows. A block reads the slab in storage order — chunk
+/// after chunk, its rows of each in turn — and every `ρ_i` is `f64`'s
+/// `Iterator::sum` over lanes `j` ascending: the same additions in the
+/// same order from the same initial value, whatever `exec`.
+fn density_into<E: ExecSpace>(exec: &E, f_xv: &ResidentBatch, dv: f64, rho: &mut Matrix) {
+    let panels = f_xv.panels();
+    let nx = panels.nrows();
+    // What `Iterator::sum` starts from (`-0.0` on current std): a row of
+    // `-0.0` must sum to what it did when this was a `.sum()` per row.
+    let empty_sum: f64 = std::iter::empty::<f64>().sum();
+    exec.for_each_lane_mut(rho, |b, mut block| {
+        let first = b * DENSITY_ROWS;
+        let rows = DENSITY_ROWS.min(nx - first);
+        let mut acc = [empty_sum; DENSITY_ROWS];
+        for c in 0..panels.num_chunks() {
+            let lanes = panels.chunk_lanes(c);
+            let slab = &panels.chunk(c)[first * LANE_WIDTH..][..rows * LANE_WIDTH];
+            for (a, row) in acc.iter_mut().zip(slab.chunks_exact(LANE_WIDTH)) {
+                for v in &row[..lanes] {
+                    *a += v;
+                }
+            }
+        }
+        for (i, a) in acc[..rows].iter().enumerate() {
+            block[i] = a * dv;
+        }
+    });
 }
 
 fn spline_err(e: pp_bsplines::Error) -> Error {
@@ -588,10 +650,14 @@ mod tests {
         }
     }
 
-    /// A Strang step is its three advections and nothing else on the pool:
-    /// one region each, plain or verified.
+    /// A Strang step is six regions, plain or verified: its three
+    /// advections, the two orientation flips between them and the density.
+    /// The flips are regions of their own rather than an egress folded
+    /// into the advection before them because the fold measured equal
+    /// (DESIGN.md §14.5, EXPERIMENTS.md §PR 18) and would have opened
+    /// every `solve_then`.
     #[test]
-    fn resident_strang_step_is_three_regions() {
+    fn resident_strang_step_is_six_regions() {
         let init = two_stream(1.4, 0.01, 0.5);
         let plain = VlasovPoisson1D1V::new(32, 24, 4.0, 5.0, 3, 0.05, &init);
         let verify = VerifyConfig::default();
@@ -600,7 +666,38 @@ mod tests {
             let mut solver = solver.unwrap();
             let exec = pp_portable::CountingExec::default();
             solver.step_resident(&exec).unwrap();
-            assert_eq!(exec.regions(), 3);
+            assert_eq!(exec.regions(), 6);
+        }
+    }
+
+    /// The density contract: `ρ_i` is the naive ascending `Σ_j f(i, j)`
+    /// times `dv`, bit for bit, on either execution space — for a lane
+    /// count that fills its chunks, one that does not, and more rows than
+    /// one block of the region; for a row of `-0.0` (whose sum is `-0.0`
+    /// only from `Iterator::sum`'s own initial value) and for rows whose
+    /// partial sums cancel, so that any other association shows.
+    #[test]
+    fn density_is_the_naive_ascending_sum_bitwise() {
+        for nv in [8usize, 13, 64] {
+            let nx = 96;
+            let mut s = VlasovPoisson1D1V::new(nx, nv, 1.0, 4.0, 3, 0.1, |_, _| 0.0).unwrap();
+            let mut rng = pp_portable::TestRng::seed_from_u64(nv as u64);
+            let f = Matrix::from_fn(nv, nx, Layout::Right, |j, i| match i {
+                0 => -0.0,
+                // 1e16 + 1 − 1e16 is 0 left to right, 1 in any other order.
+                1 => [1e16, 1.0, -1e16, 3.0][j % 4],
+                _ => rng.gen_range(-1.0..1.0) * 10f64.powi((j % 7) as i32 - 3),
+            });
+            s.f_xv.pack_transposed_from(&f).unwrap();
+            let want: Vec<f64> = (0..nx)
+                .map(|i| (0..nv).map(|j| s.f_xv.get(i, j)).sum::<f64>() * s.dv)
+                .collect();
+            assert_eq!(want[0].to_bits(), (-0.0 * s.dv).to_bits(), "nv {nv}");
+            let bits = |rho: &[f64]| rho.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&s.density()), bits(&want), "nv {nv}");
+            let mut rho = rho_scratch(nx);
+            density_into(&Parallel, &s.f_xv, s.dv, &mut rho);
+            assert_eq!(bits(&rho.as_slice()[..nx]), bits(&want), "nv {nv} Parallel");
         }
     }
 

@@ -147,9 +147,9 @@ impl SplineBuilder {
                 exec.for_each_lane_mut(b, |_, mut lane| schur_solve(blocks, sparse, &mut lane));
             }
             BuilderVersion::Interleaved => {
-                let mut ib = InterleavedMatrix::pack(b);
-                self.solve_panels(exec, &mut ib);
-                ib.unpack_into(b)?;
+                let mut packed = ResidentBatch::pack_with(exec, b);
+                self.solve_panels(exec, packed.panels_mut());
+                packed.unpack_into_with(exec, b)?;
             }
         }
         Ok(())

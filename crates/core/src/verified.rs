@@ -655,7 +655,7 @@ impl VerifiedBuilder {
         b: &mut Matrix,
         budget: Option<&Budget>,
     ) -> Result<(LaneReport, Vec<Degradation>)> {
-        let mut packed = ResidentBatch::pack(b);
+        let mut packed = ResidentBatch::pack_with(exec, b);
         let out = self.verify_panels(
             exec,
             &mut packed,
@@ -663,7 +663,7 @@ impl VerifiedBuilder {
             None,
             &mut ResidentBatch::write_lane,
         )?;
-        packed.unpack_into(b)?;
+        packed.unpack_into_with(exec, b)?;
         Ok(out)
     }
 

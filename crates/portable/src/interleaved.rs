@@ -23,10 +23,11 @@
 //! sweep such a chunk at full width like any other.
 
 use crate::error::{Error, Result};
-use crate::exec::ExecSpace;
+use crate::exec::{ExecSpace, Serial};
 use crate::instrument::{PhaseId, Span};
 use crate::matrix::Matrix;
 use crate::ptr::SharedMutPtr;
+use std::array;
 
 /// Lanes per interleaved chunk: 8 × f64 = one 64-byte cache line and one
 /// AVX-512 vector register.
@@ -82,61 +83,32 @@ impl InterleavedMatrix {
     /// [`InterleavedMatrix::pack_transposed`] orientation). Recorded
     /// under [`PhaseId::Transpose`].
     pub fn copy_from_matrix(&mut self, src: &Matrix, transposed: bool) -> Result<()> {
-        let logical = if transposed {
-            (src.ncols(), src.nrows())
-        } else {
-            src.shape()
-        };
-        if logical != (self.nrows, self.ncols) {
-            return Err(Error::ShapeMismatch {
-                op: "InterleavedMatrix::copy_from_matrix",
-                left: (self.nrows, self.ncols),
-                right: logical,
-            });
-        }
-        let _span = Span::enter(PhaseId::Transpose);
-        let (rs, cs) = src.strides();
-        // Source strides for logical (row, col) indexing.
-        let (lrs, lcs) = if transposed { (cs, rs) } else { (rs, cs) };
-        let s = src.as_slice();
-        let nrows = self.nrows;
-        for c in 0..self.num_chunks() {
-            let lanes = self.chunk_lanes(c);
-            let base = c * nrows * LANE_WIDTH;
-            for i in 0..nrows {
-                let row = base + i * LANE_WIDTH;
-                for l in 0..lanes {
-                    self.data[row + l] = s[i * lrs + (c * LANE_WIDTH + l) * lcs];
-                }
-            }
-        }
+        self.copy_from_matrix_with(&Serial, src, transposed)
+    }
+
+    /// [`InterleavedMatrix::copy_from_matrix`] as one region on `exec`.
+    pub(crate) fn copy_from_matrix_with<E: ExecSpace>(
+        &mut self,
+        exec: &E,
+        src: &Matrix,
+        transposed: bool,
+    ) -> Result<()> {
+        let shape = self.shape();
+        check_shape(
+            "InterleavedMatrix::copy_from_matrix",
+            shape,
+            src,
+            transposed,
+        )?;
+        let (from, to) = (Tiling::of(src, transposed), Tiling::panels(self.nrows));
+        move_tiles(exec, shape, src.as_slice(), from, &mut self.data, to);
         Ok(())
     }
 
     /// Unpack into a [`Matrix`] of the same shape (either layout) — the
     /// explicit transpose-out pass, recorded under [`PhaseId::Transpose`].
     pub fn unpack_into(&self, dst: &mut Matrix) -> Result<()> {
-        if dst.shape() != (self.nrows, self.ncols) {
-            return Err(Error::ShapeMismatch {
-                op: "InterleavedMatrix::unpack_into",
-                left: (self.nrows, self.ncols),
-                right: dst.shape(),
-            });
-        }
-        let _span = Span::enter(PhaseId::Transpose);
-        let (rs, cs) = dst.strides();
-        let d = dst.as_mut_slice();
-        for c in 0..self.num_chunks() {
-            let lanes = self.chunk_lanes(c);
-            let base = c * self.nrows * LANE_WIDTH;
-            for i in 0..self.nrows {
-                let row = base + i * LANE_WIDTH;
-                for l in 0..lanes {
-                    d[i * rs + (c * LANE_WIDTH + l) * cs] = self.data[row + l];
-                }
-            }
-        }
-        Ok(())
+        self.unpack_with(&Serial, dst, false)
     }
 
     /// Unpack the *logical transpose* into a `(ncols, nrows)` [`Matrix`]:
@@ -144,26 +116,26 @@ impl InterleavedMatrix {
     /// [`InterleavedMatrix::pack_transposed`], fusing unpack and
     /// reorientation into one pass under [`PhaseId::Transpose`].
     pub fn unpack_transposed_into(&self, dst: &mut Matrix) -> Result<()> {
-        if dst.shape() != (self.ncols, self.nrows) {
-            return Err(Error::ShapeMismatch {
-                op: "InterleavedMatrix::unpack_transposed_into",
-                left: (self.ncols, self.nrows),
-                right: dst.shape(),
-            });
-        }
-        let _span = Span::enter(PhaseId::Transpose);
-        let (rs, cs) = dst.strides();
-        let d = dst.as_mut_slice();
-        for c in 0..self.num_chunks() {
-            let lanes = self.chunk_lanes(c);
-            let base = c * self.nrows * LANE_WIDTH;
-            for i in 0..self.nrows {
-                let row = base + i * LANE_WIDTH;
-                for l in 0..lanes {
-                    d[(c * LANE_WIDTH + l) * rs + i * cs] = self.data[row + l];
-                }
-            }
-        }
+        self.unpack_with(&Serial, dst, true)
+    }
+
+    /// [`InterleavedMatrix::unpack_into`] (or, with `transposed`,
+    /// [`InterleavedMatrix::unpack_transposed_into`]) as one region on
+    /// `exec`.
+    pub(crate) fn unpack_with<E: ExecSpace>(
+        &self,
+        exec: &E,
+        dst: &mut Matrix,
+        transposed: bool,
+    ) -> Result<()> {
+        let op = if transposed {
+            "InterleavedMatrix::unpack_transposed_into"
+        } else {
+            "InterleavedMatrix::unpack_into"
+        };
+        check_shape(op, self.shape(), dst, transposed)?;
+        let (from, to) = (Tiling::panels(self.nrows), Tiling::of(dst, transposed));
+        move_tiles(exec, self.shape(), &self.data, from, dst.as_mut_slice(), to);
         Ok(())
     }
 
@@ -174,6 +146,15 @@ impl InterleavedMatrix {
     /// One pass, panel to panel, never touching a host [`Matrix`];
     /// recorded under [`PhaseId::Transpose`].
     pub fn transpose_into(&self, dst: &mut InterleavedMatrix) -> Result<()> {
+        self.transpose_into_with(&Serial, dst)
+    }
+
+    /// [`InterleavedMatrix::transpose_into`] as one region on `exec`.
+    pub(crate) fn transpose_into_with<E: ExecSpace>(
+        &self,
+        exec: &E,
+        dst: &mut InterleavedMatrix,
+    ) -> Result<()> {
         if dst.shape() != (self.ncols, self.nrows) {
             return Err(Error::ShapeMismatch {
                 op: "InterleavedMatrix::transpose_into",
@@ -181,18 +162,8 @@ impl InterleavedMatrix {
                 right: dst.shape(),
             });
         }
-        let _span = Span::enter(PhaseId::Transpose);
-        for c in 0..self.num_chunks() {
-            let lanes = self.chunk_lanes(c);
-            let base = c * self.nrows * LANE_WIDTH;
-            for i in 0..self.nrows {
-                let row = base + i * LANE_WIDTH;
-                for l in 0..lanes {
-                    let off = dst.offset(c * LANE_WIDTH + l, i);
-                    dst.data[off] = self.data[row + l];
-                }
-            }
-        }
+        let (from, to) = (Tiling::flipped(dst.ncols), Tiling::panels(dst.nrows));
+        move_tiles(exec, dst.shape(), &self.data, from, &mut dst.data, to);
         Ok(())
     }
 
@@ -297,6 +268,183 @@ impl InterleavedMatrix {
     }
 }
 
+/// `m` must be the host side of a move of `shape` panels: that shape, or
+/// its transpose when the move is `transposed`.
+fn check_shape(
+    op: &'static str,
+    shape: (usize, usize),
+    m: &Matrix,
+    transposed: bool,
+) -> Result<()> {
+    let expected = if transposed {
+        (shape.1, shape.0)
+    } else {
+        shape
+    };
+    if m.shape() != expected {
+        return Err(Error::ShapeMismatch {
+            op,
+            left: expected,
+            right: m.shape(),
+        });
+    }
+    Ok(())
+}
+
+const W: usize = LANE_WIDTH;
+
+/// How one side of a layout move stores the logical `(nrows, ncols)`
+/// block being moved: element `(W·b + r, W·c + l)` lives at
+/// `c·chunk + b·block + r·row + l·lane`.
+///
+/// Every constructor is injective on the block's elements and has
+/// `lane == 1` (the `W` lanes of a row are a contiguous run) or
+/// `row == 1` (the `W` rows of a lane are), so a full `W × W` tile is
+/// eight runs of eight, [`Tiling::across`] apart. Both are 1 only for a
+/// host matrix one element thin, and then the block has no full tile.
+#[derive(Clone, Copy)]
+struct Tiling {
+    chunk: usize,
+    block: usize,
+    row: usize,
+    lane: usize,
+}
+
+impl Tiling {
+    /// The block's own `[nrows][W]` panels.
+    fn panels(nrows: usize) -> Self {
+        Self::strided(nrows * W, W * W, W, 1)
+    }
+
+    /// The panels of the block's transpose (shape `(ncols, nrows)`): a
+    /// tile of theirs is a tile of ours, runs along the other axis.
+    fn flipped(ncols: usize) -> Self {
+        Self::strided(W * W, ncols * W, 1, W)
+    }
+
+    /// A host matrix holding the block, or its transpose.
+    fn of(m: &Matrix, transposed: bool) -> Self {
+        let (rs, cs) = m.strides();
+        let (row, lane) = if transposed { (cs, rs) } else { (rs, cs) };
+        Self::strided(W * lane, W * row, row, lane)
+    }
+
+    fn strided(chunk: usize, block: usize, row: usize, lane: usize) -> Self {
+        Self {
+            chunk,
+            block,
+            row,
+            lane,
+        }
+    }
+
+    /// Offset of tile `b` of chunk `c`: of element `(W·b, W·c)`.
+    #[inline]
+    fn tile(self, c: usize, b: usize) -> usize {
+        c * self.chunk + b * self.block
+    }
+
+    /// Offset of element `(i, W·c + l)`.
+    #[inline]
+    fn at(self, c: usize, i: usize, l: usize) -> usize {
+        self.tile(c, i / W) + (i % W) * self.row + l * self.lane
+    }
+
+    /// Distance between consecutive runs of a tile.
+    #[inline]
+    fn across(self) -> usize {
+        if self.lane == 1 {
+            self.row
+        } else {
+            self.lane
+        }
+    }
+}
+
+/// The tile transposer: run `k` of the transposed tile, element `k` of
+/// each run of `tile`.
+#[inline]
+fn across(tile: &[&[f64; W]; W], k: usize) -> [f64; W] {
+    array::from_fn(|run| tile[run][k])
+}
+
+/// Chunks per item of a move's region: 64 lanes, so that a small block
+/// is one item and moves inline, and so that where a side stores
+/// consecutive chunks closer together than consecutive tiles of one chunk
+/// (the flip; a lane-contiguous host matrix) an item's tiles of one block
+/// row are one `GROUP·W·W`-double run — a page — on that side.
+const GROUP: usize = 8;
+
+/// The one layout mover: copy every element of a logical `(nrows, ncols)`
+/// block from `src` (stored as `from`) to `dst` (stored as `to`), one
+/// region of `exec` over groups of the block's chunks. Full `W × W` tiles
+/// move as eight runs of eight, transposed when the two sides run along
+/// different axes; the rows past the last full tile and a partial last
+/// chunk move element by element, live lanes only. Pure copies, so the
+/// result does not depend on `exec`. Recorded under
+/// [`PhaseId::Transpose`].
+fn move_tiles<E: ExecSpace>(
+    exec: &E,
+    (nrows, ncols): (usize, usize),
+    src: &[f64],
+    from: Tiling,
+    dst: &mut [f64],
+    to: Tiling,
+) {
+    let _span = Span::enter(PhaseId::Transpose);
+    let flip = (from.lane == 1) != (to.lane == 1);
+    // Chunks walked side by side, block row by block row: the group where
+    // that makes a side's accesses one run, else one chunk at a time.
+    let abreast = if from.chunk < from.block || to.chunk < to.block {
+        GROUP
+    } else {
+        1
+    };
+    let (from_across, to_across) = (from.across(), to.across());
+    let chunks = ncols.div_ceil(W);
+    let full = ncols / W;
+    let dst_len = dst.len();
+    let out = SharedMutPtr(dst.as_mut_ptr());
+    exec.for_each(chunks.div_ceil(GROUP), |g| {
+        let run_mut = |at: usize, len: usize| {
+            assert!(at + len <= dst_len, "layout move out of bounds");
+            // SAFETY: in bounds of `dst` (asserted), which is borrowed
+            // mutably for the whole region. Item `g` writes only the
+            // offsets `to` gives the lanes of its own chunks
+            // `GROUP·g .. GROUP·(g+1)`; `to` is injective and each `g`
+            // runs once, so no two items' runs overlap, and an item's
+            // runs are used one at a time.
+            unsafe { std::slice::from_raw_parts_mut(out.add(at), len) }
+        };
+        let mine = g * GROUP..chunks.min((g + 1) * GROUP);
+        let tiled = mine.start..mine.end.min(full);
+        for first in tiled.clone().step_by(abreast) {
+            for b in 0..nrows / W {
+                for c in first..tiled.end.min(first + abreast) {
+                    let (s, d) = (from.tile(c, b), to.tile(c, b));
+                    let tile: [&[f64; W]; W] = array::from_fn(|k| {
+                        let run = &src[s + k * from_across..][..W];
+                        run.try_into().expect("a run is W long")
+                    });
+                    for k in 0..W {
+                        let run = if flip { across(&tile, k) } else { *tile[k] };
+                        run_mut(d + k * to_across, W).copy_from_slice(&run);
+                    }
+                }
+            }
+        }
+        for c in mine {
+            let lanes = W.min(ncols - c * W);
+            let ragged = if c < full { nrows / W * W } else { 0 };
+            for i in ragged..nrows {
+                for l in 0..lanes {
+                    run_mut(to.at(c, i, l), 1)[0] = src[from.at(c, i, l)];
+                }
+            }
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,6 +525,98 @@ mod tests {
         for c in 0..3 {
             for k in 0..3 * LANE_WIDTH {
                 assert_eq!(m.chunk(c)[k], (c * 1000 + k) as f64);
+            }
+        }
+    }
+
+    /// A payload that shows a misplaced, rounded or canonicalised
+    /// element: every position its own bits, with `-0.0`, NaNs carrying a
+    /// payload and subnormals strewn among ordinary values.
+    fn payload(i: usize, j: usize) -> f64 {
+        let tag = (1000 * i + j + 1) as u64;
+        match (3 * i + 5 * j) % 7 {
+            0 => -0.0,
+            1 => f64::from_bits(0x7ff8_0000_0000_0000 | tag),
+            2 => f64::from_bits(tag),
+            _ => tag as f64 + 0.5,
+        }
+    }
+
+    /// What padding lanes and not-yet-written destinations hold: a NaN no
+    /// payload element equals, so a padding lane read back, or a
+    /// destination left unwritten, shows in the comparison.
+    const SENTINEL: f64 = f64::from_bits(0x7ff8_dead_0000_0000);
+
+    /// An `(n, m)` block holding [`SENTINEL`] everywhere, then — through
+    /// `set` alone — `at(i, j)` in its live elements.
+    fn oracle(n: usize, m: usize, at: impl Fn(usize, usize) -> f64) -> InterleavedMatrix {
+        let mut block = InterleavedMatrix::zeros(n, m);
+        block.data.fill(SENTINEL);
+        for i in 0..n {
+            for j in 0..m {
+                block.set(i, j, at(i, j));
+            }
+        }
+        block
+    }
+
+    fn bits(data: &[f64]) -> Vec<u64> {
+        data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Pack, unpack and flip of an `(n, m)` block on `exec`, against the
+    /// `get`/`set` oracle, for both host layouts and both orientations.
+    fn check_movers<E: ExecSpace>(exec: &E, n: usize, m: usize) {
+        let want = oracle(n, m, payload);
+        for layout in [Layout::Left, Layout::Right] {
+            for transposed in [false, true] {
+                let what = format!("{} {n}x{m} {layout:?} transposed {transposed}", exec.name());
+                let host = if transposed {
+                    Matrix::from_fn(m, n, layout, |j, i| payload(i, j))
+                } else {
+                    Matrix::from_fn(n, m, layout, payload)
+                };
+                // Ingress: live lanes land, padding lanes are not written.
+                let mut packed = oracle(n, m, |_, _| SENTINEL);
+                packed
+                    .copy_from_matrix_with(exec, &host, transposed)
+                    .unwrap();
+                assert_eq!(bits(&packed.data), bits(&want.data), "pack {what}");
+                // Egress: every host element written, from a live lane.
+                let mut back = host.clone();
+                back.fill(SENTINEL);
+                want.unpack_with(exec, &mut back, transposed).unwrap();
+                assert_eq!(
+                    bits(back.as_slice()),
+                    bits(host.as_slice()),
+                    "unpack {what}"
+                );
+            }
+        }
+        // The flip reads no padding lane of its source (the oracle's hold
+        // the sentinel) and writes none of its destination.
+        let mut flipped = oracle(m, n, |_, _| SENTINEL);
+        want.transpose_into_with(exec, &mut flipped).unwrap();
+        let want_flipped = oracle(m, n, |j, i| payload(i, j));
+        let what = format!("flip {} {n}x{m}", exec.name());
+        assert_eq!(bits(&flipped.data), bits(&want_flipped.data), "{what}");
+    }
+
+    /// The one mover body against the oracle over shapes that put every
+    /// edge somewhere: no full tile, ragged rows, a partial last chunk,
+    /// a lone lane, and (91 lanes, 67 rows flipped) a region of several
+    /// items whose last is short. Miri runs a corner of the table.
+    #[test]
+    fn movers_match_get_set_oracle_bitwise() {
+        let (rows, cols): (&[usize], &[usize]) = if cfg!(miri) {
+            (&[1, 9], &[7, 9])
+        } else {
+            (&[1, 7, 8, 9, 64, 67], &[1, 7, 8, 9, 17, 91])
+        };
+        for &n in rows {
+            for &m in cols {
+                check_movers(&Serial, n, m);
+                check_movers(&Parallel, n, m);
             }
         }
     }

@@ -21,7 +21,7 @@
 //! stale packed data after a lane was repaired or zeroed.
 
 use crate::error::{Error, Result};
-use crate::exec::ExecSpace;
+use crate::exec::{ExecSpace, Serial};
 use crate::interleaved::InterleavedMatrix;
 use crate::layout::Layout;
 use crate::matrix::Matrix;
@@ -52,11 +52,16 @@ impl ResidentBatch {
     /// Ingress: pack a host [`Matrix`] (either layout) into resident
     /// panels. One transpose pass, recorded under the `transpose` phase.
     pub fn pack(src: &Matrix) -> Self {
-        Self {
-            panels: InterleavedMatrix::pack(src),
-            generation: 1,
-            host: None,
-        }
+        Self::pack_with(&Serial, src)
+    }
+
+    /// [`ResidentBatch::pack`] as one region on `exec`.
+    pub fn pack_with<E: ExecSpace>(exec: &E, src: &Matrix) -> Self {
+        let mut out = Self::zeros(src.nrows(), src.ncols());
+        out.panels
+            .copy_from_matrix_with(exec, src, false)
+            .expect("shapes match by construction");
+        out
     }
 
     /// Ingress for a host mirror stored in the flipped orientation:
@@ -195,8 +200,17 @@ impl ResidentBatch {
     /// Refill from a flipped-orientation host mirror, as
     /// [`ResidentBatch::pack_transposed`]. Bumps the generation.
     pub fn pack_transposed_from(&mut self, src: &Matrix) -> Result<()> {
+        self.pack_transposed_from_with(&Serial, src)
+    }
+
+    /// [`ResidentBatch::pack_transposed_from`] as one region on `exec`.
+    pub fn pack_transposed_from_with<E: ExecSpace>(
+        &mut self,
+        exec: &E,
+        src: &Matrix,
+    ) -> Result<()> {
         self.bump();
-        self.panels.copy_from_matrix(src, true)
+        self.panels.copy_from_matrix_with(exec, src, true)
     }
 
     /// Refill the panels from another resident batch of the same shape —
@@ -221,19 +235,42 @@ impl ResidentBatch {
 
     /// Uncached egress into a caller-owned matrix (either layout).
     pub fn unpack_into(&self, dst: &mut Matrix) -> Result<()> {
-        self.panels.unpack_into(dst)
+        self.unpack_into_with(&Serial, dst)
+    }
+
+    /// [`ResidentBatch::unpack_into`] as one region on `exec`.
+    pub fn unpack_into_with<E: ExecSpace>(&self, exec: &E, dst: &mut Matrix) -> Result<()> {
+        self.panels.unpack_with(exec, dst, false)
     }
 
     /// Uncached flipped-orientation egress: `dst(j, i) = self(i, j)`.
     pub fn unpack_transposed_into(&self, dst: &mut Matrix) -> Result<()> {
-        self.panels.unpack_transposed_into(dst)
+        self.unpack_transposed_into_with(&Serial, dst)
+    }
+
+    /// [`ResidentBatch::unpack_transposed_into`] as one region on `exec`.
+    pub fn unpack_transposed_into_with<E: ExecSpace>(
+        &self,
+        exec: &E,
+        dst: &mut Matrix,
+    ) -> Result<()> {
+        self.panels.unpack_with(exec, dst, true)
     }
 
     /// Reorient into another resident batch (`dst` logical `(ncols,
     /// nrows)`), panel to panel. Bumps `dst`'s generation.
     pub fn transpose_into(&self, dst: &mut ResidentBatch) -> Result<()> {
+        self.transpose_into_with(&Serial, dst)
+    }
+
+    /// [`ResidentBatch::transpose_into`] as one region on `exec`.
+    pub fn transpose_into_with<E: ExecSpace>(
+        &self,
+        exec: &E,
+        dst: &mut ResidentBatch,
+    ) -> Result<()> {
         dst.bump();
-        self.panels.transpose_into(&mut dst.panels)
+        self.panels.transpose_into_with(exec, &mut dst.panels)
     }
 
     /// `true` when the cached host mirror (of either orientation) still
@@ -310,7 +347,7 @@ impl ResidentBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Serial;
+    use crate::exec::Parallel;
     use crate::testrng::TestRng;
 
     fn random(n: usize, batch: usize, seed: u64, layout: Layout) -> Matrix {
@@ -425,6 +462,44 @@ mod tests {
         // Shape mismatch is typed, not a panic.
         let mut wrong = ResidentBatch::zeros(5, 13);
         assert!(r.transpose_into(&mut wrong).is_err());
+    }
+
+    /// The `_with` forms are their exec-less shells on another execution
+    /// space: same panels, same host bits, same generation bumps. 91 lanes
+    /// and 67 rows make each move a region of several items on the pool.
+    #[test]
+    fn with_forms_match_their_serial_shells() {
+        let src = random(67, 91, 23, Layout::Right);
+        let serial = ResidentBatch::pack(&src);
+        let pooled = ResidentBatch::pack_with(&Parallel, &src);
+        assert_eq!(pooled.panels(), serial.panels());
+        assert_eq!(pooled.generation(), serial.generation());
+
+        let mut host = Matrix::zeros(67, 91, Layout::Left);
+        pooled.unpack_into_with(&Parallel, &mut host).unwrap();
+        assert_eq!(host.max_abs_diff(&src), 0.0);
+        let mut host_t = Matrix::zeros(91, 67, Layout::Right);
+        pooled
+            .unpack_transposed_into_with(&Parallel, &mut host_t)
+            .unwrap();
+        assert_eq!(host_t.get(90, 66), src.get(66, 90));
+
+        let (mut refill, mut flipped) =
+            (ResidentBatch::zeros(67, 91), ResidentBatch::zeros(91, 67));
+        let (g_refill, g_flipped) = (refill.generation(), flipped.generation());
+        refill
+            .pack_transposed_from_with(&Parallel, &host_t)
+            .unwrap();
+        assert_eq!(refill.panels(), serial.panels());
+        assert!(refill.generation() > g_refill);
+        pooled.transpose_into_with(&Parallel, &mut flipped).unwrap();
+        assert!(flipped.generation() > g_flipped);
+        let mut flipped_serial = ResidentBatch::zeros(91, 67);
+        serial.transpose_into(&mut flipped_serial).unwrap();
+        assert_eq!(flipped.panels(), flipped_serial.panels());
+        // Typed errors come through the `_with` forms unchanged.
+        assert!(pooled.transpose_into_with(&Parallel, &mut refill).is_err());
+        assert!(pooled.unpack_into_with(&Parallel, &mut host_t).is_err());
     }
 
     #[test]

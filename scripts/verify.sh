@@ -7,6 +7,14 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+# The A/B driver is not run here (it needs two checkouts and minutes of a
+# quiet host); it must at least parse, and lint clean where the linter is.
+echo "==> scripts/ab.sh: bash -n, shellcheck if installed"
+bash -n scripts/ab.sh
+if command -v shellcheck > /dev/null; then
+    shellcheck scripts/ab.sh
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
