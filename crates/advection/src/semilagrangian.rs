@@ -8,7 +8,6 @@ use pp_splinesolver::{
     BuilderVersion, IterativeConfig, IterativeSplineSolver, LaneReport, SplineBuilder,
     VerifiedBuilder, VerifyConfig,
 };
-use std::array;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -443,25 +442,22 @@ impl Advection1D {
         let max_disp = AtomicU64::new(0);
         let track_disp = matches!(self.backend, SplineBackend::DirectVerified(_));
         // Lines 6-10 on one panel: follow the characteristics back and
-        // interpolate, eight lanes to a row.
+        // interpolate, lane by lane.
         let interpolate = |chunk: usize, lanes: usize, coefs: &[f64], panel: &mut [f64]| {
             let _span = Span::enter(PhaseId::Interpolate);
             let first = chunk * LANE_WIDTH;
-            // Padding lanes stay put; they are never written.
-            let by: [f64; LANE_WIDTH] = array::from_fn(|l| {
-                if l < lanes {
-                    displacements[first + l]
-                } else {
-                    0.0
+            let feet = |l: usize, column: &mut [f64]| {
+                let by = displacements[first + l];
+                for (foot, x) in column.iter_mut().zip(points) {
+                    *foot = x - by;
                 }
-            });
-            let feet = |i: usize| {
-                let x = points[i];
-                array::from_fn(|l| x - by[l])
             };
             space.eval_panel(coefs, lanes, feet, panel);
             if track_disp {
-                // One running maximum per lane, so the rows vectorise.
+                // One running maximum per lane, so the rows vectorise;
+                // padding lanes stay put.
+                let mut by = [0.0; LANE_WIDTH];
+                by[..lanes].copy_from_slice(&displacements[first..first + lanes]);
                 let mut widest = [0.0_f64; LANE_WIDTH];
                 for x in points {
                     for l in 0..LANE_WIDTH {

@@ -8,15 +8,19 @@
 //! log-log plot per backend. Two more rows time the resident step
 //! (`step_resident` on a slab packed once), plain and verified, and print
 //! the evaluator's instruction set, the plain step's ns/point and pool
-//! dispatches per step, and the same-run step-time ratio of the two — the
-//! last two are what `scripts/check_bench.sh` gates.
+//! dispatches per step, the same-run step-time ratio of the two and the
+//! verification surcharge in ns/point — the dispatch count and the ratio are
+//! what `scripts/check_bench.sh` gates.
+//!
+//! `fig2_glups --isa` prints the evaluator's per-instruction-set rows
+//! instead ([`isa_rows`]) and exits.
 
 use pp_advection::{Advection1D, SplineBackend};
 use pp_bench::gpu_model::predict;
 use pp_bench::{parse_args, AsciiPlot, SplineConfig};
 use pp_bsplines::PanelIsa;
-use pp_perfmodel::{glups, Device};
-use pp_portable::{CountingExec, Parallel, ResidentBatch};
+use pp_perfmodel::{glups, performance_portability, Device};
+use pp_portable::{CountingExec, Parallel, ResidentBatch, TestRng, LANE_WIDTH};
 use pp_splinesolver::{BuilderVersion, IterativeConfig, SchurBlocks, VerifyConfig};
 use std::time::{Duration, Instant};
 
@@ -69,7 +73,67 @@ fn measure_resident<const N: usize>(
     })
 }
 
+/// The evaluator alone, one thread, per instruction set: `eval_panel_on`
+/// over 128 panels of 1024 rows, in-loop feet `x_i − d_l` with `|d_l| ≤
+/// 0.004` (four cells), best of 15 passes, uniform cubic and graded quintic.
+/// Per row: ns/point, the share of runs on the vector path, the speed-up
+/// over the baseline instance and the Pennycook efficiency with its base
+/// stated (speed-up ÷ width ratio over SSE2's two doubles); per mesh their
+/// harmonic mean. Every instance must return the baseline's checksum.
+fn isa_rows() {
+    const N: usize = 1024 * LANE_WIDTH;
+    println!("mesh,isa,ns_per_point,vector_run_share,speedup,efficiency");
+    for cfg in [SplineConfig::ALL[0], SplineConfig::ALL[5]] {
+        let (space, mesh) = (cfg.space(N / LANE_WIDTH), cfg.label());
+        let points = space.interpolation_points();
+        let mut rng = TestRng::seed_from_u64(0x15A);
+        let coefs: Vec<f64> = (0..128 * N).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let by: Vec<f64> = (0..128 * LANE_WIDTH)
+            .map(|_| rng.gen_range(-0.004..0.004))
+            .collect();
+        let mut out = vec![0.0; N];
+        let (mut base, mut efficiencies) = (None, Vec::new());
+        let instances = PanelIsa::ALL.into_iter().zip([1.0, 2.0, 4.0]);
+        for (isa, width) in instances.filter(|(isa, _)| isa.is_available()) {
+            let (mut best, mut runs, mut sum) = (Duration::MAX, 0, 0.0);
+            for _ in 0..15 {
+                (runs, sum) = (0, 0.0);
+                let start = Instant::now();
+                for (panel, by) in coefs.chunks_exact(N).zip(by.chunks_exact(LANE_WIDTH)) {
+                    let feet = |l: usize, column: &mut [f64]| {
+                        column
+                            .iter_mut()
+                            .zip(&points)
+                            .for_each(|(foot, x)| *foot = x - by[l]);
+                    };
+                    runs += space.eval_panel_on(isa, panel, LANE_WIDTH, feet, &mut out);
+                    sum += out.iter().step_by(509).sum::<f64>();
+                }
+                best = best.min(start.elapsed());
+            }
+            let ns = best.as_secs_f64() * 1e9 / (128 * N) as f64;
+            let (base_ns, base_sum): (f64, f64) = *base.get_or_insert((ns, sum));
+            assert_eq!(sum.to_bits(), base_sum.to_bits(), "{}", isa.name());
+            // A pass is 128 panels of N / LANE_WIDTH runs.
+            let share = runs as f64 / (128 * N / LANE_WIDTH) as f64;
+            let speedup = base_ns / ns;
+            let efficiency = speedup / width;
+            efficiencies.push(Some(efficiency));
+            let isa = isa.name();
+            println!("{mesh},{isa},{ns:.2},{share:.3},{speedup:.2},{efficiency:.2}");
+        }
+        let p = performance_portability(&efficiencies);
+        println!(
+            "{mesh}: P(eval, H = {} instances) = {p:.2}",
+            efficiencies.len()
+        );
+    }
+}
+
 fn main() {
+    if std::env::args().any(|a| a == "--isa") {
+        return isa_rows();
+    }
     let args = parse_args(1024, 10_000, 2);
     // Sweep Nv from 100 to the requested maximum, one point per decade
     // boundary plus midpoints, like the paper's scan of 100..100000.
@@ -151,6 +215,10 @@ fn main() {
         "resident step: evaluator ISA {}, {:.2} ns/point, {dispatches} dispatch per step",
         PanelIsa::detected().name(),
         plain.as_secs_f64() * 1e9 / (args.nx * nv) as f64
+    );
+    println!(
+        "verification surcharge: {:.2} ns/point",
+        (verified.as_secs_f64() - plain.as_secs_f64()) * 1e9 / (args.nx * nv) as f64
     );
     println!(
         "verified/plain resident step ratio: {:.3}",

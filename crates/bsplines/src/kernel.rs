@@ -3,23 +3,25 @@
 //!
 //! [`crate::basis::eval_nonzero_basis`] divides by a knot difference in
 //! every one of the triangle's `d(d+1)/2` steps. Those differences depend
-//! on the cell only, so [`recip_table`] computes their reciprocals once per
-//! space and [`triangle`] multiplies. On a uniform mesh the differences are
-//! `r·h` at level `r`; in the cell-local coordinate (unit `h`) the
+//! on the knots only, so [`recip_levels`] computes their reciprocals once
+//! per space and [`triangle`] multiplies. On a uniform mesh the differences
+//! are `r·h` at level `r`; in the cell-local coordinate (unit `h`) the
 //! reciprocals are the constants `1/r` and nothing is loaded at all
 //! ([`Cardinal`]).
 //!
 //! The triangle is written once over [`Lanes`]: `f64` is one point, and
-//! `[f64; LANE_WIDTH]` is a row of an interleaved panel — eight points, one
-//! per lane, advanced together (DESIGN.md §16.8).
+//! `[f64; LANE_WIDTH]` is a *run* — eight consecutive points of one lane in
+//! eight consecutive cells, whose knots, reciprocals and coefficients are
+//! contiguous in memory (DESIGN.md §16.8).
 
 use crate::space::MAX_DEGREE;
 use pp_portable::LANE_WIDTH;
 use std::sync::OnceLock;
 
-/// The instruction sets the panel evaluator
-/// ([`crate::PeriodicSplineSpace::eval_panel`]) is compiled for. One
-/// source, one instance each; rustc never contracts `a·b + c` into a fused
+/// The instruction sets the lane walk behind
+/// [`crate::PeriodicSplineSpace::eval_lane`] and
+/// [`crate::PeriodicSplineSpace::eval_panel`] is compiled for. One source,
+/// one instance each; rustc never contracts `a·b + c` into a fused
 /// multiply-add, so every instance returns the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PanelIsa {
@@ -27,7 +29,7 @@ pub enum PanelIsa {
     Baseline,
     /// x86-64 AVX2: four doubles per operation.
     Avx2,
-    /// x86-64 AVX-512F + DQ: a whole panel row per operation.
+    /// x86-64 AVX-512F: a whole run per operation.
     Avx512,
 }
 
@@ -52,11 +54,7 @@ impl PanelIsa {
             #[cfg(target_arch = "x86_64")]
             PanelIsa::Avx2 => !cfg!(miri) && is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
-            PanelIsa::Avx512 => {
-                !cfg!(miri)
-                    && is_x86_feature_detected!("avx512f")
-                    && is_x86_feature_detected!("avx512dq")
-            }
+            PanelIsa::Avx512 => !cfg!(miri) && is_x86_feature_detected!("avx512f"),
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }
@@ -76,8 +74,12 @@ impl PanelIsa {
 /// independently and nothing is fused or reassociated, so a lane of the
 /// wide instance carries the bits of the scalar instance.
 pub(crate) trait Lanes: Copy {
+    /// Points advanced together.
+    const WIDTH: usize;
     /// `v` in every lane.
     fn splat(v: f64) -> Self;
+    /// The first [`Self::WIDTH`] values of `from`, one per lane.
+    fn load(from: &[f64]) -> Self;
     /// `self + o`, per lane.
     fn add(self, o: Self) -> Self;
     /// `self − o`, per lane.
@@ -87,9 +89,14 @@ pub(crate) trait Lanes: Copy {
 }
 
 impl Lanes for f64 {
+    const WIDTH: usize = 1;
     #[inline(always)]
     fn splat(v: f64) -> Self {
         v
+    }
+    #[inline(always)]
+    fn load(from: &[f64]) -> Self {
+        from[0]
     }
     #[inline(always)]
     fn add(self, o: Self) -> Self {
@@ -106,9 +113,15 @@ impl Lanes for f64 {
 }
 
 impl Lanes for [f64; LANE_WIDTH] {
+    const WIDTH: usize = LANE_WIDTH;
     #[inline(always)]
     fn splat(v: f64) -> Self {
         [v; LANE_WIDTH]
+    }
+    #[inline(always)]
+    fn load(from: &[f64]) -> Self {
+        let from = &from[..LANE_WIDTH];
+        std::array::from_fn(|l| from[l])
     }
     #[inline(always)]
     fn add(mut self, o: Self) -> Self {
@@ -133,23 +146,19 @@ impl Lanes for [f64; LANE_WIDTH] {
     }
 }
 
-/// Reciprocals per cell for `degree`: one per step of the triangle.
-pub(crate) const fn row_len(degree: usize) -> usize {
-    degree * (degree + 1) / 2
-}
-
-/// Per-cell reciprocal rows of a space with extended knots `knots`:
-/// row `cell` holds, level by level (`r = 1..=degree`, `k = 0..r`),
-/// `1 / (τ_{span+k+1} − τ_{span+k+1−r})` with `span = cell + degree` — the
-/// divisor `right[k+1] + left[r−k]` of the textbook recurrence.
-pub(crate) fn recip_table(knots: &[f64], degree: usize, cells: usize) -> Vec<f64> {
-    let mut table = Vec::with_capacity(cells * row_len(degree));
-    for cell in 0..cells {
-        let span = cell + degree;
-        for r in 1..=degree {
-            for k in 0..r {
-                table.push(1.0 / (knots[span + k + 1] - knots[span + k + 1 - r]));
-            }
+/// The reciprocal knot differences of a space with extended knots `knots`
+/// (`τ_0 ..= τ_{n+2d}`): level `r` in `1..=degree` starts at
+/// `(r − 1)·(knots.len() − 1)` and holds `ρ_r[i] = 1 / (τ_{i+1} − τ_{i+1−r})`
+/// for `i ≥ r − 1`. The divisor of step `k` of level `r` of the textbook
+/// recurrence in the cell with span `s`, `right[k+1] + left[r−k]`, is
+/// `τ_{s+k+1} − τ_{s+k+1−r}`: its reciprocal is `ρ_r[s + k]`, the next
+/// cell's the next entry.
+pub(crate) fn recip_levels(knots: &[f64], degree: usize) -> Vec<f64> {
+    let stride = knots.len() - 1;
+    let mut table = vec![0.0; degree * stride];
+    for r in 1..=degree {
+        for i in r - 1..stride {
+            table[(r - 1) * stride + i] = 1.0 / (knots[i + 1] - knots[i + 1 - r]);
         }
     }
     table
@@ -202,27 +211,55 @@ impl<V: Lanes> Cell for Cardinal<V> {
     }
 }
 
-/// A cell of a general mesh: the `2·degree` knots around the point,
-/// `τ_{s+1−d} ..= τ_{s+d}`, and the cell's row of [`recip_table`].
-pub(crate) struct Tabulated<'a> {
-    pub x: f64,
-    pub knots: &'a [f64],
-    pub recip: &'a [f64],
+/// A cell of a general mesh — or, for a wide `V`, [`Lanes::WIDTH`]
+/// consecutive cells with one point each: everything lane `j` reads sits
+/// `j` entries after what lane 0 reads, so a run loads each operand whole.
+pub(crate) struct Tabulated<'a, V> {
+    /// `x − τ_{s+1−r}` at `r − 1`, for `r` in `1..=degree`.
+    left: [V; MAX_DEGREE],
+    /// `τ_{s+r} − x` at `r − 1`.
+    right: [V; MAX_DEGREE],
+    /// At `r − 1`: `ρ_r[s ..]`, the `r + WIDTH − 1` entries read there.
+    recip: [&'a [f64]; MAX_DEGREE],
 }
 
-impl Cell for Tabulated<'_> {
-    type V = f64;
+impl<'a, V: Lanes> Tabulated<'a, V> {
+    /// The cell(s) from `cell` on of the space with extended knots `knots`
+    /// and their [`recip_levels`] `recip`, holding the point(s) `x`. The
+    /// distances to the knots are taken here, once, not at every level that
+    /// uses them, and every slice gets a length the optimiser can see.
     #[inline(always)]
-    fn left(&self, r: usize) -> f64 {
-        self.x - self.knots[self.knots.len() / 2 - r]
+    pub fn new(x: V, degree: usize, cell: usize, knots: &[f64], recip: &'a [f64]) -> Self {
+        let (span, stride) = (cell + degree, knots.len() - 1);
+        // From τ_{s+1−degree} to τ_{s+degree}, of the last lane.
+        let knots = &knots[cell + 1..][..2 * degree + V::WIDTH - 1];
+        let mut at = Tabulated {
+            left: [x; MAX_DEGREE],
+            right: [x; MAX_DEGREE],
+            recip: [&[]; MAX_DEGREE],
+        };
+        for r in 1..=degree {
+            at.left[r - 1] = x.sub(V::load(&knots[degree - r..]));
+            at.right[r - 1] = V::load(&knots[degree - 1 + r..]).sub(x);
+            at.recip[r - 1] = &recip[(r - 1) * stride + span..][..r + V::WIDTH - 1];
+        }
+        at
+    }
+}
+
+impl<V: Lanes> Cell for Tabulated<'_, V> {
+    type V = V;
+    #[inline(always)]
+    fn left(&self, r: usize) -> V {
+        self.left[r - 1]
     }
     #[inline(always)]
-    fn right(&self, r: usize) -> f64 {
-        self.knots[self.knots.len() / 2 - 1 + r] - self.x
+    fn right(&self, r: usize) -> V {
+        self.right[r - 1]
     }
     #[inline(always)]
-    fn recip(&self, r: usize, k: usize) -> f64 {
-        self.recip[row_len(r - 1) + k]
+    fn recip(&self, r: usize, k: usize) -> V {
+        V::load(&self.recip[r - 1][k..])
     }
     #[inline(always)]
     fn deriv_scale(&self) -> f64 {
@@ -320,16 +357,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_rows_are_reciprocal_knot_differences() {
+    fn table_levels_are_reciprocal_knot_differences() {
         let knots: Vec<f64> = (0..12).map(|i| (i * i) as f64).collect();
         let degree = 3;
-        let cells = knots.len() - 2 * degree - 1;
-        let table = recip_table(&knots, degree, cells);
-        assert_eq!(table.len(), cells * row_len(degree));
-        let row = &table[2 * row_len(degree)..][..row_len(degree)];
+        let stride = knots.len() - 1;
+        let table = recip_levels(&knots, degree);
+        assert_eq!(table.len(), degree * stride);
         let span = 2 + degree;
         // Level 1 is the cell width; level 3, k = 0 spans τ_{span−2}..τ_{span+1}.
-        assert_eq!(row[0], 1.0 / (knots[span + 1] - knots[span]));
-        assert_eq!(row[3], 1.0 / (knots[span + 1] - knots[span - 2]));
+        assert_eq!(table[span], 1.0 / (knots[span + 1] - knots[span]));
+        assert_eq!(
+            table[2 * stride + span],
+            1.0 / (knots[span + 1] - knots[span - 2])
+        );
     }
 }

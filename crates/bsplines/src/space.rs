@@ -2,14 +2,18 @@
 //! evaluation.
 
 use crate::error::{Error, Result};
-use crate::kernel::{self, Cardinal, PanelIsa, Tabulated};
+use crate::kernel::{self, Cardinal, Lanes, PanelIsa, Tabulated};
 use crate::knots::Breaks;
 use pp_portable::{Strided, StridedMut, LANE_WIDTH};
+use std::cell::RefCell;
 use std::sync::Arc;
 
-/// Rows of feet a general-mesh panel turns into per-lane columns at a time
-/// ([`PeriodicSplineSpace::eval_panel`]): 4 KiB of stack.
-const WALK_ROWS: usize = 64;
+thread_local! {
+    /// This thread's column scratch ([`PeriodicSplineSpace::with_columns`]):
+    /// one lane's coefficients, then its positions, each contiguous. Grown
+    /// on first use, reused for every lane after.
+    static COLUMNS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Largest supported spline degree (the paper uses 3, 4 and 5).
 pub const MAX_DEGREE: usize = 5;
@@ -68,9 +72,9 @@ pub struct PeriodicSplineSpace {
     placement: PointPlacement,
     /// Cells per unit length, `n / L`.
     inv_h: f64,
-    /// Per-cell reciprocal rows of the Cox–de Boor triangle
-    /// ([`kernel::recip_table`]); empty on uniform meshes, which use the
-    /// constant cardinal row. Shared, so clones of the space stay cheap.
+    /// Reciprocal knot differences of the Cox–de Boor triangle, level by
+    /// level ([`kernel::recip_levels`]); empty on uniform meshes, which use
+    /// the constant cardinal row. Shared, so clones of the space stay cheap.
     recip: Arc<[f64]>,
 }
 
@@ -113,7 +117,7 @@ impl PeriodicSplineSpace {
         let recip = if breaks.is_uniform() {
             Vec::new()
         } else {
-            kernel::recip_table(&ext_knots, degree, n)
+            kernel::recip_levels(&ext_knots, degree)
         };
         Ok(Self {
             degree,
@@ -243,13 +247,34 @@ impl PeriodicSplineSpace {
         }
     }
 
-    /// Wrap `x` (once), find its cell, and run the triangle there: the
-    /// cell and the `D + 1` non-vanishing basis values at `x`, or their
-    /// derivatives. `hint` as in [`Self::cell_of_wrapped`].
+    /// The triangle in the cell(s) of already wrapped, already located
+    /// point(s): the `D + 1` non-vanishing basis values at `w`, or their
+    /// derivatives. `V = f64` is one point in `cell`; `V = [f64; LANE_WIDTH]`
+    /// a run, point `j` in cell `cell + j` (so `cell + LANE_WIDTH <= n`) and
+    /// every operand one contiguous load.
     ///
     /// A uniform mesh gets the cardinal form, which sees the local
     /// coordinate only. Cells of an `is_uniform()` mesh are equal to 1e-12
     /// relative, so that is the form's accuracy there.
+    #[inline(always)]
+    fn basis_in<V: Lanes, const D: usize, const UNIFORM: bool, const DERIV: bool>(
+        &self,
+        cell: usize,
+        w: V,
+    ) -> [V; MAX_DEGREE + 1] {
+        if UNIFORM {
+            let lower = V::load(&self.breaks.points()[cell..]);
+            let inv_h = self.inv_h;
+            let t = w.sub(lower).mul(V::splat(inv_h));
+            kernel::basis::<DERIV, _>(D, &Cardinal { t, inv_h })
+        } else {
+            let at = Tabulated::new(w, D, cell, &self.ext_knots, &self.recip);
+            kernel::basis::<DERIV, _>(D, &at)
+        }
+    }
+
+    /// Wrap `x` (once), find its cell, and run the triangle there
+    /// ([`Self::basis_in`]). `hint` as in [`Self::cell_of_wrapped`].
     #[inline(always)]
     fn basis_at<const D: usize, const UNIFORM: bool, const DERIV: bool>(
         &self,
@@ -258,23 +283,7 @@ impl PeriodicSplineSpace {
     ) -> (usize, [f64; MAX_DEGREE + 1]) {
         let w = self.wrap(x);
         let cell = self.cell_of_wrapped::<UNIFORM>(w, hint);
-        let vals = if UNIFORM {
-            let at = Cardinal {
-                t: (w - self.breaks.points()[cell]) * self.inv_h,
-                inv_h: self.inv_h,
-            };
-            kernel::basis::<DERIV, _>(D, &at)
-        } else {
-            let span = cell + D;
-            let row = kernel::row_len(D);
-            let at = Tabulated {
-                x: w,
-                knots: &self.ext_knots[span + 1 - D..=span + D],
-                recip: &self.recip[cell * row..][..row],
-            };
-            kernel::basis::<DERIV, _>(D, &at)
-        };
-        (cell, vals)
+        (cell, self.basis_in::<f64, D, UNIFORM, DERIV>(cell, w))
     }
 
     /// Evaluate the `degree + 1` non-vanishing basis functions at `x`.
@@ -366,79 +375,240 @@ impl PeriodicSplineSpace {
     /// Positions may lie anywhere and in any order; each result depends on
     /// `(self, coefs, positions[i])` only. A non-finite position gives NaN.
     ///
+    /// Eight consecutive positions that sit in eight consecutive cells — a
+    /// displaced sweep, the feet of a semi-Lagrangian lane — are evaluated
+    /// together (DESIGN.md §16.8); any other eight one by one, to the same
+    /// bits.
+    ///
     /// # Panics
     /// Panics if `coefs.len() != num_basis()` or
     /// `positions.len() != out.len()`.
-    pub fn eval_lane(&self, coefs: Strided<'_>, positions: Strided<'_>, out: StridedMut<'_>) {
+    pub fn eval_lane(&self, coefs: Strided<'_>, positions: Strided<'_>, mut out: StridedMut<'_>) {
         assert_eq!(coefs.len(), self.n, "eval: coefficient count");
         assert_eq!(positions.len(), out.len(), "eval: position count");
-        monomorphised!(self, eval_lane_at(coefs, positions, out))
+        self.with_columns(1, positions.len(), |col, xs, ys| {
+            // Only a run reads the column: a few points need none.
+            if xs.len() >= LANE_WIDTH {
+                col.iter_mut().zip(coefs.iter()).for_each(|(c, v)| *c = v);
+                col.copy_within(..self.degree, self.n);
+            }
+            xs.iter_mut()
+                .zip(positions.iter())
+                .for_each(|(x, p)| *x = p);
+            self.walk_on(PanelIsa::detected(), coefs, col, xs, ys);
+            out.copy_from_slice(ys);
+        });
     }
 
-    fn eval_lane_at<const D: usize, const UNIFORM: bool>(
+    /// Lend `body` this thread's scratch as `lanes` coefficient columns of
+    /// `n + degree` values (for `column[k] = coefs[k mod n]`: the stencil of
+    /// a cell is `column[cell..=cell + degree]`, nothing to wrap), a position
+    /// column and `lanes` result columns of `rows` values. `body` must not
+    /// evaluate on this thread through anything but [`Self::walk_on`].
+    fn with_columns<R>(
         &self,
-        coefs: Strided<'_>,
-        positions: Strided<'_>,
-        mut out: StridedMut<'_>,
-    ) {
-        let mut cell = 0;
-        for i in 0..positions.len() {
-            (cell, out[i]) = self.eval_point::<D, UNIFORM>(coefs, positions[i], cell);
-        }
+        lanes: usize,
+        rows: usize,
+        body: impl FnOnce(&mut [f64], &mut [f64], &mut [f64]) -> R,
+    ) -> R {
+        let wrapped = lanes * (self.n + self.degree);
+        let len = wrapped + rows + lanes * rows;
+        COLUMNS.with_borrow_mut(|scratch| {
+            if scratch.len() < len {
+                scratch.resize(len, 0.0);
+            }
+            let (cols, rest) = scratch[..len].split_at_mut(wrapped);
+            let (xs, ys) = rest.split_at_mut(rows);
+            body(cols, xs, ys)
+        })
     }
 
-    /// One point of one lane: the spline with coefficients `coefs` at `x`,
-    /// and the cell `x` wraps into. `hint` as in [`Self::cell_of_wrapped`].
-    #[inline(always)]
-    fn eval_point<const D: usize, const UNIFORM: bool>(
+    /// The scalar body: `out[i] = s(xs[i])` point by point, each cell found
+    /// from the previous one ([`Self::cell_of_wrapped`]); returns the last.
+    /// It issues close to what a core retires and reads slower under wide
+    /// vectors (29 against 18 ns/point under AVX-512), so it is compiled
+    /// once, out of line, for the target's baseline whatever instruction
+    /// set the caller was compiled for.
+    #[inline(never)]
+    fn eval_points<const D: usize, const UNIFORM: bool>(
         &self,
         coefs: Strided<'_>,
-        x: f64,
-        hint: usize,
-    ) -> (usize, f64) {
+        xs: &[f64],
+        out: &mut [f64],
+        mut cell: usize,
+    ) -> usize {
         let n = self.n;
-        let (cell, vals) = self.basis_at::<D, UNIFORM, false>(x, Some(hint));
-        let mut s = 0.0;
-        if cell + D < n {
-            for m in 0..=D {
-                s += vals[m] * coefs[cell + m];
+        for (y, &x) in out.iter_mut().zip(xs) {
+            let vals;
+            (cell, vals) = self.basis_at::<D, UNIFORM, false>(x, Some(cell));
+            let mut s = 0.0;
+            if cell + D < n {
+                for m in 0..=D {
+                    s += vals[m] * coefs[cell + m];
+                }
+            } else {
+                for m in 0..=D {
+                    let k = cell + m;
+                    s += vals[m] * coefs[if k < n { k } else { k - n }];
+                }
             }
-        } else {
-            for m in 0..=D {
-                let k = cell + m;
-                s += vals[m] * coefs[if k < n { k } else { k - n }];
-            }
+            *y = s;
         }
-        (cell, s)
+        cell
     }
 
-    /// Evaluate one interleaved panel of splines, a row of
-    /// [`LANE_WIDTH`] points at a time: `coefs` is the `[n][LANE_WIDTH]`
-    /// chunk of eight lanes' coefficients, `feet(i)` the eight positions of
-    /// row `i` (one per lane), and `out[i·LANE_WIDTH + l] = s_l(feet(i)[l])`
-    /// for the first `lanes` lanes — the padding lanes of a partial panel
-    /// are never written, whatever `feet` returns for them.
+    /// The evaluation body of every entry point (DESIGN.md §16.8): one
+    /// lane, `out[i] = s(xs[i])`, its coefficients as the view `coefs` and,
+    /// if there are eight positions or more, as the column `col`
+    /// ([`Self::with_columns`]). Returns how many runs took the vector path.
     ///
-    /// Lane for lane the result is [`Self::eval_lane`]'s, bit for bit: the
-    /// same wrap, the same cell, the same triangle operations in the same
-    /// order, the same dot product. Only the loop order differs — rows
-    /// outside, lanes inside — and with it what the hardware can do: the
-    /// body is compiled once per [`PanelIsa`] and the widest instance the
-    /// host supports runs. (A general mesh has nothing eight-wide: there
-    /// the lanes take the scalar walk in turn, a block of rows at a time.)
+    /// A *run* is eight consecutive positions. With `c0` the first one's
+    /// cell, it is evaluated eight-wide exactly when `c0 + 8 <= n` and
+    /// `t[c0 + j] <= x_j < t[c0 + j + 1]` for every `j` — two contiguous
+    /// loads and two compares. That is [`Self::cell_search`]'s predicate
+    /// (and puts every point inside the period, where [`Self::wrap`] is the
+    /// identity), so point `j`'s cell is the `c0 + j` the scalar body would
+    /// find, whatever produced `c0`; [`Self::basis_in`] then performs the
+    /// scalar instance's operations in the scalar instance's order on each
+    /// of the eight, and the dot product runs over `m` as the scalar one
+    /// does. Any other run — not a sweep, on the period's edge, holding a
+    /// NaN — and the tail go through [`Self::eval_points`].
+    #[inline(always)]
+    fn walk<const D: usize, const UNIFORM: bool>(
+        &self,
+        coefs: Strided<'_>,
+        col: &[f64],
+        xs: &[f64],
+        out: &mut [f64],
+    ) -> usize {
+        const W: usize = LANE_WIDTH;
+        let n = self.n;
+        // Sliced to lengths the optimiser can see.
+        let t = &self.breaks.points()[..n + 1];
+        let col = &col[..n + D];
+        let (mut cell, mut vector_runs) = (0, 0);
+        for (xs, out) in xs.chunks_exact(W).zip(out.chunks_exact_mut(W)) {
+            let x = <[f64; W]>::load(xs);
+            // A guess, wherever `x[0]` lies: only the test below keeps it.
+            let c0 = self.cell_of_wrapped::<UNIFORM>(x[0], Some(cell));
+            let mut sweep = c0 + W <= n;
+            if sweep {
+                let edges = &t[c0..c0 + W + 1];
+                let (lower, upper) = (<[f64; W]>::load(edges), <[f64; W]>::load(&edges[1..]));
+                for j in 0..W {
+                    sweep &= (lower[j] <= x[j]) & (x[j] < upper[j]);
+                }
+            }
+            if !sweep {
+                cell = self.eval_points::<D, UNIFORM>(coefs, xs, out, cell);
+                continue;
+            }
+            let vals = self.basis_in::<[f64; W], D, UNIFORM, false>(c0, x);
+            let stencil = &col[c0..c0 + W + D];
+            let mut s = [0.0; W];
+            for m in 0..=D {
+                let c = <[f64; W]>::load(&stencil[m..]);
+                for j in 0..W {
+                    s[j] += vals[m][j] * c[j];
+                }
+            }
+            out.copy_from_slice(&s);
+            // The next run most likely starts one cell on.
+            cell = (c0 + W).min(n - 1);
+            vector_runs += 1;
+        }
+        let tail = xs.len() - xs.len() % W;
+        self.eval_points::<D, UNIFORM>(coefs, &xs[tail..], &mut out[tail..], cell);
+        vector_runs
+    }
+
+    /// [`Self::walk`] through the instance compiled for `isa`.
+    ///
+    /// # Panics
+    /// Panics if the host lacks `isa`.
+    fn walk_on(
+        &self,
+        isa: PanelIsa,
+        coefs: Strided<'_>,
+        col: &[f64],
+        xs: &[f64],
+        out: &mut [f64],
+    ) -> usize {
+        assert!(isa.is_available(), "evaluation: host lacks {}", isa.name());
+        match isa {
+            PanelIsa::Baseline => monomorphised!(self, walk(coefs, col, xs, out)),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `isa.is_available()` (asserted above) is
+            // `is_x86_feature_detected!("avx2")` for this variant.
+            PanelIsa::Avx2 => unsafe { monomorphised!(self, walk_avx2(coefs, col, xs, out)) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `isa.is_available()` (asserted above) is
+            // `is_x86_feature_detected!("avx512f")` for this variant.
+            PanelIsa::Avx512 => unsafe { monomorphised!(self, walk_avx512(coefs, col, xs, out)) },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("only the baseline instance is available"),
+        }
+    }
+
+    /// [`Self::walk`] compiled for AVX2.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn walk_avx2<const D: usize, const UNIFORM: bool>(
+        &self,
+        coefs: Strided<'_>,
+        col: &[f64],
+        xs: &[f64],
+        out: &mut [f64],
+    ) -> usize {
+        self.walk::<D, UNIFORM>(coefs, col, xs, out)
+    }
+
+    /// [`Self::walk`] compiled for AVX-512F: the run is eight doubles, one
+    /// register; nothing in the body needs an extension beyond F.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn walk_avx512<const D: usize, const UNIFORM: bool>(
+        &self,
+        coefs: Strided<'_>,
+        col: &[f64],
+        xs: &[f64],
+        out: &mut [f64],
+    ) -> usize {
+        self.walk::<D, UNIFORM>(coefs, col, xs, out)
+    }
+
+    /// Evaluate one interleaved panel of splines: `coefs` is the
+    /// `[n][LANE_WIDTH]` chunk of eight lanes' coefficients, and for each of
+    /// the first `lanes` lanes in turn `feet(l, column)` fills `column[i]`
+    /// with lane `l`'s position in row `i`; then
+    /// `out[i·LANE_WIDTH + l] = s_l(column[i])`. The padding lanes of a
+    /// partial panel are never asked for feet and never written.
+    ///
+    /// Lane for lane this is [`Self::eval_lane`] bit for bit: the same body
+    /// (the widest [`PanelIsa`] instance of it the host has) on the lane's
+    /// coefficients de-interleaved into this thread's column scratch.
+    /// Nothing is allocated per panel; `feet` must not evaluate splines on
+    /// the calling thread (the scratch is lent out while it runs).
     ///
     /// # Panics
     /// Panics if `coefs.len() != num_basis() · LANE_WIDTH`, if `out` is not
     /// whole rows, or if `lanes > LANE_WIDTH`.
     pub fn eval_panel<F>(&self, coefs: &[f64], lanes: usize, feet: F, out: &mut [f64])
     where
-        F: Fn(usize) -> [f64; LANE_WIDTH],
+        F: FnMut(usize, &mut [f64]),
     {
         self.eval_panel_on(PanelIsa::detected(), coefs, lanes, feet, out);
     }
 
     /// [`Self::eval_panel`] through a named instance, for the differential
-    /// tests and the per-ISA bench rows.
+    /// tests and the per-ISA bench rows. Returns how many runs took the
+    /// vector path, of `lanes · (rows / LANE_WIDTH)`.
     ///
     /// # Panics
     /// As [`Self::eval_panel`], and if the host lacks `isa`.
@@ -448,229 +618,41 @@ impl PeriodicSplineSpace {
         isa: PanelIsa,
         coefs: &[f64],
         lanes: usize,
-        feet: F,
+        mut feet: F,
         out: &mut [f64],
-    ) where
-        F: Fn(usize) -> [f64; LANE_WIDTH],
+    ) -> usize
+    where
+        F: FnMut(usize, &mut [f64]),
     {
-        assert_eq!(coefs.len(), self.n * LANE_WIDTH, "eval_panel: coefficients");
-        assert_eq!(out.len() % LANE_WIDTH, 0, "eval_panel: whole rows");
-        assert!(lanes <= LANE_WIDTH, "eval_panel: {lanes} lanes in a panel");
-        assert!(isa.is_available(), "eval_panel: host lacks {}", isa.name());
-        match isa {
-            PanelIsa::Baseline => monomorphised!(self, eval_panel_at(coefs, lanes, &feet, out)),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `isa.is_available()` (asserted above) is
-            // `is_x86_feature_detected!("avx2")` for this variant.
-            PanelIsa::Avx2 => unsafe {
-                monomorphised!(self, eval_panel_avx2(coefs, lanes, &feet, out))
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `isa.is_available()` (asserted above) is
-            // `is_x86_feature_detected!` of both "avx512f" and "avx512dq"
-            // for this variant.
-            PanelIsa::Avx512 => unsafe {
-                monomorphised!(self, eval_panel_avx512(coefs, lanes, &feet, out))
-            },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => unreachable!("only the baseline instance is available"),
-        }
-    }
-
-    /// [`Self::eval_panel_at`] compiled for AVX2.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn eval_panel_avx2<const D: usize, const UNIFORM: bool>(
-        &self,
-        coefs: &[f64],
-        lanes: usize,
-        feet: &impl Fn(usize) -> [f64; LANE_WIDTH],
-        out: &mut [f64],
-    ) {
-        self.eval_panel_at::<D, UNIFORM>(coefs, lanes, feet, out);
-    }
-
-    /// [`Self::eval_panel_at`] compiled for AVX-512 (F for the eight-wide
-    /// arithmetic, DQ for the eight-wide cell guess).
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F and AVX-512DQ.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    unsafe fn eval_panel_avx512<const D: usize, const UNIFORM: bool>(
-        &self,
-        coefs: &[f64],
-        lanes: usize,
-        feet: &impl Fn(usize) -> [f64; LANE_WIDTH],
-        out: &mut [f64],
-    ) {
-        self.eval_panel_at::<D, UNIFORM>(coefs, lanes, feet, out);
-    }
-
-    /// [`Self::wrap`] for a panel row with a lane outside the period: the
-    /// body's rare way out, kept out of its instruction stream.
-    #[cold]
-    #[inline(never)]
-    fn wrap_row(&self, x: [f64; LANE_WIDTH]) -> [f64; LANE_WIDTH] {
-        x.map(|x| self.wrap(x))
-    }
-
-    /// [`Self::cell_search`] for a panel row of a uniform mesh whose guessed
-    /// cells the break points did not confirm.
-    #[cold]
-    #[inline(never)]
-    fn search_row(&self, w: [f64; LANE_WIDTH]) -> [usize; LANE_WIDTH] {
-        w.map(|w| self.cell_search::<true>(w))
-    }
-
-    /// The panel body on a general mesh, where every lane sits in a cell
-    /// with its own knots and reciprocals and nothing is eight-wide: each
-    /// live lane runs the scalar instance ([`Self::eval_point`]), its hint
-    /// carried from row to row. The scalar body issues close to what a core
-    /// retires, so the walk is kept as tight as [`Self::eval_lane`]'s:
-    /// [`WALK_ROWS`] rows of feet at a time are turned into one contiguous
-    /// column per lane first. Compiled once, out of line, whatever
-    /// instruction set the caller was compiled for.
-    #[inline(never)]
-    fn eval_panel_general<const D: usize>(
-        &self,
-        coefs: &[f64],
-        lanes: usize,
-        feet: &impl Fn(usize) -> [f64; LANE_WIDTH],
-        out: &mut [f64],
-    ) {
         const W: usize = LANE_WIDTH;
-        let mut cells = [0usize; W];
-        let mut columns = [[0.0; WALK_ROWS]; W];
-        for (b, block) in out.chunks_mut(WALK_ROWS * W).enumerate() {
-            let rows = block.len() / W;
-            for i in 0..rows {
-                let x = feet(b * WALK_ROWS + i);
+        assert_eq!(coefs.len(), self.n * W, "eval_panel: coefficients");
+        assert_eq!(out.len() % W, 0, "eval_panel: whole rows");
+        assert!(lanes <= W, "eval_panel: {lanes} lanes in a panel");
+        let (n, wrapped, rows) = (self.n, self.n + self.degree, out.len() / W);
+        self.with_columns(W, rows, |cols, xs, ys| {
+            // Both transpositions take the panel a 64-byte row at a time, all
+            // eight lanes at once: lane by lane each would stream the panel,
+            // which outgrows L1, eight times.
+            for (i, row) in coefs.chunks_exact(W).enumerate() {
                 for l in 0..W {
-                    columns[l][i] = x[l];
+                    cols[l * wrapped + i] = row[l];
                 }
             }
+            let mut vector_runs = 0;
             for l in 0..lanes {
-                let lane = Strided::new(&coefs[l..], self.n, W);
-                let mut cell = cells[l];
-                for i in 0..rows {
-                    (cell, block[i * W + l]) =
-                        self.eval_point::<D, false>(lane, columns[l][i], cell);
-                }
-                cells[l] = cell;
+                let col = &mut cols[l * wrapped..][..wrapped];
+                col.copy_within(..self.degree, n);
+                feet(l, xs);
+                let (lane, ys) = (Strided::new(&coefs[l..], n, W), &mut ys[l * rows..][..rows]);
+                vector_runs += self.walk_on(isa, lane, col, xs, ys);
             }
-        }
-    }
-
-    /// The panel body (DESIGN.md §16.8), inlined into one function per
-    /// instruction set. A general mesh goes to
-    /// [`Self::eval_panel_general`]. On a uniform one, per row: wrap (one
-    /// all-lanes test, else per lane), locate (a guessed cell verified for
-    /// all lanes at once, else per lane — [`Self::cell_search`]'s answer
-    /// either way), the eight-wide cardinal triangle, and the dot product
-    /// with the coefficients gathered as `coefs[(cell_l + m)·W + l]`.
-    #[inline(always)]
-    fn eval_panel_at<const D: usize, const UNIFORM: bool>(
-        &self,
-        coefs: &[f64],
-        lanes: usize,
-        feet: &impl Fn(usize) -> [f64; LANE_WIDTH],
-        out: &mut [f64],
-    ) {
-        const W: usize = LANE_WIDTH;
-        if !UNIFORM {
-            return self.eval_panel_general::<D>(coefs, lanes, feet, out);
-        }
-        let n = self.n;
-        // Sliced to lengths the optimiser can see, so that an index bounded
-        // by `n` needs no check of its own.
-        let t = &self.breaks.points()[..n + 1];
-        let coefs = &coefs[..n * W];
-        let (x0, x1) = (self.breaks.x_min(), self.breaks.x_max());
-        for (i, out_row) in out.chunks_exact_mut(W).enumerate() {
-            let x = feet(i);
-            let mut inside = true;
-            for l in 0..W {
-                inside &= (x[l] >= x0) & (x[l] < x1);
-            }
-            let w = if inside { x } else { self.wrap_row(x) };
-
-            // `cell_search`'s first guess, `floor((w − t_0)·inv_h)`, for all
-            // lanes at once and without a float-to-integer cast (which
-            // saturates, and so does not vectorise): adding 2^52 rounds to
-            // an integer that sits in the low mantissa bits, and one compare
-            // turns nearest into floor. Any guess would do — it is kept only
-            // when the break points confirm it.
-            const ROUND: f64 = 4_503_599_627_370_496.0;
-            let mut cells = [0usize; W];
-            for l in 0..W {
-                let g = (w[l] - t[0]) * self.inv_h;
-                let nearest = (g + ROUND) - ROUND;
-                let floor = if nearest > g { nearest - 1.0 } else { nearest };
-                let c = ((floor + ROUND).to_bits() & 0xffff_ffff) as usize;
-                cells[l] = c.min(n - 1);
-            }
-            let (mut lo, mut hi) = ([0.0; W], [0.0; W]);
-            for l in 0..W {
-                (lo[l], hi[l]) = (t[cells[l]], t[cells[l] + 1]);
-            }
-            let mut found = true;
-            for l in 0..W {
-                found &= (lo[l] <= w[l]) & (w[l] < hi[l]);
-            }
-            if !found {
-                cells = self.search_row(w);
-                for l in 0..W {
-                    lo[l] = t[cells[l]];
+            for (i, row) in out.chunks_exact_mut(W).enumerate() {
+                for l in 0..lanes {
+                    row[l] = ys[l * rows + i];
                 }
             }
-            let mut local = [0.0; W];
-            for l in 0..W {
-                local[l] = (w[l] - lo[l]) * self.inv_h;
-            }
-            let at = Cardinal {
-                t: local,
-                inv_h: self.inv_h,
-            };
-            let vals = kernel::basis::<false, _>(D, &at);
-
-            let mut s = [0.0; W];
-            let mut wraps = false;
-            for l in 0..W {
-                wraps |= cells[l] + D >= n;
-            }
-            if !wraps {
-                // Lane `l`'s D + 1 coefficients, W apart from `cell_l`'s.
-                let mut picked = [[0.0; W]; MAX_DEGREE + 1];
-                for l in 0..W {
-                    let stencil = &coefs[cells[l] * W + l..][..D * W + 1];
-                    for m in 0..=D {
-                        picked[m][l] = stencil[m * W];
-                    }
-                }
-                for m in 0..=D {
-                    for l in 0..W {
-                        s[l] += vals[m][l] * picked[m][l];
-                    }
-                }
-            } else {
-                for m in 0..=D {
-                    for l in 0..W {
-                        let k = cells[l] + m;
-                        s[l] += vals[m][l] * coefs[if k < n { k } else { k - n } * W + l];
-                    }
-                }
-            }
-            // A whole row is one store; only a partial one pays a `memcpy`.
-            if lanes == W {
-                out_row.copy_from_slice(&s);
-            } else {
-                out_row[..lanes].copy_from_slice(&s[..lanes]);
-            }
-        }
+            vector_runs
+        })
     }
 
     /// Evaluate the spline derivative at `x`.

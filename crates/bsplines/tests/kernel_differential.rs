@@ -357,16 +357,33 @@ struct PanelCase {
 }
 
 /// The feet layouts of the panel rows. `Shuffled` gives every lane its own
-/// order of [`positions`], so a row mixes cells, edges and far periods
-/// (the per-lane wrap and search fallbacks); `Swept` is the advection
-/// step's shape, one ascending sweep displaced per lane, so most rows are
-/// inside the period with every guessed cell confirmed; `Poisoned(bad)`
-/// is `Swept` with `bad` in every third row of one lane.
+/// order of [`positions`], so a lane mixes cells, edges and far periods
+/// (nothing is a run: the scalar body with a stale hint); `Swept` is one
+/// ascending sweep of [`positions`] displaced per lane (several feet to a
+/// cell); `Poisoned(bad)` is `Swept` with `bad` in every third row of one
+/// lane; `Advected(shift)` is the advection step's own shape, `rows = n`
+/// feet `interpolation_points() − shift·h` (one foot to a cell: runs).
 #[derive(Clone, Copy)]
 enum Feet {
     Shuffled,
     Swept,
     Poisoned(f64),
+    Advected(f64),
+}
+
+/// Mean cell width.
+fn mean_width(breaks: &Breaks) -> f64 {
+    breaks.period() / breaks.num_cells() as f64
+}
+
+/// The displacements of the `Advected` layout in mean cell widths: none, a
+/// fraction of a cell either way, whole cells, more than a period, and the
+/// one that puts a foot on a break point.
+fn advected_shifts(space: &PeriodicSplineSpace) -> Vec<f64> {
+    let breaks = space.breaks();
+    let (n, h) = (space.num_basis() as f64, mean_width(breaks));
+    let onto_break = (space.interpolation_point(5) - breaks.points()[3]) / h;
+    vec![0.0, 0.37, -0.37, 3.0, -3.0, n + 2.5, -(n + 2.5), onto_break]
 }
 
 fn panel_case(
@@ -386,6 +403,9 @@ fn panel_case(
     }
     let mut sweep = positions(breaks, rng);
     sweep.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    if let Feet::Advected(_) = layout {
+        sweep = space.interpolation_points();
+    }
     let rows = sweep.len();
     let poisoned = rng.gen_range(0usize..lanes);
     let columns: Vec<Vec<f64>> = (0..lanes)
@@ -394,6 +414,10 @@ fn panel_case(
                 Feet::Shuffled => positions(breaks, rng),
                 Feet::Swept | Feet::Poisoned(_) => {
                     let by = breaks.period() * rng.gen_range(-0.05..0.05);
+                    sweep.iter().map(|x| x - by).collect()
+                }
+                Feet::Advected(shift) => {
+                    let by = shift * mean_width(breaks);
                     sweep.iter().map(|x| x - by).collect()
                 }
             };
@@ -449,16 +473,28 @@ fn eval_panel_is_eval_lane_bitwise_on_every_isa() {
         }
         for &degree in degrees {
             let space = PeriodicSplineSpace::new(mesh.breaks.clone(), degree).expect("valid");
+            let mut layouts = vec![
+                (Feet::Shuffled, "shuffled".to_string()),
+                (Feet::Swept, "swept".to_string()),
+                (Feet::Poisoned(f64::NAN), "NaN lane".to_string()),
+                (Feet::Poisoned(f64::INFINITY), "+inf lane".to_string()),
+                (Feet::Poisoned(f64::NEG_INFINITY), "-inf lane".to_string()),
+            ];
+            let shifts = advected_shifts(&space);
+            let shifts = if cfg!(miri) {
+                &shifts[1..2]
+            } else {
+                &shifts[..]
+            };
+            layouts.extend(
+                shifts
+                    .iter()
+                    .map(|&d| (Feet::Advected(d), format!("advected {d}"))),
+            );
             for lanes in [1, 7, LANE_WIDTH] {
-                for (layout, name) in [
-                    (Feet::Shuffled, "shuffled"),
-                    (Feet::Swept, "swept"),
-                    (Feet::Poisoned(f64::NAN), "NaN lane"),
-                    (Feet::Poisoned(f64::INFINITY), "+inf lane"),
-                    (Feet::Poisoned(f64::NEG_INFINITY), "-inf lane"),
-                ] {
+                for (layout, name) in &layouts {
                     let what = format!("{} degree {degree} lanes {lanes} {name}", mesh.name);
-                    let case = panel_case(&space, what, lanes, layout, &mut rng);
+                    let case = panel_case(&space, what, lanes, *layout, &mut rng);
                     cases.push((space.clone(), case));
                 }
             }
@@ -472,7 +508,12 @@ fn eval_panel_is_eval_lane_bitwise_on_every_isa() {
         for (space, case) in &cases {
             let what = format!("{} on {}", case.what, isa.name());
             let mut out = vec![-7.0; case.feet.len() * LANE_WIDTH];
-            space.eval_panel_on(isa, &case.coefs, case.lanes, |i| case.feet[i], &mut out);
+            let feet = |l: usize, column: &mut [f64]| {
+                for (x, row) in column.iter_mut().zip(&case.feet) {
+                    *x = row[l];
+                }
+            };
+            space.eval_panel_on(isa, &case.coefs, case.lanes, feet, &mut out);
             for (i, (got, want)) in out.chunks_exact(LANE_WIDTH).zip(&case.expected).enumerate() {
                 for l in 0..case.lanes {
                     if case.feet[i][l].is_finite() {
@@ -492,4 +533,206 @@ fn eval_panel_is_eval_lane_bitwise_on_every_isa() {
     // The switch picks the widest of them.
     let widest = PanelIsa::ALL.into_iter().rfind(|isa| isa.is_available());
     assert_eq!(Some(PanelIsa::detected()), widest);
+}
+
+/// `s(x)` from the single-point weights of `eval_basis`: the scalar anchor
+/// the runs are held to.
+fn reference(space: &PeriodicSplineSpace, coefs: &[f64], x: f64) -> f64 {
+    let mut vals = [0.0; MAX_DEGREE + 1];
+    let cell = space.eval_basis(x, &mut vals);
+    let mut s = 0.0;
+    for m in 0..=space.degree() {
+        s += vals[m] * coefs[space.coef_index(cell, m)];
+    }
+    s
+}
+
+/// Evaluate `lanes` splines (`-0.0` among their coefficients) at `xs`
+/// through every panel instance the host has and through `eval_lane` on
+/// contiguous and on strided views, and hold every result to [`reference`]
+/// bit for bit. Returns the share of runs that took the vector path (the
+/// same through every instance).
+fn check_against_reference(
+    space: &PeriodicSplineSpace,
+    xs: &[f64],
+    lanes: usize,
+    rng: &mut TestRng,
+    what: &str,
+) -> f64 {
+    let (n, rows) = (space.num_basis(), xs.len());
+    let mut panel = vec![f64::NAN; n * LANE_WIDTH];
+    for row in panel.chunks_exact_mut(LANE_WIDTH) {
+        for c in &mut row[..lanes] {
+            *c = if rng.gen_bool(0.1) {
+                -0.0
+            } else {
+                rng.gen_range(-1.0..1.0)
+            };
+        }
+    }
+    let lane =
+        |l: usize| -> Vec<f64> { panel.iter().skip(l).step_by(LANE_WIDTH).copied().collect() };
+    let same = |got: f64, want: f64, at: String| {
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "{at}: {got:e} vs {want:e}"
+        );
+    };
+    let expected: Vec<Vec<f64>> = (0..lanes)
+        .map(|l| xs.iter().map(|&x| reference(space, &lane(l), x)).collect())
+        .collect();
+
+    let mut vector_runs = None;
+    for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
+        // `rows` need not be whole runs; the panel is whole rows anyway.
+        let mut out = vec![-7.0; rows * LANE_WIDTH];
+        let taken = space.eval_panel_on(
+            isa,
+            &panel,
+            lanes,
+            |_, column| column.copy_from_slice(xs),
+            &mut out,
+        );
+        assert_eq!(
+            *vector_runs.get_or_insert(taken),
+            taken,
+            "{what} on {}",
+            isa.name()
+        );
+        for (i, row) in out.chunks_exact(LANE_WIDTH).enumerate() {
+            for l in 0..lanes {
+                same(
+                    row[l],
+                    expected[l][i],
+                    format!("{what} on {}: ({i}, {l})", isa.name()),
+                );
+            }
+            assert!(row[lanes..].iter().all(|&v| v == -7.0), "{what}: row {i}");
+        }
+    }
+
+    let coefs = lane(0);
+    let mut out = vec![0.0; rows];
+    space.eval_lane(
+        Strided::from_slice(&coefs),
+        Strided::from_slice(xs),
+        StridedMut::from_slice(&mut out),
+    );
+    let wide_xs: Vec<f64> = xs.iter().flat_map(|&x| [x, f64::NAN, f64::NAN]).collect();
+    let mut wide_out = vec![-7.0; 2 * rows];
+    space.eval_lane(
+        Strided::new(&panel, n, LANE_WIDTH),
+        Strided::new(&wide_xs, rows, 3),
+        StridedMut::new(&mut wide_out, rows, 2),
+    );
+    for i in 0..rows {
+        same(out[i], expected[0][i], format!("{what}: eval_lane at {i}"));
+        same(
+            wide_out[2 * i],
+            expected[0][i],
+            format!("{what}: strided eval_lane at {i}"),
+        );
+    }
+    assert!(
+        wide_out.iter().skip(1).step_by(2).all(|&v| v == -7.0),
+        "{what}"
+    );
+    vector_runs.expect("the baseline instance") as f64 / (lanes * (rows / LANE_WIDTH)).max(1) as f64
+}
+
+/// The runs of eight — on every instruction set, through `eval_panel` and
+/// `eval_lane`, strided or not — return the single-point body's bits, and
+/// on the advection step's feet they are what runs: the vector path takes
+/// at least nine runs in ten.
+#[test]
+fn advected_feet_take_the_vector_path_to_the_scalar_bits() {
+    let mut rng = TestRng::seed_from_u64(0xB5_001A);
+    // On a graded mesh the feet keep the spacing of where they came from; a
+    // run holds while that is the spacing of where they land, i.e. while the
+    // shift is short against the length the grading varies over. 1024 cells
+    // at strength 0.6 is `adv_resident_n5`: measured 0.96 at one cell, 0.92
+    // at 2.3, 0.88–0.92 at four, 0.80 at eight (and 0.66 at 2.3 of 256).
+    let (uniform, graded) = if cfg!(miri) { (24, 40) } else { (256, 1024) };
+    let degrees: &[usize] = if cfg!(miri) { &[3] } else { &[1, 2, 3, 4, 5] };
+    for (name, breaks) in [
+        (
+            "uniform",
+            Breaks::uniform(uniform, -0.7, 2.4).expect("valid"),
+        ),
+        (
+            "graded 0.6",
+            Breaks::graded(graded, 0.0, 1.0, 0.6).expect("valid"),
+        ),
+    ] {
+        for &degree in degrees {
+            let space = PeriodicSplineSpace::new(breaks.clone(), degree).expect("valid");
+            let points = space.interpolation_points();
+            for shift in [0.0, 0.37, -0.37, 3.0, -3.0, 4.0 * rng.gen_range(-1.0..1.0)] {
+                let by = shift * mean_width(&breaks);
+                let xs: Vec<f64> = points.iter().map(|x| x - by).collect();
+                let what = format!("{name} degree {degree} shift {shift}");
+                let share = check_against_reference(&space, &xs, 2, &mut rng, &what);
+                // Odd-degree Greville points of a uniform mesh *are* break
+                // points up to rounding, and stay so under a whole-cell
+                // shift: each foot falls either side of its own break
+                // point, which is no sweep (and costs time, never a bit).
+                let floor = if shift.abs() <= 2.5 { 0.9 } else { 0.85 };
+                if shift.fract() != 0.0 && !cfg!(miri) {
+                    assert!(share >= floor, "{what}: vector-path share {share}");
+                }
+            }
+        }
+    }
+}
+
+/// Run edges by construction: every remainder of rows, meshes on which
+/// `c0 + 8 <= n` holds and fails, a sweep through the period's edge, cells
+/// holding two feet and cells skipped, a non-finite foot inside a run.
+#[test]
+fn run_edges_by_construction() {
+    let mut rng = TestRng::seed_from_u64(0xB5_001B);
+    let degrees: &[usize] = if cfg!(miri) { &[3] } else { &[1, 2, 3, 4, 5] };
+    for &degree in degrees {
+        let sizes = [2 * degree + 1, 12, 15, 16, 17, 40];
+        for n in sizes.into_iter().filter(|&n| n > 2 * degree) {
+            for (name, breaks) in [
+                ("uniform", Breaks::uniform(n, -0.5, 1.0).expect("valid")),
+                (
+                    "graded 0.9",
+                    Breaks::graded(n, -0.5, 1.0, 0.9).expect("valid"),
+                ),
+            ] {
+                let space = PeriodicSplineSpace::new(breaks.clone(), degree).expect("valid");
+                let (h, l) = (mean_width(&breaks), breaks.period());
+                let points = space.interpolation_points();
+                let what = format!("{name} n {n} degree {degree}");
+                // One foot to a cell, through the period's edge and on for
+                // `rows` feet: whole runs, one over, one short.
+                let start = rng.gen_range(0usize..n);
+                for rows in [24, 25, 31] {
+                    let xs: Vec<f64> = (0..rows)
+                        .map(|i| points[(start + i) % n] + l * ((start + i) / n) as f64 - 0.3 * h)
+                        .collect();
+                    check_against_reference(
+                        &space,
+                        &xs,
+                        1,
+                        &mut rng,
+                        &format!("{what} rows {rows}"),
+                    );
+                }
+                // A large displacement on a graded mesh: the feet keep the
+                // spacing of where they came from, so cells hold two or none.
+                let xs: Vec<f64> = points.iter().map(|x| x - 0.31 * l).collect();
+                check_against_reference(&space, &xs, 3, &mut rng, &format!("{what} far"));
+                // A non-finite foot in the middle of a run harms itself only.
+                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    let mut xs: Vec<f64> = points.iter().map(|x| x - 0.2 * h).collect();
+                    xs[n / 2] = bad;
+                    xs[3 % n] = bad;
+                    check_against_reference(&space, &xs, 1, &mut rng, &format!("{what} {bad}"));
+                }
+            }
+        }
+    }
 }

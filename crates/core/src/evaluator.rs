@@ -8,7 +8,6 @@
 use crate::error::{Error, Result};
 use pp_bsplines::PeriodicSplineSpace;
 use pp_portable::{ExecSpace, Matrix, ResidentBatch, Strided, StridedMut, LANE_WIDTH};
-use std::array;
 
 /// Evaluates batched splines over a shared [`PeriodicSplineSpace`].
 #[derive(Debug, Clone)]
@@ -76,12 +75,11 @@ impl SplineEvaluator {
     /// Resident variant of [`SplineEvaluator::eval_batched`]: coefficients
     /// are read straight out of the packed panels and results are written
     /// straight into the output batch's panels — no pack/unpack transpose
-    /// on either side. On a uniform mesh each panel goes through
-    /// [`PeriodicSplineSpace::eval_panel`], its rows gathered from the
-    /// panel's position columns; lane for lane that is
-    /// [`PeriodicSplineSpace::eval_lane`]'s result bit for bit — which a
-    /// general mesh, where nothing is eight-wide, is fed directly — so the
-    /// two entry points agree exactly.
+    /// on either side. Each panel goes through
+    /// [`PeriodicSplineSpace::eval_panel`], its feet columns copied from
+    /// `positions`' columns; lane for lane that is
+    /// [`PeriodicSplineSpace::eval_lane`]'s body on the same coefficients
+    /// and positions, so the two entry points agree bit for bit.
     ///
     /// Shapes: `coefs (n, batch)`, `positions (m, batch)`,
     /// `out (m, batch)`. Bumps `out`'s generation when `m > 0`.
@@ -97,35 +95,17 @@ impl SplineEvaluator {
             positions.shape(),
             (out.nrows(), out.ncols()),
         )?;
-        let m = positions.nrows();
-        if m == 0 {
+        if positions.nrows() == 0 {
             return Ok(());
         }
         let space = &self.space;
-        let n = space.num_basis();
-        let uniform = space.breaks().is_uniform();
         let cpanels = coefs.panels();
         out.for_each_chunk_mut(exec, |c, lanes, chunk| {
-            let cc = cpanels.chunk(c);
-            if uniform {
-                // Padding lanes repeat the last live one (and are never
-                // written).
-                let cols: [Strided<'_>; LANE_WIDTH] =
-                    array::from_fn(|l| positions.col(c * LANE_WIDTH + l.min(lanes - 1)));
-                let feet = |i: usize| array::from_fn(|l| cols[l][i]);
-                space.eval_panel(cc, lanes, feet, chunk);
-            } else {
-                // On a general mesh the panel body walks lane by lane and
-                // the positions already are columns: rows gathered here
-                // would only be turned back into columns there.
-                for l in 0..lanes {
-                    space.eval_lane(
-                        Strided::new(&cc[l..], n, LANE_WIDTH),
-                        positions.col(c * LANE_WIDTH + l),
-                        StridedMut::new(&mut chunk[l..], m, LANE_WIDTH),
-                    );
-                }
-            }
+            let feet = |l: usize, column: &mut [f64]| {
+                let lane = positions.col(c * LANE_WIDTH + l);
+                column.iter_mut().zip(lane.iter()).for_each(|(x, p)| *x = p);
+            };
+            space.eval_panel(cpanels.chunk(c), lanes, feet, chunk);
         });
         Ok(())
     }

@@ -2011,13 +2011,12 @@ mod tests {
             let sp = verified.builder().space();
             let pts = sp.interpolation_points();
             let then = |chunk: usize, lanes: usize, coefs: &[f64], panel: &mut [f64]| {
-                let by: [f64; LANE_WIDTH] = std::array::from_fn(|l| shift(chunk * LANE_WIDTH + l));
-                sp.eval_panel(
-                    coefs,
-                    lanes,
-                    |i| std::array::from_fn(|l| pts[i] - by[l]),
-                    panel,
-                );
+                let feet = |l: usize, column: &mut [f64]| {
+                    for (foot, x) in column.iter_mut().zip(&pts) {
+                        *foot = x - shift(chunk * LANE_WIDTH + l);
+                    }
+                };
+                sp.eval_panel(coefs, lanes, feet, panel);
             };
             let then_lane = |lane: usize, coefs: &[f64], out: StridedMut<'_>| {
                 let feet: Vec<f64> = pts.iter().map(|x| x - shift(lane)).collect();
