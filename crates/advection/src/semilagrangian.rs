@@ -3,7 +3,9 @@
 use crate::error::{Error, Result};
 use pp_bsplines::PeriodicSplineSpace;
 use pp_portable::instrument::{self, PhaseId, Span};
-use pp_portable::{ExecSpace, Layout, Matrix, ResidentBatch, Strided, LANE_WIDTH};
+use pp_portable::{
+    ExecSpace, Field, HostField, Layout, Matrix, ResidentBatch, Strided, LANE_WIDTH,
+};
 use pp_splinesolver::{
     BuilderVersion, IterativeConfig, IterativeSplineSolver, LaneReport, SplineBuilder,
     VerifiedBuilder, VerifyConfig,
@@ -140,22 +142,18 @@ impl fmt::Display for AdvectionDiagnostics {
     }
 }
 
-/// Wall-clock breakdown of one advection step.
+/// Wall-clock breakdown of one advection step. There is no transpose
+/// entry: on a host field Algorithm 2's lines 3 and 5 are the gather at the
+/// top of a block's turn and the lane walk writing its columns straight
+/// into the field, both inside [`StepTimings::splines_solve`]'s region.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepTimings {
-    /// Transpose into lane-contiguous layout (Algorithm 2, line 3): the
-    /// pack of a [`Matrix`] argument into panels, a region of its own on
-    /// the step's execution space. Zero for a step on a resident slab.
-    pub transpose_in: Duration,
-    /// The step's one parallel region: per panel the spline build (the
-    /// paper's `ddc_splines_solve`, line 4) and, fused with it while the
-    /// coefficients are in cache, the interpolation at the characteristic
-    /// feet (lines 6–10). For the `Iterative` backend it includes the host
-    /// Krylov solve in front of the region.
+    /// The step's one parallel region: per block of eight lanes the spline
+    /// build (the paper's `ddc_splines_solve`, line 4) and, fused with it
+    /// while the coefficients are in cache, the interpolation at the
+    /// characteristic feet (lines 6–10). For the `Iterative` backend it
+    /// includes the host Krylov solve in front of the region.
     pub splines_solve: Duration,
-    /// Transpose back (line 5): the unpack into the [`Matrix`] argument,
-    /// likewise a region of its own. Zero for a step on a resident slab.
-    pub transpose_out: Duration,
     /// Interpolation outside that region: the verified backend
     /// re-evaluating the lanes its serial tail repaired or quarantined.
     /// Zero on a clean step.
@@ -165,14 +163,12 @@ pub struct StepTimings {
 impl StepTimings {
     /// Total step time.
     pub fn total(&self) -> Duration {
-        self.transpose_in + self.splines_solve + self.transpose_out + self.interpolate
+        self.splines_solve + self.interpolate
     }
 
     /// Accumulate another step's timings.
     pub fn accumulate(&mut self, other: &StepTimings) {
-        self.transpose_in += other.transpose_in;
         self.splines_solve += other.splines_solve;
-        self.transpose_out += other.transpose_out;
         self.interpolate += other.interpolate;
     }
 }
@@ -206,9 +202,6 @@ pub struct Advection1D {
     /// (first-order backward integration, exact for constant advection),
     /// computed where it is used.
     displacements: Vec<f64>,
-    /// Scratch: the `(Nx, Nv)` slab a [`Matrix`] argument is packed into
-    /// (allocated on the first [`Advection1D::step`] call).
-    slab: Option<ResidentBatch>,
     /// Scratch of the iterative backend, which has no panel-native
     /// solver: the coefficients on the host, and the previous step's
     /// (the warm start).
@@ -248,7 +241,6 @@ impl Advection1D {
             backend,
             displacements: velocities.iter().map(|v| v * dt).collect(),
             velocities,
-            slab: None,
             eta_host: None,
             eta_prev: None,
             dt,
@@ -313,59 +305,25 @@ impl Advection1D {
         })
     }
 
-    /// Advance `f` (shape `(Nv, Nx)`, any layout) by one time step:
-    /// pack it into an `(Nx, Nv)` slab, run
-    /// [`Advection1D::step_resident`], unpack — three regions on `exec`,
-    /// the pack and the unpack being one each like the step between them
-    /// (Algorithm 2's lines 3 and 5 are `parallel_for` kernels too).
-    /// Returns the per-phase timings, the pack and unpack as
-    /// [`StepTimings::transpose_in`]/[`StepTimings::transpose_out`].
+    /// Advance the host field `f` — shape `(Nv, Nx)`, [`Layout::Right`],
+    /// what [`Advection1D::init_distribution`] returns: lanes are rows — by
+    /// one time step, in place, with the standing displacements `v_j·Δt`:
+    /// [`Advection1D::step_with_displacements`] with those. Algorithm 2
+    /// verbatim in one parallel region on `exec`: eight rows of `f` are
+    /// gathered into the worker's panel (line 3), solved there (line 4),
+    /// and the lane walk writes each lane's interpolated values straight
+    /// back into its row (lines 5–10). No slab stands behind `f`.
+    ///
+    /// # Errors
+    /// As [`Advection1D::step_with_displacements`].
     pub fn step<E: ExecSpace>(&mut self, exec: &E, f: &mut Matrix) -> Result<StepTimings> {
-        self.through_slab(exec, f, |me, slab| me.step_resident(exec, slab))
-    }
-
-    /// Run `step` on `f` (shape `(Nv, Nx)`) packed into the private slab,
-    /// and unpack the result into `f` when it succeeds (a failed step
-    /// leaves `f` as it was).
-    fn through_slab<E: ExecSpace>(
-        &mut self,
-        exec: &E,
-        f: &mut Matrix,
-        step: impl FnOnce(&mut Self, &mut ResidentBatch) -> Result<StepTimings>,
-    ) -> Result<StepTimings> {
-        let (nv, nx) = (self.nv(), self.nx());
-        if f.shape() != (nv, nx) {
-            return Err(Error::ShapeMismatch {
-                detail: format!("f is {:?}, expected ({nv}, {nx})", f.shape()),
-            });
-        }
-        let mut slab = self
-            .slab
-            .take()
-            .unwrap_or_else(|| ResidentBatch::zeros(nx, nv));
-        let t0 = Instant::now();
-        slab.pack_transposed_from_with(exec, f)
-            .expect("shape checked above");
-        let transpose_in = t0.elapsed();
-        let stepped = step(self, &mut slab).map(|mut t| {
-            let t0 = Instant::now();
-            slab.unpack_transposed_into_with(exec, f)
-                .expect("shape checked above");
-            t.transpose_in = transpose_in;
-            t.transpose_out = t0.elapsed();
-            t
-        });
-        self.slab = Some(slab);
-        stepped
+        self.with_standing(|me, standing| me.step_with_displacements(exec, f, standing))
     }
 
     /// Advance a lane-contiguous resident slab `f` (shape `(Nx, Nv)`:
     /// rows = x, lanes = v) by one time step with the standing
     /// displacements `v_j·Δt`:
-    /// [`Advection1D::step_resident_with_displacements`] with those. No
-    /// pack/unpack transposes, so
-    /// `StepTimings::transpose_in`/`transpose_out` are zero — Algorithm
-    /// 2's lines 3 and 5 disappear.
+    /// [`Advection1D::step_resident_with_displacements`] with those.
     ///
     /// The slab after this call is bit-identical to the `(Nv, Nx)` host
     /// matrix after [`Advection1D::step`], for every backend and every
@@ -380,48 +338,85 @@ impl Advection1D {
         exec: &E,
         f: &mut ResidentBatch,
     ) -> Result<StepTimings> {
+        self.with_standing(|me, standing| me.step_resident_with_displacements(exec, f, standing))
+    }
+
+    /// Run `step` with the standing displacements lent out of `self`.
+    fn with_standing<R>(&mut self, step: impl FnOnce(&mut Self, &[f64]) -> R) -> R {
         let standing = std::mem::take(&mut self.displacements);
-        let stepped = self.step_resident_with_displacements(exec, f, &standing);
+        let stepped = step(self, &standing);
         self.displacements = standing;
         stepped
     }
 
     /// Advance a resident slab by one step with *per-lane displacements*:
-    /// lane `j`'s feet are `x_i − displacements[j]`. **The** step — every
-    /// other entry point is a shell over it; the Vlasov driver calls it
-    /// directly, with the v-direction shift `E(x)·Δt` that changes every
-    /// step.
-    ///
-    /// The step is one parallel region over the slab's panels
-    /// (DESIGN.md §14.3): a worker copies the panel into its scratch,
-    /// solves it there (and, for the verified backend, screens it against
-    /// the still-pristine panel), and evaluates the coefficients at the
-    /// feet straight back into the panel while both are in cache. Neither
-    /// the coefficients nor the feet ever exist as a slab. The `Iterative`
-    /// backend has no panel-native solver: its coefficients visit a host
-    /// scratch for the solve (with the previous step's as the warm start)
-    /// and the region packs each panel's share into the worker's scratch.
+    /// lane `j`'s feet are `x_i − displacements[j]`. The Vlasov driver
+    /// calls it directly, with the v-direction shift `E(x)·Δt` that changes
+    /// every step. See [`Advection1D::step_with_displacements`] for the
+    /// step itself, which is the same body on either kind of field.
     ///
     /// # Errors
-    /// [`Error::ShapeMismatch`] for a slab or displacement vector of the
-    /// wrong size; [`Error::NonFiniteInput`] (naming the lane, index 0)
-    /// for a non-finite displacement, which would put every foot of the
-    /// lane at NaN or ±∞ — on every backend, before any work runs.
+    /// As [`Advection1D::step_with_displacements`].
     pub fn step_resident_with_displacements<E: ExecSpace>(
         &mut self,
         exec: &E,
         f: &mut ResidentBatch,
         displacements: &[f64],
     ) -> Result<StepTimings> {
+        self.advance(exec, f, displacements)
+    }
+
+    /// [`Advection1D::step`] with *per-lane displacements*: lane `j`'s feet
+    /// are `x_i − displacements[j]`.
+    ///
+    /// The step is one parallel region over the field's blocks of eight
+    /// lanes (DESIGN.md §14.3) — the panels of a resident slab, eight rows
+    /// of a host field: a worker brings the block into its scratch as an
+    /// interleaved panel (a copy, or an 8 × 8-tile gather), solves it there
+    /// (and, for the verified backend, screens it against the pristine
+    /// right-hand sides), and evaluates the coefficients at the feet
+    /// straight back into the block while both are in cache. Neither the
+    /// coefficients nor the feet ever exist as a slab. The `Iterative`
+    /// backend has no panel-native solver: its coefficients visit a host
+    /// scratch for the solve (with the previous step's as the warm start)
+    /// and the region packs each block's share into the worker's scratch.
+    ///
+    /// # Errors
+    /// [`Error::ShapeMismatch`] for a field or displacement vector of the
+    /// wrong size, or a host field stored [`Layout::Left`] (its lanes are
+    /// interleaved: pack it into a [`ResidentBatch`]);
+    /// [`Error::NonFiniteInput`] (naming the lane, index 0) for a
+    /// non-finite displacement, which would put every foot of the lane at
+    /// NaN or ±∞; the `Iterative` backend's failure to converge. Every one
+    /// of them is raised before the region runs, so a failed step leaves
+    /// `f` as it was.
+    pub fn step_with_displacements<E: ExecSpace>(
+        &mut self,
+        exec: &E,
+        f: &mut Matrix,
+        displacements: &[f64],
+    ) -> Result<StepTimings> {
+        let shape = f.shape();
+        let Some(mut field) = HostField::new(f) else {
+            let detail = format!("f {shape:?} is stored Layout::Left, lanes must be rows");
+            return Err(Error::ShapeMismatch { detail });
+        };
+        self.advance(exec, &mut field, displacements)
+    }
+
+    /// **The** step, on either kind of field — every public entry point is
+    /// a shell over it.
+    fn advance<E: ExecSpace, B: Field>(
+        &mut self,
+        exec: &E,
+        f: &mut B,
+        displacements: &[f64],
+    ) -> Result<StepTimings> {
         let (nv, nx) = (self.nv(), self.nx());
-        if f.nrows() != nx || f.ncols() != nv {
-            return Err(Error::ShapeMismatch {
-                detail: format!(
-                    "resident slab is ({}, {}), expected ({nx}, {nv})",
-                    f.nrows(),
-                    f.ncols()
-                ),
-            });
+        if f.shape() != (nx, nv) {
+            let (rows, lanes) = f.shape();
+            let detail = format!("field has {lanes} lanes of {rows} points, expected {nv} of {nx}");
+            return Err(Error::ShapeMismatch { detail });
         }
         if displacements.len() != nv {
             return Err(Error::ShapeMismatch {
@@ -441,9 +436,9 @@ impl Advection1D {
         // the floats are); the verified backend's diagnostics want it.
         let max_disp = AtomicU64::new(0);
         let track_disp = matches!(self.backend, SplineBackend::DirectVerified(_));
-        // Lines 6-10 on one panel: follow the characteristics back and
-        // interpolate, lane by lane.
-        let interpolate = |chunk: usize, lanes: usize, coefs: &[f64], panel: &mut [f64]| {
+        // Lines 6-10 on one block: follow the characteristics back and
+        // interpolate, lane by lane, into where the field keeps the lane.
+        let interpolate = |chunk: usize, lanes: usize, coefs: &[f64], block: &mut [f64]| {
             let _span = Span::enter(PhaseId::Interpolate);
             let first = chunk * LANE_WIDTH;
             let feet = |l: usize, column: &mut [f64]| {
@@ -452,7 +447,11 @@ impl Advection1D {
                     *foot = x - by;
                 }
             };
-            space.eval_panel(coefs, lanes, feet, panel);
+            if B::PANELS {
+                space.eval_panel(coefs, lanes, feet, block);
+            } else {
+                space.eval_columns(coefs, lanes, feet, block);
+            }
             if track_disp {
                 // One running maximum per lane, so the rows vectorise;
                 // padding lanes stay put.
@@ -469,7 +468,7 @@ impl Advection1D {
             }
         };
 
-        // Line 4 and lines 6-10, panel by panel (the measured region).
+        // Line 4 and lines 6-10, block by block (the measured region).
         let t0 = Instant::now();
         match &self.backend {
             SplineBackend::Direct(builder) => builder.solve_then(exec, f, interpolate)?,
@@ -506,20 +505,6 @@ impl Advection1D {
         }
         t.splines_solve = t0.elapsed() - t.interpolate;
         Ok(t)
-    }
-
-    /// [`Advection1D::step_resident_with_displacements`] on a host
-    /// matrix `f` (shape `(Nv, Nx)`), packed and unpacked like
-    /// [`Advection1D::step`].
-    pub fn step_with_displacements<E: ExecSpace>(
-        &mut self,
-        exec: &E,
-        f: &mut Matrix,
-        displacements: &[f64],
-    ) -> Result<StepTimings> {
-        self.through_slab(exec, f, |me, slab| {
-            me.step_resident_with_displacements(exec, slab, displacements)
-        })
     }
 
     /// Total mass `Σ f` (a conserved quantity of periodic advection up to
@@ -833,19 +818,17 @@ mod tests {
 
     #[test]
     fn resident_step_bit_identical_to_interleaved_host_step() {
-        // `step` is pack → `step_resident` → unpack: this checks that
-        // wiring. 13 lanes exercises a remainder chunk.
+        // `step` and `step_resident` are one body on two kinds of field:
+        // this checks the host field's ends. 13 lanes exercises a
+        // remainder block.
         let mut adv_h = make(64, 13, 3, BuilderVersion::Interleaved);
         let mut adv_r = make(64, 13, 3, BuilderVersion::Interleaved);
         let mut f = adv_h.init_distribution(gaussian);
         // Resident slab is the (Nx, Nv) transpose of the (Nv, Nx) field.
         let mut slab = ResidentBatch::pack_transposed(&f);
-        for step in 0..5 {
+        for _ in 0..5 {
             adv_h.step(&Parallel, &mut f).unwrap();
-            let t = adv_r.step_resident(&Parallel, &mut slab).unwrap();
-            // The resident step has no pack/unpack phases at all.
-            assert_eq!(t.transpose_in, Duration::ZERO, "step {step}");
-            assert_eq!(t.transpose_out, Duration::ZERO, "step {step}");
+            adv_r.step_resident(&Parallel, &mut slab).unwrap();
         }
         let mirror = slab.host_transposed();
         assert_eq!(mirror.shape(), f.shape());
@@ -966,6 +949,27 @@ mod tests {
         }
     }
 
+    /// Every backend the table tests run: `Direct` and
+    /// `DirectVerified` under every builder version, and `Iterative`.
+    fn every_backend(space: &PeriodicSplineSpace) -> Vec<(String, SplineBackend)> {
+        let verify = VerifyConfig {
+            abft: true,
+            ..VerifyConfig::default()
+        };
+        let mut backends = Vec::new();
+        for version in BuilderVersion::ALL {
+            let direct = SplineBackend::direct(space.clone(), version);
+            let verified = SplineBackend::direct_verified(space.clone(), version, verify.clone());
+            for backend in [direct, verified] {
+                let backend = backend.unwrap();
+                backends.push((format!("{} {version:?}", backend.label()), backend));
+            }
+        }
+        let iterative = SplineBackend::iterative(space.clone(), IterativeConfig::gpu()).unwrap();
+        backends.push((iterative.label().to_string(), iterative));
+        backends
+    }
+
     /// The step's shape: one parallel region, whatever the builder version
     /// (`Baseline`'s four regions are an ablation of the solve alone) and
     /// with or without verification — solve, screen and interpolation ride
@@ -974,49 +978,123 @@ mod tests {
     fn resident_step_is_one_region() {
         let space = PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
         let velocities: Vec<f64> = (0..5 * LANE_WIDTH + 3).map(|j| 0.01 * j as f64).collect();
-        let verify = VerifyConfig {
-            abft: true,
-            ..VerifyConfig::default()
-        };
-        for version in BuilderVersion::ALL {
-            let verified = SplineBackend::direct_verified(space.clone(), version, verify.clone());
-            for backend in [SplineBackend::direct(space.clone(), version), verified] {
-                let backend = backend.unwrap();
-                let what = format!("{} {version:?}", backend.label());
-                let mut adv = Advection1D::new(backend, velocities.clone(), 1e-2).unwrap();
-                let mut slab = ResidentBatch::pack_transposed(&adv.init_distribution(gaussian));
-                for _ in 0..2 {
-                    let exec = CountingExec::default();
-                    adv.step_resident(&exec, &mut slab).unwrap();
-                    assert_eq!(exec.regions(), 1, "{what}");
+        for (what, backend) in every_backend(&space) {
+            let mut adv = Advection1D::new(backend, velocities.clone(), 1e-2).unwrap();
+            let mut slab = ResidentBatch::pack_transposed(&adv.init_distribution(gaussian));
+            for _ in 0..2 {
+                let exec = CountingExec::default();
+                adv.step_resident(&exec, &mut slab).unwrap();
+                assert_eq!(exec.regions(), 1, "{what}");
+            }
+        }
+    }
+
+    /// The host step is the same one region: Algorithm 2's two transposes
+    /// are the gather at the top of a block's turn and the lane walk's
+    /// egress, not regions of their own — on every backend, with standing
+    /// or supplied displacements.
+    #[test]
+    fn host_step_is_one_region() {
+        let space = PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
+        let velocities: Vec<f64> = (0..5 * LANE_WIDTH + 3).map(|j| 0.01 * j as f64).collect();
+        let shifted: Vec<f64> = velocities.iter().map(|v| 0.3 - v).collect();
+        for (what, backend) in every_backend(&space) {
+            let mut adv = Advection1D::new(backend, velocities.clone(), 1e-2).unwrap();
+            let mut f = adv.init_distribution(gaussian);
+            for _ in 0..2 {
+                let exec = CountingExec::default();
+                adv.step(&exec, &mut f).unwrap();
+                assert_eq!(exec.regions(), 1, "{what}");
+                let exec = CountingExec::default();
+                adv.step_with_displacements(&exec, &mut f, &shifted)
+                    .unwrap();
+                assert_eq!(exec.regions(), 1, "{what} displaced");
+            }
+        }
+    }
+
+    /// One body, two kinds of field: `step` on the `(Nv, Nx)` row-major
+    /// field is `step_resident` on `pack_transposed` of it, bit for bit —
+    /// every backend and builder version, full, partial and lone blocks,
+    /// both mesh kinds, two steps in a row. Row-major is the one layout
+    /// `step` accepts: a lane-interleaved `Layout::Left` field is refused.
+    #[test]
+    fn host_step_is_the_resident_step_bitwise() {
+        for (breaks, degree) in [
+            (Breaks::uniform(32, 0.0, 1.0).unwrap(), 3),
+            (Breaks::graded(32, 0.0, 1.0, 0.6).unwrap(), 5),
+        ] {
+            let space = PeriodicSplineSpace::new(breaks, degree).unwrap();
+            for nv in [1, 7, 8, 5 * LANE_WIDTH + 3] {
+                let velocities: Vec<f64> = (0..nv).map(|j| 0.2 - 0.05 * j as f64).collect();
+                let backends = every_backend(&space).into_iter();
+                for ((what, host), (_, resident)) in backends.zip(every_backend(&space)) {
+                    let what = format!("{what} degree {degree} nv {nv}");
+                    let mut adv_h = Advection1D::new(host, velocities.clone(), 1e-2).unwrap();
+                    let mut adv_r = Advection1D::new(resident, velocities.clone(), 1e-2).unwrap();
+                    let mut f = adv_h.init_distribution(gaussian);
+                    let mut slab = ResidentBatch::pack_transposed(&f);
+                    for step in 0..2 {
+                        adv_h.step(&Parallel, &mut f).unwrap();
+                        adv_r.step_resident(&Parallel, &mut slab).unwrap();
+                        assert_bits(slab.host_transposed(), &f, &format!("{what} step {step}"));
+                    }
+                    let mut left = f.to_layout(Layout::Left);
+                    let refused = adv_h.step(&Parallel, &mut left).unwrap_err();
+                    assert!(matches!(refused, Error::ShapeMismatch { .. }), "{what}");
+                    assert_bits(&f, &left, &format!("{what} refused"));
                 }
             }
         }
     }
 
-    /// The host step is that region between two of layout motion: the
-    /// pack and the unpack run on the execution space too, one region
-    /// each (DESIGN.md §14.5), plain or verified.
+    /// A step that fails has not touched the field: every error is raised
+    /// in front of the region — the shape and displacement checks on every
+    /// backend, the Krylov solve's verdict on its own scratch.
     #[test]
-    fn host_step_is_three_regions() {
-        let space = PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
-        let velocities: Vec<f64> = (0..5 * LANE_WIDTH + 3).map(|j| 0.01 * j as f64).collect();
-        let version = BuilderVersion::FusedSpmv;
-        let verified =
-            SplineBackend::direct_verified(space.clone(), version, VerifyConfig::default());
-        for backend in [SplineBackend::direct(space.clone(), version), verified] {
-            let mut adv = Advection1D::new(backend.unwrap(), velocities.clone(), 1e-2).unwrap();
-            let what = adv.backend_label();
+    fn rejected_host_step_leaves_the_field_untouched() {
+        let space = PeriodicSplineSpace::new(Breaks::uniform(48, 0.0, 1.0).unwrap(), 3).unwrap();
+        let velocities = vec![0.3, -0.2, 0.7];
+        for (what, backend) in every_backend(&space) {
+            let mut adv = Advection1D::new(backend, velocities.clone(), 0.02).unwrap();
             let mut f = adv.init_distribution(gaussian);
-            let mut slab = ResidentBatch::pack_transposed(&f);
-            for _ in 0..2 {
-                let exec = CountingExec::default();
-                adv.step(&exec, &mut f).unwrap();
-                assert_eq!(exec.regions(), 3, "{what}");
-                let exec = CountingExec::default();
-                adv.step_resident(&exec, &mut slab).unwrap();
-                assert_eq!(exec.regions(), 1, "{what}");
+            let untouched = f.clone();
+            let mut wrong = Matrix::zeros(4, 48, Layout::Right);
+            wrong.fill(1.5);
+            let rejected = adv.step(&Parallel, &mut wrong).unwrap_err();
+            assert!(matches!(rejected, Error::ShapeMismatch { .. }), "{what}");
+            assert!(wrong.as_slice().iter().all(|v| *v == 1.5), "{what}");
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let rejected = adv
+                    .step_with_displacements(&Parallel, &mut f, &[0.01, bad, 0.01])
+                    .unwrap_err();
+                assert_eq!(rejected, Error::NonFiniteInput { lane: 1, index: 0 });
+                assert_bits(&untouched, &f, &format!("{what} displacement {bad}"));
             }
+            let rejected = adv.step_with_displacements(&Parallel, &mut f, &[0.01; 2]);
+            assert!(
+                matches!(rejected, Err(Error::ShapeMismatch { .. })),
+                "{what}"
+            );
+            assert_bits(&untouched, &f, &what);
+            // The driver stays usable.
+            adv.step(&Parallel, &mut f).unwrap();
+        }
+        // A Krylov solve capped at one iteration does not converge.
+        let mut capped = IterativeConfig::gpu();
+        capped.stop.max_iters = 1;
+        let backend = SplineBackend::iterative(space, capped).unwrap();
+        let mut adv = Advection1D::new(backend, velocities, 0.02).unwrap();
+        let mut f = adv.init_distribution(gaussian);
+        let untouched = f.clone();
+        for _ in 0..2 {
+            let rejected = adv.step(&Parallel, &mut f).unwrap_err();
+            use pp_splinesolver::Error::NotConverged;
+            assert!(
+                matches!(rejected, Error::Spline(NotConverged { .. })),
+                "{rejected}"
+            );
+            assert_bits(&untouched, &f, "not converged");
         }
     }
 

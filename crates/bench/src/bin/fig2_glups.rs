@@ -8,9 +8,10 @@
 //! log-log plot per backend. Two more rows time the resident step
 //! (`step_resident` on a slab packed once), plain and verified, and print
 //! the evaluator's instruction set, the plain step's ns/point and pool
-//! dispatches per step, the same-run step-time ratio of the two and the
-//! verification surcharge in ns/point — the dispatch count and the ratio are
-//! what `scripts/check_bench.sh` gates.
+//! dispatches per step, the same for the host step (`step` on the field
+//! itself), the same-run step-time ratio of verified to plain and the
+//! verification surcharge in ns/point — the two dispatch counts and the
+//! ratio are what `scripts/check_bench.sh` gates.
 //!
 //! `fig2_glups --isa` prints the evaluator's per-instruction-set rows
 //! instead ([`isa_rows`]) and exits.
@@ -37,37 +38,37 @@ fn measure(backend: SplineBackend, nx: usize, nv: usize, iters: usize) -> f64 {
     glups(nx, nv, start.elapsed() / iters as u32)
 }
 
-/// Median time and pool dispatches of one resident step per backend:
-/// each slab is packed once, then after a warm-up round `steps` rounds
-/// time one `step_resident` of every backend in turn, so host drift lands
-/// on all of them alike.
-fn measure_resident<const N: usize>(
-    backends: [SplineBackend; N],
+/// Median time and pool dispatches of one step per backend, on a resident
+/// slab packed once or (`host`) on the `(Nv, Nx)` host field itself: after
+/// a warm-up round `steps` rounds time one step of every backend in turn,
+/// so host drift lands on all of them alike.
+fn measure_steps<const N: usize>(
+    backends: [(SplineBackend, bool); N],
     nv: usize,
     steps: usize,
 ) -> [(Duration, usize); N] {
     let velocities: Vec<f64> = (0..nv).map(|j| 0.1 + 0.8 * j as f64 / nv as f64).collect();
-    let mut drivers = backends.map(|backend| {
+    let mut drivers = backends.map(|(backend, host)| {
         let adv = Advection1D::new(backend, velocities.clone(), 1e-3).expect("setup");
         let f = adv.init_distribution(|x, _| (std::f64::consts::TAU * x).sin() + 1.5);
-        let slab = ResidentBatch::pack_transposed(&f);
-        (
-            adv,
-            slab,
-            Vec::with_capacity(steps),
-            CountingExec::default(),
-        )
+        let slab = (!host).then(|| ResidentBatch::pack_transposed(&f));
+        let times = Vec::with_capacity(steps);
+        (adv, f, slab, times, CountingExec::default())
     });
     for round in 0..=steps {
-        for (adv, slab, times, exec) in &mut drivers {
+        for (adv, f, slab, times, exec) in &mut drivers {
             let start = Instant::now();
-            adv.step_resident(&*exec, slab).expect("step");
+            match slab {
+                Some(slab) => adv.step_resident(&*exec, slab),
+                None => adv.step(&*exec, f),
+            }
+            .expect("step");
             if round > 0 {
                 times.push(start.elapsed());
             }
         }
     }
-    drivers.map(|(_, _, mut times, exec)| {
+    drivers.map(|(_, _, _, mut times, exec)| {
         times.sort();
         (times[steps / 2], exec.regions() / (steps + 1))
     })
@@ -185,9 +186,11 @@ fn main() {
     }
 
     // The resident step, plain and behind verification (residuals on
-    // every lane + the ABFT screen), on the uniform cubic space. Both
-    // rows come from this run on this host, so their ratio is what the
-    // verification layer costs the step, whatever the host.
+    // every lane + the ABFT screen), and the host step — Algorithm 2
+    // verbatim, what the sweep above ran — on the uniform cubic space. The
+    // two resident rows come from the same rounds on this host, so their
+    // ratio is what the verification layer costs the step, whatever the
+    // host.
     let cubic = SplineConfig::ALL[0];
     let (nv, steps) = (args.nv.min(1024), args.iters.max(30));
     let verify = VerifyConfig {
@@ -195,15 +198,21 @@ fn main() {
         ..VerifyConfig::default()
     };
     let space = || cubic.space(args.nx);
-    let [(plain, dispatches), (verified, _)] = measure_resident(
+    let direct = |version| SplineBackend::direct(space(), version).expect("setup");
+    let verified = SplineBackend::direct_verified(space(), BuilderVersion::Interleaved, verify)
+        .expect("setup");
+    let [(plain, dispatches), (verified, _)] = measure_steps(
         [
-            SplineBackend::direct(space(), BuilderVersion::Interleaved).expect("setup"),
-            SplineBackend::direct_verified(space(), BuilderVersion::Interleaved, verify)
-                .expect("setup"),
+            (direct(BuilderVersion::Interleaved), false),
+            (verified, false),
         ],
         nv,
         steps,
     );
+    // In rounds of its own: a third 8 MiB field in the rotation above
+    // would evict the other two and move the gated ratio.
+    let [(host, host_dispatches)] =
+        measure_steps([(direct(BuilderVersion::FusedSpmv), true)], nv, steps);
     for (label, step) in [
         ("kokkos-kernels-resident", plain),
         ("kokkos-kernels-verified-resident", verified),
@@ -211,14 +220,19 @@ fn main() {
         let g = glups(args.nx, nv, step);
         println!("{label},{},{nv},{g:.5}", cubic.label());
     }
+    let ns_per_point = |step: Duration| step.as_secs_f64() * 1e9 / (args.nx * nv) as f64;
+    println!(
+        "host step: {:.2} ns/point, {host_dispatches} dispatch per step",
+        ns_per_point(host)
+    );
     println!(
         "resident step: evaluator ISA {}, {:.2} ns/point, {dispatches} dispatch per step",
         PanelIsa::detected().name(),
-        plain.as_secs_f64() * 1e9 / (args.nx * nv) as f64
+        ns_per_point(plain)
     );
     println!(
         "verification surcharge: {:.2} ns/point",
-        (verified.as_secs_f64() - plain.as_secs_f64()) * 1e9 / (args.nx * nv) as f64
+        ns_per_point(verified) - ns_per_point(plain)
     );
     println!(
         "verified/plain resident step ratio: {:.3}",

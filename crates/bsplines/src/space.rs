@@ -386,7 +386,7 @@ impl PeriodicSplineSpace {
     pub fn eval_lane(&self, coefs: Strided<'_>, positions: Strided<'_>, mut out: StridedMut<'_>) {
         assert_eq!(coefs.len(), self.n, "eval: coefficient count");
         assert_eq!(positions.len(), out.len(), "eval: position count");
-        self.with_columns(1, positions.len(), |col, xs, ys| {
+        self.with_columns(1, positions.len(), 1, |col, xs, ys| {
             // Only a run reads the column: a few points need none.
             if xs.len() >= LANE_WIDTH {
                 col.iter_mut().zip(coefs.iter()).for_each(|(c, v)| *c = v);
@@ -403,16 +403,17 @@ impl PeriodicSplineSpace {
     /// Lend `body` this thread's scratch as `lanes` coefficient columns of
     /// `n + degree` values (for `column[k] = coefs[k mod n]`: the stencil of
     /// a cell is `column[cell..=cell + degree]`, nothing to wrap), a position
-    /// column and `lanes` result columns of `rows` values. `body` must not
+    /// column and `results` result columns of `rows` values. `body` must not
     /// evaluate on this thread through anything but [`Self::walk_on`].
     fn with_columns<R>(
         &self,
         lanes: usize,
         rows: usize,
+        results: usize,
         body: impl FnOnce(&mut [f64], &mut [f64], &mut [f64]) -> R,
     ) -> R {
         let wrapped = lanes * (self.n + self.degree);
-        let len = wrapped + rows + lanes * rows;
+        let len = wrapped + rows + results * rows;
         COLUMNS.with_borrow_mut(|scratch| {
             if scratch.len() < len {
                 scratch.resize(len, 0.0);
@@ -583,18 +584,45 @@ impl PeriodicSplineSpace {
         self.walk::<D, UNIFORM>(coefs, col, xs, out)
     }
 
-    /// Evaluate one interleaved panel of splines: `coefs` is the
-    /// `[n][LANE_WIDTH]` chunk of eight lanes' coefficients, and for each of
-    /// the first `lanes` lanes in turn `feet(l, column)` fills `column[i]`
-    /// with lane `l`'s position in row `i`; then
-    /// `out[i·LANE_WIDTH + l] = s_l(column[i])`. The padding lanes of a
-    /// partial panel are never asked for feet and never written.
+    /// Evaluate one interleaved panel of splines into its lanes' columns:
+    /// `coefs` is the `[n][LANE_WIDTH]` chunk of eight lanes' coefficients,
+    /// and for each of the first `lanes` lanes in turn `feet(l, column)`
+    /// fills `column[i]` with lane `l`'s position in row `i`; then
+    /// `out[l·rows + i] = s_l(column[i])`, with `rows = out.len() / lanes`.
+    /// Contiguous columns are what the lane walk writes, so a caller whose
+    /// lanes are contiguous — the rows of a `(Nv, Nx)` host field — names
+    /// them as `out` and nothing is moved afterwards.
     ///
     /// Lane for lane this is [`Self::eval_lane`] bit for bit: the same body
     /// (the widest [`PanelIsa`] instance of it the host has) on the lane's
     /// coefficients de-interleaved into this thread's column scratch.
     /// Nothing is allocated per panel; `feet` must not evaluate splines on
     /// the calling thread (the scratch is lent out while it runs).
+    ///
+    /// # Panics
+    /// Panics if `coefs.len() != num_basis() · LANE_WIDTH`, if `lanes` is
+    /// zero or exceeds `LANE_WIDTH`, or if `out` is not `lanes` whole columns.
+    pub fn eval_columns<F>(&self, coefs: &[f64], lanes: usize, feet: F, out: &mut [f64])
+    where
+        F: FnMut(usize, &mut [f64]),
+    {
+        assert!(
+            (1..=LANE_WIDTH).contains(&lanes) && out.len() % lanes == 0,
+            "eval_columns: {} values for {lanes} lanes",
+            out.len()
+        );
+        let rows = out.len() / lanes;
+        self.with_columns(LANE_WIDTH, rows, 0, |cols, xs, _| {
+            self.walk_lanes(PanelIsa::detected(), coefs, lanes, feet, cols, xs, out)
+        });
+    }
+
+    /// [`Self::eval_columns`] for a caller whose lanes are interleaved:
+    /// `out` is a `[rows][LANE_WIDTH]` panel and
+    /// `out[i·LANE_WIDTH + l] = s_l(column[i])`. The columns are written to
+    /// this thread's scratch and interleaved into `out` in one more pass;
+    /// the padding lanes of a partial panel are never asked for feet and
+    /// never written.
     ///
     /// # Panics
     /// Panics if `coefs.len() != num_basis() · LANE_WIDTH`, if `out` is not
@@ -618,7 +646,36 @@ impl PeriodicSplineSpace {
         isa: PanelIsa,
         coefs: &[f64],
         lanes: usize,
+        feet: F,
+        out: &mut [f64],
+    ) -> usize
+    where
+        F: FnMut(usize, &mut [f64]),
+    {
+        const W: usize = LANE_WIDTH;
+        assert_eq!(out.len() % W, 0, "eval_panel: whole rows");
+        assert!(lanes <= W, "eval_panel: {lanes} lanes in a panel");
+        let rows = out.len() / W;
+        self.with_columns(W, rows, lanes, |cols, xs, ys| {
+            let vector_runs = self.walk_lanes(isa, coefs, lanes, feet, cols, xs, ys);
+            interleave(ys, lanes, out);
+            vector_runs
+        })
+    }
+
+    /// The panel evaluator's core: de-interleave `coefs` into the column
+    /// scratch `cols`, then per lane fill `xs` with its feet and walk it
+    /// into its column of `out` (`lanes` columns of `xs.len()` rows).
+    /// Returns the runs that took the vector path.
+    #[allow(clippy::too_many_arguments)]
+    fn walk_lanes<F>(
+        &self,
+        isa: PanelIsa,
+        coefs: &[f64],
+        lanes: usize,
         mut feet: F,
+        cols: &mut [f64],
+        xs: &mut [f64],
         out: &mut [f64],
     ) -> usize
     where
@@ -626,33 +683,17 @@ impl PeriodicSplineSpace {
     {
         const W: usize = LANE_WIDTH;
         assert_eq!(coefs.len(), self.n * W, "eval_panel: coefficients");
-        assert_eq!(out.len() % W, 0, "eval_panel: whole rows");
-        assert!(lanes <= W, "eval_panel: {lanes} lanes in a panel");
-        let (n, wrapped, rows) = (self.n, self.n + self.degree, out.len() / W);
-        self.with_columns(W, rows, |cols, xs, ys| {
-            // Both transpositions take the panel a 64-byte row at a time, all
-            // eight lanes at once: lane by lane each would stream the panel,
-            // which outgrows L1, eight times.
-            for (i, row) in coefs.chunks_exact(W).enumerate() {
-                for l in 0..W {
-                    cols[l * wrapped + i] = row[l];
-                }
-            }
-            let mut vector_runs = 0;
-            for l in 0..lanes {
-                let col = &mut cols[l * wrapped..][..wrapped];
-                col.copy_within(..self.degree, n);
-                feet(l, xs);
-                let (lane, ys) = (Strided::new(&coefs[l..], n, W), &mut ys[l * rows..][..rows]);
-                vector_runs += self.walk_on(isa, lane, col, xs, ys);
-            }
-            for (i, row) in out.chunks_exact_mut(W).enumerate() {
-                for l in 0..lanes {
-                    row[l] = ys[l * rows + i];
-                }
-            }
-            vector_runs
-        })
+        let (n, wrapped, rows) = (self.n, self.n + self.degree, xs.len());
+        deinterleave(coefs, wrapped, cols);
+        let mut vector_runs = 0;
+        for (l, ys) in out.chunks_exact_mut(rows.max(1)).take(lanes).enumerate() {
+            let col = &mut cols[l * wrapped..][..wrapped];
+            col.copy_within(..self.degree, n);
+            feet(l, xs);
+            let lane = Strided::new(&coefs[l..], n, W);
+            vector_runs += self.walk_on(isa, lane, col, xs, ys);
+        }
+        vector_runs
     }
 
     /// Evaluate the spline derivative at `x`.
@@ -705,6 +746,44 @@ impl PeriodicSplineSpace {
         }
         let a = crate::matrix::assemble_interpolation_matrix(self);
         pp_linalg::naive::solve_dense(&a, values).map_err(|_| Error::SingularMatrix)
+    }
+}
+
+/// The panel evaluator's two transpositions. Each takes the panel a
+/// 64-byte row at a time, all eight lanes at once: lane by lane it would
+/// stream the panel, which outgrows L1, eight times. Together they are a
+/// quarter of a uniform cubic step, and what LLVM makes of these loops once
+/// they are inlined into a caller's instance of the generic evaluator
+/// depends on that caller (DESIGN.md §14.3), so they are compiled once,
+/// here, out of line.
+///
+/// `cols[l·wrapped + i] = panel[i·LANE_WIDTH + l]`: a panel of
+/// coefficients into eight columns `wrapped` apart.
+#[inline(never)]
+fn deinterleave(panel: &[f64], wrapped: usize, cols: &mut [f64]) {
+    const W: usize = LANE_WIDTH;
+    assert!(wrapped >= panel.len() / W && cols.len() >= W * wrapped);
+    for (i, row) in panel.chunks_exact(W).enumerate() {
+        for l in 0..W {
+            cols[l * wrapped + i] = row[l];
+        }
+    }
+}
+
+/// `panel[i·LANE_WIDTH + l] = ys[l·rows + i]` for the `lanes` live lanes:
+/// result columns back into a panel whose padding lanes are left alone.
+#[inline(never)]
+fn interleave(ys: &[f64], lanes: usize, panel: &mut [f64]) {
+    const W: usize = LANE_WIDTH;
+    let rows = panel.len() / W;
+    assert!(
+        lanes <= W && ys.len() >= lanes * rows,
+        "interleave: columns"
+    );
+    for (i, row) in panel.chunks_exact_mut(W).enumerate() {
+        for l in 0..lanes {
+            row[l] = ys[l * rows + i];
+        }
     }
 }
 

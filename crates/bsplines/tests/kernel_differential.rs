@@ -533,6 +533,25 @@ fn eval_panel_is_eval_lane_bitwise_on_every_isa() {
     // The switch picks the widest of them.
     let widest = PanelIsa::ALL.into_iter().rfind(|isa| isa.is_available());
     assert_eq!(Some(PanelIsa::detected()), widest);
+    // The column egress is the same walk minus the interleaving pass:
+    // live lanes only, each a contiguous column.
+    for (space, case) in &cases {
+        let rows = case.feet.len();
+        let mut out = vec![-7.0; case.lanes * rows];
+        let feet = |l: usize, column: &mut [f64]| {
+            for (x, row) in column.iter_mut().zip(&case.feet) {
+                *x = row[l];
+            }
+        };
+        space.eval_columns(&case.coefs, case.lanes, feet, &mut out);
+        for (l, column) in out.chunks_exact(rows).enumerate() {
+            for (i, got) in column.iter().enumerate() {
+                let (foot, want) = (case.feet[i][l], case.expected[i][l]);
+                let same = got.to_bits() == want.to_bits() || !foot.is_finite() && got.is_nan();
+                assert!(same, "{} columns: ({i}, {l})", case.what);
+            }
+        }
+    }
 }
 
 /// `s(x)` from the single-point weights of `eval_basis`: the scalar anchor

@@ -5,7 +5,7 @@ use crate::error::{Error, Result};
 use pp_bsplines::PeriodicSplineSpace;
 use pp_linalg::{LaneRows, Panel};
 use pp_portable::instrument::{PhaseId, Span};
-use pp_portable::{ExecSpace, InterleavedMatrix, Matrix, ResidentBatch};
+use pp_portable::{ExecSpace, Field, InterleavedMatrix, Matrix, ResidentBatch};
 use pp_sparse::Coo;
 use std::cell::RefCell;
 
@@ -174,13 +174,17 @@ impl SplineBuilder {
         Ok(())
     }
 
-    /// **Fused entry point**: solve every panel of `b` and hand its
-    /// coefficients, still in cache, to `then(chunk, lanes, coefs, panel)`,
-    /// which overwrites `panel` — the `[nrows][LANE_WIDTH]` chunk of `b`
-    /// the right-hand sides came from, `lanes` of its lanes live — with
-    /// whatever it makes of them (the advection step evaluates them at the
-    /// characteristic feet). One parallel region; the coefficients live
-    /// only in a per-worker scratch of one panel, never in a second batch.
+    /// **Fused entry point**: solve the field `b` block by block — the
+    /// panels of a [`ResidentBatch`], or eight lanes at a time of a
+    /// lane-contiguous host matrix ([`pp_portable::HostField`]) — and hand
+    /// each block's coefficients, still in cache, to
+    /// `then(chunk, lanes, coefs, block)`, which overwrites `block`, the
+    /// part of `b` the right-hand sides came from (`lanes` live lanes, laid
+    /// out as [`Field::PANELS`] says), with whatever it makes of them (the
+    /// advection step evaluates them at the characteristic feet). One
+    /// parallel region; `coefs` is an interleaved `[nrows][LANE_WIDTH]`
+    /// panel in a per-worker scratch — copied from a resident panel,
+    /// gathered from host lanes — never a second batch.
     ///
     /// The region runs the fused Algorithm 1 with this version's corner
     /// axis, so `coefs` holds the bits [`SplineBuilder::solve_resident`]
@@ -188,20 +192,21 @@ impl SplineBuilder {
     /// four regions are an ablation of the solve alone. `then` must not
     /// call back into a fused entry point on the same thread (the scratch
     /// is lent to it).
-    pub fn solve_then<E, F>(&self, exec: &E, b: &mut ResidentBatch, then: F) -> Result<()>
+    pub fn solve_then<E, B, F>(&self, exec: &E, b: &mut B, then: F) -> Result<()>
     where
         E: ExecSpace,
+        B: Field,
         F: Fn(usize, usize, &[f64], &mut [f64]) + Sync + Send,
     {
-        self.check_rows(b.nrows())?;
+        self.check_rows(b.shape().0)?;
         let n = self.space.num_basis();
         let blocks = &self.blocks;
         let sparse = self.version.sparse_corners();
-        b.for_each_chunk_mut(exec, |chunk, lanes, panel| {
-            with_panel_scratch(|coefs| {
-                coefs.extend_from_slice(panel);
+        b.for_each_block_mut(exec, |chunk, lanes, block| {
+            with_panel_scratch(|coefs, _| {
+                B::fill_panel(block, lanes, coefs);
                 schur_solve(blocks, sparse, &mut Panel::new(coefs, n));
-                then(chunk, lanes, coefs, panel);
+                then(chunk, lanes, coefs, block);
             });
         });
         Ok(())
@@ -304,26 +309,27 @@ pub(crate) fn schur_solve<R: LaneRows>(blocks: &SchurBlocks, sparse: bool, rows:
 }
 
 thread_local! {
-    /// This worker's scratch for the fused entry points: one panel, reused
-    /// for every panel of every step. It holds the panel being solved —
-    /// its coefficients, or (verified in-place solve) its pristine
-    /// right-hand sides — from the copy at the top of a panel's turn until
-    /// the turn ends.
-    static PANEL_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// This worker's scratch for the fused entry points: two panels, reused
+    /// for every block of every step. The first holds the block being
+    /// solved as a panel — its coefficients, or (verified solve) its
+    /// pristine right-hand sides — from the fill at the top of a block's
+    /// turn until the turn ends. The second is touched only by the verified
+    /// step on a host field, whose snapshot and coefficients both need one.
+    static PANEL_SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// Lend this worker's (emptied) panel scratch to `body`.
-pub(crate) fn with_panel_scratch<R>(body: impl FnOnce(&mut Vec<f64>) -> R) -> R {
-    PANEL_SCRATCH.with_borrow_mut(|scratch| {
-        scratch.clear();
-        body(scratch)
-    })
+/// Lend this worker's two panel scratches to `body`, holding whatever the
+/// last turn left in them: [`Field::fill_panel`] overwrites, and a gather
+/// is spared a panel-sized `memset` in front of it.
+pub(crate) fn with_panel_scratch<R>(body: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>) -> R) -> R {
+    PANEL_SCRATCH.with_borrow_mut(|(first, second)| body(first, second))
 }
 
-/// Capacity of this thread's panel scratch, for the structure tests.
+/// Capacities of this thread's panel scratches, for the structure tests.
 #[cfg(test)]
-pub(crate) fn panel_scratch_capacity() -> usize {
-    PANEL_SCRATCH.with_borrow(Vec::capacity)
+pub(crate) fn panel_scratch_capacity() -> (usize, usize) {
+    PANEL_SCRATCH.with_borrow(|(first, second)| (first.capacity(), second.capacity()))
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use pp_iterative::{
     GPU_COLS_PER_CHUNK,
 };
 use pp_portable::instrument::{counter, fault_dump, trace_instant, Counter, InstantKind};
-use pp_portable::{ExecSpace, Layout, Matrix, Parallel, ResidentBatch, LANE_WIDTH};
+use pp_portable::{ExecSpace, Field, Layout, Matrix, Parallel, LANE_WIDTH};
 use pp_sparse::Csr;
 use std::sync::OnceLock;
 
@@ -244,36 +244,39 @@ impl IterativeSplineSolver {
 
     /// **Fused entry point**, the counterpart of
     /// [`SplineBuilder::solve_then`] for a backend with no panel-native
-    /// solver: unpack the resident batch `b` into `host` (an `(n, batch)`
-    /// scratch the caller keeps), solve it there with
+    /// solver: copy the field `b` into `host` (an `(n, batch)` scratch the
+    /// caller keeps — a straight copy when `b` is a host field and `host`
+    /// is [`pp_portable::Layout::Left`]), solve it there with
     /// [`IterativeSplineSolver::solve_in_place`], then, in one parallel
-    /// region, pack each panel's coefficients into the per-worker scratch
-    /// and hand them to `then(chunk, lanes, coefs, panel)`, which
-    /// overwrites `panel`, the chunk of `b`. `host` keeps the coefficients
-    /// (the next step's warm start); a failed solve leaves `b` untouched.
-    pub fn solve_then<E, F>(
+    /// region, pack each block's coefficients into the per-worker scratch
+    /// and hand them to `then(chunk, lanes, coefs, block)`, which
+    /// overwrites `block`. `host` keeps the coefficients (the next step's
+    /// warm start); a failed solve leaves `b` untouched.
+    pub fn solve_then<E, B, F>(
         &self,
         exec: &E,
-        b: &mut ResidentBatch,
+        b: &mut B,
         host: &mut Matrix,
         previous: Option<&Matrix>,
         then: F,
     ) -> Result<ConvergenceLogger>
     where
         E: ExecSpace,
+        B: Field,
         F: Fn(usize, usize, &[f64], &mut [f64]) + Sync + Send,
     {
-        b.unpack_into(host)?;
+        b.copy_lanes_to(host)?;
         let logger = self.solve_in_place(host, previous)?;
         let host = &*host;
-        b.for_each_chunk_mut(exec, |chunk, lanes, panel| {
-            with_panel_scratch(|coefs| {
+        b.for_each_block_mut(exec, |chunk, lanes, block| {
+            with_panel_scratch(|coefs, _| {
+                coefs.clear();
                 // Padding lanes repeat the last live one.
                 let lane = |l: usize| chunk * LANE_WIDTH + l.min(lanes - 1);
                 for i in 0..host.nrows() {
                     coefs.extend((0..LANE_WIDTH).map(|l| host.get(i, lane(l))));
                 }
-                then(chunk, lanes, coefs, panel);
+                then(chunk, lanes, coefs, block);
             });
         });
         Ok(logger)

@@ -37,7 +37,7 @@ use pp_linalg::{flip_bit, getrf, refine_lane, LuFactors, Panel, RefineConfig, DE
 use pp_portable::instrument::{
     counter, fault_dump, trace_instant, trace_instant_lane, Counter, InstantKind, PhaseId, Span,
 };
-use pp_portable::{Budget, ExecSpace, Matrix, ResidentBatch, StridedMut, LANE_WIDTH};
+use pp_portable::{Budget, ExecSpace, Field, Matrix, ResidentBatch, StridedMut, LANE_WIDTH};
 use pp_sparse::Csr;
 
 /// Tuning knobs for [`VerifiedBuilder`].
@@ -695,14 +695,17 @@ impl VerifiedBuilder {
             .0)
     }
 
-    /// **Fused entry point**: [`VerifiedBuilder::solve_resident`] with the
-    /// coefficients of every panel handed, still in cache, to
-    /// `then(chunk, lanes, coefs, panel)`, which overwrites `panel` — the
-    /// chunk of `b` the right-hand sides came from — with whatever it makes
-    /// of them, exactly as [`SplineBuilder::solve_then`]. The panel of `b`
-    /// itself is the pristine snapshot the screen compares against, so the
-    /// coefficients are solved in the per-worker scratch and `b` never
-    /// holds them.
+    /// **Fused entry point**: [`VerifiedBuilder::solve_resident`] on the
+    /// field `b` — a [`ResidentBatch`] or a lane-contiguous host matrix
+    /// ([`pp_portable::HostField`]) — with the coefficients of every block
+    /// handed, still in cache, to `then(chunk, lanes, coefs, block)`, which
+    /// overwrites `block` — the part of `b` the right-hand sides came from
+    /// — with whatever it makes of them, exactly as
+    /// [`SplineBuilder::solve_then`]. The block's right-hand sides as a
+    /// panel are the pristine snapshot the screen compares against (a
+    /// resident panel is one already, a host block is gathered into the
+    /// worker's scratch), so the coefficients are solved in a per-worker
+    /// scratch and `b` never holds them.
     ///
     /// A lane the serial tail repairs or quarantines has new coefficients
     /// after `then` has consumed the old ones: for each such lane the tail
@@ -712,70 +715,69 @@ impl VerifiedBuilder {
     ///
     /// Verdicts, residuals and coefficients are those of
     /// [`VerifiedBuilder::solve_resident`], bit for bit.
-    pub fn solve_then<E, P, L>(
+    pub fn solve_then<E, B, P, L>(
         &self,
         exec: &E,
-        b: &mut ResidentBatch,
+        b: &mut B,
         then: P,
         mut then_lane: L,
     ) -> Result<LaneReport>
     where
         E: ExecSpace,
+        B: Field,
         P: Fn(usize, usize, &[f64], &mut [f64]) + Sync + Send,
         L: FnMut(usize, &[f64], StridedMut<'_>),
     {
-        let mut land = |b: &mut ResidentBatch, lane: usize, coefs: &[f64]| {
-            let nrows = b.nrows();
-            let panel = b.panels_mut().chunk_mut(lane / LANE_WIDTH);
-            let out = StridedMut::new(&mut panel[lane % LANE_WIDTH..], nrows, LANE_WIDTH);
-            then_lane(lane, coefs, out);
+        let mut land = |b: &mut B, lane: usize, coefs: &[f64]| {
+            then_lane(lane, coefs, b.lane_mut(lane));
         };
         Ok(self.verify_panels(exec, b, None, Some(&then), &mut land)?.0)
     }
 
-    /// The one verify body: a single chunk-parallel region solves and
-    /// screens each panel ([`VerifiedBuilder::solve_and_screen`]); the
-    /// caller then turns the screens into verdicts serially, in lane
-    /// order. Repairs, trace instants, counters and fault dumps all happen
-    /// here, so they are the same under every execution space.
+    /// The one verify body: a single block-parallel region solves and
+    /// screens each block of the field as a panel
+    /// ([`VerifiedBuilder::solve_and_screen`]); the caller then turns the
+    /// screens into verdicts serially, in lane order. Repairs, trace
+    /// instants, counters and fault dumps all happen here, so they are the
+    /// same under every execution space.
     ///
     /// `budget` is polled by each panel before its residual pass — an
     /// exhausted budget never pays for residuals it would discard — and,
     /// inside a lane's repair, before refinement and before each ladder
     /// rung.
     ///
-    /// Without `then` the coefficients stay in `b`. With it, each panel's
-    /// coefficients go to `then` inside the region (see
-    /// [`VerifiedBuilder::solve_then`]) and `b` holds what `then` wrote.
-    /// Either way a lane whose coefficients the tail replaces is handed to
-    /// `land(b, lane, coefs)`.
-    fn verify_panels<E: ExecSpace>(
+    /// Without `then` the coefficients stay in `b`, which must then be made
+    /// of panels. With it, each block's coefficients go to `then` inside
+    /// the region (see [`VerifiedBuilder::solve_then`]) and `b` holds what
+    /// `then` wrote. Either way a lane whose coefficients the tail replaces
+    /// is handed to `land(b, lane, coefs)`.
+    fn verify_panels<E: ExecSpace, B: Field>(
         &self,
         exec: &E,
-        b: &mut ResidentBatch,
+        b: &mut B,
         budget: Option<&Budget>,
         then: Option<&PanelThen<'_>>,
-        land: &mut dyn FnMut(&mut ResidentBatch, usize, &[f64]),
+        land: &mut dyn FnMut(&mut B, usize, &[f64]),
     ) -> Result<(LaneReport, Vec<Degradation>)> {
-        self.builder.check_rows(b.nrows())?;
-        let chunks = b.panels().num_chunks();
+        let (nrows, ncols) = b.shape();
+        self.builder.check_rows(nrows)?;
+        let chunks = ncols.div_ceil(LANE_WIDTH);
         let screens: Vec<OnceLock<PanelScreen>> = (0..chunks).map(|_| OnceLock::new()).collect();
-        b.for_each_chunk_mut(exec, |chunk, lanes, panel| {
-            let screen = self.solve_and_screen(chunk, lanes, panel, budget, then);
+        b.for_each_block_mut(exec, |chunk, lanes, block| {
+            let screen = self.solve_and_screen::<B>(chunk, lanes, block, budget, then);
             assert!(screens[chunk].set(screen).is_ok(), "panel visited twice");
         });
         // A quarantined lane's coefficients; built only when one turns up.
-        let nrows = b.nrows();
         let zeros = || vec![0.0; nrows];
 
-        let mut verdicts = Vec::with_capacity(b.ncols());
-        let mut sdc = Vec::with_capacity(b.ncols());
+        let mut verdicts = Vec::with_capacity(ncols);
+        let mut sdc = Vec::with_capacity(ncols);
         let mut degrade = DegradeLog::default();
         let verify_span = Span::enter(PhaseId::Verify);
         for (chunk, screen) in screens.into_iter().enumerate() {
             let screen = screen.into_inner().expect("every panel is screened");
             note_residual_passes(usize::from(!screen.cut));
-            let live = b.panels().chunk_lanes(chunk);
+            let live = LANE_WIDTH.min(ncols - chunk * LANE_WIDTH);
             let lanes = screen.lanes.into_iter().zip(screen.sdc).take(live);
             for (l, (screened, sdc_state)) in lanes.enumerate() {
                 let lane = chunk * LANE_WIDTH + l;
@@ -846,30 +848,40 @@ impl VerifiedBuilder {
         Ok((report, degradations))
     }
 
-    /// One worker's share of the verified solve: copy the panel's pristine
-    /// right-hand side into this thread's scratch, run the fused Algorithm
-    /// 1 and [`VerifiedBuilder::screen`] the result while both are in
-    /// cache. The solve runs where its result is wanted: in place, with the
-    /// scratch as the snapshot — or, when `then` is about to overwrite the
-    /// panel, on the scratch, with the panel itself as the snapshot.
-    fn solve_and_screen(
+    /// One worker's share of the verified solve: bring the block's pristine
+    /// right-hand sides into this thread's scratch as a panel, run the
+    /// fused Algorithm 1 and [`VerifiedBuilder::screen`] the result while
+    /// both are in cache. The solve runs where its result is wanted: in
+    /// place, with the scratch as the snapshot — or, when `then` is about to
+    /// overwrite the block, away from it. A resident panel is then its own
+    /// snapshot and the scratch is solved; a host block is no panel, so the
+    /// gathered one is the snapshot and a copy of it in the second scratch
+    /// is solved.
+    fn solve_and_screen<B: Field>(
         &self,
         chunk: usize,
         lanes: usize,
-        panel: &mut [f64],
+        block: &mut [f64],
         budget: Option<&Budget>,
         then: Option<&PanelThen<'_>>,
     ) -> PanelScreen {
-        with_panel_scratch(|scratch| {
-            scratch.extend_from_slice(panel);
-            match then {
-                None => self.screen(chunk, lanes, panel, scratch, budget),
-                Some(then) => {
-                    let screen = self.screen(chunk, lanes, scratch, panel, budget);
-                    then(chunk, lanes, scratch, panel);
-                    screen
-                }
-            }
+        with_panel_scratch(|scratch, second| {
+            B::fill_panel(block, lanes, scratch);
+            let Some(then) = then else {
+                assert!(B::PANELS, "an in-place verified solve needs panels");
+                return self.screen(chunk, lanes, block, scratch, budget);
+            };
+            let (coefs, screen) = if B::PANELS {
+                let screen = self.screen(chunk, lanes, scratch, block, budget);
+                (scratch, screen)
+            } else {
+                second.clear();
+                second.extend_from_slice(scratch);
+                let screen = self.screen(chunk, lanes, second, scratch, budget);
+                (second, screen)
+            };
+            then(chunk, lanes, coefs, block);
+            screen
         })
     }
 
@@ -1236,8 +1248,8 @@ fn lane_of(panel: &[f64], l: usize) -> Vec<f64> {
     panel.iter().skip(l).step_by(LANE_WIDTH).copied().collect()
 }
 
-/// What a fused solve does with a panel's coefficients:
-/// `then(chunk, lanes, coefs, panel)`.
+/// What a fused solve does with a block's coefficients:
+/// `then(chunk, lanes, coefs, block)`.
 type PanelThen<'a> = dyn Fn(usize, usize, &[f64], &mut [f64]) + Sync + 'a;
 
 /// What the panel screen concluded about one lane; the caller turns it
@@ -1374,7 +1386,7 @@ mod tests {
     use super::*;
     use crate::builder::BuilderVersion;
     use pp_bsplines::{Breaks, PeriodicSplineSpace};
-    use pp_portable::{CountingExec, Layout, Parallel, Serial, Strided, TestRng};
+    use pp_portable::{CountingExec, HostField, Layout, Parallel, Serial, Strided, TestRng};
     use std::cell::Cell;
 
     thread_local! {
@@ -2193,11 +2205,43 @@ mod tests {
                     .builder()
                     .solve_then(&Serial, &mut b, keep)
                     .unwrap();
-                crate::builder::panel_scratch_capacity()
+                let resident = crate::builder::panel_scratch_capacity();
+                // A host field's blocks are gathered, not copied: still one
+                // panel for the plain solve, a second one — snapshot and
+                // coefficients — for the verified one.
+                let rhs = random_rhs(n, batch, 97);
+                let mut want = ResidentBatch::pack(&rhs);
+                verified
+                    .builder()
+                    .solve_resident(&Serial, &mut want)
+                    .unwrap();
+                let mut host = Matrix::from_fn(batch, n, Layout::Right, |j, i| rhs.get(i, j));
+                let mut field = HostField::new(&mut host).unwrap();
+                let keep = |_: usize, lanes: usize, coefs: &[f64], block: &mut [f64]| {
+                    for (l, lane) in block.chunks_exact_mut(n).enumerate() {
+                        assert!(l < lanes);
+                        lane.iter_mut()
+                            .zip(coefs.iter().skip(l).step_by(LANE_WIDTH))
+                            .for_each(|(v, c)| *v = *c);
+                    }
+                };
+                verified
+                    .builder()
+                    .solve_then(&Serial, &mut field, keep)
+                    .unwrap();
+                let plain = crate::builder::panel_scratch_capacity();
+                let mut got = Matrix::zeros(n, batch, Layout::Left);
+                field.copy_lanes_to(&mut got).unwrap();
+                assert_eq!(got.max_abs_diff(want.host()), 0.0, "host field solve");
+                verified
+                    .solve_then(&Serial, &mut field, keep, |_, _, _| unreachable!())
+                    .unwrap();
+                (resident, plain, crate::builder::panel_scratch_capacity())
             });
             worker.join().unwrap()
         });
-        assert_eq!(capacity, n * LANE_WIDTH);
+        let panel = n * LANE_WIDTH;
+        assert_eq!(capacity, ((panel, 0), (panel, 0), (panel, panel)));
     }
 
     #[test]

@@ -1,0 +1,227 @@
+//! Fields: what a fused solve-and-evaluate step advances in place.
+//!
+//! A field is a batch of `lanes` independent systems of `rows` values
+//! that a step reads once and overwrites, a *block* of [`LANE_WIDTH`]
+//! lanes at a time on the worker pool. Two kinds exist. A
+//! [`ResidentBatch`]'s blocks are its interleaved panels. A lane-contiguous
+//! host matrix — the `(Nv, Nx)` row-major distribution of the paper's
+//! Algorithm 2, wrapped as a [`HostField`] — has blocks of eight
+//! consecutive rows. The step's body is the same for both; a field
+//! supplies its two ends: how a block becomes the interleaved panel the
+//! solve wants ([`Field::fill_panel`]: a copy, or an 8 × 8-tile gather),
+//! and what a block *is* when results land in it ([`Field::PANELS`]).
+
+use crate::error::Result;
+use crate::exec::ExecSpace;
+use crate::interleaved::{gather_panel, LANE_WIDTH};
+use crate::layout::Layout;
+use crate::matrix::Matrix;
+use crate::ptr::SharedMutPtr;
+use crate::resident::ResidentBatch;
+use crate::strided::StridedMut;
+use crate::transpose::transpose_into;
+
+/// A batch a fused step advances in place, block by block (module docs).
+pub trait Field {
+    /// What a block is: an interleaved `[rows][LANE_WIDTH]` panel
+    /// (padding lanes included), or else the block's live lanes as
+    /// contiguous columns, `block[l·rows + i]`.
+    const PANELS: bool;
+
+    /// `(rows, lanes)`: values per lane (the system size) and live lanes
+    /// (the batch size).
+    fn shape(&self) -> (usize, usize);
+
+    /// Visit every block with `f(block_index, live_lanes, block)`, as one
+    /// region on `exec`; block `c` holds lanes `c·LANE_WIDTH ..`.
+    fn for_each_block_mut<E, F>(&mut self, exec: &E, f: F)
+    where
+        E: ExecSpace,
+        F: Fn(usize, usize, &mut [f64]) + Sync + Send;
+
+    /// Ingress of one block: overwrite `panel`, whatever it held, with the
+    /// block's `lanes` lanes as an interleaved `[rows][LANE_WIDTH]` panel.
+    fn fill_panel(block: &[f64], lanes: usize, panel: &mut Vec<f64>);
+
+    /// Lane `lane`, rows in order — where a serial tail lands a lane it
+    /// recomputed.
+    fn lane_mut(&mut self, lane: usize) -> StridedMut<'_>;
+
+    /// Copy the whole field into `host`, a `(rows, lanes)` matrix of
+    /// either layout (the ingress of a solver with no panel-native form).
+    fn copy_lanes_to(&self, host: &mut Matrix) -> Result<()>;
+}
+
+impl Field for ResidentBatch {
+    const PANELS: bool = true;
+
+    fn shape(&self) -> (usize, usize) {
+        (self.nrows(), self.ncols())
+    }
+
+    fn for_each_block_mut<E, F>(&mut self, exec: &E, f: F)
+    where
+        E: ExecSpace,
+        F: Fn(usize, usize, &mut [f64]) + Sync + Send,
+    {
+        self.for_each_chunk_mut(exec, f);
+    }
+
+    fn fill_panel(block: &[f64], _lanes: usize, panel: &mut Vec<f64>) {
+        panel.clear();
+        panel.extend_from_slice(block);
+    }
+
+    fn lane_mut(&mut self, lane: usize) -> StridedMut<'_> {
+        let rows = self.nrows();
+        let panel = self.panels_mut().chunk_mut(lane / LANE_WIDTH);
+        StridedMut::new(&mut panel[lane % LANE_WIDTH..], rows, LANE_WIDTH)
+    }
+
+    fn copy_lanes_to(&self, host: &mut Matrix) -> Result<()> {
+        self.unpack_into(host)
+    }
+}
+
+/// A host matrix whose rows are the lanes: shape `(lanes, rows)`,
+/// [`Layout::Right`], so lane `j` is the contiguous run
+/// `[j·rows, (j + 1)·rows)` of its storage and a block of eight lanes is
+/// one contiguous range.
+pub struct HostField<'a>(&'a mut Matrix);
+
+impl<'a> HostField<'a> {
+    /// View `m` as a field of `m.nrows()` lanes; `None` unless it is
+    /// stored [`Layout::Right`] (a `Layout::Left` matrix of this shape
+    /// interleaves its lanes — pack it into a [`ResidentBatch`] instead).
+    pub fn new(m: &'a mut Matrix) -> Option<Self> {
+        (m.layout() == Layout::Right).then_some(Self(m))
+    }
+}
+
+impl Field for HostField<'_> {
+    const PANELS: bool = false;
+
+    fn shape(&self) -> (usize, usize) {
+        (self.0.ncols(), self.0.nrows())
+    }
+
+    fn for_each_block_mut<E, F>(&mut self, exec: &E, f: F)
+    where
+        E: ExecSpace,
+        F: Fn(usize, usize, &mut [f64]) + Sync + Send,
+    {
+        let (lanes, rows) = self.0.shape();
+        let ptr = SharedMutPtr(self.0.as_mut_ptr());
+        exec.for_each(lanes.div_ceil(LANE_WIDTH), |c| {
+            let first = c * LANE_WIDTH;
+            let live = LANE_WIDTH.min(lanes - first);
+            // SAFETY: the matrix is `Layout::Right` (checked by `new`, and
+            // borrowed mutably for the region), so its storage is `lanes`
+            // consecutive runs of `rows` elements and block `c` owns the
+            // contiguous range `[first·rows, (first + live)·rows)`, inside
+            // the allocation because `first + live <= lanes`. The ranges
+            // of different `c` are pairwise disjoint and each `c` is
+            // visited exactly once, so no two concurrent slices overlap.
+            let block =
+                unsafe { std::slice::from_raw_parts_mut(ptr.add(first * rows), live * rows) };
+            f(c, live, block);
+        });
+    }
+
+    fn fill_panel(block: &[f64], lanes: usize, panel: &mut Vec<f64>) {
+        gather_panel(block, lanes, panel);
+    }
+
+    fn lane_mut(&mut self, lane: usize) -> StridedMut<'_> {
+        self.0.row_mut(lane)
+    }
+
+    fn copy_lanes_to(&self, host: &mut Matrix) -> Result<()> {
+        if host.layout() == Layout::Left && host.shape() == self.shape() {
+            // The transposed shape in the flipped layout: the same bytes.
+            host.as_mut_slice().copy_from_slice(self.0.as_slice());
+            return Ok(());
+        }
+        transpose_into(self.0, host)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::{Parallel, Serial};
+
+    /// A field whose element `(row i, lane j)` is `1000·j + i`.
+    fn tagged(lanes: usize, rows: usize) -> Matrix {
+        Matrix::from_fn(lanes, rows, Layout::Right, |j, i| (1000 * j + i) as f64)
+    }
+
+    /// Every element of every block is handed out exactly once, under
+    /// the pool: each block's elements are bumped by one, and a partial
+    /// last block is told its live lanes only.
+    #[test]
+    fn host_blocks_cover_every_element_once() {
+        let rows = if cfg!(miri) { 3 } else { 13 };
+        for lanes in [1usize, 7, 8, 19] {
+            let mut m = tagged(lanes, rows);
+            let mut field = HostField::new(&mut m).expect("row-major");
+            assert_eq!(field.shape(), (rows, lanes));
+            field.for_each_block_mut(&Parallel, |c, live, block| {
+                assert_eq!(live, LANE_WIDTH.min(lanes - c * LANE_WIDTH));
+                assert_eq!(block.len(), live * rows);
+                assert_eq!(block[0], (1000 * c * LANE_WIDTH) as f64);
+                block.iter_mut().for_each(|v| *v += 1.0);
+            });
+            field.lane_mut(lanes - 1).fill(-1.0);
+            for (j, i, v) in m.iter_entries() {
+                let want = if j == lanes - 1 {
+                    -1.0
+                } else {
+                    (1000 * j + i + 1) as f64
+                };
+                assert_eq!(v, want, "{lanes} lanes: ({j}, {i})");
+            }
+        }
+    }
+
+    /// The two kinds of field agree on what their blocks hold: the
+    /// gathered panel of a host block is the resident panel of the same
+    /// lanes, padding lanes zero, whatever the scratch held before.
+    #[test]
+    fn gathered_host_block_is_the_resident_panel() {
+        let shapes: &[(usize, usize)] = if cfg!(miri) {
+            &[(3, 9)]
+        } else {
+            &[(1, 1), (7, 5), (8, 8), (19, 13), (16, 64)]
+        };
+        for &(lanes, rows) in shapes {
+            let mut m = tagged(lanes, rows);
+            let mut resident = ResidentBatch::pack_transposed(&m);
+            let mut field = HostField::new(&mut m).expect("row-major");
+            field.for_each_block_mut(&Serial, |c, live, block| {
+                let mut panel = vec![f64::NAN; 2 * rows * LANE_WIDTH + 1];
+                HostField::fill_panel(block, live, &mut panel);
+                assert_eq!(
+                    panel,
+                    resident.panels().chunk(c),
+                    "{lanes}x{rows} block {c}"
+                );
+                ResidentBatch::fill_panel(resident.panels().chunk(c), live, &mut panel);
+                assert_eq!(panel, resident.panels().chunk(c));
+            });
+            let mut host = Matrix::zeros(rows, lanes, Layout::Left);
+            field.copy_lanes_to(&mut host).unwrap();
+            let mut other = Matrix::zeros(rows, lanes, Layout::Right);
+            field.copy_lanes_to(&mut other).unwrap();
+            assert_eq!(host.max_abs_diff(resident.host()), 0.0);
+            assert_eq!(other.max_abs_diff(resident.host()), 0.0);
+            let mut wrong = Matrix::zeros(rows + 1, lanes, Layout::Left);
+            assert!(field.copy_lanes_to(&mut wrong).is_err());
+        }
+    }
+
+    #[test]
+    fn lane_interleaved_host_matrix_is_not_a_field() {
+        assert!(HostField::new(&mut Matrix::zeros(4, 6, Layout::Left)).is_none());
+    }
+}

@@ -445,6 +445,21 @@ fn move_tiles<E: ExecSpace>(
     });
 }
 
+/// Ingress of one block of a lane-contiguous host field
+/// ([`crate::HostField`]): overwrite `panel` with the `lanes` columns of
+/// `block` (`block[l·rows + i]`) as one `[rows][W]` panel, padding lanes
+/// zero — [`move_tiles`] applied to a single chunk, on the calling worker.
+pub(crate) fn gather_panel(block: &[f64], lanes: usize, panel: &mut Vec<f64>) {
+    let rows = block.len() / lanes;
+    if lanes < W {
+        // The move writes live lanes only.
+        panel.clear();
+    }
+    panel.resize(rows * W, 0.0);
+    let (from, to) = (Tiling::strided(0, W, 1, rows), Tiling::panels(rows));
+    move_tiles(&Serial, (rows, lanes), block, from, panel, to);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

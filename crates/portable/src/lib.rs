@@ -60,6 +60,7 @@
 pub mod budget;
 pub mod error;
 pub mod exec;
+pub mod field;
 pub mod interleaved;
 pub mod layout;
 pub mod matrix;
@@ -74,6 +75,7 @@ pub mod transpose;
 pub use budget::{Budget, CancelToken, DispatchOutcome};
 pub use error::{Error, Result};
 pub use exec::{CountingExec, ExecSpace, Parallel, Serial};
+pub use field::{Field, HostField};
 pub use interleaved::{InterleavedMatrix, LANE_WIDTH};
 pub use layout::Layout;
 pub use matrix::Matrix;

@@ -200,17 +200,8 @@ impl ResidentBatch {
     /// Refill from a flipped-orientation host mirror, as
     /// [`ResidentBatch::pack_transposed`]. Bumps the generation.
     pub fn pack_transposed_from(&mut self, src: &Matrix) -> Result<()> {
-        self.pack_transposed_from_with(&Serial, src)
-    }
-
-    /// [`ResidentBatch::pack_transposed_from`] as one region on `exec`.
-    pub fn pack_transposed_from_with<E: ExecSpace>(
-        &mut self,
-        exec: &E,
-        src: &Matrix,
-    ) -> Result<()> {
         self.bump();
-        self.panels.copy_from_matrix_with(exec, src, true)
+        self.panels.copy_from_matrix(src, true)
     }
 
     /// Refill the panels from another resident batch of the same shape —
@@ -487,9 +478,7 @@ mod tests {
         let (mut refill, mut flipped) =
             (ResidentBatch::zeros(67, 91), ResidentBatch::zeros(91, 67));
         let (g_refill, g_flipped) = (refill.generation(), flipped.generation());
-        refill
-            .pack_transposed_from_with(&Parallel, &host_t)
-            .unwrap();
+        refill.pack_transposed_from(&host_t).unwrap();
         assert_eq!(refill.panels(), serial.panels());
         assert!(refill.generation() > g_refill);
         pooled.transpose_into_with(&Parallel, &mut flipped).unwrap();

@@ -64,11 +64,9 @@ fn main() {
 
         println!("\n--- {label} ---");
         println!(
-            "  transpose-in {:>8.2} ms | splines + interpolate (one region) {:>8.2} ms | repaired lanes {:>8.2} ms | transpose-out {:>8.2} ms",
-            totals.transpose_in.as_secs_f64() * 1e3,
+            "  gather + splines + interpolate (one region) {:>8.2} ms | repaired lanes {:>8.2} ms",
             totals.splines_solve.as_secs_f64() * 1e3,
             totals.interpolate.as_secs_f64() * 1e3,
-            totals.transpose_out.as_secs_f64() * 1e3,
         );
         println!(
             "  throughput {:.4} GLUPS | max error vs analytic {err:.3e} | mass drift {mass_drift:.3e}",
