@@ -11,7 +11,6 @@ use pp_splinesolver::{
     VerifiedBuilder, VerifyConfig,
 };
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Which spline construction backend drives the advection — the paper's
@@ -86,8 +85,9 @@ pub struct AdvectionDiagnostics {
     pub refinement_steps: usize,
     /// Worst relative residual over the healthy lanes.
     pub worst_residual: f64,
-    /// Largest characteristic foot displacement `max |x_i − foot(i,j)|`
-    /// this step — a CFL-style sanity figure for the semi-Lagrangian step.
+    /// Largest displacement the step was given, `max_j |d_j|` over its
+    /// lanes: how far a characteristic foot `x_i − d_j` sits from its grid
+    /// point — a CFL-style sanity figure for the semi-Lagrangian step.
     pub max_foot_displacement: f64,
 }
 
@@ -432,10 +432,6 @@ impl Advection1D {
 
         let space = self.backend.space();
         let points = &self.x_points[..];
-        // Bits of the largest `|x_i − foot|` (non-negative, so ordered as
-        // the floats are); the verified backend's diagnostics want it.
-        let max_disp = AtomicU64::new(0);
-        let track_disp = matches!(self.backend, SplineBackend::DirectVerified(_));
         // Lines 6-10 on one block: follow the characteristics back and
         // interpolate, lane by lane, into where the field keeps the lane.
         let interpolate = |chunk: usize, lanes: usize, coefs: &[f64], block: &mut [f64]| {
@@ -451,20 +447,6 @@ impl Advection1D {
                 space.eval_panel(coefs, lanes, feet, block);
             } else {
                 space.eval_columns(coefs, lanes, feet, block);
-            }
-            if track_disp {
-                // One running maximum per lane, so the rows vectorise;
-                // padding lanes stay put.
-                let mut by = [0.0; LANE_WIDTH];
-                by[..lanes].copy_from_slice(&displacements[first..first + lanes]);
-                let mut widest = [0.0_f64; LANE_WIDTH];
-                for x in points {
-                    for l in 0..LANE_WIDTH {
-                        widest[l] = widest[l].max((x - (x - by[l])).abs());
-                    }
-                }
-                let widest = widest.into_iter().fold(0.0, f64::max);
-                max_disp.fetch_max(widest.to_bits(), Ordering::Relaxed);
             }
         };
 
@@ -483,7 +465,9 @@ impl Advection1D {
                     tail += t0.elapsed();
                 })?;
                 t.interpolate = tail;
-                let max_disp = f64::from_bits(max_disp.into_inner());
+                // Every foot of lane `j` is `x_i − d_j`: the lane's feet
+                // are `|d_j|` from their grid points, whatever `i`.
+                let max_disp = displacements.iter().fold(0.0, |m: f64, d| m.max(d.abs()));
                 let diagnostics = AdvectionDiagnostics::from_report(&report, max_disp);
                 diagnostics.publish_metrics();
                 self.last_diagnostics = Some(diagnostics);
@@ -866,8 +850,8 @@ mod tests {
     }
 
     /// The feet are computed where they are used, so there is nothing to go
-    /// stale: the reported displacement must be that of a fresh scan of
-    /// this step's feet, on both entry points, whoever supplied them.
+    /// stale: the reported displacement must be the largest one this step
+    /// was given, on both entry points, whoever supplied them.
     #[test]
     fn foot_displacement_follows_every_step() {
         let space = PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
@@ -878,16 +862,9 @@ mod tests {
         )
         .unwrap();
         let mut adv = Advection1D::new(backend, vec![0.3, -0.2, 0.7], 0.02).unwrap();
-        // What a scan of the feet computes, from the public grid.
-        let fresh_max = |adv: &Advection1D, disp: &[f64]| {
-            let mut m = 0.0_f64;
-            for d in disp {
-                for x in adv.x_points() {
-                    m = m.max((x - (x - d)).abs());
-                }
-            }
-            m
-        };
+        // The largest displacement the step was given.
+        let fresh_max =
+            |_: &Advection1D, disp: &[f64]| disp.iter().fold(0.0_f64, |m, d| m.max(d.abs()));
         let max_of = |adv: &Advection1D| adv.last_diagnostics().unwrap().max_foot_displacement;
 
         let standing: Vec<f64> = [0.3, -0.2, 0.7].iter().map(|v| v * 0.02).collect();

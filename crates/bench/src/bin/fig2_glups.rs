@@ -5,24 +5,29 @@
 //! Host measurements reproduce panels (a)/(d) (the CPU column); the GPU
 //! panels' *shape* is discussed in EXPERIMENTS.md via the traffic model.
 //! CSV series are printed for external plotting, followed by an ASCII
-//! log-log plot per backend. Two more rows time the resident step
-//! (`step_resident` on a slab packed once), plain and verified, and print
-//! the evaluator's instruction set, the plain step's ns/point and pool
-//! dispatches per step, the same for the host step (`step` on the field
-//! itself), the same-run step-time ratio of verified to plain and the
-//! verification surcharge in ns/point — the two dispatch counts and the
-//! ratio are what `scripts/check_bench.sh` gates.
+//! log-log plot per backend. Three more rows time the resident step
+//! (`step_resident` on a slab packed once), plain, verified and verified
+//! with the ABFT sums off, and print the instruction set the evaluator and
+//! the screen run at, the plain step's ns/point and pool dispatches per
+//! step, the same for the host step (`step` on the field itself), the
+//! same-run step-time ratio of verified to plain and the verification
+//! surcharge in ns/point — the two dispatch counts and the ratio are what
+//! `scripts/check_bench.sh` gates.
 //!
-//! `fig2_glups --isa` prints the evaluator's per-instruction-set rows
-//! instead ([`isa_rows`]) and exits.
+//! `fig2_glups --isa` prints the per-instruction-set rows of the evaluator
+//! ([`isa_rows`]) and of the verified solve's screen ([`screen_isa_rows`])
+//! instead and exits.
 
 use pp_advection::{Advection1D, SplineBackend};
 use pp_bench::gpu_model::predict;
 use pp_bench::{parse_args, AsciiPlot, SplineConfig};
 use pp_bsplines::PanelIsa;
 use pp_perfmodel::{glups, performance_portability, Device};
-use pp_portable::{CountingExec, Parallel, ResidentBatch, TestRng, LANE_WIDTH};
-use pp_splinesolver::{BuilderVersion, IterativeConfig, SchurBlocks, VerifyConfig};
+use pp_portable::{
+    CountingExec, Layout, Matrix, Parallel, ResidentBatch, Serial, TestRng, LANE_WIDTH,
+};
+use pp_splinesolver::{BuilderVersion, IterativeConfig, SchurBlocks, SplineBuilder, VerifyConfig};
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 fn measure(backend: SplineBackend, nx: usize, nv: usize, iters: usize) -> f64 {
@@ -131,9 +136,55 @@ fn isa_rows() {
     }
 }
 
+/// The verified solve's screen alone, one thread, per instruction set:
+/// `pass_on` (ABFT sums and residuals on) over one solved 1024-row panel
+/// and its right-hand sides — 128 KiB, in cache as the step has them — best
+/// of 15 rounds of 256 passes, uniform cubic and graded quintic. Per row of
+/// eight lanes: ns and the speed-up over the baseline instance, whose sums
+/// every instance must return.
+fn screen_isa_rows() {
+    const ROWS: usize = 1024;
+    println!("mesh,isa,screen_ns_per_row,speedup");
+    let verify = VerifyConfig {
+        abft: true,
+        ..VerifyConfig::default()
+    };
+    for cfg in [SplineConfig::ALL[0], SplineConfig::ALL[5]] {
+        let builder = SplineBuilder::new(cfg.space(ROWS), BuilderVersion::Interleaved)
+            .expect("factorisation")
+            .verified(verify.clone());
+        let mut rng = TestRng::seed_from_u64(0x5C4);
+        let rhs = Matrix::from_fn(ROWS, LANE_WIDTH, Layout::Left, |_, _| {
+            rng.gen_range(-1.0..1.0)
+        });
+        let (rhs, mut solved) = (ResidentBatch::pack(&rhs), ResidentBatch::pack(&rhs));
+        let plain = builder.builder();
+        plain.solve_resident(&Serial, &mut solved).expect("solve");
+        let (x, rhs) = (solved.panels().chunk(0), rhs.panels().chunk(0));
+        let mut base = None;
+        for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
+            let mut best = Duration::MAX;
+            for _ in 0..15 {
+                let start = Instant::now();
+                for _ in 0..256 {
+                    black_box(builder.pass_on(isa, black_box(x), rhs, true));
+                }
+                best = best.min(start.elapsed());
+            }
+            let ns = best.as_secs_f64() * 1e9 / (256 * ROWS) as f64;
+            let sums = builder.pass_on(isa, x, rhs, true);
+            let (base_ns, base_sums) = *base.get_or_insert((ns, sums));
+            assert_eq!(sums, base_sums, "{}", isa.name());
+            let (mesh, isa) = (cfg.label(), isa.name());
+            println!("{mesh},{isa},{ns:.2},{:.2}", base_ns / ns);
+        }
+    }
+}
+
 fn main() {
     if std::env::args().any(|a| a == "--isa") {
-        return isa_rows();
+        isa_rows();
+        return screen_isa_rows();
     }
     let args = parse_args(1024, 10_000, 2);
     // Sweep Nv from 100 to the requested maximum, one point per decade
@@ -193,29 +244,30 @@ fn main() {
     // host.
     let cubic = SplineConfig::ALL[0];
     let (nv, steps) = (args.nv.min(1024), args.iters.max(30));
-    let verify = VerifyConfig {
-        abft: true,
-        ..VerifyConfig::default()
-    };
     let space = || cubic.space(args.nx);
     let direct = |version| SplineBackend::direct(space(), version).expect("setup");
-    let verified = SplineBackend::direct_verified(space(), BuilderVersion::Interleaved, verify)
-        .expect("setup");
-    let [(plain, dispatches), (verified, _)] = measure_steps(
-        [
-            (direct(BuilderVersion::Interleaved), false),
-            (verified, false),
-        ],
-        nv,
-        steps,
-    );
-    // In rounds of its own: a third 8 MiB field in the rotation above
-    // would evict the other two and move the gated ratio.
+    // Plain against verified — residuals on every lane, the ABFT sums on or
+    // off. Each pair and the host step run in rounds of their own: a third
+    // 8 MiB field in a rotation would evict the other two and move the
+    // gated ratio.
+    let resident_pair = |abft| {
+        let verify = VerifyConfig {
+            abft,
+            ..VerifyConfig::default()
+        };
+        let verified = SplineBackend::direct_verified(space(), BuilderVersion::Interleaved, verify)
+            .expect("setup");
+        let plain = direct(BuilderVersion::Interleaved);
+        measure_steps([(plain, false), (verified, false)], nv, steps)
+    };
+    let [(plain, dispatches), (verified, _)] = resident_pair(true);
+    let [(plain_again, _), (residual_only, _)] = resident_pair(false);
     let [(host, host_dispatches)] =
         measure_steps([(direct(BuilderVersion::FusedSpmv), true)], nv, steps);
     for (label, step) in [
         ("kokkos-kernels-resident", plain),
         ("kokkos-kernels-verified-resident", verified),
+        ("kokkos-kernels-verified-noabft-resident", residual_only),
     ] {
         let g = glups(args.nx, nv, step);
         println!("{label},{},{nv},{g:.5}", cubic.label());
@@ -226,13 +278,14 @@ fn main() {
         ns_per_point(host)
     );
     println!(
-        "resident step: evaluator ISA {}, {:.2} ns/point, {dispatches} dispatch per step",
+        "resident step: evaluator and screen ISA {}, {:.2} ns/point, {dispatches} dispatch per step",
         PanelIsa::detected().name(),
         ns_per_point(plain)
     );
     println!(
-        "verification surcharge: {:.2} ns/point",
-        ns_per_point(verified) - ns_per_point(plain)
+        "verification surcharge: {:.2} ns/point ({:.2} with the ABFT sums off)",
+        ns_per_point(verified) - ns_per_point(plain),
+        ns_per_point(residual_only) - ns_per_point(plain_again)
     );
     println!(
         "verified/plain resident step ratio: {:.3}",

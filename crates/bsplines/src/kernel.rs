@@ -18,10 +18,11 @@ use crate::space::MAX_DEGREE;
 use pp_portable::LANE_WIDTH;
 use std::sync::OnceLock;
 
-/// The instruction sets the lane walk behind
-/// [`crate::PeriodicSplineSpace::eval_lane`] and
-/// [`crate::PeriodicSplineSpace::eval_panel`] is compiled for. One source,
-/// one instance each; rustc never contracts `a·b + c` into a fused
+/// The instruction sets a lane-vector body is compiled for: the lane walk
+/// behind [`crate::PeriodicSplineSpace::eval_lane`] and
+/// [`crate::PeriodicSplineSpace::eval_panel`], and the verified solve's
+/// panel screen in `pp-splinesolver`. One source, one instance each
+/// ([`PanelIsa::run`]); rustc never contracts `a·b + c` into a fused
 /// multiply-add, so every instance returns the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PanelIsa {
@@ -68,6 +69,52 @@ impl PanelIsa {
             widest.unwrap_or(PanelIsa::Baseline)
         })
     }
+
+    /// Run `body` in the instance compiled for this instruction set. Pass
+    /// an `#[inline(always)]` closure over `#[inline(always)]` code: what is
+    /// inlined into the shell is what gets the wide registers, anything
+    /// called out of line keeps the ISA it was compiled for.
+    ///
+    /// # Panics
+    /// Panics if the host lacks the instruction set.
+    #[inline(always)]
+    pub fn run<R>(self, body: impl FnOnce() -> R) -> R {
+        assert!(self.is_available(), "host lacks {}", self.name());
+        match self {
+            PanelIsa::Baseline => body(),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `self.is_available()` (asserted above) is
+            // `is_x86_feature_detected!("avx2")` for this variant.
+            PanelIsa::Avx2 => unsafe { run_avx2(body) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `self.is_available()` (asserted above) is
+            // `is_x86_feature_detected!("avx512f")` for this variant.
+            PanelIsa::Avx512 => unsafe { run_avx512(body) },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("only the baseline instance is available"),
+        }
+    }
+}
+
+/// `body` compiled for AVX2.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_avx2<R>(body: impl FnOnce() -> R) -> R {
+    body()
+}
+
+/// `body` compiled for AVX-512F: eight doubles are one register, and
+/// neither the walk nor the screen needs an extension beyond F.
+///
+/// # Safety
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn run_avx512<R>(body: impl FnOnce() -> R) -> R {
+    body()
 }
 
 /// The value the triangle runs on. Every operation applies to each lane

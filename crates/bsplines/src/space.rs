@@ -535,53 +535,24 @@ impl PeriodicSplineSpace {
         xs: &[f64],
         out: &mut [f64],
     ) -> usize {
-        assert!(isa.is_available(), "evaluation: host lacks {}", isa.name());
-        match isa {
-            PanelIsa::Baseline => monomorphised!(self, walk(coefs, col, xs, out)),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `isa.is_available()` (asserted above) is
-            // `is_x86_feature_detected!("avx2")` for this variant.
-            PanelIsa::Avx2 => unsafe { monomorphised!(self, walk_avx2(coefs, col, xs, out)) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `isa.is_available()` (asserted above) is
-            // `is_x86_feature_detected!("avx512f")` for this variant.
-            PanelIsa::Avx512 => unsafe { monomorphised!(self, walk_avx512(coefs, col, xs, out)) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => unreachable!("only the baseline instance is available"),
-        }
+        monomorphised!(self, walk_in(isa, coefs, col, xs, out))
     }
 
-    /// [`Self::walk`] compiled for AVX2.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn walk_avx2<const D: usize, const UNIFORM: bool>(
+    /// One degree and mesh kind of [`Self::walk_on`]: each instruction set
+    /// gets its own copy of this one `walk`, inlined into its
+    /// [`PanelIsa::run`] shell.
+    fn walk_in<const D: usize, const UNIFORM: bool>(
         &self,
+        isa: PanelIsa,
         coefs: Strided<'_>,
         col: &[f64],
         xs: &[f64],
         out: &mut [f64],
     ) -> usize {
-        self.walk::<D, UNIFORM>(coefs, col, xs, out)
-    }
-
-    /// [`Self::walk`] compiled for AVX-512F: the run is eight doubles, one
-    /// register; nothing in the body needs an extension beyond F.
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn walk_avx512<const D: usize, const UNIFORM: bool>(
-        &self,
-        coefs: Strided<'_>,
-        col: &[f64],
-        xs: &[f64],
-        out: &mut [f64],
-    ) -> usize {
-        self.walk::<D, UNIFORM>(coefs, col, xs, out)
+        isa.run(
+            #[inline(always)]
+            || self.walk::<D, UNIFORM>(coefs, col, xs, out),
+        )
     }
 
     /// Evaluate one interleaved panel of splines into its lanes' columns:

@@ -31,7 +31,7 @@ use crate::blocks::{QClass, SchurBlocks};
 use crate::builder::{schur_solve, with_panel_scratch, SplineBuilder};
 use crate::error::Result;
 use crate::iterative_backend::{IterativeConfig, IterativeSplineSolver};
-use pp_bsplines::assemble_interpolation_matrix;
+use pp_bsplines::{assemble_interpolation_matrix, PanelIsa};
 use pp_iterative::solver::{norm2, residual_into};
 use pp_linalg::{flip_bit, getrf, refine_lane, LuFactors, Panel, RefineConfig, DEFAULT_ABFT_TOL};
 use pp_portable::instrument::{
@@ -906,40 +906,15 @@ impl VerifiedBuilder {
         budget: Option<&Budget>,
     ) -> PanelScreen {
         const W: usize = LANE_WIDTH;
-        let (n, cfg, a) = (self.colsum.len(), &self.config, &self.matrix);
-        let (row_ptr, cols, vals) = (a.row_ptr(), a.col_idx(), a.values());
+        let (n, cfg) = (self.colsum.len(), &self.config);
         let sparse = self.builder.version().sparse_corners();
         schur_solve(self.builder.blocks(), sparse, &mut Panel::new(x, n));
         let _span = Span::enter(PhaseId::Verify);
         let cut = budget.is_some_and(|bud| bud.exhausted());
         // (ABFT discrepancy, relative residual, input finite) per lane.
         let measure = |x: &[f64], residual: bool| {
-            let (mut vx, mut sum_b, mut nx2) = ([0.0; W], [0.0; W], [0.0; W]);
-            let (mut acc_r, mut acc_b) = ([0.0; W], [0.0; W]);
-            let mut finite = [true; W];
-            for i in 0..n {
-                let (xr, br) = (&x[i * W..i * W + W], &rhs[i * W..i * W + W]);
-                for l in 0..W {
-                    vx[l] += self.colsum[i] * xr[l];
-                    sum_b[l] += br[l];
-                    nx2[l] += xr[l] * xr[l];
-                    finite[l] &= br[l].is_finite();
-                }
-                if residual {
-                    let mut s = [0.0; W];
-                    for k in row_ptr[i]..row_ptr[i + 1] {
-                        let xc = &x[cols[k] * W..cols[k] * W + W];
-                        for l in 0..W {
-                            s[l] += vals[k] * xc[l];
-                        }
-                    }
-                    for l in 0..W {
-                        let r = br[l] - s[l];
-                        acc_r[l] += r * r;
-                        acc_b[l] += br[l] * br[l];
-                    }
-                }
-            }
+            let isa = PanelIsa::detected();
+            let ([vx, sum_b, nx2, acc_r, acc_b], finite) = self.pass_on(isa, x, rhs, residual);
             let (mut disc, mut rr) = ([0.0; W], [0.0; W]);
             for l in 0..W {
                 let d = (vx[l] - sum_b[l]).abs();
@@ -1015,6 +990,23 @@ impl VerifiedBuilder {
         };
         let lanes = std::array::from_fn(screened);
         PanelScreen { cut, sdc, lanes }
+    }
+
+    /// [`screen_pass`] over the solved panel `x` and its right-hand sides
+    /// `rhs`, in the instance compiled for `isa`: the five per-lane sums
+    /// `[colsum·x, Σb, ‖x‖², ‖b − Ax‖², ‖b‖²]` and the finite mask. Named
+    /// instances are for the differential test and the per-ISA bench rows;
+    /// the solve runs [`PanelIsa::detected`].
+    ///
+    /// # Panics
+    /// Panics if the host lacks `isa`.
+    #[doc(hidden)]
+    pub fn pass_on(&self, isa: PanelIsa, x: &[f64], rhs: &[f64], residual: bool) -> PassSums {
+        let (colsum, a, abft) = (&self.colsum[..], &self.matrix, self.config.abft);
+        isa.run(
+            #[inline(always)]
+            || screen_pass(colsum, a, x, rhs, abft, residual),
+        )
     }
 
     /// Evaluate the ABFT identity `colsum·x = Σb` for one lane. Returns
@@ -1236,6 +1228,65 @@ impl VerifiedBuilder {
         cell.get_or_init(|| SchurBlocks::with_class(self.builder.space(), class).ok())
             .as_ref()
     }
+}
+
+/// What [`screen_pass`] returns: per lane the sums `colsum·x`, `Σb`, `‖x‖²`,
+/// `‖b − Ax‖²`, `‖b‖²`, and whether every right-hand side value is finite.
+type PassSums = ([[f64; LANE_WIDTH]; 5], [bool; LANE_WIDTH]);
+
+/// The screen's one pass over a solved `[n][8]` panel `x` and its pristine
+/// right-hand sides `rhs`, rows outer and lanes inner: every operation is
+/// one contiguous lane vector, and the body is `#[inline(always)]` so that
+/// it is compiled at the width of the [`PanelIsa::run`] shell it lands in.
+/// Finiteness is always taken; the three ABFT sums only with `abft`, the CSR
+/// row products and the two residual norms only with `residual` (both are
+/// loop-invariant, the loop is unswitched on them) — a sum not asked for is
+/// zero. Per lane the expressions are those of
+/// [`VerifiedBuilder::abft_check`] and [`VerifiedBuilder::relative_residual`]
+/// in their order; nothing is fused or reassociated, so every instance
+/// returns the scalar bits.
+#[inline(always)]
+fn screen_pass(
+    colsum: &[f64],
+    a: &Csr,
+    x: &[f64],
+    rhs: &[f64],
+    abft: bool,
+    residual: bool,
+) -> PassSums {
+    const W: usize = LANE_WIDTH;
+    let (row_ptr, cols, vals) = (a.row_ptr(), a.col_idx(), a.values());
+    let (mut vx, mut sum_b, mut nx2) = ([0.0; W], [0.0; W], [0.0; W]);
+    let (mut acc_r, mut acc_b) = ([0.0; W], [0.0; W]);
+    let mut finite = [true; W];
+    for i in 0..colsum.len() {
+        let (xr, br) = (&x[i * W..i * W + W], &rhs[i * W..i * W + W]);
+        for l in 0..W {
+            finite[l] &= br[l].is_finite();
+        }
+        if abft {
+            for l in 0..W {
+                vx[l] += colsum[i] * xr[l];
+                sum_b[l] += br[l];
+                nx2[l] += xr[l] * xr[l];
+            }
+        }
+        if residual {
+            let mut s = [0.0; W];
+            for k in row_ptr[i]..row_ptr[i + 1] {
+                let xc = &x[cols[k] * W..cols[k] * W + W];
+                for l in 0..W {
+                    s[l] += vals[k] * xc[l];
+                }
+            }
+            for l in 0..W {
+                let r = br[l] - s[l];
+                acc_r[l] += r * r;
+                acc_b[l] += br[l] * br[l];
+            }
+        }
+    }
+    ([vx, sum_b, nx2, acc_r, acc_b], finite)
 }
 
 /// Run the fused per-lane Schur solve on one contiguous slice.
@@ -2150,6 +2201,73 @@ mod tests {
                                 }
                             }
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The screen's pass is one source at three widths: every instance the
+    /// host has returns the baseline instance's five sums and finite mask,
+    /// bit for bit, on healthy, poisoned, struck, all-zero and padding
+    /// lanes — and the baseline's healthy lane is the scalar residual, so
+    /// the instances cannot all be wrong together.
+    #[test]
+    fn screen_pass_is_bit_identical_on_every_isa() {
+        const W: usize = LANE_WIDTH;
+        let n = if cfg!(miri) { 12 } else { 40 };
+        // A poisoned lane holds NaNs of one payload, so even its sums have
+        // bits that do not depend on the order an instance takes operands in.
+        let bits = |sums: [[f64; W]; 5]| sums.map(|sum| sum.map(f64::to_bits));
+        for ((degree, uniform), abft) in [((3, true), true), ((5, false), true), ((3, true), false)]
+        {
+            let config = VerifyConfig {
+                abft,
+                ..VerifyConfig::default()
+            };
+            let vb = SplineBuilder::new(space(n, degree, uniform), BuilderVersion::Interleaved)
+                .unwrap()
+                .verified(config);
+            for live in [1, 7, 8] {
+                // Lane 0 healthy, 1 NaN, 2 +∞, 3 −∞, 4 struck after the
+                // solve, 5 all zero, 6 and 7 healthy; lanes from `live` on
+                // are padding.
+                let mut rng = TestRng::seed_from_u64(0x5C4EE + live as u64);
+                let mut rhs = vec![0.0; n * W];
+                for row in rhs.chunks_exact_mut(W) {
+                    for v in row[..live].iter_mut() {
+                        *v = rng.gen_range(-2.0..2.0);
+                    }
+                    row[5] = 0.0;
+                }
+                let poison = [(1, f64::NAN), (2, f64::INFINITY), (3, f64::NEG_INFINITY)];
+                for (l, bad) in poison.into_iter().filter(|&(l, _)| l < live) {
+                    rhs[(n / 2 + l) * W + l] = bad;
+                }
+                let mut x = rhs.clone();
+                schur_solve(vb.builder.blocks(), true, &mut Panel::new(&mut x, n));
+                if live > 4 {
+                    strike(x.iter_mut().skip(4).step_by(W));
+                }
+                for residual in [true, false] {
+                    let what = format!("d{degree} abft {abft} live {live} residual {residual}");
+                    let (base, base_finite) = vb.pass_on(PanelIsa::Baseline, &x, &rhs, residual);
+                    let expect_finite: [bool; W] =
+                        std::array::from_fn(|l| l >= live || !(1..=3).contains(&l));
+                    assert_eq!(base_finite, expect_finite, "{what}");
+                    let [vx, _, _, acc_r, acc_b] = base;
+                    assert_eq!(vx[0] != 0.0, abft, "{what}");
+                    if residual {
+                        let rr = acc_r[0].sqrt() / acc_b[0].sqrt();
+                        let scalar = vb.relative_residual(&lane_of(&x, 0), &lane_of(&rhs, 0));
+                        assert_eq!(rr.to_bits(), scalar.to_bits(), "{what}");
+                    } else {
+                        assert_eq!(acc_b, [0.0; W], "{what}");
+                    }
+                    for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
+                        let (sums, finite) = vb.pass_on(isa, &x, &rhs, residual);
+                        assert_eq!(finite, base_finite, "{what} {}", isa.name());
+                        assert_eq!(bits(sums), bits(base), "{what} {}", isa.name());
                     }
                 }
             }

@@ -67,17 +67,22 @@ cargo run --release -q -p pp-bench --bin bench_gate -- \
 # The advection step is one pool region, on a resident slab and on a host
 # field alike (DESIGN.md §14.3), and verification rides it (§7.1): with
 # residuals on every lane and the ABFT screen on, the step may cost at most
-# 1.8x the plain one at nx = nv = 1024. Both rows come from the same run,
-# so the ratio needs no baseline; the dispatch counts are exact. The ratio is a surcharge over a
-# denominator, and the ceiling has moved with the denominator: 1.65 when
-# the screens were serial sweeps over the batch, ~1.2 after PR 15, 1.36-1.41
-# after PR 16 shrank the plain step, and 1.47-1.64 (seven runs) since PR 19
-# took it from 4.2-5.1 to 2.6-3.7 ns/point -- with the verified step itself
-# faster (5.7-7.0 -> 3.8-4.6 ns/point) and the surcharge, which fig2_glups
-# prints beside the ratio, unchanged at 1.2-1.9 ns/point (parent 1.5-1.9).
-# Ceiling = worst reading + 10 %. A verify-side regression shows as a
-# higher surcharge; judge it by that line, not by the ratio alone.
-VERIFIED_STEP_CEILING=1.8
+# 1.4x the plain one at nx = nv = 1024. Both rows come from the same run,
+# so the ratio needs no baseline; the dispatch counts are exact. The ratio
+# is a surcharge over a denominator, and the ceiling has moved with both:
+# 1.65 when the screens were serial sweeps over the batch, ~1.2 after PR 15,
+# 1.36-1.41 after PR 16 shrank the plain step, 1.47-1.64 (ceiling 1.8) since
+# PR 19 took the plain step from 4.2-5.1 to 2.6-3.7 ns/point with the
+# surcharge, which fig2_glups prints beside the ratio, unchanged at 1.2-1.9
+# ns/point -- and 1.17-1.26 (eight runs, EXPERIMENTS.md) since PR 22 compiled
+# the screen's pass at the host's width and dropped the per-block
+# displacement scan: surcharge 0.4-0.8 ns/point (parent, same harness:
+# 1.4-2.1). Ceiling = worst reading + 10 %, rounded up. A verify-side
+# regression shows as a higher surcharge; judge it by that line, not by the
+# ratio alone. On a host without AVX2 the pass runs at the baseline width
+# and the ratio reads as it did at the parent: raise the ceiling there, do
+# not read it as a regression.
+VERIFIED_STEP_CEILING=1.4
 echo "==> fig2_glups 1024 1024: the resident step, plain and verified, and the host step"
 resident=$(cargo run --release -q -p pp-bench --bin fig2_glups -- 1024 1024 |
     grep -E '^(host step:|resident step:|verification surcharge:|verified/plain resident step ratio:)')
