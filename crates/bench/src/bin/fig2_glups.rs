@@ -15,7 +15,8 @@
 //! `scripts/check_bench.sh` gates.
 //!
 //! `fig2_glups --isa` prints the per-instruction-set rows of the evaluator
-//! ([`isa_rows`]) and of the verified solve's screen ([`screen_isa_rows`])
+//! ([`isa_rows`]), of the verified solve's screen ([`screen_isa_rows`]) and
+//! of the solve's sweep, alone, two and four abreast ([`sweep_isa_rows`]),
 //! instead and exits.
 
 use pp_advection::{Advection1D, SplineBackend};
@@ -181,10 +182,56 @@ fn screen_isa_rows() {
     }
 }
 
+/// The solve alone, one thread, per instruction set: `solve_panels_on` over
+/// four 1024-row panels (256 KiB, in cache as a worker's run has them), one
+/// panel per call (`alone`), two (`two`) or all four in one (`abreast`, what
+/// a run gets), best of 15 rounds of 64 passes, uniform cubic (`pttrs`) and
+/// graded quintic (`gbtrs`). A pass
+/// first refills the panels from the right-hand sides, as a worker's turn
+/// does, and that copy is in the figure. Per row of eight lanes: ns and the
+/// speed-up over the baseline instance alone, whose checksum every instance
+/// must return either way.
+fn sweep_isa_rows() {
+    const ROWS: usize = 1024;
+    println!("mesh,isa,panels,sweep_ns_per_row,speedup");
+    for cfg in [SplineConfig::ALL[0], SplineConfig::ALL[5]] {
+        let builder = SplineBuilder::new(cfg.space(ROWS), BuilderVersion::Interleaved)
+            .expect("factorisation");
+        let mut rng = TestRng::seed_from_u64(0x5EE);
+        let mut panel = || {
+            (0..ROWS * LANE_WIDTH)
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect()
+        };
+        let rhs: Vec<Vec<f64>> = (0..4).map(|_| panel()).collect();
+        let (mut base, mut panels) = (None, rhs.clone());
+        for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
+            for (label, per) in [("alone", 1), ("two", 2), ("abreast", 4)] {
+                let mut best = Duration::MAX;
+                for _ in 0..15 * 64 {
+                    let start = Instant::now();
+                    panels.clone_from(&rhs);
+                    for group in panels.chunks_mut(per) {
+                        builder.solve_panels_on(isa, black_box(group));
+                    }
+                    best = best.min(start.elapsed());
+                }
+                let ns = best.as_secs_f64() * 1e9 / (4 * ROWS) as f64;
+                let sum = panels.iter().flatten().step_by(509).sum::<f64>();
+                let (base_ns, base_sum): (f64, f64) = *base.get_or_insert((ns, sum));
+                assert_eq!(sum.to_bits(), base_sum.to_bits(), "{} {label}", isa.name());
+                let (mesh, isa) = (cfg.label(), isa.name());
+                println!("{mesh},{isa},{label},{ns:.2},{:.2}", base_ns / ns);
+            }
+        }
+    }
+}
+
 fn main() {
     if std::env::args().any(|a| a == "--isa") {
         isa_rows();
-        return screen_isa_rows();
+        screen_isa_rows();
+        return sweep_isa_rows();
     }
     let args = parse_args(1024, 10_000, 2);
     // Sweep Nv from 100 to the requested maximum, one point per decade

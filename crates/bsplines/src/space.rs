@@ -4,7 +4,7 @@
 use crate::error::{Error, Result};
 use crate::kernel::{self, Cardinal, Lanes, PanelIsa, Tabulated};
 use crate::knots::Breaks;
-use pp_portable::{Strided, StridedMut, LANE_WIDTH};
+use pp_portable::{interleave_columns, Strided, StridedMut, LANE_WIDTH};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -629,7 +629,7 @@ impl PeriodicSplineSpace {
         let rows = out.len() / W;
         self.with_columns(W, rows, lanes, |cols, xs, ys| {
             let vector_runs = self.walk_lanes(isa, coefs, lanes, feet, cols, xs, ys);
-            interleave(ys, lanes, out);
+            interleave_columns(ys, lanes, out);
             vector_runs
         })
     }
@@ -720,13 +720,13 @@ impl PeriodicSplineSpace {
     }
 }
 
-/// The panel evaluator's two transpositions. Each takes the panel a
-/// 64-byte row at a time, all eight lanes at once: lane by lane it would
-/// stream the panel, which outgrows L1, eight times. Together they are a
-/// quarter of a uniform cubic step, and what LLVM makes of these loops once
-/// they are inlined into a caller's instance of the generic evaluator
-/// depends on that caller (DESIGN.md §14.3), so they are compiled once,
-/// here, out of line.
+/// The panel evaluator's ingress transposition; its egress twin is
+/// [`pp_portable::interleave_columns`]. Each takes the panel a 64-byte row
+/// at a time, all eight lanes at once: lane by lane it would stream the
+/// panel, which outgrows L1, eight times. Together they are a quarter of a
+/// uniform cubic step, and what LLVM makes of these loops once they are
+/// inlined into a caller's instance of the generic evaluator depends on
+/// that caller (DESIGN.md §14.3), so each is compiled once, out of line.
 ///
 /// `cols[l·wrapped + i] = panel[i·LANE_WIDTH + l]`: a panel of
 /// coefficients into eight columns `wrapped` apart.
@@ -737,23 +737,6 @@ fn deinterleave(panel: &[f64], wrapped: usize, cols: &mut [f64]) {
     for (i, row) in panel.chunks_exact(W).enumerate() {
         for l in 0..W {
             cols[l * wrapped + i] = row[l];
-        }
-    }
-}
-
-/// `panel[i·LANE_WIDTH + l] = ys[l·rows + i]` for the `lanes` live lanes:
-/// result columns back into a panel whose padding lanes are left alone.
-#[inline(never)]
-fn interleave(ys: &[f64], lanes: usize, panel: &mut [f64]) {
-    const W: usize = LANE_WIDTH;
-    let rows = panel.len() / W;
-    assert!(
-        lanes <= W && ys.len() >= lanes * rows,
-        "interleave: columns"
-    );
-    for (i, row) in panel.chunks_exact_mut(W).enumerate() {
-        for l in 0..lanes {
-            row[l] = ys[l * rows + i];
         }
     }
 }

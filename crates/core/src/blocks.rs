@@ -90,7 +90,7 @@ impl QFactors {
 
     /// Solve `Q x = b` in place on rows `row0..row0 + q` of `rows` with
     /// the class's routine, for every lane the accessor carries.
-    #[inline]
+    #[inline(always)]
     pub fn solve_rows<R: LaneRows>(&self, rows: &mut R, row0: usize) {
         match self {
             QFactors::PdsTridiagonal(f) => f.solve_rows(rows, row0),

@@ -2,10 +2,10 @@
 
 use crate::blocks::SchurBlocks;
 use crate::error::{Error, Result};
-use pp_bsplines::PeriodicSplineSpace;
+use pp_bsplines::{PanelIsa, PeriodicSplineSpace};
 use pp_linalg::{LaneRows, Panel};
 use pp_portable::instrument::{PhaseId, Span};
-use pp_portable::{ExecSpace, Field, InterleavedMatrix, Matrix, ResidentBatch};
+use pp_portable::{run_blocks, ExecSpace, Field, InterleavedMatrix, Matrix, ResidentBatch};
 use pp_sparse::Coo;
 use std::cell::RefCell;
 
@@ -182,7 +182,8 @@ impl SplineBuilder {
     /// part of `b` the right-hand sides came from (`lanes` live lanes, laid
     /// out as [`Field::PANELS`] says), with whatever it makes of them (the
     /// advection step evaluates them at the characteristic feet). One
-    /// parallel region; `coefs` is an interleaved `[nrows][LANE_WIDTH]`
+    /// parallel region, a worker's turn being a run of up to four blocks
+    /// solved side by side; `coefs` is an interleaved `[nrows][LANE_WIDTH]`
     /// panel in a per-worker scratch — copied from a resident panel,
     /// gathered from host lanes — never a second batch.
     ///
@@ -199,17 +200,81 @@ impl SplineBuilder {
         F: Fn(usize, usize, &[f64], &mut [f64]) + Sync + Send,
     {
         self.check_rows(b.shape().0)?;
-        let n = self.space.num_basis();
-        let blocks = &self.blocks;
-        let sparse = self.version.sparse_corners();
-        b.for_each_block_mut(exec, |chunk, lanes, block| {
-            with_panel_scratch(|coefs, _| {
-                B::fill_panel(block, lanes, coefs);
-                schur_solve(blocks, sparse, &mut Panel::new(coefs, n));
+        b.for_each_run_mut(exec, ABREAST, |first, lanes, run| {
+            self.solve_run::<B>(first, lanes, run, false, |chunk, lanes, coefs, _, block| {
                 then(chunk, lanes, coefs, block);
             });
         });
         Ok(())
+    }
+
+    /// One worker's turn of every fused entry point: take apart the `run`
+    /// [`Field::for_each_run_mut`] handed out (`lanes` live lanes from block
+    /// `first` on), fill a scratch panel from each block
+    /// ([`Field::fill_panel`]), solve those panels abreast, then hand each
+    /// block to `each(chunk, lanes, coefs, gathered, block)` with its solved
+    /// panel. With `keep`, `gathered` is the panel as filled — the right-hand
+    /// sides of a block that is not itself a panel, for a caller that screens
+    /// the solve against them — else empty.
+    pub(crate) fn solve_run<B: Field>(
+        &self,
+        first: usize,
+        lanes: usize,
+        run: &mut [f64],
+        keep: bool,
+        mut each: impl FnMut(usize, usize, &mut [f64], &[f64], &mut [f64]),
+    ) {
+        let n = self.space.num_basis();
+        PANEL_SCRATCH.with_borrow_mut(|[coefs, gathered]| {
+            let mut filled = 0;
+            for (block_lanes, block) in run_blocks(run, n, lanes) {
+                B::fill_panel(block, block_lanes, &mut coefs[filled]);
+                if keep {
+                    gathered[filled].clone_from(&coefs[filled]);
+                }
+                filled += 1;
+            }
+            self.solve_panels_on(PanelIsa::detected(), &mut coefs[..filled]);
+            for (p, (block_lanes, block)) in run_blocks(run, n, lanes).enumerate() {
+                let gathered = if keep { &gathered[p][..] } else { &[] };
+                each(first + p, block_lanes, &mut coefs[p], gathered, block);
+            }
+        });
+    }
+
+    /// The fused Algorithm 1 on each of `panels` (`[nrows][LANE_WIDTH]`) in
+    /// the instance compiled for `isa`: four abreast while four are left,
+    /// then two, then one. A panel's bits depend neither on its company
+    /// (`[Panel; P]` is a regrouping) nor on the instance (rustc never
+    /// contracts `a·b + c`). Named instances are for the differential test
+    /// and the bench rows; the fused entry points run [`PanelIsa::detected`].
+    ///
+    /// # Panics
+    /// Panics if the host lacks `isa`, or a panel is not `nrows` rows.
+    #[doc(hidden)]
+    pub fn solve_panels_on(&self, isa: PanelIsa, panels: &mut [Vec<f64>]) {
+        isa.run(
+            #[inline(always)]
+            || {
+                let rest = self.solve_groups::<ABREAST>(panels);
+                let rest = self.solve_groups::<2>(rest);
+                self.solve_groups::<1>(rest);
+            },
+        );
+    }
+
+    /// [`schur_solve`] on `panels`, `P` abreast; returns the fewer than `P`
+    /// left over.
+    #[inline(always)]
+    fn solve_groups<'a, const P: usize>(&self, panels: &'a mut [Vec<f64>]) -> &'a mut [Vec<f64>] {
+        let n = self.space.num_basis();
+        let mut groups = panels.chunks_exact_mut(P);
+        for group in &mut groups {
+            let group: &mut [Vec<f64>; P] = group.try_into().expect("an exact chunk");
+            let mut rows = group.each_mut().map(|panel| Panel::new(panel, n));
+            schur_solve(&self.blocks, self.version.sparse_corners(), &mut rows);
+        }
+        groups.into_remainder()
     }
 
     /// Algorithm 1 on every chunk of a packed batch: one chunk-parallel
@@ -256,7 +321,7 @@ const ALGORITHM_1: [Step; 4] = [
 ];
 
 impl Step {
-    #[inline]
+    #[inline(always)]
     fn apply<R: LaneRows>(self, blocks: &SchurBlocks, sparse: bool, rows: &mut R) {
         let q = blocks.q_size();
         match self {
@@ -278,7 +343,7 @@ impl Step {
 /// Corner correction `rows[y0..] −= C · rows[x0..]`, with `C` applied
 /// through its COO entries (`sparse`, Listing 6) or as the dense block
 /// (`gemv`, Listing 4).
-#[inline]
+#[inline(always)]
 fn corner<R: LaneRows>(
     rows: &mut R,
     sparse: bool,
@@ -300,36 +365,43 @@ fn corner<R: LaneRows>(
 
 /// The fused kernel: all of Algorithm 1 on one right-hand side — a
 /// strided lane of `n` rows, or a panel of [`pp_portable::LANE_WIDTH`]
-/// of them — with sparse (`spmv`) or dense (`gemv`) corners.
-#[inline]
+/// of them, or several such panels abreast — with sparse (`spmv`) or dense
+/// (`gemv`) corners.
+#[inline(always)]
 pub(crate) fn schur_solve<R: LaneRows>(blocks: &SchurBlocks, sparse: bool, rows: &mut R) {
     for step in ALGORITHM_1 {
         step.apply(blocks, sparse, rows);
     }
 }
 
+/// Panels a worker's turn of a fused entry point solves side by side: a
+/// sweep is a chain of dependent row operations, and four interleaved keep
+/// the vector unit busy where one waits on itself. Chosen by measurement
+/// (EXPERIMENTS.md, PR 24: 2 against 4), not a setting.
+pub(crate) const ABREAST: usize = 4;
+
 thread_local! {
-    /// This worker's scratch for the fused entry points: two panels, reused
-    /// for every block of every step. The first holds the block being
-    /// solved as a panel — its coefficients, or (verified solve) its
-    /// pristine right-hand sides — from the fill at the top of a block's
-    /// turn until the turn ends. The second is touched only by the verified
-    /// step on a host field, whose snapshot and coefficients both need one.
-    static PANEL_SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    /// This worker's scratch for the fused entry points: two sets of
+    /// [`ABREAST`] panels, reused for every run of every step. The first
+    /// set holds the run's blocks as panels — filled at the top of the
+    /// worker's turn, solved there, lent to the continuation. The second is
+    /// touched only by the verified step on a host field, which needs the
+    /// gathered right-hand sides beside the coefficients.
+    static PANEL_SCRATCH: RefCell<[[Vec<f64>; ABREAST]; 2]> =
+        const { RefCell::new([const { [const { Vec::new() }; ABREAST] }; 2]) };
 }
 
-/// Lend this worker's two panel scratches to `body`, holding whatever the
-/// last turn left in them: [`Field::fill_panel`] overwrites, and a gather
-/// is spared a panel-sized `memset` in front of it.
-pub(crate) fn with_panel_scratch<R>(body: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>) -> R) -> R {
-    PANEL_SCRATCH.with_borrow_mut(|(first, second)| body(first, second))
+/// Lend this worker's first scratch panel to `body`, holding whatever the
+/// last turn left in it, for an entry point that fills it by hand.
+pub(crate) fn with_panel_scratch<R>(body: impl FnOnce(&mut Vec<f64>) -> R) -> R {
+    PANEL_SCRATCH.with_borrow_mut(|[coefs, _]| body(&mut coefs[0]))
 }
 
-/// Capacities of this thread's panel scratches, for the structure tests.
+/// Capacities of this thread's two sets of panel scratches, for the
+/// structure tests.
 #[cfg(test)]
-pub(crate) fn panel_scratch_capacity() -> (usize, usize) {
-    PANEL_SCRATCH.with_borrow(|(first, second)| (first.capacity(), second.capacity()))
+pub(crate) fn panel_scratch_capacity() -> [[usize; ABREAST]; 2] {
+    PANEL_SCRATCH.with_borrow(|sets| sets.each_ref().map(|set| set.each_ref().map(Vec::capacity)))
 }
 
 #[cfg(test)]

@@ -269,7 +269,7 @@ impl IterativeSplineSolver {
         let logger = self.solve_in_place(host, previous)?;
         let host = &*host;
         b.for_each_block_mut(exec, |chunk, lanes, block| {
-            with_panel_scratch(|coefs, _| {
+            with_panel_scratch(|coefs| {
                 coefs.clear();
                 // Padding lanes repeat the last live one.
                 let lane = |l: usize| chunk * LANE_WIDTH + l.min(lanes - 1);

@@ -28,12 +28,12 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::blocks::{QClass, SchurBlocks};
-use crate::builder::{schur_solve, with_panel_scratch, SplineBuilder};
+use crate::builder::{schur_solve, SplineBuilder, ABREAST};
 use crate::error::Result;
 use crate::iterative_backend::{IterativeConfig, IterativeSplineSolver};
 use pp_bsplines::{assemble_interpolation_matrix, PanelIsa};
 use pp_iterative::solver::{norm2, residual_into};
-use pp_linalg::{flip_bit, getrf, refine_lane, LuFactors, Panel, RefineConfig, DEFAULT_ABFT_TOL};
+use pp_linalg::{flip_bit, getrf, refine_lane, LuFactors, RefineConfig, DEFAULT_ABFT_TOL};
 use pp_portable::instrument::{
     counter, fault_dump, trace_instant, trace_instant_lane, Counter, InstantKind, PhaseId, Span,
 };
@@ -734,9 +734,9 @@ impl VerifiedBuilder {
         Ok(self.verify_panels(exec, b, None, Some(&then), &mut land)?.0)
     }
 
-    /// The one verify body: a single block-parallel region solves and
-    /// screens each block of the field as a panel
-    /// ([`VerifiedBuilder::solve_and_screen`]); the caller then turns the
+    /// The one verify body: a single block-parallel region solves each run
+    /// of blocks as panels abreast ([`SplineBuilder::solve_run`]) and
+    /// screens each ([`VerifiedBuilder::screen`]); the caller then turns the
     /// screens into verdicts serially, in lane order. Repairs, trace
     /// instants, counters and fault dumps all happen here, so they are the
     /// same under every execution space.
@@ -763,9 +763,29 @@ impl VerifiedBuilder {
         self.builder.check_rows(nrows)?;
         let chunks = ncols.div_ceil(LANE_WIDTH);
         let screens: Vec<OnceLock<PanelScreen>> = (0..chunks).map(|_| OnceLock::new()).collect();
-        b.for_each_block_mut(exec, |chunk, lanes, block| {
-            let screen = self.solve_and_screen::<B>(chunk, lanes, block, budget, then);
-            assert!(screens[chunk].set(screen).is_ok(), "panel visited twice");
+        assert!(
+            B::PANELS || then.is_some(),
+            "an in-place verified solve needs panels"
+        );
+        // A worker's turn is the builder's: the run's blocks solved abreast
+        // in its scratch, away from `b`. Each block's pristine right-hand
+        // sides — the block itself when it is a panel, else the panel
+        // gathered from it — are what its solved panel is screened against,
+        // while both are in cache; then the coefficients go where they are
+        // wanted: to `then`, which overwrites the block, or into the block.
+        b.for_each_run_mut(exec, ABREAST, |first, lanes, run| {
+            let each =
+                |chunk: usize, lanes: usize, x: &mut [f64], gathered: &[f64], block: &mut [f64]| {
+                    let rhs = if B::PANELS { &*block } else { gathered };
+                    let screen = self.screen(chunk, lanes, x, rhs, budget);
+                    match then {
+                        Some(then) => then(chunk, lanes, x, block),
+                        None => block.copy_from_slice(x),
+                    }
+                    assert!(screens[chunk].set(screen).is_ok(), "panel visited twice");
+                };
+            self.builder
+                .solve_run::<B>(first, lanes, run, !B::PANELS, each);
         });
         // A quarantined lane's coefficients; built only when one turns up.
         let zeros = || vec![0.0; nrows];
@@ -848,47 +868,10 @@ impl VerifiedBuilder {
         Ok((report, degradations))
     }
 
-    /// One worker's share of the verified solve: bring the block's pristine
-    /// right-hand sides into this thread's scratch as a panel, run the
-    /// fused Algorithm 1 and [`VerifiedBuilder::screen`] the result while
-    /// both are in cache. The solve runs where its result is wanted: in
-    /// place, with the scratch as the snapshot — or, when `then` is about to
-    /// overwrite the block, away from it. A resident panel is then its own
-    /// snapshot and the scratch is solved; a host block is no panel, so the
-    /// gathered one is the snapshot and a copy of it in the second scratch
-    /// is solved.
-    fn solve_and_screen<B: Field>(
-        &self,
-        chunk: usize,
-        lanes: usize,
-        block: &mut [f64],
-        budget: Option<&Budget>,
-        then: Option<&PanelThen<'_>>,
-    ) -> PanelScreen {
-        with_panel_scratch(|scratch, second| {
-            B::fill_panel(block, lanes, scratch);
-            let Some(then) = then else {
-                assert!(B::PANELS, "an in-place verified solve needs panels");
-                return self.screen(chunk, lanes, block, scratch, budget);
-            };
-            let (coefs, screen) = if B::PANELS {
-                let screen = self.screen(chunk, lanes, scratch, block, budget);
-                (scratch, screen)
-            } else {
-                second.clear();
-                second.extend_from_slice(scratch);
-                let screen = self.screen(chunk, lanes, second, scratch, budget);
-                (second, screen)
-            };
-            then(chunk, lanes, coefs, block);
-            screen
-        })
-    }
-
-    /// Solve the panel `x` (on entry a copy of the pristine right-hand
-    /// side `rhs`) and screen its lanes. One pass accumulates per lane the
-    /// ABFT sums, the residual norms and input finiteness — the expressions
-    /// of [`VerifiedBuilder::abft_check`] and
+    /// Screen the lanes of the solved panel `x` against their pristine
+    /// right-hand sides `rhs`. One pass accumulates per lane the ABFT sums,
+    /// the residual norms and input finiteness — the expressions of
+    /// [`VerifiedBuilder::abft_check`] and
     /// [`VerifiedBuilder::relative_residual`] in their order, so the
     /// values are bit-identical to the scalar ones. A lane whose checksum
     /// trips is re-solved once from `rhs`: a transient upset does not
@@ -907,8 +890,6 @@ impl VerifiedBuilder {
     ) -> PanelScreen {
         const W: usize = LANE_WIDTH;
         let (n, cfg) = (self.colsum.len(), &self.config);
-        let sparse = self.builder.version().sparse_corners();
-        schur_solve(self.builder.blocks(), sparse, &mut Panel::new(x, n));
         let _span = Span::enter(PhaseId::Verify);
         let cut = budget.is_some_and(|bud| bud.exhausted());
         // (ABFT discrepancy, relative residual, input finite) per lane.
@@ -1331,7 +1312,7 @@ struct Flagged {
     x_lane: Vec<f64>,
 }
 
-/// One panel's record from [`VerifiedBuilder::solve_and_screen`].
+/// One panel's record from [`VerifiedBuilder::screen`].
 struct PanelScreen {
     /// The budget was exhausted: no residual pass ran.
     cut: bool,
@@ -1437,6 +1418,7 @@ mod tests {
     use super::*;
     use crate::builder::BuilderVersion;
     use pp_bsplines::{Breaks, PeriodicSplineSpace};
+    use pp_linalg::Panel;
     use pp_portable::{CountingExec, HostField, Layout, Parallel, Serial, Strided, TestRng};
     use std::cell::Cell;
 
@@ -2278,9 +2260,9 @@ mod tests {
     fn verified_solve_is_one_pool_dispatch() {
         // Guards the shape of the verified solve: the whole screen rides
         // the solve's one region (no extra region, nothing serial that
-        // would need the batch copied), on a scratch of one panel — and so
-        // does whatever a fused step does with the coefficients. Regions
-        // are counted on the execution space — `pool_stats()` is
+        // would need the batch copied), on a scratch of one run of panels —
+        // and so does whatever a fused step does with the coefficients.
+        // Regions are counted on the execution space — `pool_stats()` is
         // process-wide and the other unit tests dispatch concurrently.
         let (n, batch) = (32, 5 * LANE_WIDTH + 3);
         let regions = |solve: &dyn Fn(&CountingExec, &mut ResidentBatch)| {
@@ -2309,7 +2291,9 @@ mod tests {
             assert_eq!((fused, screened, fused_screened), (1, 1, 1), "{version:?}");
         }
         // A fresh thread has a fresh scratch: after six panels through each
-        // entry point it holds exactly one.
+        // entry point — a run of `ABREAST` and a shorter one — it holds
+        // exactly one run of them (one panel, while a worker's turn was one
+        // panel: the turn is now a run solved abreast).
         let capacity = std::thread::scope(|s| {
             let worker = s.spawn(|| {
                 let plain = SplineBuilder::new(space(n, 3, true), BuilderVersion::Interleaved);
@@ -2325,8 +2309,8 @@ mod tests {
                     .unwrap();
                 let resident = crate::builder::panel_scratch_capacity();
                 // A host field's blocks are gathered, not copied: still one
-                // panel for the plain solve, a second one — snapshot and
-                // coefficients — for the verified one.
+                // run of panels for the plain solve, a second one — gathered
+                // right-hand sides beside coefficients — for the verified one.
                 let rhs = random_rhs(n, batch, 97);
                 let mut want = ResidentBatch::pack(&rhs);
                 verified
@@ -2358,8 +2342,8 @@ mod tests {
             });
             worker.join().unwrap()
         });
-        let panel = n * LANE_WIDTH;
-        assert_eq!(capacity, ((panel, 0), (panel, 0), (panel, panel)));
+        let (run, none) = ([n * LANE_WIDTH; ABREAST], [0; ABREAST]);
+        assert_eq!(capacity, ([run, none], [run, none], [run, run]));
     }
 
     #[test]

@@ -134,7 +134,10 @@ impl BandedMatrix {
 }
 
 /// LU factors of a banded matrix, with partial pivoting
-/// (`P·A = L·U`, LAPACK `gbtrf` packing: `ldab = 2·kl + ku + 1`).
+/// (`P·A = L·U`, LAPACK `gbtrf` packing: `ldab = 2·kl + ku + 1`), with each
+/// diagonal slot holding the *reciprocal* `fl(1 / U(j, j))` of the pivot:
+/// the divide per row that `gbtrs` would spend on every right-hand side is
+/// taken once, at factor time (see [`crate::PtFactors`]).
 #[derive(Debug, Clone)]
 pub struct BandedLu {
     n: usize,
@@ -163,7 +166,7 @@ impl BandedLu {
     }
 
     /// Fault-injection hook: mutable view of the expanded `L\U` band
-    /// storage. Exists so robustness tests and the chaos harness can flip
+    /// storage (reciprocal pivots on the diagonal). Exists so robustness tests and the chaos harness can flip
     /// bits in factor memory *between* factorization and solve — the
     /// silent-data-corruption scenario the ABFT layer ([`crate::abft`])
     /// detects. Never call it from production code.
@@ -176,17 +179,18 @@ impl BandedLu {
         2 * self.kl + self.ku + 1
     }
 
-    #[inline]
+    /// `L(i, j)` below the diagonal, `U(i, j)` above it, `1 / U(j, j)` on it.
+    #[inline(always)]
     pub(crate) fn factor(&self, i: usize, j: usize) -> f64 {
         self.ab[(self.kl + self.ku + i - j) + j * self.ldab()]
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn kl_internal(&self) -> usize {
         self.kl
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn pivots(&self) -> &[usize] {
         &self.ipiv
     }
@@ -211,7 +215,7 @@ impl BandedLu {
 
     /// Solve in place on rows `row0..row0 + n` of `rows` (`gbtrs`, no
     /// transpose), for every lane the accessor carries.
-    #[inline]
+    #[inline(always)]
     pub fn solve_rows<R: LaneRows>(&self, rows: &mut R, row0: usize) {
         let _span = Span::enter(PhaseId::SolveGbtrs);
         lane::gbtrs(self, rows, row0);
@@ -249,7 +253,7 @@ impl BandedLu {
             for i in lo..j {
                 s -= self.factor(i, j) * b[i];
             }
-            b[j] = s / self.factor(j, j);
+            b[j] = s * self.factor(j, j);
         }
         // Lᵀ (unit upper triangular, bandwidth kl) with the interchanges
         // replayed in reverse, exactly undoing the forward sweep of
@@ -354,6 +358,9 @@ pub fn gbtrf(a: &BandedMatrix) -> Result<BandedLu> {
         }
     }
     let pivot_growth = if amax > 0.0 { umax / amax } else { 1.0 };
+    for pivot in ab.iter_mut().skip(kv).step_by(ldab) {
+        *pivot = 1.0 / *pivot;
+    }
 
     let mut f = BandedLu {
         n,

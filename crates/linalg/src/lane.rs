@@ -7,24 +7,29 @@
 //! `[f64; LANE_WIDTH]` of eight interleaved lanes (Gloster et al.,
 //! PAPERS.md). This module says that once:
 //!
-//! * [`LaneVec`] is the row value — `f64` or `[f64; LANE_WIDTH]` — with
-//!   the three operations a sweep needs, each applied to every lane
-//!   independently, divisions kept as divisions and nothing
-//!   reassociated;
+//! * [`LaneVec`] is the row value — `f64`, `[f64; LANE_WIDTH]`, or `P`
+//!   of those — with the three operations a sweep needs, each applied to
+//!   every lane independently and nothing reassociated. None divides:
+//!   one matrix serves the whole batch, so every pivot's reciprocal is
+//!   taken once, at factor time (DESIGN.md §13.2);
 //! * [`LaneRows`] is the row accessor, implemented for [`StridedMut`]
-//!   (one lane of a [`pp_portable::Matrix`]) and for [`Panel`] (one
-//!   chunk of a [`pp_portable::InterleavedMatrix`]);
+//!   (one lane of a [`pp_portable::Matrix`]), for [`Panel`] (one chunk
+//!   of a [`pp_portable::InterleavedMatrix`]) and for `[Panel; P]` (`P`
+//!   panels abreast, whose row is `P` panel rows);
 //! * [`pttrs`], [`pbtrs`], [`gbtrs`] and [`getrs`] are the **only**
 //!   forward/backward sweeps of those routines in the crate (outside the
 //!   `naive` reference and the transposed solves of the condition
-//!   estimator). `solve_lane`, `kernels::*_lane` and the `*_resident`
-//!   drivers are instantiations.
+//!   estimator). `solve_lane` and the `*_resident` drivers are
+//!   instantiations.
 //!
 //! Every lane therefore performs the same operations in the same order
 //! in every instantiation, for every input and every batch width: the
 //! bit-identity of DESIGN.md §13.2 holds by construction, padding lanes
 //! of a partial final panel included (they run the same body on zeros
-//! and are never read back).
+//! and are never read back), and a lane's bits do not depend on how many
+//! panels were advanced beside its own. Sweeps and accessors are
+//! `#[inline(always)]`: a caller that runs them inside a
+//! `#[target_feature]` shell gets them at that shell's width.
 //!
 //! [`LaneVec`] stays private to the crate; [`LaneRows`] and [`Panel`]
 //! are exported so `pp-splinesolver` can write the fused Schur sequence
@@ -42,8 +47,8 @@ pub trait LaneVec: Copy {
     fn add_mul(self, a: f64, x: Self) -> Self;
     /// `self − a·x`, per lane.
     fn sub_mul(self, a: f64, x: Self) -> Self;
-    /// `self / a`, per lane.
-    fn div(self, a: f64) -> Self;
+    /// `self · a`, per lane.
+    fn mul(self, a: f64) -> Self;
 }
 
 impl LaneVec for f64 {
@@ -57,31 +62,34 @@ impl LaneVec for f64 {
         self - a * x
     }
     #[inline(always)]
-    fn div(self, a: f64) -> Self {
-        self / a
+    fn mul(self, a: f64) -> Self {
+        self * a
     }
 }
 
-impl LaneVec for [f64; LANE_WIDTH] {
-    const ZERO: Self = [0.0; LANE_WIDTH];
+/// `P` values side by side, each advanced as it would be alone: the
+/// [`LANE_WIDTH`] lanes of a panel row (`[f64; LANE_WIDTH]`), and `P` such
+/// rows of panels abreast.
+impl<V: LaneVec, const P: usize> LaneVec for [V; P] {
+    const ZERO: Self = [V::ZERO; P];
     #[inline(always)]
     fn add_mul(mut self, a: f64, x: Self) -> Self {
-        for l in 0..LANE_WIDTH {
-            self[l] += a * x[l];
+        for l in 0..P {
+            self[l] = self[l].add_mul(a, x[l]);
         }
         self
     }
     #[inline(always)]
     fn sub_mul(mut self, a: f64, x: Self) -> Self {
-        for l in 0..LANE_WIDTH {
-            self[l] -= a * x[l];
+        for l in 0..P {
+            self[l] = self[l].sub_mul(a, x[l]);
         }
         self
     }
     #[inline(always)]
-    fn div(mut self, a: f64) -> Self {
-        for l in 0..LANE_WIDTH {
-            self[l] /= a;
+    fn mul(mut self, a: f64) -> Self {
+        for l in 0..P {
+            self[l] = self[l].mul(a);
         }
         self
     }
@@ -101,7 +109,7 @@ pub trait LaneRows {
 
     /// `row[i] += a · row[k]` — the sparse COO corner correction of the
     /// fused Algorithm 1.
-    #[inline]
+    #[inline(always)]
     fn row_axpy(&mut self, i: usize, k: usize, a: f64) {
         let v = self.get(i).add_mul(a, self.get(k));
         self.set(i, v);
@@ -110,7 +118,7 @@ pub trait LaneRows {
     /// `row[y0 + i] −= Σⱼ a(i, j) · row[x0 + j]` — the dense `gemv`
     /// corner correction (`α = −1`, `β = 1`), accumulated before it is
     /// subtracted as the BLAS kernel does.
-    #[inline]
+    #[inline(always)]
     fn gemv_sub(&mut self, y0: usize, a: &Matrix, x0: usize) {
         let (m, n) = a.shape();
         for i in 0..m {
@@ -184,40 +192,71 @@ impl LaneRows for Panel<'_> {
     }
 }
 
-/// `pttrs`: solve `L·D·Lᵀ x = b` on rows `row0..row0 + d.len()`, given
-/// the `pttrf` factors `(d, e)` — line for line the paper's Listing 1
-/// (`SerialPttrsInternal::invoke`).
-#[inline]
-pub(crate) fn pttrs<R: LaneRows>(d: &[f64], e: &[f64], rows: &mut R, row0: usize) {
-    let n = d.len();
+/// `P` accessors advanced abreast — `[Panel; P]`: row `i` is row `i` of
+/// each, so one step of a sweep is `P` independent recurrences and the wait
+/// for one panel's previous row is filled with the others' (DESIGN.md
+/// §13.2). A pure regrouping: every lane of every panel sees the operations
+/// it would see alone.
+impl<R: LaneRows, const P: usize> LaneRows for [R; P] {
+    type V = [R::V; P];
+    #[inline(always)]
+    fn get(&self, i: usize) -> Self::V {
+        std::array::from_fn(|p| self[p].get(i))
+    }
+    #[inline(always)]
+    fn set(&mut self, i: usize, v: Self::V) {
+        for (rows, row) in self.iter_mut().zip(v) {
+            rows.set(i, row);
+        }
+    }
+    #[inline(always)]
+    fn swap(&mut self, i: usize, j: usize) {
+        for rows in self {
+            rows.swap(i, j);
+        }
+    }
+}
+
+/// `pttrs`: solve `L·D·Lᵀ x = b` on rows `row0..row0 + d_inv.len()`, given
+/// the `pttrf` factors: `d_inv` the reciprocals of `D`'s diagonal, `e` the
+/// multipliers — the paper's Listing 1 (`SerialPttrsInternal::invoke`) with
+/// its per-row divide taken once at factor time.
+///
+/// The row a step has just computed is handed on in `carry`, not read back
+/// from `rows`: re-read, each step waits for a store-to-load forward on top
+/// of its two operations (4.8 against 6.8–7.2 ns a panel row,
+/// EXPERIMENTS.md). Same operations in the same order either way.
+#[inline(always)]
+pub(crate) fn pttrs<R: LaneRows>(d_inv: &[f64], e: &[f64], rows: &mut R, row0: usize) {
+    let n = d_inv.len();
     debug_assert_eq!(e.len(), n.saturating_sub(1));
     if n == 0 {
         return;
     }
     // Solve L * x = b (unit lower bidiagonal with multipliers e).
+    let mut carry = rows.get(row0);
     for i in 1..n {
-        let prev = rows.get(row0 + i - 1);
-        let cur = rows.get(row0 + i).sub_mul(e[i - 1], prev);
-        rows.set(row0 + i, cur);
+        carry = rows.get(row0 + i).sub_mul(e[i - 1], carry);
+        rows.set(row0 + i, carry);
     }
     // Solve D * L**T * x = b.
-    let last = rows.get(row0 + n - 1).div(d[n - 1]);
-    rows.set(row0 + n - 1, last);
+    carry = carry.mul(d_inv[n - 1]);
+    rows.set(row0 + n - 1, carry);
     for i in (0..n - 1).rev() {
-        let next = rows.get(row0 + i + 1);
-        let cur = rows.get(row0 + i).div(d[i]).sub_mul(e[i], next);
-        rows.set(row0 + i, cur);
+        carry = rows.get(row0 + i).mul(d_inv[i]).sub_mul(e[i], carry);
+        rows.set(row0 + i, carry);
     }
 }
 
-/// `pbtrs`: solve `L·Lᵀ x = b` on rows `row0..row0 + f.n()`.
-#[inline]
+/// `pbtrs`: solve `L·Lᵀ x = b` on rows `row0..row0 + f.n()`;
+/// [`CholeskyBanded::l`]`(j, j)` is `1 / L(j, j)`.
+#[inline(always)]
 pub(crate) fn pbtrs<R: LaneRows>(f: &CholeskyBanded, rows: &mut R, row0: usize) {
     let n = f.n();
     let kd = f.kd();
     // Forward: L y = b.
     for j in 0..n {
-        let yj = rows.get(row0 + j).div(f.l(j, j));
+        let yj = rows.get(row0 + j).mul(f.l(j, j));
         rows.set(row0 + j, yj);
         for i in j + 1..=(j + kd).min(n - 1) {
             let v = rows.get(row0 + i).sub_mul(f.l(i, j), yj);
@@ -230,13 +269,13 @@ pub(crate) fn pbtrs<R: LaneRows>(f: &CholeskyBanded, rows: &mut R, row0: usize) 
         for i in j + 1..=(j + kd).min(n - 1) {
             s = s.sub_mul(f.l(i, j), rows.get(row0 + i));
         }
-        rows.set(row0 + j, s.div(f.l(j, j)));
+        rows.set(row0 + j, s.mul(f.l(j, j)));
     }
 }
 
 /// `gbtrs` (no transpose): solve `P·L·U x = b` on rows
-/// `row0..row0 + f.n()`.
-#[inline]
+/// `row0..row0 + f.n()`; [`BandedLu::factor`]`(j, j)` is `1 / U(j, j)`.
+#[inline(always)]
 pub(crate) fn gbtrs<R: LaneRows>(f: &BandedLu, rows: &mut R, row0: usize) {
     let n = f.n();
     let kl = f.kl_internal();
@@ -256,7 +295,7 @@ pub(crate) fn gbtrs<R: LaneRows>(f: &BandedLu, rows: &mut R, row0: usize) {
     }
     // Backward: solve U x = b (bandwidth kv = kl + ku after fill-in).
     for j in (0..n).rev() {
-        let xj = rows.get(row0 + j).div(f.factor(j, j));
+        let xj = rows.get(row0 + j).mul(f.factor(j, j));
         rows.set(row0 + j, xj);
         for i in 1..=kv.min(j) {
             let v = rows.get(row0 + j - i).sub_mul(f.factor(j - i, j), xj);
@@ -266,9 +305,10 @@ pub(crate) fn gbtrs<R: LaneRows>(f: &BandedLu, rows: &mut R, row0: usize) {
 }
 
 /// `getrs` (no transpose): solve `P·L·U x = b` on rows
-/// `row0..row0 + lu.nrows()`, given the packed `getrf` output — mirrors
+/// `row0..row0 + lu.nrows()`, given the packed `getrf` output with the
+/// reciprocals of `U`'s diagonal on the diagonal — mirrors
 /// `KokkosBatched::SerialGetrs`.
-#[inline]
+#[inline(always)]
 pub(crate) fn getrs<R: LaneRows>(lu: &Matrix, ipiv: &[usize], rows: &mut R, row0: usize) {
     let n = lu.nrows();
     debug_assert_eq!(ipiv.len(), n);
@@ -293,7 +333,7 @@ pub(crate) fn getrs<R: LaneRows>(lu: &Matrix, ipiv: &[usize], rows: &mut R, row0
         for k in i + 1..n {
             s = s.sub_mul(lu.get(i, k), rows.get(row0 + k));
         }
-        rows.set(row0 + i, s.div(lu.get(i, i)));
+        rows.set(row0 + i, s.mul(lu.get(i, i)));
     }
 }
 
@@ -325,6 +365,53 @@ mod tests {
     fn panel_rejects_a_ragged_chunk() {
         let mut chunk = vec![0.0; 2 * LANE_WIDTH + 1];
         let _ = Panel::new(&mut chunk, 2);
+    }
+
+    /// Panels abreast are the panels alone: every sweep over `[Panel; 3]`
+    /// leaves each panel the bits the same sweep leaves it on its own
+    /// (toy size; `tests/interleaved.rs` holds the full table).
+    #[test]
+    fn abreast_sweeps_are_the_panels_alone_bitwise() {
+        use crate::{gbtrf, getrf, pbtrf, pttrf, BandedMatrix, SymBandedMatrix};
+        let n = if cfg!(miri) { 5 } else { 11 };
+        let entry = |i: usize, j: usize| if i == j { 4.5 } else { -1.0 + 0.125 * i as f64 };
+        let pt = pttrf(&vec![4.0; n], &vec![-1.25; n - 1]).unwrap();
+        let pb =
+            pbtrf(&SymBandedMatrix::from_fn(n, 2, |i, j| if i == j { 6.0 } else { -1.0 }).unwrap())
+                .unwrap();
+        let gb = gbtrf(&BandedMatrix::from_fn(n, 2, 1, entry).unwrap()).unwrap();
+        let dominant = |i: usize, j: usize| if i == j { n as f64 } else { entry(i, j) };
+        let lu = getrf(&Matrix::from_fn(n, n, pp_portable::Layout::Right, dominant)).unwrap();
+        let rhs = |p: usize| -> Vec<f64> {
+            (0..n * LANE_WIDTH)
+                .map(|k| ((k * 7 + p * 13) % 17) as f64 - 8.0)
+                .collect()
+        };
+        macro_rules! check {
+            ($name:literal, $solve:expr) => {{
+                let alone: Vec<Vec<f64>> = (0..3)
+                    .map(|p| {
+                        let mut x = rhs(p);
+                        $solve(&mut Panel::new(&mut x, n));
+                        x
+                    })
+                    .collect();
+                let [mut a, mut b, mut c] = [rhs(0), rhs(1), rhs(2)];
+                $solve(&mut [
+                    Panel::new(&mut a, n),
+                    Panel::new(&mut b, n),
+                    Panel::new(&mut c, n),
+                ]);
+                for (got, want) in [a, b, c].iter().zip(&alone) {
+                    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got), bits(want), $name);
+                }
+            }};
+        }
+        check!("pttrs", |rows: &mut _| pt.solve_rows(rows, 0));
+        check!("pbtrs", |rows: &mut _| pb.solve_rows(rows, 0));
+        check!("gbtrs", |rows: &mut _| gb.solve_rows(rows, 0));
+        check!("getrs", |rows: &mut _| lu.solve_rows(rows, 0));
     }
 
     #[test]

@@ -28,12 +28,17 @@
 //! * *per panel* ([`Panel`]): [`LANE_WIDTH`](pp_portable::LANE_WIDTH)
 //!   interleaved lanes advanced together, mapped over the chunks of a
 //!   [`ResidentBatch`](pp_portable::ResidentBatch) by the `*_resident`
-//!   drivers ([`resident`]).
+//!   drivers ([`resident`]);
+//! * *per run of panels* (`[Panel; P]`): several panels side by side, so
+//!   that one step of the recurrence is several independent ones.
 //!
 //! A lane's result is bit-identical in every instantiation.
 //!
 //! Factorisation happens **once** (the spline matrix is fixed in time); only
 //! the solves run every time step, exactly as in the paper's Algorithm 1.
+//! Because the one matrix serves every right-hand side, each factor type
+//! stores the *reciprocal* of every pivot in the pivot's slot and no solve
+//! divides; [`naive::solve_dense`] keeps its divisions and is the oracle.
 //!
 //! ```
 //! use pp_portable::{Matrix, Layout, Parallel};

@@ -12,7 +12,10 @@ use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::{Layout, Matrix, StridedMut};
 
 /// Packed LU factors of a dense matrix: `P·A = L·U` with unit-diagonal `L`
-/// stored below the diagonal of [`LuFactors::lu`] and `U` on/above it.
+/// stored below the diagonal of [`LuFactors::lu`], `U` above it and, on it,
+/// the *reciprocals* `fl(1 / U(i, i))` of the pivots: the divide per row that
+/// `getrs` would spend on every right-hand side is taken once, at factor
+/// time (see [`crate::PtFactors`]).
 #[derive(Debug, Clone)]
 pub struct LuFactors {
     lu: Matrix,
@@ -26,7 +29,8 @@ impl LuFactors {
         self.lu.nrows()
     }
 
-    /// Packed `L\U` matrix.
+    /// Packed `L\U` matrix, reciprocal pivots on the diagonal (see
+    /// [`LuFactors`]).
     pub fn lu(&self) -> &Matrix {
         &self.lu
     }
@@ -42,8 +46,8 @@ impl LuFactors {
         &self.health
     }
 
-    /// Fault-injection hook: mutable view of the packed `L\U` payload.
-    /// Exists so robustness tests and the chaos harness can flip bits in
+    /// Fault-injection hook: mutable view of the packed `L\U` payload
+    /// (reciprocal pivots on the diagonal). Exists so robustness tests and the chaos harness can flip bits in
     /// factor memory *between* factorization and solve — the silent-data-
     /// corruption scenario the ABFT layer ([`crate::abft`]) detects.
     /// Never call it from production code.
@@ -71,7 +75,7 @@ impl LuFactors {
 
     /// Solve in place on rows `row0..row0 + n` of `rows` (`getrs`, no
     /// transpose), for every lane the accessor carries.
-    #[inline]
+    #[inline(always)]
     pub fn solve_rows<R: LaneRows>(&self, rows: &mut R, row0: usize) {
         let _span = Span::enter(PhaseId::SchurGetrs);
         lane::getrs(&self.lu, &self.ipiv, rows, row0);
@@ -107,7 +111,7 @@ impl LuFactors {
             for k in 0..i {
                 s -= self.lu.get(k, i) * b[k];
             }
-            b[i] = s / self.lu.get(i, i);
+            b[i] = s * self.lu.get(i, i);
         }
         // Lᵀ is unit upper triangular: backward substitution.
         for i in (0..n).rev() {
@@ -208,6 +212,9 @@ pub fn getrf(a: &Matrix) -> Result<LuFactors> {
         }
     }
     let pivot_growth = if amax > 0.0 { umax / amax } else { 1.0 };
+    for i in 0..n {
+        lu.set(i, i, 1.0 / lu.get(i, i));
+    }
 
     let mut f = LuFactors {
         lu,
@@ -262,15 +269,28 @@ mod tests {
     #[test]
     fn matches_naive_solver() {
         let mut rng = TestRng::seed_from_u64(5);
-        let a = random_nonsingular(&mut rng, 12);
-        let b: Vec<f64> = (0..12).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let expected = solve_dense(&a, &b).unwrap();
-        let f = getrf(&a).unwrap();
-        let mut x = b;
-        f.solve_slice(&mut x);
-        for (u, v) in x.iter().zip(&expected) {
-            assert!((u - v).abs() < 1e-11);
+        for n in [1, 2, 3, 5, 8, 12, 17] {
+            let a = random_nonsingular(&mut rng, n);
+            let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let expected = solve_dense(&a, &b).unwrap();
+            let f = getrf(&a).unwrap();
+            let mut x = b;
+            f.solve_slice(&mut x);
+            for (u, v) in x.iter().zip(&expected) {
+                assert!((u - v).abs() < 1e-11, "n={n}: {u} vs {v}");
+            }
         }
+    }
+
+    #[test]
+    fn pivoting_matrix_solves_to_the_known_answer() {
+        // Forces a row interchange.
+        let a = Matrix::from_rows(&[&[0.0, 2.0], &[1.0, 0.0]]);
+        let f = getrf(&a).unwrap();
+        let mut b = vec![4.0, 3.0];
+        f.solve_slice(&mut b);
+        assert!((b[0] - 3.0).abs() < 1e-14);
+        assert!((b[1] - 2.0).abs() < 1e-14);
     }
 
     #[test]

@@ -119,7 +119,10 @@ impl SymBandedMatrix {
     }
 }
 
-/// Banded Cholesky factors `A = L·Lᵀ` (lower storage, LAPACK `pbtrf`).
+/// Banded Cholesky factors `A = L·Lᵀ` (lower storage, LAPACK `pbtrf`),
+/// with each diagonal slot holding the *reciprocal* `fl(1 / L(j, j))`: the
+/// two divides per row that `pbtrs` would spend on every right-hand side
+/// are taken once, at factor time (see [`crate::PtFactors`]).
 #[derive(Debug, Clone)]
 pub struct CholeskyBanded {
     n: usize,
@@ -145,7 +148,8 @@ impl CholeskyBanded {
     }
 
     /// Fault-injection hook: mutable view of the packed Cholesky band
-    /// (`L` in LAPACK `dpbtrf` lower storage). Exists so robustness tests
+    /// (`L` in LAPACK `dpbtrf` lower storage, reciprocals on the
+    /// diagonal). Exists so robustness tests
     /// and the chaos harness can flip bits in factor memory *between*
     /// factorization and solve — the silent-data-corruption scenario the
     /// ABFT layer ([`crate::abft`]) detects. Never call it from
@@ -154,7 +158,8 @@ impl CholeskyBanded {
         &mut self.ab
     }
 
-    #[inline]
+    /// `L(i, j)` for `i > j`; `1 / L(j, j)` on the diagonal.
+    #[inline(always)]
     pub(crate) fn l(&self, i: usize, j: usize) -> f64 {
         self.ab[(i - j) + j * (self.kd + 1)]
     }
@@ -179,7 +184,7 @@ impl CholeskyBanded {
 
     /// Solve in place on rows `row0..row0 + n` of `rows` (`pbtrs`), for
     /// every lane the accessor carries.
-    #[inline]
+    #[inline(always)]
     pub fn solve_rows<R: LaneRows>(&self, rows: &mut R, row0: usize) {
         let _span = Span::enter(PhaseId::SolvePbtrs);
         lane::pbtrs(self, rows, row0);
@@ -260,6 +265,9 @@ pub fn pbtrf(a: &SymBandedMatrix) -> Result<CholeskyBanded> {
     // keeps this ≈ 1 (each L entry is bounded by the diagonal it divides).
     let lmax = ab.iter().fold(0.0_f64, |m, &v| m.max(v.abs()));
     let pivot_growth = if amax > 0.0 { lmax * lmax / amax } else { 1.0 };
+    for ljj in ab.iter_mut().step_by(ld) {
+        *ljj = 1.0 / *ljj;
+    }
     let mut f = CholeskyBanded {
         n,
         kd,
@@ -316,13 +324,15 @@ mod tests {
         let mut rng = TestRng::seed_from_u64(2);
         let a = random_spd_banded(&mut rng, 8, 2);
         let f = pbtrf(&a).unwrap();
-        // Rebuild A(i,j) = sum_k L(i,k) L(j,k) and compare inside the band.
+        // Rebuild A(i,j) = sum_k L(i,k) L(j,k) from what is stored (the
+        // diagonal as reciprocals) and compare inside the band.
+        let l = |i: usize, k: usize| if i == k { 1.0 / f.l(k, k) } else { f.l(i, k) };
         for j in 0..8 {
             for i in j..=(j + 2).min(7) {
                 let mut s = 0.0;
                 for k in 0..=j {
                     if i - k <= 2 && j - k <= 2 {
-                        s += f.l(i, k) * f.l(j, k);
+                        s += l(i, k) * l(j, k);
                     }
                 }
                 assert!((s - a.get(i, j)).abs() < 1e-12, "({i},{j})");

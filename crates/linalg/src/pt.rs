@@ -14,11 +14,15 @@ use pp_portable::StridedMut;
 
 /// `L·D·Lᵀ` factors of an SPD tridiagonal matrix.
 ///
-/// `d` holds the diagonal of `D`; `e` holds the sub-diagonal multipliers of
-/// the unit bidiagonal `L` (LAPACK `dpttrf` packing).
+/// LAPACK `dpttrf` packing, except that `d_inv` holds the *reciprocals*
+/// `fl(1 / D_i)` of `D`'s diagonal, in `D`'s place: one matrix serves every
+/// right-hand side of the batch, so the divide `pttrs` would spend on each
+/// row of each of them is taken here, once (the constant-matrix storage of
+/// Gloster et al., PAPERS.md). `e` holds the sub-diagonal multipliers of
+/// the unit bidiagonal `L`.
 #[derive(Debug, Clone)]
 pub struct PtFactors {
-    d: Vec<f64>,
+    d_inv: Vec<f64>,
     e: Vec<f64>,
     health: FactorHealth,
 }
@@ -26,12 +30,13 @@ pub struct PtFactors {
 impl PtFactors {
     /// Matrix order.
     pub fn n(&self) -> usize {
-        self.d.len()
+        self.d_inv.len()
     }
 
-    /// Diagonal of `D`.
+    /// What the solve reads of `D`: the reciprocals `fl(1 / D_i)` of its
+    /// diagonal (see [`PtFactors`]), not the diagonal.
     pub fn d(&self) -> &[f64] {
-        &self.d
+        &self.d_inv
     }
 
     /// Sub-diagonal multipliers of `L`.
@@ -44,14 +49,15 @@ impl PtFactors {
         &self.health
     }
 
-    /// Fault-injection hook: mutable view of the factored payload
-    /// (`D` diagonal then `L` multipliers, concatenated order). Exists so
+    /// Fault-injection hook: mutable view of the factored payload — the
+    /// reciprocals [`PtFactors::d`], then the `L` multipliers — every
+    /// element of which the solve reads. Exists so
     /// robustness tests and the chaos harness can flip bits in factor
     /// memory *between* factorization and solve — the silent-data-
     /// corruption scenario the ABFT layer ([`crate::abft`]) detects.
     /// Never call it from production code.
     pub fn fault_data_mut(&mut self) -> (&mut [f64], &mut [f64]) {
-        (&mut self.d, &mut self.e)
+        (&mut self.d_inv, &mut self.e)
     }
 
     /// Solve `A x = b` in place for one lane (`pttrs`).
@@ -75,10 +81,10 @@ impl PtFactors {
     /// Solve in place on rows `row0..row0 + n` of `rows` (`pttrs`), for
     /// every lane the accessor carries: one strided lane or one
     /// interleaved panel, same sweep.
-    #[inline]
+    #[inline(always)]
     pub fn solve_rows<R: LaneRows>(&self, rows: &mut R, row0: usize) {
         let _span = Span::enter(PhaseId::SolvePttrs);
-        lane::pttrs(&self.d, &self.e, rows, row0);
+        lane::pttrs(&self.d_inv, &self.e, rows, row0);
     }
 
     /// Solve into a plain slice (setup-time convenience).
@@ -155,7 +161,7 @@ pub fn pttrf(d: &[f64], e: &[f64]) -> Result<PtFactors> {
     let dmax = dd.iter().fold(0.0_f64, |m, &v| m.max(v.abs()));
     let pivot_growth = if amax > 0.0 { dmax / amax } else { 1.0 };
     let mut f = PtFactors {
-        d: dd,
+        d_inv: dd.iter().map(|d| 1.0 / d).collect(),
         e: ee,
         health: FactorHealth {
             routine: "pttrf",
@@ -192,23 +198,25 @@ mod tests {
 
     #[test]
     fn factorisation_reconstructs_matrix() {
-        // A = L D L^T must reproduce (d, e).
+        // A = L D L^T must reproduce (d, e), from what is stored: the
+        // multipliers and the reciprocals of D.
         let d = vec![4.0, 5.0, 6.0, 7.0];
         let e = vec![1.0, -1.5, 2.0];
         let f = pttrf(&d, &e).unwrap();
+        let dd: Vec<f64> = f.d().iter().map(|inv| 1.0 / inv).collect();
         // Rebuild: diag_i = D_i + l_{i-1}^2 D_{i-1}; off_i = l_i * D_i.
         let n = d.len();
         for i in 0..n {
-            let rebuilt = f.d()[i]
+            let rebuilt = dd[i]
                 + if i > 0 {
-                    f.e()[i - 1] * f.e()[i - 1] * f.d()[i - 1]
+                    f.e()[i - 1] * f.e()[i - 1] * dd[i - 1]
                 } else {
                     0.0
                 };
             assert!((rebuilt - d[i]).abs() < 1e-14);
         }
         for i in 0..n - 1 {
-            assert!((f.e()[i] * f.d()[i] - e[i]).abs() < 1e-14);
+            assert!((f.e()[i] * dd[i] - e[i]).abs() < 1e-14);
         }
     }
 
@@ -229,6 +237,21 @@ mod tests {
             for (u, v) in x.iter().zip(&expected) {
                 assert!((u - v).abs() < 1e-11, "n = {n}");
             }
+        }
+    }
+
+    #[test]
+    fn solve_lane_with_stride() {
+        let f = pttrf(&[3.0; 4], &[1.0; 3]).unwrap();
+        let mut dense = vec![0.0; 8];
+        for (i, v) in [1.0, 2.0, 3.0, 4.0].iter().enumerate() {
+            dense[i * 2] = *v;
+        }
+        f.solve_lane(&mut StridedMut::new(&mut dense, 4, 2));
+        let x: Vec<f64> = (0..4).map(|i| dense[i * 2]).collect();
+        let r = crate::naive::matvec(&tridiag(&[3.0; 4], &[1.0; 3]), &x);
+        for (ri, bi) in r.iter().zip([1.0, 2.0, 3.0, 4.0]) {
+            assert!((ri - bi).abs() < 1e-12);
         }
     }
 
@@ -254,9 +277,16 @@ mod tests {
     }
 
     #[test]
-    fn empty_system() {
+    fn empty_and_single() {
+        // n = 0 is a no-op.
         let f = pttrf(&[], &[]).unwrap();
         assert_eq!(f.n(), 0);
+        f.solve_slice(&mut []);
+        // n = 1: x = b / d.
+        let f = pttrf(&[2.0], &[]).unwrap();
+        let mut b = vec![6.0];
+        f.solve_slice(&mut b);
+        assert_eq!(b, vec![3.0]);
     }
 
     #[test]

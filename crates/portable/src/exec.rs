@@ -24,6 +24,13 @@ pub trait ExecSpace: Sync {
     /// Call `f(i)` for every `i in 0..n`, possibly concurrently.
     fn for_each<F: Fn(usize) + Sync + Send>(&self, n: usize, f: F);
 
+    /// How many participants share a region of this space: what a caller
+    /// that groups work into items divides by, so that a small batch still
+    /// gives each an item. One unless overridden.
+    fn concurrency(&self) -> usize {
+        1
+    }
+
     /// Sum `f(i)` over `i in 0..n`.
     ///
     /// The default forwards to a serial loop; [`Parallel`] overrides it.
@@ -119,6 +126,10 @@ impl ExecSpace for Parallel {
     #[inline]
     fn for_each<F: Fn(usize) + Sync + Send>(&self, n: usize, f: F) {
         par::parallel_for(n, f);
+    }
+
+    fn concurrency(&self) -> usize {
+        par::num_threads()
     }
 
     fn reduce_sum<F: Fn(usize) -> f64 + Sync + Send>(&self, n: usize, f: F) -> f64 {

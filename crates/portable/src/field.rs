@@ -2,7 +2,8 @@
 //!
 //! A field is a batch of `lanes` independent systems of `rows` values
 //! that a step reads once and overwrites, a *block* of [`LANE_WIDTH`]
-//! lanes at a time on the worker pool. Two kinds exist. A
+//! lanes at a time, a worker's turn being a *run* of consecutive blocks
+//! on the worker pool. Two kinds exist. A
 //! [`ResidentBatch`]'s blocks are its interleaved panels. A lane-contiguous
 //! host matrix — the `(Nv, Nx)` row-major distribution of the paper's
 //! Algorithm 2, wrapped as a [`HostField`] — has blocks of eight
@@ -13,10 +14,9 @@
 
 use crate::error::Result;
 use crate::exec::ExecSpace;
-use crate::interleaved::{gather_panel, LANE_WIDTH};
+use crate::interleaved::{for_each_run_mut, gather_panel, LANE_WIDTH};
 use crate::layout::Layout;
 use crate::matrix::Matrix;
-use crate::ptr::SharedMutPtr;
 use crate::resident::ResidentBatch;
 use crate::strided::StridedMut;
 use crate::transpose::transpose_into;
@@ -37,6 +37,21 @@ pub trait Field {
     fn for_each_block_mut<E, F>(&mut self, exec: &E, f: F)
     where
         E: ExecSpace,
+        F: Fn(usize, usize, &mut [f64]) + Sync + Send,
+    {
+        self.for_each_run_mut(exec, 1, f);
+    }
+
+    /// [`Field::for_each_block_mut`] by runs of up to `per` consecutive
+    /// blocks, a worker's turn each: `f(first_block, live_lanes, run)`,
+    /// `run` being the blocks that hold the `live_lanes` lanes from
+    /// `first_block` on — a contiguous range on both kinds of field, taken
+    /// apart by [`run_blocks`]. A run is `per` blocks, fewer where it takes
+    /// that to give every participant of `exec` one
+    /// (`⌈blocks / exec.concurrency()⌉`), or what is left.
+    fn for_each_run_mut<E, F>(&mut self, exec: &E, per: usize, f: F)
+    where
+        E: ExecSpace,
         F: Fn(usize, usize, &mut [f64]) + Sync + Send;
 
     /// Ingress of one block: overwrite `panel`, whatever it held, with the
@@ -52,6 +67,20 @@ pub trait Field {
     fn copy_lanes_to(&self, host: &mut Matrix) -> Result<()>;
 }
 
+/// The blocks of a `run` of `lanes` live lanes from
+/// [`Field::for_each_run_mut`], in order, as `(live_lanes, block)`: a block
+/// is `LANE_WIDTH · rows` values on both kinds of field, but for the partial
+/// last block of one not made of panels.
+pub fn run_blocks(
+    run: &mut [f64],
+    rows: usize,
+    lanes: usize,
+) -> impl Iterator<Item = (usize, &mut [f64])> {
+    run.chunks_mut((LANE_WIDTH * rows).max(1))
+        .enumerate()
+        .map(move |(k, block)| (LANE_WIDTH.min(lanes - k * LANE_WIDTH), block))
+}
+
 impl Field for ResidentBatch {
     const PANELS: bool = true;
 
@@ -59,12 +88,12 @@ impl Field for ResidentBatch {
         (self.nrows(), self.ncols())
     }
 
-    fn for_each_block_mut<E, F>(&mut self, exec: &E, f: F)
+    fn for_each_run_mut<E, F>(&mut self, exec: &E, per: usize, f: F)
     where
         E: ExecSpace,
         F: Fn(usize, usize, &mut [f64]) + Sync + Send,
     {
-        self.for_each_chunk_mut(exec, f);
+        self.panels_mut().for_each_run_mut(exec, per, f);
     }
 
     fn fill_panel(block: &[f64], _lanes: usize, panel: &mut Vec<f64>) {
@@ -105,27 +134,15 @@ impl Field for HostField<'_> {
         (self.0.ncols(), self.0.nrows())
     }
 
-    fn for_each_block_mut<E, F>(&mut self, exec: &E, f: F)
+    fn for_each_run_mut<E, F>(&mut self, exec: &E, per: usize, f: F)
     where
         E: ExecSpace,
         F: Fn(usize, usize, &mut [f64]) + Sync + Send,
     {
+        // `Layout::Right` (checked by `new`): lane `j` is the contiguous
+        // run `[j·rows, (j + 1)·rows)` of the storage.
         let (lanes, rows) = self.0.shape();
-        let ptr = SharedMutPtr(self.0.as_mut_ptr());
-        exec.for_each(lanes.div_ceil(LANE_WIDTH), |c| {
-            let first = c * LANE_WIDTH;
-            let live = LANE_WIDTH.min(lanes - first);
-            // SAFETY: the matrix is `Layout::Right` (checked by `new`, and
-            // borrowed mutably for the region), so its storage is `lanes`
-            // consecutive runs of `rows` elements and block `c` owns the
-            // contiguous range `[first·rows, (first + live)·rows)`, inside
-            // the allocation because `first + live <= lanes`. The ranges
-            // of different `c` are pairwise disjoint and each `c` is
-            // visited exactly once, so no two concurrent slices overlap.
-            let block =
-                unsafe { std::slice::from_raw_parts_mut(ptr.add(first * rows), live * rows) };
-            f(c, live, block);
-        });
+        for_each_run_mut(exec, self.0.as_mut_slice(), rows, lanes, per, f);
     }
 
     fn fill_panel(block: &[f64], lanes: usize, panel: &mut Vec<f64>) {
@@ -156,30 +173,70 @@ mod tests {
         Matrix::from_fn(lanes, rows, Layout::Right, |j, i| (1000 * j + i) as f64)
     }
 
-    /// Every element of every block is handed out exactly once, under
-    /// the pool: each block's elements are bumped by one, and a partial
-    /// last block is told its live lanes only.
+    /// Every element of every block is handed out exactly once, under the
+    /// pool, whatever the run length and on both kinds of field: each run's
+    /// blocks are bumped by one through [`run_blocks`], a run is told its
+    /// first block and its live lanes, and a partial last block of a host
+    /// field is its live lanes only.
     #[test]
-    fn host_blocks_cover_every_element_once() {
+    fn runs_cover_every_element_once_on_both_kinds() {
+        const W: usize = LANE_WIDTH;
         let rows = if cfg!(miri) { 3 } else { 13 };
-        for lanes in [1usize, 7, 8, 19] {
-            let mut m = tagged(lanes, rows);
-            let mut field = HostField::new(&mut m).expect("row-major");
-            assert_eq!(field.shape(), (rows, lanes));
-            field.for_each_block_mut(&Parallel, |c, live, block| {
-                assert_eq!(live, LANE_WIDTH.min(lanes - c * LANE_WIDTH));
-                assert_eq!(block.len(), live * rows);
-                assert_eq!(block[0], (1000 * c * LANE_WIDTH) as f64);
-                block.iter_mut().for_each(|v| *v += 1.0);
-            });
-            field.lane_mut(lanes - 1).fill(-1.0);
-            for (j, i, v) in m.iter_entries() {
-                let want = if j == lanes - 1 {
-                    -1.0
-                } else {
-                    (1000 * j + i + 1) as f64
+        let all = [1usize, 7, 8, 31, 32, 33, 5 * W + 3];
+        let few = [7usize, 33];
+        for &lanes in if cfg!(miri) { &few[..] } else { &all[..] } {
+            for per in [1usize, 2, 4] {
+                let what = &format!("{lanes} lanes, runs of {per}");
+                let bump = |panels: bool| {
+                    move |first: usize, live: usize, run: &mut [f64]| {
+                        assert!(live > 0 && live <= per * W, "{what}");
+                        assert!(first * W + live <= lanes, "{what}");
+                        let tag = if panels { first * W } else { 1000 * first * W };
+                        assert_eq!(run[0], tag as f64, "{what}");
+                        let mut seen = 0;
+                        for (k, (block_lanes, block)) in run_blocks(run, rows, live).enumerate() {
+                            assert_eq!(block_lanes, W.min(live - k * W), "{what}");
+                            let width = if panels { W } else { block_lanes };
+                            assert_eq!(block.len(), width * rows, "{what}");
+                            block.iter_mut().for_each(|v| *v += 1.0);
+                            seen += block_lanes;
+                        }
+                        assert_eq!(seen, live, "{what}");
+                    }
                 };
-                assert_eq!(v, want, "{lanes} lanes: ({j}, {i})");
+                let mut m = tagged(lanes, rows);
+                let mut field = HostField::new(&mut m).expect("row-major");
+                assert_eq!(field.shape(), (rows, lanes));
+                field.for_each_run_mut(&Parallel, per, bump(false));
+                field.lane_mut(lanes - 1).fill(-1.0);
+                for (j, i, v) in m.iter_entries() {
+                    let want = if j == lanes - 1 {
+                        -1.0
+                    } else {
+                        (1000 * j + i + 1) as f64
+                    };
+                    assert_eq!(v, want, "{lanes} lanes by {per}: ({j}, {i})");
+                }
+                // Panels: element (row i, lane j) starts as `j` in row 0 and
+                // zero below, padding lanes included in the bump.
+                let mut resident = ResidentBatch::zeros(rows, lanes);
+                (0..lanes).for_each(|j| resident.set(0, j, j as f64));
+                resident.for_each_run_mut(&Parallel, per, bump(true));
+                for j in 0..lanes {
+                    for i in 0..rows {
+                        let want = if i == 0 { j as f64 + 1.0 } else { 1.0 };
+                        assert_eq!(
+                            resident.get(i, j),
+                            want,
+                            "{lanes} lanes by {per}: ({i}, {j})"
+                        );
+                    }
+                }
+                let padding = resident.panels().chunk((lanes - 1) / W);
+                assert!(
+                    padding.iter().all(|&v| v >= 1.0),
+                    "padding lanes are in the run"
+                );
             }
         }
     }

@@ -252,20 +252,55 @@ impl InterleavedMatrix {
         E: ExecSpace,
         F: Fn(usize, usize, &mut [f64]) + Sync + Send,
     {
-        let chunks = self.num_chunks();
-        let sz = self.nrows * LANE_WIDTH;
-        let ncols = self.ncols;
-        let ptr = SharedMutPtr(self.data.as_mut_ptr());
-        exec.for_each(chunks, |c| {
-            let lanes = LANE_WIDTH.min(ncols - c * LANE_WIDTH);
-            // SAFETY: chunk c owns the contiguous element range
-            // [c*sz, (c+1)*sz), each c is visited exactly once, and the
-            // ranges are pairwise disjoint, so no two concurrent slices
-            // overlap and every slice stays inside the allocation.
-            let panel = unsafe { std::slice::from_raw_parts_mut(ptr.add(c * sz), sz) };
-            f(c, lanes, panel);
-        });
+        for_each_run_mut(exec, &mut self.data, self.nrows, self.ncols, 1, f);
     }
+
+    /// [`InterleavedMatrix::for_each_chunk_mut`] by runs of up to `per`
+    /// consecutive chunks: see [`crate::Field::for_each_run_mut`].
+    pub(crate) fn for_each_run_mut<E, F>(&mut self, exec: &E, per: usize, f: F)
+    where
+        E: ExecSpace,
+        F: Fn(usize, usize, &mut [f64]) + Sync + Send,
+    {
+        for_each_run_mut(exec, &mut self.data, self.nrows, self.ncols, per, f);
+    }
+}
+
+/// [`crate::Field::for_each_run_mut`] for both kinds of field: `data` holds
+/// `lanes` lanes of `rows` values block after block of [`LANE_WIDTH`] lanes,
+/// block `c` starting at `c·LANE_WIDTH·rows` — the panels of an
+/// [`InterleavedMatrix`], or a row-major host matrix whose rows are the
+/// lanes. A run is `min(per, ⌈blocks / exec.concurrency()⌉)` blocks, the
+/// last one what is left.
+pub(crate) fn for_each_run_mut<E, F>(
+    exec: &E,
+    data: &mut [f64],
+    rows: usize,
+    lanes: usize,
+    per: usize,
+    f: F,
+) where
+    E: ExecSpace,
+    F: Fn(usize, usize, &mut [f64]) + Sync + Send,
+{
+    let blocks = lanes.div_ceil(LANE_WIDTH);
+    let per = per.min(blocks.div_ceil(exec.concurrency().max(1))).max(1);
+    let stride = per * LANE_WIDTH * rows;
+    let len = data.len();
+    assert!(lanes * rows <= len, "blocks out of bounds");
+    let ptr = SharedMutPtr(data.as_mut_ptr());
+    exec.for_each(blocks.div_ceil(per), |r| {
+        let live = (per * LANE_WIDTH).min(lanes - r * per * LANE_WIDTH);
+        let (start, end) = (r * stride, len.min((r + 1) * stride));
+        // SAFETY: `data` is borrowed mutably for the region. Run `r` owns
+        // `[r·stride, min((r + 1)·stride, len))`: inside the allocation, and
+        // not inverted, because its first block starts before lane `lanes`,
+        // so `r·stride < lanes·rows <= len` (asserted). The ranges of
+        // different `r` are disjoint and each `r` is visited exactly once,
+        // so no two concurrent slices overlap.
+        let run = unsafe { std::slice::from_raw_parts_mut(ptr.add(start), end - start) };
+        f(r * per, live, run);
+    });
 }
 
 /// `m` must be the host side of a move of `shape` panels: that shape, or
@@ -445,19 +480,43 @@ fn move_tiles<E: ExecSpace>(
     });
 }
 
+/// `panel[i·W + l] = cols[l·rows + i]` for the first `lanes` lanes of the
+/// `[rows][W]` panel, a 64-byte row at a time (lane by lane it would stream
+/// the panel, which outgrows L1, eight times); lanes from `lanes` on are left
+/// alone. The egress of the panel evaluator (`pp-bsplines`) and the ingress
+/// of a host field's block. What LLVM makes of the loop inlined into a
+/// generic caller depends on that caller (DESIGN.md §14.3), so it is compiled
+/// once, here, out of line.
+///
+/// # Panics
+/// Panics unless `panel` is whole rows, `lanes <= LANE_WIDTH` and `cols`
+/// holds `lanes` columns.
+#[inline(never)]
+pub fn interleave_columns(cols: &[f64], lanes: usize, panel: &mut [f64]) {
+    let rows = panel.len() / W;
+    assert!(
+        panel.len() % W == 0 && lanes <= W && cols.len() >= lanes * rows,
+        "interleave: {lanes} columns of {rows} rows"
+    );
+    for (i, row) in panel.chunks_exact_mut(W).enumerate() {
+        for l in 0..lanes {
+            row[l] = cols[l * rows + i];
+        }
+    }
+}
+
 /// Ingress of one block of a lane-contiguous host field
 /// ([`crate::HostField`]): overwrite `panel` with the `lanes` columns of
 /// `block` (`block[l·rows + i]`) as one `[rows][W]` panel, padding lanes
-/// zero — [`move_tiles`] applied to a single chunk, on the calling worker.
+/// zero.
 pub(crate) fn gather_panel(block: &[f64], lanes: usize, panel: &mut Vec<f64>) {
     let rows = block.len() / lanes;
     if lanes < W {
-        // The move writes live lanes only.
+        // The interleave writes live lanes only.
         panel.clear();
     }
     panel.resize(rows * W, 0.0);
-    let (from, to) = (Tiling::strided(0, W, 1, rows), Tiling::panels(rows));
-    move_tiles(&Serial, (rows, lanes), block, from, panel, to);
+    interleave_columns(block, lanes, panel);
 }
 
 #[cfg(test)]

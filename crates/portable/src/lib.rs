@@ -75,8 +75,8 @@ pub mod transpose;
 pub use budget::{Budget, CancelToken, DispatchOutcome};
 pub use error::{Error, Result};
 pub use exec::{CountingExec, ExecSpace, Parallel, Serial};
-pub use field::{Field, HostField};
-pub use interleaved::{InterleavedMatrix, LANE_WIDTH};
+pub use field::{run_blocks, Field, HostField};
+pub use interleaved::{interleave_columns, InterleavedMatrix, LANE_WIDTH};
 pub use layout::Layout;
 pub use matrix::Matrix;
 pub use par::{

@@ -43,8 +43,12 @@ grep -q '"version": "Lane interleave resident"' BENCH_phases.json
 # across the resident chain must stay a sliver of the wall clock. Gate
 # the emitted transpose_share on both sides of the comparison — a
 # committed baseline over the ceiling is as much a regression as a
-# fresh run over it.
-TRANSPOSE_SHARE_CEILING=0.15
+# fresh run over it. The share is two transposes over two transposes plus
+# thirty solves: 0.108-0.131 (ceiling 0.15) while a resident solve was
+# 1.69-1.75 ms, 0.188-0.199 since PR 24 took it to 1.01 ms with the two
+# transposes where they were (6.1-6.9 ms) -- the ceiling follows the
+# denominator, worst reading + 25 %.
+TRANSPOSE_SHARE_CEILING=0.25
 for f in BENCH_phases.json target/BENCH_phases_smoke.json; do
     share=$(awk '
         index($0, "\"version\": \"Lane interleave resident\"") { found = 1 }
@@ -81,7 +85,11 @@ cargo run --release -q -p pp-bench --bin bench_gate -- \
 # regression shows as a higher surcharge; judge it by that line, not by the
 # ratio alone. On a host without AVX2 the pass runs at the baseline width
 # and the ratio reads as it did at the parent: raise the ceiling there, do
-# not read it as a regression.
+# not read it as a regression. 1.28-1.32 (four runs; parent 1.21-1.24 in the
+# same session) since PR 24 took a third off the solve of both steps --
+# reciprocals at factor time, the carried row, four panels abreast: the plain
+# step fell 0.3-0.4 ns/point, the surcharge stayed at 0.6-0.8, so the ceiling
+# stays 1.4 with 6 % of margin where the rule above would give 1.45.
 VERIFIED_STEP_CEILING=1.4
 echo "==> fig2_glups 1024 1024: the resident step, plain and verified, and the host step"
 resident=$(cargo run --release -q -p pp-bench --bin fig2_glups -- 1024 1024 |

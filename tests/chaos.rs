@@ -128,9 +128,11 @@ fn worker_panic_and_quarantine_in_same_batch_coexist() {
     let verified = SplineBuilder::new(space(24), BuilderVersion::FusedSpmv)
         .expect("builder")
         .verified(VerifyConfig::default());
-    // Eight panels of lanes: the verified solve dispatches panels, and the
-    // injected panic needs its index 6 among them.
-    let mut b = rhs(24, 8 * LANE_WIDTH, 77);
+    // Seven runs of panels: the verified solve dispatches runs of four
+    // panels solved abreast (eight panels, one region index each, until the
+    // sweep went abreast), and the injected panic needs its index 6 among
+    // them.
+    let mut b = rhs(24, 7 * 4 * LANE_WIDTH, 77);
     b.set(5, 3, f64::NAN); // quarantine candidate
     let rhs_copy = b.clone();
 

@@ -1,18 +1,20 @@
 //! One differential table for the four solve routines and the builder.
 //!
 //! Each of `pttrs`, `pbtrs`, `gbtrs`, `getrs` has a single sweep in
-//! `pp-linalg`, instantiated for strided lanes (`batched::*`) and for
-//! interleaved panels (`*_resident`). The table below
-//! (routine × n ∈ {0, 1, 2, 17} × batch ∈ {1, 7, 8, 9, 16} × layout)
-//! holds every instantiation to two contracts:
+//! `pp-linalg`, instantiated for strided lanes (`batched::*`), for
+//! interleaved panels (`*_resident`) and for `P` panels abreast
+//! (`[Panel; P]`, what a worker's turn of the fused step solves). The table
+//! below (routine × n ∈ {0, 1, 2, 17} × batch ∈ {1, 7, 8, 9, 16} × layout,
+//! and × P ∈ {1, 2, 4} abreast with a partial last panel) holds every
+//! instantiation to two contracts:
 //!
 //! * **against the dense reference** (`pp_linalg::naive`): each lane's
 //!   error is at most [`REFERENCE_ULPS`] units in the last place of the
 //!   lane's largest component;
 //! * **across instantiations, bitwise**: a lane's `to_bits` are the same
-//!   from `batched::*` and `*_resident`, and do not
-//!   depend on the batch width, the layout, or whether the lane sits in
-//!   a full or a partial final panel. Right-hand sides include `+0.0` /
+//!   from `batched::*`, `*_resident` and any number of panels abreast, and
+//!   do not depend on the batch width, the layout, or whether the lane sits
+//!   in a full or a partial final panel. Right-hand sides include `+0.0` /
 //!   `-0.0` entries and an all-zero lane, which is where skip-branches
 //!   in one copy of a sweep used to show.
 //!
@@ -21,11 +23,13 @@
 //! `scripts/verify.sh` (spans live) — the numerics must not care.
 
 use batched_splines::prelude::*;
+use pp_bsplines::PanelIsa;
 use pp_linalg::{
     batched, gbtrf, gbtrs_resident, getrf, getrs_resident, naive, pbtrf, pbtrs_resident, pttrf,
-    pttrs_resident, BandedLu, BandedMatrix, CholeskyBanded, LuFactors, PtFactors, SymBandedMatrix,
+    pttrs_resident, BandedLu, BandedMatrix, CholeskyBanded, LuFactors, Panel, PtFactors,
+    SymBandedMatrix,
 };
-use pp_portable::{TestRng, LANE_WIDTH};
+use pp_portable::{HostField, TestRng, LANE_WIDTH};
 
 /// Stated bound against the dense reference, in ulps of the lane's
 /// largest solution component (both sides are backward-stable solves of
@@ -65,6 +69,26 @@ impl Factors {
             Factors::Pb(f) => pbtrs_resident(&Parallel, f, b),
             Factors::Gb(f) => gbtrs_resident(&Parallel, f, b),
             Factors::Ge(f) => getrs_resident(&Parallel, f, b),
+        }
+    }
+
+    /// The first `P · LANE_WIDTH − 3` lanes as `P` panels solved abreast
+    /// (the last one partial): every lane carries its canonical bits.
+    fn abreast<const P: usize>(&self, n: usize, canonical: &[Vec<u64>], what: &str) {
+        let batch = P * LANE_WIDTH - 3;
+        let packed = ResidentBatch::pack(&batch_rhs(n, batch, Layout::Left));
+        let mut panels: [Vec<f64>; P] = std::array::from_fn(|c| packed.panels().chunk(c).to_vec());
+        let mut rows = panels.each_mut().map(|panel| Panel::new(panel, n));
+        match self {
+            Factors::Pt(f) => f.solve_rows(&mut rows, 0),
+            Factors::Pb(f) => f.solve_rows(&mut rows, 0),
+            Factors::Gb(f) => f.solve_rows(&mut rows, 0),
+            Factors::Ge(f) => f.solve_rows(&mut rows, 0),
+        }
+        for (j, want) in canonical.iter().enumerate().take(batch) {
+            let lane = panels[j / LANE_WIDTH].iter().skip(j % LANE_WIDTH);
+            let got = bits(lane.step_by(LANE_WIDTH).copied());
+            assert_eq!(&got, want, "{what} {P} abreast lane {j}");
         }
     }
 }
@@ -172,7 +196,8 @@ fn lane_bits(m: &Matrix, j: usize) -> Vec<u64> {
 
 /// The whole table for one routine.
 fn differential(routine: Routine) {
-    let widest = BATCHES[BATCHES.len() - 1];
+    // Wide enough for four panels abreast.
+    let widest = 4 * LANE_WIDTH;
     for n in ORDERS {
         let (dense, factors) = routine.system(n);
         // Canonical bits of each lane: solved alone, as a batch of one.
@@ -209,6 +234,10 @@ fn differential(routine: Routine) {
                 }
             }
         }
+        let what = format!("{routine:?} n={n}");
+        factors.abreast::<1>(n, &canonical, &what);
+        factors.abreast::<2>(n, &canonical, &what);
+        factors.abreast::<4>(n, &canonical, &what);
     }
 }
 
@@ -235,12 +264,47 @@ fn getrs_pack_solve_unpack_matches_scalar_within_2_ulp() {
     differential(Routine::Getrs);
 }
 
+/// The coefficients `SplineBuilder::solve_then` hands out on `exec`, kept:
+/// from a resident batch and from the lane-contiguous host field of the
+/// same right-hand sides `rhs`, both as `(n, batch)` matrices.
+fn fused_coefficients<E: ExecSpace>(
+    exec: &E,
+    builder: &SplineBuilder,
+    rhs: &Matrix,
+) -> (Matrix, Matrix) {
+    let (n, batch) = rhs.shape();
+    let mut resident = ResidentBatch::pack(rhs);
+    let keep_panel = |_: usize, _: usize, coefs: &[f64], panel: &mut [f64]| {
+        panel.copy_from_slice(coefs);
+    };
+    builder.solve_then(exec, &mut resident, keep_panel).unwrap();
+    let mut host = Matrix::from_fn(batch, n, Layout::Right, |j, i| rhs.get(i, j));
+    let keep_lanes = |_: usize, _: usize, coefs: &[f64], block: &mut [f64]| {
+        for (l, lane) in block.chunks_exact_mut(n).enumerate() {
+            let column = coefs.iter().skip(l).step_by(LANE_WIDTH);
+            lane.iter_mut().zip(column).for_each(|(v, c)| *v = *c);
+        }
+    };
+    let mut field = HostField::new(&mut host).unwrap();
+    builder.solve_then(exec, &mut field, keep_lanes).unwrap();
+    let host = Matrix::from_fn(n, batch, Layout::Left, |i, j| host.get(j, i));
+    (resident.host().clone(), host)
+}
+
 /// Full pipeline: `BuilderVersion::Interleaved` is the scalar per-lane
 /// production version (`FusedSpmv`) instantiated for panels, so every
 /// coefficient carries the same bits — lanes of full chunks and of the
-/// partial final chunk alike.
+/// partial final chunk alike, and through every entry point: strided lanes,
+/// the resident panels one at a time, the fused entry point's runs of four,
+/// two and one panels abreast on both kinds of field, and the abreast solve
+/// in every instance this host has.
 #[test]
 fn builder_interleaved_matches_scalar_per_lane_within_2_ulp() {
+    // Runs of the fused entry point under `Serial`: 4 + (1 partial),
+    // 4 + 2 + 1, on top of the table's single and double panels.
+    let batches = BATCHES
+        .into_iter()
+        .chain([4 * LANE_WIDTH + 5, 7 * LANE_WIDTH]);
     for degree in [3usize, 4, 5] {
         for uniform in [true, false] {
             let breaks = if uniform {
@@ -251,17 +315,41 @@ fn builder_interleaved_matches_scalar_per_lane_within_2_ulp() {
             let space = PeriodicSplineSpace::new(breaks, degree).unwrap();
             let scalar = SplineBuilder::new(space.clone(), BuilderVersion::FusedSpmv).unwrap();
             let wide = SplineBuilder::new(space, BuilderVersion::Interleaved).unwrap();
-            for batch in BATCHES {
+            for batch in batches.clone() {
+                let what = format!("deg {degree} uniform {uniform} batch {batch}");
                 let rhs = batch_rhs(32, batch, Layout::Left);
                 let mut reference = rhs.clone();
                 scalar.solve_in_place(&Serial, &mut reference).unwrap();
                 let mut x = rhs.clone();
                 wide.solve_in_place(&Parallel, &mut x).unwrap();
+                for (fused, host) in [
+                    fused_coefficients(&Serial, &wide, &rhs),
+                    fused_coefficients(&Parallel, &wide, &rhs),
+                ] {
+                    for j in 0..batch {
+                        let want = lane_bits(&reference, j);
+                        assert_eq!(lane_bits(&fused, j), want, "{what} fused lane {j}");
+                        assert_eq!(lane_bits(&host, j), want, "{what} fused host lane {j}");
+                    }
+                }
+                let packed = ResidentBatch::pack(&rhs);
+                for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
+                    let chunks = 0..packed.panels().num_chunks();
+                    let mut panels: Vec<Vec<f64>> =
+                        chunks.map(|c| packed.panels().chunk(c).to_vec()).collect();
+                    wide.solve_panels_on(isa, &mut panels);
+                    for j in 0..batch {
+                        let lane = panels[j / LANE_WIDTH].iter().skip(j % LANE_WIDTH);
+                        let got = bits(lane.step_by(LANE_WIDTH).copied());
+                        let want = lane_bits(&reference, j);
+                        assert_eq!(got, want, "{what} abreast on {} lane {j}", isa.name());
+                    }
+                }
                 for j in 0..batch {
                     assert_eq!(
                         lane_bits(&x, j),
                         lane_bits(&reference, j),
-                        "deg {degree} uniform {uniform} batch {batch} lane {j}"
+                        "{what} lane {j}"
                     );
                 }
             }
