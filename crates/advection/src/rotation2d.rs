@@ -62,8 +62,9 @@ impl Rotation2D {
     /// Advance `field` by one rotation step (backward semi-Lagrangian:
     /// rotate each grid point back by `dtheta` and interpolate).
     ///
-    /// # Panics
-    /// Panics if `field` has the wrong shape.
+    /// # Errors
+    /// [`Error::ShapeMismatch`] if `field` is not `(nx, ny)`; the field is
+    /// left untouched.
     pub fn step<E: ExecSpace>(&mut self, exec: &E, field: &mut Matrix) -> Result<()> {
         let (nx, ny) = (self.px.len(), self.py.len());
         if field.shape() != (nx, ny) {

@@ -177,7 +177,10 @@ impl StepTimings {
 /// `∂f/∂t + v ∂f/∂x = 0` on a periodic `x` domain: each velocity-grid
 /// lane `v_j` advects independently, which is exactly the paper's
 /// benchmark (§III-C, "solving the advection term along the x direction
-/// while using batching along the v_x direction").
+/// while using batching along the v_x direction"). On a clamped space
+/// ([`pp_bsplines::SplineSpace::clamped`]) the same step has inflow
+/// boundaries: a foot outside `[x_min, x_max]` takes the spline's value at
+/// the nearer end.
 /// ```
 /// use pp_advection::{Advection1D, SplineBackend};
 /// use pp_bsplines::{Breaks, PeriodicSplineSpace};
@@ -508,7 +511,7 @@ impl Advection1D {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_bsplines::Breaks;
+    use pp_bsplines::{Breaks, SplineSpace};
     use pp_portable::{CountingExec, Parallel, Serial};
     use pp_splinesolver::SplineEvaluator;
 
@@ -990,18 +993,28 @@ mod tests {
         }
     }
 
+    /// The spaces the table tests step on: uniform cubic and graded quintic
+    /// periodic spaces, and a clamped one whose feet leave the domain.
+    fn table_spaces() -> [PeriodicSplineSpace; 3] {
+        let uniform = Breaks::uniform(32, 0.0, 1.0).unwrap();
+        let graded = Breaks::graded(32, 0.0, 1.0, 0.6).unwrap();
+        [
+            PeriodicSplineSpace::new(uniform, 3).unwrap(),
+            PeriodicSplineSpace::new(graded.clone(), 5).unwrap(),
+            SplineSpace::clamped(graded, 3).unwrap(),
+        ]
+    }
+
     /// One body, two kinds of field: `step` on the `(Nv, Nx)` row-major
     /// field is `step_resident` on `pack_transposed` of it, bit for bit —
     /// every backend and builder version, full, partial and lone blocks,
-    /// both mesh kinds, two steps in a row. Row-major is the one layout
-    /// `step` accepts: a lane-interleaved `Layout::Left` field is refused.
+    /// both mesh kinds and both boundaries, two steps in a row. Row-major is
+    /// the one layout `step` accepts: a lane-interleaved `Layout::Left`
+    /// field is refused.
     #[test]
     fn host_step_is_the_resident_step_bitwise() {
-        for (breaks, degree) in [
-            (Breaks::uniform(32, 0.0, 1.0).unwrap(), 3),
-            (Breaks::graded(32, 0.0, 1.0, 0.6).unwrap(), 5),
-        ] {
-            let space = PeriodicSplineSpace::new(breaks, degree).unwrap();
+        for space in table_spaces() {
+            let degree = format!("{} periodic {}", space.degree(), space.is_periodic());
             for nv in [1, 7, 8, 5 * LANE_WIDTH + 3] {
                 let velocities: Vec<f64> = (0..nv).map(|j| 0.2 - 0.05 * j as f64).collect();
                 let backends = every_backend(&space).into_iter();
@@ -1106,11 +1119,8 @@ mod tests {
     fn step_matches_algorithm_2_composed_from_layer_calls() {
         use pp_portable::transpose_into_with;
         fn run<E: ExecSpace>(exec: &E, exec_name: &str) {
-            for (breaks, degree) in [
-                (Breaks::uniform(32, 0.0, 1.0).unwrap(), 3),
-                (Breaks::graded(32, 0.0, 1.0, 0.6).unwrap(), 5),
-            ] {
-                let space = PeriodicSplineSpace::new(breaks, degree).unwrap();
+            for space in table_spaces() {
+                let degree = format!("{} periodic {}", space.degree(), space.is_periodic());
                 for nv in [1usize, 7, 8, 9, 17] {
                     let what = format!("{exec_name} degree {degree} nv {nv}");
                     let (nx, dt) = (space.num_basis(), 1e-2);

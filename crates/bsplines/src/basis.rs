@@ -3,8 +3,13 @@
 //! This is the textbook "BasisFuns" algorithm (Piegl & Tiller): at a point
 //! `x` inside knot span `[τ_span, τ_span+1)`, exactly `degree + 1` basis
 //! functions are non-zero — `B_{span−degree} … B_{span}` — and they are
-//! computed together, stably, with no divisions by repeated-knot zeros for
-//! the strictly increasing knot vectors used here.
+//! computed together, stably. Every divisor spans `[τ_span, τ_span+1]`, so
+//! a non-empty span never divides by a repeated-knot zero, on a clamped
+//! space's open knot vector included.
+//!
+//! No space evaluates through it: [`crate::SplineSpace`] runs the
+//! division-free triangle of `kernel.rs`, and this is the oracle
+//! `tests/kernel_differential.rs` holds that kernel to.
 
 /// Largest supported spline degree (the paper evaluates 3, 4 and 5).
 pub const MAX_DEGREE_BASIS: usize = 5;

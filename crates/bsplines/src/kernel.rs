@@ -1,5 +1,5 @@
-//! The division-free Cox–de Boor body behind every periodic basis
-//! evaluation (DESIGN.md §16).
+//! The division-free Cox–de Boor body behind every basis evaluation
+//! (DESIGN.md §16).
 //!
 //! [`crate::basis::eval_nonzero_basis`] divides by a knot difference in
 //! every one of the triangle's `d(d+1)/2` steps. Those differences depend
@@ -19,8 +19,8 @@ use pp_portable::LANE_WIDTH;
 use std::sync::OnceLock;
 
 /// The instruction sets a lane-vector body is compiled for: the lane walk
-/// behind [`crate::PeriodicSplineSpace::eval_lane`] and
-/// [`crate::PeriodicSplineSpace::eval_panel`], and the verified solve's
+/// behind [`crate::SplineSpace::eval_lane`] and
+/// [`crate::SplineSpace::eval_panel`], and the verified solve's
 /// panel screen in `pp-splinesolver`. One source, one instance each
 /// ([`PanelIsa::run`]); rustc never contracts `a·b + c` into a fused
 /// multiply-add, so every instance returns the same bits.

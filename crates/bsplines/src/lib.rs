@@ -1,12 +1,13 @@
-//! # pp-bsplines — periodic B-spline spaces
+//! # pp-bsplines — B-spline spaces
 //!
 //! B-spline machinery for the spline solver: knot vectors (uniform and
 //! non-uniform, §II-A of the paper motivates non-uniform meshes for steep
-//! equilibrium gradients), Cox–de Boor basis evaluation, periodic spline
-//! spaces of degree 3/4/5, Greville interpolation points, and assembly of
-//! the interpolation (collocation) matrix `A` of equation (2) — the matrix
-//! whose sparsity pattern is the paper's Fig. 1 and whose sub-matrix
-//! classification is its Table I.
+//! equilibrium gradients), Cox–de Boor basis evaluation, spline spaces of
+//! degree 3/4/5 — periodic, or clamped for non-periodic directions —,
+//! Greville interpolation points, and assembly of the interpolation
+//! (collocation) matrix `A` of equation (2) — the matrix whose sparsity
+//! pattern is the paper's Fig. 1 and whose sub-matrix classification is
+//! its Table I.
 //!
 //! ## Conventions
 //!
@@ -17,7 +18,9 @@
 //! `g_k = (τ_{k+1} + … + τ_{k+d}) / d`, which for uniform knots places
 //! odd-degree points on the break points and even-degree points on cell
 //! midpoints — exactly the alignment that makes the interior of `A` banded
-//! with thin periodic corner blocks.
+//! with thin periodic corner blocks. A clamped space
+//! ([`SplineSpace::clamped`]) repeats `t_0` and `t_n` instead, has
+//! `n + degree` degrees of freedom, and its `A` is banded with no corners.
 //!
 //! ```
 //! use pp_bsplines::{Breaks, PeriodicSplineSpace};
@@ -44,16 +47,14 @@
 #![allow(clippy::int_plus_one)]
 
 pub mod basis;
-pub mod clamped;
 pub mod error;
 mod kernel;
 pub mod knots;
 pub mod matrix;
 pub mod space;
 
-pub use clamped::ClampedSplineSpace;
 pub use error::{Error, Result};
 pub use kernel::PanelIsa;
 pub use knots::Breaks;
 pub use matrix::{assemble_interpolation_matrix, SplineMatrixStructure};
-pub use space::{PeriodicSplineSpace, PointPlacement, MAX_DEGREE};
+pub use space::{PeriodicSplineSpace, PointPlacement, SplineSpace, MAX_DEGREE};

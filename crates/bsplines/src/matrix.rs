@@ -2,12 +2,13 @@
 //!
 //! `A[k][j] = B_j(g_k)` — equation (2) of the paper. For a periodic space
 //! the matrix is banded except for thin corner blocks created by the
-//! wrap-around basis functions (Fig. 1). [`SplineMatrixStructure`]
-//! measures that structure: the minimal *border width* `b` such that the
-//! leading `(n−b)×(n−b)` block `Q` is banded, plus `Q`'s bandwidths and
-//! symmetry — the inputs to the Table I solver classification.
+//! wrap-around basis functions (Fig. 1); for a clamped one it is banded.
+//! [`SplineMatrixStructure`] measures that structure: the minimal *border
+//! width* `b` such that the leading `(n−b)×(n−b)` block `Q` is banded (0
+//! for a clamped space), plus `Q`'s bandwidths and symmetry — the inputs
+//! to the Table I solver classification.
 
-use crate::space::{PeriodicSplineSpace, MAX_DEGREE};
+use crate::space::{SplineSpace, MAX_DEGREE};
 use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::{Layout, Matrix};
 
@@ -18,9 +19,9 @@ use pp_portable::{Layout, Matrix};
 /// in between is safe; 1e-10 leaves a wide margin on both sides.
 const STRUCTURAL_EPS: f64 = 1e-10;
 
-/// Assemble the dense periodic interpolation matrix
-/// (`n × n`, row `k` = interpolation point `g_k`).
-pub fn assemble_interpolation_matrix(space: &PeriodicSplineSpace) -> Matrix {
+/// Assemble the dense interpolation matrix (`num_basis()` square, row `k`
+/// = interpolation point `g_k`).
+pub fn assemble_interpolation_matrix(space: &SplineSpace) -> Matrix {
     let _span = Span::enter(PhaseId::Assemble);
     let n = space.num_basis();
     let mut a = Matrix::zeros(n, n, Layout::Right);
@@ -37,7 +38,7 @@ pub fn assemble_interpolation_matrix(space: &PeriodicSplineSpace) -> Matrix {
     a
 }
 
-/// Structural summary of a periodic spline matrix.
+/// Structural summary of a spline matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SplineMatrixStructure {
     /// Matrix order `n`.
@@ -57,12 +58,15 @@ pub struct SplineMatrixStructure {
 }
 
 impl SplineMatrixStructure {
-    /// Analyse a dense periodic spline matrix: find the smallest border
-    /// `b ≥ 1` whose interior `Q` is banded with bandwidths at most
-    /// `max_band`, then measure `Q`'s actual bandwidths and symmetry.
+    /// Analyse a dense spline matrix: find the smallest border `b ≥ 0`
+    /// whose interior `Q` is banded with bandwidths at most `max_band`,
+    /// then measure `Q`'s actual bandwidths and symmetry. A banded matrix —
+    /// a clamped space's — has border 0; a periodic one of degree ≥ 2 never
+    /// does, its corner entries sitting `n − 1 > 2·degree` off the diagonal
+    /// (degree 1 collocates at the knots: `A = I`).
     ///
     /// Returns `None` if no border up to `n/2` produces a banded interior
-    /// (i.e. the matrix is not of periodic-spline form).
+    /// (i.e. the matrix is not of spline form).
     pub fn analyze(a: &Matrix, max_band: usize) -> Option<Self> {
         let n = a.nrows();
         if a.ncols() != n || n == 0 {
@@ -75,7 +79,7 @@ impl SplineMatrixStructure {
         let tol = scale * STRUCTURAL_EPS;
         let nz = |i: usize, j: usize| a.get(i, j).abs() > tol;
 
-        'border: for b in 1..=n / 2 {
+        'border: for b in 0..=n / 2 {
             let q = n - b;
             // Interior must be banded within max_band.
             for i in 0..q {
@@ -131,10 +135,10 @@ impl SplineMatrixStructure {
     }
 
     /// Analyse the interpolation matrix of a spline space directly.
-    pub fn of_space(space: &PeriodicSplineSpace) -> Self {
+    pub fn of_space(space: &SplineSpace) -> Self {
         let a = assemble_interpolation_matrix(space);
         Self::analyze(&a, space.degree())
-            .expect("periodic spline matrices are banded-plus-border by construction")
+            .expect("spline matrices are banded-plus-border by construction")
     }
 }
 
@@ -143,13 +147,13 @@ mod tests {
     use super::*;
     use crate::knots::Breaks;
 
-    fn space(n: usize, degree: usize, uniform: bool) -> PeriodicSplineSpace {
+    fn space(n: usize, degree: usize, uniform: bool) -> SplineSpace {
         let breaks = if uniform {
             Breaks::uniform(n, 0.0, 1.0).unwrap()
         } else {
             Breaks::graded(n, 0.0, 1.0, 0.6).unwrap()
         };
-        PeriodicSplineSpace::new(breaks, degree).unwrap()
+        SplineSpace::new(breaks, degree).unwrap()
     }
 
     #[test]
@@ -157,10 +161,14 @@ mod tests {
         // Partition of unity: every row of A sums to 1.
         for degree in [3, 4, 5] {
             for uniform in [true, false] {
-                let a = assemble_interpolation_matrix(&space(16, degree, uniform));
-                for i in 0..16 {
-                    let s: f64 = (0..16).map(|j| a.get(i, j)).sum();
-                    assert!((s - 1.0).abs() < 1e-13, "deg {degree} uniform {uniform}");
+                let periodic = space(16, degree, uniform);
+                let clamped = SplineSpace::clamped(periodic.breaks().clone(), degree).unwrap();
+                for sp in [periodic, clamped] {
+                    let (a, nb) = (assemble_interpolation_matrix(&sp), sp.num_basis());
+                    for i in 0..nb {
+                        let s: f64 = (0..nb).map(|j| a.get(i, j)).sum();
+                        assert!((s - 1.0).abs() < 1e-13, "deg {degree} uniform {uniform}");
+                    }
                 }
             }
         }
@@ -240,9 +248,9 @@ mod tests {
             }
         });
         let s = SplineMatrixStructure::analyze(&tri, 3).unwrap();
-        assert_eq!(s.border, 1);
+        assert_eq!(s.border, 0);
         assert_eq!((s.q_kl, s.q_ku), (1, 1));
-        assert_eq!(s.gamma_nnz, 1); // A[8][9] sits in the gamma block
+        assert_eq!((s.gamma_nnz, s.lambda_nnz), (0, 0));
     }
 
     #[test]

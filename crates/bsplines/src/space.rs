@@ -1,5 +1,5 @@
-//! Periodic B-spline spaces: basis evaluation, Greville points, spline
-//! evaluation.
+//! B-spline spaces, periodic or clamped: basis evaluation, Greville
+//! points, spline evaluation.
 
 use crate::error::{Error, Result};
 use crate::kernel::{self, Cardinal, Lanes, PanelIsa, Tabulated};
@@ -9,7 +9,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 thread_local! {
-    /// This thread's column scratch ([`PeriodicSplineSpace::with_columns`]):
+    /// This thread's column scratch ([`SplineSpace::with_columns`]):
     /// one lane's coefficients, then its positions, each contiguous. Grown
     /// on first use, reused for every lane after.
     static COLUMNS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
@@ -37,10 +37,12 @@ pub enum PointPlacement {
 
 /// Call the instance of a kernel method for the space's degree and mesh
 /// kind (`const D`, `const UNIFORM`, then any `[extra]` const arguments):
-/// one dispatch per call, none per point.
+/// one dispatch per call, none per point. `UNIFORM` means uniform and
+/// periodic: a clamped space's end cells, with their repeated knots, are
+/// not cardinal.
 macro_rules! monomorphised {
     ($space:expr, $method:ident $([$($extra:tt)*])? ($($arg:expr),*)) => {
-        match ($space.degree, $space.breaks.is_uniform()) {
+        match ($space.degree, $space.periodic && $space.breaks.is_uniform()) {
             (1, true) => $space.$method::<1, true $(, $($extra)*)?>($($arg),*),
             (2, true) => $space.$method::<2, true $(, $($extra)*)?>($($arg),*),
             (3, true) => $space.$method::<3, true $(, $($extra)*)?>($($arg),*),
@@ -56,29 +58,36 @@ macro_rules! monomorphised {
     };
 }
 
-/// A periodic spline space of a given degree over a set of break points.
+/// A spline space of a given degree over a set of break points, periodic
+/// or clamped: one type, one evaluation body.
 ///
-/// The space has exactly `n = breaks.num_cells()` degrees of freedom;
-/// periodic basis function `k` is the wrap-around identification
-/// `B_k = Σ_p B^ext_{k + p·n}` of the extended-knot B-splines.
+/// A periodic space has exactly `n = breaks.num_cells()` degrees of
+/// freedom; periodic basis function `k` is the wrap-around identification
+/// `B_k = Σ_p B^ext_{k + p·n}` of the extended-knot B-splines. A clamped
+/// space ([`SplineSpace::clamped`]) has `n + degree`, and its interpolation
+/// matrix is banded — GYSELA's radial and v∥ directions.
 #[derive(Debug, Clone)]
-pub struct PeriodicSplineSpace {
+pub struct SplineSpace {
     degree: usize,
     breaks: Breaks,
-    /// Extended knot vector `τ_0 … τ_{n+2d}` with `d` periodically wrapped
-    /// intervals on each side: `τ_j = t_{j−d}` extended by ±L.
+    /// Extended knot vector `τ_0 … τ_{n+2d}`, `τ_{j+d} = t_j`: `d` intervals
+    /// wrapped (±L) on each side, or `t_0` and `t_n` repeated if clamped.
     ext_knots: Vec<f64>,
     n: usize,
+    periodic: bool,
     placement: PointPlacement,
     /// Cells per unit length, `n / L`.
     inv_h: f64,
     /// Reciprocal knot differences of the Cox–de Boor triangle, level by
-    /// level ([`kernel::recip_levels`]); empty on uniform meshes, which use
-    /// the constant cardinal row. Shared, so clones of the space stay cheap.
+    /// level ([`kernel::recip_levels`]); empty on uniform periodic meshes,
+    /// which use the constant cardinal row. Shared, so clones stay cheap.
     recip: Arc<[f64]>,
 }
 
-impl PeriodicSplineSpace {
+/// [`SplineSpace`] by the name most of the stack uses; `new` is periodic.
+pub type PeriodicSplineSpace = SplineSpace;
+
+impl SplineSpace {
     /// Build a periodic space. `degree` must be in `1..=5` and the mesh
     /// must have more than `2·degree` cells (so that periodic images of a
     /// basis function never overlap themselves).
@@ -93,28 +102,49 @@ impl PeriodicSplineSpace {
         degree: usize,
         placement: PointPlacement,
     ) -> Result<Self> {
+        Self::build(breaks, degree, placement, true)
+    }
+
+    /// Build a clamped space on the open knot vector: `degree` in `1..=5`,
+    /// more than `degree` cells, `n + degree` degrees of freedom and
+    /// Greville points from end to end.
+    ///
+    /// ```
+    /// # use pp_bsplines::{Breaks, SplineSpace};
+    /// let s = SplineSpace::clamped(Breaks::uniform(16, 0.0, 1.0).unwrap(), 3).unwrap();
+    /// assert_eq!((s.num_basis(), s.interpolation_points()[18]), (19, 1.0));
+    /// ```
+    pub fn clamped(breaks: Breaks, degree: usize) -> Result<Self> {
+        Self::build(breaks, degree, PointPlacement::Greville, false)
+    }
+
+    fn build(breaks: Breaks, degree: usize, place: PointPlacement, periodic: bool) -> Result<Self> {
         if degree == 0 || degree > MAX_DEGREE {
             return Err(Error::UnsupportedDegree { degree });
         }
         let n = breaks.num_cells();
-        if n <= 2 * degree {
+        if n <= if periodic { 2 * degree } else { degree } {
             return Err(Error::TooFewCells { cells: n, degree });
         }
         let l = breaks.period();
         let t = breaks.points();
-        let mut ext_knots = Vec::with_capacity(n + 2 * degree + 1);
-        for j in 0..(n + 2 * degree + 1) {
-            let idx = j as isize - degree as isize;
-            let tau = if idx < 0 {
-                t[(idx + n as isize) as usize] - l
-            } else if idx > n as isize {
-                t[(idx - n as isize) as usize] + l
-            } else {
-                t[idx as usize]
-            };
-            ext_knots.push(tau);
-        }
-        let recip = if breaks.is_uniform() {
+        let ext_knots: Vec<f64> = (0..n + 2 * degree + 1)
+            .map(|j| {
+                let idx = j as isize - degree as isize;
+                if !periodic {
+                    t[idx.clamp(0, n as isize) as usize]
+                } else if idx < 0 {
+                    t[(idx + n as isize) as usize] - l
+                } else if idx > n as isize {
+                    t[(idx - n as isize) as usize] + l
+                } else {
+                    t[idx as usize]
+                }
+            })
+            .collect();
+        // A clamped table holds `1/0` at the repeated knots; no span of a
+        // cell reads those entries (DESIGN.md §16).
+        let recip = if periodic && breaks.is_uniform() {
             Vec::new()
         } else {
             kernel::recip_levels(&ext_knots, degree)
@@ -126,8 +156,14 @@ impl PeriodicSplineSpace {
             breaks,
             ext_knots,
             n,
-            placement,
+            periodic,
+            placement: place,
         })
+    }
+
+    /// Whether the space is periodic (else clamped).
+    pub fn is_periodic(&self) -> bool {
+        self.periodic
     }
 
     /// The active interpolation-point placement.
@@ -145,9 +181,10 @@ impl PeriodicSplineSpace {
         &self.breaks
     }
 
-    /// Number of periodic basis functions / degrees of freedom.
+    /// Number of basis functions / degrees of freedom: `n`, or `n + degree`
+    /// if clamped.
     pub fn num_basis(&self) -> usize {
-        self.n
+        self.n + if self.periodic { 0 } else { self.degree }
     }
 
     /// The extended knot vector (mainly for tests and diagnostics).
@@ -155,8 +192,10 @@ impl PeriodicSplineSpace {
         &self.ext_knots
     }
 
-    /// Map `x` into the fundamental period `[x_min, x_max)`. A point
-    /// already inside is returned unchanged; NaN and ±∞ map to NaN.
+    /// Bring `x` into the domain: into the period `[x_min, x_max)`, or
+    /// clamped to `[x_min, x_max]` in a clamped space. A point already in
+    /// `[x_min, x_max)` is returned unchanged; NaN maps to NaN, and so do
+    /// ±∞ in a periodic space.
     #[inline]
     pub fn wrap(&self, x: f64) -> f64 {
         if x >= self.breaks.x_min() && x < self.breaks.x_max() {
@@ -166,13 +205,16 @@ impl PeriodicSplineSpace {
         }
     }
 
-    /// [`Self::wrap`] for a point outside the period (or not a number):
-    /// the one division and `floor` left in evaluation, kept out of line.
+    /// [`Self::wrap`] outside `[x_min, x_max)` or for a NaN: the one
+    /// division and `floor` left in evaluation, kept out of line.
     #[cold]
     #[inline(never)]
     fn wrap_outside(&self, x: f64) -> f64 {
         let x0 = self.breaks.x_min();
         let x1 = self.breaks.x_max();
+        if !self.periodic {
+            return x.clamp(x0, x1);
+        }
         let l = x1 - x0;
         let w = x - l * ((x - x0) / l).floor();
         // The quotient's rounding can leave `w` a few ulps outside either
@@ -185,7 +227,7 @@ impl PeriodicSplineSpace {
     }
 
     /// Index of the cell containing `wrap(x)`: the `c` with
-    /// `t_c <= wrap(x) < t_{c+1}` (cell 0 for a non-finite `x`).
+    /// `t_c <= wrap(x) < t_{c+1}` (the last for `x_max`, 0 for a NaN).
     #[inline]
     pub fn cell_of(&self, x: f64) -> usize {
         let w = self.wrap(x);
@@ -196,7 +238,7 @@ impl PeriodicSplineSpace {
         }
     }
 
-    /// Cell of `w` in `[x_min, x_max)`: multiply and correct on a uniform
+    /// Cell of `w` in `[x_min, x_max]`: multiply and correct on a uniform
     /// mesh (the product's rounding and the mesh's 1e-12 slack are worth a
     /// cell at most), binary search otherwise — `partition_point`'s answer
     /// either way, and cell 0 for a NaN, which fails every comparison.
@@ -253,7 +295,7 @@ impl PeriodicSplineSpace {
     /// a run, point `j` in cell `cell + j` (so `cell + LANE_WIDTH <= n`) and
     /// every operand one contiguous load.
     ///
-    /// A uniform mesh gets the cardinal form, which sees the local
+    /// A uniform periodic mesh gets the cardinal form, which sees the local
     /// coordinate only. Cells of an `is_uniform()` mesh are equal to 1e-12
     /// relative, so that is the form's accuracy there.
     #[inline(always)]
@@ -289,8 +331,8 @@ impl PeriodicSplineSpace {
     /// Evaluate the `degree + 1` non-vanishing basis functions at `x`.
     ///
     /// Returns the containing cell `c`; `out[m]` holds the value of the
-    /// periodic basis function with index [`Self::coef_index`]`(c, m)`.
-    /// A non-finite `x` gives NaN values in cell 0.
+    /// basis function with index [`Self::coef_index`]`(c, m)`. Where
+    /// [`Self::wrap`] makes `x` NaN, the values are NaN, in cell 0.
     #[inline]
     pub fn eval_basis(&self, x: f64, out: &mut [f64; MAX_DEGREE + 1]) -> usize {
         let (cell, vals) = monomorphised!(self, basis_at[false](x, None));
@@ -307,20 +349,20 @@ impl PeriodicSplineSpace {
         cell
     }
 
-    /// Periodic coefficient index of local basis `m` in cell `cell`.
+    /// Coefficient index of local basis `m` in cell `cell`, wrapped if periodic.
     #[inline]
     pub fn coef_index(&self, cell: usize, m: usize) -> usize {
-        (cell + m) % self.n
+        (cell + m) % self.num_basis()
     }
 
-    /// Greville abscissa of periodic basis `k`, wrapped into the domain:
+    /// Greville abscissa of basis `k`, brought into the domain:
     /// `g_k = (τ_{k+1} + … + τ_{k+d}) / d`.
     ///
-    /// For uniform meshes this lands on break points (odd degree) or cell
-    /// midpoints (even degree) — the alignment that keeps the
+    /// For uniform periodic meshes this lands on break points (odd degree)
+    /// or cell midpoints (even degree) — the alignment that keeps the
     /// interpolation matrix banded apart from thin periodic corners.
     pub fn greville(&self, k: usize) -> f64 {
-        debug_assert!(k < self.n);
+        debug_assert!(k < self.num_basis());
         let d = self.degree;
         let s: f64 = self.ext_knots[k + 1..=k + d].iter().sum();
         self.wrap(s / d as f64)
@@ -349,12 +391,14 @@ impl PeriodicSplineSpace {
         }
     }
 
-    /// The `n` interpolation points, in basis order.
+    /// The [`Self::num_basis`] interpolation points, in basis order.
     pub fn interpolation_points(&self) -> Vec<f64> {
-        (0..self.n).map(|k| self.interpolation_point(k)).collect()
+        (0..self.num_basis())
+            .map(|k| self.interpolation_point(k))
+            .collect()
     }
 
-    /// Evaluate the periodic spline with coefficients `coefs` at `x`.
+    /// Evaluate the spline with coefficients `coefs` at `x`.
     ///
     /// # Panics
     /// Panics if `coefs.len() != num_basis()`.
@@ -369,11 +413,11 @@ impl PeriodicSplineSpace {
         y
     }
 
-    /// Evaluate the periodic spline with coefficients `coefs` at every
-    /// position, `out[i] = s(positions[i])`: one lane of a batched
-    /// evaluation, through whatever strides the three views carry.
-    /// Positions may lie anywhere and in any order; each result depends on
-    /// `(self, coefs, positions[i])` only. A non-finite position gives NaN.
+    /// Evaluate the spline with coefficients `coefs` at every position,
+    /// `out[i] = s(positions[i])`: one lane of a batched evaluation,
+    /// through whatever strides the three views carry. Positions may lie
+    /// anywhere ([`Self::wrap`]) and in any order; each result depends on
+    /// `(self, coefs, positions[i])` only. NaN positions give NaN.
     ///
     /// Eight consecutive positions that sit in eight consecutive cells — a
     /// displaced sweep, the feet of a semi-Lagrangian lane — are evaluated
@@ -384,13 +428,14 @@ impl PeriodicSplineSpace {
     /// Panics if `coefs.len() != num_basis()` or
     /// `positions.len() != out.len()`.
     pub fn eval_lane(&self, coefs: Strided<'_>, positions: Strided<'_>, mut out: StridedMut<'_>) {
-        assert_eq!(coefs.len(), self.n, "eval: coefficient count");
+        let nb = self.num_basis();
+        assert_eq!(coefs.len(), nb, "eval: coefficient count");
         assert_eq!(positions.len(), out.len(), "eval: position count");
         self.with_columns(1, positions.len(), 1, |col, xs, ys| {
             // Only a run reads the column: a few points need none.
             if xs.len() >= LANE_WIDTH {
                 col.iter_mut().zip(coefs.iter()).for_each(|(c, v)| *c = v);
-                col.copy_within(..self.degree, self.n);
+                col.copy_within(..self.n + self.degree - nb, nb);
             }
             xs.iter_mut()
                 .zip(positions.iter())
@@ -401,9 +446,10 @@ impl PeriodicSplineSpace {
     }
 
     /// Lend `body` this thread's scratch as `lanes` coefficient columns of
-    /// `n + degree` values (for `column[k] = coefs[k mod n]`: the stencil of
-    /// a cell is `column[cell..=cell + degree]`, nothing to wrap), a position
-    /// column and `results` result columns of `rows` values. `body` must not
+    /// `n + degree` values (a lane's coefficients, periodic ones followed by
+    /// their first `degree`: the stencil of a cell is `column[cell..=cell +
+    /// degree]`, nothing to wrap), a position column and `results` result
+    /// columns of `rows` values. `body` must not
     /// evaluate on this thread through anything but [`Self::walk_on`].
     fn with_columns<R>(
         &self,
@@ -438,19 +484,19 @@ impl PeriodicSplineSpace {
         out: &mut [f64],
         mut cell: usize,
     ) -> usize {
-        let n = self.n;
+        let nb = self.num_basis();
         for (y, &x) in out.iter_mut().zip(xs) {
             let vals;
             (cell, vals) = self.basis_at::<D, UNIFORM, false>(x, Some(cell));
             let mut s = 0.0;
-            if cell + D < n {
+            if cell + D < nb {
                 for m in 0..=D {
                     s += vals[m] * coefs[cell + m];
                 }
             } else {
                 for m in 0..=D {
                     let k = cell + m;
-                    s += vals[m] * coefs[if k < n { k } else { k - n }];
+                    s += vals[m] * coefs[if k < nb { k } else { k - nb }];
                 }
             }
             *y = s;
@@ -467,12 +513,12 @@ impl PeriodicSplineSpace {
     /// cell, it is evaluated eight-wide exactly when `c0 + 8 <= n` and
     /// `t[c0 + j] <= x_j < t[c0 + j + 1]` for every `j` — two contiguous
     /// loads and two compares. That is [`Self::cell_search`]'s predicate
-    /// (and puts every point inside the period, where [`Self::wrap`] is the
-    /// identity), so point `j`'s cell is the `c0 + j` the scalar body would
+    /// (and puts every point inside `[x_min, x_max)`, where [`Self::wrap`]
+    /// is the identity), so point `j`'s cell is the `c0 + j` the scalar body would
     /// find, whatever produced `c0`; [`Self::basis_in`] then performs the
     /// scalar instance's operations in the scalar instance's order on each
     /// of the eight, and the dot product runs over `m` as the scalar one
-    /// does. Any other run — not a sweep, on the period's edge, holding a
+    /// does. Any other run — not a sweep, on the domain's edge, holding a
     /// NaN — and the tail go through [`Self::eval_points`].
     #[inline(always)]
     fn walk<const D: usize, const UNIFORM: bool>(
@@ -653,15 +699,15 @@ impl PeriodicSplineSpace {
         F: FnMut(usize, &mut [f64]),
     {
         const W: usize = LANE_WIDTH;
-        assert_eq!(coefs.len(), self.n * W, "eval_panel: coefficients");
-        let (n, wrapped, rows) = (self.n, self.n + self.degree, xs.len());
+        let (nb, wrapped, rows) = (self.num_basis(), self.n + self.degree, xs.len());
+        assert_eq!(coefs.len(), nb * W, "eval_panel: coefficients");
         deinterleave(coefs, wrapped, cols);
         let mut vector_runs = 0;
         for (l, ys) in out.chunks_exact_mut(rows.max(1)).take(lanes).enumerate() {
             let col = &mut cols[l * wrapped..][..wrapped];
-            col.copy_within(..self.degree, n);
+            col.copy_within(..wrapped - nb, nb);
             feet(l, xs);
-            let lane = Strided::new(&coefs[l..], n, W);
+            let lane = Strided::new(&coefs[l..], nb, W);
             vector_runs += self.walk_on(isa, lane, col, xs, ys);
         }
         vector_runs
@@ -672,7 +718,11 @@ impl PeriodicSplineSpace {
     /// # Panics
     /// Panics if `coefs.len() != num_basis()`.
     pub fn eval_deriv(&self, coefs: &[f64], x: f64) -> f64 {
-        assert_eq!(coefs.len(), self.n, "eval_deriv: coefficient count");
+        assert_eq!(
+            coefs.len(),
+            self.num_basis(),
+            "eval_deriv: coefficient count"
+        );
         let mut vals = [0.0; MAX_DEGREE + 1];
         let cell = self.eval_basis_deriv(x, &mut vals);
         let mut s = 0.0;
@@ -682,7 +732,7 @@ impl PeriodicSplineSpace {
         s
     }
 
-    /// Integral of the periodic spline over one period:
+    /// Integral of the spline over the domain (one period):
     /// `∫ s = Σ_k c_k · w_k` with `w_k = (τ_{k+d+1} − τ_k)/(d+1)` (the
     /// classic B-spline integral; the wrapped pieces of each periodic
     /// basis tile exactly one support's worth of measure). Used for
@@ -691,10 +741,14 @@ impl PeriodicSplineSpace {
     /// # Panics
     /// Panics if `coefs.len() != num_basis()`.
     pub fn integrate(&self, coefs: &[f64]) -> f64 {
-        assert_eq!(coefs.len(), self.n, "integrate: coefficient count");
+        assert_eq!(
+            coefs.len(),
+            self.num_basis(),
+            "integrate: coefficient count"
+        );
         let d = self.degree;
         let mut total = 0.0;
-        for k in 0..self.n {
+        for k in 0..self.num_basis() {
             let w = (self.ext_knots[k + d + 1] - self.ext_knots[k]) / (d as f64 + 1.0);
             total += w * coefs[k];
         }
@@ -708,10 +762,10 @@ impl PeriodicSplineSpace {
     /// production path is the Schur-complement builder in
     /// `pp-splinesolver`.
     pub fn interpolate_naive(&self, values: &[f64]) -> Result<Vec<f64>> {
-        if values.len() != self.n {
+        if values.len() != self.num_basis() {
             return Err(Error::LengthMismatch {
                 op: "interpolate_naive",
-                expected: self.n,
+                expected: self.num_basis(),
                 actual: values.len(),
             });
         }
@@ -746,24 +800,28 @@ mod tests {
     use super::*;
     use pp_portable::TestRng;
 
-    fn uniform_space(n: usize, degree: usize) -> PeriodicSplineSpace {
-        PeriodicSplineSpace::new(Breaks::uniform(n, 0.0, 1.0).unwrap(), degree).unwrap()
+    fn uniform_space(n: usize, degree: usize) -> SplineSpace {
+        SplineSpace::new(Breaks::uniform(n, 0.0, 1.0).unwrap(), degree).unwrap()
+    }
+
+    fn clamped_space(n: usize, degree: usize) -> SplineSpace {
+        SplineSpace::clamped(Breaks::uniform(n, 0.0, 1.0).unwrap(), degree).unwrap()
     }
 
     #[test]
     fn construction_validates() {
-        assert!(matches!(
-            PeriodicSplineSpace::new(Breaks::uniform(8, 0.0, 1.0).unwrap(), 0),
-            Err(Error::UnsupportedDegree { .. })
-        ));
-        assert!(matches!(
-            PeriodicSplineSpace::new(Breaks::uniform(8, 0.0, 1.0).unwrap(), 6),
-            Err(Error::UnsupportedDegree { .. })
-        ));
-        assert!(matches!(
-            PeriodicSplineSpace::new(Breaks::uniform(6, 0.0, 1.0).unwrap(), 3),
-            Err(Error::TooFewCells { .. })
-        ));
+        let uniform = |n| Breaks::uniform(n, 0.0, 1.0).unwrap();
+        for build in [SplineSpace::new, SplineSpace::clamped] {
+            for degree in [0, 6] {
+                let built = build(uniform(8), degree);
+                assert!(matches!(built, Err(Error::UnsupportedDegree { .. })));
+            }
+        }
+        let too_few = |s: Result<SplineSpace>| matches!(s, Err(Error::TooFewCells { .. }));
+        assert!(too_few(SplineSpace::new(uniform(6), 3)));
+        // No periodic image to overlap: more than `degree` cells will do.
+        assert!(too_few(SplineSpace::clamped(uniform(3), 3)));
+        assert!(!clamped_space(4, 3).is_periodic() && uniform_space(8, 3).is_periodic());
     }
 
     #[test]
@@ -780,6 +838,11 @@ mod tests {
         for w in k.windows(2) {
             assert!(w[1] > w[0]);
         }
+        // Clamped: the open knot vector, each end knot `degree + 1` times.
+        let c = clamped_space(8, 3);
+        let (k, ends) = (c.ext_knots(), [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]);
+        assert_eq!((k.len(), c.num_basis()), (8 + 7, 11));
+        assert_eq!([&k[..4], &k[11..]].concat(), ends);
     }
 
     #[test]
@@ -792,6 +855,12 @@ mod tests {
         assert_eq!(s.cell_of(0.95), 9);
         assert_eq!(s.cell_of(1.0), 0); // wraps
         assert_eq!(s.cell_of(0.999999999), 9);
+        // Clamped: out of the domain is the boundary.
+        let c = clamped_space(10, 3);
+        let wrapped = [1.23, -0.1, f64::NEG_INFINITY].map(|x| c.wrap(x));
+        assert_eq!((wrapped, c.cell_of(1.0)), ([1.0, 0.0, 0.0], 9));
+        let at = |x| c.eval(&(0..13).map(|i| i as f64).collect::<Vec<_>>(), x);
+        assert_eq!((at(-5.0), at(7.0)), (at(0.0), at(1.0)));
     }
 
     #[test]
@@ -806,19 +875,53 @@ mod tests {
     }
 
     #[test]
-    fn periodic_partition_of_unity() {
+    fn partition_of_unity_and_clamped_end_values() {
         for degree in 1..=5 {
             for breaks in [
                 Breaks::uniform(12, 0.0, 1.0).unwrap(),
                 Breaks::graded(12, 0.0, 1.0, 0.6).unwrap(),
             ] {
-                let s = PeriodicSplineSpace::new(breaks, degree).unwrap();
-                let ones = vec![1.0; s.num_basis()];
-                for i in 0..97 {
-                    let x = i as f64 / 97.0;
-                    assert!((s.eval(&ones, x) - 1.0).abs() < 1e-12, "deg {degree} x {x}");
+                let periodic = SplineSpace::new(breaks.clone(), degree).unwrap();
+                let clamped = SplineSpace::clamped(breaks, degree).unwrap();
+                for s in [periodic, clamped] {
+                    let nb = s.num_basis();
+                    let ones = vec![1.0; nb];
+                    for i in 0..=97 {
+                        let x = i as f64 / 97.0;
+                        assert!((s.eval(&ones, x) - 1.0).abs() < 1e-12, "deg {degree} x {x}");
+                    }
+                    // A clamped spline takes its end coefficients at the ends.
+                    let mut c = vec![0.0; nb];
+                    (c[0], c[nb - 1]) = (2.5, -1.5);
+                    let ends = (s.eval(&c, 0.0) - 2.5, s.eval(&c, 1.0) + 1.5);
+                    let exact = ends.0.abs() < 1e-14 && ends.1.abs() < 1e-14;
+                    assert!(s.is_periodic() || exact, "deg {degree}");
                 }
             }
+        }
+    }
+
+    /// What only an open knot vector does: degree-`d` polynomials are
+    /// reproduced on the whole domain and integrated exactly.
+    #[test]
+    fn clamped_spaces_reproduce_polynomials() {
+        for degree in [3usize, 4, 5] {
+            let s = clamped_space(9, degree);
+            let terms = |x: f64| (0..=degree).map(move |p| (p as f64 + 0.5) * x.powi(p as i32));
+            let values: Vec<f64> = s
+                .interpolation_points()
+                .iter()
+                .map(|&x| terms(x).sum())
+                .collect();
+            let coefs = s.interpolate_naive(&values).unwrap();
+            for x in (0..=50).map(|i| i as f64 / 50.0) {
+                let err = (s.eval(&coefs, x) - terms(x).sum::<f64>()).abs();
+                assert!(err < 1e-10, "deg {degree} x {x}");
+            }
+            let exact: f64 = (0..=degree)
+                .map(|p| (p as f64 + 0.5) / (p as f64 + 1.0))
+                .sum();
+            assert!((s.integrate(&coefs) - exact).abs() < 1e-11, "deg {degree}");
         }
     }
 
@@ -904,16 +1007,19 @@ mod tests {
 
     #[test]
     fn derivative_matches_finite_difference() {
-        let s = uniform_space(24, 4);
-        let coefs: Vec<f64> = (0..24)
-            .map(|i| (std::f64::consts::TAU * i as f64 / 24.0).cos())
-            .collect();
-        let eps = 1e-6;
-        for i in 0..50 {
-            let x = (i as f64 + 0.3) / 50.0;
-            let d = s.eval_deriv(&coefs, x);
-            let fd = (s.eval(&coefs, x + eps) - s.eval(&coefs, x - eps)) / (2.0 * eps);
-            assert!((d - fd).abs() < 1e-6, "x={x}: {d} vs {fd}");
+        let clamped = SplineSpace::clamped(Breaks::graded(16, 0.0, 2.0, 0.5).unwrap(), 4).unwrap();
+        for (s, tol) in [(uniform_space(24, 4), 1e-6), (clamped, 1e-5)] {
+            let (nb, l) = (s.num_basis(), s.breaks().period());
+            let coefs: Vec<f64> = (0..nb)
+                .map(|i| (std::f64::consts::TAU * i as f64 / nb as f64).cos())
+                .collect();
+            let eps = 1e-6;
+            for i in 0..50 {
+                let x = l * (i as f64 + 0.3) / 50.0;
+                let d = s.eval_deriv(&coefs, x);
+                let fd = (s.eval(&coefs, x + eps) - s.eval(&coefs, x - eps)) / (2.0 * eps);
+                assert!((d - fd).abs() < tol, "x={x}: {d} vs {fd}");
+            }
         }
     }
 
@@ -967,13 +1073,16 @@ mod tests {
                 Breaks::uniform(16, 0.0, 2.0).unwrap(),
                 Breaks::graded(16, 0.0, 2.0, 0.5).unwrap(),
             ] {
-                let s = PeriodicSplineSpace::new(breaks, degree).unwrap();
-                let ones = vec![1.0; s.num_basis()];
-                assert!(
-                    (s.integrate(&ones) - 2.0).abs() < 1e-12,
-                    "deg {degree}: {}",
-                    s.integrate(&ones)
-                );
+                let periodic = SplineSpace::new(breaks.clone(), degree).unwrap();
+                let clamped = SplineSpace::clamped(breaks, degree).unwrap();
+                for s in [periodic, clamped] {
+                    let ones = vec![1.0; s.num_basis()];
+                    assert!(
+                        (s.integrate(&ones) - 2.0).abs() < 1e-12,
+                        "deg {degree}: {}",
+                        s.integrate(&ones)
+                    );
+                }
             }
         }
     }
@@ -997,7 +1106,8 @@ mod tests {
     }
 
     /// Degree-d splines reproduce constants exactly everywhere, for
-    /// every degree and mesh grading.
+    /// every degree, mesh grading and boundary; clamped ones reproduce a
+    /// line from its Greville values.
     #[test]
     fn prop_constant_reproduction() {
         let mut g = TestRng::seed_from_u64(0x5EED_E399);
@@ -1007,9 +1117,17 @@ mod tests {
             let strength = g.gen_range(0.0f64..0.9);
             let x = g.gen_range(-5.0f64..5.0);
             let breaks = Breaks::graded(n, 0.0, 1.0, strength).unwrap();
-            let s = PeriodicSplineSpace::new(breaks, degree).unwrap();
-            let c = vec![2.5; s.num_basis()];
-            assert!((s.eval(&c, x) - 2.5).abs() < 1e-11);
+            let periodic = SplineSpace::new(breaks.clone(), degree).unwrap();
+            let clamped = SplineSpace::clamped(breaks, degree).unwrap();
+            let line: Vec<f64> = (0..clamped.num_basis())
+                .map(|k| 2.0 * clamped.greville(k) - 0.7)
+                .collect();
+            let err = clamped.eval(&line, x) - (2.0 * x.clamp(0.0, 1.0) - 0.7);
+            assert!(err.abs() < 1e-11, "deg {degree} n {n} x {x}");
+            for s in [periodic, clamped] {
+                let c = vec![2.5; s.num_basis()];
+                assert!((s.eval(&c, x) - 2.5).abs() < 1e-11);
+            }
         }
     }
 

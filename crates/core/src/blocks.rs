@@ -1,4 +1,4 @@
-//! Schur-complement block decomposition of the periodic spline matrix.
+//! Schur-complement block decomposition of the spline matrix.
 //!
 //! Following §II-B.1 of the paper, the matrix is split as
 //!
@@ -11,7 +11,9 @@
 //! `β = Q⁻¹ γ` and `δ′ = δ − λ β`. Everything here happens **once at
 //! setup** (the paper factorises on the host and copies to the device):
 //! `Q` is factored with the specialised solver of Table I, `β` is formed
-//! by `b` extra solves, and `δ′` is LU-factored densely.
+//! by `b` extra solves, and `δ′` is LU-factored densely. A clamped space's
+//! matrix is banded: `b = 0`, `Q = A`, the border blocks are empty and the
+//! solve is the `Q` sweep alone.
 //!
 //! The corner blocks used by the optimised kernels are stored both dense
 //! (for the baseline/fused `gemv` paths) and in COO (for the `spmv` path).
@@ -21,7 +23,7 @@
 //! truncated at working precision — `γ` itself has only 2.
 
 use crate::error::{Error, Result};
-use pp_bsplines::{assemble_interpolation_matrix, PeriodicSplineSpace, SplineMatrixStructure};
+use pp_bsplines::{assemble_interpolation_matrix, SplineMatrixStructure, SplineSpace};
 use pp_linalg::{
     gbtrf, getrf, pbtrf, pttrf, BandedLu, BandedMatrix, CholeskyBanded, LaneRows, LaneSolver,
     LuFactors, PtFactors, SymBandedMatrix,
@@ -127,7 +129,7 @@ enum Choice {
     Forced(QClass),
 }
 
-/// The factored Schur decomposition of a periodic spline matrix.
+/// The factored Schur decomposition of a spline matrix.
 pub struct SchurBlocks {
     n: usize,
     q_size: usize,
@@ -144,7 +146,7 @@ pub struct SchurBlocks {
 
 impl SchurBlocks {
     /// Decompose and factor the interpolation matrix of `space`.
-    pub fn new(space: &PeriodicSplineSpace) -> Result<Self> {
+    pub fn new(space: &SplineSpace) -> Result<Self> {
         let a = assemble_interpolation_matrix(space);
         Self::from_dense(&a, space.degree(), space.breaks().is_uniform())
     }
@@ -153,14 +155,14 @@ impl SchurBlocks {
     /// Table I class instead of the predicted one. Used by the verified
     /// builder's fallback ladder to re-factor one rung at a time; errors
     /// propagate instead of falling back (the ladder handles escalation).
-    pub fn with_class(space: &PeriodicSplineSpace, class: QClass) -> Result<Self> {
+    pub fn with_class(space: &SplineSpace, class: QClass) -> Result<Self> {
         let a = assemble_interpolation_matrix(space);
         Self::from_dense_forced(&a, space.degree(), class)
     }
 
-    /// Decompose an explicit dense periodic-spline-like matrix. `degree`
-    /// bounds the interior bandwidth; `uniform` selects the Table I
-    /// classification to attempt first.
+    /// Decompose an explicit dense spline-like matrix. `degree` bounds the
+    /// interior bandwidth; `uniform` selects the Table I classification to
+    /// attempt first.
     pub fn from_dense(a: &Matrix, degree: usize, uniform: bool) -> Result<Self> {
         Self::build(a, degree, Choice::Predicted { uniform })
     }
@@ -392,13 +394,13 @@ mod tests {
     use super::*;
     use pp_bsplines::Breaks;
 
-    fn space(n: usize, degree: usize, uniform: bool) -> PeriodicSplineSpace {
+    fn space(n: usize, degree: usize, uniform: bool) -> SplineSpace {
         let breaks = if uniform {
             Breaks::uniform(n, 0.0, 1.0).unwrap()
         } else {
             Breaks::graded(n, 0.0, 1.0, 0.6).unwrap()
         };
-        PeriodicSplineSpace::new(breaks, degree).unwrap()
+        SplineSpace::new(breaks, degree).unwrap()
     }
 
     #[test]
@@ -424,6 +426,22 @@ mod tests {
                 expected.routine(),
                 "solver matches class"
             );
+        }
+        // A clamped matrix is banded on any mesh: border 0, `Q = A` with
+        // an interior its end rows make asymmetric — one `gbtrs` sweep.
+        for (degree, uniform) in [(3, true), (4, true), (5, true), (3, false), (5, false)] {
+            let breaks = space(32, degree, uniform).breaks().clone();
+            let blocks = SchurBlocks::new(&SplineSpace::clamped(breaks, degree).unwrap()).unwrap();
+            let what = format!("clamped degree {degree}, uniform {uniform}");
+            assert_eq!(
+                (blocks.border(), blocks.q_size()),
+                (0, 32 + degree),
+                "{what}"
+            );
+            assert_eq!(blocks.q_class(), QClass::GeneralBanded, "{what}");
+            let s = blocks.structure();
+            assert!(s.q_kl <= degree && s.q_ku <= degree, "{what}: {s:?}");
+            assert_eq!(blocks.lambda_coo().nnz() + blocks.beta_coo().nnz(), 0);
         }
     }
 
@@ -478,13 +496,18 @@ mod tests {
     fn health_is_exposed_for_every_config() {
         for degree in [3, 4, 5] {
             for uniform in [true, false] {
-                let blocks = SchurBlocks::new(&space(32, degree, uniform)).unwrap();
-                let q = blocks.q_health();
-                assert_eq!(q.routine, blocks.q_class().routine().replace("trs", "trf"));
-                assert!(!q.is_suspect(), "degree {degree} uniform {uniform}: {q}");
-                let d = blocks.delta_health();
-                assert_eq!(d.routine, "getrf");
-                assert!(!d.is_suspect(), "degree {degree} uniform {uniform}: {d}");
+                let periodic = space(32, degree, uniform);
+                let clamped = SplineSpace::clamped(periodic.breaks().clone(), degree).unwrap();
+                for sp in [periodic, clamped] {
+                    let blocks = SchurBlocks::new(&sp).unwrap();
+                    let what = format!("degree {degree} uniform {uniform} {}", sp.is_periodic());
+                    let q = blocks.q_health();
+                    assert_eq!(q.routine, blocks.q_class().routine().replace("trs", "trf"));
+                    assert!(!q.is_suspect(), "{what}: {q}");
+                    let d = blocks.delta_health();
+                    assert_eq!(d.routine, "getrf");
+                    assert!(!d.is_suspect(), "{what}: {d}");
+                }
             }
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::blocks::SchurBlocks;
 use crate::error::{Error, Result};
-use pp_bsplines::{PanelIsa, PeriodicSplineSpace};
+use pp_bsplines::{PanelIsa, SplineSpace};
 use pp_linalg::{LaneRows, Panel};
 use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::{run_blocks, ExecSpace, Field, InterleavedMatrix, Matrix, ResidentBatch};
@@ -67,9 +67,12 @@ impl BuilderVersion {
     }
 }
 
-/// A factored, ready-to-solve spline builder for one spline space.
+/// A factored, ready-to-solve spline builder for one spline space,
+/// periodic or clamped: a clamped space's matrix has no border, so its
+/// Algorithm 1 is the `Q` sweep with empty corner and border steps, on
+/// every entry point and version alike.
 pub struct SplineBuilder {
-    space: PeriodicSplineSpace,
+    space: SplineSpace,
     blocks: SchurBlocks,
     version: BuilderVersion,
 }
@@ -77,7 +80,7 @@ pub struct SplineBuilder {
 impl SplineBuilder {
     /// Assemble and factor everything (the one-time setup of the paper's
     /// §II-B.1).
-    pub fn new(space: PeriodicSplineSpace, version: BuilderVersion) -> Result<Self> {
+    pub fn new(space: SplineSpace, version: BuilderVersion) -> Result<Self> {
         let blocks = SchurBlocks::new(&space)?;
         Ok(Self {
             space,
@@ -87,7 +90,7 @@ impl SplineBuilder {
     }
 
     /// The spline space this builder serves.
-    pub fn space(&self) -> &PeriodicSplineSpace {
+    pub fn space(&self) -> &SplineSpace {
         &self.space
     }
 
@@ -412,13 +415,13 @@ mod tests {
     use pp_portable::TestRng;
     use pp_portable::{Layout, Parallel, Serial};
 
-    fn space(n: usize, degree: usize, uniform: bool) -> PeriodicSplineSpace {
+    fn space(n: usize, degree: usize, uniform: bool) -> SplineSpace {
         let breaks = if uniform {
             Breaks::uniform(n, 0.0, 1.0).unwrap()
         } else {
             Breaks::graded(n, 0.0, 1.0, 0.6).unwrap()
         };
-        PeriodicSplineSpace::new(breaks, degree).unwrap()
+        SplineSpace::new(breaks, degree).unwrap()
     }
 
     fn random_rhs(n: usize, batch: usize, layout: Layout, seed: u64) -> Matrix {
@@ -430,21 +433,23 @@ mod tests {
     fn all_versions_match_dense_reference_all_configs() {
         for degree in [3, 4, 5] {
             for uniform in [true, false] {
-                let sp = space(24, degree, uniform);
-                let a = assemble_interpolation_matrix(&sp);
-                let rhs = random_rhs(24, 7, Layout::Left, 42);
-                for version in BuilderVersion::ALL {
-                    let builder = SplineBuilder::new(sp.clone(), version).unwrap();
-                    let mut x = rhs.clone();
-                    builder.solve_in_place(&Parallel, &mut x).unwrap();
-                    for j in 0..7 {
-                        let expected = naive::solve_dense(&a, &rhs.col(j).to_vec()).unwrap();
-                        let got = x.col(j).to_vec();
-                        for (u, v) in got.iter().zip(&expected) {
-                            assert!(
-                                (u - v).abs() < 1e-10,
-                                "deg {degree} uniform {uniform} {version:?} lane {j}"
-                            );
+                let periodic = space(24, degree, uniform);
+                let clamped = SplineSpace::clamped(periodic.breaks().clone(), degree).unwrap();
+                for sp in [periodic, clamped] {
+                    let nb = sp.num_basis();
+                    let a = assemble_interpolation_matrix(&sp);
+                    let rhs = random_rhs(nb, 7, Layout::Left, 42);
+                    let what = format!("deg {degree} uniform {uniform} n {nb}");
+                    for version in BuilderVersion::ALL {
+                        let builder = SplineBuilder::new(sp.clone(), version).unwrap();
+                        let mut x = rhs.clone();
+                        builder.solve_in_place(&Parallel, &mut x).unwrap();
+                        for j in 0..7 {
+                            let expected = naive::solve_dense(&a, &rhs.col(j).to_vec()).unwrap();
+                            let got = x.col(j).to_vec();
+                            for (u, v) in got.iter().zip(&expected) {
+                                assert!((u - v).abs() < 1e-10, "{what} {version:?} lane {j}");
+                            }
                         }
                     }
                 }
@@ -500,34 +505,40 @@ mod tests {
     #[test]
     fn interpolation_round_trip() {
         // Solve, then evaluating at interpolation points recovers inputs.
-        let sp = space(40, 5, true);
-        let pts = sp.interpolation_points();
-        let builder = SplineBuilder::new(sp.clone(), BuilderVersion::FusedSpmv).unwrap();
-        let mut b = Matrix::from_fn(40, 3, Layout::Left, |i, j| {
-            ((j + 1) as f64 * std::f64::consts::TAU * pts[i]).sin()
-        });
-        let orig = b.clone();
-        builder.solve_in_place(&Parallel, &mut b).unwrap();
-        for j in 0..3 {
-            let coefs = b.col(j).to_vec();
-            for (k, &x) in pts.iter().enumerate() {
-                assert!(
-                    (sp.eval(&coefs, x) - orig.get(k, j)).abs() < 1e-11,
-                    "lane {j} point {k}"
-                );
+        let periodic = space(40, 5, true);
+        let clamped = SplineSpace::clamped(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
+        for sp in [periodic, clamped] {
+            let pts = sp.interpolation_points();
+            let builder = SplineBuilder::new(sp.clone(), BuilderVersion::FusedSpmv).unwrap();
+            let mut b = Matrix::from_fn(pts.len(), 3, Layout::Left, |i, j| {
+                ((j + 1) as f64 * std::f64::consts::TAU * pts[i]).sin()
+            });
+            let orig = b.clone();
+            builder.solve_in_place(&Parallel, &mut b).unwrap();
+            for j in 0..3 {
+                let coefs = b.col(j).to_vec();
+                for (k, &x) in pts.iter().enumerate() {
+                    assert!(
+                        (sp.eval(&coefs, x) - orig.get(k, j)).abs() < 1e-11,
+                        "lane {j} point {k}"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn wrong_shape_rejected() {
-        let sp = space(16, 3, true);
-        let builder = SplineBuilder::new(sp, BuilderVersion::Baseline).unwrap();
-        let mut b = Matrix::zeros(17, 4, Layout::Left);
-        assert!(matches!(
-            builder.solve_in_place(&Serial, &mut b),
-            Err(Error::ShapeMismatch { .. })
-        ));
+        let periodic = space(16, 3, true);
+        let clamped = SplineSpace::clamped(periodic.breaks().clone(), 3).unwrap();
+        for (sp, rows) in [(periodic, 17), (clamped, 16)] {
+            let builder = SplineBuilder::new(sp, BuilderVersion::Baseline).unwrap();
+            let mut b = Matrix::zeros(rows, 4, Layout::Left);
+            assert!(matches!(
+                builder.solve_in_place(&Serial, &mut b),
+                Err(Error::ShapeMismatch { .. })
+            ));
+        }
     }
 
     #[test]

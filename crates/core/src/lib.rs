@@ -61,7 +61,6 @@
 pub mod blocks;
 pub mod builder;
 pub mod checkpoint;
-pub mod clamped_builder;
 pub mod error;
 pub mod evaluator;
 pub mod iterative_backend;
@@ -71,7 +70,6 @@ pub mod verified;
 pub use blocks::{QClass, QFactors, SchurBlocks};
 pub use builder::{BuilderVersion, SplineBuilder};
 pub use checkpoint::{CheckpointStore, Snapshot, DEFAULT_KEEP};
-pub use clamped_builder::ClampedSplineBuilder;
 pub use error::{Error, Result};
 pub use evaluator::SplineEvaluator;
 pub use iterative_backend::{IterativeConfig, IterativeSplineSolver, KrylovKind, RecoveryPolicy};

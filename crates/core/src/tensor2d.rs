@@ -69,14 +69,20 @@ impl TensorSpline2D {
     /// Turn a grid of values `f(x_i, y_j)` (shape `(nx, ny)`) into tensor
     /// coefficients, in place: two batched 1-D solves with a transpose
     /// between (and after, to restore the input orientation).
+    ///
+    /// # Errors
+    /// [`Error::ShapeMismatch`] naming the dimension that differs: the
+    /// rows of `f`, else its columns — the rows of the y-direction solve.
     pub fn interpolate_in_place<E: ExecSpace>(&self, exec: &E, f: &mut Matrix) -> Result<()> {
         let nx = self.space_x().num_basis();
         let ny = self.space_y().num_basis();
-        if f.shape() != (nx, ny) {
-            return Err(Error::ShapeMismatch {
-                expected_rows: nx,
-                actual_rows: f.nrows(),
-            });
+        for (expected_rows, actual_rows) in [(nx, f.nrows()), (ny, f.ncols())] {
+            if expected_rows != actual_rows {
+                return Err(Error::ShapeMismatch {
+                    expected_rows,
+                    actual_rows,
+                });
+            }
         }
         // Pass 1: solve along x, batched over y (columns are y-lanes).
         self.builder_x.solve_in_place(exec, f)?;
@@ -195,9 +201,19 @@ mod tests {
 
     #[test]
     fn shape_mismatch_rejected() {
-        let t = uniform_tensor(16, 16, 3, BuilderVersion::FusedSpmv).unwrap();
-        let mut bad = Matrix::zeros(15, 16, Layout::Left);
-        assert!(t.interpolate_in_place(&Serial, &mut bad).is_err());
+        let t = uniform_tensor(16, 20, 3, BuilderVersion::FusedSpmv).unwrap();
+        // The error names the dimension that differs: rows, else columns.
+        for (rows, cols, expected_rows, actual_rows) in [(15, 20, 16, 15), (16, 21, 20, 21)] {
+            let mut bad = Matrix::zeros(rows, cols, Layout::Left);
+            let Err(Error::ShapeMismatch {
+                expected_rows: e,
+                actual_rows: a,
+            }) = t.interpolate_in_place(&Serial, &mut bad)
+            else {
+                panic!("({rows}, {cols}) accepted");
+            };
+            assert_eq!((e, a), (expected_rows, actual_rows), "({rows}, {cols})");
+        }
     }
 
     #[test]

@@ -1417,7 +1417,7 @@ fn note_residual_passes(_panels: usize) {
 mod tests {
     use super::*;
     use crate::builder::BuilderVersion;
-    use pp_bsplines::{Breaks, PeriodicSplineSpace};
+    use pp_bsplines::{Breaks, PeriodicSplineSpace, SplineSpace};
     use pp_linalg::Panel;
     use pp_portable::{CountingExec, HostField, Layout, Parallel, Serial, Strided, TestRng};
     use std::cell::Cell;
@@ -1630,17 +1630,21 @@ mod tests {
     fn clean_batch_all_verified_with_tiny_residuals() {
         for degree in [3usize, 4, 5] {
             for uniform in [true, false] {
-                let sp = space(28, degree, uniform);
-                let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
-                    .unwrap()
-                    .verified(VerifyConfig::default());
-                let mut x = random_rhs(28, 6, degree as u64);
-                let report = verified.solve_in_place(&Parallel, &mut x).unwrap();
-                assert!(
-                    report.all_verified(),
-                    "deg {degree} uniform {uniform}: {report}"
-                );
-                assert!(report.worst_residual() < 1e-12);
+                let periodic = space(28, degree, uniform);
+                let clamped = SplineSpace::clamped(periodic.breaks().clone(), degree).unwrap();
+                for sp in [periodic, clamped] {
+                    let nb = sp.num_basis();
+                    let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
+                        .unwrap()
+                        .verified(VerifyConfig::default());
+                    let mut x = random_rhs(nb, 6, degree as u64);
+                    let report = verified.solve_in_place(&Parallel, &mut x).unwrap();
+                    assert!(
+                        report.all_verified(),
+                        "deg {degree} uniform {uniform} n {nb}: {report}"
+                    );
+                    assert!(report.worst_residual() < 1e-12);
+                }
             }
         }
     }

@@ -8,12 +8,15 @@ echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 # The A/B driver is not run here (it needs two checkouts and minutes of a
-# quiet host); it must at least parse, and lint clean where the linter is.
-echo "==> scripts/ab.sh: bash -n, shellcheck if installed"
-bash -n scripts/ab.sh
-if command -v shellcheck > /dev/null; then
-    shellcheck scripts/ab.sh
-fi
+# quiet host), nor the line census; both must at least parse, and lint
+# clean where the linter is.
+echo "==> scripts/ab.sh, scripts/loc.sh: bash -n, shellcheck if installed"
+for script in scripts/ab.sh scripts/loc.sh; do
+    bash -n "$script"
+    if command -v shellcheck > /dev/null; then
+        shellcheck "$script"
+    fi
+done
 
 echo "==> cargo build --release"
 cargo build --release

@@ -21,7 +21,7 @@
 //! | [`linalg`] | `pp-linalg` | batched serial `getrf/s`, `gbtrf/s`, `pbtrf/s`, `pttrf/s`, `gemm`, `gemv` |
 //! | [`sparse`] | `pp-sparse` | COO / CSR / CSC, `spmv`, sparsity patterns |
 //! | [`iterative`] | `pp-iterative` | CG, BiCG, BiCGStab, GMRES, block-Jacobi, chunked multi-RHS driver |
-//! | [`bsplines`] | `pp-bsplines` | periodic B-spline spaces, Greville points, matrix assembly |
+//! | [`bsplines`] | `pp-bsplines` | periodic and clamped B-spline spaces, Greville points, matrix assembly |
 //! | [`splinesolver`] | `pp-splinesolver` | **the paper's contribution**: the three-version batched spline builder |
 //! | [`advection`] | `pp-advection` | semi-Lagrangian advection benchmark + Vlasov–Poisson demo |
 //! | [`perfmodel`] | `pp-perfmodel` | Table II devices, roofline, Pennycook metric, cache simulator |
@@ -62,7 +62,7 @@ pub use pp_splinesolver as splinesolver;
 /// The names almost every user needs, in one import.
 pub mod prelude {
     pub use pp_advection::{Advection1D, AdvectionDiagnostics, SplineBackend, VlasovPoisson1D1V};
-    pub use pp_bsplines::{Breaks, PeriodicSplineSpace};
+    pub use pp_bsplines::{Breaks, PeriodicSplineSpace, SplineSpace};
     pub use pp_iterative::{BreakdownKind, FaultInjector, LaneOutcome, StopCriteria};
     pub use pp_linalg::FactorHealth;
     pub use pp_perfmodel::{glups, Device};

@@ -3,9 +3,8 @@
 //! exercised together through the public facade.
 
 use batched_splines::prelude::*;
-use pp_bsplines::ClampedSplineSpace;
+use pp_bsplines::SplineSpace;
 use pp_splinesolver::tensor2d::uniform_tensor;
-use pp_splinesolver::ClampedSplineBuilder;
 
 const TAU: f64 = std::f64::consts::TAU;
 
@@ -36,8 +35,8 @@ fn tensor_spline_remap_accuracy() {
 /// different end values, solved through the batched banded builder.
 #[test]
 fn clamped_builder_full_pipeline() {
-    let space = ClampedSplineSpace::new(Breaks::graded(48, 0.0, 1.0, 0.5).unwrap(), 4).unwrap();
-    let builder = ClampedSplineBuilder::new(space.clone()).unwrap();
+    let space = SplineSpace::clamped(Breaks::graded(48, 0.0, 1.0, 0.5).unwrap(), 4).unwrap();
+    let builder = SplineBuilder::new(space.clone(), BuilderVersion::FusedSpmv).unwrap();
     let nb = space.num_basis();
     let pts = space.interpolation_points();
     let f = |x: f64, lane: usize| (1.0 + lane as f64) * x * x + x.exp();
@@ -105,7 +104,7 @@ fn periodic_and_clamped_agree_in_interior() {
         )
         .unwrap();
 
-    let c = ClampedSplineSpace::new(breaks, 3).unwrap();
+    let c = SplineSpace::clamped(breaks, 3).unwrap();
     let cc = c
         .interpolate_naive(
             &c.interpolation_points()

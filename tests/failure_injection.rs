@@ -2,7 +2,7 @@
 //! (or well-defined propagation), never panics or silent corruption.
 
 use batched_splines::prelude::*;
-use pp_bsplines::ClampedSplineSpace;
+use pp_bsplines::SplineSpace;
 use pp_linalg::{gbtrf, getrf, pbtrf, pttrf, BandedMatrix, SymBandedMatrix};
 use pp_portable::Matrix as PMatrix;
 use pp_splinesolver::SchurBlocks;
@@ -48,8 +48,8 @@ fn bad_spaces_rejected() {
     assert!(PeriodicSplineSpace::new(b.clone(), 0).is_err());
     assert!(PeriodicSplineSpace::new(b.clone(), 6).is_err());
     assert!(PeriodicSplineSpace::new(Breaks::uniform(6, 0.0, 1.0).unwrap(), 3).is_err());
-    assert!(ClampedSplineSpace::new(Breaks::uniform(3, 0.0, 1.0).unwrap(), 3).is_err());
-    assert!(ClampedSplineSpace::new(b, 6).is_err());
+    assert!(SplineSpace::clamped(Breaks::uniform(3, 0.0, 1.0).unwrap(), 3).is_err());
+    assert!(SplineSpace::clamped(b, 6).is_err());
 }
 
 /// The Schur decomposition refuses matrices that are not banded-plus-

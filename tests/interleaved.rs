@@ -297,7 +297,9 @@ fn fused_coefficients<E: ExecSpace>(
 /// partial final chunk alike, and through every entry point: strided lanes,
 /// the resident panels one at a time, the fused entry point's runs of four,
 /// two and one panels abreast on both kinds of field, and the abreast solve
-/// in every instance this host has.
+/// in every instance this host has. Clamped spaces (border 0: Algorithm 1
+/// is the `gbtrs` sweep alone) are rows of the same table, and every
+/// version on every row is held to the dense reference.
 #[test]
 fn builder_interleaved_matches_scalar_per_lane_within_2_ulp() {
     // Runs of the fused entry point under `Serial`: 4 + (1 partial),
@@ -305,53 +307,76 @@ fn builder_interleaved_matches_scalar_per_lane_within_2_ulp() {
     let batches = BATCHES
         .into_iter()
         .chain([4 * LANE_WIDTH + 5, 7 * LANE_WIDTH]);
-    for degree in [3usize, 4, 5] {
-        for uniform in [true, false] {
-            let breaks = if uniform {
-                Breaks::uniform(32, 0.0, 1.0).unwrap()
-            } else {
-                Breaks::graded(32, 0.0, 1.0, 0.6).unwrap()
-            };
-            let space = PeriodicSplineSpace::new(breaks, degree).unwrap();
-            let scalar = SplineBuilder::new(space.clone(), BuilderVersion::FusedSpmv).unwrap();
-            let wide = SplineBuilder::new(space, BuilderVersion::Interleaved).unwrap();
-            for batch in batches.clone() {
-                let what = format!("deg {degree} uniform {uniform} batch {batch}");
-                let rhs = batch_rhs(32, batch, Layout::Left);
-                let mut reference = rhs.clone();
-                scalar.solve_in_place(&Serial, &mut reference).unwrap();
-                let mut x = rhs.clone();
-                wide.solve_in_place(&Parallel, &mut x).unwrap();
-                for (fused, host) in [
-                    fused_coefficients(&Serial, &wide, &rhs),
-                    fused_coefficients(&Parallel, &wide, &rhs),
-                ] {
-                    for j in 0..batch {
-                        let want = lane_bits(&reference, j);
-                        assert_eq!(lane_bits(&fused, j), want, "{what} fused lane {j}");
-                        assert_eq!(lane_bits(&host, j), want, "{what} fused host lane {j}");
-                    }
-                }
-                let packed = ResidentBatch::pack(&rhs);
-                for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
-                    let chunks = 0..packed.panels().num_chunks();
-                    let mut panels: Vec<Vec<f64>> =
-                        chunks.map(|c| packed.panels().chunk(c).to_vec()).collect();
-                    wide.solve_panels_on(isa, &mut panels);
-                    for j in 0..batch {
-                        let lane = panels[j / LANE_WIDTH].iter().skip(j % LANE_WIDTH);
-                        let got = bits(lane.step_by(LANE_WIDTH).copied());
-                        let want = lane_bits(&reference, j);
-                        assert_eq!(got, want, "{what} abreast on {} lane {j}", isa.name());
-                    }
-                }
+    let uniform = Breaks::uniform(32, 0.0, 1.0).unwrap();
+    let graded = Breaks::graded(32, 0.0, 1.0, 0.6).unwrap();
+    let mut spaces = vec![
+        SplineSpace::clamped(uniform.clone(), 3).unwrap(),
+        SplineSpace::clamped(graded.clone(), 5).unwrap(),
+    ];
+    for degree in [3, 4, 5] {
+        spaces.push(SplineSpace::new(uniform.clone(), degree).unwrap());
+        spaces.push(SplineSpace::new(graded.clone(), degree).unwrap());
+    }
+    for space in spaces {
+        let n = space.num_basis();
+        let (degree, uniform) = (space.degree(), space.breaks().is_uniform());
+        let row = format!(
+            "deg {degree} uniform {uniform} periodic {}",
+            space.is_periodic()
+        );
+        let scalar = SplineBuilder::new(space.clone(), BuilderVersion::FusedSpmv).unwrap();
+        let wide = SplineBuilder::new(space.clone(), BuilderVersion::Interleaved).unwrap();
+        let dense = pp_bsplines::assemble_interpolation_matrix(&space);
+        let rhs = batch_rhs(n, 2 * LANE_WIDTH + 3, Layout::Left);
+        for version in BuilderVersion::ALL {
+            let mut x = rhs.clone();
+            let builder = SplineBuilder::new(space.clone(), version).unwrap();
+            builder.solve_in_place(&Parallel, &mut x).unwrap();
+            for j in 0..rhs.ncols() {
+                let lane: Vec<f64> = (0..n).map(|i| rhs.get(i, j)).collect();
+                let want = naive::solve_dense(&dense, &lane).unwrap();
+                let worst = (0..n)
+                    .map(|i| (x.get(i, j) - want[i]).abs())
+                    .fold(0.0, f64::max);
+                assert!(worst < 1e-10, "{row} {version:?} lane {j}: {worst:e}");
+            }
+        }
+        for batch in batches.clone() {
+            let what = format!("{row} batch {batch}");
+            let rhs = batch_rhs(n, batch, Layout::Left);
+            let mut reference = rhs.clone();
+            scalar.solve_in_place(&Serial, &mut reference).unwrap();
+            let mut x = rhs.clone();
+            wide.solve_in_place(&Parallel, &mut x).unwrap();
+            for (fused, host) in [
+                fused_coefficients(&Serial, &wide, &rhs),
+                fused_coefficients(&Parallel, &wide, &rhs),
+            ] {
                 for j in 0..batch {
-                    assert_eq!(
-                        lane_bits(&x, j),
-                        lane_bits(&reference, j),
-                        "{what} lane {j}"
-                    );
+                    let want = lane_bits(&reference, j);
+                    assert_eq!(lane_bits(&fused, j), want, "{what} fused lane {j}");
+                    assert_eq!(lane_bits(&host, j), want, "{what} fused host lane {j}");
                 }
+            }
+            let packed = ResidentBatch::pack(&rhs);
+            for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
+                let chunks = 0..packed.panels().num_chunks();
+                let mut panels: Vec<Vec<f64>> =
+                    chunks.map(|c| packed.panels().chunk(c).to_vec()).collect();
+                wide.solve_panels_on(isa, &mut panels);
+                for j in 0..batch {
+                    let lane = panels[j / LANE_WIDTH].iter().skip(j % LANE_WIDTH);
+                    let got = bits(lane.step_by(LANE_WIDTH).copied());
+                    let want = lane_bits(&reference, j);
+                    assert_eq!(got, want, "{what} abreast on {} lane {j}", isa.name());
+                }
+            }
+            for j in 0..batch {
+                assert_eq!(
+                    lane_bits(&x, j),
+                    lane_bits(&reference, j),
+                    "{what} lane {j}"
+                );
             }
         }
     }
