@@ -424,7 +424,7 @@ impl VlasovPoisson1D1V {
         let due = self
             .checkpoint
             .as_ref()
-            .is_some_and(|(_, every)| self.step_index % *every == 0);
+            .is_some_and(|(_, every)| self.step_index.is_multiple_of(*every));
         if due {
             // Checkpoint boundary: unpack once, for the snapshot and for
             // any `sync_host` that follows.

@@ -15,17 +15,17 @@
 //! `scripts/check_bench.sh` gates.
 //!
 //! `fig2_glups --isa` prints the per-instruction-set rows of the evaluator
-//! ([`isa_rows`]), of the verified solve's screen ([`screen_isa_rows`]) and
-//! of the solve's sweep, alone, two and four abreast ([`sweep_isa_rows`]),
-//! instead and exits.
+//! ([`isa_rows`]), of the panel transposer ([`transposer_isa_rows`]), of the
+//! verified solve's screen ([`screen_isa_rows`]) and of the solve's sweep,
+//! alone, two and four abreast ([`sweep_isa_rows`]), instead and exits.
 
 use pp_advection::{Advection1D, SplineBackend};
 use pp_bench::gpu_model::predict;
 use pp_bench::{parse_args, AsciiPlot, SplineConfig};
-use pp_bsplines::PanelIsa;
 use pp_perfmodel::{glups, performance_portability, Device};
 use pp_portable::{
-    CountingExec, Layout, Matrix, Parallel, ResidentBatch, Serial, TestRng, LANE_WIDTH,
+    deinterleave_columns, interleave_columns, CountingExec, InterleavedMatrix, Layout, Matrix,
+    PanelIsa, Parallel, ResidentBatch, Serial, TestRng, LANE_WIDTH,
 };
 use pp_splinesolver::{BuilderVersion, IterativeConfig, SchurBlocks, SplineBuilder, VerifyConfig};
 use std::hint::black_box;
@@ -82,7 +82,8 @@ fn measure_steps<const N: usize>(
 
 /// The evaluator alone, one thread, per instruction set: `eval_panel_on`
 /// over 128 panels of 1024 rows, in-loop feet `x_i − d_l` with `|d_l| ≤
-/// 0.004` (four cells), best of 15 passes, uniform cubic and graded quintic.
+/// 0.004` (four cells), best of 15 passes, uniform cubic and quintic (their
+/// closed forms) and graded quintic (the triangle).
 /// Per row: ns/point, the share of runs on the vector path, the speed-up
 /// over the baseline instance and the Pennycook efficiency with its base
 /// stated (speed-up ÷ width ratio over SSE2's two doubles); per mesh their
@@ -90,7 +91,7 @@ fn measure_steps<const N: usize>(
 fn isa_rows() {
     const N: usize = 1024 * LANE_WIDTH;
     println!("mesh,isa,ns_per_point,vector_run_share,speedup,efficiency");
-    for cfg in [SplineConfig::ALL[0], SplineConfig::ALL[5]] {
+    for cfg in [0, 2, 5].map(|k| SplineConfig::ALL[k]) {
         let (space, mesh) = (cfg.space(N / LANE_WIDTH), cfg.label());
         let points = space.interpolation_points();
         let mut rng = TestRng::seed_from_u64(0x15A);
@@ -134,6 +135,31 @@ fn isa_rows() {
             "{mesh}: P(eval, H = {} instances) = {p:.2}",
             efficiencies.len()
         );
+    }
+}
+
+/// The panel transposer alone, one thread, per instruction set, in cache: a
+/// 1024-row panel into columns 1027 apart (the cubic ingress) and columns back
+/// into a slab panel, which starts a cache line (egress; one scalar loop on
+/// every instance), best of 15 × 256 passes; ns/element.
+fn transposer_isa_rows() {
+    const ROWS: usize = 1024;
+    println!("isa,deinterleave_ns_per_element,interleave_ns_per_element");
+    let panel: Vec<f64> = (0..ROWS * LANE_WIDTH).map(|k| k as f64).collect();
+    let mut cols = vec![0.0; LANE_WIDTH * (ROWS + 3)];
+    let mut slab = InterleavedMatrix::zeros(ROWS, LANE_WIDTH);
+    let back = slab.chunk_mut(0);
+    for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
+        let mut ns = [Duration::MAX; 2];
+        for _ in 0..15 {
+            let start = Instant::now();
+            (0..256).for_each(|_| deinterleave_columns(isa, &panel, ROWS + 3, &mut cols));
+            let between = Instant::now();
+            (0..256).for_each(|_| interleave_columns(&panel, LANE_WIDTH, back));
+            (ns[0], ns[1]) = (ns[0].min(between - start), ns[1].min(between.elapsed()));
+        }
+        let [de, inter] = ns.map(|t| t.as_secs_f64() * 1e9 / (256 * ROWS * LANE_WIDTH) as f64);
+        println!("{},{de:.3},{inter:.3}", isa.name());
     }
 }
 
@@ -230,6 +256,7 @@ fn sweep_isa_rows() {
 fn main() {
     if std::env::args().any(|a| a == "--isa") {
         isa_rows();
+        transposer_isa_rows();
         screen_isa_rows();
         return sweep_isa_rows();
     }

@@ -1,121 +1,19 @@
-//! The division-free Cox–de Boor body behind every basis evaluation
-//! (DESIGN.md §16).
+//! The division-free bodies behind every basis evaluation (DESIGN.md §16).
 //!
 //! [`crate::basis::eval_nonzero_basis`] divides by a knot difference in
 //! every one of the triangle's `d(d+1)/2` steps. Those differences depend
 //! on the knots only, so [`recip_levels`] computes their reciprocals once
-//! per space and [`triangle`] multiplies. On a uniform mesh the differences
-//! are `r·h` at level `r`; in the cell-local coordinate (unit `h`) the
-//! reciprocals are the constants `1/r` and nothing is loaded at all
-//! ([`Cardinal`]).
+//! per space and [`triangle`] multiplies. On a uniform periodic mesh there
+//! is no triangle at all: each weight is one fixed polynomial in the
+//! cell-local coordinate, evaluated in closed form ([`cardinal`]).
 //!
-//! The triangle is written once over [`Lanes`]: `f64` is one point, and
+//! Both are written once over [`Lanes`]: `f64` is one point, and
 //! `[f64; LANE_WIDTH]` is a *run* — eight consecutive points of one lane in
 //! eight consecutive cells, whose knots, reciprocals and coefficients are
 //! contiguous in memory (DESIGN.md §16.8).
 
 use crate::space::MAX_DEGREE;
 use pp_portable::LANE_WIDTH;
-use std::sync::OnceLock;
-
-/// The instruction sets a lane-vector body is compiled for: the lane walk
-/// behind [`crate::SplineSpace::eval_lane`] and
-/// [`crate::SplineSpace::eval_panel`], and the verified solve's
-/// panel screen in `pp-splinesolver`. One source, one instance each
-/// ([`PanelIsa::run`]); rustc never contracts `a·b + c` into a fused
-/// multiply-add, so every instance returns the same bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PanelIsa {
-    /// The target's baseline (SSE2 on x86-64): always available.
-    Baseline,
-    /// x86-64 AVX2: four doubles per operation.
-    Avx2,
-    /// x86-64 AVX-512F: a whole run per operation.
-    Avx512,
-}
-
-impl PanelIsa {
-    /// Every instance, narrowest first.
-    pub const ALL: [PanelIsa; 3] = [PanelIsa::Baseline, PanelIsa::Avx2, PanelIsa::Avx512];
-
-    /// Short name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            PanelIsa::Baseline => "baseline",
-            PanelIsa::Avx2 => "avx2",
-            PanelIsa::Avx512 => "avx512",
-        }
-    }
-
-    /// Whether this host can run the instance. Under Miri only the
-    /// baseline is.
-    pub fn is_available(self) -> bool {
-        match self {
-            PanelIsa::Baseline => true,
-            #[cfg(target_arch = "x86_64")]
-            PanelIsa::Avx2 => !cfg!(miri) && is_x86_feature_detected!("avx2"),
-            #[cfg(target_arch = "x86_64")]
-            PanelIsa::Avx512 => !cfg!(miri) && is_x86_feature_detected!("avx512f"),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
-        }
-    }
-
-    /// The widest available instance: detected once, then cached.
-    pub fn detected() -> Self {
-        static DETECTED: OnceLock<PanelIsa> = OnceLock::new();
-        *DETECTED.get_or_init(|| {
-            let widest = Self::ALL.into_iter().rev().find(|isa| isa.is_available());
-            widest.unwrap_or(PanelIsa::Baseline)
-        })
-    }
-
-    /// Run `body` in the instance compiled for this instruction set. Pass
-    /// an `#[inline(always)]` closure over `#[inline(always)]` code: what is
-    /// inlined into the shell is what gets the wide registers, anything
-    /// called out of line keeps the ISA it was compiled for.
-    ///
-    /// # Panics
-    /// Panics if the host lacks the instruction set.
-    #[inline(always)]
-    pub fn run<R>(self, body: impl FnOnce() -> R) -> R {
-        assert!(self.is_available(), "host lacks {}", self.name());
-        match self {
-            PanelIsa::Baseline => body(),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `self.is_available()` (asserted above) is
-            // `is_x86_feature_detected!("avx2")` for this variant.
-            PanelIsa::Avx2 => unsafe { run_avx2(body) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `self.is_available()` (asserted above) is
-            // `is_x86_feature_detected!("avx512f")` for this variant.
-            PanelIsa::Avx512 => unsafe { run_avx512(body) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => unreachable!("only the baseline instance is available"),
-        }
-    }
-}
-
-/// `body` compiled for AVX2.
-///
-/// # Safety
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn run_avx2<R>(body: impl FnOnce() -> R) -> R {
-    body()
-}
-
-/// `body` compiled for AVX-512F: eight doubles are one register, and
-/// neither the walk nor the screen needs an extension beyond F.
-///
-/// # Safety
-/// The CPU must support AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn run_avx512<R>(body: impl FnOnce() -> R) -> R {
-    body()
-}
 
 /// The value the triangle runs on. Every operation applies to each lane
 /// independently and nothing is fused or reassociated, so a lane of the
@@ -211,58 +109,11 @@ pub(crate) fn recip_levels(knots: &[f64], degree: usize) -> Vec<f64> {
     table
 }
 
-/// What the triangle needs to know about the cell holding a point, with
-/// `s = cell + degree` the point's knot span.
-pub(crate) trait Cell {
-    /// One point or a panel row of them.
-    type V: Lanes;
-    /// `x − τ_{s+1−r}` for `r` in `1..=degree`.
-    fn left(&self, r: usize) -> Self::V;
-    /// `τ_{s+r} − x` for `r` in `1..=degree`.
-    fn right(&self, r: usize) -> Self::V;
-    /// `1 / (τ_{s+k+1} − τ_{s+k+1−r})`, the reciprocal of the divisor of
-    /// step `k` in `0..r` of level `r`.
-    fn recip(&self, r: usize, k: usize) -> Self::V;
-    /// Length unit of `left`/`right` and `recip⁻¹`, as a factor on
-    /// derivatives.
-    fn deriv_scale(&self) -> f64;
-}
-
-/// A cell of a uniform mesh in units of its width `h`: the cardinal form.
-/// Only the local coordinate `t = (x − t_cell)/h` is needed; `1 − t` on the
-/// right makes the weights sum to one to round-off. The mesh is the same
-/// for every lane, so a panel row is one `Cardinal` with a `t` per lane.
-pub(crate) struct Cardinal<V> {
-    pub t: V,
-    pub inv_h: f64,
-}
-
-impl<V: Lanes> Cell for Cardinal<V> {
-    type V = V;
-    #[inline(always)]
-    fn left(&self, r: usize) -> V {
-        self.t.add(V::splat((r - 1) as f64))
-    }
-    #[inline(always)]
-    fn right(&self, r: usize) -> V {
-        V::splat(1.0).sub(self.t).add(V::splat((r - 1) as f64))
-    }
-    #[inline(always)]
-    fn recip(&self, r: usize, _k: usize) -> V {
-        // A constant once `r` is: every caller's `r` is a `const` generic.
-        V::splat(1.0 / r as f64)
-    }
-    #[inline(always)]
-    fn deriv_scale(&self) -> f64 {
-        self.inv_h
-    }
-}
-
 /// A cell of a general mesh — or, for a wide `V`, [`Lanes::WIDTH`]
 /// consecutive cells with one point each: everything lane `j` reads sits
 /// `j` entries after what lane 0 reads, so a run loads each operand whole.
 pub(crate) struct Tabulated<'a, V> {
-    /// `x − τ_{s+1−r}` at `r − 1`, for `r` in `1..=degree`.
+    /// `x − τ_{s+1−r}` at `r − 1`, for `r` in `1..=degree` (`s = cell + degree`).
     left: [V; MAX_DEGREE],
     /// `τ_{s+r} − x` at `r − 1`.
     right: [V; MAX_DEGREE],
@@ -294,26 +145,6 @@ impl<'a, V: Lanes> Tabulated<'a, V> {
     }
 }
 
-impl<V: Lanes> Cell for Tabulated<'_, V> {
-    type V = V;
-    #[inline(always)]
-    fn left(&self, r: usize) -> V {
-        self.left[r - 1]
-    }
-    #[inline(always)]
-    fn right(&self, r: usize) -> V {
-        self.right[r - 1]
-    }
-    #[inline(always)]
-    fn recip(&self, r: usize, k: usize) -> V {
-        V::load(&self.recip[r - 1][k..])
-    }
-    #[inline(always)]
-    fn deriv_scale(&self) -> f64 {
-        1.0
-    }
-}
-
 /// Level `R` of the Cox–de Boor triangle: degree `R − 1` values in
 /// `out[0..R]` become the degree-`R` values in `out[0..=R]`.
 ///
@@ -325,13 +156,17 @@ impl<V: Lanes> Cell for Tabulated<'_, V> {
 /// add. Every product and sum is of non-negative terms, so a level adds a
 /// bounded number of relative roundings and nothing cancels. `R` is a
 /// constant so that every index is provably in range and the loop unrolls
-/// into straight-line multiplies and adds.
+/// into straight-line multiplies and adds. Nothing happens past level `top`.
 #[inline(always)]
-fn level<const R: usize, C: Cell>(out: &mut [C::V; MAX_DEGREE + 1], at: &C) {
-    let mut saved = C::V::splat(0.0);
+fn level<const R: usize, V: Lanes>(out: &mut [V; MAX_DEGREE + 1], at: &Tabulated<V>, top: usize) {
+    if R > top {
+        return;
+    }
+    let mut saved = V::splat(0.0);
     for k in 0..R {
-        let to_right = at.right(k + 1).mul(at.recip(R, k));
-        let to_left = at.left(R - k).mul(at.recip(R, k));
+        // `1 / (τ_{s+k+1} − τ_{s+k+1−R})`, the reciprocal of step `k`'s divisor.
+        let rho = V::load(&at.recip[R - 1][k..]);
+        let (to_right, to_left) = (at.right[k].mul(rho), at.left[R - k - 1].mul(rho));
         let below = out[k];
         out[k] = saved.add(below.mul(to_right));
         saved = below.mul(to_left);
@@ -342,61 +177,107 @@ fn level<const R: usize, C: Cell>(out: &mut [C::V; MAX_DEGREE + 1], at: &C) {
 /// The `levels + 1` non-vanishing basis values of degree `levels`, in
 /// `out[0..=levels]`. Callers pass a compile-time `levels`.
 #[inline(always)]
-fn triangle<C: Cell>(levels: usize, at: &C) -> [C::V; MAX_DEGREE + 1] {
-    let mut out = [C::V::splat(0.0); MAX_DEGREE + 1];
-    out[0] = C::V::splat(1.0);
-    if levels >= 1 {
-        level::<1, C>(&mut out, at);
-    }
-    if levels >= 2 {
-        level::<2, C>(&mut out, at);
-    }
-    if levels >= 3 {
-        level::<3, C>(&mut out, at);
-    }
-    if levels >= 4 {
-        level::<4, C>(&mut out, at);
-    }
-    if levels >= 5 {
-        level::<5, C>(&mut out, at);
-    }
+fn triangle<V: Lanes>(levels: usize, at: &Tabulated<V>) -> [V; MAX_DEGREE + 1] {
+    let mut out = [V::splat(0.0); MAX_DEGREE + 1];
+    out[0] = V::splat(1.0);
+    level::<1, V>(&mut out, at, levels);
+    level::<2, V>(&mut out, at, levels);
+    level::<3, V>(&mut out, at, levels);
+    level::<4, V>(&mut out, at, levels);
+    level::<5, V>(&mut out, at, levels);
     out
 }
 
-/// The basis values of `degree` in the cell, or their first derivatives.
-#[inline(always)]
-pub(crate) fn basis<const DERIV: bool, C: Cell>(degree: usize, at: &C) -> [C::V; MAX_DEGREE + 1] {
-    if DERIV {
-        triangle_deriv(degree, at)
-    } else {
-        triangle(degree, at)
-    }
-}
-
-/// First derivatives of the `degree + 1` non-vanishing basis functions by
-/// degree reduction, `B'_{i,d} = d·(B_{i,d−1}/(τ_{i+d}−τ_i) −
+/// The basis values of `degree` in the cell, or their first derivatives
+/// by degree reduction, `B'_{i,d} = d·(B_{i,d−1}/(τ_{i+d}−τ_i) −
 /// B_{i+1,d−1}/(τ_{i+d+1}−τ_{i+1}))`: the two divisors are entries `m − 1`
 /// and `m` of the triangle's last level.
 #[inline(always)]
-fn triangle_deriv<C: Cell>(degree: usize, at: &C) -> [C::V; MAX_DEGREE + 1] {
+pub(crate) fn basis<const DERIV: bool, V: Lanes>(
+    degree: usize,
+    at: &Tabulated<V>,
+) -> [V; MAX_DEGREE + 1] {
+    if !DERIV {
+        return triangle(degree, at);
+    }
     let lower = triangle(degree - 1, at);
-    let scale = C::V::splat(degree as f64 * at.deriv_scale());
-    let zero = C::V::splat(0.0);
-    let mut out = [zero; MAX_DEGREE + 1];
+    let scaled = |m: usize| lower[m].mul(V::load(&at.recip[degree - 1][m..]));
+    reduce(degree, scaled, V::splat(degree as f64))
+}
+
+/// `(w(m − 1) − w(m))·scale` for `m` in `0..=degree`, with `w(−1) =
+/// w(degree) = 0`: degree reduction, the derivative of every mesh kind.
+#[inline(always)]
+fn reduce<V: Lanes>(degree: usize, w: impl Fn(usize) -> V, scale: V) -> [V; MAX_DEGREE + 1] {
+    let mut out = [V::splat(0.0); MAX_DEGREE + 1];
     for m in 0..=degree {
-        let a = if m > 0 {
-            lower[m - 1].mul(at.recip(degree, m - 1))
-        } else {
-            zero
-        };
-        let b = if m < degree {
-            lower[m].mul(at.recip(degree, m))
-        } else {
-            zero
-        };
-        out[m] = scale.mul(a.sub(b));
+        let left = if m > 0 { w(m - 1) } else { V::splat(0.0) };
+        let right = if m < degree { w(m) } else { V::splat(0.0) };
+        out[m] = left.sub(right).mul(scale);
     }
     out
+}
+
+/// Horner's rule in `$x`, the coefficients from the highest power down.
+macro_rules! horner {
+    ($x:ident; $top:literal $(, $c:literal)*) => {{
+        let p = V::splat($top);
+        $(let p = p.mul($x).add(V::splat($c));)*
+        p
+    }};
+}
+
+/// The `degree + 1` non-vanishing B-splines of a uniform mesh at the local
+/// coordinate `t = (x − t_cell)/h` of their cell in closed form, or with
+/// `DERIV` their derivatives in `x` (`inv_h` cells per unit length) by degree
+/// reduction. Callers pass a constant `degree`; each weight is its own
+/// `const M` instance, as each level of the triangle is (looped, LLVM kept
+/// the loop over `m` and selected among the pieces).
+#[inline(always)]
+pub(crate) fn cardinal<const DERIV: bool, V: Lanes>(
+    degree: usize,
+    t: V,
+    inv_h: f64,
+) -> [V; MAX_DEGREE + 1] {
+    let order = degree - usize::from(DERIV);
+    let scale = V::splat(1.0 / [1.0, 1.0, 2.0, 6.0, 24.0, 120.0][order]);
+    let mut out = [V::splat(0.0); MAX_DEGREE + 1];
+    weight::<0, V>(&mut out, order, t, scale);
+    weight::<1, V>(&mut out, order, t, scale);
+    weight::<2, V>(&mut out, order, t, scale);
+    weight::<3, V>(&mut out, order, t, scale);
+    weight::<4, V>(&mut out, order, t, scale);
+    weight::<5, V>(&mut out, order, t, scale);
+    if !DERIV {
+        return out;
+    }
+    reduce(degree, |m| out[m], V::splat(inv_h))
+}
+
+/// Weight `M ≤ degree` of [`cardinal`]: `scale = fl(1/degree!)` times piece
+/// `M` of the cardinal B-spline, a fixed polynomial (numerators over `degree!`
+/// as immediates) written out for the upper half `M ≥ degree/2` in `t`; the
+/// lower half is its mirror image `B_M(t) = B_{degree−M}(1 − t)`.
+#[inline(always)]
+fn weight<const M: usize, V: Lanes>(out: &mut [V; MAX_DEGREE + 1], degree: usize, t: V, scale: V) {
+    if M > degree {
+        return;
+    }
+    let (m, x) = match 2 * M >= degree {
+        true => (M, t),
+        false => (degree - M, V::splat(1.0).sub(t)),
+    };
+    let piece = match (degree, m) {
+        (2, 1) => horner!(x; -2.0, 2.0, 1.0),
+        (3, 2) => horner!(x; -3.0, 3.0, 3.0, 1.0),
+        (4, 2) => horner!(x; 6.0, -12.0, -6.0, 12.0, 11.0),
+        (4, 3) => horner!(x; -4.0, 4.0, 6.0, 4.0, 1.0),
+        (5, 3) => horner!(x; 10.0, -20.0, -20.0, 20.0, 50.0, 26.0),
+        (5, 4) => horner!(x; -5.0, 5.0, 10.0, 10.0, 5.0, 1.0),
+        // `m = degree`: `x^degree` (1 at degree 0).
+        _ => (0..degree).fold(V::splat(1.0), |p, _| p.mul(x)),
+    };
+    out[M] = piece.mul(scale);
 }
 
 #[cfg(test)]

@@ -54,7 +54,6 @@ pub mod matrix;
 pub mod space;
 
 pub use error::{Error, Result};
-pub use kernel::PanelIsa;
 pub use knots::Breaks;
 pub use matrix::{assemble_interpolation_matrix, SplineMatrixStructure};
 pub use space::{PeriodicSplineSpace, PointPlacement, SplineSpace, MAX_DEGREE};

@@ -2,9 +2,10 @@
 //! points, spline evaluation.
 
 use crate::error::{Error, Result};
-use crate::kernel::{self, Cardinal, Lanes, PanelIsa, Tabulated};
+use crate::kernel::{self, Lanes, Tabulated};
 use crate::knots::Breaks;
-use pp_portable::{interleave_columns, Strided, StridedMut, LANE_WIDTH};
+use pp_portable::{deinterleave_columns, interleave_columns, PanelIsa};
+use pp_portable::{Strided, StridedMut, LANE_WIDTH};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -305,13 +306,11 @@ impl SplineSpace {
         w: V,
     ) -> [V; MAX_DEGREE + 1] {
         if UNIFORM {
-            let lower = V::load(&self.breaks.points()[cell..]);
-            let inv_h = self.inv_h;
-            let t = w.sub(lower).mul(V::splat(inv_h));
-            kernel::basis::<DERIV, _>(D, &Cardinal { t, inv_h })
+            let t = w.sub(V::load(&self.breaks.points()[cell..]));
+            kernel::cardinal::<DERIV, V>(D, t.mul(V::splat(self.inv_h)), self.inv_h)
         } else {
             let at = Tabulated::new(w, D, cell, &self.ext_knots, &self.recip);
-            kernel::basis::<DERIV, _>(D, &at)
+            kernel::basis::<DERIV, V>(D, &at)
         }
     }
 
@@ -624,7 +623,7 @@ impl SplineSpace {
         F: FnMut(usize, &mut [f64]),
     {
         assert!(
-            (1..=LANE_WIDTH).contains(&lanes) && out.len() % lanes == 0,
+            (1..=LANE_WIDTH).contains(&lanes) && out.len().is_multiple_of(lanes),
             "eval_columns: {} values for {lanes} lanes",
             out.len()
         );
@@ -701,7 +700,7 @@ impl SplineSpace {
         const W: usize = LANE_WIDTH;
         let (nb, wrapped, rows) = (self.num_basis(), self.n + self.degree, xs.len());
         assert_eq!(coefs.len(), nb * W, "eval_panel: coefficients");
-        deinterleave(coefs, wrapped, cols);
+        deinterleave_columns(isa, coefs, wrapped, cols);
         let mut vector_runs = 0;
         for (l, ys) in out.chunks_exact_mut(rows.max(1)).take(lanes).enumerate() {
             let col = &mut cols[l * wrapped..][..wrapped];
@@ -771,27 +770,6 @@ impl SplineSpace {
         }
         let a = crate::matrix::assemble_interpolation_matrix(self);
         pp_linalg::naive::solve_dense(&a, values).map_err(|_| Error::SingularMatrix)
-    }
-}
-
-/// The panel evaluator's ingress transposition; its egress twin is
-/// [`pp_portable::interleave_columns`]. Each takes the panel a 64-byte row
-/// at a time, all eight lanes at once: lane by lane it would stream the
-/// panel, which outgrows L1, eight times. Together they are a quarter of a
-/// uniform cubic step, and what LLVM makes of these loops once they are
-/// inlined into a caller's instance of the generic evaluator depends on
-/// that caller (DESIGN.md §14.3), so each is compiled once, out of line.
-///
-/// `cols[l·wrapped + i] = panel[i·LANE_WIDTH + l]`: a panel of
-/// coefficients into eight columns `wrapped` apart.
-#[inline(never)]
-fn deinterleave(panel: &[f64], wrapped: usize, cols: &mut [f64]) {
-    const W: usize = LANE_WIDTH;
-    assert!(wrapped >= panel.len() / W && cols.len() >= W * wrapped);
-    for (i, row) in panel.chunks_exact(W).enumerate() {
-        for l in 0..W {
-            cols[l * wrapped + i] = row[l];
-        }
     }
 }
 

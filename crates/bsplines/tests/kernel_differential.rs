@@ -4,8 +4,8 @@
 //! knots, and the cell search against `partition_point`.
 
 use pp_bsplines::basis::{eval_nonzero_basis, eval_nonzero_basis_deriv};
-use pp_bsplines::{Breaks, PanelIsa, PeriodicSplineSpace, SplineSpace, MAX_DEGREE};
-use pp_portable::{Strided, StridedMut, TestRng, LANE_WIDTH};
+use pp_bsplines::{Breaks, PeriodicSplineSpace, SplineSpace, MAX_DEGREE};
+use pp_portable::{PanelIsa, Strided, StridedMut, TestRng, LANE_WIDTH};
 
 const EPS: f64 = f64::EPSILON;
 

@@ -2,9 +2,10 @@
 
 use crate::blocks::SchurBlocks;
 use crate::error::{Error, Result};
-use pp_bsplines::{PanelIsa, SplineSpace};
+use pp_bsplines::SplineSpace;
 use pp_linalg::{LaneRows, Panel};
 use pp_portable::instrument::{PhaseId, Span};
+use pp_portable::PanelIsa;
 use pp_portable::{run_blocks, ExecSpace, Field, InterleavedMatrix, Matrix, ResidentBatch};
 use pp_sparse::Coo;
 use std::cell::RefCell;

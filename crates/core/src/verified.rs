@@ -31,12 +31,13 @@ use crate::blocks::{QClass, SchurBlocks};
 use crate::builder::{schur_solve, SplineBuilder, ABREAST};
 use crate::error::Result;
 use crate::iterative_backend::{IterativeConfig, IterativeSplineSolver};
-use pp_bsplines::{assemble_interpolation_matrix, PanelIsa};
+use pp_bsplines::assemble_interpolation_matrix;
 use pp_iterative::solver::{norm2, residual_into};
 use pp_linalg::{flip_bit, getrf, refine_lane, LuFactors, RefineConfig, DEFAULT_ABFT_TOL};
 use pp_portable::instrument::{
     counter, fault_dump, trace_instant, trace_instant_lane, Counter, InstantKind, PhaseId, Span,
 };
+use pp_portable::PanelIsa;
 use pp_portable::{Budget, ExecSpace, Field, Matrix, ResidentBatch, StridedMut, LANE_WIDTH};
 use pp_sparse::Csr;
 
@@ -946,7 +947,8 @@ impl VerifiedBuilder {
             let lane = chunk * W + l;
             let probed = cfg.probe_lanes.contains(&lane);
             // A lane the checksum flagged is always fully verified.
-            let selected = probed || lane % stride == 0 || !matches!(sdc[l], SdcState::Clean);
+            let selected =
+                probed || lane.is_multiple_of(stride) || !matches!(sdc[l], SdcState::Clean);
             if l >= lanes || !selected {
                 Screened::Unsampled
             } else if !finite[l] {

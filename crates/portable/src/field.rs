@@ -14,7 +14,7 @@
 
 use crate::error::Result;
 use crate::exec::ExecSpace;
-use crate::interleaved::{for_each_run_mut, gather_panel, LANE_WIDTH};
+use crate::interleaved::{for_each_run_mut, interleave_columns, LANE_WIDTH};
 use crate::layout::Layout;
 use crate::matrix::Matrix;
 use crate::resident::ResidentBatch;
@@ -146,7 +146,13 @@ impl Field for HostField<'_> {
     }
 
     fn fill_panel(block: &[f64], lanes: usize, panel: &mut Vec<f64>) {
-        gather_panel(block, lanes, panel);
+        let rows = block.len() / lanes;
+        if lanes < LANE_WIDTH {
+            // The interleave writes live lanes only: zero the padding lanes.
+            panel.clear();
+        }
+        panel.resize(rows * LANE_WIDTH, 0.0);
+        interleave_columns(block, lanes, panel);
     }
 
     fn lane_mut(&mut self, lane: usize) -> StridedMut<'_> {

@@ -25,6 +25,7 @@
 use crate::error::{Error, Result};
 use crate::exec::{ExecSpace, Serial};
 use crate::instrument::{PhaseId, Span};
+use crate::isa::PanelIsa;
 use crate::matrix::Matrix;
 use crate::ptr::SharedMutPtr;
 use std::array;
@@ -42,18 +43,66 @@ pub const LANE_WIDTH: usize = 8;
 pub struct InterleavedMatrix {
     nrows: usize,
     ncols: usize,
-    data: Vec<f64>,
+    data: Lines,
+}
+
+/// Zeroed doubles that start a 64-byte cache line, so that every panel of an
+/// [`InterleavedMatrix`] and every one of its rows does: a `Vec` seven
+/// doubles longer, entered at its first line. A row stored across two lines
+/// costs the fixed-width panel egress half as much again (DESIGN.md §14.3).
+#[derive(Debug)]
+struct Lines {
+    buf: Vec<f64>,
+    start: usize,
+    len: usize,
+}
+
+impl Lines {
+    fn zeros(len: usize) -> Self {
+        let buf = vec![0.0; len + W - 1];
+        let start = (64 - buf.as_ptr() as usize % 64) % 64 / size_of::<f64>();
+        Self { buf, start, len }
+    }
+}
+
+impl std::ops::Deref for Lines {
+    type Target = [f64];
+    #[inline]
+    fn deref(&self) -> &[f64] {
+        &self.buf[self.start..][..self.len]
+    }
+}
+
+impl std::ops::DerefMut for Lines {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [f64] {
+        &mut self.buf[self.start..][..self.len]
+    }
+}
+
+impl Clone for Lines {
+    fn clone(&self) -> Self {
+        let mut copy = Self::zeros(self.len);
+        copy.copy_from_slice(self);
+        copy
+    }
+}
+
+impl PartialEq for Lines {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
 }
 
 impl InterleavedMatrix {
     /// An all-zero interleaved block of `nrows × ncols` (the final chunk
-    /// is padded to the full [`LANE_WIDTH`]).
+    /// is padded to the full [`LANE_WIDTH`]), its panels 64-byte aligned.
     pub fn zeros(nrows: usize, ncols: usize) -> Self {
         let chunks = ncols.div_ceil(LANE_WIDTH);
         Self {
             nrows,
             ncols,
-            data: vec![0.0; chunks * nrows * LANE_WIDTH],
+            data: Lines::zeros(chunks * nrows * LANE_WIDTH),
         }
     }
 
@@ -396,8 +445,7 @@ impl Tiling {
     }
 }
 
-/// The tile transposer: run `k` of the transposed tile, element `k` of
-/// each run of `tile`.
+/// Run `k` of the transposed tile: element `k` of each run of `tile`.
 #[inline]
 fn across(tile: &[&[f64; W]; W], k: usize) -> [f64; W] {
     array::from_fn(|run| tile[run][k])
@@ -486,7 +534,8 @@ fn move_tiles<E: ExecSpace>(
 /// alone. The egress of the panel evaluator (`pp-bsplines`) and the ingress
 /// of a host field's block. What LLVM makes of the loop inlined into a
 /// generic caller depends on that caller (DESIGN.md §14.3), so it is compiled
-/// once, here, out of line.
+/// once, here, out of line. No tiles: into a panel that starts a cache line
+/// the full-panel loop is as fast, into any other their stores split lines.
 ///
 /// # Panics
 /// Panics unless `panel` is whole rows, `lanes <= LANE_WIDTH` and `cols`
@@ -494,29 +543,114 @@ fn move_tiles<E: ExecSpace>(
 #[inline(never)]
 pub fn interleave_columns(cols: &[f64], lanes: usize, panel: &mut [f64]) {
     let rows = panel.len() / W;
-    assert!(
-        panel.len() % W == 0 && lanes <= W && cols.len() >= lanes * rows,
-        "interleave: {lanes} columns of {rows} rows"
-    );
-    for (i, row) in panel.chunks_exact_mut(W).enumerate() {
-        for l in 0..lanes {
-            row[l] = cols[l * rows + i];
+    let fits = panel.len().is_multiple_of(W) && lanes <= W && cols.len() >= lanes * rows;
+    assert!(fits, "interleave: {lanes} columns of {rows} rows");
+    let mut fill = |lanes: usize| {
+        for (i, row) in panel.chunks_exact_mut(W).enumerate() {
+            for l in 0..lanes {
+                row[l] = cols[l * rows + i];
+            }
+        }
+    };
+    // A full panel at a fixed width: eight straight stores a row, a third
+    // faster into a panel that starts a line (DESIGN.md §14.3).
+    if lanes == W {
+        fill(W)
+    } else {
+        fill(lanes)
+    }
+}
+
+/// `cols[l·stride + i] = panel[i·W + l]`, through `isa`: a `[rows][W]` panel
+/// into eight columns `stride` apart — the panel evaluator's ingress, its
+/// coefficients into columns of `n + d` — whole tiles through
+/// `transpose_tiles`, out of line like its inverse [`interleave_columns`].
+///
+/// # Panics
+/// Panics if `stride < rows`, if `cols` is shorter than `W · stride`, or if
+/// the host lacks `isa`.
+#[inline(never)]
+pub fn deinterleave_columns(isa: PanelIsa, panel: &[f64], stride: usize, cols: &mut [f64]) {
+    let rows = panel.len() / W;
+    let fits = stride >= rows && cols.len() / W >= stride;
+    assert!(fits, "deinterleave: {rows} rows");
+    let done = W * transpose_tiles(isa, panel, stride, cols, rows / W);
+    for (i, row) in panel.chunks_exact(W).enumerate().skip(done) {
+        for l in 0..W {
+            cols[l * stride + i] = row[l];
         }
     }
 }
 
-/// Ingress of one block of a lane-contiguous host field
-/// ([`crate::HostField`]): overwrite `panel` with the `lanes` columns of
-/// `block` (`block[l·rows + i]`) as one `[rows][W]` panel, padding lanes
-/// zero.
-pub(crate) fn gather_panel(block: &[f64], lanes: usize, panel: &mut Vec<f64>) {
-    let rows = block.len() / lanes;
-    if lanes < W {
-        // The interleave writes live lanes only.
-        panel.clear();
+/// The panel's tile transposer: `cols[l·stride + 8b + r] = panel[64b + 8r +
+/// l]` for `b < tiles` and `r, l < 8`, at AVX-512F; any other instance moves
+/// nothing (LLVM builds no shuffle network from the scalar loop, DESIGN.md
+/// §14.3) and the caller's scalar loop skips what it moved.
+/// Besides `PanelIsa::run`, the one other place that dispatches on an ISA.
+/// Out of line, so that the caller's scalar loop compiles as it would alone
+/// (inlined into a loop, it once cost that loop half its speed).
+#[inline(never)]
+fn transpose_tiles(
+    isa: PanelIsa,
+    panel: &[f64],
+    stride: usize,
+    cols: &mut [f64],
+    tiles: usize,
+) -> usize {
+    // The caller bounds `stride` by a slice's length: nothing wraps.
+    let fits = W * W * tiles <= panel.len() && (W - 1) * stride + W * tiles <= cols.len();
+    assert!(fits, "tiles out of bounds");
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        PanelIsa::Avx512 if tiles > 0 => {
+            assert!(isa.is_available(), "host lacks {}", isa.name());
+            // SAFETY: AVX-512F is available, every offset read is below
+            // `64·tiles <= panel.len()` and every one written below `7·stride
+            // + 8·tiles <= cols.len()` (both asserted); distinct borrows.
+            unsafe { transpose_tiles_avx512(panel.as_ptr(), stride, cols.as_mut_ptr(), tiles) };
+            tiles
+        }
+        _ => 0,
     }
-    panel.resize(rows * W, 0.0);
-    interleave_columns(block, lanes, panel);
+}
+
+/// [`transpose_tiles`] at AVX-512F: 8 loads, 24 shuffles and 8 stores a tile.
+///
+/// # Safety
+/// The CPU must support AVX-512F and every offset must be in bounds.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn transpose_tiles_avx512(panel: *const f64, stride: usize, cols: *mut f64, tiles: usize) {
+    use std::arch::x86_64::*;
+    // Elements 0, 1 of each 128-bit lane of `a`, then of `b`; and 2, 3.
+    let low = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+    let high = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+    let [mut pair, mut quad] = [[_mm512_setzero_pd(); W]; 2];
+    for b in 0..tiles {
+        let (src, dst) = (panel.add(b * W * W), cols.add(b * W));
+        // `pair[2q]`, `pair[2q + 1]`: runs `2q`, `2q + 1` interleaved.
+        for q in 0..W / 2 {
+            let run = |r: usize| _mm512_loadu_pd(src.add(r * W));
+            let (even, odd) = (run(2 * q), run(2 * q + 1));
+            pair[2 * q] = _mm512_unpacklo_pd(even, odd);
+            pair[2 * q + 1] = _mm512_unpackhi_pd(even, odd);
+        }
+        // `quad[4h + c]`: elements `c`, then `c + 4`, of runs `4h .. 4h + 4`.
+        for (k, v) in quad.iter_mut().enumerate() {
+            let (first, idx) = (k / 4 * 4 + k % 2, if k % 4 < 2 { low } else { high });
+            *v = _mm512_permutex2var_pd(pair[first], idx, pair[first + 2]);
+        }
+        // Column `c`: the low, for `c ≥ 4` the high, halves of two quads.
+        for c in 0..W / 2 {
+            let (top, bottom) = (quad[c], quad[c + 4]);
+            _mm512_storeu_pd(
+                dst.add(c * stride),
+                _mm512_shuffle_f64x2::<0x44>(top, bottom),
+            );
+            let high_half = _mm512_shuffle_f64x2::<0xEE>(top, bottom);
+            _mm512_storeu_pd(dst.add((c + 4) * stride), high_half);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -572,6 +706,19 @@ mod tests {
         }
         assert_eq!(m, InterleavedMatrix::pack(&src));
         assert_eq!(m.get(3, 12), 312.0);
+    }
+
+    #[test]
+    fn every_panel_starts_a_cache_line() {
+        for (n, batch) in [(1usize, 1usize), (5, 3), (7, 17), (1024, 24), (3, 0)] {
+            let m = InterleavedMatrix::zeros(n, batch);
+            for m in [&m, &m.clone()] {
+                for c in 0..m.num_chunks() {
+                    let at = m.chunk(c).as_ptr() as usize;
+                    assert_eq!(at % 64, 0, "{n}x{batch} chunk {c}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -693,6 +840,55 @@ mod tests {
                 check_movers(&Parallel, n, m);
             }
         }
+    }
+
+    /// Panel → columns through every instance the host has, bit for bit
+    /// against the scalar loop's index map, and back through the interleave:
+    /// whole tiles and ragged rows, columns exactly `rows` and further apart
+    /// (the gap never written), one to eight live lanes back (the padding
+    /// lanes never written). Miri runs a corner of the table, on the baseline
+    /// instance.
+    #[test]
+    fn tile_transposer_is_the_scalar_loop_on_every_isa() {
+        let rows: &[usize] = if cfg!(miri) {
+            &[0, 9]
+        } else {
+            &[0, 1, 7, 8, 9, 1023, 1024]
+        };
+        for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
+            for &rows in rows {
+                for stride in [rows, rows + 5] {
+                    let what = format!("{} rows {rows} stride {stride}", isa.name());
+                    let panel: Vec<f64> = (0..rows * W).map(|k| payload(k / W, k % W)).collect();
+                    let mut cols = vec![SENTINEL; W * stride];
+                    deinterleave_columns(isa, &panel, stride, &mut cols);
+                    let want: Vec<f64> = (0..W * stride)
+                        .map(|k| (k % stride < rows).then(|| payload(k % stride, k / stride)))
+                        .map(|v| v.unwrap_or(SENTINEL))
+                        .collect();
+                    assert_eq!(bits(&cols), bits(&want), "deinterleave {what}");
+                    // Back from columns `rows` apart.
+                    let cols: Vec<f64> = (0..W * rows)
+                        .map(|k| cols[k / rows * stride + k % rows])
+                        .collect();
+                    for lanes in 1..=W {
+                        let mut back = vec![SENTINEL; rows * W];
+                        interleave_columns(&cols, lanes, &mut back);
+                        let want: Vec<f64> = (0..rows * W)
+                            .map(|k| if k % W < lanes { panel[k] } else { SENTINEL })
+                            .collect();
+                        assert_eq!(bits(&back), bits(&want), "interleave {what} lanes {lanes}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tiles out of bounds")]
+    fn tile_transposer_refuses_a_short_destination() {
+        let (panel, mut cols) = (vec![0.0; 2 * W * W], vec![0.0; 2 * W * W - 1]);
+        transpose_tiles(PanelIsa::detected(), &panel, 2 * W, &mut cols, 2);
     }
 
     #[test]

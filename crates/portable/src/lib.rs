@@ -62,6 +62,7 @@ pub mod error;
 pub mod exec;
 pub mod field;
 pub mod interleaved;
+pub mod isa;
 pub mod layout;
 pub mod matrix;
 pub mod par;
@@ -76,7 +77,8 @@ pub use budget::{Budget, CancelToken, DispatchOutcome};
 pub use error::{Error, Result};
 pub use exec::{CountingExec, ExecSpace, Parallel, Serial};
 pub use field::{run_blocks, Field, HostField};
-pub use interleaved::{interleave_columns, InterleavedMatrix, LANE_WIDTH};
+pub use interleaved::{deinterleave_columns, interleave_columns, InterleavedMatrix, LANE_WIDTH};
+pub use isa::PanelIsa;
 pub use layout::Layout;
 pub use matrix::Matrix;
 pub use par::{

@@ -23,13 +23,12 @@
 //! `scripts/verify.sh` (spans live) — the numerics must not care.
 
 use batched_splines::prelude::*;
-use pp_bsplines::PanelIsa;
 use pp_linalg::{
     batched, gbtrf, gbtrs_resident, getrf, getrs_resident, naive, pbtrf, pbtrs_resident, pttrf,
     pttrs_resident, BandedLu, BandedMatrix, CholeskyBanded, LuFactors, Panel, PtFactors,
     SymBandedMatrix,
 };
-use pp_portable::{HostField, TestRng, LANE_WIDTH};
+use pp_portable::{HostField, PanelIsa, TestRng, LANE_WIDTH};
 
 /// Stated bound against the dense reference, in ulps of the lane's
 /// largest solution component (both sides are backward-stable solves of
