@@ -164,7 +164,7 @@ fn transposer_isa_rows() {
 }
 
 /// The verified solve's screen alone, one thread, per instruction set:
-/// `pass_on` (ABFT sums and residuals on) over one solved 1024-row panel
+/// `pass_on` (ABFT sums on) over one solved 1024-row panel
 /// and its right-hand sides — 128 KiB, in cache as the step has them — best
 /// of 15 rounds of 256 passes, uniform cubic and graded quintic. Per row of
 /// eight lanes: ns and the speed-up over the baseline instance, whose sums
@@ -194,12 +194,12 @@ fn screen_isa_rows() {
             for _ in 0..15 {
                 let start = Instant::now();
                 for _ in 0..256 {
-                    black_box(builder.pass_on(isa, black_box(x), rhs, true));
+                    black_box(builder.pass_on(isa, black_box(x), rhs));
                 }
                 best = best.min(start.elapsed());
             }
             let ns = best.as_secs_f64() * 1e9 / (256 * ROWS) as f64;
-            let sums = builder.pass_on(isa, x, rhs, true);
+            let sums = builder.pass_on(isa, x, rhs);
             let (base_ns, base_sums) = *base.get_or_insert((ns, sums));
             assert_eq!(sums, base_sums, "{}", isa.name());
             let (mesh, isa) = (cfg.label(), isa.name());

@@ -75,6 +75,5 @@ pub use evaluator::SplineEvaluator;
 pub use iterative_backend::{IterativeConfig, IterativeSplineSolver, KrylovKind, RecoveryPolicy};
 pub use tensor2d::TensorSpline2D;
 pub use verified::{
-    Degradation, DegradedReport, FallbackRung, LaneReport, LaneVerdict, QuarantineReason,
-    VerifiedBuilder, VerifyConfig,
+    FallbackRung, LaneReport, LaneVerdict, QuarantineReason, VerifiedBuilder, VerifyConfig,
 };

@@ -56,9 +56,6 @@ pub enum InstantKind {
     WatchdogTrip,
     /// A time budget ran out before the work under it finished.
     BudgetExhausted,
-    /// `VerifiedBuilder` degraded its verification under budget
-    /// pressure (skipped refinement, sampling, or ladder rungs).
-    DegradedVerify,
     /// An ABFT checksum mismatch flagged silent data corruption in a
     /// lane's solve (factor data, right-hand side, or coefficients).
     SdcDetected,
@@ -70,7 +67,7 @@ pub enum InstantKind {
 
 impl InstantKind {
     /// Number of instant kinds (length of [`InstantKind::ALL`]).
-    pub const COUNT: usize = 22;
+    pub const COUNT: usize = 21;
 
     /// Every kind, in declaration order (= index order).
     pub const ALL: [InstantKind; Self::COUNT] = [
@@ -92,7 +89,6 @@ impl InstantKind {
         InstantKind::FaultDumped,
         InstantKind::WatchdogTrip,
         InstantKind::BudgetExhausted,
-        InstantKind::DegradedVerify,
         InstantKind::SdcDetected,
         InstantKind::CheckpointWritten,
         InstantKind::CheckpointRestored,
@@ -125,7 +121,6 @@ impl InstantKind {
             InstantKind::FaultDumped => "fault_dumped",
             InstantKind::WatchdogTrip => "watchdog_trip",
             InstantKind::BudgetExhausted => "budget_exhausted",
-            InstantKind::DegradedVerify => "degraded_verify",
             InstantKind::SdcDetected => "sdc_detected",
             InstantKind::CheckpointWritten => "checkpoint_written",
             InstantKind::CheckpointRestored => "checkpoint_restored",

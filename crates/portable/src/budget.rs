@@ -5,7 +5,7 @@
 //! not hang the step. [`Budget`] is the vocabulary for that: an optional
 //! monotonic deadline plus a shared cancel flag, checked **cooperatively**
 //! at natural preemption points (pool chunk boundaries, Krylov iteration
-//! tops, per-lane verification steps). Nothing is ever interrupted
+//! tops). Nothing is ever interrupted
 //! mid-kernel — a participant that observes an exhausted budget finishes
 //! its current unit of work and stops claiming new ones, which bounds the
 //! overshoot past the deadline to one chunk / one iteration (see DESIGN.md

@@ -1,6 +1,6 @@
 //! # pp-sparse — sparse matrix storage and kernels
 //!
-//! Three storage formats and the sparse kernels the paper's optimisation
+//! Two storage formats and the sparse kernels the paper's optimisation
 //! story revolves around:
 //!
 //! * [`Coo`] — COOrdinate-list storage. §IV-D of the paper stores the
@@ -9,8 +9,6 @@
 //!   per-lane `spmv` loop are reproduced here ([`Coo::spmv_lane`]).
 //! * [`Csr`] — Compressed Sparse Row, the format the Ginkgo-style iterative
 //!   backend (`pp-iterative`) consumes, with a row-parallel [`Csr::spmv`].
-//! * [`Csc`] — Compressed Sparse Column, for completeness and for
-//!   column-oriented assembly.
 //!
 //! [`pattern::SparsityPattern`] reproduces the paper's Fig. 1 (the sparsity
 //! pattern of the degree-3 uniform spline matrix) and detects bandwidths,
@@ -24,13 +22,11 @@
 #![allow(clippy::int_plus_one)]
 
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod error;
 pub mod pattern;
 
 pub use coo::Coo;
-pub use csc::Csc;
 pub use csr::Csr;
 pub use error::{Error, Result};
 pub use pattern::SparsityPattern;

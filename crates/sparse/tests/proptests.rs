@@ -3,7 +3,7 @@
 //! the deterministic [`TestRng`] so runs are reproducible and hermetic.
 
 use pp_portable::{Layout, Matrix, Serial, Strided, StridedMut, TestRng};
-use pp_sparse::{Coo, Csc, Csr, SparsityPattern};
+use pp_sparse::{Coo, Csr, SparsityPattern};
 
 /// A random sparse matrix as a dense generator (deterministic in the
 /// inputs, so failures reproduce).
@@ -21,7 +21,7 @@ fn sparse_dense(m: usize, n: usize, density_pct: usize, seed: u64) -> Matrix {
     })
 }
 
-/// COO -> CSR -> dense and COO -> CSC -> dense reproduce the source.
+/// COO -> CSR -> dense and COO -> dense reproduce the source.
 #[test]
 fn conversion_round_trips() {
     let mut g = TestRng::seed_from_u64(0x20);
@@ -33,13 +33,12 @@ fn conversion_round_trips() {
         let a = sparse_dense(m, n, density, seed);
         let coo = Coo::from_dense(&a, 0.0);
         assert_eq!(Csr::from_coo(&coo).to_dense().max_abs_diff(&a), 0.0);
-        assert_eq!(Csc::from_coo(&coo).to_dense().max_abs_diff(&a), 0.0);
         assert_eq!(coo.to_dense().max_abs_diff(&a), 0.0);
     }
 }
 
-/// All four spmv implementations (dense reference, COO lane, CSR, CSC)
-/// agree.
+/// The spmv implementations (dense reference, COO lane, CSR serial and
+/// through an exec space) agree.
 #[test]
 fn spmv_variants_agree() {
     let mut g = TestRng::seed_from_u64(0x21);
@@ -67,15 +66,10 @@ fn spmv_variants_agree() {
         let mut y_csr_par = vec![0.0; m];
         csr.spmv(&Serial, &x, &mut y_csr_par);
 
-        let csc = Csc::from_coo(&coo);
-        let mut y_csc = vec![0.0; m];
-        csc.spmv_into(&x, &mut y_csc);
-
         for i in 0..m {
             assert!((y_coo[i] - reference[i]).abs() < 1e-11);
             assert!((y_csr[i] - reference[i]).abs() < 1e-11);
             assert!((y_csr_par[i] - reference[i]).abs() < 1e-11);
-            assert!((y_csc[i] - reference[i]).abs() < 1e-11);
         }
     }
 }
@@ -112,10 +106,8 @@ fn nnz_consistency() {
         let a = sparse_dense(m, n, density, seed);
         let coo = Coo::from_dense(&a, 0.0);
         let csr = Csr::from_coo(&coo);
-        let csc = Csc::from_coo(&coo);
         let pat = SparsityPattern::from_dense(&a, 0.0);
         assert_eq!(coo.nnz(), csr.nnz());
-        assert_eq!(csr.nnz(), csc.nnz());
-        assert_eq!(csc.nnz(), pat.nnz());
+        assert_eq!(csr.nnz(), pat.nnz());
     }
 }

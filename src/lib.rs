@@ -19,7 +19,7 @@
 //! |---|---|---|
 //! | [`portable`] | `pp-portable` | views, layouts, execution spaces |
 //! | [`linalg`] | `pp-linalg` | batched serial `getrf/s`, `gbtrf/s`, `pbtrf/s`, `pttrf/s`, `gemm`, `gemv` |
-//! | [`sparse`] | `pp-sparse` | COO / CSR / CSC, `spmv`, sparsity patterns |
+//! | [`sparse`] | `pp-sparse` | COO / CSR, `spmv`, sparsity patterns |
 //! | [`iterative`] | `pp-iterative` | CG, BiCG, BiCGStab, GMRES, block-Jacobi, chunked multi-RHS driver |
 //! | [`bsplines`] | `pp-bsplines` | periodic and clamped B-spline spaces, Greville points, matrix assembly |
 //! | [`splinesolver`] | `pp-splinesolver` | **the paper's contribution**: the three-version batched spline builder |
@@ -71,8 +71,8 @@ pub mod prelude {
         Parallel, ResidentBatch, Serial, LANE_WIDTH,
     };
     pub use pp_splinesolver::{
-        BuilderVersion, Degradation, DegradedReport, FallbackRung, IterativeConfig,
-        IterativeSplineSolver, KrylovKind, LaneReport, LaneVerdict, QuarantineReason,
-        RecoveryPolicy, SplineBuilder, SplineEvaluator, VerifiedBuilder, VerifyConfig,
+        BuilderVersion, FallbackRung, IterativeConfig, IterativeSplineSolver, KrylovKind,
+        LaneReport, LaneVerdict, QuarantineReason, RecoveryPolicy, SplineBuilder, SplineEvaluator,
+        VerifiedBuilder, VerifyConfig,
     };
 }
