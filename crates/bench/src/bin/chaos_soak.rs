@@ -1,13 +1,15 @@
-//! Chaos-soak campaign: seeded randomized fault scenarios driven through
-//! the budgeted batched Krylov stack, with hard invariants checked on
-//! every round. Writes machine-readable `BENCH_chaos.json` and exits
-//! non-zero if any invariant is violated — this is a robustness gate, not
-//! a performance benchmark.
+//! Chaos-soak campaign: seeded randomized fault scenarios, with hard
+//! invariants checked on every round. Writes machine-readable
+//! `BENCH_chaos.json` and exits non-zero if any invariant is violated —
+//! this is a robustness gate, not a performance benchmark.
 //!
-//! Each seed deterministically generates one scenario (system size, batch
-//! width, NaN-poisoned lanes, near-singular perturbation, per-lane spin
-//! delay, budget class, memory-corruption mode) via
-//! [`FaultInjector::chaos_round`]. Invariants:
+//! Each seed deterministically generates two legs. The Krylov leg
+//! ([`FaultInjector::chaos_round`]) drives the budgeted batched Krylov
+//! stack: system size, batch width, NaN-poisoned lanes, near-singular
+//! perturbation, per-lane spin delay and budget class. The SDC leg
+//! ([`sdc_round`]) strikes bits in the coefficients a `VerifiedBuilder`
+//! step solves, with the ABFT screen on, through the one verify body every
+//! verified step runs. Invariants:
 //!
 //! * **no hang** — a budgeted round returns within its deadline plus the
 //!   pool watchdog slack plus a scheduling margin;
@@ -17,10 +19,10 @@
 //!   from their seed (solution checksum included);
 //! * **no poisoned pool** — after the whole campaign the worker pool
 //!   still runs a clean dispatch and a clean solve converges;
-//! * **SDC containment** — the ABFT leg never lets injected bit-flips
-//!   produce a silent wrong answer: transient flips are corrected,
-//!   persistent factor corruption is detected, clean rounds never trip
-//!   (`ChaosReport::sdc_contained`).
+//! * **SDC containment** — an injected bit flip never becomes a silent
+//!   wrong answer: transient strikes are healed by the screen's retry,
+//!   persistent ones are recovered by a ladder rung or quarantined and
+//!   zeroed, clean rounds never trip (`SdcRound::contained`).
 //!
 //! Usage: `chaos_soak [--seeds N] [--smoke] [--out PATH]`
 //!   --seeds  number of seeds to soak (default 64; minimum 32 enforced
@@ -30,6 +32,7 @@
 
 use pp_iterative::{ChaosBudgetKind, FaultInjector};
 use pp_portable::parallel_for;
+use pp_splinesolver::verified::sdc_round;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -75,21 +78,28 @@ fn main() {
         (0usize, 0usize, 0usize, 0usize);
     for seed in 0..count {
         let r = FaultInjector::chaos_round(seed);
+        let sdc = sdc_round(seed);
         match r.budget_kind {
             ChaosBudgetKind::Unlimited => unlimited += 1,
             ChaosBudgetKind::Ample => ample += 1,
             ChaosBudgetKind::Tight => tight += 1,
         }
         total_partial += r.partial;
-        sdc_detected += r.sdc_detected;
-        sdc_corrected += r.sdc_corrected;
-        sdc_uncorrected += r.sdc_uncorrected;
-        sdc_silent_wrong += r.sdc_silent_wrong;
-        if !r.sdc_contained() {
+        sdc_detected += sdc.detected;
+        sdc_corrected += sdc.corrected;
+        sdc_uncorrected += sdc.uncorrected;
+        sdc_silent_wrong += sdc.silent_wrong;
+        if !sdc.contained() {
             violations.push(format!(
-                "seed {seed}: sdc containment — mode {:?}: {} detected, {} corrected, \
-                 {} uncorrected, {} SILENT WRONG ANSWER(S)",
-                r.sdc_mode, r.sdc_detected, r.sdc_corrected, r.sdc_uncorrected, r.sdc_silent_wrong
+                "seed {seed}: sdc containment — mode {:?}, struck {:?}: {} detected, \
+                 {} corrected, {} uncorrected, {} SILENT WRONG ANSWER(S); {}",
+                sdc.mode,
+                sdc.struck,
+                sdc.detected,
+                sdc.corrected,
+                sdc.uncorrected,
+                sdc.silent_wrong,
+                sdc.report
             ));
         }
         if !r.no_hang() {
@@ -136,13 +146,13 @@ fn main() {
             r.partial,
             r.broke,
             r.stalled,
-            r.sdc_mode,
-            r.sdc_detected,
-            r.sdc_corrected,
-            r.sdc_uncorrected,
-            r.sdc_silent_wrong
+            sdc.mode,
+            sdc.detected,
+            sdc.corrected,
+            sdc.uncorrected,
+            sdc.silent_wrong
         );
-        rows.push(r);
+        rows.push((r, sdc));
     }
     let campaign_elapsed = started.elapsed();
 
@@ -193,7 +203,7 @@ fn main() {
     );
     let _ = writeln!(j, "  \"violations\": {},", violations.len());
     j.push_str("  \"rounds\": [\n");
-    for (k, r) in rows.iter().enumerate() {
+    for (k, (r, sdc)) in rows.iter().enumerate() {
         let _ = write!(
             j,
             "    {{\"seed\": {}, \"lanes\": {}, \"poisoned\": {}, \"near_singular\": {}, \
@@ -211,11 +221,11 @@ fn main() {
             r.partial,
             r.broke,
             r.stalled,
-            r.sdc_mode,
-            r.sdc_detected,
-            r.sdc_corrected,
-            r.sdc_uncorrected,
-            r.sdc_silent_wrong,
+            sdc.mode,
+            sdc.detected,
+            sdc.corrected,
+            sdc.uncorrected,
+            sdc.silent_wrong,
             r.checksum
         );
         j.push_str(if k + 1 < rows.len() { ",\n" } else { "\n" });

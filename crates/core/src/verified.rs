@@ -28,18 +28,29 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::blocks::{QClass, SchurBlocks};
-use crate::builder::{schur_solve, SplineBuilder, ABREAST};
+use crate::builder::{schur_solve, BuilderVersion, SplineBuilder, ABREAST};
 use crate::error::Result;
 use crate::iterative_backend::{IterativeConfig, IterativeSplineSolver};
-use pp_bsplines::assemble_interpolation_matrix;
+use pp_bsplines::{assemble_interpolation_matrix, Breaks, SplineSpace};
 use pp_iterative::solver::{norm2, residual_into};
-use pp_linalg::{flip_bit, getrf, refine_lane, LuFactors, RefineConfig, DEFAULT_ABFT_TOL};
+use pp_linalg::{getrf, refine_lane, LuFactors, RefineConfig};
 use pp_portable::instrument::{
     counter, fault_dump, trace_instant_lane, Counter, InstantKind, PhaseId, Span,
 };
 use pp_portable::PanelIsa;
-use pp_portable::{ExecSpace, Field, Matrix, ResidentBatch, StridedMut, LANE_WIDTH};
+use pp_portable::{
+    ExecSpace, Field, HostField, Layout, Matrix, Parallel, ResidentBatch, StridedMut, TestRng,
+    LANE_WIDTH,
+};
 use pp_sparse::Csr;
+
+/// Relative tolerance of the ABFT screen. The discrepancy of a correct
+/// solve is rounding error on two length-`n` dot products, O(n·ε) relative
+/// to the scale `‖colsum‖₂‖x‖₂ + |Σb|`; `1e-8` leaves ~7 decimal orders of
+/// headroom below the smallest single-bit mantissa upset that matters (bit
+/// ~25 of the significand) and never trips on honest arithmetic at the
+/// orders this workspace batches (n ≲ 10⁴).
+const DEFAULT_ABFT_TOL: f64 = 1e-8;
 
 /// Tuning knobs for [`VerifiedBuilder`].
 #[derive(Debug, Clone)]
@@ -67,8 +78,8 @@ pub struct VerifyConfig {
     /// checked against the factor-time column-sum identity
     /// `(Aᵀ𝟙)·x = Σb` in O(n). A tripped lane is retried once from its
     /// pristine right-hand side, then escalated through
-    /// refinement/ladder/quarantine like any failing lane. Defaults to
-    /// the `PP_ABFT` environment switch (off when unset).
+    /// refinement/ladder/quarantine like any failing lane. Off by
+    /// default; a caller that wants the screen sets it.
     pub abft: bool,
     /// Fault-injection hook: flip a significant bit in these lanes'
     /// freshly solved coefficients before the ABFT screen runs — the
@@ -82,13 +93,6 @@ pub struct VerifyConfig {
     pub sdc_probe_persistent: bool,
 }
 
-/// The process-default of [`VerifyConfig::abft`]: the `PP_ABFT`
-/// environment switch, read once, warn-once on malformed values.
-fn abft_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| pp_portable::instrument::env::env_bool("PP_ABFT").unwrap_or(false))
-}
-
 impl Default for VerifyConfig {
     fn default() -> Self {
         VerifyConfig {
@@ -98,7 +102,7 @@ impl Default for VerifyConfig {
             use_ladder: true,
             use_iterative_rung: true,
             probe_lanes: Vec::new(),
-            abft: abft_default(),
+            abft: false,
             sdc_probe_lanes: Vec::new(),
             sdc_probe_persistent: false,
         }
@@ -275,9 +279,7 @@ fn verify_metrics() -> &'static VerifyMetrics {
     })
 }
 
-/// Cached counter handles for the silent-data-corruption tallies. The
-/// names match the ones `pp_linalg::abft` bumps, so process-wide totals
-/// aggregate both detection layers.
+/// Cached counter handles for the silent-data-corruption tallies.
 struct SdcMetrics {
     detected: Counter,
     corrected: Counter,
@@ -1168,13 +1170,193 @@ fn strike<'a>(x: impl Iterator<Item = &'a mut f64>) {
     }
 }
 
+/// Flip one bit of an `f64`'s IEEE-754 representation: bit 0 is the
+/// least-significant mantissa bit, bits 52–62 the exponent, bit 63 the
+/// sign.
+fn flip_bit(x: f64, bit: u32) -> f64 {
+    f64::from_bits(x.to_bits() ^ (1u64 << (bit & 63)))
+}
+
+/// Error, relative to `1 + max |coefficient|` of the plain solve, above
+/// which a refined or recovered lane of an [`sdc_round`] counts as a silent
+/// wrong answer: a re-solve that passed the residual check sits orders of
+/// magnitude below it, and the struck bit 51 orders of magnitude above.
+const SDC_MATERIAL_ERR: f64 = 1e-5;
+
+/// Which bit flip an [`sdc_round`] injects into the verified solve.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SdcMode {
+    /// No strike: every lane must come back `Verified`.
+    Off,
+    /// The struck lanes' solved coefficients are hit once; the screen's
+    /// retry must heal them back to the plain solve's bits.
+    Transient,
+    /// The retry is hit too, and refinement is off: a struck lane must be
+    /// recovered by a ladder rung, or quarantined and zeroed without one.
+    Persistent,
+}
+
+/// What one [`sdc_round`] drew and observed.
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq)]
+pub struct SdcRound {
+    /// The bit flip injected.
+    pub mode: SdcMode,
+    /// The struck lanes, ascending; empty with [`SdcMode::Off`].
+    pub struck: Vec<usize>,
+    /// Whether the recovery ladder was on.
+    pub ladder: bool,
+    /// The verified solve's verdicts.
+    pub report: LaneReport,
+    /// Lanes whose coefficients came back all zero.
+    pub zeroed: Vec<usize>,
+    /// Lanes the screen did not pass as `Verified`. Only struck lanes can
+    /// be: nothing else is wrong with the batch.
+    pub detected: usize,
+    /// Detected lanes the screen's retry healed (`SdcCorrected`).
+    pub corrected: usize,
+    /// Detected lanes left to refinement, the ladder or quarantine.
+    pub uncorrected: usize,
+    /// Lanes with a trusted verdict whose coefficients differ from the
+    /// plain solve's — in any bit for `Verified` / `SdcCorrected`, beyond
+    /// `1e-5` of the lane's scale for a refined or recovered lane. The one
+    /// count that must always be zero.
+    pub silent_wrong: usize,
+}
+
+impl SdcRound {
+    /// `true` when the round contained its strikes: no silent wrong
+    /// answer, every unstruck lane `Verified`, every struck lane given its
+    /// mode's disposition, and every quarantined lane zeroed.
+    pub fn contained(&self) -> bool {
+        let disposed = self.report.verdicts().iter().enumerate().all(|(lane, v)| {
+            match (self.struck.contains(&lane), self.mode) {
+                (false, _) | (true, SdcMode::Off) => matches!(v, LaneVerdict::Verified { .. }),
+                (true, SdcMode::Transient) => matches!(v, LaneVerdict::SdcCorrected { .. }),
+                (true, SdcMode::Persistent) if self.ladder => {
+                    matches!(v, LaneVerdict::Recovered { .. })
+                }
+                (true, SdcMode::Persistent) => matches!(
+                    v,
+                    LaneVerdict::Quarantined {
+                        reason: QuarantineReason::SdcDetected { .. }
+                    }
+                ),
+            }
+        });
+        let zeroed = (self.report.quarantined_lanes().iter()).all(|l| self.zeroed.contains(l));
+        self.silent_wrong == 0 && disposed && zeroed
+    }
+}
+
+/// One seeded round of the chaos campaign's SDC leg, through the verified
+/// step's own path: a uniform cubic periodic space of 8–32 cells, a host
+/// field of 4–24 lanes (so ragged tail panels are hit), a mode, and up to
+/// three struck lanes, solved by [`VerifiedBuilder::solve_then`] with the
+/// ABFT screen on and the [`VerifyConfig::sdc_probe_lanes`] hooks. Every
+/// lane is held against the plain [`SplineBuilder::solve_then`] of the same
+/// right-hand sides. The round is a pure function of `seed`.
+#[doc(hidden)]
+pub fn sdc_round(seed: u64) -> SdcRound {
+    let mut rng = TestRng::seed_from_u64(seed);
+    let cells = 8 + rng.gen_range(0..24_usize);
+    let lanes = 4 + rng.gen_range(0..20_usize);
+    let mode = match rng.gen_range(0..3_usize) {
+        0 => SdcMode::Off,
+        1 => SdcMode::Transient,
+        _ => SdcMode::Persistent,
+    };
+    let mut struck = Vec::new();
+    if mode != SdcMode::Off {
+        for _ in 0..1 + rng.gen_range(0..3_usize) {
+            struck.push(rng.gen_range(0..lanes));
+        }
+        struck.sort_unstable();
+        struck.dedup();
+    }
+    let ladder = rng.gen_bool(0.5);
+    // Lane `l` of the host field is row `l`.
+    let rhs = Matrix::from_fn(lanes, cells, Layout::Right, |_, _| rng.gen_range(-1.0..1.0));
+
+    let persistent = mode == SdcMode::Persistent;
+    let mut refine = RefineConfig::default();
+    if persistent {
+        refine.max_steps = 0;
+    }
+    let breaks = Breaks::uniform(cells, 0.0, 1.0).expect("8-32 uniform cells");
+    let space = SplineSpace::new(breaks, 3).expect("cubic periodic space");
+    let verified = SplineBuilder::new(space, BuilderVersion::FusedSpmv)
+        .expect("uniform cubic builder")
+        .verified(VerifyConfig {
+            abft: true,
+            use_ladder: ladder,
+            refine,
+            sdc_probe_lanes: struck.clone(),
+            sdc_probe_persistent: persistent,
+            ..VerifyConfig::default()
+        });
+    let keep = move |_: usize, lanes: usize, coefs: &[f64], block: &mut [f64]| {
+        for (l, row) in block.chunks_exact_mut(cells).take(lanes).enumerate() {
+            for (v, c) in row.iter_mut().zip(coefs.iter().skip(l).step_by(LANE_WIDTH)) {
+                *v = *c;
+            }
+        }
+    };
+    let land = |_: usize, coefs: &[f64], mut out: StridedMut<'_>| out.copy_from_slice(coefs);
+    let field = |m| HostField::new(m).expect("a row-major host field");
+    let (mut got, mut want) = (rhs.clone(), rhs);
+    let report = verified
+        .solve_then(&Parallel, &mut field(&mut got), keep, land)
+        .expect("rows match the space");
+    (verified.builder())
+        .solve_then(&Parallel, &mut field(&mut want), keep)
+        .expect("rows match the space");
+
+    let mut silent_wrong = 0;
+    for (l, verdict) in report.verdicts().iter().enumerate() {
+        let (g, w) = (got.row(l).to_vec(), want.row(l).to_vec());
+        silent_wrong += usize::from(match verdict {
+            LaneVerdict::Verified { .. }
+            | LaneVerdict::Unsampled
+            | LaneVerdict::SdcCorrected { .. } => {
+                g.iter().zip(&w).any(|(g, w)| g.to_bits() != w.to_bits())
+            }
+            LaneVerdict::Refined { .. } | LaneVerdict::Recovered { .. } => {
+                let bound =
+                    SDC_MATERIAL_ERR * (1.0 + w.iter().fold(0.0_f64, |m, w| m.max(w.abs())));
+                // `!(err <= bound)`: a NaN error is wrong too.
+                !g.iter().zip(&w).all(|(g, w)| (g - w).abs() <= bound)
+            }
+            LaneVerdict::Quarantined { .. } => false,
+        });
+    }
+    let zeroed = (0..lanes)
+        .filter(|&l| got.row(l).iter().all(|v| v == 0.0))
+        .collect();
+    let detected = (report.verdicts().iter())
+        .filter(|v| !matches!(v, LaneVerdict::Verified { .. }))
+        .count();
+    let corrected = report.sdc_corrected_lanes().len();
+    SdcRound {
+        mode,
+        struck,
+        ladder,
+        report,
+        zeroed,
+        detected,
+        corrected,
+        uncorrected: detected - corrected,
+        silent_wrong,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::BuilderVersion;
-    use pp_bsplines::{Breaks, PeriodicSplineSpace, SplineSpace};
+    use pp_bsplines::PeriodicSplineSpace;
     use pp_linalg::Panel;
-    use pp_portable::{CountingExec, HostField, Layout, Parallel, Serial, Strided, TestRng};
+    use pp_portable::{CountingExec, Serial, Strided};
 
     fn space(n: usize, degree: usize, uniform: bool) -> PeriodicSplineSpace {
         let breaks = if uniform {
@@ -1588,6 +1770,61 @@ mod tests {
                 assert_eq!(x.get(i, tripped), 0.0, "batch {batch}");
             }
         }
+    }
+
+    /// The chaos campaign's SDC leg over a spread of seeds: every strike is
+    /// contained by the screen production runs — healed by the retry,
+    /// recovered by a rung, or quarantined and zeroed — and a trusted lane
+    /// is never wrong.
+    #[test]
+    fn sdc_round_never_reports_silent_wrong_answers() {
+        let mut seen = [false; 4];
+        for seed in 0..24u64 {
+            let r = sdc_round(seed);
+            assert!(r.contained(), "seed {seed}: {r:?}");
+            assert_eq!(r.silent_wrong, 0, "seed {seed}");
+            match r.mode {
+                SdcMode::Off => {
+                    seen[0] = true;
+                    assert_eq!(r.detected, 0, "seed {seed}: a clean round never trips");
+                }
+                SdcMode::Transient => {
+                    seen[1] = true;
+                    assert_eq!(r.corrected, r.detected, "seed {seed}: transients heal");
+                    assert_eq!(r.detected, r.struck.len(), "seed {seed}");
+                }
+                SdcMode::Persistent => {
+                    seen[2 + usize::from(r.ladder)] = true;
+                    for &lane in &r.struck {
+                        let verdict = *r.report.verdict(lane);
+                        if r.ladder {
+                            assert!(
+                                matches!(verdict, LaneVerdict::Recovered { .. }),
+                                "seed {seed} lane {lane}: {verdict}"
+                            );
+                        } else {
+                            assert!(
+                                matches!(
+                                    verdict,
+                                    LaneVerdict::Quarantined {
+                                        reason: QuarantineReason::SdcDetected { .. }
+                                    }
+                                ),
+                                "seed {seed} lane {lane}: {verdict}"
+                            );
+                            assert!(r.zeroed.contains(&lane), "seed {seed} lane {lane}");
+                        }
+                    }
+                }
+            }
+            // Timing-free: replaying the seed reproduces the round exactly.
+            assert_eq!(r, sdc_round(seed), "seed {seed}");
+        }
+        assert!(
+            seen.iter().all(|&s| s),
+            "24 seeds must exercise off, transient and persistent with and \
+             without the ladder: {seen:?}"
+        );
     }
 
     #[test]

@@ -78,34 +78,6 @@ pub fn env_usize_clamped(var: &'static str, lo: usize, hi: usize) -> Option<usiz
     parse_usize_clamped(var, std::env::var(var).ok().as_deref(), lo, hi)
 }
 
-/// Parse an environment value as a boolean switch.
-///
-/// Accepted (case-insensitive): `1`/`true`/`on`/`yes` → `Some(true)`,
-/// `0`/`false`/`off`/`no` → `Some(false)`. Unset → `None` silently;
-/// anything else → `None` with a once-per-variable warning, so
-/// `PP_ABFT=ture` cannot silently disable a protection the operator
-/// thought was on.
-pub fn parse_bool(var: &'static str, raw: Option<&str>) -> Option<bool> {
-    let raw = raw?.trim();
-    match raw.to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Some(true),
-        "0" | "false" | "off" | "no" => Some(false),
-        _ => {
-            warn_once(
-                var,
-                &format!("{var}={raw:?} is not a boolean (1/0/true/false/on/off/yes/no); using the default"),
-            );
-            None
-        }
-    }
-}
-
-/// Read `var` from the process environment and parse it with
-/// [`parse_bool`].
-pub fn env_bool(var: &'static str) -> Option<bool> {
-    parse_bool(var, std::env::var(var).ok().as_deref())
-}
-
 /// Read `var` as a filesystem path. Unset → `None` silently; set but
 /// empty (or whitespace) → `None` with a once-per-variable warning — an
 /// empty `PP_CHECKPOINT_DIR` almost certainly means a broken shell
@@ -168,18 +140,5 @@ mod tests {
         assert!(warn_once("PP_TEST_ONCE", "first"));
         assert!(!warn_once("PP_TEST_ONCE", "second"));
         assert!(warn_once("PP_TEST_ONCE_OTHER", "different key"));
-    }
-
-    #[test]
-    fn bool_parsing_accepts_switch_vocabulary() {
-        for on in ["1", "true", "TRUE", "on", "Yes"] {
-            assert_eq!(parse_bool("PP_TEST_BOOL", Some(on)), Some(true), "{on}");
-        }
-        for off in ["0", "false", "OFF", "no"] {
-            assert_eq!(parse_bool("PP_TEST_BOOL", Some(off)), Some(false), "{off}");
-        }
-        assert_eq!(parse_bool("PP_TEST_BOOL_UNSET", None), None);
-        assert_eq!(parse_bool("PP_TEST_BOOL_BAD", Some("maybe")), None);
-        assert_eq!(parse_bool("PP_TEST_BOOL_BAD", Some("")), None);
     }
 }

@@ -17,9 +17,7 @@ use crate::multirhs::{ChunkedSolver, LaneOutcome};
 use crate::precond::BlockJacobi;
 use crate::solver::{IterativeSolver, SolveResult};
 use crate::stop::StopCriteria;
-use pp_linalg::abft::{flip_bit, solve_all_checked, LaneChecksum, Sabotage};
-use pp_linalg::{batched, pttrf};
-use pp_portable::{watchdog_slack, Budget, Layout, Matrix, Serial, TestRng};
+use pp_portable::{watchdog_slack, Budget, Layout, Matrix, TestRng};
 use pp_sparse::Csr;
 use std::time::{Duration, Instant};
 
@@ -99,22 +97,6 @@ impl FaultInjector {
         Csr::from_dense(&dense, 0.0)
     }
 
-    /// Flip one random bit of one random element of `data`, modelling a
-    /// memory upset between factorization and solve. The bit is drawn
-    /// from the *significant* range (high mantissa through low exponent,
-    /// bits 45–54) so the corruption is numerically live rather than
-    /// lost in rounding noise. Returns the strike location.
-    ///
-    /// # Panics
-    /// Panics if `data` is empty.
-    pub fn flip_random_bit(&mut self, data: &mut [f64]) -> BitFlip {
-        assert!(!data.is_empty(), "cannot corrupt an empty buffer");
-        let index = self.rng.gen_range(0..data.len());
-        let bit = self.rng.gen_range(45..55_u64) as u32;
-        data[index] = flip_bit(data[index], bit);
-        BitFlip { index, bit }
-    }
-
     /// Starve a stopping criterion: same tolerance, but at most
     /// `max_iters` iterations — forces `MaxIters` outcomes on any lane
     /// that genuinely needs the work.
@@ -138,6 +120,10 @@ impl FaultInjector {
     /// invariants hold: the round returns within the deadline plus
     /// bounded slack, every unfinished lane is surfaced as
     /// [`LaneOutcome::Partial`], and the pool stays usable.
+    ///
+    /// Bit flips are not injected here: the campaign's SDC leg is
+    /// `pp_splinesolver::verified::sdc_round`, which strikes the panel
+    /// screen every verified step runs.
     pub fn chaos_round(seed: u64) -> ChaosReport {
         let mut inj = FaultInjector::new(seed);
         let n = 8 + inj.rng.gen_range(0..24_usize);
@@ -201,17 +187,6 @@ impl FaultInjector {
         let outcomes = driver.solve_in_place(&a, &mut b, None, &mut logger);
         let elapsed = started.elapsed();
 
-        // --- SDC leg: an ABFT-checksummed direct solve of a sibling
-        // system, with a seed-chosen memory-corruption fault. Timing
-        // never affects it, so its outcome is replayable for every
-        // budget class.
-        let sdc_mode = match inj.rng.gen_range(0..3_usize) {
-            0 => SdcMode::Off,
-            1 => SdcMode::TransientSolution,
-            _ => SdcMode::PersistentFactor,
-        };
-        let sdc = run_sdc_leg(&mut inj, n, batch, sdc_mode);
-
         let mut report = ChaosReport {
             seed,
             lanes: batch,
@@ -227,11 +202,6 @@ impl FaultInjector {
             stalled: 0,
             checksum: checksum_matrix(&b),
             lane_results: logger.lane_results().to_vec(),
-            sdc_mode,
-            sdc_detected: sdc.detected,
-            sdc_corrected: sdc.corrected,
-            sdc_uncorrected: sdc.uncorrected,
-            sdc_silent_wrong: sdc.silent_wrong,
         };
         for o in &outcomes {
             match o {
@@ -242,109 +212,6 @@ impl FaultInjector {
             }
         }
         report
-    }
-}
-
-/// Where a deterministic bit flip landed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BitFlip {
-    /// Element index that was struck.
-    pub index: usize,
-    /// Bit position that was flipped (0 = LSB of the mantissa).
-    pub bit: u32,
-}
-
-/// Which silent-data-corruption fault a chaos round injected into its
-/// ABFT-checksummed direct-solve leg.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SdcMode {
-    /// No corruption: every lane must come back clean.
-    Off,
-    /// A one-shot bit flip in one lane's freshly written solution — the
-    /// transient upset the ABFT retry must correct.
-    TransientSolution,
-    /// An exponent-bit flip in factor memory after checksum capture —
-    /// persistent corruption the retry cannot fix; every affected lane
-    /// must end uncorrected (and be escalated by the caller), never
-    /// silently wrong.
-    PersistentFactor,
-}
-
-/// Trusted-lane error (relative to the pristine reference solve) above
-/// which the lane counts as a **silent wrong answer**. The worst
-/// perturbation the checksum can miss is bounded by the ABFT tolerance
-/// times the checksum scale — orders of magnitude below this — while any
-/// live bit-45+ upset sits orders of magnitude above it.
-const SDC_MATERIAL_ERR: f64 = 1e-5;
-
-/// What the SDC leg of one chaos round observed.
-struct SdcOutcome {
-    detected: usize,
-    corrected: usize,
-    uncorrected: usize,
-    silent_wrong: usize,
-}
-
-/// Run the ABFT leg: factor an SPD tridiagonal system, capture the
-/// factor-time checksum, inject the mode's corruption, solve checked,
-/// and compare every *trusted* lane against the pristine reference.
-fn run_sdc_leg(inj: &mut FaultInjector, n: usize, batch: usize, mode: SdcMode) -> SdcOutcome {
-    let mut f = pttrf(&vec![4.0; n], &vec![-1.0; n - 1]).expect("SPD tridiagonal factorisation");
-    let mut b = {
-        let mut vals = Vec::with_capacity(n * batch);
-        for _ in 0..n * batch {
-            vals.push(inj.rng.gen_range(-1.0..1.0));
-        }
-        let mut next = vals.into_iter();
-        Matrix::from_fn(n, batch, Layout::Left, |_, _| {
-            next.next().expect("pre-drawn n*batch values")
-        })
-    };
-    let mut reference = b.clone();
-    batched::pttrs(&Serial, &f, &mut reference);
-    let checksum = LaneChecksum::capture(&f).expect("pristine factors checksum");
-
-    let sabotage = match mode {
-        SdcMode::Off => None,
-        SdcMode::TransientSolution => {
-            let lane = inj.rng.gen_range(0..batch);
-            let index = inj.rng.gen_range(0..n);
-            let bit = inj.rng.gen_range(45..53_u64) as u32;
-            Some(Sabotage::transient(lane, index, bit))
-        }
-        SdcMode::PersistentFactor => {
-            let (d, _e) = f.fault_data_mut();
-            let imax = (0..d.len())
-                .max_by(|&i, &j| d[i].abs().total_cmp(&d[j].abs()))
-                .expect("non-empty diagonal");
-            d[imax] = flip_bit(d[imax], 54);
-            None
-        }
-    };
-
-    let report = solve_all_checked(&Serial, &f, &checksum, &mut b, sabotage.as_ref());
-    let mut silent_wrong = 0;
-    for (lane, verdict) in report.verdicts.iter().enumerate() {
-        if !verdict.is_trusted() {
-            continue;
-        }
-        let got = b.col(lane).to_vec();
-        let want = reference.col(lane).to_vec();
-        let scale = 1.0 + want.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-        let err = got
-            .iter()
-            .zip(&want)
-            .fold(0.0_f64, |m, (g, w)| m.max((g - w).abs()));
-        // A NaN error counts as wrong too.
-        if err.is_nan() || err > SDC_MATERIAL_ERR * scale {
-            silent_wrong += 1;
-        }
-    }
-    SdcOutcome {
-        detected: report.detected(),
-        corrected: report.corrected,
-        uncorrected: report.uncorrected,
-        silent_wrong,
     }
 }
 
@@ -392,17 +259,6 @@ pub struct ChaosReport {
     pub checksum: u64,
     /// Raw per-lane records, lane order.
     pub lane_results: Vec<SolveResult>,
-    /// Which memory-corruption fault the SDC leg injected.
-    pub sdc_mode: SdcMode,
-    /// SDC-leg lanes that tripped the ABFT checksum at least once.
-    pub sdc_detected: usize,
-    /// SDC-leg lanes healed by the retry-from-pristine.
-    pub sdc_corrected: usize,
-    /// SDC-leg lanes still tripping after retry (escalation required).
-    pub sdc_uncorrected: usize,
-    /// SDC-leg lanes that were *trusted* yet materially wrong versus the
-    /// pristine reference — the one count that must always be zero.
-    pub sdc_silent_wrong: usize,
 }
 
 impl ChaosReport {
@@ -440,24 +296,6 @@ impl ChaosReport {
             self.spin.as_nanos(),
             self.deadline,
         )
-    }
-
-    /// `true` when the SDC leg contained its injected corruption: never
-    /// a silent wrong answer, and the mode's expected disposition held —
-    /// no trips when nothing was injected, and persistent factor
-    /// corruption always escalated rather than slipping through. (A
-    /// transient upset that lands on a numerically dead element may
-    /// legitimately go undetected; what it may never do is leave a
-    /// materially wrong trusted lane.)
-    pub fn sdc_contained(&self) -> bool {
-        if self.sdc_silent_wrong != 0 {
-            return false;
-        }
-        match self.sdc_mode {
-            SdcMode::Off => self.sdc_detected == 0,
-            SdcMode::TransientSolution => self.sdc_uncorrected == 0,
-            SdcMode::PersistentFactor => self.sdc_uncorrected > 0,
-        }
     }
 }
 
@@ -624,75 +462,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn flip_random_bit_is_deterministic_and_live() {
-        let make = || {
-            let mut data = vec![1.0, -2.5, 3.25, 0.125];
-            let strike = FaultInjector::new(9).flip_random_bit(&mut data);
-            (data, strike)
-        };
-        let (d1, s1) = make();
-        let (d2, s2) = make();
-        assert_eq!(s1, s2, "same seed, same strike");
-        assert_eq!(d1, d2);
-        assert!((45..55).contains(&s1.bit));
-        let pristine = [1.0_f64, -2.5, 3.25, 0.125];
-        assert_ne!(
-            d1[s1.index].to_bits(),
-            pristine[s1.index].to_bits(),
-            "the strike must change the bits"
-        );
-    }
-
-    /// The end-to-end no-silent-wrong-answer invariant over a spread of
-    /// seeds: every injected corruption is contained — detected and
-    /// corrected, or escalated as uncorrected — and a trusted lane is
-    /// never materially wrong.
-    #[test]
-    fn chaos_sdc_leg_never_reports_silent_wrong_answers() {
-        let mut modes_seen = [false; 3];
-        for seed in 0..24u64 {
-            let r = FaultInjector::chaos_round(seed);
-            assert!(
-                r.sdc_contained(),
-                "seed {seed}: mode {:?}, detected {}, corrected {}, uncorrected {}, silent {}",
-                r.sdc_mode,
-                r.sdc_detected,
-                r.sdc_corrected,
-                r.sdc_uncorrected,
-                r.sdc_silent_wrong
-            );
-            match r.sdc_mode {
-                SdcMode::Off => modes_seen[0] = true,
-                SdcMode::TransientSolution => {
-                    modes_seen[1] = true;
-                    assert_eq!(r.sdc_corrected, r.sdc_detected, "transients heal on retry");
-                }
-                SdcMode::PersistentFactor => {
-                    modes_seen[2] = true;
-                    assert!(r.sdc_detected > 0, "an exponent flip cannot go unseen");
-                }
-            }
-            // The SDC leg is timing-free: replaying the seed reproduces
-            // it exactly, whatever the budget class did.
-            let replay = FaultInjector::chaos_round(seed);
-            assert_eq!(r.sdc_mode, replay.sdc_mode);
-            assert_eq!(
-                (r.sdc_detected, r.sdc_corrected, r.sdc_uncorrected),
-                (
-                    replay.sdc_detected,
-                    replay.sdc_corrected,
-                    replay.sdc_uncorrected
-                ),
-                "seed {seed}"
-            );
-        }
-        assert!(
-            modes_seen.iter().all(|&m| m),
-            "24 seeds must exercise all three SDC modes: {modes_seen:?}"
-        );
     }
 
     #[test]

@@ -165,15 +165,6 @@ impl BandedLu {
         self.kl + self.ku
     }
 
-    /// Fault-injection hook: mutable view of the expanded `L\U` band
-    /// storage (reciprocal pivots on the diagonal). Exists so robustness tests and the chaos harness can flip
-    /// bits in factor memory *between* factorization and solve — the
-    /// silent-data-corruption scenario the ABFT layer ([`crate::abft`])
-    /// detects. Never call it from production code.
-    pub fn fault_data_mut(&mut self) -> &mut [f64] {
-        &mut self.ab
-    }
-
     #[inline]
     fn ldab(&self) -> usize {
         2 * self.kl + self.ku + 1

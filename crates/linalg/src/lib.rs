@@ -70,7 +70,6 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 #![allow(clippy::int_plus_one)]
 
-pub mod abft;
 pub mod banded;
 pub mod batched;
 pub mod dense;
@@ -86,10 +85,6 @@ pub mod refine;
 pub mod resident;
 pub mod solver;
 
-pub use abft::{
-    flip_bit, solve_all_checked, AbftReport, Checksummed, LaneCheck, LaneChecksum, Sabotage,
-    DEFAULT_ABFT_TOL,
-};
 pub use banded::{gbtrf, BandedLu, BandedMatrix};
 pub use dense::{gemm, gemv};
 pub use error::{Error, Result};

@@ -46,15 +46,6 @@ impl LuFactors {
         &self.health
     }
 
-    /// Fault-injection hook: mutable view of the packed `L\U` payload
-    /// (reciprocal pivots on the diagonal). Exists so robustness tests and the chaos harness can flip bits in
-    /// factor memory *between* factorization and solve — the silent-data-
-    /// corruption scenario the ABFT layer ([`crate::abft`]) detects.
-    /// Never call it from production code.
-    pub fn fault_data_mut(&mut self) -> &mut [f64] {
-        self.lu.as_mut_slice()
-    }
-
     /// Solve `A x = b` in place for one lane (`getrs`).
     ///
     /// The lane length must equal the matrix order `n`.

@@ -147,17 +147,6 @@ impl CholeskyBanded {
         &self.health
     }
 
-    /// Fault-injection hook: mutable view of the packed Cholesky band
-    /// (`L` in LAPACK `dpbtrf` lower storage, reciprocals on the
-    /// diagonal). Exists so robustness tests
-    /// and the chaos harness can flip bits in factor memory *between*
-    /// factorization and solve — the silent-data-corruption scenario the
-    /// ABFT layer ([`crate::abft`]) detects. Never call it from
-    /// production code.
-    pub fn fault_data_mut(&mut self) -> &mut [f64] {
-        &mut self.ab
-    }
-
     /// `L(i, j)` for `i > j`; `1 / L(j, j)` on the diagonal.
     #[inline(always)]
     pub(crate) fn l(&self, i: usize, j: usize) -> f64 {

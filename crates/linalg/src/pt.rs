@@ -49,17 +49,6 @@ impl PtFactors {
         &self.health
     }
 
-    /// Fault-injection hook: mutable view of the factored payload — the
-    /// reciprocals [`PtFactors::d`], then the `L` multipliers — every
-    /// element of which the solve reads. Exists so
-    /// robustness tests and the chaos harness can flip bits in factor
-    /// memory *between* factorization and solve — the silent-data-
-    /// corruption scenario the ABFT layer ([`crate::abft`]) detects.
-    /// Never call it from production code.
-    pub fn fault_data_mut(&mut self) -> (&mut [f64], &mut [f64]) {
-        (&mut self.d_inv, &mut self.e)
-    }
-
     /// Solve `A x = b` in place for one lane (`pttrs`).
     ///
     /// The lane length must equal the matrix order `n`.

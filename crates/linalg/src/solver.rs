@@ -40,17 +40,6 @@ pub trait LaneSolver: Send + Sync {
         self.solve_slice(b);
         Ok(())
     }
-
-    /// Solve `Aᵀ x = b` in place on a plain slice.
-    ///
-    /// The default forwards to the plain solve, which is exact for the
-    /// two symmetric factorizations (`pttrs`, `pbtrs`, where `Aᵀ = A`);
-    /// the LU types override it with their genuine transpose sweeps.
-    /// This is what lets the ABFT layer ([`crate::abft`]) build its
-    /// checksum vector `v = A⁻ᵀ𝟙` for *any* lane solver.
-    fn solve_transposed_slice(&self, b: &mut [f64]) {
-        self.solve_slice(b);
-    }
 }
 
 impl LaneSolver for PtFactors {
@@ -87,9 +76,6 @@ impl LaneSolver for BandedLu {
     fn routine(&self) -> &'static str {
         "gbtrs"
     }
-    fn solve_transposed_slice(&self, b: &mut [f64]) {
-        BandedLu::solve_transposed_slice(self, b)
-    }
 }
 
 impl LaneSolver for LuFactors {
@@ -101,9 +87,6 @@ impl LaneSolver for LuFactors {
     }
     fn routine(&self) -> &'static str {
         "getrs"
-    }
-    fn solve_transposed_slice(&self, b: &mut [f64]) {
-        LuFactors::solve_transposed_slice(self, b)
     }
 }
 

@@ -1,6 +1,7 @@
 //! Full-stack chaos tests: seeded fault campaigns under wall-clock
-//! budgets, worker panics colliding with quarantine, and the no-hang /
-//! no-poisoned-pool / no-silent-degradation invariants of ISSUE 6.
+//! budgets, bit flips struck into the verified solve's panel screen, worker
+//! panics colliding with quarantine, and the no-hang / no-poisoned-pool /
+//! no-silent-degradation / no-silent-wrong-answer invariants.
 //!
 //! The heavier soak (≥ 32 seeds) lives in the `chaos_soak` bench binary;
 //! here a smoke subset runs on every test invocation, plus the scenarios
@@ -9,6 +10,7 @@
 use pp_bsplines::{Breaks, PeriodicSplineSpace};
 use pp_iterative::{ChaosBudgetKind, FaultInjector};
 use pp_portable::{parallel_for, Budget, ExecSpace, Layout, Matrix, Parallel, TestRng, LANE_WIDTH};
+use pp_splinesolver::verified::sdc_round;
 use pp_splinesolver::{BuilderVersion, LaneVerdict, QuarantineReason, SplineBuilder, VerifyConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,23 +46,16 @@ fn chaos_smoke_campaign_holds_all_invariants() {
             .filter(|res| res.breakdown == Some(pp_iterative::BreakdownKind::BudgetExhausted))
             .count();
         assert_eq!(logged, r.partial, "seed {seed}: silent budget cut");
-        // SDC containment: injected bit-flips never become silent wrong
-        // answers — transients are corrected, persistent corruption is
-        // detected, clean rounds never trip the checksum.
-        assert!(
-            r.sdc_contained(),
-            "seed {seed}: sdc escape — mode {:?}, {} detected / {} corrected / \
-             {} uncorrected / {} silent wrong",
-            r.sdc_mode,
-            r.sdc_detected,
-            r.sdc_corrected,
-            r.sdc_uncorrected,
-            r.sdc_silent_wrong
-        );
         if r.budget_kind != ChaosBudgetKind::Tight {
             let replay = FaultInjector::chaos_round(seed);
             assert_eq!(r.checksum, replay.checksum, "seed {seed}: not replayable");
         }
+        // SDC containment, through the verified step's screen: struck bits
+        // never become silent wrong answers — transients are healed by the
+        // retry, persistent strikes are recovered or quarantined and
+        // zeroed, clean rounds never trip the checksum.
+        let sdc = sdc_round(seed);
+        assert!(sdc.contained(), "seed {seed}: sdc escape — {sdc:?}");
     }
     // The campaign must leave the shared pool healthy.
     let hits = AtomicUsize::new(0);
