@@ -4,19 +4,16 @@
 //! this is a robustness gate, not a performance benchmark.
 //!
 //! Each seed deterministically generates two legs. The Krylov leg
-//! ([`FaultInjector::chaos_round`]) drives the budgeted batched Krylov
-//! stack: system size, batch width, NaN-poisoned lanes, near-singular
-//! perturbation, per-lane spin delay and budget class. The SDC leg
+//! ([`FaultInjector::chaos_round`]) drives the batched Krylov stack:
+//! system size, batch width, NaN-poisoned lanes, near-singular
+//! perturbation, preconditioner block and chunk width. The SDC leg
 //! ([`sdc_round`]) strikes bits in the coefficients a `VerifiedBuilder`
 //! step solves, with the ABFT screen on, through the one verify body every
 //! verified step runs. Invariants:
 //!
-//! * **no hang** — a budgeted round returns within its deadline plus the
-//!   pool watchdog slack plus a scheduling margin;
-//! * **no silent cuts** — every lane the budget cut short is surfaced as
-//!   `LaneOutcome::Partial` and logged as `BudgetExhausted`;
-//! * **determinism** — rounds without clock pressure replay bit-for-bit
-//!   from their seed (solution checksum included);
+//! * **accounted lanes** — every lane ends in exactly one typed outcome;
+//! * **determinism** — every round replays bit-for-bit from its seed
+//!   (tallies and solution checksum included);
 //! * **no poisoned pool** — after the whole campaign the worker pool
 //!   still runs a clean dispatch and a clean solve converges;
 //! * **SDC containment** — an injected bit flip never becomes a silent
@@ -30,7 +27,7 @@
 //!   --smoke  8 seeds, for scripts/verify.sh and CI PR runs
 //!   --out    output JSON path (default BENCH_chaos.json)
 
-use pp_iterative::{ChaosBudgetKind, FaultInjector};
+use pp_iterative::FaultInjector;
 use pp_portable::parallel_for;
 use pp_splinesolver::verified::sdc_round;
 use std::fmt::Write as _;
@@ -65,26 +62,18 @@ fn main() {
 
     println!("=== chaos_soak: {count} seeded fault campaign(s) ===");
     println!(
-        "seed,lanes,poisoned,near_singular,budget,elapsed_us,converged,partial,broke,stalled,\
-         sdc_mode,sdc_detected,sdc_corrected,sdc_uncorrected,sdc_silent_wrong"
+        "seed,lanes,poisoned,near_singular,elapsed_us,converged,broke,stalled,sdc_mode,\
+         sdc_detected,sdc_corrected,sdc_uncorrected,sdc_silent_wrong"
     );
 
     let started = Instant::now();
     let mut rows = Vec::new();
     let mut violations = Vec::new();
-    let (mut unlimited, mut ample, mut tight) = (0usize, 0usize, 0usize);
-    let mut total_partial = 0usize;
     let (mut sdc_detected, mut sdc_corrected, mut sdc_uncorrected, mut sdc_silent_wrong) =
         (0usize, 0usize, 0usize, 0usize);
     for seed in 0..count {
         let r = FaultInjector::chaos_round(seed);
         let sdc = sdc_round(seed);
-        match r.budget_kind {
-            ChaosBudgetKind::Unlimited => unlimited += 1,
-            ChaosBudgetKind::Ample => ample += 1,
-            ChaosBudgetKind::Tight => tight += 1,
-        }
-        total_partial += r.partial;
         sdc_detected += sdc.detected;
         sdc_corrected += sdc.corrected;
         sdc_uncorrected += sdc.uncorrected;
@@ -102,48 +91,27 @@ fn main() {
                 sdc.report
             ));
         }
-        if !r.no_hang() {
-            violations.push(format!(
-                "seed {seed}: hang — elapsed {:?} exceeds bound {:?}",
-                r.elapsed,
-                r.hang_bound()
-            ));
-        }
         if !r.tallies_consistent() {
             violations.push(format!(
-                "seed {seed}: tally mismatch — {}+{}+{}+{} != {} lanes",
-                r.converged, r.partial, r.broke, r.stalled, r.lanes
+                "seed {seed}: tally mismatch — {}+{}+{} != {} lanes",
+                r.converged, r.broke, r.stalled, r.lanes
             ));
         }
-        let logged_cuts = r
-            .lane_results
-            .iter()
-            .filter(|res| res.breakdown == Some(pp_iterative::BreakdownKind::BudgetExhausted))
-            .count();
-        if logged_cuts != r.partial {
+        let replay = FaultInjector::chaos_round(seed);
+        if replay.fingerprint() != r.fingerprint() {
             violations.push(format!(
-                "seed {seed}: silent cut — {} partial lanes but {} BudgetExhausted records",
-                r.partial, logged_cuts
+                "seed {seed}: nondeterministic replay — {:?} vs {:?}",
+                r.fingerprint(),
+                replay.fingerprint()
             ));
-        }
-        if r.budget_kind != ChaosBudgetKind::Tight {
-            let replay = FaultInjector::chaos_round(seed);
-            if replay.checksum != r.checksum {
-                violations.push(format!(
-                    "seed {seed}: nondeterministic replay — checksum {:#x} vs {:#x}",
-                    r.checksum, replay.checksum
-                ));
-            }
         }
         println!(
-            "{seed},{},{},{},{:?},{},{},{},{},{},{:?},{},{},{},{}",
+            "{seed},{},{},{},{},{},{},{},{:?},{},{},{},{}",
             r.lanes,
             r.poisoned.len(),
             r.near_singular,
-            r.budget_kind,
             r.elapsed.as_micros(),
             r.converged,
-            r.partial,
             r.broke,
             r.stalled,
             sdc.mode,
@@ -168,14 +136,10 @@ fn main() {
         ));
     }
 
-    let stats = pp_portable::pool_stats();
     println!(
-        "\ncampaign: {count} seed(s) in {:?}; budgets {unlimited} unlimited / {ample} ample / \
-         {tight} tight; {total_partial} partial lane(s); pool: {} deadline miss(es), \
-         {} cancelled dispatch(es), {} watchdog trip(s); sdc: {sdc_detected} detected / \
+        "\ncampaign: {count} seed(s) in {campaign_elapsed:?}; sdc: {sdc_detected} detected / \
          {sdc_corrected} corrected / {sdc_uncorrected} uncorrected / \
-         {sdc_silent_wrong} silent-wrong",
-        campaign_elapsed, stats.deadline_misses, stats.cancelled_dispatches, stats.watchdog_trips
+         {sdc_silent_wrong} silent-wrong"
     );
 
     // Hand-rolled JSON (the workspace is hermetic: no serde).
@@ -191,13 +155,6 @@ fn main() {
     let _ = writeln!(j, "  \"elapsed_ms\": {},", campaign_elapsed.as_millis());
     let _ = writeln!(
         j,
-        "  \"budget_mix\": {{\"unlimited\": {unlimited}, \"ample\": {ample}, \"tight\": {tight}}},"
-    );
-    let _ = writeln!(j, "  \"partial_lanes\": {total_partial},");
-    let _ = writeln!(j, "  \"deadline_misses\": {},", stats.deadline_misses);
-    let _ = writeln!(j, "  \"watchdog_trips\": {},", stats.watchdog_trips);
-    let _ = writeln!(
-        j,
         "  \"sdc\": {{\"detected\": {sdc_detected}, \"corrected\": {sdc_corrected}, \
          \"uncorrected\": {sdc_uncorrected}, \"silent_wrong\": {sdc_silent_wrong}}},"
     );
@@ -207,18 +164,16 @@ fn main() {
         let _ = write!(
             j,
             "    {{\"seed\": {}, \"lanes\": {}, \"poisoned\": {}, \"near_singular\": {}, \
-             \"budget\": \"{:?}\", \"elapsed_us\": {}, \"converged\": {}, \"partial\": {}, \
-             \"broke\": {}, \"stalled\": {}, \"sdc_mode\": \"{:?}\", \"sdc_detected\": {}, \
+             \"elapsed_us\": {}, \"converged\": {}, \"broke\": {}, \"stalled\": {}, \
+             \"sdc_mode\": \"{:?}\", \"sdc_detected\": {}, \
              \"sdc_corrected\": {}, \"sdc_uncorrected\": {}, \"sdc_silent_wrong\": {}, \
              \"checksum\": \"{:#x}\"}}",
             r.seed,
             r.lanes,
             r.poisoned.len(),
             r.near_singular,
-            r.budget_kind,
             r.elapsed.as_micros(),
             r.converged,
-            r.partial,
             r.broke,
             r.stalled,
             sdc.mode,

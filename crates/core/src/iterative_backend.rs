@@ -82,9 +82,6 @@ pub enum KrylovKind {
 }
 
 /// Configuration of the iterative backend.
-///
-/// Cloning is cheap; a [`Budget`](pp_portable::Budget) attached to `stop`
-/// is shared (`Arc`) between clones.
 #[derive(Debug, Clone)]
 pub struct IterativeConfig {
     /// Solver choice.
@@ -315,14 +312,6 @@ impl IterativeSplineSolver {
             let failed = logger.failed_lanes();
             if !enabled || failed.is_empty() || attempts >= policy.max_attempts {
                 continue;
-            }
-            // A rung is pure extra work; once the wall-clock budget (if
-            // any) is gone, stop escalating and leave the remaining lanes
-            // with their typed outcomes. The skip is observable via the
-            // counter so degraded runs cannot masquerade as exhaustive.
-            if self.config.stop.budget_exhausted() {
-                counter("recovery.rungs_skipped_budget").inc();
-                break;
             }
             attempts += 1;
             trace_instant(match stage {

@@ -51,11 +51,6 @@ pub enum InstantKind {
     RefineSaturated,
     /// A [`FaultDump`] was captured here.
     FaultDumped,
-    /// The pool watchdog saw a dispatch overrun its deadline by more
-    /// than the configured slack.
-    WatchdogTrip,
-    /// A time budget ran out before the work under it finished.
-    BudgetExhausted,
     /// An ABFT checksum mismatch flagged silent data corruption in a
     /// lane's solve (factor data, right-hand side, or coefficients).
     SdcDetected,
@@ -67,7 +62,7 @@ pub enum InstantKind {
 
 impl InstantKind {
     /// Number of instant kinds (length of [`InstantKind::ALL`]).
-    pub const COUNT: usize = 21;
+    pub const COUNT: usize = 19;
 
     /// Every kind, in declaration order (= index order).
     pub const ALL: [InstantKind; Self::COUNT] = [
@@ -87,8 +82,6 @@ impl InstantKind {
         InstantKind::NonFiniteInput,
         InstantKind::RefineSaturated,
         InstantKind::FaultDumped,
-        InstantKind::WatchdogTrip,
-        InstantKind::BudgetExhausted,
         InstantKind::SdcDetected,
         InstantKind::CheckpointWritten,
         InstantKind::CheckpointRestored,
@@ -119,8 +112,6 @@ impl InstantKind {
             InstantKind::NonFiniteInput => "non_finite_input",
             InstantKind::RefineSaturated => "refine_saturated",
             InstantKind::FaultDumped => "fault_dumped",
-            InstantKind::WatchdogTrip => "watchdog_trip",
-            InstantKind::BudgetExhausted => "budget_exhausted",
             InstantKind::SdcDetected => "sdc_detected",
             InstantKind::CheckpointWritten => "checkpoint_written",
             InstantKind::CheckpointRestored => "checkpoint_restored",

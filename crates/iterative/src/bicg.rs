@@ -49,10 +49,6 @@ impl IterativeSolver for BiCg {
         let mut stall = stop.stagnation_tracker();
 
         while iterations < stop.max_iters {
-            if stop.budget_exhausted() {
-                breakdown = Some(BreakdownKind::BudgetExhausted);
-                break;
-            }
             let res = norm2(&r);
             match stop.assess(res, norm_b) {
                 ResidualVerdict::Converged => {

@@ -61,10 +61,6 @@ impl IterativeSolver for BiCgStab {
         let mut stall = stop.stagnation_tracker();
 
         while iterations < stop.max_iters {
-            if stop.budget_exhausted() {
-                breakdown = Some(BreakdownKind::BudgetExhausted);
-                break;
-            }
             let res = norm2(&r);
             match stop.assess(res, norm_b) {
                 ResidualVerdict::Converged => {

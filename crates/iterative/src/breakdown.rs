@@ -34,12 +34,6 @@ pub enum BreakdownKind {
     /// tolerance (and still shrinking — otherwise a more specific kind
     /// fires first).
     MaxIters,
-    /// The wall-clock budget attached to the stopping criteria ran out
-    /// (deadline passed or cancellation requested) with the residual
-    /// still above tolerance. The iterate left behind is the partial
-    /// solution reached at the deadline; like
-    /// [`MaxIters`](Self::MaxIters), a larger budget may finish it.
-    BudgetExhausted,
 }
 
 impl BreakdownKind {
@@ -64,9 +58,6 @@ impl fmt::Display for BreakdownKind {
             BreakdownKind::NonFiniteResidual => write!(f, "non-finite residual (NaN/Inf)"),
             BreakdownKind::Stagnation => write!(f, "stagnation (no residual progress)"),
             BreakdownKind::MaxIters => write!(f, "iteration budget exhausted"),
-            BreakdownKind::BudgetExhausted => {
-                write!(f, "time budget exhausted (deadline or cancellation)")
-            }
         }
     }
 }
@@ -83,7 +74,6 @@ mod tests {
         assert!(NonFiniteResidual.is_hard());
         assert!(!Stagnation.is_hard());
         assert!(!MaxIters.is_hard());
-        assert!(!BudgetExhausted.is_hard());
     }
 
     #[test]

@@ -15,9 +15,8 @@ use crate::bicgstab::BiCgStab;
 use crate::logger::ConvergenceLogger;
 use crate::multirhs::{ChunkedSolver, LaneOutcome};
 use crate::precond::BlockJacobi;
-use crate::solver::{IterativeSolver, SolveResult};
 use crate::stop::StopCriteria;
-use pp_portable::{watchdog_slack, Budget, Layout, Matrix, TestRng};
+use pp_portable::{Layout, Matrix, TestRng};
 use pp_sparse::Csr;
 use std::time::{Duration, Instant};
 
@@ -109,17 +108,11 @@ impl FaultInjector {
 
     /// Run one seeded chaos round: a randomized-but-reproducible batched
     /// solve with faults injected (NaN-poisoned lanes, a near-singular
-    /// matrix, deterministic per-lane spin delays) under a randomized
-    /// wall-clock budget, returning what happened as a [`ChaosReport`].
+    /// matrix), returning what happened as a [`ChaosReport`].
     ///
-    /// The scenario — sizes, faults, budget class — is a pure function of
-    /// `seed`. With an [`ChaosBudgetKind::Unlimited`] or
-    /// [`ChaosBudgetKind::Ample`] budget the *outcome* is a pure function
-    /// of the seed too (including the solution bits, captured in
-    /// `checksum`); under a [`ChaosBudgetKind::Tight`] budget only the
-    /// invariants hold: the round returns within the deadline plus
-    /// bounded slack, every unfinished lane is surfaced as
-    /// [`LaneOutcome::Partial`], and the pool stays usable.
+    /// The scenario — sizes, faults, preconditioner block, chunk width —
+    /// and the outcome, down to the solution bits captured in `checksum`,
+    /// are a pure function of `seed`; only `elapsed` is not.
     ///
     /// Bit flips are not injected here: the campaign's SDC leg is
     /// `pp_splinesolver::verified::sdc_round`, which strikes the panel
@@ -160,27 +153,12 @@ impl FaultInjector {
         };
         let poison_count = inj.rng.gen_range(0..3_usize).min(batch);
         let poisoned = inj.poison_nan_lanes(&mut b, poison_count);
-        let spin = Duration::from_micros(inj.rng.gen_range(0..200_u64));
-        let budget_kind = match inj.rng.gen_range(0..3_usize) {
-            0 => ChaosBudgetKind::Unlimited,
-            1 => ChaosBudgetKind::Ample,
-            _ => ChaosBudgetKind::Tight,
-        };
-        let deadline = match budget_kind {
-            ChaosBudgetKind::Unlimited => None,
-            ChaosBudgetKind::Ample => Some(Duration::from_secs(5)),
-            ChaosBudgetKind::Tight => Some(Duration::from_micros(inj.rng.gen_range(50..2000_u64))),
-        };
         let block = 1 + inj.rng.gen_range(0..4_usize);
         let chunk = 1 + inj.rng.gen_range(0..batch);
 
-        let mut stop = StopCriteria::with_tol(1e-13).with_max_iters(400);
-        if let Some(d) = deadline {
-            stop = stop.with_budget(Budget::with_deadline(d));
-        }
+        let stop = StopCriteria::with_tol(1e-13).with_max_iters(400);
         let precond = BlockJacobi::new(&a, block);
-        let slow = SlowSolver::new(&BiCgStab, spin);
-        let driver = ChunkedSolver::new(&slow, &precond, stop, chunk);
+        let driver = ChunkedSolver::new(&BiCgStab, &precond, stop, chunk);
         let mut logger = ConvergenceLogger::new();
 
         let started = Instant::now();
@@ -192,40 +170,21 @@ impl FaultInjector {
             lanes: batch,
             poisoned,
             near_singular,
-            spin,
-            budget_kind,
-            deadline,
             elapsed,
             converged: 0,
-            partial: 0,
             broke: 0,
             stalled: 0,
             checksum: checksum_matrix(&b),
-            lane_results: logger.lane_results().to_vec(),
         };
         for o in &outcomes {
             match o {
                 LaneOutcome::Converged => report.converged += 1,
-                LaneOutcome::Partial { .. } => report.partial += 1,
                 LaneOutcome::Broke(_) => report.broke += 1,
                 LaneOutcome::Stalled => report.stalled += 1,
             }
         }
         report
     }
-}
-
-/// Which budget class a chaos round drew.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosBudgetKind {
-    /// No budget attached at all.
-    Unlimited,
-    /// A 5 s deadline no healthy round comes near — outcomes must match
-    /// the unlimited ones bit for bit.
-    Ample,
-    /// A deadline in the tens-of-microseconds to low-milliseconds range —
-    /// the round races the clock and only invariants are asserted.
-    Tight,
 }
 
 /// What one [`FaultInjector::chaos_round`] did and observed.
@@ -239,102 +198,35 @@ pub struct ChaosReport {
     pub poisoned: Vec<usize>,
     /// Whether the matrix was perturbed toward singularity.
     pub near_singular: bool,
-    /// Busy-wait injected before every lane solve.
-    pub spin: Duration,
-    /// Budget class drawn for this round.
-    pub budget_kind: ChaosBudgetKind,
-    /// The concrete deadline, when one was attached.
-    pub deadline: Option<Duration>,
-    /// Wall-clock time the round actually took.
+    /// Wall-clock time the round took (reported, never asserted on).
     pub elapsed: Duration,
     /// Lanes that converged.
     pub converged: usize,
-    /// Lanes cut short by the budget ([`LaneOutcome::Partial`]).
-    pub partial: usize,
     /// Lanes with hard breakdowns.
     pub broke: usize,
     /// Lanes that stalled (soft failure).
     pub stalled: usize,
     /// Order-dependent hash of the output bits (determinism probe).
     pub checksum: u64,
-    /// Raw per-lane records, lane order.
-    pub lane_results: Vec<SolveResult>,
 }
 
 impl ChaosReport {
-    /// The hard no-hang bound for this round: the deadline plus the
-    /// watchdog slack plus a generous scheduling margin. Rounds without a
-    /// deadline have no bound (cooperative cancellation has nothing to
-    /// cut short).
-    pub fn hang_bound(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d + watchdog_slack() + Duration::from_millis(500))
-    }
-
-    /// `true` when the round respected its no-hang bound (vacuously true
-    /// without a deadline).
-    pub fn no_hang(&self) -> bool {
-        match self.hang_bound() {
-            Some(bound) => self.elapsed <= bound,
-            None => true,
-        }
-    }
-
     /// `true` when every lane is accounted for by exactly one tally.
     pub fn tallies_consistent(&self) -> bool {
-        self.converged + self.partial + self.broke + self.stalled == self.lanes
+        self.converged + self.broke + self.stalled == self.lanes
     }
 
-    /// Fault pattern + outcome fields that must be identical across runs
-    /// of the same seed regardless of budget class (the scenario is a
-    /// pure function of the seed even when timing is not).
-    pub fn scenario_fingerprint(&self) -> (usize, Vec<usize>, bool, u128, Option<Duration>) {
+    /// Everything a replay of the same seed must reproduce: the fault
+    /// pattern, the tallies and the checksum of the output bits — the
+    /// whole report but the wall clock.
+    pub fn fingerprint(&self) -> (usize, Vec<usize>, bool, [usize; 3], u64) {
         (
             self.lanes,
             self.poisoned.clone(),
             self.near_singular,
-            self.spin.as_nanos(),
-            self.deadline,
+            [self.converged, self.broke, self.stalled],
+            self.checksum,
         )
-    }
-}
-
-/// An [`IterativeSolver`] wrapper that busy-waits a fixed, deterministic
-/// delay before every lane solve — the chaos campaign's "slow lane"
-/// fault. The spin is wall-clock (not sleep) so it holds a worker thread
-/// the way a genuinely slow lane would.
-pub struct SlowSolver<'a> {
-    inner: &'a dyn IterativeSolver,
-    delay: Duration,
-}
-
-impl<'a> SlowSolver<'a> {
-    /// Wrap `inner`, spinning for `delay` before each solve.
-    pub fn new(inner: &'a dyn IterativeSolver, delay: Duration) -> Self {
-        Self { inner, delay }
-    }
-}
-
-impl IterativeSolver for SlowSolver<'_> {
-    fn name(&self) -> &'static str {
-        "slow"
-    }
-
-    fn solve(
-        &self,
-        a: &Csr,
-        m: &dyn crate::precond::Preconditioner,
-        b: &[f64],
-        x: &mut [f64],
-        stop: &StopCriteria,
-    ) -> SolveResult {
-        if !self.delay.is_zero() {
-            let until = Instant::now() + self.delay;
-            while Instant::now() < until {
-                std::hint::spin_loop();
-            }
-        }
-        self.inner.solve(a, m, b, x, stop)
     }
 }
 
@@ -443,39 +335,9 @@ mod tests {
         for seed in [0u64, 1, 2, 3] {
             let a = FaultInjector::chaos_round(seed);
             let b = FaultInjector::chaos_round(seed);
-            assert_eq!(a.scenario_fingerprint(), b.scenario_fingerprint());
             assert!(a.tallies_consistent(), "seed {seed}: {a:?}");
-            assert!(
-                a.no_hang(),
-                "seed {seed}: {:?} > {:?}",
-                a.elapsed,
-                a.hang_bound()
-            );
-            if a.budget_kind != ChaosBudgetKind::Tight {
-                // Without clock pressure the whole outcome is replayable,
-                // down to the output bits.
-                assert_eq!(a.checksum, b.checksum, "seed {seed}");
-                assert_eq!(
-                    (a.converged, a.partial, a.broke, a.stalled),
-                    (b.converged, b.partial, b.broke, b.stalled),
-                    "seed {seed}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chaos_round_surfaces_every_budget_cut() {
-        // Whatever the seed, a lane the budget cut short must show up as
-        // Partial in the tallies AND as BudgetExhausted in the raw log.
-        for seed in 0..8u64 {
-            let r = FaultInjector::chaos_round(seed);
-            let logged = r
-                .lane_results
-                .iter()
-                .filter(|res| res.breakdown == Some(crate::BreakdownKind::BudgetExhausted))
-                .count();
-            assert_eq!(logged, r.partial, "seed {seed}: {r:?}");
+            // The whole outcome is replayable, down to the output bits.
+            assert_eq!(a.fingerprint(), b.fingerprint(), "seed {seed}");
         }
     }
 }

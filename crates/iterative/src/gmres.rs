@@ -60,10 +60,6 @@ impl IterativeSolver for Gmres {
         let mut z = vec![0.0; n];
 
         'outer: while iterations < stop.max_iters {
-            if stop.budget_exhausted() {
-                breakdown = Some(BreakdownKind::BudgetExhausted);
-                break;
-            }
             residual_into(a, x, b, &mut r);
             let beta = norm2(&r);
             match stop.assess(beta, norm_b) {
@@ -91,14 +87,6 @@ impl IterativeSolver for Gmres {
 
             for k in 0..restart {
                 if iterations >= stop.max_iters {
-                    break;
-                }
-                // Poll the budget inside the Arnoldi cycle too (a restart
-                // cycle can be long): break the *inner* loop so the
-                // partial cycle's update is still applied to x, then the
-                // breakdown check below ends the solve.
-                if stop.budget_exhausted() {
-                    breakdown = Some(BreakdownKind::BudgetExhausted);
                     break;
                 }
                 iterations += 1;
@@ -167,11 +155,9 @@ impl IterativeSolver for Gmres {
             }
 
             if k_used == 0 {
-                // The Arnoldi process produced no usable direction. Keep
-                // an earlier diagnosis (e.g. a budget that ran out before
-                // the first Arnoldi step); otherwise the Krylov basis
-                // collapsed at the first step.
-                breakdown = breakdown.or(Some(BreakdownKind::RhoZero));
+                // The Arnoldi process produced no usable direction: the
+                // Krylov basis collapsed at the first step.
+                breakdown = Some(BreakdownKind::RhoZero);
                 break 'outer;
             }
             // Back-solve the k_used × k_used triangular system H y = g.

@@ -56,7 +56,7 @@ pub use bicg::BiCg;
 pub use bicgstab::BiCgStab;
 pub use breakdown::BreakdownKind;
 pub use cg::Cg;
-pub use fault::{ChaosBudgetKind, ChaosReport, FaultInjector, SlowSolver};
+pub use fault::{ChaosReport, FaultInjector};
 pub use gmres::Gmres;
 pub use logger::{ConvergenceLogger, RecoveryEvent, RecoveryStage};
 pub use multirhs::{ChunkedSolver, LaneOutcome, CPU_COLS_PER_CHUNK, GPU_COLS_PER_CHUNK};

@@ -110,24 +110,17 @@ impl ConvergenceLogger {
     /// taxonomy order; kinds with zero counts omitted).
     pub fn breakdown_census(&self) -> Vec<(BreakdownKind, usize)> {
         use BreakdownKind::*;
-        [
-            RhoZero,
-            OmegaZero,
-            NonFiniteResidual,
-            Stagnation,
-            MaxIters,
-            BudgetExhausted,
-        ]
-        .into_iter()
-        .filter_map(|kind| {
-            let count = self
-                .results
-                .iter()
-                .filter(|r| r.breakdown == Some(kind))
-                .count();
-            (count > 0).then_some((kind, count))
-        })
-        .collect()
+        [RhoZero, OmegaZero, NonFiniteResidual, Stagnation, MaxIters]
+            .into_iter()
+            .filter_map(|kind| {
+                let count = self
+                    .results
+                    .iter()
+                    .filter(|r| r.breakdown == Some(kind))
+                    .count();
+                (count > 0).then_some((kind, count))
+            })
+            .collect()
     }
 
     /// Append one recovery event to the report.

@@ -14,11 +14,9 @@
 //! (NaN right-hand side, Krylov breakdown, stagnation) must not doom its
 //! chunk. Each lane therefore ends in a typed [`LaneOutcome`] —
 //! [`Converged`](LaneOutcome::Converged), [`Broke`](LaneOutcome::Broke)
-//! with its [`BreakdownKind`], [`Stalled`](LaneOutcome::Stalled), or, when
-//! a wall-clock [`Budget`](pp_portable::Budget) attached to the
-//! [`StopCriteria`] runs out, [`Partial`](LaneOutcome::Partial) with the
-//! relative residual the lane actually achieved — and healthy lanes keep
-//! their solutions regardless of what their neighbours did. The per-lane records land in the [`ConvergenceLogger`] in lane
+//! with its [`BreakdownKind`], or [`Stalled`](LaneOutcome::Stalled) — and
+//! healthy lanes keep their solutions regardless of what their neighbours
+//! did. The per-lane records land in the [`ConvergenceLogger`] in lane
 //! order, ready for the recovery ladder of `pp-splinesolver` to retry the
 //! casualties.
 
@@ -28,7 +26,7 @@ use crate::precond::Preconditioner;
 use crate::solver::{IterativeSolver, SolveResult};
 use crate::stop::StopCriteria;
 use pp_portable::instrument::{counter, trace_instant_lane, Counter, InstantKind, PhaseId, Span};
-use pp_portable::{parallel_for_each_mut, parallel_for_each_mut_budgeted, Matrix};
+use pp_portable::{parallel_for_each_mut, Matrix};
 use pp_sparse::Csr;
 use std::sync::OnceLock;
 
@@ -38,7 +36,7 @@ pub const CPU_COLS_PER_CHUNK: usize = 8192;
 pub const GPU_COLS_PER_CHUNK: usize = 65535;
 
 /// How one batch lane (one right-hand-side column) ended.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneOutcome {
     /// The lane met the stopping criterion; its solution is in place.
     Converged,
@@ -49,16 +47,6 @@ pub enum LaneOutcome {
     /// The lane ran out of iterations or stagnated with a finite
     /// residual; the buffer holds the best partial iterate.
     Stalled,
-    /// The *wall-clock* budget ran out before the lane converged
-    /// ([`BreakdownKind::BudgetExhausted`]). The buffer holds the
-    /// partial iterate reached at the deadline (for lanes never started,
-    /// the initial guess) and `relative_residual` is the residual that
-    /// iterate actually achieves.
-    Partial {
-        /// Relative residual `‖A x − b‖ / ‖b‖` of the iterate left in
-        /// the lane buffer.
-        relative_residual: f64,
-    },
 }
 
 impl LaneOutcome {
@@ -68,9 +56,6 @@ impl LaneOutcome {
             LaneOutcome::Converged
         } else {
             match result.breakdown {
-                Some(BreakdownKind::BudgetExhausted) => LaneOutcome::Partial {
-                    relative_residual: result.relative_residual,
-                },
                 Some(kind) if kind.is_hard() => LaneOutcome::Broke(kind),
                 // Stagnation / MaxIters / missing diagnosis: soft stall.
                 _ => LaneOutcome::Stalled,
@@ -89,7 +74,6 @@ struct LaneMetrics {
     converged: Counter,
     broke: Counter,
     stalled: Counter,
-    partial: Counter,
 }
 
 impl LaneMetrics {
@@ -98,7 +82,6 @@ impl LaneMetrics {
             LaneOutcome::Converged => &self.converged,
             LaneOutcome::Broke(_) => &self.broke,
             LaneOutcome::Stalled => &self.stalled,
-            LaneOutcome::Partial { .. } => &self.partial,
         }
     }
 }
@@ -109,7 +92,6 @@ fn lane_metrics() -> &'static LaneMetrics {
         converged: counter("krylov.lanes.converged"),
         broke: counter("krylov.lanes.broke"),
         stalled: counter("krylov.lanes.stalled"),
-        partial: counter("krylov.lanes.partial"),
     })
 }
 
@@ -223,29 +205,12 @@ impl<'a> ChunkedSolver<'a> {
                     .solve(a, self.precond, &slot.rhs, &mut slot.x, &self.stop);
                 slot.result = Some(res);
             };
-            // With a budget attached, the dispatch itself stops claiming
-            // lanes once the deadline passes or the budget is cancelled;
-            // lanes it never started are reported below as budget-exhausted
-            // with the residual their initial iterate achieves.
-            match self.stop.budget.as_ref() {
-                Some(budget) => {
-                    let _ = parallel_for_each_mut_budgeted(&mut slots, budget, run);
-                }
-                None => parallel_for_each_mut(&mut slots, run),
-            }
+            parallel_for_each_mut(&mut slots, run);
 
             for (offset, slot) in slots.into_iter().enumerate() {
-                let res = match slot.result {
-                    Some(res) => res,
-                    // The budget expired before this lane was claimed: its
-                    // buffer still holds the initial guess. Report that
-                    // iterate honestly (one extra SpMV per skipped lane).
-                    None => SolveResult::broken(
-                        0,
-                        crate::solver::true_relative_residual(a, &slot.x, &slot.rhs),
-                        BreakdownKind::BudgetExhausted,
-                    ),
-                };
+                let res = slot
+                    .result
+                    .expect("every lane of the chunk is claimed once");
                 b.col_mut(begin + offset).copy_from_slice(&slot.x);
                 logger.record(res);
                 if let Some(kind) = res.breakdown {
@@ -258,7 +223,6 @@ impl<'a> ChunkedSolver<'a> {
                             }
                             BreakdownKind::Stagnation => InstantKind::BreakdownStagnation,
                             BreakdownKind::MaxIters => InstantKind::BreakdownMaxIters,
-                            BreakdownKind::BudgetExhausted => InstantKind::BudgetExhausted,
                         },
                         (begin + offset) as u32,
                     );
@@ -433,91 +397,6 @@ mod tests {
             }
         }
         assert_eq!(log.failed_lanes(), vec![1]);
-    }
-
-    #[test]
-    fn exhausted_budget_marks_lanes_partial_and_preserves_guesses() {
-        use pp_portable::Budget;
-        let n = 16;
-        let a = system(n);
-        let mut rng = TestRng::seed_from_u64(21);
-        let x_true = Matrix::from_fn(n, 6, Layout::Left, |_, _| rng.gen_range(-1.0..1.0));
-        let mut b = Matrix::zeros(n, 6, Layout::Left);
-        for j in 0..6 {
-            b.col_mut(j)
-                .copy_from_slice(&a.spmv_alloc(&x_true.col(j).to_vec()));
-        }
-        let bj = BlockJacobi::new(&a, 4);
-        // Budget cancelled before the solve even begins: every lane must
-        // come back Partial, with the (zero-guess) iterate left in place.
-        let budget = Budget::unlimited();
-        budget.cancel();
-        let stop = StopCriteria::with_tol(1e-13).with_budget(budget);
-        let driver = ChunkedSolver::new(&BiCgStab, &bj, stop, 4);
-        let mut log = ConvergenceLogger::new();
-        let outcomes = driver.solve_in_place(&a, &mut b, None, &mut log);
-
-        assert_eq!(outcomes.len(), 6);
-        for (j, o) in outcomes.iter().enumerate() {
-            match o {
-                LaneOutcome::Partial { relative_residual } => {
-                    // Zero guess against a non-zero rhs: residual is 1.
-                    assert!(
-                        (relative_residual - 1.0).abs() < 1e-12,
-                        "lane {j}: residual {relative_residual}"
-                    );
-                }
-                other => panic!("lane {j}: expected Partial, got {other:?}"),
-            }
-        }
-        assert!(log
-            .lane_results()
-            .iter()
-            .all(|r| r.breakdown == Some(BreakdownKind::BudgetExhausted)));
-        // The buffers hold the initial (zero) iterate, not the rhs.
-        for j in 0..6 {
-            for i in 0..n {
-                assert_eq!(b.get(i, j), 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn ample_budget_matches_unbudgeted_solve_bit_for_bit() {
-        use pp_portable::Budget;
-        use std::time::Duration;
-        let n = 24;
-        let a = system(n);
-        let mut rng = TestRng::seed_from_u64(33);
-        let mut b_plain = Matrix::from_fn(n, 9, Layout::Left, |_, _| rng.gen_range(-1.0..1.0));
-        let mut b_budgeted = b_plain.clone();
-        let bj = BlockJacobi::new(&a, 4);
-
-        let mut log_plain = ConvergenceLogger::new();
-        ChunkedSolver::new(&BiCgStab, &bj, StopCriteria::with_tol(1e-13), 4).solve_in_place(
-            &a,
-            &mut b_plain,
-            None,
-            &mut log_plain,
-        );
-
-        let stop = StopCriteria::with_tol(1e-13)
-            .with_budget(Budget::with_deadline(Duration::from_secs(600)));
-        let mut log_budgeted = ConvergenceLogger::new();
-        let outcomes = ChunkedSolver::new(&BiCgStab, &bj, stop, 4).solve_in_place(
-            &a,
-            &mut b_budgeted,
-            None,
-            &mut log_budgeted,
-        );
-
-        assert!(outcomes.iter().all(|o| o.is_healthy()));
-        // An ample budget must not perturb the numerics at all.
-        assert_eq!(b_plain.max_abs_diff(&b_budgeted), 0.0);
-        assert_eq!(
-            log_plain.total_iterations(),
-            log_budgeted.total_iterations()
-        );
     }
 
     #[test]

@@ -172,7 +172,6 @@ struct KrylovMetrics {
     non_finite: Counter,
     stagnation: Counter,
     max_iters: Counter,
-    budget_exhausted: Counter,
 }
 
 impl KrylovMetrics {
@@ -183,7 +182,6 @@ impl KrylovMetrics {
             BreakdownKind::NonFiniteResidual => &self.non_finite,
             BreakdownKind::Stagnation => &self.stagnation,
             BreakdownKind::MaxIters => &self.max_iters,
-            BreakdownKind::BudgetExhausted => &self.budget_exhausted,
         }
     }
 }
@@ -198,7 +196,6 @@ fn krylov_metrics() -> &'static KrylovMetrics {
         non_finite: counter("krylov.breakdown.non_finite_residual"),
         stagnation: counter("krylov.breakdown.stagnation"),
         max_iters: counter("krylov.breakdown.max_iters"),
-        budget_exhausted: counter("krylov.breakdown.budget_exhausted"),
     })
 }
 

@@ -1,8 +1,7 @@
-//! Stopping criteria for Krylov solvers, with non-finite detection,
-//! stagnation detection, and optional wall-clock budgets.
+//! Stopping criteria for Krylov solvers, with non-finite detection and
+//! stagnation detection.
 
 use crate::breakdown::BreakdownKind;
-use pp_portable::Budget;
 
 /// When to declare a Krylov solve finished.
 ///
@@ -18,14 +17,11 @@ use pp_portable::Budget;
 ///   iterations the residual fails to shrink by at least a factor of
 ///   `1 − stall_improvement`, the lane is declared
 ///   [`BreakdownKind::Stagnation`]. `stall_window == 0` (the default)
-///   disables the check, preserving the paper's plain configuration;
-/// * **wall-clock budget** — an optional [`Budget`] polled at the top of
-///   every solver iteration; once exhausted the lane stops with
-///   [`BreakdownKind::BudgetExhausted`], leaving the partial iterate in
-///   place. `None` (the default) adds no per-iteration cost.
+///   disables the check, preserving the paper's plain configuration.
 ///
-/// Cloning is cheap (the budget is an `Arc` handle); clones share the
-/// budget's cancel flag.
+/// There is no wall-clock budget: like Ginkgo's criterion, a lane stops on
+/// the tolerance or the iteration cap, so its outcome is a function of its
+/// inputs alone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StopCriteria {
     /// Relative residual threshold `‖r‖ / ‖b‖`.
@@ -39,8 +35,6 @@ pub struct StopCriteria {
     /// (e.g. `0.01` = at least 1 % smaller than the best residual a
     /// window ago).
     pub stall_improvement: f64,
-    /// Optional wall-clock budget; `None` disables deadline checks.
-    pub budget: Option<Budget>,
 }
 
 /// Verdict of one residual check inside a solver loop.
@@ -64,7 +58,6 @@ impl StopCriteria {
             max_iters: 10_000,
             stall_window: 0,
             stall_improvement: 0.0,
-            budget: None,
         }
     }
 
@@ -95,20 +88,6 @@ impl StopCriteria {
     pub fn with_max_iters(mut self, max_iters: usize) -> Self {
         self.max_iters = max_iters;
         self
-    }
-
-    /// Attach a wall-clock budget: every solver iteration polls it and
-    /// stops with [`BreakdownKind::BudgetExhausted`] once it runs out.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// `true` once the attached budget (if any) is cancelled or past its
-    /// deadline. Solver loops poll this at the top of every iteration.
-    #[inline]
-    pub fn budget_exhausted(&self) -> bool {
-        self.budget.as_ref().is_some_and(|b| b.exhausted())
     }
 
     /// `true` when `residual / norm_b` satisfies the tolerance.
@@ -222,19 +201,6 @@ mod tests {
         assert_eq!(c.tol, 1e-15);
         assert!(c.max_iters >= 1000);
         assert_eq!(c.stall_window, 0, "stagnation off by default");
-    }
-
-    #[test]
-    fn budget_exhaustion_polls_the_attached_budget() {
-        let plain = StopCriteria::paper_default();
-        assert!(!plain.budget_exhausted(), "no budget: never exhausted");
-        let budget = Budget::unlimited();
-        let c = StopCriteria::paper_default().with_budget(budget.clone());
-        assert!(!c.budget_exhausted());
-        budget.cancel();
-        assert!(c.budget_exhausted());
-        // Clones share the budget.
-        assert!(c.clone().budget_exhausted());
     }
 
     #[test]

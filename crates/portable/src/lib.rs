@@ -57,7 +57,6 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 #![allow(clippy::int_plus_one)]
 
-pub mod budget;
 pub mod error;
 pub mod exec;
 pub mod field;
@@ -73,7 +72,6 @@ pub mod strided;
 pub mod testrng;
 pub mod transpose;
 
-pub use budget::{Budget, CancelToken, DispatchOutcome};
 pub use error::{Error, Result};
 pub use exec::{CountingExec, ExecSpace, Parallel, Serial};
 pub use field::{run_blocks, Field, HostField};
@@ -81,13 +79,8 @@ pub use interleaved::{deinterleave_columns, interleave_columns, InterleavedMatri
 pub use isa::PanelIsa;
 pub use layout::Layout;
 pub use matrix::Matrix;
-pub use par::{
-    num_threads, parallel_for, parallel_for_budgeted, parallel_for_each_mut,
-    parallel_for_each_mut_budgeted, parallel_sum,
-};
-pub use pool::{
-    inject_worker_death, pool_stats, publish_pool_metrics, watchdog_slack, PoolStats, WorkerTimes,
-};
+pub use par::{num_threads, parallel_for, parallel_for_each_mut, parallel_sum};
+pub use pool::{inject_worker_death, pool_stats, publish_pool_metrics, PoolStats, WorkerTimes};
 pub use resident::ResidentBatch;
 pub use strided::{Strided, StridedMut};
 pub use testrng::TestRng;

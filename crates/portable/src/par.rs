@@ -19,13 +19,7 @@
 //! environment variable when set (clamped to `[1, 4096]`, warn-once on
 //! malformed values), else the hardware's available parallelism, cached
 //! once per process.
-//!
-//! Deadline-aware variants ([`parallel_for_budgeted`],
-//! [`parallel_for_each_mut_budgeted`]) take a [`Budget`] and stop
-//! claiming new chunks once it is exhausted — see [`crate::budget`] for
-//! the cooperative-cancellation contract.
 
-use crate::budget::{Budget, DispatchOutcome};
 use crate::pool;
 use crate::ptr::SharedMutPtr;
 use pp_instrument as instrument;
@@ -46,7 +40,7 @@ const CLAIMS_PER_WORKER: usize = 64;
 const SUM_CHUNKS_PER_WORKER: usize = 8;
 
 /// The chunk policy: how many consecutive indices one claim of
-/// [`parallel_for`] / [`parallel_for_budgeted`] takes, a pure function of
+/// [`parallel_for`] takes, a pure function of
 /// the range length and the worker budget. Chunk boundaries change
 /// scheduling only; lane outputs do not depend on them.
 fn for_chunk(n: usize, threads: usize) -> usize {
@@ -149,94 +143,6 @@ where
     pool::global().dispatch(n, 1, &run);
 }
 
-/// [`parallel_for`] under a [`Budget`]: stops claiming new chunks once
-/// the budget is exhausted and reports whether the range was drained.
-///
-/// The serial fallback (tiny batch, one worker, nested dispatch) polls
-/// the budget at the same chunk granularity the pool would use, so the
-/// deadline contract — overshoot bounded by one chunk of lane work — is
-/// identical on both paths.
-pub fn parallel_for_budgeted<F: Fn(usize) + Sync>(
-    n: usize,
-    budget: &Budget,
-    f: F,
-) -> DispatchOutcome {
-    let threads = num_threads().min(n);
-    let chunk = for_chunk(n, threads);
-    if threads <= 1 || pool::in_dispatch() {
-        pool::note_inline_dispatch();
-        return serial_for_budgeted(n, chunk, budget, &f);
-    }
-    pool::global().dispatch_budgeted(n, chunk, Some(budget), &f)
-}
-
-/// [`parallel_for_each_mut`] under a [`Budget`]. On
-/// [`DispatchOutcome::TimedOut`] the items past the last claimed chunk
-/// were **not** visited — callers that need per-item completion state
-/// must encode it in the items themselves (the chunked multi-RHS solver
-/// leaves unvisited lanes' result slots empty and reports them as
-/// budget-exhausted).
-pub fn parallel_for_each_mut_budgeted<T, F>(
-    items: &mut [T],
-    budget: &Budget,
-    f: F,
-) -> DispatchOutcome
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    let threads = num_threads().min(n);
-    if threads <= 1 || pool::in_dispatch() {
-        pool::note_inline_dispatch();
-        // One poll per item, the pooled path's chunk of 1.
-        for (i, item) in items.iter_mut().enumerate() {
-            if budget.exhausted() {
-                pool::note_timed_out(budget);
-                return DispatchOutcome::TimedOut;
-            }
-            f(i, item);
-        }
-        return DispatchOutcome::Completed;
-    }
-    struct Slots<T>(*mut T);
-    // SAFETY: each index is claimed by exactly one worker (atomic
-    // fetch-add), so no two threads ever form a `&mut` to the same slot.
-    unsafe impl<T: Send> Sync for Slots<T> {}
-    let slots = Slots(items.as_mut_ptr());
-    let slots = &slots;
-    let run = move |i: usize| {
-        // SAFETY: `i < n` and each `i` is produced exactly once.
-        f(i, unsafe { &mut *slots.0.add(i) });
-    };
-    // Chunk 1: the chunk is the cancellation granularity, and budgeted
-    // callers opted into the tightest one.
-    pool::global().dispatch_budgeted(n, 1, Some(budget), &run)
-}
-
-/// Budget-polling serial loop shared by the inline fallbacks: runs `f`
-/// over `0..n`, checking the budget before each `chunk`-sized block.
-fn serial_for_budgeted(
-    n: usize,
-    chunk: usize,
-    budget: &Budget,
-    f: impl Fn(usize),
-) -> DispatchOutcome {
-    let mut lo = 0usize;
-    while lo < n {
-        if budget.exhausted() {
-            pool::note_timed_out(budget);
-            return DispatchOutcome::TimedOut;
-        }
-        let hi = (lo + chunk).min(n);
-        for i in lo..hi {
-            f(i);
-        }
-        lo = hi;
-    }
-    DispatchOutcome::Completed
-}
-
 /// Sum `f(i)` over `i in 0..n` with deterministic per-chunk partials.
 ///
 /// The range is cut into fixed chunks; each chunk's partial sum is
@@ -293,11 +199,20 @@ mod tests {
         }
     }
 
+    /// Range lengths for the tests that dispatch on the pool: 131 and 4093
+    /// are prime, so no chunk size divides them and the last claim of the
+    /// region is always a ragged one. Miri runs the small pair.
+    fn lengths() -> [usize; 2] {
+        if cfg!(miri) {
+            [37, 131]
+        } else {
+            [1237, 4093]
+        }
+    }
+
     #[test]
     fn visits_every_index_exactly_once() {
-        // 4093 is prime: no chunk size divides it, so the last claim of
-        // the region is always a ragged one.
-        for n in [1237, 4093] {
+        for n in lengths() {
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             parallel_for(n, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
@@ -318,8 +233,9 @@ mod tests {
 
     #[test]
     fn sum_matches_closed_form() {
-        let expected = (0..5000).map(|i| i as f64).sum::<f64>();
-        assert_eq!(parallel_sum(5000, |i| i as f64), expected);
+        let n = lengths()[1];
+        let expected = (0..n).map(|i| i as f64).sum::<f64>();
+        assert_eq!(parallel_sum(n, |i| i as f64), expected);
         assert_eq!(parallel_sum(0, |_| 1.0), 0.0);
         assert_eq!(parallel_sum(1, |_| 2.5), 2.5);
     }
@@ -329,9 +245,10 @@ mod tests {
         // Mixed magnitudes make the sum order-sensitive: any schedule
         // dependence in the bracketing would show up bitwise.
         let f = |i: usize| ((i as f64) * 0.7).sin() * 10f64.powi((i % 13) as i32 - 6);
-        let first = parallel_sum(10_000, f);
-        for _ in 0..10 {
-            assert_eq!(parallel_sum(10_000, f).to_bits(), first.to_bits());
+        let (n, repeats) = if cfg!(miri) { (500, 3) } else { (10_000, 10) };
+        let first = parallel_sum(n, f);
+        for _ in 0..repeats {
+            assert_eq!(parallel_sum(n, f).to_bits(), first.to_bits());
         }
     }
 
@@ -356,7 +273,7 @@ mod tests {
 
     #[test]
     fn for_each_mut_touches_every_slot_once() {
-        for n in [997, 4093] {
+        for n in lengths() {
             let mut items: Vec<u64> = vec![0; n];
             parallel_for_each_mut(&mut items, |i, slot| {
                 *slot += i as u64 + 1;
@@ -367,64 +284,5 @@ mod tests {
         }
         let mut empty: Vec<u64> = Vec::new();
         parallel_for_each_mut(&mut empty, |_, _| panic!("must not run"));
-    }
-
-    #[test]
-    fn budgeted_for_completes_under_ample_budget() {
-        let budget = Budget::with_deadline(std::time::Duration::from_secs(3600));
-        let hits: Vec<AtomicUsize> = (0..999).map(|_| AtomicUsize::new(0)).collect();
-        let outcome = parallel_for_budgeted(999, &budget, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(outcome, DispatchOutcome::Completed);
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn budgeted_for_times_out_when_cancelled() {
-        let budget = Budget::unlimited();
-        budget.cancel();
-        let count = AtomicUsize::new(0);
-        let outcome = parallel_for_budgeted(10_000, &budget, |_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(outcome, DispatchOutcome::TimedOut);
-        assert_eq!(count.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn budgeted_for_each_mut_marks_visited_slots_only() {
-        let budget = Budget::with_deadline(std::time::Duration::from_secs(3600));
-        let mut items: Vec<u64> = vec![0; 503];
-        let outcome = parallel_for_each_mut_budgeted(&mut items, &budget, |i, slot| {
-            *slot = i as u64 + 1;
-        });
-        assert_eq!(outcome, DispatchOutcome::Completed);
-        for (i, v) in items.iter().enumerate() {
-            assert_eq!(*v, i as u64 + 1);
-        }
-
-        let exhausted = Budget::unlimited();
-        exhausted.cancel();
-        let mut items: Vec<u64> = vec![0; 503];
-        let outcome = parallel_for_each_mut_budgeted(&mut items, &exhausted, |_, slot| {
-            *slot = 1;
-        });
-        assert_eq!(outcome, DispatchOutcome::TimedOut);
-        assert!(items.iter().all(|v| *v == 0), "no slot visited");
-    }
-
-    #[test]
-    fn budgeted_serial_fallback_checks_budget_when_nested() {
-        // Inside a dispatch (or on a single-worker host) the budgeted
-        // loop degrades to the polling serial fallback; an exhausted
-        // budget must still stop it. Assertion failures propagate as
-        // lane panics.
-        parallel_for(64, |_| {
-            let budget = Budget::unlimited();
-            budget.cancel();
-            let o = parallel_for_budgeted(100, &budget, |_| panic!("must not run"));
-            assert_eq!(o, DispatchOutcome::TimedOut);
-        });
     }
 }

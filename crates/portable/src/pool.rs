@@ -84,12 +84,11 @@
 //! thread-local "inside a pool dispatch" flag and degrade to the plain
 //! serial loop when set, so nesting is always deadlock-free.
 
-use crate::budget::{Budget, DispatchOutcome};
 use pp_instrument as instrument;
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -99,16 +98,6 @@ use std::time::{Duration, Instant};
 /// without any futex round-trip. Spinning is disabled on single-core
 /// hosts, where it can only steal cycles from the thread being waited on.
 const SPIN: usize = 1 << 12;
-
-/// Extra wall-clock grace past a budgeted dispatch's deadline before the
-/// in-dispatcher watchdog declares the dispatch late: 100 ms. Cooperative
-/// checkpoints sit at chunk boundaries, so a healthy dispatch overshoots
-/// its deadline by at most one chunk of lane work; anything past the
-/// slack means a non-cooperative (hung or very long) lane and trips the
-/// watchdog.
-pub fn watchdog_slack() -> Duration {
-    Duration::from_millis(100)
-}
 
 /// Spin budget for this host: [`SPIN`] when truly parallel hardware is
 /// available, zero on a single hardware thread.
@@ -186,13 +175,6 @@ struct JobDesc {
     /// Committed workers that have checked out (lives on the
     /// dispatcher's stack).
     done: *const AtomicUsize,
-    /// Absolute deadline of the dispatch budget, if any; participants
-    /// stop claiming chunks once past it.
-    deadline: Option<Instant>,
-    /// Shared cancel flag of the dispatch budget (null when the dispatch
-    /// is unbudgeted). Points into the budget's `Arc` allocation, which
-    /// the dispatching caller keeps borrowed for the whole dispatch.
-    cancel: *const AtomicBool,
 }
 
 // SAFETY: the raw pointers are only dereferenced between a worker's
@@ -253,19 +235,6 @@ pub(crate) struct Pool {
 /// Dispatches that ran inline (serial fallback: tiny batch, single
 /// hardware thread, or nested inside another dispatch).
 static INLINE_DISPATCHES: AtomicU64 = AtomicU64::new(0);
-
-/// Budgeted dispatches (pooled *or* inline) whose budget ran out before
-/// the index range was drained.
-static DEADLINE_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Deadline misses whose budget had its cancel flag raised (explicit
-/// [`Budget::cancel`] or a watchdog trip) rather than a plain deadline
-/// expiry.
-static CANCELLED_DISPATCHES: AtomicU64 = AtomicU64::new(0);
-
-/// Times the in-dispatcher watchdog fired: a dispatch still had
-/// committed workers running past its deadline plus [`watchdog_slack`].
-static WATCHDOG_TRIPS: AtomicU64 = AtomicU64::new(0);
 
 /// Worker threads respawned after a propagated panic killed them
 /// ([`RespawnGuard`]); without self-healing a long soak's pool capacity
@@ -362,48 +331,14 @@ pub(crate) fn note_inline_dispatch() {
     INLINE_DISPATCHES.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Record a budgeted dispatch (pooled or inline) that timed out before
-/// draining its range; called by the pool itself and by the inline
-/// serial fallbacks in [`crate::par`], so the counters agree regardless
-/// of which path served the work.
-pub(crate) fn note_timed_out(budget: &Budget) {
-    DEADLINE_MISSES.fetch_add(1, Ordering::Relaxed);
-    if budget.is_cancelled() {
-        CANCELLED_DISPATCHES.fetch_add(1, Ordering::Relaxed);
-    }
-    instrument::trace_instant(instrument::InstantKind::BudgetExhausted);
-}
-
-/// Cooperative budget poll for one participant: `true` once the dispatch
-/// budget is cancelled or past its deadline. Unbudgeted dispatches cost
-/// two predictable branches here.
-#[inline]
-fn job_budget_exhausted(desc: &JobDesc) -> bool {
-    // SAFETY: a non-null `cancel` points into the dispatch budget's Arc
-    // allocation, which the dispatching caller borrows for the whole
-    // dispatch; the protocol keeps the dispatch alive until this
-    // participant checks in.
-    if !desc.cancel.is_null() && unsafe { &*desc.cancel }.load(Ordering::Relaxed) {
-        return true;
-    }
-    desc.deadline.is_some_and(|d| Instant::now() >= d)
-}
-
-/// Claim chunks until the range is exhausted or the dispatch budget runs
-/// out, catching a lane panic. Returns the panic payload, if any.
-///
-/// The budget poll sits *before* each claim: a participant that observes
-/// exhaustion stops claiming but always finishes the chunk it already
-/// owns, so budget overshoot is bounded by one chunk of lane work.
+/// Claim chunks until the range is exhausted, catching a lane panic.
+/// Returns the panic payload, if any.
 fn run_chunks(desc: &JobDesc) -> Option<Box<dyn Any + Send>> {
     catch_unwind(AssertUnwindSafe(|| {
         // SAFETY: the dispatch protocol keeps `next` alive until this
         // participant checks in (module-level argument, point 3).
         let next = unsafe { &*desc.next };
         loop {
-            if job_budget_exhausted(desc) {
-                break;
-            }
             let start = next.fetch_add(desc.chunk, Ordering::Relaxed);
             if start >= desc.n {
                 break;
@@ -505,31 +440,6 @@ impl Pool {
     /// participating in the work and blocking until every worker has
     /// checked in. Propagates the first lane panic.
     pub(crate) fn dispatch<F: Fn(usize) + Sync>(&self, n: usize, chunk: usize, f: &F) {
-        self.dispatch_budgeted(n, chunk, None, f);
-    }
-
-    /// [`Pool::dispatch`] under an optional [`Budget`]: participants
-    /// stop claiming chunks once the budget is exhausted, and the
-    /// completion wait runs a watchdog against `deadline +`
-    /// [`watchdog_slack`].
-    ///
-    /// Returns [`DispatchOutcome::TimedOut`] when the budget ran out
-    /// before every index was visited — indices past the last claimed
-    /// chunk were then **not** called. The dispatch still never returns
-    /// (normally or by unwinding) before every committed worker has
-    /// checked out: the job descriptor points into this stack frame, so
-    /// abandoning workers is unsound. What the watchdog guarantees
-    /// instead is that a trip is *observable* (flight-recorder instant,
-    /// `pool_watchdog` fault dump, counter) and that the budget's cancel
-    /// flag is raised so every cooperative checkpoint downstream unwinds
-    /// the work promptly.
-    pub(crate) fn dispatch_budgeted<F: Fn(usize) + Sync>(
-        &self,
-        n: usize,
-        chunk: usize,
-        budget: Option<&Budget>,
-        f: &F,
-    ) -> DispatchOutcome {
         /// Reifies the erased closure pointer back to `&F`.
         unsafe fn shim<F: Fn(usize) + Sync>(data: *const (), i: usize) {
             // SAFETY: `data` was created from `&F` in `dispatch` below and
@@ -551,8 +461,6 @@ impl Pool {
             next: &next,
             joined: &joined,
             done: &done,
-            deadline: budget.and_then(|b| b.deadline()),
-            cancel: budget.map_or(std::ptr::null(), |b| b.cancel_flag_ptr()),
         };
         self.shared.dispatches.fetch_add(1, Ordering::Relaxed);
         self.shared.lanes.fetch_add(n as u64, Ordering::Relaxed);
@@ -583,10 +491,7 @@ impl Pool {
 
         // Completion handshake: no return (normal or unwinding) until
         // every committed worker has released its borrow of
-        // `next`/`done`/`f`. Under a deadline the wait doubles as the
-        // watchdog: it times out at `deadline + watchdog_slack()`, and a
-        // trip cancels the budget (so cooperative checkpoints drain) and
-        // is recorded before the wait — soundly — resumes.
+        // `next`/`done`/`f`.
         let mut spins = 0usize;
         let spin_limit = spin_budget();
         while done.load(Ordering::Acquire) < joined_count && spins < spin_limit {
@@ -594,46 +499,13 @@ impl Pool {
             spins += 1;
         }
         if done.load(Ordering::Acquire) < joined_count {
-            let mut watchdog_armed = desc.deadline.map(|d| d + watchdog_slack());
             let mut g = lock_pool(&self.shared.done_lock);
             while done.load(Ordering::Acquire) < joined_count {
-                match watchdog_armed {
-                    Some(limit) => {
-                        let now = Instant::now();
-                        if now >= limit {
-                            watchdog_armed = None;
-                            self.trip_watchdog(budget, n, joined_count, &done);
-                            continue;
-                        }
-                        g = self
-                            .shared
-                            .done_cv
-                            .wait_timeout(g, limit - now)
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0;
-                    }
-                    None => {
-                        g = self
-                            .shared
-                            .done_cv
-                            .wait(g)
-                            .unwrap_or_else(|e| e.into_inner());
-                    }
-                }
-            }
-        }
-
-        // The range is complete iff the claim counter drained it; under
-        // an exhausted budget participants stop claiming and the counter
-        // stalls short of `n`.
-        let outcome = if next.load(Ordering::Relaxed) >= n {
-            DispatchOutcome::Completed
-        } else {
-            DispatchOutcome::TimedOut
-        };
-        if outcome == DispatchOutcome::TimedOut {
-            if let Some(b) = budget {
-                note_timed_out(b);
+                g = self
+                    .shared
+                    .done_cv
+                    .wait(g)
+                    .unwrap_or_else(|e| e.into_inner());
             }
         }
 
@@ -646,38 +518,6 @@ impl Pool {
         if let Some(payload) = caller_panic.or(worker_panic) {
             resume_unwind(payload);
         }
-        outcome
-    }
-
-    /// The in-dispatcher watchdog fired: a committed worker is still
-    /// running past `deadline + watchdog_slack()`. Make the overrun
-    /// observable and raise the cancel flag so every cooperative
-    /// checkpoint (pool chunk claims, Krylov iteration tops, verify
-    /// steps) stops promptly; the caller then resumes the completion
-    /// wait, which is the only sound option while the job descriptor
-    /// points into its stack frame.
-    #[cold]
-    fn trip_watchdog(
-        &self,
-        budget: Option<&Budget>,
-        n: usize,
-        joined_count: usize,
-        done: &AtomicUsize,
-    ) {
-        WATCHDOG_TRIPS.fetch_add(1, Ordering::Relaxed);
-        instrument::trace_instant(instrument::InstantKind::WatchdogTrip);
-        if let Some(b) = budget {
-            b.cancel();
-        }
-        let outstanding = joined_count.saturating_sub(done.load(Ordering::Acquire));
-        instrument::fault_dump("pool_watchdog", || {
-            format!(
-                "dispatch of {n} lanes overran its deadline by more than the \
-                 watchdog slack ({:?}); {outstanding} committed worker(s) of \
-                 {joined_count} still running; budget cancelled",
-                watchdog_slack()
-            )
-        });
     }
 }
 
@@ -715,15 +555,6 @@ pub struct PoolStats {
     /// Dispatches that ran inline instead (tiny batch, one hardware
     /// thread, or nested inside another dispatch).
     pub inline_dispatches: u64,
-    /// Budgeted dispatches (pooled or inline) whose budget ran out
-    /// before the index range was drained.
-    pub deadline_misses: u64,
-    /// Deadline misses whose budget was *cancelled* (explicitly or by a
-    /// watchdog trip) rather than merely expiring.
-    pub cancelled_dispatches: u64,
-    /// Watchdog trips: dispatches that still had committed workers
-    /// running past their deadline plus [`watchdog_slack`].
-    pub watchdog_trips: u64,
     /// Worker threads respawned after dying to a propagated panic (pool
     /// self-healing; see [`inject_worker_death`] for the test hook).
     pub workers_respawned: u64,
@@ -748,16 +579,10 @@ impl PoolStats {
 /// inline-dispatch counts).
 pub fn pool_stats() -> PoolStats {
     let inline = INLINE_DISPATCHES.load(Ordering::Relaxed);
-    let deadline_misses = DEADLINE_MISSES.load(Ordering::Relaxed);
-    let cancelled = CANCELLED_DISPATCHES.load(Ordering::Relaxed);
-    let watchdog_trips = WATCHDOG_TRIPS.load(Ordering::Relaxed);
     let workers_respawned = WORKERS_RESPAWNED.load(Ordering::Relaxed);
     match POOL.get() {
         None => PoolStats {
             inline_dispatches: inline,
-            deadline_misses,
-            cancelled_dispatches: cancelled,
-            watchdog_trips,
             workers_respawned,
             ..PoolStats::default()
         },
@@ -766,9 +591,6 @@ pub fn pool_stats() -> PoolStats {
             dispatches: pool.shared.dispatches.load(Ordering::Relaxed),
             lanes_dispatched: pool.shared.lanes.load(Ordering::Relaxed),
             inline_dispatches: inline,
-            deadline_misses,
-            cancelled_dispatches: cancelled,
-            watchdog_trips,
             workers_respawned,
             per_worker: pool
                 .shared
@@ -785,9 +607,8 @@ pub fn pool_stats() -> PoolStats {
 
 /// Publish the pool counters as instrumentation gauges
 /// (`pool.workers`, `pool.dispatches`, `pool.lanes_dispatched`,
-/// `pool.inline_dispatches`, `pool.deadline_misses`,
-/// `pool.cancelled_dispatches`, `pool.watchdog_trips`,
-/// `pool.workers_respawned`, `pool.busy_ms`, `pool.idle_ms`), so a
+/// `pool.inline_dispatches`, `pool.workers_respawned`, `pool.busy_ms`,
+/// `pool.idle_ms`), so a
 /// [`pp_instrument::Snapshot`] carries the busy/idle picture alongside
 /// the dispatch latency histogram. No-op when instrumentation is off.
 pub fn publish_pool_metrics() {
@@ -799,9 +620,6 @@ pub fn publish_pool_metrics() {
     instrument::gauge("pool.dispatches").set(stats.dispatches as f64);
     instrument::gauge("pool.lanes_dispatched").set(stats.lanes_dispatched as f64);
     instrument::gauge("pool.inline_dispatches").set(stats.inline_dispatches as f64);
-    instrument::gauge("pool.deadline_misses").set(stats.deadline_misses as f64);
-    instrument::gauge("pool.cancelled_dispatches").set(stats.cancelled_dispatches as f64);
-    instrument::gauge("pool.watchdog_trips").set(stats.watchdog_trips as f64);
     instrument::gauge("pool.workers_respawned").set(stats.workers_respawned as f64);
     instrument::gauge("pool.busy_ms").set(stats.total_busy().as_secs_f64() * 1e3);
     instrument::gauge("pool.idle_ms").set(stats.total_idle().as_secs_f64() * 1e3);
@@ -851,70 +669,6 @@ mod tests {
             });
             assert_eq!(count.load(Ordering::Relaxed), 512);
         }
-    }
-
-    #[test]
-    fn unbudgeted_dispatch_reports_completed() {
-        let outcome = global().dispatch_budgeted(256, 4, None, &|_i: usize| {});
-        assert_eq!(outcome, DispatchOutcome::Completed);
-    }
-
-    #[test]
-    fn ample_budget_visits_every_index() {
-        let budget = Budget::with_deadline(Duration::from_secs(3600));
-        let hits: Vec<AtomicUsize> = (0..1024).map(|_| AtomicUsize::new(0)).collect();
-        let outcome = global().dispatch_budgeted(1024, 4, Some(&budget), &|i: usize| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(outcome, DispatchOutcome::Completed);
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn pre_exhausted_budget_times_out_without_running_lanes() {
-        let budget = Budget::unlimited();
-        budget.cancel();
-        let before = pool_stats();
-        let ran = AtomicUsize::new(0);
-        let outcome = global().dispatch_budgeted(512, 4, Some(&budget), &|_i: usize| {
-            ran.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(outcome, DispatchOutcome::TimedOut);
-        assert_eq!(ran.load(Ordering::Relaxed), 0);
-        let after = pool_stats();
-        assert!(after.deadline_misses > before.deadline_misses);
-        assert!(after.cancelled_dispatches > before.cancelled_dispatches);
-    }
-
-    #[test]
-    fn expired_deadline_times_out_and_pool_survives() {
-        let budget = Budget::with_deadline(Duration::ZERO);
-        let outcome = global().dispatch_budgeted(512, 4, Some(&budget), &|_i: usize| {});
-        assert_eq!(outcome, DispatchOutcome::TimedOut);
-        // The pool must keep serving clean dispatches afterwards.
-        let count = AtomicUsize::new(0);
-        global().dispatch(256, 4, &|_i: usize| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 256);
-    }
-
-    #[test]
-    fn mid_flight_cancel_stops_claiming() {
-        // Cancel from inside lane 0: later chunk claims must observe the
-        // flag. With chunk = 1 and many lanes, at least the lanes beyond
-        // the already-claimed chunks are skipped.
-        let budget = Budget::unlimited();
-        let token = budget.cancel_token();
-        let ran = AtomicUsize::new(0);
-        let outcome = global().dispatch_budgeted(100_000, 1, Some(&budget), &|_i: usize| {
-            token.cancel();
-            ran.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(outcome, DispatchOutcome::TimedOut);
-        let ran = ran.load(Ordering::Relaxed);
-        assert!(ran >= 1, "the cancelling lane itself ran");
-        assert!(ran < 100_000, "cancellation must stop the remaining lanes");
     }
 
     /// The guard itself, isolated from scheduling: a thread that unwinds

@@ -82,11 +82,11 @@ grep -q '"version": "Lane interleave"' target/BENCH_phases_smoke.json
 grep -q '"version": "Lane interleave resident"' target/BENCH_phases_smoke.json
 
 # Smoke-run the chaos-soak campaign: seeded fault scenarios (NaN lanes,
-# near-singular systems, slow lanes) under wall-clock budgets. The binary
-# exits non-zero if any invariant (no hang, no silent budget cut, seeded
-# determinism, healthy pool) is violated. The full >= 32-seed soak runs
-# in the nightly CI job.
-echo "==> chaos_soak smoke (budgets, cancellation, watchdog invariants)"
+# near-singular systems, bit flips struck into the verified solve's
+# screen). The binary exits non-zero if any invariant (every lane
+# accounted for, seeded determinism, no silent-wrong answer, healthy
+# pool) is violated. The full >= 32-seed soak runs in the nightly CI job.
+echo "==> chaos_soak smoke (determinism, SDC containment, pool health)"
 PP_NUM_THREADS=$POOL_THREADS cargo run --release -q -p pp-bench --bin chaos_soak -- \
     --smoke --out target/BENCH_chaos_smoke.json
 test -s target/BENCH_chaos_smoke.json

@@ -67,8 +67,7 @@ pub mod prelude {
     pub use pp_linalg::FactorHealth;
     pub use pp_perfmodel::{glups, Device};
     pub use pp_portable::{
-        Budget, CancelToken, DispatchOutcome, ExecSpace, InterleavedMatrix, Layout, Matrix,
-        Parallel, ResidentBatch, Serial, LANE_WIDTH,
+        ExecSpace, InterleavedMatrix, Layout, Matrix, Parallel, ResidentBatch, Serial, LANE_WIDTH,
     };
     pub use pp_splinesolver::{
         BuilderVersion, FallbackRung, IterativeConfig, IterativeSplineSolver, KrylovKind,

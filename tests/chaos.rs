@@ -1,20 +1,19 @@
-//! Full-stack chaos tests: seeded fault campaigns under wall-clock
-//! budgets, bit flips struck into the verified solve's panel screen, worker
-//! panics colliding with quarantine, and the no-hang / no-poisoned-pool /
-//! no-silent-degradation / no-silent-wrong-answer invariants.
+//! Full-stack chaos tests: seeded fault campaigns, bit flips struck into
+//! the verified solve's panel screen, worker panics colliding with
+//! quarantine, and the determinism / no-poisoned-pool /
+//! no-silent-wrong-answer invariants.
 //!
 //! The heavier soak (≥ 32 seeds) lives in the `chaos_soak` bench binary;
 //! here a smoke subset runs on every test invocation, plus the scenarios
 //! that need the full spline stack (VerifiedBuilder, ExecSpace).
 
 use pp_bsplines::{Breaks, PeriodicSplineSpace};
-use pp_iterative::{ChaosBudgetKind, FaultInjector};
-use pp_portable::{parallel_for, Budget, ExecSpace, Layout, Matrix, Parallel, TestRng, LANE_WIDTH};
+use pp_iterative::FaultInjector;
+use pp_portable::{parallel_for, ExecSpace, Layout, Matrix, Parallel, TestRng, LANE_WIDTH};
 use pp_splinesolver::verified::sdc_round;
 use pp_splinesolver::{BuilderVersion, LaneVerdict, QuarantineReason, SplineBuilder, VerifyConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 fn space(nx: usize) -> PeriodicSplineSpace {
     PeriodicSplineSpace::new(Breaks::uniform(nx, 0.0, 1.0).expect("mesh"), 3).expect("space")
@@ -31,25 +30,15 @@ fn rhs(nx: usize, nv: usize, seed: u64) -> Matrix {
 fn chaos_smoke_campaign_holds_all_invariants() {
     for seed in 0..12u64 {
         let r = FaultInjector::chaos_round(seed);
-        assert!(
-            r.no_hang(),
-            "seed {seed}: elapsed {:?} exceeds bound {:?}",
-            r.elapsed,
-            r.hang_bound()
-        );
         assert!(r.tallies_consistent(), "seed {seed}: {r:?}");
-        // Every budget cut is surfaced: the Partial tally matches the
-        // BudgetExhausted records one-to-one.
-        let logged = r
-            .lane_results
-            .iter()
-            .filter(|res| res.breakdown == Some(pp_iterative::BreakdownKind::BudgetExhausted))
-            .count();
-        assert_eq!(logged, r.partial, "seed {seed}: silent budget cut");
-        if r.budget_kind != ChaosBudgetKind::Tight {
-            let replay = FaultInjector::chaos_round(seed);
-            assert_eq!(r.checksum, replay.checksum, "seed {seed}: not replayable");
-        }
+        // Every round is a pure function of its seed: the replay
+        // reproduces the fault pattern, the tallies and the output bits.
+        let replay = FaultInjector::chaos_round(seed);
+        assert_eq!(
+            r.fingerprint(),
+            replay.fingerprint(),
+            "seed {seed}: not replayable"
+        );
         // SDC containment, through the verified step's screen: struck bits
         // never become silent wrong answers — transients are healed by the
         // retry, persistent strikes are recovered or quarantined and
@@ -63,30 +52,6 @@ fn chaos_smoke_campaign_holds_all_invariants() {
         hits.fetch_add(1, Ordering::Relaxed);
     });
     assert_eq!(hits.load(Ordering::Relaxed), 512, "pool poisoned by chaos");
-}
-
-/// A dispatch under a pre-expired deadline returns promptly (bounded by
-/// watchdog slack, not by the amount of work queued).
-#[test]
-fn expired_budget_dispatch_returns_within_slack() {
-    let budget = Budget::with_deadline(Duration::from_nanos(1));
-    std::thread::sleep(Duration::from_millis(2));
-    let started = Instant::now();
-    let visited = AtomicUsize::new(0);
-    let outcome = pp_portable::parallel_for_budgeted(1_000_000, &budget, |_| {
-        visited.fetch_add(1, Ordering::Relaxed);
-        // Each lane is non-trivial; 10^6 of them would take far longer
-        // than the bound if the budget were ignored.
-        std::hint::black_box((0..50).sum::<u64>());
-    });
-    let elapsed = started.elapsed();
-    assert!(!outcome.is_complete());
-    let bound = pp_portable::watchdog_slack() + Duration::from_millis(500);
-    assert!(
-        elapsed < bound,
-        "expired-budget dispatch took {elapsed:?} (bound {bound:?})"
-    );
-    assert!(visited.load(Ordering::Relaxed) < 1_000_000);
 }
 
 /// An `ExecSpace` that panics on one chosen lane mid-dispatch — the
@@ -172,27 +137,4 @@ fn worker_panic_and_quarantine_in_same_batch_coexist() {
             "quarantine must still produce its fault dump"
         );
     }
-}
-
-/// Mid-flight cooperative cancellation: a token cancelled from inside the
-/// work stops the dispatch early and the pool stays healthy.
-#[test]
-fn mid_flight_cancel_is_prompt_and_pool_survives() {
-    let budget = Budget::unlimited();
-    let token = budget.cancel_token();
-    let ran = AtomicUsize::new(0);
-    let outcome = pp_portable::parallel_for_budgeted(2_000_000, &budget, |i| {
-        if i == 0 {
-            token.cancel();
-        }
-        ran.fetch_add(1, Ordering::Relaxed);
-    });
-    assert!(!outcome.is_complete());
-    let done = ran.load(Ordering::Relaxed);
-    assert!((1..2_000_000).contains(&done), "ran {done} lanes");
-    let hits = AtomicUsize::new(0);
-    parallel_for(128, |_| {
-        hits.fetch_add(1, Ordering::Relaxed);
-    });
-    assert_eq!(hits.load(Ordering::Relaxed), 128);
 }
