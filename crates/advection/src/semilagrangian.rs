@@ -4,7 +4,8 @@ use crate::error::{Error, Result};
 use pp_bsplines::PeriodicSplineSpace;
 use pp_portable::instrument::{self, PhaseId, Span};
 use pp_portable::{
-    ExecSpace, Field, HostField, Layout, Matrix, ResidentBatch, Strided, LANE_WIDTH,
+    ExecSpace, Field, HostField, InterleavedMatrix, Layout, Matrix, ResidentBatch, Strided,
+    LANE_WIDTH,
 };
 use pp_splinesolver::{
     BuilderVersion, IterativeConfig, IterativeSplineSolver, LaneReport, SplineBuilder,
@@ -152,7 +153,7 @@ pub struct StepTimings {
     /// build (the paper's `ddc_splines_solve`, line 4) and, fused with it
     /// while the coefficients are in cache, the interpolation at the
     /// characteristic feet (lines 6–10). For the `Iterative` backend it
-    /// includes the host Krylov solve in front of the region.
+    /// includes its Krylov region in front.
     pub splines_solve: Duration,
     /// Interpolation outside that region: the verified backend
     /// re-evaluating the lanes its serial tail repaired or quarantined.
@@ -205,11 +206,10 @@ pub struct Advection1D {
     /// (first-order backward integration, exact for constant advection),
     /// computed where it is used.
     displacements: Vec<f64>,
-    /// Scratch of the iterative backend, which has no panel-native
-    /// solver: the coefficients on the host, and the previous step's
-    /// (the warm start).
-    eta_host: Option<Matrix>,
-    eta_prev: Option<Matrix>,
+    /// The iterative backend's two resident coefficient stores: this
+    /// step's, and the previous step's (the warm start).
+    eta: Option<InterleavedMatrix>,
+    eta_prev: Option<InterleavedMatrix>,
     dt: f64,
     /// Verification report of the most recent step (verified backend only).
     last_diagnostics: Option<AdvectionDiagnostics>,
@@ -244,7 +244,7 @@ impl Advection1D {
             backend,
             displacements: velocities.iter().map(|v| v * dt).collect(),
             velocities,
-            eta_host: None,
+            eta: None,
             eta_prev: None,
             dt,
             last_diagnostics: None,
@@ -380,9 +380,10 @@ impl Advection1D {
     /// right-hand sides), and evaluates the coefficients at the feet
     /// straight back into the block while both are in cache. Neither the
     /// coefficients nor the feet ever exist as a slab. The `Iterative`
-    /// backend has no panel-native solver: its coefficients visit a host
-    /// scratch for the solve (with the previous step's as the warm start)
-    /// and the region packs each block's share into the worker's scratch.
+    /// backend is two regions: one solves every lane where it lies, lane by
+    /// lane, into a resident coefficient store (warm-started from the
+    /// previous step's), and one evaluates each block's panel of it back
+    /// into the block.
     ///
     /// # Errors
     /// [`Error::ShapeMismatch`] for a field or displacement vector of the
@@ -391,7 +392,7 @@ impl Advection1D {
     /// [`Error::NonFiniteInput`] (naming the lane, index 0) for a
     /// non-finite displacement, which would put every foot of the lane at
     /// NaN or ±∞; the `Iterative` backend's failure to converge. Every one
-    /// of them is raised before the region runs, so a failed step leaves
+    /// of them is raised before a region writes `f`, so a failed step leaves
     /// `f` as it was.
     pub fn step_with_displacements<E: ExecSpace>(
         &mut self,
@@ -476,18 +477,18 @@ impl Advection1D {
                 self.last_diagnostics = Some(diagnostics);
             }
             SplineBackend::Iterative(solver) => {
-                let mut host = self
-                    .eta_host
+                let mut eta = self
+                    .eta
                     .take()
-                    .unwrap_or_else(|| Matrix::zeros(nx, nv, Layout::Left));
+                    .unwrap_or_else(|| InterleavedMatrix::zeros(nx, nv));
                 let prev = self.eta_prev.as_ref();
-                if let Err(e) = solver.solve_then(exec, f, &mut host, prev, interpolate) {
-                    self.eta_host = Some(host);
+                if let Err(e) = solver.solve_then(exec, f, &mut eta, prev, interpolate) {
+                    self.eta = Some(eta);
                     return Err(e.into());
                 }
                 // These coefficients warm-start the next step; the ones
-                // they replace become its scratch.
-                self.eta_host = self.eta_prev.replace(host);
+                // they replace become its store.
+                self.eta = self.eta_prev.replace(eta);
             }
         }
         t.splines_solve = t0.elapsed() - t.interpolate;
@@ -950,7 +951,14 @@ mod tests {
         backends
     }
 
-    /// The step's shape: one parallel region, whatever the builder version
+    /// Regions one step of `backend` makes: one for the direct backends,
+    /// two for the Krylov one, which solves every lane before any lands.
+    fn regions_per_step(backend: &SplineBackend) -> usize {
+        1 + matches!(backend, SplineBackend::Iterative(_)) as usize
+    }
+
+    /// The step's shape: one parallel region (two on the Krylov backend,
+    /// [`regions_per_step`]), whatever the builder version
     /// (`Baseline`'s four regions are an ablation of the solve alone) and
     /// with or without verification — solve, screen and interpolation ride
     /// the same panel.
@@ -959,12 +967,13 @@ mod tests {
         let space = PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
         let velocities: Vec<f64> = (0..5 * LANE_WIDTH + 3).map(|j| 0.01 * j as f64).collect();
         for (what, backend) in every_backend(&space) {
+            let regions = regions_per_step(&backend);
             let mut adv = Advection1D::new(backend, velocities.clone(), 1e-2).unwrap();
             let mut slab = ResidentBatch::pack_transposed(&adv.init_distribution(gaussian));
             for _ in 0..2 {
                 let exec = CountingExec::default();
                 adv.step_resident(&exec, &mut slab).unwrap();
-                assert_eq!(exec.regions(), 1, "{what}");
+                assert_eq!(exec.regions(), regions, "{what}");
             }
         }
     }
@@ -979,16 +988,17 @@ mod tests {
         let velocities: Vec<f64> = (0..5 * LANE_WIDTH + 3).map(|j| 0.01 * j as f64).collect();
         let shifted: Vec<f64> = velocities.iter().map(|v| 0.3 - v).collect();
         for (what, backend) in every_backend(&space) {
+            let regions = regions_per_step(&backend);
             let mut adv = Advection1D::new(backend, velocities.clone(), 1e-2).unwrap();
             let mut f = adv.init_distribution(gaussian);
             for _ in 0..2 {
                 let exec = CountingExec::default();
                 adv.step(&exec, &mut f).unwrap();
-                assert_eq!(exec.regions(), 1, "{what}");
+                assert_eq!(exec.regions(), regions, "{what}");
                 let exec = CountingExec::default();
                 adv.step_with_displacements(&exec, &mut f, &shifted)
                     .unwrap();
-                assert_eq!(exec.regions(), 1, "{what} displaced");
+                assert_eq!(exec.regions(), regions, "{what} displaced");
             }
         }
     }
@@ -1039,8 +1049,9 @@ mod tests {
     }
 
     /// A step that fails has not touched the field: every error is raised
-    /// in front of the region — the shape and displacement checks on every
-    /// backend, the Krylov solve's verdict on its own scratch.
+    /// before a region writes it — the shape and displacement checks on
+    /// every backend, the Krylov solve's verdict between its two regions,
+    /// on both kinds of field.
     #[test]
     fn rejected_host_step_leaves_the_field_untouched() {
         let space = PeriodicSplineSpace::new(Breaks::uniform(48, 0.0, 1.0).unwrap(), 3).unwrap();
@@ -1077,14 +1088,21 @@ mod tests {
         let mut adv = Advection1D::new(backend, velocities, 0.02).unwrap();
         let mut f = adv.init_distribution(gaussian);
         let untouched = f.clone();
+        let mut slab = ResidentBatch::pack_transposed(&f);
+        use pp_splinesolver::Error::NotConverged;
         for _ in 0..2 {
             let rejected = adv.step(&Parallel, &mut f).unwrap_err();
-            use pp_splinesolver::Error::NotConverged;
             assert!(
                 matches!(rejected, Error::Spline(NotConverged { .. })),
                 "{rejected}"
             );
             assert_bits(&untouched, &f, "not converged");
+            let rejected = adv.step_resident(&Parallel, &mut slab).unwrap_err();
+            assert!(
+                matches!(rejected, Error::Spline(NotConverged { .. })),
+                "{rejected}"
+            );
+            assert_bits(&untouched, slab.host_transposed(), "not converged resident");
         }
     }
 

@@ -32,8 +32,6 @@ fn main() {
             let name = match kind {
                 KrylovKind::Gmres => "GMRES",
                 KrylovKind::BiCgStab => "BiCGStab",
-                KrylovKind::Cg => "CG",
-                KrylovKind::BiCg => "BiCG",
             };
             let d = time_mean(iters, || {
                 let mut work = rhs.clone();

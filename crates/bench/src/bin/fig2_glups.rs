@@ -294,10 +294,9 @@ fn main() {
             // keep the default run short (the paper saw the same ordering
             // at every batch size).
             if nv <= 10_000 {
-                let mut gc = IterativeConfig::cpu();
-                gc.cols_per_chunk = 8192;
                 let g_iter = measure(
-                    SplineBackend::iterative(cfg.space(args.nx), gc).expect("setup"),
+                    SplineBackend::iterative(cfg.space(args.nx), IterativeConfig::cpu())
+                        .expect("setup"),
                     args.nx,
                     nv,
                     args.iters,

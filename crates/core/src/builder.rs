@@ -395,12 +395,6 @@ thread_local! {
         const { RefCell::new([const { [const { Vec::new() }; ABREAST] }; 2]) };
 }
 
-/// Lend this worker's first scratch panel to `body`, holding whatever the
-/// last turn left in it, for an entry point that fills it by hand.
-pub(crate) fn with_panel_scratch<R>(body: impl FnOnce(&mut Vec<f64>) -> R) -> R {
-    PANEL_SCRATCH.with_borrow_mut(|[coefs, _]| body(&mut coefs[0]))
-}
-
 /// Capacities of this thread's two sets of panel scratches, for the
 /// structure tests.
 #[cfg(test)]

@@ -1,22 +1,23 @@
 //! The Ginkgo-style iterative spline backend (§III-B of the paper).
 //!
-//! Same job as [`SplineBuilder`] — turn a
-//! `(n, batch)` block of interpolation values into spline coefficients —
-//! but via Krylov iteration on the CSR-stored matrix, pipelined in chunks
-//! along the batch direction, with block-Jacobi preconditioning and
-//! optional warm starts from the previous time step.
+//! Same job as [`SplineBuilder`] — turn a batch of interpolation values
+//! into spline coefficients — but via Krylov iteration on the CSR-stored
+//! matrix, one independent lane at a time ([`LaneKrylov::solve`]), with
+//! block-Jacobi preconditioning and optional warm starts from the previous
+//! time step.
 
-use crate::builder::{with_panel_scratch, BuilderVersion, SplineBuilder};
+use crate::builder::{BuilderVersion, SplineBuilder};
 use crate::error::{Error, Result};
 use pp_bsplines::{assemble_interpolation_matrix, PeriodicSplineSpace};
 use pp_iterative::{
     solver::{norm2, residual_into},
-    BiCg, BiCgStab, BlockJacobi, Cg, ChunkedSolver, ConvergenceLogger, Gmres, IterativeSolver,
-    Preconditioner, RecoveryEvent, RecoveryStage, SolveResult, StopCriteria, CPU_COLS_PER_CHUNK,
-    GPU_COLS_PER_CHUNK,
+    BiCgStab, BlockJacobi, ConvergenceLogger, Gmres, IterativeSolver, LaneKrylov, LaneResults,
+    Preconditioner, RecoveryEvent, RecoveryStage, SolveResult, StopCriteria,
 };
 use pp_portable::instrument::{counter, fault_dump, trace_instant, Counter, InstantKind};
-use pp_portable::{ExecSpace, Field, Layout, Matrix, Parallel, LANE_WIDTH};
+use pp_portable::{
+    ExecSpace, Field, InterleavedMatrix, Layout, Matrix, Parallel, Strided, StridedMut, LANE_WIDTH,
+};
 use pp_sparse::Csr;
 use std::sync::OnceLock;
 
@@ -66,19 +67,13 @@ fn recovery_metrics() -> &'static RecoveryMetrics {
 }
 
 /// Which Krylov method to run. The paper's Ginkgo configuration uses
-/// GMRES on CPUs and BiCGStab on GPUs; CG and BiCG are the other two
-/// solvers Ginkgo offers and the paper lists (§II-B.2).
+/// GMRES on CPUs and BiCGStab on GPUs (Table IV, Fig. 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KrylovKind {
     /// GMRES — what the paper runs on CPUs.
     Gmres,
     /// BiCGStab — what the paper runs on GPUs.
     BiCgStab,
-    /// CG — valid for the (symmetric positive definite) uniform spline
-    /// matrices.
-    Cg,
-    /// BiCG — general systems, needs the transposed operator.
-    BiCg,
 }
 
 /// Configuration of the iterative backend.
@@ -88,8 +83,6 @@ pub struct IterativeConfig {
     pub kind: KrylovKind,
     /// Block-Jacobi `max_block_size` (the paper tunes 1–32).
     pub max_block_size: usize,
-    /// Chunk length along the batch direction.
-    pub cols_per_chunk: usize,
     /// Stopping criteria (the paper: relative residual < 1e-15).
     pub stop: StopCriteria,
     /// Warm-start from caller-provided previous solutions.
@@ -97,23 +90,20 @@ pub struct IterativeConfig {
 }
 
 impl IterativeConfig {
-    /// The paper's CPU configuration: GMRES, chunk 8192.
+    /// The paper's CPU configuration: GMRES.
     pub fn cpu() -> Self {
         Self {
             kind: KrylovKind::Gmres,
             max_block_size: 32,
-            cols_per_chunk: CPU_COLS_PER_CHUNK,
             stop: StopCriteria::paper_default(),
             warm_start: true,
         }
     }
 
-    /// The paper's GPU configuration: BiCGStab, chunk 65535.
+    /// The paper's GPU configuration: BiCGStab.
     pub fn gpu() -> Self {
         Self {
             kind: KrylovKind::BiCgStab,
-            max_block_size: 32,
-            cols_per_chunk: GPU_COLS_PER_CHUNK,
             ..Self::cpu()
         }
     }
@@ -133,7 +123,7 @@ pub struct RecoveryPolicy {
     /// block-Jacobi preconditioner.
     pub reprecondition: bool,
     /// Rung 2: retry failed lanes with the complementary Krylov method
-    /// (BiCGStab ⇄ GMRES; CG/BiCG escalate to GMRES).
+    /// (BiCGStab ⇄ GMRES).
     pub solver_switch: bool,
     /// Rung 3: hand failed lanes to the direct Schur-complement
     /// [`SplineBuilder`]. Lanes whose direct solution is non-finite (e.g.
@@ -188,9 +178,9 @@ pub struct IterativeSplineSolver {
 impl IterativeSplineSolver {
     /// Assemble the CSR matrix and build the block-Jacobi preconditioner.
     pub fn new(space: PeriodicSplineSpace, config: IterativeConfig) -> Result<Self> {
-        if config.max_block_size == 0 || config.cols_per_chunk == 0 {
+        if config.max_block_size == 0 {
             return Err(Error::UnexpectedStructure {
-                detail: "iterative config requires positive block and chunk sizes".into(),
+                detail: "iterative config requires a positive block size".into(),
             });
         }
         let dense = assemble_interpolation_matrix(&space);
@@ -229,32 +219,27 @@ impl IterativeSplineSolver {
         b: &mut Matrix,
         previous: Option<&Matrix>,
     ) -> Result<ConvergenceLogger> {
-        let logger = self.run_chunked(b, previous)?;
-        if !logger.all_converged() {
-            return Err(Error::NotConverged {
-                lanes: b.ncols(),
-                worst_residual: logger.worst_residual(),
-            });
-        }
-        Ok(logger)
+        converged(self.solve_columns(b, previous)?)
     }
 
     /// **Fused entry point**, the counterpart of
-    /// [`SplineBuilder::solve_then`] for a backend with no panel-native
-    /// solver: copy the field `b` into `host` (an `(n, batch)` scratch the
-    /// caller keeps — a straight copy when `b` is a host field and `host`
-    /// is [`pp_portable::Layout::Left`]), solve it there with
-    /// [`IterativeSplineSolver::solve_in_place`], then, in one parallel
-    /// region, pack each block's coefficients into the per-worker scratch
-    /// and hand them to `then(chunk, lanes, coefs, block)`, which
-    /// overwrites `block`. `host` keeps the coefficients (the next step's
-    /// warm start); a failed solve leaves `b` untouched.
+    /// [`SplineBuilder::solve_then`] for a backend whose solve is the
+    /// per-lane Krylov body: two regions on `exec` over the field `b`'s
+    /// blocks. The first solves every lane of block `c` where it lies —
+    /// right-hand side read from `b`, initial guess from panel `c` of
+    /// `previous` (the last step's coefficients; zeros without them or with
+    /// [`IterativeConfig::warm_start`] off) — into panel `c` of `eta`, a
+    /// coefficient store of `b`'s shape that the caller keeps. If any lane
+    /// failed it returns [`Error::NotConverged`], `b` and `previous`
+    /// untouched. Otherwise the second region hands each block its panel of
+    /// `eta` as `then(chunk, lanes, coefs, block)`, which overwrites `block`;
+    /// `eta` is then the next step's warm start.
     pub fn solve_then<E, B, F>(
         &self,
         exec: &E,
         b: &mut B,
-        host: &mut Matrix,
-        previous: Option<&Matrix>,
+        eta: &mut InterleavedMatrix,
+        previous: Option<&InterleavedMatrix>,
         then: F,
     ) -> Result<ConvergenceLogger>
     where
@@ -262,20 +247,38 @@ impl IterativeSplineSolver {
         B: Field,
         F: Fn(usize, usize, &[f64], &mut [f64]) + Sync + Send,
     {
-        b.copy_lanes_to(host)?;
-        let logger = self.solve_in_place(host, previous)?;
-        let host = &*host;
-        b.for_each_block_mut(exec, |chunk, lanes, block| {
-            with_panel_scratch(|coefs| {
-                coefs.clear();
-                // Padding lanes repeat the last live one.
-                let lane = |l: usize| chunk * LANE_WIDTH + l.min(lanes - 1);
-                for i in 0..host.nrows() {
-                    coefs.extend((0..LANE_WIDTH).map(|l| host.get(i, lane(l))));
-                }
-                then(chunk, lanes, coefs, block);
-            });
+        let (rows, lanes) = b.shape();
+        self.check_rows(rows)?;
+        for store in std::iter::once(&*eta).chain(previous) {
+            if store.shape() != (rows, lanes) {
+                return Err(Error::Portable(pp_portable::Error::ShapeMismatch {
+                    op: "IterativeSplineSolver::solve_then",
+                    left: (rows, lanes),
+                    right: store.shape(),
+                }));
+            }
+        }
+        let solver = self.krylov(self.config.kind);
+        let krylov = self.lanes(solver.as_ref());
+        let guess = previous.filter(|_| self.config.warm_start);
+        let results = LaneResults::new(lanes);
+        let field = &*b;
+        eta.for_each_chunk_mut(exec, |c, live, panel| {
+            for l in 0..live {
+                let j = c * LANE_WIDTH + l;
+                let mut x = match guess {
+                    Some(g) => Strided::new(&g.chunk(c)[l..], rows, LANE_WIDTH).to_vec(),
+                    None => vec![0.0; rows],
+                };
+                results.set(j, krylov.solve(j, &field.lane(j).to_vec(), &mut x));
+                StridedMut::new(&mut panel[l..], rows, LANE_WIDTH).copy_from_slice(&x);
+            }
         });
+        let mut logger = ConvergenceLogger::new();
+        results.record(&mut logger);
+        let logger = converged(logger)?;
+        let eta = &*eta;
+        b.for_each_run_mut(exec, 1, |c, live, block| then(c, live, eta.chunk(c), block));
         Ok(logger)
     }
 
@@ -300,7 +303,7 @@ impl IterativeSplineSolver {
         // Keep the right-hand sides: the chunked solve overwrites `b` with
         // (possibly garbage) iterates, and retries need the originals.
         let rhs_orig = b.clone();
-        let mut logger = self.run_chunked(b, previous)?;
+        let mut logger = self.solve_columns(b, previous)?;
 
         let mut attempts = 0usize;
         let ladder = [
@@ -339,9 +342,6 @@ impl IterativeSplineSolver {
                     let other = match self.config.kind {
                         KrylovKind::BiCgStab => KrylovKind::Gmres,
                         KrylovKind::Gmres => KrylovKind::BiCgStab,
-                        // CG/BiCG escalate to the most robust general
-                        // method available.
-                        KrylovKind::Cg | KrylovKind::BiCg => KrylovKind::Gmres,
                     };
                     self.retry_lanes(
                         self.krylov(other).as_ref(),
@@ -409,33 +409,47 @@ impl IterativeSplineSolver {
         Ok(if res.converged { Some(x) } else { None })
     }
 
-    /// One chunked pass over every lane with the configured solver.
-    fn run_chunked(&self, b: &mut Matrix, previous: Option<&Matrix>) -> Result<ConvergenceLogger> {
-        if b.nrows() != self.space.num_basis() {
+    /// One pass of the per-lane body over every column of `b` with the
+    /// configured solver, warm-started from `previous`'s columns.
+    fn solve_columns(
+        &self,
+        b: &mut Matrix,
+        previous: Option<&Matrix>,
+    ) -> Result<ConvergenceLogger> {
+        self.check_rows(b.nrows())?;
+        let solver = self.krylov(self.config.kind);
+        let guess = previous.filter(|_| self.config.warm_start);
+        let mut logger = ConvergenceLogger::new();
+        self.lanes(solver.as_ref())
+            .solve_columns(b, guess, &mut logger);
+        Ok(logger)
+    }
+
+    fn check_rows(&self, rows: usize) -> Result<()> {
+        if rows != self.space.num_basis() {
             return Err(Error::ShapeMismatch {
                 expected_rows: self.space.num_basis(),
-                actual_rows: b.nrows(),
+                actual_rows: rows,
             });
         }
-        let solver = self.krylov(self.config.kind);
-        let mut logger = ConvergenceLogger::new();
-        ChunkedSolver::new(
-            solver.as_ref(),
-            &self.precond,
-            self.config.stop.clone(),
-            self.config.cols_per_chunk,
-        )
-        .warm_start(self.config.warm_start)
-        .solve_in_place(&self.matrix, b, previous, &mut logger);
-        Ok(logger)
+        Ok(())
+    }
+
+    /// The per-lane body with `solver` and this solver's matrix,
+    /// preconditioner and stopping rule.
+    fn lanes<'a>(&'a self, solver: &'a dyn IterativeSolver) -> LaneKrylov<'a> {
+        LaneKrylov {
+            a: &self.matrix,
+            solver,
+            precond: &self.precond,
+            stop: &self.config.stop,
+        }
     }
 
     fn krylov(&self, kind: KrylovKind) -> Box<dyn IterativeSolver> {
         match kind {
             KrylovKind::Gmres => Box::new(Gmres::default()),
             KrylovKind::BiCgStab => Box::new(BiCgStab),
-            KrylovKind::Cg => Box::new(Cg),
-            KrylovKind::BiCg => Box::new(BiCg),
         }
     }
 
@@ -516,6 +530,18 @@ impl IterativeSplineSolver {
     }
 }
 
+/// `Ok(logger)` when every lane converged, else [`Error::NotConverged`].
+fn converged(logger: ConvergenceLogger) -> Result<ConvergenceLogger> {
+    if logger.all_converged() {
+        Ok(logger)
+    } else {
+        Err(Error::NotConverged {
+            lanes: logger.count(),
+            worst_residual: logger.worst_residual(),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,9 +607,7 @@ mod tests {
         let sp = space(40, 3, true);
         let mut rng = TestRng::seed_from_u64(9);
         let rhs = Matrix::from_fn(40, 5, Layout::Left, |_, _| rng.gen_range(-1.0..1.0));
-        let mut cfg = IterativeConfig::cpu();
-        cfg.cols_per_chunk = 3; // exercise chunking
-        let g = IterativeSplineSolver::new(sp.clone(), cfg).unwrap();
+        let g = IterativeSplineSolver::new(sp.clone(), IterativeConfig::cpu()).unwrap();
         let mut xg = rhs.clone();
         g.solve_in_place(&mut xg, None).unwrap();
         let b = IterativeSplineSolver::new(sp, IterativeConfig::gpu()).unwrap();
@@ -612,26 +636,6 @@ mod tests {
             log_warm.max_iterations(),
             log_cold.max_iterations()
         );
-    }
-
-    #[test]
-    fn cg_and_bicg_kinds_also_solve() {
-        // CG needs SPD: uniform cubic qualifies (circulant [1/6,4/6,1/6]).
-        let sp = space(32, 3, true);
-        let mut rng = TestRng::seed_from_u64(4);
-        let rhs = Matrix::from_fn(32, 3, Layout::Left, |_, _| rng.gen_range(-1.0..1.0));
-        let direct = SplineBuilder::new(sp.clone(), BuilderVersion::FusedSpmv).unwrap();
-        let mut reference = rhs.clone();
-        direct.solve_in_place(&Parallel, &mut reference).unwrap();
-        for kind in [KrylovKind::Cg, KrylovKind::BiCg] {
-            let mut cfg = IterativeConfig::gpu();
-            cfg.kind = kind;
-            let solver = IterativeSplineSolver::new(sp.clone(), cfg).unwrap();
-            let mut x = rhs.clone();
-            let log = solver.solve_in_place(&mut x, None).unwrap();
-            assert!(log.all_converged(), "{kind:?}");
-            assert!(x.max_abs_diff(&reference) < 1e-9, "{kind:?}");
-        }
     }
 
     #[test]

@@ -144,7 +144,7 @@ impl IterativeSolver for BiCgStab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::{BlockJacobi, Identity, Jacobi};
+    use crate::precond::{BlockJacobi, Identity};
     use pp_portable::Matrix;
     use pp_portable::TestRng;
 
@@ -195,7 +195,7 @@ mod tests {
         let mut x1 = vec![0.0; 200];
         let plain = BiCgStab.solve(&a, &Identity, &b, &mut x1, &stop);
         let mut x2 = vec![0.0; 200];
-        let pre = BiCgStab.solve(&a, &Jacobi::new(&a), &b, &mut x2, &stop);
+        let pre = BiCgStab.solve(&a, &BlockJacobi::new(&a, 1), &b, &mut x2, &stop);
         assert!(plain.converged && pre.converged);
         assert!(pre.iterations <= plain.iterations);
     }

@@ -2,7 +2,7 @@
 //!
 //! At the paper's scale (10⁵–10¹² batch lanes per advection step) a
 //! handful of lanes *will* break down — a NaN-contaminated right-hand
-//! side, a shadow residual going orthogonal (`ρ → 0` in BiCGStab/BiCG),
+//! side, a shadow residual going orthogonal (`ρ → 0` in BiCGStab),
 //! a stalled residual. Batched-iterative practice (Ginkgo's per-system
 //! stopping status, the batched Landau-collision solvers) treats that
 //! per-system state as first-class rather than aborting the batch; this
@@ -15,8 +15,7 @@ use std::fmt;
 /// Why a Krylov iteration terminated without reaching the tolerance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BreakdownKind {
-    /// The Krylov recurrence collapsed: `ρ = ⟨r̂, r⟩ → 0` (BiCGStab,
-    /// BiCG), a search direction went `A`-null (CG's `⟨p, Ap⟩ = 0`), or
+    /// The Krylov recurrence collapsed: `ρ = ⟨r̂, r⟩ → 0` (BiCGStab) or
     /// the Arnoldi basis degenerated (GMRES). No further progress is
     /// possible from this iterate.
     RhoZero,

@@ -4,7 +4,7 @@
 //! advection step) breakdowns are a *when*, not an *if*. This module
 //! manufactures them on demand, reproducibly: NaN/Inf-poisoned lanes,
 //! near-singular matrix perturbations, and iteration-budget starvation.
-//! The failure-injection test tier drives the chunked solver and the
+//! The failure-injection test tier drives the per-lane Krylov body and the
 //! recovery ladder with these faults and asserts typed per-lane outcomes
 //! and zero panics.
 //!
@@ -13,7 +13,7 @@
 
 use crate::bicgstab::BiCgStab;
 use crate::logger::ConvergenceLogger;
-use crate::multirhs::{ChunkedSolver, LaneOutcome};
+use crate::multirhs::{LaneKrylov, LaneOutcome};
 use crate::precond::BlockJacobi;
 use crate::stop::StopCriteria;
 use pp_portable::{Layout, Matrix, TestRng};
@@ -110,7 +110,7 @@ impl FaultInjector {
     /// solve with faults injected (NaN-poisoned lanes, a near-singular
     /// matrix), returning what happened as a [`ChaosReport`].
     ///
-    /// The scenario — sizes, faults, preconditioner block, chunk width —
+    /// The scenario — sizes, faults, preconditioner block —
     /// and the outcome, down to the solution bits captured in `checksum`,
     /// are a pure function of `seed`; only `elapsed` is not.
     ///
@@ -154,15 +154,19 @@ impl FaultInjector {
         let poison_count = inj.rng.gen_range(0..3_usize).min(batch);
         let poisoned = inj.poison_nan_lanes(&mut b, poison_count);
         let block = 1 + inj.rng.gen_range(0..4_usize);
-        let chunk = 1 + inj.rng.gen_range(0..batch);
 
         let stop = StopCriteria::with_tol(1e-13).with_max_iters(400);
         let precond = BlockJacobi::new(&a, block);
-        let driver = ChunkedSolver::new(&BiCgStab, &precond, stop, chunk);
+        let lanes = LaneKrylov {
+            a: &a,
+            solver: &BiCgStab,
+            precond: &precond,
+            stop: &stop,
+        };
         let mut logger = ConvergenceLogger::new();
 
         let started = Instant::now();
-        let outcomes = driver.solve_in_place(&a, &mut b, None, &mut logger);
+        lanes.solve_columns(&mut b, None, &mut logger);
         let elapsed = started.elapsed();
 
         let mut report = ChaosReport {
@@ -176,7 +180,7 @@ impl FaultInjector {
             stalled: 0,
             checksum: checksum_matrix(&b),
         };
-        for o in &outcomes {
+        for o in &logger.outcomes() {
             match o {
                 LaneOutcome::Converged => report.converged += 1,
                 LaneOutcome::Broke(_) => report.broke += 1,

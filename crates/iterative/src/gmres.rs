@@ -198,7 +198,7 @@ impl IterativeSolver for Gmres {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::{BlockJacobi, Identity, Jacobi};
+    use crate::precond::{BlockJacobi, Identity};
     use pp_portable::Matrix;
     use pp_portable::TestRng;
 
@@ -237,7 +237,7 @@ mod tests {
         let mut x = vec![0.0; 80];
         let res = Gmres::new(10).solve(
             &a,
-            &Jacobi::new(&a),
+            &BlockJacobi::new(&a, 1),
             &b,
             &mut x,
             &StopCriteria::with_tol(1e-11),

@@ -4,18 +4,17 @@
 //! [Ginkgo](https://ginkgo-project.github.io)-based iterative one (§II-C.2,
 //! §III-B). This crate reproduces the configuration the paper uses:
 //!
-//! * the four solvers Ginkgo offers and the paper names — [`Cg`], [`BiCg`],
-//!   [`BiCgStab`] (used on GPUs) and [`Gmres`] (used on CPUs because of the
-//!   Ginkgo OpenMP BiCGStab issue #1563);
+//! * the two solvers the paper runs — [`BiCgStab`] (on GPUs) and [`Gmres`]
+//!   (on CPUs, because of the Ginkgo OpenMP BiCGStab issue #1563);
 //! * a **block-Jacobi preconditioner** with tunable `max_block_size`
 //!   between 1 and 32 ([`BlockJacobi`]);
 //! * the stopping rule `‖A x − b‖ / ‖b‖ < 10⁻¹⁵` ([`StopCriteria`]);
 //! * CSR matrix storage (from `pp-sparse`);
-//! * the **chunked multi-right-hand-side driver** of the paper's Listing 3
-//!   ([`multirhs::ChunkedSolver`]): right-hand sides are processed in
-//!   chunks (8192 on CPUs, 65535 on GPUs — the CUDA/HIP grid limit),
-//!   copied to a buffer, solved, and copied back, optionally warm-started
-//!   from the previous time step's solution.
+//! * the **per-lane body** every batched solve runs ([`LaneKrylov`]): one
+//!   right-hand side solved where it lies, warm-started from the previous
+//!   time step's solution. The paper's Listing 3 pipelines Ginkgo's solves
+//!   in chunks of 8192 / 65535 right-hand sides only because Ginkgo could
+//!   not hold the whole batch; independent scalar lanes need no chunks.
 //!
 //! The solver iteration counts this crate produces are the quantity
 //! reported in the paper's Table IV.
@@ -29,7 +28,7 @@
 //! * [`BreakdownKind`] — the typed taxonomy of why a Krylov solve stopped
 //!   short (ρ → 0, ω → 0, NaN/Inf, stagnation, iteration budget), carried
 //!   on every [`SolveResult`];
-//! * [`LaneOutcome`] — per-lane health reported by the chunked driver:
+//! * [`LaneOutcome`] — per-lane health of a batched solve:
 //!   healthy lanes keep their solutions, broken lanes carry their
 //!   diagnosis;
 //! * [`FaultInjector`] — deterministic fault injection (NaN/Inf lanes,
@@ -40,10 +39,8 @@
 // (failures must surface as typed errors or documented invariants).
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod bicg;
 pub mod bicgstab;
 pub mod breakdown;
-pub mod cg;
 pub mod fault;
 pub mod gmres;
 pub mod logger;
@@ -52,14 +49,12 @@ pub mod precond;
 pub mod solver;
 pub mod stop;
 
-pub use bicg::BiCg;
 pub use bicgstab::BiCgStab;
 pub use breakdown::BreakdownKind;
-pub use cg::Cg;
 pub use fault::{ChaosReport, FaultInjector};
 pub use gmres::Gmres;
 pub use logger::{ConvergenceLogger, RecoveryEvent, RecoveryStage};
-pub use multirhs::{ChunkedSolver, LaneOutcome, CPU_COLS_PER_CHUNK, GPU_COLS_PER_CHUNK};
-pub use precond::{BlockJacobi, Identity, Jacobi, Preconditioner};
+pub use multirhs::{LaneKrylov, LaneOutcome, LaneResults};
+pub use precond::{BlockJacobi, Identity, Preconditioner};
 pub use solver::{IterativeSolver, SolveResult};
 pub use stop::{ResidualVerdict, StopCriteria};

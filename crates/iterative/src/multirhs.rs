@@ -1,24 +1,24 @@
-//! Chunked multi-right-hand-side driver — the paper's Listing 3 — with
-//! per-lane fault isolation.
+//! The per-lane Krylov body every batched solve runs, with per-lane fault
+//! isolation.
 //!
-//! Ginkgo could not hold all ~10⁵ right-hand sides at once (memory) and its
-//! CUDA/HIP backends cap the batch at 65535, so the paper *pipelines along
-//! the batch direction*: right-hand sides are processed in chunks
-//! (`cols_per_chunk` = 8192 on CPUs, 65535 on GPUs), each chunk copied into
-//! a contiguous buffer, solved, and copied back over the input (in-place
-//! semantics). The previous time step's solution is used as the initial
-//! guess (warm start), which the paper notes makes a good guess for a
-//! slowly-evolving advection problem.
+//! The paper pipelines Ginkgo's solves in chunks of 8192 / 65535
+//! right-hand sides because Ginkgo could not hold the whole batch and
+//! CUDA/HIP cap a grid at 65535 (§III-B). Here every lane is an
+//! independent scalar solve ([`LaneKrylov::solve`]), so there is nothing
+//! to chunk: a batch is one region over its lanes, each solved where it
+//! lies, warm-started from whatever its solution buffer holds (the
+//! previous time step's coefficients, which the paper notes make a good
+//! guess for a slowly-evolving advection problem).
 //!
-//! **Fault isolation.** Lanes are independent systems; one poisoned column
+//! **Fault isolation.** Lanes are independent systems; one poisoned lane
 //! (NaN right-hand side, Krylov breakdown, stagnation) must not doom its
-//! chunk. Each lane therefore ends in a typed [`LaneOutcome`] —
+//! neighbours. Each lane therefore ends in a typed [`LaneOutcome`] —
 //! [`Converged`](LaneOutcome::Converged), [`Broke`](LaneOutcome::Broke)
 //! with its [`BreakdownKind`], or [`Stalled`](LaneOutcome::Stalled) — and
 //! healthy lanes keep their solutions regardless of what their neighbours
-//! did. The per-lane records land in the [`ConvergenceLogger`] in lane
-//! order, ready for the recovery ladder of `pp-splinesolver` to retry the
-//! casualties.
+//! did. A region fills one [`LaneResults`] slot per lane, and the slots
+//! land in the [`ConvergenceLogger`] in lane order, ready for the recovery
+//! ladder of `pp-splinesolver` to retry the casualties.
 
 use crate::breakdown::BreakdownKind;
 use crate::logger::ConvergenceLogger;
@@ -26,14 +26,9 @@ use crate::precond::Preconditioner;
 use crate::solver::{IterativeSolver, SolveResult};
 use crate::stop::StopCriteria;
 use pp_portable::instrument::{counter, trace_instant_lane, Counter, InstantKind, PhaseId, Span};
-use pp_portable::{parallel_for_each_mut, Matrix};
+use pp_portable::{ExecSpace, Matrix, Parallel};
 use pp_sparse::Csr;
 use std::sync::OnceLock;
-
-/// Chunk size the paper uses on CPUs.
-pub const CPU_COLS_PER_CHUNK: usize = 8192;
-/// Chunk size the paper uses on GPUs (the CUDA/HIP grid-dimension limit).
-pub const GPU_COLS_PER_CHUNK: usize = 65535;
 
 /// How one batch lane (one right-hand-side column) ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,144 +90,98 @@ fn lane_metrics() -> &'static LaneMetrics {
     })
 }
 
-/// Drives an [`IterativeSolver`] over every column of a right-hand-side
-/// block, chunk by chunk.
-pub struct ChunkedSolver<'a> {
-    solver: &'a dyn IterativeSolver,
-    precond: &'a dyn Preconditioner,
-    stop: StopCriteria,
-    cols_per_chunk: usize,
-    /// Use the incoming contents of the solution block as initial guesses.
-    warm_start: bool,
+/// One Krylov configuration — method, preconditioner, stopping rule — on
+/// one matrix, applied lane by lane.
+#[derive(Clone, Copy)]
+pub struct LaneKrylov<'a> {
+    /// The system matrix every lane shares.
+    pub a: &'a Csr,
+    /// The Krylov method.
+    pub solver: &'a dyn IterativeSolver,
+    /// Its preconditioner.
+    pub precond: &'a dyn Preconditioner,
+    /// When a lane stops.
+    pub stop: &'a StopCriteria,
 }
 
-impl<'a> ChunkedSolver<'a> {
-    /// New driver with the paper's CPU chunk size and warm starting on.
-    ///
-    /// # Panics
-    /// Panics if `cols_per_chunk == 0`.
-    pub fn new(
-        solver: &'a dyn IterativeSolver,
-        precond: &'a dyn Preconditioner,
-        stop: StopCriteria,
-        cols_per_chunk: usize,
-    ) -> Self {
-        assert!(cols_per_chunk > 0, "cols_per_chunk must be positive");
-        Self {
-            solver,
-            precond,
-            stop,
-            cols_per_chunk,
-            warm_start: true,
-        }
+impl LaneKrylov<'_> {
+    /// **The per-lane body**: solve lane `lane`'s system `A x = rhs`, `x`
+    /// holding the initial guess on entry (the warm start; zeros for a cold
+    /// one) and the last iterate on exit, converged or not.
+    pub fn solve(&self, lane: usize, rhs: &[f64], x: &mut [f64]) -> SolveResult {
+        let _span = Span::enter_lane(PhaseId::KrylovIter, lane as u32);
+        self.solver.solve(self.a, self.precond, rhs, x, self.stop)
     }
 
-    /// Toggle warm starting (on by default).
-    pub fn warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
-        self
-    }
-
-    /// Solve `A X = B` for every column of `b`, **in place**: on entry `b`
-    /// holds the right-hand sides, on exit the solutions (the paper's
-    /// Listing 3 copies the chunk solution back over `b`).
-    ///
-    /// `x_guess`, when provided with `warm_start`, supplies per-column
-    /// initial guesses (e.g. the previous time step's spline
-    /// coefficients). Must have the same shape as `b`.
-    ///
-    /// Columns within a chunk are solved concurrently (Ginkgo parallelises
-    /// internally; here the parallelism is across independent columns).
-    /// Every lane ends in a typed [`LaneOutcome`]; a broken lane never
-    /// prevents its neighbours from converging and writing back their
-    /// solutions. Per-lane [`SolveResult`]s are appended to `logger` in
-    /// lane order; the returned vector gives the same information as
-    /// typed outcomes.
+    /// [`LaneKrylov::solve`] on every column of `b`, **in place** and as one
+    /// region on the worker pool: on entry `b` holds the right-hand sides, on exit
+    /// each column holds its lane's last iterate. Column `j` starts from
+    /// `guess`'s column `j` when given, else from zeros. The results land in
+    /// `logger` in lane order.
     ///
     /// # Panics
     /// Panics on shape mismatches.
-    pub fn solve_in_place(
+    pub fn solve_columns(
         &self,
-        a: &Csr,
         b: &mut Matrix,
-        x_guess: Option<&Matrix>,
+        guess: Option<&Matrix>,
         logger: &mut ConvergenceLogger,
-    ) -> Vec<LaneOutcome> {
-        let n = a.nrows();
-        assert_eq!(b.nrows(), n, "solve_in_place: rhs rows != matrix order");
-        if let Some(g) = x_guess {
-            assert_eq!(g.shape(), b.shape(), "solve_in_place: guess shape");
+    ) {
+        let n = self.a.nrows();
+        assert_eq!(b.nrows(), n, "solve_columns: rhs rows != matrix order");
+        if let Some(g) = guess {
+            assert_eq!(g.shape(), b.shape(), "solve_columns: guess shape");
         }
-        let batch = b.ncols();
-        let mut outcomes = Vec::with_capacity(batch);
-        let main_chunk_size = self.cols_per_chunk.min(batch.max(1));
-        let iend = batch.div_ceil(main_chunk_size);
+        let results = LaneResults::new(b.ncols());
+        Parallel.for_each_lane_mut(b, |j, mut column| {
+            let rhs = column.to_vec();
+            let mut x = guess.map_or_else(|| vec![0.0; n], |g| g.col(j).to_vec());
+            results.set(j, self.solve(j, &rhs, &mut x));
+            column.copy_from_slice(&x);
+        });
+        results.record(logger);
+    }
+}
 
-        for chunk in 0..iend {
-            let begin = chunk * main_chunk_size;
-            let end = if chunk + 1 == iend {
-                batch
-            } else {
-                begin + main_chunk_size
-            };
+/// The results of one batched solve, one slot per lane, each filled once by
+/// whichever worker solved the lane.
+pub struct LaneResults(Vec<OnceLock<SolveResult>>);
 
-            // Copy the chunk into contiguous per-lane buffers (Listing 3's
-            // deep_copy into b_buffer / x), solve each lane, copy back.
-            struct LaneSlot {
-                rhs: Vec<f64>,
-                x: Vec<f64>,
-                result: Option<SolveResult>,
+impl LaneResults {
+    /// `lanes` empty slots.
+    pub fn new(lanes: usize) -> Self {
+        Self((0..lanes).map(|_| OnceLock::new()).collect())
+    }
+
+    /// Fill lane `lane`'s slot.
+    ///
+    /// # Panics
+    /// Panics if the slot is already filled.
+    pub fn set(&self, lane: usize, result: SolveResult) {
+        self.0[lane].set(result).expect("each lane is solved once");
+    }
+
+    /// Append the results to `logger` in lane order, tracing a breakdown
+    /// instant per broken lane and counting every lane's [`LaneOutcome`].
+    ///
+    /// # Panics
+    /// Panics if a slot was never filled.
+    pub fn record(self, logger: &mut ConvergenceLogger) {
+        for (lane, slot) in self.0.into_iter().enumerate() {
+            let res = slot.into_inner().expect("every lane is solved");
+            logger.record(res);
+            if let Some(kind) = res.breakdown {
+                let instant = match kind {
+                    BreakdownKind::RhoZero => InstantKind::BreakdownRhoZero,
+                    BreakdownKind::OmegaZero => InstantKind::BreakdownOmegaZero,
+                    BreakdownKind::NonFiniteResidual => InstantKind::BreakdownNonFiniteResidual,
+                    BreakdownKind::Stagnation => InstantKind::BreakdownStagnation,
+                    BreakdownKind::MaxIters => InstantKind::BreakdownMaxIters,
+                };
+                trace_instant_lane(instant, lane as u32);
             }
-            let mut slots: Vec<LaneSlot> = (begin..end)
-                .map(|j| {
-                    let rhs = b.col(j).to_vec();
-                    let x = match (self.warm_start, x_guess) {
-                        (true, Some(g)) => g.col(j).to_vec(),
-                        _ => vec![0.0; n],
-                    };
-                    LaneSlot {
-                        rhs,
-                        x,
-                        result: None,
-                    }
-                })
-                .collect();
-
-            let run = |offset: usize, slot: &mut LaneSlot| {
-                let _span = Span::enter_lane(PhaseId::KrylovIter, (begin + offset) as u32);
-                let res = self
-                    .solver
-                    .solve(a, self.precond, &slot.rhs, &mut slot.x, &self.stop);
-                slot.result = Some(res);
-            };
-            parallel_for_each_mut(&mut slots, run);
-
-            for (offset, slot) in slots.into_iter().enumerate() {
-                let res = slot
-                    .result
-                    .expect("every lane of the chunk is claimed once");
-                b.col_mut(begin + offset).copy_from_slice(&slot.x);
-                logger.record(res);
-                if let Some(kind) = res.breakdown {
-                    trace_instant_lane(
-                        match kind {
-                            BreakdownKind::RhoZero => InstantKind::BreakdownRhoZero,
-                            BreakdownKind::OmegaZero => InstantKind::BreakdownOmegaZero,
-                            BreakdownKind::NonFiniteResidual => {
-                                InstantKind::BreakdownNonFiniteResidual
-                            }
-                            BreakdownKind::Stagnation => InstantKind::BreakdownStagnation,
-                            BreakdownKind::MaxIters => InstantKind::BreakdownMaxIters,
-                        },
-                        (begin + offset) as u32,
-                    );
-                }
-                let outcome = LaneOutcome::from_result(&res);
-                lane_metrics().of(outcome).inc();
-                outcomes.push(outcome);
-            }
+            lane_metrics().of(LaneOutcome::from_result(&res)).inc();
         }
-        outcomes
     }
 }
 
@@ -240,7 +189,6 @@ impl<'a> ChunkedSolver<'a> {
 mod tests {
     use super::*;
     use crate::bicgstab::BiCgStab;
-    use crate::gmres::Gmres;
     use crate::precond::BlockJacobi;
     use pp_portable::{Layout, TestRng};
 
@@ -260,48 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn solves_every_column_across_chunks() {
-        let n = 20;
-        let a = system(n);
-        let mut rng = TestRng::seed_from_u64(5);
-        let x_true = Matrix::from_fn(n, 23, Layout::Left, |_, _| rng.gen_range(-1.0..1.0));
-        let mut b = Matrix::zeros(n, 23, Layout::Left);
-        for j in 0..23 {
-            let bx = a.spmv_alloc(&x_true.col(j).to_vec());
-            b.col_mut(j).copy_from_slice(&bx);
-        }
-        let bj = BlockJacobi::new(&a, 4);
-        let driver = ChunkedSolver::new(&BiCgStab, &bj, StopCriteria::with_tol(1e-13), 7);
-        let mut log = ConvergenceLogger::new();
-        let outcomes = driver.solve_in_place(&a, &mut b, None, &mut log);
-        assert_eq!(log.count(), 23);
-        assert!(log.all_converged());
-        assert!(outcomes.iter().all(|o| o.is_healthy()));
-        assert!(b.max_abs_diff(&x_true) < 1e-8);
-    }
-
-    #[test]
-    fn chunk_boundaries_exact_multiple() {
-        let n = 8;
-        let a = system(n);
-        let mut b = Matrix::zeros(n, 12, Layout::Left);
-        b.fill(1.0);
-        let bj = BlockJacobi::new(&a, 2);
-        let gmres = Gmres::default();
-        let driver = ChunkedSolver::new(&gmres, &bj, StopCriteria::with_tol(1e-12), 4);
-        let mut log = ConvergenceLogger::new();
-        driver.solve_in_place(&a, &mut b, None, &mut log);
-        assert_eq!(log.count(), 12);
-        assert!(log.all_converged());
-        // All columns identical => all solutions identical.
-        for j in 1..12 {
-            for i in 0..n {
-                assert!((b.get(i, j) - b.get(i, 0)).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn warm_start_reduces_iterations() {
         let n = 40;
         let a = system(n);
@@ -309,65 +215,32 @@ mod tests {
         // "Previous time step" solution: the exact solution slightly
         // perturbed, as the paper's advection produces.
         let x_exact = Matrix::from_fn(n, 10, Layout::Left, |_, _| rng.gen_range(-1.0..1.0));
-        let mut b = Matrix::zeros(n, 10, Layout::Left);
-        for j in 0..10 {
-            b.col_mut(j)
-                .copy_from_slice(&a.spmv_alloc(&x_exact.col(j).to_vec()));
-        }
-        let guess = {
-            let mut g = x_exact.clone();
-            for j in 0..10 {
-                for i in 0..n {
-                    let v = g.get(i, j) + 1e-6 * ((i + j) as f64).sin();
-                    g.set(i, j, v);
-                }
-            }
-            g
-        };
         let bj = BlockJacobi::new(&a, 8);
         let stop = StopCriteria::with_tol(1e-13);
-
-        let mut b_cold = b.clone();
-        let mut log_cold = ConvergenceLogger::new();
-        ChunkedSolver::new(&BiCgStab, &bj, stop.clone(), 100)
-            .warm_start(false)
-            .solve_in_place(&a, &mut b_cold, Some(&guess), &mut log_cold);
-
-        let mut b_warm = b.clone();
-        let mut log_warm = ConvergenceLogger::new();
-        ChunkedSolver::new(&BiCgStab, &bj, stop, 100).solve_in_place(
-            &a,
-            &mut b_warm,
-            Some(&guess),
-            &mut log_warm,
-        );
-
-        assert!(log_cold.all_converged() && log_warm.all_converged());
-        assert!(
-            log_warm.total_iterations() < log_cold.total_iterations(),
-            "warm {} vs cold {}",
-            log_warm.total_iterations(),
-            log_cold.total_iterations()
-        );
-    }
-
-    #[test]
-    fn single_column_and_oversized_chunk() {
-        let n = 6;
-        let a = system(n);
-        let mut b = Matrix::zeros(n, 1, Layout::Left);
-        b.fill(2.0);
-        let bj = BlockJacobi::new(&a, 3);
-        let driver = ChunkedSolver::new(&BiCgStab, &bj, StopCriteria::with_tol(1e-12), 10_000);
-        let mut log = ConvergenceLogger::new();
-        driver.solve_in_place(&a, &mut b, None, &mut log);
-        assert_eq!(log.count(), 1);
-        assert!(log.all_converged());
+        let lanes = LaneKrylov {
+            a: &a,
+            solver: &BiCgStab,
+            precond: &bj,
+            stop: &stop,
+        };
+        let (mut cold, mut warm) = (0, 0);
+        for j in 0..10 {
+            let rhs = a.spmv_alloc(&x_exact.col(j).to_vec());
+            let mut x = vec![0.0; n];
+            let res_cold = lanes.solve(j, &rhs, &mut x);
+            let mut x: Vec<f64> = (0..n)
+                .map(|i| x_exact.get(i, j) + 1e-6 * ((i + j) as f64).sin())
+                .collect();
+            let res_warm = lanes.solve(j, &rhs, &mut x);
+            assert!(res_cold.converged && res_warm.converged, "lane {j}");
+            (cold, warm) = (cold + res_cold.iterations, warm + res_warm.iterations);
+        }
+        assert!(warm < cold, "warm {warm} vs cold {cold}");
     }
 
     #[test]
     fn poisoned_lane_does_not_doom_its_chunk() {
-        // Three lanes in ONE chunk; the middle lane's rhs is NaN.
+        // Three lanes in one region; the middle lane's rhs is NaN.
         let n = 12;
         let a = system(n);
         let mut rng = TestRng::seed_from_u64(11);
@@ -379,9 +252,16 @@ mod tests {
         }
         b.set(4, 1, f64::NAN);
         let bj = BlockJacobi::new(&a, 4);
-        let driver = ChunkedSolver::new(&BiCgStab, &bj, StopCriteria::with_tol(1e-13), 64);
+        let stop = StopCriteria::with_tol(1e-13);
+        let lanes = LaneKrylov {
+            a: &a,
+            solver: &BiCgStab,
+            precond: &bj,
+            stop: &stop,
+        };
         let mut log = ConvergenceLogger::new();
-        let outcomes = driver.solve_in_place(&a, &mut b, None, &mut log);
+        lanes.solve_columns(&mut b, None, &mut log);
+        let outcomes = log.outcomes();
 
         assert_eq!(
             outcomes[1],
@@ -403,18 +283,20 @@ mod tests {
     fn starved_lanes_report_stalled() {
         let n = 30;
         let a = system(n);
-        let mut b = Matrix::zeros(n, 2, Layout::Left);
-        b.fill(1.0);
         let bj = BlockJacobi::new(&a, 1);
         // One iteration is nowhere near enough at 1e-13.
         let stop = StopCriteria::with_tol(1e-13).with_max_iters(1);
-        let driver = ChunkedSolver::new(&BiCgStab, &bj, stop, 64);
-        let mut log = ConvergenceLogger::new();
-        let outcomes = driver.solve_in_place(&a, &mut b, None, &mut log);
-        assert!(outcomes.iter().all(|o| *o == LaneOutcome::Stalled));
-        assert!(log
-            .lane_results()
-            .iter()
-            .all(|r| r.breakdown == Some(BreakdownKind::MaxIters)));
+        let lanes = LaneKrylov {
+            a: &a,
+            solver: &BiCgStab,
+            precond: &bj,
+            stop: &stop,
+        };
+        let rhs = vec![1.0; n];
+        for lane in 0..2 {
+            let res = lanes.solve(lane, &rhs, &mut vec![0.0; n]);
+            assert_eq!(LaneOutcome::from_result(&res), LaneOutcome::Stalled);
+            assert_eq!(res.breakdown, Some(BreakdownKind::MaxIters));
+        }
     }
 }

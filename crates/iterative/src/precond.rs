@@ -1,5 +1,6 @@
-//! Preconditioners: identity, point-Jacobi, and the block-Jacobi the paper
-//! configures Ginkgo with (`max_block_size` tunable between 1 and 32).
+//! Preconditioners: the block-Jacobi the paper configures Ginkgo with
+//! (`max_block_size` tunable between 1 and 32; 1 is point-Jacobi), and the
+//! identity.
 
 use pp_linalg::{getrf, LuFactors};
 use pp_sparse::Csr;
@@ -8,12 +9,6 @@ use pp_sparse::Csr;
 pub trait Preconditioner: Send + Sync {
     /// Apply `M⁻¹`.
     fn apply(&self, r: &[f64], z: &mut [f64]);
-
-    /// Apply `M⁻ᵀ` (needed by BiCG). Defaults to [`Preconditioner::apply`],
-    /// which is exact for symmetric preconditioners (identity, Jacobi).
-    fn apply_transpose(&self, r: &[f64], z: &mut [f64]) {
-        self.apply(r, z);
-    }
 
     /// Display name.
     fn name(&self) -> &'static str;
@@ -32,50 +27,13 @@ impl Preconditioner for Identity {
     }
 }
 
-/// Point-Jacobi: `z = D⁻¹ r`.
-#[derive(Debug, Clone)]
-pub struct Jacobi {
-    inv_diag: Vec<f64>,
-}
-
-impl Jacobi {
-    /// Build from the diagonal of `a`. Zero diagonal entries are treated as
-    /// ones (the entry passes through unpreconditioned).
-    pub fn new(a: &Csr) -> Self {
-        let n = a.nrows();
-        let inv_diag = (0..n)
-            .map(|i| {
-                let d = a.get(i, i);
-                if d == 0.0 {
-                    1.0
-                } else {
-                    1.0 / d
-                }
-            })
-            .collect();
-        Self { inv_diag }
-    }
-}
-
-impl Preconditioner for Jacobi {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.inv_diag) {
-            *zi = ri * di;
-        }
-    }
-    fn name(&self) -> &'static str {
-        "jacobi"
-    }
-}
-
 /// Block-Jacobi: the diagonal of `A` is carved into dense blocks of at most
 /// `max_block_size` rows; each block is LU-factored once and solved on
 /// every application. With `max_block_size = 1` this degenerates to
 /// point-Jacobi, matching Ginkgo's tunable used in the paper.
 pub struct BlockJacobi {
-    /// `(start_row, factors)` per block, and the transposed factors for
-    /// `apply_transpose`.
-    blocks: Vec<(usize, LuFactors, LuFactors)>,
+    /// `(start_row, factors)` per block.
+    blocks: Vec<(usize, LuFactors)>,
     n: usize,
 }
 
@@ -96,20 +54,15 @@ impl BlockJacobi {
             let block = a
                 .dense_block(lo, hi)
                 .expect("block bounds valid by construction");
-            let blockt = pp_portable::transpose(&block);
-            match (getrf(&block), getrf(&blockt)) {
-                (Ok(f), Ok(ft)) => blocks.push((lo, f, ft)),
-                _ => {
-                    // Singular block: substitute the identity.
-                    let k = hi - lo;
-                    let eye =
-                        pp_portable::Matrix::from_fn(k, k, pp_portable::Layout::Right, |i, j| {
-                            (i == j) as u8 as f64
-                        });
-                    let f = getrf(&eye).expect("identity is nonsingular");
-                    blocks.push((lo, f.clone(), f));
-                }
-            }
+            let factors = getrf(&block).unwrap_or_else(|_| {
+                // Singular block: substitute the identity.
+                let k = hi - lo;
+                let eye = pp_portable::Matrix::from_fn(k, k, pp_portable::Layout::Right, |i, j| {
+                    (i == j) as u8 as f64
+                });
+                getrf(&eye).expect("identity is nonsingular")
+            });
+            blocks.push((lo, factors));
             lo = hi;
         }
         Self { blocks, n }
@@ -130,16 +83,8 @@ impl Preconditioner for BlockJacobi {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         debug_assert_eq!(r.len(), self.n);
         z.copy_from_slice(r);
-        for (lo, f, _) in &self.blocks {
+        for (lo, f) in &self.blocks {
             f.solve_slice(&mut z[*lo..lo + f.n()]);
-        }
-    }
-
-    fn apply_transpose(&self, r: &[f64], z: &mut [f64]) {
-        debug_assert_eq!(r.len(), self.n);
-        z.copy_from_slice(r);
-        for (lo, _, ft) in &self.blocks {
-            ft.solve_slice(&mut z[*lo..lo + ft.n()]);
         }
     }
 
@@ -148,27 +93,27 @@ impl Preconditioner for BlockJacobi {
     }
 }
 
-/// Check that a preconditioner application is a reasonable approximate
-/// inverse: `‖A M⁻¹ r − r‖ / ‖r‖` (diagnostic, used in tests and ablation).
-pub fn approximation_quality(a: &Csr, m: &dyn Preconditioner, r: &[f64]) -> f64 {
-    let mut z = vec![0.0; r.len()];
-    m.apply(r, &mut z);
-    let az = a.spmv_alloc(&z);
-    let num: f64 = az
-        .iter()
-        .zip(r)
-        .map(|(p, q)| (p - q) * (p - q))
-        .sum::<f64>()
-        .sqrt();
-    let den: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
-    num / den
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pp_portable::Matrix;
     use pp_portable::TestRng;
+
+    /// Check that a preconditioner application is a reasonable approximate
+    /// inverse: `‖A M⁻¹ r − r‖ / ‖r‖` (a test diagnostic).
+    fn approximation_quality(a: &Csr, m: &dyn Preconditioner, r: &[f64]) -> f64 {
+        let mut z = vec![0.0; r.len()];
+        m.apply(r, &mut z);
+        let az = a.spmv_alloc(&z);
+        let num: f64 = az
+            .iter()
+            .zip(r)
+            .map(|(p, q)| (p - q) * (p - q))
+            .sum::<f64>()
+            .sqrt();
+        let den: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
+        num / den
+    }
 
     fn spd_tridiag(n: usize) -> Csr {
         Csr::from_dense(
@@ -194,30 +139,14 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_divides_by_diagonal() {
+    fn block_size_one_divides_by_the_diagonal() {
         let a = spd_tridiag(4);
-        let j = Jacobi::new(&a);
+        let bj = BlockJacobi::new(&a, 1);
+        assert_eq!(bj.num_blocks(), 4);
         let r = [4.0, 8.0, -4.0, 2.0];
         let mut z = [0.0; 4];
-        j.apply(&r, &mut z);
+        bj.apply(&r, &mut z);
         assert_eq!(z, [1.0, 2.0, -1.0, 0.5]);
-    }
-
-    #[test]
-    fn block_jacobi_block_size_one_equals_jacobi() {
-        let a = spd_tridiag(7);
-        let bj = BlockJacobi::new(&a, 1);
-        assert_eq!(bj.num_blocks(), 7);
-        let j = Jacobi::new(&a);
-        let mut rng = TestRng::seed_from_u64(1);
-        let r: Vec<f64> = (0..7).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut z1 = vec![0.0; 7];
-        let mut z2 = vec![0.0; 7];
-        bj.apply(&r, &mut z1);
-        j.apply(&r, &mut z2);
-        for (u, v) in z1.iter().zip(&z2) {
-            assert!((u - v).abs() < 1e-14);
-        }
     }
 
     #[test]
@@ -242,26 +171,6 @@ mod tests {
         let q32 = approximation_quality(&a, &BlockJacobi::new(&a, 32), &r);
         assert!(q8 < q1, "block 8 ({q8}) should beat point ({q1})");
         assert!(q32 < q8, "full block ({q32}) should beat block 8 ({q8})");
-    }
-
-    #[test]
-    fn transpose_apply_uses_transposed_blocks() {
-        // Non-symmetric block: apply and apply_transpose must differ and
-        // each must invert the right operator.
-        let dense = Matrix::from_rows(&[&[2.0, 1.0], &[0.0, 3.0]]);
-        let a = Csr::from_dense(&dense, 0.0);
-        let bj = BlockJacobi::new(&a, 2);
-        let r = [1.0, 1.0];
-        let mut z = [0.0; 2];
-        bj.apply(&r, &mut z);
-        // A z = r  =>  z = [1/3, 1/3]
-        assert!((z[0] - 1.0 / 3.0).abs() < 1e-14);
-        assert!((z[1] - 1.0 / 3.0).abs() < 1e-14);
-        let mut zt = [0.0; 2];
-        bj.apply_transpose(&r, &mut zt);
-        // Aᵀ zt = r  =>  zt = [1/2, 1/6]
-        assert!((zt[0] - 0.5).abs() < 1e-14);
-        assert!((zt[1] - 1.0 / 6.0).abs() < 1e-14);
     }
 
     #[test]

@@ -12,17 +12,16 @@
 //! solve wants ([`Field::fill_panel`]: a copy, or an 8 × 8-tile gather),
 //! and what a block *is* when results land in it ([`Field::PANELS`]).
 
-use crate::error::Result;
 use crate::exec::ExecSpace;
 use crate::interleaved::{for_each_run_mut, interleave_columns, LANE_WIDTH};
 use crate::layout::Layout;
 use crate::matrix::Matrix;
 use crate::resident::ResidentBatch;
-use crate::strided::StridedMut;
-use crate::transpose::transpose_into;
+use crate::strided::{Strided, StridedMut};
 
 /// A batch a fused step advances in place, block by block (module docs).
-pub trait Field {
+/// `Sync`, so that a region may read its lanes while it writes elsewhere.
+pub trait Field: Sync {
     /// What a block is: an interleaved `[rows][LANE_WIDTH]` panel
     /// (padding lanes included), or else the block's live lanes as
     /// contiguous columns, `block[l·rows + i]`.
@@ -32,23 +31,13 @@ pub trait Field {
     /// (the batch size).
     fn shape(&self) -> (usize, usize);
 
-    /// Visit every block with `f(block_index, live_lanes, block)`, as one
-    /// region on `exec`; block `c` holds lanes `c·LANE_WIDTH ..`.
-    fn for_each_block_mut<E, F>(&mut self, exec: &E, f: F)
-    where
-        E: ExecSpace,
-        F: Fn(usize, usize, &mut [f64]) + Sync + Send,
-    {
-        self.for_each_run_mut(exec, 1, f);
-    }
-
-    /// [`Field::for_each_block_mut`] by runs of up to `per` consecutive
-    /// blocks, a worker's turn each: `f(first_block, live_lanes, run)`,
-    /// `run` being the blocks that hold the `live_lanes` lanes from
-    /// `first_block` on — a contiguous range on both kinds of field, taken
-    /// apart by [`run_blocks`]. A run is `per` blocks, fewer where it takes
-    /// that to give every participant of `exec` one
-    /// (`⌈blocks / exec.concurrency()⌉`), or what is left.
+    /// Visit every block, as one region on `exec`, by runs of up to `per`
+    /// consecutive blocks, a worker's turn each:
+    /// `f(first_block, live_lanes, run)`, `run` being the blocks that hold
+    /// the `live_lanes` lanes from `first_block` on — a contiguous range on
+    /// both kinds of field, taken apart by [`run_blocks`]. A run is `per`
+    /// blocks, fewer where it takes that to give every participant of
+    /// `exec` one (`⌈blocks / exec.concurrency()⌉`), or what is left.
     fn for_each_run_mut<E, F>(&mut self, exec: &E, per: usize, f: F)
     where
         E: ExecSpace,
@@ -58,13 +47,13 @@ pub trait Field {
     /// block's `lanes` lanes as an interleaved `[rows][LANE_WIDTH]` panel.
     fn fill_panel(block: &[f64], lanes: usize, panel: &mut Vec<f64>);
 
+    /// Lane `lane`, rows in order — where a solver with no panel-native
+    /// form reads a lane's right-hand side.
+    fn lane(&self, lane: usize) -> Strided<'_>;
+
     /// Lane `lane`, rows in order — where a serial tail lands a lane it
     /// recomputed.
     fn lane_mut(&mut self, lane: usize) -> StridedMut<'_>;
-
-    /// Copy the whole field into `host`, a `(rows, lanes)` matrix of
-    /// either layout (the ingress of a solver with no panel-native form).
-    fn copy_lanes_to(&self, host: &mut Matrix) -> Result<()>;
 }
 
 /// The blocks of a `run` of `lanes` live lanes from
@@ -101,14 +90,15 @@ impl Field for ResidentBatch {
         panel.extend_from_slice(block);
     }
 
+    fn lane(&self, lane: usize) -> Strided<'_> {
+        let panel = self.panels().chunk(lane / LANE_WIDTH);
+        Strided::new(&panel[lane % LANE_WIDTH..], self.nrows(), LANE_WIDTH)
+    }
+
     fn lane_mut(&mut self, lane: usize) -> StridedMut<'_> {
         let rows = self.nrows();
         let panel = self.panels_mut().chunk_mut(lane / LANE_WIDTH);
         StridedMut::new(&mut panel[lane % LANE_WIDTH..], rows, LANE_WIDTH)
-    }
-
-    fn copy_lanes_to(&self, host: &mut Matrix) -> Result<()> {
-        self.unpack_into(host)
     }
 }
 
@@ -155,17 +145,12 @@ impl Field for HostField<'_> {
         interleave_columns(block, lanes, panel);
     }
 
-    fn lane_mut(&mut self, lane: usize) -> StridedMut<'_> {
-        self.0.row_mut(lane)
+    fn lane(&self, lane: usize) -> Strided<'_> {
+        self.0.row(lane)
     }
 
-    fn copy_lanes_to(&self, host: &mut Matrix) -> Result<()> {
-        if host.layout() == Layout::Left && host.shape() == self.shape() {
-            // The transposed shape in the flipped layout: the same bytes.
-            host.as_mut_slice().copy_from_slice(self.0.as_slice());
-            return Ok(());
-        }
-        transpose_into(self.0, host)
+    fn lane_mut(&mut self, lane: usize) -> StridedMut<'_> {
+        self.0.row_mut(lane)
     }
 }
 
@@ -247,9 +232,10 @@ mod tests {
         }
     }
 
-    /// The two kinds of field agree on what their blocks hold: the
+    /// The two kinds of field agree on what their blocks hold — the
     /// gathered panel of a host block is the resident panel of the same
-    /// lanes, padding lanes zero, whatever the scratch held before.
+    /// lanes, padding lanes zero, whatever the scratch held before — and on
+    /// what their lanes hold.
     #[test]
     fn gathered_host_block_is_the_resident_panel() {
         let shapes: &[(usize, usize)] = if cfg!(miri) {
@@ -259,9 +245,9 @@ mod tests {
         };
         for &(lanes, rows) in shapes {
             let mut m = tagged(lanes, rows);
-            let mut resident = ResidentBatch::pack_transposed(&m);
+            let resident = ResidentBatch::pack_transposed(&m);
             let mut field = HostField::new(&mut m).expect("row-major");
-            field.for_each_block_mut(&Serial, |c, live, block| {
+            field.for_each_run_mut(&Serial, 1, |c, live, block| {
                 let mut panel = vec![f64::NAN; 2 * rows * LANE_WIDTH + 1];
                 HostField::fill_panel(block, live, &mut panel);
                 assert_eq!(
@@ -272,14 +258,11 @@ mod tests {
                 ResidentBatch::fill_panel(resident.panels().chunk(c), live, &mut panel);
                 assert_eq!(panel, resident.panels().chunk(c));
             });
-            let mut host = Matrix::zeros(rows, lanes, Layout::Left);
-            field.copy_lanes_to(&mut host).unwrap();
-            let mut other = Matrix::zeros(rows, lanes, Layout::Right);
-            field.copy_lanes_to(&mut other).unwrap();
-            assert_eq!(host.max_abs_diff(resident.host()), 0.0);
-            assert_eq!(other.max_abs_diff(resident.host()), 0.0);
-            let mut wrong = Matrix::zeros(rows + 1, lanes, Layout::Left);
-            assert!(field.copy_lanes_to(&mut wrong).is_err());
+            for j in 0..lanes {
+                let want = resident.lane_to_vec(j);
+                assert_eq!(field.lane(j).to_vec(), want, "{lanes}x{rows} lane {j}");
+                assert_eq!(resident.lane(j).to_vec(), want, "{lanes}x{rows} lane {j}");
+            }
         }
     }
 

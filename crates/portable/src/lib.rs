@@ -79,7 +79,7 @@ pub use interleaved::{deinterleave_columns, interleave_columns, InterleavedMatri
 pub use isa::PanelIsa;
 pub use layout::Layout;
 pub use matrix::Matrix;
-pub use par::{num_threads, parallel_for, parallel_for_each_mut, parallel_sum};
+pub use par::{num_threads, parallel_for, parallel_sum};
 pub use pool::{inject_worker_death, pool_stats, publish_pool_metrics, PoolStats, WorkerTimes};
 pub use resident::ResidentBatch;
 pub use strided::{Strided, StridedMut};

@@ -106,43 +106,6 @@ pub fn parallel_for<F: Fn(usize) + Sync>(n: usize, f: F) {
     pool::global().dispatch(n, for_chunk(n, threads), &f);
 }
 
-/// Call `f(i, &mut items[i])` for every element, distributing elements
-/// over the persistent worker pool. Each index is claimed exactly once,
-/// so the mutable accesses are disjoint.
-///
-/// This is the shape the chunked multi-RHS solver needs: a vector of
-/// per-lane work slots, each mutated by exactly one worker, with dynamic
-/// claiming so a few pathological lanes (breakdown retries, iteration
-/// budgets) don't serialise the rest of the batch.
-pub fn parallel_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    let threads = num_threads().min(n);
-    if threads <= 1 || pool::in_dispatch() {
-        pool::note_inline_dispatch();
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    struct Slots<T>(*mut T);
-    // SAFETY: each index is claimed by exactly one worker (atomic
-    // fetch-add), so no two threads ever form a `&mut` to the same slot.
-    unsafe impl<T: Send> Sync for Slots<T> {}
-    let slots = Slots(items.as_mut_ptr());
-    let slots = &slots;
-    let run = move |i: usize| {
-        // SAFETY: `i < n` and each `i` is produced exactly once.
-        f(i, unsafe { &mut *slots.0.add(i) });
-    };
-    // Chunk 1: the items are per-lane work slots whose costs are ragged
-    // by design (breakdown retries, iteration budgets).
-    pool::global().dispatch(n, 1, &run);
-}
-
 /// Sum `f(i)` over `i in 0..n` with deterministic per-chunk partials.
 ///
 /// The range is cut into fixed chunks; each chunk's partial sum is
@@ -269,20 +232,5 @@ mod tests {
         assert_eq!(thread_budget(Some("lots"), 8), 8);
         assert_eq!(thread_budget(Some(""), 8), 8);
         assert_eq!(thread_budget(None, 0), 1);
-    }
-
-    #[test]
-    fn for_each_mut_touches_every_slot_once() {
-        for n in lengths() {
-            let mut items: Vec<u64> = vec![0; n];
-            parallel_for_each_mut(&mut items, |i, slot| {
-                *slot += i as u64 + 1;
-            });
-            for (i, v) in items.iter().enumerate() {
-                assert_eq!(*v, i as u64 + 1);
-            }
-        }
-        let mut empty: Vec<u64> = Vec::new();
-        parallel_for_each_mut(&mut empty, |_, _| panic!("must not run"));
     }
 }

@@ -2,13 +2,12 @@
 //!
 //! CSR is the format the paper's Ginkgo implementation stores the spline
 //! matrix in (§III-B). The iterative solvers in `pp-iterative` consume this
-//! type; its [`Csr::spmv`] is row-parallel over an
-//! `ExecSpace`, matching how a fully-parallelised
-//! library (as opposed to the batched-serial approach) applies the operator.
+//! type, one lane at a time: [`Csr::spmv_into`] is the sequential product
+//! each lane's Krylov iteration applies.
 
 use crate::coo::Coo;
 use crate::error::{Error, Result};
-use pp_portable::{ExecSpace, Matrix};
+use pp_portable::Matrix;
 
 /// A sparse matrix in CSR format.
 ///
@@ -166,55 +165,6 @@ impl Csr {
         }
     }
 
-    /// Row-parallel `y ← A x` over an execution space.
-    pub fn spmv<E: ExecSpace>(&self, exec: &E, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "spmv: x length");
-        assert_eq!(y.len(), self.nrows, "spmv: y length");
-        // Rows are independent; hand each worker its own output element
-        // through a raw pointer (same disjointness argument as lane
-        // dispatch).
-        struct YPtr(*mut f64);
-        unsafe impl Send for YPtr {}
-        unsafe impl Sync for YPtr {}
-        impl YPtr {
-            /// # Safety
-            /// `i` must be in bounds and written by exactly one worker.
-            unsafe fn write(&self, i: usize, v: f64) {
-                *self.0.add(i) = v;
-            }
-        }
-        let yp = YPtr(y.as_mut_ptr());
-        exec.for_each(self.nrows, |i| {
-            let mut s = 0.0;
-            for (c, v) in self.row(i) {
-                s += v * x[c];
-            }
-            // SAFETY: each i is visited exactly once; i < y.len().
-            unsafe {
-                yp.write(i, s);
-            }
-        });
-    }
-
-    /// `y ← Aᵀ x` without materialising the transpose (row-scatter form),
-    /// needed by the BiCG solver.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn spmv_transpose_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.nrows, "spmv_t: x length");
-        assert_eq!(y.len(), self.ncols, "spmv_t: y length");
-        y.fill(0.0);
-        for i in 0..self.nrows {
-            let xi = x[i];
-            if xi != 0.0 {
-                for (c, v) in self.row(i) {
-                    y[c] += v * xi;
-                }
-            }
-        }
-    }
-
     /// `y ← A x` allocating the result.
     pub fn spmv_alloc(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.nrows];
@@ -259,7 +209,6 @@ impl Csr {
 mod tests {
     use super::*;
     use pp_portable::TestRng;
-    use pp_portable::{Parallel, Serial};
 
     fn sample() -> Matrix {
         Matrix::from_rows(&[
@@ -318,26 +267,6 @@ mod tests {
         let y = csr.spmv_alloc(&x);
         for (u, v) in y.iter().zip(&expected) {
             assert!((u - v).abs() < 1e-13);
-        }
-        // Parallel path agrees bit-for-bit with sequential.
-        let mut y_par = vec![0.0; 30];
-        csr.spmv(&Parallel, &x, &mut y_par);
-        assert_eq!(y, y_par);
-        let mut y_ser = vec![0.0; 30];
-        csr.spmv(&Serial, &x, &mut y_ser);
-        assert_eq!(y, y_ser);
-    }
-
-    #[test]
-    fn transpose_spmv_matches_explicit() {
-        let a = sample();
-        let csr = Csr::from_dense(&a, 0.0);
-        let x = [1.0, 2.0, -1.0, 0.5];
-        let mut y = vec![0.0; 4];
-        csr.spmv_transpose_into(&x, &mut y);
-        for j in 0..4 {
-            let expected: f64 = (0..4).map(|i| a.get(i, j) * x[i]).sum();
-            assert!((y[j] - expected).abs() < 1e-13);
         }
     }
 

@@ -8,7 +8,8 @@
 //!   kernels for both CSR and CSC formats"*; its Listing 5/6 COO class and
 //!   per-lane `spmv` loop are reproduced here ([`Coo::spmv_lane`]).
 //! * [`Csr`] — Compressed Sparse Row, the format the Ginkgo-style iterative
-//!   backend (`pp-iterative`) consumes, with a row-parallel [`Csr::spmv`].
+//!   backend (`pp-iterative`) consumes, one lane at a time through
+//!   [`Csr::spmv_into`].
 //!
 //! [`pattern::SparsityPattern`] reproduces the paper's Fig. 1 (the sparsity
 //! pattern of the degree-3 uniform spline matrix) and detects bandwidths,

@@ -20,7 +20,7 @@
 //! | [`portable`] | `pp-portable` | views, layouts, execution spaces |
 //! | [`linalg`] | `pp-linalg` | batched serial `getrf/s`, `gbtrf/s`, `pbtrf/s`, `pttrf/s`, `gemm`, `gemv` |
 //! | [`sparse`] | `pp-sparse` | COO / CSR, `spmv`, sparsity patterns |
-//! | [`iterative`] | `pp-iterative` | CG, BiCG, BiCGStab, GMRES, block-Jacobi, chunked multi-RHS driver |
+//! | [`iterative`] | `pp-iterative` | BiCGStab, GMRES, block-Jacobi, the per-lane multi-RHS body |
 //! | [`bsplines`] | `pp-bsplines` | periodic and clamped B-spline spaces, Greville points, matrix assembly |
 //! | [`splinesolver`] | `pp-splinesolver` | **the paper's contribution**: the three-version batched spline builder |
 //! | [`advection`] | `pp-advection` | semi-Lagrangian advection benchmark + Vlasov–Poisson demo |
