@@ -5,7 +5,7 @@ use pp_bsplines::PeriodicSplineSpace;
 use pp_portable::instrument::{self, PhaseId, Span};
 use pp_portable::{
     ExecSpace, Field, HostField, InterleavedMatrix, Layout, Matrix, ResidentBatch, Strided,
-    LANE_WIDTH,
+    StridedMut, TiledField, LANE_WIDTH,
 };
 use pp_splinesolver::{
     BuilderVersion, IterativeConfig, IterativeSplineSolver, LaneReport, SplineBuilder,
@@ -369,6 +369,26 @@ impl Advection1D {
         self.advance(exec, f, displacements)
     }
 
+    /// Advance the *transpose* of a resident slab `f` by one step with
+    /// per-lane displacements: `f` has shape `(Nv, Nx)` — rows are this
+    /// driver's lanes, its lanes are the `x` points — and lane `j`'s feet
+    /// are `x_i − displacements[j]`. The Vlasov driver advects its
+    /// `(x, v)` slab along `v` with it, in place, with no reoriented copy:
+    /// the step runs on the slab's [`TiledField`], each block of eight
+    /// lanes being a row of its 8 × 8 tiles. The result is that of
+    /// [`ResidentBatch::transpose_into`], then
+    /// [`Advection1D::step_resident_with_displacements`], then
+    /// `transpose_into` back, bit for bit; `f`'s padding lanes are never
+    /// read or written. Errors as [`Advection1D::step_with_displacements`].
+    pub(crate) fn step_transposed_with_displacements<E: ExecSpace>(
+        &mut self,
+        exec: &E,
+        f: &mut ResidentBatch,
+        displacements: &[f64],
+    ) -> Result<StepTimings> {
+        self.advance(exec, &mut TiledField::new(f), displacements)
+    }
+
     /// [`Advection1D::step`] with *per-lane displacements*: lane `j`'s feet
     /// are `x_i − displacements[j]`.
     ///
@@ -408,8 +428,8 @@ impl Advection1D {
         self.advance(exec, &mut field, displacements)
     }
 
-    /// **The** step, on either kind of field — every public entry point is
-    /// a shell over it.
+    /// **The** step, on any kind of field — every entry point is a shell
+    /// over it.
     fn advance<E: ExecSpace, B: Field>(
         &mut self,
         exec: &E,
@@ -465,7 +485,7 @@ impl Advection1D {
                     let d = displacements[lane];
                     let feet: Vec<f64> = points.iter().map(|x| x - d).collect();
                     let (coefs, feet) = (Strided::from_slice(coefs), Strided::from_slice(&feet));
-                    space.eval_lane(coefs, feet, out);
+                    space.eval_lane(coefs, feet, StridedMut::from_slice(out));
                     tail += t0.elapsed();
                 })?;
                 t.interpolate = tail;
@@ -1103,6 +1123,110 @@ mod tests {
                 "{rejected}"
             );
             assert_bits(&untouched, slab.host_transposed(), "not converged resident");
+        }
+    }
+
+    /// What a slab's padding lanes hold in the tiled tests: a NaN no value
+    /// of the step equals, so a padding lane read into a lane, or written
+    /// over, shows in the bits.
+    const SENTINEL: f64 = f64::from_bits(0x7ff8_dead_0000_0000);
+
+    /// The v-advection of the Strang step without its flips: stepping the
+    /// transpose of an `(nx, nv)` slab through its tiles is
+    /// `transpose_into` → `step_resident_with_displacements` →
+    /// `transpose_into`, the oracle, bit for bit — slab, padding and
+    /// diagnostics — under both execution spaces, on `FusedSpmv` and
+    /// `Interleaved`, plain and verified, two steps in a row. The shapes
+    /// hold square slabs, a partial last chunk (the slab's padding lanes
+    /// hold [`SENTINEL`], never read or written) and a partial last block
+    /// of its rows.
+    #[test]
+    fn tiled_step_is_the_flipped_step_bitwise() {
+        for (nx, nv) in [(8, 8), (13, 20), (20, 13), (64, 67), (67, 64)] {
+            for version in [BuilderVersion::FusedSpmv, BuilderVersion::Interleaved] {
+                for verified in [false, true] {
+                    check_tiled_step(&Serial, nx, nv, version, verified);
+                    check_tiled_step(&Parallel, nx, nv, version, verified);
+                }
+            }
+        }
+    }
+
+    /// [`tiled_step_is_the_flipped_step_bitwise`] for one case.
+    fn check_tiled_step<E: ExecSpace>(
+        exec: &E,
+        nx: usize,
+        nv: usize,
+        version: BuilderVersion,
+        verified: bool,
+    ) {
+        let what = format!("{} {nx}x{nv} {version:?} verified {verified}", exec.name());
+        let breaks = Breaks::uniform(nv, -5.0, 5.0).unwrap();
+        let space = PeriodicSplineSpace::new(breaks, 3).unwrap();
+        let backend = || match verified {
+            true => SplineBackend::direct_verified(space.clone(), version, VerifyConfig::default()),
+            false => SplineBackend::direct(space.clone(), version),
+        };
+        let mut tiled = Advection1D::new(backend().unwrap(), vec![0.0; nx], 0.05).unwrap();
+        let mut oracle = Advection1D::new(backend().unwrap(), vec![0.0; nx], 0.05).unwrap();
+        let disp: Vec<f64> = (0..nx).map(|i| 0.4 * (0.7 * i as f64).sin()).collect();
+        let mut got = ResidentBatch::zeros(nx, nv);
+        for c in 0..got.panels().num_chunks() {
+            got.panels_mut().chunk_mut(c).fill(SENTINEL);
+        }
+        for i in 0..nx {
+            for j in 0..nv {
+                let v = -5.0 + 10.0 * j as f64 / nv as f64;
+                got.set(i, j, (-v * v / 4.0).exp() * (1.0 + 0.1 * i as f64));
+            }
+        }
+        let (mut want, mut f_vx) = (got.clone(), ResidentBatch::zeros(nv, nx));
+        let bits = |b: &ResidentBatch, c: usize| -> Vec<u64> {
+            b.panels().chunk(c).iter().map(|v| v.to_bits()).collect()
+        };
+        for step in 0..2 {
+            tiled
+                .step_transposed_with_displacements(exec, &mut got, &disp)
+                .unwrap();
+            want.transpose_into(&mut f_vx).unwrap();
+            oracle
+                .step_resident_with_displacements(exec, &mut f_vx, &disp)
+                .unwrap();
+            f_vx.transpose_into(&mut want).unwrap();
+            for c in 0..got.panels().num_chunks() {
+                assert_eq!(
+                    bits(&got, c),
+                    bits(&want, c),
+                    "{what} step {step}: chunk {c}"
+                );
+            }
+            let diagnostics = (tiled.last_diagnostics(), oracle.last_diagnostics());
+            assert_eq!(diagnostics.0, diagnostics.1, "{what} step {step}");
+        }
+        assert!((0..nv).all(|j| got.get(nx - 1, j).is_finite()), "{what}");
+    }
+
+    /// The tiled step makes the regions every other step makes
+    /// ([`regions_per_step`]) on every backend, and refuses a slab whose
+    /// transpose is not its shape.
+    #[test]
+    fn tiled_step_is_one_region_and_checks_its_shape() {
+        let space = PeriodicSplineSpace::new(Breaks::uniform(16, 0.0, 1.0).unwrap(), 3).unwrap();
+        for (what, backend) in every_backend(&space) {
+            let regions = regions_per_step(&backend);
+            let mut adv = Advection1D::new(backend, vec![0.1; 37], 1e-2).unwrap();
+            let mut slab = ResidentBatch::zeros(37, 16);
+            let exec = CountingExec::default();
+            let disp = vec![0.01; 37];
+            adv.step_transposed_with_displacements(&exec, &mut slab, &disp)
+                .unwrap();
+            assert_eq!(exec.regions(), regions, "{what}");
+            let mut wrong = ResidentBatch::zeros(16, 37);
+            let refused = adv.step_transposed_with_displacements(&Serial, &mut wrong, &disp);
+            assert!(
+                matches!(refused, Err(Error::ShapeMismatch { .. })),
+                "{what}"
+            );
         }
     }
 

@@ -24,8 +24,9 @@ use pp_splinesolver::{BuilderVersion, CheckpointStore, Snapshot, VerifyConfig};
 /// Self-consistent 1D1V Vlasov–Poisson solver on a doubly periodic
 /// `(x, v)` grid.
 ///
-/// The distribution lives in interleaved panels, in both batch
-/// orientations the Strang step needs, and stays packed across steps.
+/// The distribution lives in interleaved panels, in the x-advection's
+/// orientation — the v-advection reads and writes their 8 × 8 tiles — and
+/// stays packed across steps.
 /// The host matrix behind [`VlasovPoisson1D1V::distribution`] is a mirror
 /// of it, refreshed by [`VlasovPoisson1D1V::step`] and
 /// [`VlasovPoisson1D1V::sync_host`].
@@ -33,10 +34,8 @@ pub struct VlasovPoisson1D1V {
     adv_x: Advection1D,
     adv_v: Advection1D,
     /// The distribution, `(Nx, Nv)` — rows x, lanes v: the x-advection
-    /// orientation. Authoritative.
+    /// orientation, which the v-advection advances through its tiles.
     f_xv: ResidentBatch,
-    /// Scratch `(Nv, Nx)` — rows v, lanes x: the v-advection orientation.
-    f_vx: ResidentBatch,
     /// Host mirror `f(v_j, x_i)`, shape `(Nv, Nx)`, row-major.
     f: Matrix,
     /// Generation of `f_xv` that `f` mirrors; `f` is stale when the slab
@@ -181,7 +180,6 @@ impl VlasovPoisson1D1V {
             adv_v,
             f_generation: f_xv.generation(),
             f_xv,
-            f_vx: ResidentBatch::zeros(nv, nx),
             f,
             dx: lx / nx as f64,
             dv: 2.0 * v_max / nv as f64,
@@ -390,12 +388,13 @@ impl VlasovPoisson1D1V {
         Ok(())
     }
 
-    /// One Strang-split time step on the resident distribution: both
-    /// advections solve and interpolate panel-native, the density streams
-    /// the slab where it lies, and the only layout motion is the pair of
-    /// panel-to-panel orientation flips between the `x` and `v`
-    /// advections. Six regions on `exec` — three advections, two flips,
-    /// the density — and no allocation. Nothing is unpacked: afterwards
+    /// One Strang-split time step on the resident distribution, which
+    /// never changes orientation: the x-advections solve and interpolate
+    /// its panels, the v-advection its 8 × 8 tiles (the step on the
+    /// slab's [`pp_portable::TiledField`]), and the
+    /// density streams the slab where it lies. Four regions on `exec` —
+    /// three advections and the density — and no allocation beyond each
+    /// worker's first run. Nothing is unpacked: afterwards
     /// [`VlasovPoisson1D1V::distribution`] / [`VlasovPoisson1D1V::mass`]
     /// lag until [`VlasovPoisson1D1V::sync_host`] runs, while
     /// `density`, `e_field`, `field_energy` and `snapshot` (hence
@@ -405,19 +404,7 @@ impl VlasovPoisson1D1V {
         self.adv_x.step_resident(exec, &mut self.f_xv)?;
         // Field solve from the updated density.
         self.solve_poisson_with(exec);
-        // Full v-advection, in the flipped orientation: per-x-lane
-        // displacement a·Δt = −E(x)·Δt.
-        for (d, &e) in self.disp.iter_mut().zip(&self.e_field) {
-            *d = -e * self.dt;
-        }
-        self.f_xv
-            .transpose_into_with(exec, &mut self.f_vx)
-            .expect("grid fixed at build");
-        self.adv_v
-            .step_resident_with_displacements(exec, &mut self.f_vx, &self.disp)?;
-        self.f_vx
-            .transpose_into_with(exec, &mut self.f_xv)
-            .expect("grid fixed at build");
+        self.advect_v(exec)?;
         // Half x-advection.
         self.adv_x.step_resident(exec, &mut self.f_xv)?;
         self.step_index += 1;
@@ -433,6 +420,17 @@ impl VlasovPoisson1D1V {
                 store.write(self.step_index, &self.snapshot())?;
             }
         }
+        Ok(())
+    }
+
+    /// The full v-advection, across the slab's lanes through its tiles:
+    /// per-x-lane displacement a·Δt = −E(x)·Δt.
+    fn advect_v<E: ExecSpace>(&mut self, exec: &E) -> Result<()> {
+        for (d, &e) in self.disp.iter_mut().zip(&self.e_field) {
+            *d = -e * self.dt;
+        }
+        self.adv_v
+            .step_transposed_with_displacements(exec, &mut self.f_xv, &self.disp)?;
         Ok(())
     }
 
@@ -650,14 +648,10 @@ mod tests {
         }
     }
 
-    /// A Strang step is six regions, plain or verified: its three
-    /// advections, the two orientation flips between them and the density.
-    /// The flips are regions of their own rather than an egress folded
-    /// into the advection before them because the fold measured equal
-    /// (DESIGN.md §14.5, EXPERIMENTS.md §PR 18) and would have opened
-    /// every `solve_then`.
+    /// A Strang step is four regions, plain or verified: its three
+    /// advections — the v-advection on the slab's tiles — and the density.
     #[test]
-    fn resident_strang_step_is_six_regions() {
+    fn resident_strang_step_is_four_regions() {
         let init = two_stream(1.4, 0.01, 0.5);
         let plain = VlasovPoisson1D1V::new(32, 24, 4.0, 5.0, 3, 0.05, &init);
         let verify = VerifyConfig::default();
@@ -666,7 +660,51 @@ mod tests {
             let mut solver = solver.unwrap();
             let exec = pp_portable::CountingExec::default();
             solver.step_resident(&exec).unwrap();
-            assert_eq!(exec.regions(), 6);
+            assert_eq!(exec.regions(), 4);
+        }
+    }
+
+    /// A verified v-advection that quarantines a lane lands its zeros
+    /// through the tiled field's lane accessor: a NaN planted in x-row 17 of
+    /// `f_xv` — a partial last block of 20 rows, in a slab whose 13 lanes
+    /// leave a partial last chunk — poisons lane 17 of the v-advection. The
+    /// slab must come out as the flip path leaves it (`transpose_into`,
+    /// `step_resident_with_displacements`, `transpose_into`), bit for bit,
+    /// with the same report, the row zero.
+    #[test]
+    fn verified_v_advection_quarantines_a_row_through_the_tiles() {
+        let init = two_stream(1.4, 0.01, 0.5);
+        let make = || {
+            let config = VerifyConfig::default();
+            VlasovPoisson1D1V::new_verified(20, 13, 4.0, 5.0, 3, 0.05, config, &init).unwrap()
+        };
+        let (mut s, mut oracle) = (make(), make());
+        for solver in [&mut s, &mut oracle] {
+            solver.step_resident(&Parallel).unwrap();
+            solver.f_xv.set(17, 4, f64::NAN);
+        }
+        s.advect_v(&Parallel).unwrap();
+        for (d, &e) in oracle.disp.iter_mut().zip(&oracle.e_field) {
+            *d = -e * oracle.dt;
+        }
+        let mut f_vx = ResidentBatch::zeros(13, 20);
+        oracle.f_xv.transpose_into(&mut f_vx).unwrap();
+        (oracle.adv_v)
+            .step_resident_with_displacements(&Parallel, &mut f_vx, &oracle.disp)
+            .unwrap();
+        f_vx.transpose_into(&mut oracle.f_xv).unwrap();
+        let (got, want) = (
+            s.advection_diagnostics().1,
+            oracle.advection_diagnostics().1,
+        );
+        assert_eq!(got, want);
+        assert_eq!(got.unwrap().quarantined_lanes, vec![17]);
+        for i in 0..20 {
+            for j in 0..13 {
+                let (a, b) = (s.f_xv.get(i, j), oracle.f_xv.get(i, j));
+                assert_eq!(a.to_bits(), b.to_bits(), "({i}, {j})");
+                assert!(i != 17 || a == 0.0, "({i}, {j}) is {a}");
+            }
         }
     }
 

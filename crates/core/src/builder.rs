@@ -180,7 +180,8 @@ impl SplineBuilder {
 
     /// **Fused entry point**: solve the field `b` block by block — the
     /// panels of a [`ResidentBatch`], or eight lanes at a time of a
-    /// lane-contiguous host matrix ([`pp_portable::HostField`]) — and hand
+    /// lane-contiguous host matrix ([`pp_portable::HostField`]) or of a
+    /// batch's transpose ([`pp_portable::TiledField`]) — and hand
     /// each block's coefficients, still in cache, to
     /// `then(chunk, lanes, coefs, block)`, which overwrites `block`, the
     /// part of `b` the right-hand sides came from (`lanes` live lanes, laid

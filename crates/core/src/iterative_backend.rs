@@ -270,7 +270,9 @@ impl IterativeSplineSolver {
                     Some(g) => Strided::new(&g.chunk(c)[l..], rows, LANE_WIDTH).to_vec(),
                     None => vec![0.0; rows],
                 };
-                results.set(j, krylov.solve(j, &field.lane(j).to_vec(), &mut x));
+                let mut rhs = vec![0.0; rows];
+                field.copy_lane_into(j, &mut rhs);
+                results.set(j, krylov.solve(j, &rhs, &mut x));
                 StridedMut::new(&mut panel[l..], rows, LANE_WIDTH).copy_from_slice(&x);
             }
         });

@@ -541,8 +541,9 @@ impl VerifiedBuilder {
     }
 
     /// **Fused entry point**: [`VerifiedBuilder::solve_resident`] on the
-    /// field `b` — a [`ResidentBatch`] or a lane-contiguous host matrix
-    /// ([`pp_portable::HostField`]) — with the coefficients of every block
+    /// field `b` — a [`ResidentBatch`], a lane-contiguous host matrix
+    /// ([`pp_portable::HostField`]) or a batch's transpose
+    /// ([`pp_portable::TiledField`]) — with the coefficients of every block
     /// handed, still in cache, to `then(chunk, lanes, coefs, block)`, which
     /// overwrites `block` — the part of `b` the right-hand sides came from
     /// — with whatever it makes of them, exactly as
@@ -555,8 +556,9 @@ impl VerifiedBuilder {
     /// A lane the serial tail repairs or quarantines has new coefficients
     /// after `then` has consumed the old ones: for each such lane the tail
     /// calls `then_lane(lane, coefs, out)` with the replacement (all zeros
-    /// for a quarantined lane) and the lane of `b` to overwrite, so that
-    /// `b` ends as if `then` had seen the final coefficients.
+    /// for a quarantined lane) and a lane-sized buffer, which then lands in
+    /// that lane of `b` ([`Field::write_lane`]), so that `b` ends as if
+    /// `then` had seen the final coefficients.
     ///
     /// Verdicts, residuals and coefficients are those of
     /// [`VerifiedBuilder::solve_resident`], bit for bit.
@@ -571,10 +573,13 @@ impl VerifiedBuilder {
         E: ExecSpace,
         B: Field,
         P: Fn(usize, usize, &[f64], &mut [f64]) + Sync + Send,
-        L: FnMut(usize, &[f64], StridedMut<'_>),
+        L: FnMut(usize, &[f64], &mut [f64]),
     {
+        let mut out = Vec::new();
         let mut land = |b: &mut B, lane: usize, coefs: &[f64]| {
-            then_lane(lane, coefs, b.lane_mut(lane));
+            out.resize(coefs.len(), 0.0);
+            then_lane(lane, coefs, &mut out);
+            b.write_lane(lane, &out);
         };
         self.verify_panels(exec, b, Some(&then), &mut land)
     }
@@ -1303,7 +1308,7 @@ pub fn sdc_round(seed: u64) -> SdcRound {
             }
         }
     };
-    let land = |_: usize, coefs: &[f64], mut out: StridedMut<'_>| out.copy_from_slice(coefs);
+    let land = |_: usize, coefs: &[f64], out: &mut [f64]| out.copy_from_slice(coefs);
     let field = |m| HostField::new(m).expect("a row-major host field");
     let (mut got, mut want) = (rhs.clone(), rhs);
     let report = verified
@@ -1953,9 +1958,10 @@ mod tests {
                 };
                 sp.eval_panel(coefs, lanes, feet, panel);
             };
-            let then_lane = |lane: usize, coefs: &[f64], out: StridedMut<'_>| {
+            let then_lane = |lane: usize, coefs: &[f64], out: &mut [f64]| {
                 let feet: Vec<f64> = pts.iter().map(|x| x - shift(lane)).collect();
-                sp.eval_lane(Strided::from_slice(coefs), Strided::from_slice(&feet), out);
+                let (coefs, feet) = (Strided::from_slice(coefs), Strided::from_slice(&feet));
+                sp.eval_lane(coefs, feet, StridedMut::from_slice(out));
             };
             let mut b = ResidentBatch::pack(rhs);
             let report = if parallel {
@@ -2207,7 +2213,8 @@ mod tests {
                     .unwrap();
                 let plain = crate::builder::panel_scratch_capacity();
                 for j in 0..batch {
-                    let got = field.lane(j).to_vec();
+                    let mut got = vec![0.0; n];
+                    field.copy_lane_into(j, &mut got);
                     assert_eq!(got, want.lane_to_vec(j), "host field solve, lane {j}");
                 }
                 verified

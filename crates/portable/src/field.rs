@@ -3,11 +3,13 @@
 //! A field is a batch of `lanes` independent systems of `rows` values
 //! that a step reads once and overwrites, a *block* of [`LANE_WIDTH`]
 //! lanes at a time, a worker's turn being a *run* of consecutive blocks
-//! on the worker pool. Two kinds exist. A
-//! [`ResidentBatch`]'s blocks are its interleaved panels. A lane-contiguous
-//! host matrix — the `(Nv, Nx)` row-major distribution of the paper's
-//! Algorithm 2, wrapped as a [`HostField`] — has blocks of eight
-//! consecutive rows. The step's body is the same for both; a field
+//! on the worker pool. Three kinds exist. A [`ResidentBatch`]'s blocks are
+//! its interleaved panels. A lane-contiguous host matrix — the `(Nv, Nx)`
+//! row-major distribution of the paper's Algorithm 2, wrapped as a
+//! [`HostField`] — has blocks of eight consecutive rows. The transpose of a
+//! [`ResidentBatch`], wrapped as a [`TiledField`], has blocks of eight of
+//! the batch's rows — a row of its 8 × 8 tiles — staged per run as a host
+//! field's blocks. The step's body is the same for all three; a field
 //! supplies its two ends: how a block becomes the interleaved panel the
 //! solve wants ([`Field::fill_panel`]: a copy, or an 8 × 8-tile gather),
 //! and what a block *is* when results land in it ([`Field::PANELS`]).
@@ -17,7 +19,6 @@ use crate::interleaved::{for_each_run_mut, interleave_columns, LANE_WIDTH};
 use crate::layout::Layout;
 use crate::matrix::Matrix;
 use crate::resident::ResidentBatch;
-use crate::strided::{Strided, StridedMut};
 
 /// A batch a fused step advances in place, block by block (module docs).
 /// `Sync`, so that a region may read its lanes while it writes elsewhere.
@@ -35,9 +36,10 @@ pub trait Field: Sync {
     /// consecutive blocks, a worker's turn each:
     /// `f(first_block, live_lanes, run)`, `run` being the blocks that hold
     /// the `live_lanes` lanes from `first_block` on — a contiguous range on
-    /// both kinds of field, taken apart by [`run_blocks`]. A run is `per`
-    /// blocks, fewer where it takes that to give every participant of
-    /// `exec` one (`⌈blocks / exec.concurrency()⌉`), or what is left.
+    /// every kind of field (a [`TiledField`] stages it), taken apart by
+    /// [`run_blocks`]. A run is `per` blocks, fewer where it takes that to
+    /// give every participant of `exec` one (`⌈blocks / exec.concurrency()⌉`),
+    /// or what is left.
     fn for_each_run_mut<E, F>(&mut self, exec: &E, per: usize, f: F)
     where
         E: ExecSpace,
@@ -47,18 +49,18 @@ pub trait Field: Sync {
     /// block's `lanes` lanes as an interleaved `[rows][LANE_WIDTH]` panel.
     fn fill_panel(block: &[f64], lanes: usize, panel: &mut Vec<f64>);
 
-    /// Lane `lane`, rows in order — where a solver with no panel-native
-    /// form reads a lane's right-hand side.
-    fn lane(&self, lane: usize) -> Strided<'_>;
+    /// Copy lane `lane`, rows in order, into `out` (`rows` long) — where a
+    /// solver with no panel-native form reads a lane's right-hand side.
+    fn copy_lane_into(&self, lane: usize, out: &mut [f64]);
 
-    /// Lane `lane`, rows in order — where a serial tail lands a lane it
-    /// recomputed.
-    fn lane_mut(&mut self, lane: usize) -> StridedMut<'_>;
+    /// Overwrite lane `lane`, rows in order, with `values` (`rows` long) —
+    /// where a serial tail lands a lane it recomputed.
+    fn write_lane(&mut self, lane: usize, values: &[f64]);
 }
 
 /// The blocks of a `run` of `lanes` live lanes from
 /// [`Field::for_each_run_mut`], in order, as `(live_lanes, block)`: a block
-/// is `LANE_WIDTH · rows` values on both kinds of field, but for the partial
+/// is `LANE_WIDTH · rows` values on every kind of field, but for the partial
 /// last block of one not made of panels.
 pub fn run_blocks(
     run: &mut [f64],
@@ -90,15 +92,12 @@ impl Field for ResidentBatch {
         panel.extend_from_slice(block);
     }
 
-    fn lane(&self, lane: usize) -> Strided<'_> {
-        let panel = self.panels().chunk(lane / LANE_WIDTH);
-        Strided::new(&panel[lane % LANE_WIDTH..], self.nrows(), LANE_WIDTH)
+    fn copy_lane_into(&self, lane: usize, out: &mut [f64]) {
+        ResidentBatch::copy_lane_into(self, lane, out);
     }
 
-    fn lane_mut(&mut self, lane: usize) -> StridedMut<'_> {
-        let rows = self.nrows();
-        let panel = self.panels_mut().chunk_mut(lane / LANE_WIDTH);
-        StridedMut::new(&mut panel[lane % LANE_WIDTH..], rows, LANE_WIDTH)
+    fn write_lane(&mut self, lane: usize, values: &[f64]) {
+        ResidentBatch::write_lane(self, lane, values);
     }
 }
 
@@ -114,6 +113,12 @@ impl<'a> HostField<'a> {
     /// interleaves its lanes — pack it into a [`ResidentBatch`] instead).
     pub fn new(m: &'a mut Matrix) -> Option<Self> {
         (m.layout() == Layout::Right).then_some(Self(m))
+    }
+
+    /// Lane `lane`'s storage, `[lane·rows, (lane + 1)·rows)`.
+    fn span(&self, lane: usize) -> std::ops::Range<usize> {
+        let rows = self.0.ncols();
+        lane * rows..(lane + 1) * rows
     }
 }
 
@@ -145,12 +150,77 @@ impl Field for HostField<'_> {
         interleave_columns(block, lanes, panel);
     }
 
-    fn lane(&self, lane: usize) -> Strided<'_> {
-        self.0.row(lane)
+    fn copy_lane_into(&self, lane: usize, out: &mut [f64]) {
+        out.copy_from_slice(&self.0.as_slice()[self.span(lane)]);
     }
 
-    fn lane_mut(&mut self, lane: usize) -> StridedMut<'_> {
-        self.0.row_mut(lane)
+    fn write_lane(&mut self, lane: usize, values: &[f64]) {
+        let span = self.span(lane);
+        self.0.as_mut_slice()[span].copy_from_slice(values);
+    }
+}
+
+/// The transpose of a [`ResidentBatch`] as a field: lane `x` is row `x` of
+/// the batch and row `v` its lane `v`, so that block `b` — lanes
+/// `8b .. 8b + 8` — is row `b` of the batch's 8 × 8 tiles, one tile per
+/// panel. A step advances the batch across its lanes through it with no
+/// reoriented copy: a worker's run is gathered from the tiles into
+/// contiguous columns, a 64-byte tile row at a time, advanced there as a
+/// [`HostField`]'s blocks are, and scattered back. The batch's padding
+/// lanes are never read or written.
+pub struct TiledField<'a>(&'a mut ResidentBatch);
+
+impl<'a> TiledField<'a> {
+    /// View `batch` transposed: a field of `batch.nrows()` lanes of
+    /// `batch.ncols()` rows.
+    pub fn new(batch: &'a mut ResidentBatch) -> Self {
+        Self(batch)
+    }
+
+    fn check_lane(&self, lane: usize, len: usize) {
+        let (rows, lanes) = self.shape();
+        assert!(
+            lane < lanes && len == rows,
+            "tiled lane {lane}: {len} values"
+        );
+    }
+}
+
+impl Field for TiledField<'_> {
+    const PANELS: bool = false;
+
+    fn shape(&self) -> (usize, usize) {
+        (self.0.ncols(), self.0.nrows())
+    }
+
+    fn for_each_run_mut<E, F>(&mut self, exec: &E, per: usize, f: F)
+    where
+        E: ExecSpace,
+        F: Fn(usize, usize, &mut [f64]) + Sync + Send,
+    {
+        self.0.panels_mut().for_each_tiled_run_mut(exec, per, f);
+    }
+
+    fn fill_panel(block: &[f64], lanes: usize, panel: &mut Vec<f64>) {
+        HostField::fill_panel(block, lanes, panel);
+    }
+
+    // Lane `x` is row `x` of every panel, eight values a panel apart: no
+    // strided view spans it, so it is copied.
+    fn copy_lane_into(&self, lane: usize, out: &mut [f64]) {
+        self.check_lane(lane, out.len());
+        let panels = self.0.panels();
+        for (c, part) in out.chunks_mut(LANE_WIDTH).enumerate() {
+            part.copy_from_slice(&panels.chunk(c)[lane * LANE_WIDTH..][..part.len()]);
+        }
+    }
+
+    fn write_lane(&mut self, lane: usize, values: &[f64]) {
+        self.check_lane(lane, values.len());
+        let panels = self.0.panels_mut();
+        for (c, part) in values.chunks(LANE_WIDTH).enumerate() {
+            panels.chunk_mut(c)[lane * LANE_WIDTH..][..part.len()].copy_from_slice(part);
+        }
     }
 }
 
@@ -162,6 +232,13 @@ mod tests {
     /// A field whose element `(row i, lane j)` is `1000·j + i`.
     fn tagged(lanes: usize, rows: usize) -> Matrix {
         Matrix::from_fn(lanes, rows, Layout::Right, |j, i| (1000 * j + i) as f64)
+    }
+
+    /// Lane `j` of `field`, through its copy-out accessor.
+    fn lane_of<B: Field>(field: &B, j: usize) -> Vec<f64> {
+        let mut out = vec![f64::NAN; field.shape().0];
+        field.copy_lane_into(j, &mut out);
+        out
     }
 
     /// Every element of every block is handed out exactly once, under the
@@ -199,7 +276,7 @@ mod tests {
                 let mut field = HostField::new(&mut m).expect("row-major");
                 assert_eq!(field.shape(), (rows, lanes));
                 field.for_each_run_mut(&Parallel, per, bump(false));
-                field.lane_mut(lanes - 1).fill(-1.0);
+                field.write_lane(lanes - 1, &vec![-1.0; rows]);
                 for (j, i, v) in m.iter_entries() {
                     let want = if j == lanes - 1 {
                         -1.0
@@ -232,10 +309,88 @@ mod tests {
         }
     }
 
-    /// The two kinds of field agree on what their blocks hold — the
-    /// gathered panel of a host block is the resident panel of the same
-    /// lanes, padding lanes zero, whatever the scratch held before — and on
-    /// what their lanes hold.
+    /// What a batch's padding lanes hold in the tiled tests: a NaN no
+    /// element equals, so a padding value read into a run, or one written
+    /// over, shows.
+    const SENTINEL: f64 = f64::from_bits(0x7ff8_dead_0000_0000);
+
+    /// The tiled field hands every live element of the batch out exactly
+    /// once, under the pool, whatever the run length: a run's blocks are a
+    /// host field's — lane `x` is row `x` of the batch, its values in lane
+    /// order, a partial last block its live lanes only — and each value is
+    /// bumped once. The batch's padding lanes hold [`SENTINEL`], which no
+    /// run sees and none overwrites, for a partial last chunk and a partial
+    /// last block of rows alike; the lane accessors read and write a row
+    /// across the panels; and the batch's generation moves.
+    #[test]
+    fn tiled_runs_cover_every_tile_element_once() {
+        const W: usize = LANE_WIDTH;
+        // (batch rows = field lanes, batch lanes = field rows).
+        let shapes: &[(usize, usize)] = if cfg!(miri) {
+            &[(9, 13), (17, 5)]
+        } else {
+            &[(1, 1), (8, 8), (13, 20), (20, 13), (33, 7), (5 * W + 3, 67)]
+        };
+        for &(nrows, ncols) in shapes {
+            for per in [1usize, 2, 4] {
+                let what = &format!("{nrows}x{ncols} batch, runs of {per}");
+                let mut batch = ResidentBatch::zeros(nrows, ncols);
+                let chunks = batch.panels().num_chunks();
+                (0..chunks).for_each(|c| batch.panels_mut().chunk_mut(c).fill(SENTINEL));
+                for i in 0..nrows {
+                    (0..ncols).for_each(|j| batch.set(i, j, (1000 * i + j) as f64));
+                }
+                let generation = batch.generation();
+                let mut field = TiledField::new(&mut batch);
+                assert_eq!(field.shape(), (ncols, nrows), "{what}");
+                field.for_each_run_mut(&Parallel, per, |first, live, run| {
+                    assert!(live > 0 && live <= per * W, "{what}");
+                    assert!(first * W + live <= nrows, "{what}");
+                    let mut seen = 0;
+                    for (k, (block_lanes, block)) in run_blocks(run, ncols, live).enumerate() {
+                        assert_eq!(block_lanes, W.min(live - k * W), "{what}");
+                        assert_eq!(block.len(), block_lanes * ncols, "{what}");
+                        for (l, lane) in block.chunks_exact_mut(ncols).enumerate() {
+                            let x = (first + k) * W + l;
+                            for (v, value) in lane.iter_mut().enumerate() {
+                                assert_eq!(*value, (1000 * x + v) as f64, "{what}: ({x}, {v})");
+                                *value += 0.5;
+                            }
+                        }
+                        seen += block_lanes;
+                    }
+                    assert_eq!(seen, live, "{what}");
+                });
+                field.write_lane(nrows - 1, &vec![-1.0; ncols]);
+                let first: Vec<f64> = (0..ncols).map(|v| v as f64 + 0.5).collect();
+                let first = if nrows == 1 { vec![-1.0; ncols] } else { first };
+                assert_eq!(lane_of(&field, 0), first, "{what}");
+                assert!(batch.generation() > generation, "{what}");
+                for i in 0..nrows {
+                    for j in 0..ncols {
+                        let want = if i == nrows - 1 {
+                            -1.0
+                        } else {
+                            (1000 * i + j) as f64 + 0.5
+                        };
+                        assert_eq!(batch.get(i, j), want, "{what}: ({i}, {j})");
+                    }
+                }
+                let last = batch.panels().chunk(chunks - 1);
+                for row in last.chunks_exact(W) {
+                    for &v in &row[ncols - (chunks - 1) * W..] {
+                        assert_eq!(v.to_bits(), SENTINEL.to_bits(), "{what}: padding");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The kinds of field agree on what their blocks hold — the gathered
+    /// panel of a host block is the resident panel of the same lanes,
+    /// padding lanes zero, whatever the scratch held before; the staged
+    /// block of the tiled view of the host matrix's batch is the host block
+    /// itself — and on what their lanes hold.
     #[test]
     fn gathered_host_block_is_the_resident_panel() {
         let shapes: &[(usize, usize)] = if cfg!(miri) {
@@ -246,6 +401,8 @@ mod tests {
         for &(lanes, rows) in shapes {
             let mut m = tagged(lanes, rows);
             let resident = ResidentBatch::pack_transposed(&m);
+            let mut batch = ResidentBatch::pack(&m);
+            let host = m.clone();
             let mut field = HostField::new(&mut m).expect("row-major");
             field.for_each_run_mut(&Serial, 1, |c, live, block| {
                 let mut panel = vec![f64::NAN; 2 * rows * LANE_WIDTH + 1];
@@ -258,10 +415,16 @@ mod tests {
                 ResidentBatch::fill_panel(resident.panels().chunk(c), live, &mut panel);
                 assert_eq!(panel, resident.panels().chunk(c));
             });
+            let mut tiled = TiledField::new(&mut batch);
+            tiled.for_each_run_mut(&Serial, 1, |c, live, block| {
+                let want = &host.as_slice()[c * LANE_WIDTH * rows..][..live * rows];
+                assert_eq!(block, want, "{lanes}x{rows} tiled block {c}");
+            });
             for j in 0..lanes {
                 let want = resident.lane_to_vec(j);
-                assert_eq!(field.lane(j).to_vec(), want, "{lanes}x{rows} lane {j}");
-                assert_eq!(resident.lane(j).to_vec(), want, "{lanes}x{rows} lane {j}");
+                assert_eq!(lane_of(&field, j), want, "{lanes}x{rows} lane {j}");
+                assert_eq!(lane_of(&resident, j), want, "{lanes}x{rows} lane {j}");
+                assert_eq!(lane_of(&tiled, j), want, "{lanes}x{rows} tiled lane {j}");
             }
         }
     }

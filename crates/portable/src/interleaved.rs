@@ -189,11 +189,10 @@ impl InterleavedMatrix {
     }
 
     /// Logical transpose into another interleaved block (`dst(j, i) =
-    /// self(i, j)`, `dst` shaped `(ncols, nrows)`): the one reorientation
-    /// pass a resident pipeline still needs when the batch dimension
-    /// itself flips (e.g. x- vs. v-advection of a phase-space slab).
-    /// One pass, panel to panel, never touching a host [`Matrix`];
-    /// recorded under [`PhaseId::Transpose`].
+    /// self(i, j)`, `dst` shaped `(ncols, nrows)`). One pass, panel to
+    /// panel, never touching a host [`Matrix`]; recorded under
+    /// [`PhaseId::Transpose`]. A step across a block's lanes needs no such
+    /// copy: it runs on the block's tiles ([`crate::TiledField`]).
     pub fn transpose_into(&self, dst: &mut InterleavedMatrix) -> Result<()> {
         self.transpose_into_with(&Serial, dst)
     }
@@ -313,9 +312,78 @@ impl InterleavedMatrix {
     {
         for_each_run_mut(exec, &mut self.data, self.nrows, self.ncols, per, f);
     }
+
+    /// [`crate::Field::for_each_run_mut`] over this block's transpose
+    /// ([`crate::TiledField`]), whose lane `x` is row `x` of every panel, so
+    /// that a block of its lanes is a row of `W × W` tiles, one per chunk. A
+    /// run of its lanes is gathered from those tiles into this thread's
+    /// [`STAGING`] as contiguous columns of `ncols` values — a 64-byte tile
+    /// row at a time, live lanes only — handed to `f` as the blocks of a
+    /// host field are, and scattered back into the tiles the same way. Runs
+    /// as [`for_each_run_mut`] cuts them.
+    pub(crate) fn for_each_tiled_run_mut<E, F>(&mut self, exec: &E, per: usize, f: F)
+    where
+        E: ExecSpace,
+        F: Fn(usize, usize, &mut [f64]) + Sync + Send,
+    {
+        let (lanes, rows) = self.shape();
+        let (chunks, panel) = (self.num_chunks(), lanes * W);
+        let blocks = lanes.div_ceil(W);
+        let per = run_length(exec, blocks, per);
+        assert!(chunks * panel <= self.data.len(), "panels out of bounds");
+        let ptr = SharedMutPtr(self.data.as_mut_ptr());
+        exec.for_each(blocks.div_ceil(per), |r| {
+            let (first, live) = (r * per * W, (per * W).min(lanes - r * per * W));
+            // Tile rows `first .. first + live` of panel `c`: the run's lanes.
+            let tile_rows = |c: usize| {
+                // SAFETY: `data` is borrowed mutably for the region. Run `r`
+                // owns rows `[first, first + live)` of every panel, and
+                // `first + live <= lanes` keeps them inside panel `c < chunks`,
+                // which lies in `data` (asserted). Different runs' rows are
+                // disjoint, each `r` is visited once, and a run holds one
+                // such slice at a time.
+                let at = c * panel + first * W;
+                let rows = unsafe { std::slice::from_raw_parts_mut(ptr.add(at), live * W) };
+                rows.as_chunks_mut::<W>().0
+            };
+            STAGING.with_borrow_mut(|staging| {
+                staging.resize(live * rows, 0.0);
+                for c in 0..chunks {
+                    let (at, n) = (c * W, W.min(rows - c * W));
+                    for (tile_row, col) in tile_rows(c).iter().zip(staging.chunks_exact_mut(rows)) {
+                        copy_row(&mut col[at..], tile_row, n);
+                    }
+                }
+                f(r * per, live, staging);
+                for c in 0..chunks {
+                    let (at, n) = (c * W, W.min(rows - c * W));
+                    for (tile_row, col) in tile_rows(c).iter_mut().zip(staging.chunks_exact(rows)) {
+                        copy_row(tile_row, &col[at..], n);
+                    }
+                }
+            });
+        });
+    }
 }
 
-/// [`crate::Field::for_each_run_mut`] for both kinds of field: `data` holds
+/// `dst[..n] = src[..n]` for `n <= W`: a whole row is one fixed-size move.
+#[inline(always)]
+fn copy_row(dst: &mut [f64], src: &[f64], n: usize) {
+    if n == W {
+        dst[..W].copy_from_slice(&src[..W]);
+    } else {
+        dst[..n].copy_from_slice(&src[..n]);
+    }
+}
+
+thread_local! {
+    /// This worker's staging area for the runs of a [`crate::TiledField`]:
+    /// a run's lanes as contiguous columns, reused for every run.
+    static STAGING: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// [`crate::Field::for_each_run_mut`] for the two kinds of field whose
+/// blocks lie in their own storage: `data` holds
 /// `lanes` lanes of `rows` values block after block of [`LANE_WIDTH`] lanes,
 /// block `c` starting at `c·LANE_WIDTH·rows` — the panels of an
 /// [`InterleavedMatrix`], or a row-major host matrix whose rows are the
@@ -333,7 +401,7 @@ pub(crate) fn for_each_run_mut<E, F>(
     F: Fn(usize, usize, &mut [f64]) + Sync + Send,
 {
     let blocks = lanes.div_ceil(LANE_WIDTH);
-    let per = per.min(blocks.div_ceil(exec.concurrency().max(1))).max(1);
+    let per = run_length(exec, blocks, per);
     let stride = per * LANE_WIDTH * rows;
     let len = data.len();
     assert!(lanes * rows <= len, "blocks out of bounds");
@@ -350,6 +418,12 @@ pub(crate) fn for_each_run_mut<E, F>(
         let run = unsafe { std::slice::from_raw_parts_mut(ptr.add(start), end - start) };
         f(r * per, live, run);
     });
+}
+
+/// Blocks a run of [`crate::Field::for_each_run_mut`] holds: `per`, fewer
+/// where that gives every participant of `exec` one of `blocks`' runs.
+fn run_length<E: ExecSpace>(exec: &E, blocks: usize, per: usize) -> usize {
+    per.min(blocks.div_ceil(exec.concurrency().max(1))).max(1)
 }
 
 /// `m` must be the host side of a move of `shape` panels: that shape, or

@@ -74,7 +74,7 @@ pub mod transpose;
 
 pub use error::{Error, Result};
 pub use exec::{CountingExec, ExecSpace, Parallel, Serial};
-pub use field::{run_blocks, Field, HostField};
+pub use field::{run_blocks, Field, HostField, TiledField};
 pub use interleaved::{deinterleave_columns, interleave_columns, InterleavedMatrix, LANE_WIDTH};
 pub use isa::PanelIsa;
 pub use layout::Layout;

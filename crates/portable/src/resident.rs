@@ -251,17 +251,8 @@ impl ResidentBatch {
     /// Reorient into another resident batch (`dst` logical `(ncols,
     /// nrows)`), panel to panel. Bumps `dst`'s generation.
     pub fn transpose_into(&self, dst: &mut ResidentBatch) -> Result<()> {
-        self.transpose_into_with(&Serial, dst)
-    }
-
-    /// [`ResidentBatch::transpose_into`] as one region on `exec`.
-    pub fn transpose_into_with<E: ExecSpace>(
-        &self,
-        exec: &E,
-        dst: &mut ResidentBatch,
-    ) -> Result<()> {
         dst.bump();
-        self.panels.transpose_into_with(exec, &mut dst.panels)
+        self.panels.transpose_into(&mut dst.panels)
     }
 
     /// `true` when the cached host mirror (of either orientation) still
@@ -444,7 +435,9 @@ mod tests {
         let src = random(5, 13, 19, Layout::Left);
         let r = ResidentBatch::pack(&src);
         let mut t = ResidentBatch::zeros(13, 5);
+        let g = t.generation();
         r.transpose_into(&mut t).unwrap();
+        assert!(t.generation() > g);
         for i in 0..5 {
             for j in 0..13 {
                 assert_eq!(t.get(j, i), src.get(i, j));
@@ -475,19 +468,12 @@ mod tests {
             .unwrap();
         assert_eq!(host_t.get(90, 66), src.get(66, 90));
 
-        let (mut refill, mut flipped) =
-            (ResidentBatch::zeros(67, 91), ResidentBatch::zeros(91, 67));
-        let (g_refill, g_flipped) = (refill.generation(), flipped.generation());
+        let mut refill = ResidentBatch::zeros(67, 91);
+        let g_refill = refill.generation();
         refill.pack_transposed_from(&host_t).unwrap();
         assert_eq!(refill.panels(), serial.panels());
         assert!(refill.generation() > g_refill);
-        pooled.transpose_into_with(&Parallel, &mut flipped).unwrap();
-        assert!(flipped.generation() > g_flipped);
-        let mut flipped_serial = ResidentBatch::zeros(91, 67);
-        serial.transpose_into(&mut flipped_serial).unwrap();
-        assert_eq!(flipped.panels(), flipped_serial.panels());
         // Typed errors come through the `_with` forms unchanged.
-        assert!(pooled.transpose_into_with(&Parallel, &mut refill).is_err());
         assert!(pooled.unpack_into_with(&Parallel, &mut host_t).is_err());
     }
 
