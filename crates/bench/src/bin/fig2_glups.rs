@@ -24,8 +24,8 @@ use pp_bench::gpu_model::predict;
 use pp_bench::{parse_args, AsciiPlot, SplineConfig};
 use pp_perfmodel::{glups, performance_portability, Device};
 use pp_portable::{
-    deinterleave_columns, interleave_columns, CountingExec, InterleavedMatrix, Layout, Matrix,
-    PanelIsa, Parallel, ResidentBatch, Serial, TestRng, LANE_WIDTH,
+    deinterleave_columns, interleave_columns, CountingExec, InterleavedMatrix, Layout, Lines,
+    Matrix, PanelIsa, Parallel, ResidentBatch, Serial, TestRng, LANE_WIDTH,
 };
 use pp_splinesolver::{BuilderVersion, IterativeConfig, SchurBlocks, SplineBuilder, VerifyConfig};
 use std::hint::black_box;
@@ -139,21 +139,23 @@ fn isa_rows() {
 }
 
 /// The panel transposer alone, one thread, per instruction set, in cache: a
-/// 1024-row panel into columns 1027 apart (the cubic ingress) and columns back
-/// into a slab panel, which starts a cache line (egress; one scalar loop on
-/// every instance), best of 15 × 256 passes; ns/element.
+/// 1024-row panel into columns as the evaluator lays out the cubic ingress
+/// (`n + 3` up to whole lines, 1032 apart, each starting a line) and columns
+/// back into a slab panel, which starts a line too (egress; one scalar loop
+/// on every instance), best of 15 × 256 passes; ns/element.
 fn transposer_isa_rows() {
     const ROWS: usize = 1024;
+    const STRIDE: usize = (ROWS + 3).next_multiple_of(LANE_WIDTH);
     println!("isa,deinterleave_ns_per_element,interleave_ns_per_element");
     let panel: Vec<f64> = (0..ROWS * LANE_WIDTH).map(|k| k as f64).collect();
-    let mut cols = vec![0.0; LANE_WIDTH * (ROWS + 3)];
+    let mut cols = Lines::zeros(LANE_WIDTH * STRIDE);
     let mut slab = InterleavedMatrix::zeros(ROWS, LANE_WIDTH);
     let back = slab.chunk_mut(0);
     for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
         let mut ns = [Duration::MAX; 2];
         for _ in 0..15 {
             let start = Instant::now();
-            (0..256).for_each(|_| deinterleave_columns(isa, &panel, ROWS + 3, &mut cols));
+            (0..256).for_each(|_| deinterleave_columns(isa, &panel, STRIDE, &mut cols));
             let between = Instant::now();
             (0..256).for_each(|_| interleave_columns(&panel, LANE_WIDTH, back));
             (ns[0], ns[1]) = (ns[0].min(between - start), ns[1].min(between.elapsed()));
@@ -224,12 +226,9 @@ fn sweep_isa_rows() {
         let builder = SplineBuilder::new(cfg.space(ROWS), BuilderVersion::Interleaved)
             .expect("factorisation");
         let mut rng = TestRng::seed_from_u64(0x5EE);
-        let mut panel = || {
-            (0..ROWS * LANE_WIDTH)
-                .map(|_| rng.gen_range(-1.0..1.0))
-                .collect()
-        };
-        let rhs: Vec<Vec<f64>> = (0..4).map(|_| panel()).collect();
+        let rhs: Vec<f64> = (0..4 * ROWS * LANE_WIDTH)
+            .map(|_| rng.gen_range(-1.0..1.0))
+            .collect();
         let (mut base, mut panels) = (None, rhs.clone());
         for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
             for (label, per) in [("alone", 1), ("two", 2), ("abreast", 4)] {
@@ -237,13 +236,13 @@ fn sweep_isa_rows() {
                 for _ in 0..15 * 64 {
                     let start = Instant::now();
                     panels.clone_from(&rhs);
-                    for group in panels.chunks_mut(per) {
+                    for group in panels.chunks_mut(per * ROWS * LANE_WIDTH) {
                         builder.solve_panels_on(isa, black_box(group));
                     }
                     best = best.min(start.elapsed());
                 }
                 let ns = best.as_secs_f64() * 1e9 / (4 * ROWS) as f64;
-                let sum = panels.iter().flatten().step_by(509).sum::<f64>();
+                let sum = panels.iter().step_by(509).sum::<f64>();
                 let (base_ns, base_sum): (f64, f64) = *base.get_or_insert((ns, sum));
                 assert_eq!(sum.to_bits(), base_sum.to_bits(), "{} {label}", isa.name());
                 let (mesh, isa) = (cfg.label(), isa.name());

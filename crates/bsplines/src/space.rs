@@ -5,15 +5,16 @@ use crate::error::{Error, Result};
 use crate::kernel::{self, Lanes, Tabulated};
 use crate::knots::Breaks;
 use pp_portable::{deinterleave_columns, interleave_columns, PanelIsa};
-use pp_portable::{Strided, StridedMut, LANE_WIDTH};
+use pp_portable::{Lines, Strided, StridedMut, LANE_WIDTH};
 use std::cell::RefCell;
 use std::sync::Arc;
 
 thread_local! {
-    /// This thread's column scratch ([`SplineSpace::with_columns`]):
-    /// one lane's coefficients, then its positions, each contiguous. Grown
-    /// on first use, reused for every lane after.
-    static COLUMNS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// This thread's column scratch ([`SplineSpace::with_columns`]): the
+    /// lanes' coefficients, then their positions and results, each column
+    /// contiguous and from a cache line on. Grown on first use, reused for
+    /// every lane after.
+    static COLUMNS: RefCell<Lines> = const { RefCell::new(Lines::new()) };
 }
 
 /// Largest supported spline degree (the paper uses 3, 4 and 5).
@@ -444,11 +445,15 @@ impl SplineSpace {
         });
     }
 
-    /// Lend `body` this thread's scratch as `lanes` coefficient columns of
-    /// `n + degree` values (a lane's coefficients, periodic ones followed by
-    /// their first `degree`: the stencil of a cell is `column[cell..=cell +
-    /// degree]`, nothing to wrap), a position column and `results` result
-    /// columns of `rows` values. `body` must not
+    /// Lend `body` this thread's scratch as `lanes` coefficient columns,
+    /// [`Self::column_stride`] apart, of which the first `n + degree` values
+    /// are read (a lane's coefficients, periodic ones followed by their
+    /// first `degree`: the stencil of a cell is `column[cell..=cell +
+    /// degree]`, nothing to wrap), then a position column and `results`
+    /// result columns of `rows` values. The scratch is [`Lines`], so every
+    /// coefficient column and the position column start a cache line, and
+    /// so does every result column when `rows` is whole lines: no store of
+    /// the tile transposer splits a line (DESIGN.md §14.3). `body` must not
     /// evaluate on this thread through anything but [`Self::walk_on`].
     fn with_columns<R>(
         &self,
@@ -457,16 +462,19 @@ impl SplineSpace {
         results: usize,
         body: impl FnOnce(&mut [f64], &mut [f64], &mut [f64]) -> R,
     ) -> R {
-        let wrapped = lanes * (self.n + self.degree);
+        let wrapped = lanes * self.column_stride();
         let len = wrapped + rows + results * rows;
         COLUMNS.with_borrow_mut(|scratch| {
-            if scratch.len() < len {
-                scratch.resize(len, 0.0);
-            }
-            let (cols, rest) = scratch[..len].split_at_mut(wrapped);
+            let (cols, rest) = scratch.at_least(len).split_at_mut(wrapped);
             let (xs, ys) = rest.split_at_mut(rows);
             body(cols, xs, ys)
         })
+    }
+
+    /// Distance between the coefficient columns of [`Self::with_columns`]:
+    /// `n + degree` up to whole cache lines.
+    fn column_stride(&self) -> usize {
+        (self.n + self.degree).next_multiple_of(LANE_WIDTH)
     }
 
     /// The scalar body: `out[i] = s(xs[i])` point by point, each cell found
@@ -700,10 +708,11 @@ impl SplineSpace {
         const W: usize = LANE_WIDTH;
         let (nb, wrapped, rows) = (self.num_basis(), self.n + self.degree, xs.len());
         assert_eq!(coefs.len(), nb * W, "eval_panel: coefficients");
-        deinterleave_columns(isa, coefs, wrapped, cols);
+        let stride = self.column_stride();
+        deinterleave_columns(isa, coefs, stride, cols);
         let mut vector_runs = 0;
         for (l, ys) in out.chunks_exact_mut(rows.max(1)).take(lanes).enumerate() {
-            let col = &mut cols[l * wrapped..][..wrapped];
+            let col = &mut cols[l * stride..][..wrapped];
             col.copy_within(..wrapped - nb, nb);
             feet(l, xs);
             let lane = Strided::new(&coefs[l..], nb, W);

@@ -474,7 +474,9 @@ fn panel_case(
 /// bit for bit — through every instruction-set instance the host can run
 /// (hence every instance equals the baseline one), on every mesh kind and
 /// both boundaries, for full and partial panels, with the padding lanes
-/// never written and a non-finite foot harming nothing but its own point.
+/// never written and a non-finite foot harming nothing but its own point —
+/// and the feet column, in the thread's column scratch, starts a cache line
+/// whatever `n + degree` is and however the scratch grew or shrank.
 #[test]
 fn eval_panel_is_eval_lane_bitwise_on_every_isa() {
     let mut rng = TestRng::seed_from_u64(0xB5_0019);
@@ -527,6 +529,7 @@ fn eval_panel_is_eval_lane_bitwise_on_every_isa() {
             let what = format!("{} on {}", case.what, isa.name());
             let mut out = vec![-7.0; case.feet.len() * LANE_WIDTH];
             let feet = |l: usize, column: &mut [f64]| {
+                assert_eq!(column.as_ptr() as usize % 64, 0, "{what}: feet column");
                 for (x, row) in column.iter_mut().zip(&case.feet) {
                     *x = row[l];
                 }
@@ -557,6 +560,12 @@ fn eval_panel_is_eval_lane_bitwise_on_every_isa() {
         let rows = case.feet.len();
         let mut out = vec![-7.0; case.lanes * rows];
         let feet = |l: usize, column: &mut [f64]| {
+            assert_eq!(
+                column.as_ptr() as usize % 64,
+                0,
+                "{}: feet column",
+                case.what
+            );
             for (x, row) in column.iter_mut().zip(&case.feet) {
                 *x = row[l];
             }

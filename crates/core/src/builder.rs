@@ -6,7 +6,8 @@ use pp_bsplines::SplineSpace;
 use pp_linalg::{LaneRows, Panel};
 use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::PanelIsa;
-use pp_portable::{run_blocks, ExecSpace, Field, InterleavedMatrix, Matrix, ResidentBatch};
+use pp_portable::LANE_WIDTH;
+use pp_portable::{run_blocks, ExecSpace, Field, InterleavedMatrix, Lines, Matrix, ResidentBatch};
 use pp_sparse::Coo;
 use std::cell::RefCell;
 
@@ -189,8 +190,8 @@ impl SplineBuilder {
     /// advection step evaluates them at the characteristic feet). One
     /// parallel region, a worker's turn being a run of up to four blocks
     /// solved side by side; `coefs` is an interleaved `[nrows][LANE_WIDTH]`
-    /// panel in a per-worker scratch — copied from a resident panel,
-    /// gathered from host lanes — never a second batch.
+    /// panel in a per-worker scratch, from a cache line on — copied from a
+    /// resident panel, gathered from host lanes — never a second batch.
     ///
     /// The region runs the fused Algorithm 1 with this version's corner
     /// axis, so `coefs` holds the bits [`SplineBuilder::solve_resident`]
@@ -230,34 +231,44 @@ impl SplineBuilder {
         mut each: impl FnMut(usize, usize, &mut [f64], &[f64], &mut [f64]),
     ) {
         let n = self.space.num_basis();
+        let panel = n * LANE_WIDTH;
         PANEL_SCRATCH.with_borrow_mut(|[coefs, gathered]| {
-            let mut filled = 0;
-            for (block_lanes, block) in run_blocks(run, n, lanes) {
-                B::fill_panel(block, block_lanes, &mut coefs[filled]);
-                if keep {
-                    gathered[filled].clone_from(&coefs[filled]);
-                }
-                filled += 1;
+            let coefs = coefs.at_least(lanes.div_ceil(LANE_WIDTH) * panel);
+            let blocks = coefs.chunks_exact_mut(panel).zip(run_blocks(run, n, lanes));
+            for (coefs, (block_lanes, block)) in blocks {
+                B::fill_panel(block, block_lanes, coefs);
             }
-            self.solve_panels_on(PanelIsa::detected(), &mut coefs[..filled]);
-            for (p, (block_lanes, block)) in run_blocks(run, n, lanes).enumerate() {
-                let gathered = if keep { &gathered[p][..] } else { &[] };
-                each(first + p, block_lanes, &mut coefs[p], gathered, block);
+            let kept = keep.then(|| {
+                let kept = gathered.at_least(coefs.len());
+                kept.copy_from_slice(coefs);
+                &*kept
+            });
+            self.solve_panels_on(PanelIsa::detected(), coefs);
+            let solved = coefs.chunks_exact_mut(panel).zip(run_blocks(run, n, lanes));
+            for (p, (coefs, (block_lanes, block))) in solved.enumerate() {
+                let gathered = kept.map_or(&[][..], |kept| &kept[p * panel..][..panel]);
+                each(first + p, block_lanes, coefs, gathered, block);
             }
         });
     }
 
-    /// The fused Algorithm 1 on each of `panels` (`[nrows][LANE_WIDTH]`) in
-    /// the instance compiled for `isa`: four abreast while four are left,
-    /// then two, then one. A panel's bits depend neither on its company
-    /// (`[Panel; P]` is a regrouping) nor on the instance (rustc never
-    /// contracts `a·b + c`). Named instances are for the differential test
-    /// and the bench rows; the fused entry points run [`PanelIsa::detected`].
+    /// The fused Algorithm 1 on each of the `[nrows][LANE_WIDTH]` panels that
+    /// `panels` holds back to back, in the instance compiled for `isa`: four
+    /// abreast while four are left, then two, then one. A panel's bits
+    /// depend neither on its company (`[Panel; P]` is a regrouping) nor on
+    /// the instance (rustc never contracts `a·b + c`). Named instances are
+    /// for the differential test and the bench rows; the fused entry points
+    /// run [`PanelIsa::detected`].
     ///
     /// # Panics
-    /// Panics if the host lacks `isa`, or a panel is not `nrows` rows.
+    /// Panics if the host lacks `isa`, or `panels` is not whole panels.
     #[doc(hidden)]
-    pub fn solve_panels_on(&self, isa: PanelIsa, panels: &mut [Vec<f64>]) {
+    pub fn solve_panels_on(&self, isa: PanelIsa, panels: &mut [f64]) {
+        let panel = self.space.num_basis() * LANE_WIDTH;
+        assert!(
+            panels.len().is_multiple_of(panel),
+            "solve_panels_on: whole panels"
+        );
         isa.run(
             #[inline(always)]
             || {
@@ -268,15 +279,16 @@ impl SplineBuilder {
         );
     }
 
-    /// [`schur_solve`] on `panels`, `P` abreast; returns the fewer than `P`
-    /// left over.
+    /// [`schur_solve`] on the panels back to back in `panels`, `P` abreast;
+    /// returns the fewer than `P` left over.
     #[inline(always)]
-    fn solve_groups<'a, const P: usize>(&self, panels: &'a mut [Vec<f64>]) -> &'a mut [Vec<f64>] {
+    fn solve_groups<'a, const P: usize>(&self, panels: &'a mut [f64]) -> &'a mut [f64] {
         let n = self.space.num_basis();
-        let mut groups = panels.chunks_exact_mut(P);
+        let mut groups = panels.chunks_exact_mut(P * n * LANE_WIDTH);
         for group in &mut groups {
-            let group: &mut [Vec<f64>; P] = group.try_into().expect("an exact chunk");
-            let mut rows = group.each_mut().map(|panel| Panel::new(panel, n));
+            let mut group = group.chunks_exact_mut(n * LANE_WIDTH);
+            let mut rows: [Panel; P] =
+                std::array::from_fn(|_| Panel::new(group.next().expect("P panels to a group"), n));
             schur_solve(&self.blocks, self.version.sparse_corners(), &mut rows);
         }
         groups.into_remainder()
@@ -386,21 +398,22 @@ pub(crate) fn schur_solve<R: LaneRows>(blocks: &SchurBlocks, sparse: bool, rows:
 pub(crate) const ABREAST: usize = 4;
 
 thread_local! {
-    /// This worker's scratch for the fused entry points: two sets of
-    /// [`ABREAST`] panels, reused for every run of every step. The first
-    /// set holds the run's blocks as panels — filled at the top of the
-    /// worker's turn, solved there, lent to the continuation. The second is
-    /// touched only by the verified step on a host field, which needs the
-    /// gathered right-hand sides beside the coefficients.
-    static PANEL_SCRATCH: RefCell<[[Vec<f64>; ABREAST]; 2]> =
-        const { RefCell::new([const { [const { Vec::new() }; ABREAST] }; 2]) };
+    /// This worker's scratch for the fused entry points: two sets of up to
+    /// [`ABREAST`] panels back to back, each from a cache line on, reused
+    /// for every run of every step. The first set holds the run's blocks as
+    /// panels — filled at the top of the worker's turn, solved there, lent
+    /// to the continuation. The second is touched only by the verified step
+    /// on a host field, which needs the gathered right-hand sides beside the
+    /// coefficients.
+    static PANEL_SCRATCH: RefCell<[Lines; 2]> =
+        const { RefCell::new([const { Lines::new() }; 2]) };
 }
 
-/// Capacities of this thread's two sets of panel scratches, for the
-/// structure tests.
+/// Lengths of this thread's two sets of panel scratch, for the structure
+/// tests.
 #[cfg(test)]
-pub(crate) fn panel_scratch_capacity() -> [[usize; ABREAST]; 2] {
-    PANEL_SCRATCH.with_borrow(|sets| sets.each_ref().map(|set| set.each_ref().map(Vec::capacity)))
+pub(crate) fn panel_scratch_len() -> [usize; 2] {
+    PANEL_SCRATCH.with_borrow(|sets| sets.each_ref().map(|set| set.len()))
 }
 
 #[cfg(test)]

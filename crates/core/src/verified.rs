@@ -2140,7 +2140,8 @@ mod tests {
     fn verified_solve_is_one_pool_dispatch() {
         // Guards the shape of the verified solve: the whole screen rides
         // the solve's one region (no extra region, nothing serial that
-        // would need the batch copied), on a scratch of one run of panels —
+        // would need the batch copied), on a scratch of one run of panels,
+        // each lent from a cache line on, on a resident and a host field —
         // and so does whatever a fused step does with the coefficients.
         // Regions are counted on the execution space — `pool_stats()` is
         // process-wide and the other unit tests dispatch concurrently.
@@ -2152,6 +2153,7 @@ mod tests {
             exec.regions()
         };
         let keep = |_: usize, _: usize, coefs: &[f64], panel: &mut [f64]| {
+            assert_eq!(coefs.as_ptr() as usize % 64, 0, "coefficients at a line");
             panel.copy_from_slice(coefs);
         };
         for version in BuilderVersion::ALL {
@@ -2171,10 +2173,9 @@ mod tests {
             assert_eq!((fused, screened, fused_screened), (1, 1, 1), "{version:?}");
         }
         // A fresh thread has a fresh scratch: after six panels through each
-        // entry point — a run of `ABREAST` and a shorter one — it holds
-        // exactly one run of them (one panel, while a worker's turn was one
-        // panel: the turn is now a run solved abreast).
-        let capacity = std::thread::scope(|s| {
+        // entry point — a run of `ABREAST` and a shorter one — its first
+        // buffer holds exactly one run of them and its second none.
+        let scratch = std::thread::scope(|s| {
             let worker = s.spawn(|| {
                 let plain = SplineBuilder::new(space(n, 3, true), BuilderVersion::Interleaved);
                 let verified = plain.unwrap().verified(VerifyConfig::default());
@@ -2187,7 +2188,7 @@ mod tests {
                     .builder()
                     .solve_then(&Serial, &mut b, keep)
                     .unwrap();
-                let resident = crate::builder::panel_scratch_capacity();
+                let resident = crate::builder::panel_scratch_len();
                 // A host field's blocks are gathered, not copied: still one
                 // run of panels for the plain solve, a second one — gathered
                 // right-hand sides beside coefficients — for the verified one.
@@ -2200,6 +2201,7 @@ mod tests {
                 let mut host = Matrix::from_fn(batch, n, Layout::Right, |j, i| rhs.get(i, j));
                 let mut field = HostField::new(&mut host).unwrap();
                 let keep = |_: usize, lanes: usize, coefs: &[f64], block: &mut [f64]| {
+                    assert_eq!(coefs.as_ptr() as usize % 64, 0, "coefficients at a line");
                     for (l, lane) in block.chunks_exact_mut(n).enumerate() {
                         assert!(l < lanes);
                         lane.iter_mut()
@@ -2211,7 +2213,7 @@ mod tests {
                     .builder()
                     .solve_then(&Serial, &mut field, keep)
                     .unwrap();
-                let plain = crate::builder::panel_scratch_capacity();
+                let plain = crate::builder::panel_scratch_len();
                 for j in 0..batch {
                     let mut got = vec![0.0; n];
                     field.copy_lane_into(j, &mut got);
@@ -2220,11 +2222,11 @@ mod tests {
                 verified
                     .solve_then(&Serial, &mut field, keep, |_, _, _| unreachable!())
                     .unwrap();
-                (resident, plain, crate::builder::panel_scratch_capacity())
+                (resident, plain, crate::builder::panel_scratch_len())
             });
             worker.join().unwrap()
         });
-        let (run, none) = ([n * LANE_WIDTH; ABREAST], [0; ABREAST]);
-        assert_eq!(capacity, ([run, none], [run, none], [run, run]));
+        let run = ABREAST * n * LANE_WIDTH;
+        assert_eq!(scratch, ([run, 0], [run, 0], [run, run]));
     }
 }

@@ -45,9 +45,10 @@ pub trait Field: Sync {
         E: ExecSpace,
         F: Fn(usize, usize, &mut [f64]) + Sync + Send;
 
-    /// Ingress of one block: overwrite `panel`, whatever it held, with the
-    /// block's `lanes` lanes as an interleaved `[rows][LANE_WIDTH]` panel.
-    fn fill_panel(block: &[f64], lanes: usize, panel: &mut Vec<f64>);
+    /// Ingress of one block: overwrite `panel` (`rows · LANE_WIDTH` long),
+    /// whatever it held, with the block's `lanes` lanes as an interleaved
+    /// `[rows][LANE_WIDTH]` panel.
+    fn fill_panel(block: &[f64], lanes: usize, panel: &mut [f64]);
 
     /// Copy lane `lane`, rows in order, into `out` (`rows` long) — where a
     /// solver with no panel-native form reads a lane's right-hand side.
@@ -87,9 +88,8 @@ impl Field for ResidentBatch {
         self.panels_mut().for_each_run_mut(exec, per, f);
     }
 
-    fn fill_panel(block: &[f64], _lanes: usize, panel: &mut Vec<f64>) {
-        panel.clear();
-        panel.extend_from_slice(block);
+    fn fill_panel(block: &[f64], _lanes: usize, panel: &mut [f64]) {
+        panel.copy_from_slice(block);
     }
 
     fn copy_lane_into(&self, lane: usize, out: &mut [f64]) {
@@ -140,13 +140,11 @@ impl Field for HostField<'_> {
         for_each_run_mut(exec, self.0.as_mut_slice(), rows, lanes, per, f);
     }
 
-    fn fill_panel(block: &[f64], lanes: usize, panel: &mut Vec<f64>) {
-        let rows = block.len() / lanes;
+    fn fill_panel(block: &[f64], lanes: usize, panel: &mut [f64]) {
         if lanes < LANE_WIDTH {
             // The interleave writes live lanes only: zero the padding lanes.
-            panel.clear();
+            panel.fill(0.0);
         }
-        panel.resize(rows * LANE_WIDTH, 0.0);
         interleave_columns(block, lanes, panel);
     }
 
@@ -201,7 +199,7 @@ impl Field for TiledField<'_> {
         self.0.panels_mut().for_each_tiled_run_mut(exec, per, f);
     }
 
-    fn fill_panel(block: &[f64], lanes: usize, panel: &mut Vec<f64>) {
+    fn fill_panel(block: &[f64], lanes: usize, panel: &mut [f64]) {
         HostField::fill_panel(block, lanes, panel);
     }
 
@@ -320,8 +318,9 @@ mod tests {
     /// order, a partial last block its live lanes only — and each value is
     /// bumped once. The batch's padding lanes hold [`SENTINEL`], which no
     /// run sees and none overwrites, for a partial last chunk and a partial
-    /// last block of rows alike; the lane accessors read and write a row
-    /// across the panels; and the batch's generation moves.
+    /// last block of rows alike; a run is staged from a cache line on; the
+    /// lane accessors read and write a row across the panels; and the
+    /// batch's generation moves.
     #[test]
     fn tiled_runs_cover_every_tile_element_once() {
         const W: usize = LANE_WIDTH;
@@ -346,6 +345,7 @@ mod tests {
                 field.for_each_run_mut(&Parallel, per, |first, live, run| {
                     assert!(live > 0 && live <= per * W, "{what}");
                     assert!(first * W + live <= nrows, "{what}");
+                    assert_eq!(run.as_ptr() as usize % 64, 0, "{what}: staging at a line");
                     let mut seen = 0;
                     for (k, (block_lanes, block)) in run_blocks(run, ncols, live).enumerate() {
                         assert_eq!(block_lanes, W.min(live - k * W), "{what}");
@@ -405,7 +405,7 @@ mod tests {
             let host = m.clone();
             let mut field = HostField::new(&mut m).expect("row-major");
             field.for_each_run_mut(&Serial, 1, |c, live, block| {
-                let mut panel = vec![f64::NAN; 2 * rows * LANE_WIDTH + 1];
+                let mut panel = vec![f64::NAN; rows * LANE_WIDTH];
                 HostField::fill_panel(block, live, &mut panel);
                 assert_eq!(
                     panel,

@@ -26,6 +26,7 @@ use crate::error::{Error, Result};
 use crate::exec::{ExecSpace, Serial};
 use crate::instrument::{PhaseId, Span};
 use crate::isa::PanelIsa;
+use crate::lines::Lines;
 use crate::matrix::Matrix;
 use crate::ptr::SharedMutPtr;
 use std::array;
@@ -38,60 +39,13 @@ pub const LANE_WIDTH: usize = 8;
 ///
 /// Logically an `nrows × ncols` matrix whose columns are batch lanes,
 /// physically a sequence of `ceil(ncols / W)` row-major `[nrows][W]`
-/// panels. See the module docs for the offset map.
+/// panels, each starting a cache line ([`Lines`]). See the module docs for
+/// the offset map.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InterleavedMatrix {
     nrows: usize,
     ncols: usize,
     data: Lines,
-}
-
-/// Zeroed doubles that start a 64-byte cache line, so that every panel of an
-/// [`InterleavedMatrix`] and every one of its rows does: a `Vec` seven
-/// doubles longer, entered at its first line. A row stored across two lines
-/// costs the fixed-width panel egress half as much again (DESIGN.md §14.3).
-#[derive(Debug)]
-struct Lines {
-    buf: Vec<f64>,
-    start: usize,
-    len: usize,
-}
-
-impl Lines {
-    fn zeros(len: usize) -> Self {
-        let buf = vec![0.0; len + W - 1];
-        let start = (64 - buf.as_ptr() as usize % 64) % 64 / size_of::<f64>();
-        Self { buf, start, len }
-    }
-}
-
-impl std::ops::Deref for Lines {
-    type Target = [f64];
-    #[inline]
-    fn deref(&self) -> &[f64] {
-        &self.buf[self.start..][..self.len]
-    }
-}
-
-impl std::ops::DerefMut for Lines {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut [f64] {
-        &mut self.buf[self.start..][..self.len]
-    }
-}
-
-impl Clone for Lines {
-    fn clone(&self) -> Self {
-        let mut copy = Self::zeros(self.len);
-        copy.copy_from_slice(self);
-        copy
-    }
-}
-
-impl PartialEq for Lines {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
 }
 
 impl InterleavedMatrix {
@@ -347,7 +301,7 @@ impl InterleavedMatrix {
                 rows.as_chunks_mut::<W>().0
             };
             STAGING.with_borrow_mut(|staging| {
-                staging.resize(live * rows, 0.0);
+                let staging = staging.at_least(live * rows);
                 for c in 0..chunks {
                     let (at, n) = (c * W, W.min(rows - c * W));
                     for (tile_row, col) in tile_rows(c).iter().zip(staging.chunks_exact_mut(rows)) {
@@ -378,8 +332,9 @@ fn copy_row(dst: &mut [f64], src: &[f64], n: usize) {
 
 thread_local! {
     /// This worker's staging area for the runs of a [`crate::TiledField`]:
-    /// a run's lanes as contiguous columns, reused for every run.
-    static STAGING: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// a run's lanes as contiguous columns from a cache line on, reused for
+    /// every run.
+    static STAGING: std::cell::RefCell<Lines> = const { std::cell::RefCell::new(Lines::new()) };
 }
 
 /// [`crate::Field::for_each_run_mut`] for the two kinds of field whose
@@ -637,7 +592,8 @@ pub fn interleave_columns(cols: &[f64], lanes: usize, panel: &mut [f64]) {
 
 /// `cols[l·stride + i] = panel[i·W + l]`, through `isa`: a `[rows][W]` panel
 /// into eight columns `stride` apart — the panel evaluator's ingress, its
-/// coefficients into columns of `n + d` — whole tiles through
+/// coefficients into columns `n + d` up to whole lines apart in a
+/// [`Lines`], so that no tile store splits a line — whole tiles through
 /// `transpose_tiles`, out of line like its inverse [`interleave_columns`].
 ///
 /// # Panics
@@ -792,6 +748,23 @@ mod tests {
                     assert_eq!(at % 64, 0, "{n}x{batch} chunk {c}");
                 }
             }
+        }
+    }
+
+    /// A scratch that grows is entered at the new allocation's first line,
+    /// zeroed; one long enough is lent as it is, at the same line.
+    #[test]
+    fn lines_grow_into_a_cache_line() {
+        let mut lines = Lines::new();
+        assert!(lines.at_least(0).is_empty());
+        for len in [1usize, 7, 9, 1027, 8 * 1029 + 1024] {
+            let at = lines.at_least(len);
+            assert_eq!((at.len(), at.as_ptr() as usize % 64), (len, 0), "{len}");
+            assert!(at.iter().all(|&v| v == 0.0), "{len}: zeroed");
+            at.fill(1.0);
+            let (ptr, shorter) = (at.as_ptr(), lines.at_least(len - 1));
+            assert_eq!(shorter.as_ptr(), ptr, "{len}: no regrowth");
+            assert!(shorter.iter().all(|&v| v == 1.0), "{len}: kept");
         }
     }
 

@@ -63,6 +63,7 @@ pub mod field;
 pub mod interleaved;
 pub mod isa;
 pub mod layout;
+pub mod lines;
 pub mod matrix;
 pub mod par;
 pub mod pool;
@@ -78,6 +79,7 @@ pub use field::{run_blocks, Field, HostField, TiledField};
 pub use interleaved::{deinterleave_columns, interleave_columns, InterleavedMatrix, LANE_WIDTH};
 pub use isa::PanelIsa;
 pub use layout::Layout;
+pub use lines::Lines;
 pub use matrix::Matrix;
 pub use par::{num_threads, parallel_for, parallel_sum};
 pub use pool::{inject_worker_death, pool_stats, publish_pool_metrics, PoolStats, WorkerTimes};

@@ -360,11 +360,13 @@ fn builder_interleaved_matches_scalar_per_lane_within_2_ulp() {
             let packed = ResidentBatch::pack(&rhs);
             for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
                 let chunks = 0..packed.panels().num_chunks();
-                let mut panels: Vec<Vec<f64>> =
-                    chunks.map(|c| packed.panels().chunk(c).to_vec()).collect();
+                let mut panels: Vec<f64> = chunks
+                    .flat_map(|c| packed.panels().chunk(c).to_vec())
+                    .collect();
                 wide.solve_panels_on(isa, &mut panels);
                 for j in 0..batch {
-                    let lane = panels[j / LANE_WIDTH].iter().skip(j % LANE_WIDTH);
+                    let panel = panels.chunks_exact(n * LANE_WIDTH).nth(j / LANE_WIDTH);
+                    let lane = panel.unwrap().iter().skip(j % LANE_WIDTH);
                     let got = bits(lane.step_by(LANE_WIDTH).copied());
                     let want = lane_bits(&reference, j);
                     assert_eq!(got, want, "{what} abreast on {} lane {j}", isa.name());
