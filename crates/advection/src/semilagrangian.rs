@@ -8,7 +8,7 @@ use pp_portable::{
     StridedMut, TiledField, LANE_WIDTH,
 };
 use pp_splinesolver::{
-    BuilderVersion, IterativeConfig, IterativeSplineSolver, LaneReport, SplineBuilder,
+    BuilderVersion, IterativeConfig, IterativeSplineSolver, LaneReport, Solved, SplineBuilder,
     VerifiedBuilder, VerifyConfig,
 };
 use std::fmt;
@@ -394,11 +394,11 @@ impl Advection1D {
     ///
     /// The step is one parallel region over the field's blocks of eight
     /// lanes (DESIGN.md §14.3) — the panels of a resident slab, eight rows
-    /// of a host field: a worker brings the block into its scratch as an
-    /// interleaved panel (a copy, or an 8 × 8-tile gather), solves it there
-    /// (and, for the verified backend, screens it against the pristine
-    /// right-hand sides), and evaluates the coefficients at the feet
-    /// straight back into the block while both are in cache. Neither the
+    /// of a host field: a worker solves a panel where it lies, any other
+    /// block gathered into its scratch as an interleaved panel (eight rows,
+    /// or an 8 × 8-tile row) — for the verified backend screening it against
+    /// the pristine right-hand sides — and evaluates the coefficients at the
+    /// feet straight back into the block while both are in cache. Neither the
     /// coefficients nor the feet ever exist as a slab. The `Iterative`
     /// backend is two regions: one solves every lane where it lies, lane by
     /// lane, into a resident coefficient store (warm-started from the
@@ -458,19 +458,13 @@ impl Advection1D {
         let points = &self.x_points[..];
         // Lines 6-10 on one block: follow the characteristics back and
         // interpolate, lane by lane, into where the field keeps the lane.
-        let interpolate = |chunk: usize, lanes: usize, coefs: &[f64], block: &mut [f64]| {
+        let interpolate = |chunk: usize, lanes: usize, solved: Solved<'_>| {
             let _span = Span::enter(PhaseId::Interpolate);
-            let first = chunk * LANE_WIDTH;
-            let feet = |l: usize, column: &mut [f64]| {
-                let by = displacements[first + l];
-                for (foot, x) in column.iter_mut().zip(points) {
-                    *foot = x - by;
-                }
-            };
-            if B::PANELS {
-                space.eval_panel(coefs, lanes, feet, block);
-            } else {
-                space.eval_columns(coefs, lanes, feet, block);
+            // Lane `l`'s feet are `x_i − d_l`, formed in the walk's registers.
+            let feet = |l: usize| (points, displacements[chunk * LANE_WIDTH + l]);
+            match solved {
+                Solved::InPlace(panel) => space.eval_panel(None, lanes, feet, panel),
+                Solved::Apart { coefs, block } => space.eval_columns(coefs, lanes, feet, block),
             }
         };
 

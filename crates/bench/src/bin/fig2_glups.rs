@@ -81,8 +81,8 @@ fn measure_steps<const N: usize>(
 }
 
 /// The evaluator alone, one thread, per instruction set: `eval_panel_on`
-/// over 128 panels of 1024 rows, in-loop feet `x_i − d_l` with `|d_l| ≤
-/// 0.004` (four cells), best of 15 passes, uniform cubic and quintic (their
+/// over 128 panels of 1024 rows at the step's feet `(x_i, d_l)` — formed in
+/// the walk as `x_i − d_l` — with `|d_l| ≤ 0.004` (four cells), best of 15 passes, uniform cubic and quintic (their
 /// closed forms) and graded quintic (the triangle).
 /// Per row: ns/point, the share of runs on the vector path, the speed-up
 /// over the baseline instance and the Pennycook efficiency with its base
@@ -108,13 +108,8 @@ fn isa_rows() {
                 (runs, sum) = (0, 0.0);
                 let start = Instant::now();
                 for (panel, by) in coefs.chunks_exact(N).zip(by.chunks_exact(LANE_WIDTH)) {
-                    let feet = |l: usize, column: &mut [f64]| {
-                        column
-                            .iter_mut()
-                            .zip(&points)
-                            .for_each(|(foot, x)| *foot = x - by[l]);
-                    };
-                    runs += space.eval_panel_on(isa, panel, LANE_WIDTH, feet, &mut out);
+                    let feet = |l: usize| (&points[..], by[l]);
+                    runs += space.eval_panel_on(isa, Some(panel), LANE_WIDTH, feet, &mut out);
                     sum += out.iter().step_by(509).sum::<f64>();
                 }
                 best = best.min(start.elapsed());

@@ -11,7 +11,8 @@ use std::sync::Arc;
 
 thread_local! {
     /// This thread's column scratch ([`SplineSpace::with_columns`]): the
-    /// lanes' coefficients, then their positions and results, each column
+    /// lanes' coefficients, then their results (and, for
+    /// [`SplineSpace::eval_lane`], its copied positions), each column
     /// contiguous and from a cache line on. Grown on first use, reused for
     /// every lane after.
     static COLUMNS: RefCell<Lines> = const { RefCell::new(Lines::new()) };
@@ -429,18 +430,20 @@ impl SplineSpace {
     /// `positions.len() != out.len()`.
     pub fn eval_lane(&self, coefs: Strided<'_>, positions: Strided<'_>, mut out: StridedMut<'_>) {
         let nb = self.num_basis();
+        let rows = positions.len();
         assert_eq!(coefs.len(), nb, "eval: coefficient count");
-        assert_eq!(positions.len(), out.len(), "eval: position count");
-        self.with_columns(1, positions.len(), 1, |col, xs, ys| {
+        assert_eq!(rows, out.len(), "eval: position count");
+        self.with_columns(1, 2, rows, |col, rest| {
             // Only a run reads the column: a few points need none.
-            if xs.len() >= LANE_WIDTH {
+            if rows >= LANE_WIDTH {
                 col.iter_mut().zip(coefs.iter()).for_each(|(c, v)| *c = v);
                 col.copy_within(..self.n + self.degree - nb, nb);
             }
+            let (xs, ys) = rest.split_at_mut(rows);
             xs.iter_mut()
                 .zip(positions.iter())
                 .for_each(|(x, p)| *x = p);
-            self.walk_on(PanelIsa::detected(), coefs, col, xs, ys);
+            self.walk_on(PanelIsa::detected(), coefs, col, xs, 0.0, ys);
             out.copy_from_slice(ys);
         });
     }
@@ -449,25 +452,25 @@ impl SplineSpace {
     /// [`Self::column_stride`] apart, of which the first `n + degree` values
     /// are read (a lane's coefficients, periodic ones followed by their
     /// first `degree`: the stencil of a cell is `column[cell..=cell +
-    /// degree]`, nothing to wrap), then a position column and `results`
-    /// result columns of `rows` values. The scratch is [`Lines`], so every
-    /// coefficient column and the position column start a cache line, and
-    /// so does every result column when `rows` is whole lines: no store of
-    /// the tile transposer splits a line (DESIGN.md §14.3). `body` must not
-    /// evaluate on this thread through anything but [`Self::walk_on`].
+    /// degree]`, nothing to wrap), then `columns` columns of `rows` values
+    /// back to back. The scratch is [`Lines`], so every coefficient column
+    /// starts a cache line, and so does every column after them when `rows`
+    /// is whole lines: no store of the tile transposer splits a line
+    /// (DESIGN.md §14.3). `body` must not evaluate on this thread through
+    /// anything but [`Self::walk_on`].
     fn with_columns<R>(
         &self,
         lanes: usize,
+        columns: usize,
         rows: usize,
-        results: usize,
-        body: impl FnOnce(&mut [f64], &mut [f64], &mut [f64]) -> R,
+        body: impl FnOnce(&mut [f64], &mut [f64]) -> R,
     ) -> R {
         let wrapped = lanes * self.column_stride();
-        let len = wrapped + rows + results * rows;
         COLUMNS.with_borrow_mut(|scratch| {
-            let (cols, rest) = scratch.at_least(len).split_at_mut(wrapped);
-            let (xs, ys) = rest.split_at_mut(rows);
-            body(cols, xs, ys)
+            let (cols, rest) = scratch
+                .at_least(wrapped + columns * rows)
+                .split_at_mut(wrapped);
+            body(cols, rest)
         })
     }
 
@@ -512,9 +515,14 @@ impl SplineSpace {
     }
 
     /// The evaluation body of every entry point (DESIGN.md §16.8): one
-    /// lane, `out[i] = s(xs[i])`, its coefficients as the view `coefs` and,
-    /// if there are eight positions or more, as the column `col`
-    /// ([`Self::with_columns`]). Returns how many runs took the vector path.
+    /// lane, `out[i] = s(base[i] − shift)`, its coefficients as the view
+    /// `coefs` and, if there are eight positions or more, as the column
+    /// `col` ([`Self::with_columns`]). The positions are formed here, a run
+    /// at a time in a register (the tail's on the stack), and never written
+    /// to a column; a caller whose positions are
+    /// arbitrary passes them as `base` with `shift = 0.0` (`b − 0.0` is `b`
+    /// bit for bit, `−0.0`, `±∞` and NaN included). Returns how many runs
+    /// took the vector path.
     ///
     /// A *run* is eight consecutive positions. With `c0` the first one's
     /// cell, it is evaluated eight-wide exactly when `c0 + 8 <= n` and
@@ -532,7 +540,8 @@ impl SplineSpace {
         &self,
         coefs: Strided<'_>,
         col: &[f64],
-        xs: &[f64],
+        base: &[f64],
+        shift: f64,
         out: &mut [f64],
     ) -> usize {
         const W: usize = LANE_WIDTH;
@@ -541,8 +550,9 @@ impl SplineSpace {
         let t = &self.breaks.points()[..n + 1];
         let col = &col[..n + D];
         let (mut cell, mut vector_runs) = (0, 0);
-        for (xs, out) in xs.chunks_exact(W).zip(out.chunks_exact_mut(W)) {
-            let x = <[f64; W]>::load(xs);
+        let by = <[f64; W]>::splat(shift);
+        for (base, out) in base.chunks_exact(W).zip(out.chunks_exact_mut(W)) {
+            let x = <[f64; W]>::load(base).sub(by);
             // A guess, wherever `x[0]` lies: only the test below keeps it.
             let c0 = self.cell_of_wrapped::<UNIFORM>(x[0], Some(cell));
             let mut sweep = c0 + W <= n;
@@ -554,7 +564,7 @@ impl SplineSpace {
                 }
             }
             if !sweep {
-                cell = self.eval_points::<D, UNIFORM>(coefs, xs, out, cell);
+                cell = self.eval_points::<D, UNIFORM>(coefs, &x, out, cell);
                 continue;
             }
             let vals = self.basis_in::<[f64; W], D, UNIFORM, false>(c0, x);
@@ -571,8 +581,11 @@ impl SplineSpace {
             cell = (c0 + W).min(n - 1);
             vector_runs += 1;
         }
-        let tail = xs.len() - xs.len() % W;
-        self.eval_points::<D, UNIFORM>(coefs, &xs[tail..], &mut out[tail..], cell);
+        let tail = base.len() - base.len() % W;
+        let mut x = [0.0; W];
+        let rest = &base[tail..];
+        x.iter_mut().zip(rest).for_each(|(x, b)| *x = b - shift);
+        self.eval_points::<D, UNIFORM>(coefs, &x[..rest.len()], &mut out[tail..], cell);
         vector_runs
     }
 
@@ -585,10 +598,11 @@ impl SplineSpace {
         isa: PanelIsa,
         coefs: Strided<'_>,
         col: &[f64],
-        xs: &[f64],
+        base: &[f64],
+        shift: f64,
         out: &mut [f64],
     ) -> usize {
-        monomorphised!(self, walk_in(isa, coefs, col, xs, out))
+        monomorphised!(self, walk_in(isa, coefs, col, base, shift, out))
     }
 
     /// One degree and mesh kind of [`Self::walk_on`]: each instruction set
@@ -599,63 +613,67 @@ impl SplineSpace {
         isa: PanelIsa,
         coefs: Strided<'_>,
         col: &[f64],
-        xs: &[f64],
+        base: &[f64],
+        shift: f64,
         out: &mut [f64],
     ) -> usize {
         isa.run(
             #[inline(always)]
-            || self.walk::<D, UNIFORM>(coefs, col, xs, out),
+            || self.walk::<D, UNIFORM>(coefs, col, base, shift, out),
         )
     }
 
     /// Evaluate one interleaved panel of splines into its lanes' columns:
     /// `coefs` is the `[n][LANE_WIDTH]` chunk of eight lanes' coefficients,
-    /// and for each of the first `lanes` lanes in turn `feet(l, column)`
-    /// fills `column[i]` with lane `l`'s position in row `i`; then
-    /// `out[l·rows + i] = s_l(column[i])`, with `rows = out.len() / lanes`.
-    /// Contiguous columns are what the lane walk writes, so a caller whose
-    /// lanes are contiguous — the rows of a `(Nv, Nx)` host field — names
-    /// them as `out` and nothing is moved afterwards.
+    /// and for each of the first `lanes` lanes `feet(l)` is `(base, shift)`,
+    /// lane `l` being evaluated at `base[i] − shift`, formed in the lane
+    /// walk's registers: `out[l·rows + i] = s_l(base[i] − shift)`, with
+    /// `rows = out.len() / lanes = base.len()`. Contiguous columns are what
+    /// the lane walk writes, so a caller whose lanes are contiguous — the
+    /// rows of a `(Nv, Nx)` host field — names them as `out` and nothing is
+    /// moved afterwards.
     ///
-    /// Lane for lane this is [`Self::eval_lane`] bit for bit: the same body
-    /// (the widest [`PanelIsa`] instance of it the host has) on the lane's
-    /// coefficients de-interleaved into this thread's column scratch.
-    /// Nothing is allocated per panel; `feet` must not evaluate splines on
-    /// the calling thread (the scratch is lent out while it runs).
+    /// Lane for lane this is [`Self::eval_lane`] at `base[i] − shift`, bit
+    /// for bit: the same body (the widest [`PanelIsa`] instance of it the
+    /// host has) on the lane's coefficients de-interleaved into this
+    /// thread's column scratch. Nothing is allocated per panel.
     ///
     /// # Panics
     /// Panics if `coefs.len() != num_basis() · LANE_WIDTH`, if `lanes` is
-    /// zero or exceeds `LANE_WIDTH`, or if `out` is not `lanes` whole columns.
-    pub fn eval_columns<F>(&self, coefs: &[f64], lanes: usize, feet: F, out: &mut [f64])
+    /// zero or exceeds `LANE_WIDTH`, if `out` is not `lanes` whole columns,
+    /// or if a lane's `base` is not a column long.
+    pub fn eval_columns<'a, F>(&self, coefs: &[f64], lanes: usize, feet: F, out: &mut [f64])
     where
-        F: FnMut(usize, &mut [f64]),
+        F: Fn(usize) -> (&'a [f64], f64),
     {
         assert!(
             (1..=LANE_WIDTH).contains(&lanes) && out.len().is_multiple_of(lanes),
             "eval_columns: {} values for {lanes} lanes",
             out.len()
         );
-        let rows = out.len() / lanes;
-        self.with_columns(LANE_WIDTH, rows, 0, |cols, xs, _| {
-            self.walk_lanes(PanelIsa::detected(), coefs, lanes, feet, cols, xs, out)
+        self.with_columns(LANE_WIDTH, 0, 0, |cols, _| {
+            self.walk_lanes(PanelIsa::detected(), coefs, lanes, feet, cols, out)
         });
     }
 
     /// [`Self::eval_columns`] for a caller whose lanes are interleaved:
-    /// `out` is a `[rows][LANE_WIDTH]` panel and
-    /// `out[i·LANE_WIDTH + l] = s_l(column[i])`. The columns are written to
-    /// this thread's scratch and interleaved into `out` in one more pass;
-    /// the padding lanes of a partial panel are never asked for feet and
-    /// never written.
+    /// `panel` is a `[rows][LANE_WIDTH]` panel and
+    /// `panel[i·LANE_WIDTH + l] = s_l(base[i] − shift)`. The coefficients
+    /// are `coefs`, or with `None` the panel itself (`rows = num_basis()`),
+    /// which is then evaluated in place: de-interleaved first, every lane
+    /// walked into this thread's scratch, and the results interleaved into
+    /// the panel last. The padding lanes of a partial panel are never asked
+    /// for feet and never written.
     ///
     /// # Panics
-    /// Panics if `coefs.len() != num_basis() · LANE_WIDTH`, if `out` is not
-    /// whole rows, or if `lanes > LANE_WIDTH`.
-    pub fn eval_panel<F>(&self, coefs: &[f64], lanes: usize, feet: F, out: &mut [f64])
+    /// Panics if the coefficients are not `num_basis() · LANE_WIDTH` values,
+    /// if `panel` is not whole rows, if `lanes > LANE_WIDTH`, or if a lane's
+    /// `base` is not `rows` long.
+    pub fn eval_panel<'a, F>(&self, coefs: Option<&[f64]>, lanes: usize, feet: F, panel: &mut [f64])
     where
-        F: FnMut(usize, &mut [f64]),
+        F: Fn(usize) -> (&'a [f64], f64),
     {
-        self.eval_panel_on(PanelIsa::detected(), coefs, lanes, feet, out);
+        self.eval_panel_on(PanelIsa::detected(), coefs, lanes, feet, panel);
     }
 
     /// [`Self::eval_panel`] through a named instance, for the differential
@@ -665,48 +683,48 @@ impl SplineSpace {
     /// # Panics
     /// As [`Self::eval_panel`], and if the host lacks `isa`.
     #[doc(hidden)]
-    pub fn eval_panel_on<F>(
+    pub fn eval_panel_on<'a, F>(
         &self,
         isa: PanelIsa,
-        coefs: &[f64],
+        coefs: Option<&[f64]>,
         lanes: usize,
         feet: F,
-        out: &mut [f64],
+        panel: &mut [f64],
     ) -> usize
     where
-        F: FnMut(usize, &mut [f64]),
+        F: Fn(usize) -> (&'a [f64], f64),
     {
         const W: usize = LANE_WIDTH;
-        assert_eq!(out.len() % W, 0, "eval_panel: whole rows");
+        assert_eq!(panel.len() % W, 0, "eval_panel: whole rows");
         assert!(lanes <= W, "eval_panel: {lanes} lanes in a panel");
-        let rows = out.len() / W;
-        self.with_columns(W, rows, lanes, |cols, xs, ys| {
-            let vector_runs = self.walk_lanes(isa, coefs, lanes, feet, cols, xs, ys);
-            interleave_columns(ys, lanes, out);
+        let rows = panel.len() / W;
+        self.with_columns(W, lanes, rows, |cols, ys| {
+            // The scalar body reads a lane's coefficients where they lie, so
+            // the panel is overwritten only once every lane is walked.
+            let vector_runs = self.walk_lanes(isa, coefs.unwrap_or(panel), lanes, feet, cols, ys);
+            interleave_columns(ys, lanes, panel);
             vector_runs
         })
     }
 
     /// The panel evaluator's core: de-interleave `coefs` into the column
-    /// scratch `cols`, then per lane fill `xs` with its feet and walk it
-    /// into its column of `out` (`lanes` columns of `xs.len()` rows).
-    /// Returns the runs that took the vector path.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_lanes<F>(
+    /// scratch `cols`, then walk each lane at its `feet` into its column of
+    /// `out` (`lanes` columns). Returns the runs that took the vector path.
+    fn walk_lanes<'a, F>(
         &self,
         isa: PanelIsa,
         coefs: &[f64],
         lanes: usize,
-        mut feet: F,
+        feet: F,
         cols: &mut [f64],
-        xs: &mut [f64],
         out: &mut [f64],
     ) -> usize
     where
-        F: FnMut(usize, &mut [f64]),
+        F: Fn(usize) -> (&'a [f64], f64),
     {
         const W: usize = LANE_WIDTH;
-        let (nb, wrapped, rows) = (self.num_basis(), self.n + self.degree, xs.len());
+        let (nb, wrapped) = (self.num_basis(), self.n + self.degree);
+        let rows = out.len().checked_div(lanes).unwrap_or(0);
         assert_eq!(coefs.len(), nb * W, "eval_panel: coefficients");
         let stride = self.column_stride();
         deinterleave_columns(isa, coefs, stride, cols);
@@ -714,9 +732,10 @@ impl SplineSpace {
         for (l, ys) in out.chunks_exact_mut(rows.max(1)).take(lanes).enumerate() {
             let col = &mut cols[l * stride..][..wrapped];
             col.copy_within(..wrapped - nb, nb);
-            feet(l, xs);
+            let (base, shift) = feet(l);
+            assert_eq!(base.len(), rows, "eval_panel: lane {l}'s feet");
             let lane = Strided::new(&coefs[l..], nb, W);
-            vector_runs += self.walk_on(isa, lane, col, xs, ys);
+            vector_runs += self.walk_on(isa, lane, col, base, shift, ys);
         }
         vector_runs
     }
@@ -1134,6 +1153,40 @@ mod tests {
             let lhs = s.eval(&sum, x);
             let rhs = s.eval(&a, x) + 2.0 * s.eval(&b, x);
             assert!((lhs - rhs).abs() < 1e-12);
+        }
+    }
+
+    /// Every column [`SplineSpace::with_columns`] lends starts a cache line —
+    /// each coefficient column whatever `n + degree` is, each column after
+    /// them when `rows` is whole lines — however the scratch grew or shrank
+    /// between calls, and the columns are as long as asked.
+    #[test]
+    fn scratch_columns_start_a_line() {
+        let at_line = |v: &[f64]| (v.as_ptr() as usize).is_multiple_of(64);
+        let calls = [
+            (9, 3, 1, 8, 16),
+            (40, 5, 8, 8, 1024),
+            (13, 2, 8, 0, 0),
+            (17, 4, 1, 2, 24),
+        ];
+        for (n, degree, lanes, columns, rows) in calls {
+            let space = uniform_space(n, degree);
+            let stride = space.column_stride();
+            assert!(stride >= n + degree && stride.is_multiple_of(LANE_WIDTH));
+            space.with_columns(lanes, columns, rows, |cols, rest| {
+                let what = format!("n {n} degree {degree}, {lanes} lanes, {columns} x {rows}");
+                assert_eq!(
+                    (cols.len(), rest.len()),
+                    (lanes * stride, columns * rows),
+                    "{what}"
+                );
+                for col in cols.chunks_exact(stride) {
+                    assert!(at_line(col), "{what}: coefficient column");
+                }
+                for column in rest.chunks_exact(rows.max(1)) {
+                    assert!(at_line(column), "{what}: column after them");
+                }
+            });
         }
     }
 }

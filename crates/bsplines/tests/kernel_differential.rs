@@ -360,31 +360,46 @@ fn wrap_edges_and_non_finite_positions() {
     }
 }
 
-/// One panel problem: `rows` feet per lane, and what [`eval_lane`] makes
-/// of each live lane.
+/// One panel problem: per lane its feet as the evaluator takes them, and
+/// what [`eval_lane`] makes of each live lane at the feet they stand for.
 ///
 /// [`eval_lane`]: PeriodicSplineSpace::eval_lane
 struct PanelCase {
     what: String,
     lanes: usize,
+    rows: usize,
     /// `[n][LANE_WIDTH]`; the padding lanes hold NaN.
     coefs: Vec<f64>,
-    /// `[rows][LANE_WIDTH]`; the padding lanes hold NaN.
-    feet: Vec<[f64; LANE_WIDTH]>,
+    /// Per live lane `(base, shift)`: `rows` feet `base[i] − shift`.
+    feet: Vec<(Vec<f64>, f64)>,
     /// `[rows][LANE_WIDTH]`, live lanes only.
     expected: Vec<[f64; LANE_WIDTH]>,
 }
 
-/// The feet layouts of the panel rows. `Shuffled` gives every lane its own
-/// order of [`positions`], so a lane mixes cells, edges and far periods
-/// (nothing is a run: the scalar body with a stale hint); `Swept` is one
-/// ascending sweep of [`positions`] displaced per lane (several feet to a
+impl PanelCase {
+    /// Lane `l`'s feet, as the panel and column entry points ask for them.
+    fn feet<'a>(&'a self) -> impl Fn(usize) -> (&'a [f64], f64) + 'a {
+        |l| (&self.feet[l].0[..], self.feet[l].1)
+    }
+
+    /// The foot lane `l` stands for in row `i`.
+    fn foot(&self, i: usize, l: usize) -> f64 {
+        self.feet[l].0[i] - self.feet[l].1
+    }
+}
+
+/// The feet layouts of the panel rows, each a `base` and a `shift` per lane.
+/// `Shuffled(shift)` gives every lane its own order of [`positions`] as its
+/// base, so a lane mixes cells, edges and far periods (nothing is a run: the
+/// scalar body with a stale hint), shifted by `±0.0`; `Swept` is one
+/// ascending sweep of [`positions`] shifted per lane (several feet to a
 /// cell); `Poisoned(bad)` is `Swept` with `bad` in every third row of one
-/// lane; `Advected(shift)` is the advection step's own shape, `rows = n`
-/// feet `interpolation_points() − shift·h` (one foot to a cell: runs).
+/// lane's base; `Advected(shift)` is the advection step's own shape, base
+/// `interpolation_points()` (`rows = n`) and shift `shift·h` (one foot to a
+/// cell: runs).
 #[derive(Clone, Copy)]
 enum Feet {
-    Shuffled,
+    Shuffled(f64),
     Swept,
     Poisoned(f64),
     Advected(f64),
@@ -396,13 +411,30 @@ fn mean_width(breaks: &Breaks) -> f64 {
 }
 
 /// The displacements of the `Advected` layout in mean cell widths: none, a
-/// fraction of a cell either way, whole cells, more than a period, and the
-/// one that puts a foot on a break point.
+/// fraction of a cell either way, whole cells, more than a period, exactly
+/// a period either way (every foot wraps onto a grid point of the next
+/// period), half a period and a bit (half the feet cross a clamped edge),
+/// the one that puts a foot on a break point, and NaN (every foot NaN).
 fn advected_shifts(space: &PeriodicSplineSpace) -> Vec<f64> {
     let breaks = space.breaks();
     let (n, h) = (space.num_basis() as f64, mean_width(breaks));
+    let cells = breaks.num_cells() as f64;
     let onto_break = (space.interpolation_point(5) - breaks.points()[3]) / h;
-    vec![0.0, 0.37, -0.37, 3.0, -3.0, n + 2.5, -(n + 2.5), onto_break]
+    vec![
+        0.0,
+        0.37,
+        -0.37,
+        3.0,
+        -3.0,
+        n + 2.5,
+        -(n + 2.5),
+        cells,
+        -cells,
+        0.5 * cells + 0.37,
+        -(0.5 * cells + 0.37),
+        onto_break,
+        f64::NAN,
+    ]
 }
 
 fn panel_case(
@@ -427,34 +459,28 @@ fn panel_case(
     }
     let rows = sweep.len();
     let poisoned = rng.gen_range(0usize..lanes);
-    let columns: Vec<Vec<f64>> = (0..lanes)
+    let feet: Vec<(Vec<f64>, f64)> = (0..lanes)
         .map(|l| {
-            let mut lane: Vec<f64> = match layout {
-                Feet::Shuffled => positions(breaks, rng),
+            let (mut base, shift) = match layout {
+                Feet::Shuffled(shift) => (positions(breaks, rng), shift),
                 Feet::Swept | Feet::Poisoned(_) => {
-                    let by = breaks.period() * rng.gen_range(-0.05..0.05);
-                    sweep.iter().map(|x| x - by).collect()
+                    (sweep.clone(), breaks.period() * rng.gen_range(-0.05..0.05))
                 }
-                Feet::Advected(shift) => {
-                    let by = shift * mean_width(breaks);
-                    sweep.iter().map(|x| x - by).collect()
-                }
+                Feet::Advected(shift) => (sweep.clone(), shift * mean_width(breaks)),
             };
             if let (Feet::Poisoned(bad), true) = (layout, l == poisoned) {
-                lane.iter_mut().skip(1).step_by(3).for_each(|x| *x = bad);
+                base.iter_mut().skip(1).step_by(3).for_each(|x| *x = bad);
             }
-            lane
+            (base, shift)
         })
         .collect();
-    let feet = (0..rows)
-        .map(|i| std::array::from_fn(|l| columns.get(l).map_or(f64::NAN, |lane| lane[i])))
-        .collect();
     let mut expected = vec![[0.0; LANE_WIDTH]; rows];
-    for (l, xs) in columns.iter().enumerate() {
+    for (l, (base, shift)) in feet.iter().enumerate() {
+        let xs: Vec<f64> = base.iter().map(|x| x - shift).collect();
         let mut out = vec![0.0; rows];
         space.eval_lane(
             Strided::new(&coefs[l..], n, LANE_WIDTH),
-            Strided::from_slice(xs),
+            Strided::from_slice(&xs),
             StridedMut::from_slice(&mut out),
         );
         for (row, y) in expected.iter_mut().zip(out) {
@@ -464,19 +490,20 @@ fn panel_case(
     PanelCase {
         what,
         lanes,
+        rows,
         coefs,
         feet,
         expected,
     }
 }
 
-/// The panel instance is [`PeriodicSplineSpace::eval_lane`] lane for lane,
-/// bit for bit — through every instruction-set instance the host can run
+/// The panel and column entry points at `(base, shift)` are
+/// [`PeriodicSplineSpace::eval_lane`] at `base − shift`, lane for lane, bit
+/// for bit — through every instruction-set instance the host can run
 /// (hence every instance equals the baseline one), on every mesh kind and
-/// both boundaries, for full and partial panels, with the padding lanes
-/// never written and a non-finite foot harming nothing but its own point —
-/// and the feet column, in the thread's column scratch, starts a cache line
-/// whatever `n + degree` is and however the scratch grew or shrank.
+/// both boundaries, for full and partial panels, with the coefficients
+/// apart or in the panel itself, with the padding lanes never written, and
+/// a non-finite foot or shift harming nothing but its own points.
 #[test]
 fn eval_panel_is_eval_lane_bitwise_on_every_isa() {
     let mut rng = TestRng::seed_from_u64(0xB5_0019);
@@ -494,7 +521,8 @@ fn eval_panel_is_eval_lane_bitwise_on_every_isa() {
         }
         for space in spaces(&mesh.breaks, degrees) {
             let mut layouts = vec![
-                (Feet::Shuffled, "shuffled".to_string()),
+                (Feet::Shuffled(0.0), "shuffled".to_string()),
+                (Feet::Shuffled(-0.0), "shuffled, shift -0".to_string()),
                 (Feet::Swept, "swept".to_string()),
                 (Feet::Poisoned(f64::NAN), "NaN lane".to_string()),
                 (Feet::Poisoned(f64::INFINITY), "+inf lane".to_string()),
@@ -520,6 +548,24 @@ fn eval_panel_is_eval_lane_bitwise_on_every_isa() {
             }
         }
     }
+    // Live lanes against `expected`, padding lanes against `padding`.
+    let check = |space: &SplineSpace, case: &PanelCase, panel: &[f64], pad: &[f64], what: &str| {
+        let rows = panel
+            .chunks_exact(LANE_WIDTH)
+            .zip(pad.chunks_exact(LANE_WIDTH));
+        for (i, ((got, pad), want)) in rows.zip(&case.expected).enumerate() {
+            for l in 0..case.lanes {
+                if space.wrap(case.foot(i, l)).is_nan() {
+                    assert!(got[l].is_nan() && want[l].is_nan(), "{what}: ({i}, {l})");
+                } else {
+                    assert_eq!(got[l].to_bits(), want[l].to_bits(), "{what}: ({i}, {l})");
+                }
+            }
+            let (got, pad) = (&got[case.lanes..], &pad[case.lanes..]);
+            let untouched = got.iter().zip(pad).all(|(g, p)| g.to_bits() == p.to_bits());
+            assert!(untouched, "{what}: padding of row {i}");
+        }
+    };
     for isa in PanelIsa::ALL {
         if !isa.is_available() {
             eprintln!("panel instance {}: skipped, the host lacks it", isa.name());
@@ -527,25 +573,20 @@ fn eval_panel_is_eval_lane_bitwise_on_every_isa() {
         }
         for (space, case) in &cases {
             let what = format!("{} on {}", case.what, isa.name());
-            let mut out = vec![-7.0; case.feet.len() * LANE_WIDTH];
-            let feet = |l: usize, column: &mut [f64]| {
-                assert_eq!(column.as_ptr() as usize % 64, 0, "{what}: feet column");
-                for (x, row) in column.iter_mut().zip(&case.feet) {
-                    *x = row[l];
-                }
-            };
-            space.eval_panel_on(isa, &case.coefs, case.lanes, feet, &mut out);
-            for (i, (got, want)) in out.chunks_exact(LANE_WIDTH).zip(&case.expected).enumerate() {
-                for l in 0..case.lanes {
-                    if space.wrap(case.feet[i][l]).is_nan() {
-                        assert!(got[l].is_nan() && want[l].is_nan(), "{what}: ({i}, {l})");
-                    } else {
-                        assert_eq!(got[l].to_bits(), want[l].to_bits(), "{what}: ({i}, {l})");
-                    }
-                }
-                assert!(
-                    got[case.lanes..].iter().all(|&v| v == -7.0),
-                    "{what}: row {i}"
+            let mut out = vec![-7.0; case.rows * LANE_WIDTH];
+            space.eval_panel_on(isa, Some(&case.coefs), case.lanes, case.feet(), &mut out);
+            check(space, case, &out, &vec![-7.0; out.len()], &what);
+            // The step's own shape: the panel holds the coefficients and is
+            // overwritten by the results.
+            if case.rows == space.num_basis() {
+                let mut panel = case.coefs.clone();
+                space.eval_panel_on(isa, None, case.lanes, case.feet(), &mut panel);
+                check(
+                    space,
+                    case,
+                    &panel,
+                    &case.coefs,
+                    &format!("{what} in place"),
                 );
             }
         }
@@ -557,23 +598,12 @@ fn eval_panel_is_eval_lane_bitwise_on_every_isa() {
     // The column egress is the same walk minus the interleaving pass:
     // live lanes only, each a contiguous column.
     for (space, case) in &cases {
-        let rows = case.feet.len();
+        let rows = case.rows;
         let mut out = vec![-7.0; case.lanes * rows];
-        let feet = |l: usize, column: &mut [f64]| {
-            assert_eq!(
-                column.as_ptr() as usize % 64,
-                0,
-                "{}: feet column",
-                case.what
-            );
-            for (x, row) in column.iter_mut().zip(&case.feet) {
-                *x = row[l];
-            }
-        };
-        space.eval_columns(&case.coefs, case.lanes, feet, &mut out);
+        space.eval_columns(&case.coefs, case.lanes, case.feet(), &mut out);
         for (l, column) in out.chunks_exact(rows).enumerate() {
             for (i, got) in column.iter().enumerate() {
-                let (foot, want) = (case.feet[i][l], case.expected[i][l]);
+                let (foot, want) = (case.foot(i, l), case.expected[i][l]);
                 let same = got.to_bits() == want.to_bits() || !foot.is_finite() && got.is_nan();
                 assert!(same, "{} columns: ({i}, {l})", case.what);
             }
@@ -632,13 +662,7 @@ fn check_against_reference(
     for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
         // `rows` need not be whole runs; the panel is whole rows anyway.
         let mut out = vec![-7.0; rows * LANE_WIDTH];
-        let taken = space.eval_panel_on(
-            isa,
-            &panel,
-            lanes,
-            |_, column| column.copy_from_slice(xs),
-            &mut out,
-        );
+        let taken = space.eval_panel_on(isa, Some(&panel), lanes, |_| (xs, 0.0), &mut out);
         assert_eq!(
             *vector_runs.get_or_insert(taken),
             taken,

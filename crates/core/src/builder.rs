@@ -7,7 +7,8 @@ use pp_linalg::{LaneRows, Panel};
 use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::PanelIsa;
 use pp_portable::LANE_WIDTH;
-use pp_portable::{run_blocks, ExecSpace, Field, InterleavedMatrix, Lines, Matrix, ResidentBatch};
+use pp_portable::{fill_panel, run_blocks, ExecSpace, Field, InterleavedMatrix, Lines};
+use pp_portable::{Matrix, ResidentBatch};
 use pp_sparse::Coo;
 use std::cell::RefCell;
 
@@ -182,19 +183,20 @@ impl SplineBuilder {
     /// **Fused entry point**: solve the field `b` block by block — the
     /// panels of a [`ResidentBatch`], or eight lanes at a time of a
     /// lane-contiguous host matrix ([`pp_portable::HostField`]) or of a
-    /// batch's transpose ([`pp_portable::TiledField`]) — and hand
-    /// each block's coefficients, still in cache, to
-    /// `then(chunk, lanes, coefs, block)`, which overwrites `block`, the
-    /// part of `b` the right-hand sides came from (`lanes` live lanes, laid
-    /// out as [`Field::PANELS`] says), with whatever it makes of them (the
-    /// advection step evaluates them at the characteristic feet). One
-    /// parallel region, a worker's turn being a run of up to four blocks
-    /// solved side by side; `coefs` is an interleaved `[nrows][LANE_WIDTH]`
-    /// panel in a per-worker scratch, from a cache line on — copied from a
-    /// resident panel, gathered from host lanes — never a second batch.
+    /// batch's transpose ([`pp_portable::TiledField`]) — and hand each
+    /// block's coefficients, still in cache, to `then(chunk, lanes, solved)`,
+    /// which overwrites the block, the part of `b` the right-hand sides came
+    /// from (`lanes` live lanes, laid out as [`Field::PANELS`] says), with
+    /// whatever it makes of them (the advection step evaluates them at the
+    /// characteristic feet). One parallel region, a worker's turn being a
+    /// run of up to four blocks solved side by side. A block that is a panel
+    /// is solved where it lies and handed over as [`Solved::InPlace`];
+    /// any other is gathered into a panel in a per-worker scratch, from a
+    /// cache line on, solved there and handed over as [`Solved::Apart`] —
+    /// never a second batch.
     ///
     /// The region runs the fused Algorithm 1 with this version's corner
-    /// axis, so `coefs` holds the bits [`SplineBuilder::solve_resident`]
+    /// axis, so the coefficients are the bits [`SplineBuilder::solve_resident`]
     /// would leave in `b` — for [`BuilderVersion::Baseline`] too, whose
     /// four regions are an ablation of the solve alone. `then` must not
     /// call back into a fused entry point on the same thread (the scratch
@@ -203,12 +205,12 @@ impl SplineBuilder {
     where
         E: ExecSpace,
         B: Field,
-        F: Fn(usize, usize, &[f64], &mut [f64]) + Sync + Send,
+        F: Fn(usize, usize, Solved<'_>) + Sync + Send,
     {
         self.check_rows(b.shape().0)?;
         b.for_each_run_mut(exec, ABREAST, |first, lanes, run| {
-            self.solve_run::<B>(first, lanes, run, false, |chunk, lanes, coefs, _, block| {
-                then(chunk, lanes, coefs, block);
+            self.solve_run::<B>(first, lanes, run, false, |chunk, lanes, x, block, _| {
+                then(chunk, lanes, Solved::new(x, block));
             });
         });
         Ok(())
@@ -216,38 +218,51 @@ impl SplineBuilder {
 
     /// One worker's turn of every fused entry point: take apart the `run`
     /// [`Field::for_each_run_mut`] handed out (`lanes` live lanes from block
-    /// `first` on), fill a scratch panel from each block
-    /// ([`Field::fill_panel`]), solve those panels abreast, then hand each
-    /// block to `each(chunk, lanes, coefs, gathered, block)` with its solved
-    /// panel. With `keep`, `gathered` is the panel as filled — the right-hand
-    /// sides of a block that is not itself a panel, for a caller that screens
-    /// the solve against them — else empty.
+    /// `first` on) into the panels to solve — the run itself on a field of
+    /// panels, else a scratch panel gathered from each block
+    /// ([`pp_portable::fill_panel`]) — solve those abreast, then hand each
+    /// block to `each(chunk, lanes, x, block, kept)`: `x` is its solved
+    /// panel, `block` the block itself when that is not `x`. With `keep`,
+    /// `kept` is the panel's right-hand sides, copied into the second
+    /// scratch set before the solve, for a caller that screens the solve
+    /// against them — else empty.
     pub(crate) fn solve_run<B: Field>(
         &self,
         first: usize,
         lanes: usize,
         run: &mut [f64],
         keep: bool,
-        mut each: impl FnMut(usize, usize, &mut [f64], &[f64], &mut [f64]),
+        mut each: impl FnMut(usize, usize, &mut [f64], Option<&mut [f64]>, &[f64]),
     ) {
         let n = self.space.num_basis();
         let panel = n * LANE_WIDTH;
-        PANEL_SCRATCH.with_borrow_mut(|[coefs, gathered]| {
-            let coefs = coefs.at_least(lanes.div_ceil(LANE_WIDTH) * panel);
-            let blocks = coefs.chunks_exact_mut(panel).zip(run_blocks(run, n, lanes));
-            for (coefs, (block_lanes, block)) in blocks {
-                B::fill_panel(block, block_lanes, coefs);
-            }
+        PANEL_SCRATCH.with_borrow_mut(|[scratch, kept]| {
+            let (panels, mut apart) = if B::PANELS {
+                (run, None)
+            } else {
+                let panels = scratch.at_least(lanes.div_ceil(LANE_WIDTH) * panel);
+                let blocks = panels
+                    .chunks_exact_mut(panel)
+                    .zip(run_blocks(run, n, lanes));
+                for (panel, (block_lanes, block)) in blocks {
+                    fill_panel(block, block_lanes, panel);
+                }
+                (panels, Some(run_blocks(run, n, lanes)))
+            };
             let kept = keep.then(|| {
-                let kept = gathered.at_least(coefs.len());
-                kept.copy_from_slice(coefs);
+                let kept = kept.at_least(panels.len());
+                kept.copy_from_slice(panels);
                 &*kept
             });
-            self.solve_panels_on(PanelIsa::detected(), coefs);
-            let solved = coefs.chunks_exact_mut(panel).zip(run_blocks(run, n, lanes));
-            for (p, (coefs, (block_lanes, block))) in solved.enumerate() {
-                let gathered = kept.map_or(&[][..], |kept| &kept[p * panel..][..panel]);
-                each(first + p, block_lanes, coefs, gathered, block);
+            self.solve_panels_on(PanelIsa::detected(), panels);
+            for (p, x) in panels.chunks_exact_mut(panel).enumerate() {
+                let live = LANE_WIDTH.min(lanes - p * LANE_WIDTH);
+                let block = apart
+                    .as_mut()
+                    .and_then(Iterator::next)
+                    .map(|(_, block)| block);
+                let kept = kept.map_or(&[][..], |kept| &kept[p * panel..][..panel]);
+                each(first + p, live, x, block, kept);
             }
         });
     }
@@ -397,13 +412,44 @@ pub(crate) fn schur_solve<R: LaneRows>(blocks: &SchurBlocks, sparse: bool, rows:
 /// (EXPERIMENTS.md, PR 24: 2 against 4), not a setting.
 pub(crate) const ABREAST: usize = 4;
 
+/// Where a fused entry point's continuation finds a block's coefficients
+/// ([`SplineBuilder::solve_then`]): in the block, or in a panel apart from
+/// it — never both, so there is one `&mut` to the block.
+pub enum Solved<'a> {
+    /// The block is an interleaved `[nrows][LANE_WIDTH]` panel (a field
+    /// whose [`Field::PANELS`] holds) and holds the coefficients; the
+    /// continuation overwrites them with its results.
+    InPlace(&'a mut [f64]),
+    /// The coefficients are the interleaved panel `coefs`, in a worker's
+    /// scratch or a coefficient store; the continuation overwrites `block`,
+    /// the block's live lanes as contiguous columns.
+    Apart {
+        /// The block's coefficients, `[nrows][LANE_WIDTH]`.
+        coefs: &'a [f64],
+        /// Where the results go.
+        block: &'a mut [f64],
+    },
+}
+
+impl<'a> Solved<'a> {
+    /// The solved panel `x`, which is the block itself unless `block` is
+    /// given.
+    pub(crate) fn new(x: &'a mut [f64], block: Option<&'a mut [f64]>) -> Self {
+        match block {
+            None => Solved::InPlace(x),
+            Some(block) => Solved::Apart { coefs: x, block },
+        }
+    }
+}
+
 thread_local! {
     /// This worker's scratch for the fused entry points: two sets of up to
     /// [`ABREAST`] panels back to back, each from a cache line on, reused
-    /// for every run of every step. The first set holds the run's blocks as
-    /// panels — filled at the top of the worker's turn, solved there, lent
-    /// to the continuation. The second is touched only by the verified step
-    /// on a host field, which needs the gathered right-hand sides beside the
+    /// for every run of every step. The first set holds a run of blocks that
+    /// are not panels as panels — gathered at the top of the worker's turn,
+    /// solved there, lent to the continuation; a field of panels is solved
+    /// where it lies and never touches it. The second is touched only by the
+    /// verified step, which needs the right-hand sides beside the
     /// coefficients.
     static PANEL_SCRATCH: RefCell<[Lines; 2]> =
         const { RefCell::new([const { Lines::new() }; 2]) };

@@ -7,7 +7,7 @@
 
 use crate::error::{Error, Result};
 use pp_bsplines::PeriodicSplineSpace;
-use pp_portable::{ExecSpace, Matrix, ResidentBatch, Strided, StridedMut, LANE_WIDTH};
+use pp_portable::{ExecSpace, Layout, Matrix, ResidentBatch, Strided, StridedMut, LANE_WIDTH};
 
 /// Evaluates batched splines over a shared [`PeriodicSplineSpace`].
 #[derive(Debug, Clone)]
@@ -76,8 +76,9 @@ impl SplineEvaluator {
     /// are read straight out of the packed panels and results are written
     /// straight into the output batch's panels — no pack/unpack transpose
     /// on either side. Each panel goes through
-    /// [`PeriodicSplineSpace::eval_panel`], its feet columns copied from
-    /// `positions`' columns; lane for lane that is
+    /// [`PeriodicSplineSpace::eval_panel`], lane `j` at `positions`' column
+    /// `j` (copied into a contiguous one first unless `positions` is
+    /// [`Layout::Left`]); lane for lane that is
     /// [`PeriodicSplineSpace::eval_lane`]'s body on the same coefficients
     /// and positions, so the two entry points agree bit for bit.
     ///
@@ -95,17 +96,22 @@ impl SplineEvaluator {
             positions.shape(),
             (out.nrows(), out.ncols()),
         )?;
-        if positions.nrows() == 0 {
+        let m = positions.nrows();
+        if m == 0 {
             return Ok(());
         }
+        let copied;
+        let positions = if positions.layout() == Layout::Left {
+            positions.as_slice()
+        } else {
+            copied = positions.to_layout(Layout::Left);
+            copied.as_slice()
+        };
         let space = &self.space;
         let cpanels = coefs.panels();
         out.for_each_chunk_mut(exec, |c, lanes, chunk| {
-            let feet = |l: usize, column: &mut [f64]| {
-                let lane = positions.col(c * LANE_WIDTH + l);
-                column.iter_mut().zip(lane.iter()).for_each(|(x, p)| *x = p);
-            };
-            space.eval_panel(cpanels.chunk(c), lanes, feet, chunk);
+            let feet = |l: usize| (&positions[(c * LANE_WIDTH + l) * m..][..m], 0.0);
+            space.eval_panel(Some(cpanels.chunk(c)), lanes, feet, chunk);
         });
         Ok(())
     }
@@ -127,7 +133,7 @@ mod tests {
     use super::*;
     use crate::builder::{BuilderVersion, SplineBuilder};
     use pp_bsplines::Breaks;
-    use pp_portable::{Layout, Parallel, Serial};
+    use pp_portable::{Parallel, Serial};
 
     fn setup(n: usize, degree: usize) -> (PeriodicSplineSpace, SplineBuilder) {
         let sp = PeriodicSplineSpace::new(Breaks::uniform(n, 0.0, 1.0).unwrap(), degree).unwrap();

@@ -6,7 +6,7 @@
 //! block-Jacobi preconditioning and optional warm starts from the previous
 //! time step.
 
-use crate::builder::{BuilderVersion, SplineBuilder};
+use crate::builder::{BuilderVersion, Solved, SplineBuilder};
 use crate::error::{Error, Result};
 use pp_bsplines::{assemble_interpolation_matrix, PeriodicSplineSpace};
 use pp_iterative::{
@@ -232,8 +232,10 @@ impl IterativeSplineSolver {
     /// coefficient store of `b`'s shape that the caller keeps. If any lane
     /// failed it returns [`Error::NotConverged`], `b` and `previous`
     /// untouched. Otherwise the second region hands each block its panel of
-    /// `eta` as `then(chunk, lanes, coefs, block)`, which overwrites `block`;
-    /// `eta` is then the next step's warm start.
+    /// `eta` to `then(chunk, lanes, solved)`, which overwrites the block:
+    /// [`Solved::Apart`], or for a block that is a panel
+    /// [`Solved::InPlace`] on a copy of it in the block, so that `eta` stays
+    /// untouched as the next step's warm start.
     pub fn solve_then<E, B, F>(
         &self,
         exec: &E,
@@ -245,7 +247,7 @@ impl IterativeSplineSolver {
     where
         E: ExecSpace,
         B: Field,
-        F: Fn(usize, usize, &[f64], &mut [f64]) + Sync + Send,
+        F: Fn(usize, usize, Solved<'_>) + Sync + Send,
     {
         let (rows, lanes) = b.shape();
         self.check_rows(rows)?;
@@ -280,7 +282,15 @@ impl IterativeSplineSolver {
         results.record(&mut logger);
         let logger = converged(logger)?;
         let eta = &*eta;
-        b.for_each_run_mut(exec, 1, |c, live, block| then(c, live, eta.chunk(c), block));
+        b.for_each_run_mut(exec, 1, |c, live, block| {
+            let coefs = eta.chunk(c);
+            if B::PANELS {
+                block.copy_from_slice(coefs);
+                then(c, live, Solved::InPlace(block));
+            } else {
+                then(c, live, Solved::Apart { coefs, block });
+            }
+        });
         Ok(logger)
     }
 

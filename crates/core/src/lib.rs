@@ -68,7 +68,7 @@ pub mod tensor2d;
 pub mod verified;
 
 pub use blocks::{QClass, QFactors, SchurBlocks};
-pub use builder::{BuilderVersion, SplineBuilder};
+pub use builder::{BuilderVersion, Solved, SplineBuilder};
 pub use checkpoint::{CheckpointStore, Snapshot, DEFAULT_KEEP};
 pub use error::{Error, Result};
 pub use evaluator::SplineEvaluator;

@@ -28,7 +28,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::blocks::{QClass, SchurBlocks};
-use crate::builder::{schur_solve, BuilderVersion, SplineBuilder, ABREAST};
+use crate::builder::{schur_solve, BuilderVersion, Solved, SplineBuilder, ABREAST};
 use crate::error::Result;
 use crate::iterative_backend::{IterativeConfig, IterativeSplineSolver};
 use pp_bsplines::{assemble_interpolation_matrix, Breaks, SplineSpace};
@@ -544,14 +544,13 @@ impl VerifiedBuilder {
     /// field `b` — a [`ResidentBatch`], a lane-contiguous host matrix
     /// ([`pp_portable::HostField`]) or a batch's transpose
     /// ([`pp_portable::TiledField`]) — with the coefficients of every block
-    /// handed, still in cache, to `then(chunk, lanes, coefs, block)`, which
-    /// overwrites `block` — the part of `b` the right-hand sides came from
-    /// — with whatever it makes of them, exactly as
-    /// [`SplineBuilder::solve_then`]. The block's right-hand sides as a
-    /// panel are the pristine snapshot the screen compares against (a
-    /// resident panel is one already, a host block is gathered into the
-    /// worker's scratch), so the coefficients are solved in a per-worker
-    /// scratch and `b` never holds them.
+    /// handed, still in cache, to `then(chunk, lanes, solved)`, which
+    /// overwrites the block — the part of `b` the right-hand sides came
+    /// from — with whatever it makes of them, exactly as
+    /// [`SplineBuilder::solve_then`]: a panel is solved where it lies, any
+    /// other block in a per-worker scratch. The block's right-hand sides as
+    /// a panel, copied into the worker's second scratch before the solve,
+    /// are the pristine snapshot the screen compares against.
     ///
     /// A lane the serial tail repairs or quarantines has new coefficients
     /// after `then` has consumed the old ones: for each such lane the tail
@@ -572,7 +571,7 @@ impl VerifiedBuilder {
     where
         E: ExecSpace,
         B: Field,
-        P: Fn(usize, usize, &[f64], &mut [f64]) + Sync + Send,
+        P: Fn(usize, usize, Solved<'_>) + Sync + Send,
         L: FnMut(usize, &[f64], &mut [f64]),
     {
         let mut out = Vec::new();
@@ -595,7 +594,9 @@ impl VerifiedBuilder {
     /// of panels. With it, each block's coefficients go to `then` inside
     /// the region (see [`VerifiedBuilder::solve_then`]) and `b` holds what
     /// `then` wrote. Either way a lane whose coefficients the tail replaces
-    /// is handed to `land(b, lane, coefs)`.
+    /// is handed to `land(b, lane, coefs)`. A worker that dies mid-run may
+    /// leave a block of panels holding coefficients rather than its old
+    /// values (DESIGN.md §11).
     fn verify_panels<E: ExecSpace, B: Field>(
         &self,
         exec: &E,
@@ -611,25 +612,21 @@ impl VerifiedBuilder {
             B::PANELS || then.is_some(),
             "an in-place verified solve needs panels"
         );
-        // A worker's turn is the builder's: the run's blocks solved abreast
-        // in its scratch, away from `b`. Each block's pristine right-hand
-        // sides — the block itself when it is a panel, else the panel
-        // gathered from it — are what its solved panel is screened against,
-        // while both are in cache; then the coefficients go where they are
-        // wanted: to `then`, which overwrites the block, or into the block.
+        // A worker's turn is the builder's: the run's blocks solved abreast,
+        // where they lie when they are panels, else in its scratch. Each
+        // block's pristine right-hand sides, kept beside it, are what its
+        // solved panel is screened against while both are in cache; then the
+        // coefficients go to `then`, which overwrites the block, or stay
+        // where they were solved: in the block.
         b.for_each_run_mut(exec, ABREAST, |first, lanes, run| {
-            let each =
-                |chunk: usize, lanes: usize, x: &mut [f64], gathered: &[f64], block: &mut [f64]| {
-                    let rhs = if B::PANELS { &*block } else { gathered };
-                    let screen = self.screen(chunk, lanes, x, rhs);
-                    match then {
-                        Some(then) => then(chunk, lanes, x, block),
-                        None => block.copy_from_slice(x),
-                    }
-                    assert!(screens[chunk].set(screen).is_ok(), "panel visited twice");
-                };
-            self.builder
-                .solve_run::<B>(first, lanes, run, !B::PANELS, each);
+            let each = |chunk, lanes, x: &mut [f64], block: Option<&mut [f64]>, rhs: &[f64]| {
+                let screen = self.screen(chunk, lanes, x, rhs);
+                if let Some(then) = then {
+                    then(chunk, lanes, Solved::new(x, block));
+                }
+                assert!(screens[chunk].set(screen).is_ok(), "panel visited twice");
+            };
+            self.builder.solve_run::<B>(first, lanes, run, true, each);
         });
         // A quarantined lane's coefficients; built only when one turns up.
         let zeros = || vec![0.0; nrows];
@@ -1056,8 +1053,8 @@ fn lane_of(panel: &[f64], l: usize) -> Vec<f64> {
 }
 
 /// What a fused solve does with a block's coefficients:
-/// `then(chunk, lanes, coefs, block)`.
-type PanelThen<'a> = dyn Fn(usize, usize, &[f64], &mut [f64]) + Sync + 'a;
+/// `then(chunk, lanes, solved)`.
+type PanelThen<'a> = dyn Fn(usize, usize, Solved<'_>) + Sync + 'a;
 
 /// What the panel screen concluded about one lane; the caller turns it
 /// into a [`LaneVerdict`].
@@ -1301,7 +1298,10 @@ pub fn sdc_round(seed: u64) -> SdcRound {
             sdc_probe_persistent: persistent,
             ..VerifyConfig::default()
         });
-    let keep = move |_: usize, lanes: usize, coefs: &[f64], block: &mut [f64]| {
+    let keep = move |_: usize, lanes: usize, solved: Solved<'_>| {
+        let Solved::Apart { coefs, block } = solved else {
+            unreachable!("a host field's blocks are not panels")
+        };
         for (l, row) in block.chunks_exact_mut(cells).take(lanes).enumerate() {
             for (v, c) in row.iter_mut().zip(coefs.iter().skip(l).step_by(LANE_WIDTH)) {
                 *v = *c;
@@ -1950,13 +1950,12 @@ mod tests {
         let fused = |verified: &VerifiedBuilder, rhs: &Matrix, parallel: bool| {
             let sp = verified.builder().space();
             let pts = sp.interpolation_points();
-            let then = |chunk: usize, lanes: usize, coefs: &[f64], panel: &mut [f64]| {
-                let feet = |l: usize, column: &mut [f64]| {
-                    for (foot, x) in column.iter_mut().zip(&pts) {
-                        *foot = x - shift(chunk * LANE_WIDTH + l);
-                    }
+            let then = |chunk: usize, lanes: usize, solved: Solved<'_>| {
+                let Solved::InPlace(panel) = solved else {
+                    unreachable!("a resident panel is solved where it lies")
                 };
-                sp.eval_panel(coefs, lanes, feet, panel);
+                let feet = |l: usize| (&pts[..], shift(chunk * LANE_WIDTH + l));
+                sp.eval_panel(None, lanes, feet, panel);
             };
             let then_lane = |lane: usize, coefs: &[f64], out: &mut [f64]| {
                 let feet: Vec<f64> = pts.iter().map(|x| x - shift(lane)).collect();
@@ -2140,9 +2139,9 @@ mod tests {
     fn verified_solve_is_one_pool_dispatch() {
         // Guards the shape of the verified solve: the whole screen rides
         // the solve's one region (no extra region, nothing serial that
-        // would need the batch copied), on a scratch of one run of panels,
-        // each lent from a cache line on, on a resident and a host field —
-        // and so does whatever a fused step does with the coefficients.
+        // would need the batch copied), on a resident and a host field —
+        // and so does whatever a fused step does with the coefficients,
+        // which a resident field holds in its own panels.
         // Regions are counted on the execution space — `pool_stats()` is
         // process-wide and the other unit tests dispatch concurrently.
         let (n, batch) = (32, 5 * LANE_WIDTH + 3);
@@ -2152,9 +2151,11 @@ mod tests {
             solve(&exec, &mut b);
             exec.regions()
         };
-        let keep = |_: usize, _: usize, coefs: &[f64], panel: &mut [f64]| {
-            assert_eq!(coefs.as_ptr() as usize % 64, 0, "coefficients at a line");
-            panel.copy_from_slice(coefs);
+        let keep = |_: usize, _: usize, solved: Solved<'_>| {
+            assert!(
+                matches!(solved, Solved::InPlace(_)),
+                "panels solved in place"
+            );
         };
         for version in BuilderVersion::ALL {
             let plain = SplineBuilder::new(space(n, 3, true), version).unwrap();
@@ -2172,26 +2173,41 @@ mod tests {
             });
             assert_eq!((fused, screened, fused_screened), (1, 1, 1), "{version:?}");
         }
-        // A fresh thread has a fresh scratch: after six panels through each
-        // entry point — a run of `ABREAST` and a shorter one — its first
-        // buffer holds exactly one run of them and its second none.
-        let scratch = std::thread::scope(|s| {
-            let worker = s.spawn(|| {
-                let plain = SplineBuilder::new(space(n, 3, true), BuilderVersion::Interleaved);
-                let verified = plain.unwrap().verified(VerifyConfig::default());
-                let mut b = ResidentBatch::pack(&random_rhs(n, batch, 89));
-                verified.solve_resident(&Serial, &mut b).unwrap();
-                verified
-                    .solve_then(&Serial, &mut b, keep, |_, _, _| unreachable!())
-                    .unwrap();
+        // A fresh thread has a fresh scratch: six panels through each entry
+        // point — a run of `ABREAST` and a shorter one. A resident field is
+        // solved where it lies: the plain solve takes no scratch at all, the
+        // verified one keeps one run of right-hand sides in the second set.
+        let plain = SplineBuilder::new(space(n, 3, true), BuilderVersion::Interleaved).unwrap();
+        let verified = plain.verified(VerifyConfig::default());
+        let resident = std::thread::scope(|s| {
+            s.spawn(|| {
+                let rhs = random_rhs(n, batch, 89);
+                let mut b = ResidentBatch::pack(&rhs);
                 verified
                     .builder()
                     .solve_then(&Serial, &mut b, keep)
                     .unwrap();
-                let resident = crate::builder::panel_scratch_len();
-                // A host field's blocks are gathered, not copied: still one
-                // run of panels for the plain solve, a second one — gathered
-                // right-hand sides beside coefficients — for the verified one.
+                let plain = crate::builder::panel_scratch_len();
+                let mut want = ResidentBatch::pack(&rhs);
+                verified
+                    .builder()
+                    .solve_resident(&Serial, &mut want)
+                    .unwrap();
+                assert_eq!(b.host(), want.host(), "coefficients left in the batch");
+                verified.solve_resident(&Serial, &mut b).unwrap();
+                verified
+                    .solve_then(&Serial, &mut b, keep, |_, _, _| unreachable!())
+                    .unwrap();
+                (plain, crate::builder::panel_scratch_len())
+            })
+            .join()
+            .unwrap()
+        });
+        // A host field's blocks are gathered, each from a cache line on: one
+        // run of panels for the plain solve, a second one — right-hand sides
+        // beside coefficients — for the verified one.
+        let host = std::thread::scope(|s| {
+            s.spawn(|| {
                 let rhs = random_rhs(n, batch, 97);
                 let mut want = ResidentBatch::pack(&rhs);
                 verified
@@ -2200,7 +2216,10 @@ mod tests {
                     .unwrap();
                 let mut host = Matrix::from_fn(batch, n, Layout::Right, |j, i| rhs.get(i, j));
                 let mut field = HostField::new(&mut host).unwrap();
-                let keep = |_: usize, lanes: usize, coefs: &[f64], block: &mut [f64]| {
+                let keep = |_: usize, lanes: usize, solved: Solved<'_>| {
+                    let Solved::Apart { coefs, block } = solved else {
+                        panic!("a host block is not a panel");
+                    };
                     assert_eq!(coefs.as_ptr() as usize % 64, 0, "coefficients at a line");
                     for (l, lane) in block.chunks_exact_mut(n).enumerate() {
                         assert!(l < lanes);
@@ -2222,11 +2241,13 @@ mod tests {
                 verified
                     .solve_then(&Serial, &mut field, keep, |_, _, _| unreachable!())
                     .unwrap();
-                (resident, plain, crate::builder::panel_scratch_len())
-            });
-            worker.join().unwrap()
+                (plain, crate::builder::panel_scratch_len())
+            })
+            .join()
+            .unwrap()
         });
         let run = ABREAST * n * LANE_WIDTH;
-        assert_eq!(scratch, ([run, 0], [run, 0], [run, run]));
+        assert_eq!(resident, ([0, 0], [0, run]), "resident field");
+        assert_eq!(host, ([run, 0], [run, run]), "host field");
     }
 }

@@ -10,9 +10,10 @@
 //! [`ResidentBatch`], wrapped as a [`TiledField`], has blocks of eight of
 //! the batch's rows — a row of its 8 × 8 tiles — staged per run as a host
 //! field's blocks. The step's body is the same for all three; a field
-//! supplies its two ends: how a block becomes the interleaved panel the
-//! solve wants ([`Field::fill_panel`]: a copy, or an 8 × 8-tile gather),
-//! and what a block *is* when results land in it ([`Field::PANELS`]).
+//! supplies what a block *is* ([`Field::PANELS`]). A panel is what the
+//! solve wants, so it is solved and evaluated where it lies; a block of
+//! contiguous columns is gathered into a panel in the worker's scratch
+//! ([`fill_panel`]) and evaluated back into its columns.
 
 use crate::exec::ExecSpace;
 use crate::interleaved::{for_each_run_mut, interleave_columns, LANE_WIDTH};
@@ -45,11 +46,6 @@ pub trait Field: Sync {
         E: ExecSpace,
         F: Fn(usize, usize, &mut [f64]) + Sync + Send;
 
-    /// Ingress of one block: overwrite `panel` (`rows · LANE_WIDTH` long),
-    /// whatever it held, with the block's `lanes` lanes as an interleaved
-    /// `[rows][LANE_WIDTH]` panel.
-    fn fill_panel(block: &[f64], lanes: usize, panel: &mut [f64]);
-
     /// Copy lane `lane`, rows in order, into `out` (`rows` long) — where a
     /// solver with no panel-native form reads a lane's right-hand side.
     fn copy_lane_into(&self, lane: usize, out: &mut [f64]);
@@ -73,6 +69,18 @@ pub fn run_blocks(
         .map(move |(k, block)| (LANE_WIDTH.min(lanes - k * LANE_WIDTH), block))
 }
 
+/// Ingress of a block that is not a panel (module docs): overwrite `panel`
+/// (`rows · LANE_WIDTH` long), whatever it held, with the block's `lanes`
+/// contiguous columns as an interleaved `[rows][LANE_WIDTH]` panel, its
+/// padding lanes zero.
+pub fn fill_panel(block: &[f64], lanes: usize, panel: &mut [f64]) {
+    if lanes < LANE_WIDTH {
+        // The interleave writes live lanes only: zero the padding lanes.
+        panel.fill(0.0);
+    }
+    interleave_columns(block, lanes, panel);
+}
+
 impl Field for ResidentBatch {
     const PANELS: bool = true;
 
@@ -86,10 +94,6 @@ impl Field for ResidentBatch {
         F: Fn(usize, usize, &mut [f64]) + Sync + Send,
     {
         self.panels_mut().for_each_run_mut(exec, per, f);
-    }
-
-    fn fill_panel(block: &[f64], _lanes: usize, panel: &mut [f64]) {
-        panel.copy_from_slice(block);
     }
 
     fn copy_lane_into(&self, lane: usize, out: &mut [f64]) {
@@ -138,14 +142,6 @@ impl Field for HostField<'_> {
         // run `[j·rows, (j + 1)·rows)` of the storage.
         let (lanes, rows) = self.0.shape();
         for_each_run_mut(exec, self.0.as_mut_slice(), rows, lanes, per, f);
-    }
-
-    fn fill_panel(block: &[f64], lanes: usize, panel: &mut [f64]) {
-        if lanes < LANE_WIDTH {
-            // The interleave writes live lanes only: zero the padding lanes.
-            panel.fill(0.0);
-        }
-        interleave_columns(block, lanes, panel);
     }
 
     fn copy_lane_into(&self, lane: usize, out: &mut [f64]) {
@@ -197,10 +193,6 @@ impl Field for TiledField<'_> {
         F: Fn(usize, usize, &mut [f64]) + Sync + Send,
     {
         self.0.panels_mut().for_each_tiled_run_mut(exec, per, f);
-    }
-
-    fn fill_panel(block: &[f64], lanes: usize, panel: &mut [f64]) {
-        HostField::fill_panel(block, lanes, panel);
     }
 
     // Lane `x` is row `x` of every panel, eight values a panel apart: no
@@ -406,14 +398,12 @@ mod tests {
             let mut field = HostField::new(&mut m).expect("row-major");
             field.for_each_run_mut(&Serial, 1, |c, live, block| {
                 let mut panel = vec![f64::NAN; rows * LANE_WIDTH];
-                HostField::fill_panel(block, live, &mut panel);
+                fill_panel(block, live, &mut panel);
                 assert_eq!(
                     panel,
                     resident.panels().chunk(c),
                     "{lanes}x{rows} block {c}"
                 );
-                ResidentBatch::fill_panel(resident.panels().chunk(c), live, &mut panel);
-                assert_eq!(panel, resident.panels().chunk(c));
             });
             let mut tiled = TiledField::new(&mut batch);
             tiled.for_each_run_mut(&Serial, 1, |c, live, block| {

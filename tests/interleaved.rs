@@ -29,6 +29,7 @@ use pp_linalg::{
     SymBandedMatrix,
 };
 use pp_portable::{HostField, PanelIsa, TestRng, LANE_WIDTH};
+use pp_splinesolver::Solved;
 
 /// Stated bound against the dense reference, in ulps of the lane's
 /// largest solution component (both sides are backward-stable solves of
@@ -264,8 +265,9 @@ fn getrs_pack_solve_unpack_matches_scalar_within_2_ulp() {
 }
 
 /// The coefficients `SplineBuilder::solve_then` hands out on `exec`, kept:
-/// from a resident batch and from the lane-contiguous host field of the
-/// same right-hand sides `rhs`, both as `(n, batch)` matrices.
+/// from a resident batch, which the continuation leaves holding them, and
+/// from the lane-contiguous host field of the same right-hand sides `rhs`,
+/// both as `(n, batch)` matrices.
 fn fused_coefficients<E: ExecSpace>(
     exec: &E,
     builder: &SplineBuilder,
@@ -273,12 +275,18 @@ fn fused_coefficients<E: ExecSpace>(
 ) -> (Matrix, Matrix) {
     let (n, batch) = rhs.shape();
     let mut resident = ResidentBatch::pack(rhs);
-    let keep_panel = |_: usize, _: usize, coefs: &[f64], panel: &mut [f64]| {
-        panel.copy_from_slice(coefs);
+    let in_place = |_: usize, _: usize, solved: Solved<'_>| {
+        assert!(
+            matches!(solved, Solved::InPlace(_)),
+            "a panel is solved where it lies"
+        );
     };
-    builder.solve_then(exec, &mut resident, keep_panel).unwrap();
+    builder.solve_then(exec, &mut resident, in_place).unwrap();
     let mut host = Matrix::from_fn(batch, n, Layout::Right, |j, i| rhs.get(i, j));
-    let keep_lanes = |_: usize, _: usize, coefs: &[f64], block: &mut [f64]| {
+    let keep_lanes = |_: usize, _: usize, solved: Solved<'_>| {
+        let Solved::Apart { coefs, block } = solved else {
+            panic!("a host block is not a panel");
+        };
         for (l, lane) in block.chunks_exact_mut(n).enumerate() {
             let column = coefs.iter().skip(l).step_by(LANE_WIDTH);
             lane.iter_mut().zip(column).for_each(|(v, c)| *v = *c);
