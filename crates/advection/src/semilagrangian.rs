@@ -4,8 +4,8 @@ use crate::error::{Error, Result};
 use pp_bsplines::PeriodicSplineSpace;
 use pp_portable::instrument::{self, PhaseId, Span};
 use pp_portable::{
-    ExecSpace, Field, HostField, InterleavedMatrix, Layout, Matrix, ResidentBatch, Strided,
-    StridedMut, TiledField, LANE_WIDTH,
+    ExecSpace, Field, HostField, Layout, Matrix, ResidentBatch, Strided, StridedMut, TiledField,
+    LANE_WIDTH,
 };
 use pp_splinesolver::{
     BuilderVersion, IterativeConfig, IterativeSplineSolver, LaneReport, Solved, SplineBuilder,
@@ -208,8 +208,8 @@ pub struct Advection1D {
     displacements: Vec<f64>,
     /// The iterative backend's two resident coefficient stores: this
     /// step's, and the previous step's (the warm start).
-    eta: Option<InterleavedMatrix>,
-    eta_prev: Option<InterleavedMatrix>,
+    eta: Option<ResidentBatch>,
+    eta_prev: Option<ResidentBatch>,
     dt: f64,
     /// Verification report of the most recent step (verified backend only).
     last_diagnostics: Option<AdvectionDiagnostics>,
@@ -494,7 +494,7 @@ impl Advection1D {
                 let mut eta = self
                     .eta
                     .take()
-                    .unwrap_or_else(|| InterleavedMatrix::zeros(nx, nv));
+                    .unwrap_or_else(|| ResidentBatch::zeros(nx, nv));
                 let prev = self.eta_prev.as_ref();
                 if let Err(e) = solver.solve_then(exec, f, &mut eta, prev, interpolate) {
                     self.eta = Some(eta);
@@ -832,7 +832,7 @@ mod tests {
             adv_h.step(&Parallel, &mut f).unwrap();
             adv_r.step_resident(&Parallel, &mut slab).unwrap();
         }
-        let mirror = slab.host_transposed();
+        let mirror = unpacked(&slab);
         assert_eq!(mirror.shape(), f.shape());
         for j in 0..13 {
             for i in 0..64 {
@@ -935,12 +935,12 @@ mod tests {
                 assert_eq!(rejected, bad, "{what}");
             }
             assert_bits(&untouched, &f, what);
-            assert_bits(&untouched, slab.host_transposed(), what);
+            assert_bits(&untouched, &unpacked(&slab), what);
             adv.set_dt(1e-200).unwrap();
             adv.step(&Serial, &mut f).unwrap();
             adv.step_resident(&Parallel, &mut slab).unwrap();
             assert!(f.as_slice().iter().all(|v| v.is_finite()), "{what}");
-            assert_bits(&f, slab.host_transposed(), what);
+            assert_bits(&f, &unpacked(&slab), what);
         }
     }
 
@@ -1051,7 +1051,7 @@ mod tests {
                     for step in 0..2 {
                         adv_h.step(&Parallel, &mut f).unwrap();
                         adv_r.step_resident(&Parallel, &mut slab).unwrap();
-                        assert_bits(slab.host_transposed(), &f, &format!("{what} step {step}"));
+                        assert_bits(&unpacked(&slab), &f, &format!("{what} step {step}"));
                     }
                     let mut left = f.to_layout(Layout::Left);
                     let refused = adv_h.step(&Parallel, &mut left).unwrap_err();
@@ -1116,7 +1116,7 @@ mod tests {
                 matches!(rejected, Error::Spline(NotConverged { .. })),
                 "{rejected}"
             );
-            assert_bits(&untouched, slab.host_transposed(), "not converged resident");
+            assert_bits(&untouched, &unpacked(&slab), "not converged resident");
         }
     }
 
@@ -1165,8 +1165,8 @@ mod tests {
         let mut oracle = Advection1D::new(backend().unwrap(), vec![0.0; nx], 0.05).unwrap();
         let disp: Vec<f64> = (0..nx).map(|i| 0.4 * (0.7 * i as f64).sin()).collect();
         let mut got = ResidentBatch::zeros(nx, nv);
-        for c in 0..got.panels().num_chunks() {
-            got.panels_mut().chunk_mut(c).fill(SENTINEL);
+        for c in 0..got.num_chunks() {
+            got.chunk_mut(c).fill(SENTINEL);
         }
         for i in 0..nx {
             for j in 0..nv {
@@ -1176,7 +1176,7 @@ mod tests {
         }
         let (mut want, mut f_vx) = (got.clone(), ResidentBatch::zeros(nv, nx));
         let bits = |b: &ResidentBatch, c: usize| -> Vec<u64> {
-            b.panels().chunk(c).iter().map(|v| v.to_bits()).collect()
+            b.chunk(c).iter().map(|v| v.to_bits()).collect()
         };
         for step in 0..2 {
             tiled
@@ -1187,7 +1187,7 @@ mod tests {
                 .step_resident_with_displacements(exec, &mut f_vx, &disp)
                 .unwrap();
             f_vx.transpose_into(&mut want).unwrap();
-            for c in 0..got.panels().num_chunks() {
+            for c in 0..got.num_chunks() {
                 assert_eq!(
                     bits(&got, c),
                     bits(&want, c),
@@ -1232,6 +1232,14 @@ mod tests {
         // The driver stays usable after a rejected slab.
         let mut ok = ResidentBatch::zeros(32, 2);
         adv.step_resident(&Serial, &mut ok).unwrap();
+    }
+
+    /// The `(Nv, Nx)` host field `slab` holds: its transpose, unpacked.
+    fn unpacked(slab: &ResidentBatch) -> Matrix {
+        let mut f = Matrix::zeros(slab.ncols(), slab.nrows(), Layout::Right);
+        slab.unpack_transposed_into(&mut f)
+            .expect("shape of the slab");
+        f
     }
 
     fn assert_bits(want: &Matrix, got: &Matrix, what: &str) {
@@ -1325,13 +1333,13 @@ mod tests {
                         adv_ir.step_resident(exec, &mut slab_i).unwrap();
                     }
                     assert_bits(&want, &f, &format!("{what} step"));
-                    assert_bits(&want, slab.host_transposed(), &format!("{what} resident"));
+                    assert_bits(&want, &unpacked(&slab), &format!("{what} resident"));
                     assert_bits(&want, &f_v, &format!("{what} verified"));
                     assert!(adv_v.last_diagnostics().unwrap().all_clean(), "{what}");
                     assert_bits(&want_i, &f_i, &format!("{what} iterative"));
                     assert_bits(
                         &want_i,
-                        slab_i.host_transposed(),
+                        &unpacked(&slab_i),
                         &format!("{what} iterative resident"),
                     );
                     let diff = want.max_abs_diff(&want_i);

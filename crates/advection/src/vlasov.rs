@@ -38,9 +38,9 @@ pub struct VlasovPoisson1D1V {
     f_xv: ResidentBatch,
     /// Host mirror `f(v_j, x_i)`, shape `(Nv, Nx)`, row-major.
     f: Matrix,
-    /// Generation of `f_xv` that `f` mirrors; `f` is stale when the slab
-    /// has moved on.
-    f_generation: u64,
+    /// Whether `f` holds what `f_xv` does: cleared before a step touches
+    /// the slab, set where the two are made equal.
+    f_current: bool,
     x_grid: Vec<f64>,
     v_grid: Vec<f64>,
     dx: f64,
@@ -178,8 +178,8 @@ impl VlasovPoisson1D1V {
         Ok(Self {
             adv_x,
             adv_v,
-            f_generation: f_xv.generation(),
             f_xv,
+            f_current: true,
             f,
             dx: lx / nx as f64,
             dv: 2.0 * v_max / nv as f64,
@@ -306,7 +306,7 @@ impl VlasovPoisson1D1V {
     /// stale.
     pub fn snapshot(&self) -> Snapshot {
         let mut s = Snapshot::new();
-        if self.f_generation == self.f_xv.generation() {
+        if self.f_current {
             s.push_matrix("f", &self.f);
         } else {
             let mut f = Matrix::zeros(self.v_grid.len(), self.x_grid.len(), Layout::Right);
@@ -352,14 +352,17 @@ impl VlasovPoisson1D1V {
                 ),
             });
         }
-        self.step_index = snapshot.get_u64("step").map_err(Error::from)?;
-        self.seed = snapshot.get_u64("seed").map_err(Error::from)?;
+        let step_index = snapshot.get_u64("step").map_err(Error::from)?;
+        let seed = snapshot.get_u64("seed").map_err(Error::from)?;
+        // Every section read and checked: nothing above has touched `self`.
         self.f_xv
             .pack_transposed_from(&f)
             .expect("shape checked above");
-        self.f_generation = self.f_xv.generation();
         self.f = f;
+        self.f_current = true;
         self.e_field = e_field;
+        self.step_index = step_index;
+        self.seed = seed;
         Ok(())
     }
 
@@ -400,6 +403,7 @@ impl VlasovPoisson1D1V {
     /// `density`, `e_field`, `field_energy` and `snapshot` (hence
     /// checkpoints) are always current.
     pub fn step_resident<E: ExecSpace>(&mut self, exec: &E) -> Result<()> {
+        self.f_current = false;
         // Half x-advection.
         self.adv_x.step_resident(exec, &mut self.f_xv)?;
         // Field solve from the updated density.
@@ -444,11 +448,11 @@ impl VlasovPoisson1D1V {
     /// [`VlasovPoisson1D1V::sync_host`] with the unpack as one region on
     /// `exec`.
     fn sync_host_with<E: ExecSpace>(&mut self, exec: &E) {
-        if self.f_generation != self.f_xv.generation() {
+        if !self.f_current {
             self.f_xv
                 .unpack_transposed_into_with(exec, &mut self.f)
                 .expect("grid fixed at build");
-            self.f_generation = self.f_xv.generation();
+            self.f_current = true;
         }
     }
 }
@@ -470,8 +474,7 @@ fn rho_scratch(nx: usize) -> Matrix {
 /// `Iterator::sum` over lanes `j` ascending: the same additions in the
 /// same order from the same initial value, whatever `exec`.
 fn density_into<E: ExecSpace>(exec: &E, f_xv: &ResidentBatch, dv: f64, rho: &mut Matrix) {
-    let panels = f_xv.panels();
-    let nx = panels.nrows();
+    let nx = f_xv.nrows();
     // What `Iterator::sum` starts from (`-0.0` on current std): a row of
     // `-0.0` must sum to what it did when this was a `.sum()` per row.
     let empty_sum: f64 = std::iter::empty::<f64>().sum();
@@ -479,9 +482,9 @@ fn density_into<E: ExecSpace>(exec: &E, f_xv: &ResidentBatch, dv: f64, rho: &mut
         let first = b * DENSITY_ROWS;
         let rows = DENSITY_ROWS.min(nx - first);
         let mut acc = [empty_sum; DENSITY_ROWS];
-        for c in 0..panels.num_chunks() {
-            let lanes = panels.chunk_lanes(c);
-            let slab = &panels.chunk(c)[first * LANE_WIDTH..][..rows * LANE_WIDTH];
+        for c in 0..f_xv.num_chunks() {
+            let lanes = f_xv.chunk_lanes(c);
+            let slab = &f_xv.chunk(c)[first * LANE_WIDTH..][..rows * LANE_WIDTH];
             for (a, row) in acc.iter_mut().zip(slab.chunks_exact(LANE_WIDTH)) {
                 for v in &row[..lanes] {
                     *a += v;

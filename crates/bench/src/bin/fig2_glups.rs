@@ -24,8 +24,8 @@ use pp_bench::gpu_model::predict;
 use pp_bench::{parse_args, AsciiPlot, SplineConfig};
 use pp_perfmodel::{glups, performance_portability, Device};
 use pp_portable::{
-    deinterleave_columns, interleave_columns, CountingExec, InterleavedMatrix, Layout, Lines,
-    Matrix, PanelIsa, Parallel, ResidentBatch, Serial, TestRng, LANE_WIDTH,
+    deinterleave_columns, interleave_columns, CountingExec, Layout, Lines, Matrix, PanelIsa,
+    Parallel, ResidentBatch, Serial, TestRng, LANE_WIDTH,
 };
 use pp_splinesolver::{BuilderVersion, IterativeConfig, SchurBlocks, SplineBuilder, VerifyConfig};
 use std::hint::black_box;
@@ -144,7 +144,7 @@ fn transposer_isa_rows() {
     println!("isa,deinterleave_ns_per_element,interleave_ns_per_element");
     let panel: Vec<f64> = (0..ROWS * LANE_WIDTH).map(|k| k as f64).collect();
     let mut cols = Lines::zeros(LANE_WIDTH * STRIDE);
-    let mut slab = InterleavedMatrix::zeros(ROWS, LANE_WIDTH);
+    let mut slab = ResidentBatch::zeros(ROWS, LANE_WIDTH);
     let back = slab.chunk_mut(0);
     for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
         let mut ns = [Duration::MAX; 2];
@@ -184,7 +184,7 @@ fn screen_isa_rows() {
         let (rhs, mut solved) = (ResidentBatch::pack(&rhs), ResidentBatch::pack(&rhs));
         let plain = builder.builder();
         plain.solve_resident(&Serial, &mut solved).expect("solve");
-        let (x, rhs) = (solved.panels().chunk(0), rhs.panels().chunk(0));
+        let (x, rhs) = (solved.chunk(0), rhs.chunk(0));
         let mut base = None;
         for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
             let mut best = Duration::MAX;

@@ -7,7 +7,7 @@ use pp_linalg::{LaneRows, Panel};
 use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::PanelIsa;
 use pp_portable::LANE_WIDTH;
-use pp_portable::{fill_panel, run_blocks, ExecSpace, Field, InterleavedMatrix, Lines};
+use pp_portable::{fill_panel, run_blocks, ExecSpace, Field, Lines};
 use pp_portable::{Matrix, ResidentBatch};
 use pp_sparse::Coo;
 use std::cell::RefCell;
@@ -154,7 +154,7 @@ impl SplineBuilder {
             }
             BuilderVersion::Interleaved => {
                 let mut packed = ResidentBatch::pack_with(exec, b);
-                self.solve_panels(exec, packed.panels_mut());
+                self.solve_panels(exec, &mut packed);
                 packed.unpack_into_with(exec, b)?;
             }
         }
@@ -165,8 +165,7 @@ impl SplineBuilder {
     /// reading and writing the panels natively — zero pack/unpack
     /// transposes per call. A pipeline packs once at ingress
     /// ([`ResidentBatch::pack`]), calls this any number of times, and
-    /// unpacks once at egress; each call bumps the batch's generation
-    /// tag.
+    /// unpacks once at egress.
     ///
     /// Every lane is bit-identical to [`SplineBuilder::solve_in_place`]
     /// on the equivalent host matrix, for every [`BuilderVersion`]: the
@@ -176,7 +175,7 @@ impl SplineBuilder {
     /// copies.
     pub fn solve_resident<E: ExecSpace>(&self, exec: &E, b: &mut ResidentBatch) -> Result<()> {
         self.check_rows(b.nrows())?;
-        self.solve_panels(exec, b.panels_mut());
+        self.solve_panels(exec, b);
         Ok(())
     }
 
@@ -311,7 +310,7 @@ impl SplineBuilder {
 
     /// Algorithm 1 on every chunk of a packed batch: one chunk-parallel
     /// region per step for the split version, one fused region otherwise.
-    fn solve_panels<E: ExecSpace>(&self, exec: &E, ib: &mut InterleavedMatrix) {
+    fn solve_panels<E: ExecSpace>(&self, exec: &E, ib: &mut ResidentBatch) {
         let n = self.space.num_basis();
         let blocks = &self.blocks;
         let sparse = self.version.sparse_corners();

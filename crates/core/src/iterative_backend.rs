@@ -16,7 +16,7 @@ use pp_iterative::{
 };
 use pp_portable::instrument::{counter, fault_dump, trace_instant, Counter, InstantKind};
 use pp_portable::{
-    ExecSpace, Field, InterleavedMatrix, Layout, Matrix, Parallel, Strided, StridedMut, LANE_WIDTH,
+    ExecSpace, Field, Layout, Matrix, Parallel, ResidentBatch, Strided, StridedMut, LANE_WIDTH,
 };
 use pp_sparse::Csr;
 use std::sync::OnceLock;
@@ -240,8 +240,8 @@ impl IterativeSplineSolver {
         &self,
         exec: &E,
         b: &mut B,
-        eta: &mut InterleavedMatrix,
-        previous: Option<&InterleavedMatrix>,
+        eta: &mut ResidentBatch,
+        previous: Option<&ResidentBatch>,
         then: F,
     ) -> Result<ConvergenceLogger>
     where

@@ -524,10 +524,6 @@ impl VerifiedBuilder {
     /// precede its first step; with the wrapped version's corner axis a
     /// lane's bits are that version's, `Baseline`'s four regions included.
     ///
-    /// Every mutation (primary solve, ABFT retry write-back, refinement,
-    /// quarantine zeroing) bumps the batch's generation tag, so a cached
-    /// host mirror taken before the solve can never resurrect stale data.
-    ///
     /// Results — healthy lanes *and* verdict residuals — are those of
     /// [`VerifiedBuilder::solve_in_place`] on the equivalent host matrix,
     /// bit for bit, for every [`crate::BuilderVersion`] of the wrapped
@@ -1377,6 +1373,13 @@ mod tests {
         Matrix::from_fn(n, batch, Layout::Left, |_, _| rng.gen_range(-2.0..2.0))
     }
 
+    /// `b` unpacked into a fresh host matrix.
+    fn unpacked(b: &ResidentBatch) -> Matrix {
+        let mut host = Matrix::zeros(b.nrows(), b.ncols(), Layout::Left);
+        b.unpack_into(&mut host).expect("shape of b");
+        host
+    }
+
     #[test]
     fn healthy_lanes_bit_identical_and_nan_lanes_quarantined() {
         let sp = space(32, 3, true);
@@ -1862,7 +1865,7 @@ mod tests {
                 let res_report = resident.solve_resident(&Parallel, &mut rb).unwrap();
                 assert_eq!(res_report, host_report, "batch {batch} iter {iter}");
             }
-            let unpacked = rb.host();
+            let unpacked = unpacked(&rb);
             for i in 0..32 {
                 for j in 0..batch {
                     assert_eq!(
@@ -1876,9 +1879,7 @@ mod tests {
     }
 
     #[test]
-    fn resident_quarantine_invalidates_host_mirror() {
-        // A host mirror cached before the solve must not resurrect stale
-        // packed data after verification zeroes a quarantined lane.
+    fn resident_quarantine_zeroes_the_lane() {
         let sp = space(24, 3, true);
         let verified = SplineBuilder::new(sp, BuilderVersion::Interleaved)
             .unwrap()
@@ -1886,13 +1887,9 @@ mod tests {
         let mut rhs = random_rhs(24, 5, 67);
         rhs.set(2, 3, f64::NAN);
         let mut rb = ResidentBatch::pack(&rhs);
-        // Populate the mirror cache before the solve runs.
-        assert!(rb.host().get(2, 3).is_nan());
-        let g0 = rb.generation();
         let report = verified.solve_resident(&Parallel, &mut rb).unwrap();
         assert_eq!(report.quarantined_lanes(), vec![3]);
-        assert!(rb.generation() > g0, "mutating solve must bump generation");
-        let after = rb.host();
+        let after = unpacked(&rb);
         for i in 0..24 {
             assert_eq!(after.get(i, 3), 0.0, "row {i} must read the zeroed lane");
         }
@@ -1968,7 +1965,7 @@ mod tests {
             } else {
                 verified.solve_then(&Serial, &mut b, then, then_lane)
             };
-            (report.unwrap(), b.host().clone())
+            (report.unwrap(), unpacked(&b))
         };
         // What it must equal: the layered sequence — solve and repair in
         // place, then evaluate the final coefficients.
@@ -1982,7 +1979,7 @@ mod tests {
             crate::SplineEvaluator::new(sp.clone())
                 .eval_resident(&Serial, &coefs, &feet, &mut out)
                 .unwrap();
-            (report, out.host().clone())
+            (report, unpacked(&out))
         };
         // Miri is here for the concurrent records, not the case list.
         let (versions, batches): (&[_], &[usize]) = if cfg!(miri) {
@@ -2193,7 +2190,8 @@ mod tests {
                     .builder()
                     .solve_resident(&Serial, &mut want)
                     .unwrap();
-                assert_eq!(b.host(), want.host(), "coefficients left in the batch");
+                let (got, want) = (unpacked(&b), unpacked(&want));
+                assert_eq!(got, want, "coefficients left in the batch");
                 verified.solve_resident(&Serial, &mut b).unwrap();
                 verified
                     .solve_then(&Serial, &mut b, keep, |_, _, _| unreachable!())
@@ -2233,10 +2231,11 @@ mod tests {
                     .solve_then(&Serial, &mut field, keep)
                     .unwrap();
                 let plain = crate::builder::panel_scratch_len();
+                let want = unpacked(&want);
                 for j in 0..batch {
                     let mut got = vec![0.0; n];
                     field.copy_lane_into(j, &mut got);
-                    assert_eq!(got, want.lane_to_vec(j), "host field solve, lane {j}");
+                    assert_eq!(got, want.col(j).to_vec(), "host field solve, lane {j}");
                 }
                 verified
                     .solve_then(&Serial, &mut field, keep, |_, _, _| unreachable!())

@@ -14,7 +14,7 @@
 //!   taken once, at factor time (DESIGN.md §13.2);
 //! * [`LaneRows`] is the row accessor, implemented for [`StridedMut`]
 //!   (one lane of a [`pp_portable::Matrix`]), for [`Panel`] (one chunk
-//!   of a [`pp_portable::InterleavedMatrix`]) and for `[Panel; P]` (`P`
+//!   of a [`pp_portable::ResidentBatch`]) and for `[Panel; P]` (`P`
 //!   panels abreast, whose row is `P` panel rows);
 //! * [`pttrs`], [`pbtrs`], [`gbtrs`] and [`getrs`] are the **only**
 //!   forward/backward sweeps of those routines in the crate (outside the

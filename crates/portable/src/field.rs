@@ -16,10 +16,9 @@
 //! ([`fill_panel`]) and evaluated back into its columns.
 
 use crate::exec::ExecSpace;
-use crate::interleaved::{for_each_run_mut, interleave_columns, LANE_WIDTH};
+use crate::interleaved::{for_each_run_mut, interleave_columns, ResidentBatch, LANE_WIDTH};
 use crate::layout::Layout;
 use crate::matrix::Matrix;
-use crate::resident::ResidentBatch;
 
 /// A batch a fused step advances in place, block by block (module docs).
 /// `Sync`, so that a region may read its lanes while it writes elsewhere.
@@ -93,7 +92,7 @@ impl Field for ResidentBatch {
         E: ExecSpace,
         F: Fn(usize, usize, &mut [f64]) + Sync + Send,
     {
-        self.panels_mut().for_each_run_mut(exec, per, f);
+        ResidentBatch::for_each_run_mut(self, exec, per, f);
     }
 
     fn copy_lane_into(&self, lane: usize, out: &mut [f64]) {
@@ -192,24 +191,22 @@ impl Field for TiledField<'_> {
         E: ExecSpace,
         F: Fn(usize, usize, &mut [f64]) + Sync + Send,
     {
-        self.0.panels_mut().for_each_tiled_run_mut(exec, per, f);
+        self.0.for_each_tiled_run_mut(exec, per, f);
     }
 
     // Lane `x` is row `x` of every panel, eight values a panel apart: no
     // strided view spans it, so it is copied.
     fn copy_lane_into(&self, lane: usize, out: &mut [f64]) {
         self.check_lane(lane, out.len());
-        let panels = self.0.panels();
         for (c, part) in out.chunks_mut(LANE_WIDTH).enumerate() {
-            part.copy_from_slice(&panels.chunk(c)[lane * LANE_WIDTH..][..part.len()]);
+            part.copy_from_slice(&self.0.chunk(c)[lane * LANE_WIDTH..][..part.len()]);
         }
     }
 
     fn write_lane(&mut self, lane: usize, values: &[f64]) {
         self.check_lane(lane, values.len());
-        let panels = self.0.panels_mut();
         for (c, part) in values.chunks(LANE_WIDTH).enumerate() {
-            panels.chunk_mut(c)[lane * LANE_WIDTH..][..part.len()].copy_from_slice(part);
+            self.0.chunk_mut(c)[lane * LANE_WIDTH..][..part.len()].copy_from_slice(part);
         }
     }
 }
@@ -290,7 +287,7 @@ mod tests {
                         );
                     }
                 }
-                let padding = resident.panels().chunk((lanes - 1) / W);
+                let padding = resident.chunk((lanes - 1) / W);
                 assert!(
                     padding.iter().all(|&v| v >= 1.0),
                     "padding lanes are in the run"
@@ -311,8 +308,7 @@ mod tests {
     /// bumped once. The batch's padding lanes hold [`SENTINEL`], which no
     /// run sees and none overwrites, for a partial last chunk and a partial
     /// last block of rows alike; a run is staged from a cache line on; the
-    /// lane accessors read and write a row across the panels; and the
-    /// batch's generation moves.
+    /// lane accessors read and write a row across the panels.
     #[test]
     fn tiled_runs_cover_every_tile_element_once() {
         const W: usize = LANE_WIDTH;
@@ -326,12 +322,11 @@ mod tests {
             for per in [1usize, 2, 4] {
                 let what = &format!("{nrows}x{ncols} batch, runs of {per}");
                 let mut batch = ResidentBatch::zeros(nrows, ncols);
-                let chunks = batch.panels().num_chunks();
-                (0..chunks).for_each(|c| batch.panels_mut().chunk_mut(c).fill(SENTINEL));
+                let chunks = batch.num_chunks();
+                (0..chunks).for_each(|c| batch.chunk_mut(c).fill(SENTINEL));
                 for i in 0..nrows {
                     (0..ncols).for_each(|j| batch.set(i, j, (1000 * i + j) as f64));
                 }
-                let generation = batch.generation();
                 let mut field = TiledField::new(&mut batch);
                 assert_eq!(field.shape(), (ncols, nrows), "{what}");
                 field.for_each_run_mut(&Parallel, per, |first, live, run| {
@@ -357,7 +352,6 @@ mod tests {
                 let first: Vec<f64> = (0..ncols).map(|v| v as f64 + 0.5).collect();
                 let first = if nrows == 1 { vec![-1.0; ncols] } else { first };
                 assert_eq!(lane_of(&field, 0), first, "{what}");
-                assert!(batch.generation() > generation, "{what}");
                 for i in 0..nrows {
                     for j in 0..ncols {
                         let want = if i == nrows - 1 {
@@ -368,7 +362,7 @@ mod tests {
                         assert_eq!(batch.get(i, j), want, "{what}: ({i}, {j})");
                     }
                 }
-                let last = batch.panels().chunk(chunks - 1);
+                let last = batch.chunk(chunks - 1);
                 for row in last.chunks_exact(W) {
                     for &v in &row[ncols - (chunks - 1) * W..] {
                         assert_eq!(v.to_bits(), SENTINEL.to_bits(), "{what}: padding");
@@ -399,11 +393,7 @@ mod tests {
             field.for_each_run_mut(&Serial, 1, |c, live, block| {
                 let mut panel = vec![f64::NAN; rows * LANE_WIDTH];
                 fill_panel(block, live, &mut panel);
-                assert_eq!(
-                    panel,
-                    resident.panels().chunk(c),
-                    "{lanes}x{rows} block {c}"
-                );
+                assert_eq!(panel, resident.chunk(c), "{lanes}x{rows} block {c}");
             });
             let mut tiled = TiledField::new(&mut batch);
             tiled.for_each_run_mut(&Serial, 1, |c, live, block| {
@@ -411,7 +401,7 @@ mod tests {
                 assert_eq!(block, want, "{lanes}x{rows} tiled block {c}");
             });
             for j in 0..lanes {
-                let want = resident.lane_to_vec(j);
+                let want = host.as_slice()[j * rows..][..rows].to_vec();
                 assert_eq!(lane_of(&field, j), want, "{lanes}x{rows} lane {j}");
                 assert_eq!(lane_of(&resident, j), want, "{lanes}x{rows} lane {j}");
                 assert_eq!(lane_of(&tiled, j), want, "{lanes}x{rows} tiled lane {j}");

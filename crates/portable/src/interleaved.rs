@@ -1,4 +1,5 @@
-//! Interleaved-SoA batch storage: lanes in chunks of [`LANE_WIDTH`].
+//! The resident batch: lanes interleaved in chunks of [`LANE_WIDTH`],
+//! kept packed across a pipeline.
 //!
 //! On the paper's lane-contiguous `LayoutLeft` right-hand side, a row of
 //! several lanes gathers elements `n` doubles apart whatever the loop
@@ -13,9 +14,15 @@
 //!
 //! Every recurrence step of a forward/backward sweep then touches one
 //! contiguous `[f64; W]` row — exactly one AVX-512 register (or two AVX2
-//! registers) — and consecutive steps walk memory linearly. Packing and
-//! unpacking are explicit transpose passes recorded under
-//! [`PhaseId::Transpose`] so the phase profile attributes their cost.
+//! registers) — and consecutive steps walk memory linearly.
+//!
+//! A [`ResidentBatch`] keeps the layout across solver calls, as Gloster et
+//! al. and the batched-Ginkgo SYCL work do: a pipeline packs once at
+//! ingress ([`ResidentBatch::pack`] / [`ResidentBatch::pack_transposed`]),
+//! solves and evaluates on the panels any number of times, and unpacks
+//! once at egress ([`ResidentBatch::unpack_into`] /
+//! [`ResidentBatch::unpack_transposed_into`]) — explicit copies, like
+//! Kokkos' `deep_copy`, recorded under [`PhaseId::Transpose`].
 //!
 //! The final chunk of a batch whose width is not a multiple of `W` is
 //! allocated at full width (the padding lanes start at zero and are never
@@ -35,22 +42,23 @@ use std::array;
 /// AVX-512 vector register.
 pub const LANE_WIDTH: usize = 8;
 
-/// A batch block stored lane-interleaved in chunks of [`LANE_WIDTH`].
+/// A batch stored lane-interleaved in chunks of [`LANE_WIDTH`], resident
+/// across a pipeline (module docs).
 ///
 /// Logically an `nrows × ncols` matrix whose columns are batch lanes,
 /// physically a sequence of `ceil(ncols / W)` row-major `[nrows][W]`
 /// panels, each starting a cache line ([`Lines`]). See the module docs for
 /// the offset map.
 #[derive(Debug, Clone, PartialEq)]
-pub struct InterleavedMatrix {
+pub struct ResidentBatch {
     nrows: usize,
     ncols: usize,
     data: Lines,
 }
 
-impl InterleavedMatrix {
-    /// An all-zero interleaved block of `nrows × ncols` (the final chunk
-    /// is padded to the full [`LANE_WIDTH`]), its panels 64-byte aligned.
+impl ResidentBatch {
+    /// An all-zero batch of `nrows × ncols` (the final chunk is padded to
+    /// the full [`LANE_WIDTH`]), its panels 64-byte aligned.
     pub fn zeros(nrows: usize, ncols: usize) -> Self {
         let chunks = ncols.div_ceil(LANE_WIDTH);
         Self {
@@ -60,112 +68,134 @@ impl InterleavedMatrix {
         }
     }
 
-    /// Pack a [`Matrix`] (either layout) into interleaved storage — the
-    /// explicit transpose-in pass, recorded under [`PhaseId::Transpose`].
+    /// Ingress: pack a host [`Matrix`] (either layout) into panels.
     pub fn pack(src: &Matrix) -> Self {
+        Self::pack_with(&Serial, src)
+    }
+
+    /// [`ResidentBatch::pack`] as one region on `exec`.
+    pub fn pack_with<E: ExecSpace>(exec: &E, src: &Matrix) -> Self {
         let mut out = Self::zeros(src.nrows(), src.ncols());
-        out.copy_from_matrix(src, false)
+        out.move_in(exec, src, false, "ResidentBatch::pack")
             .expect("shapes match by construction");
         out
     }
 
-    /// Pack the *logical transpose* of a [`Matrix`]: element `(i, j)` of
-    /// the interleaved block is `src(j, i)`. This fuses the explicit
-    /// reorientation transpose and the interleave pack into one pass —
-    /// the resident ingress of a pipeline whose host mirror is stored in
-    /// the flipped orientation (e.g. the advection distribution slab).
+    /// Ingress of a host matrix stored in the flipped orientation: element
+    /// `(i, j)` of the batch is `src(j, i)`. Fuses the reorientation and
+    /// the pack into one pass.
     pub fn pack_transposed(src: &Matrix) -> Self {
         let mut out = Self::zeros(src.ncols(), src.nrows());
-        out.copy_from_matrix(src, true)
+        out.pack_transposed_from(src)
             .expect("shapes match by construction");
         out
     }
 
-    /// Refill this block from a [`Matrix`] without reallocating. With
-    /// `transposed`, reads `src(j, i)` into logical `(i, j)` (the
-    /// [`InterleavedMatrix::pack_transposed`] orientation). Recorded
-    /// under [`PhaseId::Transpose`].
-    pub fn copy_from_matrix(&mut self, src: &Matrix, transposed: bool) -> Result<()> {
-        self.copy_from_matrix_with(&Serial, src, transposed)
+    /// Refill the panels from a host [`Matrix`] of the batch's shape
+    /// without reallocating (re-ingress of the next pipeline input).
+    pub fn pack_from(&mut self, src: &Matrix) -> Result<()> {
+        self.move_in(&Serial, src, false, "ResidentBatch::pack_from")
     }
 
-    /// [`InterleavedMatrix::copy_from_matrix`] as one region on `exec`.
-    pub(crate) fn copy_from_matrix_with<E: ExecSpace>(
-        &mut self,
-        exec: &E,
-        src: &Matrix,
-        transposed: bool,
-    ) -> Result<()> {
-        let shape = self.shape();
-        check_shape(
-            "InterleavedMatrix::copy_from_matrix",
-            shape,
-            src,
-            transposed,
-        )?;
-        let (from, to) = (Tiling::of(src, transposed), Tiling::panels(self.nrows));
-        move_tiles(exec, shape, src.as_slice(), from, &mut self.data, to);
+    /// Refill from a flipped-orientation host matrix, as
+    /// [`ResidentBatch::pack_transposed`].
+    pub fn pack_transposed_from(&mut self, src: &Matrix) -> Result<()> {
+        self.move_in(&Serial, src, true, "ResidentBatch::pack_transposed_from")
+    }
+
+    /// Refill the panels from another batch of the same shape — a straight
+    /// copy, no transpose.
+    pub fn copy_from(&mut self, src: &ResidentBatch) -> Result<()> {
+        if self.shape() != src.shape() {
+            return Err(Error::ShapeMismatch {
+                op: "ResidentBatch::copy_from",
+                left: self.shape(),
+                right: src.shape(),
+            });
+        }
+        self.data.copy_from_slice(&src.data);
         Ok(())
     }
 
-    /// Unpack into a [`Matrix`] of the same shape (either layout) — the
-    /// explicit transpose-out pass, recorded under [`PhaseId::Transpose`].
+    /// Egress into a host [`Matrix`] of the batch's shape (either layout).
     pub fn unpack_into(&self, dst: &mut Matrix) -> Result<()> {
-        self.unpack_with(&Serial, dst, false)
+        self.unpack_into_with(&Serial, dst)
     }
 
-    /// Unpack the *logical transpose* into a `(ncols, nrows)` [`Matrix`]:
-    /// `dst(j, i) = self(i, j)`. The egress twin of
-    /// [`InterleavedMatrix::pack_transposed`], fusing unpack and
-    /// reorientation into one pass under [`PhaseId::Transpose`].
+    /// [`ResidentBatch::unpack_into`] as one region on `exec`.
+    pub fn unpack_into_with<E: ExecSpace>(&self, exec: &E, dst: &mut Matrix) -> Result<()> {
+        self.move_out(exec, dst, false, "ResidentBatch::unpack_into")
+    }
+
+    /// Flipped-orientation egress into a `(ncols, nrows)` [`Matrix`]:
+    /// `dst(j, i) = self(i, j)`, the twin of
+    /// [`ResidentBatch::pack_transposed`].
     pub fn unpack_transposed_into(&self, dst: &mut Matrix) -> Result<()> {
-        self.unpack_with(&Serial, dst, true)
+        self.unpack_transposed_into_with(&Serial, dst)
     }
 
-    /// [`InterleavedMatrix::unpack_into`] (or, with `transposed`,
-    /// [`InterleavedMatrix::unpack_transposed_into`]) as one region on
-    /// `exec`.
-    pub(crate) fn unpack_with<E: ExecSpace>(
+    /// [`ResidentBatch::unpack_transposed_into`] as one region on `exec`.
+    pub fn unpack_transposed_into_with<E: ExecSpace>(
         &self,
         exec: &E,
         dst: &mut Matrix,
-        transposed: bool,
     ) -> Result<()> {
-        let op = if transposed {
-            "InterleavedMatrix::unpack_transposed_into"
-        } else {
-            "InterleavedMatrix::unpack_into"
-        };
-        check_shape(op, self.shape(), dst, transposed)?;
-        let (from, to) = (Tiling::panels(self.nrows), Tiling::of(dst, transposed));
-        move_tiles(exec, self.shape(), &self.data, from, dst.as_mut_slice(), to);
-        Ok(())
+        self.move_out(exec, dst, true, "ResidentBatch::unpack_transposed_into")
     }
 
-    /// Logical transpose into another interleaved block (`dst(j, i) =
-    /// self(i, j)`, `dst` shaped `(ncols, nrows)`). One pass, panel to
-    /// panel, never touching a host [`Matrix`]; recorded under
-    /// [`PhaseId::Transpose`]. A step across a block's lanes needs no such
-    /// copy: it runs on the block's tiles ([`crate::TiledField`]).
-    pub fn transpose_into(&self, dst: &mut InterleavedMatrix) -> Result<()> {
+    /// Reorient into another batch (`dst(j, i) = self(i, j)`, `dst` shaped
+    /// `(ncols, nrows)`). One pass, panel to panel, never touching a host
+    /// [`Matrix`]. A step across a batch's lanes needs no such copy: it runs
+    /// on the batch's tiles ([`crate::TiledField`]).
+    pub fn transpose_into(&self, dst: &mut ResidentBatch) -> Result<()> {
         self.transpose_into_with(&Serial, dst)
     }
 
-    /// [`InterleavedMatrix::transpose_into`] as one region on `exec`.
+    /// [`ResidentBatch::transpose_into`] as one region on `exec`.
     pub(crate) fn transpose_into_with<E: ExecSpace>(
         &self,
         exec: &E,
-        dst: &mut InterleavedMatrix,
+        dst: &mut ResidentBatch,
     ) -> Result<()> {
         if dst.shape() != (self.ncols, self.nrows) {
             return Err(Error::ShapeMismatch {
-                op: "InterleavedMatrix::transpose_into",
+                op: "ResidentBatch::transpose_into",
                 left: (self.ncols, self.nrows),
                 right: dst.shape(),
             });
         }
         let (from, to) = (Tiling::flipped(dst.ncols), Tiling::panels(dst.nrows));
         move_tiles(exec, dst.shape(), &self.data, from, &mut dst.data, to);
+        Ok(())
+    }
+
+    /// Host `src` into the panels: `src` is the batch, or with `transposed`
+    /// its transpose.
+    fn move_in<E: ExecSpace>(
+        &mut self,
+        exec: &E,
+        src: &Matrix,
+        transposed: bool,
+        op: &'static str,
+    ) -> Result<()> {
+        check_shape(op, self.shape(), src, transposed)?;
+        let (from, to) = (Tiling::of(src, transposed), Tiling::panels(self.nrows));
+        move_tiles(exec, self.shape(), src.as_slice(), from, &mut self.data, to);
+        Ok(())
+    }
+
+    /// The panels into host `dst`, the batch or with `transposed` its
+    /// transpose.
+    fn move_out<E: ExecSpace>(
+        &self,
+        exec: &E,
+        dst: &mut Matrix,
+        transposed: bool,
+        op: &'static str,
+    ) -> Result<()> {
+        check_shape(op, self.shape(), dst, transposed)?;
+        let (from, to) = (Tiling::panels(self.nrows), Tiling::of(dst, transposed));
+        move_tiles(exec, self.shape(), &self.data, from, dst.as_mut_slice(), to);
         Ok(())
     }
 
@@ -201,11 +231,13 @@ impl InterleavedMatrix {
         LANE_WIDTH.min(self.ncols - c * LANE_WIDTH)
     }
 
-    /// Linear offset of logical element `(i, j)` in the interleaved
-    /// storage — the contract the layout property tests check.
+    /// Linear offset of logical element `(i, j)` in the panels.
     #[inline]
-    pub fn offset(&self, i: usize, j: usize) -> usize {
-        debug_assert!(i < self.nrows && j < self.ncols);
+    fn offset(&self, i: usize, j: usize) -> usize {
+        assert!(
+            i < self.nrows && j < self.ncols,
+            "ResidentBatch: ({i}, {j}) out of bounds"
+        );
         let chunk = j / LANE_WIDTH;
         chunk * self.nrows * LANE_WIDTH + i * LANE_WIDTH + (j % LANE_WIDTH)
     }
@@ -213,22 +245,31 @@ impl InterleavedMatrix {
     /// Read logical element `(i, j)`.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
-        assert!(
-            i < self.nrows && j < self.ncols,
-            "InterleavedMatrix::get out of bounds"
-        );
         self.data[self.offset(i, j)]
     }
 
     /// Write logical element `(i, j)`.
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: f64) {
-        assert!(
-            i < self.nrows && j < self.ncols,
-            "InterleavedMatrix::set out of bounds"
-        );
         let off = self.offset(i, j);
         self.data[off] = v;
+    }
+
+    /// Copy lane `lane`, rows in order, into `out` (`nrows` long): a
+    /// strided gather, for the repair paths only.
+    pub fn copy_lane_into(&self, lane: usize, out: &mut [f64]) {
+        assert_eq!(out.len(), self.nrows, "ResidentBatch lane length");
+        for (i, v) in out.iter_mut().enumerate() {
+            *v = self.get(i, lane);
+        }
+    }
+
+    /// Overwrite lane `lane`, rows in order, with `src` (`nrows` long).
+    pub fn write_lane(&mut self, lane: usize, src: &[f64]) {
+        assert_eq!(src.len(), self.nrows, "ResidentBatch lane length");
+        for (i, &v) in src.iter().enumerate() {
+            self.set(i, lane, v);
+        }
     }
 
     /// The raw `[nrows][LANE_WIDTH]` panel of chunk `c` (padding lanes
@@ -254,10 +295,10 @@ impl InterleavedMatrix {
         E: ExecSpace,
         F: Fn(usize, usize, &mut [f64]) + Sync + Send,
     {
-        for_each_run_mut(exec, &mut self.data, self.nrows, self.ncols, 1, f);
+        self.for_each_run_mut(exec, 1, f);
     }
 
-    /// [`InterleavedMatrix::for_each_chunk_mut`] by runs of up to `per`
+    /// [`ResidentBatch::for_each_chunk_mut`] by runs of up to `per`
     /// consecutive chunks: see [`crate::Field::for_each_run_mut`].
     pub(crate) fn for_each_run_mut<E, F>(&mut self, exec: &E, per: usize, f: F)
     where
@@ -267,7 +308,7 @@ impl InterleavedMatrix {
         for_each_run_mut(exec, &mut self.data, self.nrows, self.ncols, per, f);
     }
 
-    /// [`crate::Field::for_each_run_mut`] over this block's transpose
+    /// [`crate::Field::for_each_run_mut`] over this batch's transpose
     /// ([`crate::TiledField`]), whose lane `x` is row `x` of every panel, so
     /// that a block of its lanes is a row of `W × W` tiles, one per chunk. A
     /// run of its lanes is gathered from those tiles into this thread's
@@ -341,7 +382,7 @@ thread_local! {
 /// blocks lie in their own storage: `data` holds
 /// `lanes` lanes of `rows` values block after block of [`LANE_WIDTH`] lanes,
 /// block `c` starting at `c·LANE_WIDTH·rows` — the panels of an
-/// [`InterleavedMatrix`], or a row-major host matrix whose rows are the
+/// [`ResidentBatch`], or a row-major host matrix whose rows are the
 /// lanes. A run is `min(per, ⌈blocks / exec.concurrency()⌉)` blocks, the
 /// last one what is left.
 pub(crate) fn for_each_run_mut<E, F>(
@@ -416,7 +457,7 @@ const W: usize = LANE_WIDTH;
 /// eight runs of eight, [`Tiling::across`] apart. Both are 1 only for a
 /// host matrix one element thin, and then the block has no full tile.
 #[derive(Clone, Copy)]
-struct Tiling {
+pub(crate) struct Tiling {
     chunk: usize,
     block: usize,
     row: usize,
@@ -436,7 +477,7 @@ impl Tiling {
     }
 
     /// A host matrix holding the block, or its transpose.
-    fn of(m: &Matrix, transposed: bool) -> Self {
+    pub(crate) fn of(m: &Matrix, transposed: bool) -> Self {
         let (rs, cs) = m.strides();
         let (row, lane) = if transposed { (cs, rs) } else { (rs, cs) };
         Self::strided(W * lane, W * row, row, lane)
@@ -495,7 +536,7 @@ const GROUP: usize = 8;
 /// chunk move element by element, live lanes only. Pure copies, so the
 /// result does not depend on `exec`. Recorded under
 /// [`PhaseId::Transpose`].
-fn move_tiles<E: ExecSpace>(
+pub(crate) fn move_tiles<E: ExecSpace>(
     exec: &E,
     (nrows, ncols): (usize, usize),
     src: &[f64],
@@ -696,7 +737,7 @@ mod tests {
         for layout in [Layout::Left, Layout::Right] {
             for (n, batch) in [(1usize, 1usize), (5, 3), (4, 8), (7, 17), (3, 0)] {
                 let src = Matrix::from_fn(n, batch, layout, |_, _| rng.gen_range(-5.0..5.0));
-                let packed = InterleavedMatrix::pack(&src);
+                let packed = ResidentBatch::pack(&src);
                 let mut back = Matrix::zeros(n, batch, layout.flipped());
                 packed.unpack_into(&mut back).unwrap();
                 assert_eq!(back.max_abs_diff(&src), 0.0, "{layout:?} {n}x{batch}");
@@ -706,11 +747,10 @@ mod tests {
 
     #[test]
     fn offsets_cover_each_element_exactly_once_non_square() {
-        // The checked-contract property test the issue asks the
-        // interleaved variant to inherit: every (i, j) maps to a unique
-        // in-bounds offset, with padding slots never aliased.
+        // Every (i, j) maps to a unique in-bounds offset, with padding
+        // slots never aliased.
         for (n, batch) in [(5usize, 3usize), (3, 11), (1, 9), (4, 16), (2, 1)] {
-            let m = InterleavedMatrix::zeros(n, batch);
+            let m = ResidentBatch::zeros(n, batch);
             let mut seen = vec![false; m.data.len()];
             for i in 0..n {
                 for j in 0..batch {
@@ -728,20 +768,20 @@ mod tests {
     #[test]
     fn get_set_matches_pack() {
         let src = Matrix::from_fn(4, 13, Layout::Left, |i, j| (100 * i + j) as f64);
-        let mut m = InterleavedMatrix::zeros(4, 13);
+        let mut m = ResidentBatch::zeros(4, 13);
         for i in 0..4 {
             for j in 0..13 {
                 m.set(i, j, src.get(i, j));
             }
         }
-        assert_eq!(m, InterleavedMatrix::pack(&src));
+        assert_eq!(m, ResidentBatch::pack(&src));
         assert_eq!(m.get(3, 12), 312.0);
     }
 
     #[test]
     fn every_panel_starts_a_cache_line() {
         for (n, batch) in [(1usize, 1usize), (5, 3), (7, 17), (1024, 24), (3, 0)] {
-            let m = InterleavedMatrix::zeros(n, batch);
+            let m = ResidentBatch::zeros(n, batch);
             for m in [&m, &m.clone()] {
                 for c in 0..m.num_chunks() {
                     let at = m.chunk(c).as_ptr() as usize;
@@ -770,7 +810,7 @@ mod tests {
 
     #[test]
     fn chunk_geometry() {
-        let m = InterleavedMatrix::zeros(6, 19);
+        let m = ResidentBatch::zeros(6, 19);
         assert_eq!(m.num_chunks(), 3);
         assert_eq!(m.chunk_lanes(0), 8);
         assert_eq!(m.chunk_lanes(1), 8);
@@ -783,7 +823,7 @@ mod tests {
 
     #[test]
     fn for_each_chunk_visits_disjoint_panels() {
-        let mut m = InterleavedMatrix::zeros(3, 20);
+        let mut m = ResidentBatch::zeros(3, 20);
         m.for_each_chunk_mut(&Parallel, |c, lanes, panel| {
             for (k, v) in panel.iter_mut().enumerate() {
                 *v = (c * 1000 + k) as f64;
@@ -817,8 +857,8 @@ mod tests {
 
     /// An `(n, m)` block holding [`SENTINEL`] everywhere, then — through
     /// `set` alone — `at(i, j)` in its live elements.
-    fn oracle(n: usize, m: usize, at: impl Fn(usize, usize) -> f64) -> InterleavedMatrix {
-        let mut block = InterleavedMatrix::zeros(n, m);
+    fn oracle(n: usize, m: usize, at: impl Fn(usize, usize) -> f64) -> ResidentBatch {
+        let mut block = ResidentBatch::zeros(n, m);
         block.data.fill(SENTINEL);
         for i in 0..n {
             for j in 0..m {
@@ -846,14 +886,13 @@ mod tests {
                 };
                 // Ingress: live lanes land, padding lanes are not written.
                 let mut packed = oracle(n, m, |_, _| SENTINEL);
-                packed
-                    .copy_from_matrix_with(exec, &host, transposed)
-                    .unwrap();
+                packed.move_in(exec, &host, transposed, "pack").unwrap();
                 assert_eq!(bits(&packed.data), bits(&want.data), "pack {what}");
                 // Egress: every host element written, from a live lane.
                 let mut back = host.clone();
                 back.fill(SENTINEL);
-                want.unpack_with(exec, &mut back, transposed).unwrap();
+                want.move_out(exec, &mut back, transposed, "unpack")
+                    .unwrap();
                 assert_eq!(
                     bits(back.as_slice()),
                     bits(host.as_slice()),
@@ -940,17 +979,65 @@ mod tests {
 
     #[test]
     fn unpack_shape_mismatch_is_typed() {
-        let m = InterleavedMatrix::zeros(3, 4);
+        let m = ResidentBatch::zeros(3, 4);
         let mut wrong = Matrix::zeros(4, 3, Layout::Left);
         assert!(m.unpack_into(&mut wrong).is_err());
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        let mut m = InterleavedMatrix::zeros(5, 0);
+        let mut m = ResidentBatch::zeros(5, 0);
         assert_eq!(m.num_chunks(), 0);
         m.for_each_chunk_mut(&Serial, |_, _, _| panic!("no chunks to visit"));
         let mut dst = Matrix::zeros(5, 0, Layout::Left);
         m.unpack_into(&mut dst).unwrap();
+    }
+
+    #[test]
+    fn lane_scatter_gather_round_trips() {
+        let src = Matrix::from_fn(7, 11, Layout::Right, |i, j| (100 * i + j) as f64);
+        let mut r = ResidentBatch::pack(&src);
+        let mut lane = vec![0.0; 7];
+        r.copy_lane_into(5, &mut lane);
+        assert_eq!(lane, src.col(5).to_vec());
+        let repl: Vec<f64> = (0..7).map(|i| i as f64).collect();
+        r.write_lane(5, &repl);
+        r.copy_lane_into(5, &mut lane);
+        assert_eq!(lane, repl);
+        // Neighbouring lanes in the same chunk are untouched.
+        for i in 0..7 {
+            assert_eq!(r.get(i, 4), src.get(i, 4));
+            assert_eq!(r.get(i, 6), src.get(i, 6));
+        }
+    }
+
+    /// The `_with` forms are their exec-less shells on another execution
+    /// space: same panels, same host bits. 91 lanes and 67 rows make each
+    /// move a region of several items on the pool.
+    #[test]
+    fn with_forms_match_their_serial_shells() {
+        let src = Matrix::from_fn(67, 91, Layout::Right, payload);
+        let serial = ResidentBatch::pack(&src);
+        let pooled = ResidentBatch::pack_with(&Parallel, &src);
+        assert_eq!(bits(&pooled.data), bits(&serial.data));
+
+        let mut host = src.clone();
+        host.fill(SENTINEL);
+        pooled.unpack_into_with(&Parallel, &mut host).unwrap();
+        assert_eq!(bits(host.as_slice()), bits(src.as_slice()));
+        let mut host_t = Matrix::zeros(91, 67, Layout::Right);
+        pooled
+            .unpack_transposed_into_with(&Parallel, &mut host_t)
+            .unwrap();
+        let mut refill = ResidentBatch::zeros(67, 91);
+        refill.pack_transposed_from(&host_t).unwrap();
+        assert_eq!(bits(&refill.data), bits(&serial.data));
+        let mut copy = ResidentBatch::zeros(67, 91);
+        copy.copy_from(&serial).unwrap();
+        assert_eq!(bits(&copy.data), bits(&serial.data));
+        // Shape mismatches are typed, not panics.
+        assert!(pooled.unpack_into_with(&Parallel, &mut host_t).is_err());
+        assert!(copy.copy_from(&ResidentBatch::zeros(91, 67)).is_err());
+        assert!(serial.transpose_into(&mut copy).is_err());
     }
 }

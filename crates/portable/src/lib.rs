@@ -26,9 +26,12 @@
 //!   `PP_NUM_THREADS` environment variable (see [`num_threads`]), and
 //!   [`pool_stats`] exposes dispatch/lane counters plus per-worker
 //!   busy/idle clocks.
-//! * **Transpose kernels** — cache-blocked 2-D transposes used by the
-//!   semi-Lagrangian driver (Algorithm 2 of the paper transposes the
-//!   distribution function before and after the spline solve).
+//! * **Resident batches and layout moves** — a [`ResidentBatch`] holds a
+//!   batch lane-interleaved, the layout the batched sweeps want, across a
+//!   whole pipeline. Its pack / unpack and the host-to-host
+//!   [`transpose_into`] (Algorithm 2 of the paper transposes the
+//!   distribution function before and after the spline solve) are explicit
+//!   copies, Kokkos' `deep_copy`, through one cache-tiled mover.
 //!
 //! Everything is `f64`; the paper works exclusively in double precision.
 //!
@@ -68,7 +71,6 @@ pub mod matrix;
 pub mod par;
 pub mod pool;
 pub mod ptr;
-pub mod resident;
 pub mod strided;
 pub mod testrng;
 pub mod transpose;
@@ -76,17 +78,16 @@ pub mod transpose;
 pub use error::{Error, Result};
 pub use exec::{CountingExec, ExecSpace, Parallel, Serial};
 pub use field::{fill_panel, run_blocks, Field, HostField, TiledField};
-pub use interleaved::{deinterleave_columns, interleave_columns, InterleavedMatrix, LANE_WIDTH};
+pub use interleaved::{deinterleave_columns, interleave_columns, ResidentBatch, LANE_WIDTH};
 pub use isa::PanelIsa;
 pub use layout::Layout;
 pub use lines::Lines;
 pub use matrix::Matrix;
 pub use par::{num_threads, parallel_for, parallel_sum};
 pub use pool::{inject_worker_death, pool_stats, publish_pool_metrics, PoolStats, WorkerTimes};
-pub use resident::ResidentBatch;
 pub use strided::{Strided, StridedMut};
 pub use testrng::TestRng;
-pub use transpose::{transpose, transpose_into, transpose_into_with, transpose_reinterpret};
+pub use transpose::{transpose_into, transpose_into_with};
 
 /// The instrumentation layer ([`pp_instrument`]), re-exported so every
 /// downstream crate records through one path without a direct

@@ -4,7 +4,7 @@
 //! An interleaved panel row is eight doubles, one cache line and one
 //! AVX-512 register, and a row stored across two lines costs a store half as
 //! much again (DESIGN.md §14.3). Every panel of an
-//! [`crate::InterleavedMatrix`] and every hot per-worker scratch — the
+//! [`crate::ResidentBatch`] and every hot per-worker scratch — the
 //! evaluator's columns, the solve's panels, the tiled field's staging — is
 //! therefore entered at a line: a `Vec` seven doubles longer than asked,
 //! sliced from its first boundary. No `unsafe`, no custom allocator.

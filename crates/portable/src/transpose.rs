@@ -1,92 +1,25 @@
-//! Cache-blocked 2-D transpose kernels.
+//! The host-to-host transpose of Algorithm 2.
 //!
-//! Algorithm 2 of the paper transposes the distribution function to make the
-//! interpolation dimension contiguous before the spline solve, and
-//! transposes the coefficients back afterwards. These two transposes are
-//! part of the timed region of the advection benchmark, so they are
-//! implemented here with tiling (to keep both source and destination
-//! accesses within cache lines) and optional lane-parallel execution.
+//! Algorithm 2 of the paper transposes the distribution function to make
+//! the interpolation dimension contiguous before the spline solve, and
+//! transposes the coefficients back afterwards. Both are one pass of the
+//! crate's layout mover (`interleaved.rs::move_tiles`), which moves a
+//! block `W × W` tile by tile between any two of its storages — here a
+//! host matrix and a host matrix read as its transpose.
 
 use crate::error::{Error, Result};
-use crate::exec::ExecSpace;
-#[cfg(test)]
-use crate::layout::Layout;
+use crate::exec::{ExecSpace, Serial};
+use crate::interleaved::{move_tiles, Tiling};
 use crate::matrix::Matrix;
-use crate::ptr::SharedMutPtr;
-
-/// Tile edge for the blocked transpose. 32x32 f64 tiles = 8 KiB read +
-/// 8 KiB written, comfortably inside L1 on every target in Table II.
-const TILE: usize = 32;
 
 /// Transpose `src` into `dst`, which must have shape
-/// `(src.ncols(), src.nrows())`. Layouts may differ; the kernel walks tiles
-/// of the *source* and scatters into the destination.
+/// `(src.ncols(), src.nrows())`. Layouts may differ.
 pub fn transpose_into(src: &Matrix, dst: &mut Matrix) -> Result<()> {
-    check_shapes(src, dst)?;
-    let (m, n) = src.shape();
-    for jb in (0..n).step_by(TILE) {
-        for ib in (0..m).step_by(TILE) {
-            let i_end = (ib + TILE).min(m);
-            let j_end = (jb + TILE).min(n);
-            for i in ib..i_end {
-                for j in jb..j_end {
-                    dst.set(j, i, src.get(i, j));
-                }
-            }
-        }
-    }
-    Ok(())
+    transpose_into_with(&Serial, src, dst)
 }
 
-/// Parallel transpose: tiles of the source are distributed over `exec`.
+/// [`transpose_into`] as one region on `exec`.
 pub fn transpose_into_with<E: ExecSpace>(exec: &E, src: &Matrix, dst: &mut Matrix) -> Result<()> {
-    check_shapes(src, dst)?;
-    let (m, n) = src.shape();
-    let tiles_i = m.div_ceil(TILE);
-    let tiles_j = n.div_ceil(TILE);
-    let (drs, dcs) = dst.strides();
-    let (dm, dn) = dst.shape();
-    let dptr = SharedMutPtr(dst.as_mut_ptr());
-    exec.for_each(tiles_i * tiles_j, |t| {
-        let ib = (t / tiles_j) * TILE;
-        let jb = (t % tiles_j) * TILE;
-        let i_end = (ib + TILE).min(m);
-        let j_end = (jb + TILE).min(n);
-        for i in ib..i_end {
-            for j in jb..j_end {
-                // dst[(j, i)] = src[(i, j)]; tiles map to disjoint (j, i)
-                // rectangles, so concurrent writes never alias.
-                debug_assert!(j < dm && i < dn);
-                let off = j * drs + i * dcs;
-                // SAFETY: offset is in bounds (asserted shape (n, m) above)
-                // and each destination element is written by exactly one
-                // tile.
-                unsafe {
-                    *dptr.add(off) = src.get(i, j);
-                }
-            }
-        }
-    });
-    Ok(())
-}
-
-/// Allocate and return the transpose of `src` (same layout as `src`).
-pub fn transpose(src: &Matrix) -> Matrix {
-    let mut dst = Matrix::zeros(src.ncols(), src.nrows(), src.layout());
-    transpose_into(src, &mut dst).expect("shape correct by construction");
-    dst
-}
-
-/// "Logical" transpose: reinterpret the same buffer with flipped layout and
-/// swapped extents, costing zero data movement. Useful when a consumer can
-/// work with either layout.
-pub fn transpose_reinterpret(src: &Matrix) -> Matrix {
-    let (m, n) = src.shape();
-    Matrix::from_vec(n, m, src.layout().flipped(), src.as_slice().to_vec())
-        .expect("buffer length preserved")
-}
-
-fn check_shapes(src: &Matrix, dst: &Matrix) -> Result<()> {
     if dst.shape() != (src.ncols(), src.nrows()) {
         return Err(Error::ShapeMismatch {
             op: "transpose",
@@ -94,89 +27,73 @@ fn check_shapes(src: &Matrix, dst: &Matrix) -> Result<()> {
             right: dst.shape(),
         });
     }
+    let (from, to) = (Tiling::of(src, false), Tiling::of(dst, true));
+    move_tiles(
+        exec,
+        src.shape(),
+        src.as_slice(),
+        from,
+        dst.as_mut_slice(),
+        to,
+    );
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{Parallel, Serial};
+    use crate::exec::Parallel;
+    use crate::layout::Layout;
 
-    fn sample(m: usize, n: usize, layout: Layout) -> Matrix {
-        Matrix::from_fn(m, n, layout, |i, j| (i * 1000 + j) as f64)
+    /// The transpose by definition.
+    fn naive(a: &Matrix, layout: Layout) -> Matrix {
+        Matrix::from_fn(a.ncols(), a.nrows(), layout, |j, i| a.get(i, j))
     }
 
-    #[test]
-    fn transpose_small_exact() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let t = transpose(&a);
-        assert_eq!(t.shape(), (3, 2));
-        assert_eq!(t.get(0, 0), 1.0);
-        assert_eq!(t.get(2, 1), 6.0);
-        assert_eq!(t.get(1, 0), 2.0);
-    }
-
-    #[test]
-    fn transpose_twice_is_identity_all_layout_pairs() {
-        for src_layout in [Layout::Left, Layout::Right] {
-            let a = sample(37, 53, src_layout); // sizes straddle tile edges
-            let t = transpose(&a);
-            let tt = transpose(&t);
-            assert_eq!(a.max_abs_diff(&tt), 0.0, "{src_layout:?}");
+    fn bits(m: &Matrix) -> Vec<u64> {
+        let mut out = Vec::with_capacity(m.nrows() * m.ncols());
+        for i in 0..m.nrows() {
+            out.extend((0..m.ncols()).map(|j| m.get(i, j).to_bits()));
         }
+        out
     }
 
+    /// Both names, on both execution spaces, against the definition: every
+    /// pair of layouts, empty and one-thin blocks, and shapes on either side
+    /// of the 8-wide tiles (67 × 91 is a region of several items). Every
+    /// destination element starts as a NaN the source does not hold, so one
+    /// left unwritten shows.
     #[test]
-    fn transpose_into_mixed_layouts() {
-        let a = sample(40, 17, Layout::Left);
-        let mut t = Matrix::zeros(17, 40, Layout::Right);
-        transpose_into(&a, &mut t).unwrap();
-        for i in 0..40 {
-            for j in 0..17 {
-                assert_eq!(t.get(j, i), a.get(i, j));
+    fn transposes_match_the_definition() {
+        let sizes: &[usize] = if cfg!(miri) {
+            &[0, 1, 9]
+        } else {
+            &[0, 1, 7, 8, 9, 17, 67, 91]
+        };
+        for &m in sizes {
+            for &n in sizes {
+                for from in [Layout::Left, Layout::Right] {
+                    let a = Matrix::from_fn(m, n, from, |i, j| (1000 * i + j) as f64 + 0.5);
+                    for to in [Layout::Left, Layout::Right] {
+                        let want = bits(&naive(&a, to));
+                        let what = format!("{m}x{n} {from:?} -> {to:?}");
+                        let mut t = Matrix::from_fn(n, m, to, |_, _| f64::NAN);
+                        transpose_into(&a, &mut t).unwrap();
+                        assert_eq!(bits(&t), want, "serial {what}");
+                        let mut t = Matrix::from_fn(n, m, to, |_, _| f64::NAN);
+                        transpose_into_with(&Parallel, &a, &mut t).unwrap();
+                        assert_eq!(bits(&t), want, "parallel {what}");
+                    }
+                }
             }
         }
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let a = sample(129, 200, Layout::Left);
-        let mut t_ser = Matrix::zeros(200, 129, Layout::Left);
-        let mut t_par = Matrix::zeros(200, 129, Layout::Left);
-        transpose_into_with(&Serial, &a, &mut t_ser).unwrap();
-        transpose_into_with(&Parallel, &a, &mut t_par).unwrap();
-        assert_eq!(t_ser.max_abs_diff(&t_par), 0.0);
-        let reference = transpose(&a);
-        assert_eq!(t_ser.max_abs_diff(&reference), 0.0);
     }
 
     #[test]
     fn shape_mismatch_is_an_error() {
-        let a = sample(4, 5, Layout::Left);
+        let a = Matrix::zeros(4, 5, Layout::Left);
         let mut bad = Matrix::zeros(4, 5, Layout::Left);
         assert!(transpose_into(&a, &mut bad).is_err());
-    }
-
-    #[test]
-    fn reinterpret_is_a_true_transpose() {
-        let a = sample(6, 9, Layout::Right);
-        let t = transpose_reinterpret(&a);
-        assert_eq!(t.shape(), (9, 6));
-        assert_eq!(t.layout(), Layout::Left);
-        for i in 0..6 {
-            for j in 0..9 {
-                assert_eq!(t.get(j, i), a.get(i, j));
-            }
-        }
-    }
-
-    #[test]
-    fn degenerate_shapes() {
-        let a = sample(1, 7, Layout::Left);
-        let t = transpose(&a);
-        assert_eq!(t.shape(), (7, 1));
-        let empty = Matrix::zeros(0, 5, Layout::Left);
-        let te = transpose(&empty);
-        assert_eq!(te.shape(), (5, 0));
+        assert!(transpose_into_with(&Parallel, &a, &mut bad).is_err());
     }
 }

@@ -91,6 +91,15 @@ PP_NUM_THREADS=$POOL_THREADS cargo run --release -q -p pp-bench --bin chaos_soak
     --smoke --out target/BENCH_chaos_smoke.json
 test -s target/BENCH_chaos_smoke.json
 
+# The end-to-end step benchmark (`benchmark/`, frozen by BENCHMARK.json)
+# at toy size: all six workloads, untraced and traced. Deterministic, not
+# a timing gate — the run fails when the ledger's replay stops matching
+# the real step bit for bit or an accuracy tolerance breaks, and it fails
+# to build when a library name it calls changes. The crate is not a
+# workspace member, hence the manifest path.
+echo "==> stepbench smoke (ledger replay == step, accuracy tolerances)"
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -66,9 +66,7 @@ pub mod prelude {
     pub use pp_iterative::{BreakdownKind, FaultInjector, LaneOutcome, StopCriteria};
     pub use pp_linalg::FactorHealth;
     pub use pp_perfmodel::{glups, Device};
-    pub use pp_portable::{
-        ExecSpace, InterleavedMatrix, Layout, Matrix, Parallel, ResidentBatch, Serial, LANE_WIDTH,
-    };
+    pub use pp_portable::{ExecSpace, Layout, Matrix, Parallel, ResidentBatch, Serial, LANE_WIDTH};
     pub use pp_splinesolver::{
         BuilderVersion, FallbackRung, IterativeConfig, IterativeSplineSolver, KrylovKind,
         LaneReport, LaneVerdict, QuarantineReason, RecoveryPolicy, SplineBuilder, SplineEvaluator,

@@ -9,7 +9,7 @@
 use pp_advection::vlasov::two_stream;
 use pp_advection::VlasovPoisson1D1V;
 use pp_portable::Parallel;
-use pp_splinesolver::CheckpointStore;
+use pp_splinesolver::{CheckpointStore, Snapshot};
 use std::fs;
 use std::path::PathBuf;
 
@@ -170,4 +170,45 @@ fn snapshot_from_mismatched_grid_is_rejected() {
         "{err}"
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A snapshot missing a section, or holding a malformed one, is refused
+/// before anything is assigned: the solver keeps every bit of its state.
+#[test]
+fn restore_without_a_valid_seed_changes_nothing() {
+    let mut donor = solver();
+    for _ in 0..3 {
+        donor.step(&Parallel).unwrap();
+    }
+    let mut target = solver();
+    target.set_seed(7);
+    for _ in 0..2 {
+        target.step(&Parallel).unwrap();
+    }
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let before = (
+        target.step_index(),
+        target.seed(),
+        bits(target.e_field()),
+        bits(target.distribution().as_slice()),
+    );
+    for seed in [None, Some(vec![0u8; 4])] {
+        let mut s = Snapshot::new();
+        s.push_matrix("f", donor.distribution());
+        s.push_f64s("e_field", donor.e_field());
+        s.push_u64("step", donor.step_index());
+        s.push_f64("dt", 0.05);
+        let what = format!("seed section {seed:?}");
+        if let Some(bytes) = seed {
+            s.push_bytes("seed", bytes);
+        }
+        assert!(target.restore(&s).is_err(), "{what}");
+        let after = (
+            target.step_index(),
+            target.seed(),
+            bits(target.e_field()),
+            bits(target.distribution().as_slice()),
+        );
+        assert_eq!(after, before, "{what}");
+    }
 }

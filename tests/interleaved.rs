@@ -77,7 +77,7 @@ impl Factors {
     fn abreast<const P: usize>(&self, n: usize, canonical: &[Vec<u64>], what: &str) {
         let batch = P * LANE_WIDTH - 3;
         let packed = ResidentBatch::pack(&batch_rhs(n, batch, Layout::Left));
-        let mut panels: [Vec<f64>; P] = std::array::from_fn(|c| packed.panels().chunk(c).to_vec());
+        let mut panels: [Vec<f64>; P] = std::array::from_fn(|c| packed.chunk(c).to_vec());
         let mut rows = panels.each_mut().map(|panel| Panel::new(panel, n));
         match self {
             Factors::Pt(f) => f.solve_rows(&mut rows, 0),
@@ -190,6 +190,13 @@ fn bits(lane: impl IntoIterator<Item = f64>) -> Vec<u64> {
 }
 
 /// Bits of lane `j` of a host matrix (`Matrix::col` rejects `n == 0`).
+/// `r` unpacked into a fresh host matrix.
+fn unpacked(r: &ResidentBatch) -> Matrix {
+    let mut host = Matrix::zeros(r.nrows(), r.ncols(), Layout::Left);
+    r.unpack_into(&mut host).unwrap();
+    host
+}
+
 fn lane_bits(m: &Matrix, j: usize) -> Vec<u64> {
     bits((0..m.nrows()).map(|i| m.get(i, j)))
 }
@@ -227,10 +234,10 @@ fn differential(routine: Routine) {
                 factors.host(&mut host);
                 let mut resident = ResidentBatch::pack(&rhs);
                 factors.resident(&mut resident);
-                let resident = resident.host();
+                let resident = unpacked(&resident);
                 for (j, want) in canonical.iter().enumerate().take(batch) {
                     assert_eq!(&lane_bits(&host, j), want, "{what} batched lane {j}");
-                    assert_eq!(&lane_bits(resident, j), want, "{what} resident lane {j}");
+                    assert_eq!(&lane_bits(&resident, j), want, "{what} resident lane {j}");
                 }
             }
         }
@@ -295,7 +302,7 @@ fn fused_coefficients<E: ExecSpace>(
     let mut field = HostField::new(&mut host).unwrap();
     builder.solve_then(exec, &mut field, keep_lanes).unwrap();
     let host = Matrix::from_fn(n, batch, Layout::Left, |i, j| host.get(j, i));
-    (resident.host().clone(), host)
+    (unpacked(&resident), host)
 }
 
 /// Full pipeline: `BuilderVersion::Interleaved` is the scalar per-lane
@@ -367,10 +374,8 @@ fn builder_interleaved_matches_scalar_per_lane_within_2_ulp() {
             }
             let packed = ResidentBatch::pack(&rhs);
             for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
-                let chunks = 0..packed.panels().num_chunks();
-                let mut panels: Vec<f64> = chunks
-                    .flat_map(|c| packed.panels().chunk(c).to_vec())
-                    .collect();
+                let chunks = 0..packed.num_chunks();
+                let mut panels: Vec<f64> = chunks.flat_map(|c| packed.chunk(c).to_vec()).collect();
                 wide.solve_panels_on(isa, &mut panels);
                 for j in 0..batch {
                     let panel = panels.chunks_exact(n * LANE_WIDTH).nth(j / LANE_WIDTH);
