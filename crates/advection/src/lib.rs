@@ -21,6 +21,7 @@
 //! Poisson solve into the plasma two-stream-instability demo that GYSELA's
 //! physics motivates.
 
+#![forbid(unsafe_code)]
 // Numerical kernels here deliberately use index loops (matching the
 // LAPACK-style algorithms they implement) and NaN-rejecting negated
 // comparisons; silence the corresponding style lints crate-wide.

@@ -13,6 +13,7 @@
 //! cargo run --release -p pp-bench --bin table3_optimization -- [nx] [nv] [iters]
 //! ```
 
+#![forbid(unsafe_code)]
 // Numerical kernels here deliberately use index loops (matching the
 // LAPACK-style algorithms they implement) and NaN-rejecting negated
 // comparisons; silence the corresponding style lints crate-wide.

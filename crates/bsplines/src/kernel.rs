@@ -7,89 +7,14 @@
 //! is no triangle at all: each weight is one fixed polynomial in the
 //! cell-local coordinate, evaluated in closed form ([`cardinal`]).
 //!
-//! Both are written once over [`Lanes`]: `f64` is one point, and
-//! `[f64; LANE_WIDTH]` is a *run* — eight consecutive points of one lane in
-//! eight consecutive cells, whose knots, reciprocals and coefficients are
-//! contiguous in memory (DESIGN.md §16.8).
+//! Both are written once over [`pp_portable::Lanes`]: `f64` is one point,
+//! and `[f64; LANE_WIDTH]` is a *run* — eight consecutive points of one lane
+//! in eight consecutive cells, whose knots, reciprocals and coefficients are
+//! contiguous in memory (DESIGN.md §16.8). Every multiply-add pair is one
+//! [`Lanes::mul_add`].
 
 use crate::space::MAX_DEGREE;
-use pp_portable::LANE_WIDTH;
-
-/// The value the triangle runs on. Every operation applies to each lane
-/// independently and nothing is fused or reassociated, so a lane of the
-/// wide instance carries the bits of the scalar instance.
-pub(crate) trait Lanes: Copy {
-    /// Points advanced together.
-    const WIDTH: usize;
-    /// `v` in every lane.
-    fn splat(v: f64) -> Self;
-    /// The first [`Self::WIDTH`] values of `from`, one per lane.
-    fn load(from: &[f64]) -> Self;
-    /// `self + o`, per lane.
-    fn add(self, o: Self) -> Self;
-    /// `self − o`, per lane.
-    fn sub(self, o: Self) -> Self;
-    /// `self · o`, per lane.
-    fn mul(self, o: Self) -> Self;
-}
-
-impl Lanes for f64 {
-    const WIDTH: usize = 1;
-    #[inline(always)]
-    fn splat(v: f64) -> Self {
-        v
-    }
-    #[inline(always)]
-    fn load(from: &[f64]) -> Self {
-        from[0]
-    }
-    #[inline(always)]
-    fn add(self, o: Self) -> Self {
-        self + o
-    }
-    #[inline(always)]
-    fn sub(self, o: Self) -> Self {
-        self - o
-    }
-    #[inline(always)]
-    fn mul(self, o: Self) -> Self {
-        self * o
-    }
-}
-
-impl Lanes for [f64; LANE_WIDTH] {
-    const WIDTH: usize = LANE_WIDTH;
-    #[inline(always)]
-    fn splat(v: f64) -> Self {
-        [v; LANE_WIDTH]
-    }
-    #[inline(always)]
-    fn load(from: &[f64]) -> Self {
-        let from = &from[..LANE_WIDTH];
-        std::array::from_fn(|l| from[l])
-    }
-    #[inline(always)]
-    fn add(mut self, o: Self) -> Self {
-        for l in 0..LANE_WIDTH {
-            self[l] += o[l];
-        }
-        self
-    }
-    #[inline(always)]
-    fn sub(mut self, o: Self) -> Self {
-        for l in 0..LANE_WIDTH {
-            self[l] -= o[l];
-        }
-        self
-    }
-    #[inline(always)]
-    fn mul(mut self, o: Self) -> Self {
-        for l in 0..LANE_WIDTH {
-            self[l] *= o[l];
-        }
-        self
-    }
-}
+use pp_portable::Lanes;
 
 /// The reciprocal knot differences of a space with extended knots `knots`
 /// (`τ_0 ..= τ_{n+2d}`): level `r` in `1..=degree` starts at
@@ -168,7 +93,7 @@ fn level<const R: usize, V: Lanes>(out: &mut [V; MAX_DEGREE + 1], at: &Tabulated
         let rho = V::load(&at.recip[R - 1][k..]);
         let (to_right, to_left) = (at.right[k].mul(rho), at.left[R - k - 1].mul(rho));
         let below = out[k];
-        out[k] = saved.add(below.mul(to_right));
+        out[k] = below.mul_add(to_right, saved);
         saved = below.mul(to_left);
     }
     out[R] = saved;
@@ -222,7 +147,7 @@ fn reduce<V: Lanes>(degree: usize, w: impl Fn(usize) -> V, scale: V) -> [V; MAX_
 macro_rules! horner {
     ($x:ident; $top:literal $(, $c:literal)*) => {{
         let p = V::splat($top);
-        $(let p = p.mul($x).add(V::splat($c));)*
+        $(let p = p.mul_add($x, V::splat($c));)*
         p
     }};
 }

@@ -39,6 +39,7 @@
 //! assert!((y - (2.0 * std::f64::consts::PI * 0.23_f64).sin()).abs() < 1e-3);
 //! ```
 
+#![forbid(unsafe_code)]
 // Numerical kernels here deliberately use index loops (matching the
 // LAPACK-style algorithms they implement) and NaN-rejecting negated
 // comparisons; silence the corresponding style lints crate-wide.

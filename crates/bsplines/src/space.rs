@@ -2,9 +2,9 @@
 //! points, spline evaluation.
 
 use crate::error::{Error, Result};
-use crate::kernel::{self, Lanes, Tabulated};
+use crate::kernel::{self, Tabulated};
 use crate::knots::Breaks;
-use pp_portable::{deinterleave_columns, interleave_columns, PanelIsa};
+use pp_portable::{deinterleave_columns, interleave_columns, Lanes, PanelIsa};
 use pp_portable::{Lines, Strided, StridedMut, LANE_WIDTH};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -501,12 +501,12 @@ impl SplineSpace {
             let mut s = 0.0;
             if cell + D < nb {
                 for m in 0..=D {
-                    s += vals[m] * coefs[cell + m];
+                    s = Lanes::mul_add(vals[m], coefs[cell + m], s);
                 }
             } else {
                 for m in 0..=D {
                     let k = cell + m;
-                    s += vals[m] * coefs[if k < nb { k } else { k - nb }];
+                    s = Lanes::mul_add(vals[m], coefs[if k < nb { k } else { k - nb }], s);
                 }
             }
             *y = s;
@@ -569,12 +569,9 @@ impl SplineSpace {
             }
             let vals = self.basis_in::<[f64; W], D, UNIFORM, false>(c0, x);
             let stencil = &col[c0..c0 + W + D];
-            let mut s = [0.0; W];
+            let mut s = <[f64; W]>::splat(0.0);
             for m in 0..=D {
-                let c = <[f64; W]>::load(&stencil[m..]);
-                for j in 0..W {
-                    s[j] += vals[m][j] * c[j];
-                }
+                s = vals[m].mul_add(<[f64; W]>::load(&stencil[m..]), s);
             }
             out.copy_from_slice(&s);
             // The next run most likely starts one cell on.

@@ -48,6 +48,7 @@
 //! assert!((y - (std::f64::consts::TAU * 0.4_f64).sin()).abs() < 1e-3);
 //! ```
 
+#![forbid(unsafe_code)]
 // Non-test code in this crate is free of `unwrap()`; keep it that way
 // (failures must surface as typed errors or documented invariants).
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]

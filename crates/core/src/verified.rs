@@ -37,11 +37,11 @@ use pp_linalg::{getrf, refine_lane, LuFactors, RefineConfig};
 use pp_portable::instrument::{
     counter, fault_dump, trace_instant_lane, Counter, InstantKind, PhaseId, Span,
 };
-use pp_portable::PanelIsa;
 use pp_portable::{
     ExecSpace, Field, HostField, Layout, Matrix, Parallel, ResidentBatch, StridedMut, TestRng,
     LANE_WIDTH,
 };
+use pp_portable::{Lanes, PanelIsa};
 use pp_sparse::Csr;
 
 /// Relative tolerance of the ABFT screen. The discrepancy of a correct
@@ -792,7 +792,11 @@ impl VerifiedBuilder {
     /// `(tripped, relative discrepancy)`; a non-finite discrepancy always
     /// trips (`NaN > tol` is false — the comparison must not be inverted).
     fn abft_check(&self, x: &[f64], b_lane: &[f64]) -> (bool, f64) {
-        let vx: f64 = self.colsum.iter().zip(x).map(|(c, xi)| c * xi).sum();
+        let vx = self
+            .colsum
+            .iter()
+            .zip(x)
+            .fold(0.0, |s, (&c, &xi)| Lanes::mul_add(c, xi, s));
         let sum_b: f64 = b_lane.iter().sum();
         let disc = (vx - sum_b).abs();
         let scale = self.colsum_norm * norm2(x) + sum_b.abs();
@@ -1001,39 +1005,34 @@ type PassSums = ([[f64; LANE_WIDTH]; 5], [bool; LANE_WIDTH]);
 /// only with `abft` (loop-invariant, the loop is unswitched on it) — sums
 /// not asked for are zero. Per lane the expressions are those of
 /// [`VerifiedBuilder::abft_check`] and [`VerifiedBuilder::relative_residual`]
-/// in their order; nothing is fused or reassociated, so every instance
-/// returns the scalar bits.
+/// in their order, every multiply-add one [`Lanes::mul_add`] as there, so
+/// every instance returns the scalar bits.
 #[inline(always)]
 fn screen_pass(colsum: &[f64], a: &Csr, x: &[f64], rhs: &[f64], abft: bool) -> PassSums {
+    type Row = [f64; LANE_WIDTH];
     const W: usize = LANE_WIDTH;
     let (row_ptr, cols, vals) = (a.row_ptr(), a.col_idx(), a.values());
-    let (mut vx, mut sum_b, mut nx2) = ([0.0; W], [0.0; W], [0.0; W]);
-    let (mut acc_r, mut acc_b) = ([0.0; W], [0.0; W]);
+    // Row `i` of a panel; one bounds check, where `&v[i * W..]` takes two.
+    let row = |v: &[f64], i: usize| Row::load(&v[i * W..i * W + W]);
+    let [mut vx, mut sum_b, mut nx2, mut acc_r, mut acc_b] = [Row::splat(0.0); 5];
     let mut finite = [true; W];
     for i in 0..colsum.len() {
-        let (xr, br) = (&x[i * W..i * W + W], &rhs[i * W..i * W + W]);
+        let (xr, br) = (row(x, i), row(rhs, i));
         for l in 0..W {
             finite[l] &= br[l].is_finite();
         }
         if abft {
-            for l in 0..W {
-                vx[l] += colsum[i] * xr[l];
-                sum_b[l] += br[l];
-                nx2[l] += xr[l] * xr[l];
-            }
+            vx = Row::splat(colsum[i]).mul_add(xr, vx);
+            sum_b = sum_b.add(br);
+            nx2 = xr.mul_add(xr, nx2);
         }
-        let mut s = [0.0; W];
+        let mut s = Row::splat(0.0);
         for k in row_ptr[i]..row_ptr[i + 1] {
-            let xc = &x[cols[k] * W..cols[k] * W + W];
-            for l in 0..W {
-                s[l] += vals[k] * xc[l];
-            }
+            s = Row::splat(vals[k]).mul_add(row(x, cols[k]), s);
         }
-        for l in 0..W {
-            let r = br[l] - s[l];
-            acc_r[l] += r * r;
-            acc_b[l] += br[l] * br[l];
-        }
+        let r = br.sub(s);
+        acc_r = r.mul_add(r, acc_r);
+        acc_b = br.mul_add(br, acc_b);
     }
     ([vx, sum_b, nx2, acc_r, acc_b], finite)
 }

@@ -45,6 +45,8 @@
 //! `--features instrument` on any crate in the stack lights up the whole
 //! pipeline (cargo feature unification).
 
+#![forbid(unsafe_code)]
+
 pub mod env;
 mod export;
 mod phase;

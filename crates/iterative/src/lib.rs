@@ -35,6 +35,7 @@
 //!   near-singular perturbations, iteration starvation) for exercising
 //!   the above in tests.
 
+#![forbid(unsafe_code)]
 // Non-test code in this crate is free of `unwrap()`; keep it that way
 // (failures must surface as typed errors or documented invariants).
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]

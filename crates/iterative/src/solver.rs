@@ -4,6 +4,7 @@ use crate::breakdown::BreakdownKind;
 use crate::precond::Preconditioner;
 use crate::stop::StopCriteria;
 use pp_portable::instrument::{counter, Counter};
+use pp_portable::Lanes;
 use pp_sparse::Csr;
 use std::sync::OnceLock;
 
@@ -63,10 +64,11 @@ pub trait IterativeSolver: Send + Sync {
 
 // ---- shared dense-vector helpers for the solver implementations ----
 
-/// Euclidean norm.
+/// Euclidean norm, summed from `−0.0` as `Iterator::sum` is (an empty `v`
+/// gives `−0.0`).
 #[inline]
 pub fn norm2(v: &[f64]) -> f64 {
-    v.iter().map(|x| x * x).sum::<f64>().sqrt()
+    v.iter().fold(-0.0, |s, &x| Lanes::mul_add(x, x, s)).sqrt()
 }
 
 /// Dot product.

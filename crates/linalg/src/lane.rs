@@ -1,4 +1,4 @@
-//! The lane-vector abstraction: one sweep body per routine.
+//! One sweep body per routine, over the workspace's lane-vector trait.
 //!
 //! The solves of this crate are strictly sequential *along the matrix
 //! dimension* and embarrassingly parallel *across lanes* (the paper's
@@ -7,15 +7,16 @@
 //! `[f64; LANE_WIDTH]` of eight interleaved lanes (Gloster et al.,
 //! PAPERS.md). This module says that once:
 //!
-//! * [`LaneVec`] is the row value — `f64`, `[f64; LANE_WIDTH]`, or `P`
-//!   of those — with the three operations a sweep needs, each applied to
-//!   every lane independently and nothing reassociated. None divides:
-//!   one matrix serves the whole batch, so every pivot's reciprocal is
-//!   taken once, at factor time (DESIGN.md §13.2);
+//! * the row value is a [`pp_portable::Lanes`] — `f64`, `[f64; LANE_WIDTH]`,
+//!   or `P` of those — and a sweep uses two of its operations: `x − a·y` is
+//!   `splat(−a).mul_add(y, x)` (negation is exact, so those are the bits of
+//!   `x − a·y`) and a pivot is a `mul`. None divides: one matrix serves the
+//!   whole batch, so every pivot's reciprocal is taken once, at factor time
+//!   (DESIGN.md §13.2);
 //! * [`LaneRows`] is the row accessor, implemented for [`StridedMut`]
 //!   (one lane of a [`pp_portable::Matrix`]), for [`Panel`] (one chunk
-//!   of a [`pp_portable::ResidentBatch`]) and for `[Panel; P]` (`P`
-//!   panels abreast, whose row is `P` panel rows);
+//!   of a [`pp_portable::ResidentBatch`], its rows by `as_chunks_mut`) and
+//!   for `[Panel; P]` (`P` panels abreast, whose row is `P` panel rows);
 //! * [`pttrs`], [`pbtrs`], [`gbtrs`] and [`getrs`] are the **only**
 //!   forward/backward sweeps of those routines in the crate (outside the
 //!   `naive` reference and the transposed solves of the condition
@@ -31,74 +32,24 @@
 //! `#[inline(always)]`: a caller that runs them inside a
 //! `#[target_feature]` shell gets them at that shell's width.
 //!
-//! [`LaneVec`] stays private to the crate; [`LaneRows`] and [`Panel`]
-//! are exported so `pp-splinesolver` can write the fused Schur sequence
-//! once over the same accessor.
+//! [`LaneRows`] and [`Panel`] are exported so `pp-splinesolver` can write
+//! the fused Schur sequence once over the same accessor.
 
 use crate::banded::BandedLu;
 use crate::pb::CholeskyBanded;
-use pp_portable::{Matrix, StridedMut, LANE_WIDTH};
+use pp_portable::{Lanes, Matrix, StridedMut, LANE_WIDTH};
 
-/// One matrix row across the lanes a sweep advances together.
-pub trait LaneVec: Copy {
-    /// The all-zero row.
-    const ZERO: Self;
-    /// `self + a·x`, per lane.
-    fn add_mul(self, a: f64, x: Self) -> Self;
-    /// `self − a·x`, per lane.
-    fn sub_mul(self, a: f64, x: Self) -> Self;
-    /// `self · a`, per lane.
-    fn mul(self, a: f64) -> Self;
-}
-
-impl LaneVec for f64 {
-    const ZERO: Self = 0.0;
-    #[inline(always)]
-    fn add_mul(self, a: f64, x: Self) -> Self {
-        self + a * x
-    }
-    #[inline(always)]
-    fn sub_mul(self, a: f64, x: Self) -> Self {
-        self - a * x
-    }
-    #[inline(always)]
-    fn mul(self, a: f64) -> Self {
-        self * a
-    }
-}
-
-/// `P` values side by side, each advanced as it would be alone: the
-/// [`LANE_WIDTH`] lanes of a panel row (`[f64; LANE_WIDTH]`), and `P` such
-/// rows of panels abreast.
-impl<V: LaneVec, const P: usize> LaneVec for [V; P] {
-    const ZERO: Self = [V::ZERO; P];
-    #[inline(always)]
-    fn add_mul(mut self, a: f64, x: Self) -> Self {
-        for l in 0..P {
-            self[l] = self[l].add_mul(a, x[l]);
-        }
-        self
-    }
-    #[inline(always)]
-    fn sub_mul(mut self, a: f64, x: Self) -> Self {
-        for l in 0..P {
-            self[l] = self[l].sub_mul(a, x[l]);
-        }
-        self
-    }
-    #[inline(always)]
-    fn mul(mut self, a: f64) -> Self {
-        for l in 0..P {
-            self[l] = self[l].mul(a);
-        }
-        self
-    }
+/// `x − a·y`, per lane, the update of every sweep: negation is exact, so
+/// `(−a)·y + x` has its bits.
+#[inline(always)]
+fn minus<V: Lanes>(x: V, a: f64, y: V) -> V {
+    V::splat(-a).mul_add(y, x)
 }
 
 /// Row access to the right-hand side a sweep updates in place.
 pub trait LaneRows {
     /// The row value: one lane or [`LANE_WIDTH`] of them.
-    type V: LaneVec;
+    type V: Lanes;
     /// Read row `i`.
     fn get(&self, i: usize) -> Self::V;
     /// Write row `i`.
@@ -111,7 +62,7 @@ pub trait LaneRows {
     /// fused Algorithm 1.
     #[inline(always)]
     fn row_axpy(&mut self, i: usize, k: usize, a: f64) {
-        let v = self.get(i).add_mul(a, self.get(k));
+        let v = Self::V::splat(a).mul_add(self.get(k), self.get(i));
         self.set(i, v);
     }
 
@@ -122,11 +73,11 @@ pub trait LaneRows {
     fn gemv_sub(&mut self, y0: usize, a: &Matrix, x0: usize) {
         let (m, n) = a.shape();
         for i in 0..m {
-            let mut s = Self::V::ZERO;
+            let mut s = Self::V::splat(0.0);
             for j in 0..n {
-                s = s.add_mul(a.get(i, j), self.get(x0 + j));
+                s = Self::V::splat(a.get(i, j)).mul_add(self.get(x0 + j), s);
             }
-            let y = self.get(y0 + i).sub_mul(1.0, s);
+            let y = self.get(y0 + i).sub(s);
             self.set(y0 + i, y);
         }
     }
@@ -168,11 +119,7 @@ impl<'a> Panel<'a> {
             nrows * LANE_WIDTH,
             "interleaved: panel length must be nrows * LANE_WIDTH"
         );
-        // SAFETY: `[f64; LANE_WIDTH]` has the same layout as LANE_WIDTH
-        // consecutive f64 (no padding), and the length was checked above, so
-        // the cast reinterprets exactly the same memory with the same
-        // mutable provenance.
-        Panel(unsafe { std::slice::from_raw_parts_mut(chunk.as_mut_ptr().cast(), nrows) })
+        Panel(chunk.as_chunks_mut().0)
     }
 }
 
@@ -236,14 +183,14 @@ pub(crate) fn pttrs<R: LaneRows>(d_inv: &[f64], e: &[f64], rows: &mut R, row0: u
     // Solve L * x = b (unit lower bidiagonal with multipliers e).
     let mut carry = rows.get(row0);
     for i in 1..n {
-        carry = rows.get(row0 + i).sub_mul(e[i - 1], carry);
+        carry = minus(rows.get(row0 + i), e[i - 1], carry);
         rows.set(row0 + i, carry);
     }
     // Solve D * L**T * x = b.
-    carry = carry.mul(d_inv[n - 1]);
+    carry = carry.mul(R::V::splat(d_inv[n - 1]));
     rows.set(row0 + n - 1, carry);
     for i in (0..n - 1).rev() {
-        carry = rows.get(row0 + i).mul(d_inv[i]).sub_mul(e[i], carry);
+        carry = minus(rows.get(row0 + i).mul(R::V::splat(d_inv[i])), e[i], carry);
         rows.set(row0 + i, carry);
     }
 }
@@ -256,10 +203,10 @@ pub(crate) fn pbtrs<R: LaneRows>(f: &CholeskyBanded, rows: &mut R, row0: usize) 
     let kd = f.kd();
     // Forward: L y = b.
     for j in 0..n {
-        let yj = rows.get(row0 + j).mul(f.l(j, j));
+        let yj = rows.get(row0 + j).mul(R::V::splat(f.l(j, j)));
         rows.set(row0 + j, yj);
         for i in j + 1..=(j + kd).min(n - 1) {
-            let v = rows.get(row0 + i).sub_mul(f.l(i, j), yj);
+            let v = minus(rows.get(row0 + i), f.l(i, j), yj);
             rows.set(row0 + i, v);
         }
     }
@@ -267,9 +214,9 @@ pub(crate) fn pbtrs<R: LaneRows>(f: &CholeskyBanded, rows: &mut R, row0: usize) 
     for j in (0..n).rev() {
         let mut s = rows.get(row0 + j);
         for i in j + 1..=(j + kd).min(n - 1) {
-            s = s.sub_mul(f.l(i, j), rows.get(row0 + i));
+            s = minus(s, f.l(i, j), rows.get(row0 + i));
         }
-        rows.set(row0 + j, s.mul(f.l(j, j)));
+        rows.set(row0 + j, s.mul(R::V::splat(f.l(j, j))));
     }
 }
 
@@ -289,16 +236,16 @@ pub(crate) fn gbtrs<R: LaneRows>(f: &BandedLu, rows: &mut R, row0: usize) {
         }
         let bj = rows.get(row0 + j);
         for i in 1..=kl.min(n - 1 - j) {
-            let v = rows.get(row0 + j + i).sub_mul(f.factor(j + i, j), bj);
+            let v = minus(rows.get(row0 + j + i), f.factor(j + i, j), bj);
             rows.set(row0 + j + i, v);
         }
     }
     // Backward: solve U x = b (bandwidth kv = kl + ku after fill-in).
     for j in (0..n).rev() {
-        let xj = rows.get(row0 + j).mul(f.factor(j, j));
+        let xj = rows.get(row0 + j).mul(R::V::splat(f.factor(j, j)));
         rows.set(row0 + j, xj);
         for i in 1..=kv.min(j) {
-            let v = rows.get(row0 + j - i).sub_mul(f.factor(j - i, j), xj);
+            let v = minus(rows.get(row0 + j - i), f.factor(j - i, j), xj);
             rows.set(row0 + j - i, v);
         }
     }
@@ -323,7 +270,7 @@ pub(crate) fn getrs<R: LaneRows>(lu: &Matrix, ipiv: &[usize], rows: &mut R, row0
     for i in 1..n {
         let mut s = rows.get(row0 + i);
         for k in 0..i {
-            s = s.sub_mul(lu.get(i, k), rows.get(row0 + k));
+            s = minus(s, lu.get(i, k), rows.get(row0 + k));
         }
         rows.set(row0 + i, s);
     }
@@ -331,9 +278,9 @@ pub(crate) fn getrs<R: LaneRows>(lu: &Matrix, ipiv: &[usize], rows: &mut R, row0
     for i in (0..n).rev() {
         let mut s = rows.get(row0 + i);
         for k in i + 1..n {
-            s = s.sub_mul(lu.get(i, k), rows.get(row0 + k));
+            s = minus(s, lu.get(i, k), rows.get(row0 + k));
         }
-        rows.set(row0 + i, s.mul(lu.get(i, i)));
+        rows.set(row0 + i, s.mul(R::V::splat(lu.get(i, i))));
     }
 }
 

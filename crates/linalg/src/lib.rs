@@ -32,7 +32,10 @@
 //! * *per run of panels* (`[Panel; P]`): several panels side by side, so
 //!   that one step of the recurrence is several independent ones.
 //!
-//! A lane's result is bit-identical in every instantiation.
+//! The row arithmetic is [`pp_portable::Lanes`], the workspace's one
+//! lane-vector trait, so a lane's result is bit-identical in every
+//! instantiation. The crate has no `unsafe`: a [`Panel`] views its chunk
+//! as rows through `as_chunks_mut`.
 //!
 //! Factorisation happens **once** (the spline matrix is fixed in time); only
 //! the solves run every time step, exactly as in the paper's Algorithm 1.
@@ -60,6 +63,7 @@
 //! assert!(r0.abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
 // Non-test code in this crate is free of `unwrap()`; keep it that way
 // (failures must surface as typed errors or documented invariants).
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]

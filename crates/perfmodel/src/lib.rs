@@ -24,6 +24,7 @@
 //! Everything the harness prints from these models is labelled `model:` to
 //! keep measured and simulated numbers separate (see EXPERIMENTS.md).
 
+#![forbid(unsafe_code)]
 // Numerical kernels here deliberately use index loops (matching the
 // LAPACK-style algorithms they implement) and NaN-rejecting negated
 // comparisons; silence the corresponding style lints crate-wide.

@@ -2,13 +2,111 @@
 
 use std::sync::OnceLock;
 
+/// One row across the lanes a body advances together: `f64` is one lane,
+/// `[V; P]` is `P` values of `V` side by side — `[f64; 8]` a run of eight
+/// points or a panel row, `[[f64; 8]; P]` the rows of `P` panels abreast.
+/// Every operation applies to each lane independently, as the `f64`
+/// instance does, and nothing is fused or reassociated: a lane of a wide
+/// value carries the bits of the scalar instance, in every [`PanelIsa`]
+/// instance.
+///
+/// On `f64` the inherent [`f64::mul_add`] (fused) shadows
+/// [`Lanes::mul_add`]: scalar code calls it as `Lanes::mul_add(a, b, c)`.
+pub trait Lanes: Copy {
+    /// Lanes per value.
+    const WIDTH: usize;
+    /// `v` in every lane.
+    fn splat(v: f64) -> Self;
+    /// The first [`Self::WIDTH`] values of `from`, one per lane.
+    fn load(from: &[f64]) -> Self;
+    /// `self + o`, per lane.
+    fn add(self, o: Self) -> Self;
+    /// `self − o`, per lane.
+    fn sub(self, o: Self) -> Self;
+    /// `self · o`, per lane.
+    fn mul(self, o: Self) -> Self;
+    /// `self · a + b`, per lane: the multiply-add of every body, rounded
+    /// after the product and after the sum.
+    fn mul_add(self, a: Self, b: Self) -> Self;
+}
+
+impl Lanes for f64 {
+    const WIDTH: usize = 1;
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        v
+    }
+    #[inline(always)]
+    fn load(from: &[f64]) -> Self {
+        from[0]
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        self + o
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        self - o
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        self * o
+    }
+    #[inline(always)]
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        self * a + b
+    }
+}
+
+impl<V: Lanes, const P: usize> Lanes for [V; P] {
+    const WIDTH: usize = P * V::WIDTH;
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        [V::splat(v); P]
+    }
+    #[inline(always)]
+    fn load(from: &[f64]) -> Self {
+        let from = &from[..Self::WIDTH];
+        std::array::from_fn(|p| V::load(&from[p * V::WIDTH..]))
+    }
+    #[inline(always)]
+    fn add(mut self, o: Self) -> Self {
+        for p in 0..P {
+            self[p] = self[p].add(o[p]);
+        }
+        self
+    }
+    #[inline(always)]
+    fn sub(mut self, o: Self) -> Self {
+        for p in 0..P {
+            self[p] = self[p].sub(o[p]);
+        }
+        self
+    }
+    #[inline(always)]
+    fn mul(mut self, o: Self) -> Self {
+        for p in 0..P {
+            self[p] = self[p].mul(o[p]);
+        }
+        self
+    }
+    #[inline(always)]
+    fn mul_add(mut self, a: Self, b: Self) -> Self {
+        for p in 0..P {
+            self[p] = self[p].mul_add(a[p], b[p]);
+        }
+        self
+    }
+}
+
 /// The instruction sets a lane-vector body is compiled for: the lane walk
 /// of `pp-bsplines`, the verified solve's screen and the abreast solve of
 /// `pp-splinesolver`, and the panel transposer ([`crate::deinterleave_columns`],
 /// which dispatches on its own). One source, one instance each
-/// ([`PanelIsa::run`]); rustc never contracts
-/// `a·b + c` into a fused multiply-add, so every instance returns the same
-/// bits.
+/// ([`PanelIsa::run`]). Their arithmetic is [`Lanes`], whose
+/// [`Lanes::mul_add`] is the one place a multiply-add is rounded; rustc
+/// never contracts `a·b + c` into a fused multiply-add, so every instance
+/// returns the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PanelIsa {
     /// The target's baseline (SSE2 on x86-64): always available.
@@ -100,4 +198,79 @@ unsafe fn run_avx2<R>(body: impl FnOnce() -> R) -> R {
 #[target_feature(enable = "avx512f")]
 unsafe fn run_avx512<R>(body: impl FnOnce() -> R) -> R {
     body()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{TestRng, LANE_WIDTH};
+
+    /// Every operation of a run (`[f64; 8]`) and of four runs abreast
+    /// (`[[f64; 8]; 4]`) is the `f64` operation lane by lane, bit for bit,
+    /// in every instance: the "nothing fused or reassociated" contract of
+    /// every body written over [`Lanes`], asserted once.
+    #[test]
+    fn wide_lanes_are_the_scalar_lanes_bitwise() {
+        const ABREAST: usize = 4 * LANE_WIDTH;
+        let tiny = f64::MIN_POSITIVE;
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            tiny / 3.0,
+            -tiny / 5.0,
+            f64::from_bits(1),
+            f64::MAX,
+            -f64::MAX,
+            1.0,
+            -1.0,
+        ];
+        let mut rng = TestRng::seed_from_u64(0x1A4E5);
+        while values.len() < ABREAST {
+            values.push(rng.gen_range(-1e3..1e3));
+        }
+        let shifts = if cfg!(miri) { 3 } else { ABREAST };
+        let rotated =
+            |by: usize| -> Vec<f64> { (0..ABREAST).map(|k| values[(k + by) % ABREAST]).collect() };
+        for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
+            isa.run(
+                #[inline(always)]
+                || {
+                    for s in 0..shifts {
+                        let (a, b, c) = (&values[..], &rotated(s)[..], &rotated(3 * s + 1)[..]);
+                        let what = format!("{} shift {s}", isa.name());
+                        agree::<[f64; LANE_WIDTH]>(a, b, c, |v| &v[..], &what);
+                        agree::<[[f64; LANE_WIDTH]; 4]>(a, b, c, |v| v.as_flattened(), &what);
+                    }
+                },
+            );
+        }
+    }
+
+    /// Each operation of `V` on the first [`Lanes::WIDTH`] values of `a`,
+    /// `b`, `c` against the `f64` operation on each lane.
+    #[inline(always)]
+    fn agree<V: Lanes>(a: &[f64], b: &[f64], c: &[f64], lanes: fn(&V) -> &[f64], what: &str) {
+        let (va, vb, vc) = (V::load(a), V::load(b), V::load(c));
+        type Lane<'a> = &'a dyn Fn(usize) -> f64;
+        let ops: [(&str, V, Lane); 6] = [
+            ("splat", V::splat(a[0]), &|_| f64::splat(a[0])),
+            ("load", va, &|l| f64::load(&a[l..])),
+            ("add", va.add(vb), &|l| Lanes::add(a[l], b[l])),
+            ("sub", va.sub(vb), &|l| Lanes::sub(a[l], b[l])),
+            ("mul", va.mul(vb), &|l| Lanes::mul(a[l], b[l])),
+            ("mul_add", va.mul_add(vb, vc), &|l| {
+                Lanes::mul_add(a[l], b[l], c[l])
+            }),
+        ];
+        for (op, got, want) in ops {
+            let got = lanes(&got);
+            assert_eq!(got.len(), V::WIDTH, "{op}");
+            for (l, got) in got.iter().enumerate() {
+                assert_eq!(got.to_bits(), want(l).to_bits(), "{op} lane {l}, {what}");
+            }
+        }
+    }
 }

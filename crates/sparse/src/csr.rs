@@ -7,12 +7,12 @@
 
 use crate::coo::Coo;
 use crate::error::{Error, Result};
-use pp_portable::Matrix;
+use pp_portable::{Lanes, Matrix};
 
 /// A sparse matrix in CSR format.
 ///
 /// ```
-/// use pp_portable::Matrix;
+/// use pp_portable::{Lanes, Matrix};
 /// use pp_sparse::Csr;
 ///
 /// let dense = Matrix::from_rows(&[&[2.0, 0.0], &[-1.0, 3.0]]);
@@ -157,11 +157,9 @@ impl Csr {
         assert_eq!(x.len(), self.ncols, "spmv: x length");
         assert_eq!(y.len(), self.nrows, "spmv: y length");
         for i in 0..self.nrows {
-            let mut s = 0.0;
-            for (c, v) in self.row(i) {
-                s += v * x[c];
-            }
-            y[i] = s;
+            y[i] = self
+                .row(i)
+                .fold(0.0, |s, (c, v)| Lanes::mul_add(v, x[c], s));
         }
     }
 

@@ -15,6 +15,7 @@
 //! pattern of the degree-3 uniform spline matrix) and detects bandwidths,
 //! which the spline builder uses to classify its sub-matrix `Q` (Table I).
 
+#![forbid(unsafe_code)]
 // Numerical kernels here deliberately use index loops (matching the
 // LAPACK-style algorithms they implement) and NaN-rejecting negated
 // comparisons; silence the corresponding style lints crate-wide.

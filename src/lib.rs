@@ -50,6 +50,8 @@
 //! assert!((space.eval(&lane0, 0.375) - (std::f64::consts::TAU * 0.375_f64).sin()).abs() < 1e-4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use pp_advection as advection;
 pub use pp_bsplines as bsplines;
 pub use pp_iterative as iterative;
