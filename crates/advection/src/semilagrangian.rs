@@ -311,31 +311,50 @@ impl Advection1D {
     /// Advance the host field `f` — shape `(Nv, Nx)`, [`Layout::Right`],
     /// what [`Advection1D::init_distribution`] returns: lanes are rows — by
     /// one time step, in place, with the standing displacements `v_j·Δt`:
-    /// [`Advection1D::step_with_displacements`] with those. Algorithm 2
-    /// verbatim in one parallel region on `exec`: eight rows of `f` are
-    /// gathered into the worker's panel (line 3), solved there (line 4),
-    /// and the lane walk writes each lane's interpolated values straight
-    /// back into its row (lines 5–10). No slab stands behind `f`.
+    /// lane `j`'s feet are `x_i − v_j·Δt`. Algorithm 2 verbatim in one
+    /// parallel region on `exec`: eight rows of `f` are gathered into the
+    /// worker's panel (line 3), solved there (line 4), and the lane walk
+    /// writes each lane's interpolated values straight back into its row
+    /// (lines 5–10). No slab stands behind `f`.
+    ///
+    /// The step is one parallel region over the field's blocks of eight
+    /// lanes (DESIGN.md §14.3) — the panels of a resident slab, eight rows
+    /// of a host field: a worker solves a panel where it lies, any other
+    /// block gathered into its scratch as an interleaved panel (eight rows,
+    /// or an 8 × 8-tile row) — for the verified backend screening it against
+    /// the pristine right-hand sides — and evaluates the coefficients at the
+    /// feet straight back into the block while both are in cache. Neither the
+    /// coefficients nor the feet ever exist as a slab. The `Iterative`
+    /// backend is two regions: one solves every lane where it lies, lane by
+    /// lane, into a resident coefficient store (warm-started from the
+    /// previous step's), and one evaluates each block's panel of it back
+    /// into the block.
     ///
     /// # Errors
-    /// As [`Advection1D::step_with_displacements`].
+    /// [`Error::ShapeMismatch`] for a field of the wrong size, or a host
+    /// field stored [`Layout::Left`] (its lanes are interleaved: pack it
+    /// into a [`ResidentBatch`]); [`Error::NonFiniteInput`] (naming the
+    /// lane, index 0) for a non-finite displacement, which would put every
+    /// foot of the lane at NaN or ±∞; the `Iterative` backend's failure to
+    /// converge. Every one of them is raised before a region writes `f`, so
+    /// a failed step leaves `f` as it was.
     pub fn step<E: ExecSpace>(&mut self, exec: &E, f: &mut Matrix) -> Result<StepTimings> {
         self.with_standing(|me, standing| me.step_with_displacements(exec, f, standing))
     }
 
     /// Advance a lane-contiguous resident slab `f` (shape `(Nx, Nv)`:
     /// rows = x, lanes = v) by one time step with the standing
-    /// displacements `v_j·Δt`:
-    /// [`Advection1D::step_resident_with_displacements`] with those.
+    /// displacements `v_j·Δt`, through the same region as
+    /// [`Advection1D::step`].
     ///
     /// The slab after this call is bit-identical to the `(Nv, Nx)` host
     /// matrix after [`Advection1D::step`], for every backend and every
     /// [`BuilderVersion`].
     ///
     /// # Errors
-    /// As [`Advection1D::step_resident_with_displacements`]; in
-    /// particular a `v_j·Δt` that overflowed is rejected here, step after
-    /// step, until [`Advection1D::set_dt`] replaces it.
+    /// As [`Advection1D::step`]; in particular a `v_j·Δt` that overflowed
+    /// is rejected here, step after step, until [`Advection1D::set_dt`]
+    /// replaces it.
     pub fn step_resident<E: ExecSpace>(
         &mut self,
         exec: &E,
@@ -360,7 +379,7 @@ impl Advection1D {
     ///
     /// # Errors
     /// As [`Advection1D::step_with_displacements`].
-    pub fn step_resident_with_displacements<E: ExecSpace>(
+    pub(crate) fn step_resident_with_displacements<E: ExecSpace>(
         &mut self,
         exec: &E,
         f: &mut ResidentBatch,
@@ -392,29 +411,10 @@ impl Advection1D {
     /// [`Advection1D::step`] with *per-lane displacements*: lane `j`'s feet
     /// are `x_i − displacements[j]`.
     ///
-    /// The step is one parallel region over the field's blocks of eight
-    /// lanes (DESIGN.md §14.3) — the panels of a resident slab, eight rows
-    /// of a host field: a worker solves a panel where it lies, any other
-    /// block gathered into its scratch as an interleaved panel (eight rows,
-    /// or an 8 × 8-tile row) — for the verified backend screening it against
-    /// the pristine right-hand sides — and evaluates the coefficients at the
-    /// feet straight back into the block while both are in cache. Neither the
-    /// coefficients nor the feet ever exist as a slab. The `Iterative`
-    /// backend is two regions: one solves every lane where it lies, lane by
-    /// lane, into a resident coefficient store (warm-started from the
-    /// previous step's), and one evaluates each block's panel of it back
-    /// into the block.
-    ///
     /// # Errors
-    /// [`Error::ShapeMismatch`] for a field or displacement vector of the
-    /// wrong size, or a host field stored [`Layout::Left`] (its lanes are
-    /// interleaved: pack it into a [`ResidentBatch`]);
-    /// [`Error::NonFiniteInput`] (naming the lane, index 0) for a
-    /// non-finite displacement, which would put every foot of the lane at
-    /// NaN or ±∞; the `Iterative` backend's failure to converge. Every one
-    /// of them is raised before a region writes `f`, so a failed step leaves
-    /// `f` as it was.
-    pub fn step_with_displacements<E: ExecSpace>(
+    /// As [`Advection1D::step`], and [`Error::ShapeMismatch`] for a
+    /// displacement vector of the wrong length.
+    pub(crate) fn step_with_displacements<E: ExecSpace>(
         &mut self,
         exec: &E,
         f: &mut Matrix,
@@ -541,6 +541,17 @@ mod tests {
         let velocities: Vec<f64> = (0..nv).map(|j| 0.2 + 0.05 * j as f64).collect();
         let backend = SplineBackend::direct(space, version).unwrap();
         Advection1D::new(backend, velocities, 1e-2).unwrap()
+    }
+
+    #[test]
+    fn a_displacement_vector_of_the_wrong_length_is_rejected() {
+        let space = PeriodicSplineSpace::new(Breaks::uniform(16, 0.0, 1.0).unwrap(), 3).unwrap();
+        let backend = SplineBackend::direct(space, BuilderVersion::Fused).unwrap();
+        let mut adv = Advection1D::new(backend, vec![0.1, 0.2], 0.1).unwrap();
+        let mut good = adv.init_distribution(|_, _| 1.0);
+        assert!(adv
+            .step_with_displacements(&Serial, &mut good, &[0.1])
+            .is_err());
     }
 
     #[test]

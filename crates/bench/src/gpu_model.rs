@@ -22,7 +22,7 @@ pub fn kernel_from_blocks(blocks: &SchurBlocks) -> BuilderKernel {
 }
 
 /// Map the public builder version onto the simulator's enum.
-pub fn sim_version(v: BuilderVersion) -> KernelVersion {
+fn sim_version(v: BuilderVersion) -> KernelVersion {
     match v {
         BuilderVersion::Baseline => KernelVersion::Baseline,
         BuilderVersion::Fused => KernelVersion::Fused,
@@ -37,8 +37,6 @@ pub fn sim_version(v: BuilderVersion) -> KernelVersion {
 /// Predicted spline-build time on a modelled device, plus the traffic
 /// report it derives from.
 pub struct GpuPrediction {
-    /// The modelled device.
-    pub device: Device,
     /// Simulated traffic.
     pub traffic: TrafficReport,
     /// Predicted build time in seconds (roofline, memory-bound).
@@ -55,16 +53,9 @@ pub fn predict(
     let kernel = kernel_from_blocks(blocks);
     let traffic = simulate_builder_traffic(device, sim_version(version), &kernel, batch);
     GpuPrediction {
-        device: device.clone(),
         time_s: traffic.predicted_time_s(device),
         traffic,
     }
-}
-
-/// Effective bandwidth implied by a predicted time under the paper's
-/// §V-B "one load/store per point" convention.
-pub fn effective_bandwidth_gbs(n: usize, batch: usize, time_s: f64) -> f64 {
-    (n as f64) * (batch as f64) * 8.0 / time_s / 1e9
 }
 
 #[cfg(test)]
@@ -74,11 +65,7 @@ mod tests {
 
     #[test]
     fn kernel_parameters_come_from_real_blocks() {
-        let space = SplineConfig {
-            degree: 3,
-            uniform: true,
-        }
-        .space(128);
+        let space = SplineConfig::new(3, true).space(128);
         let blocks = SchurBlocks::new(&space).unwrap();
         let k = kernel_from_blocks(&blocks);
         assert_eq!(k.n, 128);
@@ -90,11 +77,7 @@ mod tests {
 
     #[test]
     fn prediction_orders_versions_like_table3() {
-        let space = SplineConfig {
-            degree: 3,
-            uniform: true,
-        }
-        .space(256);
+        let space = SplineConfig::new(3, true).space(256);
         let blocks = SchurBlocks::new(&space).unwrap();
         // Shrink the device so the test-sized problem oversubscribes the
         // cache the way the paper-sized problem oversubscribes an A100.
@@ -108,11 +91,5 @@ mod tests {
             t_spmv < t_base,
             "model must rank spmv ({t_spmv}) above baseline ({t_base})"
         );
-    }
-
-    #[test]
-    fn bandwidth_helper() {
-        let bw = effective_bandwidth_gbs(1000, 100_000, 1e-3);
-        assert!((bw - 800.0).abs() < 1e-9);
     }
 }

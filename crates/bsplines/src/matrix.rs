@@ -133,13 +133,6 @@ impl SplineMatrixStructure {
         }
         None
     }
-
-    /// Analyse the interpolation matrix of a spline space directly.
-    pub fn of_space(space: &SplineSpace) -> Self {
-        let a = assemble_interpolation_matrix(space);
-        Self::analyze(&a, space.degree())
-            .expect("spline matrices are banded-plus-border by construction")
-    }
 }
 
 #[cfg(test)]
@@ -154,6 +147,11 @@ mod tests {
             Breaks::graded(n, 0.0, 1.0, 0.6).unwrap()
         };
         SplineSpace::new(breaks, degree).unwrap()
+    }
+
+    fn structure(space: &SplineSpace) -> SplineMatrixStructure {
+        SplineMatrixStructure::analyze(&assemble_interpolation_matrix(space), space.degree())
+            .expect("spline matrices are banded-plus-border by construction")
     }
 
     #[test]
@@ -201,7 +199,7 @@ mod tests {
         // Table I row 1: Q is SPD tridiagonal; λ has exactly 2 non-zeros
         // (the paper: "the bottom-left corner matrix with the shape of
         // (1, 999) contains 2 non-zeros").
-        let s = SplineMatrixStructure::of_space(&space(24, 3, true));
+        let s = structure(&space(24, 3, true));
         assert_eq!(s.border, 1);
         assert_eq!((s.q_kl, s.q_ku), (1, 1));
         assert!(s.q_symmetric);
@@ -212,7 +210,7 @@ mod tests {
     #[test]
     fn structure_degree4_and_5_uniform_are_symmetric_banded() {
         for degree in [4, 5] {
-            let s = SplineMatrixStructure::of_space(&space(24, degree, true));
+            let s = structure(&space(24, degree, true));
             assert!(s.q_symmetric, "deg {degree}");
             assert!(s.q_kl >= 2 && s.q_kl <= degree, "deg {degree}: {s:?}");
             assert_eq!(s.q_kl, s.q_ku);
@@ -223,7 +221,7 @@ mod tests {
     #[test]
     fn structure_nonuniform_is_asymmetric_banded() {
         for degree in [3, 4, 5] {
-            let s = SplineMatrixStructure::of_space(&space(24, degree, false));
+            let s = structure(&space(24, degree, false));
             assert!(
                 !s.q_symmetric,
                 "deg {degree}: non-uniform Q should be asymmetric"

@@ -77,11 +77,6 @@ impl Snapshot {
         Self::default()
     }
 
-    /// Section names in insertion order.
-    pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.sections.iter().map(|(n, _)| n.as_str())
-    }
-
     /// Append a raw byte section. A duplicate name is replaced (last
     /// write wins), so re-recording a section is idempotent.
     pub fn push_bytes(&mut self, name: &str, payload: Vec<u8>) {
@@ -466,7 +461,7 @@ mod tests {
         let mut s = Snapshot::new();
         s.push_u64("step", 1);
         s.push_u64("step", 2);
-        assert_eq!(s.section_names().count(), 1);
+        assert_eq!(s.sections.len(), 1);
         assert_eq!(s.get_u64("step").unwrap(), 2);
     }
 

@@ -155,16 +155,6 @@ impl RecoveryPolicy {
             max_attempts: 0,
         }
     }
-
-    /// Only the direct-solver rung (skip iterative retries).
-    pub fn direct_only() -> Self {
-        Self {
-            reprecondition: false,
-            solver_switch: false,
-            direct_fallback: true,
-            max_attempts: 1,
-        }
-    }
 }
 
 /// A ready-to-solve iterative spline solver.

@@ -52,30 +52,26 @@ use pp_sparse::Csr;
 /// orders this workspace batches (n ≲ 10⁴).
 const DEFAULT_ABFT_TOL: f64 = 1e-8;
 
+/// A lane is accepted when its relative residual `‖b − Ax‖₂/‖b‖₂` is at
+/// or below this.
+const RESIDUAL_TOL: f64 = 1e-10;
+
 /// Tuning knobs for [`VerifiedBuilder`].
 #[derive(Debug, Clone)]
 pub struct VerifyConfig {
-    /// Accept a lane when its relative residual `‖b − Ax‖₂/‖b‖₂` is at or
-    /// below this.
-    pub residual_tol: f64,
-    /// Check every `sample_stride`-th lane (1 = every lane). Skipped lanes
-    /// are reported [`LaneVerdict::Unsampled`].
-    pub sample_stride: usize,
     /// Refinement loop settings for lanes that fail the residual check.
     pub refine: RefineConfig,
-    /// Escalate still-failing lanes down the factorization ladder. With
-    /// `false`, failing lanes go straight to quarantine.
+    /// Escalate still-failing lanes down the factorization ladder, whose
+    /// last rung is an iterative Krylov solve. With `false`, failing lanes
+    /// go straight to quarantine.
     pub use_ladder: bool,
-    /// Allow the final (iterative Krylov) rung of the ladder.
-    pub use_iterative_rung: bool,
     /// Fault-injection hook: these lanes skip the fast residual accept and
     /// the refinement stage, going straight to the ladder. The batched
     /// direct path is backward stable, so exercising the ladder in tests
     /// (and in production burn-in) needs a deterministic trigger.
     pub probe_lanes: Vec<usize>,
-    /// ABFT checksum screen over **every** lane (including ones
-    /// `sample_stride` skips): after the batched solve, each lane is
-    /// checked against the factor-time column-sum identity
+    /// ABFT checksum screen over every lane: after the batched solve, each
+    /// lane is checked against the factor-time column-sum identity
     /// `(Aᵀ𝟙)·x = Σb` in O(n). A tripped lane is retried once from its
     /// pristine right-hand side, then escalated through
     /// refinement/ladder/quarantine like any failing lane. Off by
@@ -96,11 +92,8 @@ pub struct VerifyConfig {
 impl Default for VerifyConfig {
     fn default() -> Self {
         VerifyConfig {
-            residual_tol: 1e-10,
-            sample_stride: 1,
             refine: RefineConfig::default(),
             use_ladder: true,
-            use_iterative_rung: true,
             probe_lanes: Vec::new(),
             abft: false,
             sdc_probe_lanes: Vec::new(),
@@ -196,9 +189,6 @@ pub enum LaneVerdict {
         /// Measured relative residual.
         residual: f64,
     },
-    /// The lane was skipped by `sample_stride` (its solution is the
-    /// ordinary unverified result).
-    Unsampled,
     /// Iterative refinement with the primary factors fixed the lane.
     Refined {
         /// Correction steps applied.
@@ -240,7 +230,6 @@ impl fmt::Display for LaneVerdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LaneVerdict::Verified { residual } => write!(f, "verified (residual {residual:.3e})"),
-            LaneVerdict::Unsampled => write!(f, "unsampled"),
             LaneVerdict::Refined { steps, residual } => {
                 write!(f, "refined in {steps} step(s) (residual {residual:.3e})")
             }
@@ -303,7 +292,6 @@ fn publish_verify_metrics(report: &LaneReport) {
     let m = verify_metrics();
     for verdict in report.verdicts() {
         match verdict {
-            LaneVerdict::Unsampled => continue,
             LaneVerdict::Verified { .. } => m.verified.inc(),
             LaneVerdict::Refined { .. } => m.refined.inc(),
             LaneVerdict::Recovered { .. } | LaneVerdict::SdcCorrected { .. } => m.recovered.inc(),
@@ -361,14 +349,14 @@ impl LaneReport {
         self.lanes_where(|v| matches!(v, LaneVerdict::SdcCorrected { .. }))
     }
 
-    /// `true` when every sampled lane passed on the first try.
+    /// `true` when every lane passed on the first try.
     pub fn all_verified(&self) -> bool {
         self.verdicts
             .iter()
-            .all(|v| matches!(v, LaneVerdict::Verified { .. } | LaneVerdict::Unsampled))
+            .all(|v| matches!(v, LaneVerdict::Verified { .. }))
     }
 
-    /// Worst relative residual over all non-quarantined, sampled lanes.
+    /// Worst relative residual over all non-quarantined lanes.
     pub fn worst_residual(&self) -> f64 {
         self.verdicts
             .iter()
@@ -641,14 +629,13 @@ impl VerifiedBuilder {
                     sdc_metrics().detected.inc();
                     trace_instant_lane(InstantKind::SdcDetected, lane as u32);
                 }
-                let verdict = match screened {
+                let verdict = match screened.expect("a live lane is screened") {
                     Screened::NonFinite(index) => {
                         land(b, lane, &zeros());
                         trace_instant_lane(InstantKind::NonFiniteInput, lane as u32);
                         let reason = QuarantineReason::NonFiniteInput { index };
                         LaneVerdict::Quarantined { reason }
                     }
-                    Screened::Unsampled => LaneVerdict::Unsampled,
                     // Healthy fast path: the lane's bits stay untouched.
                     Screened::Sealed(residual) => LaneVerdict::Verified { residual },
                     Screened::Flagged(flagged) => {
@@ -664,7 +651,7 @@ impl VerifiedBuilder {
                     LaneVerdict::Recovered { .. } | LaneVerdict::SdcCorrected { .. } => {
                         Some(InstantKind::LaneRecovered)
                     }
-                    LaneVerdict::Verified { .. } | LaneVerdict::Unsampled => None,
+                    LaneVerdict::Verified { .. } => None,
                 };
                 if let Some(kind) = instant {
                     trace_instant_lane(kind, lane as u32);
@@ -744,19 +731,15 @@ impl VerifiedBuilder {
             // Corrected lanes are measured on their healed values.
             rr = measure(x).1;
         }
-        let stride = cfg.sample_stride.max(1);
         let screened = |l: usize| {
-            let lane = chunk * W + l;
-            let probed = cfg.probe_lanes.contains(&lane);
-            // A lane the checksum flagged is always fully verified.
-            let selected =
-                probed || lane.is_multiple_of(stride) || !matches!(sdc[l], SdcState::Clean);
-            if l >= lanes || !selected {
-                Screened::Unsampled
-            } else if !finite[l] {
+            if l >= lanes {
+                return None;
+            }
+            let probed = cfg.probe_lanes.contains(&(chunk * W + l));
+            Some(if !finite[l] {
                 let first = (0..n).position(|i| !rhs[i * W + l].is_finite());
                 Screened::NonFinite(first.expect("the pass saw a non-finite value"))
-            } else if !probed && rr[l].is_finite() && rr[l] <= cfg.residual_tol {
+            } else if !probed && rr[l].is_finite() && rr[l] <= RESIDUAL_TOL {
                 Screened::Sealed(rr[l])
             } else {
                 Screened::Flagged(Flagged {
@@ -765,7 +748,7 @@ impl VerifiedBuilder {
                     b_lane: lane_of(rhs, l),
                     x_lane: lane_of(x, l),
                 })
-            }
+            })
         };
         let lanes = std::array::from_fn(screened);
         PanelScreen { sdc, lanes }
@@ -829,7 +812,7 @@ impl VerifiedBuilder {
                 &self.config.refine,
             );
             let rr = self.relative_residual(&x, b_lane);
-            if rr.is_finite() && rr <= self.config.residual_tol {
+            if rr.is_finite() && rr <= RESIDUAL_TOL {
                 let verdict = LaneVerdict::Refined {
                     steps: outcome.steps,
                     residual: rr,
@@ -853,7 +836,7 @@ impl VerifiedBuilder {
                     continue;
                 }
                 saw_finite = true;
-                if rr <= self.config.residual_tol {
+                if rr <= RESIDUAL_TOL {
                     return (LaneVerdict::Recovered { rung, residual: rr }, Some(y));
                 }
                 // Above tolerance: refine on this rung's factors before
@@ -867,7 +850,7 @@ impl VerifiedBuilder {
                     &self.config.refine,
                 );
                 let rr = self.relative_residual(&y, b_lane);
-                if rr.is_finite() && rr <= self.config.residual_tol {
+                if rr.is_finite() && rr <= RESIDUAL_TOL {
                     return (LaneVerdict::Recovered { rung, residual: rr }, Some(y));
                 }
                 if rr.is_finite() {
@@ -918,9 +901,7 @@ impl VerifiedBuilder {
             QClass::GeneralBanded => {}
         }
         rungs.push(FallbackRung::Getrs);
-        if self.config.use_iterative_rung {
-            rungs.push(FallbackRung::Iterative);
-        }
+        rungs.push(FallbackRung::Iterative);
         rungs
     }
 
@@ -1054,8 +1035,6 @@ type PanelThen<'a> = dyn Fn(usize, usize, Solved<'_>) + Sync + 'a;
 /// What the panel screen concluded about one lane; the caller turns it
 /// into a [`LaneVerdict`].
 enum Screened {
-    /// The sampling stride skipped the lane.
-    Unsampled,
     /// Non-finite input, first at this row.
     NonFinite(usize),
     /// This relative residual, at or below tolerance, seals the verdict.
@@ -1079,7 +1058,8 @@ struct Flagged {
 /// One panel's record from [`VerifiedBuilder::screen`].
 struct PanelScreen {
     sdc: [SdcState; LANE_WIDTH],
-    lanes: [Screened; LANE_WIDTH],
+    /// `None` past the block's last live lane.
+    lanes: [Option<Screened>; LANE_WIDTH],
 }
 
 /// Fold the ABFT screen outcome into a lane's verification verdict: a
@@ -1317,9 +1297,7 @@ pub fn sdc_round(seed: u64) -> SdcRound {
     for (l, verdict) in report.verdicts().iter().enumerate() {
         let (g, w) = (got.row(l).to_vec(), want.row(l).to_vec());
         silent_wrong += usize::from(match verdict {
-            LaneVerdict::Verified { .. }
-            | LaneVerdict::Unsampled
-            | LaneVerdict::SdcCorrected { .. } => {
+            LaneVerdict::Verified { .. } | LaneVerdict::SdcCorrected { .. } => {
                 g.iter().zip(&w).any(|(g, w)| g.to_bits() != w.to_bits())
             }
             LaneVerdict::Refined { .. } | LaneVerdict::Recovered { .. } => {
@@ -1542,28 +1520,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_stride_skips_lanes() {
-        let sp = space(24, 3, true);
-        let config = VerifyConfig {
-            sample_stride: 3,
-            ..VerifyConfig::default()
-        };
-        let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
-            .unwrap()
-            .verified(config);
-        let mut x = random_rhs(24, 7, 9);
-        let report = verified.solve_in_place(&Parallel, &mut x).unwrap();
-        for lane in 0..7 {
-            if lane % 3 == 0 {
-                assert!(matches!(report.verdict(lane), LaneVerdict::Verified { .. }));
-            } else {
-                assert_eq!(*report.verdict(lane), LaneVerdict::Unsampled);
-            }
-        }
-        assert!(report.all_verified());
-    }
-
-    #[test]
     fn clean_batch_all_verified_with_tiny_residuals() {
         for degree in [3usize, 4, 5] {
             for uniform in [true, false] {
@@ -1689,24 +1645,20 @@ mod tests {
     }
 
     #[test]
-    fn abft_screens_lanes_the_sampling_stride_skips() {
+    fn abft_screens_every_lane() {
         let sp = space(24, 3, true);
         let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
             .unwrap()
             .verified(VerifyConfig {
                 abft: true,
-                sample_stride: 1000,
-                sdc_probe_lanes: vec![3],
+                sdc_probe_lanes: (0..11).collect(),
                 ..VerifyConfig::default()
             });
-        let mut x = random_rhs(24, 6, 41);
+        // One full panel and a ragged one: every live lane of both is
+        // screened, caught and healed.
+        let mut x = random_rhs(24, 11, 41);
         let report = verified.solve_in_place(&Parallel, &mut x).unwrap();
-        // Lane 3 would be Unsampled under the stride alone; the checksum
-        // screen still caught and healed the corruption.
-        assert_eq!(report.sdc_corrected_lanes(), vec![3]);
-        for lane in [1usize, 2, 4, 5] {
-            assert_eq!(*report.verdict(lane), LaneVerdict::Unsampled);
-        }
+        assert_eq!(report.sdc_corrected_lanes(), (0..11).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1919,7 +1871,6 @@ mod tests {
                 QuarantineReason::SdcDetected { discrepancy } => vec![discrepancy],
                 _ => vec![],
             },
-            LaneVerdict::Unsampled => vec![],
         };
         floats.into_iter().map(f64::to_bits).collect()
     }

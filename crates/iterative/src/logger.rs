@@ -63,11 +63,6 @@ impl ConvergenceLogger {
         self.results.push(result);
     }
 
-    /// Record a batch of solves.
-    pub fn record_all(&mut self, results: impl IntoIterator<Item = SolveResult>) {
-        self.results.extend(results);
-    }
-
     /// Replace lane `lane`'s record after a recovery attempt.
     ///
     /// # Panics
@@ -150,26 +145,6 @@ impl ConvergenceLogger {
         self.results.iter().map(|r| r.iterations).max().unwrap_or(0)
     }
 
-    /// Smallest iteration count.
-    pub fn min_iterations(&self) -> usize {
-        self.results.iter().map(|r| r.iterations).min().unwrap_or(0)
-    }
-
-    /// Mean iteration count.
-    pub fn mean_iterations(&self) -> f64 {
-        if self.results.is_empty() {
-            0.0
-        } else {
-            self.results.iter().map(|r| r.iterations).sum::<usize>() as f64
-                / self.results.len() as f64
-        }
-    }
-
-    /// Total iterations across all solves (proportional to total work).
-    pub fn total_iterations(&self) -> usize {
-        self.results.iter().map(|r| r.iterations).sum()
-    }
-
     /// Worst final relative residual. NaN residuals dominate: if any
     /// lane's residual is NaN the census is NaN, so a poisoned batch can
     /// never masquerade as a healthy one.
@@ -207,9 +182,6 @@ mod tests {
         log.record(res(12, true, 2e-16));
         assert_eq!(log.count(), 3);
         assert_eq!(log.max_iterations(), 14);
-        assert_eq!(log.min_iterations(), 10);
-        assert_eq!(log.total_iterations(), 36);
-        assert!((log.mean_iterations() - 12.0).abs() < 1e-12);
         assert!(log.all_converged());
         assert_eq!(log.worst_residual(), 5e-16);
     }
@@ -217,7 +189,8 @@ mod tests {
     #[test]
     fn divergence_detected() {
         let mut log = ConvergenceLogger::new();
-        log.record_all([res(10, true, 1e-16), res(10_000, false, 1e-3)]);
+        log.record(res(10, true, 1e-16));
+        log.record(res(10_000, false, 1e-3));
         assert!(!log.all_converged());
         assert_eq!(log.failed_lanes(), vec![1]);
     }
@@ -226,7 +199,6 @@ mod tests {
     fn empty_logger() {
         let log = ConvergenceLogger::new();
         assert_eq!(log.max_iterations(), 0);
-        assert_eq!(log.mean_iterations(), 0.0);
         assert!(log.all_converged());
         assert!(log.failed_lanes().is_empty());
         assert!(log.breakdown_census().is_empty());

@@ -68,11 +68,6 @@ impl BlockJacobi {
         Self { blocks, n }
     }
 
-    /// Number of blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Matrix order.
     pub fn n(&self) -> usize {
         self.n
@@ -142,7 +137,7 @@ mod tests {
     fn block_size_one_divides_by_the_diagonal() {
         let a = spd_tridiag(4);
         let bj = BlockJacobi::new(&a, 1);
-        assert_eq!(bj.num_blocks(), 4);
+        assert_eq!(bj.blocks.len(), 4);
         let r = [4.0, 8.0, -4.0, 2.0];
         let mut z = [0.0; 4];
         bj.apply(&r, &mut z);
@@ -154,7 +149,7 @@ mod tests {
         let n = 6;
         let a = spd_tridiag(n);
         let bj = BlockJacobi::new(&a, n); // one block covering A
-        assert_eq!(bj.num_blocks(), 1);
+        assert_eq!(bj.blocks.len(), 1);
         let mut rng = TestRng::seed_from_u64(2);
         let r: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         // Applying M⁻¹ = A⁻¹ then A must give r back.
@@ -177,7 +172,7 @@ mod tests {
     fn uneven_tail_block() {
         let a = spd_tridiag(10);
         let bj = BlockJacobi::new(&a, 4); // blocks 4+4+2
-        assert_eq!(bj.num_blocks(), 3);
+        assert_eq!(bj.blocks.len(), 3);
         let r = vec![1.0; 10];
         let mut z = vec![0.0; 10];
         bj.apply(&r, &mut z);

@@ -9,7 +9,6 @@ use crate::banded::BandedLu;
 use crate::lu::LuFactors;
 use crate::pb::CholeskyBanded;
 use crate::pt::PtFactors;
-use crate::solver::LaneSolver;
 use pp_portable::{ExecSpace, Matrix};
 
 /// Batched `pttrs`: solve the factored SPD tridiagonal system against every
@@ -47,45 +46,6 @@ pub fn gbtrs<E: ExecSpace>(exec: &E, factors: &BandedLu, b: &mut Matrix) {
 pub fn getrs<E: ExecSpace>(exec: &E, factors: &LuFactors, b: &mut Matrix) {
     assert_eq!(b.nrows(), factors.n(), "getrs: rhs rows != matrix order");
     exec.for_each_lane_mut(b, |_, mut lane| factors.solve_lane(&mut lane));
-}
-
-/// Batched solve through the [`LaneSolver`] trait object (runtime-selected
-/// matrix class, Table I of the paper).
-///
-/// # Panics
-/// Panics if `b.nrows() != solver.n()`.
-pub fn solve_all<E: ExecSpace>(exec: &E, solver: &dyn LaneSolver, b: &mut Matrix) {
-    assert_eq!(b.nrows(), solver.n(), "solve_all: rhs rows != matrix order");
-    exec.for_each_lane_mut(b, |_, mut lane| solver.solve_lane(&mut lane));
-}
-
-/// Checked batched solve: rejects a shape mismatch with
-/// [`crate::Error::ShapeMismatch`] and scans every lane for non-finite values
-/// (reporting the offending **batch lane** in
-/// [`crate::Error::NonFinite`]) before touching any data, so a poisoned lane
-/// fails loudly instead of silently propagating NaN through the batch.
-pub fn try_solve_all<E: ExecSpace>(
-    exec: &E,
-    solver: &dyn LaneSolver,
-    b: &mut Matrix,
-) -> crate::Result<()> {
-    if b.nrows() != solver.n() {
-        return Err(crate::Error::ShapeMismatch {
-            op: "try_solve_all",
-            detail: format!("rhs has {} rows, matrix order is {}", b.nrows(), solver.n()),
-        });
-    }
-    for lane in 0..b.ncols() {
-        if let Some(index) = b.col(lane).iter().position(|v| !v.is_finite()) {
-            return Err(crate::Error::NonFinite {
-                routine: solver.routine(),
-                lane,
-                index,
-            });
-        }
-    }
-    solve_all(exec, solver, b);
-    Ok(())
 }
 
 #[cfg(test)]
@@ -200,63 +160,10 @@ mod tests {
     }
 
     #[test]
-    fn solve_all_dyn_dispatch() {
-        let n = 6;
-        let f = pttrf(&vec![4.0; n], &vec![1.0; n - 1]).unwrap();
-        let solver: &dyn LaneSolver = &f;
-        let mut b = Matrix::zeros(n, 5, Layout::Left);
-        b.fill(1.0);
-        let reference = {
-            let mut r = b.clone();
-            pttrs(&Serial, &f, &mut r);
-            r
-        };
-        solve_all(&Parallel, solver, &mut b);
-        assert_eq!(b.max_abs_diff(&reference), 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "rhs rows != matrix order")]
     fn shape_mismatch_panics() {
         let f = pttrf(&[2.0, 2.0], &[0.5]).unwrap();
         let mut b = Matrix::zeros(3, 4, Layout::Left);
         pttrs(&Serial, &f, &mut b);
-    }
-
-    #[test]
-    fn try_solve_all_reports_poisoned_lane_and_leaves_batch_untouched() {
-        let n = 5;
-        let f = pttrf(&vec![4.0; n], &vec![1.0; n - 1]).unwrap();
-        let mut b = Matrix::zeros(n, 6, Layout::Left);
-        b.fill(1.0);
-        b.set(2, 4, f64::NAN);
-        let before = b.clone();
-        let err = try_solve_all(&Serial, &f, &mut b).unwrap_err();
-        assert_eq!(
-            err,
-            crate::Error::NonFinite {
-                routine: "pttrs",
-                lane: 4,
-                index: 2,
-            }
-        );
-        // The scan runs before any solve: data is untouched on error.
-        assert_eq!(b.max_abs_diff(&before), 0.0);
-
-        // Shape mismatch is typed, not a panic.
-        let mut wrong = Matrix::zeros(n + 1, 2, Layout::Left);
-        assert!(matches!(
-            try_solve_all(&Serial, &f, &mut wrong),
-            Err(crate::Error::ShapeMismatch { .. })
-        ));
-
-        // Clean batch solves fine.
-        let mut clean = Matrix::zeros(n, 3, Layout::Left);
-        clean.fill(1.0);
-        try_solve_all(&Parallel, &f, &mut clean).unwrap();
-        let mut reference = Matrix::zeros(n, 3, Layout::Left);
-        reference.fill(1.0);
-        pttrs(&Serial, &f, &mut reference);
-        assert_eq!(clean.max_abs_diff(&reference), 0.0);
     }
 }

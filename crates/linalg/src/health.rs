@@ -62,15 +62,6 @@ impl FactorHealth {
     pub fn is_suspect(&self) -> bool {
         self.is_ill_conditioned() || self.has_pivot_growth() || !self.anorm.is_finite()
     }
-
-    /// Estimated 1-norm condition number (`∞` for a zero `rcond`).
-    pub fn condition_estimate(&self) -> f64 {
-        if self.rcond > 0.0 {
-            1.0 / self.rcond
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 impl std::fmt::Display for FactorHealth {
@@ -296,6 +287,5 @@ mod tests {
         };
         assert!(sick.is_ill_conditioned());
         assert!(sick.to_string().contains("SUSPECT"));
-        assert!(sick.condition_estimate() > 1e12);
     }
 }

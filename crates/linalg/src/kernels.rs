@@ -1,9 +1,9 @@
 //! Per-lane serial kernels: the bodies that run inside a parallel region.
 //!
 //! These functions are the Rust counterparts of the paper's
-//! `KokkosBatched::SerialGemv::invoke` internals (Listing 4) and of the
-//! `axpy` beside it. They take strided views, perform **in-place**, strictly
-//! sequential work on one batch lane, and never allocate. The per-lane
+//! `KokkosBatched::SerialGemv::invoke` internals (Listing 4). They take
+//! strided views, perform **in-place**, strictly sequential work on one
+//! batch lane, and never allocate. The per-lane
 //! solves are the factor types' own `solve_lane` (`PtFactors`, `LuFactors`,
 //! …): the factors say what they store, so nobody passes their arrays by
 //! hand.
@@ -30,15 +30,6 @@ pub fn gemv_lane(alpha: f64, a: &Matrix, x: &Strided<'_>, beta: f64, y: &mut Str
     }
 }
 
-/// Per-lane `y ← y + α x` (axpy) on strided views.
-#[inline]
-pub fn axpy_lane(alpha: f64, x: &Strided<'_>, y: &mut StridedMut<'_>) {
-    debug_assert_eq!(x.len(), y.len());
-    for i in 0..x.len() {
-        y[i] += alpha * x[i];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,17 +48,5 @@ mod tests {
         );
         // y = 2*A*[1,1] + 0.5*[10,20] = [6+5, 14+10]
         assert_eq!(y, [11.0, 24.0]);
-    }
-
-    #[test]
-    fn axpy_lane_accumulates() {
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [1.0, 1.0, 1.0];
-        axpy_lane(
-            -1.0,
-            &Strided::from_slice(&x),
-            &mut StridedMut::from_slice(&mut y),
-        );
-        assert_eq!(y, [0.0, -1.0, -2.0]);
     }
 }

@@ -63,15 +63,6 @@ impl CacheStats {
         self.mem_read_bytes += other.mem_read_bytes;
         self.mem_write_bytes += other.mem_write_bytes;
     }
-
-    /// Load hit rate.
-    pub fn load_hit_rate(&self) -> f64 {
-        if self.loads == 0 {
-            0.0
-        } else {
-            self.load_hits as f64 / self.loads as f64
-        }
-    }
 }
 
 /// One cache level.
@@ -119,11 +110,6 @@ impl Cache {
         self.line_bytes
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.num_sets * self.assoc * self.line_bytes
-    }
-
     /// Access one byte address. Returns `true` on hit.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> bool {
         let line = addr / self.line_bytes as u64;
@@ -160,19 +146,6 @@ impl Cache {
         false
     }
 
-    /// Access a contiguous range of `len` bytes starting at `addr`
-    /// (touches every line the range covers once).
-    pub fn access_range(&mut self, addr: u64, len: usize, kind: AccessKind) {
-        if len == 0 {
-            return;
-        }
-        let first = addr / self.line_bytes as u64;
-        let last = (addr + len as u64 - 1) / self.line_bytes as u64;
-        for line in first..=last {
-            self.access(line * self.line_bytes as u64, kind);
-        }
-    }
-
     /// Flush: write back all dirty lines and empty the cache.
     pub fn flush(&mut self) {
         for set in &mut self.sets {
@@ -188,11 +161,6 @@ impl Cache {
     /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Reset statistics (keeps cache contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 }
 
@@ -266,15 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn access_range_touches_every_line_once() {
-        let mut c = Cache::new(8192, 64, 8);
-        c.access_range(30, 200, AccessKind::Load); // spans lines 0..=3
-        assert_eq!(c.stats().loads, 4);
-        c.access_range(0, 0, AccessKind::Load);
-        assert_eq!(c.stats().loads, 4);
-    }
-
-    #[test]
     fn flush_writes_dirty_lines() {
         let mut c = Cache::new(1024, 64, 4);
         c.access(0, AccessKind::Store);
@@ -287,7 +246,6 @@ mod tests {
     #[test]
     fn geometry() {
         let c = Cache::new(40 * 1024 * 1024, 128, 16);
-        assert_eq!(c.capacity_bytes(), 40 * 1024 * 1024);
         assert_eq!(c.line_bytes(), 128);
     }
 }

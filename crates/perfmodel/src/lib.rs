@@ -18,8 +18,6 @@
 //!   geometry they produce the §IV observables (bytes loaded/stored, hit
 //!   rates) and, through the roofline, predicted kernel times for the
 //!   Table III/V GPU columns.
-//! * [`profile`] — a Kokkos-tools-style named-region profiler for the
-//!   harness output.
 //!
 //! Everything the harness prints from these models is labelled `model:` to
 //! keep measured and simulated numbers separate (see EXPERIMENTS.md).
@@ -36,7 +34,6 @@ pub mod cachesim;
 pub mod device;
 pub mod metrics;
 pub mod portability;
-pub mod profile;
 pub mod roofline;
 pub mod traffic;
 
@@ -44,6 +41,5 @@ pub use cachesim::{AccessKind, Cache, CacheStats};
 pub use device::{Device, DeviceKind};
 pub use metrics::{achieved_bandwidth_gbs, glups};
 pub use portability::{efficiency, performance_portability};
-pub use profile::RegionProfiler;
 pub use roofline::{arithmetic_intensity, attainable_gflops};
 pub use traffic::{simulate_builder_traffic, BuilderKernel, TrafficReport};

@@ -18,12 +18,6 @@ pub fn attainable_gflops(device: &Device, flops_per_point: f64, bytes_per_point:
     device.peak_gflops.min(device.peak_bw_gbs * ai)
 }
 
-/// Whether a kernel is memory-bound on a device (the paper's spline
-/// kernels all are: "All the evaluated kernels here are memory bound").
-pub fn is_memory_bound(device: &Device, flops_per_point: f64, bytes_per_point: f64) -> bool {
-    device.peak_bw_gbs * arithmetic_intensity(flops_per_point, bytes_per_point) < device.peak_gflops
-}
-
 /// Predicted kernel time in seconds from total memory traffic, assuming
 /// a memory-bound kernel streaming at `stream_efficiency × peak`.
 pub fn memory_bound_time_s(device: &Device, total_bytes: f64) -> f64 {
@@ -45,7 +39,6 @@ mod tests {
         // 1 flop per 8 bytes: R = 1555 * 0.125 = 194 GFlop/s << 9700.
         let r = attainable_gflops(&d, 1.0, 8.0);
         assert!((r - 1555.0 / 8.0).abs() < 1e-9);
-        assert!(is_memory_bound(&d, 1.0, 8.0));
     }
 
     #[test]
@@ -53,16 +46,6 @@ mod tests {
         let d = Device::icelake();
         let r = attainable_gflops(&d, 1000.0, 8.0);
         assert_eq!(r, d.peak_gflops);
-        assert!(!is_memory_bound(&d, 1000.0, 8.0));
-    }
-
-    #[test]
-    fn spline_kernels_are_memory_bound_everywhere() {
-        // ~10 flops per 16 bytes moved is generous for pttrs; still
-        // memory-bound on all three platforms.
-        for d in Device::table2() {
-            assert!(is_memory_bound(&d, 10.0, 16.0), "{}", d.name);
-        }
     }
 
     #[test]

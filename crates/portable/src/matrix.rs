@@ -237,11 +237,6 @@ impl Matrix {
         out
     }
 
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute element-wise difference against `other`.
     ///
     /// # Panics
@@ -352,12 +347,6 @@ mod tests {
         let r = m.to_layout(Layout::Right);
         assert_eq!(r.layout(), Layout::Right);
         assert_eq!(m.max_abs_diff(&r), 0.0);
-    }
-
-    #[test]
-    fn norms() {
-        let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
-        assert_eq!(m.norm_fro(), 5.0);
     }
 
     #[test]

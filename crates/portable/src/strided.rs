@@ -190,17 +190,6 @@ impl<'a> StridedMut<'a> {
         }
     }
 
-    /// Mutable re-borrow (useful to pass the view to a helper without
-    /// giving it away).
-    #[inline]
-    pub fn reborrow(&mut self) -> StridedMut<'_> {
-        StridedMut {
-            data: self.data,
-            len: self.len,
-            stride: self.stride,
-        }
-    }
-
     /// Split the view at element `mid`: the first view covers elements
     /// `0..mid`, the second `mid..len`, preserving the stride. Used by the
     /// Schur-complement kernels to treat one batch lane as the stacked

@@ -81,13 +81,6 @@ impl SparsityPattern {
         (kl, ku)
     }
 
-    /// `true` when the pattern is banded with bandwidths at most
-    /// `(kl, ku)`.
-    pub fn is_banded(&self, kl: usize, ku: usize) -> bool {
-        let (akl, aku) = self.bandwidths();
-        akl <= kl && aku <= ku
-    }
-
     /// `true` when the pattern is symmetric (requires a square matrix).
     pub fn is_symmetric(&self) -> bool {
         if self.nrows != self.ncols {
@@ -167,7 +160,6 @@ mod tests {
         });
         let p = SparsityPattern::from_dense(&a, 0.0);
         assert_eq!(p.bandwidths(), (n - 1, n - 1));
-        assert!(!p.is_banded(1, 1));
         assert!(p.is_symmetric());
     }
 
