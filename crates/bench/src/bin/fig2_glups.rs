@@ -21,7 +21,7 @@
 
 use pp_advection::{Advection1D, SplineBackend};
 use pp_bench::gpu_model::predict;
-use pp_bench::{parse_args, AsciiPlot, SplineConfig};
+use pp_bench::{parse_positional, usage_exit, AsciiPlot, SplineConfig};
 use pp_perfmodel::{glups, performance_portability, Device};
 use pp_portable::{
     deinterleave_columns, interleave_columns, CountingExec, Layout, Lines, Matrix, PanelIsa,
@@ -254,7 +254,8 @@ fn main() {
         screen_isa_rows();
         return sweep_isa_rows();
     }
-    let args = parse_args(1024, 10_000, 2);
+    let args = parse_positional(std::env::args().skip(1), &[1024, 10_000, 2])
+        .unwrap_or_else(|e| usage_exit("[nx] [nv] [iters]", &e));
     // Sweep Nv from 100 to the requested maximum, one point per decade
     // boundary plus midpoints, like the paper's scan of 100..100000.
     let mut sweep = vec![100usize, 300, 1000, 3000, 10_000, 30_000, 100_000];
