@@ -7,12 +7,12 @@
 //! full turn, so every deviation is method error.
 //!
 //! Each step evaluates the 2-D tensor spline (built by two batched 1-D
-//! solves — the paper's N-D construction) at the rotated-back foot of
-//! every grid point. This exercises the spline builder in both batch
-//! orientations plus the 2-D evaluator, per step.
+//! solves — the paper's N-D construction — on one resident batch) at the
+//! rotated-back foot of every grid point. This exercises the spline builder
+//! in both batch orientations plus the 2-D evaluator, per step.
 
 use crate::error::{Error, Result};
-use pp_portable::{ExecSpace, Layout, Matrix};
+use pp_portable::{ExecSpace, Layout, Matrix, ResidentBatch};
 use pp_splinesolver::tensor2d::TensorSpline2D;
 use pp_splinesolver::BuilderVersion;
 
@@ -27,13 +27,21 @@ pub struct Rotation2D {
     /// Angle per step (radians).
     dtheta: f64,
     /// Scratch: spline coefficients.
-    coefs: Matrix,
+    coefs: ResidentBatch,
 }
 
 impl Rotation2D {
     /// Set up an `n × n` doubly periodic domain `[0,1)²` rotating about
     /// its centre by `dtheta` radians per step, splines of `degree`.
+    ///
+    /// # Errors
+    /// [`Error::NonFiniteInput`] (lane 0, index 0) for a non-finite
+    /// `dtheta`, which would put every foot at NaN; the spline setup's
+    /// errors for `n` and `degree`.
     pub fn new(n: usize, degree: usize, dtheta: f64) -> Result<Self> {
+        if !dtheta.is_finite() {
+            return Err(Error::NonFiniteInput { lane: 0, index: 0 });
+        }
         let splines =
             pp_splinesolver::tensor2d::uniform_tensor(n, n, degree, BuilderVersion::FusedSpmv)?;
         let (px, py) = splines.interpolation_points();
@@ -43,7 +51,7 @@ impl Rotation2D {
             py,
             centre: (0.5, 0.5),
             dtheta,
-            coefs: Matrix::zeros(n, n, Layout::Left),
+            coefs: ResidentBatch::zeros(n, n),
         })
     }
 
@@ -73,7 +81,7 @@ impl Rotation2D {
             });
         }
         // Build the tensor spline of the current field.
-        self.coefs.deep_copy_from(field).expect("same shape");
+        self.coefs.pack_from(field).expect("same shape");
         self.splines.interpolate_in_place(exec, &mut self.coefs)?;
 
         // Evaluate at the rotated-back feet. The foot of (x, y) under a
@@ -180,6 +188,18 @@ mod tests {
             errs.push(f.max_abs_diff(&f0));
         }
         assert!(errs[1] < errs[0], "deg5 {} vs deg3 {}", errs[1], errs[0]);
+    }
+
+    #[test]
+    fn non_finite_dtheta_rejected() {
+        for dtheta in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let e = Rotation2D::new(16, 3, dtheta).err();
+            assert_eq!(
+                e,
+                Some(Error::NonFiniteInput { lane: 0, index: 0 }),
+                "{dtheta}"
+            );
+        }
     }
 
     #[test]

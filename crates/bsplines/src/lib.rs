@@ -57,4 +57,4 @@ pub mod space;
 pub use error::{Error, Result};
 pub use knots::Breaks;
 pub use matrix::{assemble_interpolation_matrix, SplineMatrixStructure};
-pub use space::{PeriodicSplineSpace, PointPlacement, SplineSpace, MAX_DEGREE};
+pub use space::{PeriodicSplineSpace, SplineSpace, MAX_DEGREE};

@@ -5,29 +5,34 @@
 //! and behaves in the same way as the 1D case, batched over the other
 //! dimensions."*
 //!
-//! [`TensorSpline2D`] does exactly that: an x-direction batched solve
-//! (lanes = y), a transpose, a y-direction batched solve (lanes = x).
-//! Both passes reuse the 1-D [`SplineBuilder`] unchanged — demonstrating
-//! that the batched single-matrix/multi-RHS kernel is the only primitive
-//! an N-D interpolation needs.
+//! [`TensorSpline2D`] keeps the coefficients in one `(nx, ny)`
+//! [`ResidentBatch`], lanes along y, and builds them with the two
+//! orientations the Vlasov step's Strang split already uses, in place: the
+//! x pass solves the batch's panels where they lie, batched over y; the y
+//! pass solves across its lanes, batched over x, through its 8 × 8 tiles
+//! ([`TiledField`]), each block's coefficients written back into its
+//! columns. No transpose, no second matrix: both passes are the 1-D
+//! [`SplineBuilder`]'s one region body, unchanged — the batched
+//! single-matrix/multi-RHS kernel is the only primitive an N-D
+//! interpolation needs.
 
-use crate::builder::{BuilderVersion, SplineBuilder};
+use crate::builder::{BuilderVersion, Solved, SplineBuilder};
 use crate::error::{Error, Result};
 use pp_bsplines::{PeriodicSplineSpace, MAX_DEGREE};
-use pp_portable::{transpose_into_with, ExecSpace, Matrix};
+use pp_portable::{ExecSpace, ResidentBatch, TiledField, LANE_WIDTH};
 
 /// A doubly periodic tensor-product spline space with batched
 /// construction.
 ///
 /// ```
-/// use pp_portable::{Layout, Matrix, Parallel};
+/// use pp_portable::{Layout, Matrix, Parallel, ResidentBatch};
 /// use pp_splinesolver::tensor2d::uniform_tensor;
 /// use pp_splinesolver::BuilderVersion;
 ///
 /// let t = uniform_tensor(16, 16, 3, BuilderVersion::FusedSpmv).unwrap();
-/// let mut f = Matrix::from_fn(16, 16, Layout::Left, |_, _| 2.0);
-/// t.interpolate_in_place(&Parallel, &mut f).unwrap();
-/// assert!((t.eval(&f, 0.3, 0.7) - 2.0).abs() < 1e-12);
+/// let mut c = ResidentBatch::pack(&Matrix::from_fn(16, 16, Layout::Left, |_, _| 2.0));
+/// t.interpolate_in_place(&Parallel, &mut c).unwrap();
+/// assert!((t.eval(&c, 0.3, 0.7) - 2.0).abs() < 1e-12);
 /// ```
 pub struct TensorSpline2D {
     builder_x: SplineBuilder,
@@ -67,16 +72,22 @@ impl TensorSpline2D {
     }
 
     /// Turn a grid of values `f(x_i, y_j)` (shape `(nx, ny)`) into tensor
-    /// coefficients, in place: two batched 1-D solves with a transpose
-    /// between (and after, to restore the input orientation).
+    /// coefficients, in place: the x pass on `c`'s panels
+    /// ([`SplineBuilder::solve_resident`]), then the y pass on its tiles
+    /// ([`SplineBuilder::solve_then`] over [`TiledField`]). Allocates
+    /// nothing after a thread's first call.
     ///
     /// # Errors
     /// [`Error::ShapeMismatch`] naming the dimension that differs: the
-    /// rows of `f`, else its columns — the rows of the y-direction solve.
-    pub fn interpolate_in_place<E: ExecSpace>(&self, exec: &E, f: &mut Matrix) -> Result<()> {
+    /// rows of `c`, else its columns — the rows of the y-direction solve.
+    pub fn interpolate_in_place<E: ExecSpace>(
+        &self,
+        exec: &E,
+        c: &mut ResidentBatch,
+    ) -> Result<()> {
         let nx = self.space_x().num_basis();
         let ny = self.space_y().num_basis();
-        for (expected_rows, actual_rows) in [(nx, f.nrows()), (ny, f.ncols())] {
+        for (expected_rows, actual_rows) in [(nx, c.nrows()), (ny, c.ncols())] {
             if expected_rows != actual_rows {
                 return Err(Error::ShapeMismatch {
                     expected_rows,
@@ -84,21 +95,15 @@ impl TensorSpline2D {
                 });
             }
         }
-        // Pass 1: solve along x, batched over y (columns are y-lanes).
-        self.builder_x.solve_in_place(exec, f)?;
-        // Transpose so y becomes the solve dimension.
-        let mut ft = Matrix::zeros(ny, nx, f.layout());
-        transpose_into_with(exec, f, &mut ft)?;
-        // Pass 2: solve along y, batched over x.
-        self.builder_y.solve_in_place(exec, &mut ft)?;
-        // Restore orientation.
-        transpose_into_with(exec, &ft, f)?;
-        Ok(())
+        self.builder_x.solve_resident(exec, c)?;
+        let store = |_: usize, _: usize, solved: Solved<'_>| solved.store();
+        self.builder_y
+            .solve_then(exec, &mut TiledField::new(c), store)
     }
 
     /// Evaluate the tensor spline with coefficients `c` (shape
     /// `(nx, ny)`) at a point.
-    pub fn eval(&self, c: &Matrix, x: f64, y: f64) -> f64 {
+    pub fn eval(&self, c: &ResidentBatch, x: f64, y: f64) -> f64 {
         let sx = self.space_x();
         let sy = self.space_y();
         debug_assert_eq!(c.shape(), (sx.num_basis(), sy.num_basis()));
@@ -106,12 +111,19 @@ impl TensorSpline2D {
         let mut by = [0.0; MAX_DEGREE + 1];
         let cx = sx.eval_basis(x, &mut bx);
         let cy = sy.eval_basis(y, &mut by);
+        // Lane `j` of `c` is element `j % LANE_WIDTH` of every row of panel
+        // `j / LANE_WIDTH`: find the stencil's lanes once, not per term.
+        let mut lanes = [(&[][..], 0); MAX_DEGREE + 1];
+        for (my, lane) in lanes.iter_mut().enumerate().take(sy.degree() + 1) {
+            let j = sy.coef_index(cy, my);
+            *lane = (c.chunk(j / LANE_WIDTH), j % LANE_WIDTH);
+        }
         let mut s = 0.0;
         for mx in 0..=sx.degree() {
             let ix = sx.coef_index(cx, mx);
             let mut row = 0.0;
-            for my in 0..=sy.degree() {
-                row += by[my] * c.get(ix, sy.coef_index(cy, my));
+            for (b, (panel, l)) in by.iter().zip(lanes).take(sy.degree() + 1) {
+                row += b * panel[ix * LANE_WIDTH + l];
             }
             s += bx[mx] * row;
         }
@@ -137,7 +149,7 @@ pub fn uniform_tensor(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_portable::{Layout, Parallel, Serial};
+    use pp_portable::{Layout, Matrix, Parallel, Serial};
 
     const TAU: f64 = std::f64::consts::TAU;
 
@@ -149,7 +161,9 @@ mod tests {
     fn reproduces_values_at_grid_points() {
         let t = uniform_tensor(24, 20, 3, BuilderVersion::FusedSpmv).unwrap();
         let (px, py) = t.interpolation_points();
-        let mut f = Matrix::from_fn(24, 20, Layout::Left, |i, j| smooth(px[i], py[j]));
+        let mut f = ResidentBatch::pack(&Matrix::from_fn(24, 20, Layout::Left, |i, j| {
+            smooth(px[i], py[j])
+        }));
         let orig = f.clone();
         t.interpolate_in_place(&Parallel, &mut f).unwrap();
         for i in 0..24 {
@@ -164,7 +178,9 @@ mod tests {
     fn interpolates_smooth_function_off_grid() {
         let t = uniform_tensor(32, 32, 5, BuilderVersion::FusedSpmv).unwrap();
         let (px, py) = t.interpolation_points();
-        let mut f = Matrix::from_fn(32, 32, Layout::Left, |i, j| smooth(px[i], py[j]));
+        let mut f = ResidentBatch::pack(&Matrix::from_fn(32, 32, Layout::Left, |i, j| {
+            smooth(px[i], py[j])
+        }));
         t.interpolate_in_place(&Parallel, &mut f).unwrap();
         for k in 0..40 {
             let x = 0.013 + 0.024 * k as f64;
@@ -182,7 +198,9 @@ mod tests {
         let t = TensorSpline2D::new(sx, sy, BuilderVersion::Fused).unwrap();
         let (px, py) = t.interpolation_points();
         let g = |x: f64, y: f64| (TAU * x / 2.0).cos() + (TAU * (y + 1.0) / 2.0).sin();
-        let mut f = Matrix::from_fn(40, 16, Layout::Left, |i, j| g(px[i], py[j]));
+        let mut f = ResidentBatch::pack(&Matrix::from_fn(40, 16, Layout::Left, |i, j| {
+            g(px[i], py[j])
+        }));
         t.interpolate_in_place(&Serial, &mut f).unwrap();
         let (x, y) = (1.234, -0.321);
         assert!((t.eval(&f, x, y) - g(x, y)).abs() < 2e-3);
@@ -191,7 +209,7 @@ mod tests {
     #[test]
     fn constant_reproduction_2d() {
         let t = uniform_tensor(16, 16, 4, BuilderVersion::Baseline).unwrap();
-        let mut f = Matrix::from_fn(16, 16, Layout::Left, |_, _| 3.25);
+        let mut f = ResidentBatch::pack(&Matrix::from_fn(16, 16, Layout::Left, |_, _| 3.25));
         t.interpolate_in_place(&Serial, &mut f).unwrap();
         for k in 0..10 {
             let p = 0.05 + 0.09 * k as f64;
@@ -204,7 +222,7 @@ mod tests {
         let t = uniform_tensor(16, 20, 3, BuilderVersion::FusedSpmv).unwrap();
         // The error names the dimension that differs: rows, else columns.
         for (rows, cols, expected_rows, actual_rows) in [(15, 20, 16, 15), (16, 21, 20, 21)] {
-            let mut bad = Matrix::zeros(rows, cols, Layout::Left);
+            let mut bad = ResidentBatch::zeros(rows, cols);
             let Err(Error::ShapeMismatch {
                 expected_rows: e,
                 actual_rows: a,
@@ -220,12 +238,60 @@ mod tests {
     fn periodicity_in_both_directions() {
         let t = uniform_tensor(20, 20, 3, BuilderVersion::FusedSpmv).unwrap();
         let (px, py) = t.interpolation_points();
-        let mut f = Matrix::from_fn(20, 20, Layout::Left, |i, j| smooth(px[i], py[j]));
+        let mut f = ResidentBatch::pack(&Matrix::from_fn(20, 20, Layout::Left, |i, j| {
+            smooth(px[i], py[j])
+        }));
         t.interpolate_in_place(&Serial, &mut f).unwrap();
         let (x, y) = (0.3, 0.7);
         let base = t.eval(&f, x, y);
         assert!((t.eval(&f, x + 1.0, y) - base).abs() < 1e-12);
         assert!((t.eval(&f, x, y - 2.0) - base).abs() < 1e-12);
         assert!((t.eval(&f, x - 3.0, y + 4.0) - base).abs() < 1e-12);
+    }
+
+    /// The build is, bit for bit, the composition it replaced — a solve
+    /// along x on the host matrix, a transpose, a solve along y, a
+    /// transpose back — for every version, on ragged shapes (neither side
+    /// a multiple of eight) and a graded × uniform pair, on both spaces.
+    #[test]
+    fn build_is_the_transposing_composition_bit_for_bit() {
+        use pp_bsplines::Breaks;
+        use pp_portable::{transpose_into, TestRng};
+        fn build<E: ExecSpace>(exec: &E, t: &TensorSpline2D, f: &Matrix) -> ResidentBatch {
+            let mut c = ResidentBatch::pack(f);
+            t.interpolate_in_place(exec, &mut c).unwrap();
+            c
+        }
+        let space = |b: Breaks, d| PeriodicSplineSpace::new(b, d).unwrap();
+        let uniform = |n, d| space(Breaks::uniform(n, 0.0, 1.0).unwrap(), d);
+        let mut rng = TestRng::seed_from_u64(38);
+        for (sx, sy) in [
+            (uniform(13, 3), uniform(21, 3)),
+            (uniform(24, 4), uniform(20, 4)),
+            (uniform(100, 5), uniform(37, 5)),
+            (
+                space(Breaks::graded(19, 0.0, 1.0, 0.6).unwrap(), 4),
+                uniform(11, 3),
+            ),
+        ] {
+            let (nx, ny) = (sx.num_basis(), sy.num_basis());
+            let f = Matrix::from_fn(nx, ny, Layout::Left, |_, _| rng.gen_range(-1.0..1.0));
+            for version in BuilderVersion::ALL {
+                let bx = SplineBuilder::new(sx.clone(), version).unwrap();
+                let by = SplineBuilder::new(sy.clone(), version).unwrap();
+                let (mut want, mut want_t) = (f.clone(), Matrix::zeros(ny, nx, Layout::Left));
+                bx.solve_in_place(&Serial, &mut want).unwrap();
+                transpose_into(&want, &mut want_t).unwrap();
+                by.solve_in_place(&Serial, &mut want_t).unwrap();
+                transpose_into(&want_t, &mut want).unwrap();
+                let t = TensorSpline2D::new(sx.clone(), sy.clone(), version).unwrap();
+                for got in [build(&Serial, &t, &f), build(&Parallel, &t, &f)] {
+                    for (i, j, w) in want.iter_entries() {
+                        let what = format!("{nx}x{ny} {version:?} ({i}, {j})");
+                        assert_eq!(got.get(i, j).to_bits(), w.to_bits(), "{what}");
+                    }
+                }
+            }
+        }
     }
 }

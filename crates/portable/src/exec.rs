@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// A place batched work can execute.
 ///
 /// Implementations only provide [`ExecSpace::for_each`] (and optionally
-/// [`ExecSpace::reduce_sum`]); the lane dispatch helpers are derived.
+/// [`ExecSpace::reduce_sum`]); the lane dispatch helper is derived.
 pub trait ExecSpace: Sync {
     /// Name for profiling output (e.g. `"Serial"`, `"Parallel"`).
     fn name(&self) -> &'static str;
@@ -57,36 +57,6 @@ pub trait ExecSpace: Sync {
             // visited exactly once, so no two concurrent views overlap.
             let lane = unsafe { StridedMut::from_raw(ptr.add(j * cs), nrows, rs.max(1)) };
             f(j, lane);
-        });
-    }
-
-    /// Visit every column of `m` together with the matching column of a
-    /// second matrix `m2` (used by fused kernels operating on the split
-    /// right-hand side `(b0, b1)` of Algorithm 1).
-    ///
-    /// # Panics
-    /// Panics if the two matrices have different column counts.
-    fn for_each_lane_pair_mut<F>(&self, m1: &mut Matrix, m2: &mut Matrix, f: F)
-    where
-        F: Fn(usize, StridedMut<'_>, StridedMut<'_>) + Sync + Send,
-    {
-        assert_eq!(
-            m1.ncols(),
-            m2.ncols(),
-            "for_each_lane_pair_mut: batch sizes differ"
-        );
-        let (n1, n2) = (m1.nrows(), m2.nrows());
-        let ncols = m1.ncols();
-        let (rs1, cs1) = m1.strides();
-        let (rs2, cs2) = m2.strides();
-        let p1 = SharedMutPtr(m1.as_mut_ptr());
-        let p2 = SharedMutPtr(m2.as_mut_ptr());
-        self.for_each(ncols, |j| {
-            // SAFETY: as in `for_each_lane_mut`, per matrix; the two
-            // matrices are distinct allocations.
-            let lane1 = unsafe { StridedMut::from_raw(p1.add(j * cs1), n1, rs1.max(1)) };
-            let lane2 = unsafe { StridedMut::from_raw(p2.add(j * cs2), n2, rs2.max(1)) };
-            f(j, lane1, lane2);
         });
     }
 }
@@ -228,28 +198,6 @@ mod tests {
         let expected = (0..1000).map(|i| i as f64).sum::<f64>();
         assert_eq!(Serial.reduce_sum(1000, |i| i as f64), expected);
         assert_eq!(Parallel.reduce_sum(1000, |i| i as f64), expected);
-    }
-
-    #[test]
-    fn lane_pair_dispatch_matches_serial_reference() {
-        let mut a1 = Matrix::zeros(4, 33, Layout::Left);
-        let mut a2 = Matrix::zeros(2, 33, Layout::Left);
-        Parallel.for_each_lane_pair_mut(&mut a1, &mut a2, |j, mut top, mut bot| {
-            top.fill(j as f64);
-            bot.fill(-(j as f64));
-        });
-        for j in 0..33 {
-            assert_eq!(a1.get(3, j), j as f64);
-            assert_eq!(a2.get(1, j), -(j as f64));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "batch sizes differ")]
-    fn lane_pair_requires_equal_batches() {
-        let mut a1 = Matrix::zeros(4, 3, Layout::Left);
-        let mut a2 = Matrix::zeros(2, 5, Layout::Left);
-        Serial.for_each_lane_pair_mut(&mut a1, &mut a2, |_, _, _| {});
     }
 
     #[test]

@@ -100,6 +100,11 @@ test -s target/BENCH_chaos_smoke.json
 echo "==> stepbench smoke (ledger replay == step, accuracy tolerances)"
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 
+# The 2-D example asserts its own accuracy (one full solid-body turn
+# returns the blob to within 0.05): run it at its defaults, 48 steps.
+echo "==> poloidal_rotation example (2-D tensor build + rotation accuracy)"
+cargo run --release -q --example poloidal_rotation > /dev/null
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

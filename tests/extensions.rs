@@ -16,7 +16,9 @@ fn tensor_spline_remap_accuracy() {
     let t = uniform_tensor(48, 48, 3, BuilderVersion::FusedSpmv).unwrap();
     let (px, py) = t.interpolation_points();
     let field = |x: f64, y: f64| (TAU * x).sin() * (TAU * y).sin();
-    let mut coefs = Matrix::from_fn(48, 48, Layout::Left, |i, j| field(px[i], py[j]));
+    let mut coefs = ResidentBatch::pack(&Matrix::from_fn(48, 48, Layout::Left, |i, j| {
+        field(px[i], py[j])
+    }));
     t.interpolate_in_place(&Parallel, &mut coefs).unwrap();
 
     // Evaluate at back-rotated points (a rigid displacement).
