@@ -150,7 +150,7 @@ fn transposer_isa_rows() {
         let mut ns = [Duration::MAX; 2];
         for _ in 0..15 {
             let start = Instant::now();
-            (0..256).for_each(|_| deinterleave_columns(isa, &panel, STRIDE, &mut cols));
+            (0..256).for_each(|_| deinterleave_columns(isa, &panel, LANE_WIDTH, STRIDE, &mut cols));
             let between = Instant::now();
             (0..256).for_each(|_| interleave_columns(&panel, LANE_WIDTH, back));
             (ns[0], ns[1]) = (ns[0].min(between - start), ns[1].min(between.elapsed()));

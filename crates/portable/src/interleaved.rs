@@ -631,25 +631,44 @@ pub fn interleave_columns(cols: &[f64], lanes: usize, panel: &mut [f64]) {
     }
 }
 
-/// `cols[l·stride + i] = panel[i·W + l]`, through `isa`: a `[rows][W]` panel
-/// into eight columns `stride` apart — the panel evaluator's ingress, its
-/// coefficients into columns `n + d` up to whole lines apart in a
-/// [`Lines`], so that no tile store splits a line — whole tiles through
-/// `transpose_tiles`, out of line like its inverse [`interleave_columns`].
+/// `cols[l·stride + i] = panel[i·W + l]` for the first `lanes` lanes of the
+/// `[rows][W]` panel, through `isa`: into columns `stride` apart — the panel
+/// evaluator's ingress, its coefficients into columns `n + d` up to whole
+/// lines apart in a [`Lines`], so that no tile store splits a line; and a
+/// host field's egress, its live lanes into columns `rows` apart. A full
+/// panel goes by whole tiles through `transpose_tiles`, out of line like its
+/// inverse [`interleave_columns`].
 ///
 /// # Panics
-/// Panics if `stride < rows`, if `cols` is shorter than `W · stride`, or if
-/// the host lacks `isa`.
+/// Panics if `stride < rows`, if `lanes > LANE_WIDTH`, if `cols` is shorter
+/// than `lanes · stride`, or if the host lacks `isa`.
 #[inline(never)]
-pub fn deinterleave_columns(isa: PanelIsa, panel: &[f64], stride: usize, cols: &mut [f64]) {
+pub fn deinterleave_columns(
+    isa: PanelIsa,
+    panel: &[f64],
+    lanes: usize,
+    stride: usize,
+    cols: &mut [f64],
+) {
     let rows = panel.len() / W;
-    let fits = stride >= rows && cols.len() / W >= stride;
-    assert!(fits, "deinterleave: {rows} rows");
-    let done = W * transpose_tiles(isa, panel, stride, cols, rows / W);
-    for (i, row) in panel.chunks_exact(W).enumerate().skip(done) {
-        for l in 0..W {
-            cols[l * stride + i] = row[l];
+    let fits = stride >= rows && lanes <= W && (lanes == 0 || cols.len() / lanes >= stride);
+    assert!(fits, "deinterleave: {lanes} columns of {rows} rows");
+    let done = match lanes {
+        W => W * transpose_tiles(isa, panel, stride, cols, rows / W),
+        _ => 0,
+    };
+    let mut drain = |lanes: usize| {
+        for (i, row) in panel.chunks_exact(W).enumerate().skip(done) {
+            for l in 0..lanes {
+                cols[l * stride + i] = row[l];
+            }
         }
+    };
+    // At a fixed width, the loop the full panel always had.
+    if lanes == W {
+        drain(W)
+    } else {
+        drain(lanes)
     }
 }
 
@@ -931,9 +950,9 @@ mod tests {
     /// Panel → columns through every instance the host has, bit for bit
     /// against the scalar loop's index map, and back through the interleave:
     /// whole tiles and ragged rows, columns exactly `rows` and further apart
-    /// (the gap never written), one to eight live lanes back (the padding
-    /// lanes never written). Miri runs a corner of the table, on the baseline
-    /// instance.
+    /// (the gap never written), one to eight live lanes each way (the lanes
+    /// past them never written). Miri runs a corner of the table, on the
+    /// baseline instance.
     #[test]
     fn tile_transposer_is_the_scalar_loop_on_every_isa() {
         let rows: &[usize] = if cfg!(miri) {
@@ -947,12 +966,20 @@ mod tests {
                     let what = format!("{} rows {rows} stride {stride}", isa.name());
                     let panel: Vec<f64> = (0..rows * W).map(|k| payload(k / W, k % W)).collect();
                     let mut cols = vec![SENTINEL; W * stride];
-                    deinterleave_columns(isa, &panel, stride, &mut cols);
-                    let want: Vec<f64> = (0..W * stride)
-                        .map(|k| (k % stride < rows).then(|| payload(k % stride, k / stride)))
-                        .map(|v| v.unwrap_or(SENTINEL))
-                        .collect();
-                    assert_eq!(bits(&cols), bits(&want), "deinterleave {what}");
+                    for lanes in 1..=W {
+                        cols.fill(SENTINEL);
+                        deinterleave_columns(isa, &panel, lanes, stride, &mut cols);
+                        let live = |k: usize| k % stride < rows && k / stride < lanes;
+                        let want: Vec<f64> = (0..W * stride)
+                            .map(|k| live(k).then(|| payload(k % stride, k / stride)))
+                            .map(|v| v.unwrap_or(SENTINEL))
+                            .collect();
+                        assert_eq!(
+                            bits(&cols),
+                            bits(&want),
+                            "deinterleave {what} lanes {lanes}"
+                        );
+                    }
                     // Back from columns `rows` apart.
                     let cols: Vec<f64> = (0..W * rows)
                         .map(|k| cols[k / rows * stride + k % rows])
