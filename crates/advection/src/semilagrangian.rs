@@ -2,7 +2,6 @@
 
 use crate::error::{Error, Result};
 use pp_bsplines::PeriodicSplineSpace;
-use pp_portable::instrument::{self, PhaseId, Span};
 use pp_portable::{
     ExecSpace, Field, HostField, Layout, Matrix, ResidentBatch, Strided, StridedMut, TiledField,
     LANE_WIDTH,
@@ -109,21 +108,6 @@ impl AdvectionDiagnostics {
             worst_residual: report.worst_residual(),
             max_foot_displacement,
         }
-    }
-
-    /// Export this step's diagnostics into the instrumentation registry
-    /// (`advection.*` counters and gauges). No-op when instrumentation
-    /// is off.
-    pub fn publish_metrics(&self) {
-        if !instrument::enabled() {
-            return;
-        }
-        instrument::counter("advection.lanes_quarantined").add(self.quarantined_lanes.len() as u64);
-        instrument::counter("advection.lanes_recovered").add(self.recovered_lanes.len() as u64);
-        instrument::counter("advection.lanes_refined").add(self.refined_lanes.len() as u64);
-        instrument::counter("advection.refinement_steps").add(self.refinement_steps as u64);
-        instrument::gauge("advection.worst_residual").set(self.worst_residual);
-        instrument::gauge("advection.max_foot_displacement").set(self.max_foot_displacement);
     }
 }
 
@@ -290,7 +274,6 @@ impl Advection1D {
     /// standing displacements untouched, so the driver stays usable.
     pub fn set_dt(&mut self, dt: f64) -> Result<()> {
         if !dt.is_finite() {
-            instrument::trace_instant(instrument::InstantKind::NonFiniteInput);
             return Err(Error::NonFiniteInput { lane: 0, index: 0 });
         }
         self.dt = dt;
@@ -448,10 +431,8 @@ impl Advection1D {
             });
         }
         if let Some(j) = displacements.iter().position(|d| !d.is_finite()) {
-            instrument::trace_instant_lane(instrument::InstantKind::NonFiniteInput, j as u32);
             return Err(Error::NonFiniteInput { lane: j, index: 0 });
         }
-        let _step_span = Span::enter(PhaseId::AdvectionStep);
         let mut t = StepTimings::default();
 
         let space = self.backend.space();
@@ -459,7 +440,6 @@ impl Advection1D {
         // Lines 6-10 on one block: follow the characteristics back and
         // interpolate, lane by lane, into where the field keeps the lane.
         let interpolate = |chunk: usize, lanes: usize, solved: Solved<'_>| {
-            let _span = Span::enter(PhaseId::Interpolate);
             // Lane `l`'s feet are `x_i − d_l`, formed in the walk's registers.
             let feet = |l: usize| (points, displacements[chunk * LANE_WIDTH + l]);
             match solved {
@@ -486,9 +466,7 @@ impl Advection1D {
                 // Every foot of lane `j` is `x_i − d_j`: the lane's feet
                 // are `|d_j|` from their grid points, whatever `i`.
                 let max_disp = displacements.iter().fold(0.0, |m: f64, d| m.max(d.abs()));
-                let diagnostics = AdvectionDiagnostics::from_report(&report, max_disp);
-                diagnostics.publish_metrics();
-                self.last_diagnostics = Some(diagnostics);
+                self.last_diagnostics = Some(AdvectionDiagnostics::from_report(&report, max_disp));
             }
             SplineBackend::Iterative(solver) => {
                 let mut eta = self

@@ -3,20 +3,15 @@
 //!
 //! Smoke runs use smaller sizes and far fewer reps than the committed
 //! baselines, so exact comparison is meaningless. What *is* stable
-//! across sizes is (a) per-dispatch pool latency at a given batch count,
-//! and (b) the structure of the phase profile (which versions exist,
-//! that phases cover most of the wall clock, that the dispatch histogram
-//! is populated). The gate checks only those, with deliberately generous
-//! tolerances — it exists to catch "dispatch got 10x slower" or "the
-//! instrumentation layer stopped attributing", not 20% noise. Timing
+//! across sizes is per-dispatch pool latency at a given batch count. The
+//! gate checks only that, with a deliberately generous tolerance — it
+//! exists to catch "dispatch got 10x slower", not 20% noise. Timing
 //! comparisons additionally get a fixed absolute slack so single-core CI
 //! scheduler hiccups at microsecond scales cannot trip the gate.
 //!
 //! Usage:
 //!   bench_gate --kind dispatch --baseline BENCH_dispatch.json \
 //!       --candidate target/BENCH_dispatch_smoke.json [--tol 4.0]
-//!   bench_gate --kind phases --baseline BENCH_phases.json \
-//!       --candidate target/BENCH_phases_smoke.json [--tol 4.0]
 //!   bench_gate --kind chaos --baseline BENCH_chaos.json \
 //!       --candidate target/BENCH_chaos_smoke.json
 //!
@@ -31,21 +26,12 @@
 //! version fails by name before any numeric check runs.
 
 use pp_bench::json::Json;
-use pp_portable::instrument::SCHEMA_VERSION;
+use pp_bench::SCHEMA_VERSION;
 use std::process::ExitCode;
 
 /// Absolute slack added on top of the ratio tolerance for nanosecond
 /// latency comparisons (absorbs scheduler noise on loaded CI runners).
 const LATENCY_SLACK_NS: f64 = 25_000.0;
-
-/// Minimum fraction of wall clock the phase spans must attribute.
-const MIN_PHASE_COVER: f64 = 0.5;
-
-/// Absolute slack added to per-phase wall-clock *share* comparisons.
-/// Smoke runs shift phase shares a little (fixed per-call overheads
-/// loom larger at small sizes); this absorbs that without letting a
-/// phase silently grow from a sliver to the whole solve.
-const PHASE_SHARE_SLACK: f64 = 0.10;
 
 /// Which document a structural defect was found in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,17 +55,6 @@ impl Side {
 /// never a silent skip (a missing or zero entry must not pass).
 #[derive(Debug, PartialEq)]
 enum Mismatch {
-    /// A numeric field required for a comparison is absent or null.
-    MissingField { side: Side, path: String },
-    /// A version entry present on one side has no counterpart.
-    MissingVersion { side: Side, version: String },
-    /// A phase recorded for a version on one side is absent from the
-    /// same version on the other side.
-    MissingPhase {
-        side: Side,
-        version: String,
-        phase: String,
-    },
     /// The committed baseline value is zero or non-finite. The ratio
     /// `candidate / baseline` is undefined there, and the latency bound
     /// `tol * baseline + slack` degenerates to the absolute slack
@@ -94,21 +69,6 @@ enum Mismatch {
 impl std::fmt::Display for Mismatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Mismatch::MissingField { side, path } => {
-                write!(f, "{}: required field {path} missing or null", side.name())
-            }
-            Mismatch::MissingVersion { side, version } => {
-                write!(f, "{}: version {version:?} has no entry", side.name())
-            }
-            Mismatch::MissingPhase {
-                side,
-                version,
-                phase,
-            } => write!(
-                f,
-                "{}: version {version:?} is missing phase {phase:?} present on the other side",
-                side.name()
-            ),
             Mismatch::DegenerateBaseline { what, value } => write!(
                 f,
                 "baseline {what} is {value} — ratio undefined, regenerate the baseline"
@@ -250,208 +210,6 @@ fn gate_dispatch(gate: &mut Gate, baseline: &Json, candidate: &Json, tol: f64) {
     );
 }
 
-/// Gate the phase_profile bench: the instrumentation layer must still
-/// attribute the solve, for the same version set as the baseline.
-fn gate_phases(gate: &mut Gate, baseline: &Json, candidate: &Json, tol: f64) {
-    gate.check(
-        candidate.get("bench").and_then(Json::as_str) == Some("phase_profile"),
-        "candidate is a phase_profile document",
-    );
-    gate.check(
-        candidate.get("instrumented").and_then(Json::as_bool) == Some(true),
-        "candidate was built with --features instrument",
-    );
-    let version_names = |doc: &Json| -> Vec<String> {
-        doc.get("versions")
-            .and_then(Json::as_array)
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|v| v.get("version").and_then(Json::as_str).map(String::from))
-            .collect()
-    };
-    let base_versions = version_names(baseline);
-    let cand_versions = version_names(candidate);
-    gate.check(
-        base_versions == cand_versions && !cand_versions.is_empty(),
-        format!(
-            "version set matches baseline ({})",
-            cand_versions.join(", ")
-        ),
-    );
-    let base_entries = baseline
-        .get("versions")
-        .and_then(Json::as_array)
-        .unwrap_or(&[]);
-    for v in candidate
-        .get("versions")
-        .and_then(Json::as_array)
-        .unwrap_or(&[])
-    {
-        let name = v.get("version").and_then(Json::as_str).unwrap_or("?");
-        let cover = f64_at(v, &["phase_cover"]).unwrap_or(0.0);
-        gate.check(
-            cover >= MIN_PHASE_COVER,
-            format!("{name}: phase cover {cover:.3} >= {MIN_PHASE_COVER}"),
-        );
-        let phases = v
-            .get("phases")
-            .and_then(Json::as_array)
-            .map_or(0, <[Json]>::len);
-        gate.check(phases > 0, format!("{name}: at least one phase attributed"));
-        let glups = v
-            .at(&["roofline", "glups"])
-            .map(|g| g.as_f64().unwrap_or(f64::NAN));
-        gate.check(
-            matches!(glups, Some(g) if g.is_finite() && g > 0.0),
-            format!("{name}: roofline GLUPS is finite and positive"),
-        );
-        match base_entries
-            .iter()
-            .find(|b| b.get("version").and_then(Json::as_str) == Some(name))
-        {
-            Some(base_v) => gate_phase_shares(gate, name, base_v, v, tol),
-            None => gate.mismatch(Mismatch::MissingVersion {
-                side: Side::Baseline,
-                version: name.to_string(),
-            }),
-        }
-    }
-    gate.check(
-        f64_at(candidate, &["pool", "dispatch_ns", "count"]).unwrap_or(0.0) > 0.0,
-        "dispatch histogram is populated",
-    );
-    let dispatch_mean = |doc: &Json, side: Side, gate: &mut Gate| {
-        f64_at(doc, &["pool", "dispatch_ns", "mean"]).map_or_else(
-            || {
-                gate.mismatch(Mismatch::MissingField {
-                    side,
-                    path: "pool.dispatch_ns.mean".into(),
-                });
-                None
-            },
-            Some,
-        )
-    };
-    let cand_mean = dispatch_mean(candidate, Side::Candidate, gate);
-    let base_mean = dispatch_mean(baseline, Side::Baseline, gate);
-    if let (Some(c), Some(b)) = (cand_mean, base_mean) {
-        gate.check_latency("mean instrumented dispatch latency", c, b, tol);
-    }
-}
-
-/// Per-phase name → total time, skipping the synthetic `"other"` bucket
-/// (the unattributed remainder is covered by the phase_cover check).
-/// A phase whose `total_ms` is absent or null is returned as NaN so the
-/// caller can report *which* side is defective.
-fn phase_totals(version_entry: &Json) -> Vec<(String, f64)> {
-    version_entry
-        .get("phases")
-        .and_then(Json::as_array)
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|p| {
-            let name = p.get("phase").and_then(Json::as_str)?;
-            if name == "other" {
-                return None;
-            }
-            Some((
-                name.to_string(),
-                f64_at(p, &["total_ms"]).unwrap_or(f64::NAN),
-            ))
-        })
-        .collect()
-}
-
-/// Compare one version's per-phase wall-clock *shares* between candidate
-/// and baseline. Absolute phase times are size-dependent (smoke runs are
-/// tiny), but the fraction of the solve each phase occupies is stable —
-/// a phase ballooning from a sliver of the baseline to dominating the
-/// candidate is exactly the "one kernel got 10x slower" regression this
-/// gate exists to catch. Every lookup/division hazard is reported as a
-/// typed mismatch: a phase missing from either side, a missing wall
-/// clock, or a zero/non-finite committed phase time all FAIL by name
-/// instead of panicking or silently passing.
-fn gate_phase_shares(gate: &mut Gate, version: &str, base_v: &Json, cand_v: &Json, tol: f64) {
-    let wall = |entry: &Json, side: Side, gate: &mut Gate| {
-        f64_at(entry, &["wall_ms"]).map_or_else(
-            || {
-                gate.mismatch(Mismatch::MissingField {
-                    side,
-                    path: format!("versions[{version:?}].wall_ms"),
-                });
-                None
-            },
-            Some,
-        )
-    };
-    let (Some(base_wall), Some(cand_wall)) = (
-        wall(base_v, Side::Baseline, gate),
-        wall(cand_v, Side::Candidate, gate),
-    ) else {
-        return;
-    };
-    if !(base_wall > 0.0 && base_wall.is_finite()) {
-        gate.mismatch(Mismatch::DegenerateBaseline {
-            what: format!("versions[{version:?}].wall_ms"),
-            value: base_wall,
-        });
-        return;
-    }
-    let base_phases = phase_totals(base_v);
-    let cand_phases = phase_totals(cand_v);
-    // Symmetric difference of the phase sets is a typed failure on the
-    // side that lost the phase.
-    for (name, _) in &base_phases {
-        if !cand_phases.iter().any(|(c, _)| c == name) {
-            gate.mismatch(Mismatch::MissingPhase {
-                side: Side::Candidate,
-                version: version.to_string(),
-                phase: name.clone(),
-            });
-        }
-    }
-    for (name, cand_ms) in &cand_phases {
-        let Some((_, base_ms)) = base_phases.iter().find(|(b, _)| b == name) else {
-            gate.mismatch(Mismatch::MissingPhase {
-                side: Side::Baseline,
-                version: version.to_string(),
-                phase: name.clone(),
-            });
-            continue;
-        };
-        if base_ms.is_nan() {
-            gate.mismatch(Mismatch::MissingField {
-                side: Side::Baseline,
-                path: format!("versions[{version:?}].phases[{name:?}].total_ms"),
-            });
-            continue;
-        }
-        if cand_ms.is_nan() {
-            gate.mismatch(Mismatch::MissingField {
-                side: Side::Candidate,
-                path: format!("versions[{version:?}].phases[{name:?}].total_ms"),
-            });
-            continue;
-        }
-        if !(*base_ms > 0.0 && base_ms.is_finite()) {
-            gate.mismatch(Mismatch::DegenerateBaseline {
-                what: format!("versions[{version:?}].phases[{name:?}].total_ms"),
-                value: *base_ms,
-            });
-            continue;
-        }
-        let base_share = base_ms / base_wall;
-        let cand_share = cand_ms / cand_wall;
-        let bound = tol * base_share + PHASE_SHARE_SLACK;
-        gate.check(
-            cand_share <= bound,
-            format!(
-                "{version}/{name}: share {cand_share:.3} <= {tol}x{base_share:.3}+{PHASE_SHARE_SLACK} = {bound:.3}"
-            ),
-        );
-    }
-}
-
 /// Gate the chaos_soak campaign: zero tolerance for invariant
 /// violations or silent-wrong SDC rounds, in both the fresh smoke run
 /// and the committed full-size baseline.
@@ -511,7 +269,7 @@ fn main() -> ExitCode {
     }
     assert!(
         !kind.is_empty() && !baseline.is_empty() && !candidate.is_empty(),
-        "usage: bench_gate --kind dispatch|phases|chaos --baseline PATH --candidate PATH [--tol F]"
+        "usage: bench_gate --kind dispatch|chaos --baseline PATH --candidate PATH [--tol F]"
     );
     assert!(
         tol >= 3.0,
@@ -525,9 +283,8 @@ fn main() -> ExitCode {
     gate_schema(&mut gate, &base, &cand);
     match kind.as_str() {
         "dispatch" => gate_dispatch(&mut gate, &base, &cand, tol),
-        "phases" => gate_phases(&mut gate, &base, &cand, tol),
         "chaos" => gate_chaos(&mut gate, &base, &cand),
-        other => panic!("unknown --kind {other:?} (expected dispatch|phases|chaos)"),
+        other => panic!("unknown --kind {other:?} (expected dispatch|chaos)"),
     }
     if gate.failures.is_empty() {
         println!("bench_gate: {} check(s) passed", gate.checks);
@@ -545,100 +302,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Hand-built phase_profile document. `pttrs_ms` lets tests plant a
-    /// zero committed phase time; `phases` controls the phase set.
-    fn doc(pttrs_ms: f64, extra_phase: bool, dispatch_mean: &str) -> Json {
-        let extra = if extra_phase {
-            r#"{"phase": "corner_spmv", "calls": 30, "total_ms": 2.0, "mean_ns": 66.0},"#
-        } else {
-            ""
-        };
-        let text = format!(
-            r#"{{
-              "bench": "phase_profile",
-              "instrumented": true,
-              "versions": [
-                {{
-                  "version": "Original",
-                  "wall_ms": 100.0,
-                  "phase_cover": 0.9,
-                  "phases": [
-                    {{"phase": "solve_pttrs", "calls": 30, "total_ms": {pttrs_ms}}},
-                    {extra}
-                    {{"phase": "other", "calls": 0, "total_ms": 1.0, "mean_ns": null}}
-                  ],
-                  "roofline": {{"glups": 0.5}}
-                }}
-              ],
-              "pool": {{"dispatch_ns": {{"count": 5, "mean": {dispatch_mean}}}}}
-            }}"#
-        );
-        Json::parse(&text).expect("test doc parses")
-    }
-
-    fn run_phases(baseline: &Json, candidate: &Json) -> Vec<String> {
-        let mut gate = Gate::new();
-        gate_phases(&mut gate, baseline, candidate, 4.0);
-        gate.failures
-    }
-
-    #[test]
-    fn well_formed_matching_docs_pass() {
-        let base = doc(80.0, true, "900.0");
-        let cand = doc(70.0, true, "1000.0");
-        assert_eq!(run_phases(&base, &cand), Vec::<String>::new());
-    }
-
-    #[test]
-    fn zero_baseline_phase_time_is_typed_failure_not_silent_pass() {
-        // A zero committed phase time previously collapsed the bound to
-        // the absolute slack; now it must FAIL by name without panicking.
-        let base = doc(0.0, true, "900.0");
-        let cand = doc(70.0, true, "1000.0");
-        let failures = run_phases(&base, &cand);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(
-            failures[0].contains("solve_pttrs") && failures[0].contains("ratio undefined"),
-            "{failures:?}"
-        );
-    }
-
-    #[test]
-    fn phase_missing_from_candidate_is_typed_failure() {
-        let base = doc(80.0, true, "900.0");
-        let cand = doc(70.0, false, "1000.0");
-        let failures = run_phases(&base, &cand);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(
-            failures[0].contains("candidate") && failures[0].contains("corner_spmv"),
-            "{failures:?}"
-        );
-    }
-
-    #[test]
-    fn phase_missing_from_baseline_is_typed_failure() {
-        let base = doc(80.0, false, "900.0");
-        let cand = doc(70.0, true, "1000.0");
-        let failures = run_phases(&base, &cand);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(
-            failures[0].contains("baseline") && failures[0].contains("corner_spmv"),
-            "{failures:?}"
-        );
-    }
-
-    #[test]
-    fn null_dispatch_mean_is_typed_failure_not_silent_skip() {
-        let base = doc(80.0, true, "null");
-        let cand = doc(70.0, true, "1000.0");
-        let failures = run_phases(&base, &cand);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(
-            failures[0].contains("baseline") && failures[0].contains("pool.dispatch_ns.mean"),
-            "{failures:?}"
-        );
-    }
 
     #[test]
     fn zero_baseline_dispatch_mean_is_typed_failure() {
@@ -713,16 +376,5 @@ mod tests {
             failures[0].contains("baseline") && failures[0].contains("999"),
             "{failures:?}"
         );
-    }
-
-    #[test]
-    fn ballooning_phase_share_fails() {
-        // solve_pttrs at 4 ms of a 100 ms baseline (4% share) but 70 ms
-        // of the 100 ms candidate (70%): 70% > 4x4%+10% = 26%.
-        let base = doc(4.0, true, "900.0");
-        let cand = doc(70.0, true, "1000.0");
-        let failures = run_phases(&base, &cand);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("solve_pttrs"), "{failures:?}");
     }
 }

@@ -145,11 +145,7 @@ fn main() {
     // Hand-rolled JSON (the workspace is hermetic: no serde).
     let mut j = String::new();
     j.push_str("{\n  \"bench\": \"chaos_soak\",\n");
-    let _ = writeln!(
-        j,
-        "  \"schema_version\": {},",
-        pp_portable::instrument::SCHEMA_VERSION
-    );
+    let _ = writeln!(j, "  \"schema_version\": {},", pp_bench::SCHEMA_VERSION);
     let _ = writeln!(j, "  \"smoke\": {smoke},");
     let _ = writeln!(j, "  \"seeds\": {count},");
     let _ = writeln!(j, "  \"elapsed_ms\": {},", campaign_elapsed.as_millis());

@@ -169,11 +169,7 @@ fn main() {
     // Hand-rolled JSON (the workspace is hermetic: no serde).
     let mut j = String::new();
     j.push_str("{\n  \"bench\": \"dispatch_overhead\",\n");
-    let _ = writeln!(
-        j,
-        "  \"schema_version\": {},",
-        pp_portable::instrument::SCHEMA_VERSION
-    );
+    let _ = writeln!(j, "  \"schema_version\": {},", pp_bench::SCHEMA_VERSION);
     let _ = writeln!(j, "  \"smoke\": {smoke},");
     let _ = writeln!(j, "  \"num_threads\": {},", num_threads());
     let _ = writeln!(j, "  \"cores\": {cores},");

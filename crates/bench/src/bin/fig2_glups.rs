@@ -11,8 +11,9 @@
 //! the screen run at, the plain step's ns/point and pool dispatches per
 //! step, the same for the host step (`step` on the field itself), the
 //! same-run step-time ratio of verified to plain and the verification
-//! surcharge in ns/point — the two dispatch counts and the ratio are what
-//! `scripts/check_bench.sh` gates.
+//! surcharge in ns/point, and the resident chain's transpose share
+//! ([`transpose_share`]) — the two dispatch counts and the two ratios are
+//! what `scripts/check_bench.sh` gates.
 //!
 //! `fig2_glups --isa` prints the per-instruction-set rows of the evaluator
 //! ([`isa_rows`]), of the panel transposer ([`transposer_isa_rows`]), of the
@@ -78,6 +79,37 @@ fn measure_steps<const N: usize>(
         times.sort();
         (times[steps / 2], exec.regions() / (steps + 1))
     })
+}
+
+/// The share of a resident pipeline's wall clock that only moves data, one
+/// thread: pack an `(nx, nv)` host block once, 30 `solve_resident`s on the
+/// batch (Interleaved, in place), unpack once, with an `Instant` read
+/// between the three; (pack + unpack) / (pack + solves + unpack), the
+/// median of five chains after a warm-up one.
+fn transpose_share(builder: &SplineBuilder, nx: usize, nv: usize) -> f64 {
+    const CHAIN: usize = 30;
+    let rhs = Matrix::from_fn(nx, nv, Layout::Left, |i, j| {
+        ((i * 31 + j * 17) % 97) as f64 / 97.0 - 0.5
+    });
+    let mut host = Matrix::zeros(nx, nv, Layout::Left);
+    let mut shares: Vec<f64> = (0..6)
+        .map(|_| {
+            let start = Instant::now();
+            let mut batch = ResidentBatch::pack(&rhs);
+            let packed = Instant::now();
+            for _ in 0..CHAIN {
+                builder.solve_resident(&Serial, &mut batch).expect("solve");
+            }
+            let solved = Instant::now();
+            batch.unpack_into(&mut host).expect("unpack");
+            let end = Instant::now();
+            black_box(&host);
+            ((packed - start) + (end - solved)).as_secs_f64() / (end - start).as_secs_f64()
+        })
+        .skip(1)
+        .collect();
+    shares.sort_by(f64::total_cmp);
+    shares[shares.len() / 2]
 }
 
 /// The evaluator alone, one thread, per instruction set: `eval_panel_on`
@@ -358,6 +390,11 @@ fn main() {
     println!(
         "verified/plain resident step ratio: {:.3}",
         verified.as_secs_f64() / plain.as_secs_f64()
+    );
+    let builder = SplineBuilder::new(space(), BuilderVersion::Interleaved).expect("setup");
+    println!(
+        "resident transpose share: {:.3}",
+        transpose_share(&builder, args.nx, nv)
     );
 
     println!("\n{}", direct_plot.render());

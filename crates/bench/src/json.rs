@@ -303,7 +303,7 @@ mod tests {
           "reps": 300,
           "rows": [
             {"batch": 2, "pool": 274.720, "note": null},
-            {"batch": 16, "pool": -1.5e2, "note": "a\\b\"cé"}
+            {"batch": 16, "pool": -1.5e2, "note": "a\\b\"cé\n\t\u0001"}
           ]
         }"#;
         let v = Json::parse(doc).expect("parse");
@@ -320,7 +320,7 @@ mod tests {
         assert_eq!(rows[1].get("pool").and_then(Json::as_f64), Some(-150.0));
         assert_eq!(
             rows[1].get("note").and_then(Json::as_str),
-            Some("a\\b\"c\u{e9}")
+            Some("a\\b\"c\u{e9}\n\t\u{1}")
         );
     }
 
@@ -341,7 +341,7 @@ mod tests {
 
     #[test]
     fn roundtrips_our_committed_baseline_shape() {
-        // Shape-compatible excerpt of BENCH_phases.json.
+        // Nested objects and arrays, the shape the bench documents use.
         let doc = r#"{"versions": [{"version": "Original", "phase_cover": 0.884,
             "phases": [{"phase": "solve_pttrs", "calls": 192}]}],
             "pool": {"dispatch_ns": {"count": 10, "mean": 1200.0}}}"#;

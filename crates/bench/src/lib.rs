@@ -34,6 +34,11 @@ pub use scoped::ScopedParallel;
 
 use std::time::Duration;
 
+/// Schema version stamped into every bench document (`BENCH_dispatch.json`,
+/// `BENCH_chaos.json`). Bump on any breaking field change; `bench_gate`
+/// fails by name on a mismatch instead of silently parsing.
+pub const SCHEMA_VERSION: u32 = 1;
+
 /// Format a duration in the paper's style (ms with two decimals).
 pub fn fmt_ms(d: Duration) -> String {
     format!("{:.2} ms", d.as_secs_f64() * 1e3)

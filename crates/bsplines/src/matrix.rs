@@ -9,7 +9,6 @@
 //! to the Table I solver classification.
 
 use crate::space::{SplineSpace, MAX_DEGREE};
-use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::{Layout, Matrix};
 
 /// Entries smaller than this (relative to the largest entry) are treated
@@ -22,7 +21,6 @@ const STRUCTURAL_EPS: f64 = 1e-10;
 /// Assemble the dense interpolation matrix (`num_basis()` square, row `k`
 /// = interpolation point `g_k`).
 pub fn assemble_interpolation_matrix(space: &SplineSpace) -> Matrix {
-    let _span = Span::enter(PhaseId::Assemble);
     let n = space.num_basis();
     let mut a = Matrix::zeros(n, n, Layout::Right);
     let mut vals = [0.0; MAX_DEGREE + 1];

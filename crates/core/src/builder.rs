@@ -4,7 +4,6 @@ use crate::blocks::SchurBlocks;
 use crate::error::{Error, Result};
 use pp_bsplines::SplineSpace;
 use pp_linalg::{LaneRows, Panel};
-use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::LANE_WIDTH;
 use pp_portable::{deinterleave_columns, PanelIsa};
 use pp_portable::{fill_panel, run_blocks, ExecSpace, Field, Lines};
@@ -384,12 +383,10 @@ fn corner<R: LaneRows>(
     x0: usize,
 ) {
     if sparse {
-        let _span = Span::enter(PhaseId::CornerSpmv);
         for (r, c, v) in coo.iter() {
             rows.row_axpy(y0 + r, x0 + c, -v);
         }
     } else {
-        let _span = Span::enter(PhaseId::CornerGemv);
         rows.gemv_sub(y0, dense, x0);
     }
 }
@@ -544,13 +541,15 @@ mod tests {
     #[test]
     fn serial_and_parallel_agree_bitwise() {
         let sp = space(32, 4, true);
-        let builder = SplineBuilder::new(sp, BuilderVersion::FusedSpmv).unwrap();
         let rhs = random_rhs(32, 33, Layout::Left, 3);
-        let mut a = rhs.clone();
-        let mut b = rhs.clone();
-        builder.solve_in_place(&Serial, &mut a).unwrap();
-        builder.solve_in_place(&Parallel, &mut b).unwrap();
-        assert_eq!(a.max_abs_diff(&b), 0.0);
+        for version in BuilderVersion::ALL {
+            let builder = SplineBuilder::new(sp.clone(), version).unwrap();
+            let mut a = rhs.clone();
+            let mut b = rhs.clone();
+            builder.solve_in_place(&Serial, &mut a).unwrap();
+            builder.solve_in_place(&Parallel, &mut b).unwrap();
+            assert_eq!(a.max_abs_diff(&b), 0.0, "{version:?}");
+        }
     }
 
     #[test]

@@ -28,8 +28,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::error::{Error, Result};
-use pp_portable::instrument::env::{env_path, env_usize_clamped};
-use pp_portable::instrument::{counter, trace_instant, InstantKind};
+use pp_portable::env::{env_path, env_usize_clamped};
 use pp_portable::{Layout, Matrix};
 
 /// Format magic + version. Bump the trailing digits on any layout change;
@@ -382,38 +381,21 @@ impl CheckpointStore {
                 let _ = fs::remove_file(old);
             }
         }
-        counter("checkpoint.written").inc();
-        trace_instant(InstantKind::CheckpointWritten);
         Ok(final_path)
     }
 
     /// Restore the newest generation that validates, as
     /// `(step, snapshot)`. Corrupt generations (truncated, bit-flipped,
-    /// torn) are skipped — with a `checkpoint.corrupt` count each — and
-    /// the next-older one is tried; `None` means nothing restorable
-    /// exists. Never panics on damaged input.
+    /// torn) are skipped and the next-older one is tried; `None` means
+    /// nothing restorable exists. Never panics on damaged input.
     pub fn restore_latest(&self) -> Option<(u64, Snapshot)> {
-        for (step, path) in self.generations().into_iter().rev() {
-            let decoded = fs::read(&path)
-                .map_err(|e| corrupt(format!("read {}: {e}", path.display())))
-                .and_then(|bytes| Snapshot::decode(&bytes));
-            match decoded {
-                Ok(snapshot) => {
-                    counter("checkpoint.restored").inc();
-                    trace_instant(InstantKind::CheckpointRestored);
-                    return Some((step, snapshot));
-                }
-                Err(e) => {
-                    counter("checkpoint.corrupt").inc();
-                    // A corrupt generation is exactly what the fallback
-                    // exists for; record it and keep walking.
-                    pp_portable::instrument::fault_dump("checkpoint_corrupt", || {
-                        format!("{}: {e}", path.display())
-                    });
-                }
-            }
-        }
-        None
+        self.generations()
+            .into_iter()
+            .rev()
+            .find_map(|(step, path)| {
+                let bytes = fs::read(&path).ok()?;
+                Some((step, Snapshot::decode(&bytes).ok()?))
+            })
     }
 }
 

@@ -14,57 +14,10 @@ use pp_iterative::{
     BiCgStab, BlockJacobi, ConvergenceLogger, Gmres, IterativeSolver, LaneKrylov, LaneResults,
     Preconditioner, RecoveryEvent, RecoveryStage, SolveResult, StopCriteria,
 };
-use pp_portable::instrument::{counter, fault_dump, trace_instant, Counter, InstantKind};
 use pp_portable::{
     ExecSpace, Field, Layout, Matrix, Parallel, ResidentBatch, Strided, StridedMut, LANE_WIDTH,
 };
 use pp_sparse::Csr;
-use std::sync::OnceLock;
-
-/// Cached counters for one recovery rung.
-struct StageMetrics {
-    attempts: Counter,
-    lanes_attempted: Counter,
-    lanes_recovered: Counter,
-}
-
-/// Cached counters for the whole recovery ladder.
-struct RecoveryMetrics {
-    reprecondition: StageMetrics,
-    solver_switch: StageMetrics,
-    direct_fallback: StageMetrics,
-}
-
-impl RecoveryMetrics {
-    fn of(&self, stage: RecoveryStage) -> &StageMetrics {
-        match stage {
-            RecoveryStage::Reprecondition => &self.reprecondition,
-            RecoveryStage::SolverSwitch => &self.solver_switch,
-            RecoveryStage::DirectFallback => &self.direct_fallback,
-        }
-    }
-}
-
-fn recovery_metrics() -> &'static RecoveryMetrics {
-    static METRICS: OnceLock<RecoveryMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| RecoveryMetrics {
-        reprecondition: StageMetrics {
-            attempts: counter("recovery.reprecondition.attempts"),
-            lanes_attempted: counter("recovery.reprecondition.lanes_attempted"),
-            lanes_recovered: counter("recovery.reprecondition.lanes_recovered"),
-        },
-        solver_switch: StageMetrics {
-            attempts: counter("recovery.solver_switch.attempts"),
-            lanes_attempted: counter("recovery.solver_switch.lanes_attempted"),
-            lanes_recovered: counter("recovery.solver_switch.lanes_recovered"),
-        },
-        direct_fallback: StageMetrics {
-            attempts: counter("recovery.direct_fallback.attempts"),
-            lanes_attempted: counter("recovery.direct_fallback.lanes_attempted"),
-            lanes_recovered: counter("recovery.direct_fallback.lanes_recovered"),
-        },
-    })
-}
 
 /// Which Krylov method to run. The paper's Ginkgo configuration uses
 /// GMRES on CPUs and BiCGStab on GPUs (Table IV, Fig. 2).
@@ -264,7 +217,7 @@ impl IterativeSplineSolver {
                 };
                 let mut rhs = vec![0.0; rows];
                 field.copy_lane_into(j, &mut rhs);
-                results.set(j, krylov.solve(j, &rhs, &mut x));
+                results.set(j, krylov.solve(&rhs, &mut x));
                 StridedMut::new(&mut panel[l..], rows, LANE_WIDTH).copy_from_slice(&x);
             }
         });
@@ -319,11 +272,6 @@ impl IterativeSplineSolver {
                 continue;
             }
             attempts += 1;
-            trace_instant(match stage {
-                RecoveryStage::Reprecondition => InstantKind::RecoveryReprecondition,
-                RecoveryStage::SolverSwitch => InstantKind::RecoverySolverSwitch,
-                RecoveryStage::DirectFallback => InstantKind::RecoveryDirectFallback,
-            });
             let recovered = match stage {
                 RecoveryStage::Reprecondition => {
                     // Stronger smoothing: double the block size (capped at
@@ -358,37 +306,10 @@ impl IterativeSplineSolver {
                     self.direct_fallback(b, &rhs_orig, &failed, &mut logger)?
                 }
             };
-            recovery_metrics().of(stage).attempts.inc();
-            recovery_metrics()
-                .of(stage)
-                .lanes_attempted
-                .add(failed.len() as u64);
-            recovery_metrics()
-                .of(stage)
-                .lanes_recovered
-                .add(recovered.len() as u64);
             logger.record_recovery(RecoveryEvent {
                 stage,
                 lanes_attempted: failed,
                 lanes_recovered: recovered,
-            });
-        }
-        if attempts > 0 {
-            // The ladder ran: snapshot the flight recorder with the
-            // breakdown/recovery timeline still in the rings.
-            fault_dump("recovery_escalation", || {
-                use std::fmt::Write as _;
-                let mut d = format!("{attempts} recovery rung(s) ran");
-                for ev in logger.recovery_events() {
-                    let _ = write!(
-                        d,
-                        "; {:?}: {}/{} lane(s) recovered",
-                        ev.stage,
-                        ev.lanes_recovered.len(),
-                        ev.lanes_attempted.len()
-                    );
-                }
-                d
             });
         }
         Ok(logger)

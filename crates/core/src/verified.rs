@@ -34,9 +34,6 @@ use crate::iterative_backend::{IterativeConfig, IterativeSplineSolver};
 use pp_bsplines::{assemble_interpolation_matrix, Breaks, SplineSpace};
 use pp_iterative::solver::{norm2, residual_into};
 use pp_linalg::{getrf, refine_lane, LuFactors, RefineConfig};
-use pp_portable::instrument::{
-    counter, fault_dump, trace_instant_lane, Counter, InstantKind, PhaseId, Span,
-};
 use pp_portable::{
     ExecSpace, Field, HostField, Layout, Matrix, Parallel, ResidentBatch, StridedMut, TestRng,
     LANE_WIDTH,
@@ -245,59 +242,6 @@ impl fmt::Display for LaneVerdict {
             ),
             LaneVerdict::Quarantined { reason } => write!(f, "quarantined: {reason}"),
         }
-    }
-}
-
-/// Cached counter handles for the verification outcome tallies.
-struct VerifyMetrics {
-    sampled: Counter,
-    verified: Counter,
-    refined: Counter,
-    recovered: Counter,
-    quarantined: Counter,
-}
-
-fn verify_metrics() -> &'static VerifyMetrics {
-    static METRICS: OnceLock<VerifyMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| VerifyMetrics {
-        sampled: counter("verify.lanes_sampled"),
-        verified: counter("verify.lanes_verified"),
-        refined: counter("verify.lanes_refined"),
-        recovered: counter("verify.lanes_recovered"),
-        quarantined: counter("verify.lanes_quarantined"),
-    })
-}
-
-/// Cached counter handles for the silent-data-corruption tallies.
-struct SdcMetrics {
-    detected: Counter,
-    corrected: Counter,
-    uncorrected: Counter,
-}
-
-fn sdc_metrics() -> &'static SdcMetrics {
-    static METRICS: OnceLock<SdcMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| SdcMetrics {
-        detected: counter("sdc.detected"),
-        corrected: counter("sdc.corrected"),
-        uncorrected: counter("sdc.uncorrected"),
-    })
-}
-
-/// Tally one batch's verdicts into the instrumentation counters.
-fn publish_verify_metrics(report: &LaneReport) {
-    if !pp_portable::instrument::enabled() {
-        return;
-    }
-    let m = verify_metrics();
-    for verdict in report.verdicts() {
-        match verdict {
-            LaneVerdict::Verified { .. } => m.verified.inc(),
-            LaneVerdict::Refined { .. } => m.refined.inc(),
-            LaneVerdict::Recovered { .. } | LaneVerdict::SdcCorrected { .. } => m.recovered.inc(),
-            LaneVerdict::Quarantined { .. } => m.quarantined.inc(),
-        }
-        m.sampled.inc();
     }
 }
 
@@ -570,9 +514,8 @@ impl VerifiedBuilder {
     /// The one verify body: a single block-parallel region solves each run
     /// of blocks as panels abreast ([`SplineBuilder::solve_run`]) and
     /// screens each ([`VerifiedBuilder::screen`]); the caller then turns the
-    /// screens into verdicts serially, in lane order. Repairs, trace
-    /// instants, counters and fault dumps all happen here, so they are the
-    /// same under every execution space.
+    /// screens into verdicts serially, in lane order. Repairs all happen
+    /// here, so they are the same under every execution space.
     ///
     /// Without `then` the coefficients stay in `b`, which must then be made
     /// of panels. With it, each block's coefficients go to `then` inside
@@ -616,23 +559,15 @@ impl VerifiedBuilder {
         let zeros = || vec![0.0; nrows];
 
         let mut verdicts = Vec::with_capacity(ncols);
-        let mut sdc = Vec::with_capacity(ncols);
-        let verify_span = Span::enter(PhaseId::Verify);
         for (chunk, screen) in screens.into_iter().enumerate() {
             let screen = screen.into_inner().expect("every panel is screened");
             let live = LANE_WIDTH.min(ncols - chunk * LANE_WIDTH);
             let lanes = screen.lanes.into_iter().zip(screen.sdc).take(live);
             for (l, (screened, sdc_state)) in lanes.enumerate() {
                 let lane = chunk * LANE_WIDTH + l;
-                sdc.push(sdc_state);
-                if !matches!(sdc_state, SdcState::Clean) {
-                    sdc_metrics().detected.inc();
-                    trace_instant_lane(InstantKind::SdcDetected, lane as u32);
-                }
                 let verdict = match screened.expect("a live lane is screened") {
                     Screened::NonFinite(index) => {
                         land(b, lane, &zeros());
-                        trace_instant_lane(InstantKind::NonFiniteInput, lane as u32);
                         let reason = QuarantineReason::NonFiniteInput { index };
                         LaneVerdict::Quarantined { reason }
                     }
@@ -644,26 +579,10 @@ impl VerifiedBuilder {
                         verdict
                     }
                 };
-                let verdict = fold_sdc_verdict(sdc_state, verdict);
-                let instant = match &verdict {
-                    LaneVerdict::Refined { .. } => Some(InstantKind::LaneRefined),
-                    LaneVerdict::Quarantined { .. } => Some(InstantKind::LaneQuarantined),
-                    LaneVerdict::Recovered { .. } | LaneVerdict::SdcCorrected { .. } => {
-                        Some(InstantKind::LaneRecovered)
-                    }
-                    LaneVerdict::Verified { .. } => None,
-                };
-                if let Some(kind) = instant {
-                    trace_instant_lane(kind, lane as u32);
-                }
-                verdicts.push(verdict);
+                verdicts.push(fold_sdc_verdict(sdc_state, verdict));
             }
         }
-        drop(verify_span);
-        let report = LaneReport { verdicts };
-        publish_verify_metrics(&report);
-        emit_batch_faults(&sdc, &report);
-        Ok(report)
+        Ok(LaneReport { verdicts })
     }
 
     /// Screen the lanes of the solved panel `x` against their pristine
@@ -676,12 +595,10 @@ impl VerifiedBuilder {
     /// recur, so a clean retry replaces the lane; a retry that trips again
     /// is persistent corruption, left for the caller to heal or
     /// quarantine. Neither panel outlives the worker's turn, so the lanes
-    /// the caller will repair are copied out. Nothing is published from
-    /// here.
+    /// the caller will repair are copied out.
     fn screen(&self, chunk: usize, lanes: usize, x: &mut [f64], rhs: &[f64]) -> PanelScreen {
         const W: usize = LANE_WIDTH;
         let (n, cfg) = (self.colsum.len(), &self.config);
-        let _span = Span::enter(PhaseId::Verify);
         // (ABFT discrepancy, relative residual, input finite) per lane.
         let measure = |x: &[f64]| {
             let ([vx, sum_b, nx2, acc_r, acc_b], finite) =
@@ -821,9 +738,7 @@ impl VerifiedBuilder {
             }
         }
 
-        // Stage 3: the factorization ladder. Attributed to the
-        // quarantine phase: only lanes headed for quarantine reach it.
-        let _span = Span::enter(PhaseId::Quarantine);
+        // Stage 3: the factorization ladder.
         let mut best = if rr.is_finite() { rr } else { f64::INFINITY };
         let mut saw_finite = rr.is_finite();
         if self.config.use_ladder {
@@ -1067,61 +982,16 @@ struct PanelScreen {
 /// escaping containment — quarantine, never trust it.
 fn fold_sdc_verdict(sdc_state: SdcState, verdict: LaneVerdict) -> LaneVerdict {
     match (sdc_state, verdict) {
-        (SdcState::Clean, v) => v,
         (SdcState::Corrected { discrepancy }, LaneVerdict::Verified { residual }) => {
-            sdc_metrics().corrected.inc();
             LaneVerdict::SdcCorrected {
                 discrepancy,
                 residual,
             }
         }
-        (SdcState::Corrected { .. }, v) | (SdcState::Tripped { .. }, v) if v.is_healthy() => {
-            sdc_metrics().corrected.inc();
-            v
-        }
-        (SdcState::Tripped { discrepancy }, _) => {
-            sdc_metrics().uncorrected.inc();
-            LaneVerdict::Quarantined {
-                reason: QuarantineReason::SdcDetected { discrepancy },
-            }
-        }
-        (SdcState::Corrected { .. }, v) => {
-            sdc_metrics().uncorrected.inc();
-            v
-        }
-    }
-}
-
-/// Emit the flight-recorder fault dumps for one batch's screen states and
-/// lane report.
-fn emit_batch_faults(sdc: &[SdcState], report: &LaneReport) {
-    if sdc.iter().any(|s| !matches!(s, SdcState::Clean)) {
-        fault_dump("sdc_detected", || {
-            use std::fmt::Write as _;
-            let mut d = String::from("abft checksum trips:");
-            for (lane, state) in sdc.iter().enumerate() {
-                match state {
-                    SdcState::Clean => {}
-                    SdcState::Corrected { discrepancy } => {
-                        let _ = write!(d, " lane {lane} corrected ({discrepancy:.3e});");
-                    }
-                    SdcState::Tripped { discrepancy } => {
-                        let _ = write!(d, " lane {lane} uncorrected ({discrepancy:.3e});");
-                    }
-                }
-            }
-            d
-        });
-    }
-    if !report.quarantined_lanes().is_empty() {
-        fault_dump("verified_quarantine", || {
-            let mut d = report.to_string();
-            for lane in report.quarantined_lanes() {
-                use std::fmt::Write as _;
-                let _ = write!(d, "; lane {lane}: {}", report.verdict(lane));
-            }
-            d
-        });
+        (SdcState::Tripped { discrepancy }, v) if !v.is_healthy() => LaneVerdict::Quarantined {
+            reason: QuarantineReason::SdcDetected { discrepancy },
+        },
+        (_, v) => v,
     }
 }
 
@@ -1490,24 +1360,32 @@ mod tests {
 
     #[test]
     fn ladder_disabled_quarantines_probed_lane() {
-        let sp = space(24, 3, true);
-        let config = VerifyConfig {
-            probe_lanes: vec![1],
-            use_ladder: false,
-            ..VerifyConfig::default()
-        };
-        let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
-            .unwrap()
-            .verified(config);
-        let mut x = random_rhs(24, 3, 5);
-        let report = verified.solve_in_place(&Parallel, &mut x).unwrap();
-        assert_eq!(report.quarantined_lanes(), vec![1]);
-        assert!(matches!(
-            report.verdict(1),
-            LaneVerdict::Quarantined {
-                reason: QuarantineReason::ResidualAboveTol { .. }
-            }
-        ));
+        // Three lanes, and 256 that the pool hands out as many runs; each
+        // on both execution spaces.
+        for (n, batch, lane) in [(24, 3, 1), (64, 256, 3)] {
+            let config = VerifyConfig {
+                probe_lanes: vec![lane],
+                use_ladder: false,
+                ..VerifyConfig::default()
+            };
+            let verified = SplineBuilder::new(space(n, 3, true), BuilderVersion::FusedSpmv)
+                .unwrap()
+                .verified(config);
+            let mut x = random_rhs(n, batch, 5);
+            let mut serial = x.clone();
+            let report = verified.solve_in_place(&Parallel, &mut x).unwrap();
+            assert_eq!(
+                verified.solve_in_place(&Serial, &mut serial).unwrap(),
+                report
+            );
+            assert_eq!(report.quarantined_lanes(), vec![lane]);
+            assert!(matches!(
+                report.verdict(lane),
+                LaneVerdict::Quarantined {
+                    reason: QuarantineReason::ResidualAboveTol { .. }
+                }
+            ));
+        }
     }
 
     #[test]

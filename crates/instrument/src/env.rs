@@ -1,17 +1,11 @@
 //! Warn-once environment-variable parsing with documented clamps.
 //!
-//! Every `PP_*` knob in the workspace used to fall back *silently* on a
-//! malformed value — `PP_NUM_THREADS=lots` quietly ran on every core,
-//! `PP_TRACE_CAPACITY=9999999999` quietly clamped. That turns operator
-//! typos into invisible misconfiguration, which is exactly the failure
-//! mode a robustness layer must not have. The helpers here parse, clamp
-//! to the caller's documented bounds, and emit **one** warning line per
-//! variable per process to stderr when the value was malformed or
-//! clamped.
-//!
-//! This module is compiled in both instrumentation modes (the warnings
-//! are about configuration correctness, not tracing), so `pp-portable`
-//! can use it for `PP_NUM_THREADS` without any feature plumbing.
+//! A `PP_*` knob that fell back *silently* on a malformed value — say
+//! `PP_NUM_THREADS=lots` quietly running on every core — would turn an
+//! operator's typo into invisible misconfiguration. The helpers here
+//! parse, clamp to the caller's documented bounds, and emit **one**
+//! warning line per variable per process to stderr when the value was
+//! malformed or clamped.
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;

@@ -25,7 +25,6 @@ use crate::logger::ConvergenceLogger;
 use crate::precond::Preconditioner;
 use crate::solver::{IterativeSolver, SolveResult};
 use crate::stop::StopCriteria;
-use pp_portable::instrument::{counter, trace_instant_lane, Counter, InstantKind, PhaseId, Span};
 use pp_portable::{ExecSpace, Matrix, Parallel};
 use pp_sparse::Csr;
 use std::sync::OnceLock;
@@ -64,32 +63,6 @@ impl LaneOutcome {
     }
 }
 
-/// Cached per-outcome lane counters.
-struct LaneMetrics {
-    converged: Counter,
-    broke: Counter,
-    stalled: Counter,
-}
-
-impl LaneMetrics {
-    fn of(&self, outcome: LaneOutcome) -> &Counter {
-        match outcome {
-            LaneOutcome::Converged => &self.converged,
-            LaneOutcome::Broke(_) => &self.broke,
-            LaneOutcome::Stalled => &self.stalled,
-        }
-    }
-}
-
-fn lane_metrics() -> &'static LaneMetrics {
-    static METRICS: OnceLock<LaneMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| LaneMetrics {
-        converged: counter("krylov.lanes.converged"),
-        broke: counter("krylov.lanes.broke"),
-        stalled: counter("krylov.lanes.stalled"),
-    })
-}
-
 /// One Krylov configuration — method, preconditioner, stopping rule — on
 /// one matrix, applied lane by lane.
 #[derive(Clone, Copy)]
@@ -105,11 +78,10 @@ pub struct LaneKrylov<'a> {
 }
 
 impl LaneKrylov<'_> {
-    /// **The per-lane body**: solve lane `lane`'s system `A x = rhs`, `x`
+    /// **The per-lane body**: solve one lane's system `A x = rhs`, `x`
     /// holding the initial guess on entry (the warm start; zeros for a cold
     /// one) and the last iterate on exit, converged or not.
-    pub fn solve(&self, lane: usize, rhs: &[f64], x: &mut [f64]) -> SolveResult {
-        let _span = Span::enter_lane(PhaseId::KrylovIter, lane as u32);
+    pub fn solve(&self, rhs: &[f64], x: &mut [f64]) -> SolveResult {
         self.solver.solve(self.a, self.precond, rhs, x, self.stop)
     }
 
@@ -136,7 +108,7 @@ impl LaneKrylov<'_> {
         Parallel.for_each_lane_mut(b, |j, mut column| {
             let rhs = column.to_vec();
             let mut x = guess.map_or_else(|| vec![0.0; n], |g| g.col(j).to_vec());
-            results.set(j, self.solve(j, &rhs, &mut x));
+            results.set(j, self.solve(&rhs, &mut x));
             column.copy_from_slice(&x);
         });
         results.record(logger);
@@ -161,26 +133,13 @@ impl LaneResults {
         self.0[lane].set(result).expect("each lane is solved once");
     }
 
-    /// Append the results to `logger` in lane order, tracing a breakdown
-    /// instant per broken lane and counting every lane's [`LaneOutcome`].
+    /// Append the results to `logger` in lane order.
     ///
     /// # Panics
     /// Panics if a slot was never filled.
     pub fn record(self, logger: &mut ConvergenceLogger) {
-        for (lane, slot) in self.0.into_iter().enumerate() {
-            let res = slot.into_inner().expect("every lane is solved");
-            logger.record(res);
-            if let Some(kind) = res.breakdown {
-                let instant = match kind {
-                    BreakdownKind::RhoZero => InstantKind::BreakdownRhoZero,
-                    BreakdownKind::OmegaZero => InstantKind::BreakdownOmegaZero,
-                    BreakdownKind::NonFiniteResidual => InstantKind::BreakdownNonFiniteResidual,
-                    BreakdownKind::Stagnation => InstantKind::BreakdownStagnation,
-                    BreakdownKind::MaxIters => InstantKind::BreakdownMaxIters,
-                };
-                trace_instant_lane(instant, lane as u32);
-            }
-            lane_metrics().of(LaneOutcome::from_result(&res)).inc();
+        for slot in self.0 {
+            logger.record(slot.into_inner().expect("every lane is solved"));
         }
     }
 }
@@ -227,11 +186,11 @@ mod tests {
         for j in 0..10 {
             let rhs = a.spmv_alloc(&x_exact.col(j).to_vec());
             let mut x = vec![0.0; n];
-            let res_cold = lanes.solve(j, &rhs, &mut x);
+            let res_cold = lanes.solve(&rhs, &mut x);
             let mut x: Vec<f64> = (0..n)
                 .map(|i| x_exact.get(i, j) + 1e-6 * ((i + j) as f64).sin())
                 .collect();
-            let res_warm = lanes.solve(j, &rhs, &mut x);
+            let res_warm = lanes.solve(&rhs, &mut x);
             assert!(res_cold.converged && res_warm.converged, "lane {j}");
             (cold, warm) = (cold + res_cold.iterations, warm + res_warm.iterations);
         }
@@ -293,8 +252,8 @@ mod tests {
             stop: &stop,
         };
         let rhs = vec![1.0; n];
-        for lane in 0..2 {
-            let res = lanes.solve(lane, &rhs, &mut vec![0.0; n]);
+        for _ in 0..2 {
+            let res = lanes.solve(&rhs, &mut vec![0.0; n]);
             assert_eq!(LaneOutcome::from_result(&res), LaneOutcome::Stalled);
             assert_eq!(res.breakdown, Some(BreakdownKind::MaxIters));
         }

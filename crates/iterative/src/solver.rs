@@ -3,10 +3,8 @@
 use crate::breakdown::BreakdownKind;
 use crate::precond::Preconditioner;
 use crate::stop::StopCriteria;
-use pp_portable::instrument::{counter, Counter};
 use pp_portable::Lanes;
 use pp_sparse::Csr;
-use std::sync::OnceLock;
 
 /// Outcome of one Krylov solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,8 +116,6 @@ pub(crate) fn finish(
     internal_converged: bool,
     breakdown: Option<BreakdownKind>,
 ) -> SolveResult {
-    krylov_metrics().solves.inc();
-    krylov_metrics().iterations.add(iterations as u64);
     let relative_residual = true_relative_residual(a, x, b);
     let norm_b = norm2(b);
     let true_converged = if !relative_residual.is_finite() || !norm_b.is_finite() {
@@ -153,52 +149,12 @@ pub(crate) fn finish(
     } else {
         breakdown.or(Some(BreakdownKind::MaxIters))
     };
-    if let Some(kind) = breakdown {
-        krylov_metrics().breakdown(kind).inc();
-    }
     SolveResult {
         iterations,
         converged,
         relative_residual,
         breakdown,
     }
-}
-
-/// Cached counter handles — one registry lookup per process, relaxed
-/// adds per solve.
-struct KrylovMetrics {
-    solves: Counter,
-    iterations: Counter,
-    rho_zero: Counter,
-    omega_zero: Counter,
-    non_finite: Counter,
-    stagnation: Counter,
-    max_iters: Counter,
-}
-
-impl KrylovMetrics {
-    fn breakdown(&self, kind: BreakdownKind) -> &Counter {
-        match kind {
-            BreakdownKind::RhoZero => &self.rho_zero,
-            BreakdownKind::OmegaZero => &self.omega_zero,
-            BreakdownKind::NonFiniteResidual => &self.non_finite,
-            BreakdownKind::Stagnation => &self.stagnation,
-            BreakdownKind::MaxIters => &self.max_iters,
-        }
-    }
-}
-
-fn krylov_metrics() -> &'static KrylovMetrics {
-    static METRICS: OnceLock<KrylovMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| KrylovMetrics {
-        solves: counter("krylov.solves"),
-        iterations: counter("krylov.iterations"),
-        rho_zero: counter("krylov.breakdown.rho_zero"),
-        omega_zero: counter("krylov.breakdown.omega_zero"),
-        non_finite: counter("krylov.breakdown.non_finite_residual"),
-        stagnation: counter("krylov.breakdown.stagnation"),
-        max_iters: counter("krylov.breakdown.max_iters"),
-    })
 }
 
 /// True relative residual computed from scratch (used to report the final

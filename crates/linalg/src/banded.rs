@@ -12,7 +12,6 @@
 use crate::error::{Error, Result};
 use crate::health::{check_finite_input, check_solve_slice, rcond_estimate, FactorHealth};
 use crate::lane::{self, LaneRows};
-use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::StridedMut;
 
 /// A general banded matrix in LAPACK `gb` storage.
@@ -208,7 +207,6 @@ impl BandedLu {
     /// transpose), for every lane the accessor carries.
     #[inline(always)]
     pub fn solve_rows<R: LaneRows>(&self, rows: &mut R, row0: usize) {
-        let _span = Span::enter(PhaseId::SolveGbtrs);
         lane::gbtrs(self, rows, row0);
     }
 
@@ -267,7 +265,6 @@ impl BandedLu {
 /// Factor a general banded matrix with partial pivoting (LAPACK `dgbtf2`,
 /// unblocked).
 pub fn gbtrf(a: &BandedMatrix) -> Result<BandedLu> {
-    let _span = Span::enter(PhaseId::FactorGbtrf);
     let n = a.n();
     let (kl, ku) = (a.kl(), a.ku());
     check_finite_input("gbtrf", a.ab.iter().copied())?;

@@ -8,7 +8,6 @@
 //! …): the factors say what they store, so nobody passes their arrays by
 //! hand.
 
-use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::{Matrix, Strided, StridedMut};
 
 /// Per-lane dense `y ← α A x + β y`.
@@ -17,7 +16,6 @@ use pp_portable::{Matrix, Strided, StridedMut};
 /// `Algo::Gemv::Unblocked`) as used by the paper's fused kernel (Listing 4).
 #[inline]
 pub fn gemv_lane(alpha: f64, a: &Matrix, x: &Strided<'_>, beta: f64, y: &mut StridedMut<'_>) {
-    let _span = Span::enter(PhaseId::CornerGemv);
     let (m, n) = a.shape();
     debug_assert_eq!(x.len(), n);
     debug_assert_eq!(y.len(), m);

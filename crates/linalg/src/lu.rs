@@ -8,7 +8,6 @@
 use crate::error::{Error, Result};
 use crate::health::{check_finite_input, check_solve_slice, rcond_estimate, FactorHealth};
 use crate::lane::{self, LaneRows};
-use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::{Layout, Matrix, StridedMut};
 
 /// Packed LU factors of a dense matrix: `P·A = L·U` with unit-diagonal `L`
@@ -68,7 +67,6 @@ impl LuFactors {
     /// transpose), for every lane the accessor carries.
     #[inline(always)]
     pub fn solve_rows<R: LaneRows>(&self, rows: &mut R, row0: usize) {
-        let _span = Span::enter(PhaseId::SchurGetrs);
         lane::getrs(&self.lu, &self.ipiv, rows, row0);
     }
 
@@ -123,7 +121,6 @@ impl LuFactors {
 ///
 /// Returns [`Error::Singular`] if a pivot vanishes to working precision.
 pub fn getrf(a: &Matrix) -> Result<LuFactors> {
-    let _span = Span::enter(PhaseId::FactorGetrf);
     let n = a.nrows();
     if a.ncols() != n {
         return Err(Error::ShapeMismatch {

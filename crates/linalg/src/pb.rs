@@ -8,7 +8,6 @@
 use crate::error::{Error, Result};
 use crate::health::{check_finite_input, check_solve_slice, rcond_estimate, FactorHealth};
 use crate::lane::{self, LaneRows};
-use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::StridedMut;
 
 /// A symmetric positive-definite banded matrix (lower storage).
@@ -175,7 +174,6 @@ impl CholeskyBanded {
     /// every lane the accessor carries.
     #[inline(always)]
     pub fn solve_rows<R: LaneRows>(&self, rows: &mut R, row0: usize) {
-        let _span = Span::enter(PhaseId::SolvePbtrs);
         lane::pbtrs(self, rows, row0);
     }
 
@@ -202,7 +200,6 @@ impl CholeskyBanded {
 ///
 /// Returns [`Error::NotPositiveDefinite`] when a leading minor fails.
 pub fn pbtrf(a: &SymBandedMatrix) -> Result<CholeskyBanded> {
-    let _span = Span::enter(PhaseId::FactorPbtrf);
     let n = a.n();
     let kd = a.kd();
     check_finite_input("pbtrf", a.ab.iter().copied())?;

@@ -9,7 +9,6 @@
 use crate::error::{Error, Result};
 use crate::health::{check_finite_input, check_solve_slice, rcond_estimate, FactorHealth};
 use crate::lane::{self, LaneRows};
-use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::StridedMut;
 
 /// `L·D·Lᵀ` factors of an SPD tridiagonal matrix.
@@ -72,7 +71,6 @@ impl PtFactors {
     /// interleaved panel, same sweep.
     #[inline(always)]
     pub fn solve_rows<R: LaneRows>(&self, rows: &mut R, row0: usize) {
-        let _span = Span::enter(PhaseId::SolvePttrs);
         lane::pttrs(&self.d_inv, &self.e, rows, row0);
     }
 
@@ -100,7 +98,6 @@ impl PtFactors {
 /// Returns [`Error::NotPositiveDefinite`] if a transformed diagonal entry
 /// is not strictly positive.
 pub fn pttrf(d: &[f64], e: &[f64]) -> Result<PtFactors> {
-    let _span = Span::enter(PhaseId::FactorPttrf);
     let n = d.len();
     if n > 0 && e.len() != n - 1 {
         return Err(Error::ShapeMismatch {

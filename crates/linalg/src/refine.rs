@@ -9,9 +9,6 @@
 //! step count, stop at a target backward error, stop when a step fails to
 //! halve the error, and never accept a step that makes things worse.
 
-use pp_portable::instrument::{counter, trace_instant, Counter, InstantKind, PhaseId, Span};
-use std::sync::OnceLock;
-
 /// Tuning knobs for [`refine_lane`]. The defaults mirror LAPACK `*rfs`.
 #[derive(Debug, Clone, Copy)]
 pub struct RefineConfig {
@@ -81,40 +78,6 @@ fn inf_norm(v: &[f64]) -> f64 {
 /// increases the backward error is reverted before returning. The routine
 /// never leaves `x` worse than it found it.
 pub fn refine_lane(
-    matvec: impl FnMut(&[f64], &mut [f64]),
-    solve: impl FnMut(&mut [f64]),
-    anorm_inf: f64,
-    b: &[f64],
-    x: &mut [f64],
-    cfg: &RefineConfig,
-) -> RefineOutcome {
-    let _span = Span::enter(PhaseId::Refine);
-    let out = refine_lane_impl(matvec, solve, anorm_inf, b, x, cfg);
-    refine_metrics().calls.inc();
-    refine_metrics().steps.add(out.steps as u64);
-    if !out.converged {
-        // Refinement ran out of improvement above the target: a timeline
-        // marker so traces show where the escalation pressure came from.
-        trace_instant(InstantKind::RefineSaturated);
-    }
-    out
-}
-
-/// Cached counter handles so the per-call cost is two relaxed adds.
-struct RefineMetrics {
-    calls: Counter,
-    steps: Counter,
-}
-
-fn refine_metrics() -> &'static RefineMetrics {
-    static METRICS: OnceLock<RefineMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| RefineMetrics {
-        calls: counter("refine.calls"),
-        steps: counter("refine.steps"),
-    })
-}
-
-fn refine_lane_impl(
     mut matvec: impl FnMut(&[f64], &mut [f64]),
     mut solve: impl FnMut(&mut [f64]),
     anorm_inf: f64,

@@ -4,11 +4,11 @@
 //! `[f64; LANE_WIDTH]`, so instantiating the crate's sweeps (see the
 //! `lane` module) for a [`Panel`] makes every recurrence step one
 //! fixed-width loop — the shape LLVM turns into a single AVX-512 (or two
-//! AVX2) vector operations, checked in the phase profile rather than
-//! assumed. Each lane performs the operations of the strided-lane
-//! instantiation, in the same order, so results are bit-identical per
-//! lane; the partial final chunk of a batch runs the same wide body (its
-//! padding lanes are never read back).
+//! AVX2) vector operations, checked in `fig2_glups --isa`'s ns per panel
+//! row rather than assumed. Each lane performs the operations of the
+//! strided-lane instantiation, in the same order, so results are
+//! bit-identical per lane; the partial final chunk of a batch runs the
+//! same wide body (its padding lanes are never read back).
 //!
 //! The batch stays packed across a whole pipeline, so repeated solves
 //! pay zero pack/unpack transposes: a caller with a host

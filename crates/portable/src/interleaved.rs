@@ -22,7 +22,7 @@
 //! solves and evaluates on the panels any number of times, and unpacks
 //! once at egress ([`ResidentBatch::unpack_into`] /
 //! [`ResidentBatch::unpack_transposed_into`]) — explicit copies, like
-//! Kokkos' `deep_copy`, recorded under [`PhaseId::Transpose`].
+//! Kokkos' `deep_copy`.
 //!
 //! The final chunk of a batch whose width is not a multiple of `W` is
 //! allocated at full width (the padding lanes start at zero and are never
@@ -31,7 +31,6 @@
 
 use crate::error::{Error, Result};
 use crate::exec::{ExecSpace, Serial};
-use crate::instrument::{PhaseId, Span};
 use crate::isa::PanelIsa;
 use crate::lines::Lines;
 use crate::matrix::Matrix;
@@ -534,8 +533,7 @@ const GROUP: usize = 8;
 /// move as eight runs of eight, transposed when the two sides run along
 /// different axes; the rows past the last full tile and a partial last
 /// chunk move element by element, live lanes only. Pure copies, so the
-/// result does not depend on `exec`. Recorded under
-/// [`PhaseId::Transpose`].
+/// result does not depend on `exec`.
 pub(crate) fn move_tiles<E: ExecSpace>(
     exec: &E,
     (nrows, ncols): (usize, usize),
@@ -544,7 +542,6 @@ pub(crate) fn move_tiles<E: ExecSpace>(
     dst: &mut [f64],
     to: Tiling,
 ) {
-    let _span = Span::enter(PhaseId::Transpose);
     let flip = (from.lane == 1) != (to.lane == 1);
     // Chunks walked side by side, block row by block row: the group where
     // that makes a side's accesses one run, else one chunk at a time.

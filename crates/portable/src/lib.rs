@@ -84,12 +84,11 @@ pub use layout::Layout;
 pub use lines::Lines;
 pub use matrix::Matrix;
 pub use par::{num_threads, parallel_for, parallel_sum};
-pub use pool::{inject_worker_death, pool_stats, publish_pool_metrics, PoolStats, WorkerTimes};
+pub use pool::{inject_worker_death, pool_stats, PoolStats, WorkerTimes};
 pub use strided::{Strided, StridedMut};
 pub use testrng::TestRng;
 pub use transpose::{transpose_into, transpose_into_with};
 
-/// The instrumentation layer ([`pp_instrument`]), re-exported so every
-/// downstream crate records through one path without a direct
-/// dependency. Inert unless the `instrument` feature is enabled.
-pub use pp_instrument as instrument;
+/// Warn-once parsing of the `PP_*` environment variables
+/// ([`pp_instrument::env`]).
+pub use pp_instrument::env;

@@ -22,7 +22,6 @@
 
 use crate::pool;
 use crate::ptr::SharedMutPtr;
-use pp_instrument as instrument;
 use std::sync::OnceLock;
 
 /// Claims per worker an index-range dispatch is cut into: every region
@@ -60,7 +59,7 @@ static NUM_THREADS: OnceLock<usize> = OnceLock::new();
 /// `[1, 4096]`. Split out for unit testing (the cached [`num_threads`]
 /// reads the real environment exactly once).
 fn thread_budget(env: Option<&str>, hardware: usize) -> usize {
-    match instrument::env::parse_usize_clamped("PP_NUM_THREADS", env, 1, MAX_THREADS) {
+    match crate::env::parse_usize_clamped("PP_NUM_THREADS", env, 1, MAX_THREADS) {
         Some(n) => n,
         None => hardware.clamp(1, MAX_THREADS),
     }

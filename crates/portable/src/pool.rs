@@ -84,7 +84,6 @@
 //! thread-local "inside a pool dispatch" flag and degrade to the plain
 //! serial loop when set, so nesting is always deadlock-free.
 
-use pp_instrument as instrument;
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -400,10 +399,6 @@ fn worker_loop(shared: &'static Shared, id: usize) {
         shared.clocks[id]
             .idle_ns
             .fetch_add(idle_from.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        // Timeline marker: this worker committed to the live job (the
-        // commit itself happened under the sleep mutex above).
-        instrument::trace_instant(instrument::InstantKind::DispatchCommit);
-
         let busy_from = Instant::now();
         let _guard = DispatchGuard::enter();
         if let Some(payload) = run_chunks(&desc) {
@@ -447,8 +442,6 @@ impl Pool {
             unsafe { (*(data as *const F))(i) }
         }
 
-        let timer = instrument::Timer::start();
-        let span = instrument::Span::enter(instrument::PhaseId::Dispatch);
         let serialised = lock_pool(&self.dispatch_lock);
         let next = AtomicUsize::new(0);
         let joined = AtomicUsize::new(0);
@@ -486,8 +479,6 @@ impl Pool {
             cell.job = None;
             joined.load(Ordering::Relaxed)
         };
-        // Timeline marker: from here no further worker can commit.
-        instrument::trace_instant(instrument::InstantKind::DispatchRevoke);
 
         // Completion handshake: no return (normal or unwinding) until
         // every committed worker has released its borrow of
@@ -511,21 +502,10 @@ impl Pool {
 
         let worker_panic = lock_pool(&self.shared.panic).take();
         drop(serialised);
-        // The span records the Dispatch phase total and the timeline
-        // Begin/End pair; the timer feeds the latency histogram.
-        drop(span);
-        dispatch_latency_histogram().record(timer.elapsed_ns());
         if let Some(payload) = caller_panic.or(worker_panic) {
             resume_unwind(payload);
         }
     }
-}
-
-/// Cached handle for the `pool.dispatch_ns` latency histogram, so the
-/// per-dispatch cost is one relaxed add (no registry lookup).
-fn dispatch_latency_histogram() -> &'static instrument::Histogram {
-    static HIST: OnceLock<instrument::Histogram> = OnceLock::new();
-    HIST.get_or_init(|| instrument::histogram("pool.dispatch_ns"))
 }
 
 /// Cumulative busy/idle time of one pool worker.
@@ -603,26 +583,6 @@ pub fn pool_stats() -> PoolStats {
                 .collect(),
         },
     }
-}
-
-/// Publish the pool counters as instrumentation gauges
-/// (`pool.workers`, `pool.dispatches`, `pool.lanes_dispatched`,
-/// `pool.inline_dispatches`, `pool.workers_respawned`, `pool.busy_ms`,
-/// `pool.idle_ms`), so a
-/// [`pp_instrument::Snapshot`] carries the busy/idle picture alongside
-/// the dispatch latency histogram. No-op when instrumentation is off.
-pub fn publish_pool_metrics() {
-    if !instrument::enabled() {
-        return;
-    }
-    let stats = pool_stats();
-    instrument::gauge("pool.workers").set(stats.workers as f64);
-    instrument::gauge("pool.dispatches").set(stats.dispatches as f64);
-    instrument::gauge("pool.lanes_dispatched").set(stats.lanes_dispatched as f64);
-    instrument::gauge("pool.inline_dispatches").set(stats.inline_dispatches as f64);
-    instrument::gauge("pool.workers_respawned").set(stats.workers_respawned as f64);
-    instrument::gauge("pool.busy_ms").set(stats.total_busy().as_secs_f64() * 1e3);
-    instrument::gauge("pool.idle_ms").set(stats.total_idle().as_secs_f64() * 1e3);
 }
 
 #[cfg(test)]

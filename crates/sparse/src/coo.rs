@@ -7,7 +7,6 @@
 //! optimisation that delivers the biggest speed-up in Table III.
 
 use crate::error::{Error, Result};
-use pp_portable::instrument::{PhaseId, Span};
 use pp_portable::{Matrix, Strided, StridedMut};
 
 /// A sparse matrix as three parallel arrays of `(row, col, value)`.
@@ -155,7 +154,6 @@ impl Coo {
     /// gemv→spmv speed-up of Table III comes from.
     #[inline]
     pub fn spmv_lane(&self, alpha: f64, x: &Strided<'_>, y: &mut StridedMut<'_>) {
-        let _span = Span::enter(PhaseId::CornerSpmv);
         debug_assert_eq!(x.len(), self.ncols);
         debug_assert_eq!(y.len(), self.nrows);
         for k in 0..self.nnz() {

@@ -2,7 +2,8 @@
 # Bench-regression smoke gate: run the two JSON-emitting benches at
 # smoke sizes and compare against the committed full-size baselines
 # with generous tolerances (see crates/bench/src/bin/bench_gate.rs for
-# exactly what is and is not compared). This is a separate, non-required
+# exactly what is and is not compared), and gate the same-run ratios
+# fig2_glups prints. This is a separate, non-required
 # CI job — timing on shared runners is noisy, so a failure here is a
 # prompt to look, not an automatic merge block.
 set -euo pipefail
@@ -17,56 +18,15 @@ mkdir -p target
 cores=$(nproc)
 POOL_THREADS=$((cores < 2 ? 2 : cores > 4 ? 4 : cores))
 
-echo "==> dispatch_overhead --smoke (feature-off build: the hot path must not carry the layer)"
+echo "==> dispatch_overhead --smoke"
 PP_NUM_THREADS=$POOL_THREADS cargo run --release -q -p pp-bench --bin dispatch_overhead -- \
     --smoke --out target/BENCH_dispatch_smoke.json
-
-echo "==> phase_profile --smoke --resident (--features instrument)"
-PP_NUM_THREADS=$POOL_THREADS cargo run --release -q -p pp-bench --features instrument --bin phase_profile -- \
-    --smoke --resident --out target/BENCH_phases_smoke.json
 
 echo "==> bench_gate: dispatch latency vs committed BENCH_dispatch.json"
 cargo run --release -q -p pp-bench --bin bench_gate -- \
     --kind dispatch \
     --baseline BENCH_dispatch.json \
     --candidate target/BENCH_dispatch_smoke.json
-
-# The gate enforces version-set equality with the baseline, but assert
-# the lane-interleaved version and the resident pipeline explicitly on
-# both sides so a stale baseline cannot mask either disappearing.
-grep -q '"version": "Lane interleave"' target/BENCH_phases_smoke.json
-grep -q '"version": "Lane interleave"' BENCH_phases.json
-grep -q '"version": "Lane interleave resident"' target/BENCH_phases_smoke.json
-grep -q '"version": "Lane interleave resident"' BENCH_phases.json
-
-# Residency's acceptance criterion: the pack/unpack pair amortized
-# across the resident chain must stay a sliver of the wall clock. Gate
-# the emitted transpose_share on both sides of the comparison — a
-# committed baseline over the ceiling is as much a regression as a
-# fresh run over it. The share is two transposes over two transposes plus
-# thirty solves: 0.108-0.131 (ceiling 0.15) while a resident solve was
-# 1.69-1.75 ms, 0.188-0.199 since PR 24 took it to 1.01 ms with the two
-# transposes where they were (6.1-6.9 ms) -- the ceiling follows the
-# denominator, worst reading + 25 %.
-TRANSPOSE_SHARE_CEILING=0.25
-for f in BENCH_phases.json target/BENCH_phases_smoke.json; do
-    share=$(awk '
-        index($0, "\"version\": \"Lane interleave resident\"") { found = 1 }
-        found && /"transpose_share":/ {
-            s = $0; sub(/.*"transpose_share": /, "", s); sub(/,.*/, "", s)
-            print s; exit
-        }
-    ' "$f")
-    test -n "$share"
-    echo "==> resident transpose share in $f: $share (ceiling $TRANSPOSE_SHARE_CEILING)"
-    awk -v s="$share" -v c="$TRANSPOSE_SHARE_CEILING" 'BEGIN { exit !(s < c) }'
-done
-
-echo "==> bench_gate: phase attribution vs committed BENCH_phases.json"
-cargo run --release -q -p pp-bench --bin bench_gate -- \
-    --kind phases \
-    --baseline BENCH_phases.json \
-    --candidate target/BENCH_phases_smoke.json
 
 # The advection step is one pool region, on a resident slab and on a host
 # field alike (DESIGN.md §14.3), and verification rides it (§7.1): with
@@ -98,9 +58,19 @@ cargo run --release -q -p pp-bench --bin bench_gate -- \
 # the same runs; its spread is the host's (the parent's plain step swung
 # 1.67-2.20 ns/point in them). Worst + 10 % is 1.478, rounded up to 1.48.
 VERIFIED_STEP_CEILING=1.48
-echo "==> fig2_glups 1024 1024: the resident step, plain and verified, and the host step"
+# Residency's acceptance criterion: the pack/unpack pair amortized across
+# a resident chain must stay a sliver of its wall clock. fig2_glups times
+# pack, thirty Serial solve_resident calls and unpack at nx = nv = 1024
+# with Instant reads between them and prints (pack + unpack) / the whole.
+# The ceiling follows the denominator: 0.15 while a resident solve was
+# 1.69-1.75 ms (the share read 0.108-0.131), 0.25 (worst + 25 %) once the
+# solve fell to 1.01 ms and the share read 0.188-0.199. Those readings
+# came from spans in a separately instrumented build; this Instant ratio
+# reads 0.09-0.10 on the same kind of host (EXPERIMENTS.md).
+TRANSPOSE_SHARE_CEILING=0.25
+echo "==> fig2_glups 1024 1024: the resident step, plain and verified, the host step, the resident chain"
 resident=$(cargo run --release -q -p pp-bench --bin fig2_glups -- 1024 1024 |
-    grep -E '^(host step:|resident step:|verification surcharge:|verified/plain resident step ratio:)')
+    grep -E '^(host step:|resident step:|verification surcharge:|verified/plain resident step ratio:|resident transpose share:)')
 echo "$resident"
 echo "$resident" | grep -q '^resident step: .* 1 dispatch per step$'
 echo "$resident" | grep -q '^host step: .* 1 dispatch per step$'
@@ -108,6 +78,10 @@ ratio=$(echo "$resident" | awk '/^verified\/plain resident step ratio:/ { print 
 test -n "$ratio"
 echo "==> verified / plain resident step: $ratio (ceiling $VERIFIED_STEP_CEILING)"
 awk -v r="$ratio" -v c="$VERIFIED_STEP_CEILING" 'BEGIN { exit !(r <= c) }'
+share=$(echo "$resident" | awk '/^resident transpose share:/ { print $NF }')
+test -n "$share"
+echo "==> resident transpose share: $share (ceiling $TRANSPOSE_SHARE_CEILING)"
+awk -v s="$share" -v c="$TRANSPOSE_SHARE_CEILING" 'BEGIN { exit !(s < c) }'
 
 # The chaos soak is deterministic (seeded), so unlike the timing gates
 # above this one is exact: any invariant violation or silent-wrong SDC
@@ -128,9 +102,8 @@ cargo run --release -q -p pp-bench --bin bench_gate -- \
 # with the file name, before anyone reads a number out of one.
 SCHEMA_VERSION=1
 echo "==> schema_version stamp check (expected $SCHEMA_VERSION)"
-for f in BENCH_dispatch.json BENCH_phases.json BENCH_chaos.json \
-         target/BENCH_dispatch_smoke.json target/BENCH_phases_smoke.json \
-         target/BENCH_chaos_smoke.json; do
+for f in BENCH_dispatch.json BENCH_chaos.json \
+         target/BENCH_dispatch_smoke.json target/BENCH_chaos_smoke.json; do
     if ! grep -q "\"schema_version\": $SCHEMA_VERSION" "$f"; then
         echo "FAIL: $f is missing \"schema_version\": $SCHEMA_VERSION" >&2
         exit 1

@@ -8,10 +8,10 @@ echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 # The A/B driver is not run here (it needs two checkouts and minutes of a
-# quiet host), nor the line census; both must at least parse, and lint
-# clean where the linter is.
-echo "==> scripts/ab.sh, scripts/loc.sh: bash -n, shellcheck if installed"
-for script in scripts/ab.sh scripts/loc.sh; do
+# quiet host), nor the line census, the timing gates or the paper-scale
+# capture; each must at least parse, and lint clean where the linter is.
+echo "==> scripts/{ab,loc,check_bench,capture_results}.sh: bash -n, shellcheck if installed"
+for script in scripts/ab.sh scripts/loc.sh scripts/check_bench.sh scripts/capture_results.sh; do
     bash -n "$script"
     if command -v shellcheck > /dev/null; then
         shellcheck "$script"
@@ -25,15 +25,6 @@ cargo build --release
 # solve_lane length preconditions) exercised by the suite.
 echo "==> cargo test --workspace"
 cargo test --workspace -q
-
-# The instrumentation layer compiles to a no-op by default, so the
-# workspace run above only covers the inert half. Re-run the crates
-# that carry active-layer tests with the feature on (pp-bench carries
-# the trace round-trip/export schema tests).
-echo "==> cargo test --features instrument (active instrumentation layer)"
-cargo test -q -p pp-instrument --features instrument
-cargo test -q -p pp-bench --features instrument
-cargo test -q -p batched-splines --features instrument
 
 # Every PP_* variable the stack reads is in README's knob table, and the
 # table lists nothing the stack does not read.
@@ -55,31 +46,6 @@ mkdir -p target
 PP_NUM_THREADS=$POOL_THREADS cargo run --release -q -p pp-bench --bin dispatch_overhead -- \
     --smoke --out target/BENCH_dispatch_smoke.json
 test -s target/BENCH_dispatch_smoke.json
-
-# Smoke-run the flight recorder end to end: a traced pooled solve
-# (Perfetto export) and the traced-advection example with one injected
-# fault (dump-on-fault, written under target/ for CI artifact upload).
-echo "==> trace smoke (flight recorder export + dump-on-fault example)"
-PP_NUM_THREADS=$POOL_THREADS cargo run --release -q -p pp-bench --features instrument \
-    --bin trace_profile -- --smoke --out target/trace_example_smoke.json
-test -s target/trace_example_smoke.json
-PP_NUM_THREADS=$POOL_THREADS cargo run --release -q --features instrument \
-    --example trace_advection > /dev/null
-test -s target/trace_advection.json
-ls target/trace_advection_dumps/fault_dump_*.json > /dev/null
-
-# Smoke-run the phase profiler: every builder version — including the
-# lane-interleaved kernels and the resident pipeline — must run under
-# the instrumentation layer and attribute its solve phases. The greps
-# pin the Interleaved version and the resident entry into the emitted
-# document so either silently dropping out fails tier-1, not just the
-# bench gate.
-echo "==> phase_profile bench smoke (per-phase attribution incl. Interleaved + resident)"
-PP_NUM_THREADS=$POOL_THREADS cargo run --release -q -p pp-bench --features instrument \
-    --bin phase_profile -- --smoke --resident --out target/BENCH_phases_smoke.json
-test -s target/BENCH_phases_smoke.json
-grep -q '"version": "Lane interleave"' target/BENCH_phases_smoke.json
-grep -q '"version": "Lane interleave resident"' target/BENCH_phases_smoke.json
 
 # Smoke-run the chaos-soak campaign: seeded fault scenarios (NaN lanes,
 # near-singular systems, bit flips struck into the verified solve's

@@ -114,7 +114,6 @@ fn worker_panic_and_quarantine_in_same_batch_coexist() {
 
     // And the verified pipeline still works end to end: the NaN lane is
     // quarantined (zeroed), healthy lanes solve, the report is complete.
-    let _ = pp_portable::instrument::take_fault_dumps();
     let mut b2 = rhs_copy;
     let report = verified
         .solve_in_place(&Parallel, &mut b2)
@@ -128,13 +127,5 @@ fn worker_panic_and_quarantine_in_same_batch_coexist() {
     ));
     for i in 0..24 {
         assert_eq!(b2.get(i, 3), 0.0, "quarantined lane must be zeroed");
-    }
-    #[cfg(feature = "instrument")]
-    {
-        let dumps = pp_portable::instrument::take_fault_dumps();
-        assert!(
-            dumps.iter().any(|d| d.reason == "verified_quarantine"),
-            "quarantine must still produce its fault dump"
-        );
     }
 }

@@ -187,41 +187,45 @@ fn poisoned_batch_isolates_lanes_and_types_outcomes() {
     );
 }
 
-/// NaN lanes survive the *full* ladder as broken (the direct fallback
-/// verifies finiteness and refuses to declare them converged), while the
-/// recovery report shows each rung attempting them.
+/// Infinite and NaN lanes survive the *full* ladder as broken (the direct
+/// fallback verifies finiteness and refuses to declare them converged),
+/// while the recovery report shows each rung attempting them.
 #[test]
 fn nan_lanes_stay_broken_through_full_ladder() {
     let n = 24;
     let space = PeriodicSplineSpace::new(Breaks::uniform(n, 0.0, 1.0).unwrap(), 3).unwrap();
-    let mut b = random_rhs(n, 4, 1);
-    let mut injector = FaultInjector::new(3);
-    let poisoned = injector.poison_inf_lanes(&mut b, 1);
-
     let solver = IterativeSplineSolver::new(space, IterativeConfig::gpu()).unwrap();
-    let log = solver
-        .solve_with_recovery(&mut b, None, &RecoveryPolicy::default())
-        .unwrap();
+    for poison in [
+        FaultInjector::poison_inf_lanes,
+        FaultInjector::poison_nan_lanes,
+    ] {
+        let mut b = random_rhs(n, 4, 1);
+        let poisoned = poison(&mut FaultInjector::new(3), &mut b, 1);
 
-    assert!(!log.all_converged());
-    assert_eq!(log.failed_lanes(), poisoned);
-    // Every rung ran over exactly the poisoned lane and rescued nothing.
-    let events = log.recovery_events();
-    assert_eq!(events.len(), 3);
-    for (event, stage) in events.iter().zip([
-        RecoveryStage::Reprecondition,
-        RecoveryStage::SolverSwitch,
-        RecoveryStage::DirectFallback,
-    ]) {
-        assert_eq!(event.stage, stage);
-        assert_eq!(event.lanes_attempted, poisoned);
-        assert!(event.lanes_recovered.is_empty());
-    }
-    // Healthy lanes still converged and hold finite solutions.
-    for lane in 0..4 {
-        if !poisoned.contains(&lane) {
-            assert!(log.lane_outcome(lane).is_healthy());
-            assert!(b.col(lane).to_vec().iter().all(|v| v.is_finite()));
+        let log = solver
+            .solve_with_recovery(&mut b, None, &RecoveryPolicy::default())
+            .unwrap();
+
+        assert!(!log.all_converged());
+        assert_eq!(log.failed_lanes(), poisoned);
+        // Every rung ran over exactly the poisoned lane and rescued nothing.
+        let events = log.recovery_events();
+        assert_eq!(events.len(), 3);
+        for (event, stage) in events.iter().zip([
+            RecoveryStage::Reprecondition,
+            RecoveryStage::SolverSwitch,
+            RecoveryStage::DirectFallback,
+        ]) {
+            assert_eq!(event.stage, stage);
+            assert_eq!(event.lanes_attempted, poisoned);
+            assert!(event.lanes_recovered.is_empty());
+        }
+        // Healthy lanes still converged and hold finite solutions.
+        for lane in 0..4 {
+            if !poisoned.contains(&lane) {
+                assert!(log.lane_outcome(lane).is_healthy());
+                assert!(b.col(lane).to_vec().iter().all(|v| v.is_finite()));
+            }
         }
     }
 }

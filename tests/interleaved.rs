@@ -17,10 +17,6 @@
 //!   in a full or a partial final panel. Right-hand sides include `+0.0` /
 //!   `-0.0` entries and an all-zero lane, which is where skip-branches
 //!   in one copy of a sweep used to show.
-//!
-//! The same source runs in both instrumentation modes: plain `cargo
-//! test` (spans compiled out) and `cargo test --features instrument` via
-//! `scripts/verify.sh` (spans live) — the numerics must not care.
 
 use batched_splines::prelude::*;
 use pp_linalg::{

@@ -6,10 +6,7 @@
 //! **bit-identical** to N independent `pack → solve → unpack` round
 //! trips — pack and unpack are pure copies, so residency may not change
 //! a single bit. Batch widths sweep through sub-chunk batches
-//! (batch < 8) and partial trailing chunks. The same source runs in both
-//! instrumentation modes: plain `cargo test` (spans compiled out) and
-//! `cargo test --features instrument` via `scripts/verify.sh` (spans
-//! live) — the numerics must not care.
+//! (batch < 8) and partial trailing chunks.
 
 use batched_splines::prelude::*;
 use pp_linalg::{
