@@ -82,7 +82,7 @@ pub enum QFactors {
 
 impl QFactors {
     /// View as the object-safe per-lane solver.
-    pub fn as_lane_solver(&self) -> &dyn LaneSolver {
+    pub(crate) fn as_lane_solver(&self) -> &dyn LaneSolver {
         match self {
             QFactors::PdsTridiagonal(f) => f,
             QFactors::PdsBanded(f) => f,
@@ -155,7 +155,7 @@ impl SchurBlocks {
     /// Table I class instead of the predicted one. Used by the verified
     /// builder's fallback ladder to re-factor one rung at a time; errors
     /// propagate instead of falling back (the ladder handles escalation).
-    pub fn with_class(space: &SplineSpace, class: QClass) -> Result<Self> {
+    pub(crate) fn with_class(space: &SplineSpace, class: QClass) -> Result<Self> {
         let a = assemble_interpolation_matrix(space);
         Self::from_dense_forced(&a, space.degree(), class)
     }
@@ -169,7 +169,7 @@ impl SchurBlocks {
 
     /// [`SchurBlocks::from_dense`] with a forced interior class and no
     /// silent fallback.
-    pub fn from_dense_forced(a: &Matrix, degree: usize, class: QClass) -> Result<Self> {
+    pub(crate) fn from_dense_forced(a: &Matrix, degree: usize, class: QClass) -> Result<Self> {
         Self::build(a, degree, Choice::Forced(class))
     }
 
@@ -353,12 +353,12 @@ impl SchurBlocks {
     }
 
     /// Dense `λ` block (`border × q_size`).
-    pub fn lambda_dense(&self) -> &Matrix {
+    pub(crate) fn lambda_dense(&self) -> &Matrix {
         &self.lambda_dense
     }
 
     /// Dense `β = Q⁻¹ γ` block (`q_size × border`).
-    pub fn beta_dense(&self) -> &Matrix {
+    pub(crate) fn beta_dense(&self) -> &Matrix {
         &self.beta_dense
     }
 

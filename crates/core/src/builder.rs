@@ -15,10 +15,11 @@ use std::cell::RefCell;
 /// `DDC_SPLINES_VERSION` 0 / 1 / 2, as two axes over one pipeline:
 /// Algorithm 1 **split** into one parallel region per step or **fused**
 /// into one, and the corner corrections as **dense** `gemv` blocks or
-/// **COO** `spmv` entries. The axes hold on every layout: on the strided
-/// lanes of a [`Matrix`] ([`SplineBuilder::solve_in_place`]) and on the
-/// panels of a [`ResidentBatch`] ([`SplineBuilder::solve_resident`]) a
-/// lane's result is bit-identical.
+/// **COO** `spmv` entries. Both axes are the Table III ablation of
+/// [`SplineBuilder::solve_in_place`] on the strided lanes of a [`Matrix`].
+/// Every panel entry point ([`SplineBuilder::solve_resident`],
+/// [`SplineBuilder::solve_then`]) runs the one fused region with the
+/// version's corner axis; a lane's result is bit-identical either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuilderVersion {
     /// Split, dense corners (paper Listing 2): `Q`-solve batch, corner
@@ -131,8 +132,7 @@ impl SplineBuilder {
     /// paper's three versions sweep `b`'s strided lanes where they lie —
     /// the Table III ablation, and the reference every panel result is
     /// compared against. [`BuilderVersion::Interleaved`] packs `b` into
-    /// panels (an explicit transpose recorded under the `transpose`
-    /// phase), runs [`SplineBuilder::solve_resident`]'s sweep, and
+    /// panels, solves them with [`SplineBuilder::solve_resident`], and
     /// unpacks into `b`'s own layout.
     pub fn solve_in_place<E: ExecSpace>(&self, exec: &E, b: &mut Matrix) -> Result<()> {
         self.check_rows(b.nrows())?;
@@ -153,7 +153,7 @@ impl SplineBuilder {
             }
             BuilderVersion::Interleaved => {
                 let mut packed = ResidentBatch::pack_with(exec, b);
-                self.solve_panels(exec, &mut packed);
+                self.solve_resident(exec, &mut packed)?;
                 packed.unpack_into_with(exec, b)?;
             }
         }
@@ -166,16 +166,16 @@ impl SplineBuilder {
     /// ([`ResidentBatch::pack`]), calls this any number of times, and
     /// unpacks once at egress.
     ///
-    /// Every lane is bit-identical to [`SplineBuilder::solve_in_place`]
-    /// on the equivalent host matrix, for every [`BuilderVersion`]: the
-    /// version's two axes (split or fused, dense or COO corners) select
-    /// the same sequence over the same sweeps, instantiated for panels
-    /// (the partial final chunk included), and pack/unpack are pure
-    /// copies.
+    /// This is [`SplineBuilder::solve_then`] with a continuation that
+    /// leaves the coefficients in the panels: one region, a worker's turn
+    /// being a run of up to four panels solved abreast, in the host's
+    /// widest instance. Every lane is bit-identical to
+    /// [`SplineBuilder::solve_in_place`] on the equivalent host matrix, for
+    /// every [`BuilderVersion`]: a lane's bits depend neither on how the
+    /// steps are grouped into regions nor on the panels beside it, and
+    /// pack/unpack are pure copies.
     pub fn solve_resident<E: ExecSpace>(&self, exec: &E, b: &mut ResidentBatch) -> Result<()> {
-        self.check_rows(b.nrows())?;
-        self.solve_panels(exec, b);
-        Ok(())
+        self.solve_then(exec, b, |_, _, solved| solved.store())
     }
 
     /// **Fused entry point**: solve the field `b` block by block — the
@@ -194,11 +194,11 @@ impl SplineBuilder {
     /// never a second batch.
     ///
     /// The region runs the fused Algorithm 1 with this version's corner
-    /// axis, so the coefficients are the bits [`SplineBuilder::solve_resident`]
-    /// would leave in `b` — for [`BuilderVersion::Baseline`] too, whose
-    /// four regions are an ablation of the solve alone. `then` must not
-    /// call back into a fused entry point on the same thread (the scratch
-    /// is lent to it).
+    /// axis, so the coefficients are the bits [`SplineBuilder::solve_in_place`]
+    /// leaves in a host matrix — for [`BuilderVersion::Baseline`] too, whose
+    /// four regions are an ablation of the strided solve alone. `then` must
+    /// not call back into a fused entry point on the same thread (the
+    /// scratch is lent to it).
     pub fn solve_then<E, B, F>(&self, exec: &E, b: &mut B, then: F) -> Result<()>
     where
         E: ExecSpace,
@@ -306,25 +306,6 @@ impl SplineBuilder {
         }
         groups.into_remainder()
     }
-
-    /// Algorithm 1 on every chunk of a packed batch: one chunk-parallel
-    /// region per step for the split version, one fused region otherwise.
-    fn solve_panels<E: ExecSpace>(&self, exec: &E, ib: &mut ResidentBatch) {
-        let n = self.space.num_basis();
-        let blocks = &self.blocks;
-        let sparse = self.version.sparse_corners();
-        if self.version == BuilderVersion::Baseline {
-            for step in ALGORITHM_1 {
-                ib.for_each_chunk_mut(exec, |_, _, chunk| {
-                    step.apply(blocks, sparse, &mut Panel::new(chunk, n));
-                });
-            }
-        } else {
-            ib.for_each_chunk_mut(exec, |_, _, chunk| {
-                schur_solve(blocks, sparse, &mut Panel::new(chunk, n));
-            });
-        }
-    }
 }
 
 /// One step of the paper's Algorithm 1 on the stacked right-hand side
@@ -341,8 +322,8 @@ enum Step {
     BetaCorner,
 }
 
-/// Algorithm 1, in order. The fused versions run it inside one parallel
-/// region; the baseline runs one region per step.
+/// Algorithm 1, in order. Every entry point runs it inside one parallel
+/// region but the baseline's strided solve, which runs one region per step.
 const ALGORITHM_1: [Step; 4] = [
     Step::QSolve,
     Step::LambdaCorner,

@@ -4,7 +4,8 @@
 //! into spline coefficients — but via Krylov iteration on the CSR-stored
 //! matrix, one independent lane at a time ([`LaneKrylov::solve`]), with
 //! block-Jacobi preconditioning and optional warm starts from the previous
-//! time step.
+//! time step. Every batched solve, the step's and the host matrix's alike,
+//! runs the backend's one lane region.
 
 use crate::builder::{BuilderVersion, Solved, SplineBuilder};
 use crate::error::{Error, Result};
@@ -110,7 +111,13 @@ impl RecoveryPolicy {
     }
 }
 
-/// A ready-to-solve iterative spline solver.
+/// A ready-to-solve iterative spline solver: the CSR matrix, its
+/// block-Jacobi preconditioner and the Krylov configuration. Every batched
+/// solve runs the backend's one lane region, each lane the scalar
+/// [`LaneKrylov::solve`]: the step's [`IterativeSplineSolver::solve_then`]
+/// on its field, the host entry points ([`IterativeSplineSolver::solve_in_place`],
+/// [`IterativeSplineSolver::solve_with_recovery`] and the ladder's retries)
+/// on a packed copy of their matrix.
 pub struct IterativeSplineSolver {
     space: PeriodicSplineSpace,
     matrix: Csr,
@@ -153,7 +160,8 @@ impl IterativeSplineSolver {
     }
 
     /// Solve `A X = B` in place (values in, coefficients out), optionally
-    /// warm-started from `previous` (last time step's coefficients).
+    /// warm-started from `previous` (last time step's coefficients): the
+    /// backend's one lane region on a packed copy of `b`.
     ///
     /// Returns the convergence log (Table IV's iteration counts come from
     /// [`ConvergenceLogger::max_iterations`]); errs if any lane failed.
@@ -162,15 +170,16 @@ impl IterativeSplineSolver {
         b: &mut Matrix,
         previous: Option<&Matrix>,
     ) -> Result<ConvergenceLogger> {
-        converged(self.solve_columns(b, previous)?)
+        converged(self.solve_host(self.config.kind, &self.precond, b, previous)?)
     }
 
     /// **Fused entry point**, the counterpart of
     /// [`SplineBuilder::solve_then`] for a backend whose solve is the
     /// per-lane Krylov body: two regions on `exec` over the field `b`'s
-    /// blocks. The first solves every lane of block `c` where it lies —
-    /// right-hand side read from `b`, initial guess from panel `c` of
-    /// `previous` (the last step's coefficients; zeros without them or with
+    /// blocks. The first is the backend's one lane region: it solves every
+    /// lane of block `c` where it lies — right-hand side read from `b`,
+    /// initial guess from panel `c` of `previous` (the last step's
+    /// coefficients; zeros without them or with
     /// [`IterativeConfig::warm_start`] off) — into panel `c` of `eta`, a
     /// coefficient store of `b`'s shape that the caller keeps. If any lane
     /// failed it returns [`Error::NotConverged`], `b` and `previous`
@@ -192,38 +201,8 @@ impl IterativeSplineSolver {
         B: Field,
         F: Fn(usize, usize, Solved<'_>) + Sync + Send,
     {
-        let (rows, lanes) = b.shape();
-        self.check_rows(rows)?;
-        for store in std::iter::once(&*eta).chain(previous) {
-            if store.shape() != (rows, lanes) {
-                return Err(Error::Portable(pp_portable::Error::ShapeMismatch {
-                    op: "IterativeSplineSolver::solve_then",
-                    left: (rows, lanes),
-                    right: store.shape(),
-                }));
-            }
-        }
-        let solver = self.krylov(self.config.kind);
-        let krylov = self.lanes(solver.as_ref());
-        let guess = previous.filter(|_| self.config.warm_start);
-        let results = LaneResults::new(lanes);
-        let field = &*b;
-        eta.for_each_chunk_mut(exec, |c, live, panel| {
-            for l in 0..live {
-                let j = c * LANE_WIDTH + l;
-                let mut x = match guess {
-                    Some(g) => Strided::new(&g.chunk(c)[l..], rows, LANE_WIDTH).to_vec(),
-                    None => vec![0.0; rows],
-                };
-                let mut rhs = vec![0.0; rows];
-                field.copy_lane_into(j, &mut rhs);
-                results.set(j, krylov.solve(&rhs, &mut x));
-                StridedMut::new(&mut panel[l..], rows, LANE_WIDTH).copy_from_slice(&x);
-            }
-        });
-        let mut logger = ConvergenceLogger::new();
-        results.record(&mut logger);
-        let logger = converged(logger)?;
+        let lanes = self.solve_lanes(exec, self.config.kind, &self.precond, &*b, eta, previous);
+        let logger = converged(lanes?)?;
         let eta = &*eta;
         b.for_each_run_mut(exec, 1, |c, live, block| {
             let coefs = eta.chunk(c);
@@ -255,10 +234,10 @@ impl IterativeSplineSolver {
         previous: Option<&Matrix>,
         policy: &RecoveryPolicy,
     ) -> Result<ConvergenceLogger> {
-        // Keep the right-hand sides: the chunked solve overwrites `b` with
-        // (possibly garbage) iterates, and retries need the originals.
+        // Keep the right-hand sides: the solve overwrites `b` with (possibly
+        // garbage) iterates, and retries need the originals.
         let rhs_orig = b.clone();
-        let mut logger = self.solve_columns(b, previous)?;
+        let mut logger = self.solve_host(self.config.kind, &self.precond, b, previous)?;
 
         let mut attempts = 0usize;
         let ladder = [
@@ -280,27 +259,20 @@ impl IterativeSplineSolver {
                     let block = (self.config.max_block_size * 2).clamp(2, self.matrix.nrows());
                     let strong = BlockJacobi::new(&self.matrix, block);
                     self.retry_lanes(
-                        self.krylov(self.config.kind).as_ref(),
+                        self.config.kind,
                         &strong,
                         b,
                         &rhs_orig,
                         &failed,
                         &mut logger,
-                    )
+                    )?
                 }
                 RecoveryStage::SolverSwitch => {
                     let other = match self.config.kind {
                         KrylovKind::BiCgStab => KrylovKind::Gmres,
                         KrylovKind::Gmres => KrylovKind::BiCgStab,
                     };
-                    self.retry_lanes(
-                        self.krylov(other).as_ref(),
-                        &self.precond,
-                        b,
-                        &rhs_orig,
-                        &failed,
-                        &mut logger,
-                    )
+                    self.retry_lanes(other, &self.precond, b, &rhs_orig, &failed, &mut logger)?
                 }
                 RecoveryStage::DirectFallback => {
                     self.direct_fallback(b, &rhs_orig, &failed, &mut logger)?
@@ -315,36 +287,87 @@ impl IterativeSplineSolver {
         Ok(logger)
     }
 
-    /// Solve one right-hand side (no chunking, no warm start). Returns
-    /// `Ok(Some(x))` when the lane converged, `Ok(None)` when the Krylov
-    /// iteration failed on it — the verified builder's last ladder rung
-    /// treats `None` as "stay quarantined".
-    pub fn solve_single(&self, rhs: &[f64]) -> Result<Option<Vec<f64>>> {
-        if rhs.len() != self.space.num_basis() {
-            return Err(Error::ShapeMismatch {
-                expected_rows: self.space.num_basis(),
-                actual_rows: rhs.len(),
-            });
-        }
+    /// Solve one right-hand side (no warm start). Returns `Ok(Some(x))`
+    /// when the lane converged, `Ok(None)` when the Krylov iteration failed
+    /// on it — the verified builder's last ladder rung treats `None` as
+    /// "stay quarantined".
+    pub(crate) fn solve_single(&self, rhs: &[f64]) -> Result<Option<Vec<f64>>> {
+        self.check_rows(rhs.len())?;
         let solver = self.krylov(self.config.kind);
         let mut x = vec![0.0; rhs.len()];
         let res = solver.solve(&self.matrix, &self.precond, rhs, &mut x, &self.config.stop);
         Ok(if res.converged { Some(x) } else { None })
     }
 
-    /// One pass of the per-lane body over every column of `b` with the
-    /// configured solver, warm-started from `previous`'s columns.
-    fn solve_columns(
+    /// The backend's one lane region, on `exec`: lane `j` of the field `b`
+    /// is solved by the per-lane body ([`LaneKrylov::solve`]) with `kind`
+    /// and `precond` into lane `j` of `eta`, a coefficient store of
+    /// `b`'s shape, from lane `j` of `previous` (zeros without it or with
+    /// [`IterativeConfig::warm_start`] off). Every lane's last iterate lands
+    /// in `eta`, converged or not, and its result in the returned logger,
+    /// in lane order.
+    fn solve_lanes<E: ExecSpace, B: Field>(
         &self,
+        exec: &E,
+        kind: KrylovKind,
+        precond: &dyn Preconditioner,
+        b: &B,
+        eta: &mut ResidentBatch,
+        previous: Option<&ResidentBatch>,
+    ) -> Result<ConvergenceLogger> {
+        let (rows, lanes) = b.shape();
+        self.check_rows(rows)?;
+        for store in std::iter::once(&*eta).chain(previous) {
+            if store.shape() != (rows, lanes) {
+                return Err(Error::Portable(pp_portable::Error::ShapeMismatch {
+                    op: "IterativeSplineSolver lane region",
+                    left: (rows, lanes),
+                    right: store.shape(),
+                }));
+            }
+        }
+        let solver = self.krylov(kind);
+        let krylov = LaneKrylov {
+            a: &self.matrix,
+            solver: solver.as_ref(),
+            precond,
+            stop: &self.config.stop,
+        };
+        let guess = previous.filter(|_| self.config.warm_start);
+        let results = LaneResults::new(lanes);
+        eta.for_each_chunk_mut(exec, |c, live, panel| {
+            for l in 0..live {
+                let j = c * LANE_WIDTH + l;
+                let mut x = match guess {
+                    Some(g) => Strided::new(&g.chunk(c)[l..], rows, LANE_WIDTH).to_vec(),
+                    None => vec![0.0; rows],
+                };
+                let mut rhs = vec![0.0; rows];
+                b.copy_lane_into(j, &mut rhs);
+                results.set(j, krylov.solve(&rhs, &mut x));
+                StridedMut::new(&mut panel[l..], rows, LANE_WIDTH).copy_from_slice(&x);
+            }
+        });
+        let mut logger = ConvergenceLogger::new();
+        results.record(&mut logger);
+        Ok(logger)
+    }
+
+    /// The lane region on a packed copy of the host matrix `b`: on entry
+    /// each column is a lane's right-hand side, on exit its last iterate,
+    /// started from `previous`'s column.
+    fn solve_host(
+        &self,
+        kind: KrylovKind,
+        precond: &dyn Preconditioner,
         b: &mut Matrix,
         previous: Option<&Matrix>,
     ) -> Result<ConvergenceLogger> {
-        self.check_rows(b.nrows())?;
-        let solver = self.krylov(self.config.kind);
-        let guess = previous.filter(|_| self.config.warm_start);
-        let mut logger = ConvergenceLogger::new();
-        self.lanes(solver.as_ref())
-            .solve_columns(b, guess, &mut logger);
+        let rhs = ResidentBatch::pack_with(&Parallel, b);
+        let guess = previous.map(|p| ResidentBatch::pack_with(&Parallel, p));
+        let mut eta = ResidentBatch::zeros(b.nrows(), b.ncols());
+        let logger = self.solve_lanes(&Parallel, kind, precond, &rhs, &mut eta, guess.as_ref())?;
+        eta.unpack_into_with(&Parallel, b)?;
         Ok(logger)
     }
 
@@ -358,17 +381,6 @@ impl IterativeSplineSolver {
         Ok(())
     }
 
-    /// The per-lane body with `solver` and this solver's matrix,
-    /// preconditioner and stopping rule.
-    fn lanes<'a>(&'a self, solver: &'a dyn IterativeSolver) -> LaneKrylov<'a> {
-        LaneKrylov {
-            a: &self.matrix,
-            solver,
-            precond: &self.precond,
-            stop: &self.config.stop,
-        }
-    }
-
     fn krylov(&self, kind: KrylovKind) -> Box<dyn IterativeSolver> {
         match kind {
             KrylovKind::Gmres => Box::new(Gmres::default()),
@@ -376,32 +388,30 @@ impl IterativeSplineSolver {
         }
     }
 
-    /// Re-run `lanes` from their original right-hand sides (cold start:
-    /// the failed iterate is not a trustworthy guess). Lanes that converge
-    /// write their solutions back and have their logger records replaced.
-    /// Returns the recovered lanes.
+    /// Re-run `lanes` with `kind` and `precond` through the lane region from
+    /// their original right-hand sides (cold start: the failed iterate is not a
+    /// trustworthy guess). Lanes that converge write their solutions back
+    /// and have their logger records replaced. Returns the recovered lanes.
     fn retry_lanes(
         &self,
-        solver: &dyn IterativeSolver,
+        kind: KrylovKind,
         precond: &dyn Preconditioner,
         b: &mut Matrix,
         rhs_orig: &Matrix,
         lanes: &[usize],
         logger: &mut ConvergenceLogger,
-    ) -> Vec<usize> {
-        let n = self.matrix.nrows();
+    ) -> Result<Vec<usize>> {
+        let mut x = columns(rhs_orig, lanes);
+        let retried = self.solve_host(kind, precond, &mut x, None)?;
         let mut recovered = Vec::new();
-        for &lane in lanes {
-            let rhs = rhs_orig.col(lane).to_vec();
-            let mut x = vec![0.0; n];
-            let res = solver.solve(&self.matrix, precond, &rhs, &mut x, &self.config.stop);
+        for (k, (&lane, &res)) in lanes.iter().zip(retried.lane_results()).enumerate() {
             if res.converged {
-                b.col_mut(lane).copy_from_slice(&x);
+                b.col_mut(lane).copy_from_slice(&x.col(k).to_vec());
                 logger.update_lane(lane, res);
                 recovered.push(lane);
             }
         }
-        recovered
+        Ok(recovered)
     }
 
     /// Last rung: solve `lanes` with the direct Schur-complement builder.
@@ -417,12 +427,7 @@ impl IterativeSplineSolver {
     ) -> Result<Vec<usize>> {
         let n = self.matrix.nrows();
         let builder = SplineBuilder::new(self.space.clone(), BuilderVersion::FusedSpmv)?;
-        let mut block = Matrix::zeros(n, lanes.len(), Layout::Left);
-        for (k, &lane) in lanes.iter().enumerate() {
-            block
-                .col_mut(k)
-                .copy_from_slice(&rhs_orig.col(lane).to_vec());
-        }
+        let mut block = columns(rhs_orig, lanes);
         builder.solve_in_place(&Parallel, &mut block)?;
 
         let mut recovered = Vec::new();
@@ -451,6 +456,15 @@ impl IterativeSplineSolver {
         }
         Ok(recovered)
     }
+}
+
+/// Columns `lanes` of `m`, in that order, as a matrix of their own.
+fn columns(m: &Matrix, lanes: &[usize]) -> Matrix {
+    let mut block = Matrix::zeros(m.nrows(), lanes.len(), Layout::Left);
+    for (k, &lane) in lanes.iter().enumerate() {
+        block.col_mut(k).copy_from_slice(&m.col(lane).to_vec());
+    }
+    block
 }
 
 /// `Ok(logger)` when every lane converged, else [`Error::NotConverged`].
@@ -575,5 +589,9 @@ mod tests {
         let solver = IterativeSplineSolver::new(sp, IterativeConfig::cpu()).unwrap();
         let mut b = Matrix::zeros(17, 2, Layout::Left);
         assert!(solver.solve_in_place(&mut b, None).is_err());
+        // A warm start of the wrong shape is refused, not a panic.
+        let mut b = Matrix::zeros(16, 2, Layout::Left);
+        let previous = Matrix::zeros(16, 3, Layout::Left);
+        assert!(solver.solve_in_place(&mut b, Some(&previous)).is_err());
     }
 }

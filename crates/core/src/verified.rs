@@ -1957,7 +1957,8 @@ mod tests {
         // the solve's one region (no extra region, nothing serial that
         // would need the batch copied), on a resident and a host field —
         // and so does whatever a fused step does with the coefficients,
-        // which a resident field holds in its own panels.
+        // which a resident field holds in its own panels. The plain
+        // resident solve is that region too, under every version.
         // Regions are counted on the execution space — `pool_stats()` is
         // process-wide and the other unit tests dispatch concurrently.
         let (n, batch) = (32, 5 * LANE_WIDTH + 3);
@@ -1976,6 +1977,7 @@ mod tests {
         for version in BuilderVersion::ALL {
             let plain = SplineBuilder::new(space(n, 3, true), version).unwrap();
             let fused = regions(&|exec, b| plain.solve_then(exec, b, keep).unwrap());
+            let resident = regions(&|exec, b| plain.solve_resident(exec, b).unwrap());
             let verified = plain.verified(VerifyConfig {
                 abft: true,
                 ..VerifyConfig::default()
@@ -1987,7 +1989,11 @@ mod tests {
                 let report = verified.solve_then(exec, b, keep, |_, _, _| unreachable!());
                 assert!(report.unwrap().all_verified());
             });
-            assert_eq!((fused, screened, fused_screened), (1, 1, 1), "{version:?}");
+            assert_eq!(
+                (fused, resident, screened, fused_screened),
+                (1, 1, 1, 1),
+                "{version:?}"
+            );
         }
         // A fresh thread has a fresh scratch: six panels through each entry
         // point — a run of `ABREAST` and a shorter one. A resident field is

@@ -12,7 +12,6 @@
 //! pattern across platforms and runs.
 
 use crate::bicgstab::BiCgStab;
-use crate::logger::ConvergenceLogger;
 use crate::multirhs::{LaneKrylov, LaneOutcome};
 use crate::precond::BlockJacobi;
 use crate::stop::StopCriteria;
@@ -106,9 +105,10 @@ impl FaultInjector {
         }
     }
 
-    /// Run one seeded chaos round: a randomized-but-reproducible batched
-    /// solve with faults injected (NaN-poisoned lanes, a near-singular
-    /// matrix), returning what happened as a [`ChaosReport`].
+    /// Run one seeded chaos round: a randomized-but-reproducible batch of
+    /// lanes, each solved by the per-lane Krylov body ([`LaneKrylov::solve`])
+    /// with faults injected (NaN-poisoned lanes, a near-singular matrix),
+    /// returning what happened as a [`ChaosReport`].
     ///
     /// The scenario — sizes, faults, preconditioner block —
     /// and the outcome, down to the solution bits captured in `checksum`,
@@ -163,10 +163,15 @@ impl FaultInjector {
             precond: &precond,
             stop: &stop,
         };
-        let mut logger = ConvergenceLogger::new();
-
         let started = Instant::now();
-        lanes.solve_columns(&mut b, None, &mut logger);
+        let outcomes: Vec<LaneOutcome> = (0..batch)
+            .map(|j| {
+                let mut x = vec![0.0; n];
+                let result = lanes.solve(&b.col(j).to_vec(), &mut x);
+                b.col_mut(j).copy_from_slice(&x);
+                LaneOutcome::from_result(&result)
+            })
+            .collect();
         let elapsed = started.elapsed();
 
         let mut report = ChaosReport {
@@ -180,7 +185,7 @@ impl FaultInjector {
             stalled: 0,
             checksum: checksum_matrix(&b),
         };
-        for o in &logger.outcomes() {
+        for o in &outcomes {
             match o {
                 LaneOutcome::Converged => report.converged += 1,
                 LaneOutcome::Broke(_) => report.broke += 1,

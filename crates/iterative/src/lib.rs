@@ -10,11 +10,13 @@
 //!   between 1 and 32 ([`BlockJacobi`]);
 //! * the stopping rule `‖A x − b‖ / ‖b‖ < 10⁻¹⁵` ([`StopCriteria`]);
 //! * CSR matrix storage (from `pp-sparse`);
-//! * the **per-lane body** every batched solve runs ([`LaneKrylov`]): one
-//!   right-hand side solved where it lies, warm-started from the previous
-//!   time step's solution. The paper's Listing 3 pipelines Ginkgo's solves
-//!   in chunks of 8192 / 65535 right-hand sides only because Ginkgo could
-//!   not hold the whole batch; independent scalar lanes need no chunks.
+//! * the **per-lane body** ([`LaneKrylov`]): one right-hand side solved
+//!   where it lies, warm-started from the previous time step's solution.
+//!   Every batched solve runs it inside one lane region, the
+//!   `pp-splinesolver` iterative backend's, over the whole batch at once:
+//!   the paper's Listing 3 pipelines Ginkgo's solves in chunks of 8192 /
+//!   65535 right-hand sides only because Ginkgo could not hold the whole
+//!   batch, and independent scalar lanes need no chunks.
 //!
 //! The solver iteration counts this crate produces are the quantity
 //! reported in the paper's Table IV.

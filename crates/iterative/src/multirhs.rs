@@ -25,7 +25,6 @@ use crate::logger::ConvergenceLogger;
 use crate::precond::Preconditioner;
 use crate::solver::{IterativeSolver, SolveResult};
 use crate::stop::StopCriteria;
-use pp_portable::{ExecSpace, Matrix, Parallel};
 use pp_sparse::Csr;
 use std::sync::OnceLock;
 
@@ -64,7 +63,9 @@ impl LaneOutcome {
 }
 
 /// One Krylov configuration — method, preconditioner, stopping rule — on
-/// one matrix, applied lane by lane.
+/// one matrix: the per-lane body. The batch region that runs it belongs to
+/// its caller; `pp-splinesolver`'s iterative backend runs every batched
+/// solve, host matrix or step field, through one such region.
 #[derive(Clone, Copy)]
 pub struct LaneKrylov<'a> {
     /// The system matrix every lane shares.
@@ -83,35 +84,6 @@ impl LaneKrylov<'_> {
     /// one) and the last iterate on exit, converged or not.
     pub fn solve(&self, rhs: &[f64], x: &mut [f64]) -> SolveResult {
         self.solver.solve(self.a, self.precond, rhs, x, self.stop)
-    }
-
-    /// [`LaneKrylov::solve`] on every column of `b`, **in place** and as one
-    /// region on the worker pool: on entry `b` holds the right-hand sides, on exit
-    /// each column holds its lane's last iterate. Column `j` starts from
-    /// `guess`'s column `j` when given, else from zeros. The results land in
-    /// `logger` in lane order.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches.
-    pub fn solve_columns(
-        &self,
-        b: &mut Matrix,
-        guess: Option<&Matrix>,
-        logger: &mut ConvergenceLogger,
-    ) {
-        let n = self.a.nrows();
-        assert_eq!(b.nrows(), n, "solve_columns: rhs rows != matrix order");
-        if let Some(g) = guess {
-            assert_eq!(g.shape(), b.shape(), "solve_columns: guess shape");
-        }
-        let results = LaneResults::new(b.ncols());
-        Parallel.for_each_lane_mut(b, |j, mut column| {
-            let rhs = column.to_vec();
-            let mut x = guess.map_or_else(|| vec![0.0; n], |g| g.col(j).to_vec());
-            results.set(j, self.solve(&rhs, &mut x));
-            column.copy_from_slice(&x);
-        });
-        results.record(logger);
     }
 }
 
@@ -149,7 +121,7 @@ mod tests {
     use super::*;
     use crate::bicgstab::BiCgStab;
     use crate::precond::BlockJacobi;
-    use pp_portable::{Layout, TestRng};
+    use pp_portable::{Layout, Matrix, TestRng};
 
     fn system(n: usize) -> Csr {
         Csr::from_dense(
@@ -199,7 +171,7 @@ mod tests {
 
     #[test]
     fn poisoned_lane_does_not_doom_its_chunk() {
-        // Three lanes in one region; the middle lane's rhs is NaN.
+        // Three lanes; the middle lane's rhs is NaN.
         let n = 12;
         let a = system(n);
         let mut rng = TestRng::seed_from_u64(11);
@@ -219,7 +191,11 @@ mod tests {
             stop: &stop,
         };
         let mut log = ConvergenceLogger::new();
-        lanes.solve_columns(&mut b, None, &mut log);
+        for j in 0..3 {
+            let mut x = vec![0.0; n];
+            log.record(lanes.solve(&b.col(j).to_vec(), &mut x));
+            b.col_mut(j).copy_from_slice(&x);
+        }
         let outcomes = log.outcomes();
 
         assert_eq!(

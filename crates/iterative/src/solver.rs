@@ -44,7 +44,7 @@ impl SolveResult {
 /// A Krylov method that solves `A x = b` for one right-hand side.
 ///
 /// `x` carries the initial guess on entry (warm start) and the solution on
-/// exit — the in-place convention the chunked driver relies on.
+/// exit — the in-place convention a batched solve's warm start relies on.
 pub trait IterativeSolver: Send + Sync {
     /// Solver name as the paper spells it (e.g. `"BiCGStab"`).
     fn name(&self) -> &'static str;

@@ -83,8 +83,8 @@ impl ExecSpace for Serial {
 /// Dispatch wakes parked pool threads instead of spawning OS threads, so
 /// launching a batched kernel costs microseconds (see
 /// `BENCH_dispatch.json`). Lane results are bit-identical to [`Serial`],
-/// and reductions use the deterministic per-chunk schedule of
-/// [`par::parallel_sum`].
+/// and reductions ([`ExecSpace::reduce_sum`]) use a deterministic
+/// per-chunk schedule.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Parallel;
 

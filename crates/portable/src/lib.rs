@@ -83,7 +83,7 @@ pub use isa::{Lanes, PanelIsa};
 pub use layout::Layout;
 pub use lines::Lines;
 pub use matrix::Matrix;
-pub use par::{num_threads, parallel_for, parallel_sum};
+pub use par::{num_threads, parallel_for};
 pub use pool::{inject_worker_death, pool_stats, PoolStats, WorkerTimes};
 pub use strided::{Strided, StridedMut};
 pub use testrng::TestRng;

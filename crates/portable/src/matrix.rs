@@ -190,14 +190,6 @@ impl Matrix {
         Strided::new(&self.data[i * rs..], self.ncols, cs.max(1))
     }
 
-    /// Mutable strided view of row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> StridedMut<'_> {
-        assert!(i < self.nrows, "Matrix::row_mut out of bounds");
-        let (rs, cs) = self.strides();
-        StridedMut::new(&mut self.data[i * rs..], self.ncols, cs.max(1))
-    }
-
     /// Fill every element with `value`.
     pub fn fill(&mut self, value: f64) {
         self.data.fill(value);

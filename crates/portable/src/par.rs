@@ -114,7 +114,7 @@ pub fn parallel_for<F: Fn(usize) + Sync>(n: usize, f: F) {
 /// bitwise-identical results, unlike an OpenMP/rayon-style per-worker
 /// reduction whose combine order races. (Changing `PP_NUM_THREADS`
 /// changes the bracketing, like changing `OMP_NUM_THREADS` does.)
-pub fn parallel_sum<F: Fn(usize) -> f64 + Sync>(n: usize, f: F) -> f64 {
+pub(crate) fn parallel_sum<F: Fn(usize) -> f64 + Sync>(n: usize, f: F) -> f64 {
     let threads = num_threads().min(n);
     if threads <= 1 || pool::in_dispatch() {
         pool::note_inline_dispatch();

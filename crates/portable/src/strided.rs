@@ -153,7 +153,7 @@ impl<'a> StridedMut<'a> {
     /// `(len - 1) * stride + 1`, and no other live reference may overlap
     /// that footprint for the lifetime `'a`.
     #[inline]
-    pub unsafe fn from_raw(ptr: *mut f64, len: usize, stride: usize) -> Self {
+    pub(crate) unsafe fn from_raw(ptr: *mut f64, len: usize, stride: usize) -> Self {
         let footprint = if len == 0 { 0 } else { (len - 1) * stride + 1 };
         Self {
             data: std::slice::from_raw_parts_mut(ptr, footprint),

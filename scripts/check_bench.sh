@@ -66,7 +66,8 @@ VERIFIED_STEP_CEILING=1.48
 # 1.69-1.75 ms (the share read 0.108-0.131), 0.25 (worst + 25 %) once the
 # solve fell to 1.01 ms and the share read 0.188-0.199. Those readings
 # came from spans in a separately instrumented build; this Instant ratio
-# reads 0.09-0.10 on the same kind of host (EXPERIMENTS.md).
+# reads 0.09-0.10 on the same kind of host, and 0.13-0.14 once the thirty
+# solves ran on the step's faster run body (EXPERIMENTS.md).
 TRANSPOSE_SHARE_CEILING=0.25
 echo "==> fig2_glups 1024 1024: the resident step, plain and verified, the host step, the resident chain"
 resident=$(cargo run --release -q -p pp-bench --bin fig2_glups -- 1024 1024 |
