@@ -28,7 +28,9 @@ use pp_portable::{
     deinterleave_columns, interleave_columns, CountingExec, Layout, Lines, Matrix, PanelIsa,
     Parallel, ResidentBatch, Serial, TestRng, LANE_WIDTH,
 };
-use pp_splinesolver::{BuilderVersion, IterativeConfig, SchurBlocks, SplineBuilder, VerifyConfig};
+use pp_splinesolver::{
+    BuilderVersion, IterativeConfig, SchurBlocks, SplineBuilder, VerifiedBuilder, VerifyConfig,
+};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -192,18 +194,34 @@ fn transposer_isa_rows() {
     }
 }
 
-/// The verified solve's screen alone, one thread, per instruction set:
-/// `pass_on` (ABFT sums on) over one solved 1024-row panel
-/// and its right-hand sides — 128 KiB, in cache as the step has them — best
-/// of 15 rounds of 256 passes, uniform cubic and graded quintic. Per row of
-/// eight lanes: ns and the speed-up over the baseline instance, whose sums
-/// every instance must return.
+/// The verified solve's screen, one thread, per instruction set, over one
+/// solved 1024-row panel and its right-hand sides — 128 KiB, in cache as the
+/// step has them — best of 15 rounds of 256 passes, uniform cubic and graded
+/// quintic. Two rows per instance: `screen`, `pass_on` (ABFT sums on), the
+/// screen's whole work — the right-hand sides' sums and the pass over the
+/// solved panel; and `snapshot`, `snapshot_on`, the copy of the right-hand
+/// sides the verified step makes before the solve, with those sums taken on
+/// the way. Per row of eight lanes: ns and the speed-up over the baseline
+/// instance, whose sums (and copy) every instance must return. Nothing is
+/// allocated inside the timed loops.
 fn screen_isa_rows() {
     const ROWS: usize = 1024;
-    println!("mesh,isa,screen_ns_per_row,speedup");
+    println!("mesh,isa,pass,ns_per_row,speedup");
     let verify = VerifyConfig {
         abft: true,
         ..VerifyConfig::default()
+    };
+    // Best of 15 rounds of 256 calls of `pass`, in ns per panel row.
+    let time = |pass: &mut dyn FnMut()| {
+        let mut best = Duration::MAX;
+        for _ in 0..15 {
+            let start = Instant::now();
+            for _ in 0..256 {
+                pass();
+            }
+            best = best.min(start.elapsed());
+        }
+        best.as_secs_f64() * 1e9 / (256 * ROWS) as f64
     };
     for cfg in [SplineConfig::ALL[0], SplineConfig::ALL[5]] {
         let builder = SplineBuilder::new(cfg.space(ROWS), BuilderVersion::Interleaved)
@@ -217,22 +235,27 @@ fn screen_isa_rows() {
         let plain = builder.builder();
         plain.solve_resident(&Serial, &mut solved).expect("solve");
         let (x, rhs) = (solved.chunk(0), rhs.chunk(0));
-        let mut base = None;
+        let mut kept = vec![0.0; rhs.len()];
+        let (mut base_screen, mut base_snapshot) = (None, None);
         for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
-            let mut best = Duration::MAX;
-            for _ in 0..15 {
-                let start = Instant::now();
-                for _ in 0..256 {
-                    black_box(builder.pass_on(isa, black_box(x), rhs));
-                }
-                best = best.min(start.elapsed());
-            }
-            let ns = best.as_secs_f64() * 1e9 / (256 * ROWS) as f64;
+            let ns = time(&mut || {
+                black_box(builder.pass_on(isa, black_box(x), rhs));
+            });
             let sums = builder.pass_on(isa, x, rhs);
-            let (base_ns, base_sums) = *base.get_or_insert((ns, sums));
+            let (base_ns, base_sums) = *base_screen.get_or_insert((ns, sums));
             assert_eq!(sums, base_sums, "{}", isa.name());
-            let (mesh, isa) = (cfg.label(), isa.name());
-            println!("{mesh},{isa},{ns:.2},{:.2}", base_ns / ns);
+            let (mesh, name) = (cfg.label(), isa.name());
+            println!("{mesh},{name},screen,{ns:.2},{:.2}", base_ns / ns);
+
+            let ns = time(&mut || {
+                black_box(VerifiedBuilder::snapshot_on(isa, black_box(rhs), &mut kept));
+            });
+            kept.fill(0.0);
+            let sums = VerifiedBuilder::snapshot_on(isa, rhs, &mut kept);
+            assert_eq!(kept, rhs, "{name}: the snapshot is a copy");
+            let (base_ns, base_sums) = *base_snapshot.get_or_insert((ns, sums));
+            assert_eq!(sums, base_sums, "{name}");
+            println!("{mesh},{name},snapshot,{ns:.2},{:.2}", base_ns / ns);
         }
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::blocks::SchurBlocks;
 use crate::error::{Error, Result};
+use crate::verified::{RhsSums, VerifiedBuilder};
 use pp_bsplines::SplineSpace;
 use pp_linalg::{LaneRows, Panel};
 use pp_portable::LANE_WIDTH;
@@ -207,7 +208,7 @@ impl SplineBuilder {
     {
         self.check_rows(b.shape().0)?;
         b.for_each_run_mut(exec, ABREAST, |first, lanes, run| {
-            self.solve_run::<B>(first, lanes, run, false, |chunk, lanes, x, block, _| {
+            self.solve_run::<B, false>(first, lanes, run, |chunk, lanes, x, block, _| {
                 then(chunk, lanes, Solved::new(x, block));
             });
         });
@@ -220,20 +221,24 @@ impl SplineBuilder {
     /// panels, else a scratch panel gathered from each block
     /// ([`pp_portable::fill_panel`]) — solve those abreast, then hand each
     /// block to `each(chunk, lanes, x, block, kept)`: `x` is its solved
-    /// panel, `block` the block itself when that is not `x`. With `keep`,
-    /// `kept` is the panel's right-hand sides, copied into the second
-    /// scratch set before the solve, for a caller that screens the solve
-    /// against them — else empty.
-    pub(crate) fn solve_run<B: Field>(
+    /// panel, `block` the block itself when that is not `x`. With `KEEP`
+    /// (the verified step), `kept` is the panel's right-hand sides, copied
+    /// into the second scratch set before the solve, and the sums the screen
+    /// takes of them on the way ([`VerifiedBuilder::snapshot_on`]); the
+    /// plain step is the instance without, where no snapshot is compiled
+    /// in, and gets `None`.
+    ///
+    /// [`VerifiedBuilder::snapshot_on`]: crate::VerifiedBuilder::snapshot_on
+    pub(crate) fn solve_run<B: Field, const KEEP: bool>(
         &self,
         first: usize,
         lanes: usize,
         run: &mut [f64],
-        keep: bool,
-        mut each: impl FnMut(usize, usize, &mut [f64], Option<&mut [f64]>, &[f64]),
+        mut each: impl FnMut(usize, usize, &mut [f64], Option<&mut [f64]>, Option<Kept<'_>>),
     ) {
         let n = self.space.num_basis();
         let panel = n * LANE_WIDTH;
+        let isa = PanelIsa::detected();
         PANEL_SCRATCH.with_borrow_mut(|[scratch, kept]| {
             let (panels, mut apart) = if B::PANELS {
                 (run, None)
@@ -247,19 +252,23 @@ impl SplineBuilder {
                 }
                 (panels, Some(run_blocks(run, n, lanes)))
             };
-            let kept = keep.then(|| {
+            let mut sums = [Default::default(); ABREAST];
+            let kept = KEEP.then(|| {
                 let kept = kept.at_least(panels.len());
-                kept.copy_from_slice(panels);
+                let pairs = panels.chunks_exact(panel).zip(kept.chunks_exact_mut(panel));
+                for ((rhs, kept), sums) in pairs.zip(&mut sums) {
+                    *sums = VerifiedBuilder::snapshot_on(isa, rhs, kept);
+                }
                 &*kept
             });
-            self.solve_panels_on(PanelIsa::detected(), panels);
+            self.solve_panels_on(isa, panels);
             for (p, x) in panels.chunks_exact_mut(panel).enumerate() {
                 let live = LANE_WIDTH.min(lanes - p * LANE_WIDTH);
                 let block = apart
                     .as_mut()
                     .and_then(Iterator::next)
                     .map(|(_, block)| block);
-                let kept = kept.map_or(&[][..], |kept| &kept[p * panel..][..panel]);
+                let kept = kept.map(|kept| (&kept[p * panel..][..panel], &sums[p]));
                 each(first + p, live, x, block, kept);
             }
         });
@@ -388,6 +397,10 @@ pub(crate) fn schur_solve<R: LaneRows>(blocks: &SchurBlocks, sparse: bool, rows:
 /// the vector unit busy where one waits on itself. Chosen by measurement
 /// (EXPERIMENTS.md, PR 24: 2 against 4), not a setting.
 pub(crate) const ABREAST: usize = 4;
+
+/// A panel's right-hand sides as the verified step keeps them beside its
+/// solve, with the sums its screen takes of them.
+pub(crate) type Kept<'a> = (&'a [f64], &'a RhsSums);
 
 /// Where a fused entry point's continuation finds a block's coefficients
 /// ([`SplineBuilder::solve_then`]): in the block, or in a panel apart from

@@ -359,11 +359,10 @@ impl fmt::Display for LaneReport {
 /// cached for the lifetime of the builder.
 pub struct VerifiedBuilder {
     builder: SplineBuilder,
-    /// Dense copy of the assembled interpolation matrix (reference for
-    /// residuals and the `getrs` rung).
-    dense: Matrix,
-    /// Sparse copy for fast per-lane residual evaluation.
+    /// The assembled interpolation matrix, for residuals and refinement.
     matrix: Csr,
+    /// The runs of `matrix`'s rows that the screen takes as a band.
+    bands: BandRuns,
     /// `‖A‖∞`, needed by the backward-error formula in refinement.
     anorm_inf: f64,
     /// ABFT checksum vector `Aᵀ𝟙` (column sums), pinned at build time so
@@ -383,23 +382,24 @@ impl SplineBuilder {
     /// Wrap this builder in per-lane verification (residual sampling,
     /// refinement, quarantine, fallback ladder). See [`VerifiedBuilder`].
     pub fn verified(self, config: VerifyConfig) -> VerifiedBuilder {
-        let dense = assemble_interpolation_matrix(self.space());
-        let matrix = Csr::from_dense(&dense, 0.0);
+        let matrix = Csr::from_dense(&assemble_interpolation_matrix(self.space()), 0.0);
+        // One row-major pass: a row's entries in ascending column order and
+        // a column's in ascending row order, as the dense walks add them;
+        // the zeros the CSR leaves out add nothing.
         let mut anorm_inf = 0.0_f64;
-        for i in 0..dense.nrows() {
+        let mut colsum = vec![0.0; matrix.ncols()];
+        for i in 0..matrix.nrows() {
             let mut s = 0.0;
-            for j in 0..dense.ncols() {
-                s += dense.get(i, j).abs();
+            for (j, v) in matrix.row(i) {
+                s += v.abs();
+                colsum[j] += v;
             }
             anorm_inf = anorm_inf.max(s);
         }
-        let colsum: Vec<f64> = (0..dense.ncols())
-            .map(|j| (0..dense.nrows()).map(|i| dense.get(i, j)).sum())
-            .collect();
         let colsum_norm = norm2(&colsum);
         VerifiedBuilder {
             builder: self,
-            dense,
+            bands: BandRuns::of(&matrix),
             matrix,
             anorm_inf,
             colsum,
@@ -512,10 +512,12 @@ impl VerifiedBuilder {
     }
 
     /// The one verify body: a single block-parallel region solves each run
-    /// of blocks as panels abreast ([`SplineBuilder::solve_run`]) and
-    /// screens each ([`VerifiedBuilder::screen`]); the caller then turns the
-    /// screens into verdicts serially, in lane order. Repairs all happen
-    /// here, so they are the same under every execution space.
+    /// of blocks as panels abreast ([`SplineBuilder::solve_run`], the
+    /// instance that keeps each panel's right-hand sides and takes their
+    /// sums in the copy) and screens each ([`VerifiedBuilder::screen`]:
+    /// the pass over the solved panel, band rows and CSR rows); the caller
+    /// then turns the screens into verdicts serially, in lane order. Repairs
+    /// all happen here, so they are the same under every execution space.
     ///
     /// Without `then` the coefficients stay in `b`, which must then be made
     /// of panels. With it, each block's coefficients go to `then` inside
@@ -541,19 +543,20 @@ impl VerifiedBuilder {
         );
         // A worker's turn is the builder's: the run's blocks solved abreast,
         // where they lie when they are panels, else in its scratch. Each
-        // block's pristine right-hand sides, kept beside it, are what its
-        // solved panel is screened against while both are in cache; then the
-        // coefficients go to `then`, which overwrites the block, or stay
-        // where they were solved: in the block.
+        // block's pristine right-hand sides, kept beside it with their sums,
+        // are what its solved panel is screened against while both are in
+        // cache; then the coefficients go to `then`, which overwrites the
+        // block, or stay where they were solved: in the block.
         b.for_each_run_mut(exec, ABREAST, |first, lanes, run| {
-            let each = |chunk, lanes, x: &mut [f64], block: Option<&mut [f64]>, rhs: &[f64]| {
-                let screen = self.screen(chunk, lanes, x, rhs);
-                if let Some(then) = then {
-                    then(chunk, lanes, Solved::new(x, block));
-                }
-                assert!(screens[chunk].set(screen).is_ok(), "panel visited twice");
-            };
-            self.builder.solve_run::<B>(first, lanes, run, true, each);
+            self.builder
+                .solve_run::<B, true>(first, lanes, run, |chunk, lanes, x, block, kept| {
+                    let kept = kept.expect("the verified run keeps its right-hand sides");
+                    let screen = self.screen(chunk, lanes, x, kept);
+                    if let Some(then) = then {
+                        then(chunk, lanes, Solved::new(x, block));
+                    }
+                    assert!(screens[chunk].set(screen).is_ok(), "panel visited twice");
+                });
         });
         // A quarantined lane's coefficients; built only when one turns up.
         let zeros = || vec![0.0; nrows];
@@ -586,33 +589,27 @@ impl VerifiedBuilder {
     }
 
     /// Screen the lanes of the solved panel `x` against their pristine
-    /// right-hand sides `rhs`. One pass accumulates per lane the ABFT sums,
-    /// the residual norms and input finiteness — the expressions of
-    /// [`VerifiedBuilder::abft_check`] and
-    /// [`VerifiedBuilder::relative_residual`] in their order, so the
-    /// values are bit-identical to the scalar ones. A lane whose checksum
+    /// right-hand sides `rhs`, whose own sums `kept` the snapshot took
+    /// ([`VerifiedBuilder::snapshot_on`]). One pass ([`screen_pass`])
+    /// accumulates per lane the rest of the ABFT sums and the residual
+    /// norm — the expressions of [`VerifiedBuilder::abft_check`] and
+    /// [`VerifiedBuilder::relative_residual`] in their order, so the values
+    /// are bit-identical to the scalar ones. A lane whose checksum
     /// trips is re-solved once from `rhs`: a transient upset does not
     /// recur, so a clean retry replaces the lane; a retry that trips again
     /// is persistent corruption, left for the caller to heal or
     /// quarantine. Neither panel outlives the worker's turn, so the lanes
     /// the caller will repair are copied out.
-    fn screen(&self, chunk: usize, lanes: usize, x: &mut [f64], rhs: &[f64]) -> PanelScreen {
+    fn screen(
+        &self,
+        chunk: usize,
+        lanes: usize,
+        x: &mut [f64],
+        (rhs, kept): (&[f64], &RhsSums),
+    ) -> PanelScreen {
         const W: usize = LANE_WIDTH;
         let (n, cfg) = (self.colsum.len(), &self.config);
-        // (ABFT discrepancy, relative residual, input finite) per lane.
-        let measure = |x: &[f64]| {
-            let ([vx, sum_b, nx2, acc_r, acc_b], finite) =
-                self.pass_on(PanelIsa::detected(), x, rhs);
-            let (mut disc, mut rr) = ([0.0; W], [0.0; W]);
-            for l in 0..W {
-                let d = (vx[l] - sum_b[l]).abs();
-                let scale = self.colsum_norm * nx2[l].sqrt() + sum_b[l].abs();
-                disc[l] = if scale > 0.0 { d / scale } else { d };
-                let (nr, nb) = (acc_r[l].sqrt(), acc_b[l].sqrt());
-                rr[l] = if nb > 0.0 { nr / nb } else { nr };
-            }
-            (disc, rr, finite)
-        };
+        let measure = |x: &[f64]| self.measure(self.screen_on(PanelIsa::detected(), x, rhs, kept));
         // Deterministic fault injection first.
         let struck = |l: usize| cfg.abft && cfg.sdc_probe_lanes.contains(&(chunk * W + l));
         for l in (0..lanes).filter(|&l| struck(l)) {
@@ -671,20 +668,85 @@ impl VerifiedBuilder {
         PanelScreen { sdc, lanes }
     }
 
-    /// [`screen_pass`] over the solved panel `x` and its right-hand sides
-    /// `rhs`, in the instance compiled for `isa`: the five per-lane sums
+    /// Per lane the ABFT discrepancy and the relative residual that a pass's
+    /// sums give — [`VerifiedBuilder::abft_check`]'s and
+    /// [`VerifiedBuilder::relative_residual`]'s closing expressions — and
+    /// whether the input is finite.
+    fn measure(
+        &self,
+        sums: PassSums,
+    ) -> ([f64; LANE_WIDTH], [f64; LANE_WIDTH], [bool; LANE_WIDTH]) {
+        let ([vx, sum_b, nx2, acc_r, acc_b], finite) = sums;
+        let (mut disc, mut rr) = ([0.0; LANE_WIDTH], [0.0; LANE_WIDTH]);
+        for l in 0..LANE_WIDTH {
+            let d = (vx[l] - sum_b[l]).abs();
+            let scale = self.colsum_norm * nx2[l].sqrt() + sum_b[l].abs();
+            disc[l] = if scale > 0.0 { d / scale } else { d };
+            let (nr, nb) = (acc_r[l].sqrt(), acc_b[l].sqrt());
+            rr[l] = if nb > 0.0 { nr / nb } else { nr };
+        }
+        (disc, rr, finite)
+    }
+
+    /// The screen's whole work on the solved panel `x` and its right-hand
+    /// sides `rhs`, in the instances compiled for `isa`: the snapshot's
+    /// sums of `rhs` ([`snapshot`], without the copy the step makes beside
+    /// them), then [`screen_pass`] — per lane the five sums
     /// `[colsum·x, Σb, ‖x‖², ‖b − Ax‖², ‖b‖²]` and the finite mask. Named
-    /// instances are for the differential test and the per-ISA bench rows;
+    /// instances are for the differential tests and the per-ISA bench rows;
     /// the solve runs [`PanelIsa::detected`].
     ///
     /// # Panics
     /// Panics if the host lacks `isa`.
     #[doc(hidden)]
     pub fn pass_on(&self, isa: PanelIsa, x: &[f64], rhs: &[f64]) -> PassSums {
+        let kept = isa.run(
+            #[inline(always)]
+            || snapshot(rhs, None),
+        );
+        self.screen_on(isa, x, rhs, &kept)
+    }
+
+    /// The verified step's snapshot of one panel of right-hand sides, in
+    /// the instance compiled for `isa`: `rhs` copied row by row into
+    /// `kept`, and on the way per lane `Σb`, `‖b‖²` and whether every value
+    /// is finite ([`snapshot`]). [`SplineBuilder::solve_run`] calls it
+    /// before the solve; it is public for the per-ISA bench row.
+    ///
+    /// # Panics
+    /// Panics if the host lacks `isa`, or `kept` is shorter than `rhs`.
+    #[doc(hidden)]
+    pub fn snapshot_on(isa: PanelIsa, rhs: &[f64], kept: &mut [f64]) -> RhsSums {
+        isa.run(
+            #[inline(always)]
+            || snapshot(rhs, Some(kept)),
+        )
+    }
+
+    /// [`screen_pass`] at the matrix's band width, in the instance compiled
+    /// for `isa`; a width no instance has takes every row through the CSR.
+    fn screen_on(&self, isa: PanelIsa, x: &[f64], rhs: &[f64], kept: &RhsSums) -> PassSums {
+        match self.bands.width {
+            3 => self.screen_at::<3>(isa, x, rhs, kept, &self.bands.runs),
+            4 => self.screen_at::<4>(isa, x, rhs, kept, &self.bands.runs),
+            5 => self.screen_at::<5>(isa, x, rhs, kept, &self.bands.runs),
+            6 => self.screen_at::<6>(isa, x, rhs, kept, &self.bands.runs),
+            _ => self.screen_at::<0>(isa, x, rhs, kept, &[]),
+        }
+    }
+
+    fn screen_at<const K: usize>(
+        &self,
+        isa: PanelIsa,
+        x: &[f64],
+        rhs: &[f64],
+        kept: &RhsSums,
+        runs: &[BandRun],
+    ) -> PassSums {
         let (colsum, a, abft) = (&self.colsum[..], &self.matrix, self.config.abft);
         isa.run(
             #[inline(always)]
-            || screen_pass(colsum, a, x, rhs, abft),
+            || screen_pass::<K>(colsum, a, runs, x, rhs, kept, abft),
         )
     }
 
@@ -834,7 +896,9 @@ impl VerifiedBuilder {
             FallbackRung::Getrs => {
                 let f = self
                     .dense_rung
-                    .get_or_init(|| getrf(&self.dense).ok())
+                    .get_or_init(|| {
+                        getrf(&assemble_interpolation_matrix(self.builder.space())).ok()
+                    })
                     .as_ref()?;
                 f.solve_slice(&mut y);
                 Some(y)
@@ -889,48 +953,220 @@ impl VerifiedBuilder {
     }
 }
 
+/// A panel row: one value per lane.
+type Row = [f64; LANE_WIDTH];
+
 /// What [`screen_pass`] returns: per lane the sums `colsum·x`, `Σb`, `‖x‖²`,
 /// `‖b − Ax‖²`, `‖b‖²`, and whether every right-hand side value is finite.
 type PassSums = ([[f64; LANE_WIDTH]; 5], [bool; LANE_WIDTH]);
 
-/// The screen's one pass over a solved `[n][8]` panel `x` and its pristine
+/// What [`snapshot`] returns: per lane `Σb`, `‖b‖²`, and whether every
+/// right-hand side value is finite.
+pub(crate) type RhsSums = ([[f64; LANE_WIDTH]; 2], [bool; LANE_WIDTH]);
+
+/// The right-hand sides' own share of the screen, taken where the verified
+/// step reads them anyway: while it copies the panel `rhs` into `kept`
+/// before the solve ([`VerifiedBuilder::snapshot_on`]), or, with no `kept`,
+/// alone. Rows in order, every operation one contiguous lane vector, the
+/// expressions of [`VerifiedBuilder::abft_check`] and
+/// [`VerifiedBuilder::relative_residual`], so the bits are theirs.
+#[inline(always)]
+fn snapshot(rhs: &[f64], kept: Option<&mut [f64]>) -> RhsSums {
+    let mut sums = [Row::splat(0.0); 3];
+    let rows: &[Row] = rhs.as_chunks().0;
+    match kept {
+        Some(kept) => {
+            let kept = &mut kept[..rhs.len()];
+            for (br, kr) in rows.iter().zip(kept.as_chunks_mut().0) {
+                *kr = *br;
+                take_rhs_row(&mut sums, *br);
+            }
+        }
+        None => {
+            for br in rows {
+                take_rhs_row(&mut sums, *br);
+            }
+        }
+    }
+    let [sum_b, acc_b, poison] = sums;
+    ([sum_b, acc_b], poison.map(|p| p == 0.0))
+}
+
+/// One row of right-hand sides into [`snapshot`]'s `[Σb, ‖b‖², Σ 0·b]`:
+/// `0·b` is zero for a finite `b` and NaN for any other, so the last sum is
+/// NaN exactly where a lane saw a non-finite value, with no per-lane test.
+/// (A closure would not be inlined into the [`PanelIsa::run`] shell.)
+#[inline(always)]
+fn take_rhs_row([sum_b, acc_b, poison]: &mut [Row; 3], br: Row) {
+    *sum_b = sum_b.add(br);
+    *acc_b = br.mul_add(br, *acc_b);
+    *poison = br.mul_add(Row::splat(0.0), *poison);
+}
+
+/// The screen's pass over a solved `[n][8]` panel `x` and its pristine
 /// right-hand sides `rhs`, rows outer and lanes inner: every operation is
 /// one contiguous lane vector, and the body is `#[inline(always)]` so that
 /// it is compiled at the width of the [`PanelIsa::run`] shell it lands in.
-/// Finiteness and the residual norms are always taken; the three ABFT sums
-/// only with `abft` (loop-invariant, the loop is unswitched on it) — sums
-/// not asked for are zero. Per lane the expressions are those of
-/// [`VerifiedBuilder::abft_check`] and [`VerifiedBuilder::relative_residual`]
-/// in their order, every multiply-add one [`Lanes::mul_add`] as there, so
-/// every instance returns the scalar bits.
+/// Row `i` of `A·x` is `K` fixed, contiguous panel-row loads on the rows of
+/// the band `runs` (`K` the matrix's band width), and the CSR's indices on
+/// every other row: the periodic wrap rows, and rows where the CSR kept a
+/// rounding-noise entry. Either way the products are added in ascending
+/// column order, as [`VerifiedBuilder::relative_residual`] adds them. The
+/// right-hand sides' sums come in as `kept` ([`snapshot`]); the residual
+/// norm is always taken, `colsum·x` and `‖x‖²` only with `abft` (a
+/// loop-invariant, well-predicted branch) — zero without. Per lane
+/// the expressions are those of [`VerifiedBuilder::abft_check`] and
+/// [`VerifiedBuilder::relative_residual`] in their order, every
+/// multiply-add one [`Lanes::mul_add`] as there, so every instance returns
+/// the scalar bits.
 #[inline(always)]
-fn screen_pass(colsum: &[f64], a: &Csr, x: &[f64], rhs: &[f64], abft: bool) -> PassSums {
-    type Row = [f64; LANE_WIDTH];
-    const W: usize = LANE_WIDTH;
-    let (row_ptr, cols, vals) = (a.row_ptr(), a.col_idx(), a.values());
-    // Row `i` of a panel; one bounds check, where `&v[i * W..]` takes two.
-    let row = |v: &[f64], i: usize| Row::load(&v[i * W..i * W + W]);
-    let [mut vx, mut sum_b, mut nx2, mut acc_r, mut acc_b] = [Row::splat(0.0); 5];
-    let mut finite = [true; W];
-    for i in 0..colsum.len() {
-        let (xr, br) = (row(x, i), row(rhs, i));
-        for l in 0..W {
-            finite[l] &= br[l].is_finite();
+fn screen_pass<const K: usize>(
+    colsum: &[f64],
+    a: &Csr,
+    runs: &[BandRun],
+    x: &[f64],
+    rhs: &[f64],
+    kept: &RhsSums,
+    abft: bool,
+) -> PassSums {
+    let (row_ptr, vals) = (a.row_ptr(), a.values());
+    // The panels as rows of eight lanes.
+    let (xs, bs) = (x.as_chunks().0, rhs.as_chunks().0);
+    let mut tally = Tally {
+        colsum,
+        xs,
+        bs,
+        abft,
+        sums: [Row::splat(0.0); 3],
+    };
+    let mut next = 0;
+    for run in runs {
+        for i in next..run.rows.start {
+            tally.row(i, csr_row(a, xs, i));
         }
-        if abft {
-            vx = Row::splat(colsum[i]).mul_add(xr, vx);
-            sum_b = sum_b.add(br);
-            nx2 = xr.mul_add(xr, nx2);
+        // The run's values lie back to back, `K` to a row, and row `i`'s
+        // columns are the window of `K` panel rows from `i − lo`. Zipped
+        // iterators, so that no row pays a bounds check.
+        let (start, end, lo) = (run.rows.start, run.rows.end, run.lo);
+        let vals = &vals[row_ptr[start]..row_ptr[end]];
+        let bands = xs[start - lo..end - lo + K - 1].windows(K);
+        let rows = (colsum[start..end].iter())
+            .zip(&xs[start..end])
+            .zip(&bs[start..end]);
+        for ((v, ((&c, &xr), &br)), band) in vals.chunks_exact(K).zip(rows).zip(bands) {
+            let mut ax = Row::splat(0.0);
+            for k in 0..K {
+                ax = Row::splat(v[k]).mul_add(band[k], ax);
+            }
+            tally.take(c, xr, br, ax);
         }
-        let mut s = Row::splat(0.0);
-        for k in row_ptr[i]..row_ptr[i + 1] {
-            s = Row::splat(vals[k]).mul_add(row(x, cols[k]), s);
-        }
-        let r = br.sub(s);
-        acc_r = r.mul_add(r, acc_r);
-        acc_b = br.mul_add(br, acc_b);
+        next = end;
     }
+    for i in next..colsum.len() {
+        tally.row(i, csr_row(a, xs, i));
+    }
+    let [vx, nx2, acc_r] = tally.sums;
+    let ([sum_b, acc_b], finite) = *kept;
     ([vx, sum_b, nx2, acc_r, acc_b], finite)
+}
+
+/// Row `i` of `A·x` through the CSR's indices, `xs` the rows of `x`.
+#[inline(always)]
+fn csr_row(a: &Csr, xs: &[Row], i: usize) -> Row {
+    let (row_ptr, cols, vals) = (a.row_ptr(), a.col_idx(), a.values());
+    let mut ax = Row::splat(0.0);
+    for k in row_ptr[i]..row_ptr[i + 1] {
+        ax = Row::splat(vals[k]).mul_add(xs[cols[k]], ax);
+    }
+    ax
+}
+
+/// [`screen_pass`]'s running sums `[colsum·x, ‖x‖², ‖b − Ax‖²]` over the
+/// rows `xs` and `bs` of the panels `x` and `rhs`. (A closure would not be
+/// inlined into the [`PanelIsa::run`] shell.)
+struct Tally<'a> {
+    colsum: &'a [f64],
+    xs: &'a [Row],
+    bs: &'a [Row],
+    abft: bool,
+    sums: [Row; 3],
+}
+
+impl Tally<'_> {
+    /// Row `i`'s share, given row `i` of `A·x`.
+    #[inline(always)]
+    fn row(&mut self, i: usize, ax: Row) {
+        self.take(self.colsum[i], self.xs[i], self.bs[i], ax);
+    }
+
+    /// A row's share, given its `colsum`, `x`, `b` and `A·x` rows.
+    #[inline(always)]
+    fn take(&mut self, c: f64, xr: Row, br: Row, ax: Row) {
+        let [vx, nx2, acc_r] = &mut self.sums;
+        if self.abft {
+            *vx = Row::splat(c).mul_add(xr, *vx);
+            *nx2 = xr.mul_add(xr, *nx2);
+        }
+        let r = br.sub(ax);
+        *acc_r = r.mul_add(r, *acc_r);
+    }
+}
+
+/// Band widths [`screen_pass`] has an instance for: those of the six
+/// Table I spaces' matrices.
+const BAND_WIDTHS: std::ops::RangeInclusive<usize> = 3..=6;
+
+/// The rows of a CSR matrix whose stored columns are exactly the `width`
+/// contiguous columns `i − lo .. i − lo + width`, in maximal runs of one
+/// `lo`. `width` is the most common length of a row of contiguous columns;
+/// rows of any other shape (the periodic wrap, a kept rounding-noise entry)
+/// lie between the runs. No runs unless `width` is in [`BAND_WIDTHS`].
+#[derive(Debug)]
+struct BandRuns {
+    width: usize,
+    runs: Vec<BandRun>,
+}
+
+/// Rows `rows`, row `i` storing columns `i − lo .. i − lo + width`.
+#[derive(Debug, Clone, PartialEq)]
+struct BandRun {
+    rows: std::ops::Range<usize>,
+    lo: usize,
+}
+
+impl BandRuns {
+    fn of(a: &Csr) -> Self {
+        let (row_ptr, cols) = (a.row_ptr(), a.col_idx());
+        // `(width, lo)` of row `i` when its columns are contiguous.
+        let shape = |i: usize| {
+            let row = &cols[row_ptr[i]..row_ptr[i + 1]];
+            let first = *row.first()?;
+            let lo = i.checked_sub(first)?;
+            let contiguous = row.iter().zip(first..).all(|(&c, j)| c == j);
+            contiguous.then_some((row.len(), lo))
+        };
+        let mut rows_of_width = vec![0_usize; a.ncols() + 1];
+        for (width, _) in (0..a.nrows()).filter_map(shape) {
+            rows_of_width[width] += 1;
+        }
+        let width = (0..rows_of_width.len())
+            .max_by_key(|&w| rows_of_width[w])
+            .unwrap_or(0);
+        let mut runs: Vec<BandRun> = Vec::new();
+        if !BAND_WIDTHS.contains(&width) {
+            return BandRuns { width, runs };
+        }
+        for i in 0..a.nrows() {
+            let Some((_, lo)) = shape(i).filter(|&(w, _)| w == width) else {
+                continue;
+            };
+            match runs.last_mut() {
+                Some(run) if run.rows.end == i && run.lo == lo => run.rows.end += 1,
+                _ => runs.push(BandRun { rows: i..i + 1, lo }),
+            }
+        }
+        BandRuns { width, runs }
+    }
 }
 
 /// Run the fused per-lane Schur solve on one contiguous slice.
@@ -1947,6 +2183,112 @@ mod tests {
                     assert_eq!(finite, base_finite, "{what} {}", isa.name());
                     assert_eq!(bits(sums), bits(base), "{what} {}", isa.name());
                 }
+            }
+        }
+    }
+
+    /// The six Table I spaces: degree 3, 4, 5 on the uniform and the graded
+    /// mesh.
+    const TABLE_I: [(usize, bool); 6] = [
+        (3, true),
+        (4, true),
+        (5, true),
+        (3, false),
+        (4, false),
+        (5, false),
+    ];
+
+    /// The band screen on the real shapes: every Table I space at n = 64,
+    /// 1000 (where rounding-noise entries make banded and CSR rows
+    /// alternate) and 1024, eight healthy lanes, every instance the host
+    /// has. Each lane's residual and ABFT discrepancy from [`pass_on`] are
+    /// the scalar twins', bit for bit — and the band runs are really there,
+    /// so a fast path that is never taken fails here.
+    ///
+    /// [`pass_on`]: VerifiedBuilder::pass_on
+    #[test]
+    fn band_screen_matches_the_scalar_twins_on_real_shapes() {
+        const W: usize = LANE_WIDTH;
+        let sizes: &[usize] = if cfg!(miri) {
+            &[12, 40]
+        } else {
+            &[64, 1000, 1024]
+        };
+        for &n in sizes {
+            for (degree, uniform) in TABLE_I {
+                let config = VerifyConfig {
+                    abft: true,
+                    ..VerifyConfig::default()
+                };
+                let vb = SplineBuilder::new(space(n, degree, uniform), BuilderVersion::Interleaved)
+                    .unwrap()
+                    .verified(config);
+                let what = format!("n {n} d{degree} uniform {uniform}");
+                let banded: usize = vb.bands.runs.iter().map(|run| run.rows.len()).sum();
+                assert!(BAND_WIDTHS.contains(&vb.bands.width), "{what}");
+                assert!(banded > 0, "{what}: no band rows");
+                let mut rng = TestRng::seed_from_u64(0xBA4D + n as u64);
+                let rhs: Vec<f64> = (0..n * W).map(|_| rng.gen_range(-2.0..2.0)).collect();
+                let mut x = rhs.clone();
+                schur_solve(vb.builder.blocks(), true, &mut Panel::new(&mut x, n));
+                for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
+                    let (disc, rr, finite) = vb.measure(vb.pass_on(isa, &x, &rhs));
+                    assert_eq!(finite, [true; W], "{what} {}", isa.name());
+                    for l in 0..W {
+                        let (x, b) = (lane_of(&x, l), lane_of(&rhs, l));
+                        let scalar = vb.relative_residual(&x, &b);
+                        let (_, scalar_disc) = vb.abft_check(&x, &b);
+                        let at = format!("{what} {} lane {l}", isa.name());
+                        assert_eq!(rr[l].to_bits(), scalar.to_bits(), "{at} residual");
+                        assert_eq!(disc[l].to_bits(), scalar_disc.to_bits(), "{at} ABFT");
+                    }
+                }
+            }
+        }
+        if cfg!(miri) {
+            return;
+        }
+        let bands = |degree, uniform| {
+            let builder =
+                SplineBuilder::new(space(1024, degree, uniform), BuilderVersion::Interleaved);
+            let runs = builder.unwrap().verified(VerifyConfig::default()).bands;
+            (runs.width, runs.runs)
+        };
+        let run = |rows, lo| BandRun { rows, lo };
+        assert_eq!(bands(3, true), (3, vec![run(1..1023, 1)]), "uniform cubic");
+        let (width, runs) = bands(5, false);
+        assert_eq!((width, runs.len()), (6, 2), "graded quintic: {runs:?}");
+    }
+
+    /// The ABFT vector and the norms come from one row-major pass over the
+    /// CSR; they are the dense formulas' bits. (A periodic space of degree
+    /// `d` needs more than `2d` cells, so the smallest size is raised to
+    /// that.)
+    #[test]
+    fn colsum_and_norms_are_the_dense_formulas() {
+        for n in [8, 64, 1000, 1024] {
+            for (degree, uniform) in TABLE_I {
+                let n = n.max(2 * degree + 1);
+                let sp = space(n, degree, uniform);
+                let dense = assemble_interpolation_matrix(&sp);
+                let vb = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
+                    .unwrap()
+                    .verified(VerifyConfig::default());
+                let anorm_inf = (0..n)
+                    .map(|i| (0..n).fold(0.0, |s, j| s + dense.get(i, j).abs()))
+                    .fold(0.0_f64, f64::max);
+                let colsum: Vec<f64> = (0..n)
+                    .map(|j| (0..n).map(|i| dense.get(i, j)).sum())
+                    .collect();
+                let what = format!("n {n} d{degree} uniform {uniform}");
+                let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&vb.colsum), bits(&colsum), "{what} colsum");
+                assert_eq!(
+                    vb.colsum_norm.to_bits(),
+                    norm2(&colsum).to_bits(),
+                    "{what} colsum norm"
+                );
+                assert_eq!(vb.anorm_inf.to_bits(), anorm_inf.to_bits(), "{what} ‖A‖∞");
             }
         }
     }
