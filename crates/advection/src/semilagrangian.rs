@@ -403,12 +403,14 @@ impl Advection1D {
         f: &mut Matrix,
         displacements: &[f64],
     ) -> Result<StepTimings> {
-        let shape = f.shape();
-        let Some(mut field) = HostField::new(f) else {
-            let detail = format!("f {shape:?} is stored Layout::Left, lanes must be rows");
+        if f.layout() == Layout::Left {
+            let detail = format!(
+                "f {:?} is stored Layout::Left, lanes must be rows",
+                f.shape()
+            );
             return Err(Error::ShapeMismatch { detail });
-        };
-        self.advance(exec, &mut field, displacements)
+        }
+        self.advance(exec, &mut HostField::new(f), displacements)
     }
 
     /// **The** step, on any kind of field — every entry point is a shell
@@ -812,8 +814,8 @@ mod tests {
         // `step` and `step_resident` are one body on two kinds of field:
         // this checks the host field's ends. 13 lanes exercises a
         // remainder block.
-        let mut adv_h = make(64, 13, 3, BuilderVersion::Interleaved);
-        let mut adv_r = make(64, 13, 3, BuilderVersion::Interleaved);
+        let mut adv_h = make(64, 13, 3, BuilderVersion::FusedSpmv);
+        let mut adv_r = make(64, 13, 3, BuilderVersion::FusedSpmv);
         let mut f = adv_h.init_distribution(gaussian);
         // Resident slab is the (Nx, Nv) transpose of the (Nv, Nx) field.
         let mut slab = ResidentBatch::pack_transposed(&f);
@@ -840,7 +842,7 @@ mod tests {
         let mut adv = Advection1D::new(
             SplineBackend::direct_verified(
                 space,
-                BuilderVersion::Interleaved,
+                BuilderVersion::FusedSpmv,
                 pp_splinesolver::VerifyConfig::default(),
             )
             .unwrap(),
@@ -864,7 +866,7 @@ mod tests {
         let space = PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
         let backend = SplineBackend::direct_verified(
             space,
-            BuilderVersion::Interleaved,
+            BuilderVersion::FusedSpmv,
             pp_splinesolver::VerifyConfig::default(),
         )
         .unwrap();
@@ -1118,15 +1120,15 @@ mod tests {
     /// transpose of an `(nx, nv)` slab through its tiles is
     /// `transpose_into` → `step_resident_with_displacements` →
     /// `transpose_into`, the oracle, bit for bit — slab, padding and
-    /// diagnostics — under both execution spaces, on `FusedSpmv` and
-    /// `Interleaved`, plain and verified, two steps in a row. The shapes
+    /// diagnostics — under both execution spaces, on both corner axes
+    /// (`Fused`, `FusedSpmv`), plain and verified, two steps in a row. The shapes
     /// hold square slabs, a partial last chunk (the slab's padding lanes
     /// hold [`SENTINEL`], never read or written) and a partial last block
     /// of its rows.
     #[test]
     fn tiled_step_is_the_flipped_step_bitwise() {
         for (nx, nv) in [(8, 8), (13, 20), (20, 13), (64, 67), (67, 64)] {
-            for version in [BuilderVersion::FusedSpmv, BuilderVersion::Interleaved] {
+            for version in [BuilderVersion::Fused, BuilderVersion::FusedSpmv] {
                 for verified in [false, true] {
                     check_tiled_step(&Serial, nx, nv, version, verified);
                     check_tiled_step(&Parallel, nx, nv, version, verified);
@@ -1215,7 +1217,7 @@ mod tests {
 
     #[test]
     fn resident_step_rejects_bad_shapes() {
-        let mut adv = make(32, 2, 3, BuilderVersion::Interleaved);
+        let mut adv = make(32, 2, 3, BuilderVersion::FusedSpmv);
         let mut bad = ResidentBatch::zeros(2, 32); // transposed by mistake
         assert!(adv.step_resident(&Serial, &mut bad).is_err());
         // The driver stays usable after a rejected slab.

@@ -628,10 +628,10 @@ mod tests {
     #[test]
     fn resident_steps_match_interleaved_host_steps_bitwise() {
         // `step` is `step_resident` + `sync_host`: this checks that
-        // wiring, for the default version and the interleaved one.
+        // wiring, on both corner axes.
         let init = two_stream(1.4, 0.01, 0.5);
         let lx = 2.0 * std::f64::consts::PI / 0.5;
-        for version in [BuilderVersion::FusedSpmv, BuilderVersion::Interleaved] {
+        for version in [BuilderVersion::Fused, BuilderVersion::FusedSpmv] {
             let make = || {
                 VlasovPoisson1D1V::new_with_version(32, 24, lx, 5.0, 3, 0.05, version, &init)
                     .unwrap()

@@ -85,7 +85,7 @@ fn measure_steps<const N: usize>(
 
 /// The share of a resident pipeline's wall clock that only moves data, one
 /// thread: pack an `(nx, nv)` host block once, 30 `solve_resident`s on the
-/// batch (Interleaved, in place), unpack once, with an `Instant` read
+/// batch (FusedSpmv, in place), unpack once, with an `Instant` read
 /// between the three; (pack + unpack) / (pack + solves + unpack), the
 /// median of five chains after a warm-up one.
 fn transpose_share(builder: &SplineBuilder, nx: usize, nv: usize) -> f64 {
@@ -224,7 +224,7 @@ fn screen_isa_rows() {
         best.as_secs_f64() * 1e9 / (256 * ROWS) as f64
     };
     for cfg in [SplineConfig::ALL[0], SplineConfig::ALL[5]] {
-        let builder = SplineBuilder::new(cfg.space(ROWS), BuilderVersion::Interleaved)
+        let builder = SplineBuilder::new(cfg.space(ROWS), BuilderVersion::FusedSpmv)
             .expect("factorisation")
             .verified(verify.clone());
         let mut rng = TestRng::seed_from_u64(0x5C4);
@@ -273,8 +273,8 @@ fn sweep_isa_rows() {
     const ROWS: usize = 1024;
     println!("mesh,isa,panels,sweep_ns_per_row,speedup");
     for cfg in [SplineConfig::ALL[0], SplineConfig::ALL[5]] {
-        let builder = SplineBuilder::new(cfg.space(ROWS), BuilderVersion::Interleaved)
-            .expect("factorisation");
+        let builder =
+            SplineBuilder::new(cfg.space(ROWS), BuilderVersion::FusedSpmv).expect("factorisation");
         let mut rng = TestRng::seed_from_u64(0x5EE);
         let rhs: Vec<f64> = (0..4 * ROWS * LANE_WIDTH)
             .map(|_| rng.gen_range(-1.0..1.0))
@@ -378,9 +378,9 @@ fn main() {
             abft,
             ..VerifyConfig::default()
         };
-        let verified = SplineBackend::direct_verified(space(), BuilderVersion::Interleaved, verify)
+        let verified = SplineBackend::direct_verified(space(), BuilderVersion::FusedSpmv, verify)
             .expect("setup");
-        let plain = direct(BuilderVersion::Interleaved);
+        let plain = direct(BuilderVersion::FusedSpmv);
         measure_steps([(plain, false), (verified, false)], nv, steps)
     };
     let [(plain, dispatches), (verified, _)] = resident_pair(true);
@@ -414,7 +414,7 @@ fn main() {
         "verified/plain resident step ratio: {:.3}",
         verified.as_secs_f64() / plain.as_secs_f64()
     );
-    let builder = SplineBuilder::new(space(), BuilderVersion::Interleaved).expect("setup");
+    let builder = SplineBuilder::new(space(), BuilderVersion::FusedSpmv).expect("setup");
     println!(
         "resident transpose share: {:.3}",
         transpose_share(&builder, args.nx, nv)

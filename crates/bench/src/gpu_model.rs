@@ -26,11 +26,7 @@ fn sim_version(v: BuilderVersion) -> KernelVersion {
     match v {
         BuilderVersion::Baseline => KernelVersion::Baseline,
         BuilderVersion::Fused => KernelVersion::Fused,
-        // The lane-interleaved variant moves the same bytes as
-        // fused+spmv (the arithmetic per lane is identical); only the
-        // storage interleaving differs, which the per-phase traffic
-        // model does not distinguish.
-        BuilderVersion::FusedSpmv | BuilderVersion::Interleaved => KernelVersion::FusedSpmv,
+        BuilderVersion::FusedSpmv => KernelVersion::FusedSpmv,
     }
 }
 

@@ -1,73 +1,94 @@
-//! The batched spline builder: Algorithm 1 in three optimisation stages.
+//! The batched spline builder: Algorithm 1 as one region body, with the
+//! paper's three builder versions (Table III) as its configurations.
+//!
+//! Every entry point solves a [`Field`] block by block in one body
+//! (`SplineBuilder::solve_run`): a block is an interleaved panel of
+//! [`LANE_WIDTH`] lanes — the panel itself on a [`ResidentBatch`], else a
+//! panel gathered into a per-worker scratch — and a worker's turn solves a
+//! run of up to four of them abreast. A version is a corner axis (dense
+//! `gemv` blocks or COO `spmv` entries) and a region plan: how many
+//! parallel regions [`SplineBuilder::solve_in_place`] splits Algorithm 1
+//! into. The per-lane `schur_solve` is the scalar oracle every result is
+//! held to, and the verified ladder's repair path.
 
 use crate::blocks::SchurBlocks;
 use crate::error::{Error, Result};
 use crate::verified::{RhsSums, VerifiedBuilder};
 use pp_bsplines::SplineSpace;
 use pp_linalg::{LaneRows, Panel};
-use pp_portable::LANE_WIDTH;
 use pp_portable::{deinterleave_columns, PanelIsa};
-use pp_portable::{fill_panel, run_blocks, ExecSpace, Field, Lines};
-use pp_portable::{Matrix, ResidentBatch};
+use pp_portable::{fill_panel, run_blocks, ExecSpace, Field, HostField, Lines};
+use pp_portable::{Layout, Matrix, ResidentBatch, LANE_WIDTH};
 use pp_sparse::Coo;
 use std::cell::RefCell;
 
 /// Which implementation of the build kernel to run — the paper's
-/// `DDC_SPLINES_VERSION` 0 / 1 / 2, as two axes over one pipeline:
-/// Algorithm 1 **split** into one parallel region per step or **fused**
-/// into one, and the corner corrections as **dense** `gemv` blocks or
-/// **COO** `spmv` entries. Both axes are the Table III ablation of
-/// [`SplineBuilder::solve_in_place`] on the strided lanes of a [`Matrix`].
-/// Every panel entry point ([`SplineBuilder::solve_resident`],
-/// [`SplineBuilder::solve_then`]) runs the one fused region with the
-/// version's corner axis; a lane's result is bit-identical either way.
+/// `DDC_SPLINES_VERSION` 0 / 1 / 2 (Listings 2, 4 and 6, Table III), as two
+/// axes over the one region body: Algorithm 1 **split** into one parallel
+/// region per step or **fused** into one (the region plan of
+/// [`SplineBuilder::solve_in_place`]), and the corner corrections as
+/// **dense** `gemv` blocks or **COO** `spmv` entries. Every other entry
+/// point ([`SplineBuilder::solve_resident`], [`SplineBuilder::solve_then`])
+/// runs the one fused region with the version's corner axis; a lane's
+/// result is bit-identical either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuilderVersion {
-    /// Split, dense corners (paper Listing 2): `Q`-solve batch, corner
-    /// correction, `getrs` batch, corner correction — four regions.
+    /// Split, dense corners (paper Listing 2): `Q`-solve, corner
+    /// correction, `getrs`, corner correction — four regions.
     Baseline,
     /// Fused, dense `gemv` corners (Listing 4).
     Fused,
     /// Fused, sparse COO corners (Listing 6) — the fastest version in the
     /// paper's Table III.
     FusedSpmv,
-    /// **Beyond-paper**: [`BuilderVersion::FusedSpmv`] on an
-    /// interleaved-SoA batch layout — lanes packed in chunks of
-    /// [`pp_portable::LANE_WIDTH`] so every recurrence step is one
-    /// contiguous `[f64; 8]` vector operation. It differs from
-    /// `FusedSpmv` only in what [`SplineBuilder::solve_in_place`] does
-    /// with a [`Matrix`] argument: pack it, sweep the panels, unpack it.
-    Interleaved,
 }
 
+/// What one region of a version's plan does to the panels of a run: all of
+/// Algorithm 1, or one of its steps.
+type Sweep = fn(&SplineBuilder, PanelIsa, &mut [f64]);
+
 impl BuilderVersion {
-    /// All versions: the paper's three in Table III order, then the
-    /// beyond-paper lane-interleaved variant.
-    pub const ALL: [BuilderVersion; 4] = [
+    /// The paper's three versions, in Table III order.
+    pub const ALL: [BuilderVersion; 3] = [
         BuilderVersion::Baseline,
         BuilderVersion::Fused,
         BuilderVersion::FusedSpmv,
-        BuilderVersion::Interleaved,
     ];
 
-    /// Label as the paper's Table III names it (the lane-interleaved
-    /// variant is ours, so it gets its own name).
+    /// The lane-interleaved layout's old version name: every version runs
+    /// on panels now, so it is [`BuilderVersion::FusedSpmv`].
+    #[doc(hidden)]
+    #[allow(non_upper_case_globals)]
+    pub const Interleaved: BuilderVersion = BuilderVersion::FusedSpmv;
+
+    /// Label as the paper's Table III names it.
     pub fn label(self) -> &'static str {
         match self {
             BuilderVersion::Baseline => "Original",
             BuilderVersion::Fused => "Kernel fusion",
             BuilderVersion::FusedSpmv => "gemv->spmv",
-            BuilderVersion::Interleaved => "Lane interleave",
         }
     }
 
     /// The corner axis: COO `spmv` entries (`true`) or dense `gemv`
     /// blocks.
     pub(crate) fn sparse_corners(self) -> bool {
-        matches!(
-            self,
-            BuilderVersion::FusedSpmv | BuilderVersion::Interleaved
-        )
+        self == BuilderVersion::FusedSpmv
+    }
+
+    /// The region plan: one parallel region per sweep, in order — the
+    /// baseline's Algorithm 1 as the paper's four launches, every other
+    /// version's as the one fused region.
+    fn plan(self) -> &'static [Sweep] {
+        match self {
+            BuilderVersion::Baseline => &[
+                SplineBuilder::sweep_on::<0, 1>,
+                SplineBuilder::sweep_on::<1, 2>,
+                SplineBuilder::sweep_on::<2, 3>,
+                SplineBuilder::sweep_on::<3, 4>,
+            ],
+            BuilderVersion::Fused | BuilderVersion::FusedSpmv => &[SplineBuilder::solve_panels_on],
+        }
     }
 }
 
@@ -129,32 +150,23 @@ impl SplineBuilder {
     /// Solve `A X = B` in place: on entry each column of `b` holds values
     /// at the interpolation points; on exit, spline coefficients.
     ///
-    /// Parallelises over the batch (column) dimension through `exec`. The
-    /// paper's three versions sweep `b`'s strided lanes where they lie —
-    /// the Table III ablation, and the reference every panel result is
-    /// compared against. [`BuilderVersion::Interleaved`] packs `b` into
-    /// panels, solves them with [`SplineBuilder::solve_resident`], and
-    /// unpacks into `b`'s own layout.
+    /// Runs the version's region plan through `exec` — the Table III
+    /// ablation: the baseline's four regions are four passes over `b`, the
+    /// temporal-locality problem §IV-B profiles; every other version's one
+    /// fused region is a single pass. A [`Layout::Left`] `b` is solved where
+    /// it lies, as a host field of its contiguous columns, each region
+    /// gathering a block into a per-worker panel and storing it back; a
+    /// [`Layout::Right`] one, whose lanes are strided, is packed once into
+    /// panels, solved on them and unpacked. Either way every lane carries
+    /// the bits of [`SplineBuilder::solve_resident`].
     pub fn solve_in_place<E: ExecSpace>(&self, exec: &E, b: &mut Matrix) -> Result<()> {
         self.check_rows(b.nrows())?;
-        let blocks = &self.blocks;
-        let sparse = self.version.sparse_corners();
-        match self.version {
-            // Four separate parallel regions, four passes over `b` — the
-            // temporal-locality problem §IV-B profiles.
-            BuilderVersion::Baseline => {
-                for step in ALGORITHM_1 {
-                    exec.for_each_lane_mut(b, |_, mut lane| step.apply(blocks, sparse, &mut lane));
-                }
-            }
-            // One parallel region doing the whole of Algorithm 1 per lane
-            // (Listing 4), with dense or sparse (Listing 6) corners.
-            BuilderVersion::Fused | BuilderVersion::FusedSpmv => {
-                exec.for_each_lane_mut(b, |_, mut lane| schur_solve(blocks, sparse, &mut lane));
-            }
-            BuilderVersion::Interleaved => {
+        let (plan, store) = (self.version.plan(), |_, _, x: Solved<'_>| x.store());
+        match b.layout() {
+            Layout::Left => self.solve_plan(exec, &mut HostField::new(b), plan, store),
+            Layout::Right => {
                 let mut packed = ResidentBatch::pack_with(exec, b);
-                self.solve_resident(exec, &mut packed)?;
+                self.solve_plan(exec, &mut packed, plan, store);
                 packed.unpack_into_with(exec, b)?;
             }
         }
@@ -197,9 +209,9 @@ impl SplineBuilder {
     /// The region runs the fused Algorithm 1 with this version's corner
     /// axis, so the coefficients are the bits [`SplineBuilder::solve_in_place`]
     /// leaves in a host matrix — for [`BuilderVersion::Baseline`] too, whose
-    /// four regions are an ablation of the strided solve alone. `then` must
-    /// not call back into a fused entry point on the same thread (the
-    /// scratch is lent to it).
+    /// four regions are its `solve_in_place` plan alone. `then` must not
+    /// call back into a fused entry point on the same thread (the scratch
+    /// is lent to it).
     pub fn solve_then<E, B, F>(&self, exec: &E, b: &mut B, then: F) -> Result<()>
     where
         E: ExecSpace,
@@ -207,20 +219,43 @@ impl SplineBuilder {
         F: Fn(usize, usize, Solved<'_>) + Sync + Send,
     {
         self.check_rows(b.shape().0)?;
-        b.for_each_run_mut(exec, ABREAST, |first, lanes, run| {
-            self.solve_run::<B, false>(first, lanes, run, |chunk, lanes, x, block, _| {
-                then(chunk, lanes, Solved::new(x, block));
-            });
-        });
+        self.solve_plan(exec, b, &[Self::solve_panels_on], then);
         Ok(())
+    }
+
+    /// One parallel region per sweep of `plan` over the field `b`: a
+    /// worker's turn solves a run of blocks as panels with the sweep
+    /// ([`SplineBuilder::solve_run`]) and hands each block to `then`.
+    fn solve_plan<E, B, S, F>(&self, exec: &E, b: &mut B, plan: &[S], then: F)
+    where
+        E: ExecSpace,
+        B: Field,
+        S: Fn(&Self, PanelIsa, &mut [f64]) + Sync,
+        F: Fn(usize, usize, Solved<'_>) + Sync + Send,
+    {
+        for sweep in plan {
+            b.for_each_run_mut(exec, ABREAST, |first, lanes, run| {
+                self.solve_run::<B, false>(
+                    first,
+                    lanes,
+                    run,
+                    sweep,
+                    |chunk, lanes, x, block, _| {
+                        then(chunk, lanes, Solved::new(x, block));
+                    },
+                );
+            });
+        }
     }
 
     /// One worker's turn of every fused entry point: take apart the `run`
     /// [`Field::for_each_run_mut`] handed out (`lanes` live lanes from block
     /// `first` on) into the panels to solve — the run itself on a field of
     /// panels, else a scratch panel gathered from each block
-    /// ([`pp_portable::fill_panel`]) — solve those abreast, then hand each
-    /// block to `each(chunk, lanes, x, block, kept)`: `x` is its solved
+    /// ([`pp_portable::fill_panel`]) — solve those abreast with `sweep` (all
+    /// of Algorithm 1, [`SplineBuilder::solve_panels_on`], but in a region
+    /// of the baseline's plan), then hand each block to
+    /// `each(chunk, lanes, x, block, kept)`: `x` is its solved
     /// panel, `block` the block itself when that is not `x`. With `KEEP`
     /// (the verified step), `kept` is the panel's right-hand sides, copied
     /// into the second scratch set before the solve, and the sums the screen
@@ -234,6 +269,7 @@ impl SplineBuilder {
         first: usize,
         lanes: usize,
         run: &mut [f64],
+        sweep: impl Fn(&Self, PanelIsa, &mut [f64]),
         mut each: impl FnMut(usize, usize, &mut [f64], Option<&mut [f64]>, Option<Kept<'_>>),
     ) {
         let n = self.space.num_basis();
@@ -261,7 +297,7 @@ impl SplineBuilder {
                 }
                 &*kept
             });
-            self.solve_panels_on(isa, panels);
+            sweep(self, isa, panels);
             for (p, x) in panels.chunks_exact_mut(panel).enumerate() {
                 let live = LANE_WIDTH.min(lanes - p * LANE_WIDTH);
                 let block = apart
@@ -275,43 +311,55 @@ impl SplineBuilder {
     }
 
     /// The fused Algorithm 1 on each of the `[nrows][LANE_WIDTH]` panels that
-    /// `panels` holds back to back, in the instance compiled for `isa`: four
-    /// abreast while four are left, then two, then one. A panel's bits
-    /// depend neither on its company (`[Panel; P]` is a regrouping) nor on
-    /// the instance (rustc never contracts `a·b + c`). Named instances are
-    /// for the differential test and the bench rows; the fused entry points
-    /// run [`PanelIsa::detected`].
+    /// `panels` holds back to back, in the instance compiled for `isa`
+    /// (`sweep_on` over all four steps). Named instances are for the
+    /// differential test and the bench rows; the entry points run
+    /// [`PanelIsa::detected`].
     ///
     /// # Panics
     /// Panics if the host lacks `isa`, or `panels` is not whole panels.
     #[doc(hidden)]
     pub fn solve_panels_on(&self, isa: PanelIsa, panels: &mut [f64]) {
+        self.sweep_on::<0, 4>(isa, panels);
+    }
+
+    /// Algorithm 1's steps `FROM..TO` on each of the `[nrows][LANE_WIDTH]`
+    /// panels that `panels` holds back to back, in the instance compiled for
+    /// `isa`: four abreast while four are left, then two, then one. A
+    /// panel's bits depend neither on its company (`[Panel; P]` is a
+    /// regrouping) nor on the instance (rustc never contracts `a·b + c`).
+    ///
+    /// # Panics
+    /// Panics if the host lacks `isa`, or `panels` is not whole panels.
+    fn sweep_on<const FROM: usize, const TO: usize>(&self, isa: PanelIsa, panels: &mut [f64]) {
         let panel = self.space.num_basis() * LANE_WIDTH;
-        assert!(
-            panels.len().is_multiple_of(panel),
-            "solve_panels_on: whole panels"
-        );
+        assert!(panels.len().is_multiple_of(panel), "sweep_on: whole panels");
         isa.run(
             #[inline(always)]
             || {
-                let rest = self.solve_groups::<ABREAST>(panels);
-                let rest = self.solve_groups::<2>(rest);
-                self.solve_groups::<1>(rest);
+                let rest = self.sweep_groups::<ABREAST, FROM, TO>(panels);
+                let rest = self.sweep_groups::<2, FROM, TO>(rest);
+                self.sweep_groups::<1, FROM, TO>(rest);
             },
         );
     }
 
-    /// [`schur_solve`] on the panels back to back in `panels`, `P` abreast;
-    /// returns the fewer than `P` left over.
+    /// Algorithm 1's steps `FROM..TO` on the panels back to back in
+    /// `panels`, `P` abreast; returns the fewer than `P` left over.
     #[inline(always)]
-    fn solve_groups<'a, const P: usize>(&self, panels: &'a mut [f64]) -> &'a mut [f64] {
+    fn sweep_groups<'a, const P: usize, const FROM: usize, const TO: usize>(
+        &self,
+        panels: &'a mut [f64],
+    ) -> &'a mut [f64] {
         let n = self.space.num_basis();
         let mut groups = panels.chunks_exact_mut(P * n * LANE_WIDTH);
         for group in &mut groups {
             let mut group = group.chunks_exact_mut(n * LANE_WIDTH);
             let mut rows: [Panel; P] =
                 std::array::from_fn(|_| Panel::new(group.next().expect("P panels to a group"), n));
-            schur_solve(&self.blocks, self.version.sparse_corners(), &mut rows);
+            for step in &ALGORITHM_1[FROM..TO] {
+                step.apply(&self.blocks, self.version.sparse_corners(), &mut rows);
+            }
         }
         groups.into_remainder()
     }
@@ -332,7 +380,8 @@ enum Step {
 }
 
 /// Algorithm 1, in order. Every entry point runs it inside one parallel
-/// region but the baseline's strided solve, which runs one region per step.
+/// region but the baseline's [`SplineBuilder::solve_in_place`], which runs
+/// one region per step ([`BuilderVersion::plan`]).
 const ALGORITHM_1: [Step; 4] = [
     Step::QSolve,
     Step::LambdaCorner,
@@ -381,10 +430,10 @@ fn corner<R: LaneRows>(
     }
 }
 
-/// The fused kernel: all of Algorithm 1 on one right-hand side — a
-/// strided lane of `n` rows, or a panel of [`pp_portable::LANE_WIDTH`]
-/// of them, or several such panels abreast — with sparse (`spmv`) or dense
-/// (`gemv`) corners.
+/// All of Algorithm 1 on the right-hand sides `rows` carries, with sparse
+/// (`spmv`) or dense (`gemv`) corners. On one lane of `n` rows it is the
+/// scalar oracle every panel result is held to by `to_bits`, and the
+/// verified ladder's per-lane repair.
 #[inline(always)]
 pub(crate) fn schur_solve<R: LaneRows>(blocks: &SchurBlocks, sparse: bool, rows: &mut R) {
     for step in ALGORITHM_1 {
@@ -467,8 +516,7 @@ mod tests {
     use super::*;
     use pp_bsplines::{assemble_interpolation_matrix, Breaks};
     use pp_linalg::naive;
-    use pp_portable::TestRng;
-    use pp_portable::{Layout, Parallel, Serial};
+    use pp_portable::{CountingExec, Parallel, Serial, StridedMut, TestRng};
 
     fn space(n: usize, degree: usize, uniform: bool) -> SplineSpace {
         let breaks = if uniform {
@@ -482,6 +530,95 @@ mod tests {
     fn random_rhs(n: usize, batch: usize, layout: Layout, seed: u64) -> Matrix {
         let mut rng = TestRng::seed_from_u64(seed);
         Matrix::from_fn(n, batch, layout, |_, _| rng.gen_range(-2.0..2.0))
+    }
+
+    /// Every lane of the `(n, batch)` matrix `b` solved by the scalar
+    /// oracle, [`schur_solve`] on a contiguous copy of the lane.
+    fn oracle(builder: &SplineBuilder, b: &Matrix) -> Matrix {
+        let sparse = builder.version().sparse_corners();
+        let mut x = b.clone();
+        for j in 0..b.ncols() {
+            let mut lane: Vec<f64> = (0..b.nrows()).map(|i| b.get(i, j)).collect();
+            schur_solve(
+                builder.blocks(),
+                sparse,
+                &mut StridedMut::from_slice(&mut lane),
+            );
+            (lane.iter().enumerate()).for_each(|(i, &v)| x.set(i, j, v));
+        }
+        x
+    }
+
+    /// The `(n, batch)` matrix `x`'s bits, lane by lane.
+    fn lane_bits(x: &Matrix) -> Vec<u64> {
+        let (n, batch) = x.shape();
+        let lanes = (0..batch).flat_map(|j| (0..n).map(move |i| (i, j)));
+        lanes.map(|(i, j)| x.get(i, j).to_bits()).collect()
+    }
+
+    /// [`lane_bits`] of `solve_in_place` of `rhs`, stored `layout`, on
+    /// `exec`.
+    fn solved_bits<E: ExecSpace>(
+        exec: &E,
+        builder: &SplineBuilder,
+        rhs: &Matrix,
+        layout: Layout,
+    ) -> Vec<u64> {
+        let mut x = rhs.to_layout(layout);
+        builder.solve_in_place(exec, &mut x).unwrap();
+        lane_bits(&x)
+    }
+
+    /// `solve_in_place` is the version's region plan through the one region
+    /// body: on either layout and either execution space every lane carries
+    /// the bits of the scalar oracle on a contiguous copy of it, and a
+    /// `Layout::Left` solve is exactly the plan's regions — four for the
+    /// baseline, one otherwise — with no pack. The six Table I periodic
+    /// spaces and two clamped ones, at batches on either side of a panel
+    /// and of a run of four.
+    #[test]
+    fn solve_in_place_runs_the_plan_and_matches_the_scalar_oracle() {
+        let clamped = |degree, uniform: bool| {
+            SplineSpace::clamped(space(16, degree, uniform).breaks().clone(), degree).unwrap()
+        };
+        let (spaces, batches): (Vec<SplineSpace>, &[usize]) = if cfg!(miri) {
+            (vec![space(8, 3, true), clamped(3, true)], &[0, 9])
+        } else {
+            let mut spaces = vec![clamped(3, true), clamped(5, false)];
+            for (degree, uniform) in [3, 4, 5].into_iter().flat_map(|d| [(d, true), (d, false)]) {
+                spaces.push(space(24, degree, uniform));
+            }
+            (spaces, &[0, 1, 7, 8, 9, 33])
+        };
+        for sp in spaces {
+            let n = sp.num_basis();
+            for version in BuilderVersion::ALL {
+                let builder = SplineBuilder::new(sp.clone(), version).unwrap();
+                let regions = if version == BuilderVersion::Baseline {
+                    4
+                } else {
+                    1
+                };
+                for &batch in batches {
+                    let what = format!(
+                        "{version:?} n {n} periodic {} batch {batch}",
+                        sp.is_periodic()
+                    );
+                    let rhs = random_rhs(n, batch, Layout::Left, batch as u64);
+                    let want = lane_bits(&oracle(&builder, &rhs));
+                    let counting = CountingExec::default();
+                    let got = solved_bits(&counting, &builder, &rhs, Layout::Left);
+                    assert_eq!(got, want, "{what} Left counting");
+                    assert_eq!(counting.regions(), regions, "{what}: the plan's regions");
+                    for layout in [Layout::Left, Layout::Right] {
+                        let serial = solved_bits(&Serial, &builder, &rhs, layout);
+                        let parallel = solved_bits(&Parallel, &builder, &rhs, layout);
+                        assert_eq!(serial, want, "{what} {layout:?} Serial");
+                        assert_eq!(parallel, want, "{what} {layout:?} Parallel");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -527,9 +664,10 @@ mod tests {
         }
         assert!(results[0].max_abs_diff(&results[1]) < 1e-13);
         assert!(results[1].max_abs_diff(&results[2]) < 1e-12);
-        // The interleaved variant is the fused+spmv sequence instantiated
-        // for panels: same operations per lane, same bits.
-        assert_eq!(results[2].max_abs_diff(&results[3]), 0.0);
+        // The panels carry the scalar per-lane sequence: same operations
+        // per lane, same bits.
+        let fused_spmv = SplineBuilder::new(sp, BuilderVersion::FusedSpmv).unwrap();
+        assert_eq!(results[2].max_abs_diff(&oracle(&fused_spmv, &rhs)), 0.0);
     }
 
     #[test]

@@ -13,11 +13,12 @@
 //!
 //! | version | paper section | structure |
 //! |---|---|---|
-//! | [`BuilderVersion::Baseline`] | Listing 2 | four separate batched kernels: `Q`-solve, `gemm` (λ correction), `getrs` (δ′), `gemm` (β correction) — four passes over the right-hand sides |
-//! | [`BuilderVersion::Fused`] | Listing 4, §IV-C | one fused per-lane kernel (`Q`-solve + dense `gemv` + `getrs` + dense `gemv`) — one pass, better temporal locality |
+//! | [`BuilderVersion::Baseline`] | Listing 2 | four parallel regions: `Q`-solve, dense λ correction, `getrs` (δ′), dense β correction — four passes over the right-hand sides |
+//! | [`BuilderVersion::Fused`] | Listing 4, §IV-C | one fused region (`Q`-solve + dense `gemv` + `getrs` + dense `gemv`) — one pass, better temporal locality |
 //! | [`BuilderVersion::FusedSpmv`] | Listing 6, §IV-D | fused kernel with the corner blocks `λ` and `β = Q⁻¹γ` stored sparse (COO) — O(nnz) corner work instead of O(n) |
 //!
-//! All three produce bit-comparable coefficients; they differ only in data
+//! All three run the one region body on interleaved panels of eight lanes
+//! and produce bit-comparable coefficients; they differ only in data
 //! movement — which is exactly what the paper's Table III measures.
 //!
 //! ## Setup vs. solve

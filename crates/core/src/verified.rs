@@ -548,15 +548,21 @@ impl VerifiedBuilder {
         // cache; then the coefficients go to `then`, which overwrites the
         // block, or stay where they were solved: in the block.
         b.for_each_run_mut(exec, ABREAST, |first, lanes, run| {
-            self.builder
-                .solve_run::<B, true>(first, lanes, run, |chunk, lanes, x, block, kept| {
+            let sweep = SplineBuilder::solve_panels_on;
+            self.builder.solve_run::<B, true>(
+                first,
+                lanes,
+                run,
+                sweep,
+                |chunk, lanes, x, block, kept| {
                     let kept = kept.expect("the verified run keeps its right-hand sides");
                     let screen = self.screen(chunk, lanes, x, kept);
                     if let Some(then) = then {
                         then(chunk, lanes, Solved::new(x, block));
                     }
                     assert!(screens[chunk].set(screen).is_ok(), "panel visited twice");
-                });
+                },
+            );
         });
         // A quarantined lane's coefficients; built only when one turns up.
         let zeros = || vec![0.0; nrows];
@@ -1381,7 +1387,7 @@ pub fn sdc_round(seed: u64) -> SdcRound {
         });
     let keep = |_: usize, _: usize, solved: Solved<'_>| solved.store();
     let land = |_: usize, coefs: &[f64], out: &mut [f64]| out.copy_from_slice(coefs);
-    let field = |m| HostField::new(m).expect("a row-major host field");
+    let field = HostField::new;
     let (mut got, mut want) = (rhs.clone(), rhs);
     let report = verified
         .solve_then(&Parallel, &mut field(&mut got), keep, land)
@@ -1511,8 +1517,8 @@ mod tests {
         // before they can poison a packed chunk.
         for &batch in &[5, 8, 13] {
             let sp = space(32, 3, true);
-            let plain = SplineBuilder::new(sp.clone(), BuilderVersion::Interleaved).unwrap();
-            let verified = SplineBuilder::new(sp, BuilderVersion::Interleaved)
+            let plain = SplineBuilder::new(sp.clone(), BuilderVersion::FusedSpmv).unwrap();
+            let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
                 .unwrap()
                 .verified(VerifyConfig::default());
 
@@ -1904,10 +1910,10 @@ mod tests {
         };
         for &batch in &[5usize, 8, 13] {
             let sp = space(32, 3, true);
-            let host = SplineBuilder::new(sp.clone(), BuilderVersion::Interleaved)
+            let host = SplineBuilder::new(sp.clone(), BuilderVersion::FusedSpmv)
                 .unwrap()
                 .verified(config());
-            let resident = SplineBuilder::new(sp, BuilderVersion::Interleaved)
+            let resident = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
                 .unwrap()
                 .verified(config());
 
@@ -1937,7 +1943,7 @@ mod tests {
     #[test]
     fn resident_quarantine_zeroes_the_lane() {
         let sp = space(24, 3, true);
-        let verified = SplineBuilder::new(sp, BuilderVersion::Interleaved)
+        let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
             .unwrap()
             .verified(VerifyConfig::default());
         let mut rhs = random_rhs(24, 5, 67);
@@ -1954,7 +1960,7 @@ mod tests {
     #[test]
     fn resident_shape_mismatch_rejected() {
         let sp = space(16, 3, true);
-        let verified = SplineBuilder::new(sp, BuilderVersion::Interleaved)
+        let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
             .unwrap()
             .verified(VerifyConfig::default());
         let mut bad = ResidentBatch::zeros(17, 2);
@@ -2144,7 +2150,7 @@ mod tests {
                 abft,
                 ..VerifyConfig::default()
             };
-            let vb = SplineBuilder::new(space(n, degree, uniform), BuilderVersion::Interleaved)
+            let vb = SplineBuilder::new(space(n, degree, uniform), BuilderVersion::FusedSpmv)
                 .unwrap()
                 .verified(config);
             for live in [1, 7, 8] {
@@ -2220,7 +2226,7 @@ mod tests {
                     abft: true,
                     ..VerifyConfig::default()
                 };
-                let vb = SplineBuilder::new(space(n, degree, uniform), BuilderVersion::Interleaved)
+                let vb = SplineBuilder::new(space(n, degree, uniform), BuilderVersion::FusedSpmv)
                     .unwrap()
                     .verified(config);
                 let what = format!("n {n} d{degree} uniform {uniform}");
@@ -2250,7 +2256,7 @@ mod tests {
         }
         let bands = |degree, uniform| {
             let builder =
-                SplineBuilder::new(space(1024, degree, uniform), BuilderVersion::Interleaved);
+                SplineBuilder::new(space(1024, degree, uniform), BuilderVersion::FusedSpmv);
             let runs = builder.unwrap().verified(VerifyConfig::default()).bands;
             (runs.width, runs.runs)
         };
@@ -2341,7 +2347,7 @@ mod tests {
         // point — a run of `ABREAST` and a shorter one. A resident field is
         // solved where it lies: the plain solve takes no scratch at all, the
         // verified one keeps one run of right-hand sides in the second set.
-        let plain = SplineBuilder::new(space(n, 3, true), BuilderVersion::Interleaved).unwrap();
+        let plain = SplineBuilder::new(space(n, 3, true), BuilderVersion::FusedSpmv).unwrap();
         let verified = plain.verified(VerifyConfig::default());
         let resident = std::thread::scope(|s| {
             s.spawn(|| {
@@ -2380,7 +2386,7 @@ mod tests {
                     .solve_resident(&Serial, &mut want)
                     .unwrap();
                 let mut host = Matrix::from_fn(batch, n, Layout::Right, |j, i| rhs.get(i, j));
-                let mut field = HostField::new(&mut host).unwrap();
+                let mut field = HostField::new(&mut host);
                 let keep = |_: usize, lanes: usize, solved: Solved<'_>| {
                     let Solved::Apart { coefs, block } = &solved else {
                         panic!("a host block is not a panel");

@@ -10,8 +10,10 @@
 //! | `pbtrf`/`pbtrs` | [`pbtrf`] → [`CholeskyBanded`] | SPD banded |
 //! | `pttrf`/`pttrs` | [`pttrf`] → [`PtFactors`] | SPD tridiagonal |
 //!
-//! plus the BLAS kernels the spline builder composes with them
-//! ([`gemm`], [`kernels::gemv_lane`]).
+//! plus the corner corrections the spline builder composes with them,
+//! written once as row operations of every accessor
+//! ([`LaneRows::gemv_sub`], the dense `gemv`; [`LaneRows::row_axpy`], one
+//! COO entry of the sparse `spmv`).
 //!
 //! ## The batched-serial execution model
 //!
@@ -76,10 +78,8 @@
 
 pub mod banded;
 pub mod batched;
-pub mod dense;
 pub mod error;
 pub mod health;
-pub mod kernels;
 mod lane;
 pub mod lu;
 pub mod naive;
@@ -90,7 +90,6 @@ pub mod resident;
 pub mod solver;
 
 pub use banded::{gbtrf, BandedLu, BandedMatrix};
-pub use dense::{gemm, gemv};
 pub use error::{Error, Result};
 pub use health::{estimate_inverse_onenorm, rcond_estimate, FactorHealth};
 pub use lane::{LaneRows, Panel};

@@ -5,8 +5,9 @@
 //! lanes at a time, a worker's turn being a *run* of consecutive blocks
 //! on the worker pool. Three kinds exist. A [`ResidentBatch`]'s blocks are
 //! its interleaved panels. A lane-contiguous host matrix — the `(Nv, Nx)`
-//! row-major distribution of the paper's Algorithm 2, wrapped as a
-//! [`HostField`] — has blocks of eight consecutive rows. The transpose of a
+//! row-major distribution of the paper's Algorithm 2, or a column-major
+//! batch of right-hand sides, wrapped as a [`HostField`] — has blocks of
+//! eight consecutive rows, resp. columns. The transpose of a
 //! [`ResidentBatch`], wrapped as a [`TiledField`], has blocks of eight of
 //! the batch's rows — a row of its 8 × 8 tiles — staged per run as a host
 //! field's blocks. The step's body is the same for all three; a field
@@ -104,23 +105,22 @@ impl Field for ResidentBatch {
     }
 }
 
-/// A host matrix whose rows are the lanes: shape `(lanes, rows)`,
-/// [`Layout::Right`], so lane `j` is the contiguous run
-/// `[j·rows, (j + 1)·rows)` of its storage and a block of eight lanes is
-/// one contiguous range.
+/// A host matrix whose lanes are its contiguous lines — the rows of a
+/// [`Layout::Right`] matrix of shape `(lanes, rows)`, the columns of a
+/// [`Layout::Left`] one of shape `(rows, lanes)` — so lane `j` is the run
+/// `[j·rows, (j + 1)·rows)` of its storage and a block of eight lanes is one
+/// contiguous range.
 pub struct HostField<'a>(&'a mut Matrix);
 
 impl<'a> HostField<'a> {
-    /// View `m` as a field of `m.nrows()` lanes; `None` unless it is
-    /// stored [`Layout::Right`] (a `Layout::Left` matrix of this shape
-    /// interleaves its lanes — pack it into a [`ResidentBatch`] instead).
-    pub fn new(m: &'a mut Matrix) -> Option<Self> {
-        (m.layout() == Layout::Right).then_some(Self(m))
+    /// View `m` as a field of its contiguous lines.
+    pub fn new(m: &'a mut Matrix) -> Self {
+        Self(m)
     }
 
     /// Lane `lane`'s storage, `[lane·rows, (lane + 1)·rows)`.
     fn span(&self, lane: usize) -> std::ops::Range<usize> {
-        let rows = self.0.ncols();
+        let rows = self.shape().0;
         lane * rows..(lane + 1) * rows
     }
 }
@@ -129,7 +129,11 @@ impl Field for HostField<'_> {
     const PANELS: bool = false;
 
     fn shape(&self) -> (usize, usize) {
-        (self.0.ncols(), self.0.nrows())
+        let (nrows, ncols) = self.0.shape();
+        match self.0.layout() {
+            Layout::Right => (ncols, nrows),
+            Layout::Left => (nrows, ncols),
+        }
     }
 
     fn for_each_run_mut<E, F>(&mut self, exec: &E, per: usize, f: F)
@@ -137,9 +141,7 @@ impl Field for HostField<'_> {
         E: ExecSpace,
         F: Fn(usize, usize, &mut [f64]) + Sync + Send,
     {
-        // `Layout::Right` (checked by `new`): lane `j` is the contiguous
-        // run `[j·rows, (j + 1)·rows)` of the storage.
-        let (lanes, rows) = self.0.shape();
+        let (rows, lanes) = self.shape();
         for_each_run_mut(exec, self.0.as_mut_slice(), rows, lanes, per, f);
     }
 
@@ -260,7 +262,7 @@ mod tests {
                     }
                 };
                 let mut m = tagged(lanes, rows);
-                let mut field = HostField::new(&mut m).expect("row-major");
+                let mut field = HostField::new(&mut m);
                 assert_eq!(field.shape(), (rows, lanes));
                 field.for_each_run_mut(&Parallel, per, bump(false));
                 field.write_lane(lanes - 1, &vec![-1.0; rows]);
@@ -389,7 +391,7 @@ mod tests {
             let resident = ResidentBatch::pack_transposed(&m);
             let mut batch = ResidentBatch::pack(&m);
             let host = m.clone();
-            let mut field = HostField::new(&mut m).expect("row-major");
+            let mut field = HostField::new(&mut m);
             field.for_each_run_mut(&Serial, 1, |c, live, block| {
                 let mut panel = vec![f64::NAN; rows * LANE_WIDTH];
                 fill_panel(block, live, &mut panel);
@@ -409,8 +411,32 @@ mod tests {
         }
     }
 
+    /// A [`Layout::Left`] matrix is the field of its columns: the same
+    /// values stored the same way as a row-major one's rows are the same
+    /// field, block for block and lane for lane.
     #[test]
-    fn lane_interleaved_host_matrix_is_not_a_field() {
-        assert!(HostField::new(&mut Matrix::zeros(4, 6, Layout::Left)).is_none());
+    fn column_major_host_matrix_is_the_field_of_its_columns() {
+        let (lanes, rows) = if cfg!(miri) { (9, 3) } else { (19, 13) };
+        let mut right = tagged(lanes, rows);
+        let mut left = Matrix::from_fn(rows, lanes, Layout::Left, |i, j| right.get(j, i));
+        let bump = |first: usize, live: usize, run: &mut [f64]| {
+            for (k, (_, block)) in run_blocks(run, rows, live).enumerate() {
+                let tag = (1_000_000 * (first + k + 1)) as f64;
+                block.iter_mut().for_each(|v| *v += tag);
+            }
+        };
+        let mut by_rows = HostField::new(&mut right);
+        let mut by_columns = HostField::new(&mut left);
+        assert_eq!(by_columns.shape(), (rows, lanes));
+        by_rows.for_each_run_mut(&Parallel, 2, bump);
+        by_columns.for_each_run_mut(&Parallel, 2, bump);
+        for j in 0..lanes {
+            assert_eq!(lane_of(&by_columns, j), lane_of(&by_rows, j), "lane {j}");
+        }
+        by_columns.write_lane(lanes - 1, &vec![-1.0; rows]);
+        assert_eq!(left.col(lanes - 1).to_vec(), vec![-1.0; rows]);
+        let stored = |j: usize| (1_000_000 * (j / LANE_WIDTH + 1) + 1000 * j) as f64;
+        assert_eq!(left.get(rows - 1, 0), stored(0) + (rows - 1) as f64);
+        assert_eq!(right.get(lanes - 2, 0), stored(lanes - 2));
     }
 }

@@ -81,22 +81,6 @@ impl<'a> Strided<'a> {
     pub fn to_vec(&self) -> Vec<f64> {
         self.iter().collect()
     }
-
-    /// Euclidean norm of the viewed vector.
-    pub fn norm2(&self) -> f64 {
-        self.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Dot product with another strided view of the same length.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn dot(&self, other: &Strided<'_>) -> f64 {
-        assert_eq!(self.len, other.len, "dot: length mismatch");
-        (0..self.len)
-            .map(|i| self.data[i * self.stride] * other.data[i * other.stride])
-            .sum()
-    }
 }
 
 impl Index<usize> for Strided<'_> {
@@ -190,33 +174,6 @@ impl<'a> StridedMut<'a> {
         }
     }
 
-    /// Split the view at element `mid`: the first view covers elements
-    /// `0..mid`, the second `mid..len`, preserving the stride. Used by the
-    /// Schur-complement kernels to treat one batch lane as the stacked
-    /// right-hand side `(b0, b1)` of the paper's Algorithm 1.
-    ///
-    /// # Panics
-    /// Panics if `mid > len`.
-    #[inline]
-    pub fn split_at(self, mid: usize) -> (StridedMut<'a>, StridedMut<'a>) {
-        assert!(mid <= self.len, "split_at: mid {mid} > len {}", self.len);
-        let (head, tail) = self
-            .data
-            .split_at_mut((mid * self.stride).min(self.data.len()));
-        (
-            StridedMut {
-                data: head,
-                len: mid,
-                stride: self.stride,
-            },
-            StridedMut {
-                data: tail,
-                len: self.len - mid,
-                stride: self.stride,
-            },
-        )
-    }
-
     /// Copy from a slice of identical length.
     ///
     /// # Panics
@@ -300,16 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_norm() {
-        let a = [3.0, 0.0, 4.0];
-        let v = Strided::from_slice(&a);
-        assert_eq!(v.norm2(), 5.0);
-        let b = [1.0, 1.0, 1.0];
-        let w = Strided::from_slice(&b);
-        assert_eq!(v.dot(&w), 7.0);
-    }
-
-    #[test]
     fn copy_from_slice_and_fill() {
         let mut data = vec![0.0; 6];
         let mut v = StridedMut::new(&mut data, 3, 2);
@@ -317,32 +264,6 @@ mod tests {
         assert_eq!(v.to_vec(), vec![1.0, 2.0, 3.0]);
         v.fill(9.0);
         assert_eq!(data, vec![9.0, 0.0, 9.0, 0.0, 9.0, 0.0]);
-    }
-
-    #[test]
-    fn split_at_partitions_view() {
-        let mut data = vec![0.0; 12];
-        let v = StridedMut::new(&mut data, 6, 2);
-        let (mut a, mut b) = v.split_at(4);
-        assert_eq!(a.len(), 4);
-        assert_eq!(b.len(), 2);
-        a.fill(1.0);
-        b.fill(2.0);
-        assert_eq!(
-            data,
-            vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 2.0, 0.0, 2.0, 0.0]
-        );
-    }
-
-    #[test]
-    fn split_at_edges() {
-        let mut data = vec![5.0; 4];
-        let v = StridedMut::new(&mut data, 4, 1);
-        let (a, b) = v.split_at(0);
-        assert_eq!((a.len(), b.len()), (0, 4));
-        let v = StridedMut::new(&mut data, 4, 1);
-        let (a, b) = v.split_at(4);
-        assert_eq!((a.len(), b.len()), (4, 0));
     }
 
     #[test]

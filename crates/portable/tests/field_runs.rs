@@ -24,7 +24,7 @@ fn sixty_four_lanes_on_four_workers_are_at_least_four_runs() {
     };
     let (host_runs, panel_runs) = (AtomicUsize::new(0), AtomicUsize::new(0));
     let mut m = Matrix::zeros(lanes, rows, Layout::Right);
-    let mut host = HostField::new(&mut m).expect("row-major");
+    let mut host = HostField::new(&mut m);
     host.for_each_run_mut(&Parallel, per, |first, live, _| {
         count(&host_runs, first, live)
     });

@@ -7,7 +7,7 @@
 //! optimisation that delivers the biggest speed-up in Table III.
 
 use crate::error::{Error, Result};
-use pp_portable::{Matrix, Strided, StridedMut};
+use pp_portable::Matrix;
 
 /// A sparse matrix as three parallel arrays of `(row, col, value)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,7 +78,7 @@ impl Coo {
     }
 
     /// Append one entry. Duplicate coordinates are allowed and act
-    /// additively in [`Coo::spmv_lane`].
+    /// additively (see [`Coo::to_dense`]).
     pub fn push(&mut self, row: usize, col: usize, value: f64) -> Result<()> {
         if row >= self.nrows || col >= self.ncols {
             return Err(Error::EntryOutOfBounds {
@@ -147,22 +147,6 @@ impl Coo {
         }
     }
 
-    /// Per-lane sparse accumulate: `y ← y + α · A · x`.
-    ///
-    /// This is the loop of the paper's Listing 6 — the sequential cost is
-    /// `O(nnz)` instead of the dense `O(nrows · ncols)`, which is where the
-    /// gemv→spmv speed-up of Table III comes from.
-    #[inline]
-    pub fn spmv_lane(&self, alpha: f64, x: &Strided<'_>, y: &mut StridedMut<'_>) {
-        debug_assert_eq!(x.len(), self.ncols);
-        debug_assert_eq!(y.len(), self.nrows);
-        for k in 0..self.nnz() {
-            let r = self.rows_idx[k];
-            let c = self.cols_idx[k];
-            y[r] += alpha * self.values[k] * x[c];
-        }
-    }
-
     /// Densify (tests and setup-time work).
     pub fn to_dense(&self) -> Matrix {
         let mut m = Matrix::zeros(self.nrows, self.ncols, pp_portable::Layout::Right);
@@ -203,45 +187,9 @@ mod tests {
     }
 
     #[test]
-    fn spmv_lane_matches_dense_product() {
-        let a = sample_dense();
-        let coo = Coo::from_dense(&a, 0.0);
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let mut y = [10.0, 10.0, 10.0];
-        coo.spmv_lane(
-            -1.0,
-            &Strided::from_slice(&x),
-            &mut StridedMut::from_slice(&mut y),
-        );
-        // y = 10 - A x = 10 - [9, 9, -8]
-        assert_eq!(y, [1.0, 1.0, 18.0]);
-    }
-
-    #[test]
-    fn spmv_lane_strided_views() {
-        let coo = Coo::from_triplets(2, 2, vec![0, 1], vec![1, 0], vec![5.0, 7.0]).unwrap();
-        let x_data = [1.0, 0.0, 2.0, 0.0]; // strided x = [1, 2]
-        let mut y_data = [0.0, 0.0, 0.0, 0.0]; // strided y slots 0, 2
-        coo.spmv_lane(
-            1.0,
-            &Strided::new(&x_data, 2, 2),
-            &mut StridedMut::new(&mut y_data, 2, 2),
-        );
-        assert_eq!(y_data, [10.0, 0.0, 7.0, 0.0]);
-    }
-
-    #[test]
     fn duplicates_accumulate() {
         let coo = Coo::from_triplets(1, 1, vec![0, 0], vec![0, 0], vec![2.0, 3.0]).unwrap();
         assert_eq!(coo.to_dense().get(0, 0), 5.0);
-        let x = [1.0];
-        let mut y = [0.0];
-        coo.spmv_lane(
-            1.0,
-            &Strided::from_slice(&x),
-            &mut StridedMut::from_slice(&mut y),
-        );
-        assert_eq!(y[0], 5.0);
     }
 
     #[test]
@@ -276,15 +224,6 @@ mod tests {
             gamma.push(i * 10, 0, 1.0).unwrap();
         }
         assert_eq!(gamma.nnz(), 48);
-        // spmv on it costs 48 operations, not 999.
-        let x = [2.0];
-        let mut y = vec![0.0; 999];
-        gamma.spmv_lane(
-            1.0,
-            &Strided::from_slice(&x),
-            &mut StridedMut::from_slice(&mut y),
-        );
-        assert_eq!(y.iter().filter(|&&v| v != 0.0).count(), 48);
     }
 
     #[test]

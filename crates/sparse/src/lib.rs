@@ -5,8 +5,9 @@
 //!
 //! * [`Coo`] — COOrdinate-list storage. §IV-D of the paper stores the
 //!   spline matrix's corner blocks in COO *"in order to avoid implementing
-//!   kernels for both CSR and CSC formats"*; its Listing 5/6 COO class and
-//!   per-lane `spmv` loop are reproduced here ([`Coo::spmv_lane`]).
+//!   kernels for both CSR and CSC formats"*; its Listing 5 COO class is
+//!   reproduced here, and the builder's Listing 6 `spmv` walks
+//!   [`Coo::iter`], one row operation per entry.
 //! * [`Csr`] — Compressed Sparse Row, the format the Ginkgo-style iterative
 //!   backend (`pp-iterative`) consumes, one lane at a time through
 //!   [`Csr::spmv_into`].

@@ -18,7 +18,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`portable`] | `pp-portable` | views, layouts, execution spaces |
-//! | [`linalg`] | `pp-linalg` | batched serial `getrf/s`, `gbtrf/s`, `pbtrf/s`, `pttrf/s`, `gemm`, `gemv` |
+//! | [`linalg`] | `pp-linalg` | batched serial `getrf/s`, `gbtrf/s`, `pbtrf/s`, `pttrf/s`, the corner `gemv` / `spmv` row operations |
 //! | [`sparse`] | `pp-sparse` | COO / CSR, `spmv`, sparsity patterns |
 //! | [`iterative`] | `pp-iterative` | BiCGStab, GMRES, block-Jacobi, the per-lane multi-RHS body |
 //! | [`bsplines`] | `pp-bsplines` | periodic and clamped B-spline spaces, Greville points, matrix assembly |

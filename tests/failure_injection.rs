@@ -95,7 +95,7 @@ fn shape_mismatches_rejected() {
     let mut wrong = Matrix::zeros(17, 2, Layout::Left);
     assert!(builder.solve_in_place(&Serial, &mut wrong).is_err());
     assert!(builder
-        .with_version(BuilderVersion::Interleaved)
+        .with_version(BuilderVersion::FusedSpmv)
         .solve_in_place(&Serial, &mut wrong)
         .is_err());
 

@@ -27,6 +27,8 @@ use pp_linalg::{
 use pp_portable::{HostField, PanelIsa, TestRng, LANE_WIDTH};
 use pp_splinesolver::Solved;
 
+mod oracle;
+
 /// Stated bound against the dense reference, in ulps of the lane's
 /// largest solution component (both sides are backward-stable solves of
 /// well-conditioned systems; they differ by a few roundings per row).
@@ -295,23 +297,23 @@ fn fused_coefficients<E: ExecSpace>(
             lane.iter_mut().zip(column).for_each(|(v, c)| *v = *c);
         }
     };
-    let mut field = HostField::new(&mut host).unwrap();
+    let mut field = HostField::new(&mut host);
     builder.solve_then(exec, &mut field, keep_lanes).unwrap();
     let host = Matrix::from_fn(n, batch, Layout::Left, |i, j| host.get(j, i));
     (unpacked(&resident), host)
 }
 
-/// Full pipeline: `BuilderVersion::Interleaved` is the scalar per-lane
-/// production version (`FusedSpmv`) instantiated for panels, so every
-/// coefficient carries the same bits — lanes of full chunks and of the
-/// partial final chunk alike, and through every entry point: strided lanes,
-/// the resident panels one at a time, the fused entry point's runs of four,
-/// two and one panels abreast on both kinds of field, and the abreast solve
-/// in every instance this host has. Clamped spaces (border 0: Algorithm 1
-/// is the `gbtrs` sweep alone) are rows of the same table, and every
-/// version on every row is held to the dense reference.
+/// Full pipeline: every coefficient of the production version
+/// (`FusedSpmv`) carries the bits of its scalar per-lane oracle — Algorithm
+/// 1 on a contiguous copy of the lane, composed from the public blocks —
+/// lanes of full chunks and of the partial final chunk alike, and through
+/// every entry point: `solve_in_place` on either layout, the fused entry
+/// point's runs of four, two and one panels abreast on both kinds of field,
+/// and the abreast solve in every instance this host has. Clamped spaces
+/// (border 0: Algorithm 1 is the `gbtrs` sweep alone) are rows of the same
+/// table, and every version on every row is held to the dense reference.
 #[test]
-fn builder_interleaved_matches_scalar_per_lane_within_2_ulp() {
+fn builder_matches_scalar_oracle_per_lane_within_2_ulp() {
     // Runs of the fused entry point under `Serial`: 4 + (1 partial),
     // 4 + 2 + 1, on top of the table's single and double panels.
     let batches = BATCHES
@@ -334,8 +336,7 @@ fn builder_interleaved_matches_scalar_per_lane_within_2_ulp() {
             "deg {degree} uniform {uniform} periodic {}",
             space.is_periodic()
         );
-        let scalar = SplineBuilder::new(space.clone(), BuilderVersion::FusedSpmv).unwrap();
-        let wide = SplineBuilder::new(space.clone(), BuilderVersion::Interleaved).unwrap();
+        let builder = SplineBuilder::new(space.clone(), BuilderVersion::FusedSpmv).unwrap();
         let dense = pp_bsplines::assemble_interpolation_matrix(&space);
         let rhs = batch_rhs(n, 2 * LANE_WIDTH + 3, Layout::Left);
         for version in BuilderVersion::ALL {
@@ -354,13 +355,14 @@ fn builder_interleaved_matches_scalar_per_lane_within_2_ulp() {
         for batch in batches.clone() {
             let what = format!("{row} batch {batch}");
             let rhs = batch_rhs(n, batch, Layout::Left);
-            let mut reference = rhs.clone();
-            scalar.solve_in_place(&Serial, &mut reference).unwrap();
+            let reference = oracle::oracle_solved(&builder, &rhs, 1);
             let mut x = rhs.clone();
-            wide.solve_in_place(&Parallel, &mut x).unwrap();
+            builder.solve_in_place(&Parallel, &mut x).unwrap();
+            let mut x_right = rhs.to_layout(Layout::Right);
+            builder.solve_in_place(&Serial, &mut x_right).unwrap();
             for (fused, host) in [
-                fused_coefficients(&Serial, &wide, &rhs),
-                fused_coefficients(&Parallel, &wide, &rhs),
+                fused_coefficients(&Serial, &builder, &rhs),
+                fused_coefficients(&Parallel, &builder, &rhs),
             ] {
                 for j in 0..batch {
                     let want = lane_bits(&reference, j);
@@ -372,7 +374,7 @@ fn builder_interleaved_matches_scalar_per_lane_within_2_ulp() {
             for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
                 let chunks = 0..packed.num_chunks();
                 let mut panels: Vec<f64> = chunks.flat_map(|c| packed.chunk(c).to_vec()).collect();
-                wide.solve_panels_on(isa, &mut panels);
+                builder.solve_panels_on(isa, &mut panels);
                 for j in 0..batch {
                     let panel = panels.chunks_exact(n * LANE_WIDTH).nth(j / LANE_WIDTH);
                     let lane = panel.unwrap().iter().skip(j % LANE_WIDTH);
@@ -382,11 +384,9 @@ fn builder_interleaved_matches_scalar_per_lane_within_2_ulp() {
                 }
             }
             for j in 0..batch {
-                assert_eq!(
-                    lane_bits(&x, j),
-                    lane_bits(&reference, j),
-                    "{what} lane {j}"
-                );
+                let want = lane_bits(&reference, j);
+                assert_eq!(lane_bits(&x, j), want, "{what} lane {j}");
+                assert_eq!(lane_bits(&x_right, j), want, "{what} right lane {j}");
             }
         }
     }

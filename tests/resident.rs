@@ -15,6 +15,8 @@ use pp_linalg::{
 };
 use pp_portable::TestRng;
 
+mod oracle;
+
 fn random_rhs(n: usize, batch: usize, layout: Layout, rng: &mut TestRng) -> Matrix {
     Matrix::from_fn(n, batch, layout, |_, _| rng.gen_range(-2.0..2.0))
 }
@@ -199,10 +201,9 @@ fn configurations() -> [PeriodicSplineSpace; 3] {
 /// side of one and two panel boundaries.
 const VERSION_ROW_BATCHES: [usize; 5] = [1, 7, 8, 9, 17];
 
-/// Full builder pipeline, every version: `solve_resident` must carry the
-/// bits of `solve_in_place` on the equivalent host matrix — the scalar
-/// strided-lane sweep for the paper's three versions — and chained N
-/// times it must match `solve_in_place` run N times.
+/// Full builder pipeline, every version: `solve_resident` chained N times
+/// must carry the bits of the version's scalar oracle run N times on each
+/// lane's contiguous copy.
 #[test]
 fn builder_resident_chain_matches_interleaved_pack_per_solve() {
     let mut rng = TestRng::seed_from_u64(0xe5);
@@ -213,10 +214,7 @@ fn builder_resident_chain_matches_interleaved_pack_per_solve() {
             batches.extend(VERSION_ROW_BATCHES);
             for batch in batches {
                 let rhs = random_rhs(32, batch, Layout::Left, &mut rng);
-                let mut reference = rhs.clone();
-                for _ in 0..3 {
-                    builder.solve_in_place(&Parallel, &mut reference).unwrap();
-                }
+                let reference = oracle::oracle_solved(&builder, &rhs, 3);
                 let mut r = ResidentBatch::pack(&rhs);
                 for _ in 0..3 {
                     builder.solve_resident(&Parallel, &mut r).unwrap();
@@ -239,7 +237,7 @@ fn builder_resident_chain_matches_interleaved_pack_per_solve() {
 fn verified_resident_chain_matches_host_verified_path() {
     let mut rng = TestRng::seed_from_u64(0xe6);
     let space = PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
-    let verified = SplineBuilder::new(space, BuilderVersion::Interleaved)
+    let verified = SplineBuilder::new(space, BuilderVersion::FusedSpmv)
         .unwrap()
         .verified(VerifyConfig::default());
     for batch in [3usize, LANE_WIDTH + 3] {
@@ -304,7 +302,7 @@ fn random_mutations_match_the_shadow_matrix_property() {
     let batch = 13; // crosses one chunk boundary
     let mut rng = TestRng::seed_from_u64(0xe7);
     let space = PeriodicSplineSpace::new(Breaks::uniform(n, 0.0, 1.0).unwrap(), 3).unwrap();
-    let builder = SplineBuilder::new(space, BuilderVersion::Interleaved).unwrap();
+    let builder = SplineBuilder::new(space, BuilderVersion::FusedSpmv).unwrap();
 
     let mut shadow = random_rhs(n, batch, Layout::Left, &mut rng);
     let mut r = ResidentBatch::pack(&shadow);
