@@ -53,16 +53,39 @@ fn main() {
 /// Mean time of `iters` pooled in-place solves of a copy of `rhs`, after
 /// one untimed warm-up.
 fn time_solve(builder: &SplineBuilder, rhs: &Matrix, iters: usize) -> Duration {
+    let [times] = solve_rounds([builder], rhs, iters);
+    mean(&times)
+}
+
+fn mean(times: &[Duration]) -> Duration {
+    times.iter().sum::<Duration>() / times.len() as u32
+}
+
+/// Per builder, the times of `iters` pooled in-place solves of a copy of
+/// `rhs` (each timed with its copy), after one untimed warm-up each. The
+/// builders take turns, one solve each per round, so a change in the
+/// host's load falls on all of them alike.
+fn solve_rounds<const B: usize>(
+    builders: [&SplineBuilder; B],
+    rhs: &Matrix,
+    iters: usize,
+) -> [Vec<Duration>; B] {
     assert!(iters > 0, "need at least one iteration");
     let mut work = rhs.clone();
-    let mut solve = || {
+    let mut solve = |builder: &SplineBuilder| {
+        let start = Instant::now();
         work.deep_copy_from(rhs).expect("same shape");
         builder.solve_in_place(&Parallel, &mut work).expect("solve");
+        start.elapsed()
     };
-    solve();
-    let start = Instant::now();
-    (0..iters).for_each(|_| solve());
-    start.elapsed() / iters as u32
+    builders.iter().for_each(|b| _ = solve(b));
+    let mut times = builders.map(|_| Vec::with_capacity(iters));
+    for _ in 0..iters {
+        for (times, builder) in times.iter_mut().zip(builders) {
+            times.push(solve(builder));
+        }
+    }
+    times
 }
 
 /// Fig. 1: the spy pattern of the degree-3 uniform periodic matrix with
@@ -198,33 +221,38 @@ fn print_section4(BenchArgs { nx, nv, .. }: BenchArgs) {
     println!("fused 3.16/2.37 GB, fused+spmv 1.60/1.59 GB; L2 hit rates 52-58 %.");
 }
 
-/// Table III: per builder version, degree 3 uniform, the host's mean
-/// solve time at batch `nv` (standing in for the paper's Icelake) and the
-/// A100 and MI250X model times in seconds at batch `model_nv`.
+/// Table III: per builder version, degree 3 uniform, the host's times of
+/// `iters` solves at batch `nv` ([`solve_rounds`], standing in for the
+/// paper's Icelake) and the A100 and MI250X model times in seconds at
+/// batch `model_nv`.
 fn table3(
     BenchArgs { nx, nv, iters }: BenchArgs,
     model_nv: usize,
-) -> Vec<(BuilderVersion, Duration, [f64; 2])> {
+) -> Vec<(BuilderVersion, Vec<Duration>, [f64; 2])> {
     let space = SplineConfig::new(3, true).space(nx);
     let blocks = SchurBlocks::new(&space).expect("factorisation");
     let rhs = Matrix::from_fn(nx, nv, Layout::Left, |i, j| {
         ((i * 7 + j) % 13) as f64 / 13.0
     });
     let [a100, mi250x] = [Device::a100(), Device::mi250x()];
-    let row = |version| {
-        let builder = SplineBuilder::new(space.clone(), version).expect("setup");
-        let host = time_solve(&builder, &rhs, iters);
+    let versions = BuilderVersion::ALL;
+    let builders = versions.map(|v| SplineBuilder::new(space.clone(), v).expect("setup"));
+    let host = solve_rounds(builders.each_ref(), &rhs, iters);
+    let row = |(version, host)| {
         let model = |d| predict(d, &blocks, version, model_nv).time_s;
         (version, host, [model(&a100), model(&mi250x)])
     };
-    BuilderVersion::ALL.map(row).to_vec()
+    versions.into_iter().zip(host).map(row).collect()
 }
 
 fn print_table3(args: BenchArgs) {
     let BenchArgs { nx, nv, iters } = args;
     println!("=== Table III: impact of optimisation, (n, batch) = ({nx}, {nv}), {iters} iters ===");
     println!("(paper size: 1000 100000 10 — pass as arguments to reproduce at scale)\n");
-    let rows = table3(args, nv);
+    let rows: Vec<_> = table3(args, nv)
+        .into_iter()
+        .map(|(version, host, model)| (version, mean(&host), model))
+        .collect();
     println!("                 Icelake(host meas.)       A100 (model)     MI250X (model)");
     for (version, host, [a, m]) in &rows {
         let (host, a, m, label) = (fmt_ms(*host), a * 1e3, m * 1e3, version.label());
@@ -454,10 +482,13 @@ fn shape_check() {
     }
 
     println!("\nTable III — optimisation ordering");
-    let rows = table3(args, model_nv);
-    let host: Vec<f64> = rows.iter().map(|r| r.1.as_secs_f64()).collect();
+    // Best of 15 solves each: 3-solve means of the two fused versions
+    // swapped places within the host's noise.
+    let rows = table3(BenchArgs { iters: 15, ..args }, model_nv);
+    let best = |r: &(_, Vec<Duration>, _)| *r.1.iter().min().expect("15 solves");
+    let host: Vec<Duration> = rows.iter().map(best).collect();
     let ok = host[2] <= host[0] && host[2] <= host[1];
-    let detail = format!("{host:.3?} s");
+    let detail = format!("{host:.1?}");
     check("host: spmv is the fastest version", ok, detail);
     for (k, device) in [Device::a100(), Device::mi250x()].iter().enumerate() {
         let t: Vec<f64> = rows.iter().map(|r| r.2[k]).collect();

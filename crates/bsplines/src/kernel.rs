@@ -11,7 +11,7 @@
 //! and `[f64; LANE_WIDTH]` is a *run* — eight consecutive points of one lane
 //! in eight consecutive cells, whose knots, reciprocals and coefficients are
 //! contiguous in memory (DESIGN.md §16.8). Every multiply-add pair is one
-//! [`Lanes::mul_add`].
+//! [`Lanes::mul_add`], rounded once.
 
 use crate::space::MAX_DEGREE;
 use pp_portable::Lanes;

@@ -4,7 +4,7 @@
 use crate::error::{Error, Result};
 use crate::kernel::{self, Tabulated};
 use crate::knots::Breaks;
-use pp_portable::{deinterleave_columns, interleave_columns, Lanes, PanelIsa};
+use pp_portable::{deinterleave_columns, interleave_columns, run_scalar, Lanes, PanelIsa};
 use pp_portable::{Lines, Strided, StridedMut, LANE_WIDTH};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -302,7 +302,10 @@ impl SplineSpace {
     /// [`Self::wrap`] makes `x` NaN, the values are NaN, in cell 0.
     #[inline]
     pub fn eval_basis(&self, x: f64, out: &mut [f64; MAX_DEGREE + 1]) -> usize {
-        let (cell, vals) = monomorphised!(self, basis_at[false](x, None));
+        let (cell, vals) = run_scalar(
+            #[inline(always)]
+            || monomorphised!(self, basis_at[false](x, None)),
+        );
         *out = vals;
         cell
     }
@@ -428,9 +431,25 @@ impl SplineSpace {
     /// It issues close to what a core retires and reads slower under wide
     /// vectors (29 against 18 ns/point under AVX-512), so it is compiled
     /// once, out of line, for the target's baseline whatever instruction
-    /// set the caller was compiled for.
+    /// set the caller was compiled for — with FMA where the host has it
+    /// ([`run_scalar`]), so a multiply-add is one instruction, not a call.
     #[inline(never)]
     fn eval_points<const D: usize, const UNIFORM: bool>(
+        &self,
+        coefs: Strided<'_>,
+        xs: &[f64],
+        out: &mut [f64],
+        cell: usize,
+    ) -> usize {
+        run_scalar(
+            #[inline(always)]
+            || self.points::<D, UNIFORM>(coefs, xs, out, cell),
+        )
+    }
+
+    /// [`Self::eval_points`]'s loop.
+    #[inline(always)]
+    fn points<const D: usize, const UNIFORM: bool>(
         &self,
         coefs: Strided<'_>,
         xs: &[f64],

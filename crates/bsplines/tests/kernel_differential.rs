@@ -239,7 +239,7 @@ fn eval_lane_is_the_basis_dot_product_bitwise() {
                     let cell = space.eval_basis(x, &mut vals);
                     let mut s = 0.0;
                     for m in 0..=degree {
-                        s += vals[m] * coefs[space.coef_index(cell, m)];
+                        s = vals[m].mul_add(coefs[space.coef_index(cell, m)], s);
                     }
                     s
                 })
@@ -618,7 +618,7 @@ fn reference(space: &PeriodicSplineSpace, coefs: &[f64], x: f64) -> f64 {
     let cell = space.eval_basis(x, &mut vals);
     let mut s = 0.0;
     for m in 0..=space.degree() {
-        s += vals[m] * coefs[space.coef_index(cell, m)];
+        s = vals[m].mul_add(coefs[space.coef_index(cell, m)], s);
     }
     s
 }

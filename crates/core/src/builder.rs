@@ -327,7 +327,8 @@ impl SplineBuilder {
     /// panels that `panels` holds back to back, in the instance compiled for
     /// `isa`: four abreast while four are left, then two, then one. A
     /// panel's bits depend neither on its company (`[Panel; P]` is a
-    /// regrouping) nor on the instance (rustc never contracts `a·b + c`).
+    /// regrouping) nor on the instance (every multiply-add is the one fused
+    /// [`pp_portable::Lanes::mul_add`], and rustc contracts nothing else).
     ///
     /// # Panics
     /// Panics if the host lacks `isa`, or `panels` is not whole panels.

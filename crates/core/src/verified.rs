@@ -34,11 +34,11 @@ use crate::iterative_backend::{IterativeConfig, IterativeSplineSolver};
 use pp_bsplines::{assemble_interpolation_matrix, Breaks, SplineSpace};
 use pp_iterative::solver::{norm2, residual_into};
 use pp_linalg::{getrf, refine_lane, LuFactors, RefineConfig};
+use pp_portable::{run_scalar, Lanes, PanelIsa};
 use pp_portable::{
     ExecSpace, Field, HostField, Layout, Matrix, Parallel, ResidentBatch, StridedMut, TestRng,
     LANE_WIDTH,
 };
-use pp_portable::{Lanes, PanelIsa};
 use pp_sparse::Csr;
 
 /// Relative tolerance of the ABFT screen. The discrepancy of a correct
@@ -760,11 +760,13 @@ impl VerifiedBuilder {
     /// `(tripped, relative discrepancy)`; a non-finite discrepancy always
     /// trips (`NaN > tol` is false — the comparison must not be inverted).
     fn abft_check(&self, x: &[f64], b_lane: &[f64]) -> (bool, f64) {
-        let vx = self
-            .colsum
-            .iter()
-            .zip(x)
-            .fold(0.0, |s, (&c, &xi)| Lanes::mul_add(c, xi, s));
+        let vx = run_scalar(
+            #[inline(always)]
+            || {
+                let terms = self.colsum.iter().zip(x);
+                terms.fold(0.0, |s, (&c, &xi)| Lanes::mul_add(c, xi, s))
+            },
+        );
         let sum_b: f64 = b_lane.iter().sum();
         let disc = (vx - sum_b).abs();
         let scale = self.colsum_norm * norm2(x) + sum_b.abs();
@@ -1175,9 +1177,13 @@ impl BandRuns {
     }
 }
 
-/// Run the fused per-lane Schur solve on one contiguous slice.
+/// Run the fused per-lane Schur solve on one contiguous slice, with FMA
+/// enabled where the host has it ([`run_scalar`]).
 fn schur_solve_slice(blocks: &SchurBlocks, sparse: bool, lane: &mut [f64]) {
-    schur_solve(blocks, sparse, &mut StridedMut::from_slice(lane));
+    run_scalar(
+        #[inline(always)]
+        || schur_solve(blocks, sparse, &mut StridedMut::from_slice(lane)),
+    );
 }
 
 /// Lane `l` of one `[nrows][LANE_WIDTH]` panel as a contiguous vector.

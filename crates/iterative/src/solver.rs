@@ -3,7 +3,7 @@
 use crate::breakdown::BreakdownKind;
 use crate::precond::Preconditioner;
 use crate::stop::StopCriteria;
-use pp_portable::Lanes;
+use pp_portable::{run_scalar, Lanes};
 use pp_sparse::Csr;
 
 /// Outcome of one Krylov solve.
@@ -66,7 +66,11 @@ pub trait IterativeSolver: Send + Sync {
 /// gives `−0.0`).
 #[inline]
 pub fn norm2(v: &[f64]) -> f64 {
-    v.iter().fold(-0.0, |s, &x| Lanes::mul_add(x, x, s)).sqrt()
+    run_scalar(
+        #[inline(always)]
+        || v.iter().fold(-0.0, |s, &x| Lanes::mul_add(x, x, s)),
+    )
+    .sqrt()
 }
 
 /// Dot product.

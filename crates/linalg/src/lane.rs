@@ -9,10 +9,10 @@
 //!
 //! * the row value is a [`pp_portable::Lanes`] — `f64`, `[f64; LANE_WIDTH]`,
 //!   or `P` of those — and a sweep uses two of its operations: `x − a·y` is
-//!   `splat(−a).mul_add(y, x)` (negation is exact, so those are the bits of
-//!   `x − a·y`) and a pivot is a `mul`. None divides: one matrix serves the
-//!   whole batch, so every pivot's reciprocal is taken once, at factor time
-//!   (DESIGN.md §13.2);
+//!   the fused `splat(−a).mul_add(y, x)`, rounded once (negation is exact,
+//!   so it is `x − a·y` rounded once) and a pivot is a `mul`. None divides:
+//!   one matrix serves the whole batch, so every pivot's reciprocal is
+//!   taken once, at factor time (DESIGN.md §13.2);
 //! * [`LaneRows`] is the row accessor, implemented for [`StridedMut`]
 //!   (one lane of a [`pp_portable::Matrix`]), for [`Panel`] (one chunk
 //!   of a [`pp_portable::ResidentBatch`], its rows by `as_chunks_mut`) and
@@ -30,7 +30,9 @@
 //! and are never read back), and a lane's bits do not depend on how many
 //! panels were advanced beside its own. Sweeps and accessors are
 //! `#[inline(always)]`: a caller that runs them inside a
-//! `#[target_feature]` shell gets them at that shell's width.
+//! `#[target_feature]` shell gets them at that shell's width, and the one
+//! lane of `solve_lane` runs in [`pp_portable::run_scalar`], so its
+//! multiply-adds are FMA instructions too.
 //!
 //! [`LaneRows`] and [`Panel`] are exported so `pp-splinesolver` can write
 //! the fused Schur sequence once over the same accessor.
@@ -39,8 +41,8 @@ use crate::banded::BandedLu;
 use crate::pb::CholeskyBanded;
 use pp_portable::{Lanes, Matrix, StridedMut, LANE_WIDTH};
 
-/// `x − a·y`, per lane, the update of every sweep: negation is exact, so
-/// `(−a)·y + x` has its bits.
+/// `x − a·y` rounded once, per lane, the update of every sweep: negation
+/// is exact, so the fused `(−a)·y + x` has its bits.
 #[inline(always)]
 fn minus<V: Lanes>(x: V, a: f64, y: V) -> V {
     V::splat(-a).mul_add(y, x)

@@ -8,7 +8,7 @@
 use crate::error::{Error, Result};
 use crate::health::{check_finite_input, check_solve_slice, rcond_estimate, FactorHealth};
 use crate::lane::{self, LaneRows};
-use pp_portable::{Layout, Matrix, StridedMut};
+use pp_portable::{run_scalar, Layout, Matrix, StridedMut};
 
 /// Packed LU factors of a dense matrix: `P·A = L·U` with unit-diagonal `L`
 /// stored below the diagonal of [`LuFactors::lu`], `U` above it and, on it,
@@ -60,7 +60,10 @@ impl LuFactors {
             self.n(),
             "getrs: lane length must equal matrix order"
         );
-        self.solve_rows(b, 0);
+        run_scalar(
+            #[inline(always)]
+            || self.solve_rows(b, 0),
+        );
     }
 
     /// Solve in place on rows `row0..row0 + n` of `rows` (`getrs`, no

@@ -8,7 +8,7 @@
 use crate::error::{Error, Result};
 use crate::health::{check_finite_input, check_solve_slice, rcond_estimate, FactorHealth};
 use crate::lane::{self, LaneRows};
-use pp_portable::StridedMut;
+use pp_portable::{run_scalar, StridedMut};
 
 /// A symmetric positive-definite banded matrix (lower storage).
 #[derive(Debug, Clone)]
@@ -167,7 +167,10 @@ impl CholeskyBanded {
             self.n,
             "pbtrs: lane length must equal matrix order"
         );
-        self.solve_rows(b, 0);
+        run_scalar(
+            #[inline(always)]
+            || self.solve_rows(b, 0),
+        );
     }
 
     /// Solve in place on rows `row0..row0 + n` of `rows` (`pbtrs`), for

@@ -9,7 +9,7 @@
 use crate::error::{Error, Result};
 use crate::health::{check_finite_input, check_solve_slice, rcond_estimate, FactorHealth};
 use crate::lane::{self, LaneRows};
-use pp_portable::StridedMut;
+use pp_portable::{run_scalar, StridedMut};
 
 /// `L·D·Lᵀ` factors of an SPD tridiagonal matrix.
 ///
@@ -63,7 +63,10 @@ impl PtFactors {
             self.n(),
             "pttrs: lane length must equal matrix order"
         );
-        self.solve_rows(b, 0);
+        run_scalar(
+            #[inline(always)]
+            || self.solve_rows(b, 0),
+        );
     }
 
     /// Solve in place on rows `row0..row0 + n` of `rows` (`pttrs`), for

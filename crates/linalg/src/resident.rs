@@ -5,7 +5,8 @@
 //! `lane` module) for a [`Panel`] makes every recurrence step one
 //! fixed-width loop — the shape LLVM turns into a single AVX-512 (or two
 //! AVX2) vector operations, checked in `fig2_glups --isa`'s ns per panel
-//! row rather than assumed. Each lane performs the operations of the
+//! row rather than assumed; the drivers run it in the host's widest
+//! [`PanelIsa`] instance, whose multiply-adds are FMA instructions. Each lane performs the operations of the
 //! strided-lane instantiation, in the same order, so results are
 //! bit-identical per lane; the partial final chunk of a batch runs the
 //! same wide body (its padding lanes are never read back).
@@ -20,9 +21,11 @@ use crate::lane::Panel;
 use crate::lu::LuFactors;
 use crate::pb::CholeskyBanded;
 use crate::pt::PtFactors;
-use pp_portable::{ExecSpace, ResidentBatch};
+use pp_portable::{ExecSpace, PanelIsa, ResidentBatch};
 
-/// Run `solve` on every chunk of `b`, chunk-parallel through `exec`.
+/// Run `solve`, an `#[inline(always)]` closure, on every chunk of `b`,
+/// chunk-parallel through `exec`, in the host's widest [`PanelIsa`]
+/// instance.
 fn for_each_panel<E: ExecSpace>(
     exec: &E,
     routine: &str,
@@ -31,7 +34,13 @@ fn for_each_panel<E: ExecSpace>(
     solve: impl Fn(&mut Panel<'_>) + Sync + Send,
 ) {
     assert_eq!(b.nrows(), n, "{routine}_resident: rhs rows != order");
-    b.for_each_chunk_mut(exec, |_, _, chunk| solve(&mut Panel::new(chunk, n)));
+    let isa = PanelIsa::detected();
+    b.for_each_chunk_mut(exec, |_, _, chunk| {
+        isa.run(
+            #[inline(always)]
+            || solve(&mut Panel::new(chunk, n)),
+        )
+    });
 }
 
 /// Batched `pttrs` on resident panels: solve every lane of `b` in place,
@@ -40,7 +49,14 @@ fn for_each_panel<E: ExecSpace>(
 /// # Panics
 /// Panics if `b.nrows() != factors.n()`.
 pub fn pttrs_resident<E: ExecSpace>(exec: &E, factors: &PtFactors, b: &mut ResidentBatch) {
-    for_each_panel(exec, "pttrs", factors.n(), b, |p| factors.solve_rows(p, 0));
+    for_each_panel(
+        exec,
+        "pttrs",
+        factors.n(),
+        b,
+        #[inline(always)]
+        |p| factors.solve_rows(p, 0),
+    );
 }
 
 /// Batched `pbtrs` on resident panels, chunk-parallel through `exec`.
@@ -48,7 +64,14 @@ pub fn pttrs_resident<E: ExecSpace>(exec: &E, factors: &PtFactors, b: &mut Resid
 /// # Panics
 /// Panics if `b.nrows() != factors.n()`.
 pub fn pbtrs_resident<E: ExecSpace>(exec: &E, factors: &CholeskyBanded, b: &mut ResidentBatch) {
-    for_each_panel(exec, "pbtrs", factors.n(), b, |p| factors.solve_rows(p, 0));
+    for_each_panel(
+        exec,
+        "pbtrs",
+        factors.n(),
+        b,
+        #[inline(always)]
+        |p| factors.solve_rows(p, 0),
+    );
 }
 
 /// Batched `gbtrs` on resident panels, chunk-parallel through `exec`.
@@ -56,7 +79,14 @@ pub fn pbtrs_resident<E: ExecSpace>(exec: &E, factors: &CholeskyBanded, b: &mut 
 /// # Panics
 /// Panics if `b.nrows() != factors.n()`.
 pub fn gbtrs_resident<E: ExecSpace>(exec: &E, factors: &BandedLu, b: &mut ResidentBatch) {
-    for_each_panel(exec, "gbtrs", factors.n(), b, |p| factors.solve_rows(p, 0));
+    for_each_panel(
+        exec,
+        "gbtrs",
+        factors.n(),
+        b,
+        #[inline(always)]
+        |p| factors.solve_rows(p, 0),
+    );
 }
 
 /// Batched dense `getrs` on resident panels, chunk-parallel through
@@ -65,7 +95,14 @@ pub fn gbtrs_resident<E: ExecSpace>(exec: &E, factors: &BandedLu, b: &mut Reside
 /// # Panics
 /// Panics if `b.nrows() != factors.n()`.
 pub fn getrs_resident<E: ExecSpace>(exec: &E, factors: &LuFactors, b: &mut ResidentBatch) {
-    for_each_panel(exec, "getrs", factors.n(), b, |p| factors.solve_rows(p, 0));
+    for_each_panel(
+        exec,
+        "getrs",
+        factors.n(),
+        b,
+        #[inline(always)]
+        |p| factors.solve_rows(p, 0),
+    );
 }
 
 #[cfg(test)]

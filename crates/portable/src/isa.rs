@@ -6,12 +6,10 @@ use std::sync::OnceLock;
 /// `[V; P]` is `P` values of `V` side by side — `[f64; 8]` a run of eight
 /// points or a panel row, `[[f64; 8]; P]` the rows of `P` panels abreast.
 /// Every operation applies to each lane independently, as the `f64`
-/// instance does, and nothing is fused or reassociated: a lane of a wide
-/// value carries the bits of the scalar instance, in every [`PanelIsa`]
-/// instance.
-///
-/// On `f64` the inherent [`f64::mul_add`] (fused) shadows
-/// [`Lanes::mul_add`]: scalar code calls it as `Lanes::mul_add(a, b, c)`.
+/// instance does, and is rounded once: [`Lanes::mul_add`] is the fused
+/// multiply-add, and nothing is reassociated. A lane of a wide value
+/// carries the bits of the scalar instance, in every [`PanelIsa`]
+/// instance, in [`run_scalar`] and on a host without FMA.
 pub trait Lanes: Copy {
     /// Lanes per value.
     const WIDTH: usize;
@@ -25,8 +23,11 @@ pub trait Lanes: Copy {
     fn sub(self, o: Self) -> Self;
     /// `self · o`, per lane.
     fn mul(self, o: Self) -> Self;
-    /// `self · a + b`, per lane: the multiply-add of every body, rounded
-    /// after the product and after the sum.
+    /// `self · a + b`, per lane, rounded once: the fused multiply-add of
+    /// every body, [`f64::mul_add`] lane by lane. Compiled where the host's
+    /// FMA is enabled (the AVX2 and AVX-512F instances, [`run_scalar`]) it
+    /// is one `vfmadd`; anywhere else it is a call to the correctly
+    /// rounded `fma` routine, with the same bits.
     fn mul_add(self, a: Self, b: Self) -> Self;
 }
 
@@ -54,7 +55,7 @@ impl Lanes for f64 {
     }
     #[inline(always)]
     fn mul_add(self, a: Self, b: Self) -> Self {
-        self * a + b
+        f64::mul_add(self, a, b)
     }
 }
 
@@ -104,14 +105,16 @@ impl<V: Lanes, const P: usize> Lanes for [V; P] {
 /// `pp-splinesolver`, and the panel transposer ([`crate::deinterleave_columns`],
 /// which dispatches on its own). One source, one instance each
 /// ([`PanelIsa::run`]). Their arithmetic is [`Lanes`], whose
-/// [`Lanes::mul_add`] is the one place a multiply-add is rounded; rustc
-/// never contracts `a·b + c` into a fused multiply-add, so every instance
-/// returns the same bits.
+/// [`Lanes::mul_add`] is the one multiply-add and is fused in every
+/// instance (rustc never contracts a plain `a·b + c`, so no other
+/// operation is), so every instance returns the same bits. Both wide
+/// instances have FMA: the AVX2 one requires and enables it beside AVX2,
+/// and AVX-512F implies it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PanelIsa {
     /// The target's baseline (SSE2 on x86-64): always available.
     Baseline,
-    /// x86-64 AVX2: four doubles per operation.
+    /// x86-64 AVX2 with FMA: four doubles per operation.
     Avx2,
     /// x86-64 AVX-512F: a whole run per operation.
     Avx512,
@@ -136,7 +139,9 @@ impl PanelIsa {
         match self {
             PanelIsa::Baseline => true,
             #[cfg(target_arch = "x86_64")]
-            PanelIsa::Avx2 => !cfg!(miri) && is_x86_feature_detected!("avx2"),
+            PanelIsa::Avx2 => {
+                !cfg!(miri) && is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+            }
             #[cfg(target_arch = "x86_64")]
             PanelIsa::Avx512 => !cfg!(miri) && is_x86_feature_detected!("avx512f"),
             #[cfg(not(target_arch = "x86_64"))]
@@ -167,7 +172,8 @@ impl PanelIsa {
             PanelIsa::Baseline => body(),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `self.is_available()` (asserted above) is
-            // `is_x86_feature_detected!("avx2")` for this variant.
+            // `is_x86_feature_detected!("avx2")` and `("fma")` for this
+            // variant.
             PanelIsa::Avx2 => unsafe { run_avx2(body) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `self.is_available()` (asserted above) is
@@ -179,24 +185,52 @@ impl PanelIsa {
     }
 }
 
-/// `body` compiled for AVX2.
+/// `body` compiled for AVX2 and FMA.
 ///
 /// # Safety
-/// The CPU must support AVX2.
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn run_avx2<R>(body: impl FnOnce() -> R) -> R {
     body()
 }
 
-/// `body` compiled for AVX-512F: eight doubles are one register, and
-/// neither the walk nor the screen needs an extension beyond F.
+/// `body` compiled for AVX-512F: eight doubles are one register, FMA
+/// comes with F, and neither the walk nor the screen needs an extension
+/// beyond it.
 ///
 /// # Safety
 /// The CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn run_avx512<R>(body: impl FnOnce() -> R) -> R {
+    body()
+}
+
+/// Run `body`, a one-lane ([`f64`]) body that no [`PanelIsa::run`] shell
+/// holds — the lane walk's scalar edge, a per-lane Krylov solve, a sparse
+/// product — compiled for the target's baseline plus FMA where the host
+/// has it, so that each [`Lanes::mul_add`] inlined into it is one
+/// `vfmadd` and not a call to `fma`. The bits are the same either way.
+/// Pass an `#[inline(always)]` closure over `#[inline(always)]` code, as
+/// for [`PanelIsa::run`].
+#[inline(always)]
+pub fn run_scalar<R>(body: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if !cfg!(miri) && is_x86_feature_detected!("fma") {
+        // SAFETY: the host has FMA, detected just above.
+        return unsafe { run_fma(body) };
+    }
+    body()
+}
+
+/// `body` compiled for the baseline plus FMA.
+///
+/// # Safety
+/// The CPU must support FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn run_fma<R>(body: impl FnOnce() -> R) -> R {
     body()
 }
 
@@ -207,8 +241,8 @@ mod tests {
 
     /// Every operation of a run (`[f64; 8]`) and of four runs abreast
     /// (`[[f64; 8]; 4]`) is the `f64` operation lane by lane, bit for bit,
-    /// in every instance: the "nothing fused or reassociated" contract of
-    /// every body written over [`Lanes`], asserted once.
+    /// in every instance: the "one rounding, nothing reassociated" contract
+    /// of every body written over [`Lanes`], asserted once.
     #[test]
     fn wide_lanes_are_the_scalar_lanes_bitwise() {
         const ABREAST: usize = 4 * LANE_WIDTH;
@@ -247,6 +281,55 @@ mod tests {
                 },
             );
         }
+    }
+
+    /// `a·b + c` with `a = b = 1 + 2⁻³⁰` and `c = −(1 + 2⁻²⁹)` is 2⁻⁶⁰
+    /// rounded once and 0 rounded twice (the product's 2⁻⁶⁰ is below half
+    /// an ulp of 1): every lane of `f64`, a run and four runs abreast is
+    /// the fused value, in every instance and in [`run_scalar`].
+    #[test]
+    fn mul_add_rounds_once() {
+        use std::hint::black_box;
+        let a = black_box(1.0 + 2f64.powi(-30));
+        let c = black_box(-(1.0 + 2f64.powi(-29)));
+        let fused = 2f64.powi(-60);
+        assert_eq!(a * a + c, 0.0, "two roundings lose the low term");
+        let check = |name: &str, (one, run, abreast): Rounded| {
+            let lanes = std::iter::once(&one)
+                .chain(&run)
+                .chain(abreast.as_flattened());
+            for (l, v) in lanes.enumerate() {
+                assert_eq!(v.to_bits(), fused.to_bits(), "{name}: value {l} = {v:e}");
+            }
+        };
+        check(
+            "run_scalar",
+            run_scalar(
+                #[inline(always)]
+                || rounded_once(a, c),
+            ),
+        );
+        for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
+            check(
+                isa.name(),
+                isa.run(
+                    #[inline(always)]
+                    || rounded_once(a, c),
+                ),
+            );
+        }
+    }
+
+    type Rounded = (f64, [f64; LANE_WIDTH], [[f64; LANE_WIDTH]; 4]);
+
+    /// `a·a + c` as `f64`, as a run and as four runs abreast.
+    #[inline(always)]
+    fn rounded_once(a: f64, c: f64) -> Rounded {
+        (
+            Lanes::mul_add(a, a, c),
+            Lanes::mul_add(Lanes::splat(a), Lanes::splat(a), Lanes::splat(c)),
+            Lanes::mul_add(Lanes::splat(a), Lanes::splat(a), Lanes::splat(c)),
+        )
     }
 
     /// Each operation of `V` on the first [`Lanes::WIDTH`] values of `a`,

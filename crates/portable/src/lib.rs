@@ -79,7 +79,7 @@ pub use error::{Error, Result};
 pub use exec::{CountingExec, ExecSpace, Parallel, Serial};
 pub use field::{fill_panel, run_blocks, Field, HostField, TiledField};
 pub use interleaved::{deinterleave_columns, interleave_columns, ResidentBatch, LANE_WIDTH};
-pub use isa::{Lanes, PanelIsa};
+pub use isa::{run_scalar, Lanes, PanelIsa};
 pub use layout::Layout;
 pub use lines::Lines;
 pub use matrix::Matrix;

@@ -7,7 +7,7 @@
 
 use crate::coo::Coo;
 use crate::error::{Error, Result};
-use pp_portable::{Lanes, Matrix};
+use pp_portable::{run_scalar, Lanes, Matrix};
 
 /// A sparse matrix in CSR format.
 ///
@@ -156,11 +156,16 @@ impl Csr {
     pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length");
         assert_eq!(y.len(), self.nrows, "spmv: y length");
-        for i in 0..self.nrows {
-            y[i] = self
-                .row(i)
-                .fold(0.0, |s, (c, v)| Lanes::mul_add(v, x[c], s));
-        }
+        run_scalar(
+            #[inline(always)]
+            || {
+                for i in 0..self.nrows {
+                    y[i] = self
+                        .row(i)
+                        .fold(0.0, |s, (c, v)| Lanes::mul_add(v, x[c], s));
+                }
+            },
+        );
     }
 
     /// `y ← A x` allocating the result.
