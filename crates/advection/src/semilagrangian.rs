@@ -375,9 +375,12 @@ impl Advection1D {
     /// per-lane displacements: `f` has shape `(Nv, Nx)` — rows are this
     /// driver's lanes, its lanes are the `x` points — and lane `j`'s feet
     /// are `x_i − displacements[j]`. The Vlasov driver advects its
-    /// `(x, v)` slab along `v` with it, in place, with no reoriented copy:
-    /// the step runs on the slab's [`TiledField`], each block of eight
-    /// lanes being a row of its 8 × 8 tiles. The result is that of
+    /// `(x, v)` slab along `v` with it, in place, with no reoriented copy
+    /// and no staging copy: the step runs on the slab's [`TiledField`],
+    /// each block of eight lanes being a row of its 8 × 8 tiles, transposed
+    /// tile by tile into the worker's solve panel and evaluated straight
+    /// back into its tile rows — one read and one write of the slab, as an
+    /// x-advection makes. The result is that of
     /// [`ResidentBatch::transpose_into`], then
     /// [`Advection1D::step_resident_with_displacements`], then
     /// `transpose_into` back, bit for bit; `f`'s padding lanes are never
@@ -446,7 +449,7 @@ impl Advection1D {
             let feet = |l: usize| (points, displacements[chunk * LANE_WIDTH + l]);
             match solved {
                 Solved::InPlace(panel) => space.eval_panel(None, lanes, feet, panel),
-                Solved::Apart { coefs, block } => space.eval_columns(coefs, lanes, feet, block),
+                Solved::Apart { coefs, block } => space.eval_columns(coefs, feet, block),
             }
         };
 

@@ -393,8 +393,10 @@ impl VlasovPoisson1D1V {
 
     /// One Strang-split time step on the resident distribution, which
     /// never changes orientation: the x-advections solve and interpolate
-    /// its panels, the v-advection its 8 × 8 tiles (the step on the
-    /// slab's [`pp_portable::TiledField`]), and the
+    /// its panels, the v-advection its 8 × 8 tiles where they lie (the step
+    /// on the slab's [`pp_portable::TiledField`]: each tile transposed into
+    /// the worker's solve panel, the results written straight back into
+    /// its tile rows, nothing staged), and the
     /// density streams the slab where it lies. Four regions on `exec` —
     /// three advections and the density — and no allocation beyond each
     /// worker's first run. Nothing is unpacked: afterwards

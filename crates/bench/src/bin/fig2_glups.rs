@@ -11,14 +11,20 @@
 //! the screen run at, the plain step's ns/point and pool dispatches per
 //! step, the same for the host step (`step` on the field itself), the
 //! same-run step-time ratio of verified to plain and the verification
-//! surcharge in ns/point, and the resident chain's transpose share
-//! ([`transpose_share`]) — the two dispatch counts and the two ratios are
-//! what `scripts/check_bench.sh` gates.
+//! surcharge in ns/point, the resident chain's transpose share
+//! ([`transpose_share`]) and the same-run ratio of the solve-and-evaluate
+//! call on a batch's tiles to the same call on its panels
+//! ([`tiled_step_ratio`]) — the two dispatch counts and the three ratios
+//! are what `scripts/check_bench.sh` gates.
 //!
 //! `fig2_glups --isa` prints the per-instruction-set rows of the evaluator
 //! ([`isa_rows`]), of the panel transposer ([`transposer_isa_rows`]), of the
 //! verified solve's screen ([`screen_isa_rows`]) and of the solve's sweep,
 //! alone, two and four abreast ([`sweep_isa_rows`]), instead and exits.
+//! Their speed-ups are over [`FMA_BASE`], AVX2: the baseline instance's
+//! multiply-adds are calls into the `fma` routine, so a ratio over it
+//! measures those calls, not the vector width. The baseline rows keep their
+//! timings and the checksums every instance is held to.
 
 use pp_advection::{Advection1D, SplineBackend};
 use pp_bench::gpu_model::predict;
@@ -26,10 +32,11 @@ use pp_bench::{parse_positional, usage_exit, AsciiPlot, SplineConfig};
 use pp_perfmodel::{glups, performance_portability, Device};
 use pp_portable::{
     deinterleave_columns, interleave_columns, CountingExec, Layout, Lines, Matrix, PanelIsa,
-    Parallel, ResidentBatch, Serial, TestRng, LANE_WIDTH,
+    Parallel, ResidentBatch, Serial, TestRng, TiledField, LANE_WIDTH,
 };
 use pp_splinesolver::{
-    BuilderVersion, IterativeConfig, SchurBlocks, SplineBuilder, VerifiedBuilder, VerifyConfig,
+    BuilderVersion, IterativeConfig, SchurBlocks, Solved, SplineBuilder, VerifiedBuilder,
+    VerifyConfig,
 };
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -114,17 +121,84 @@ fn transpose_share(builder: &SplineBuilder, nx: usize, nv: usize) -> f64 {
     shares[shares.len() / 2]
 }
 
+/// The Strang step's v-advection against its x-advection, same run, on
+/// `Parallel`: `solve_then` with the advection step's evaluate continuation
+/// (every lane walked at its feet `x_i − d_l` back into its block) over the
+/// [`TiledField`] of an `(n, n)` batch — blocks are tile rows, transposed
+/// tile by tile into the worker's panel and walked straight back into
+/// them — and the same call over the batch's own panels. After a warm-up
+/// round, `steps` rounds time one call of each in turn; the ratio of the
+/// medians, tiled over panels.
+fn tiled_step_ratio(n: usize, steps: usize) -> f64 {
+    let space = SplineConfig::ALL[0].space(n);
+    let builder = SplineBuilder::new(space.clone(), BuilderVersion::FusedSpmv).expect("setup");
+    let points = space.interpolation_points();
+    let shifts: Vec<f64> = (0..n)
+        .map(|l| 1e-3 * (0.1 + 0.8 * l as f64 / n as f64))
+        .collect();
+    let mut batch = ResidentBatch::pack(&Matrix::from_fn(n, n, Layout::Left, |i, j| {
+        ((i * 31 + j * 17) % 97) as f64 / 97.0 - 0.5
+    }));
+    let advect = |chunk: usize, lanes: usize, solved: Solved<'_>| {
+        let feet = |l: usize| (&points[..], shifts[chunk * LANE_WIDTH + l]);
+        match solved {
+            Solved::InPlace(panel) => space.eval_panel(None, lanes, feet, panel),
+            Solved::Apart { coefs, block } => space.eval_columns(coefs, feet, block),
+        }
+    };
+    let (mut tiled, mut panels) = (Vec::with_capacity(steps), Vec::with_capacity(steps));
+    for round in 0..=steps {
+        let start = Instant::now();
+        let mut tiles = TiledField::new(&mut batch);
+        builder
+            .solve_then(&Parallel, &mut tiles, advect)
+            .expect("step");
+        let between = Instant::now();
+        builder
+            .solve_then(&Parallel, &mut batch, advect)
+            .expect("step");
+        if round > 0 {
+            tiled.push(between - start);
+            panels.push(between.elapsed());
+        }
+    }
+    let median = |mut times: Vec<Duration>| {
+        times.sort();
+        times[times.len() / 2].as_secs_f64()
+    };
+    median(tiled) / median(panels)
+}
+
+/// The base of every `--isa` speed-up: the narrowest instance with hardware
+/// FMA (module docs).
+const FMA_BASE: PanelIsa = PanelIsa::Avx2;
+
+/// `base_ns / ns`, the speed-up of an instance over [`FMA_BASE`], which
+/// took `base_ns` (`None` where the host lacks it); none for the baseline
+/// instance.
+fn speedup(isa: PanelIsa, ns: f64, base_ns: Option<f64>) -> Option<f64> {
+    base_ns
+        .filter(|_| isa != PanelIsa::Baseline)
+        .map(|base| base / ns)
+}
+
+/// A ratio column: two decimals, or `-` where there is none.
+fn column(ratio: Option<f64>) -> String {
+    ratio.map_or_else(|| "-".to_string(), |r| format!("{r:.2}"))
+}
+
 /// The evaluator alone, one thread, per instruction set: `eval_panel_on`
 /// over 128 panels of 1024 rows at the step's feet `(x_i, d_l)` — formed in
-/// the walk as `x_i − d_l` — with `|d_l| ≤ 0.004` (four cells), best of 15 passes, uniform cubic and quintic (their
-/// closed forms) and graded quintic (the triangle).
-/// Per row: ns/point, the share of runs on the vector path, the speed-up
-/// over the baseline instance and the Pennycook efficiency with its base
-/// stated (speed-up ÷ width ratio over SSE2's two doubles); per mesh their
-/// harmonic mean. Every instance must return the baseline's checksum.
+/// the walk as `x_i − d_l` — with `|d_l| ≤ 0.004` (four cells), best of 15
+/// passes, uniform cubic and quintic (their closed forms) and graded quintic
+/// (the triangle). Per row: ns/point, the share of runs on the vector path,
+/// the speed-up over [`FMA_BASE`] and the Pennycook efficiency with its base
+/// stated (speed-up ÷ the width ratio over AVX2's four doubles); per mesh
+/// their harmonic mean over the instances with hardware FMA. Every instance
+/// must return the baseline's checksum.
 fn isa_rows() {
     const N: usize = 1024 * LANE_WIDTH;
-    println!("mesh,isa,ns_per_point,vector_run_share,speedup,efficiency");
+    println!("mesh,isa,ns_per_point,vector_run_share,speedup_vs_avx2,efficiency_vs_avx2");
     for cfg in [0, 2, 5].map(|k| SplineConfig::ALL[k]) {
         let (space, mesh) = (cfg.space(N / LANE_WIDTH), cfg.label());
         let points = space.interpolation_points();
@@ -134,9 +208,9 @@ fn isa_rows() {
             .map(|_| rng.gen_range(-0.004..0.004))
             .collect();
         let mut out = vec![0.0; N];
-        let (mut base, mut efficiencies) = (None, Vec::new());
-        let instances = PanelIsa::ALL.into_iter().zip([1.0, 2.0, 4.0]);
-        for (isa, width) in instances.filter(|(isa, _)| isa.is_available()) {
+        let (mut base_sum, mut rows) = (None, Vec::new());
+        let instances = PanelIsa::ALL.into_iter().zip([2.0, 4.0, 8.0]);
+        for (isa, doubles) in instances.filter(|(isa, _)| isa.is_available()) {
             let (mut best, mut runs, mut sum) = (Duration::MAX, 0, 0.0);
             for _ in 0..15 {
                 (runs, sum) = (0, 0.0);
@@ -149,19 +223,27 @@ fn isa_rows() {
                 best = best.min(start.elapsed());
             }
             let ns = best.as_secs_f64() * 1e9 / (128 * N) as f64;
-            let (base_ns, base_sum): (f64, f64) = *base.get_or_insert((ns, sum));
+            let base_sum: f64 = *base_sum.get_or_insert(sum);
             assert_eq!(sum.to_bits(), base_sum.to_bits(), "{}", isa.name());
             // A pass is 128 panels of N / LANE_WIDTH runs.
             let share = runs as f64 / (128 * N / LANE_WIDTH) as f64;
-            let speedup = base_ns / ns;
-            let efficiency = speedup / width;
-            efficiencies.push(Some(efficiency));
-            let isa = isa.name();
-            println!("{mesh},{isa},{ns:.2},{share:.3},{speedup:.2},{efficiency:.2}");
+            rows.push((isa, doubles, ns, share));
+        }
+        let base_ns = rows.iter().find(|row| row.0 == FMA_BASE).map(|row| row.2);
+        let mut efficiencies = Vec::new();
+        for (isa, doubles, ns, share) in rows {
+            let speedup = speedup(isa, ns, base_ns);
+            let efficiency = speedup.map(|s| s / (doubles / 4.0));
+            efficiencies.extend(efficiency.map(Some));
+            let (speedup, efficiency) = (column(speedup), column(efficiency));
+            println!(
+                "{mesh},{},{ns:.2},{share:.3},{speedup},{efficiency}",
+                isa.name()
+            );
         }
         let p = performance_portability(&efficiencies);
         println!(
-            "{mesh}: P(eval, H = {} instances) = {p:.2}",
+            "{mesh}: P(eval, H = {} FMA instances, base avx2) = {p:.2}",
             efficiencies.len()
         );
     }
@@ -201,12 +283,12 @@ fn transposer_isa_rows() {
 /// screen's whole work — the right-hand sides' sums and the pass over the
 /// solved panel; and `snapshot`, `snapshot_on`, the copy of the right-hand
 /// sides the verified step makes before the solve, with those sums taken on
-/// the way. Per row of eight lanes: ns and the speed-up over the baseline
-/// instance, whose sums (and copy) every instance must return. Nothing is
-/// allocated inside the timed loops.
+/// the way. Per row of eight lanes: ns and the speed-up over [`FMA_BASE`];
+/// every instance must return the baseline instance's sums (and copy).
+/// Nothing is allocated inside the timed loops.
 fn screen_isa_rows() {
     const ROWS: usize = 1024;
-    println!("mesh,isa,pass,ns_per_row,speedup");
+    println!("mesh,isa,pass,ns_per_row,speedup_vs_avx2");
     let verify = VerifyConfig {
         abft: true,
         ..VerifyConfig::default()
@@ -236,26 +318,29 @@ fn screen_isa_rows() {
         plain.solve_resident(&Serial, &mut solved).expect("solve");
         let (x, rhs) = (solved.chunk(0), rhs.chunk(0));
         let mut kept = vec![0.0; rhs.len()];
-        let (mut base_screen, mut base_snapshot) = (None, None);
+        let (mut base_screen, mut base_snapshot, mut rows) = (None, None, Vec::new());
         for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
-            let ns = time(&mut || {
+            let screen_ns = time(&mut || {
                 black_box(builder.pass_on(isa, black_box(x), rhs));
             });
             let sums = builder.pass_on(isa, x, rhs);
-            let (base_ns, base_sums) = *base_screen.get_or_insert((ns, sums));
-            assert_eq!(sums, base_sums, "{}", isa.name());
-            let (mesh, name) = (cfg.label(), isa.name());
-            println!("{mesh},{name},screen,{ns:.2},{:.2}", base_ns / ns);
+            assert_eq!(sums, *base_screen.get_or_insert(sums), "{}", isa.name());
 
-            let ns = time(&mut || {
+            let snapshot_ns = time(&mut || {
                 black_box(VerifiedBuilder::snapshot_on(isa, black_box(rhs), &mut kept));
             });
             kept.fill(0.0);
             let sums = VerifiedBuilder::snapshot_on(isa, rhs, &mut kept);
-            assert_eq!(kept, rhs, "{name}: the snapshot is a copy");
-            let (base_ns, base_sums) = *base_snapshot.get_or_insert((ns, sums));
-            assert_eq!(sums, base_sums, "{name}");
-            println!("{mesh},{name},snapshot,{ns:.2},{:.2}", base_ns / ns);
+            assert_eq!(kept, rhs, "{}: the snapshot is a copy", isa.name());
+            assert_eq!(sums, *base_snapshot.get_or_insert(sums), "{}", isa.name());
+            rows.push((isa, [("screen", screen_ns), ("snapshot", snapshot_ns)]));
+        }
+        let base = rows.iter().find(|row| row.0 == FMA_BASE).map(|row| row.1);
+        for (isa, passes) in rows {
+            for (k, (pass, ns)) in passes.into_iter().enumerate() {
+                let speedup = column(speedup(isa, ns, base.map(|base| base[k].1)));
+                println!("{},{},{pass},{ns:.2},{speedup}", cfg.label(), isa.name());
+            }
         }
     }
 }
@@ -267,11 +352,11 @@ fn screen_isa_rows() {
 /// graded quintic (`gbtrs`). A pass
 /// first refills the panels from the right-hand sides, as a worker's turn
 /// does, and that copy is in the figure. Per row of eight lanes: ns and the
-/// speed-up over the baseline instance alone, whose checksum every instance
-/// must return either way.
+/// speed-up over [`FMA_BASE`] alone; every instance must return the
+/// baseline instance's checksum either way.
 fn sweep_isa_rows() {
     const ROWS: usize = 1024;
-    println!("mesh,isa,panels,sweep_ns_per_row,speedup");
+    println!("mesh,isa,panels,sweep_ns_per_row,speedup_vs_avx2_alone");
     for cfg in [SplineConfig::ALL[0], SplineConfig::ALL[5]] {
         let builder =
             SplineBuilder::new(cfg.space(ROWS), BuilderVersion::FusedSpmv).expect("factorisation");
@@ -279,7 +364,7 @@ fn sweep_isa_rows() {
         let rhs: Vec<f64> = (0..4 * ROWS * LANE_WIDTH)
             .map(|_| rng.gen_range(-1.0..1.0))
             .collect();
-        let (mut base, mut panels) = (None, rhs.clone());
+        let (mut base_sum, mut panels, mut rows) = (None, rhs.clone(), Vec::new());
         for isa in PanelIsa::ALL.into_iter().filter(|isa| isa.is_available()) {
             for (label, per) in [("alone", 1), ("two", 2), ("abreast", 4)] {
                 let mut best = Duration::MAX;
@@ -293,11 +378,18 @@ fn sweep_isa_rows() {
                 }
                 let ns = best.as_secs_f64() * 1e9 / (4 * ROWS) as f64;
                 let sum = panels.iter().step_by(509).sum::<f64>();
-                let (base_ns, base_sum): (f64, f64) = *base.get_or_insert((ns, sum));
+                let base_sum: f64 = *base_sum.get_or_insert(sum);
                 assert_eq!(sum.to_bits(), base_sum.to_bits(), "{} {label}", isa.name());
-                let (mesh, isa) = (cfg.label(), isa.name());
-                println!("{mesh},{isa},{label},{ns:.2},{:.2}", base_ns / ns);
+                rows.push((isa, label, ns));
             }
+        }
+        let base = rows
+            .iter()
+            .find(|row| (row.0, row.1) == (FMA_BASE, "alone"));
+        let base_ns = base.map(|row| row.2);
+        for (isa, label, ns) in rows {
+            let speedup = column(speedup(isa, ns, base_ns));
+            println!("{},{},{label},{ns:.2},{speedup}", cfg.label(), isa.name());
         }
     }
 }
@@ -418,6 +510,10 @@ fn main() {
     println!(
         "resident transpose share: {:.3}",
         transpose_share(&builder, args.nx, nv)
+    );
+    println!(
+        "tiled/resident step ratio: {:.3}",
+        tiled_step_ratio(args.nx, steps)
     );
 
     println!("\n{}", direct_plot.render());

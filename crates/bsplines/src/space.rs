@@ -5,7 +5,7 @@ use crate::error::{Error, Result};
 use crate::kernel::{self, Tabulated};
 use crate::knots::Breaks;
 use pp_portable::{deinterleave_columns, interleave_columns, run_scalar, Lanes, PanelIsa};
-use pp_portable::{Lines, Strided, StridedMut, LANE_WIDTH};
+use pp_portable::{Blocks, LaneOut, Lines, RunsMut, Strided, StridedMut, LANE_WIDTH};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -389,7 +389,7 @@ impl SplineSpace {
             xs.iter_mut()
                 .zip(positions.iter())
                 .for_each(|(x, p)| *x = p);
-            self.walk_on(PanelIsa::detected(), coefs, col, xs, 0.0, ys);
+            self.walk_on(PanelIsa::detected(), coefs, col, xs, 0.0, &mut *ys);
             out.copy_from_slice(ys);
         });
     }
@@ -483,8 +483,10 @@ impl SplineSpace {
     /// at a time in a register (the tail's on the stack), and never written
     /// to a column; a caller whose positions are
     /// arbitrary passes them as `base` with `shift = 0.0` (`b − 0.0` is `b`
-    /// bit for bit, `−0.0`, `±∞` and NaN included). Returns how many runs
-    /// took the vector path.
+    /// bit for bit, `−0.0`, `±∞` and NaN included). The results go to `out`,
+    /// `base.len()` values a run of eight at a time wherever the caller keeps
+    /// them ([`LaneOut`]: a contiguous column, or a lane's tile rows a panel
+    /// apart). Returns how many runs took the vector path.
     ///
     /// A *run* is eight consecutive positions. With `c0` the first one's
     /// cell, it is evaluated eight-wide exactly when `c0 + 8 <= n` and
@@ -498,22 +500,24 @@ impl SplineSpace {
     /// does. Any other run — not a sweep, on the domain's edge, holding a
     /// NaN — and the tail go through [`Self::eval_points`].
     #[inline(always)]
-    fn walk<const D: usize, const UNIFORM: bool>(
+    fn walk<'o, const D: usize, const UNIFORM: bool>(
         &self,
         coefs: Strided<'_>,
         col: &[f64],
         base: &[f64],
         shift: f64,
-        out: &mut [f64],
+        out: impl LaneOut<'o>,
     ) -> usize {
         const W: usize = LANE_WIDTH;
         let n = self.n;
+        assert_eq!(out.len(), base.len(), "walk: one result per foot");
+        let (runs, rest_out) = out.split();
         // Sliced to lengths the optimiser can see.
         let t = &self.breaks.points()[..n + 1];
         let col = &col[..n + D];
         let (mut cell, mut vector_runs) = (0, 0);
         let by = <[f64; W]>::splat(shift);
-        for (base, out) in base.chunks_exact(W).zip(out.chunks_exact_mut(W)) {
+        for (base, out) in base.chunks_exact(W).zip(runs) {
             let x = <[f64; W]>::load(base).sub(by);
             // A guess, wherever `x[0]` lies: only the test below keeps it.
             let c0 = self.cell_of_wrapped::<UNIFORM>(x[0], Some(cell));
@@ -535,7 +539,7 @@ impl SplineSpace {
             for m in 0..=D {
                 s = vals[m].mul_add(<[f64; W]>::load(&stencil[m..]), s);
             }
-            out.copy_from_slice(&s);
+            *out = s;
             // The next run most likely starts one cell on.
             cell = (c0 + W).min(n - 1);
             vector_runs += 1;
@@ -544,7 +548,7 @@ impl SplineSpace {
         let mut x = [0.0; W];
         let rest = &base[tail..];
         x.iter_mut().zip(rest).for_each(|(x, b)| *x = b - shift);
-        self.eval_points::<D, UNIFORM>(coefs, &x[..rest.len()], &mut out[tail..], cell);
+        self.eval_points::<D, UNIFORM>(coefs, &x[..rest.len()], rest_out, cell);
         vector_runs
     }
 
@@ -552,29 +556,51 @@ impl SplineSpace {
     ///
     /// # Panics
     /// Panics if the host lacks `isa`.
-    fn walk_on(
+    fn walk_on<'o>(
         &self,
         isa: PanelIsa,
         coefs: Strided<'_>,
         col: &[f64],
         base: &[f64],
         shift: f64,
-        out: &mut [f64],
+        out: impl LaneOut<'o>,
     ) -> usize {
         monomorphised!(self, walk_in(isa, coefs, col, base, shift, out))
+    }
+
+    /// [`Self::walk_on`] into one lane of a [`Blocks`] view: the instance
+    /// for a slice where the lane is contiguous (a host row, a scratch
+    /// column), which keeps the constant run stride, else the one for its
+    /// strided runs (a tile lane). Not generic and out of line, so that each
+    /// instance of the walk is compiled once, in this crate, whichever crate
+    /// evaluates.
+    #[inline(never)]
+    fn walk_lane(
+        &self,
+        isa: PanelIsa,
+        coefs: Strided<'_>,
+        col: &[f64],
+        base: &[f64],
+        shift: f64,
+        out: RunsMut<'_>,
+    ) -> usize {
+        match out.into_slice() {
+            Ok(ys) => self.walk_on(isa, coefs, col, base, shift, ys),
+            Err(runs) => self.walk_on(isa, coefs, col, base, shift, runs),
+        }
     }
 
     /// One degree and mesh kind of [`Self::walk_on`]: each instruction set
     /// gets its own copy of this one `walk`, inlined into its
     /// [`PanelIsa::run`] shell.
-    fn walk_in<const D: usize, const UNIFORM: bool>(
+    fn walk_in<'o, const D: usize, const UNIFORM: bool>(
         &self,
         isa: PanelIsa,
         coefs: Strided<'_>,
         col: &[f64],
         base: &[f64],
         shift: f64,
-        out: &mut [f64],
+        out: impl LaneOut<'o>,
     ) -> usize {
         isa.run(
             #[inline(always)]
@@ -582,15 +608,16 @@ impl SplineSpace {
         )
     }
 
-    /// Evaluate one interleaved panel of splines into its lanes' columns:
-    /// `coefs` is the `[n][LANE_WIDTH]` chunk of eight lanes' coefficients,
-    /// and for each of the first `lanes` lanes `feet(l)` is `(base, shift)`,
-    /// lane `l` being evaluated at `base[i] − shift`, formed in the lane
-    /// walk's registers: `out[l·rows + i] = s_l(base[i] − shift)`, with
-    /// `rows = out.len() / lanes = base.len()`. Contiguous columns are what
-    /// the lane walk writes, so a caller whose lanes are contiguous — the
-    /// rows of a `(Nv, Nx)` host field — names them as `out` and nothing is
-    /// moved afterwards.
+    /// Evaluate one interleaved panel of splines into its lanes where the
+    /// caller keeps them: `coefs` is the `[n][LANE_WIDTH]` chunk of eight
+    /// lanes' coefficients, `out` a view of the first `out.lanes()` lanes
+    /// ([`Blocks`]: contiguous columns, or a batch's tile rows), and for
+    /// each of them `feet(l)` is `(base, shift)`, lane `l` being evaluated
+    /// at `base[i] − shift`, formed in the lane walk's registers: value `i`
+    /// of lane `l` of `out` becomes `s_l(base[i] − shift)`, with `base` a
+    /// lane (`out.rows()`) long. The walk writes each lane's runs of eight
+    /// where they lie, so a caller whose lanes are a host field's rows or a
+    /// slab's tile rows names them as `out` and nothing is moved afterwards.
     ///
     /// Lane for lane this is [`Self::eval_lane`] at `base[i] − shift`, bit
     /// for bit: the same body (the widest [`PanelIsa`] instance of it the
@@ -598,20 +625,20 @@ impl SplineSpace {
     /// thread's column scratch. Nothing is allocated per panel.
     ///
     /// # Panics
-    /// Panics if `coefs.len() != num_basis() · LANE_WIDTH`, if `lanes` is
-    /// zero or exceeds `LANE_WIDTH`, if `out` is not `lanes` whole columns,
-    /// or if a lane's `base` is not a column long.
-    pub fn eval_columns<'a, F>(&self, coefs: &[f64], lanes: usize, feet: F, out: &mut [f64])
+    /// Panics if `coefs.len() != num_basis() · LANE_WIDTH`, if `out` has no
+    /// lane or more than `LANE_WIDTH`, or if a lane's `base` is not a lane
+    /// long.
+    pub fn eval_columns<'a, F>(&self, coefs: &[f64], feet: F, mut out: Blocks<'_>)
     where
         F: Fn(usize) -> (&'a [f64], f64),
     {
+        let lanes = out.lanes();
         assert!(
-            (1..=LANE_WIDTH).contains(&lanes) && out.len().is_multiple_of(lanes),
-            "eval_columns: {} values for {lanes} lanes",
-            out.len()
+            (1..=LANE_WIDTH).contains(&lanes),
+            "eval_columns: {lanes} lanes"
         );
         self.with_columns(LANE_WIDTH, 0, 0, |cols, _| {
-            self.walk_lanes(PanelIsa::detected(), coefs, lanes, feet, cols, out)
+            self.walk_lanes(PanelIsa::detected(), coefs, feet, cols, &mut out)
         });
     }
 
@@ -660,41 +687,41 @@ impl SplineSpace {
         self.with_columns(W, lanes, rows, |cols, ys| {
             // The scalar body reads a lane's coefficients where they lie, so
             // the panel is overwritten only once every lane is walked.
-            let vector_runs = self.walk_lanes(isa, coefs.unwrap_or(panel), lanes, feet, cols, ys);
+            let mut out = Blocks::columns(ys, lanes, rows);
+            let vector_runs = self.walk_lanes(isa, coefs.unwrap_or(panel), feet, cols, &mut out);
             interleave_columns(ys, lanes, panel);
             vector_runs
         })
     }
 
     /// The panel evaluator's core: de-interleave `coefs` into the column
-    /// scratch `cols`, then walk each lane at its `feet` into its column of
-    /// `out` (`lanes` columns). Returns the runs that took the vector path.
+    /// scratch `cols`, then walk each lane at its `feet` into its lane of
+    /// `out`. Returns the runs that took the vector path.
     fn walk_lanes<'a, F>(
         &self,
         isa: PanelIsa,
         coefs: &[f64],
-        lanes: usize,
         feet: F,
         cols: &mut [f64],
-        out: &mut [f64],
+        out: &mut Blocks<'_>,
     ) -> usize
     where
         F: Fn(usize) -> (&'a [f64], f64),
     {
         const W: usize = LANE_WIDTH;
         let (nb, wrapped) = (self.num_basis(), self.n + self.degree);
-        let rows = out.len().checked_div(lanes).unwrap_or(0);
+        let rows = out.rows();
         assert_eq!(coefs.len(), nb * W, "eval_panel: coefficients");
         let stride = self.column_stride();
         deinterleave_columns(isa, coefs, W, stride, cols);
         let mut vector_runs = 0;
-        for (l, ys) in out.chunks_exact_mut(rows.max(1)).take(lanes).enumerate() {
+        for l in 0..out.lanes() {
             let col = &mut cols[l * stride..][..wrapped];
             col.copy_within(..wrapped - nb, nb);
             let (base, shift) = feet(l);
             assert_eq!(base.len(), rows, "eval_panel: lane {l}'s feet");
             let lane = Strided::new(&coefs[l..], nb, W);
-            vector_runs += self.walk_on(isa, lane, col, base, shift, ys);
+            vector_runs += self.walk_lane(isa, lane, col, base, shift, out.lane(l));
         }
         vector_runs
     }

@@ -5,7 +5,7 @@
 
 use pp_bsplines::basis::{eval_nonzero_basis, eval_nonzero_basis_deriv};
 use pp_bsplines::{Breaks, PeriodicSplineSpace, SplineSpace, MAX_DEGREE};
-use pp_portable::{PanelIsa, Strided, StridedMut, TestRng, LANE_WIDTH};
+use pp_portable::{Blocks, PanelIsa, Strided, StridedMut, TestRng, LANE_WIDTH};
 
 const EPS: f64 = f64::EPSILON;
 
@@ -600,7 +600,8 @@ fn eval_panel_is_eval_lane_bitwise_on_every_isa() {
     for (space, case) in &cases {
         let rows = case.rows;
         let mut out = vec![-7.0; case.lanes * rows];
-        space.eval_columns(&case.coefs, case.lanes, case.feet(), &mut out);
+        let columns = Blocks::columns(&mut out, case.lanes, rows);
+        space.eval_columns(&case.coefs, case.feet(), columns);
         for (l, column) in out.chunks_exact(rows).enumerate() {
             for (i, got) in column.iter().enumerate() {
                 let (foot, want) = (case.foot(i, l), case.expected[i][l]);

@@ -4,8 +4,8 @@
 //! Every entry point solves a [`Field`] block by block in one body
 //! (`SplineBuilder::solve_run`): a block is an interleaved panel of
 //! [`LANE_WIDTH`] lanes — the panel itself on a [`ResidentBatch`], else a
-//! panel gathered into a per-worker scratch — and a worker's turn solves a
-//! run of up to four of them abreast. A version is a corner axis (dense
+//! panel gathered into a per-worker scratch from the block where it lies —
+//! and a worker's turn solves a run of up to four of them abreast. A version is a corner axis (dense
 //! `gemv` blocks or COO `spmv` entries) and a region plan: how many
 //! parallel regions [`SplineBuilder::solve_in_place`] splits Algorithm 1
 //! into. The per-lane `schur_solve` is the scalar oracle every result is
@@ -16,8 +16,7 @@ use crate::error::{Error, Result};
 use crate::verified::{RhsSums, VerifiedBuilder};
 use pp_bsplines::SplineSpace;
 use pp_linalg::{LaneRows, Panel};
-use pp_portable::{deinterleave_columns, PanelIsa};
-use pp_portable::{fill_panel, run_blocks, ExecSpace, Field, HostField, Lines};
+use pp_portable::{Blocks, ExecSpace, Field, HostField, Lines, PanelIsa, Run};
 use pp_portable::{Layout, Matrix, ResidentBatch, LANE_WIDTH};
 use pp_sparse::Coo;
 use std::cell::RefCell;
@@ -197,14 +196,14 @@ impl SplineBuilder {
     /// batch's transpose ([`pp_portable::TiledField`]) — and hand each
     /// block's coefficients, still in cache, to `then(chunk, lanes, solved)`,
     /// which overwrites the block, the part of `b` the right-hand sides came
-    /// from (`lanes` live lanes, laid out as [`Field::PANELS`] says), with
-    /// whatever it makes of them (the advection step evaluates them at the
-    /// characteristic feet). One parallel region, a worker's turn being a
-    /// run of up to four blocks solved side by side. A block that is a panel
-    /// is solved where it lies and handed over as [`Solved::InPlace`];
-    /// any other is gathered into a panel in a per-worker scratch, from a
-    /// cache line on, solved there and handed over as [`Solved::Apart`] —
-    /// never a second batch.
+    /// from (`lanes` live lanes), with whatever it makes of them (the
+    /// advection step evaluates them at the characteristic feet). One
+    /// parallel region, a worker's turn being a run of up to four blocks
+    /// solved side by side. A block that is a panel is solved where it lies
+    /// and handed over as [`Solved::InPlace`]; any other is gathered into a
+    /// panel in a per-worker scratch, from a cache line on, solved there and
+    /// handed over as [`Solved::Apart`] with a view of the block where it
+    /// lies — never a second batch, never a staged copy.
     ///
     /// The region runs the fused Algorithm 1 with this version's corner
     /// axis, so the coefficients are the bits [`SplineBuilder::solve_in_place`]
@@ -235,15 +234,9 @@ impl SplineBuilder {
     {
         for sweep in plan {
             b.for_each_run_mut(exec, ABREAST, |first, lanes, run| {
-                self.solve_run::<B, false>(
-                    first,
-                    lanes,
-                    run,
-                    sweep,
-                    |chunk, lanes, x, block, _| {
-                        then(chunk, lanes, Solved::new(x, block));
-                    },
-                );
+                self.solve_run::<false>(first, lanes, run, sweep, |chunk, lanes, x, block, _| {
+                    then(chunk, lanes, Solved::new(x, block));
+                });
             });
         }
     }
@@ -251,12 +244,13 @@ impl SplineBuilder {
     /// One worker's turn of every fused entry point: take apart the `run`
     /// [`Field::for_each_run_mut`] handed out (`lanes` live lanes from block
     /// `first` on) into the panels to solve — the run itself on a field of
-    /// panels, else a scratch panel gathered from each block
-    /// ([`pp_portable::fill_panel`]) — solve those abreast with `sweep` (all
-    /// of Algorithm 1, [`SplineBuilder::solve_panels_on`], but in a region
-    /// of the baseline's plan), then hand each block to
+    /// panels, else a scratch panel gathered from each block where it lies
+    /// ([`Blocks::fill_panel`]: a host block's columns interleaved, a tiled
+    /// block's 8 × 8 tiles transposed one by one) — solve those abreast with
+    /// `sweep` (all of Algorithm 1, [`SplineBuilder::solve_panels_on`], but
+    /// in a region of the baseline's plan), then hand each block to
     /// `each(chunk, lanes, x, block, kept)`: `x` is its solved
-    /// panel, `block` the block itself when that is not `x`. With `KEEP`
+    /// panel, `block` the view of the block itself when that is not `x`. With `KEEP`
     /// (the verified step), `kept` is the panel's right-hand sides, copied
     /// into the second scratch set before the solve, and the sums the screen
     /// takes of them on the way ([`VerifiedBuilder::snapshot_on`]); the
@@ -264,29 +258,27 @@ impl SplineBuilder {
     /// in, and gets `None`.
     ///
     /// [`VerifiedBuilder::snapshot_on`]: crate::VerifiedBuilder::snapshot_on
-    pub(crate) fn solve_run<B: Field, const KEEP: bool>(
+    pub(crate) fn solve_run<const KEEP: bool>(
         &self,
         first: usize,
         lanes: usize,
-        run: &mut [f64],
+        run: Run<'_>,
         sweep: impl Fn(&Self, PanelIsa, &mut [f64]),
-        mut each: impl FnMut(usize, usize, &mut [f64], Option<&mut [f64]>, Option<Kept<'_>>),
+        mut each: impl FnMut(usize, usize, &mut [f64], Option<Blocks<'_>>, Option<Kept<'_>>),
     ) {
         let n = self.space.num_basis();
         let panel = n * LANE_WIDTH;
         let isa = PanelIsa::detected();
         PANEL_SCRATCH.with_borrow_mut(|[scratch, kept]| {
-            let (panels, mut apart) = if B::PANELS {
-                (run, None)
-            } else {
-                let panels = scratch.at_least(lanes.div_ceil(LANE_WIDTH) * panel);
-                let blocks = panels
-                    .chunks_exact_mut(panel)
-                    .zip(run_blocks(run, n, lanes));
-                for (panel, (block_lanes, block)) in blocks {
-                    fill_panel(block, block_lanes, panel);
+            let (panels, mut apart) = match run {
+                Run::Panels(run) => (run, None),
+                Run::Blocks(mut blocks) => {
+                    let panels = scratch.at_least(lanes.div_ceil(LANE_WIDTH) * panel);
+                    for (k, panel) in panels.chunks_exact_mut(panel).enumerate() {
+                        blocks.block(k).fill_panel(isa, panel);
+                    }
+                    (panels, Some(blocks))
                 }
-                (panels, Some(run_blocks(run, n, lanes)))
             };
             let mut sums = [Default::default(); ABREAST];
             let kept = KEEP.then(|| {
@@ -300,10 +292,7 @@ impl SplineBuilder {
             sweep(self, isa, panels);
             for (p, x) in panels.chunks_exact_mut(panel).enumerate() {
                 let live = LANE_WIDTH.min(lanes - p * LANE_WIDTH);
-                let block = apart
-                    .as_mut()
-                    .and_then(Iterator::next)
-                    .map(|(_, block)| block);
+                let block = apart.as_mut().map(|blocks| blocks.block(p));
                 let kept = kept.map(|kept| (&kept[p * panel..][..panel], &sums[p]));
                 each(first + p, live, x, block, kept);
             }
@@ -456,25 +445,26 @@ pub(crate) type Kept<'a> = (&'a [f64], &'a RhsSums);
 /// ([`SplineBuilder::solve_then`]): in the block, or in a panel apart from
 /// it — never both, so there is one `&mut` to the block.
 pub enum Solved<'a> {
-    /// The block is an interleaved `[nrows][LANE_WIDTH]` panel (a field
-    /// whose [`Field::PANELS`] holds) and holds the coefficients; the
-    /// continuation overwrites them with its results.
+    /// The block is an interleaved `[nrows][LANE_WIDTH]` panel (a
+    /// [`ResidentBatch`]'s) and holds the coefficients; the continuation
+    /// overwrites them with its results.
     InPlace(&'a mut [f64]),
     /// The coefficients are the interleaved panel `coefs`, in a worker's
     /// scratch or a coefficient store; the continuation overwrites `block`,
-    /// the block's live lanes as contiguous columns.
+    /// the block's live lanes where the field keeps them (a host field's
+    /// contiguous columns, a tiled field's tile rows).
     Apart {
         /// The block's coefficients, `[nrows][LANE_WIDTH]`.
         coefs: &'a [f64],
         /// Where the results go.
-        block: &'a mut [f64],
+        block: Blocks<'a>,
     },
 }
 
 impl<'a> Solved<'a> {
     /// The solved panel `x`, which is the block itself unless `block` is
     /// given.
-    pub(crate) fn new(x: &'a mut [f64], block: Option<&'a mut [f64]>) -> Self {
+    pub(crate) fn new(x: &'a mut [f64], block: Option<Blocks<'a>>) -> Self {
         match block {
             None => Solved::InPlace(x),
             Some(block) => Solved::Apart { coefs: x, block },
@@ -482,12 +472,10 @@ impl<'a> Solved<'a> {
     }
 
     /// Leave the coefficients in the block: a panel holds them already, a
-    /// block apart gets them as its live lanes' contiguous columns.
+    /// block apart gets them in its live lanes ([`Blocks::store_panel`]).
     pub(crate) fn store(self) {
-        if let Solved::Apart { coefs, block } = self {
-            let rows = coefs.len() / LANE_WIDTH;
-            let lanes = block.len().checked_div(rows).unwrap_or(0);
-            deinterleave_columns(PanelIsa::detected(), coefs, lanes, rows, block);
+        if let Solved::Apart { coefs, mut block } = self {
+            block.store_panel(PanelIsa::detected(), coefs);
         }
     }
 }

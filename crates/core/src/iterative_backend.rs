@@ -16,7 +16,7 @@ use pp_iterative::{
     Preconditioner, RecoveryEvent, RecoveryStage, SolveResult, StopCriteria,
 };
 use pp_portable::{
-    ExecSpace, Field, Layout, Matrix, Parallel, ResidentBatch, Strided, StridedMut, LANE_WIDTH,
+    ExecSpace, Field, Layout, Matrix, Parallel, ResidentBatch, Run, Strided, StridedMut, LANE_WIDTH,
 };
 use pp_sparse::Csr;
 
@@ -204,13 +204,14 @@ impl IterativeSplineSolver {
         let lanes = self.solve_lanes(exec, self.config.kind, &self.precond, &*b, eta, previous);
         let logger = converged(lanes?)?;
         let eta = &*eta;
-        b.for_each_run_mut(exec, 1, |c, live, block| {
+        b.for_each_run_mut(exec, 1, |c, live, run| {
             let coefs = eta.chunk(c);
-            if B::PANELS {
-                block.copy_from_slice(coefs);
-                then(c, live, Solved::InPlace(block));
-            } else {
-                then(c, live, Solved::Apart { coefs, block });
+            match run {
+                Run::Panels(block) => {
+                    block.copy_from_slice(coefs);
+                    then(c, live, Solved::InPlace(block));
+                }
+                Run::Blocks(block) => then(c, live, Solved::Apart { coefs, block }),
             }
         });
         Ok(logger)

@@ -9,9 +9,11 @@
 //! [`ResidentBatch`], lanes along y, and builds them with the two
 //! orientations the Vlasov step's Strang split already uses, in place: the
 //! x pass solves the batch's panels where they lie, batched over y; the y
-//! pass solves across its lanes, batched over x, through its 8 × 8 tiles
-//! ([`TiledField`]), each block's coefficients written back into its
-//! columns. No transpose, no second matrix: both passes are the 1-D
+//! pass solves across its lanes, batched over x, on its 8 × 8 tiles where
+//! they lie ([`TiledField`]): each block's tiles transposed into the
+//! worker's panel, solved there and the coefficients transposed straight
+//! back into its tile rows. No transpose of the batch, no second matrix,
+//! no staging copy: both passes are the 1-D
 //! [`SplineBuilder`]'s one region body, unchanged — the batched
 //! single-matrix/multi-RHS kernel is the only primitive an N-D
 //! interpolation needs.

@@ -537,10 +537,6 @@ impl VerifiedBuilder {
         self.builder.check_rows(nrows)?;
         let chunks = ncols.div_ceil(LANE_WIDTH);
         let screens: Vec<OnceLock<PanelScreen>> = (0..chunks).map(|_| OnceLock::new()).collect();
-        assert!(
-            B::PANELS || then.is_some(),
-            "an in-place verified solve needs panels"
-        );
         // A worker's turn is the builder's: the run's blocks solved abreast,
         // where they lie when they are panels, else in its scratch. Each
         // block's pristine right-hand sides, kept beside it with their sums,
@@ -549,7 +545,7 @@ impl VerifiedBuilder {
         // block, or stay where they were solved: in the block.
         b.for_each_run_mut(exec, ABREAST, |first, lanes, run| {
             let sweep = SplineBuilder::solve_panels_on;
-            self.builder.solve_run::<B, true>(
+            self.builder.solve_run::<true>(
                 first,
                 lanes,
                 run,
@@ -557,8 +553,9 @@ impl VerifiedBuilder {
                 |chunk, lanes, x, block, kept| {
                     let kept = kept.expect("the verified run keeps its right-hand sides");
                     let screen = self.screen(chunk, lanes, x, kept);
-                    if let Some(then) = then {
-                        then(chunk, lanes, Solved::new(x, block));
+                    match then {
+                        Some(then) => then(chunk, lanes, Solved::new(x, block)),
+                        None => assert!(block.is_none(), "an in-place verified solve needs panels"),
                     }
                     assert!(screens[chunk].set(screen).is_ok(), "panel visited twice");
                 },
@@ -2398,10 +2395,10 @@ mod tests {
                         panic!("a host block is not a panel");
                     };
                     assert_eq!(coefs.as_ptr() as usize % 64, 0, "coefficients at a line");
-                    assert!(
-                        block.len() <= lanes * n,
-                        "{} values in {lanes} lanes",
-                        block.len()
+                    assert_eq!(
+                        (block.lanes(), block.rows()),
+                        (lanes, n),
+                        "the block's lanes"
                     );
                     solved.store();
                 };

@@ -298,126 +298,44 @@ impl ResidentBatch {
     }
 
     /// [`ResidentBatch::for_each_chunk_mut`] by runs of up to `per`
-    /// consecutive chunks: see [`crate::Field::for_each_run_mut`].
+    /// consecutive chunks, each handed out as its panels back to back: see
+    /// [`crate::Field::for_each_run_mut`].
     pub(crate) fn for_each_run_mut<E, F>(&mut self, exec: &E, per: usize, f: F)
     where
         E: ExecSpace,
         F: Fn(usize, usize, &mut [f64]) + Sync + Send,
     {
-        for_each_run_mut(exec, &mut self.data, self.nrows, self.ncols, per, f);
-    }
-
-    /// [`crate::Field::for_each_run_mut`] over this batch's transpose
-    /// ([`crate::TiledField`]), whose lane `x` is row `x` of every panel, so
-    /// that a block of its lanes is a row of `W × W` tiles, one per chunk. A
-    /// run of its lanes is gathered from those tiles into this thread's
-    /// [`STAGING`] as contiguous columns of `ncols` values — a 64-byte tile
-    /// row at a time, live lanes only — handed to `f` as the blocks of a
-    /// host field are, and scattered back into the tiles the same way. Runs
-    /// as [`for_each_run_mut`] cuts them.
-    pub(crate) fn for_each_tiled_run_mut<E, F>(&mut self, exec: &E, per: usize, f: F)
-    where
-        E: ExecSpace,
-        F: Fn(usize, usize, &mut [f64]) + Sync + Send,
-    {
-        let (lanes, rows) = self.shape();
-        let (chunks, panel) = (self.num_chunks(), lanes * W);
-        let blocks = lanes.div_ceil(W);
+        let (rows, lanes) = self.shape();
+        let blocks = lanes.div_ceil(LANE_WIDTH);
         let per = run_length(exec, blocks, per);
-        assert!(chunks * panel <= self.data.len(), "panels out of bounds");
+        let stride = per * LANE_WIDTH * rows;
+        let len = self.data.len();
+        assert!(blocks * LANE_WIDTH * rows <= len, "panels out of bounds");
         let ptr = SharedMutPtr(self.data.as_mut_ptr());
         exec.for_each(blocks.div_ceil(per), |r| {
-            let (first, live) = (r * per * W, (per * W).min(lanes - r * per * W));
-            // Tile rows `first .. first + live` of panel `c`: the run's lanes.
-            let tile_rows = |c: usize| {
-                // SAFETY: `data` is borrowed mutably for the region. Run `r`
-                // owns rows `[first, first + live)` of every panel, and
-                // `first + live <= lanes` keeps them inside panel `c < chunks`,
-                // which lies in `data` (asserted). Different runs' rows are
-                // disjoint, each `r` is visited once, and a run holds one
-                // such slice at a time.
-                let at = c * panel + first * W;
-                let rows = unsafe { std::slice::from_raw_parts_mut(ptr.add(at), live * W) };
-                rows.as_chunks_mut::<W>().0
-            };
-            STAGING.with_borrow_mut(|staging| {
-                let staging = staging.at_least(live * rows);
-                for c in 0..chunks {
-                    let (at, n) = (c * W, W.min(rows - c * W));
-                    for (tile_row, col) in tile_rows(c).iter().zip(staging.chunks_exact_mut(rows)) {
-                        copy_row(&mut col[at..], tile_row, n);
-                    }
-                }
-                f(r * per, live, staging);
-                for c in 0..chunks {
-                    let (at, n) = (c * W, W.min(rows - c * W));
-                    for (tile_row, col) in tile_rows(c).iter_mut().zip(staging.chunks_exact(rows)) {
-                        copy_row(tile_row, &col[at..], n);
-                    }
-                }
-            });
+            let live = (per * LANE_WIDTH).min(lanes - r * per * LANE_WIDTH);
+            let (start, end) = (r * stride, len.min((r + 1) * stride));
+            // SAFETY: `data` is borrowed mutably for the region. Run `r` owns
+            // `[r·stride, min((r + 1)·stride, len))`: inside the allocation, and
+            // not inverted, because its first panel starts before lane `lanes`,
+            // so `r·stride < blocks·W·rows <= len` (asserted). The ranges of
+            // different `r` are disjoint and each `r` is visited exactly once,
+            // so no two concurrent slices overlap.
+            let run = unsafe { std::slice::from_raw_parts_mut(ptr.add(start), end - start) };
+            f(r * per, live, run);
         });
     }
-}
 
-/// `dst[..n] = src[..n]` for `n <= W`: a whole row is one fixed-size move.
-#[inline(always)]
-fn copy_row(dst: &mut [f64], src: &[f64], n: usize) {
-    if n == W {
-        dst[..W].copy_from_slice(&src[..W]);
-    } else {
-        dst[..n].copy_from_slice(&src[..n]);
+    /// The panels back to back, padding lanes included: what a
+    /// [`crate::TiledField`] views in place.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
     }
-}
-
-thread_local! {
-    /// This worker's staging area for the runs of a [`crate::TiledField`]:
-    /// a run's lanes as contiguous columns from a cache line on, reused for
-    /// every run.
-    static STAGING: std::cell::RefCell<Lines> = const { std::cell::RefCell::new(Lines::new()) };
-}
-
-/// [`crate::Field::for_each_run_mut`] for the two kinds of field whose
-/// blocks lie in their own storage: `data` holds
-/// `lanes` lanes of `rows` values block after block of [`LANE_WIDTH`] lanes,
-/// block `c` starting at `c·LANE_WIDTH·rows` — the panels of an
-/// [`ResidentBatch`], or a row-major host matrix whose rows are the
-/// lanes. A run is `min(per, ⌈blocks / exec.concurrency()⌉)` blocks, the
-/// last one what is left.
-pub(crate) fn for_each_run_mut<E, F>(
-    exec: &E,
-    data: &mut [f64],
-    rows: usize,
-    lanes: usize,
-    per: usize,
-    f: F,
-) where
-    E: ExecSpace,
-    F: Fn(usize, usize, &mut [f64]) + Sync + Send,
-{
-    let blocks = lanes.div_ceil(LANE_WIDTH);
-    let per = run_length(exec, blocks, per);
-    let stride = per * LANE_WIDTH * rows;
-    let len = data.len();
-    assert!(lanes * rows <= len, "blocks out of bounds");
-    let ptr = SharedMutPtr(data.as_mut_ptr());
-    exec.for_each(blocks.div_ceil(per), |r| {
-        let live = (per * LANE_WIDTH).min(lanes - r * per * LANE_WIDTH);
-        let (start, end) = (r * stride, len.min((r + 1) * stride));
-        // SAFETY: `data` is borrowed mutably for the region. Run `r` owns
-        // `[r·stride, min((r + 1)·stride, len))`: inside the allocation, and
-        // not inverted, because its first block starts before lane `lanes`,
-        // so `r·stride < lanes·rows <= len` (asserted). The ranges of
-        // different `r` are disjoint and each `r` is visited exactly once,
-        // so no two concurrent slices overlap.
-        let run = unsafe { std::slice::from_raw_parts_mut(ptr.add(start), end - start) };
-        f(r * per, live, run);
-    });
 }
 
 /// Blocks a run of [`crate::Field::for_each_run_mut`] holds: `per`, fewer
 /// where that gives every participant of `exec` one of `blocks`' runs.
-fn run_length<E: ExecSpace>(exec: &E, blocks: usize, per: usize) -> usize {
+pub(crate) fn run_length<E: ExecSpace>(exec: &E, blocks: usize, per: usize) -> usize {
     per.min(blocks.div_ceil(exec.concurrency().max(1))).max(1)
 }
 
@@ -673,7 +591,6 @@ pub fn deinterleave_columns(
 /// l]` for `b < tiles` and `r, l < 8`, at AVX-512F; any other instance moves
 /// nothing (LLVM builds no shuffle network from the scalar loop, DESIGN.md
 /// §14.3) and the caller's scalar loop skips what it moved.
-/// Besides `PanelIsa::run`, the one other place that dispatches on an ISA.
 /// Out of line, so that the caller's scalar loop compiles as it would alone
 /// (inlined into a loop, it once cost that loop half its speed).
 #[inline(never)]
@@ -687,34 +604,80 @@ fn transpose_tiles(
     // The caller bounds `stride` by a slice's length: nothing wraps.
     let fits = W * W * tiles <= panel.len() && (W - 1) * stride + W * tiles <= cols.len();
     assert!(fits, "tiles out of bounds");
+    // SAFETY: every offset read is below `64·tiles <= panel.len()` and every
+    // one written below `7·stride + 8·tiles <= cols.len()` (both asserted);
+    // distinct borrows.
+    unsafe {
+        tiles_at(
+            isa,
+            panel.as_ptr(),
+            W * W,
+            cols.as_mut_ptr(),
+            W,
+            stride,
+            tiles,
+        )
+    }
+}
+
+/// The one tile transposer, at AVX-512F:
+/// `dst[b·dst_tile + c·dst_run + r] = src[b·src_tile + r·8 + c]` for
+/// `b < tiles` and `r, c < 8` — tile `b` of `src`, eight contiguous runs of
+/// eight, into tile `b` of `dst`, whose runs are `dst_run` apart. Any other
+/// instance moves nothing and returns 0, the caller's scalar loop moving
+/// what it did not. A panel's tiles into columns ([`deinterleave_columns`]),
+/// a [`crate::TiledField`] block's tile rows into a panel and back
+/// ([`crate::Blocks`]). Besides `PanelIsa::run`, the one other place that
+/// dispatches on an ISA. Returns the tiles moved.
+///
+/// # Safety
+/// For `b < tiles`, the 64 values from `src + b·src_tile` must be readable,
+/// and the eight runs of eight from `dst + b·dst_tile`, `dst_run` apart,
+/// writable, by this call alone; `src` and `dst` must not overlap.
+#[inline(never)]
+pub(crate) unsafe fn tiles_at(
+    isa: PanelIsa,
+    src: *const f64,
+    src_tile: usize,
+    dst: *mut f64,
+    dst_tile: usize,
+    dst_run: usize,
+    tiles: usize,
+) -> usize {
     match isa {
         #[cfg(target_arch = "x86_64")]
         PanelIsa::Avx512 if tiles > 0 => {
             assert!(isa.is_available(), "host lacks {}", isa.name());
-            // SAFETY: AVX-512F is available, every offset read is below
-            // `64·tiles <= panel.len()` and every one written below `7·stride
-            // + 8·tiles <= cols.len()` (both asserted); distinct borrows.
-            unsafe { transpose_tiles_avx512(panel.as_ptr(), stride, cols.as_mut_ptr(), tiles) };
+            // SAFETY: AVX-512F is available; the offsets are the caller's.
+            unsafe { transpose_tiles_avx512(src, src_tile, dst, dst_tile, dst_run, tiles) };
             tiles
         }
         _ => 0,
     }
 }
 
-/// [`transpose_tiles`] at AVX-512F: 8 loads, 24 shuffles and 8 stores a tile.
+/// [`tiles_at`] at AVX-512F: 8 loads, 24 shuffles and 8 stores a tile.
 ///
 /// # Safety
-/// The CPU must support AVX-512F and every offset must be in bounds.
+/// The CPU must support AVX-512F, and the offsets must be as
+/// [`tiles_at`] requires.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn transpose_tiles_avx512(panel: *const f64, stride: usize, cols: *mut f64, tiles: usize) {
+unsafe fn transpose_tiles_avx512(
+    src: *const f64,
+    src_tile: usize,
+    dst: *mut f64,
+    dst_tile: usize,
+    dst_run: usize,
+    tiles: usize,
+) {
     use std::arch::x86_64::*;
     // Elements 0, 1 of each 128-bit lane of `a`, then of `b`; and 2, 3.
     let low = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
     let high = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
     let [mut pair, mut quad] = [[_mm512_setzero_pd(); W]; 2];
     for b in 0..tiles {
-        let (src, dst) = (panel.add(b * W * W), cols.add(b * W));
+        let (src, dst) = (src.add(b * src_tile), dst.add(b * dst_tile));
         // `pair[2q]`, `pair[2q + 1]`: runs `2q`, `2q + 1` interleaved.
         for q in 0..W / 2 {
             let run = |r: usize| _mm512_loadu_pd(src.add(r * W));
@@ -727,15 +690,15 @@ unsafe fn transpose_tiles_avx512(panel: *const f64, stride: usize, cols: *mut f6
             let (first, idx) = (k / 4 * 4 + k % 2, if k % 4 < 2 { low } else { high });
             *v = _mm512_permutex2var_pd(pair[first], idx, pair[first + 2]);
         }
-        // Column `c`: the low, for `c ≥ 4` the high, halves of two quads.
+        // Run `c`: the low, for `c ≥ 4` the high, halves of two quads.
         for c in 0..W / 2 {
             let (top, bottom) = (quad[c], quad[c + 4]);
             _mm512_storeu_pd(
-                dst.add(c * stride),
+                dst.add(c * dst_run),
                 _mm512_shuffle_f64x2::<0x44>(top, bottom),
             );
             let high_half = _mm512_shuffle_f64x2::<0xEE>(top, bottom);
-            _mm512_storeu_pd(dst.add((c + 4) * stride), high_half);
+            _mm512_storeu_pd(dst.add((c + 4) * dst_run), high_half);
         }
     }
 }

@@ -77,7 +77,7 @@ pub mod transpose;
 
 pub use error::{Error, Result};
 pub use exec::{CountingExec, ExecSpace, Parallel, Serial};
-pub use field::{fill_panel, run_blocks, Field, HostField, TiledField};
+pub use field::{Blocks, Field, HostField, LaneOut, Run, RunsMut, TiledField};
 pub use interleaved::{deinterleave_columns, interleave_columns, ResidentBatch, LANE_WIDTH};
 pub use isa::{run_scalar, Lanes, PanelIsa};
 pub use layout::Layout;

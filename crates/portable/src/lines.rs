@@ -5,8 +5,8 @@
 //! AVX-512 register, and a row stored across two lines costs a store half as
 //! much again (DESIGN.md §14.3). Every panel of an
 //! [`crate::ResidentBatch`] and every hot per-worker scratch — the
-//! evaluator's columns, the solve's panels, the tiled field's staging — is
-//! therefore entered at a line: a `Vec` seven doubles longer than asked,
+//! evaluator's columns, the solve's panels — is therefore entered at a
+//! line: a `Vec` seven doubles longer than asked,
 //! sliced from its first boundary. No `unsafe`, no custom allocator.
 
 use crate::interleaved::LANE_WIDTH;

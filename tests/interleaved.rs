@@ -289,12 +289,16 @@ fn fused_coefficients<E: ExecSpace>(
     builder.solve_then(exec, &mut resident, in_place).unwrap();
     let mut host = Matrix::from_fn(batch, n, Layout::Right, |j, i| rhs.get(i, j));
     let keep_lanes = |_: usize, _: usize, solved: Solved<'_>| {
-        let Solved::Apart { coefs, block } = solved else {
+        let Solved::Apart { coefs, mut block } = solved else {
             panic!("a host block is not a panel");
         };
-        for (l, lane) in block.chunks_exact_mut(n).enumerate() {
+        for l in 0..block.lanes() {
             let column = coefs.iter().skip(l).step_by(LANE_WIDTH);
-            lane.iter_mut().zip(column).for_each(|(v, c)| *v = *c);
+            block
+                .lane(l)
+                .values()
+                .zip(column)
+                .for_each(|(v, c)| *v = *c);
         }
     };
     let mut field = HostField::new(&mut host);
