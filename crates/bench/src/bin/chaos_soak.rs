@@ -22,17 +22,26 @@
 //!   zeroed, clean rounds never trip (`SdcRound::contained`).
 //!
 //! Usage: `chaos_soak [--seeds N] [--smoke] [--out PATH]`
-//!   --seeds  number of seeds to soak (default 64; minimum 32 enforced
-//!            unless --smoke)
+//!   --seeds  number of seeds to soak (default 64; fewer than 8 is refused,
+//!            and without --smoke fewer than 32 is raised to 32)
 //!   --smoke  8 seeds, for scripts/verify.sh and CI PR runs
 //!   --out    output JSON path (default BENCH_chaos.json)
+//!
+//! A malformed argument, or fewer than 8 seeds, exits 2 with a usage line.
 
+use pp_bench::usage_exit;
 use pp_iterative::FaultInjector;
 use pp_portable::parallel_for;
 use pp_splinesolver::verified::sdc_round;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
+
+const USAGE: &str = "[--seeds N] [--smoke] [--out PATH]";
+
+/// The fewest seeds a campaign may soak: an empty or token campaign
+/// proves nothing, however cleanly it exits.
+const MIN_SEEDS: u64 = 8;
 
 fn main() {
     let mut smoke = false;
@@ -43,19 +52,32 @@ fn main() {
         match a.as_str() {
             "--smoke" => smoke = true,
             "--seeds" => {
-                seeds = Some(
-                    args.next()
-                        .expect("--seeds needs a count")
-                        .parse()
-                        .expect("--seeds needs an integer"),
-                )
+                let n = args
+                    .next()
+                    .unwrap_or_else(|| usage_exit(USAGE, "--seeds needs a count"));
+                seeds = Some(n.parse().unwrap_or_else(|_| {
+                    usage_exit(
+                        USAGE,
+                        &format!("--seeds: `{n}` is not a non-negative integer"),
+                    )
+                }));
             }
-            "--out" => out = args.next().expect("--out needs a path"),
-            other => panic!("unknown argument {other:?} (expected --seeds N / --smoke / --out)"),
+            "--out" => {
+                out = args
+                    .next()
+                    .unwrap_or_else(|| usage_exit(USAGE, "--out needs a path"))
+            }
+            other => usage_exit(USAGE, &format!("unknown argument `{other}`")),
         }
     }
+    if let Some(n) = seeds.filter(|&n| n < MIN_SEEDS) {
+        usage_exit(
+            USAGE,
+            &format!("--seeds {n}: a campaign soaks at least {MIN_SEEDS} seeds"),
+        );
+    }
     let count = match (smoke, seeds) {
-        (true, n) => n.unwrap_or(8),
+        (true, n) => n.unwrap_or(MIN_SEEDS),
         (false, Some(n)) => n.max(32),
         (false, None) => 64,
     };

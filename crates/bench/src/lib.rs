@@ -8,11 +8,12 @@
 //! cargo run --release -p pp-bench --bin reproduce_all -- table3_optimization [nx] [nv] [iters]
 //! ```
 //!
-//! `fig2_glups` times Fig. 2; the other binaries are the bench gates and
-//! probes. This library holds the shared plumbing: the six spline
+//! `fig2_glups` times Fig. 2 and prints the same-run ratios
+//! `scripts/check_bench.sh` gates; `chaos_soak` runs the seeded fault
+//! campaign. This library holds the shared plumbing: the six spline
 //! configurations the paper sweeps, strict positional-argument parsing,
-//! the ASCII plot and JSON reader, and the GPU cache-model glue that keeps
-//! host measurements and model predictions apart.
+//! the ASCII plot, and the GPU cache-model glue that keeps host
+//! measurements and model predictions apart.
 
 #![forbid(unsafe_code)]
 // Numerical kernels here deliberately use index loops (matching the
@@ -25,18 +26,16 @@
 pub mod ascii_plot;
 pub mod configs;
 pub mod gpu_model;
-pub mod json;
-mod scoped;
 
 pub use ascii_plot::AsciiPlot;
 pub use configs::{parse_positional, usage_exit, BenchArgs, SplineConfig};
-pub use scoped::ScopedParallel;
 
 use std::time::Duration;
 
-/// Schema version stamped into every bench document (`BENCH_dispatch.json`,
-/// `BENCH_chaos.json`). Bump on any breaking field change; `bench_gate`
-/// fails by name on a mismatch instead of silently parsing.
+/// Schema version stamped into the chaos campaign's document
+/// (`BENCH_chaos.json`). Bump on any breaking field change;
+/// `scripts/check_bench.sh` fails by file name on a document that lacks the
+/// current stamp.
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// Format a duration in the paper's style (ms with two decimals).

@@ -81,10 +81,10 @@ impl ExecSpace for Serial {
 /// Distribute lanes over the persistent worker pool.
 ///
 /// Dispatch wakes parked pool threads instead of spawning OS threads, so
-/// launching a batched kernel costs microseconds (see
-/// `BENCH_dispatch.json`). Lane results are bit-identical to [`Serial`],
-/// and reductions ([`ExecSpace::reduce_sum`]) use a deterministic
-/// per-chunk schedule.
+/// launching a batched kernel costs microseconds (the `adv_host_small`
+/// workload of the step benchmark is where that cost shows). Lane results
+/// are bit-identical to [`Serial`], and reductions
+/// ([`ExecSpace::reduce_sum`]) use a deterministic per-chunk schedule.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Parallel;
 

@@ -11,9 +11,8 @@
 //! Dispatch runs on the persistent worker pool in [`crate::pool`]: like a
 //! Kokkos dispatch onto an existing OpenMP team, launching a batch wakes
 //! parked threads instead of spawning new ones, so per-dispatch latency
-//! is microseconds rather than the hundreds of microseconds
-//! `std::thread::scope` costs (the `dispatch_overhead` bench bin keeps a
-//! spawn-per-call dispatcher to measure exactly that).
+//! is microseconds rather than the tens of microseconds a
+//! `std::thread::scope` spawn per call costs.
 //!
 //! The worker budget comes from [`num_threads`]: the `PP_NUM_THREADS`
 //! environment variable when set (clamped to `[1, 4096]`, warn-once on

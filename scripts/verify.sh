@@ -37,20 +37,11 @@ echo "==> PP_* knob census (string literals under crates/*/src == README knob ta
 diff <(grep -rhoE '"PP_[A-Z_]+"' crates/*/src | tr -d '"' | grep -v '^PP_TEST_' | sort -u) \
     <(grep -oE '^\| `PP_[A-Z_]+`' README.md | grep -oE 'PP_[A-Z_]+' | sort -u)
 
-# Worker budget of the smoke runs below: a real pool even on single-core
-# CI (>= 2), never more threads than a small runner has cores (<= 4) —
-# an oversubscribed pool measures the scheduler, not the dispatch.
+# Worker budget of the chaos smoke below: a real pool even on single-core
+# CI (>= 2), never more threads than a small runner has cores (<= 4).
 cores=$(nproc)
 POOL_THREADS=$((cores < 2 ? 2 : cores > 4 ? 4 : cores))
-
-# Smoke-run the dispatch-overhead bench: exercises the persistent
-# worker-pool dispatch path and the JSON emitter end to end (tiny sizes,
-# seconds).
-echo "==> dispatch_overhead bench smoke (pool dispatch + JSON emitter, $POOL_THREADS threads)"
 mkdir -p target
-PP_NUM_THREADS=$POOL_THREADS cargo run --release -q -p pp-bench --bin dispatch_overhead -- \
-    --smoke --out target/BENCH_dispatch_smoke.json
-test -s target/BENCH_dispatch_smoke.json
 
 # Smoke-run the chaos-soak campaign: seeded fault scenarios (NaN lanes,
 # near-singular systems, bit flips struck into the verified solve's

@@ -28,6 +28,9 @@ fn rhs(nx: usize, nv: usize, seed: u64) -> Matrix {
 /// binary checks, over a handful of seeds.
 #[test]
 fn chaos_smoke_campaign_holds_all_invariants() {
+    // A campaign that never strikes proves nothing: the twelve seeds must
+    // include a healed transient and a contained persistent strike.
+    let (mut healed, mut contained) = (0, 0);
     for seed in 0..12u64 {
         let r = FaultInjector::chaos_round(seed);
         assert!(r.tallies_consistent(), "seed {seed}: {r:?}");
@@ -45,7 +48,11 @@ fn chaos_smoke_campaign_holds_all_invariants() {
         // zeroed, clean rounds never trip the checksum.
         let sdc = sdc_round(seed);
         assert!(sdc.contained(), "seed {seed}: sdc escape — {sdc:?}");
+        healed += usize::from(sdc.corrected > 0);
+        contained += usize::from(sdc.uncorrected > 0);
     }
+    assert!(healed > 0, "no round healed a transient strike");
+    assert!(contained > 0, "no round contained a persistent strike");
     // The campaign must leave the shared pool healthy.
     let hits = AtomicUsize::new(0);
     parallel_for(512, |_| {
