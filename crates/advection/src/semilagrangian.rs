@@ -128,9 +128,10 @@ impl fmt::Display for AdvectionDiagnostics {
 }
 
 /// Wall-clock breakdown of one advection step. There is no transpose
-/// entry: on a host field Algorithm 2's lines 3 and 5 are the gather at the
-/// top of a block's turn and the lane walk writing its columns straight
-/// into the field, both inside [`StepTimings::splines_solve`]'s region.
+/// entry: on a host field Algorithm 2's line 3 is the solve's forward sweep
+/// bringing each tile of eight rows into its panel as it reaches it, and
+/// line 5 the lane walk writing its columns straight into the field, both
+/// inside [`StepTimings::splines_solve`]'s region.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepTimings {
     /// The step's one parallel region: per block of eight lanes the spline
@@ -295,18 +296,21 @@ impl Advection1D {
     /// what [`Advection1D::init_distribution`] returns: lanes are rows — by
     /// one time step, in place, with the standing displacements `v_j·Δt`:
     /// lane `j`'s feet are `x_i − v_j·Δt`. Algorithm 2 verbatim in one
-    /// parallel region on `exec`: eight rows of `f` are gathered into the
-    /// worker's panel (line 3), solved there (line 4), and the lane walk
+    /// parallel region on `exec`: eight rows of `f` are solved in the
+    /// worker's panel (line 4), which the solve's forward sweep fills a tile
+    /// of eight rows at a time as it reaches them (line 3), and the lane walk
     /// writes each lane's interpolated values straight back into its row
     /// (lines 5–10). No slab stands behind `f`.
     ///
     /// The step is one parallel region over the field's blocks of eight
     /// lanes (DESIGN.md §14.3) — the panels of a resident slab, eight rows
     /// of a host field: a worker solves a panel where it lies, any other
-    /// block gathered into its scratch as an interleaved panel (eight rows,
-    /// or an 8 × 8-tile row) — for the verified backend screening it against
-    /// the pristine right-hand sides — and evaluates the coefficients at the
-    /// feet straight back into the block while both are in cache. Neither the
+    /// block in its scratch as an interleaved panel (eight rows, or an 8 × 8
+    /// tile row) that the solve's forward sweep brings in a tile at a time
+    /// as it reaches it — for the verified backend screening it against the
+    /// pristine right-hand sides, copied on the way in — and evaluates the
+    /// coefficients at the feet straight back into the block while both are
+    /// in cache. Neither the
     /// coefficients nor the feet ever exist as a slab. The `Iterative`
     /// backend is two regions: one solves every lane where it lies, lane by
     /// lane, into a resident coefficient store (warm-started from the

@@ -4,16 +4,19 @@
 //! Every entry point solves a [`Field`] block by block in one body
 //! (`SplineBuilder::solve_run`): a block is an interleaved panel of
 //! [`LANE_WIDTH`] lanes — the panel itself on a [`ResidentBatch`], else a
-//! panel gathered into a per-worker scratch from the block where it lies —
-//! and a worker's turn solves a run of up to four of them abreast. A version is a corner axis (dense
-//! `gemv` blocks or COO `spmv` entries) and a region plan: how many
+//! panel in a per-worker scratch that the solve's own forward sweep fills
+//! from the block where it lies, a tile of eight rows at a time (`stage`)
+//! — and a worker's turn solves a run of up to four of them abreast. A
+//! version is a corner axis (dense `gemv` blocks or COO `spmv` entries) and
+//! a region plan: how many
 //! parallel regions [`SplineBuilder::solve_in_place`] splits Algorithm 1
 //! into. The per-lane `schur_solve` is the scalar oracle every result is
 //! held to, and the verified ladder's repair path.
 
 use crate::blocks::SchurBlocks;
 use crate::error::{Error, Result};
-use crate::verified::{RhsSums, VerifiedBuilder};
+use crate::stage::Stage;
+use crate::verified::RhsSums;
 use pp_bsplines::SplineSpace;
 use pp_linalg::{LaneRows, Panel};
 use pp_portable::{Blocks, ExecSpace, Field, HostField, Lines, PanelIsa, Run};
@@ -43,8 +46,9 @@ pub enum BuilderVersion {
 }
 
 /// What one region of a version's plan does to the panels of a run: all of
-/// Algorithm 1, or one of its steps.
-type Sweep = fn(&SplineBuilder, PanelIsa, &mut [f64]);
+/// Algorithm 1, or one of its steps, bringing the run's rows in as its
+/// [`Stage`] says.
+type Sweep = fn(&SplineBuilder, PanelIsa, &mut [f64], &mut Stage<'_>);
 
 impl BuilderVersion {
     /// The paper's three versions, in Table III order.
@@ -86,7 +90,7 @@ impl BuilderVersion {
                 SplineBuilder::sweep_on::<2, 3>,
                 SplineBuilder::sweep_on::<3, 4>,
             ],
-            BuilderVersion::Fused | BuilderVersion::FusedSpmv => &[SplineBuilder::solve_panels_on],
+            BuilderVersion::Fused | BuilderVersion::FusedSpmv => &[SplineBuilder::sweep_fused],
         }
     }
 }
@@ -154,7 +158,7 @@ impl SplineBuilder {
     /// temporal-locality problem §IV-B profiles; every other version's one
     /// fused region is a single pass. A [`Layout::Left`] `b` is solved where
     /// it lies, as a host field of its contiguous columns, each region
-    /// gathering a block into a per-worker panel and storing it back; a
+    /// bringing a block into a per-worker panel and storing it back; a
     /// [`Layout::Right`] one, whose lanes are strided, is packed once into
     /// panels, solved on them and unpacked. Either way every lane carries
     /// the bits of [`SplineBuilder::solve_resident`].
@@ -200,10 +204,12 @@ impl SplineBuilder {
     /// advection step evaluates them at the characteristic feet). One
     /// parallel region, a worker's turn being a run of up to four blocks
     /// solved side by side. A block that is a panel is solved where it lies
-    /// and handed over as [`Solved::InPlace`]; any other is gathered into a
-    /// panel in a per-worker scratch, from a cache line on, solved there and
-    /// handed over as [`Solved::Apart`] with a view of the block where it
-    /// lies — never a second batch, never a staged copy.
+    /// and handed over as [`Solved::InPlace`]; any other is brought into a
+    /// panel in a per-worker scratch, from a cache line on, a tile of eight
+    /// rows at a time by the solve's own forward sweep as it reaches them,
+    /// solved there and handed over as [`Solved::Apart`] with a view of the
+    /// block where it lies — never a second batch, never a staged copy, no
+    /// gathering pass.
     ///
     /// The region runs the fused Algorithm 1 with this version's corner
     /// axis, so the coefficients are the bits [`SplineBuilder::solve_in_place`]
@@ -218,7 +224,7 @@ impl SplineBuilder {
         F: Fn(usize, usize, Solved<'_>) + Sync + Send,
     {
         self.check_rows(b.shape().0)?;
-        self.solve_plan(exec, b, &[Self::solve_panels_on], then);
+        self.solve_plan(exec, b, &[Self::sweep_fused], then);
         Ok(())
     }
 
@@ -229,72 +235,61 @@ impl SplineBuilder {
     where
         E: ExecSpace,
         B: Field,
-        S: Fn(&Self, PanelIsa, &mut [f64]) + Sync,
+        S: Fn(&Self, PanelIsa, &mut [f64], &mut Stage<'_>) + Sync,
         F: Fn(usize, usize, Solved<'_>) + Sync + Send,
     {
         for sweep in plan {
             b.for_each_run_mut(exec, ABREAST, |first, lanes, run| {
-                self.solve_run::<false>(first, lanes, run, sweep, |chunk, lanes, x, block, _| {
-                    then(chunk, lanes, Solved::new(x, block));
+                let isa = PanelIsa::detected();
+                self.solve_run::<false>(isa, first, lanes, run, sweep, |s| {
+                    then(s.chunk, s.lanes, Solved::new(s.x, s.block));
                 });
             });
         }
     }
 
-    /// One worker's turn of every fused entry point: take apart the `run`
-    /// [`Field::for_each_run_mut`] handed out (`lanes` live lanes from block
-    /// `first` on) into the panels to solve — the run itself on a field of
-    /// panels, else a scratch panel gathered from each block where it lies
-    /// ([`Blocks::fill_panel`]: a host block's columns interleaved, a tiled
-    /// block's 8 × 8 tiles transposed one by one) — solve those abreast with
-    /// `sweep` (all of Algorithm 1, [`SplineBuilder::solve_panels_on`], but
-    /// in a region of the baseline's plan), then hand each block to
-    /// `each(chunk, lanes, x, block, kept)`: `x` is its solved
-    /// panel, `block` the view of the block itself when that is not `x`. With `KEEP`
-    /// (the verified step), `kept` is the panel's right-hand sides, copied
-    /// into the second scratch set before the solve, and the sums the screen
-    /// takes of them on the way ([`VerifiedBuilder::snapshot_on`]); the
-    /// plain step is the instance without, where no snapshot is compiled
-    /// in, and gets `None`.
-    ///
-    /// [`VerifiedBuilder::snapshot_on`]: crate::VerifiedBuilder::snapshot_on
+    /// One worker's turn of every fused entry point, in the instance
+    /// compiled for `isa`: take apart the `run` [`Field::for_each_run_mut`]
+    /// handed out (`lanes` live lanes from block `first` on) into the panels
+    /// to solve — the run itself on a field of panels, else scratch panels —
+    /// solve those abreast with `sweep` (all of Algorithm 1,
+    /// [`SplineBuilder::sweep_fused`], but in a region of the baseline's
+    /// plan), then hand each block on to `each` as a [`SolvedBlock`]. The
+    /// sweep brings a block that is not a panel into its scratch panel a
+    /// tile of eight rows at a time, from where the block lies, as its
+    /// forward pass reaches each tile ([`Stage`]: a host block's eight
+    /// columns, a tiled block's eight tile rows). With `KEEP` (the verified
+    /// step) the same ingress copies each tile of right-hand sides into the
+    /// second scratch set and takes the sums the screen needs of them; the
+    /// plain step is the instance without, where no copy is compiled in.
     pub(crate) fn solve_run<const KEEP: bool>(
         &self,
+        isa: PanelIsa,
         first: usize,
         lanes: usize,
         run: Run<'_>,
-        sweep: impl Fn(&Self, PanelIsa, &mut [f64]),
-        mut each: impl FnMut(usize, usize, &mut [f64], Option<Blocks<'_>>, Option<Kept<'_>>),
+        sweep: impl Fn(&Self, PanelIsa, &mut [f64], &mut Stage<'_>),
+        mut each: impl FnMut(SolvedBlock<'_>),
     ) {
         let n = self.space.num_basis();
-        let panel = n * LANE_WIDTH;
-        let isa = PanelIsa::detected();
+        let (panel, count) = (n * LANE_WIDTH, lanes.div_ceil(LANE_WIDTH));
         PANEL_SCRATCH.with_borrow_mut(|[scratch, kept]| {
-            let (panels, mut apart) = match run {
+            let (panels, source) = match run {
                 Run::Panels(run) => (run, None),
-                Run::Blocks(mut blocks) => {
-                    let panels = scratch.at_least(lanes.div_ceil(LANE_WIDTH) * panel);
-                    for (k, panel) in panels.chunks_exact_mut(panel).enumerate() {
-                        blocks.block(k).fill_panel(isa, panel);
-                    }
-                    (panels, Some(blocks))
-                }
+                Run::Blocks(blocks) => (scratch.at_least(count * panel), Some(blocks)),
             };
-            let mut sums = [Default::default(); ABREAST];
-            let kept = KEEP.then(|| {
-                let kept = kept.at_least(panels.len());
-                let pairs = panels.chunks_exact(panel).zip(kept.chunks_exact_mut(panel));
-                for ((rhs, kept), sums) in pairs.zip(&mut sums) {
-                    *sums = VerifiedBuilder::snapshot_on(isa, rhs, kept);
-                }
-                &*kept
-            });
-            sweep(self, isa, panels);
-            for (p, x) in panels.chunks_exact_mut(panel).enumerate() {
-                let live = LANE_WIDTH.min(lanes - p * LANE_WIDTH);
-                let block = apart.as_mut().map(|blocks| blocks.block(p));
-                let kept = kept.map(|kept| (&kept[p * panel..][..panel], &sums[p]));
-                each(first + p, live, x, block, kept);
+            let kept = KEEP.then(|| kept.at_least(count * panel));
+            let mut stage = Stage::new(isa, n, source, kept);
+            sweep(self, isa, panels, &mut stage);
+            for (k, x) in panels.chunks_exact_mut(panel).enumerate() {
+                let (block, kept) = stage.block(k);
+                each(SolvedBlock {
+                    chunk: first + k,
+                    lanes: LANE_WIDTH.min(lanes - k * LANE_WIDTH),
+                    x,
+                    block,
+                    kept,
+                });
             }
         });
     }
@@ -309,49 +304,71 @@ impl SplineBuilder {
     /// Panics if the host lacks `isa`, or `panels` is not whole panels.
     #[doc(hidden)]
     pub fn solve_panels_on(&self, isa: PanelIsa, panels: &mut [f64]) {
-        self.sweep_on::<0, 4>(isa, panels);
+        let rows = self.space.num_basis();
+        self.sweep_fused(isa, panels, &mut Stage::new(isa, rows, None, None));
+    }
+
+    /// All of Algorithm 1 on the run's panels, bringing rows in as `stage`
+    /// says: the fused sweep every entry point runs. Not generic, so that it
+    /// is compiled once, here, and not again in every crate whose
+    /// continuation instantiates [`SplineBuilder::solve_run`].
+    pub(crate) fn sweep_fused(&self, isa: PanelIsa, panels: &mut [f64], stage: &mut Stage<'_>) {
+        self.sweep_on::<0, 4>(isa, panels, stage);
     }
 
     /// Algorithm 1's steps `FROM..TO` on each of the `[nrows][LANE_WIDTH]`
     /// panels that `panels` holds back to back, in the instance compiled for
-    /// `isa`: four abreast while four are left, then two, then one. A
-    /// panel's bits depend neither on its company (`[Panel; P]` is a
-    /// regrouping) nor on the instance (every multiply-add is the one fused
+    /// `isa`: four abreast while four are left, then two, then one, each
+    /// group's rows brought in as `stage` says. A panel's bits depend
+    /// neither on its company (`[Panel; P]` is a regrouping) nor on the
+    /// instance (every multiply-add is the one fused
     /// [`pp_portable::Lanes::mul_add`], and rustc contracts nothing else).
     ///
     /// # Panics
     /// Panics if the host lacks `isa`, or `panels` is not whole panels.
-    fn sweep_on<const FROM: usize, const TO: usize>(&self, isa: PanelIsa, panels: &mut [f64]) {
+    fn sweep_on<const FROM: usize, const TO: usize>(
+        &self,
+        isa: PanelIsa,
+        panels: &mut [f64],
+        stage: &mut Stage<'_>,
+    ) {
         let panel = self.space.num_basis() * LANE_WIDTH;
         assert!(panels.len().is_multiple_of(panel), "sweep_on: whole panels");
         isa.run(
             #[inline(always)]
             || {
-                let rest = self.sweep_groups::<ABREAST, FROM, TO>(panels);
-                let rest = self.sweep_groups::<2, FROM, TO>(rest);
-                self.sweep_groups::<1, FROM, TO>(rest);
+                let (rest, k) = self.sweep_groups::<ABREAST, FROM, TO>(panels, stage, 0);
+                let (rest, k) = self.sweep_groups::<2, FROM, TO>(rest, stage, k);
+                self.sweep_groups::<1, FROM, TO>(rest, stage, k);
             },
         );
     }
 
     /// Algorithm 1's steps `FROM..TO` on the panels back to back in
-    /// `panels`, `P` abreast; returns the fewer than `P` left over.
+    /// `panels`, the run's panels from `first` on, `P` abreast; returns the
+    /// fewer than `P` left over and the first of them. Every row of a group
+    /// is in by the end of its sweep, also in a region without the `Q` step.
     #[inline(always)]
     fn sweep_groups<'a, const P: usize, const FROM: usize, const TO: usize>(
         &self,
         panels: &'a mut [f64],
-    ) -> &'a mut [f64] {
+        stage: &mut Stage<'_>,
+        mut first: usize,
+    ) -> (&'a mut [f64], usize) {
         let n = self.space.num_basis();
         let mut groups = panels.chunks_exact_mut(P * n * LANE_WIDTH);
         for group in &mut groups {
             let mut group = group.chunks_exact_mut(n * LANE_WIDTH);
-            let mut rows: [Panel; P] =
+            let panels: [Panel; P] =
                 std::array::from_fn(|_| Panel::new(group.next().expect("P panels to a group"), n));
+            let mut rows = stage.group(panels, first);
             for step in &ALGORITHM_1[FROM..TO] {
                 step.apply(&self.blocks, self.version.sparse_corners(), &mut rows);
             }
+            all_in(&mut rows, n);
+            first += P;
         }
-        groups.into_remainder()
+        (groups.into_remainder(), first)
     }
 }
 
@@ -380,9 +397,14 @@ const ALGORITHM_1: [Step; 4] = [
 ];
 
 impl Step {
+    /// The step on `rows`. The `Q` sweep brings rows in as it reaches them;
+    /// every other step needs all of them first.
     #[inline(always)]
     fn apply<R: LaneRows>(self, blocks: &SchurBlocks, sparse: bool, rows: &mut R) {
         let q = blocks.q_size();
+        if !matches!(self, Step::QSolve) {
+            all_in(rows, blocks.n());
+        }
         match self {
             Step::QSolve => blocks.q_factors().solve_rows(rows, 0),
             Step::LambdaCorner => corner(
@@ -396,6 +418,15 @@ impl Step {
             Step::BorderSolve => blocks.delta_factors().solve_rows(rows, q),
             Step::BetaCorner => corner(rows, sparse, blocks.beta_coo(), blocks.beta_dense(), 0, q),
         }
+    }
+}
+
+/// Bring in every one of the `n` rows that `rows` has not brought in yet
+/// ([`LaneRows::ingress`]).
+#[inline(always)]
+fn all_in<R: LaneRows>(rows: &mut R, n: usize) {
+    if let Some(last) = n.checked_sub(1) {
+        rows.ingress(last);
     }
 }
 
@@ -439,7 +470,21 @@ pub(crate) const ABREAST: usize = 4;
 
 /// A panel's right-hand sides as the verified step keeps them beside its
 /// solve, with the sums its screen takes of them.
-pub(crate) type Kept<'a> = (&'a [f64], &'a RhsSums);
+pub(crate) type Kept<'a> = (&'a [f64], RhsSums);
+
+/// One block of a run, solved: what [`SplineBuilder::solve_run`] hands on.
+pub(crate) struct SolvedBlock<'a> {
+    /// The block's index in the field.
+    pub(crate) chunk: usize,
+    /// Its live lanes.
+    pub(crate) lanes: usize,
+    /// Its solved panel: the block itself, unless `block` is given.
+    pub(crate) x: &'a mut [f64],
+    /// The block where it lies, when that is not `x`.
+    pub(crate) block: Option<Blocks<'a>>,
+    /// With `KEEP`, its right-hand sides and their sums.
+    pub(crate) kept: Option<Kept<'a>>,
+}
 
 /// Where a fused entry point's continuation finds a block's coefficients
 /// ([`SplineBuilder::solve_then`]): in the block, or in a panel apart from
@@ -484,11 +529,11 @@ thread_local! {
     /// This worker's scratch for the fused entry points: two sets of up to
     /// [`ABREAST`] panels back to back, each from a cache line on, reused
     /// for every run of every step. The first set holds a run of blocks that
-    /// are not panels as panels — gathered at the top of the worker's turn,
-    /// solved there, lent to the continuation; a field of panels is solved
-    /// where it lies and never touches it. The second is touched only by the
-    /// verified step, which needs the right-hand sides beside the
-    /// coefficients.
+    /// are not panels as panels — brought in by the sweep as it reaches
+    /// each tile, solved there, lent to the continuation; a field of panels
+    /// is solved where it lies and never touches it. The second is touched
+    /// only by the verified step, which needs the right-hand sides beside
+    /// the coefficients.
     static PANEL_SCRATCH: RefCell<[Lines; 2]> =
         const { RefCell::new([const { Lines::new() }; 2]) };
 }
@@ -506,6 +551,7 @@ mod tests {
     use pp_bsplines::{assemble_interpolation_matrix, Breaks};
     use pp_linalg::naive;
     use pp_portable::{CountingExec, Parallel, Serial, StridedMut, TestRng};
+    use pp_portable::{Field, HostField, Run};
 
     fn space(n: usize, degree: usize, uniform: bool) -> SplineSpace {
         let breaks = if uniform {
@@ -604,6 +650,115 @@ mod tests {
                         let parallel = solved_bits(&Parallel, &builder, &rhs, layout);
                         assert_eq!(serial, want, "{what} {layout:?} Serial");
                         assert_eq!(parallel, want, "{what} {layout:?} Parallel");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The run body's tile ingress, held to the scalar oracle on the shapes
+    /// where it can go wrong: every solved-and-evaluated lane — the step's
+    /// `solve_run` per run of four, then the panel evaluator at feet shifted
+    /// by a lane's own displacement — carries the bits of `schur_solve` on a
+    /// contiguous copy of the lane followed by `eval_lane`, and the verified
+    /// instance's kept right-hand sides and their sums are the snapshot of
+    /// the packed panel. Degrees 1–5, uniform, graded and clamped spaces,
+    /// `Q` sizes on and off a tile boundary, lane counts that leave a
+    /// partial block and runs of one to four blocks, on a host field, a
+    /// batch's tiled transpose and a resident batch, through every
+    /// instance this host has.
+    #[test]
+    fn tile_ingress_solve_then_eval_is_the_scalar_oracle_bitwise() {
+        use crate::verified::VerifiedBuilder;
+        use pp_portable::{Strided, TiledField};
+        let mut spaces = Vec::new();
+        let sizes: &[usize] = if cfg!(miri) { &[11] } else { &[11, 19, 26] };
+        for degree in 1..=5 {
+            for &n in sizes {
+                for uniform in [true, false] {
+                    let periodic = space(n, degree, uniform);
+                    spaces.push(SplineSpace::clamped(periodic.breaks().clone(), degree).unwrap());
+                    spaces.push(periodic);
+                }
+            }
+        }
+        let batches: &[usize] = if cfg!(miri) { &[9] } else { &[5, 8, 13, 33] };
+        let isas = PanelIsa::ALL.into_iter().filter(|isa| isa.is_available());
+        let isas: Vec<PanelIsa> = isas.collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for sp in &spaces {
+            let builder = SplineBuilder::new(sp.clone(), BuilderVersion::FusedSpmv).unwrap();
+            let (n, q) = (sp.num_basis(), builder.blocks().q_size());
+            let points = sp.interpolation_points();
+            let h = points[1] - points[0];
+            for &batch in batches {
+                let what = format!(
+                    "degree {} n {n} q {q} periodic {} batch {batch}",
+                    sp.degree(),
+                    sp.is_periodic()
+                );
+                let rhs = random_rhs(n, batch, Layout::Left, (n * batch) as u64);
+                let shift = |j: usize| [0.0, 0.37 * h, -2.5 * h, 3.0 * h, 1.1][j % 5];
+                // The oracle, lane by lane.
+                let want: Vec<Vec<u64>> = (0..batch)
+                    .map(|j| {
+                        let mut lane = rhs.col(j).to_vec();
+                        schur_solve(
+                            builder.blocks(),
+                            true,
+                            &mut StridedMut::from_slice(&mut lane),
+                        );
+                        let feet: Vec<f64> = points.iter().map(|x| x - shift(j)).collect();
+                        let mut out = vec![0.0; n];
+                        let (coefs, feet) =
+                            (Strided::from_slice(&lane), Strided::from_slice(&feet));
+                        sp.eval_lane(coefs, feet, StridedMut::from_slice(&mut out));
+                        bits(&out)
+                    })
+                    .collect();
+                let packed = ResidentBatch::pack(&rhs);
+                for &isa in &isas {
+                    let what = format!("{what} on {}", isa.name());
+                    // A worker's turn: solve and evaluate its run's blocks,
+                    // every other run through the verified instance, whose
+                    // snapshot is checked on the way.
+                    let turn = |first: usize, lanes: usize, run: Run<'_>| {
+                        let eval = |s: SolvedBlock<'_>| {
+                            let feet = |l: usize| (&points[..], shift(s.chunk * LANE_WIDTH + l));
+                            match s.block {
+                                None => sp.eval_panel(None, s.lanes, feet, s.x),
+                                Some(block) => sp.eval_columns(s.x, feet, block),
+                            }
+                        };
+                        let sweep = SplineBuilder::sweep_fused;
+                        if first.is_multiple_of(2) {
+                            builder.solve_run::<false>(isa, first, lanes, run, sweep, eval);
+                            return;
+                        }
+                        builder.solve_run::<true>(isa, first, lanes, run, sweep, |s| {
+                            let (rhs, sums) = s.kept.expect("the kept instance");
+                            let mut copy = vec![0.0; rhs.len()];
+                            let want = packed.chunk(s.chunk);
+                            assert_eq!(bits(rhs), bits(want), "{what}: kept panel");
+                            let snap = VerifiedBuilder::snapshot_on(isa, want, &mut copy);
+                            assert_eq!(format!("{sums:?}"), format!("{snap:?}"), "{what}: sums");
+                            eval(SolvedBlock { kept: None, ..s });
+                        });
+                    };
+                    let mut host = Matrix::from_fn(batch, n, Layout::Right, |j, i| rhs.get(i, j));
+                    HostField::new(&mut host).for_each_run_mut(&Parallel, ABREAST, turn);
+                    let lanes = Matrix::from_fn(batch, n, Layout::Left, |j, i| rhs.get(i, j));
+                    let mut tiled = ResidentBatch::pack(&lanes);
+                    TiledField::new(&mut tiled).for_each_run_mut(&Serial, 2, turn);
+                    let mut resident = packed.clone();
+                    Field::for_each_run_mut(&mut resident, &Parallel, ABREAST, turn);
+                    for j in 0..batch {
+                        let host_lane: Vec<f64> = (0..n).map(|i| host.get(j, i)).collect();
+                        let tiled_lane: Vec<f64> = (0..n).map(|i| tiled.get(j, i)).collect();
+                        let resident_lane: Vec<f64> = (0..n).map(|i| resident.get(i, j)).collect();
+                        assert_eq!(bits(&host_lane), want[j], "{what}: host lane {j}");
+                        assert_eq!(bits(&tiled_lane), want[j], "{what}: tiled lane {j}");
+                        assert_eq!(bits(&resident_lane), want[j], "{what}: resident lane {j}");
                     }
                 }
             }

@@ -66,6 +66,7 @@ pub mod checkpoint;
 pub mod error;
 pub mod evaluator;
 pub mod iterative_backend;
+mod stage;
 pub mod tensor2d;
 pub mod verified;
 

@@ -28,7 +28,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::blocks::{QClass, SchurBlocks};
-use crate::builder::{schur_solve, BuilderVersion, Solved, SplineBuilder, ABREAST};
+use crate::builder::{schur_solve, BuilderVersion, Solved, SolvedBlock, SplineBuilder, ABREAST};
 use crate::error::Result;
 use crate::iterative_backend::{IterativeConfig, IterativeSplineSolver};
 use pp_bsplines::{assemble_interpolation_matrix, Breaks, SplineSpace};
@@ -477,8 +477,9 @@ impl VerifiedBuilder {
     /// from — with whatever it makes of them, exactly as
     /// [`SplineBuilder::solve_then`]: a panel is solved where it lies, any
     /// other block in a per-worker scratch. The block's right-hand sides as
-    /// a panel, copied into the worker's second scratch before the solve,
-    /// are the pristine snapshot the screen compares against.
+    /// a panel, copied into the worker's second scratch as the solve's
+    /// forward sweep brings them in, are the pristine snapshot the screen
+    /// compares against.
     ///
     /// A lane the serial tail repairs or quarantines has new coefficients
     /// after `then` has consumed the old ones: for each such lane the tail
@@ -544,13 +545,17 @@ impl VerifiedBuilder {
         // cache; then the coefficients go to `then`, which overwrites the
         // block, or stay where they were solved: in the block.
         b.for_each_run_mut(exec, ABREAST, |first, lanes, run| {
-            let sweep = SplineBuilder::solve_panels_on;
-            self.builder.solve_run::<true>(
-                first,
-                lanes,
-                run,
-                sweep,
-                |chunk, lanes, x, block, kept| {
+            let sweep = SplineBuilder::sweep_fused;
+            let isa = PanelIsa::detected();
+            self.builder
+                .solve_run::<true>(isa, first, lanes, run, sweep, |solved| {
+                    let SolvedBlock {
+                        chunk,
+                        lanes,
+                        x,
+                        block,
+                        kept,
+                    } = solved;
                     let kept = kept.expect("the verified run keeps its right-hand sides");
                     let screen = self.screen(chunk, lanes, x, kept);
                     match then {
@@ -558,8 +563,7 @@ impl VerifiedBuilder {
                         None => assert!(block.is_none(), "an in-place verified solve needs panels"),
                     }
                     assert!(screens[chunk].set(screen).is_ok(), "panel visited twice");
-                },
-            );
+                });
         });
         // A quarantined lane's coefficients; built only when one turns up.
         let zeros = || vec![0.0; nrows];
@@ -593,7 +597,7 @@ impl VerifiedBuilder {
 
     /// Screen the lanes of the solved panel `x` against their pristine
     /// right-hand sides `rhs`, whose own sums `kept` the snapshot took
-    /// ([`VerifiedBuilder::snapshot_on`]). One pass ([`screen_pass`])
+    /// ([`keep_rows`]). One pass ([`screen_pass`])
     /// accumulates per lane the rest of the ABFT sums and the residual
     /// norm — the expressions of [`VerifiedBuilder::abft_check`] and
     /// [`VerifiedBuilder::relative_residual`] in their order, so the values
@@ -608,11 +612,11 @@ impl VerifiedBuilder {
         chunk: usize,
         lanes: usize,
         x: &mut [f64],
-        (rhs, kept): (&[f64], &RhsSums),
+        (rhs, kept): (&[f64], RhsSums),
     ) -> PanelScreen {
         const W: usize = LANE_WIDTH;
         let (n, cfg) = (self.colsum.len(), &self.config);
-        let measure = |x: &[f64]| self.measure(self.screen_on(PanelIsa::detected(), x, rhs, kept));
+        let measure = |x: &[f64]| self.measure(self.screen_on(PanelIsa::detected(), x, rhs, &kept));
         // Deterministic fault injection first.
         let struck = |l: usize| cfg.abft && cfg.sdc_probe_lanes.contains(&(chunk * W + l));
         for l in (0..lanes).filter(|&l| struck(l)) {
@@ -713,8 +717,10 @@ impl VerifiedBuilder {
     /// The verified step's snapshot of one panel of right-hand sides, in
     /// the instance compiled for `isa`: `rhs` copied row by row into
     /// `kept`, and on the way per lane `Σb`, `‖b‖²` and whether every value
-    /// is finite ([`snapshot`]). [`SplineBuilder::solve_run`] calls it
-    /// before the solve; it is public for the per-ISA bench row.
+    /// is finite ([`snapshot`]). The verified step takes the same copy and
+    /// sums a tile at a time as its solve brings the rows in
+    /// ([`keep_rows`]), to the same bits; this whole-panel form is public
+    /// for the per-ISA bench row and the differential tests.
     ///
     /// # Panics
     /// Panics if the host lacks `isa`, or `kept` is shorter than `rhs`.
@@ -971,30 +977,52 @@ pub(crate) type RhsSums = ([[f64; LANE_WIDTH]; 2], [bool; LANE_WIDTH]);
 
 /// The right-hand sides' own share of the screen, taken where the verified
 /// step reads them anyway: while it copies the panel `rhs` into `kept`
-/// before the solve ([`VerifiedBuilder::snapshot_on`]), or, with no `kept`,
+/// ([`keep_rows`], a tile at a time in the step), or, with no `kept`,
 /// alone. Rows in order, every operation one contiguous lane vector, the
 /// expressions of [`VerifiedBuilder::abft_check`] and
 /// [`VerifiedBuilder::relative_residual`], so the bits are theirs.
 #[inline(always)]
 fn snapshot(rhs: &[f64], kept: Option<&mut [f64]>) -> RhsSums {
-    let mut sums = [Row::splat(0.0); 3];
-    let rows: &[Row] = rhs.as_chunks().0;
+    let mut taken = [Row::splat(0.0); 3];
     match kept {
-        Some(kept) => {
-            let kept = &mut kept[..rhs.len()];
-            for (br, kr) in rows.iter().zip(kept.as_chunks_mut().0) {
-                *kr = *br;
-                take_rhs_row(&mut sums, *br);
-            }
-        }
+        Some(kept) => keep_rows(rhs, kept, &mut taken),
         None => {
-            for br in rows {
-                take_rhs_row(&mut sums, *br);
+            for br in rhs.as_chunks().0 {
+                take_rhs_row(&mut taken, *br);
             }
         }
     }
-    let [sum_b, acc_b, poison] = sums;
+    sums_of(taken)
+}
+
+/// [`snapshot`]'s running sums `[Σb, ‖b‖², Σ 0·b]`, row after row.
+pub(crate) type Taken = [Row; 3];
+
+/// The sums `taken` over all of a panel's rows, as [`snapshot`] returns
+/// them.
+pub(crate) fn sums_of([sum_b, acc_b, poison]: Taken) -> RhsSums {
     ([sum_b, acc_b], poison.map(|p| p == 0.0))
+}
+
+/// Rows of right-hand sides `rhs` copied into `kept`, their sums taken into
+/// `taken` on the way: [`snapshot`]'s copy of a whole panel, and the
+/// verified step's of each tile its solve brings in, in order, so the sums
+/// are the same bits either way.
+#[inline(always)]
+pub(crate) fn keep_rows(rhs: &[f64], kept: &mut [f64], taken: &mut Taken) {
+    let kept = &mut kept[..rhs.len()];
+    for (br, kr) in rhs.as_chunks().0.iter().zip(kept.as_chunks_mut().0) {
+        *kr = *br;
+        take_rhs_row(taken, *br);
+    }
+}
+
+/// [`keep_rows`] in the instance compiled for `isa`.
+pub(crate) fn keep_rows_on(isa: PanelIsa, rhs: &[f64], kept: &mut [f64], taken: &mut Taken) {
+    isa.run(
+        #[inline(always)]
+        || keep_rows(rhs, kept, taken),
+    );
 }
 
 /// One row of right-hand sides into [`snapshot`]'s `[Σb, ‖b‖², Σ 0·b]`:

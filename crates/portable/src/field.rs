@@ -16,20 +16,22 @@
 //! [`ResidentBatch`], wrapped as a [`TiledField`], is the batch's tile
 //! rows: its lane `x` is row `x` of every panel, eight values a panel
 //! apart (`lane = 8`, `run` = a panel), so a block is a row of 8 × 8
-//! tiles. Such a block is gathered into a panel in the worker's scratch
-//! ([`Blocks::fill_panel`]: contiguous columns interleaved, tiles
-//! transposed one by one) and evaluated, or stored, straight back into
-//! its lanes ([`Blocks::lane`], [`Blocks::store_panel`]). Nothing else is
-//! copied: the step's body is the same for all three.
+//! tiles. Such a block is brought into a panel in the worker's scratch a
+//! tile of eight rows at a time, by the solve's forward sweep as it reaches
+//! the tile ([`Blocks::fill_tile`], [`Blocks::fill_rows`]: eight columns or
+//! eight tile rows transposed where they lie), and evaluated, or stored,
+//! straight back into its lanes ([`Blocks::lane`], [`Blocks::store_panel`]).
+//! Nothing else is copied: the step's body is the same for all three.
 
 use crate::exec::ExecSpace;
-use crate::interleaved::{deinterleave_columns, interleave_columns, run_length, tiles_at};
+use crate::interleaved::{deinterleave_columns, run_length, tiles_at, TileIsa};
 use crate::interleaved::{ResidentBatch, LANE_WIDTH};
 use crate::isa::PanelIsa;
 use crate::layout::Layout;
 use crate::matrix::Matrix;
 use crate::ptr::SharedMutPtr;
 use std::marker::PhantomData;
+use std::ops::Range;
 
 const W: usize = LANE_WIDTH;
 
@@ -180,57 +182,92 @@ impl<'a> Blocks<'a> {
         l * self.lane + i / W * self.run + i % W
     }
 
-    /// Ingress of a block: overwrite `panel` (`rows · 8` long), whatever it
-    /// held, with the block's lanes as an interleaved `[rows][8]` panel,
-    /// its padding lanes zero. Contiguous columns go through
-    /// [`interleave_columns`]; a full block of tile rows is transposed tile
-    /// by tile through `isa` (AVX-512F: the shuffle network of
-    /// [`deinterleave_columns`]), its ragged rows, a partial block and every
-    /// other instance by the scalar loop, with the same bits.
+    /// Ingress of rows `at` of a block: overwrite those rows of `panel` (the
+    /// block's `[rows][8]` interleaved panel), whatever they held, with the
+    /// block's lanes, padding lanes zero. A full block's whole 8 × 8 tiles are
+    /// transposed through `isa` (AVX-512F: the tile network of
+    /// [`deinterleave_columns`], reading a host field's eight columns or a
+    /// tiled field's eight tile rows where they lie); the rows past them, a
+    /// partial block and every other instance go through the scalar loop,
+    /// with the same bits. A solve's forward sweep brings a full block's
+    /// whole tiles in itself, one at a time as it reaches them
+    /// ([`Blocks::fill_tile`]), and the rest through this.
     ///
     /// # Panics
-    /// Panics unless the view is one block (at most eight lanes) and
-    /// `panel` is `rows · 8` long, or if the host lacks `isa`.
-    pub fn fill_panel(&mut self, isa: PanelIsa, panel: &mut [f64]) {
+    /// Panics unless the view is one block (at most eight lanes), `panel` is
+    /// `rows · 8` long and `at` starts a tile, or if the host lacks `isa`.
+    pub fn fill_rows(&mut self, isa: PanelIsa, panel: &mut [f64], at: Range<usize>) {
         let (lanes, rows) = (self.lanes, self.rows);
-        let fits = lanes <= W && panel.len() == rows * W;
+        let fits =
+            lanes <= W && panel.len() == rows * W && at.start.is_multiple_of(W) && at.end <= rows;
         assert!(
             fits,
-            "fill_panel: {lanes} lanes of {rows} into {}",
+            "fill_rows: rows {at:?} of {lanes} lanes of {rows} into {}",
             panel.len()
         );
-        if lanes < W {
-            // Only live lanes are written: zero the padding lanes.
-            panel.fill(0.0);
-        }
-        if let Some(cols) = self.as_columns() {
-            return interleave_columns(cols, lanes, panel);
-        }
-        let tiles = if (lanes, self.lane) == (W, W) {
-            rows / W
+        let first = at.start / W;
+        let tiles = if lanes == W {
+            (at.end / W).saturating_sub(first)
         } else {
             0
         };
-        // SAFETY: tile `b < rows / 8` of the view is its eight lanes' values
-        // `8b .. 8b + 8`, eight contiguous runs of eight (`lane = 8`) from
-        // `at + b·run`: the view's, read only. It goes to `panel[64b ..
-        // 64b + 64]`, inside `panel` (`rows·8` long), a distinct borrow.
-        let done = unsafe { tiles_at(isa, self.at, self.run, panel.as_mut_ptr(), W * W, W, tiles) };
-        for i in done * W..rows {
-            for l in 0..lanes {
-                // SAFETY: value `(l, i)` of the view.
-                panel[i * W + l] = unsafe { *self.at.add(self.offset(l, i)) };
+        // SAFETY: tile `first + b` (`b < tiles`, whole tiles inside `at`, so
+        // below `rows / 8`) of the view is its eight lanes' values
+        // `8(first + b) ..` + 8: eight runs of eight, `lane` apart, from
+        // `at + (first + b)·run` — the view's, read only. It goes to the
+        // tile's 64 values of `panel` (`rows·8` long), a distinct borrow.
+        let done = unsafe {
+            tiles_at(
+                isa,
+                (self.at.add(first * self.run), self.run, self.lane),
+                (panel[first * W * W..].as_mut_ptr(), W * W, W),
+                tiles,
+            )
+        };
+        for i in (first + done) * W..at.end {
+            let row = &mut panel[i * W..][..W];
+            for (l, v) in row.iter_mut().enumerate() {
+                // SAFETY: value `(l, i)` of the view, for a live lane.
+                *v = if l < lanes {
+                    unsafe { *self.at.add(self.offset(l, i)) }
+                } else {
+                    0.0
+                };
             }
         }
     }
 
-    /// Egress of a block, the inverse of [`Blocks::fill_panel`]: overwrite
-    /// the block's lanes with the first `lanes` lanes of the `[rows][8]`
-    /// panel, through [`deinterleave_columns`] for contiguous columns, tile
-    /// by tile for tile rows.
+    /// Ingress of tile `b` of block `k` of the view — rows `8b .. 8b + 8`
+    /// of its lanes `8k .. 8k + 8` — as the 64 values of its interleaved
+    /// panel's tile, transposed in the caller's own code: the
+    /// forward sweep's per-tile [`Blocks::fill_rows`] for a full block's
+    /// whole tiles, with no call in the sweep's loop.
     ///
     /// # Panics
-    /// As [`Blocks::fill_panel`].
+    /// Panics unless the view holds all eight lanes of block `k` and tile
+    /// `b` is whole.
+    #[inline(always)]
+    pub fn fill_tile(&mut self, isa: TileIsa, k: usize, b: usize, tile: &mut [f64; W * W]) {
+        let fits = (k + 1) * W <= self.lanes && (b + 1) * W <= self.rows;
+        assert!(fits, "fill_tile: tile {b} of block {k}");
+        // SAFETY: the tile is the values `8b .. 8b + 8` of the view's lanes
+        // `8k + r`, `r < 8` (asserted to be the view's): eight runs of
+        // eight, `lane` apart, from `at + 8k·lane + b·run` — the view's,
+        // read only. It goes to `tile`, a distinct borrow.
+        unsafe {
+            let src = self.at.add(k * W * self.lane + b * self.run);
+            isa.tile((src, self.lane), (tile.as_mut_ptr(), W));
+        }
+    }
+
+    /// Egress of a block, the inverse of [`Blocks::fill_rows`] over all its
+    /// rows: overwrite the block's lanes with the first `lanes` lanes of the
+    /// `[rows][8]` panel, through [`deinterleave_columns`] for contiguous
+    /// columns, tile by tile for tile rows.
+    ///
+    /// # Panics
+    /// Panics unless the view is one block (at most eight lanes) and
+    /// `panel` is `rows · 8` long, or if the host lacks `isa`.
     pub fn store_panel(&mut self, isa: PanelIsa, panel: &[f64]) {
         let (lanes, rows) = (self.lanes, self.rows);
         let fits = lanes <= W && panel.len() == rows * W;
@@ -251,7 +288,14 @@ impl<'a> Blocks<'a> {
         // rows / 8` of the view, its eight lanes' values `8b .. 8b + 8` (runs
         // of eight `lane = 8` apart from `at + b·run`): the view's, borrowed
         // mutably; `panel` is a distinct borrow.
-        let done = unsafe { tiles_at(isa, panel.as_ptr(), W * W, self.at, self.run, W, tiles) };
+        let done = unsafe {
+            tiles_at(
+                isa,
+                (panel.as_ptr(), W * W, W),
+                (self.at, self.run, W),
+                tiles,
+            )
+        };
         for i in done * W..rows {
             for l in 0..lanes {
                 // SAFETY: value `(l, i)` of the view.
@@ -768,7 +812,7 @@ mod tests {
                     assert_eq!(block.lanes(), live, "{what}");
                     for isa in instances() {
                         let mut panel = vec![f64::NAN; rows * W];
-                        block.fill_panel(isa, &mut panel);
+                        block.fill_rows(isa, &mut panel, 0..rows);
                         assert_eq!(
                             bits(&panel),
                             bits(resident.chunk(c)),
@@ -797,7 +841,7 @@ mod tests {
     }
 
     /// The tiled ingress is the flip, done in place: the panel
-    /// [`Blocks::fill_panel`] builds from block `k`'s tile rows is chunk `k`
+    /// [`Blocks::fill_rows`] builds from block `k`'s tile rows is chunk `k`
     /// of [`ResidentBatch::transpose_into`], bit for bit, padding lanes
     /// zero, through every instance the host has; and
     /// [`Blocks::store_panel`] puts a panel back where it came from, the
@@ -838,7 +882,7 @@ mod tests {
                     let mut panel = vec![SENTINEL; nv * W];
                     for k in 0..live.div_ceil(W) {
                         let mut block = view.block(k);
-                        block.fill_panel(isa, &mut panel);
+                        block.fill_rows(isa, &mut panel, 0..nv);
                         let want = flipped.chunk(first + k);
                         assert_eq!(bits(&panel), bits(want), "{what}: block {}", first + k);
                         // Back with every sign flipped, padding lanes too.

@@ -72,6 +72,16 @@ TRANSPOSE_SHARE_CEILING=0.25
 # rounded up. A rise means the tiled path started paying for motion the
 # panels do not: look for a copy or a strided pass.
 TILED_STEP_CEILING=1.25
+# The host step (Algorithm 2 on the (Nv, Nx) matrix itself: each block of
+# eight rows brought into its panel by the solve's forward sweep, the lane
+# walk writing straight back into the rows) against the resident step on a
+# slab of the same lanes, the two step lines of the same run: the host step
+# must not fall behind the resident one again while both entry points exist.
+# Ten readings on a loaded 2-vCPU AVX-512 host with the gather riding the
+# solve (host / resident ns/point): 0.434 0.787 0.917 0.813 0.825 1.132
+# 1.101 0.942 1.029 1.177 (the host step swung 1.18-2.26 ns/point in them).
+# Ceiling = worst reading + 10 %, rounded up.
+HOST_STEP_CEILING=1.30
 echo "==> fig2_glups 1024 1024: the resident step, plain and verified, the host step, the resident chain, the tiled step"
 resident=$(cargo run --release -q -p pp-bench --bin fig2_glups -- 1024 1024 |
     grep -E '^(host step:|resident step:|verification surcharge:|verified/plain resident step ratio:|resident transpose share:|tiled/resident step ratio:)')
@@ -86,6 +96,13 @@ share=$(echo "$resident" | awk '/^resident transpose share:/ { print $NF }')
 test -n "$share"
 echo "==> resident transpose share: $share (ceiling $TRANSPOSE_SHARE_CEILING)"
 awk -v s="$share" -v c="$TRANSPOSE_SHARE_CEILING" 'BEGIN { exit !(s < c) }'
+host_ratio=$(echo "$resident" | awk '
+    /^host step:/ { for (i = 1; i <= NF; i++) if ($i == "ns/point,") h = $(i - 1) }
+    /^resident step:/ { for (i = 1; i <= NF; i++) if ($i == "ns/point,") r = $(i - 1) }
+    END { if (h != "" && r > 0) printf "%.3f", h / r }')
+test -n "$host_ratio"
+echo "==> host / resident step: $host_ratio (ceiling $HOST_STEP_CEILING)"
+awk -v r="$host_ratio" -v c="$HOST_STEP_CEILING" 'BEGIN { exit !(r <= c) }'
 tiled=$(echo "$resident" | awk '/^tiled\/resident step ratio:/ { print $NF }')
 test -n "$tiled"
 echo "==> tiled / resident step: $tiled (ceiling $TILED_STEP_CEILING)"
@@ -105,6 +122,20 @@ cargo run --release -q -p pp-bench --bin chaos_soak -- \
 echo "==> committed BENCH_chaos.json: zero violations, zero silent-wrong"
 grep -q '"violations": 0,' BENCH_chaos.json
 grep -q '"silent_wrong": 0}' BENCH_chaos.json
+
+# ... and must be what the campaign computes today: every round is a pure
+# function of its seed, so a fresh 64-seed campaign reproduces the committed
+# per-round checksums exactly. A difference means the Krylov arithmetic or
+# the scenario draws moved: regenerate the file
+# (`PP_NUM_THREADS=2 chaos_soak --seeds 64`) and say why in CHANGES.md.
+echo "==> chaos_soak --seeds 64: per-round checksums against BENCH_chaos.json"
+PP_NUM_THREADS=2 cargo run --release -q -p pp-bench --bin chaos_soak -- \
+    --seeds 64 --out target/BENCH_chaos_fresh.json
+checksums() { grep -o '"seed": [0-9]*,\|"checksum": "[^"]*"' "$1"; }
+if ! diff <(checksums BENCH_chaos.json) <(checksums target/BENCH_chaos_fresh.json); then
+    echo "FAIL: a fresh campaign's checksums differ from BENCH_chaos.json" >&2
+    exit 1
+fi
 
 # Every chaos document — committed and fresh smoke run — must carry the
 # current schema_version stamp: the loop names the file, before anyone
