@@ -129,7 +129,7 @@ impl fmt::Display for AdvectionDiagnostics {
 
 /// Wall-clock breakdown of one advection step. There is no transpose
 /// entry: on a host field Algorithm 2's line 3 is the solve's forward sweep
-/// bringing each tile of eight rows into its panel as it reaches it, and
+/// bringing the rows into its panel a few tiles of eight ahead of it, and
 /// line 5 the lane walk writing its columns straight into the field, both
 /// inside [`StepTimings::splines_solve`]'s region.
 #[derive(Debug, Clone, Copy, Default)]
@@ -297,17 +297,17 @@ impl Advection1D {
     /// one time step, in place, with the standing displacements `v_j·Δt`:
     /// lane `j`'s feet are `x_i − v_j·Δt`. Algorithm 2 verbatim in one
     /// parallel region on `exec`: eight rows of `f` are solved in the
-    /// worker's panel (line 4), which the solve's forward sweep fills a tile
-    /// of eight rows at a time as it reaches them (line 3), and the lane walk
+    /// worker's panel (line 4), which the solve's forward sweep fills a few
+    /// tiles of eight rows ahead of itself (line 3), and the lane walk
     /// writes each lane's interpolated values straight back into its row
     /// (lines 5–10). No slab stands behind `f`.
     ///
     /// The step is one parallel region over the field's blocks of eight
     /// lanes (DESIGN.md §14.3) — the panels of a resident slab, eight rows
     /// of a host field: a worker solves a panel where it lies, any other
-    /// block in its scratch as an interleaved panel (eight rows, or an 8 × 8
-    /// tile row) that the solve's forward sweep brings in a tile at a time
-    /// as it reaches it — for the verified backend screening it against the
+    /// block in its scratch as an interleaved panel (eight rows, which the
+    /// solve's forward sweep brings in a few tiles ahead of itself, or an
+    /// 8 × 8 tile row, brought in whole) — for the verified backend screening it against the
     /// pristine right-hand sides, copied on the way in — and evaluates the
     /// coefficients at the feet straight back into the block while both are
     /// in cache. Neither the

@@ -10,12 +10,12 @@
 //! with the ABFT sums off, and print the instruction set the evaluator and
 //! the screen run at, the plain step's ns/point and pool dispatches per
 //! step, the same for the host step (`step` on the field itself), the
-//! same-run step-time ratio of verified to plain and the verification
-//! surcharge in ns/point, the resident chain's transpose share
-//! ([`transpose_share`]) and the same-run ratio of the solve-and-evaluate
-//! call on a batch's tiles to the same call on its panels
-//! ([`tiled_step_ratio`]) — the two dispatch counts and the three ratios
-//! are what `scripts/check_bench.sh` gates.
+//! same-run step-time ratios of host to resident (timed in turns) and of
+//! verified to plain and the verification surcharge in ns/point, the
+//! resident chain's transpose share ([`transpose_share`]) and the same-run
+//! ratio of the solve-and-evaluate call on a batch's tiles to the same call
+//! on its panels ([`tiled_step_ratio`]) — the two dispatch counts and the
+//! four ratios are what `scripts/check_bench.sh` gates.
 //!
 //! `fig2_glups --isa` prints the per-instruction-set rows of the evaluator
 //! ([`isa_rows`]), of the panel transposer ([`transposer_isa_rows`]), of the
@@ -462,9 +462,10 @@ fn main() {
     let space = || cubic.space(args.nx);
     let direct = |version| SplineBackend::direct(space(), version).expect("setup");
     // Plain against verified — residuals on every lane, the ABFT sums on or
-    // off. Each pair and the host step run in rounds of their own: a third
-    // 8 MiB field in a rotation would evict the other two and move the
-    // gated ratio.
+    // off. Each pair runs in rounds of its own, and so does the host step
+    // with a plain resident step beside it (their ratio is gated too): a
+    // third 8 MiB field in a rotation would evict the other two and move
+    // the gated ratio.
     let resident_pair = |abft| {
         let verify = VerifyConfig {
             abft,
@@ -477,8 +478,14 @@ fn main() {
     };
     let [(plain, dispatches), (verified, _)] = resident_pair(true);
     let [(plain_again, _), (residual_only, _)] = resident_pair(false);
-    let [(host, host_dispatches)] =
-        measure_steps([(direct(BuilderVersion::FusedSpmv), true)], nv, steps);
+    let [(host, host_dispatches), (resident_beside, _)] = measure_steps(
+        [
+            (direct(BuilderVersion::FusedSpmv), true),
+            (direct(BuilderVersion::FusedSpmv), false),
+        ],
+        nv,
+        steps,
+    );
     for (label, step) in [
         ("kokkos-kernels-resident", plain),
         ("kokkos-kernels-verified-resident", verified),
@@ -501,6 +508,10 @@ fn main() {
         "verification surcharge: {:.2} ns/point ({:.2} with the ABFT sums off)",
         ns_per_point(verified) - ns_per_point(plain),
         ns_per_point(residual_only) - ns_per_point(plain_again)
+    );
+    println!(
+        "host/resident step ratio: {:.3}",
+        host.as_secs_f64() / resident_beside.as_secs_f64()
     );
     println!(
         "verified/plain resident step ratio: {:.3}",

@@ -5,8 +5,8 @@
 //! (`SplineBuilder::solve_run`): a block is an interleaved panel of
 //! [`LANE_WIDTH`] lanes — the panel itself on a [`ResidentBatch`], else a
 //! panel in a per-worker scratch that the solve's own forward sweep fills
-//! from the block where it lies, a tile of eight rows at a time (`stage`)
-//! — and a worker's turn solves a run of up to four of them abreast. A
+//! from the block where it lies, a few tiles of eight rows ahead of itself
+//! (`stage`) — and a worker's turn solves a run of up to four of them abreast. A
 //! version is a corner axis (dense `gemv` blocks or COO `spmv` entries) and
 //! a region plan: how many
 //! parallel regions [`SplineBuilder::solve_in_place`] splits Algorithm 1
@@ -205,8 +205,8 @@ impl SplineBuilder {
     /// parallel region, a worker's turn being a run of up to four blocks
     /// solved side by side. A block that is a panel is solved where it lies
     /// and handed over as [`Solved::InPlace`]; any other is brought into a
-    /// panel in a per-worker scratch, from a cache line on, a tile of eight
-    /// rows at a time by the solve's own forward sweep as it reaches them,
+    /// panel in a per-worker scratch, from a cache line on — a host block's
+    /// rows by the solve's own forward sweep, a few tiles ahead of it —
     /// solved there and handed over as [`Solved::Apart`] with a view of the
     /// block where it lies — never a second batch, never a staged copy, no
     /// gathering pass.
@@ -255,11 +255,11 @@ impl SplineBuilder {
     /// solve those abreast with `sweep` (all of Algorithm 1,
     /// [`SplineBuilder::sweep_fused`], but in a region of the baseline's
     /// plan), then hand each block on to `each` as a [`SolvedBlock`]. The
-    /// sweep brings a block that is not a panel into its scratch panel a
-    /// tile of eight rows at a time, from where the block lies, as its
-    /// forward pass reaches each tile ([`Stage`]: a host block's eight
-    /// columns, a tiled block's eight tile rows). With `KEEP` (the verified
-    /// step) the same ingress copies each tile of right-hand sides into the
+    /// sweep brings a block that is not a panel into its scratch panel from
+    /// where the block lies ([`Stage`]): a host block's eight columns a few
+    /// tiles ahead of its forward pass, a tiled block's tile rows whole
+    /// before it. With `KEEP` (the verified
+    /// step) the same ingress copies the right-hand sides into the
     /// second scratch set and takes the sums the screen needs of them; the
     /// plain step is the instance without, where no copy is compiled in.
     pub(crate) fn solve_run<const KEEP: bool>(

@@ -3,24 +3,26 @@
 //! A worker's run of blocks is solved as interleaved panels, and a field
 //! that is not made of panels keeps its blocks otherwise: a host field's
 //! are eight contiguous columns, a tiled field's rows of 8 × 8 tiles.
-//! Rather than gather each block into its panel in a pass of its own, the
-//! `Q` sweep's forward pass, which reads every row anyway, brings each tile
-//! of eight rows in a few tiles before it first touches it
-//! ([`LaneRows::ingress`]): transposed from where the block lies
-//! ([`Blocks::fill_tile`]) and, in the verified step, copied on into the
-//! right-hand sides its screen keeps, with their sums. Every value is moved once and none is computed
-//! differently, so every lane keeps the bits of the panel solve.
+//! Rather than gather a host block into its panel in a pass of its own, the
+//! `Q` sweep's forward pass, which reads every row anyway, brings the rows
+//! in a few tiles ahead of the first one it touches ([`LaneRows::ingress`]),
+//! so that they are in L1 when it reads them. A tiled block's tiles lie a
+//! slab panel apart, a fresh page each, and the sweep waited on them: a
+//! tiled run's group is brought in whole before its sweep (EXPERIMENTS.md).
+//! In the verified step the same ingress copies the rows on into the
+//! right-hand sides its screen keeps, with their sums. Every value is moved
+//! once and none is computed differently, so every lane keeps the bits of
+//! the panel solve.
 
 use crate::builder::{Kept, ABREAST};
-use crate::verified::{keep_rows, keep_rows_on, sums_of, Taken};
+use crate::verified::{keep_rows_on, sums_of, Taken};
 use pp_linalg::{LaneRows, Panel};
-use pp_portable::{Blocks, Lanes, PanelIsa, TileIsa, LANE_WIDTH};
+use pp_portable::{Blocks, Lanes, PanelIsa, LANE_WIDTH};
 
 const W: usize = LANE_WIDTH;
 
-/// Rows a tile is brought in before the sweep first touches it: a tiled
-/// block's tiles lie a slab panel apart, so each is a fresh page the
-/// sweep would otherwise wait on.
+/// Rows brought in past the one the sweep is about to touch, so that one
+/// out-of-line call serves five tiles of the sweep.
 const LEAD: usize = 4 * W;
 
 /// What a run's sweep brings in besides solving: its blocks from where
@@ -28,8 +30,6 @@ const LEAD: usize = 4 * W;
 /// neither, it is a plain solve of panels where they lie.
 pub(crate) struct Stage<'r> {
     isa: PanelIsa,
-    /// The same instance, checked once, for the sweep's tiles.
-    tiles: TileIsa,
     /// Rows per panel.
     rows: usize,
     /// The run's blocks where they lie, brought into its panels; `None`
@@ -50,14 +50,14 @@ impl<'r> Stage<'r> {
         let kept = kept.map(|kept| (kept, [[<[f64; W]>::splat(0.0); 3]; ABREAST]));
         Self {
             isa,
-            tiles: TileIsa::new(isa),
             rows,
             source,
             kept,
         }
     }
 
-    /// The accessor of the sweep over the run's panels `first .. first + P`.
+    /// The accessor of the sweep over the run's panels `first .. first + P`;
+    /// a tiled run's are brought in here, whole.
     #[inline(always)]
     pub(crate) fn group<'s, const P: usize>(
         &'s mut self,
@@ -68,12 +68,17 @@ impl<'r> Stage<'r> {
             (None, None) => self.rows,
             _ => 0,
         };
-        Staged {
+        let tiled = matches!(&self.source, Some(blocks) if !blocks.is_columns());
+        let mut staged = Staged {
             rows,
             stage: self,
             first,
             filled,
+        };
+        if let Some(last) = staged.stage.rows.checked_sub(1).filter(|_| tiled) {
+            staged.ingress(last);
         }
+        staged
     }
 
     /// After the sweep, what the run keeps of its block `k`: the block where
@@ -86,39 +91,47 @@ impl<'r> Stage<'r> {
         (block, kept)
     }
 
-    /// [`Staged::bring_in`] past the whole tiles of full blocks: rows from
-    /// `filled` to the end of the tile that holds row `i` of the `panels`,
-    /// the run's from `first` on, through [`Blocks::fill_rows`]. Returns the
-    /// rows now in.
+    /// Bring in rows `filled` to the end of the tile that holds row `i` of
+    /// the `panels`, the run's from `first` on: from the blocks where they
+    /// lie ([`Blocks::fill_rows`]), then, in the verified step, into the
+    /// kept copy and its sums, rows in order. Returns the rows now in. Out
+    /// of line, and handed the panels rather than the accessor, so that the
+    /// sweep keeps its accessor in registers.
     #[inline(never)]
-    fn bring_in_rest<const P: usize>(
+    fn bring_in<const P: usize>(
         &mut self,
         first: usize,
         filled: usize,
         i: usize,
-        panels: [&mut [f64]; P],
+        mut panels: [&mut [f64]; P],
     ) -> usize {
         let at = filled..self.rows.min((i / W + 1) * W);
-        let kept_at = at.start * W..at.end * W;
-        for (p, values) in panels.into_iter().enumerate() {
-            let k = first + p;
-            if let Some(source) = &mut self.source {
-                source.block(k).fill_rows(self.isa, values, at.clone());
+        if let Some(source) = &mut self.source {
+            for (p, values) in panels.iter_mut().enumerate() {
+                source
+                    .block(first + p)
+                    .fill_rows(self.isa, values, at.clone());
             }
-            if let Some((kept, taken)) = &mut self.kept {
-                let kept = &mut kept[k * values.len()..][kept_at.clone()];
-                keep_rows_on(self.isa, &values[kept_at.clone()], kept, &mut taken[k]);
-            }
+        }
+        if let Some((kept, taken)) = &mut self.kept {
+            let (panel, values) = (self.rows * W, at.start * W..at.end * W);
+            let mut kept = kept[first * panel..].chunks_exact_mut(panel);
+            let kept =
+                std::array::from_fn(|_| &mut kept.next().expect("a kept panel")[values.clone()]);
+            let taken = (&mut taken[first..first + P]).try_into().expect("P panels");
+            keep_rows_on(
+                self.isa,
+                panels.map(|rhs| &rhs[values.clone()]),
+                kept,
+                taken,
+            );
         }
         at.end
     }
 }
 
 /// The sweep's row accessor over `P` panels of a run abreast, bringing
-/// their tiles in as the sweep reaches them (module docs). A whole tile of
-/// a full block is moved in the sweep's own code, at its width (the tile
-/// network at AVX-512F), so the sweep makes no call for it; the ragged rows
-/// and a partial block go out of line.
+/// their rows in as the sweep reaches them (module docs).
 pub(crate) struct Staged<'s, 'r, const P: usize> {
     rows: [Panel<'s>; P],
     stage: &'s mut Stage<'r>,
@@ -126,50 +139,6 @@ pub(crate) struct Staged<'s, 'r, const P: usize> {
     first: usize,
     /// Rows brought in so far.
     filled: usize,
-}
-
-impl<const P: usize> Staged<'_, '_, P> {
-    /// Bring in the tiles up to the one that holds row `i`: from the
-    /// blocks where they lie, then, in the verified step, into the kept
-    /// copy and its sums, rows in order. Nothing here takes the accessor's
-    /// address, so its panels stay in registers through the sweep. Inlined
-    /// into the sweep only where the optimiser runs: at `opt-level = 0`
-    /// every inlined copy keeps its own locals, and the sweep's frame
-    /// outgrew a test thread's stack.
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    fn bring_in(&mut self, i: usize) {
-        let (tiles, rows) = (self.stage.tiles, self.stage.rows);
-        let whole = match &self.stage.source {
-            Some(source) => source.lanes() >= (self.first + P) * W,
-            None => true,
-        };
-        while self.filled <= i {
-            let b = self.filled / W;
-            if !whole || (b + 1) * W > rows {
-                let panels = self.rows.each_mut().map(|panel| panel.values_mut());
-                self.filled = self.stage.bring_in_rest(self.first, self.filled, i, panels);
-                return;
-            }
-            for (p, panel) in self.rows.iter_mut().enumerate() {
-                let k = self.first + p;
-                let tile: &mut [f64; W * W] = (&mut panel.values_mut()[b * W * W..][..W * W])
-                    .try_into()
-                    .expect("a tile is 64 values");
-                if let Some(source) = &mut self.stage.source {
-                    source.fill_tile(tiles, k, b, tile);
-                }
-                if let Some((kept, taken)) = &mut self.stage.kept {
-                    let kept = &mut kept[(k * rows + b * W) * W..][..W * W];
-                    // In registers across the tile: stores to `kept` could
-                    // otherwise be taken to alias the sums.
-                    let mut sums = taken[k];
-                    keep_rows(tile, kept, &mut sums);
-                    taken[k] = sums;
-                }
-            }
-            self.filled += W;
-        }
-    }
 }
 
 impl<const P: usize> LaneRows for Staged<'_, '_, P> {
@@ -187,13 +156,11 @@ impl<const P: usize> LaneRows for Staged<'_, '_, P> {
         self.rows.swap(i, j);
     }
     #[inline(always)]
-    fn covers(&self, end: usize) -> bool {
-        self.rows.covers(end)
-    }
-    #[inline(always)]
     fn ingress(&mut self, i: usize) {
         if i >= self.filled {
-            self.bring_in((i + LEAD).min(self.stage.rows - 1));
+            let to = (i + LEAD).min(self.stage.rows - 1);
+            let panels = self.rows.each_mut().map(|panel| panel.values_mut());
+            self.filled = self.stage.bring_in(self.first, self.filled, to, panels);
         }
     }
 }

@@ -597,7 +597,7 @@ impl VerifiedBuilder {
 
     /// Screen the lanes of the solved panel `x` against their pristine
     /// right-hand sides `rhs`, whose own sums `kept` the snapshot took
-    /// ([`keep_rows`]). One pass ([`screen_pass`])
+    /// ([`keep_rows_on`]). One pass ([`screen_pass`])
     /// accumulates per lane the rest of the ABFT sums and the residual
     /// norm — the expressions of [`VerifiedBuilder::abft_check`] and
     /// [`VerifiedBuilder::relative_residual`] in their order, so the values
@@ -718,9 +718,9 @@ impl VerifiedBuilder {
     /// the instance compiled for `isa`: `rhs` copied row by row into
     /// `kept`, and on the way per lane `Σb`, `‖b‖²` and whether every value
     /// is finite ([`snapshot`]). The verified step takes the same copy and
-    /// sums a tile at a time as its solve brings the rows in
-    /// ([`keep_rows`]), to the same bits; this whole-panel form is public
-    /// for the per-ISA bench row and the differential tests.
+    /// sums a few tiles at a time as its solve brings the rows in
+    /// ([`keep_rows_on`]), to the same bits; this whole-panel form is
+    /// public for the per-ISA bench row and the differential tests.
     ///
     /// # Panics
     /// Panics if the host lacks `isa`, or `kept` is shorter than `rhs`.
@@ -977,7 +977,7 @@ pub(crate) type RhsSums = ([[f64; LANE_WIDTH]; 2], [bool; LANE_WIDTH]);
 
 /// The right-hand sides' own share of the screen, taken where the verified
 /// step reads them anyway: while it copies the panel `rhs` into `kept`
-/// ([`keep_rows`], a tile at a time in the step), or, with no `kept`,
+/// ([`keep_rows`], a few tiles at a time in the step), or, with no `kept`,
 /// alone. Rows in order, every operation one contiguous lane vector, the
 /// expressions of [`VerifiedBuilder::abft_check`] and
 /// [`VerifiedBuilder::relative_residual`], so the bits are theirs.
@@ -985,7 +985,7 @@ pub(crate) type RhsSums = ([[f64; LANE_WIDTH]; 2], [bool; LANE_WIDTH]);
 fn snapshot(rhs: &[f64], kept: Option<&mut [f64]>) -> RhsSums {
     let mut taken = [Row::splat(0.0); 3];
     match kept {
-        Some(kept) => keep_rows(rhs, kept, &mut taken),
+        Some(kept) => keep_rows([rhs], [kept], std::array::from_mut(&mut taken)),
         None => {
             for br in rhs.as_chunks().0 {
                 take_rhs_row(&mut taken, *br);
@@ -1004,24 +1004,48 @@ pub(crate) fn sums_of([sum_b, acc_b, poison]: Taken) -> RhsSums {
     ([sum_b, acc_b], poison.map(|p| p == 0.0))
 }
 
-/// Rows of right-hand sides `rhs` copied into `kept`, their sums taken into
-/// `taken` on the way: [`snapshot`]'s copy of a whole panel, and the
-/// verified step's of each tile its solve brings in, in order, so the sums
-/// are the same bits either way.
+/// Rows of right-hand sides copied from each of the `P` panels `rhs` into
+/// its `kept`, its sums taken into its `taken` on the way: [`snapshot`]'s
+/// copy of a whole panel, and the verified step's of the rows its solve
+/// brings in, in order, so the sums are the same bits either way. The
+/// panels' sums are independent, so their rows interleave and no row waits
+/// on the one before it.
 #[inline(always)]
-pub(crate) fn keep_rows(rhs: &[f64], kept: &mut [f64], taken: &mut Taken) {
-    let kept = &mut kept[..rhs.len()];
-    for (br, kr) in rhs.as_chunks().0.iter().zip(kept.as_chunks_mut().0) {
-        *kr = *br;
-        take_rhs_row(taken, *br);
+fn keep_rows<const P: usize>(rhs: [&[f64]; P], kept: [&mut [f64]; P], taken: &mut [Taken; P]) {
+    let rhs = rhs.map(|rhs| rhs.as_chunks::<LANE_WIDTH>().0);
+    let rows = rhs[0].len();
+    let kept = kept.map(|kept| &mut kept.as_chunks_mut::<LANE_WIDTH>().0[..rows]);
+    assert!(
+        rhs.iter().all(|rhs| rhs.len() == rows),
+        "keep_rows: panels alike"
+    );
+    for i in 0..rows {
+        for p in 0..P {
+            let br = rhs[p][i];
+            kept[p][i] = br;
+            take_rhs_row(&mut taken[p], br);
+        }
     }
 }
 
 /// [`keep_rows`] in the instance compiled for `isa`.
-pub(crate) fn keep_rows_on(isa: PanelIsa, rhs: &[f64], kept: &mut [f64], taken: &mut Taken) {
-    isa.run(
+pub(crate) fn keep_rows_on<const P: usize>(
+    isa: PanelIsa,
+    rhs: [&[f64]; P],
+    kept: [&mut [f64]; P],
+    taken: &mut [Taken; P],
+) {
+    let taken_so_far = *taken;
+    // The sums a local of the body, so that they stay in registers across
+    // the rows: reached through the closure's captures, stores to `kept`
+    // could be taken to alias them, and every row would wait on a store.
+    *taken = isa.run(
         #[inline(always)]
-        || keep_rows(rhs, kept, taken),
+        || {
+            let mut sums = taken_so_far;
+            keep_rows(rhs, kept, &mut sums);
+            sums
+        },
     );
 }
 
@@ -2405,7 +2429,7 @@ mod tests {
             .join()
             .unwrap()
         });
-        // A host field's blocks are gathered, each from a cache line on: one
+        // A host field's blocks are brought into panels, each from a cache line on: one
         // run of panels for the plain solve, a second one — right-hand sides
         // beside coefficients — for the verified one.
         let host = std::thread::scope(|s| {

@@ -210,11 +210,7 @@ impl BandedLu {
     /// transpose), for every lane the accessor carries.
     #[inline(always)]
     pub fn solve_rows<R: LaneRows>(&self, rows: &mut R, row0: usize) {
-        // Graded degree 3 to 5 (Table I) have `kl = ku = 2`.
-        match (self.kl_internal(), self.upper_bandwidth()) {
-            (2, 4) => lane::gbtrs::<R, 2, 4>(self, rows, row0),
-            _ => lane::gbtrs::<R, 0, 0>(self, rows, row0),
-        }
+        lane::gbtrs(self, rows, row0);
     }
 
     /// Solve into a plain slice (setup-time convenience).

@@ -60,15 +60,11 @@ pub trait LaneRows {
     /// factors, so interchanges apply to every lane alike).
     fn swap(&mut self, i: usize, j: usize);
 
-    /// Whether rows `0..end` are all there: a sweep checks it once, so that
-    /// the row accesses inside it need no bound test of their own.
-    fn covers(&self, end: usize) -> bool;
-
     /// The sweep is about to touch rows up to `i`, in ascending order: the
     /// forward passes of `pttrs`, `pbtrs` and `gbtrs` say so row by
     /// row, band width ahead, and the backward passes once, so an accessor
-    /// whose rows still lie elsewhere brings them in here, a tile of eight
-    /// at a time, instead of in a pass of their own. Nothing for an
+    /// whose rows still lie elsewhere brings them in here, a few tiles of
+    /// eight ahead, instead of in a pass of their own. Nothing for an
     /// accessor over rows in place.
     #[inline(always)]
     fn ingress(&mut self, _i: usize) {}
@@ -100,10 +96,6 @@ pub trait LaneRows {
 
 impl LaneRows for StridedMut<'_> {
     type V = f64;
-    #[inline(always)]
-    fn covers(&self, end: usize) -> bool {
-        end <= self.len()
-    }
     #[inline(always)]
     fn get(&self, i: usize) -> f64 {
         self[i]
@@ -151,10 +143,6 @@ impl<'a> Panel<'a> {
 impl LaneRows for Panel<'_> {
     type V = [f64; LANE_WIDTH];
     #[inline(always)]
-    fn covers(&self, end: usize) -> bool {
-        end <= self.0.len()
-    }
-    #[inline(always)]
     fn get(&self, i: usize) -> Self::V {
         self.0[i]
     }
@@ -175,10 +163,6 @@ impl LaneRows for Panel<'_> {
 /// it would see alone.
 impl<R: LaneRows, const P: usize> LaneRows for [R; P] {
     type V = [R::V; P];
-    #[inline(always)]
-    fn covers(&self, end: usize) -> bool {
-        self.iter().all(|rows| rows.covers(end))
-    }
     #[inline(always)]
     fn get(&self, i: usize) -> Self::V {
         std::array::from_fn(|p| self[p].get(i))
@@ -231,136 +215,65 @@ pub(crate) fn pttrs<R: LaneRows>(d_inv: &[f64], e: &[f64], rows: &mut R, row0: u
 }
 
 /// `pbtrs`: solve `L·Lᵀ x = b` on rows `row0..row0 + f.n()`;
-/// [`CholeskyBanded::l`]`(j, j)` is `1 / L(j, j)`. The band width is `KD`,
-/// a constant where [`CholeskyBanded::solve_rows`] has an instance for it
-/// (else `KD = 0` and it is read from `f`): away from the last `kd` rows
-/// every row's band is whole, so its loop is a fixed count with no bound to
-/// test, and with [`LaneRows::covers`] checked once no row access tests one
-/// either.
+/// [`CholeskyBanded::l`]`(j, j)` is `1 / L(j, j)`.
 #[inline(always)]
-pub(crate) fn pbtrs<R: LaneRows, const KD: usize>(f: &CholeskyBanded, rows: &mut R, row0: usize) {
+pub(crate) fn pbtrs<R: LaneRows>(f: &CholeskyBanded, rows: &mut R, row0: usize) {
     let n = f.n();
-    let kd = if KD == 0 { f.kd() } else { KD };
-    debug_assert_eq!(kd, f.kd(), "pbtrs: band width");
-    assert!(rows.covers(row0 + n), "pbtrs: {n} rows from {row0}");
-    let whole = n.saturating_sub(kd);
+    let kd = f.kd();
     // Forward: L y = b.
-    for j in 0..whole {
-        pbtrs_forward(f, rows, row0, j, kd);
-    }
-    for j in whole..n {
-        pbtrs_forward(f, rows, row0, j, n - 1 - j);
+    for j in 0..n {
+        let last = (j + kd).min(n - 1);
+        rows.ingress(row0 + last);
+        let yj = rows.get(row0 + j).mul(R::V::splat(f.l(j, j)));
+        rows.set(row0 + j, yj);
+        for i in j + 1..=last {
+            let v = minus(rows.get(row0 + i), f.l(i, j), yj);
+            rows.set(row0 + i, v);
+        }
     }
     // Backward: Lᵀ x = y.
-    for j in (whole..n).rev() {
-        pbtrs_backward(f, rows, row0, j, n - 1 - j);
+    for j in (0..n).rev() {
+        let mut s = rows.get(row0 + j);
+        for i in j + 1..=(j + kd).min(n - 1) {
+            s = minus(s, f.l(i, j), rows.get(row0 + i));
+        }
+        rows.set(row0 + j, s.mul(R::V::splat(f.l(j, j))));
     }
-    for j in (0..whole).rev() {
-        pbtrs_backward(f, rows, row0, j, kd);
-    }
-}
-
-/// Column `j` of [`pbtrs`]'s forward pass, its band `band` rows long.
-#[inline(always)]
-fn pbtrs_forward<R: LaneRows>(
-    f: &CholeskyBanded,
-    rows: &mut R,
-    row0: usize,
-    j: usize,
-    band: usize,
-) {
-    rows.ingress(row0 + j + band);
-    let yj = rows.get(row0 + j).mul(R::V::splat(f.l(j, j)));
-    rows.set(row0 + j, yj);
-    for i in j + 1..=j + band {
-        let v = minus(rows.get(row0 + i), f.l(i, j), yj);
-        rows.set(row0 + i, v);
-    }
-}
-
-/// Row `j` of [`pbtrs`]'s backward pass, its band `band` rows long.
-#[inline(always)]
-fn pbtrs_backward<R: LaneRows>(
-    f: &CholeskyBanded,
-    rows: &mut R,
-    row0: usize,
-    j: usize,
-    band: usize,
-) {
-    let mut s = rows.get(row0 + j);
-    for i in j + 1..=j + band {
-        s = minus(s, f.l(i, j), rows.get(row0 + i));
-    }
-    rows.set(row0 + j, s.mul(R::V::splat(f.l(j, j))));
 }
 
 /// `gbtrs` (no transpose): solve `P·L·U x = b` on rows
 /// `row0..row0 + f.n()`; [`BandedLu::factor`]`(j, j)` is `1 / U(j, j)`.
-/// The lower and upper band widths are `KL` and `KV`, constants where
-/// [`BandedLu::solve_rows`] has an instance for them (else both 0 and read
-/// from `f`), with whole bands looped a fixed count as in [`pbtrs`].
 #[inline(always)]
-pub(crate) fn gbtrs<R: LaneRows, const KL: usize, const KV: usize>(
-    f: &BandedLu,
-    rows: &mut R,
-    row0: usize,
-) {
+pub(crate) fn gbtrs<R: LaneRows>(f: &BandedLu, rows: &mut R, row0: usize) {
     let n = f.n();
-    let (kl, kv) = if KL == 0 {
-        (f.kl_internal(), f.upper_bandwidth())
-    } else {
-        (KL, KV)
-    };
-    debug_assert_eq!(
-        (kl, kv),
-        (f.kl_internal(), f.upper_bandwidth()),
-        "gbtrs: bands"
-    );
-    assert!(rows.covers(row0 + n), "gbtrs: {n} rows from {row0}");
+    let kl = f.kl_internal();
+    let kv = f.upper_bandwidth();
+    let ipiv = f.pivots();
     // Forward: apply P and L (unit lower, bandwidth kl).
-    let whole = n.saturating_sub(kl);
-    for j in 0..whole {
-        gbtrs_forward(f, rows, row0, j, kl);
-    }
-    for j in whole..n.saturating_sub(1) {
-        gbtrs_forward(f, rows, row0, j, n - 1 - j);
+    for j in 0..n.saturating_sub(1) {
+        let band = kl.min(n - 1 - j);
+        rows.ingress(row0 + j + band);
+        let p = ipiv[j];
+        if p != j {
+            rows.swap(row0 + j, row0 + p);
+        }
+        let bj = rows.get(row0 + j);
+        for i in 1..=band {
+            let v = minus(rows.get(row0 + j + i), f.factor(j + i, j), bj);
+            rows.set(row0 + j + i, v);
+        }
     }
     // Backward: solve U x = b (bandwidth kv = kl + ku after fill-in).
-    if n > 0 {
-        rows.ingress(row0 + n - 1);
+    if let Some(last) = n.checked_sub(1) {
+        rows.ingress(row0 + last);
     }
-    for j in (kv.min(n)..n).rev() {
-        gbtrs_backward(f, rows, row0, j, kv);
-    }
-    for j in (0..kv.min(n)).rev() {
-        gbtrs_backward(f, rows, row0, j, j);
-    }
-}
-
-/// Column `j` of [`gbtrs`]'s forward pass: its interchange, then its band
-/// `band` rows long.
-#[inline(always)]
-fn gbtrs_forward<R: LaneRows>(f: &BandedLu, rows: &mut R, row0: usize, j: usize, band: usize) {
-    rows.ingress(row0 + j + band);
-    let p = f.pivots()[j];
-    if p != j {
-        rows.swap(row0 + j, row0 + p);
-    }
-    let bj = rows.get(row0 + j);
-    for i in 1..=band {
-        let v = minus(rows.get(row0 + j + i), f.factor(j + i, j), bj);
-        rows.set(row0 + j + i, v);
-    }
-}
-
-/// Column `j` of [`gbtrs`]'s backward pass, its band `band` rows long.
-#[inline(always)]
-fn gbtrs_backward<R: LaneRows>(f: &BandedLu, rows: &mut R, row0: usize, j: usize, band: usize) {
-    let xj = rows.get(row0 + j).mul(R::V::splat(f.factor(j, j)));
-    rows.set(row0 + j, xj);
-    for i in 1..=band {
-        let v = minus(rows.get(row0 + j - i), f.factor(j - i, j), xj);
-        rows.set(row0 + j - i, v);
+    for j in (0..n).rev() {
+        let xj = rows.get(row0 + j).mul(R::V::splat(f.factor(j, j)));
+        rows.set(row0 + j, xj);
+        for i in 1..=kv.min(j) {
+            let v = minus(rows.get(row0 + j - i), f.factor(j - i, j), xj);
+            rows.set(row0 + j - i, v);
+        }
     }
 }
 

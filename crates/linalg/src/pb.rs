@@ -177,11 +177,7 @@ impl CholeskyBanded {
     /// every lane the accessor carries.
     #[inline(always)]
     pub fn solve_rows<R: LaneRows>(&self, rows: &mut R, row0: usize) {
-        // Uniform degree 4 and 5 (Table I) have band width 2.
-        match self.kd() {
-            2 => lane::pbtrs::<R, 2>(self, rows, row0),
-            _ => lane::pbtrs::<R, 0>(self, rows, row0),
-        }
+        lane::pbtrs(self, rows, row0);
     }
 
     /// Solve into a plain slice (setup-time convenience).

@@ -16,15 +16,16 @@
 //! [`ResidentBatch`], wrapped as a [`TiledField`], is the batch's tile
 //! rows: its lane `x` is row `x` of every panel, eight values a panel
 //! apart (`lane = 8`, `run` = a panel), so a block is a row of 8 × 8
-//! tiles. Such a block is brought into a panel in the worker's scratch a
-//! tile of eight rows at a time, by the solve's forward sweep as it reaches
-//! the tile ([`Blocks::fill_tile`], [`Blocks::fill_rows`]: eight columns or
-//! eight tile rows transposed where they lie), and evaluated, or stored,
-//! straight back into its lanes ([`Blocks::lane`], [`Blocks::store_panel`]).
+//! tiles. Such a block is brought into a panel in the worker's scratch
+//! ([`Blocks::fill_rows`]: eight columns or eight tile rows transposed where
+//! they lie) — a host block's rows by the solve's forward sweep, a few
+//! tiles ahead of it, a tiled block's before the sweep — and evaluated, or
+//! stored, straight back into its lanes ([`Blocks::lane`],
+//! [`Blocks::store_panel`]).
 //! Nothing else is copied: the step's body is the same for all three.
 
 use crate::exec::ExecSpace;
-use crate::interleaved::{deinterleave_columns, run_length, tiles_at, TileIsa};
+use crate::interleaved::{deinterleave_columns, run_length, tiles_at};
 use crate::interleaved::{ResidentBatch, LANE_WIDTH};
 use crate::isa::PanelIsa;
 use crate::layout::Layout;
@@ -168,9 +169,15 @@ impl<'a> Blocks<'a> {
         }
     }
 
+    /// Whether the view is contiguous columns (a [`HostField`]'s), not
+    /// tile rows (a [`TiledField`]'s).
+    pub fn is_columns(&self) -> bool {
+        (self.lane, self.run) == (self.rows, W)
+    }
+
     /// The view as `lanes` contiguous columns, if that is what it is.
     fn as_columns(&mut self) -> Option<&mut [f64]> {
-        let columns = (self.lane, self.run) == (self.rows, W);
+        let columns = self.is_columns();
         // SAFETY: with these strides value `(l, i)` is at `l·rows + i`: the
         // `lanes·rows` values from `at` are the view's, borrowed from it.
         columns.then(|| unsafe { std::slice::from_raw_parts_mut(self.at, self.lanes * self.rows) })
@@ -189,9 +196,8 @@ impl<'a> Blocks<'a> {
     /// [`deinterleave_columns`], reading a host field's eight columns or a
     /// tiled field's eight tile rows where they lie); the rows past them, a
     /// partial block and every other instance go through the scalar loop,
-    /// with the same bits. A solve's forward sweep brings a full block's
-    /// whole tiles in itself, one at a time as it reaches them
-    /// ([`Blocks::fill_tile`]), and the rest through this.
+    /// with the same bits. A solve brings its blocks in through this, a few
+    /// tiles at a time as its forward sweep reaches them or all at once.
     ///
     /// # Panics
     /// Panics unless the view is one block (at most eight lanes), `panel` is
@@ -234,29 +240,6 @@ impl<'a> Blocks<'a> {
                     0.0
                 };
             }
-        }
-    }
-
-    /// Ingress of tile `b` of block `k` of the view — rows `8b .. 8b + 8`
-    /// of its lanes `8k .. 8k + 8` — as the 64 values of its interleaved
-    /// panel's tile, transposed in the caller's own code: the
-    /// forward sweep's per-tile [`Blocks::fill_rows`] for a full block's
-    /// whole tiles, with no call in the sweep's loop.
-    ///
-    /// # Panics
-    /// Panics unless the view holds all eight lanes of block `k` and tile
-    /// `b` is whole.
-    #[inline(always)]
-    pub fn fill_tile(&mut self, isa: TileIsa, k: usize, b: usize, tile: &mut [f64; W * W]) {
-        let fits = (k + 1) * W <= self.lanes && (b + 1) * W <= self.rows;
-        assert!(fits, "fill_tile: tile {b} of block {k}");
-        // SAFETY: the tile is the values `8b .. 8b + 8` of the view's lanes
-        // `8k + r`, `r < 8` (asserted to be the view's): eight runs of
-        // eight, `lane` apart, from `at + 8k·lane + b·run` — the view's,
-        // read only. It goes to `tile`, a distinct borrow.
-        unsafe {
-            let src = self.at.add(k * W * self.lane + b * self.run);
-            isa.tile((src, self.lane), (tile.as_mut_ptr(), W));
         }
     }
 

@@ -516,8 +516,8 @@ pub(crate) fn move_tiles<E: ExecSpace>(
 /// `panel[i·W + l] = cols[l·rows + i]` for the first `lanes` lanes of the
 /// `[rows][W]` panel, a 64-byte row at a time (lane by lane it would stream
 /// the panel, which outgrows L1, eight times); lanes from `lanes` on are left
-/// alone. The egress of the panel evaluator (`pp-bsplines`) and the ingress
-/// of a host field's block. What LLVM makes of the loop inlined into a
+/// alone. The egress of the panel evaluator (`pp-bsplines`); a host field's
+/// block comes in through [`crate::Blocks::fill_rows`]. What LLVM makes of the loop inlined into a
 /// generic caller depends on that caller (DESIGN.md §14.3), so it is compiled
 /// once, here, out of line. No tiles: into a panel that starts a cache line
 /// the full-panel loop is as fast, into any other their stores split lines.
@@ -627,9 +627,8 @@ fn transpose_tiles(
 /// where they lie — a host field's contiguous columns, a
 /// [`crate::TiledField`]'s tile rows — into a panel and back
 /// ([`crate::Blocks::fill_rows`], [`crate::Blocks::store_panel`]). Besides
-/// `PanelIsa::run`, the one other place that dispatches on an ISA (with
-/// [`tile_at`], its one-tile form that a sweep inlines). Returns the tiles
-/// moved.
+/// `PanelIsa::run`, the one other place that dispatches on an ISA. Returns
+/// the tiles moved.
 ///
 /// # Safety
 /// For `b < tiles`, the eight runs of eight from `src + b·src_tile`,
@@ -655,7 +654,7 @@ pub(crate) unsafe fn tiles_at(
     }
 }
 
-/// [`tiles_at`] at AVX-512F: [`tile_avx512`] tile after tile.
+/// [`tiles_at`] at AVX-512F: 8 loads, 24 shuffles and 8 stores a tile.
 ///
 /// # Safety
 /// The CPU must support AVX-512F, and the offsets must be as
@@ -667,119 +666,35 @@ unsafe fn transpose_tiles_avx512(
     (dst, dst_tile, dst_run): (*mut f64, usize, usize),
     tiles: usize,
 ) {
-    for b in 0..tiles {
-        // SAFETY: tile `b` of each side, as the caller vouches.
-        unsafe {
-            tile_avx512(
-                (src.add(b * src_tile), src_run),
-                (dst.add(b * dst_tile), dst_run),
-            )
-        };
-    }
-}
-
-/// One tile at AVX-512F, `dst[c·dst_run + r] = src[r·src_run + c]` for
-/// `r, c < 8`: 16 half-run loads, 8 of them folded into the inserts that
-/// pair run `r` with run `r + 4` (a shuffle that also issues on the port the
-/// others leave free), then 16 shuffles and 8 stores. Inlined into its
-/// caller — [`transpose_tiles_avx512`], or a sweep's AVX-512 instance
-/// through [`tile_at`] — where that is compiled with AVX-512F.
-///
-/// # Safety
-/// The CPU must support AVX-512F, the eight runs of eight from `src`,
-/// `src_run` apart, must be readable and the eight from `dst`, `dst_run`
-/// apart, writable by this call alone, and the two must not overlap.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn tile_avx512((src, src_run): (*const f64, usize), (dst, dst_run): (*mut f64, usize)) {
     use std::arch::x86_64::*;
-    // SAFETY (every block below): runs `r < 8` of the source tile and `c <
-    // 8` of the destination tile, as the caller vouches, on a CPU with
-    // AVX-512F.
-    unsafe {
-        // Elements 0, 1 of each 128-bit lane of `a`, then of `b`; and 2, 3.
-        let low = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
-        let high = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
-        // `half[h][r]`: elements `4h .. 4h + 4` of run `r`, then of run `r + 4`.
-        let half = |h: usize, r: usize| {
-            let at = |r: usize| _mm256_loadu_pd(src.add(r * src_run + 4 * h));
-            _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(at(r)), at(r + 4))
-        };
-        for h in 0..2 {
-            let [a0, a1, a2, a3] = [half(h, 0), half(h, 1), half(h, 2), half(h, 3)];
-            // Elements `4h + e` (`e` even, then odd) of runs 0, 1, and of 2, 3,
-            // in each 256-bit half.
-            let (even01, odd01) = (_mm512_unpacklo_pd(a0, a1), _mm512_unpackhi_pd(a0, a1));
-            let (even23, odd23) = (_mm512_unpacklo_pd(a2, a3), _mm512_unpackhi_pd(a2, a3));
-            let out = [
-                _mm512_permutex2var_pd(even01, low, even23),
-                _mm512_permutex2var_pd(odd01, low, odd23),
-                _mm512_permutex2var_pd(even01, high, even23),
-                _mm512_permutex2var_pd(odd01, high, odd23),
-            ];
-            for (e, run) in out.into_iter().enumerate() {
-                _mm512_storeu_pd(dst.add((4 * h + e) * dst_run), run);
-            }
+    // Elements 0, 1 of each 128-bit lane of `a`, then of `b`; and 2, 3.
+    let low = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+    let high = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+    let [mut pair, mut quad] = [[_mm512_setzero_pd(); W]; 2];
+    for b in 0..tiles {
+        let (src, dst) = (src.add(b * src_tile), dst.add(b * dst_tile));
+        // `pair[2q]`, `pair[2q + 1]`: runs `2q`, `2q + 1` interleaved.
+        for q in 0..W / 2 {
+            let run = |r: usize| _mm512_loadu_pd(src.add(r * src_run));
+            let (even, odd) = (run(2 * q), run(2 * q + 1));
+            pair[2 * q] = _mm512_unpacklo_pd(even, odd);
+            pair[2 * q + 1] = _mm512_unpackhi_pd(even, odd);
         }
-    }
-}
-
-/// One tile, `dst[c·dst_run + r] = src[r·src_run + c]` for `r, c < 8`, in
-/// the caller's own code: the tile transposer of a sweep that moves its
-/// rows a tile at a time as it reaches them (`pp-splinesolver`), with no
-/// call in its loop where the caller is the AVX-512 instance, whose tile
-/// network ([`tile_avx512`]) is then inlined; the scalar loop in every
-/// other instance. Same bits either way.
-///
-/// # Safety
-/// As [`tile_avx512`], bar the CPU: `isa` must be available.
-#[inline(always)]
-pub(crate) unsafe fn tile_at(
-    isa: PanelIsa,
-    (src, src_run): (*const f64, usize),
-    (dst, dst_run): (*mut f64, usize),
-) {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `isa` is available; the offsets are the caller's.
-        PanelIsa::Avx512 => unsafe { tile_avx512((src, src_run), (dst, dst_run)) },
-        _ => {
-            for r in 0..W {
-                for c in 0..W {
-                    // SAFETY: value `c` of run `r` of each tile, as the
-                    // caller vouches.
-                    unsafe { *dst.add(c * dst_run + r) = *src.add(r * src_run + c) };
-                }
-            }
+        // `quad[4h + c]`: elements `c`, then `c + 4`, of runs `4h .. 4h + 4`.
+        for (k, v) in quad.iter_mut().enumerate() {
+            let (first, idx) = (k / 4 * 4 + k % 2, if k % 4 < 2 { low } else { high });
+            *v = _mm512_permutex2var_pd(pair[first], idx, pair[first + 2]);
         }
-    }
-}
-
-/// An instance of the one-tile transposer that this host has, checked
-/// once where it is made: what a sweep that brings its rows in a tile at a
-/// time holds, so that no tile of it asks the CPU again
-/// ([`crate::Blocks::fill_tile`]).
-#[derive(Debug, Clone, Copy)]
-pub struct TileIsa(PanelIsa);
-
-impl TileIsa {
-    /// # Panics
-    /// Panics if the host lacks `isa`.
-    pub fn new(isa: PanelIsa) -> Self {
-        assert!(isa.is_available(), "host lacks {}", isa.name());
-        Self(isa)
-    }
-
-    /// Tile `src` (eight runs of eight, `src_run` apart) into `dst` (runs
-    /// `dst_run` apart), transposed, in the caller's own code.
-    ///
-    /// # Safety
-    /// As [`tile_at`], whose `isa` is this one's.
-    #[inline(always)]
-    pub(crate) unsafe fn tile(self, src: (*const f64, usize), dst: (*mut f64, usize)) {
-        // SAFETY: the instance is available (checked in `new`); the
-        // offsets are the caller's.
-        unsafe { tile_at(self.0, src, dst) }
+        // Run `c`: the low, for `c ≥ 4` the high, halves of two quads.
+        for c in 0..W / 2 {
+            let (top, bottom) = (quad[c], quad[c + 4]);
+            _mm512_storeu_pd(
+                dst.add(c * dst_run),
+                _mm512_shuffle_f64x2::<0x44>(top, bottom),
+            );
+            let high_half = _mm512_shuffle_f64x2::<0xEE>(top, bottom);
+            _mm512_storeu_pd(dst.add((c + 4) * dst_run), high_half);
+        }
     }
 }
 

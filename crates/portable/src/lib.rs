@@ -78,8 +78,7 @@ pub mod transpose;
 pub use error::{Error, Result};
 pub use exec::{CountingExec, ExecSpace, Parallel, Serial};
 pub use field::{Blocks, Field, HostField, LaneOut, Run, RunsMut, TiledField};
-pub use interleaved::{deinterleave_columns, interleave_columns, TileIsa};
-pub use interleaved::{ResidentBatch, LANE_WIDTH};
+pub use interleaved::{deinterleave_columns, interleave_columns, ResidentBatch, LANE_WIDTH};
 pub use isa::{run_scalar, Lanes, PanelIsa};
 pub use layout::Layout;
 pub use lines::Lines;
