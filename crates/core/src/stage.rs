@@ -56,6 +56,12 @@ impl<'r> Stage<'r> {
         }
     }
 
+    /// Whether the sweep brings anything in: false for a plain solve of
+    /// panels where they lie, which is swept on the panels themselves.
+    pub(crate) fn brings_in(&self) -> bool {
+        self.source.is_some() || self.kept.is_some()
+    }
+
     /// The accessor of the sweep over the run's panels `first .. first + P`;
     /// a tiled run's are brought in here, whole.
     #[inline(always)]
@@ -64,16 +70,12 @@ impl<'r> Stage<'r> {
         rows: [Panel<'s>; P],
         first: usize,
     ) -> Staged<'s, 'r, P> {
-        let filled = match (&self.source, &self.kept) {
-            (None, None) => self.rows,
-            _ => 0,
-        };
         let tiled = matches!(&self.source, Some(blocks) if !blocks.is_columns());
         let mut staged = Staged {
             rows,
             stage: self,
             first,
-            filled,
+            filled: 0,
         };
         if let Some(last) = staged.stage.rows.checked_sub(1).filter(|_| tiled) {
             staged.ingress(last);
