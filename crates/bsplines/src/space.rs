@@ -590,9 +590,10 @@ impl SplineSpace {
         }
     }
 
-    /// One degree and mesh kind of [`Self::walk_on`]: each instruction set
-    /// gets its own copy of this one `walk`, inlined into its
-    /// [`PanelIsa::run`] shell.
+    /// One degree and mesh kind of [`Self::walk_on`]: each wide instruction
+    /// set gets its own copy of this one `walk`, inlined into its
+    /// [`PanelIsa::run`] shell; the baseline runs every run through the
+    /// scalar body ([`Self::eval_points`]), which holds the vector path's bits.
     fn walk_in<'o, const D: usize, const UNIFORM: bool>(
         &self,
         isa: PanelIsa,
@@ -602,6 +603,17 @@ impl SplineSpace {
         shift: f64,
         out: impl LaneOut<'o>,
     ) -> usize {
+        if isa == PanelIsa::Baseline {
+            assert_eq!(out.len(), base.len(), "walk: one result per foot");
+            let (runs, rest) = out.split();
+            let outs = runs.map(|run| &mut run[..]).chain([rest]);
+            let (mut x, mut cell) = ([0.0; LANE_WIDTH], 0);
+            for (base, out) in base.chunks(LANE_WIDTH).zip(outs) {
+                x.iter_mut().zip(base).for_each(|(x, b)| *x = b - shift);
+                cell = self.eval_points::<D, UNIFORM>(coefs, &x[..base.len()], out, cell);
+            }
+            return 0;
+        }
         isa.run(
             #[inline(always)]
             || self.walk::<D, UNIFORM>(coefs, col, base, shift, out),

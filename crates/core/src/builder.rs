@@ -11,7 +11,7 @@
 //! a region plan: how many
 //! parallel regions [`SplineBuilder::solve_in_place`] splits Algorithm 1
 //! into. The per-lane `schur_solve` is the scalar oracle every result is
-//! held to, and the verified ladder's repair path.
+//! held to; `lane_steps` runs it for the baseline sweep and the repair path.
 
 use crate::blocks::SchurBlocks;
 use crate::error::{Error, Result};
@@ -19,10 +19,11 @@ use crate::stage::Stage;
 use crate::verified::RhsSums;
 use pp_bsplines::SplineSpace;
 use pp_linalg::{LaneRows, Panel};
-use pp_portable::{Blocks, ExecSpace, Field, HostField, Lines, PanelIsa, Run};
-use pp_portable::{Layout, Matrix, ResidentBatch, LANE_WIDTH};
+use pp_portable::{run_scalar, Blocks, ExecSpace, Field, HostField, Lines, PanelIsa, Run};
+use pp_portable::{Layout, Matrix, ResidentBatch, StridedMut, LANE_WIDTH};
 use pp_sparse::Coo;
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Which implementation of the build kernel to run — the paper's
 /// `DDC_SPLINES_VERSION` 0 / 1 / 2 (Listings 2, 4 and 6, Table III), as two
@@ -165,11 +166,12 @@ impl SplineBuilder {
     pub fn solve_in_place<E: ExecSpace>(&self, exec: &E, b: &mut Matrix) -> Result<()> {
         self.check_rows(b.nrows())?;
         let (plan, store) = (self.version.plan(), |_, _, x: Solved<'_>| x.store());
+        let isa = PanelIsa::detected();
         match b.layout() {
-            Layout::Left => self.solve_plan(exec, &mut HostField::new(b), plan, store),
+            Layout::Left => self.solve_plan(isa, exec, &mut HostField::new(b), plan, store),
             Layout::Right => {
                 let mut packed = ResidentBatch::pack_with(exec, b);
-                self.solve_plan(exec, &mut packed, plan, store);
+                self.solve_plan(isa, exec, &mut packed, plan, store);
                 packed.unpack_into_with(exec, b)?;
             }
         }
@@ -224,14 +226,14 @@ impl SplineBuilder {
         F: Fn(usize, usize, Solved<'_>) + Sync + Send,
     {
         self.check_rows(b.shape().0)?;
-        self.solve_plan(exec, b, &[Self::sweep_fused], then);
+        self.solve_plan(PanelIsa::detected(), exec, b, &[Self::sweep_fused], then);
         Ok(())
     }
 
-    /// One parallel region per sweep of `plan` over the field `b`: a
-    /// worker's turn solves a run of blocks as panels with the sweep
-    /// ([`SplineBuilder::solve_run`]) and hands each block to `then`.
-    fn solve_plan<E, B, S, F>(&self, exec: &E, b: &mut B, plan: &[S], then: F)
+    /// One parallel region per sweep of `plan` over the field `b`: a worker's
+    /// turn solves a run of blocks as panels with the sweep in the `isa`
+    /// instance ([`SplineBuilder::solve_run`]) and hands each block to `then`.
+    fn solve_plan<E, B, S, F>(&self, isa: PanelIsa, exec: &E, b: &mut B, plan: &[S], then: F)
     where
         E: ExecSpace,
         B: Field,
@@ -240,7 +242,6 @@ impl SplineBuilder {
     {
         for sweep in plan {
             b.for_each_run_mut(exec, ABREAST, |first, lanes, run| {
-                let isa = PanelIsa::detected();
                 self.solve_run::<false>(isa, first, lanes, run, sweep, |s| {
                     then(s.chunk, s.lanes, Solved::new(s.x, s.block));
                 });
@@ -323,6 +324,7 @@ impl SplineBuilder {
     /// neither on its company (`[Panel; P]` is a regrouping) nor on the
     /// instance (every multiply-add is the one fused
     /// [`pp_portable::Lanes::mul_add`], and rustc contracts nothing else).
+    /// The baseline instance is [`Self::sweep_lanes`], not a third wide copy.
     ///
     /// # Panics
     /// Panics if the host lacks `isa`, or `panels` is not whole panels.
@@ -334,6 +336,9 @@ impl SplineBuilder {
     ) {
         let panel = self.space.num_basis() * LANE_WIDTH;
         assert!(panels.len().is_multiple_of(panel), "sweep_on: whole panels");
+        if isa == PanelIsa::Baseline {
+            return self.sweep_lanes(FROM..TO, panels, stage);
+        }
         isa.run(
             #[inline(always)]
             || {
@@ -369,6 +374,20 @@ impl SplineBuilder {
             first += P;
         }
         (groups.into_remainder(), first)
+    }
+
+    /// [`Self::sweep_on`] at the baseline: each panel brought in whole (as a
+    /// tiled block is), then `steps` on every lane, padding included.
+    fn sweep_lanes(&self, steps: Range<usize>, panels: &mut [f64], stage: &mut Stage<'_>) {
+        let n = self.space.num_basis();
+        let sparse = self.version.sparse_corners();
+        for (k, panel) in panels.chunks_exact_mut(n * LANE_WIDTH).enumerate() {
+            all_in(&mut stage.group([Panel::new(panel, n)], k), n);
+            for l in 0..LANE_WIDTH {
+                let mut lane = StridedMut::new(&mut panel[l..], n, LANE_WIDTH);
+                lane_steps(&self.blocks, sparse, steps.clone(), &mut lane);
+            }
+        }
     }
 
     /// Algorithm 1's steps `FROM..TO` on one group's `rows`, all of them in
@@ -464,15 +483,23 @@ fn corner<R: LaneRows>(
     }
 }
 
-/// All of Algorithm 1 on the right-hand sides `rows` carries, with sparse
-/// (`spmv`) or dense (`gemv`) corners. On one lane of `n` rows it is the
-/// scalar oracle every panel result is held to by `to_bits`, and the
-/// verified ladder's per-lane repair.
-#[inline(always)]
-pub(crate) fn schur_solve<R: LaneRows>(blocks: &SchurBlocks, sparse: bool, rows: &mut R) {
-    for step in ALGORITHM_1 {
-        step.apply(blocks, sparse, rows);
-    }
+/// Algorithm 1's `steps` on one lane in [`run_scalar`], out of line so that
+/// the baseline sweep and the verified repair share one instance.
+#[inline(never)]
+pub(crate) fn lane_steps(
+    blocks: &SchurBlocks,
+    sparse: bool,
+    steps: Range<usize>,
+    lane: &mut StridedMut<'_>,
+) {
+    run_scalar(
+        #[inline(always)]
+        || {
+            for step in &ALGORITHM_1[steps] {
+                step.apply(blocks, sparse, lane);
+            }
+        },
+    );
 }
 
 /// Panels a worker's turn of a fused entry point solves side by side: a
@@ -558,12 +585,23 @@ pub(crate) fn panel_scratch_len() -> [usize; 2] {
     PANEL_SCRATCH.with_borrow(|sets| sets.each_ref().map(|set| set.len()))
 }
 
+/// All of Algorithm 1 on the right-hand sides `rows` carries, with sparse
+/// (`spmv`) or dense (`gemv`) corners: on one lane of `n` rows, the scalar
+/// oracle every panel result is held to by `to_bits`.
+#[cfg(test)]
+#[inline(always)]
+pub(crate) fn schur_solve<R: LaneRows>(blocks: &SchurBlocks, sparse: bool, rows: &mut R) {
+    for step in ALGORITHM_1 {
+        step.apply(blocks, sparse, rows);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pp_bsplines::{assemble_interpolation_matrix, Breaks};
     use pp_linalg::naive;
-    use pp_portable::{CountingExec, Parallel, Serial, StridedMut, TestRng};
+    use pp_portable::{CountingExec, Parallel, Serial, TestRng, TiledField};
     use pp_portable::{Field, HostField, Run};
 
     fn space(n: usize, degree: usize, uniform: bool) -> SplineSpace {
@@ -617,13 +655,76 @@ mod tests {
         lane_bits(&x)
     }
 
+    /// `plan` through the baseline instance of the sweep, the one-lane route
+    /// ([`SplineBuilder::sweep_lanes`]) that a host with AVX2 never takes,
+    /// on the `(n, batch)` right-hand sides `rhs` (`batch > 0`): every lane
+    /// solved on a host field and on a batch's tiled transpose carries the
+    /// bits `want`, and on a resident batch whose padding lanes hold values
+    /// of their own every lane of every panel, padding included, carries
+    /// those of `schur_solve` on it.
+    fn baseline_route(
+        builder: &SplineBuilder,
+        plan: &[Sweep],
+        rhs: &Matrix,
+        want: &[u64],
+        what: &str,
+    ) {
+        let ((n, batch), isa) = (rhs.shape(), PanelIsa::Baseline);
+        let store = |_, _, x: Solved<'_>| x.store();
+        let mut host = rhs.clone();
+        builder.solve_plan(isa, &Serial, &mut HostField::new(&mut host), plan, store);
+        assert_eq!(lane_bits(&host), want, "{what}: baseline route, host");
+        let lanes = Matrix::from_fn(batch, n, Layout::Left, |j, i| rhs.get(i, j));
+        let mut tiled = ResidentBatch::pack(&lanes);
+        builder.solve_plan(
+            isa,
+            &Parallel,
+            &mut TiledField::new(&mut tiled),
+            plan,
+            store,
+        );
+        let tiled = Matrix::from_fn(n, batch, Layout::Left, |i, j| tiled.get(j, i));
+        assert_eq!(lane_bits(&tiled), want, "{what}: baseline route, tiled");
+        let mut resident = ResidentBatch::pack(rhs);
+        let last = resident.num_chunks() - 1;
+        let mut rng = TestRng::seed_from_u64(batch as u64);
+        for (k, v) in resident.chunk_mut(last).iter_mut().enumerate() {
+            if last * LANE_WIDTH + k % LANE_WIDTH >= batch {
+                *v = rng.gen_range(-2.0..2.0);
+            }
+        }
+        let sparse = builder.version().sparse_corners();
+        let want: Vec<Vec<f64>> = (0..=last)
+            .map(|c| {
+                let mut panel = resident.chunk(c).to_vec();
+                for l in 0..LANE_WIDTH {
+                    let mut lane = StridedMut::new(&mut panel[l..], n, LANE_WIDTH);
+                    schur_solve(builder.blocks(), sparse, &mut lane);
+                }
+                panel
+            })
+            .collect();
+        builder.solve_plan(isa, &Parallel, &mut resident, plan, store);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (c, want) in want.iter().enumerate() {
+            let got = bits(resident.chunk(c));
+            assert_eq!(
+                got,
+                bits(want),
+                "{what}: baseline route, resident panel {c}"
+            );
+        }
+    }
+
     /// `solve_in_place` is the version's region plan through the one region
     /// body: on either layout and either execution space every lane carries
     /// the bits of the scalar oracle on a contiguous copy of it, and a
     /// `Layout::Left` solve is exactly the plan's regions — four for the
-    /// baseline, one otherwise — with no pack. The six Table I periodic
-    /// spaces and two clamped ones, at batches on either side of a panel
-    /// and of a run of four.
+    /// baseline, one otherwise — with no pack. The plan and the fused sweep
+    /// hold the same bits through the baseline instance on every kind of
+    /// field ([`baseline_route`]). The six Table I periodic spaces and two
+    /// clamped ones, at batches on either side of a panel and of a run of
+    /// four.
     #[test]
     fn solve_in_place_runs_the_plan_and_matches_the_scalar_oracle() {
         let clamped = |degree, uniform: bool| {
@@ -664,6 +765,11 @@ mod tests {
                         assert_eq!(serial, want, "{what} {layout:?} Serial");
                         assert_eq!(parallel, want, "{what} {layout:?} Parallel");
                     }
+                    let fused: &[Sweep] = &[SplineBuilder::sweep_fused];
+                    for plan in [version.plan(), fused].into_iter().filter(|_| batch > 0) {
+                        let what = format!("{what}, {} regions", plan.len());
+                        baseline_route(&builder, plan, &rhs, &want, &what);
+                    }
                 }
             }
         }
@@ -683,7 +789,7 @@ mod tests {
     #[test]
     fn tile_ingress_solve_then_eval_is_the_scalar_oracle_bitwise() {
         use crate::verified::VerifiedBuilder;
-        use pp_portable::{Strided, TiledField};
+        use pp_portable::Strided;
         let mut spaces = Vec::new();
         let sizes: &[usize] = if cfg!(miri) { &[11] } else { &[11, 19, 26] };
         for degree in 1..=5 {

@@ -28,7 +28,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::blocks::{QClass, SchurBlocks};
-use crate::builder::{schur_solve, BuilderVersion, Solved, SolvedBlock, SplineBuilder, ABREAST};
+use crate::builder::{lane_steps, BuilderVersion, Solved, SolvedBlock, SplineBuilder, ABREAST};
 use crate::error::Result;
 use crate::iterative_backend::{IterativeConfig, IterativeSplineSolver};
 use pp_bsplines::{assemble_interpolation_matrix, Breaks, SplineSpace};
@@ -870,11 +870,9 @@ impl VerifiedBuilder {
     /// arithmetic of the batched kernel (the version's corner axis
     /// included), so a re-solved lane carries the bits its neighbours do.
     fn primary_solve(&self, lane: &mut [f64]) {
-        schur_solve_slice(
-            self.builder.blocks(),
-            self.builder.version().sparse_corners(),
-            lane,
-        );
+        let blocks = self.builder.blocks();
+        let sparse = self.builder.version().sparse_corners();
+        lane_steps(blocks, sparse, 0..4, &mut StridedMut::from_slice(lane));
     }
 
     /// The rungs above the primary factorization's class, in order.
@@ -901,7 +899,7 @@ impl VerifiedBuilder {
         match rung {
             FallbackRung::Pbtrs | FallbackRung::Gbtrs => {
                 let blocks = self.schur_rung(rung)?;
-                schur_solve_slice(blocks, false, &mut y);
+                lane_steps(blocks, false, 0..4, &mut StridedMut::from_slice(&mut y));
                 Some(y)
             }
             FallbackRung::Getrs => {
@@ -935,7 +933,7 @@ impl VerifiedBuilder {
         match rung {
             FallbackRung::Pbtrs | FallbackRung::Gbtrs => {
                 if let Some(blocks) = self.schur_rung(rung) {
-                    schur_solve_slice(blocks, false, r);
+                    lane_steps(blocks, false, 0..4, &mut StridedMut::from_slice(r));
                 }
             }
             FallbackRung::Getrs => {
@@ -1226,15 +1224,6 @@ impl BandRuns {
     }
 }
 
-/// Run the fused per-lane Schur solve on one contiguous slice, with FMA
-/// enabled where the host has it ([`run_scalar`]).
-fn schur_solve_slice(blocks: &SchurBlocks, sparse: bool, lane: &mut [f64]) {
-    run_scalar(
-        #[inline(always)]
-        || schur_solve(blocks, sparse, &mut StridedMut::from_slice(lane)),
-    );
-}
-
 /// Lane `l` of one `[nrows][LANE_WIDTH]` panel as a contiguous vector.
 fn lane_of(panel: &[f64], l: usize) -> Vec<f64> {
     panel.iter().skip(l).step_by(LANE_WIDTH).copied().collect()
@@ -1490,6 +1479,7 @@ pub fn sdc_round(seed: u64) -> SdcRound {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::schur_solve;
     use pp_bsplines::PeriodicSplineSpace;
     use pp_linalg::Panel;
     use pp_portable::{CountingExec, Serial, Strided};

@@ -112,7 +112,8 @@ impl<V: Lanes, const P: usize> Lanes for [V; P] {
 /// and AVX-512F implies it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PanelIsa {
-    /// The target's baseline (SSE2 on x86-64): always available.
+    /// The target's baseline (SSE2 on x86-64): always available; the walk
+    /// and the sweep take their one-lane bodies ([`run_scalar`]) here.
     Baseline,
     /// x86-64 AVX2 with FMA: four doubles per operation.
     Avx2,
@@ -161,7 +162,8 @@ impl PanelIsa {
     /// Run `body` in the instance compiled for this instruction set. Pass
     /// an `#[inline(always)]` closure over `#[inline(always)]` code: what is
     /// inlined into the shell is what gets the wide registers, anything
-    /// called out of line keeps the ISA it was compiled for.
+    /// called out of line keeps the ISA it was compiled for. The walk and
+    /// the sweep branch to their one-lane bodies before `run`.
     ///
     /// # Panics
     /// Panics if the host lacks the instruction set.

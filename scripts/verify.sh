@@ -62,6 +62,18 @@ test -s target/BENCH_chaos_smoke.json
 echo "==> stepbench smoke (ledger replay == step, accuracy tolerances)"
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 
+# The binary holds the instances that run: the baseline instance of the
+# lane walk and of the solve's sweep is their one-lane body, not a third
+# copy of the wide bodies that a host with AVX2 never runs (DESIGN.md,
+# "Instruction sets"). stepbench's text read 2 136 433 bytes with those
+# copies and 1 705 809 without them (x86-64, the pinned toolchain). The
+# ceiling sits between the two, so a reinstated copy (+~450 KB) fails here
+# and a toolchain's drift does not.
+STEPBENCH_TEXT_CEILING=1850000
+text=$(size benchmark/target/release/stepbench | awk 'NR == 2 { print $1 }')
+echo "==> stepbench text: $text bytes (ceiling $STEPBENCH_TEXT_CEILING)"
+test "$text" -le "$STEPBENCH_TEXT_CEILING"
+
 # The 2-D example asserts its own accuracy (one full solid-body turn
 # returns the blob to within 0.05): run it at its defaults, 48 steps.
 echo "==> poloidal_rotation example (2-D tensor build + rotation accuracy)"
