@@ -1,22 +1,23 @@
 //! The Ginkgo-style iterative spline backend (§III-B of the paper).
 //!
-//! Same job as [`SplineBuilder`] — turn a batch of interpolation values
-//! into spline coefficients — but via Krylov iteration on the CSR-stored
-//! matrix, one independent lane at a time ([`LaneKrylov::solve`]), with
-//! block-Jacobi preconditioning and optional warm starts from the previous
-//! time step. Every batched solve, the step's and the host matrix's alike,
-//! runs the backend's one lane region.
+//! Same job as [`SplineBuilder`](crate::SplineBuilder) — turn a batch of
+//! interpolation values into spline coefficients — but via Krylov iteration
+//! on the CSR-stored matrix, one independent lane at a time
+//! ([`LaneKrylov::solve`]), with block-Jacobi preconditioning and optional
+//! warm starts from the previous time step. Every batched solve, the step's
+//! and the host matrix's alike, runs the backend's one lane region. A lane
+//! that does not converge is reported, not retried: the one repair ladder
+//! is the direct path's ([`crate::VerifiedBuilder`]).
 
-use crate::builder::{BuilderVersion, Solved, SplineBuilder};
+use crate::builder::Solved;
 use crate::error::{Error, Result};
 use pp_bsplines::{assemble_interpolation_matrix, PeriodicSplineSpace};
 use pp_iterative::{
-    solver::{norm2, residual_into},
     BiCgStab, BlockJacobi, ConvergenceLogger, Gmres, IterativeSolver, LaneKrylov, LaneResults,
-    Preconditioner, RecoveryEvent, RecoveryStage, SolveResult, StopCriteria,
+    StopCriteria,
 };
 use pp_portable::{
-    ExecSpace, Field, Layout, Matrix, Parallel, ResidentBatch, Run, Strided, StridedMut, LANE_WIDTH,
+    ExecSpace, Field, Matrix, Parallel, ResidentBatch, Run, Strided, StridedMut, LANE_WIDTH,
 };
 use pp_sparse::Csr;
 
@@ -63,61 +64,12 @@ impl IterativeConfig {
     }
 }
 
-/// The escalation ladder [`IterativeSplineSolver::solve_with_recovery`]
-/// climbs when lanes of a batch break down or stall.
-///
-/// Rungs run in a fixed order — re-precondition, solver switch, direct
-/// fallback — each retrying only the lanes that are still unhealthy, until
-/// every lane is healthy or the attempt budget is spent. Each rung that
-/// runs appends a [`RecoveryEvent`] to the returned logger's recovery
-/// report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Rung 1: retry failed lanes with a stronger (doubled-block)
-    /// block-Jacobi preconditioner.
-    pub reprecondition: bool,
-    /// Rung 2: retry failed lanes with the complementary Krylov method
-    /// (BiCGStab ⇄ GMRES).
-    pub solver_switch: bool,
-    /// Rung 3: hand failed lanes to the direct Schur-complement
-    /// [`SplineBuilder`]. Lanes whose direct solution is non-finite (e.g.
-    /// NaN-poisoned right-hand sides) stay broken.
-    pub direct_fallback: bool,
-    /// Total number of rungs allowed to run (bounds the retry cost).
-    pub max_attempts: usize,
-}
-
-impl Default for RecoveryPolicy {
-    /// The full ladder: all three rungs enabled, one pass each.
-    fn default() -> Self {
-        Self {
-            reprecondition: true,
-            solver_switch: true,
-            direct_fallback: true,
-            max_attempts: 3,
-        }
-    }
-}
-
-impl RecoveryPolicy {
-    /// No recovery at all: failed lanes keep their typed outcomes.
-    pub fn disabled() -> Self {
-        Self {
-            reprecondition: false,
-            solver_switch: false,
-            direct_fallback: false,
-            max_attempts: 0,
-        }
-    }
-}
-
 /// A ready-to-solve iterative spline solver: the CSR matrix, its
 /// block-Jacobi preconditioner and the Krylov configuration. Every batched
 /// solve runs the backend's one lane region, each lane the scalar
 /// [`LaneKrylov::solve`]: the step's [`IterativeSplineSolver::solve_then`]
-/// on its field, the host entry points ([`IterativeSplineSolver::solve_in_place`],
-/// [`IterativeSplineSolver::solve_with_recovery`] and the ladder's retries)
-/// on a packed copy of their matrix.
+/// on its field, [`IterativeSplineSolver::solve_in_place`] on a packed copy
+/// of its matrix.
 pub struct IterativeSplineSolver {
     space: PeriodicSplineSpace,
     matrix: Csr,
@@ -170,15 +122,16 @@ impl IterativeSplineSolver {
         b: &mut Matrix,
         previous: Option<&Matrix>,
     ) -> Result<ConvergenceLogger> {
-        converged(self.solve_host(self.config.kind, &self.precond, b, previous)?)
+        converged(self.solve_host(b, previous)?)
     }
 
     /// **Fused entry point**, the counterpart of
-    /// [`SplineBuilder::solve_then`] for a backend whose solve is the
-    /// per-lane Krylov body: two regions on `exec` over the field `b`'s
-    /// blocks. The first is the backend's one lane region: it solves every
-    /// lane of block `c` where it lies — right-hand side read from `b`,
-    /// initial guess from panel `c` of `previous` (the last step's
+    /// [`SplineBuilder::solve_then`](crate::SplineBuilder::solve_then) for a
+    /// backend whose solve is the per-lane Krylov body: two regions on
+    /// `exec` over the field `b`'s blocks. The first is the backend's one
+    /// lane region: it solves every lane of block `c` where it lies —
+    /// right-hand side read from `b`, initial guess from panel `c` of
+    /// `previous` (the last step's
     /// coefficients; zeros without them or with
     /// [`IterativeConfig::warm_start`] off) — into panel `c` of `eta`, a
     /// coefficient store of `b`'s shape that the caller keeps. If any lane
@@ -201,7 +154,7 @@ impl IterativeSplineSolver {
         B: Field,
         F: Fn(usize, usize, Solved<'_>) + Sync + Send,
     {
-        let lanes = self.solve_lanes(exec, self.config.kind, &self.precond, &*b, eta, previous);
+        let lanes = self.solve_lanes(exec, &*b, eta, previous);
         let logger = converged(lanes?)?;
         let eta = &*eta;
         b.for_each_run_mut(exec, 1, |c, live, run| {
@@ -217,92 +170,9 @@ impl IterativeSplineSolver {
         Ok(logger)
     }
 
-    /// Solve `A X = B` in place like [`solve_in_place`], then climb the
-    /// [`RecoveryPolicy`] ladder over any lanes that broke down or
-    /// stalled.
-    ///
-    /// Unlike `solve_in_place`, residual unhealthy lanes are **not** an
-    /// error: the returned [`ConvergenceLogger`] carries one typed outcome
-    /// per lane ([`ConvergenceLogger::outcomes`]) plus the recovery report
-    /// ([`ConvergenceLogger::recovery_events`]), and healthy lanes always
-    /// keep their solutions. `Err` is reserved for structural problems
-    /// (shape mismatch, unusable direct fallback).
-    ///
-    /// [`solve_in_place`]: IterativeSplineSolver::solve_in_place
-    pub fn solve_with_recovery(
-        &self,
-        b: &mut Matrix,
-        previous: Option<&Matrix>,
-        policy: &RecoveryPolicy,
-    ) -> Result<ConvergenceLogger> {
-        // Keep the right-hand sides: the solve overwrites `b` with (possibly
-        // garbage) iterates, and retries need the originals.
-        let rhs_orig = b.clone();
-        let mut logger = self.solve_host(self.config.kind, &self.precond, b, previous)?;
-
-        let mut attempts = 0usize;
-        let ladder = [
-            (policy.reprecondition, RecoveryStage::Reprecondition),
-            (policy.solver_switch, RecoveryStage::SolverSwitch),
-            (policy.direct_fallback, RecoveryStage::DirectFallback),
-        ];
-        for (enabled, stage) in ladder {
-            let failed = logger.failed_lanes();
-            if !enabled || failed.is_empty() || attempts >= policy.max_attempts {
-                continue;
-            }
-            attempts += 1;
-            let recovered = match stage {
-                RecoveryStage::Reprecondition => {
-                    // Stronger smoothing: double the block size (capped at
-                    // the matrix order; the paper tunes 1-32, recovery may
-                    // exceed that deliberately).
-                    let block = (self.config.max_block_size * 2).clamp(2, self.matrix.nrows());
-                    let strong = BlockJacobi::new(&self.matrix, block);
-                    self.retry_lanes(
-                        self.config.kind,
-                        &strong,
-                        b,
-                        &rhs_orig,
-                        &failed,
-                        &mut logger,
-                    )?
-                }
-                RecoveryStage::SolverSwitch => {
-                    let other = match self.config.kind {
-                        KrylovKind::BiCgStab => KrylovKind::Gmres,
-                        KrylovKind::Gmres => KrylovKind::BiCgStab,
-                    };
-                    self.retry_lanes(other, &self.precond, b, &rhs_orig, &failed, &mut logger)?
-                }
-                RecoveryStage::DirectFallback => {
-                    self.direct_fallback(b, &rhs_orig, &failed, &mut logger)?
-                }
-            };
-            logger.record_recovery(RecoveryEvent {
-                stage,
-                lanes_attempted: failed,
-                lanes_recovered: recovered,
-            });
-        }
-        Ok(logger)
-    }
-
-    /// Solve one right-hand side (no warm start). Returns `Ok(Some(x))`
-    /// when the lane converged, `Ok(None)` when the Krylov iteration failed
-    /// on it — the verified builder's last ladder rung treats `None` as
-    /// "stay quarantined".
-    pub(crate) fn solve_single(&self, rhs: &[f64]) -> Result<Option<Vec<f64>>> {
-        self.check_rows(rhs.len())?;
-        let solver = self.krylov(self.config.kind);
-        let mut x = vec![0.0; rhs.len()];
-        let res = solver.solve(&self.matrix, &self.precond, rhs, &mut x, &self.config.stop);
-        Ok(if res.converged { Some(x) } else { None })
-    }
-
     /// The backend's one lane region, on `exec`: lane `j` of the field `b`
-    /// is solved by the per-lane body ([`LaneKrylov::solve`]) with `kind`
-    /// and `precond` into lane `j` of `eta`, a coefficient store of
+    /// is solved by the per-lane body ([`LaneKrylov::solve`]) into lane `j`
+    /// of `eta`, a coefficient store of
     /// `b`'s shape, from lane `j` of `previous` (zeros without it or with
     /// [`IterativeConfig::warm_start`] off). Every lane's last iterate lands
     /// in `eta`, converged or not, and its result in the returned logger,
@@ -310,8 +180,6 @@ impl IterativeSplineSolver {
     fn solve_lanes<E: ExecSpace, B: Field>(
         &self,
         exec: &E,
-        kind: KrylovKind,
-        precond: &dyn Preconditioner,
         b: &B,
         eta: &mut ResidentBatch,
         previous: Option<&ResidentBatch>,
@@ -327,11 +195,11 @@ impl IterativeSplineSolver {
                 }));
             }
         }
-        let solver = self.krylov(kind);
+        let solver = self.krylov();
         let krylov = LaneKrylov {
             a: &self.matrix,
             solver: solver.as_ref(),
-            precond,
+            precond: &self.precond,
             stop: &self.config.stop,
         };
         let guess = previous.filter(|_| self.config.warm_start);
@@ -357,17 +225,11 @@ impl IterativeSplineSolver {
     /// The lane region on a packed copy of the host matrix `b`: on entry
     /// each column is a lane's right-hand side, on exit its last iterate,
     /// started from `previous`'s column.
-    fn solve_host(
-        &self,
-        kind: KrylovKind,
-        precond: &dyn Preconditioner,
-        b: &mut Matrix,
-        previous: Option<&Matrix>,
-    ) -> Result<ConvergenceLogger> {
+    fn solve_host(&self, b: &mut Matrix, previous: Option<&Matrix>) -> Result<ConvergenceLogger> {
         let rhs = ResidentBatch::pack_with(&Parallel, b);
         let guess = previous.map(|p| ResidentBatch::pack_with(&Parallel, p));
         let mut eta = ResidentBatch::zeros(b.nrows(), b.ncols());
-        let logger = self.solve_lanes(&Parallel, kind, precond, &rhs, &mut eta, guess.as_ref())?;
+        let logger = self.solve_lanes(&Parallel, &rhs, &mut eta, guess.as_ref())?;
         eta.unpack_into_with(&Parallel, b)?;
         Ok(logger)
     }
@@ -382,90 +244,12 @@ impl IterativeSplineSolver {
         Ok(())
     }
 
-    fn krylov(&self, kind: KrylovKind) -> Box<dyn IterativeSolver> {
-        match kind {
+    fn krylov(&self) -> Box<dyn IterativeSolver> {
+        match self.config.kind {
             KrylovKind::Gmres => Box::new(Gmres::default()),
             KrylovKind::BiCgStab => Box::new(BiCgStab),
         }
     }
-
-    /// Re-run `lanes` with `kind` and `precond` through the lane region from
-    /// their original right-hand sides (cold start: the failed iterate is not a
-    /// trustworthy guess). Lanes that converge write their solutions back
-    /// and have their logger records replaced. Returns the recovered lanes.
-    fn retry_lanes(
-        &self,
-        kind: KrylovKind,
-        precond: &dyn Preconditioner,
-        b: &mut Matrix,
-        rhs_orig: &Matrix,
-        lanes: &[usize],
-        logger: &mut ConvergenceLogger,
-    ) -> Result<Vec<usize>> {
-        let mut x = columns(rhs_orig, lanes);
-        let retried = self.solve_host(kind, precond, &mut x, None)?;
-        let mut recovered = Vec::new();
-        for (k, (&lane, &res)) in lanes.iter().zip(retried.lane_results()).enumerate() {
-            if res.converged {
-                b.col_mut(lane).copy_from_slice(&x.col(k).to_vec());
-                logger.update_lane(lane, res);
-                recovered.push(lane);
-            }
-        }
-        Ok(recovered)
-    }
-
-    /// Last rung: solve `lanes` with the direct Schur-complement builder.
-    /// A lane is recovered only if its direct solution is finite and its
-    /// *true* relative residual is small — NaN-poisoned inputs produce
-    /// NaN solutions and stay broken.
-    fn direct_fallback(
-        &self,
-        b: &mut Matrix,
-        rhs_orig: &Matrix,
-        lanes: &[usize],
-        logger: &mut ConvergenceLogger,
-    ) -> Result<Vec<usize>> {
-        let n = self.matrix.nrows();
-        let builder = SplineBuilder::new(self.space.clone(), BuilderVersion::FusedSpmv)?;
-        let mut block = columns(rhs_orig, lanes);
-        builder.solve_in_place(&Parallel, &mut block)?;
-
-        let mut recovered = Vec::new();
-        let mut r = vec![0.0; n];
-        for (k, &lane) in lanes.iter().enumerate() {
-            let x = block.col(k).to_vec();
-            if !x.iter().all(|v| v.is_finite()) {
-                continue;
-            }
-            let rhs = rhs_orig.col(lane).to_vec();
-            residual_into(&self.matrix, &x, &rhs, &mut r);
-            let norm_b = norm2(&rhs);
-            let rr = if norm_b > 0.0 {
-                norm2(&r) / norm_b
-            } else {
-                norm2(&r)
-            };
-            // The direct solver is exact up to roundoff; accept anything
-            // within a generous multiple of the Krylov tolerance so a
-            // slightly-above-tol direct residual still counts as rescue.
-            if rr.is_finite() && rr <= self.config.stop.tol.max(1e-10) {
-                b.col_mut(lane).copy_from_slice(&x);
-                logger.update_lane(lane, SolveResult::converged(0, rr));
-                recovered.push(lane);
-            }
-        }
-        Ok(recovered)
-    }
-}
-
-/// Columns `lanes` of `m`, in that order, as a matrix of their own.
-fn columns(m: &Matrix, lanes: &[usize]) -> Matrix {
-    let mut block = Matrix::zeros(m.nrows(), lanes.len(), Layout::Left);
-    for (k, &lane) in lanes.iter().enumerate() {
-        block.col_mut(k).copy_from_slice(&m.col(lane).to_vec());
-    }
-    block
 }
 
 /// `Ok(logger)` when every lane converged, else [`Error::NotConverged`].

@@ -75,7 +75,7 @@ pub use builder::{BuilderVersion, Solved, SplineBuilder};
 pub use checkpoint::{CheckpointStore, Snapshot, DEFAULT_KEEP};
 pub use error::{Error, Result};
 pub use evaluator::SplineEvaluator;
-pub use iterative_backend::{IterativeConfig, IterativeSplineSolver, KrylovKind, RecoveryPolicy};
+pub use iterative_backend::{IterativeConfig, IterativeSplineSolver, KrylovKind};
 pub use tensor2d::TensorSpline2D;
 pub use verified::{
     FallbackRung, LaneReport, LaneVerdict, QuarantineReason, VerifiedBuilder, VerifyConfig,

@@ -8,21 +8,25 @@
 //! [`VerifiedBuilder`] wraps [`SplineBuilder`]'s fused panel kernel so that
 //! one poisoned lane never poisons the batch:
 //!
-//! 1. **Sample** — after the ordinary batched solve, the relative residual
-//!    `‖b − Ax‖₂ / ‖b‖₂` of each (sampled) lane is measured against the
-//!    original assembled matrix.
+//! 1. **Screen** — after the ordinary batched solve, the relative residual
+//!    `‖b − Ax‖₂ / ‖b‖₂` of every lane is measured against the original
+//!    assembled matrix (and, with [`VerifyConfig::abft`], the checksum
+//!    identity `(Aᵀ𝟙)·x = Σb`, a tripped lane re-solved once).
 //! 2. **Refine** — lanes above tolerance get `*rfs`-style iterative
 //!    refinement ([`pp_linalg::refine_lane`]) with the primary factors.
-//! 3. **Escalate** — lanes still failing walk the direct fallback ladder
-//!    `pttrs → pbtrs → gbtrs → getrs → iterative backend`, re-solving the
-//!    original right-hand side with progressively more general (and more
-//!    expensive) factorizations.
+//! 3. **Escalate** — lanes still failing climb the Table I rungs above the
+//!    primary factorization, `pbtrs → gbtrs`, then dense `getrs`
+//!    ([`FallbackRung`]), re-solving the original right-hand side with
+//!    progressively more general (and more expensive) factorizations.
 //! 4. **Quarantine** — lanes with non-finite input, or that defeat the
 //!    whole ladder, are zeroed and reported in the [`LaneReport`] instead
 //!    of carrying NaN into downstream stages.
 //!
-//! Healthy lanes are **bit-identical** to the unverified path: the batched
-//! kernel runs first and verification never rewrites a lane that passes.
+//! This is the workspace's one repair path: the Krylov backend
+//! ([`crate::IterativeSplineSolver`]) reports a lane that does not converge
+//! and retries nothing. Healthy lanes are **bit-identical** to the
+//! unverified path: the batched kernel runs first and verification never
+//! rewrites a lane that passes.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -30,7 +34,6 @@ use std::sync::OnceLock;
 use crate::blocks::{QClass, SchurBlocks};
 use crate::builder::{lane_steps, BuilderVersion, Solved, SolvedBlock, SplineBuilder, ABREAST};
 use crate::error::Result;
-use crate::iterative_backend::{IterativeConfig, IterativeSplineSolver};
 use pp_bsplines::{assemble_interpolation_matrix, Breaks, SplineSpace};
 use pp_iterative::solver::{norm2, residual_into};
 use pp_linalg::{getrf, refine_lane, LuFactors, RefineConfig};
@@ -58,9 +61,10 @@ const RESIDUAL_TOL: f64 = 1e-10;
 pub struct VerifyConfig {
     /// Refinement loop settings for lanes that fail the residual check.
     pub refine: RefineConfig,
-    /// Escalate still-failing lanes down the factorization ladder, whose
-    /// last rung is an iterative Krylov solve. With `false`, failing lanes
-    /// go straight to quarantine.
+    /// Escalate lanes that refinement did not fix up the factorization
+    /// ladder ([`FallbackRung`]), whose last rung is dense `getrs`. With
+    /// `false`, such a lane goes straight to quarantine, so refinement with
+    /// the primary factors is its only repair.
     pub use_ladder: bool,
     /// Fault-injection hook: these lanes skip the fast residual accept and
     /// the refinement stage, going straight to the ladder. The batched
@@ -144,9 +148,11 @@ impl fmt::Display for QuarantineReason {
     }
 }
 
-/// A rung of the direct fallback ladder, ordered least to most general.
-/// The ladder starts at the rung *above* the primary factorization's
-/// class, so e.g. a `pbtrs` primary escalates straight to `gbtrs`.
+/// A rung of the fallback ladder, the workspace's one repair path, ordered
+/// least to most general: the Table I interior solvers `pbtrs` and `gbtrs`,
+/// then dense `getrs`. The ladder starts at the rung *above* the primary
+/// factorization's class, so e.g. a `pbtrs` primary escalates straight to
+/// `gbtrs`; a lane no rung recovers is quarantined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FallbackRung {
     /// Re-factor the interior as positive-definite banded Cholesky.
@@ -154,10 +160,9 @@ pub enum FallbackRung {
     /// Re-factor the interior as general banded LU.
     Gbtrs,
     /// Dense partial-pivoting LU of the *whole* matrix — no Schur split,
-    /// no structure assumptions.
+    /// no structure assumptions. The last rung: a lane it cannot recover
+    /// is quarantined.
     Getrs,
-    /// The preconditioned Krylov backend as the last resort.
-    Iterative,
 }
 
 impl FallbackRung {
@@ -167,7 +172,6 @@ impl FallbackRung {
             FallbackRung::Pbtrs => "pbtrs",
             FallbackRung::Gbtrs => "gbtrs",
             FallbackRung::Getrs => "getrs",
-            FallbackRung::Iterative => "iterative",
         }
     }
 }
@@ -375,7 +379,6 @@ pub struct VerifiedBuilder {
     pb_rung: OnceLock<Option<SchurBlocks>>,
     gb_rung: OnceLock<Option<SchurBlocks>>,
     dense_rung: OnceLock<Option<LuFactors>>,
-    iter_rung: OnceLock<Option<IterativeSplineSolver>>,
 }
 
 impl SplineBuilder {
@@ -408,7 +411,6 @@ impl SplineBuilder {
             pb_rung: OnceLock::new(),
             gb_rung: OnceLock::new(),
             dense_rung: OnceLock::new(),
-            iter_rung: OnceLock::new(),
         }
     }
 }
@@ -887,13 +889,11 @@ impl VerifiedBuilder {
             QClass::GeneralBanded => {}
         }
         rungs.push(FallbackRung::Getrs);
-        rungs.push(FallbackRung::Iterative);
         rungs
     }
 
     /// Solve `A y = b_lane` from scratch on one rung. `None` when the rung
-    /// cannot be built (e.g. forcing `pbtrs` on a non-symmetric interior)
-    /// or its solver does not converge.
+    /// cannot be built (e.g. forcing `pbtrs` on a non-symmetric interior).
     fn solve_on_rung(&self, rung: FallbackRung, b_lane: &[f64]) -> Option<Vec<f64>> {
         let mut y = b_lane.to_vec();
         match rung {
@@ -912,19 +912,6 @@ impl VerifiedBuilder {
                 f.solve_slice(&mut y);
                 Some(y)
             }
-            FallbackRung::Iterative => {
-                let solver = self
-                    .iter_rung
-                    .get_or_init(|| {
-                        IterativeSplineSolver::new(
-                            self.builder.space().clone(),
-                            IterativeConfig::cpu(),
-                        )
-                        .ok()
-                    })
-                    .as_ref()?;
-                solver.solve_single(b_lane).ok().flatten()
-            }
         }
     }
 
@@ -939,13 +926,6 @@ impl VerifiedBuilder {
             FallbackRung::Getrs => {
                 if let Some(f) = self.dense_rung.get().and_then(Option::as_ref) {
                     f.solve_slice(r);
-                }
-            }
-            FallbackRung::Iterative => {
-                if let Some(solver) = self.iter_rung.get().and_then(Option::as_ref) {
-                    if let Ok(Some(y)) = solver.solve_single(r) {
-                        r.copy_from_slice(&y);
-                    }
                 }
             }
         }
@@ -1626,7 +1606,7 @@ mod tests {
 
     #[test]
     fn non_uniform_probe_escalates_to_dense_getrs() {
-        // Graded mesh => primary gbtrs; only getrs and iterative remain.
+        // Graded mesh => primary gbtrs; only getrs remains.
         let sp = space(24, 4, false);
         let config = VerifyConfig {
             probe_lanes: vec![0],
@@ -1819,33 +1799,78 @@ mod tests {
 
     #[test]
     fn abft_persistent_corruption_is_healed_by_the_verifier() {
-        let sp = space(28, 3, true);
-        let plain = SplineBuilder::new(sp.clone(), BuilderVersion::FusedSpmv).unwrap();
-        let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
-            .unwrap()
-            .verified(VerifyConfig {
-                abft: true,
-                sdc_probe_lanes: vec![1],
-                sdc_probe_persistent: true,
-                ..VerifyConfig::default()
-            });
-        let rhs = random_rhs(28, 4, 43);
-        let mut reference = rhs.clone();
-        plain.solve_in_place(&Parallel, &mut reference).unwrap();
-        let mut x = rhs.clone();
-        let report = verified.solve_in_place(&Parallel, &mut x).unwrap();
-        // The retry is struck too, so the screen alone cannot heal the
-        // lane — refinement (pristine factors) must.
-        assert!(
-            matches!(
-                report.verdict(1),
-                LaneVerdict::Refined { .. } | LaneVerdict::Recovered { .. }
-            ),
-            "{}",
-            report.verdict(1)
-        );
-        for i in 0..28 {
-            assert!((x.get(i, 1) - reference.get(i, 1)).abs() < 1e-8);
+        // (cells, degree, uniform, batch, struck lane): mid-panel; the tail
+        // panel of two on a graded quintic mesh; the tail panel of three.
+        let cases = [
+            (28, 3, true, 4, 1),
+            (24, 5, false, 9, 8),
+            (64, 4, true, 17, 16),
+        ];
+        for (n, degree, uniform, batch, lane) in cases {
+            let sp = space(n, degree, uniform);
+            let plain = SplineBuilder::new(sp.clone(), BuilderVersion::FusedSpmv).unwrap();
+            let rhs = random_rhs(n, batch, 43);
+            let mut reference = rhs.clone();
+            plain.solve_in_place(&Parallel, &mut reference).unwrap();
+            // With the ladder off, refinement is the lane's only repair.
+            for use_ladder in [true, false] {
+                let builder = SplineBuilder::new(sp.clone(), BuilderVersion::FusedSpmv).unwrap();
+                let verified = builder.verified(VerifyConfig {
+                    abft: true,
+                    sdc_probe_lanes: vec![lane],
+                    sdc_probe_persistent: true,
+                    use_ladder,
+                    ..VerifyConfig::default()
+                });
+                let mut x = rhs.clone();
+                let report = verified.solve_in_place(&Parallel, &mut x).unwrap();
+                // The retry is struck too, so the screen alone cannot heal
+                // the lane: refinement with the pristine primary factors
+                // does, before any rung is tried.
+                let case = format!("n {n} d{degree} uniform {uniform} ladder {use_ladder}");
+                match report.verdict(lane) {
+                    LaneVerdict::Refined { residual, .. } => {
+                        assert!(*residual <= RESIDUAL_TOL, "{case}: {residual:.3e}")
+                    }
+                    other => panic!("{case}: expected Refined, got {other}"),
+                }
+                for i in 0..n {
+                    assert!(
+                        (x.get(i, lane) - reference.get(i, lane)).abs() < 1e-8,
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The residual screen's tolerance is tight: one lane of a solved panel
+    /// scaled by `1 + 1e-8`, a relative residual of ≈ 1e-8 (a looser
+    /// tolerance such as 1e-4 would seal it), is flagged for repair while
+    /// its untouched neighbours are sealed.
+    #[test]
+    fn screen_flags_a_lane_with_residual_near_1e_8() {
+        let n = 32;
+        let builder = SplineBuilder::new(space(n, 3, true), BuilderVersion::FusedSpmv).unwrap();
+        let rhs = ResidentBatch::pack(&random_rhs(n, LANE_WIDTH, 53));
+        let mut solved = rhs.clone();
+        builder.solve_resident(&Serial, &mut solved).unwrap();
+        let verified = builder.verified(VerifyConfig::default());
+        let (rhs, mut x) = (rhs.chunk(0), solved.chunk(0).to_vec());
+        let perturbed = 3;
+        for v in x.iter_mut().skip(perturbed).step_by(LANE_WIDTH) {
+            *v *= 1.0 + 1e-8;
+        }
+        let screen = verified.screen(0, LANE_WIDTH, &mut x, (rhs, snapshot(rhs, None)));
+        for (l, screened) in screen.lanes.iter().enumerate() {
+            match screened.as_ref().expect("a live lane is screened") {
+                Screened::Flagged(f) if l == perturbed => {
+                    assert!((1e-9..1e-7).contains(&f.rr), "rr {:.3e}", f.rr);
+                }
+                Screened::Sealed(rr) if l != perturbed => assert!(*rr <= RESIDUAL_TOL),
+                Screened::Sealed(rr) => panic!("lane {l} sealed at residual {rr:.3e}"),
+                _ => panic!("lane {l}: expected the screen to seal it"),
+            }
         }
     }
 

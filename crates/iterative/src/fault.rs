@@ -2,11 +2,10 @@
 //!
 //! At the paper's production scale ("heavy traffic", 10⁵–10¹² lanes per
 //! advection step) breakdowns are a *when*, not an *if*. This module
-//! manufactures them on demand, reproducibly: NaN/Inf-poisoned lanes,
-//! near-singular matrix perturbations, and iteration-budget starvation.
-//! The failure-injection test tier drives the per-lane Krylov body and the
-//! recovery ladder with these faults and asserts typed per-lane outcomes
-//! and zero panics.
+//! manufactures them on demand, reproducibly: NaN/Inf-poisoned lanes and
+//! near-singular matrix perturbations. The failure-injection test tier
+//! drives the per-lane Krylov body with these faults and asserts typed
+//! per-lane outcomes and zero panics.
 //!
 //! All randomness comes from [`TestRng`], so a seed pins the exact fault
 //! pattern across platforms and runs.
@@ -93,16 +92,6 @@ impl FaultInjector {
         // Threshold 0 keeps explicit zeros out but preserves structure
         // of the scaled row for eps > 0.
         Csr::from_dense(&dense, 0.0)
-    }
-
-    /// Starve a stopping criterion: same tolerance, but at most
-    /// `max_iters` iterations — forces `MaxIters` outcomes on any lane
-    /// that genuinely needs the work.
-    pub fn starved(stop: &StopCriteria, max_iters: usize) -> StopCriteria {
-        StopCriteria {
-            max_iters,
-            ..stop.clone()
-        }
     }
 
     /// Run one seeded chaos round: a randomized-but-reproducible batch of
@@ -328,15 +317,6 @@ mod tests {
         let bad = FaultInjector::new(2).near_singular(&a, 0.0);
         let d = bad.to_dense();
         assert!((0..2).any(|i| (0..2).all(|j| d.get(i, j) == 0.0)));
-    }
-
-    #[test]
-    fn starved_keeps_everything_but_budget() {
-        let stop = StopCriteria::with_tol(1e-12).with_stagnation(50, 0.01);
-        let starved = FaultInjector::starved(&stop, 2);
-        assert_eq!(starved.max_iters, 2);
-        assert_eq!(starved.tol, 1e-12);
-        assert_eq!(starved.stall_window, 50);
     }
 
     #[test]

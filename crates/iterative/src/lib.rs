@@ -34,8 +34,11 @@
 //!   healthy lanes keep their solutions, broken lanes carry their
 //!   diagnosis;
 //! * [`FaultInjector`] — deterministic fault injection (NaN/Inf lanes,
-//!   near-singular perturbations, iteration starvation) for exercising
-//!   the above in tests.
+//!   near-singular perturbations) for exercising the above in tests.
+//!
+//! A lane that does not converge is reported, never retried here: the
+//! workspace's one repair ladder is `pp-splinesolver`'s verified direct
+//! path.
 
 #![forbid(unsafe_code)]
 // Non-test code in this crate is free of `unwrap()`; keep it that way
@@ -56,7 +59,7 @@ pub use bicgstab::BiCgStab;
 pub use breakdown::BreakdownKind;
 pub use fault::{ChaosReport, FaultInjector};
 pub use gmres::Gmres;
-pub use logger::{ConvergenceLogger, RecoveryEvent, RecoveryStage};
+pub use logger::ConvergenceLogger;
 pub use multirhs::{LaneKrylov, LaneOutcome, LaneResults};
 pub use precond::{BlockJacobi, Identity, Preconditioner};
 pub use solver::{IterativeSolver, SolveResult};

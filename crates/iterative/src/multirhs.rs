@@ -17,8 +17,7 @@
 //! with its [`BreakdownKind`], or [`Stalled`](LaneOutcome::Stalled) — and
 //! healthy lanes keep their solutions regardless of what their neighbours
 //! did. A region fills one [`LaneResults`] slot per lane, and the slots
-//! land in the [`ConvergenceLogger`] in lane order, ready for the recovery
-//! ladder of `pp-splinesolver` to retry the casualties.
+//! land in the [`ConvergenceLogger`] in lane order.
 
 use crate::breakdown::BreakdownKind;
 use crate::logger::ConvergenceLogger;
@@ -203,7 +202,7 @@ mod tests {
             LaneOutcome::Broke(BreakdownKind::NonFiniteResidual)
         );
         // The poisoned lane is diagnosed instantly, not after max_iters.
-        assert_eq!(log.lane_results()[1].iterations, 0);
+        assert_eq!(log.lane_result(1).map(|r| r.iterations), Some(0));
         // Healthy neighbours converge and keep their solutions.
         for j in [0usize, 2] {
             assert!(outcomes[j].is_healthy(), "lane {j}: {:?}", outcomes[j]);
@@ -211,7 +210,6 @@ mod tests {
                 assert!((b.get(i, j) - x_true.get(i, j)).abs() < 1e-8);
             }
         }
-        assert_eq!(log.failed_lanes(), vec![1]);
     }
 
     #[test]

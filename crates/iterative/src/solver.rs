@@ -20,16 +20,6 @@ pub struct SolveResult {
 }
 
 impl SolveResult {
-    /// A converged result (no breakdown).
-    pub fn converged(iterations: usize, relative_residual: f64) -> Self {
-        Self {
-            iterations,
-            converged: true,
-            relative_residual,
-            breakdown: None,
-        }
-    }
-
     /// A failed result with its diagnosis.
     pub fn broken(iterations: usize, relative_residual: f64, kind: BreakdownKind) -> Self {
         Self {
@@ -148,7 +138,7 @@ pub(crate) fn finish(
         Some(BreakdownKind::NonFiniteResidual)
     } else if internal_converged {
         // False convergence: the recurrence drifted away from reality.
-        // Soft diagnosis so the recovery ladder retries the lane.
+        // Soft diagnosis: the lane stalled rather than broke down.
         Some(BreakdownKind::Stagnation)
     } else {
         breakdown.or(Some(BreakdownKind::MaxIters))

@@ -8,10 +8,11 @@ echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 # The A/B driver is not run here (it needs two checkouts and minutes of a
-# quiet host), nor the line census, the timing gates or the paper-scale
-# capture; each must at least parse, and lint clean where the linter is.
-echo "==> scripts/{ab,loc,check_bench,capture_results}.sh: bash -n, shellcheck if installed"
-for script in scripts/ab.sh scripts/loc.sh scripts/check_bench.sh scripts/capture_results.sh; do
+# quiet host), nor the line census, the timing gates, the paper-scale
+# capture or the mutation check (a suite run per mutant; nightly CI runs
+# it); each must at least parse, and lint clean where the linter is.
+echo "==> scripts/{ab,loc,check_bench,capture_results,mutants}.sh: bash -n, shellcheck if installed"
+for script in scripts/ab.sh scripts/loc.sh scripts/check_bench.sh scripts/capture_results.sh scripts/mutants.sh; do
     bash -n "$script"
     if command -v shellcheck > /dev/null; then
         shellcheck "$script"

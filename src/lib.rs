@@ -71,7 +71,7 @@ pub mod prelude {
     pub use pp_portable::{ExecSpace, Layout, Matrix, Parallel, ResidentBatch, Serial, LANE_WIDTH};
     pub use pp_splinesolver::{
         BuilderVersion, FallbackRung, IterativeConfig, IterativeSplineSolver, KrylovKind,
-        LaneReport, LaneVerdict, QuarantineReason, RecoveryPolicy, SplineBuilder, SplineEvaluator,
-        VerifiedBuilder, VerifyConfig,
+        LaneReport, LaneVerdict, QuarantineReason, SplineBuilder, SplineEvaluator, VerifiedBuilder,
+        VerifyConfig,
     };
 }

@@ -125,10 +125,8 @@ fn error_messages_carry_context() {
     assert!(e.to_string().contains("index 1"), "{e}");
 }
 
-// ---- fault-handling layer: typed per-lane outcomes and the recovery
-// ladder (the robustness tentpole) ----
+// ---- fault-handling layer: typed per-lane outcomes ----
 
-use pp_iterative::RecoveryStage;
 use pp_portable::TestRng;
 
 fn random_rhs(n: usize, lanes: usize, seed: u64) -> Matrix {
@@ -143,174 +141,67 @@ fn direct_reference(space: &PeriodicSplineSpace, rhs: &Matrix) -> Matrix {
     x
 }
 
-/// The acceptance scenario: a batch with injected NaN lanes returns typed
-/// per-lane outcomes — healthy lanes match the direct solver to 1e-12,
-/// poisoned lanes report their `BreakdownKind` — with zero panics.
+/// The acceptance scenario: a batch with injected NaN or Inf lanes, each
+/// lane solved by the per-lane Krylov body, returns typed per-lane outcomes
+/// — healthy lanes match the direct solver to 1e-12, poisoned lanes report
+/// their `BreakdownKind` — with zero panics. One lane's trouble stays that
+/// lane's: nothing retries it.
 #[test]
 fn poisoned_batch_isolates_lanes_and_types_outcomes() {
+    use pp_iterative::{BiCgStab, BlockJacobi, ConvergenceLogger, LaneKrylov};
+
     let n = 32;
     let space = PeriodicSplineSpace::new(Breaks::uniform(n, 0.0, 1.0).unwrap(), 3).unwrap();
     let rhs = random_rhs(n, 8, 42);
     let reference = direct_reference(&space, &rhs);
 
-    let mut b = rhs.clone();
-    let mut injector = FaultInjector::new(7);
-    let poisoned = injector.poison_nan_lanes(&mut b, 2);
-    assert_eq!(poisoned.len(), 2);
-
     let solver = IterativeSplineSolver::new(space, IterativeConfig::gpu()).unwrap();
-    let log = solver
-        .solve_with_recovery(&mut b, None, &RecoveryPolicy::disabled())
-        .unwrap();
-
-    assert_eq!(log.count(), 8);
-    for lane in 0..8 {
-        if poisoned.contains(&lane) {
-            assert_eq!(
-                log.lane_outcome(lane),
-                LaneOutcome::Broke(BreakdownKind::NonFiniteResidual),
-                "lane {lane}"
-            );
-        } else {
-            assert!(log.lane_outcome(lane).is_healthy(), "lane {lane}");
-            for i in 0..n {
-                assert!(
-                    (b.get(i, lane) - reference.get(i, lane)).abs() < 1e-12,
-                    "lane {lane} row {i}"
-                );
-            }
-        }
-    }
-    assert_eq!(
-        log.breakdown_census(),
-        vec![(BreakdownKind::NonFiniteResidual, 2)]
-    );
-}
-
-/// Infinite and NaN lanes survive the *full* ladder as broken (the direct
-/// fallback verifies finiteness and refuses to declare them converged),
-/// while the recovery report shows each rung attempting them.
-#[test]
-fn nan_lanes_stay_broken_through_full_ladder() {
-    let n = 24;
-    let space = PeriodicSplineSpace::new(Breaks::uniform(n, 0.0, 1.0).unwrap(), 3).unwrap();
-    let solver = IterativeSplineSolver::new(space, IterativeConfig::gpu()).unwrap();
-    for poison in [
-        FaultInjector::poison_inf_lanes,
-        FaultInjector::poison_nan_lanes,
-    ] {
-        let mut b = random_rhs(n, 4, 1);
-        let poisoned = poison(&mut FaultInjector::new(3), &mut b, 1);
-
-        let log = solver
-            .solve_with_recovery(&mut b, None, &RecoveryPolicy::default())
-            .unwrap();
-
-        assert!(!log.all_converged());
-        assert_eq!(log.failed_lanes(), poisoned);
-        // Every rung ran over exactly the poisoned lane and rescued nothing.
-        let events = log.recovery_events();
-        assert_eq!(events.len(), 3);
-        for (event, stage) in events.iter().zip([
-            RecoveryStage::Reprecondition,
-            RecoveryStage::SolverSwitch,
-            RecoveryStage::DirectFallback,
-        ]) {
-            assert_eq!(event.stage, stage);
-            assert_eq!(event.lanes_attempted, poisoned);
-            assert!(event.lanes_recovered.is_empty());
-        }
-        // Healthy lanes still converged and hold finite solutions.
-        for lane in 0..4 {
-            if !poisoned.contains(&lane) {
-                assert!(log.lane_outcome(lane).is_healthy());
-                assert!(b.col(lane).to_vec().iter().all(|v| v.is_finite()));
-            }
-        }
-    }
-}
-
-/// Iteration-starved lanes stall, and the ladder's direct fallback
-/// rescues every one of them end to end.
-#[test]
-fn starved_batch_rescued_by_direct_fallback() {
-    let n = 32;
-    let space = PeriodicSplineSpace::new(Breaks::uniform(n, 0.0, 1.0).unwrap(), 4).unwrap();
-    let rhs = random_rhs(n, 5, 9);
-    let reference = direct_reference(&space, &rhs);
-
-    let mut cfg = IterativeConfig::gpu();
-    // A weak preconditioner (tiny blocks) so convergence genuinely takes
-    // many iterations, then starve the solver of them.
-    cfg.max_block_size = 2;
-    cfg.stop = FaultInjector::starved(&cfg.stop, 2);
-    let solver = IterativeSplineSolver::new(space, cfg).unwrap();
-
-    // Without recovery every lane stalls (MaxIters)...
-    let mut b0 = rhs.clone();
-    let log0 = solver
-        .solve_with_recovery(&mut b0, None, &RecoveryPolicy::disabled())
-        .unwrap();
-    assert!(log0.outcomes().iter().all(|o| *o == LaneOutcome::Stalled));
-    assert_eq!(log0.breakdown_census(), vec![(BreakdownKind::MaxIters, 5)]);
-
-    // ...and the ladder's last rung rescues all of them.
-    let mut b = rhs.clone();
-    let log = solver
-        .solve_with_recovery(&mut b, None, &RecoveryPolicy::default())
-        .unwrap();
-    assert!(log.all_converged(), "{:?}", log.outcomes());
-    assert!(b.max_abs_diff(&reference) < 1e-10);
-    let events = log.recovery_events();
-    assert_eq!(events.last().unwrap().stage, RecoveryStage::DirectFallback);
-    assert_eq!(events.last().unwrap().lanes_recovered.len(), 5);
-}
-
-/// The solver-switch rung: on a strongly graded quintic spline matrix
-/// (non-symmetric, ill-conditioned by the mesh grading) GMRES stalls within
-/// an iteration cap it cannot meet, and the switch to BiCGStab, which fits
-/// under the same cap — with the other rungs disabled, to prove the switch
-/// alone suffices — rescues every lane.
-#[test]
-fn solver_switch_rescues_wrong_method_choice() {
-    let n = 32;
-    let space = PeriodicSplineSpace::new(Breaks::graded(n, 0.0, 1.0, 0.8).unwrap(), 5).unwrap();
-    let rhs = random_rhs(n, 3, 5);
-    let reference = direct_reference(&space, &rhs);
-
-    let mut cfg = IterativeConfig::gpu();
-    cfg.kind = KrylovKind::Gmres; // wrong: it needs more iterations than the cap
-    cfg.max_block_size = 2; // weak enough that both methods must genuinely iterate
-    cfg.stop = cfg.stop.with_max_iters(20); // GMRES needs 25-26 here; BiCGStab 16-17
-    let solver = IterativeSplineSolver::new(space, cfg).unwrap();
-
-    // Without recovery every lane stalls on the wrong method...
-    let mut b0 = rhs.clone();
-    let log0 = solver
-        .solve_with_recovery(&mut b0, None, &RecoveryPolicy::disabled())
-        .unwrap();
-    assert!(
-        log0.outcomes().iter().all(|o| !o.is_healthy()),
-        "{:?}",
-        log0.outcomes()
-    );
-
-    // ...and the switch rescues all of them.
-    let mut b = rhs.clone();
-    let policy = RecoveryPolicy {
-        reprecondition: false,
-        direct_fallback: false,
-        ..RecoveryPolicy::default()
+    let config = solver.config();
+    let precond = BlockJacobi::new(solver.matrix(), config.max_block_size);
+    let lanes = LaneKrylov {
+        a: solver.matrix(),
+        solver: &BiCgStab,
+        precond: &precond,
+        stop: &config.stop,
     };
-    let log = solver.solve_with_recovery(&mut b, None, &policy).unwrap();
+    for poison in [
+        FaultInjector::poison_nan_lanes,
+        FaultInjector::poison_inf_lanes,
+    ] {
+        let mut b = rhs.clone();
+        let poisoned = poison(&mut FaultInjector::new(7), &mut b, 2);
+        assert_eq!(poisoned.len(), 2);
 
-    assert!(log.all_converged(), "{:?}", log.outcomes());
-    assert!(b.max_abs_diff(&reference) < 1e-10);
-    let events = log.recovery_events();
-    assert_eq!(events.len(), 1);
-    assert_eq!(events[0].stage, RecoveryStage::SolverSwitch);
-    assert_eq!(events[0].lanes_recovered, events[0].lanes_attempted);
-    assert_eq!(events[0].lanes_attempted, vec![0, 1, 2]);
+        let mut log = ConvergenceLogger::new();
+        for lane in 0..8 {
+            let mut x = vec![0.0; n];
+            log.record(lanes.solve(&b.col(lane).to_vec(), &mut x));
+            b.col_mut(lane).copy_from_slice(&x);
+        }
+
+        assert_eq!(log.count(), 8);
+        for lane in 0..8 {
+            if poisoned.contains(&lane) {
+                assert_eq!(
+                    log.lane_outcome(lane),
+                    LaneOutcome::Broke(BreakdownKind::NonFiniteResidual),
+                    "lane {lane}"
+                );
+            } else {
+                assert!(log.lane_outcome(lane).is_healthy(), "lane {lane}");
+                for i in 0..n {
+                    assert!(
+                        (b.get(i, lane) - reference.get(i, lane)).abs() < 1e-12,
+                        "lane {lane} row {i}"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            log.breakdown_census(),
+            vec![(BreakdownKind::NonFiniteResidual, 2)]
+        );
+    }
 }
 
 /// A near-singular system (one row scaled to ~machine epsilon) produces a
@@ -492,28 +383,4 @@ fn near_singular_direct_matrix_is_flagged_by_health() {
     );
     assert!(h.is_ill_conditioned());
     assert!(h.is_suspect());
-}
-
-/// The retry budget is honoured: with `max_attempts = 1` only the first
-/// enabled rung runs, even if lanes remain broken.
-#[test]
-fn retry_budget_bounds_the_ladder() {
-    let n = 24;
-    let space = PeriodicSplineSpace::new(Breaks::uniform(n, 0.0, 1.0).unwrap(), 3).unwrap();
-    let mut b = random_rhs(n, 3, 2);
-    let mut injector = FaultInjector::new(1);
-    injector.poison_nan_lanes(&mut b, 1);
-
-    let solver = IterativeSplineSolver::new(space, IterativeConfig::gpu()).unwrap();
-    let policy = RecoveryPolicy {
-        max_attempts: 1,
-        ..RecoveryPolicy::default()
-    };
-    let log = solver.solve_with_recovery(&mut b, None, &policy).unwrap();
-    assert_eq!(log.recovery_events().len(), 1);
-    assert_eq!(
-        log.recovery_events()[0].stage,
-        RecoveryStage::Reprecondition
-    );
-    assert!(!log.all_converged());
 }
