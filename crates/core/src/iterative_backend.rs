@@ -122,7 +122,12 @@ impl IterativeSplineSolver {
         b: &mut Matrix,
         previous: Option<&Matrix>,
     ) -> Result<ConvergenceLogger> {
-        converged(self.solve_host(b, previous)?)
+        let rhs = ResidentBatch::pack_with(&Parallel, b);
+        let guess = previous.map(|p| ResidentBatch::pack_with(&Parallel, p));
+        let mut eta = ResidentBatch::zeros(b.nrows(), b.ncols());
+        let logger = self.solve_lanes(&Parallel, &rhs, &mut eta, guess.as_ref())?;
+        eta.unpack_into_with(&Parallel, b)?;
+        converged(logger)
     }
 
     /// **Fused entry point**, the counterpart of
@@ -131,8 +136,7 @@ impl IterativeSplineSolver {
     /// `exec` over the field `b`'s blocks. The first is the backend's one
     /// lane region: it solves every lane of block `c` where it lies —
     /// right-hand side read from `b`, initial guess from panel `c` of
-    /// `previous` (the last step's
-    /// coefficients; zeros without them or with
+    /// `previous` (the last step's coefficients; zeros without them or with
     /// [`IterativeConfig::warm_start`] off) — into panel `c` of `eta`, a
     /// coefficient store of `b`'s shape that the caller keeps. If any lane
     /// failed it returns [`Error::NotConverged`], `b` and `previous`
@@ -219,18 +223,6 @@ impl IterativeSplineSolver {
         });
         let mut logger = ConvergenceLogger::new();
         results.record(&mut logger);
-        Ok(logger)
-    }
-
-    /// The lane region on a packed copy of the host matrix `b`: on entry
-    /// each column is a lane's right-hand side, on exit its last iterate,
-    /// started from `previous`'s column.
-    fn solve_host(&self, b: &mut Matrix, previous: Option<&Matrix>) -> Result<ConvergenceLogger> {
-        let rhs = ResidentBatch::pack_with(&Parallel, b);
-        let guess = previous.map(|p| ResidentBatch::pack_with(&Parallel, p));
-        let mut eta = ResidentBatch::zeros(b.nrows(), b.ncols());
-        let logger = self.solve_lanes(&Parallel, &rhs, &mut eta, guess.as_ref())?;
-        eta.unpack_into_with(&Parallel, b)?;
         Ok(logger)
     }
 
