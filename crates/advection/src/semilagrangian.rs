@@ -3,8 +3,7 @@
 use crate::error::{Error, Result};
 use pp_bsplines::PeriodicSplineSpace;
 use pp_portable::{
-    ExecSpace, Field, HostField, Layout, Matrix, ResidentBatch, Strided, StridedMut, TiledField,
-    LANE_WIDTH,
+    ExecSpace, Field, HostField, Layout, Matrix, ResidentBatch, Strided, StridedMut, LANE_WIDTH,
 };
 use pp_splinesolver::{
     BuilderVersion, IterativeConfig, IterativeSplineSolver, LaneReport, Solved, SplineBuilder,
@@ -347,7 +346,7 @@ impl Advection1D {
         exec: &E,
         f: &mut ResidentBatch,
     ) -> Result<StepTimings> {
-        self.with_standing(|me, standing| me.step_resident_with_displacements(exec, f, standing))
+        self.with_standing(|me, standing| me.advance(exec, f, standing))
     }
 
     /// Run `step` with the standing displacements lent out of `self`.
@@ -356,46 +355,6 @@ impl Advection1D {
         let stepped = step(self, &standing);
         self.displacements = standing;
         stepped
-    }
-
-    /// Advance a resident slab by one step with *per-lane displacements*:
-    /// lane `j`'s feet are `x_i − displacements[j]`. The Vlasov driver
-    /// calls it directly, with the v-direction shift `E(x)·Δt` that changes
-    /// every step. See [`Advection1D::step_with_displacements`] for the
-    /// step itself, which is the same body on either kind of field.
-    ///
-    /// # Errors
-    /// As [`Advection1D::step_with_displacements`].
-    pub(crate) fn step_resident_with_displacements<E: ExecSpace>(
-        &mut self,
-        exec: &E,
-        f: &mut ResidentBatch,
-        displacements: &[f64],
-    ) -> Result<StepTimings> {
-        self.advance(exec, f, displacements)
-    }
-
-    /// Advance the *transpose* of a resident slab `f` by one step with
-    /// per-lane displacements: `f` has shape `(Nv, Nx)` — rows are this
-    /// driver's lanes, its lanes are the `x` points — and lane `j`'s feet
-    /// are `x_i − displacements[j]`. The Vlasov driver advects its
-    /// `(x, v)` slab along `v` with it, in place, with no reoriented copy
-    /// and no staging copy: the step runs on the slab's [`TiledField`],
-    /// each block of eight lanes being a row of its 8 × 8 tiles, transposed
-    /// tile by tile into the worker's solve panel and evaluated straight
-    /// back into its tile rows — one read and one write of the slab, as an
-    /// x-advection makes. The result is that of
-    /// [`ResidentBatch::transpose_into`], then
-    /// [`Advection1D::step_resident_with_displacements`], then
-    /// `transpose_into` back, bit for bit; `f`'s padding lanes are never
-    /// read or written. Errors as [`Advection1D::step_with_displacements`].
-    pub(crate) fn step_transposed_with_displacements<E: ExecSpace>(
-        &mut self,
-        exec: &E,
-        f: &mut ResidentBatch,
-        displacements: &[f64],
-    ) -> Result<StepTimings> {
-        self.advance(exec, &mut TiledField::new(f), displacements)
     }
 
     /// [`Advection1D::step`] with *per-lane displacements*: lane `j`'s feet
@@ -421,8 +380,20 @@ impl Advection1D {
     }
 
     /// **The** step, on any kind of field — every entry point is a shell
-    /// over it.
-    fn advance<E: ExecSpace, B: Field>(
+    /// over it — with *per-lane displacements*: lane `j`'s feet are
+    /// `x_i − displacements[j]`. On a [`pp_portable::TiledField`] of a
+    /// resident slab (shape `(Nv, Nx)`: rows are this driver's lanes, its
+    /// lanes the `x` points) it advances the slab's transpose in place, each
+    /// block of eight lanes being a row of its 8 × 8 tiles, transposed tile
+    /// by tile into the worker's solve panel and evaluated straight back
+    /// into its tile rows: the result is that of
+    /// [`ResidentBatch::transpose_into`], then this step on the transposed
+    /// slab, then `transpose_into` back, bit for bit, and the slab's padding
+    /// lanes are never read or written.
+    ///
+    /// # Errors
+    /// As [`Advection1D::step_with_displacements`].
+    pub(crate) fn advance<E: ExecSpace, B: Field>(
         &mut self,
         exec: &E,
         f: &mut B,
@@ -514,7 +485,7 @@ impl Advection1D {
 mod tests {
     use super::*;
     use pp_bsplines::{Breaks, SplineSpace};
-    use pp_portable::{CountingExec, Parallel, Serial};
+    use pp_portable::{CountingExec, Parallel, Serial, TiledField};
     use pp_splinesolver::SplineEvaluator;
 
     fn gaussian(x: f64, _v: f64) -> f64 {
@@ -528,17 +499,6 @@ mod tests {
         let velocities: Vec<f64> = (0..nv).map(|j| 0.2 + 0.05 * j as f64).collect();
         let backend = SplineBackend::direct(space, version).unwrap();
         Advection1D::new(backend, velocities, 1e-2).unwrap()
-    }
-
-    #[test]
-    fn a_displacement_vector_of_the_wrong_length_is_rejected() {
-        let space = PeriodicSplineSpace::new(Breaks::uniform(16, 0.0, 1.0).unwrap(), 3).unwrap();
-        let backend = SplineBackend::direct(space, BuilderVersion::Fused).unwrap();
-        let mut adv = Advection1D::new(backend, vec![0.1, 0.2], 0.1).unwrap();
-        let mut good = adv.init_distribution(|_, _| 1.0);
-        assert!(adv
-            .step_with_displacements(&Serial, &mut good, &[0.1])
-            .is_err());
     }
 
     #[test]
@@ -602,35 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_and_iterative_backends_agree() {
-        let space = PeriodicSplineSpace::new(Breaks::uniform(48, 0.0, 1.0).unwrap(), 3).unwrap();
-        let velocities = vec![0.3, -0.2, 0.7];
-
-        let mut adv_d = Advection1D::new(
-            SplineBackend::direct(space.clone(), BuilderVersion::FusedSpmv).unwrap(),
-            velocities.clone(),
-            0.02,
-        )
-        .unwrap();
-        let mut adv_i = Advection1D::new(
-            SplineBackend::iterative(space, IterativeConfig::gpu()).unwrap(),
-            velocities,
-            0.02,
-        )
-        .unwrap();
-        assert_eq!(adv_d.backend_label(), "kokkos-kernels");
-        assert_eq!(adv_i.backend_label(), "ginkgo");
-
-        let mut fd = adv_d.init_distribution(gaussian);
-        let mut fi = fd.clone();
-        for _ in 0..5 {
-            adv_d.step(&Parallel, &mut fd).unwrap();
-            adv_i.step(&Parallel, &mut fi).unwrap();
-        }
-        assert!(fd.max_abs_diff(&fi) < 1e-9, "{}", fd.max_abs_diff(&fi));
-    }
-
-    #[test]
     fn negative_velocity_moves_left() {
         let mut adv = Advection1D::new(
             SplineBackend::direct(
@@ -668,13 +599,6 @@ mod tests {
         acc.accumulate(&t);
         acc.accumulate(&t);
         assert_eq!(acc.total(), t.total() * 2);
-    }
-
-    #[test]
-    fn wrong_shape_rejected() {
-        let mut adv = make(32, 2, 3, BuilderVersion::Fused);
-        let mut bad = Matrix::zeros(3, 32, Layout::Right);
-        assert!(adv.step(&Serial, &mut bad).is_err());
     }
 
     #[test]
@@ -744,18 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_displacement_rejected() {
-        let mut adv = make(32, 3, 3, BuilderVersion::FusedSpmv);
-        let mut f = adv.init_distribution(gaussian);
-        let err = adv
-            .step_with_displacements(&Parallel, &mut f, &[0.01, f64::NAN, 0.01])
-            .unwrap_err();
-        assert_eq!(err, Error::NonFiniteInput { lane: 1, index: 0 });
-        // The standing feet must have been restored for later plain steps.
-        adv.step(&Parallel, &mut f).unwrap();
-    }
-
-    #[test]
     fn set_dt_changes_feet() {
         let mut adv = make(32, 1, 3, BuilderVersion::Fused);
         let mut f1 = adv.init_distribution(gaussian);
@@ -816,55 +728,6 @@ mod tests {
         assert_eq!(err, Error::NonFiniteInput { lane: 1, index: 0 });
     }
 
-    #[test]
-    fn resident_step_bit_identical_to_interleaved_host_step() {
-        // `step` and `step_resident` are one body on two kinds of field:
-        // this checks the host field's ends. 13 lanes exercises a
-        // remainder block.
-        let mut adv_h = make(64, 13, 3, BuilderVersion::FusedSpmv);
-        let mut adv_r = make(64, 13, 3, BuilderVersion::FusedSpmv);
-        let mut f = adv_h.init_distribution(gaussian);
-        // Resident slab is the (Nx, Nv) transpose of the (Nv, Nx) field.
-        let mut slab = ResidentBatch::pack_transposed(&f);
-        for _ in 0..5 {
-            adv_h.step(&Parallel, &mut f).unwrap();
-            adv_r.step_resident(&Parallel, &mut slab).unwrap();
-        }
-        let mirror = unpacked(&slab);
-        assert_eq!(mirror.shape(), f.shape());
-        for j in 0..13 {
-            for i in 0..64 {
-                assert_eq!(
-                    f.get(j, i).to_bits(),
-                    mirror.get(j, i).to_bits(),
-                    "lane {j}, x {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn resident_step_verified_backend_reports_diagnostics() {
-        let space = PeriodicSplineSpace::new(Breaks::uniform(48, 0.0, 1.0).unwrap(), 3).unwrap();
-        let mut adv = Advection1D::new(
-            SplineBackend::direct_verified(
-                space,
-                BuilderVersion::FusedSpmv,
-                pp_splinesolver::VerifyConfig::default(),
-            )
-            .unwrap(),
-            vec![0.3, -0.2, 0.7],
-            0.02,
-        )
-        .unwrap();
-        let f = adv.init_distribution(gaussian);
-        let mut slab = ResidentBatch::pack_transposed(&f);
-        adv.step_resident(&Parallel, &mut slab).unwrap();
-        let diag = adv.last_diagnostics().unwrap();
-        assert!(diag.all_clean(), "{diag}");
-        assert!((diag.max_foot_displacement - 0.014).abs() < 1e-12);
-    }
-
     /// The feet are computed where they are used, so there is nothing to go
     /// stale: the reported displacement must be the largest one this step
     /// was given, on both entry points, whoever supplied them.
@@ -897,8 +760,7 @@ mod tests {
         adv.step_with_displacements(&Serial, &mut f, &shifted)
             .unwrap();
         assert_eq!(max_of(&adv).to_bits(), fresh_max(&adv, &shifted).to_bits());
-        adv.step_resident_with_displacements(&Parallel, &mut slab, &shifted)
-            .unwrap();
+        adv.advance(&Parallel, &mut slab, &shifted).unwrap();
         assert_eq!(max_of(&adv).to_bits(), fresh_max(&adv, &shifted).to_bits());
         adv.step(&Serial, &mut f).unwrap();
         assert_eq!(max_of(&adv).to_bits(), fresh_max(&adv, &standing).to_bits());
@@ -970,32 +832,15 @@ mod tests {
     }
 
     /// The step's shape: one parallel region (two on the Krylov backend,
-    /// [`regions_per_step`]), whatever the builder version
-    /// (`Baseline`'s four regions are an ablation of the solve alone) and
-    /// with or without verification — solve, screen and interpolation ride
-    /// the same panel.
+    /// [`regions_per_step`]) on every kind of field — host rows with
+    /// standing or supplied displacements, a resident slab, a slab's tiles
+    /// — whatever the builder version (`Baseline`'s four regions are an
+    /// ablation of the solve alone) and with or without verification:
+    /// solve, screen and interpolation ride the same panel, and Algorithm
+    /// 2's two transposes are the gather at the top of a block's turn and
+    /// the lane walk's egress, not regions of their own.
     #[test]
-    fn resident_step_is_one_region() {
-        let space = PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
-        let velocities: Vec<f64> = (0..5 * LANE_WIDTH + 3).map(|j| 0.01 * j as f64).collect();
-        for (what, backend) in every_backend(&space) {
-            let regions = regions_per_step(&backend);
-            let mut adv = Advection1D::new(backend, velocities.clone(), 1e-2).unwrap();
-            let mut slab = ResidentBatch::pack_transposed(&adv.init_distribution(gaussian));
-            for _ in 0..2 {
-                let exec = CountingExec::default();
-                adv.step_resident(&exec, &mut slab).unwrap();
-                assert_eq!(exec.regions(), regions, "{what}");
-            }
-        }
-    }
-
-    /// The host step is the same one region: Algorithm 2's two transposes
-    /// are the gather at the top of a block's turn and the lane walk's
-    /// egress, not regions of their own — on every backend, with standing
-    /// or supplied displacements.
-    #[test]
-    fn host_step_is_one_region() {
+    fn every_step_is_one_region() {
         let space = PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
         let velocities: Vec<f64> = (0..5 * LANE_WIDTH + 3).map(|j| 0.01 * j as f64).collect();
         let shifted: Vec<f64> = velocities.iter().map(|v| 0.3 - v).collect();
@@ -1003,14 +848,20 @@ mod tests {
             let regions = regions_per_step(&backend);
             let mut adv = Advection1D::new(backend, velocities.clone(), 1e-2).unwrap();
             let mut f = adv.init_distribution(gaussian);
+            let mut slab = ResidentBatch::pack_transposed(&f);
+            let mut tiles = ResidentBatch::pack(&f);
             for _ in 0..2 {
-                let exec = CountingExec::default();
-                adv.step(&exec, &mut f).unwrap();
-                assert_eq!(exec.regions(), regions, "{what}");
-                let exec = CountingExec::default();
-                adv.step_with_displacements(&exec, &mut f, &shifted)
+                let exec: [CountingExec; 4] = Default::default();
+                adv.step(&exec[0], &mut f).unwrap();
+                adv.step_with_displacements(&exec[1], &mut f, &shifted)
                     .unwrap();
-                assert_eq!(exec.regions(), regions, "{what} displaced");
+                adv.step_resident(&exec[2], &mut slab).unwrap();
+                let mut tiled = TiledField::new(&mut tiles);
+                adv.with_standing(|me, d| me.advance(&exec[3], &mut tiled, d))
+                    .unwrap();
+                for (field, exec) in ["host", "displaced", "resident", "tiled"].iter().zip(&exec) {
+                    assert_eq!(exec.regions(), regions, "{what} {field}");
+                }
             }
         }
     }
@@ -1027,43 +878,10 @@ mod tests {
         ]
     }
 
-    /// One body, two kinds of field: `step` on the `(Nv, Nx)` row-major
-    /// field is `step_resident` on `pack_transposed` of it, bit for bit —
-    /// every backend and builder version, full, partial and lone blocks,
-    /// both mesh kinds and both boundaries, two steps in a row. Row-major is
-    /// the one layout `step` accepts: a lane-interleaved `Layout::Left`
-    /// field is refused.
-    #[test]
-    fn host_step_is_the_resident_step_bitwise() {
-        for space in table_spaces() {
-            let degree = format!("{} periodic {}", space.degree(), space.is_periodic());
-            for nv in [1, 7, 8, 5 * LANE_WIDTH + 3] {
-                let velocities: Vec<f64> = (0..nv).map(|j| 0.2 - 0.05 * j as f64).collect();
-                let backends = every_backend(&space).into_iter();
-                for ((what, host), (_, resident)) in backends.zip(every_backend(&space)) {
-                    let what = format!("{what} degree {degree} nv {nv}");
-                    let mut adv_h = Advection1D::new(host, velocities.clone(), 1e-2).unwrap();
-                    let mut adv_r = Advection1D::new(resident, velocities.clone(), 1e-2).unwrap();
-                    let mut f = adv_h.init_distribution(gaussian);
-                    let mut slab = ResidentBatch::pack_transposed(&f);
-                    for step in 0..2 {
-                        adv_h.step(&Parallel, &mut f).unwrap();
-                        adv_r.step_resident(&Parallel, &mut slab).unwrap();
-                        assert_bits(&unpacked(&slab), &f, &format!("{what} step {step}"));
-                    }
-                    let mut left = f.to_layout(Layout::Left);
-                    let refused = adv_h.step(&Parallel, &mut left).unwrap_err();
-                    assert!(matches!(refused, Error::ShapeMismatch { .. }), "{what}");
-                    assert_bits(&f, &left, &format!("{what} refused"));
-                }
-            }
-        }
-    }
-
     /// A step that fails has not touched the field: every error is raised
     /// before a region writes it — the shape and displacement checks on
-    /// every backend, the Krylov solve's verdict between its two regions,
-    /// on both kinds of field.
+    /// every backend and kind of field, the Krylov solve's verdict between
+    /// its two regions, on both a host and a resident field.
     #[test]
     fn rejected_host_step_leaves_the_field_untouched() {
         let space = PeriodicSplineSpace::new(Breaks::uniform(48, 0.0, 1.0).unwrap(), 3).unwrap();
@@ -1090,8 +908,24 @@ mod tests {
                 "{what}"
             );
             assert_bits(&untouched, &f, &what);
-            // The driver stays usable.
+            // A slab transposed by mistake, stepped resident and tiled.
+            let mut transposed = ResidentBatch::zeros(3, 48);
+            let rejected = adv.step_resident(&Parallel, &mut transposed);
+            assert!(
+                matches!(rejected, Err(Error::ShapeMismatch { .. })),
+                "{what}"
+            );
+            let mut transposed = ResidentBatch::zeros(48, 3);
+            let mut tiles = TiledField::new(&mut transposed);
+            let rejected = adv.with_standing(|me, d| me.advance(&Parallel, &mut tiles, d));
+            assert!(
+                matches!(rejected, Err(Error::ShapeMismatch { .. })),
+                "{what}"
+            );
+            // The driver stays usable, on either kind of field.
             adv.step(&Parallel, &mut f).unwrap();
+            adv.step_resident(&Parallel, &mut ResidentBatch::pack_transposed(&f))
+                .unwrap();
         }
         // A Krylov solve capped at one iteration does not converge.
         let mut capped = IterativeConfig::gpu();
@@ -1118,120 +952,6 @@ mod tests {
         }
     }
 
-    /// What a slab's padding lanes hold in the tiled tests: a NaN no value
-    /// of the step equals, so a padding lane read into a lane, or written
-    /// over, shows in the bits.
-    const SENTINEL: f64 = f64::from_bits(0x7ff8_dead_0000_0000);
-
-    /// The v-advection of the Strang step without its flips: stepping the
-    /// transpose of an `(nx, nv)` slab through its tiles is
-    /// `transpose_into` → `step_resident_with_displacements` →
-    /// `transpose_into`, the oracle, bit for bit — slab, padding and
-    /// diagnostics — under both execution spaces, on both corner axes
-    /// (`Fused`, `FusedSpmv`), plain and verified, two steps in a row. The shapes
-    /// hold square slabs, a partial last chunk (the slab's padding lanes
-    /// hold [`SENTINEL`], never read or written) and a partial last block
-    /// of its rows.
-    #[test]
-    fn tiled_step_is_the_flipped_step_bitwise() {
-        for (nx, nv) in [(8, 8), (13, 20), (20, 13), (64, 67), (67, 64)] {
-            for version in [BuilderVersion::Fused, BuilderVersion::FusedSpmv] {
-                for verified in [false, true] {
-                    check_tiled_step(&Serial, nx, nv, version, verified);
-                    check_tiled_step(&Parallel, nx, nv, version, verified);
-                }
-            }
-        }
-    }
-
-    /// [`tiled_step_is_the_flipped_step_bitwise`] for one case.
-    fn check_tiled_step<E: ExecSpace>(
-        exec: &E,
-        nx: usize,
-        nv: usize,
-        version: BuilderVersion,
-        verified: bool,
-    ) {
-        let what = format!("{} {nx}x{nv} {version:?} verified {verified}", exec.name());
-        let breaks = Breaks::uniform(nv, -5.0, 5.0).unwrap();
-        let space = PeriodicSplineSpace::new(breaks, 3).unwrap();
-        let backend = || match verified {
-            true => SplineBackend::direct_verified(space.clone(), version, VerifyConfig::default()),
-            false => SplineBackend::direct(space.clone(), version),
-        };
-        let mut tiled = Advection1D::new(backend().unwrap(), vec![0.0; nx], 0.05).unwrap();
-        let mut oracle = Advection1D::new(backend().unwrap(), vec![0.0; nx], 0.05).unwrap();
-        let disp: Vec<f64> = (0..nx).map(|i| 0.4 * (0.7 * i as f64).sin()).collect();
-        let mut got = ResidentBatch::zeros(nx, nv);
-        for c in 0..got.num_chunks() {
-            got.chunk_mut(c).fill(SENTINEL);
-        }
-        for i in 0..nx {
-            for j in 0..nv {
-                let v = -5.0 + 10.0 * j as f64 / nv as f64;
-                got.set(i, j, (-v * v / 4.0).exp() * (1.0 + 0.1 * i as f64));
-            }
-        }
-        let (mut want, mut f_vx) = (got.clone(), ResidentBatch::zeros(nv, nx));
-        let bits = |b: &ResidentBatch, c: usize| -> Vec<u64> {
-            b.chunk(c).iter().map(|v| v.to_bits()).collect()
-        };
-        for step in 0..2 {
-            tiled
-                .step_transposed_with_displacements(exec, &mut got, &disp)
-                .unwrap();
-            want.transpose_into(&mut f_vx).unwrap();
-            oracle
-                .step_resident_with_displacements(exec, &mut f_vx, &disp)
-                .unwrap();
-            f_vx.transpose_into(&mut want).unwrap();
-            for c in 0..got.num_chunks() {
-                assert_eq!(
-                    bits(&got, c),
-                    bits(&want, c),
-                    "{what} step {step}: chunk {c}"
-                );
-            }
-            let diagnostics = (tiled.last_diagnostics(), oracle.last_diagnostics());
-            assert_eq!(diagnostics.0, diagnostics.1, "{what} step {step}");
-        }
-        assert!((0..nv).all(|j| got.get(nx - 1, j).is_finite()), "{what}");
-    }
-
-    /// The tiled step makes the regions every other step makes
-    /// ([`regions_per_step`]) on every backend, and refuses a slab whose
-    /// transpose is not its shape.
-    #[test]
-    fn tiled_step_is_one_region_and_checks_its_shape() {
-        let space = PeriodicSplineSpace::new(Breaks::uniform(16, 0.0, 1.0).unwrap(), 3).unwrap();
-        for (what, backend) in every_backend(&space) {
-            let regions = regions_per_step(&backend);
-            let mut adv = Advection1D::new(backend, vec![0.1; 37], 1e-2).unwrap();
-            let mut slab = ResidentBatch::zeros(37, 16);
-            let exec = CountingExec::default();
-            let disp = vec![0.01; 37];
-            adv.step_transposed_with_displacements(&exec, &mut slab, &disp)
-                .unwrap();
-            assert_eq!(exec.regions(), regions, "{what}");
-            let mut wrong = ResidentBatch::zeros(16, 37);
-            let refused = adv.step_transposed_with_displacements(&Serial, &mut wrong, &disp);
-            assert!(
-                matches!(refused, Err(Error::ShapeMismatch { .. })),
-                "{what}"
-            );
-        }
-    }
-
-    #[test]
-    fn resident_step_rejects_bad_shapes() {
-        let mut adv = make(32, 2, 3, BuilderVersion::FusedSpmv);
-        let mut bad = ResidentBatch::zeros(2, 32); // transposed by mistake
-        assert!(adv.step_resident(&Serial, &mut bad).is_err());
-        // The driver stays usable after a rejected slab.
-        let mut ok = ResidentBatch::zeros(32, 2);
-        adv.step_resident(&Serial, &mut ok).unwrap();
-    }
-
     /// The `(Nv, Nx)` host field `slab` holds: its transpose, unpacked.
     fn unpacked(slab: &ResidentBatch) -> Matrix {
         let mut f = Matrix::zeros(slab.ncols(), slab.nrows(), Layout::Right);
@@ -1253,99 +973,144 @@ mod tests {
         }
     }
 
-    /// The independent oracle: Algorithm 2 composed from public layer
-    /// calls on host matrices — transpose, scalar strided-lane solve,
-    /// `eval_batched`, transpose — none of which the step goes through.
-    /// `step` and `step_resident` must reproduce it bit for bit.
-    #[test]
-    fn step_matches_algorithm_2_composed_from_layer_calls() {
-        use pp_portable::transpose_into_with;
-        fn run<E: ExecSpace>(exec: &E, exec_name: &str) {
-            for space in table_spaces() {
-                let degree = format!("{} periodic {}", space.degree(), space.is_periodic());
-                for nv in [1usize, 7, 8, 9, 17] {
-                    let what = format!("{exec_name} degree {degree} nv {nv}");
-                    let (nx, dt) = (space.num_basis(), 1e-2);
-                    let velocities: Vec<f64> = (0..nv).map(|j| 0.2 - 0.05 * j as f64).collect();
-                    let direct =
-                        || SplineBackend::direct(space.clone(), BuilderVersion::FusedSpmv).unwrap();
-                    let mut adv = Advection1D::new(direct(), velocities.clone(), dt).unwrap();
-                    let mut adv_r = Advection1D::new(direct(), velocities.clone(), dt).unwrap();
-                    let mut adv_v = Advection1D::new(
-                        SplineBackend::direct_verified(
-                            space.clone(),
-                            BuilderVersion::FusedSpmv,
-                            VerifyConfig::default(),
-                        )
-                        .unwrap(),
-                        velocities.clone(),
-                        dt,
-                    )
-                    .unwrap();
-                    let iterative =
-                        || SplineBackend::iterative(space.clone(), IterativeConfig::gpu()).unwrap();
-                    let mut adv_i = Advection1D::new(iterative(), velocities.clone(), dt).unwrap();
-                    let mut adv_ir = Advection1D::new(iterative(), velocities.clone(), dt).unwrap();
+    /// What the tiled slab's padding lanes hold in the table test: a NaN no
+    /// value of the step equals, so a padding lane read into a lane, or
+    /// written over, shows in the bits.
+    const SENTINEL: f64 = f64::from_bits(0x7ff8_dead_0000_0000);
 
-                    // The oracle's own layers and scratch.
-                    let builder =
-                        SplineBuilder::new(space.clone(), BuilderVersion::FusedSpmv).unwrap();
-                    let krylov =
-                        IterativeSplineSolver::new(space.clone(), IterativeConfig::gpu()).unwrap();
-                    let evaluator = SplineEvaluator::new(space.clone());
-                    let feet = Matrix::from_fn(nx, nv, Layout::Left, |i, j| {
-                        adv.x_points()[i] - velocities[j] * dt
-                    });
-                    let mut eta = Matrix::zeros(nx, nv, Layout::Left);
-                    let mut interp = Matrix::zeros(nx, nv, Layout::Left);
-                    let mut prev: Option<Matrix> = None;
-
-                    let mut want = adv.init_distribution(gaussian);
-                    let mut want_i = want.clone();
-                    let (mut f, mut f_v, mut f_i) = (want.clone(), want.clone(), want.clone());
-                    let mut slab = ResidentBatch::pack_transposed(&want);
-                    let mut slab_i = slab.clone();
-                    for _ in 0..3 {
-                        transpose_into_with(exec, &want, &mut eta).unwrap();
-                        builder.solve_in_place(exec, &mut eta).unwrap();
-                        evaluator
-                            .eval_batched(exec, &eta, &feet, &mut interp)
-                            .unwrap();
-                        transpose_into_with(exec, &interp, &mut want).unwrap();
-
-                        // The iterative step as the host pipeline ran it:
-                        // same calls, Krylov solve warm-started from the
-                        // previous step's coefficients.
-                        transpose_into_with(exec, &want_i, &mut eta).unwrap();
-                        krylov.solve_in_place(&mut eta, prev.as_ref()).unwrap();
-                        evaluator
-                            .eval_batched(exec, &eta, &feet, &mut interp)
-                            .unwrap();
-                        transpose_into_with(exec, &interp, &mut want_i).unwrap();
-                        prev = Some(eta.clone());
-
-                        adv.step(exec, &mut f).unwrap();
-                        adv_r.step_resident(exec, &mut slab).unwrap();
-                        adv_v.step(exec, &mut f_v).unwrap();
-                        adv_i.step(exec, &mut f_i).unwrap();
-                        adv_ir.step_resident(exec, &mut slab_i).unwrap();
-                    }
-                    assert_bits(&want, &f, &format!("{what} step"));
-                    assert_bits(&want, &unpacked(&slab), &format!("{what} resident"));
-                    assert_bits(&want, &f_v, &format!("{what} verified"));
-                    assert!(adv_v.last_diagnostics().unwrap().all_clean(), "{what}");
-                    assert_bits(&want_i, &f_i, &format!("{what} iterative"));
-                    assert_bits(
-                        &want_i,
-                        &unpacked(&slab_i),
-                        &format!("{what} iterative resident"),
-                    );
-                    let diff = want.max_abs_diff(&want_i);
-                    assert!(diff < 1e-9, "{what}: direct vs iterative {diff}");
+    /// `batch` with [`SENTINEL`] in its padding lanes.
+    fn with_sentinel(mut batch: ResidentBatch) -> ResidentBatch {
+        let live = batch.ncols();
+        for c in 0..batch.num_chunks() {
+            for (k, v) in batch.chunk_mut(c).iter_mut().enumerate() {
+                if c * LANE_WIDTH + k % LANE_WIDTH >= live {
+                    *v = SENTINEL;
                 }
             }
         }
-        run(&Serial, "Serial");
-        run(&Parallel, "Parallel");
+        batch
+    }
+
+    /// Every value of `batch`, padding lanes included, as bits.
+    fn slab_bits(batch: &ResidentBatch) -> Vec<u64> {
+        let chunks = (0..batch.num_chunks()).flat_map(|c| batch.chunk(c));
+        chunks.map(|v| v.to_bits()).collect()
+    }
+
+    /// The independent oracle: Algorithm 2 composed from public layer
+    /// calls on host matrices — transpose, the version's `solve_in_place`
+    /// (the Krylov solver's, warm-started from the previous step's
+    /// coefficients, for `Iterative`), `eval_batched`, transpose — none of
+    /// which the step goes through. Every backend of [`every_backend`]
+    /// reproduces it bit for bit, three steps in a row, under both
+    /// execution spaces, on every kind of field: the `(Nv, Nx)` host matrix
+    /// (`step`), the resident slab of its transpose (`step_resident`) and
+    /// the slab of the matrix itself stepped across its lanes through its
+    /// tiles (`advance` on a [`TiledField`], the Vlasov v-advection's path).
+    /// The tiled slab holds [`SENTINEL`] in its padding lanes, which come
+    /// out untouched, and the three fields' verification reports are equal
+    /// and clean. The spaces are [`table_spaces`] (the clamped one leaves a
+    /// partial last chunk of the tiled slab); 1 lane is a lone partial
+    /// block, and 33 are four full blocks and a partial one, in runs of up
+    /// to four. The direct and
+    /// Krylov answers agree to 1e-9, and a `Layout::Left` host field is
+    /// refused untouched.
+    #[test]
+    fn step_matches_algorithm_2_composed_from_layer_calls() {
+        check_algorithm_2(&Serial);
+        check_algorithm_2(&Parallel);
+    }
+
+    /// [`step_matches_algorithm_2_composed_from_layer_calls`] on `exec`.
+    fn check_algorithm_2<E: ExecSpace>(exec: &E) {
+        use pp_portable::transpose_into_with;
+        for space in table_spaces() {
+            let (nx, dt) = (space.num_basis(), 1e-2);
+            let evaluator = SplineEvaluator::new(space.clone());
+            let points = space.interpolation_points();
+            for nv in [1usize, 33] {
+                let what = format!(
+                    "{} degree {} periodic {} nv {nv}",
+                    exec.name(),
+                    space.degree(),
+                    space.is_periodic()
+                );
+                let velocities: Vec<f64> = (0..nv).map(|j| 0.2 - 0.05 * j as f64).collect();
+                let feet =
+                    Matrix::from_fn(nx, nv, Layout::Left, |i, j| points[i] - velocities[j] * dt);
+                let f0 = Matrix::from_fn(nv, nx, Layout::Right, |j, i| {
+                    gaussian(points[i], velocities[j])
+                });
+                // Three steps of the oracle with the solve `solve`.
+                let layers = |solve: &mut dyn FnMut(&mut Matrix)| -> Vec<Matrix> {
+                    let mut f = f0.clone();
+                    let mut eta = Matrix::zeros(nx, nv, Layout::Left);
+                    let mut interp = Matrix::zeros(nx, nv, Layout::Left);
+                    (0..3)
+                        .map(|_| {
+                            transpose_into_with(exec, &f, &mut eta).unwrap();
+                            solve(&mut eta);
+                            evaluator
+                                .eval_batched(exec, &eta, &feet, &mut interp)
+                                .unwrap();
+                            transpose_into_with(exec, &interp, &mut f).unwrap();
+                            f.clone()
+                        })
+                        .collect()
+                };
+                // One oracle per backend, in `every_backend`'s order: each
+                // version twice (plain, verified), then the Krylov solver.
+                let mut oracles = Vec::new();
+                for version in BuilderVersion::ALL {
+                    let builder = SplineBuilder::new(space.clone(), version).unwrap();
+                    let want = layers(&mut |eta| builder.solve_in_place(exec, eta).unwrap());
+                    oracles.extend([want.clone(), want]);
+                }
+                let krylov = IterativeSplineSolver::new(space.clone(), IterativeConfig::gpu());
+                let krylov = krylov.unwrap();
+                let mut prev: Option<Matrix> = None;
+                oracles.push(layers(&mut |eta| {
+                    krylov.solve_in_place(eta, prev.as_ref()).unwrap();
+                    prev = Some(eta.clone());
+                }));
+                let direct = &oracles[0][2];
+                let diff = direct.max_abs_diff(&oracles[oracles.len() - 1][2]);
+                assert!(diff < 1e-9, "{what}: direct vs iterative {diff}");
+
+                let backends = every_backend(&space).into_iter();
+                let backends = backends
+                    .zip(every_backend(&space))
+                    .zip(every_backend(&space));
+                for ((((name, host), (_, resident)), (_, tiled)), want) in backends.zip(&oracles) {
+                    let what = format!("{what} {name}");
+                    let new = |backend| Advection1D::new(backend, velocities.clone(), dt).unwrap();
+                    let (mut adv_h, mut adv_r, mut adv_t) = (new(host), new(resident), new(tiled));
+                    let mut f = f0.clone();
+                    let mut slab = ResidentBatch::pack_transposed(&f0);
+                    let mut tiles = with_sentinel(ResidentBatch::pack(&f0));
+                    for (step, want) in want.iter().enumerate() {
+                        let what = format!("{what} step {step}");
+                        adv_h.step(exec, &mut f).unwrap();
+                        adv_r.step_resident(exec, &mut slab).unwrap();
+                        let mut tiled = TiledField::new(&mut tiles);
+                        adv_t
+                            .with_standing(|me, d| me.advance(exec, &mut tiled, d))
+                            .unwrap();
+                        assert_bits(want, &f, &what);
+                        assert_bits(want, &unpacked(&slab), &format!("{what} resident"));
+                        let want_tiles = with_sentinel(ResidentBatch::pack(want));
+                        assert_eq!(slab_bits(&tiles), slab_bits(&want_tiles), "{what} tiled");
+                        let report = adv_h.last_diagnostics();
+                        assert_eq!(report, adv_r.last_diagnostics(), "{what} resident");
+                        assert_eq!(report, adv_t.last_diagnostics(), "{what} tiled");
+                        assert!(report.is_none_or(|r| r.all_clean()), "{what}");
+                    }
+                    let mut left = f.to_layout(Layout::Left);
+                    let refused = adv_h.step(exec, &mut left).unwrap_err();
+                    assert!(matches!(refused, Error::ShapeMismatch { .. }), "{what}");
+                    assert_bits(&f, &left, &format!("{what} refused"));
+                }
+            }
+        }
     }
 }

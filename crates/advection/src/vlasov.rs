@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use crate::error::{Error, Result};
 use crate::semilagrangian::{Advection1D, AdvectionDiagnostics, SplineBackend};
 use pp_bsplines::{Breaks, PeriodicSplineSpace};
-use pp_portable::{ExecSpace, Layout, Matrix, ResidentBatch, Serial, LANE_WIDTH};
+use pp_portable::{ExecSpace, Layout, Matrix, ResidentBatch, Serial, TiledField, LANE_WIDTH};
 use pp_splinesolver::{BuilderVersion, CheckpointStore, Snapshot, VerifyConfig};
 
 /// Self-consistent 1D1V Vlasov–Poisson solver on a doubly periodic
@@ -436,7 +436,7 @@ impl VlasovPoisson1D1V {
             *d = -e * self.dt;
         }
         self.adv_v
-            .step_transposed_with_displacements(exec, &mut self.f_xv, &self.disp)?;
+            .advance(exec, &mut TiledField::new(&mut self.f_xv), &self.disp)?;
         Ok(())
     }
 
@@ -627,32 +627,6 @@ mod tests {
         assert!(dv.unwrap().all_clean());
     }
 
-    #[test]
-    fn resident_steps_match_interleaved_host_steps_bitwise() {
-        // `step` is `step_resident` + `sync_host`: this checks that
-        // wiring, on both corner axes.
-        let init = two_stream(1.4, 0.01, 0.5);
-        let lx = 2.0 * std::f64::consts::PI / 0.5;
-        for version in [BuilderVersion::Fused, BuilderVersion::FusedSpmv] {
-            let make = || {
-                VlasovPoisson1D1V::new_with_version(32, 24, lx, 5.0, 3, 0.05, version, &init)
-                    .unwrap()
-            };
-            let (mut host, mut res) = (make(), make());
-            for _ in 0..4 {
-                host.step(&Parallel).unwrap();
-                res.step_resident(&Parallel).unwrap();
-            }
-            // Field quantities are always current on the resident path.
-            for (a, b) in host.e_field().iter().zip(res.e_field()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-            res.sync_host();
-            assert_eq!(host.distribution().max_abs_diff(res.distribution()), 0.0);
-            assert_eq!(host.step_index(), res.step_index());
-        }
-    }
-
     /// A Strang step is four regions, plain or verified: its three
     /// advections — the v-advection on the slab's tiles — and the density.
     #[test]
@@ -674,7 +648,7 @@ mod tests {
     /// `f_xv` — a partial last block of 20 rows, in a slab whose 13 lanes
     /// leave a partial last chunk — poisons lane 17 of the v-advection. The
     /// slab must come out as the flip path leaves it (`transpose_into`,
-    /// `step_resident_with_displacements`, `transpose_into`), bit for bit,
+    /// the step on the transposed slab, `transpose_into`), bit for bit,
     /// with the same report, the row zero.
     #[test]
     fn verified_v_advection_quarantines_a_row_through_the_tiles() {
@@ -695,7 +669,7 @@ mod tests {
         let mut f_vx = ResidentBatch::zeros(13, 20);
         oracle.f_xv.transpose_into(&mut f_vx).unwrap();
         (oracle.adv_v)
-            .step_resident_with_displacements(&Parallel, &mut f_vx, &oracle.disp)
+            .advance(&Parallel, &mut f_vx, &oracle.disp)
             .unwrap();
         f_vx.transpose_into(&mut oracle.f_xv).unwrap();
         let (got, want) = (

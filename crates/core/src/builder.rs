@@ -884,6 +884,10 @@ mod tests {
         }
     }
 
+    /// Every version solves every Table I configuration, periodic and
+    /// clamped, to 1e-10 of the dense reference, and the three versions
+    /// agree with each other far below that: they perform the same
+    /// arithmetic up to the COO truncation of the corners.
     #[test]
     fn all_versions_match_dense_reference_all_configs() {
         for degree in [3, 4, 5] {
@@ -895,6 +899,7 @@ mod tests {
                     let a = assemble_interpolation_matrix(&sp);
                     let rhs = random_rhs(nb, 7, Layout::Left, 42);
                     let what = format!("deg {degree} uniform {uniform} n {nb}");
+                    let mut results = Vec::new();
                     for version in BuilderVersion::ALL {
                         let builder = SplineBuilder::new(sp.clone(), version).unwrap();
                         let mut x = rhs.clone();
@@ -906,58 +911,13 @@ mod tests {
                                 assert!((u - v).abs() < 1e-10, "{what} {version:?} lane {j}");
                             }
                         }
+                        results.push(x);
                     }
+                    assert!(results[0].max_abs_diff(&results[1]) < 1e-13, "{what}");
+                    assert!(results[1].max_abs_diff(&results[2]) < 1e-12, "{what}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn versions_agree_with_each_other_tightly() {
-        // The three versions perform the same arithmetic up to the COO
-        // truncation; results must agree far below solver tolerance.
-        let sp = space(64, 3, true);
-        let rhs = random_rhs(64, 50, Layout::Left, 7);
-        let mut results = Vec::new();
-        for version in BuilderVersion::ALL {
-            let builder = SplineBuilder::new(sp.clone(), version).unwrap();
-            let mut x = rhs.clone();
-            builder.solve_in_place(&Parallel, &mut x).unwrap();
-            results.push(x);
-        }
-        assert!(results[0].max_abs_diff(&results[1]) < 1e-13);
-        assert!(results[1].max_abs_diff(&results[2]) < 1e-12);
-        // The panels carry the scalar per-lane sequence: same operations
-        // per lane, same bits.
-        let fused_spmv = SplineBuilder::new(sp, BuilderVersion::FusedSpmv).unwrap();
-        assert_eq!(results[2].max_abs_diff(&oracle(&fused_spmv, &rhs)), 0.0);
-    }
-
-    #[test]
-    fn serial_and_parallel_agree_bitwise() {
-        let sp = space(32, 4, true);
-        let rhs = random_rhs(32, 33, Layout::Left, 3);
-        for version in BuilderVersion::ALL {
-            let builder = SplineBuilder::new(sp.clone(), version).unwrap();
-            let mut a = rhs.clone();
-            let mut b = rhs.clone();
-            builder.solve_in_place(&Serial, &mut a).unwrap();
-            builder.solve_in_place(&Parallel, &mut b).unwrap();
-            assert_eq!(a.max_abs_diff(&b), 0.0, "{version:?}");
-        }
-    }
-
-    #[test]
-    fn both_layouts_supported() {
-        let sp = space(20, 3, false);
-        let builder = SplineBuilder::new(sp, BuilderVersion::Fused).unwrap();
-        let rhs_l = random_rhs(20, 9, Layout::Left, 5);
-        let rhs_r = rhs_l.to_layout(Layout::Right);
-        let mut xl = rhs_l.clone();
-        let mut xr = rhs_r.clone();
-        builder.solve_in_place(&Parallel, &mut xl).unwrap();
-        builder.solve_in_place(&Parallel, &mut xr).unwrap();
-        assert!(xl.max_abs_diff(&xr) < 1e-14);
     }
 
     #[test]
@@ -1013,13 +973,5 @@ mod tests {
         for i in 0..16 {
             assert!((b.get(i, 0) - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn empty_batch_is_ok() {
-        let sp = space(16, 3, true);
-        let builder = SplineBuilder::new(sp, BuilderVersion::FusedSpmv).unwrap();
-        let mut b = Matrix::zeros(16, 0, Layout::Left);
-        builder.solve_in_place(&Parallel, &mut b).unwrap();
     }
 }

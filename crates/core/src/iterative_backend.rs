@@ -259,10 +259,8 @@ fn converged(logger: ConvergenceLogger) -> Result<ConvergenceLogger> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{BuilderVersion, SplineBuilder};
     use pp_bsplines::Breaks;
-    use pp_portable::TestRng;
-    use pp_portable::{Layout, Parallel};
+    use pp_portable::{Layout, TestRng};
 
     fn space(n: usize, degree: usize, uniform: bool) -> PeriodicSplineSpace {
         let breaks = if uniform {
@@ -271,31 +269,6 @@ mod tests {
             Breaks::graded(n, 0.0, 1.0, 0.6).unwrap()
         };
         PeriodicSplineSpace::new(breaks, degree).unwrap()
-    }
-
-    #[test]
-    fn iterative_matches_direct_builder() {
-        for degree in [3, 4, 5] {
-            for uniform in [true, false] {
-                let sp = space(32, degree, uniform);
-                let mut rng = TestRng::seed_from_u64(degree as u64);
-                let rhs = Matrix::from_fn(32, 6, Layout::Left, |_, _| rng.gen_range(-1.0..1.0));
-
-                let direct = SplineBuilder::new(sp.clone(), BuilderVersion::FusedSpmv).unwrap();
-                let mut x_direct = rhs.clone();
-                direct.solve_in_place(&Parallel, &mut x_direct).unwrap();
-
-                let iter = IterativeSplineSolver::new(sp, IterativeConfig::gpu()).unwrap();
-                let mut x_iter = rhs.clone();
-                let log = iter.solve_in_place(&mut x_iter, None).unwrap();
-                assert!(log.all_converged());
-                assert!(
-                    x_direct.max_abs_diff(&x_iter) < 1e-9,
-                    "deg {degree} uniform {uniform}: {}",
-                    x_direct.max_abs_diff(&x_iter)
-                );
-            }
-        }
     }
 
     #[test]

@@ -1485,6 +1485,12 @@ mod tests {
         host
     }
 
+    /// Non-finite right-hand sides are quarantined before they can poison
+    /// a panel, named by their first non-finite row, and zeroed; every
+    /// other lane is verified and bit-identical to the plain solve (no
+    /// cross-lane arithmetic in a panel, so the screen must not perturb
+    /// them) — in a lone partial panel, a full one, and full ones with a
+    /// partial tail.
     #[test]
     fn healthy_lanes_bit_identical_and_nan_lanes_quarantined() {
         let sp = space(32, 3, true);
@@ -1492,81 +1498,40 @@ mod tests {
         let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
             .unwrap()
             .verified(VerifyConfig::default());
-
-        let mut rhs = random_rhs(32, 9, 42);
-        rhs.set(5, 2, f64::NAN);
-        rhs.set(0, 7, f64::INFINITY);
-
-        let mut reference = rhs.clone();
-        plain.solve_in_place(&Parallel, &mut reference).unwrap();
-
-        let mut x = rhs.clone();
-        let report = verified.solve_in_place(&Parallel, &mut x).unwrap();
-
-        assert_eq!(report.quarantined_lanes(), vec![2, 7]);
-        assert_eq!(
-            *report.verdict(2),
-            LaneVerdict::Quarantined {
-                reason: QuarantineReason::NonFiniteInput { index: 5 }
+        // (batch, seed, poisoned (row, lane, value)s)
+        let nan_in_lane_1 = vec![(3, 1, f64::NAN)];
+        let rows = [
+            (9, 42, vec![(5, 2, f64::NAN), (0, 7, f64::INFINITY)]),
+            (5, 11, nan_in_lane_1.clone()),
+            (8, 11, nan_in_lane_1.clone()),
+            (13, 11, nan_in_lane_1),
+        ];
+        for (batch, seed, poison) in rows {
+            let mut rhs = random_rhs(32, batch, seed);
+            for &(i, lane, v) in &poison {
+                rhs.set(i, lane, v);
             }
-        );
-        assert_eq!(
-            *report.verdict(7),
-            LaneVerdict::Quarantined {
-                reason: QuarantineReason::NonFiniteInput { index: 0 }
-            }
-        );
-        for lane in [0, 1, 3, 4, 5, 6, 8] {
-            assert!(report.verdict(lane).is_healthy());
-            for i in 0..32 {
-                // Bit-identical to the unverified batched kernel.
-                assert_eq!(
-                    x.get(i, lane),
-                    reference.get(i, lane),
-                    "lane {lane} row {i}"
-                );
-            }
-        }
-        // Quarantined lanes are zeroed, not NaN.
-        for i in 0..32 {
-            assert_eq!(x.get(i, 2), 0.0);
-            assert_eq!(x.get(i, 7), 0.0);
-        }
-    }
-
-    #[test]
-    fn interleaved_version_is_residual_verified() {
-        // The lane-interleaved kernels must slot under the verification
-        // screen like every other version: healthy lanes match the plain
-        // interleaved solve bitwise, and non-finite lanes are quarantined
-        // before they can poison a packed chunk.
-        for &batch in &[5, 8, 13] {
-            let sp = space(32, 3, true);
-            let plain = SplineBuilder::new(sp.clone(), BuilderVersion::FusedSpmv).unwrap();
-            let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
-                .unwrap()
-                .verified(VerifyConfig::default());
-
-            let mut rhs = random_rhs(32, batch, 11);
-            rhs.set(3, 1, f64::NAN);
-
             let mut reference = rhs.clone();
             plain.solve_in_place(&Parallel, &mut reference).unwrap();
-
             let mut x = rhs.clone();
             let report = verified.solve_in_place(&Parallel, &mut x).unwrap();
 
-            assert_eq!(report.quarantined_lanes(), vec![1]);
-            for lane in (0..batch).filter(|&l| l != 1) {
-                assert!(report.verdict(lane).is_healthy(), "lane {lane}");
+            let poisoned: Vec<usize> = poison.iter().map(|p| p.1).collect();
+            assert_eq!(report.quarantined_lanes(), poisoned, "batch {batch}");
+            for &(index, lane, _) in &poison {
+                let reason = QuarantineReason::NonFiniteInput { index };
+                assert_eq!(*report.verdict(lane), LaneVerdict::Quarantined { reason });
+                // Quarantined lanes are zeroed, not NaN.
+                assert!((0..32).all(|i| x.get(i, lane) == 0.0), "batch {batch}");
+            }
+            for lane in (0..batch).filter(|l| !poisoned.contains(l)) {
+                assert!(
+                    report.verdict(lane).is_healthy(),
+                    "batch {batch} lane {lane}"
+                );
                 for i in 0..32 {
-                    // No cross-lane arithmetic in a packed chunk, so the
-                    // screen must not perturb healthy lanes at all.
-                    assert_eq!(
-                        x.get(i, lane),
-                        reference.get(i, lane),
-                        "batch {batch} lane {lane} row {i}"
-                    );
+                    let (got, want) = (x.get(i, lane), reference.get(i, lane));
+                    assert_eq!(got, want, "batch {batch} lane {lane} row {i}");
                 }
             }
         }
@@ -1655,6 +1620,10 @@ mod tests {
         }
     }
 
+    /// A clean batch of every Table I configuration, periodic and clamped,
+    /// is verified lane by lane with tiny residuals, with the ABFT screen
+    /// off and on; the screen never trips on it, and the verified
+    /// coefficients are the plain solve's, bit for bit.
     #[test]
     fn clean_batch_all_verified_with_tiny_residuals() {
         for degree in [3usize, 4, 5] {
@@ -1663,16 +1632,25 @@ mod tests {
                 let clamped = SplineSpace::clamped(periodic.breaks().clone(), degree).unwrap();
                 for sp in [periodic, clamped] {
                     let nb = sp.num_basis();
-                    let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
-                        .unwrap()
-                        .verified(VerifyConfig::default());
-                    let mut x = random_rhs(nb, 6, degree as u64);
-                    let report = verified.solve_in_place(&Parallel, &mut x).unwrap();
-                    assert!(
-                        report.all_verified(),
-                        "deg {degree} uniform {uniform} n {nb}: {report}"
-                    );
-                    assert!(report.worst_residual() < 1e-12);
+                    let builder = || SplineBuilder::new(sp.clone(), BuilderVersion::FusedSpmv);
+                    let plain = builder().unwrap();
+                    let rhs = random_rhs(nb, 6, degree as u64);
+                    let mut reference = rhs.clone();
+                    plain.solve_in_place(&Parallel, &mut reference).unwrap();
+                    for abft in [false, true] {
+                        let what = format!("deg {degree} uniform {uniform} n {nb} abft {abft}");
+                        let config = VerifyConfig {
+                            abft,
+                            ..VerifyConfig::default()
+                        };
+                        let verified = builder().unwrap().verified(config);
+                        let mut x = rhs.clone();
+                        let report = verified.solve_in_place(&Parallel, &mut x).unwrap();
+                        assert!(report.all_verified(), "{what}: {report}");
+                        assert!(report.worst_residual() < 1e-12, "{what}");
+                        assert!(report.sdc_corrected_lanes().is_empty(), "{what}");
+                        assert_eq!(x.max_abs_diff(&reference), 0.0, "{what}");
+                    }
                 }
             }
         }
@@ -1686,6 +1664,8 @@ mod tests {
             .verified(VerifyConfig::default());
         let mut bad = Matrix::zeros(17, 2, Layout::Left);
         assert!(verified.solve_in_place(&Parallel, &mut bad).is_err());
+        let mut bad = ResidentBatch::zeros(17, 2);
+        assert!(verified.solve_resident(&Parallel, &mut bad).is_err());
     }
 
     #[test]
@@ -1727,74 +1707,42 @@ mod tests {
         assert!(v.contains("non-finite solution"), "{v}");
     }
 
-    #[test]
-    fn abft_clean_batch_stays_bit_identical_and_never_trips() {
-        let sp = space(32, 3, true);
-        let plain = SplineBuilder::new(sp.clone(), BuilderVersion::FusedSpmv).unwrap();
-        let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
-            .unwrap()
-            .verified(VerifyConfig {
-                abft: true,
-                ..VerifyConfig::default()
-            });
-        let rhs = random_rhs(32, 8, 31);
-        let mut reference = rhs.clone();
-        plain.solve_in_place(&Parallel, &mut reference).unwrap();
-        let mut x = rhs.clone();
-        let report = verified.solve_in_place(&Parallel, &mut x).unwrap();
-        assert!(report.all_verified(), "{report}");
-        assert!(report.sdc_corrected_lanes().is_empty());
-        assert_eq!(x.max_abs_diff(&reference), 0.0);
-    }
-
+    /// A transient strike on a solved lane trips its checksum, and the
+    /// retry heals it: lane 2 mid-panel, and every live lane of a full and
+    /// a ragged panel. The retry re-runs the primary factors on the pristine
+    /// right-hand side, so the healed lanes (and every clean one) are
+    /// bit-identical to the ordinary solve.
     #[test]
     fn abft_transient_corruption_is_corrected_back_to_reference_bits() {
         let sp = space(32, 3, true);
-        let plain = SplineBuilder::new(sp.clone(), BuilderVersion::FusedSpmv).unwrap();
-        let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
-            .unwrap()
-            .verified(VerifyConfig {
+        let builder = || SplineBuilder::new(sp.clone(), BuilderVersion::FusedSpmv).unwrap();
+        let plain = builder();
+        for (batch, struck) in [(5, vec![2]), (11, (0..11).collect())] {
+            let verified = builder().verified(VerifyConfig {
                 abft: true,
-                sdc_probe_lanes: vec![2],
+                sdc_probe_lanes: struck.clone(),
                 ..VerifyConfig::default()
             });
-        let rhs = random_rhs(32, 5, 37);
-        let mut reference = rhs.clone();
-        plain.solve_in_place(&Parallel, &mut reference).unwrap();
-        let mut x = rhs.clone();
-        let report = verified.solve_in_place(&Parallel, &mut x).unwrap();
-        assert_eq!(report.sdc_corrected_lanes(), vec![2]);
-        match report.verdict(2) {
-            LaneVerdict::SdcCorrected {
-                discrepancy,
-                residual,
-            } => {
-                assert!(*discrepancy > DEFAULT_ABFT_TOL, "{discrepancy:.3e}");
-                assert!(*residual <= 1e-10, "{residual:.3e}");
+            let rhs = random_rhs(32, batch, 37);
+            let mut reference = rhs.clone();
+            plain.solve_in_place(&Parallel, &mut reference).unwrap();
+            let mut x = rhs.clone();
+            let report = verified.solve_in_place(&Parallel, &mut x).unwrap();
+            assert_eq!(report.sdc_corrected_lanes(), struck);
+            for &lane in &struck {
+                match report.verdict(lane) {
+                    LaneVerdict::SdcCorrected {
+                        discrepancy,
+                        residual,
+                    } => {
+                        assert!(*discrepancy > DEFAULT_ABFT_TOL, "{discrepancy:.3e}");
+                        assert!(*residual <= 1e-10, "{residual:.3e}");
+                    }
+                    other => panic!("lane {lane}: expected SdcCorrected, got {other}"),
+                }
             }
-            other => panic!("expected SdcCorrected, got {other}"),
+            assert_eq!(x.max_abs_diff(&reference), 0.0, "batch {batch}");
         }
-        // The retry re-runs the primary factors on the pristine RHS, so
-        // the healed lane (and every clean lane) is bit-identical to the
-        // ordinary solve.
-        assert_eq!(x.max_abs_diff(&reference), 0.0);
-    }
-
-    #[test]
-    fn abft_screens_every_lane() {
-        let sp = space(24, 3, true);
-        let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
-            .unwrap()
-            .verified(VerifyConfig {
-                abft: true,
-                sdc_probe_lanes: (0..11).collect(),
-                ..VerifyConfig::default()
-            });
-        // One full panel and a ragged one: every live lane of both is
-        // screened, caught and healed.
-        let mut x = random_rhs(24, 11, 41);
-        let report = verified.solve_in_place(&Parallel, &mut x).unwrap();
-        assert_eq!(report.sdc_corrected_lanes(), (0..11).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1965,76 +1913,6 @@ mod tests {
             "24 seeds must exercise off, transient and persistent with and \
              without the ladder: {seen:?}"
         );
-    }
-
-    #[test]
-    fn resident_verified_matches_host_path_bitwise() {
-        // Chained resident solves (pack once, N solves, unpack once) must
-        // reproduce the `Matrix` entry point (pack and unpack per call)
-        // bit-for-bit: verdicts, residuals, quarantine zeroing, and ABFT
-        // probe healing included.
-        let config = || VerifyConfig {
-            abft: true,
-            sdc_probe_lanes: vec![2],
-            ..VerifyConfig::default()
-        };
-        for &batch in &[5usize, 8, 13] {
-            let sp = space(32, 3, true);
-            let host = SplineBuilder::new(sp.clone(), BuilderVersion::FusedSpmv)
-                .unwrap()
-                .verified(config());
-            let resident = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
-                .unwrap()
-                .verified(config());
-
-            let mut rhs = random_rhs(32, batch, 61);
-            rhs.set(4, 1, f64::NAN);
-
-            let mut x = rhs.clone();
-            let mut rb = ResidentBatch::pack(&rhs);
-            for iter in 0..3 {
-                let host_report = host.solve_in_place(&Parallel, &mut x).unwrap();
-                let res_report = resident.solve_resident(&Parallel, &mut rb).unwrap();
-                assert_eq!(res_report, host_report, "batch {batch} iter {iter}");
-            }
-            let unpacked = unpacked(&rb);
-            for i in 0..32 {
-                for j in 0..batch {
-                    assert_eq!(
-                        x.get(i, j).to_bits(),
-                        unpacked.get(i, j).to_bits(),
-                        "batch {batch} ({i},{j})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn resident_quarantine_zeroes_the_lane() {
-        let sp = space(24, 3, true);
-        let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
-            .unwrap()
-            .verified(VerifyConfig::default());
-        let mut rhs = random_rhs(24, 5, 67);
-        rhs.set(2, 3, f64::NAN);
-        let mut rb = ResidentBatch::pack(&rhs);
-        let report = verified.solve_resident(&Parallel, &mut rb).unwrap();
-        assert_eq!(report.quarantined_lanes(), vec![3]);
-        let after = unpacked(&rb);
-        for i in 0..24 {
-            assert_eq!(after.get(i, 3), 0.0, "row {i} must read the zeroed lane");
-        }
-    }
-
-    #[test]
-    fn resident_shape_mismatch_rejected() {
-        let sp = space(16, 3, true);
-        let verified = SplineBuilder::new(sp, BuilderVersion::FusedSpmv)
-            .unwrap()
-            .verified(VerifyConfig::default());
-        let mut bad = ResidentBatch::zeros(17, 2);
-        assert!(verified.solve_resident(&Parallel, &mut bad).is_err());
     }
 
     /// The `f64` payload of a verdict, as bits.

@@ -10,6 +10,47 @@ cd "$(dirname "$0")/.."
 
 mkdir -p target
 
+# The chaos soak is deterministic (seeded), so unlike the timing gates
+# below this one is exact: chaos_soak exits non-zero on any invariant
+# violation or silent-wrong SDC round, and refuses a campaign of fewer
+# than 8 seeds.
+echo "==> chaos_soak --smoke (seeded fault campaign with SDC injection)"
+cargo run --release -q -p pp-bench --bin chaos_soak -- \
+    --smoke --out target/BENCH_chaos_smoke.json
+
+# The committed 64-seed campaign must itself be clean: no invariant
+# violation, no silent-wrong SDC round. (That its rounds strike at all —
+# a healed transient, a contained persistent strike — is tests/chaos.rs's.)
+echo "==> committed BENCH_chaos.json: zero violations, zero silent-wrong"
+grep -q '"violations": 0,' BENCH_chaos.json
+grep -q '"silent_wrong": 0}' BENCH_chaos.json
+
+# ... and must be what the campaign computes today: every round is a pure
+# function of its seed, so a fresh 64-seed campaign reproduces the committed
+# per-round checksums exactly. A difference means the Krylov arithmetic or
+# the scenario draws moved: regenerate the file
+# (`PP_NUM_THREADS=2 chaos_soak --seeds 64`) and say why in CHANGES.md.
+echo "==> chaos_soak --seeds 64: per-round checksums against BENCH_chaos.json"
+PP_NUM_THREADS=2 cargo run --release -q -p pp-bench --bin chaos_soak -- \
+    --seeds 64 --out target/BENCH_chaos_fresh.json
+checksums() { grep -o '"seed": [0-9]*,\|"checksum": "[^"]*"' "$1"; }
+if ! diff <(checksums BENCH_chaos.json) <(checksums target/BENCH_chaos_fresh.json); then
+    echo "FAIL: a fresh campaign's checksums differ from BENCH_chaos.json" >&2
+    exit 1
+fi
+
+# Every chaos document — committed and fresh smoke run — must carry the
+# current schema_version stamp: the loop names the file, before anyone
+# reads a number out of one.
+SCHEMA_VERSION=1
+echo "==> schema_version stamp check (expected $SCHEMA_VERSION)"
+for f in BENCH_chaos.json target/BENCH_chaos_smoke.json; do
+    if ! grep -q "\"schema_version\": $SCHEMA_VERSION" "$f"; then
+        echo "FAIL: $f is missing \"schema_version\": $SCHEMA_VERSION" >&2
+        exit 1
+    fi
+done
+
 # The advection step is one pool region, on a resident slab and on a host
 # field alike (DESIGN.md §14.3), and verification rides it (§7.1): with
 # residuals on every lane and the ABFT screen on, the step may cost at most
@@ -94,68 +135,32 @@ TILED_STEP_CEILING=1.25
 # loaded 2-vCPU AVX-512 host: 0.969 0.936 0.947 0.961 0.955 0.946 0.934
 # 0.962 0.982 0.913 0.929 0.965. Ceiling = worst reading + 10 %, rounded up.
 HOST_STEP_CEILING=1.09
+# The timing gates: each prints its reading, and every one runs even when
+# an earlier one fails; the script exits non-zero at the end if any failed.
+failed=()
+# gate NAME READING OP CEILING: record NAME unless `READING OP CEILING`.
+gate() {
+    echo "==> $1: ${2:-no reading} (ceiling $4)"
+    if [ -z "$2" ] || ! awk -v r="$2" -v c="$4" "BEGIN { exit !(r $3 c) }"; then
+        failed+=("$1")
+    fi
+}
 echo "==> fig2_glups 1024 1024: the resident step, plain and verified, the host step, the resident chain, the tiled step"
 resident=$(cargo run --release -q -p pp-bench --bin fig2_glups -- 1024 1024 |
     grep -E '^(host step:|resident step:|host/resident step ratio:|verification surcharge:|verified/plain resident step ratio:|resident transpose share:|tiled/resident step ratio( readings)?:)')
 echo "$resident"
-echo "$resident" | grep -q '^resident step: .* 1 dispatch per step$'
-echo "$resident" | grep -q '^host step: .* 1 dispatch per step$'
-ratio=$(echo "$resident" | awk '/^verified\/plain resident step ratio:/ { print $NF }')
-test -n "$ratio"
-echo "==> verified / plain resident step: $ratio (ceiling $VERIFIED_STEP_CEILING)"
-awk -v r="$ratio" -v c="$VERIFIED_STEP_CEILING" 'BEGIN { exit !(r <= c) }'
-share=$(echo "$resident" | awk '/^resident transpose share:/ { print $NF }')
-test -n "$share"
-echo "==> resident transpose share: $share (ceiling $TRANSPOSE_SHARE_CEILING)"
-awk -v s="$share" -v c="$TRANSPOSE_SHARE_CEILING" 'BEGIN { exit !(s < c) }'
-host_ratio=$(echo "$resident" | awk '/^host\/resident step ratio:/ { print $NF }')
-test -n "$host_ratio"
-echo "==> host / resident step: $host_ratio (ceiling $HOST_STEP_CEILING)"
-awk -v r="$host_ratio" -v c="$HOST_STEP_CEILING" 'BEGIN { exit !(r <= c) }'
-tiled=$(echo "$resident" | awk '/^tiled\/resident step ratio:/ { print $NF }')
-test -n "$tiled"
-echo "==> tiled / resident step, median of seven: $tiled (ceiling $TILED_STEP_CEILING)"
-awk -v r="$tiled" -v c="$TILED_STEP_CEILING" 'BEGIN { exit !(r <= c) }'
+for step in resident host; do
+    echo "$resident" | grep -q "^$step step: .* 1 dispatch per step\$" ||
+        failed+=("$step step: 1 dispatch per step")
+done
+reading() { echo "$resident" | awk -v line="$1" 'index($0, line) == 1 { print $NF }'; }
+gate "verified / plain resident step" "$(reading 'verified/plain resident step ratio:')" '<=' "$VERIFIED_STEP_CEILING"
+gate "resident transpose share" "$(reading 'resident transpose share:')" '<' "$TRANSPOSE_SHARE_CEILING"
+gate "host / resident step" "$(reading 'host/resident step ratio:')" '<=' "$HOST_STEP_CEILING"
+gate "tiled / resident step, median of seven" "$(reading 'tiled/resident step ratio:')" '<=' "$TILED_STEP_CEILING"
 
-# The chaos soak is deterministic (seeded), so unlike the timing gates
-# above this one is exact: chaos_soak exits non-zero on any invariant
-# violation or silent-wrong SDC round, and refuses a campaign of fewer
-# than 8 seeds.
-echo "==> chaos_soak --smoke (seeded fault campaign with SDC injection)"
-cargo run --release -q -p pp-bench --bin chaos_soak -- \
-    --smoke --out target/BENCH_chaos_smoke.json
-
-# The committed 64-seed campaign must itself be clean: no invariant
-# violation, no silent-wrong SDC round. (That its rounds strike at all —
-# a healed transient, a contained persistent strike — is tests/chaos.rs's.)
-echo "==> committed BENCH_chaos.json: zero violations, zero silent-wrong"
-grep -q '"violations": 0,' BENCH_chaos.json
-grep -q '"silent_wrong": 0}' BENCH_chaos.json
-
-# ... and must be what the campaign computes today: every round is a pure
-# function of its seed, so a fresh 64-seed campaign reproduces the committed
-# per-round checksums exactly. A difference means the Krylov arithmetic or
-# the scenario draws moved: regenerate the file
-# (`PP_NUM_THREADS=2 chaos_soak --seeds 64`) and say why in CHANGES.md.
-echo "==> chaos_soak --seeds 64: per-round checksums against BENCH_chaos.json"
-PP_NUM_THREADS=2 cargo run --release -q -p pp-bench --bin chaos_soak -- \
-    --seeds 64 --out target/BENCH_chaos_fresh.json
-checksums() { grep -o '"seed": [0-9]*,\|"checksum": "[^"]*"' "$1"; }
-if ! diff <(checksums BENCH_chaos.json) <(checksums target/BENCH_chaos_fresh.json); then
-    echo "FAIL: a fresh campaign's checksums differ from BENCH_chaos.json" >&2
+if [ "${#failed[@]}" -gt 0 ]; then
+    printf 'check_bench: failed: %s\n' "${failed[@]}" >&2
     exit 1
 fi
-
-# Every chaos document — committed and fresh smoke run — must carry the
-# current schema_version stamp: the loop names the file, before anyone
-# reads a number out of one.
-SCHEMA_VERSION=1
-echo "==> schema_version stamp check (expected $SCHEMA_VERSION)"
-for f in BENCH_chaos.json target/BENCH_chaos_smoke.json; do
-    if ! grep -q "\"schema_version\": $SCHEMA_VERSION" "$f"; then
-        echo "FAIL: $f is missing \"schema_version\": $SCHEMA_VERSION" >&2
-        exit 1
-    fi
-done
-
 echo "check_bench: all gates passed"

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The three censuses every simplicity gate quotes (ROADMAP aims 2 and 4):
+# The four censuses every simplicity gate quotes (ROADMAP aims 2, 3 and 4):
 #
 #   scripts/loc.sh [checkout]
 #
@@ -9,7 +9,8 @@
 #    then their sum;
 # 3. `pub fn` lines (`pub`, then optionally `const` / `unsafe`, then `fn`;
 #    `pub(crate)` and the like are not counted) in the same non-test part,
-#    per crate, then the pp-portable + pp-splinesolver sum.
+#    per crate, then the pp-portable + pp-splinesolver sum;
+# 4. test lines: census 1 minus census 2.
 #
 # `checkout` defaults to the one holding this script; give a parent clone
 # to read the other side of a gate.
@@ -47,3 +48,4 @@ for src in crates/*/src; do
     case $crate in portable | core) gated=$((gated + count)) ;; esac
 done
 echo "pub fn lines, pp-portable + pp-splinesolver: $gated"
+echo "test lines (all .rs minus library): $((all - library))"

@@ -1,19 +1,21 @@
 #!/usr/bin/env bash
-# Mutation check: does each contract of the repair path have a test that
-# bites? Every mutant below is a one-line edit that breaks one step of the
-# verified direct solve's screen → refine → pbtrs → gbtrs → getrs →
-# quarantine ladder. The script copies the checkout (sources only, no
-# `target/`, no `.git`) into a temporary directory, applies one mutant at a
-# time there with `perl -pi`, runs `cargo test --workspace -q` and restores
-# the file. A mutant is
+# Kill matrix: does each contract have a test that bites, and which tests
+# bite the same faults? Every mutant in scripts/mutants.list is a named
+# one-line `perl -pi` edit that breaks one step of one contract. The script
+# copies the checkout (sources only, no `target/`, no `.git`) into a
+# temporary directory, applies one mutant at a time there, runs
+# `cargo test --workspace --no-fail-fast -q` and restores the file. A
+# mutant is
 #
-#   killed       a test fails with it applied (what we want); the first
-#                failing test is printed beside it;
+#   killed       a test fails with it applied (what we want); every
+#                failing test is printed beside it, as
+#                `package[/target]::test`;
 #   survived     the suite still passes: no test pins that step;
 #   no build     the mutated workspace does not compile, which shows
 #                nothing: rewrite the mutant;
 #   not applied  its pattern no longer matches the source (the code moved:
-#                update the mutant).
+#                update the mutant; scripts/verify.sh catches this first);
+#   timed out    the suite ran past 20 minutes: not a kill.
 #
 #   scripts/mutants.sh [checkout]
 #
@@ -21,7 +23,7 @@
 # The unmutated suite runs first and must pass, so a kill means the mutant's
 # fault. Exits 0 only when every mutant is killed. Takes one clean debug
 # build of the workspace plus one incremental rebuild and suite run per
-# mutant: about two minutes on a 2-vCPU x86-64 host.
+# mutant: about 32 minutes for 31 mutants on a 2-vCPU x86-64 host.
 set -euo pipefail
 src=$(cd "${1:-$(dirname "$0")/..}" && pwd)
 work=$(mktemp -d "${TMPDIR:-/tmp}/mutants.XXXXXX")
@@ -32,7 +34,37 @@ tar -C "$src" --exclude=./.git --exclude=./target --exclude=./benchmark/target \
 export CARGO_TARGET_DIR="$work/target"
 
 suite() {
-    (cd "$work" && cargo test --workspace -q > "$work/suite.log" 2>&1)
+    (cd "$work" && timeout 1200 cargo test --workspace --no-fail-fast -q < /dev/null > "$work/suite.log" 2>&1)
+}
+
+# Every test the last suite run failed, comma-separated. A failing test
+# binary prints a `---- <test> stdout ----` header per failed test, then
+# cargo names the binary in `error: test failed, to rerun pass `-p <pkg>
+# [--lib | --test <name> | --doc]``; a binary that died without naming a
+# test is printed as `<pkg>[/target] (crashed)`.
+killers() {
+    awk '
+        /^---- .* stdout ----$/ {
+            name = $0
+            sub(/^---- /, "", name)
+            sub(/ stdout ----$/, "", name)
+            pending[++n] = name
+            next
+        }
+        /^error: test failed, to rerun pass `/ {
+            target = $0
+            sub(/.*to rerun pass `/, "", target)
+            sub(/`.*/, "", target)
+            split(target, w, " ")
+            label = w[2]
+            if (w[3] == "--doc") label = label "/doc"
+            else if (w[3] != "--lib") label = label "/" w[4]
+            if (n == 0) out[++m] = label " (crashed)"
+            for (i = 1; i <= n; i++) out[++m] = label "::" pending[i]
+            n = 0
+        }
+        END { for (i = 1; i <= m; i++) printf "%s%s", (i > 1 ? ", " : ""), out[i] }
+    ' "$work/suite.log"
 }
 
 echo "==> unmutated suite"
@@ -42,37 +74,32 @@ if ! suite; then
     exit 2
 fi
 
-verified=crates/core/src/verified.rs
-# name | file | perl substitution (applied to every line of the file)
-mutants=(
-    "refinement skipped|$verified|s/^(\s*)if !probed \{/\$1if false && !probed {/"
-    "RESIDUAL_TOL 1e-4|$verified|s/^const RESIDUAL_TOL: f64 = 1e-10;/const RESIDUAL_TOL: f64 = 1e-4;/"
-    "pbtrs dropped from ladder()|$verified|s/^\s*rungs\.push\(FallbackRung::Pbtrs\);\s*\$//"
-    "getrs dropped from ladder()|$verified|s/^\s*rungs\.push\(FallbackRung::Getrs\);\s*\$//"
-    "ABFT retry not written back|$verified|s/^(\s*)\*x = \*y;/\$1let _ = (x, y);/"
-    "quarantined lane not zeroed|$verified|s/^\s*land\(b, lane, &zeros\(\)\);\s*\$//"
-)
-
+total=0
 killed=0
-for mutant in "${mutants[@]}"; do
-    IFS='|' read -r name file expr <<< "$mutant"
+while IFS='|' read -r name file expr; do
+    case $name in '' | '#'*) continue ;; esac
+    total=$((total + 1))
     cp "$work/$file" "$work/mutant.orig"
     perl -pi -e "$expr" "$work/$file"
     if cmp -s "$work/$file" "$work/mutant.orig"; then
         echo "not applied  $name"
         continue
     fi
-    if suite; then
+    status=0
+    suite || status=$?
+    if [ "$status" -eq 0 ]; then
         echo "survived     $name"
+    elif [ "$status" -eq 124 ]; then
+        echo "timed out    $name"
     elif grep -q '^error: could not compile' "$work/suite.log"; then
         echo "no build     $name"
     else
-        failed=$(grep -m1 -oE '^[^ ]+ --- FAILED' "$work/suite.log" || true)
-        echo "killed       $name (${failed% --- FAILED})"
+        tests=$(killers)
+        echo "killed       $name ($(echo "$tests" | awk -F', ' '{ print NF }')): $tests"
         killed=$((killed + 1))
     fi
     cp "$work/mutant.orig" "$work/$file"
-done
+done < "$work/scripts/mutants.list"
 
-echo "mutants: ${#mutants[@]}, killed $killed"
-test "$killed" -eq "${#mutants[@]}"
+echo "mutants: $total, killed $killed"
+test "$killed" -eq "$total"

@@ -19,6 +19,22 @@ for script in scripts/ab.sh scripts/loc.sh scripts/check_bench.sh scripts/captur
     fi
 done
 
+# Every mutant of the kill matrix must still change its file, so a moved
+# line fails here, not in the nightly run. No build: perl on a copy, cmp.
+echo "==> scripts/mutants.list: every mutant still changes its file"
+mutant_copy=$(mktemp)
+while IFS='|' read -r name file expr; do
+    case $name in '' | '#'*) continue ;; esac
+    cp "$file" "$mutant_copy"
+    perl -pi -e "$expr" "$mutant_copy"
+    if cmp -s "$file" "$mutant_copy"; then
+        rm -f "$mutant_copy"
+        echo "mutant not applied (its line moved): $name" >&2
+        exit 1
+    fi
+done < scripts/mutants.list
+rm -f "$mutant_copy"
+
 echo "==> cargo build --release"
 cargo build --release
 

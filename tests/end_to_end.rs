@@ -9,7 +9,8 @@ const TAU: f64 = std::f64::consts::TAU;
 /// All six spline configurations (paper's sweep) × all three builder
 /// versions × both backends produce coefficients that actually
 /// interpolate: evaluation at the interpolation points returns the input
-/// data.
+/// data. Every Krylov lane converges, to within 1e-9 of the direct
+/// builder's coefficients.
 #[test]
 fn every_configuration_interpolates() {
     for degree in [3usize, 4, 5] {
@@ -25,6 +26,7 @@ fn every_configuration_interpolates() {
                 (TAU * pts[i] / 2.0 + j as f64).sin()
             });
 
+            let mut direct = data.clone();
             for version in [
                 BuilderVersion::Baseline,
                 BuilderVersion::Fused,
@@ -33,6 +35,7 @@ fn every_configuration_interpolates() {
                 let builder = SplineBuilder::new(space.clone(), version).unwrap();
                 let mut coefs = data.clone();
                 builder.solve_in_place(&Parallel, &mut coefs).unwrap();
+                direct = coefs.clone();
                 for j in 0..5 {
                     let c = coefs.col(j).to_vec();
                     for (k, &x) in pts.iter().enumerate() {
@@ -46,7 +49,10 @@ fn every_configuration_interpolates() {
 
             let iter = IterativeSplineSolver::new(space.clone(), IterativeConfig::gpu()).unwrap();
             let mut coefs = data.clone();
-            iter.solve_in_place(&mut coefs, None).unwrap();
+            let log = iter.solve_in_place(&mut coefs, None).unwrap();
+            assert!(log.all_converged(), "deg {degree} uniform {uniform}");
+            let diff = coefs.max_abs_diff(&direct);
+            assert!(diff < 1e-9, "deg {degree} uniform {uniform}: {diff}");
             for j in 0..5 {
                 let c = coefs.col(j).to_vec();
                 for (k, &x) in pts.iter().enumerate() {
@@ -113,6 +119,8 @@ fn backends_agree_through_time_series() {
         0.01,
     )
     .unwrap();
+    assert_eq!(adv_d.backend_label(), "kokkos-kernels");
+    assert_eq!(adv_i.backend_label(), "ginkgo");
     let mut fd = adv_d.init_distribution(f0);
     let mut fi = fd.clone();
     for _ in 0..20 {

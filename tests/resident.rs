@@ -229,35 +229,42 @@ fn builder_resident_chain_matches_interleaved_pack_per_solve() {
     }
 }
 
-/// Verified pipeline: the resident entry point must produce the same
-/// verdicts and the same bits as the host entry point, including with a
-/// quarantined lane in the batch — and, for every version, an ABFT retry
-/// must hand back the bits the batched kernel gives that lane.
+/// Verified pipeline: the resident entry point, chained, must produce the
+/// same verdicts and the same bits as the host entry point, including with
+/// a quarantined lane in the batch, zeroed where it lies, and with the ABFT
+/// screen healing a transient strike on another — and, for every version,
+/// an ABFT retry must hand back the bits the batched kernel gives that lane.
 #[test]
 fn verified_resident_chain_matches_host_verified_path() {
     let mut rng = TestRng::seed_from_u64(0xe6);
     let space = PeriodicSplineSpace::new(Breaks::uniform(32, 0.0, 1.0).unwrap(), 3).unwrap();
-    let verified = SplineBuilder::new(space, BuilderVersion::FusedSpmv)
-        .unwrap()
-        .verified(VerifyConfig::default());
-    for batch in [3usize, LANE_WIDTH + 3] {
+    let rows = [
+        (3, false),
+        (LANE_WIDTH + 3, false),
+        (5, true),
+        (8, true),
+        (13, true),
+    ];
+    for (batch, abft) in rows {
+        let verified = SplineBuilder::new(space.clone(), BuilderVersion::FusedSpmv)
+            .unwrap()
+            .verified(VerifyConfig {
+                abft,
+                sdc_probe_lanes: if abft { vec![2] } else { vec![] },
+                ..VerifyConfig::default()
+            });
+        let what = format!("verified batch={batch} abft={abft}");
         let mut rhs = random_rhs(32, batch, Layout::Left, &mut rng);
         rhs.set(7, 1, f64::NAN); // poison one lane
         let mut host = rhs.clone();
         let mut resident = ResidentBatch::pack(&rhs);
-        for _ in 0..2 {
+        for _ in 0..3 {
             let hr = verified.solve_in_place(&Parallel, &mut host).unwrap();
             let rr = verified.solve_resident(&Parallel, &mut resident).unwrap();
-            assert_eq!(hr.verdicts().len(), rr.verdicts().len(), "batch={batch}");
-            for (lane, (h, r)) in hr.verdicts().iter().zip(rr.verdicts().iter()).enumerate() {
-                assert_eq!(h, r, "batch={batch} lane={lane}");
-            }
+            assert_eq!(hr, rr, "{what}");
         }
-        assert_bits(
-            &host,
-            &unpacked(&resident),
-            &format!("verified batch={batch}"),
-        );
+        assert_bits(&host, &unpacked(&resident), &what);
+        assert!((0..32).all(|i| resident.get(i, 1) == 0.0), "{what}");
     }
 
     for space in configurations() {
