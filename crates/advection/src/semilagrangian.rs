@@ -325,7 +325,14 @@ impl Advection1D {
     /// converge. Every one of them is raised before a region writes `f`, so
     /// a failed step leaves `f` as it was.
     pub fn step<E: ExecSpace>(&mut self, exec: &E, f: &mut Matrix) -> Result<StepTimings> {
-        self.with_standing(|me, standing| me.step_with_displacements(exec, f, standing))
+        if f.layout() == Layout::Left {
+            let detail = format!(
+                "f {:?} is stored Layout::Left, lanes must be rows",
+                f.shape()
+            );
+            return Err(Error::ShapeMismatch { detail });
+        }
+        self.with_standing(|me, standing| me.advance(exec, &mut HostField::new(f), standing))
     }
 
     /// Advance a lane-contiguous resident slab `f` (shape `(Nx, Nv)`:
@@ -357,28 +364,6 @@ impl Advection1D {
         stepped
     }
 
-    /// [`Advection1D::step`] with *per-lane displacements*: lane `j`'s feet
-    /// are `x_i − displacements[j]`.
-    ///
-    /// # Errors
-    /// As [`Advection1D::step`], and [`Error::ShapeMismatch`] for a
-    /// displacement vector of the wrong length.
-    pub(crate) fn step_with_displacements<E: ExecSpace>(
-        &mut self,
-        exec: &E,
-        f: &mut Matrix,
-        displacements: &[f64],
-    ) -> Result<StepTimings> {
-        if f.layout() == Layout::Left {
-            let detail = format!(
-                "f {:?} is stored Layout::Left, lanes must be rows",
-                f.shape()
-            );
-            return Err(Error::ShapeMismatch { detail });
-        }
-        self.advance(exec, &mut HostField::new(f), displacements)
-    }
-
     /// **The** step, on any kind of field — every entry point is a shell
     /// over it — with *per-lane displacements*: lane `j`'s feet are
     /// `x_i − displacements[j]`. On a [`pp_portable::TiledField`] of a
@@ -392,7 +377,8 @@ impl Advection1D {
     /// lanes are never read or written.
     ///
     /// # Errors
-    /// As [`Advection1D::step_with_displacements`].
+    /// As [`Advection1D::step`], and [`Error::ShapeMismatch`] for a
+    /// displacement vector of the wrong length.
     pub(crate) fn advance<E: ExecSpace, B: Field>(
         &mut self,
         exec: &E,
@@ -757,7 +743,7 @@ mod tests {
         }
         // Displaced steps see their own feet, and the standing ones return.
         let shifted = [0.05, -0.11, 0.002];
-        adv.step_with_displacements(&Serial, &mut f, &shifted)
+        adv.advance(&Serial, &mut HostField::new(&mut f), &shifted)
             .unwrap();
         assert_eq!(max_of(&adv).to_bits(), fresh_max(&adv, &shifted).to_bits());
         adv.advance(&Parallel, &mut slab, &shifted).unwrap();
@@ -853,7 +839,7 @@ mod tests {
             for _ in 0..2 {
                 let exec: [CountingExec; 4] = Default::default();
                 adv.step(&exec[0], &mut f).unwrap();
-                adv.step_with_displacements(&exec[1], &mut f, &shifted)
+                adv.advance(&exec[1], &mut HostField::new(&mut f), &shifted)
                     .unwrap();
                 adv.step_resident(&exec[2], &mut slab).unwrap();
                 let mut tiled = TiledField::new(&mut tiles);
@@ -897,12 +883,12 @@ mod tests {
             assert!(wrong.as_slice().iter().all(|v| *v == 1.5), "{what}");
             for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
                 let rejected = adv
-                    .step_with_displacements(&Parallel, &mut f, &[0.01, bad, 0.01])
+                    .advance(&Parallel, &mut HostField::new(&mut f), &[0.01, bad, 0.01])
                     .unwrap_err();
                 assert_eq!(rejected, Error::NonFiniteInput { lane: 1, index: 0 });
                 assert_bits(&untouched, &f, &format!("{what} displacement {bad}"));
             }
-            let rejected = adv.step_with_displacements(&Parallel, &mut f, &[0.01; 2]);
+            let rejected = adv.advance(&Parallel, &mut HostField::new(&mut f), &[0.01; 2]);
             assert!(
                 matches!(rejected, Err(Error::ShapeMismatch { .. })),
                 "{what}"
@@ -1011,8 +997,9 @@ mod tests {
     /// out untouched, and the three fields' verification reports are equal
     /// and clean. The spaces are [`table_spaces`] (the clamped one leaves a
     /// partial last chunk of the tiled slab); 1 lane is a lone partial
-    /// block, and 33 are four full blocks and a partial one, in runs of up
-    /// to four. The direct and
+    /// block, and 43 are five full blocks and a partial one, which every
+    /// run length (`Serial`'s four, a pool's three or two) leaves in a run
+    /// with full blocks. The direct and
     /// Krylov answers agree to 1e-9, and a `Layout::Left` host field is
     /// refused untouched.
     #[test]
@@ -1028,7 +1015,7 @@ mod tests {
             let (nx, dt) = (space.num_basis(), 1e-2);
             let evaluator = SplineEvaluator::new(space.clone());
             let points = space.interpolation_points();
-            for nv in [1usize, 33] {
+            for nv in [1usize, 43] {
                 let what = format!(
                     "{} degree {} periodic {} nv {nv}",
                     exec.name(),

@@ -25,6 +25,8 @@
 # build of the workspace plus one incremental rebuild and suite run per
 # mutant: about 32 minutes for 31 mutants on a 2-vCPU x86-64 host.
 set -euo pipefail
+# shellcheck source=scripts/mutants_lib.sh
+source "$(dirname "$0")/mutants_lib.sh"
 src=$(cd "${1:-$(dirname "$0")/..}" && pwd)
 work=$(mktemp -d "${TMPDIR:-/tmp}/mutants.XXXXXX")
 trap 'rm -rf "$work"' EXIT
@@ -74,18 +76,16 @@ if ! suite; then
     exit 2
 fi
 
-total=0
-killed=0
-while IFS='|' read -r name file expr; do
-    case $name in '' | '#'*) continue ;; esac
+# One mutant of the list: apply it in the copy, run the suite, restore.
+run_mutant() {
+    local name=$1 file=$2 expr=$3 status=0 tests
     total=$((total + 1))
-    cp "$work/$file" "$work/mutant.orig"
-    perl -pi -e "$expr" "$work/$file"
-    if cmp -s "$work/$file" "$work/mutant.orig"; then
+    if ! mutate "$work/$file" "$expr" "$work/mutant"; then
         echo "not applied  $name"
-        continue
+        return 0
     fi
-    status=0
+    cp "$work/$file" "$work/mutant.orig"
+    cp "$work/mutant" "$work/$file"
     suite || status=$?
     if [ "$status" -eq 0 ]; then
         echo "survived     $name"
@@ -99,7 +99,11 @@ while IFS='|' read -r name file expr; do
         killed=$((killed + 1))
     fi
     cp "$work/mutant.orig" "$work/$file"
-done < "$work/scripts/mutants.list"
+}
+
+total=0
+killed=0
+for_each_mutant "$work/scripts/mutants.list" run_mutant
 
 echo "mutants: $total, killed $killed"
 test "$killed" -eq "$total"

@@ -11,8 +11,8 @@ cargo fmt --all --check
 # quiet host), nor the line census, the timing gates, the paper-scale
 # capture or the mutation check (a suite run per mutant; nightly CI runs
 # it); each must at least parse, and lint clean where the linter is.
-echo "==> scripts/{ab,loc,check_bench,capture_results,mutants}.sh: bash -n, shellcheck if installed"
-for script in scripts/ab.sh scripts/loc.sh scripts/check_bench.sh scripts/capture_results.sh scripts/mutants.sh; do
+echo "==> scripts/{ab,loc,check_bench,capture_results,mutants,mutants_lib}.sh: bash -n, shellcheck if installed"
+for script in scripts/ab.sh scripts/loc.sh scripts/check_bench.sh scripts/capture_results.sh scripts/mutants.sh scripts/mutants_lib.sh; do
     bash -n "$script"
     if command -v shellcheck > /dev/null; then
         shellcheck "$script"
@@ -20,19 +20,19 @@ for script in scripts/ab.sh scripts/loc.sh scripts/check_bench.sh scripts/captur
 done
 
 # Every mutant of the kill matrix must still change its file, so a moved
-# line fails here, not in the nightly run. No build: perl on a copy, cmp.
+# line fails here, not in the nightly run. No build: perl into a copy, cmp.
 echo "==> scripts/mutants.list: every mutant still changes its file"
+# shellcheck source=scripts/mutants_lib.sh
+source scripts/mutants_lib.sh
 mutant_copy=$(mktemp)
-while IFS='|' read -r name file expr; do
-    case $name in '' | '#'*) continue ;; esac
-    cp "$file" "$mutant_copy"
-    perl -pi -e "$expr" "$mutant_copy"
-    if cmp -s "$file" "$mutant_copy"; then
+still_applies() {
+    if ! mutate "$2" "$3" "$mutant_copy"; then
         rm -f "$mutant_copy"
-        echo "mutant not applied (its line moved): $name" >&2
+        echo "mutant not applied (its line moved): $1" >&2
         exit 1
     fi
-done < scripts/mutants.list
+}
+for_each_mutant scripts/mutants.list still_applies
 rm -f "$mutant_copy"
 
 echo "==> cargo build --release"
