@@ -997,9 +997,9 @@ mod tests {
     /// out untouched, and the three fields' verification reports are equal
     /// and clean. The spaces are [`table_spaces`] (the clamped one leaves a
     /// partial last chunk of the tiled slab); 1 lane is a lone partial
-    /// block, and 43 are five full blocks and a partial one, which every
-    /// run length (`Serial`'s four, a pool's three or two) leaves in a run
-    /// with full blocks. The direct and
+    /// block, and 43 are five full blocks and a partial one, which the runs
+    /// of `Serial` (4 + 2) and of a 2- or 4-thread pool (3 + 3, 2 + 2 + 2)
+    /// put in a run with full blocks. The direct and
     /// Krylov answers agree to 1e-9, and a `Layout::Left` host field is
     /// refused untouched.
     #[test]
