@@ -368,8 +368,9 @@ impl SplineSpace {
     ///
     /// Eight consecutive positions that sit in eight consecutive cells — a
     /// displaced sweep, the feet of a semi-Lagrangian lane — are evaluated
-    /// together (DESIGN.md §16.8); any other eight one by one, to the same
-    /// bits.
+    /// together, as are, on a non-uniform mesh, eight whose offset from
+    /// their cells steps once (DESIGN.md §16.8); any other eight one by one,
+    /// to the same bits.
     ///
     /// # Panics
     /// Panics if `coefs.len() != num_basis()` or
@@ -489,16 +490,22 @@ impl SplineSpace {
     /// apart). Returns how many runs took the vector path.
     ///
     /// A *run* is eight consecutive positions. With `c0` the first one's
-    /// cell, it is evaluated eight-wide exactly when `c0 + 8 <= n` and
-    /// `t[c0 + j] <= x_j < t[c0 + j + 1]` for every `j` — two contiguous
-    /// loads and two compares. That is [`Self::cell_search`]'s predicate
-    /// (and puts every point inside `[x_min, x_max)`, where [`Self::wrap`]
-    /// is the identity), so point `j`'s cell is the `c0 + j` the scalar body would
-    /// find, whatever produced `c0`; [`Self::basis_in`] then performs the
-    /// scalar instance's operations in the scalar instance's order on each
-    /// of the eight, and the dot product runs over `m` as the scalar one
-    /// does. Any other run — not a sweep, on the domain's edge, holding a
-    /// NaN — and the tail go through [`Self::eval_points`].
+    /// cell, it is evaluated eight-wide in one pass exactly when
+    /// `c0 + 8 <= n` and `t[c0 + j] <= x_j < t[c0 + j + 1]` for every `j` —
+    /// two contiguous loads and two compares. That is [`Self::cell_search`]'s
+    /// predicate (and puts every point inside `[x_min, x_max)`, where
+    /// [`Self::wrap`] is the identity), so point `j`'s cell is the `c0 + j`
+    /// the scalar body would find, whatever produced `c0`; [`Self::basis_in`]
+    /// then performs the scalar instance's operations in the scalar
+    /// instance's order on each of the eight, and the dot product runs over
+    /// `m` as the scalar one does ([`Self::run_at`]). On a non-uniform mesh a
+    /// run whose feet's offset from their cells steps once goes eight-wide
+    /// too: with `c1` the last point's cell less seven (`c1 + 8 <= n`), when
+    /// every point `j` lies in `c0 + j` or `c1 + j` ([`Self::split_run`]),
+    /// the run is evaluated at `c0` and at `c1` and each point keeps the pass
+    /// made at its own cell — the same operations again. Any other run — a
+    /// third offset, on the domain's edge, holding a NaN — and the tail go
+    /// through [`Self::eval_points`].
     #[inline(always)]
     fn walk<'o, const D: usize, const UNIFORM: bool>(
         &self,
@@ -530,16 +537,27 @@ impl SplineSpace {
                 }
             }
             if !sweep {
-                cell = self.eval_points::<D, UNIFORM>(coefs, &x, out, cell);
+                // On a non-uniform mesh a run may straddle a step of its
+                // feet's offset from their cells: each in `c0 + j` or `c1 + j`.
+                let split = if UNIFORM || c0 + W > n {
+                    None
+                } else {
+                    self.split_run(t, c0, x)
+                };
+                let Some((c1, at_c0)) = split else {
+                    cell = self.eval_points::<D, UNIFORM>(coefs, &x, out, cell);
+                    continue;
+                };
+                let (s0, s1) = (
+                    self.run_at::<D, UNIFORM>(col, c0, x),
+                    self.run_at::<D, UNIFORM>(col, c1, x),
+                );
+                *out = std::array::from_fn(|j| if at_c0[j] { s0[j] } else { s1[j] });
+                cell = (c1 + W).min(n - 1);
+                vector_runs += 1;
                 continue;
             }
-            let vals = self.basis_in::<[f64; W], D, UNIFORM, false>(c0, x);
-            let stencil = &col[c0..c0 + W + D];
-            let mut s = <[f64; W]>::splat(0.0);
-            for m in 0..=D {
-                s = vals[m].mul_add(<[f64; W]>::load(&stencil[m..]), s);
-            }
-            *out = s;
+            *out = self.run_at::<D, UNIFORM>(col, c0, x);
             // The next run most likely starts one cell on.
             cell = (c0 + W).min(n - 1);
             vector_runs += 1;
@@ -550,6 +568,54 @@ impl SplineSpace {
         x.iter_mut().zip(rest).for_each(|(x, b)| *x = b - shift);
         self.eval_points::<D, UNIFORM>(coefs, &x[..rest.len()], rest_out, cell);
         vector_runs
+    }
+
+    /// The run `x` evaluated eight-wide with point `j` in cell `c + j`: the
+    /// triangle there ([`Self::basis_in`]) dotted with the column's stencil
+    /// in the scalar body's order. Needs `c + 8 <= n`.
+    #[inline(always)]
+    fn run_at<const D: usize, const UNIFORM: bool>(
+        &self,
+        col: &[f64],
+        c: usize,
+        x: [f64; LANE_WIDTH],
+    ) -> [f64; LANE_WIDTH] {
+        const W: usize = LANE_WIDTH;
+        let vals = self.basis_in::<[f64; W], D, UNIFORM, false>(c, x);
+        let stencil = &col[c..c + W + D];
+        let mut s = <[f64; W]>::splat(0.0);
+        for m in 0..=D {
+            s = vals[m].mul_add(<[f64; W]>::load(&stencil[m..]), s);
+        }
+        s
+    }
+
+    /// A run that is no sweep from `c0` (`c0 + 8 <= n`) but whose point `j`
+    /// lies in cell `c0 + j` or `c1 + j`, `c1` the last point's cell less
+    /// seven (`c1 + 8 <= n`): `c1` and which points lie in `c0 + j`. `None`
+    /// for anything else — a third offset, the domain's edge, a NaN.
+    #[inline(always)]
+    fn split_run(
+        &self,
+        t: &[f64],
+        c0: usize,
+        x: [f64; LANE_WIDTH],
+    ) -> Option<(usize, [bool; LANE_WIDTH])> {
+        const W: usize = LANE_WIDTH;
+        let n = t.len() - 1;
+        let last = self.cell_of_wrapped::<false>(x[W - 1], Some((c0 + W - 1).min(n - 1)));
+        let c1 = last.checked_sub(W - 1).filter(|c1| c1 + W <= n)?;
+        let inside = |c: usize| {
+            let edges = &t[c..c + W + 1];
+            let (lower, upper) = (<[f64; W]>::load(edges), <[f64; W]>::load(&edges[1..]));
+            std::array::from_fn::<bool, W, _>(|j| (lower[j] <= x[j]) & (x[j] < upper[j]))
+        };
+        let (at_c0, at_c1) = (inside(c0), inside(c1));
+        let mut covered = true;
+        for j in 0..W {
+            covered &= at_c0[j] | at_c1[j];
+        }
+        covered.then_some((c1, at_c0))
     }
 
     /// [`Self::walk`] through the instance compiled for `isa`.
@@ -634,7 +700,10 @@ impl SplineSpace {
     /// Lane for lane this is [`Self::eval_lane`] at `base[i] − shift`, bit
     /// for bit: the same body (the widest [`PanelIsa`] instance of it the
     /// host has) on the lane's coefficients de-interleaved into this
-    /// thread's column scratch. Nothing is allocated per panel.
+    /// thread's column scratch, so the same runs of eight feet go
+    /// eight-wide: those in eight consecutive cells, and on a non-uniform
+    /// mesh those whose offset from their cells steps once. Nothing is
+    /// allocated per panel.
     ///
     /// # Panics
     /// Panics if `coefs.len() != num_basis() · LANE_WIDTH`, if `out` has no

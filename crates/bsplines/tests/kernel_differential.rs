@@ -627,16 +627,16 @@ fn reference(space: &PeriodicSplineSpace, coefs: &[f64], x: f64) -> f64 {
 /// Evaluate `lanes` splines (`-0.0` among their coefficients) at `xs`
 /// through every panel instance the host has and through `eval_lane` on
 /// contiguous and on strided views, and hold every result to [`reference`]
-/// bit for bit. Returns the share of runs that took the vector path (the
-/// same through every wide instance; the baseline instance is the scalar
-/// body and takes none), or `None` on a host with no wide instance.
+/// bit for bit. Returns how many runs took the vector path (the same
+/// through every wide instance; the baseline instance is the scalar body and
+/// takes none), or `None` on a host with no wide instance.
 fn check_against_reference(
     space: &PeriodicSplineSpace,
     xs: &[f64],
     lanes: usize,
     rng: &mut TestRng,
     what: &str,
-) -> Option<f64> {
+) -> Option<usize> {
     let (n, rows) = (space.num_basis(), xs.len());
     let mut panel = vec![f64::NAN; n * LANE_WIDTH];
     for row in panel.chunks_exact_mut(LANE_WIDTH) {
@@ -708,21 +708,23 @@ fn check_against_reference(
         wide_out.iter().skip(1).step_by(2).all(|&v| v == -7.0),
         "{what}"
     );
-    vector_runs.map(|runs| runs as f64 / (lanes * (rows / LANE_WIDTH)).max(1) as f64)
+    vector_runs
 }
 
 /// The runs of eight — on every instruction set, through `eval_panel` and
 /// `eval_lane`, strided or not — return the single-point body's bits, and
 /// on the advection step's feet they are what runs: the vector path takes
-/// at least nine runs in ten, on a periodic and on a clamped space.
+/// at least nine runs in ten on the uniform mesh and 49 in 50 on the graded
+/// one, on a periodic and on a clamped space.
 #[test]
 fn advected_feet_take_the_vector_path_to_the_scalar_bits() {
     let mut rng = TestRng::seed_from_u64(0xB5_001A);
-    // On a graded mesh the feet keep the spacing of where they came from; a
-    // run holds while that is the spacing of where they land, i.e. while the
-    // shift is short against the length the grading varies over. 1024 cells
-    // at strength 0.6 is `adv_resident_n5`: measured 0.96 at one cell, 0.92
-    // at 2.3, 0.88–0.92 at four, 0.80 at eight (and 0.66 at 2.3 of 256).
+    // On a graded mesh the feet keep the spacing of where they came from, so
+    // where that spacing and the cells' differ the offset between a foot's
+    // row and its cell steps by one; a run that straddles one step still
+    // goes eight-wide, as two passes. 1024 cells at strength 0.6 is
+    // `adv_resident_n5`: 0.984–1.000 at every shift here, integer ones
+    // included, the residue each lane's run on the period's edge.
     let (uniform, graded) = if cfg!(miri) { (24, 40) } else { (256, 1024) };
     let degrees: &[usize] = if cfg!(miri) { &[3] } else { &[1, 2, 3, 4, 5] };
     for (name, breaks) in [
@@ -741,34 +743,91 @@ fn advected_feet_take_the_vector_path_to_the_scalar_bits() {
                 let by = shift * mean_width(&breaks);
                 let xs: Vec<f64> = points.iter().map(|x| x - by).collect();
                 let what = format!("{name} {} shift {shift}", kind(&space));
-                let share = check_against_reference(&space, &xs, 2, &mut rng, &what);
                 // Only a wide instance has a vector path.
-                let Some(share) = share else { continue };
-                // Crowded end cells and clamped feet go the scalar way.
-                if !space.is_periodic() {
-                    eprintln!("{what}: vector-path share {share:.3}");
+                let Some(runs) = check_against_reference(&space, &xs, 2, &mut rng, &what) else {
+                    continue;
+                };
+                let share = runs as f64 / (2 * (xs.len() / LANE_WIDTH)) as f64;
+                eprintln!("{what}: vector-path share {share:.3}");
+                if cfg!(miri) {
+                    continue;
                 }
-                // Odd-degree Greville points of a uniform mesh *are* break
-                // points up to rounding, and stay so under a whole-cell
-                // shift: each foot falls either side of its own break
-                // point, which is no sweep (and costs time, never a bit).
-                let floor = if shift.abs() <= 2.5 { 0.9 } else { 0.85 };
-                if shift.fract() != 0.0 && !cfg!(miri) {
-                    assert!(share >= floor, "{what}: vector-path share {share}");
+                if breaks.is_uniform() {
+                    // Odd-degree Greville points of a uniform mesh *are*
+                    // break points up to rounding, and stay so under a
+                    // whole-cell shift: each foot falls either side of its
+                    // own break point, which is no sweep (and costs time,
+                    // never a bit). Crowded end cells and clamped feet go
+                    // the scalar way.
+                    let floor = if shift.abs() <= 2.5 { 0.9 } else { 0.85 };
+                    if shift.fract() != 0.0 {
+                        assert!(share >= floor, "{what}: vector-path share {share}");
+                    }
+                } else {
+                    assert!(share >= 0.98, "{what}: vector-path share {share}");
                 }
             }
         }
     }
 }
 
+/// Eight feet, foot `j` inside cell `c0 + j + offset[j]`: a quarter of the
+/// way in, or three quarters where the foot before it shares its cell.
+fn run_in_cells(breaks: &Breaks, c0: usize, offset: [isize; LANE_WIDTH]) -> Vec<f64> {
+    let t = breaks.points();
+    let cells: Vec<usize> = (0..LANE_WIDTH)
+        .map(|j| (c0 + j).checked_add_signed(offset[j]).expect("a cell"))
+        .collect();
+    (0..LANE_WIDTH)
+        .map(|j| {
+            let c = cells[j];
+            let second = j > 0 && cells[j - 1] == c;
+            let f = if second { 0.75 } else { 0.25 };
+            t[c] + f * (t[c + 1] - t[c])
+        })
+        .collect()
+}
+
 /// Run edges by construction: every remainder of rows, meshes on which
 /// `c0 + 8 <= n` holds and fails, a sweep through the period's edge, cells
-/// holding two feet and cells skipped, a non-finite foot inside a run.
+/// holding two feet and cells skipped, a non-finite foot inside a run; and
+/// on a graded mesh, runs built cell by cell whose feet's offset from their
+/// cells steps, each held to the vector-run count it must take.
 #[test]
 fn run_edges_by_construction() {
     let mut rng = TestRng::seed_from_u64(0xB5_001B);
     let degrees: &[usize] = if cfg!(miri) { &[3] } else { &[1, 2, 3, 4, 5] };
+    // `(what, c0, offsets, vector runs)` at n = 40: point `j` in cell
+    // `c0 + j + offset[j]`. Two offsets, the last foot's one of them, go
+    // eight-wide as two passes; anything else is scalar.
+    let n = 40;
+    let split_runs: [(&str, usize, [isize; LANE_WIDTH], usize); 7] = [
+        ("interleaved", 10, [0, -1, 0, -1, -1, 0, -1, -1], 1),
+        ("two feet in a cell", 10, [0, 0, 0, -1, -1, -1, -1, -1], 1),
+        ("a skipped cell", 10, [0, 0, 0, 1, 1, 1, 1, 1], 1),
+        ("pass from cell 0", 1, [0, -1, -1, -1, -1, -1, -1, -1], 1),
+        ("pass to cell n", n - 9, [0, 1, 1, 1, 1, 1, 1, 1], 1),
+        ("three offsets", 10, [0, 0, -1, -1, 1, 1, 1, 1], 0),
+        ("last foot at 0", 10, [0, 0, -1, -1, 0, 0, 0, 0], 0),
+    ];
     for &degree in degrees {
+        let graded = Breaks::graded(n, -0.5, 1.0, 0.9).expect("valid");
+        for space in spaces(&graded, &[degree]) {
+            for (name, c0, offset, runs) in split_runs {
+                let what = format!("graded 0.9 {} {name}", kind(&space));
+                let xs = run_in_cells(&graded, c0, offset);
+                let taken = check_against_reference(&space, &xs, 2, &mut rng, &what);
+                assert!(taken.is_none_or(|taken| taken == 2 * runs), "{what}");
+            }
+            // A NaN foot inside a split run, the last one included.
+            for j in [4, LANE_WIDTH - 1] {
+                let what = format!("graded 0.9 {} NaN foot {j} of a split", kind(&space));
+                let mut xs = run_in_cells(&graded, 10, [0, 0, 0, -1, -1, -1, -1, -1]);
+                xs[j] = f64::NAN;
+                let taken = check_against_reference(&space, &xs, 1, &mut rng, &what);
+                assert!(taken.is_none_or(|taken| taken == 0), "{what}");
+            }
+        }
         let sizes = [2 * degree + 1, 12, 15, 16, 17, 40];
         for n in sizes.into_iter().filter(|&n| n > 2 * degree) {
             for (name, breaks) in [

@@ -595,6 +595,40 @@ mod tests {
         assert!(spmv.predicted_time_s(&d) < base.predicted_time_s(&d));
     }
 
+    /// Each phase but the interior sweep is its bytes at the device's
+    /// bandwidth times the efficiency of how it runs: the baseline's corner
+    /// gemm launches, the fused kernel's per-lane corner gemv, streaming
+    /// otherwise (a full device, so no occupancy factor).
+    #[test]
+    fn each_phase_is_charged_at_its_own_efficiency() {
+        let d = toy_device(64, 256);
+        let k = kernel();
+        for version in KernelVersion::ALL {
+            let report = simulate_builder_traffic(&d, version, &k, 2560);
+            for (phase, stats) in &report.phases {
+                if *phase == Phase::Interior {
+                    continue;
+                }
+                let eff = match (*phase, version) {
+                    (Phase::DenseCorner, KernelVersion::Baseline) => d.gemm_efficiency,
+                    (Phase::DenseCorner, KernelVersion::Fused) => d.gemv_efficiency,
+                    _ => d.stream_efficiency,
+                };
+                let bytes = (stats.mem_read_bytes + stats.mem_write_bytes) as f64 * report.scale;
+                let alone = TrafficReport {
+                    phases: vec![(*phase, *stats)],
+                    ..report.clone()
+                };
+                let want = bytes / (d.peak_bw_gbs * 1e9 * eff);
+                let got = alone.predicted_time_s(&d);
+                assert!(
+                    (got - want).abs() <= 1e-12 * want,
+                    "{version:?} {phase:?}: {got:e} s, want {want:e}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn labels() {
         assert_eq!(KernelVersion::Baseline.label(), "Original");
